@@ -39,14 +39,14 @@ impl InvalidationPolicy for ComponentInvalidation {
 /// Build one per epoch from the previous epoch's labels and the applied
 /// [`MutationBatch`] (or [`absorb`](Self::absorb) several batches applied
 /// since those labels were produced), then execute with
-/// [`BspEngine::run_warm`](ebv_bsp::BspEngine::run_warm) passing the same
+/// [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed) passing the same
 /// prior labels.
 ///
 /// # Examples
 ///
 /// ```
 /// use ebv_algorithms::{ConnectedComponents, IncrementalConnectedComponents};
-/// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch};
+/// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
 /// use ebv_graph::Edge;
 /// use ebv_partition::PartitionId;
 ///
@@ -67,7 +67,7 @@ impl InvalidationPolicy for ComponentInvalidation {
 /// distributed.apply_mutations(&batch)?;
 ///
 /// let program = IncrementalConnectedComponents::from_batch(&cold.values, &batch);
-/// let warm = engine.run_warm(&distributed, &program, &cold.values)?;
+/// let warm = engine.run_opts(&distributed, &program, RunOptions::new().warm_seed(&cold.values))?;
 /// assert_eq!(warm.values, vec![0, 0, 0, 0]);
 /// # Ok(())
 /// # }
@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::reference::cc_reference;
     use crate::ConnectedComponents;
-    use ebv_bsp::{BspEngine, DistributedGraph};
+    use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
     use ebv_graph::Graph;
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
@@ -209,7 +209,9 @@ mod tests {
             }
             let program = IncrementalConnectedComponents::from_batch(&labels, &batch);
             distributed.apply_mutations(&batch).unwrap();
-            let warm = engine.run_warm(&distributed, &program, &labels).unwrap();
+            let warm = engine
+                .run_opts(&distributed, &program, RunOptions::new().warm_seed(&labels))
+                .unwrap();
             let cold = engine
                 .run(&distributed, &ConnectedComponents::new())
                 .unwrap();
@@ -230,7 +232,11 @@ mod tests {
         assert_eq!(program.dirty_components(), 0);
         assert_eq!(program.seed_vertices(), 0);
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
         assert_eq!(warm.values, cold.values);
         assert_eq!(warm.supersteps, 1, "nothing to do: one quiescent superstep");

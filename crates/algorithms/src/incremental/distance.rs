@@ -337,7 +337,7 @@ warm_distance_program!(
     ///
     /// ```
     /// use ebv_algorithms::{IncrementalSssp, SingleSourceShortestPath};
-    /// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch};
+    /// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
     /// use ebv_graph::{Edge, VertexId};
     /// use ebv_partition::PartitionId;
     ///
@@ -362,7 +362,8 @@ warm_distance_program!(
     ///
     /// let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
     /// assert_eq!(program.horizon(), None, "insertions invalidate nothing");
-    /// let warm = engine.run_warm(&distributed, &program, &cold.values)?;
+    /// let warm =
+    ///     engine.run_opts(&distributed, &program, RunOptions::new().warm_seed(&cold.values))?;
     /// assert_eq!(warm.values, vec![0, 1, 1]);
     /// # Ok(())
     /// # }
@@ -393,7 +394,7 @@ const _: () = assert!(UNVISITED == UNREACHABLE);
 mod tests {
     use super::*;
     use crate::{BreadthFirstSearch, SingleSourceShortestPath};
-    use ebv_bsp::{BspEngine, DistributedGraph};
+    use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
     use ebv_graph::Graph;
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
@@ -456,7 +457,13 @@ mod tests {
             }
             let program = IncrementalSssp::from_batch(source, &distances, &batch);
             distributed.apply_mutations(&batch).unwrap();
-            let warm = engine.run_warm(&distributed, &program, &distances).unwrap();
+            let warm = engine
+                .run_opts(
+                    &distributed,
+                    &program,
+                    RunOptions::new().warm_seed(&distances),
+                )
+                .unwrap();
             let cold = engine
                 .run(&distributed, &SingleSourceShortestPath::new(source))
                 .unwrap();
@@ -480,7 +487,11 @@ mod tests {
         assert_eq!(program.seed_vertices(), 0);
         assert_eq!(program.name(), "SSSP-warm");
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
         assert_eq!(warm.values, cold.values);
         assert_eq!(warm.supersteps, 1, "nothing to do: one quiescent superstep");
@@ -512,7 +523,11 @@ mod tests {
         assert_eq!(program.horizon(), Some(2));
         distributed.apply_mutations(&batch).unwrap();
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
         assert_eq!(warm.values, vec![0, 1, UNREACHABLE, UNREACHABLE]);
     }
@@ -544,7 +559,11 @@ mod tests {
         );
         distributed.apply_mutations(&batch).unwrap();
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
         assert_eq!(warm.values, vec![0, 1, 1]);
         assert_eq!(warm.supersteps, 1, "no invalidation, no seeds: quiescent");
@@ -588,7 +607,11 @@ mod tests {
 
         for program in [&coarse, &precise] {
             let warm = engine
-                .run_warm(&distributed, program, &cold.values)
+                .run_opts(
+                    &distributed,
+                    program,
+                    RunOptions::new().warm_seed(&cold.values),
+                )
                 .unwrap();
             assert_eq!(warm.values, vec![0, UNREACHABLE, 1, 2]);
         }
@@ -615,7 +638,11 @@ mod tests {
         let program = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
         assert_eq!(program.cone_vertices(), 0, "a parallel copy survives");
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
         assert_eq!(warm.values, vec![0, 1, 2]);
         assert_eq!(warm.supersteps, 1, "no invalidation, no seeds: quiescent");
@@ -641,7 +668,9 @@ mod tests {
         assert_eq!(program.root(), root);
         assert_eq!(program.name(), "BFS-warm");
         distributed.apply_mutations(&batch).unwrap();
-        let warm = engine.run_warm(&distributed, &program, &depths).unwrap();
+        let warm = engine
+            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&depths))
+            .unwrap();
         let cold = engine
             .run(&distributed, &BreadthFirstSearch::new(root))
             .unwrap();

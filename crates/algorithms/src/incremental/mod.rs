@@ -4,7 +4,7 @@
 //! disturbs a tiny fraction of the graph, yet re-running CC, PageRank, SSSP
 //! or BFS from scratch pays the full cold-start cost every time. The
 //! programs here are designed for
-//! [`BspEngine::run_warm`](ebv_bsp::BspEngine::run_warm): they seed every
+//! [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed): they seed every
 //! vertex from the previous epoch's outcome and re-activate only the region
 //! the mutations disturbed.
 //!

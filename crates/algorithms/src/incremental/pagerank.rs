@@ -14,7 +14,7 @@ use crate::pagerank::{pagerank_superstep, PageRankValue};
 /// materializes a global [`ebv_graph::Graph`] — by counting owned local
 /// edges, which cover every edge exactly once. Seed it from the previous
 /// epoch's ranks via
-/// [`BspEngine::run_warm`](ebv_bsp::BspEngine::run_warm); a handful of warm
+/// [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed); a handful of warm
 /// iterations reaches the tolerance a cold uniform start needs several times
 /// as many iterations for, and the bit-exact message gating of the shared
 /// kernel suppresses replica traffic wherever ranks have stopped moving.
@@ -118,7 +118,7 @@ impl SubgraphProgram for IncrementalPageRank {
 mod tests {
     use super::*;
     use crate::{ranks, PageRank};
-    use ebv_bsp::{BspEngine, MutationBatch};
+    use ebv_bsp::{BspEngine, MutationBatch, RunOptions};
     use ebv_graph::Edge;
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
@@ -138,7 +138,11 @@ mod tests {
         distributed.apply_mutations(&batch).unwrap();
         let program = IncrementalPageRank::from_distributed(&distributed, 40);
         let warm = engine
-            .run_warm(&distributed, &program, &cold.values)
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
             .unwrap();
 
         // Cold reference on the mutated distribution with the same kernel

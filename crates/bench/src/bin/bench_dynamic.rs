@@ -31,7 +31,7 @@ use ebv_algorithms::{
 use ebv_bench::TextTable;
 use ebv_bsp::DurabilityHook;
 use ebv_bsp::{BspEngine, CostModel, DistributedGraph, MutationBatch, RunOptions};
-use ebv_dynamic::{ChurnStream, EventPipeline};
+use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
 use ebv_graph::{GraphBuilder, VertexId};
 use ebv_obs::{MetricsRegistry, ObsServer, ObsServerConfig, Phase, Telemetry};
 use ebv_partition::{
@@ -67,7 +67,7 @@ fn emit_json(
     rows: &[Measurement],
     phases: &[(&'static str, f64, f64)],
 ) -> String {
-    // The vendored serde stand-in has no JSON backend; the schema is flat
+    // No JSON crate is available offline; the schema is flat
     // enough to emit by hand. The measured-vs-modeled section deliberately
     // avoids the "name"/"seconds" keys the bench_gate scanner zips.
     let mut out = String::new();
@@ -518,75 +518,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seconds: cc_cold_threaded_seconds,
             state_bytes: 0,
         });
-        // Pool-persistence measurement: an epoch loop of cold CC runs with
-        // the shared worker pool held across epochs (`Threaded` — parked
-        // threads, zero spawns after warm-up) against the same loop on the
-        // legacy spawn-per-superstep placement (`SpawnPerStep` — scoped
-        // threads created and joined every superstep). Both engines are
-        // bit-identical to the sequential reference; the delta is pure
-        // spawn/join overhead. Best of five samples, each timing a
-        // three-epoch loop, same noise defences as the gated pair above.
-        const POOL_EPOCHS: usize = 3;
-        type EpochLoopSample = (f64, Option<ebv_bsp::BspOutcome<u64>>);
-        let epoch_loop_best_of =
-            |engine: BspEngine| -> Result<EpochLoopSample, Box<dyn std::error::Error>> {
-                // Warm-up outside the timed window: the shared pool spawns
-                // its threads on first touch, and both sides fault their
-                // buffers in.
-                let mut outcome =
-                    Some(engine.run(&route_distributed, &ConnectedComponents::new())?);
-                let mut best = f64::INFINITY;
-                for _ in 0..5 {
-                    let started = Instant::now();
-                    for _ in 0..POOL_EPOCHS {
-                        outcome =
-                            Some(engine.run(&route_distributed, &ConnectedComponents::new())?);
-                    }
-                    best = best.min(started.elapsed().as_secs_f64());
-                }
-                Ok((best, outcome))
-            };
-        let spawns_before = ebv_bsp::pool_threads_spawned();
-        let (pooled_loop_seconds, pooled_outcome) = epoch_loop_best_of(BspEngine::threaded())?;
-        let pool_spawn_delta = ebv_bsp::pool_threads_spawned() - spawns_before;
-        let (spawn_loop_seconds, spawn_outcome) = epoch_loop_best_of(BspEngine::spawn_per_step())?;
-        let pooled_outcome = pooled_outcome.expect("pooled epoch loop produced an outcome");
-        let spawn_outcome = spawn_outcome.expect("spawn-per-step epoch loop produced an outcome");
-        assert_eq!(
-            pooled_outcome.values, pair_sequential.values,
-            "pooled CC must be bit-identical to the sequential reference"
-        );
-        assert_eq!(
-            spawn_outcome.values, pair_sequential.values,
-            "spawn-per-step CC must be bit-identical to the sequential reference"
-        );
-        assert_eq!(pooled_outcome.stats, spawn_outcome.stats);
-        assert!(
-            pool_spawn_delta <= ebv_bsp::shared_worker_pool().threads() as u64,
-            "the shared pool must not spawn per epoch (spawned {pool_spawn_delta} threads \
-             across {POOL_EPOCHS}+ epochs)"
-        );
-        rows.push(Measurement {
-            name: "cc_cold_pooled_spawn_free",
-            items: "labels",
-            count: route_distributed.num_vertices() * POOL_EPOCHS,
-            seconds: pooled_loop_seconds,
-            state_bytes: 0,
-        });
-        rows.push(Measurement {
-            name: "cc_cold_spawn_per_superstep",
-            items: "labels",
-            count: route_distributed.num_vertices() * POOL_EPOCHS,
-            seconds: spawn_loop_seconds,
-            state_bytes: 0,
-        });
-        println!(
-            "pool persistence: {POOL_EPOCHS}-epoch pooled loop {pooled_loop_seconds:.4}s \
-             ({pool_spawn_delta} threads spawned) vs spawn-per-superstep floor \
-             {spawn_loop_seconds:.4}s ({:.2}x)",
-            spawn_loop_seconds / pooled_loop_seconds,
-        );
-
         // Trace-overhead measurement: the same sequential cold CC with a
         // live Telemetry recorder (spans into the lock-free ring + phase
         // histograms), gated in CI as cc_traced/cc_cold_sequential <= 1.05.
@@ -612,15 +543,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
             let sample_telemetry = Telemetry::isolated();
             let started = Instant::now();
-            let first = BspEngine::sequential().run_with(
+            let first = BspEngine::sequential().run_opts(
                 &route_distributed,
                 &cc_program,
-                &sample_telemetry,
+                RunOptions::new().recorder(&sample_telemetry),
             )?;
-            let _second = BspEngine::sequential().run_with(
+            let _second = BspEngine::sequential().run_opts(
                 &route_distributed,
                 &cc_program,
-                &sample_telemetry,
+                RunOptions::new().recorder(&sample_telemetry),
             )?;
             let sample = started.elapsed().as_secs_f64() / 2.0;
             if sample < cc_traced_seconds {
@@ -731,15 +662,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 })
             };
             let started = Instant::now();
-            let first = BspEngine::sequential().run_with(
+            let first = BspEngine::sequential().run_opts(
                 &route_distributed,
                 &cc_program,
-                &*sample_telemetry,
+                RunOptions::new().recorder(&*sample_telemetry),
             )?;
-            let _second = BspEngine::sequential().run_with(
+            let _second = BspEngine::sequential().run_opts(
                 &route_distributed,
                 &cc_program,
-                &*sample_telemetry,
+                RunOptions::new().recorder(&*sample_telemetry),
             )?;
             let sample = started.elapsed().as_secs_f64() / 2.0;
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -810,7 +741,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut warm = None;
         for _ in 0..3 {
             let started = Instant::now();
-            let run = engine.run_warm(&incremental, &warm_program, &prior)?;
+            let run = engine.run_opts(
+                &incremental,
+                &warm_program,
+                RunOptions::new().warm_seed(&prior),
+            )?;
             cc_warm_seconds = cc_warm_seconds.min(started.elapsed().as_secs_f64());
             warm = Some(run);
         }
@@ -945,7 +880,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // ratios cover the whole warm path, not just the BSP run.
                 let started = Instant::now();
                 let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                let warm = engine.run_warm(dg, &sssp, &distances)?;
+                let warm = engine.run_opts(dg, &sssp, RunOptions::new().warm_seed(&distances))?;
                 sssp_warm_seconds += started.elapsed().as_secs_f64();
                 let verify = engine.run(dg, &SingleSourceShortestPath::new(source))?;
                 assert_eq!(
@@ -955,7 +890,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 distances = warm.values;
                 let started = Instant::now();
                 let bfs = IncrementalBfs::from_distributed(source, dg, &depths, batch);
-                let warm = engine.run_warm(dg, &bfs, &depths)?;
+                let warm = engine.run_opts(dg, &bfs, RunOptions::new().warm_seed(&depths))?;
                 bfs_warm_seconds += started.elapsed().as_secs_f64();
                 let verify = engine.run(dg, &BreadthFirstSearch::new(source))?;
                 assert_eq!(warm.values, verify.values, "warm BFS must be bit-identical");
@@ -1003,7 +938,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Query-plane read throughput and latency: two unpaced reader
         // threads hammer the snapshot store (alternating point lookups and
         // top-k) while a further churned epoch sequence runs through
-        // `run_applied_publishing`, committing each epoch's warm CC labels
+        // the committing epoch loop, committing each epoch's warm CC labels
         // mid-read. Reported as the `query_reads` QPS series plus
         // `query_read_p50`/`query_read_p99` latencies from the store's
         // isolated `ebv_query_read_seconds` histogram — the trend series
@@ -1047,11 +982,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_seed(23);
         let read_epochs_started = Instant::now();
         let mut read_epochs = 0usize;
-        EventPipeline::new(1 << 11).run_applied_publishing(
+        EventPipeline::new(1 << 11).run_applied_opts(
             churn_reads,
             &mut partitioner,
             &mut incremental,
-            &query_store,
             |dg, batch, _, _| {
                 if batch.is_empty() {
                     return Ok(());
@@ -1069,7 +1003,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 read_epochs += 1;
                 Ok(())
             },
-            &ebv_obs::NoopRecorder,
+            EpochOptions::new().committer(&query_store),
         )?;
         let read_window_seconds = read_epochs_started.elapsed().as_secs_f64();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -14,7 +14,7 @@
 //!     [--scrape-healthz healthz.json] [--scrape-trace scrape-trace.json]
 //! ```
 //!
-//! The vendored serde stand-in has no JSON backend, so the trace is read
+//! No JSON crate is available offline, so the trace is read
 //! with the same minimal key scanner as `bench_gate` — enough of a parser
 //! for the flat event schema `ebv-obs` emits. Missing files, zero events,
 //! a missing phase, or a malformed event all fail the check — it is

@@ -15,10 +15,8 @@ use ebv_graph::generators::{
 };
 use ebv_graph::{Graph, GraphError};
 
-use serde::{Deserialize, Serialize};
-
 /// How large the synthetic substitutes should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Fast sizes for CI and the default binary runs (tens of thousands of
     /// edges).

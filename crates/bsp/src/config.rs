@@ -68,8 +68,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::InvalidMode { value } => write!(
                 f,
-                "{ENV_MODE} must be `sequential`, `threaded`, `spawn-per-step` or `pooled:<n>`, \
-                 got {value:?}"
+                "{ENV_MODE} must be `sequential`, `threaded` or `pooled:<n>`, got {value:?}"
             ),
             ConfigError::InvalidPoolSize { value } => {
                 write!(
@@ -204,13 +203,12 @@ impl EnvConfig {
             ExecutionMode::Sequential => BspEngine::sequential(),
             ExecutionMode::Threaded => BspEngine::threaded(),
             ExecutionMode::Pooled(n) => BspEngine::pooled(n),
-            ExecutionMode::SpawnPerStep => BspEngine::spawn_per_step(),
         }
     }
 }
 
-/// Parses an `EBV_MODE` value: `sequential`, `threaded`, `spawn-per-step`
-/// or `pooled:<n>` (a run-local pool of exactly `n` threads).
+/// Parses an `EBV_MODE` value: `sequential`, `threaded` or `pooled:<n>` (a
+/// run-local pool of exactly `n` threads).
 ///
 /// # Errors
 ///
@@ -220,7 +218,6 @@ pub fn parse_mode(value: &str) -> Result<ExecutionMode, ConfigError> {
     match value.trim() {
         "sequential" => Ok(ExecutionMode::Sequential),
         "threaded" => Ok(ExecutionMode::Threaded),
-        "spawn-per-step" => Ok(ExecutionMode::SpawnPerStep),
         trimmed => match trimmed.strip_prefix("pooled:") {
             Some(threads) => Ok(ExecutionMode::Pooled(parse_pool_size(threads)?)),
             None => Err(ConfigError::InvalidMode {
@@ -291,10 +288,6 @@ mod tests {
     fn every_mode_spelling_parses() {
         assert_eq!(parse_mode("sequential").unwrap(), ExecutionMode::Sequential);
         assert_eq!(parse_mode("threaded").unwrap(), ExecutionMode::Threaded);
-        assert_eq!(
-            parse_mode("spawn-per-step").unwrap(),
-            ExecutionMode::SpawnPerStep
-        );
         assert_eq!(parse_mode("pooled:3").unwrap(), ExecutionMode::Pooled(3));
         assert_eq!(
             parse_mode(" threaded ").unwrap(),
@@ -319,6 +312,13 @@ mod tests {
             parse_mode("pooled:0").unwrap_err(),
             ConfigError::InvalidPoolSize {
                 value: "0".to_string()
+            }
+        );
+        // The retired bench-floor mode is rejected like any other misspelling.
+        assert_eq!(
+            parse_mode("spawn-per-step").unwrap_err(),
+            ConfigError::InvalidMode {
+                value: "spawn-per-step".to_string()
             }
         );
     }

@@ -9,18 +9,15 @@
 //! processes, while every in-process mode below keeps gating it
 //! bit-identically.
 //!
-//! Three implementations ship today:
+//! Two implementations ship today:
 //!
 //! * [`SequentialExecutor`] — tasks run in worker order on the caller
 //!   thread (the determinism reference);
 //! * [`PooledExecutor`] — tasks run on a persistent [`WorkerPool`], placed
-//!   by the work-aware LPT scheduler (`engine::schedule`);
-//! * [`SpawnPerStepExecutor`] — PR 5's one-scoped-spawn-per-chunk-per-
-//!   superstep placement, kept as the measured floor the pool's
-//!   spawn-amortization claim is benchmarked against.
+//!   by the work-aware LPT scheduler (`engine::schedule`).
 //!
-//! Every executor reports per-task panics exactly (worker id + payload) in
-//! ascending worker order, and none of them can affect program values or
+//! Both executors report per-task panics exactly (worker id + payload) in
+//! ascending worker order, and neither can affect program values or
 //! `ExecutionStats`: workers are independent within a superstep, and the
 //! engine folds their results in worker order afterwards.
 
@@ -155,68 +152,6 @@ impl SuperstepExecutor for PooledExecutor {
     }
 }
 
-/// PR 5's placement, kept as the measured spawn-cost floor: count-even
-/// contiguous chunks, one scoped thread spawned per chunk per superstep.
-///
-/// `bench_dynamic`'s `cc_cold_spawn_per_superstep` series runs this
-/// executor against `cc_cold_pooled_spawn_free` so the pool's
-/// amortization win is a number, not prose.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpawnPerStepExecutor;
-
-impl SuperstepExecutor for SpawnPerStepExecutor {
-    fn execute(&mut self, tasks: Vec<WorkerTask<'_>>) -> StepOutcome {
-        let num_tasks = tasks.len();
-        if num_tasks == 0 {
-            return StepOutcome::default();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(num_tasks)
-            .min(num_tasks)
-            .max(1);
-        let chunk_size = num_tasks.div_ceil(threads);
-        let mut chunks: Vec<Vec<WorkerTask<'_>>> = Vec::with_capacity(threads);
-        let mut rest = tasks;
-        while !rest.is_empty() {
-            let tail = rest.split_off(chunk_size.min(rest.len()));
-            chunks.push(rest);
-            rest = tail;
-        }
-        let mut panics = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut panics: Vec<(usize, String)> = Vec::new();
-                        for task in chunk {
-                            if let Err(payload) = catch_unwind(AssertUnwindSafe(task.run)) {
-                                panics.push((task.worker, panic_message(payload)));
-                            }
-                        }
-                        panics
-                    })
-                })
-                .collect();
-            let mut panics = Vec::new();
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk_panics) => panics.extend(chunk_panics),
-                    // The chunk thread itself died outside a task (cannot
-                    // happen today: every task is individually caught).
-                    Err(payload) => panics.push((usize::MAX, panic_message(payload))),
-                }
-            }
-            panics
-        });
-        panics.sort_unstable_by_key(|&(worker, _)| worker);
-        StepOutcome {
-            panics,
-            max_lane_workers: chunk_size,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +180,6 @@ mod tests {
     #[test]
     fn all_executors_run_every_task() {
         exercise(&mut SequentialExecutor);
-        exercise(&mut SpawnPerStepExecutor);
         exercise(&mut PooledExecutor::own(1));
         exercise(&mut PooledExecutor::own(2));
         exercise(&mut PooledExecutor::own(9));
@@ -269,7 +203,6 @@ mod tests {
         };
         let mut executors: Vec<Box<dyn SuperstepExecutor>> = vec![
             Box::new(SequentialExecutor),
-            Box::new(SpawnPerStepExecutor),
             Box::new(PooledExecutor::own(1)),
             Box::new(PooledExecutor::own(3)),
         ];
@@ -287,7 +220,6 @@ mod tests {
     fn empty_superstep_is_a_no_op() {
         for executor in [
             &mut SequentialExecutor as &mut dyn SuperstepExecutor,
-            &mut SpawnPerStepExecutor,
             &mut PooledExecutor::own(2),
         ] {
             let outcome = executor.execute(Vec::new());

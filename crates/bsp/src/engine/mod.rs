@@ -6,8 +6,8 @@
 //!   loop: seeding, the quiescence/convergence protocol, statistics and
 //!   result extraction;
 //! * [`executor`] — the [`SuperstepExecutor`] trait: how one superstep's
-//!   independent worker tasks are placed (sequential, pooled, legacy
-//!   spawn-per-step), and the seam a multi-process transport plugs into;
+//!   independent worker tasks are placed (sequential or pooled), and the
+//!   seam a multi-process transport plugs into;
 //! * [`pool`] — the persistent [`WorkerPool`]: fixed threads parked across
 //!   supersteps and (for the shared pool) across runs and mutation epochs,
 //!   tasks handed over `std::sync::mpsc` channels, exact per-task panic
@@ -21,8 +21,7 @@ mod pool;
 mod schedule;
 
 pub use executor::{
-    PooledExecutor, SequentialExecutor, SpawnPerStepExecutor, StepOutcome, SuperstepExecutor,
-    WorkerTask,
+    PooledExecutor, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerTask,
 };
 pub use pool::{pool_threads_spawned, shared_worker_pool, WorkerPool};
 
@@ -36,10 +35,9 @@ use crate::publish::ValueSink;
 use crate::stats::{ExecutionStats, SuperstepStats, WorkerSuperstepStats};
 use crate::subgraph::DistributedGraph;
 
-/// Options for one engine run — the single entry point that replaces the
-/// `run` / `run_with` / `run_warm` / `run_warm_with` × recorder × mode
-/// sprawl (those four remain as thin forwarders onto
-/// [`BspEngine::run_opts`]).
+/// Options for one engine run: telemetry, a warm-start seed and snapshot
+/// publication are each an optional stage of [`BspEngine::run_opts`]; the
+/// execution mode belongs to the engine.
 ///
 /// `V` is the program's value type, `R` the recorder
 /// ([`NoopRecorder`] until [`recorder`](RunOptions::recorder) swaps it —
@@ -48,21 +46,18 @@ use crate::subgraph::DistributedGraph;
 /// # Examples
 ///
 /// ```
-/// use ebv_bsp::{BspEngine, ExecutionMode, RunOptions};
+/// use ebv_bsp::RunOptions;
+/// use ebv_obs::Telemetry;
 ///
-/// // Equivalent to `engine.run_warm(&dg, &program, &prior)`, but with a
-/// // per-run mode override — no second engine needed:
-/// # fn demo(prior: &[u64]) {
-/// let _options: RunOptions<'_, u64> = RunOptions::new()
-///     .warm_seed(prior)
-///     .mode(ExecutionMode::Sequential);
+/// // A warm-started, traced run: `engine.run_opts(&dg, &program, options)`.
+/// # fn demo(prior: &[u64], telemetry: &Telemetry) {
+/// let _options: RunOptions<'_, u64, Telemetry> =
+///     RunOptions::new().warm_seed(prior).recorder(telemetry);
 /// # }
-/// # demo(&[0]);
+/// # demo(&[0], &Telemetry::new());
 /// ```
 #[derive(Clone, Copy)]
 pub struct RunOptions<'a, V, R: Recorder = NoopRecorder> {
-    /// Per-run override of the engine's [`ExecutionMode`].
-    mode: Option<ExecutionMode>,
     /// Telemetry destination for phase spans and counters.
     recorder: &'a R,
     /// Warm-start seed: a previous epoch's global values.
@@ -78,11 +73,10 @@ impl<V> Default for RunOptions<'_, V, NoopRecorder> {
 }
 
 impl<V> RunOptions<'_, V, NoopRecorder> {
-    /// Options for a plain cold run: engine-configured mode, no telemetry,
-    /// no warm seed, no publication.
+    /// Options for a plain cold run: no telemetry, no warm seed, no
+    /// publication.
     pub fn new() -> Self {
         RunOptions {
-            mode: None,
             recorder: &NoopRecorder,
             warm: None,
             sink: None,
@@ -91,18 +85,11 @@ impl<V> RunOptions<'_, V, NoopRecorder> {
 }
 
 impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
-    /// Overrides the engine's [`ExecutionMode`] for this run only.
-    pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
     /// Reports phase spans (gather, compute, scatter, barrier) and message
     /// counters through `recorder`. Instrumentation does not perturb
     /// execution: values and [`ExecutionStats`] stay bit-identical.
     pub fn recorder<R2: Recorder>(self, recorder: &'a R2) -> RunOptions<'a, V, R2> {
         RunOptions {
-            mode: self.mode,
             recorder,
             warm: self.warm,
             sink: self.sink,
@@ -111,8 +98,15 @@ impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
 
     /// Warm-starts the run from `prior` — the global per-vertex values of a
     /// previous epoch's [`BspOutcome`] — instead of
-    /// [`SubgraphProgram::initial_value`]. See
-    /// [`BspEngine::run_warm`] for the seeding rules.
+    /// [`SubgraphProgram::initial_value`].
+    ///
+    /// Every replica of vertex `v` with `v < prior.len()` is seeded with
+    /// [`SubgraphProgram::warm_value`]`(v, &prior[v], subgraph)`; vertices
+    /// beyond `prior` (the universe may have grown across mutation epochs)
+    /// fall back to `initial_value`. Combined with an incremental program
+    /// (e.g. `ebv_algorithms::IncrementalConnectedComponents`) this re-runs
+    /// a fixpoint from the previous epoch's answer, activating only the
+    /// region the mutations disturbed.
     pub fn warm_seed(mut self, prior: &'a [V]) -> Self {
         self.warm = Some(prior);
         self
@@ -198,14 +192,10 @@ pub enum ExecutionMode {
     /// epochs pay zero thread-spawn cost.
     Threaded,
     /// Workers run on a run-local pool of exactly this many threads
-    /// (`0` is clamped to `1`): created once per `run`/`run_warm`, joined
-    /// when the run finishes. The property suites sweep this mode over
-    /// pool sizes to prove placement-independence.
+    /// (`0` is clamped to `1`): created once per run, joined when the run
+    /// finishes. The property suites sweep this mode over pool sizes to
+    /// prove placement-independence.
     Pooled(usize),
-    /// PR 5's legacy placement — count-even chunks, one scoped OS thread
-    /// spawned per chunk per superstep — kept as the measured floor for
-    /// the pool's spawn-amortization benchmark.
-    SpawnPerStep,
 }
 
 /// The subgraph-centric BSP engine.
@@ -275,14 +265,6 @@ impl BspEngine {
         }
     }
 
-    /// Creates an engine using the legacy spawn-per-superstep placement
-    /// (see [`ExecutionMode::SpawnPerStep`]) — the benchmark floor.
-    pub fn spawn_per_step() -> Self {
-        BspEngine {
-            mode: ExecutionMode::SpawnPerStep,
-        }
-    }
-
     /// The configured execution mode.
     pub fn mode(&self) -> ExecutionMode {
         self.mode
@@ -303,73 +285,6 @@ impl BspEngine {
         self.run_opts(distributed, program, RunOptions::new())
     }
 
-    /// [`run`](BspEngine::run) with telemetry: phase spans (gather,
-    /// compute, scatter per worker; barrier per superstep) and message
-    /// counters are reported through `recorder`.
-    ///
-    /// Instrumentation does not perturb execution: values and
-    /// [`ExecutionStats`] are bit-identical to an uninstrumented run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BspError::DidNotConverge`] when a quiescence-halting program
-    /// exhausts [`SubgraphProgram::max_supersteps`].
-    pub fn run_with<P: SubgraphProgram, R: Recorder>(
-        &self,
-        distributed: &DistributedGraph,
-        program: &P,
-        recorder: &R,
-    ) -> Result<BspOutcome<P::Value>> {
-        self.run_opts(distributed, program, RunOptions::new().recorder(recorder))
-    }
-
-    /// Executes `program` warm-started from `prior` — the global per-vertex
-    /// values of a previous epoch's [`BspOutcome`] — instead of from
-    /// [`SubgraphProgram::initial_value`].
-    ///
-    /// Every replica of vertex `v` with `v < prior.len()` is seeded with
-    /// [`SubgraphProgram::warm_value`]`(v, &prior[v], subgraph)`; vertices
-    /// beyond `prior` (the universe may have grown across mutation epochs)
-    /// fall back to `initial_value`. Combined with an incremental program
-    /// (e.g. `ebv_algorithms::IncrementalConnectedComponents`) this re-runs
-    /// a fixpoint from the previous epoch's answer, activating only the
-    /// region the mutations disturbed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BspError::DidNotConverge`] when a quiescence-halting program
-    /// exhausts [`SubgraphProgram::max_supersteps`].
-    pub fn run_warm<P: SubgraphProgram>(
-        &self,
-        distributed: &DistributedGraph,
-        program: &P,
-        prior: &[P::Value],
-    ) -> Result<BspOutcome<P::Value>> {
-        self.run_opts(distributed, program, RunOptions::new().warm_seed(prior))
-    }
-
-    /// [`run_warm`](BspEngine::run_warm) with telemetry — see
-    /// [`run_with`](BspEngine::run_with) for the spans and the
-    /// determinism guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BspError::DidNotConverge`] when a quiescence-halting program
-    /// exhausts [`SubgraphProgram::max_supersteps`].
-    pub fn run_warm_with<P: SubgraphProgram, R: Recorder>(
-        &self,
-        distributed: &DistributedGraph,
-        program: &P,
-        prior: &[P::Value],
-        recorder: &R,
-    ) -> Result<BspOutcome<P::Value>> {
-        self.run_opts(
-            distributed,
-            program,
-            RunOptions::new().warm_seed(prior).recorder(recorder),
-        )
-    }
-
     /// The executor implementing `mode`. Created once per run: a run-local
     /// pool spawns its threads here and joins them when the box drops; the
     /// shared pool is only borrowed.
@@ -378,13 +293,12 @@ impl BspEngine {
             ExecutionMode::Sequential => Box::new(SequentialExecutor),
             ExecutionMode::Threaded => Box::new(PooledExecutor::shared()),
             ExecutionMode::Pooled(threads) => Box::new(PooledExecutor::own(threads)),
-            ExecutionMode::SpawnPerStep => Box::new(SpawnPerStepExecutor),
         }
     }
 
     /// Executes `program` over `distributed` with explicit [`RunOptions`] —
-    /// the one true entry point; `run`, `run_with`, `run_warm` and
-    /// `run_warm_with` all forward here.
+    /// the one entry point; [`run`](BspEngine::run) is its no-options
+    /// shorthand.
     ///
     /// When [`RunOptions::publish_to`] is set, the finished run's global
     /// values and [`ExecutionStats`] are handed to the sink *before* this
@@ -401,7 +315,6 @@ impl BspEngine {
         program: &P,
         options: RunOptions<'_, P::Value, R>,
     ) -> Result<BspOutcome<P::Value>> {
-        let mode = options.mode.unwrap_or(self.mode);
         let recorder = options.recorder;
         let prior = options.warm;
         let num_workers = distributed.num_workers();
@@ -455,7 +368,7 @@ impl BspEngine {
         let epoch = distributed.epoch() as u32;
         // Engine-side (barrier) spans use worker == p by convention.
         let engine_worker = num_workers as u32;
-        let mut executor = Self::executor_for(mode);
+        let mut executor = Self::executor_for(self.mode);
         // Reused across supersteps: per-destination delivery counts.
         let mut received: Vec<usize> = Vec::with_capacity(num_workers);
 
@@ -750,7 +663,6 @@ mod tests {
             BspEngine::pooled(7),
             // `Pooled(0)` is clamped to one thread rather than rejected.
             BspEngine::pooled(0),
-            BspEngine::spawn_per_step(),
         ] {
             let other = run_min_label(&g, 4, engine);
             assert_eq!(seq.values, other.values, "{:?}", engine.mode());
@@ -758,10 +670,6 @@ mod tests {
             assert_eq!(seq.supersteps, other.supersteps, "{:?}", engine.mode());
         }
         assert_eq!(BspEngine::pooled(3).mode(), ExecutionMode::Pooled(3));
-        assert_eq!(
-            BspEngine::spawn_per_step().mode(),
-            ExecutionMode::SpawnPerStep
-        );
     }
 
     /// A program that panics on a fixed set of workers: the engine must
@@ -822,7 +730,6 @@ mod tests {
         for engine in [
             BspEngine::pooled(1),
             BspEngine::pooled(4),
-            BspEngine::spawn_per_step(),
             BspEngine::sequential(),
         ] {
             let err = engine.run(&dg, &PanicsOnWorkers(&[2, 1])).unwrap_err();
@@ -932,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn run_opts_mode_override_agrees_and_publishes() {
+    fn run_opts_publishes_the_returned_values() {
         use crate::publish::ValueSink;
         use std::sync::Mutex;
 
@@ -953,18 +860,11 @@ mod tests {
         let dg = DistributedGraph::build(&g, &partition).unwrap();
         let baseline = BspEngine::sequential().run(&dg, &MinLabel).unwrap();
 
-        // A threaded engine overridden to sequential per run, publishing.
         let sink = Captured {
             published: Mutex::new(Vec::new()),
         };
         let outcome = BspEngine::threaded()
-            .run_opts(
-                &dg,
-                &MinLabel,
-                RunOptions::new()
-                    .mode(ExecutionMode::Sequential)
-                    .publish_to(&sink),
-            )
+            .run_opts(&dg, &MinLabel, RunOptions::new().publish_to(&sink))
             .unwrap();
         assert_eq!(outcome.values, baseline.values);
         assert_eq!(outcome.stats, baseline.stats);
@@ -977,19 +877,17 @@ mod tests {
     }
 
     #[test]
-    fn run_opts_warm_seed_matches_run_warm() {
+    fn warm_seed_at_the_fixpoint_converges_in_one_quiet_superstep() {
         let g = named::small_social_graph();
         let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
         let dg = DistributedGraph::build(&g, &partition).unwrap();
         let cold = BspEngine::sequential().run(&dg, &MinLabel).unwrap();
-        let via_wrapper = BspEngine::sequential()
-            .run_warm(&dg, &MinLabel, &cold.values)
-            .unwrap();
-        let via_options = BspEngine::sequential()
+        let warm = BspEngine::sequential()
             .run_opts(&dg, &MinLabel, RunOptions::new().warm_seed(&cold.values))
             .unwrap();
-        assert_eq!(via_wrapper.values, via_options.values);
-        assert_eq!(via_wrapper.stats, via_options.stats);
+        assert_eq!(warm.values, cold.values);
+        assert_eq!(warm.supersteps, 1);
+        assert_eq!(warm.stats.total_messages(), 0);
     }
 
     #[test]

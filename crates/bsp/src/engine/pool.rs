@@ -2,19 +2,17 @@
 //! supersteps (and, for the shared pool, across runs and mutation epochs),
 //! fed superstep tasks over `std::sync::mpsc` channels.
 //!
-//! PR 5's threaded mode spawned one OS thread per worker-chunk per
-//! superstep, so on small graphs spawn cost dominated the barrier. The pool
-//! amortizes that cost to zero in the steady state: threads are created
-//! once (per [`WorkerPool::new`], or once per process for the
+//! Spawning one OS thread per worker-chunk per superstep lets spawn cost
+//! dominate the barrier on small graphs. The pool amortizes that cost to
+//! zero in the steady state: threads are created once (per
+//! [`WorkerPool::new`], or once per process for the
 //! [`shared_worker_pool`]) and every superstep only moves closures through
 //! channels.
 //!
 //! Each submitted task reports its own completion — including a captured
 //! panic payload — over a per-call completion channel, which gives the
-//! engine **exact** per-worker panic attribution (satellite of PR 8; the
-//! chunked spawn path previously attributed via first-missing-result within
-//! a chunk) and doubles as the safety fence for the lifetime erasure
-//! described on [`WorkerPool::run_tasks`].
+//! engine **exact** per-worker panic attribution and doubles as the safety
+//! fence for the lifetime erasure described on [`WorkerPool::run_tasks`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,8 +167,8 @@ impl Drop for WorkerPool {
 /// The process-wide shared pool behind
 /// [`ExecutionMode::Threaded`](crate::ExecutionMode::Threaded), created
 /// lazily on first use and never torn down — which is exactly what keeps
-/// warm mutation epochs spawn-free: every `run`/`run_warm` of every engine
-/// reuses the same parked threads.
+/// warm mutation epochs spawn-free: every run of every engine reuses the
+/// same parked threads.
 ///
 /// Sizing: the `EBV_POOL_SIZE` environment variable (read once, at first
 /// use) when set to a positive integer — parsed by

@@ -16,7 +16,11 @@
 //! * [`BspEngine`] executes programs sequentially or on a persistent
 //!   [`WorkerPool`] with work-aware (LPT) superstep scheduling, behind the
 //!   [`SuperstepExecutor`] seam a future multi-process transport plugs
-//!   into, recording the per-worker work and message counters;
+//!   into, recording the per-worker work and message counters. There is
+//!   one run call, [`BspEngine::run_opts`]: telemetry, a warm-start seed
+//!   and snapshot publication are optional stages of its [`RunOptions`]
+//!   (`run` is the no-options shorthand), and the [`ExecutionMode`]
+//!   belongs to the engine;
 //! * [`CostModel`] converts the counters into the comp/comm/ΔC/execution
 //!   breakdown of Table II and the timelines of Figure 4.
 //!
@@ -40,8 +44,7 @@ pub mod warm;
 pub use config::EnvConfig;
 pub use engine::{
     pool_threads_spawned, shared_worker_pool, BspEngine, BspOutcome, ExecutionMode, PooledExecutor,
-    RunOptions, SequentialExecutor, SpawnPerStepExecutor, StepOutcome, SuperstepExecutor,
-    WorkerPool, WorkerTask,
+    RunOptions, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerPool, WorkerTask,
 };
 pub use error::{BspError, Result};
 pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};

@@ -151,7 +151,7 @@ pub trait SubgraphProgram: Sync {
 
     /// The value a replica of `vertex` starts from when the engine is
     /// warm-started from a previous epoch's outcome (see
-    /// `BspEngine::run_warm`): `prior` is the vertex's value in that
+    /// `RunOptions::warm_seed`): `prior` is the vertex's value in that
     /// outcome. The default carries the prior value over unchanged;
     /// incremental programs override this to reset state invalidated by
     /// the mutations (e.g. component labels of split components). Called

@@ -66,10 +66,10 @@ pub trait EpochCommitter {
 ///    logged-but-unapplied frame, which recovery replays; that is
 ///    indistinguishable from having applied it and then crashed.
 /// 2. [`epoch_durable`](Self::epoch_durable) **after** the epoch's
-///    programs ran and the [`EpochCommitter`] flipped the snapshot — the
-///    implementation decides whether this epoch is a checkpoint boundary
-///    (fold the WAL suffix into a full snapshot of the distribution) or a
-///    no-op.
+///    programs ran and the [`EpochCommitter`] (if any) flipped the
+///    snapshot — the implementation decides whether this epoch is a
+///    checkpoint boundary (fold the WAL suffix into a full snapshot of
+///    the distribution) or a no-op.
 ///
 /// Like the other publication seams, the trait lives here so the
 /// dependency direction stays clean: the pipeline (`ebv-dynamic`) knows

@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use ebv_partition::max_mean_ratio;
 
 /// Counters for one worker during one superstep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSuperstepStats {
     /// Work units (edge traversals) performed in the computation stage.
     pub work: u64,
@@ -28,7 +26,7 @@ pub struct WorkerSuperstepStats {
 }
 
 /// Counters for all workers during one superstep.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SuperstepStats {
     /// Per-worker counters, indexed by worker (partition).
     pub per_worker: Vec<WorkerSuperstepStats>,
@@ -47,7 +45,7 @@ impl SuperstepStats {
 }
 
 /// Counters for a whole program execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionStats {
     /// Number of workers.
     pub num_workers: usize,
@@ -156,7 +154,7 @@ impl fmt::Display for ExecutionStats {
 /// message, a millisecond of barrier overhead); the paper's conclusions rest
 /// on *relative* comparisons between partitioners, which are preserved under
 /// any positive choice of constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Seconds of computation per work unit (edge traversal).
     pub seconds_per_work_unit: f64,
@@ -178,7 +176,7 @@ impl Default for CostModel {
 
 /// The comp/comm/sync spans of one worker in one superstep — one bar of the
 /// Figure 4 timeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimelineSpan {
     /// Modeled computation seconds.
     pub comp: f64,
@@ -189,7 +187,7 @@ pub struct TimelineSpan {
 }
 
 /// The Table II execution-time breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Breakdown {
     /// Mean over workers of the total computation time (the paper's `comp`).
     pub comp: f64,

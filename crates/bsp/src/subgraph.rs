@@ -6,8 +6,6 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use ebv_graph::{Edge, Graph, VertexId};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 use ebv_partition::{PartitionId, PartitionResult};
@@ -340,7 +338,7 @@ impl MutationBatch {
 /// kept as-is. `workers_touched == 0` therefore identifies a no-op epoch
 /// and `workers_touched < p` quantifies the locality win over the
 /// full-reassembly path that rebuilds every worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MutationStats {
     /// Workers whose subgraph was re-built this epoch.
     pub workers_touched: usize,

@@ -7,8 +7,9 @@
 //! 1. **dirty-set computation**: fold the [`MutationBatch`]es applied since
 //!    the prior outcome into an algorithm-specific description of which
 //!    prior values a deletion may have invalidated;
-//! 2. **warm seeding**: hand [`BspEngine::run_warm`](crate::BspEngine::run_warm)
-//!    a [`SubgraphProgram::warm_value`](crate::SubgraphProgram::warm_value)
+//! 2. **warm seeding**: hand the engine the prior values
+//!    ([`RunOptions::warm_seed`](crate::RunOptions::warm_seed)) and a
+//!    [`SubgraphProgram::warm_value`](crate::SubgraphProgram::warm_value)
 //!    that carries clean prior values over and resets dirty ones to their
 //!    cold initial state;
 //! 3. **gated re-activation**: activate only the disturbed region (the

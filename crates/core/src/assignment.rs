@@ -12,8 +12,6 @@
 //! [`PartitionResult`] wraps either so that frameworks and metrics can
 //! handle the two families uniformly.
 
-use serde::{Deserialize, Serialize};
-
 use ebv_graph::{Edge, Graph, VertexId};
 
 use crate::error::{PartitionError, Result};
@@ -23,7 +21,7 @@ use crate::types::PartitionId;
 /// A vertex-cut (edge partitioning) result: every edge of the graph is
 /// assigned to exactly one partition, in the same order as
 /// [`Graph::edges`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgePartition {
     num_partitions: usize,
     /// `assignment[i]` is the partition of `graph.edges()[i]`.
@@ -144,7 +142,7 @@ impl EdgePartition {
 /// An edge-cut (vertex partitioning) result: every vertex is assigned to
 /// exactly one partition; edges whose endpoints live in different partitions
 /// are replicated in both.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexPartition {
     num_partitions: usize,
     /// `assignment[v]` is the partition owning vertex `v`.
@@ -256,7 +254,7 @@ impl VertexPartition {
 
 /// Either family of partition result, handled uniformly by metrics, the BSP
 /// engine and the experiment harness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionResult {
     /// A vertex-cut (edge partitioning) result.
     VertexCut(EdgePartition),

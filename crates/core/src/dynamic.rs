@@ -49,6 +49,7 @@ use ebv_graph::{Edge, VertexId};
 use crate::baselines::mix64;
 use crate::error::{PartitionError, Result};
 use crate::metrics::PartitionMetrics;
+use crate::scoring::{ebv_best_part, hdrf_best_part, maintained_metrics, CoverLookup};
 use crate::streaming::StreamConfig;
 use crate::types::PartitionId;
 
@@ -190,6 +191,20 @@ enum Policy {
     },
     /// Position-independent hash of the edge endpoints.
     Random { salt: u64 },
+}
+
+impl CoverLookup for DynamicPartitioner {
+    fn covers(&self, v: VertexId, i: usize) -> bool {
+        self.incidence[i].contains_key(&v)
+    }
+
+    fn vcount(&self, i: usize) -> usize {
+        self.incidence[i].len()
+    }
+
+    fn ecount(&self) -> &[usize] {
+        &self.ecount
+    }
 }
 
 /// The deletion-oblivious Random-VC assignment: a pure hash of the edge
@@ -384,8 +399,8 @@ impl DynamicPartitioner {
     }
 
     /// Scores the partitions for `edge` with the configured policy against
-    /// the live state. Mirrors the streaming implementations expression for
-    /// expression so that insert-only sequences are bit-identical.
+    /// the live state, through the same scoring functions as the streaming
+    /// implementations, so insert-only sequences are bit-identical.
     fn place(&mut self, edge: Edge) -> PartitionId {
         let p = self.num_partitions;
         let (u, v) = edge.endpoints();
@@ -397,55 +412,15 @@ impl DynamicPartitioner {
                     None => (self.live_edges + 1) as f64 / p as f64,
                 };
                 let vertices_per_part = self.num_vertices() as f64 / p as f64;
-                let mut best_part = 0usize;
-                let mut best_score = f64::INFINITY;
-                for i in 0..p {
-                    let mut score = 0.0;
-                    if !self.incidence[i].contains_key(&u) {
-                        score += 1.0;
-                    }
-                    if !self.incidence[i].contains_key(&v) {
-                        score += 1.0;
-                    }
-                    score += alpha * self.ecount[i] as f64 / edges_per_part;
-                    score += beta * self.incidence[i].len() as f64 / vertices_per_part;
-                    if score < best_score {
-                        best_score = score;
-                        best_part = i;
-                    }
-                }
-                PartitionId::from_index(best_part)
+                ebv_best_part(self, alpha, beta, edges_per_part, vertices_per_part, u, v)
             }
             Policy::Hdrf { lambda, degree } => {
-                const EPSILON: f64 = 1.0;
                 let lambda = *lambda;
                 *degree.entry(u).or_insert(0) += 1;
                 *degree.entry(v).or_insert(0) += 1;
                 let du = degree[&u] as f64;
                 let dv = degree[&v] as f64;
-                let theta_u = du / (du + dv);
-                let theta_v = 1.0 - theta_u;
-                let max_size = *self.ecount.iter().max().expect("non-empty") as f64;
-                let min_size = *self.ecount.iter().min().expect("non-empty") as f64;
-                let mut best_part = 0usize;
-                let mut best_score = f64::NEG_INFINITY;
-                for i in 0..p {
-                    let mut replication = 0.0;
-                    if self.incidence[i].contains_key(&u) {
-                        replication += 1.0 + (1.0 - theta_u);
-                    }
-                    if self.incidence[i].contains_key(&v) {
-                        replication += 1.0 + (1.0 - theta_v);
-                    }
-                    let balance = lambda * (max_size - self.ecount[i] as f64)
-                        / (EPSILON + max_size - min_size);
-                    let score = replication + balance;
-                    if score > best_score {
-                        best_score = score;
-                        best_part = i;
-                    }
-                }
-                PartitionId::from_index(best_part)
+                hdrf_best_part(self, lambda, du, dv, u, v)
             }
             Policy::Random { salt } => dynamic_random_part(*salt, p, edge),
         }
@@ -456,6 +431,13 @@ impl DynamicPartitioner {
     pub fn insert(&mut self, edge: Edge) -> PartitionId {
         self.observe(edge);
         let part = self.place(edge);
+        self.record(edge, part);
+        part
+    }
+
+    /// Logs a live copy of `edge` in `part` and bumps the load and cover
+    /// refcounts — everything an insertion does after scoring.
+    fn record(&mut self, edge: Edge, part: PartitionId) {
         let position = self.log.len();
         self.log.push(LogEntry {
             edge,
@@ -469,7 +451,6 @@ impl DynamicPartitioner {
         if edge.dst != edge.src {
             self.add_incidence(edge.dst, part);
         }
-        part
     }
 
     /// Deletes the most recently inserted live copy of `edge` and returns
@@ -584,21 +565,8 @@ impl DynamicPartitioner {
                     ),
                 });
             }
-            // The insert path minus scoring: push the recorded placement
-            // and maintain exactly the refcounts `insert` would.
-            let position = self.log.len();
-            self.log.push(LogEntry {
-                edge,
-                part,
-                live: true,
-            });
-            self.copies.entry(edge).or_default().push(position);
-            self.ecount[part.index()] += 1;
-            self.live_edges += 1;
-            self.add_incidence(edge.src, part);
-            if edge.dst != edge.src {
-                self.add_incidence(edge.dst, part);
-            }
+            // The insert path minus scoring.
+            self.record(edge, part);
             if let Policy::Hdrf { degree, .. } = &mut self.policy {
                 // `place` bumps both endpoints per insertion (a self-loop
                 // counts twice), and `delete` undoes it symmetrically, so
@@ -638,33 +606,12 @@ impl DynamicPartitioner {
     /// exactly the surviving edges (in any order) with
     /// [`num_vertices`](Self::num_vertices) declared vertices.
     pub fn metrics(&self) -> PartitionMetrics {
-        let p = self.num_partitions;
-        let max_edges = self.ecount.iter().copied().max().unwrap_or(0) as f64;
-        let vcounts = self.vertex_counts();
-        let max_vertices = vcounts.iter().copied().max().unwrap_or(0) as f64;
-        let total_covered: usize = vcounts.iter().sum();
-        let universe = self.num_vertices();
-        let edge_imbalance = if self.live_edges == 0 {
-            1.0
-        } else {
-            max_edges / (self.live_edges as f64 / p as f64)
-        };
-        let vertex_imbalance = if total_covered == 0 {
-            1.0
-        } else {
-            max_vertices / (total_covered as f64 / p as f64)
-        };
-        let replication_factor = if universe == 0 {
-            1.0
-        } else {
-            total_covered as f64 / universe as f64
-        };
-        PartitionMetrics {
-            edge_imbalance,
-            vertex_imbalance,
-            replication_factor,
-            num_partitions: p,
-        }
+        maintained_metrics(
+            &self.ecount,
+            &self.vertex_counts(),
+            self.live_edges,
+            self.num_vertices(),
+        )
     }
 
     /// Whether the maintained metrics have drifted past the `config`

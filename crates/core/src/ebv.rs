@@ -18,8 +18,6 @@
 //! 1). Theorems 1 and 2 of the paper bound the resulting imbalance; those
 //! bounds are exported by [`crate::bounds`] and enforced by property tests.
 
-use serde::{Deserialize, Serialize};
-
 use ebv_graph::Graph;
 
 use crate::assignment::{EdgePartition, PartitionResult};
@@ -46,7 +44,7 @@ use crate::types::PartitionId;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EbvPartitioner {
     alpha: f64,
     beta: f64,
@@ -268,7 +266,7 @@ impl Partitioner for EbvPartitioner {
 }
 
 /// One sample of the replication-factor growth curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Number of edges assigned so far.
     pub edges_processed: usize,
@@ -278,7 +276,7 @@ pub struct TracePoint {
 
 /// The replication-factor growth curve recorded while EBV runs — the data
 /// behind Figure 5 of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EbvTrace {
     label: String,
     points: Vec<TracePoint>,

@@ -45,6 +45,7 @@ mod membership;
 mod metrics;
 mod ordering;
 mod partitioner;
+mod scoring;
 pub mod streaming;
 mod types;
 

@@ -12,15 +12,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use ebv_graph::Graph;
 
 use crate::assignment::PartitionResult;
 use crate::error::Result;
 
 /// The partition-quality metrics of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionMetrics {
     /// `max_i |E_i| / (|E| / p)`.
     pub edge_imbalance: f64,

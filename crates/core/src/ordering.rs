@@ -13,10 +13,8 @@ use rand::SeedableRng;
 
 use ebv_graph::{Edge, Graph};
 
-use serde::{Deserialize, Serialize};
-
 /// The order in which a streaming partitioner visits the edge list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdgeOrder {
     /// The order edges appear in the input graph (the paper's "EBV-unsort").
     Input,

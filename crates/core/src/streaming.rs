@@ -42,6 +42,7 @@ use crate::assignment::{EdgePartition, PartitionResult};
 use crate::baselines::mix64;
 use crate::error::{PartitionError, Result};
 use crate::membership::MembershipMatrix;
+use crate::scoring::{ebv_best_part, hdrf_best_part, maintained_metrics, CoverLookup};
 use crate::types::PartitionId;
 
 /// Configuration shared by every streaming partitioner: the partition count
@@ -261,10 +262,6 @@ impl StreamState {
         }
     }
 
-    fn vcount(&self, i: usize) -> usize {
-        self.keep.partition_size(PartitionId::from_index(i))
-    }
-
     fn observed_vertices(&self) -> usize {
         self.expected_vertices
             .unwrap_or(0)
@@ -272,34 +269,16 @@ impl StreamState {
     }
 
     fn metrics(&self) -> StreamingMetrics {
-        let p = self.num_partitions;
         let edges = self.assignment.len();
-        let max_edges = self.ecount.iter().copied().max().unwrap_or(0) as f64;
-        let vcounts: Vec<usize> = (0..p).map(|i| self.vcount(i)).collect();
-        let max_vertices = vcounts.iter().copied().max().unwrap_or(0) as f64;
-        let total_replicas: usize = vcounts.iter().sum();
+        let vcounts: Vec<usize> = (0..self.num_partitions).map(|i| self.vcount(i)).collect();
         let observed = self.observed_vertices();
-        let edge_imbalance = if edges == 0 {
-            1.0
-        } else {
-            max_edges / (edges as f64 / p as f64)
-        };
-        let vertex_imbalance = if total_replicas == 0 {
-            1.0
-        } else {
-            max_vertices / (total_replicas as f64 / p as f64)
-        };
-        let replication_factor = if observed == 0 {
-            1.0
-        } else {
-            total_replicas as f64 / observed as f64
-        };
+        let metrics = maintained_metrics(&self.ecount, &vcounts, edges, observed);
         StreamingMetrics {
             edges_ingested: edges,
             observed_vertices: observed,
-            edge_imbalance,
-            vertex_imbalance,
-            replication_factor,
+            edge_imbalance: metrics.edge_imbalance,
+            vertex_imbalance: metrics.vertex_imbalance,
+            replication_factor: metrics.replication_factor,
         }
     }
 
@@ -317,6 +296,20 @@ impl StreamState {
         self.ecount = vec![0; self.num_partitions];
         self.max_vertex_exclusive = 0;
         Ok(EdgePartition::new(self.num_partitions, assignment)?.into())
+    }
+}
+
+impl CoverLookup for StreamState {
+    fn covers(&self, v: VertexId, i: usize) -> bool {
+        self.keep.contains(v, PartitionId::from_index(i))
+    }
+
+    fn vcount(&self, i: usize) -> usize {
+        self.keep.partition_size(PartitionId::from_index(i))
+    }
+
+    fn ecount(&self) -> &[usize] {
+        &self.ecount
     }
 }
 
@@ -362,26 +355,15 @@ impl StreamingPartitioner for StreamingEbv {
         };
         let vertices_per_part = self.state.observed_vertices() as f64 / p as f64;
 
-        let mut best_part = 0usize;
-        let mut best_score = f64::INFINITY;
-        for i in 0..p {
-            let part = PartitionId::from_index(i);
-            let mut score = 0.0;
-            if !self.state.keep.contains(u, part) {
-                score += 1.0;
-            }
-            if !self.state.keep.contains(v, part) {
-                score += 1.0;
-            }
-            score += self.alpha * self.state.ecount[i] as f64 / edges_per_part;
-            score += self.beta * self.state.vcount(i) as f64 / vertices_per_part;
-            if score < best_score {
-                best_score = score;
-                best_part = i;
-            }
-        }
-
-        let part = PartitionId::from_index(best_part);
+        let part = ebv_best_part(
+            &self.state,
+            self.alpha,
+            self.beta,
+            edges_per_part,
+            vertices_per_part,
+            u,
+            v,
+        );
         self.state.record(edge, part);
         part
     }
@@ -432,46 +414,19 @@ impl StreamingPartitioner for StreamingHdrf {
     }
 
     fn ingest(&mut self, edge: Edge) -> PartitionId {
-        const EPSILON: f64 = 1.0;
         self.state.observe(edge);
         if self.partial_degree.len() < self.state.max_vertex_exclusive {
             self.partial_degree
                 .resize(self.state.max_vertex_exclusive, 0);
         }
-        let p = self.state.num_partitions;
         let (u, v) = edge.endpoints();
 
         self.partial_degree[u.index()] += 1;
         self.partial_degree[v.index()] += 1;
         let du = self.partial_degree[u.index()] as f64;
         let dv = self.partial_degree[v.index()] as f64;
-        let theta_u = du / (du + dv);
-        let theta_v = 1.0 - theta_u;
 
-        let max_size = *self.state.ecount.iter().max().expect("non-empty") as f64;
-        let min_size = *self.state.ecount.iter().min().expect("non-empty") as f64;
-
-        let mut best_part = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for i in 0..p {
-            let part = PartitionId::from_index(i);
-            let mut replication = 0.0;
-            if self.state.keep.contains(u, part) {
-                replication += 1.0 + (1.0 - theta_u);
-            }
-            if self.state.keep.contains(v, part) {
-                replication += 1.0 + (1.0 - theta_v);
-            }
-            let balance = self.lambda * (max_size - self.state.ecount[i] as f64)
-                / (EPSILON + max_size - min_size);
-            let score = replication + balance;
-            if score > best_score {
-                best_score = score;
-                best_part = i;
-            }
-        }
-
-        let part = PartitionId::from_index(best_part);
+        let part = hdrf_best_part(&self.state, self.lambda, du, dv, u, v);
         self.state.record(edge, part);
         part
     }

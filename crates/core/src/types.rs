@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a partition (subgraph / worker).
 ///
 /// Partition identifiers are dense: partitioning into `p` subgraphs uses the
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(format!("{p}"), "3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(u32);
 
 impl PartitionId {

@@ -27,6 +27,11 @@
 //!        rebalance migrations downstream.
 //! ```
 //!
+//! There is one epoch loop, [`EventPipeline::run_applied_opts`]: telemetry,
+//! the query plane's epoch commit and the write-ahead durability hook are
+//! optional stages of its [`EpochOptions`]. `run_applied` (no stage) and
+//! `run_applied_durable` (every stage) are its two shorthands.
+//!
 //! ## Quick example
 //!
 //! Maintain a partition under churn and absorb the mutations into a
@@ -35,18 +40,20 @@
 //!
 //! ```
 //! use ebv_bsp::DistributedGraph;
-//! use ebv_dynamic::{ChurnStream, EventPipeline};
+//! use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
+//! use ebv_obs::Telemetry;
 //! use ebv_partition::EbvPartitioner;
 //! use ebv_stream::{EdgeSource, RmatEdgeStream};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let telemetry = Telemetry::new();
 //! let stream = RmatEdgeStream::new(10, 10_000).with_seed(1);
 //! let workers = 4;
 //! let mut partitioner = EbvPartitioner::new().dynamic(stream.stream_config(workers))?;
 //! let mut distributed = DistributedGraph::build_streaming(workers, None, Vec::new())?;
 //!
 //! let churn = ChurnStream::new(stream, 0.25)?.with_seed(9);
-//! EventPipeline::new(2_048).run_applied(
+//! EventPipeline::new(2_048).run_applied_opts(
 //!     churn,
 //!     &mut partitioner,
 //!     &mut distributed,
@@ -56,6 +63,7 @@
 //!         assert_eq!(distributed.num_workers(), workers);
 //!         Ok(())
 //!     },
+//!     EpochOptions::new().recorder(&telemetry),
 //! )?;
 //!
 //! assert_eq!(distributed.num_edges(), partitioner.live_edges());
@@ -77,7 +85,7 @@ pub use churn::ChurnStream;
 pub use error::{DynamicError, Result};
 pub use event::{events, EventSource, EventVec, GraphEvent, InsertEvents};
 pub use pipeline::{
-    batch_from_plan, confined_deletion_batch, BatchReport, EventPipeline, EventReport,
+    batch_from_plan, confined_deletion_batch, BatchReport, EpochOptions, EventPipeline, EventReport,
 };
 pub use window::{SlidingWindow, TumblingWindow};
 

@@ -145,31 +145,8 @@ impl EventPipeline {
         Ok(report)
     }
 
-    /// The incremental epoch loop: like [`run`](Self::run), but every batch
-    /// is additionally absorbed into `distributed` through the incremental
-    /// [`DistributedGraph::apply_mutations`] path — only the workers a
-    /// batch touches are re-assembled — before `on_epoch` observes the
-    /// post-mutation distribution, the batch, the maintained metrics and
-    /// the epoch's [`MutationStats`].
-    ///
-    /// The distribution handed to `on_epoch` is the one the batch was just
-    /// applied to, so the callback can re-execute programs against it —
-    /// typically warm-started via
-    /// [`BspEngine::run_warm`](ebv_bsp::BspEngine::run_warm) with an
-    /// `ebv_algorithms::incremental` program fed the same batch (see the
-    /// `evolving_graph` example for the CC/SSSP/BFS epoch loop).
-    ///
-    /// A batch whose events fully cancelled in-batch is a no-op at the
-    /// distribution layer (`workers_touched == 0`, the epoch counter does
-    /// not advance); `on_epoch` still sees it, so callers can count raw
-    /// batches if they want to.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](Self::run) returns, plus
-    /// [`ebv_bsp::BspError`]s from `apply_mutations`. Batches applied
-    /// before a failure remain absorbed in both the partitioner and the
-    /// distribution.
+    /// [`run_applied_opts`](Self::run_applied_opts) with no optional stage
+    /// ([`EpochOptions::new`]); same errors.
     pub fn run_applied<S, F>(
         &self,
         source: S,
@@ -181,120 +158,17 @@ impl EventPipeline {
         S: EventSource,
         F: FnMut(&DistributedGraph, &MutationBatch, PartitionMetrics, MutationStats) -> Result<()>,
     {
-        self.run_applied_with(source, partitioner, distributed, on_epoch, &NoopRecorder)
-    }
-
-    /// [`run_applied`](Self::run_applied) with telemetry: every batch is
-    /// recorded as an `epoch_apply` span (superstep = batch index, on the
-    /// engine-side track of its post-apply epoch) around the mutation
-    /// application, insert/delete counters accumulate, and the maintained
-    /// partition state is exported as gauges (`ebv_dynamic_live_edges`,
-    /// `ebv_dynamic_replication_factor`, `ebv_dynamic_edge_imbalance`).
-    /// Every non-empty batch additionally reports an
-    /// [`EpochMark`](ebv_obs::EpochMark) through
-    /// [`Recorder::epoch_applied`], which a live
-    /// [`Telemetry`](ebv_obs::Telemetry) turns into one
-    /// `EpochSnapshot` per applied epoch in its journal.
-    ///
-    /// Instrumentation does not perturb the run: batches, metrics and every
-    /// deterministic [`MutationStats`] field are bit-identical to
-    /// [`run_applied`](Self::run_applied).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`run_applied`](Self::run_applied).
-    pub fn run_applied_with<S, F, R>(
-        &self,
-        source: S,
-        partitioner: &mut DynamicPartitioner,
-        distributed: &mut DistributedGraph,
-        on_epoch: F,
-        recorder: &R,
-    ) -> Result<EventReport>
-    where
-        S: EventSource,
-        F: FnMut(&DistributedGraph, &MutationBatch, PartitionMetrics, MutationStats) -> Result<()>,
-        R: Recorder,
-    {
-        self.run_applied_inner(
+        self.run_applied_opts(
             source,
             partitioner,
             distributed,
-            None,
-            None,
             on_epoch,
-            recorder,
+            EpochOptions::new(),
         )
     }
 
-    /// [`run_applied_with`](Self::run_applied_with) feeding the query
-    /// plane: after `on_epoch` returns `Ok` for a non-empty batch — i.e.
-    /// after the caller has re-run its programs and *staged* their values
-    /// through [`ValueSink`](ebv_bsp::ValueSink)s — the `committer` is
-    /// invoked once with the post-apply distribution, atomically flipping
-    /// everything staged for that epoch into readers' view.
-    ///
-    /// Ordering is the contract: commit happens strictly *after* `on_epoch`
-    /// succeeds, so concurrent readers either see the previous epoch's
-    /// complete snapshot or this epoch's complete snapshot — never a
-    /// half-staged mix, and never an epoch whose programs later failed.
-    /// Empty (fully-cancelled) batches do not advance the graph epoch and
-    /// are not committed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`run_applied_with`](Self::run_applied_with); a failed
-    /// `on_epoch` skips the commit, leaving readers on the last good epoch.
-    pub fn run_applied_publishing<S, F, R>(
-        &self,
-        source: S,
-        partitioner: &mut DynamicPartitioner,
-        distributed: &mut DistributedGraph,
-        committer: &dyn EpochCommitter,
-        on_epoch: F,
-        recorder: &R,
-    ) -> Result<EventReport>
-    where
-        S: EventSource,
-        F: FnMut(&DistributedGraph, &MutationBatch, PartitionMetrics, MutationStats) -> Result<()>,
-        R: Recorder,
-    {
-        self.run_applied_inner(
-            source,
-            partitioner,
-            distributed,
-            Some(committer),
-            None,
-            on_epoch,
-            recorder,
-        )
-    }
-
-    /// [`run_applied_publishing`](Self::run_applied_publishing) with a
-    /// durable lineage: every non-empty batch is logged through
-    /// [`DurabilityHook::log_batch`] **before** it is applied
-    /// (write-ahead), and after the epoch's programs have run and the
-    /// committer has flipped it into readers' view,
-    /// [`DurabilityHook::epoch_durable`] observes the post-commit state —
-    /// the hook's cue to take a cadenced checkpoint.
-    ///
-    /// `events_already_seen` seeds the cumulative raw-event counter
-    /// stamped into WAL frames; a recovered process passes
-    /// `RecoveredState::events_seen()` after fast-forwarding its event
-    /// source by the same amount, so frame stamps stay exact across
-    /// restarts. Fresh runs pass 0.
-    ///
-    /// Empty (fully-cancelled) batches are *not* logged — they do not
-    /// advance the epoch, and a frame without an epoch would fork the WAL
-    /// lineage. Their raw events still advance the counter, so the next
-    /// frame's stamp accounts for them.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run_applied_publishing`](Self::run_applied_publishing)
-    /// returns, plus [`DynamicError::Durability`] when the hook fails —
-    /// the batch that failed to log is **not** applied, so the durable
-    /// lineage never lags the in-memory state.
+    /// [`run_applied_opts`](Self::run_applied_opts) with every stage set —
+    /// recorder, committer and durability hook; same errors.
     #[allow(clippy::too_many_arguments)]
     pub fn run_applied_durable<S, F, R>(
         &self,
@@ -312,39 +186,69 @@ impl EventPipeline {
         F: FnMut(&DistributedGraph, &MutationBatch, PartitionMetrics, MutationStats) -> Result<()>,
         R: Recorder,
     {
-        self.run_applied_inner(
+        self.run_applied_opts(
             source,
             partitioner,
             distributed,
-            Some(committer),
-            Some((durability, events_already_seen)),
             on_epoch,
-            recorder,
+            EpochOptions::new()
+                .recorder(recorder)
+                .committer(committer)
+                .durability(durability, events_already_seen),
         )
     }
 
-    /// Shared implementation of the applied-epoch loop: log (when
-    /// durable), apply, record, hand to `on_epoch`, commit (when
-    /// publishing), then mark the epoch durable.
-    #[allow(clippy::too_many_arguments)]
-    fn run_applied_inner<S, F, R>(
+    /// The one incremental epoch loop: like [`run`](Self::run), but every
+    /// batch is additionally absorbed into `distributed` through the
+    /// incremental [`DistributedGraph::apply_mutations`] path — only the
+    /// workers a batch touches are re-assembled — before `on_epoch`
+    /// observes the post-mutation distribution, the batch, the maintained
+    /// metrics and the epoch's [`MutationStats`]. Per batch, in order: log
+    /// (when durable), apply, record, `on_epoch`, commit (when
+    /// publishing), mark the epoch durable (when durable) — the
+    /// conditional stages are the ones [`EpochOptions`] switches on.
+    ///
+    /// The distribution handed to `on_epoch` is the one the batch was just
+    /// applied to, so the callback can re-execute programs against it —
+    /// typically warm-started via
+    /// [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed) with an
+    /// `ebv_algorithms::incremental` program fed the same batch (see the
+    /// `evolving_graph` example for the CC/SSSP/BFS epoch loop).
+    ///
+    /// A batch whose events fully cancelled in-batch is a no-op at the
+    /// distribution layer (`workers_touched == 0`, the epoch counter does
+    /// not advance): `on_epoch` still sees it, so callers can count raw
+    /// batches if they want to, but it is neither logged (a frame without
+    /// an epoch would fork the WAL lineage) nor committed. Its raw events
+    /// still advance the cumulative counter stamped into the next frame.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`run`](Self::run) returns, plus
+    /// [`ebv_bsp::BspError`]s from `apply_mutations` and
+    /// [`DynamicError::Durability`] when the hook fails. Batches applied
+    /// before a failure remain absorbed in both the partitioner and the
+    /// distribution; a batch that failed to log is **not** applied, so the
+    /// durable lineage never lags the in-memory state; a failed `on_epoch`
+    /// skips the commit, leaving readers on the last good epoch.
+    pub fn run_applied_opts<S, F, R>(
         &self,
         source: S,
         partitioner: &mut DynamicPartitioner,
         distributed: &mut DistributedGraph,
-        committer: Option<&dyn EpochCommitter>,
-        durability: Option<(&dyn DurabilityHook, u64)>,
         mut on_epoch: F,
-        recorder: &R,
+        options: EpochOptions<'_, R>,
     ) -> Result<EventReport>
     where
         S: EventSource,
         F: FnMut(&DistributedGraph, &MutationBatch, PartitionMetrics, MutationStats) -> Result<()>,
         R: Recorder,
     {
+        let recorder = options.recorder;
+        let committer = options.committer;
+        let hook = options.durability.map(|(hook, _)| hook);
+        let mut events_seen = options.durability.map_or(0, |(_, start)| start);
         let mut batch_index = 0u32;
-        let hook = durability.map(|(hook, _)| hook);
-        let mut events_seen = durability.map(|(_, start)| start).unwrap_or(0);
         self.run_inner(
             source,
             partitioner,
@@ -404,6 +308,89 @@ impl EventPipeline {
                 Ok(())
             },
         )
+    }
+}
+
+/// The optional stages of one
+/// [`EventPipeline::run_applied_opts`] epoch loop, mirroring
+/// [`RunOptions`](ebv_bsp::RunOptions): each is off until its builder
+/// method sets it, and any combination is valid.
+///
+/// `R` is the recorder ([`NoopRecorder`] until
+/// [`recorder`](EpochOptions::recorder) swaps it — statically, so an
+/// untelemetered loop pays nothing).
+pub struct EpochOptions<'a, R: Recorder = NoopRecorder> {
+    recorder: &'a R,
+    committer: Option<&'a dyn EpochCommitter>,
+    /// The hook plus the cumulative raw-event count it starts from.
+    durability: Option<(&'a dyn DurabilityHook, u64)>,
+}
+
+impl Default for EpochOptions<'_, NoopRecorder> {
+    fn default() -> Self {
+        EpochOptions::new()
+    }
+}
+
+impl EpochOptions<'_, NoopRecorder> {
+    /// A plain loop: no telemetry, no commit, no durability.
+    pub fn new() -> Self {
+        EpochOptions {
+            recorder: &NoopRecorder,
+            committer: None,
+            durability: None,
+        }
+    }
+}
+
+impl<'a, R: Recorder> EpochOptions<'a, R> {
+    /// Telemetry: every batch is recorded as an `epoch_apply` span
+    /// (superstep = batch index, on the engine-side track of its
+    /// post-apply epoch) around the mutation application, insert/delete
+    /// counters accumulate, and the maintained partition state is exported
+    /// as gauges (`ebv_dynamic_live_edges`,
+    /// `ebv_dynamic_replication_factor`, `ebv_dynamic_edge_imbalance`).
+    /// Every non-empty batch additionally reports an
+    /// [`EpochMark`](ebv_obs::EpochMark) through
+    /// [`Recorder::epoch_applied`], which a live
+    /// [`Telemetry`](ebv_obs::Telemetry) turns into one `EpochSnapshot`
+    /// per applied epoch in its journal.
+    ///
+    /// Instrumentation does not perturb the run: batches, metrics and every
+    /// deterministic [`MutationStats`] field are bit-identical to an
+    /// unrecorded loop.
+    pub fn recorder<R2: Recorder>(self, recorder: &'a R2) -> EpochOptions<'a, R2> {
+        EpochOptions {
+            recorder,
+            committer: self.committer,
+            durability: self.durability,
+        }
+    }
+
+    /// Feeds the query plane (see [`EpochCommitter`]): `committer` runs
+    /// once per non-empty batch, strictly *after* `on_epoch` returned `Ok`
+    /// — i.e. after the caller staged that epoch's values through
+    /// [`ValueSink`](ebv_bsp::ValueSink)s — so concurrent readers see the
+    /// previous epoch's complete snapshot or this one's, never a
+    /// half-staged mix and never an epoch whose programs later failed.
+    pub fn committer(mut self, committer: &'a dyn EpochCommitter) -> Self {
+        self.committer = Some(committer);
+        self
+    }
+
+    /// A durable lineage, in the [`DurabilityHook`] ordering: every
+    /// non-empty batch is logged **before** it is applied, and
+    /// `epoch_durable` observes the state after `on_epoch` and the
+    /// committer (if any) — the hook's cue to take a cadenced checkpoint.
+    ///
+    /// `events_already_seen` seeds the cumulative raw-event counter
+    /// stamped into WAL frames; a recovered process passes
+    /// `RecoveredState::events_seen()` after fast-forwarding its event
+    /// source by the same amount, so frame stamps stay exact across
+    /// restarts. Fresh runs pass 0.
+    pub fn durability(mut self, hook: &'a dyn DurabilityHook, events_already_seen: u64) -> Self {
+        self.durability = Some((hook, events_already_seen));
+        self
     }
 }
 
@@ -649,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn run_applied_publishing_commits_after_each_applied_epoch() {
+    fn committer_stage_commits_after_each_applied_epoch() {
         use std::sync::Mutex;
 
         /// Records the graph epoch at each commit, and how many epochs
@@ -684,18 +671,17 @@ mod tests {
             commits: Mutex::new(Vec::new()),
         };
         EventPipeline::new(300)
-            .run_applied_publishing(
+            .run_applied_opts(
                 churn,
                 &mut partitioner,
                 &mut distributed,
-                &committer,
                 |_, batch, _, _| {
                     if !batch.is_empty() {
                         STAGED.with(|s| *s.borrow_mut() += 1);
                     }
                     Ok(())
                 },
-                &ebv_obs::NoopRecorder,
+                EpochOptions::new().committer(&committer),
             )
             .unwrap();
         let commits = committer.commits.into_inner().unwrap();
@@ -735,11 +721,10 @@ mod tests {
         };
         let mut epochs = 0usize;
         let err = EventPipeline::new(200)
-            .run_applied_publishing(
+            .run_applied_opts(
                 InsertEvents::new(stream),
                 &mut partitioner,
                 &mut distributed,
-                &committer,
                 |_, _, _, _| {
                     epochs += 1;
                     if epochs == 2 {
@@ -750,7 +735,7 @@ mod tests {
                     }
                     Ok(())
                 },
-                &ebv_obs::NoopRecorder,
+                EpochOptions::new().committer(&committer),
             )
             .unwrap_err();
         assert!(err.to_string().contains("program failed"));
@@ -841,6 +826,102 @@ mod tests {
         // having counted every raw event of this run.
         let total_events = (report.total_inserts() + report.total_deletes()) as u64;
         assert_eq!(calls.last().unwrap().2, offset + total_events);
+    }
+
+    /// Durability is its own stage: the same write-ahead ordering holds
+    /// with and without a committer, and a fully-cancelled batch reaches
+    /// `on_epoch` but is neither logged, committed nor marked durable.
+    #[test]
+    fn durability_stage_orders_log_epoch_commit_durable_with_or_without_a_committer() {
+        use std::cell::RefCell;
+
+        struct Tracing<'a>(&'a RefCell<Vec<String>>);
+
+        impl DurabilityHook for Tracing<'_> {
+            fn log_batch(
+                &self,
+                epoch: u64,
+                events_seen: u64,
+                _batch: &MutationBatch,
+            ) -> std::io::Result<()> {
+                self.0
+                    .borrow_mut()
+                    .push(format!("log {epoch} @{events_seen}"));
+                Ok(())
+            }
+
+            fn epoch_durable(
+                &self,
+                distributed: &DistributedGraph,
+                _partitioner: &DynamicPartitioner,
+                events_seen: u64,
+            ) -> std::io::Result<()> {
+                let epoch = distributed.epoch();
+                self.0
+                    .borrow_mut()
+                    .push(format!("durable {epoch} @{events_seen}"));
+                Ok(())
+            }
+        }
+
+        impl EpochCommitter for Tracing<'_> {
+            fn commit_epoch(&self, distributed: &DistributedGraph) {
+                self.0
+                    .borrow_mut()
+                    .push(format!("commit {}", distributed.epoch()));
+            }
+        }
+
+        let [a, b, c] = [(0u64, 1u64), (1, 2), (2, 3)].map(Edge::from);
+        for with_committer in [false, true] {
+            let trace = RefCell::new(Vec::new());
+            let stages = Tracing(&trace);
+            let mut options = EpochOptions::new().durability(&stages, 0);
+            if with_committer {
+                options = options.committer(&stages);
+            }
+            // Batches of two: applied, fully cancelled, applied.
+            let source = events(vec![
+                GraphEvent::Insert(a),
+                GraphEvent::Insert(b),
+                GraphEvent::Insert(c),
+                GraphEvent::Delete(c),
+                GraphEvent::Insert(c),
+                GraphEvent::Delete(a),
+            ]);
+            let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::new(2)).unwrap();
+            let mut distributed =
+                ebv_bsp::DistributedGraph::build_streaming(2, None, Vec::new()).unwrap();
+            EventPipeline::new(2)
+                .run_applied_opts(
+                    source,
+                    &mut partitioner,
+                    &mut distributed,
+                    |dg, batch, _, _| {
+                        let kind = if batch.is_empty() { "empty" } else { "epoch" };
+                        trace.borrow_mut().push(format!("{kind} {}", dg.epoch()));
+                        Ok(())
+                    },
+                    options,
+                )
+                .unwrap();
+            let mut expected = vec![
+                "log 1 @2",
+                "epoch 1",
+                "commit 1",
+                "durable 1 @2",
+                "empty 1",
+                // The cancelled batch's two raw events still count.
+                "log 2 @6",
+                "epoch 2",
+                "commit 2",
+                "durable 2 @6",
+            ];
+            if !with_committer {
+                expected.retain(|entry| !entry.starts_with("commit"));
+            }
+            assert_eq!(trace.into_inner(), expected, "committer: {with_committer}");
+        }
     }
 
     #[test]

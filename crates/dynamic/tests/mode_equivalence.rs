@@ -21,7 +21,7 @@ use ebv_algorithms::{
     BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
     IncrementalPageRank, IncrementalSssp, SingleSourceShortestPath,
 };
-use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, SubgraphProgram};
+use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
 use ebv_dynamic::{ChurnStream, EventPipeline};
 use ebv_graph::VertexId;
 use ebv_partition::EbvPartitioner;
@@ -78,10 +78,12 @@ where
     P::Value: PartialEq,
 {
     let seq = BspEngine::sequential()
-        .run_warm(distributed, program, prior)
+        .run_opts(distributed, program, RunOptions::new().warm_seed(prior))
         .unwrap();
     for engine in parallel_engines(distributed) {
-        let other = engine.run_warm(distributed, program, prior).unwrap();
+        let other = engine
+            .run_opts(distributed, program, RunOptions::new().warm_seed(prior))
+            .unwrap();
         assert!(
             seq.values == other.values,
             "{}: warm values diverged under {:?}",

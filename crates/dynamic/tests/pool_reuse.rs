@@ -7,7 +7,7 @@
 //! with other tests creating run-local pools in the same process.
 
 use ebv_algorithms::{ConnectedComponents, IncrementalConnectedComponents};
-use ebv_bsp::{shared_worker_pool, BspEngine, DistributedGraph};
+use ebv_bsp::{shared_worker_pool, BspEngine, DistributedGraph, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline};
 use ebv_partition::EbvPartitioner;
 use ebv_stream::{EdgeSource, RmatEdgeStream};
@@ -48,7 +48,10 @@ fn ten_epochs_reuse_the_same_pool_threads() {
             &mut distributed,
             |dg, batch, _, _| {
                 let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
-                labels = engine.run_warm(dg, &cc, &labels).unwrap().values;
+                labels = engine
+                    .run_opts(dg, &cc, RunOptions::new().warm_seed(&labels))
+                    .unwrap()
+                    .values;
                 epochs += 1;
                 assert_eq!(
                     ebv_bsp::pool_threads_spawned(),

@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use ebv_algorithms::{
     ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, SingleSourceShortestPath,
 };
-use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, SubgraphProgram};
-use ebv_dynamic::{ChurnStream, EventPipeline, InsertEvents};
+use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
+use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline, InsertEvents};
 use ebv_graph::VertexId;
 use ebv_obs::{NoopRecorder, ObsServer, ObsServerConfig, Recorder, Telemetry};
 use ebv_partition::EbvPartitioner;
@@ -45,7 +45,9 @@ where
         BspEngine::pooled(3),
     ] {
         let plain = engine.run(distributed, program).unwrap();
-        let traced = engine.run_with(distributed, program, telemetry).unwrap();
+        let traced = engine
+            .run_opts(distributed, program, RunOptions::new().recorder(telemetry))
+            .unwrap();
         assert!(
             plain.values == traced.values,
             "{}: tracing changed the values",
@@ -80,9 +82,15 @@ where
         BspEngine::threaded(),
         BspEngine::pooled(3),
     ] {
-        let plain = engine.run_warm(distributed, program, prior).unwrap();
+        let plain = engine
+            .run_opts(distributed, program, RunOptions::new().warm_seed(prior))
+            .unwrap();
         let traced = engine
-            .run_warm_with(distributed, program, prior, telemetry)
+            .run_opts(
+                distributed,
+                program,
+                RunOptions::new().warm_seed(prior).recorder(telemetry),
+            )
             .unwrap();
         assert!(
             plain.values == traced.values,
@@ -143,7 +151,7 @@ proptest! {
             .with_seed(seed + 1);
         let mut epochs = 0usize;
         EventPipeline::new(batch_size)
-            .run_applied_with(
+            .run_applied_opts(
                 churned,
                 &mut partitioner,
                 &mut distributed,
@@ -163,7 +171,7 @@ proptest! {
                     epochs += 1;
                     Ok(())
                 },
-                &telemetry,
+                EpochOptions::new().recorder(&telemetry),
             )
             .unwrap();
         prop_assert!(epochs >= 1, "the churned stream produced no epoch");
@@ -198,7 +206,11 @@ fn attribution_survives_pool_thread_reuse() {
 
     let telemetry = Telemetry::isolated();
     BspEngine::pooled(1)
-        .run_with(&distributed, &ConnectedComponents::new(), &telemetry)
+        .run_opts(
+            &distributed,
+            &ConnectedComponents::new(),
+            RunOptions::new().recorder(&telemetry),
+        )
         .unwrap();
 
     let tracks = telemetry.worker_phase_seconds();
@@ -240,14 +252,18 @@ fn run_scenario<R: Recorder>(recorder: &R) -> (Vec<u64>, Vec<ebv_bsp::ExecutionS
     let mut distributed = DistributedGraph::build_streaming(4, Some(1 << 7), Vec::new()).unwrap();
     let engine = BspEngine::threaded();
     let mut labels = engine
-        .run_with(&distributed, &ConnectedComponents::new(), recorder)
+        .run_opts(
+            &distributed,
+            &ConnectedComponents::new(),
+            RunOptions::new().recorder(recorder),
+        )
         .unwrap()
         .values;
     let mut stats_log = Vec::new();
     let mut applied = 0usize;
     let churned = ChurnStream::new(stream, 0.2).unwrap().with_seed(100);
     EventPipeline::new(256)
-        .run_applied_with(
+        .run_applied_opts(
             churned,
             &mut partitioner,
             &mut distributed,
@@ -256,12 +272,18 @@ fn run_scenario<R: Recorder>(recorder: &R) -> (Vec<u64>, Vec<ebv_bsp::ExecutionS
                     applied += 1;
                 }
                 let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
-                let outcome = engine.run_warm_with(dg, &cc, &labels, recorder).unwrap();
+                let outcome = engine
+                    .run_opts(
+                        dg,
+                        &cc,
+                        RunOptions::new().warm_seed(&labels).recorder(recorder),
+                    )
+                    .unwrap();
                 labels = outcome.values;
                 stats_log.push(outcome.stats);
                 Ok(())
             },
-            recorder,
+            EpochOptions::new().recorder(recorder),
         )
         .unwrap();
     (labels, stats_log, applied)

@@ -2,7 +2,7 @@
 //! (the PR 3 and PR 4 tentpoles): over seeded churned R-MAT streams,
 //!
 //! 1. warm-started Connected Components
-//!    ([`IncrementalConnectedComponents`] via `BspEngine::run_warm`) is
+//!    ([`IncrementalConnectedComponents`] via `RunOptions::warm_seed`) is
 //!    **bit-identical** to a cold [`ConnectedComponents`] run after *every*
 //!    insert/delete epoch — the final labels are the per-component minimum
 //!    vertex ids, a pure function of the surviving graph;
@@ -24,7 +24,7 @@ use ebv_algorithms::{
     ranks, BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
     IncrementalPageRank, IncrementalSssp, SingleSourceShortestPath, UNREACHABLE,
 };
-use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch};
+use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline, InsertEvents};
 use ebv_graph::VertexId;
 use ebv_partition::EbvPartitioner;
@@ -64,7 +64,9 @@ proptest! {
                 let program = IncrementalConnectedComponents::from_batch(&labels, batch);
                 let stats = distributed.apply_mutations(batch)?;
                 assert!(stats.workers_touched <= p);
-                let warm = engine.run_warm(&distributed, &program, &labels).unwrap();
+                let warm = engine
+                    .run_opts(&distributed, &program, RunOptions::new().warm_seed(&labels))
+                    .unwrap();
                 let cold = engine
                     .run(&distributed, &ConnectedComponents::new())
                     .unwrap();
@@ -135,7 +137,9 @@ proptest! {
             .unwrap();
 
         let program = IncrementalPageRank::from_distributed(&distributed, ITERATIONS);
-        let warm = engine.run_warm(&distributed, &program, &prior).unwrap();
+        let warm = engine
+            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
+            .unwrap();
         let cold = engine.run(&distributed, &program).unwrap();
         for (i, (a, b)) in ranks(&warm.values).iter().zip(ranks(&cold.values)).enumerate() {
             prop_assert!(
@@ -190,7 +194,9 @@ proptest! {
                 // constructor expects), the graph-free horizon for BFS.
                 let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
                 let bfs = IncrementalBfs::from_batch(source, &depths, batch);
-                let warm_sssp = engine.run_warm(dg, &sssp, &distances).unwrap();
+                let warm_sssp = engine
+                    .run_opts(dg, &sssp, RunOptions::new().warm_seed(&distances))
+                    .unwrap();
                 let cold_sssp = engine
                     .run(dg, &SingleSourceShortestPath::new(source))
                     .unwrap();
@@ -199,7 +205,9 @@ proptest! {
                     "warm SSSP diverged at epoch {}",
                     dg.epoch()
                 );
-                let warm_bfs = engine.run_warm(dg, &bfs, &depths).unwrap();
+                let warm_bfs = engine
+                    .run_opts(dg, &bfs, RunOptions::new().warm_seed(&depths))
+                    .unwrap();
                 let cold_bfs = engine
                     .run(dg, &BreadthFirstSearch::new(source))
                     .unwrap();
@@ -269,12 +277,16 @@ proptest! {
         let bfs = IncrementalBfs::from_batch(source, &prior_bfs, &batch);
         distributed.apply_mutations(&batch).unwrap();
 
-        let warm = engine.run_warm(&distributed, &sssp, &prior_sssp).unwrap();
+        let warm = engine
+            .run_opts(&distributed, &sssp, RunOptions::new().warm_seed(&prior_sssp))
+            .unwrap();
         let cold = engine
             .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap();
         prop_assert_eq!(&warm.values, &cold.values, "deletion-heavy warm SSSP diverged");
-        let warm_bfs = engine.run_warm(&distributed, &bfs, &prior_bfs).unwrap();
+        let warm_bfs = engine
+            .run_opts(&distributed, &bfs, RunOptions::new().warm_seed(&prior_bfs))
+            .unwrap();
         let cold_bfs = engine
             .run(&distributed, &BreadthFirstSearch::new(source))
             .unwrap();

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Graph;
 
 /// The empirical total-degree distribution of a graph.
@@ -28,7 +26,7 @@ use crate::graph::Graph;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeDistribution {
     counts: BTreeMap<usize, usize>,
     num_vertices: usize,

@@ -1,7 +1,5 @@
 //! The immutable [`Graph`] representation used across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GraphError, Result};
 use crate::types::{Edge, GraphKind, VertexId};
 
@@ -30,7 +28,7 @@ use crate::types::{Edge, GraphKind, VertexId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     kind: GraphKind,
     num_vertices: usize,

@@ -7,14 +7,12 @@
 //! discrete maximum-likelihood estimator of Clauset, Shalizi & Newman, which
 //! is the standard way to obtain such exponents from empirical degree data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::degree::DegreeDistribution;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 
 /// Result of a power-law fit over a degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Estimated exponent η of `P(degree = d) ∝ d^-η`.
     pub eta: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::degree::DegreeDistribution;
 use crate::error::Result;
 use crate::graph::Graph;
@@ -26,7 +24,7 @@ use crate::types::GraphKind;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Name of the dataset the statistics describe.
     pub name: String,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex inside a [`Graph`](crate::Graph).
 ///
 /// Vertex identifiers are dense: a graph with `n` vertices uses the
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.index(), 7);
 /// assert_eq!(format!("{v}"), "7");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(u64);
 
 impl VertexId {
@@ -96,7 +92,7 @@ impl From<VertexId> for usize {
 /// assert_eq!(e.reversed(), Edge::new(VertexId::new(1), VertexId::new(0)));
 /// assert!(!e.is_self_loop());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -170,7 +166,7 @@ impl From<(VertexId, VertexId)> for Edge {
 /// partitioning ([Section III-C of the paper]).
 ///
 /// [Section III-C of the paper]: https://arxiv.org/abs/2010.09007
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphKind {
     /// Each input edge is a single directed edge.
     Directed,

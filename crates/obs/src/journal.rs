@@ -177,8 +177,8 @@ impl EpochJournal {
         self.lock().snapshots.back().map(|s| s.at_seconds)
     }
 
-    /// Writes the journal as a JSON document into `out` (hand-rolled: the
-    /// vendored serde stand-in has no JSON backend). Schema:
+    /// Writes the journal as a JSON document into `out` (hand-rolled: no
+    /// JSON crate is available offline). Schema:
     ///
     /// ```json
     /// {"recorded_total": 9, "capacity": 1024, "epochs": [

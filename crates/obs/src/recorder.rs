@@ -166,7 +166,7 @@ pub trait Recorder: Sync {
     fn observe_seconds(&self, _name: &'static str, _seconds: f64) {}
 
     /// Reports one applied mutation epoch. The epoch driver
-    /// (`EventPipeline::run_applied_with`) calls this once per non-empty
+    /// (`EventPipeline::run_applied_opts`) calls this once per non-empty
     /// batch, after the mutations landed; [`Telemetry`](crate::Telemetry)
     /// turns the mark into an [`EpochSnapshot`](crate::EpochSnapshot) in
     /// its bounded [`EpochJournal`](crate::EpochJournal).

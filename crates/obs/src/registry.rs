@@ -289,7 +289,7 @@ fn assert_bare_name(name: &str) -> &str {
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a JSON document into `out` (hand-rolled:
-    /// the vendored serde stand-in has no JSON backend). Writing into a
+    /// no JSON crate is available offline). Writing into a
     /// caller-supplied sink lets HTTP handlers and large exports stream
     /// without building intermediate strings.
     pub fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {

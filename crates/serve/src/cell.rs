@@ -139,7 +139,8 @@ impl<T> std::fmt::Debug for EpochCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -155,14 +156,23 @@ mod tests {
     /// The core torn-read property at the cell level: each published value
     /// is internally consistent (all elements equal), so any mixed vector
     /// observed by a reader would prove a torn flip.
+    ///
+    /// The interleaving is forced rather than hoped for: the writer starts
+    /// only once every reader has completed a load, and follows each store
+    /// with a wait for a further load, so reads race every one of the 500
+    /// flips even when the scheduler would let the writer finish first.
     #[test]
     fn concurrent_readers_never_observe_a_torn_value() {
         let cell = Arc::new(EpochCell::new(Arc::new(vec![0u64; 64])));
         let stop = Arc::new(AtomicBool::new(false));
+        let all_reading = Arc::new(Barrier::new(5));
+        let total_loads = Arc::new(AtomicU64::new(0));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let all_reading = Arc::clone(&all_reading);
+                let total_loads = Arc::clone(&total_loads);
                 thread::spawn(move || {
                     let mut last = 0u64;
                     let mut loads = 0u64;
@@ -176,13 +186,22 @@ mod tests {
                         assert!(first >= last, "flips must be monotonic");
                         last = first;
                         loads += 1;
+                        total_loads.fetch_add(1, Ordering::SeqCst);
+                        if loads == 1 {
+                            all_reading.wait();
+                        }
                     }
                     loads
                 })
             })
             .collect();
+        all_reading.wait();
         for epoch in 1..=500u64 {
+            let before = total_loads.load(Ordering::SeqCst);
             cell.store(Arc::new(vec![epoch; 64]));
+            while total_loads.load(Ordering::SeqCst) == before {
+                thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();

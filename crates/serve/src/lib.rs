@@ -25,7 +25,7 @@
 //! The write path plugs into the rest of the stack at two seams defined
 //! in `ebv-bsp`: the engine publishes values via
 //! [`RunOptions::publish_to`](ebv_bsp::RunOptions::publish_to), and
-//! `EventPipeline::run_applied_publishing` commits via
+//! the `ebv-dynamic` epoch loop (`EpochOptions::committer`) commits via
 //! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch.
 
 #![deny(missing_docs)]

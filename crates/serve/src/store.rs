@@ -459,9 +459,9 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 impl EpochCommitter for SnapshotStore {
-    /// The pipeline-side commit: called by
-    /// `EventPipeline::run_applied_publishing` after each applied epoch's
-    /// programs have staged their series. Rebuilds adjacency from the
+    /// The pipeline-side commit: called by the `ebv-dynamic` epoch loop
+    /// (`EpochOptions::committer`) after each applied epoch's programs
+    /// have staged their series. Rebuilds adjacency from the
     /// post-apply distribution when [`serve_adjacency`] is on.
     ///
     /// [`serve_adjacency`]: SnapshotStore::serve_adjacency

@@ -1,6 +1,6 @@
 //! The PR 9 acceptance property: **snapshot isolation at epoch
-//! granularity**. Readers hammering a [`QueryHandle`] while
-//! `EventPipeline::run_applied_publishing` churns the graph through ≥10
+//! granularity**. Readers hammering a [`QueryHandle`] while the committing
+//! `EventPipeline::run_applied_opts` loop churns the graph through ≥10
 //! applied epochs must only ever observe *complete* epoch-N value sets —
 //! for any observed epoch tag, every served value is bit-identical to the
 //! values the engine computed for exactly that epoch, and the observed
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use ebv_algorithms::ConnectedComponents;
 use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
-use ebv_dynamic::{ChurnStream, EventPipeline};
+use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
 use ebv_partition::EbvPartitioner;
 use ebv_serve::{QueryError, SeriesData, SnapshotStore};
 use ebv_stream::{EdgeSource, RmatEdgeStream};
@@ -95,11 +95,10 @@ fn run_churned_epochs(scale: u32, num_edges: usize, seed: u64, churn: f64, batch
         })
         .collect();
 
-    let pipeline_result = EventPipeline::new(batch).run_applied_publishing(
+    let pipeline_result = EventPipeline::new(batch).run_applied_opts(
         churned,
         &mut partitioner,
         &mut distributed,
-        &store,
         |dg, batch, _, _| {
             if batch.is_empty() {
                 return Ok(());
@@ -117,7 +116,7 @@ fn run_churned_epochs(scale: u32, num_edges: usize, seed: u64, churn: f64, batch
                 .insert(dg.epoch() as u64, outcome.values);
             Ok(())
         },
-        &ebv_obs::NoopRecorder,
+        EpochOptions::new().committer(&store),
     );
     stop.store(true, Ordering::Relaxed);
     let reader_results: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();

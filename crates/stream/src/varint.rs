@@ -1,10 +1,10 @@
 //! Shared LEB128 varint codec.
 //!
-//! The binary edge-stream format ([`crate::binary`]) and the durable-state
-//! WAL framing (`ebv-state`) both encode integers as LEB128 varints. This
-//! module is the single implementation both build on: 7 value bits per
-//! byte, least-significant group first, high bit set on every byte except
-//! the last.
+//! The binary edge-stream format ([`crate::BinaryEdgeReader`]) and the
+//! durable-state WAL framing (`ebv-state`) both encode integers as LEB128
+//! varints. This module is the single implementation both build on: 7
+//! value bits per byte, least-significant group first, high bit set on
+//! every byte except the last.
 //!
 //! The reader is strict: it rejects encodings that overflow `u64` *and*
 //! non-canonical over-long encodings (a multi-byte encoding whose final

@@ -33,8 +33,8 @@
 //! `EBV_MODE=sequential` runs every BSP execution on the calling thread;
 //! the default (`EBV_MODE=threaded` or unset) uses one thread per worker,
 //! exercising the parallel two-phase message exchange end-to-end (and
-//! `pooled:<n>` / `spawn-per-step` select the other executors). Every mode
-//! produces bit-identical values and counters.
+//! `pooled:<n>` runs a run-local pool of `n` threads). Every mode produces
+//! bit-identical values and counters.
 //!
 //! The whole run is traced through the `ebv-obs` telemetry plane:
 //! `EBV_TRACE=out.json` writes a Chrome trace-event file (load it in
@@ -65,7 +65,9 @@ use ebv::bsp::{
     BspEngine, BspOutcome, DistributedGraph, EnvConfig, EpochCommitter, MutationBatch,
     MutationStats, RunOptions,
 };
-use ebv::dynamic::{batch_from_plan, ChurnStream, EventPipeline, EventSource, SlidingWindow};
+use ebv::dynamic::{
+    batch_from_plan, ChurnStream, EpochOptions, EventPipeline, EventSource, SlidingWindow,
+};
 use ebv::graph::{GraphBuilder, VertexId};
 use ebv::obs::{
     telemetry_router, MetricsRegistry, ObsServer, ObsServerConfig, Phase, Recorder, SpanCtx,
@@ -105,7 +107,11 @@ fn engine_from_env() -> BspEngine {
 
 fn cc(distributed: &DistributedGraph, telemetry: &Telemetry) -> BspOutcome<u64> {
     engine_from_env()
-        .run_with(distributed, &ConnectedComponents::new(), telemetry)
+        .run_opts(
+            distributed,
+            &ConnectedComponents::new(),
+            RunOptions::new().recorder(telemetry),
+        )
         .expect("CC converges")
 }
 
@@ -146,58 +152,6 @@ fn checkpoint_series(checkpoint: &Checkpoint, name: &str) -> Vec<u64> {
         Some((_, SeriesValues::U64(values))) => values.clone(),
         other => panic!("checkpoint misses u64 warm series {name:?}: {other:?}"),
     }
-}
-
-/// Re-runs the three warm programs for one replayed (or just-recovered)
-/// epoch and commits the values to the query plane — the same staging the
-/// live loop performs, minus telemetry.
-#[allow(clippy::too_many_arguments)]
-fn replay_warm_epoch(
-    engine: &BspEngine,
-    store: &SnapshotStore,
-    source: VertexId,
-    distributed: &DistributedGraph,
-    batch: &MutationBatch,
-    labels: &mut Vec<u64>,
-    distances: &mut Vec<u64>,
-    depths: &mut Vec<u64>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let cc_program = IncrementalConnectedComponents::from_batch(labels, batch);
-    *labels = engine
-        .run_opts(
-            distributed,
-            &cc_program,
-            RunOptions::new()
-                .warm_seed(labels)
-                .publish_to(&store.series_sink::<u64>("cc")),
-        )?
-        .values;
-    let sssp_program = IncrementalSssp::from_distributed(source, distributed, distances, batch);
-    *distances = engine
-        .run_opts(
-            distributed,
-            &sssp_program,
-            RunOptions::new().warm_seed(distances).publish_to(
-                &store
-                    .series_sink::<u64>("sssp")
-                    .with_absent(ebv::algorithms::UNREACHABLE),
-            ),
-        )?
-        .values;
-    let bfs_program = IncrementalBfs::from_distributed(source, distributed, depths, batch);
-    *depths = engine
-        .run_opts(
-            distributed,
-            &bfs_program,
-            RunOptions::new().warm_seed(depths).publish_to(
-                &store
-                    .series_sink::<u64>("bfs")
-                    .with_absent(ebv::algorithms::UNREACHABLE),
-            ),
-        )?
-        .values;
-    store.commit_epoch(distributed);
-    Ok(())
 }
 
 /// FNV-1a over a value vector: the order-sensitive fingerprint printed in
@@ -314,51 +268,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => (
             cc(&distributed, telemetry).values,
             engine
-                .run_with(
+                .run_opts(
                     &distributed,
                     &SingleSourceShortestPath::new(source),
-                    telemetry,
+                    RunOptions::new().recorder(telemetry),
                 )?
                 .values,
             engine
-                .run_with(&distributed, &BreadthFirstSearch::new(source), telemetry)?
+                .run_opts(
+                    &distributed,
+                    &BreadthFirstSearch::new(source),
+                    RunOptions::new().recorder(telemetry),
+                )?
                 .values,
         ),
     };
-
-    // Replay the WAL suffix beyond the checkpoint: apply each logged
-    // batch and re-run the warm programs, publishing to the query plane
-    // exactly like the live loop below. A resume that lands exactly on a
-    // checkpoint still publishes the recovered values once — an
-    // empty-batch warm run converges immediately and commits them.
-    if let Some(recovered) = recovered {
-        for frame in &recovered.frames {
-            distributed.apply_mutations(&frame.batch)?;
-            replay_warm_epoch(
-                &engine,
-                &store,
-                source,
-                &distributed,
-                &frame.batch,
-                &mut labels,
-                &mut distances,
-                &mut depths,
-            )?;
-        }
-        if !recovered.is_empty() && recovered.frames.is_empty() {
-            let empty = MutationBatch::from_parts(Vec::new(), Vec::new());
-            replay_warm_epoch(
-                &engine,
-                &store,
-                source,
-                &distributed,
-                &empty,
-                &mut labels,
-                &mut distances,
-                &mut depths,
-            )?;
-        }
-    }
 
     // Fast-forward the deterministic event stream past everything the
     // recovered state already absorbed; WAL frame stamps count raw events
@@ -375,7 +299,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut warm_sssp_time = Duration::ZERO;
     let mut warm_bfs_time = Duration::ZERO;
 
-    let started = Instant::now();
     println!(
         "epoch  live-edges  ins     del     rf      e-imb   touched  rebuilt  apply-ms  sssp-cone"
     );
@@ -477,26 +400,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         Ok(())
     };
-    let report = match durable.as_ref() {
-        Some((state, _)) => EventPipeline::new(BATCH).run_applied_durable(
-            churn,
-            &mut partitioner,
-            &mut distributed,
-            &store,
-            state,
-            events_already_seen,
-            &mut on_epoch,
-            telemetry,
-        )?,
-        None => EventPipeline::new(BATCH).run_applied_publishing(
-            churn,
-            &mut partitioner,
-            &mut distributed,
-            &store,
-            &mut on_epoch,
-            telemetry,
-        )?,
-    };
+
+    // Replay the WAL suffix beyond the checkpoint through the same epoch
+    // body as the live loop — apply each logged batch, re-run the warm
+    // programs, commit to the query plane. A resume that lands exactly on
+    // a checkpoint still publishes the recovered values once: an
+    // empty-batch warm run converges immediately and commits them.
+    if let Some(recovered) = recovered {
+        for frame in &recovered.frames {
+            let stats = distributed.apply_mutations(&frame.batch)?;
+            on_epoch(&distributed, &frame.batch, partitioner.metrics(), stats)?;
+            store.commit_epoch(&distributed);
+        }
+        if !recovered.is_empty() && recovered.frames.is_empty() {
+            let empty = MutationBatch::new();
+            let stats = distributed.apply_mutations(&empty)?;
+            on_epoch(&distributed, &empty, partitioner.metrics(), stats)?;
+            store.commit_epoch(&distributed);
+        }
+    }
+
+    let started = Instant::now();
+    let mut stages = EpochOptions::new().recorder(telemetry).committer(&store);
+    if let Some((state, _)) = durable.as_ref() {
+        stages = stages.durability(state, events_already_seen);
+    }
+    let report = EventPipeline::new(BATCH).run_applied_opts(
+        churn,
+        &mut partitioner,
+        &mut distributed,
+        &mut on_epoch,
+        stages,
+    )?;
     let elapsed = started.elapsed();
     let events = report.total_inserts() + report.total_deletes();
     println!(
@@ -576,10 +511,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Exactness check 3: the warm-carried SSSP distances and BFS depths are
     // bit-identical to cold runs on the final distribution.
     let cold_started = Instant::now();
-    let sssp_cold = engine.run_with(
+    let sssp_cold = engine.run_opts(
         &distributed,
         &SingleSourceShortestPath::new(source),
-        telemetry,
+        RunOptions::new().recorder(telemetry),
     )?;
     let sssp_cold_time = cold_started.elapsed();
     assert_eq!(
@@ -587,7 +522,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "warm SSSP must be distance-equal"
     );
     let cold_started = Instant::now();
-    let bfs_cold = engine.run_with(&distributed, &BreadthFirstSearch::new(source), telemetry)?;
+    let bfs_cold = engine.run_opts(
+        &distributed,
+        &BreadthFirstSearch::new(source),
+        RunOptions::new().recorder(telemetry),
+    )?;
     let bfs_cold_time = cold_started.elapsed();
     assert_eq!(depths, bfs_cold.values, "warm BFS must be bit-identical");
     assert_eq!(distances, depths, "unit-weight SSSP and BFS agree");
@@ -620,7 +559,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let local_started = Instant::now();
     let stats = distributed.apply_mutations_with(&local_batch, telemetry)?;
     labels = engine
-        .run_warm_with(&distributed, &local_program, &labels, telemetry)?
+        .run_opts(
+            &distributed,
+            &local_program,
+            RunOptions::new().warm_seed(&labels).recorder(telemetry),
+        )?
         .values;
     assert_eq!(
         stats.workers_touched, 1,
@@ -634,10 +577,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ── Phase 2: warm PageRank across a mutation epoch ───────────────────
-    let pr_cold = engine.run_with(
+    let pr_cold = engine.run_opts(
         &distributed,
         &IncrementalPageRank::from_distributed(&distributed, PR_ITERATIONS),
-        telemetry,
+        RunOptions::new().recorder(telemetry),
     )?;
     // One more churned batch on top of the ranked graph.
     let extra = ChurnStream::new(
@@ -656,11 +599,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // fixpoint the contraction has that much less error to burn down.
     let warm_program = IncrementalPageRank::from_distributed(&distributed, PR_WARM_ITERATIONS);
     let warm_started = Instant::now();
-    let pr_warm = engine.run_warm_with(&distributed, &warm_program, &pr_cold.values, telemetry)?;
+    let pr_warm = engine.run_opts(
+        &distributed,
+        &warm_program,
+        RunOptions::new()
+            .warm_seed(&pr_cold.values)
+            .recorder(telemetry),
+    )?;
     let pr_warm_time = warm_started.elapsed();
     let cold_program = IncrementalPageRank::from_distributed(&distributed, PR_ITERATIONS);
     let cold_started = Instant::now();
-    let pr_cold_after = engine.run_with(&distributed, &cold_program, telemetry)?;
+    let pr_cold_after = engine.run_opts(
+        &distributed,
+        &cold_program,
+        RunOptions::new().recorder(telemetry),
+    )?;
     let pr_cold_time = cold_started.elapsed();
     let max_diff = ranks(&pr_warm.values)
         .iter()
@@ -675,7 +628,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pr_warm.stats, pr_cold_after.stats,
     );
     // Warm CC absorbed the same extra batches and still agrees.
-    let warm_cc = engine.run_warm_with(&distributed, &extra_cc_program, &cc_prior, telemetry)?;
+    let warm_cc = engine.run_opts(
+        &distributed,
+        &extra_cc_program,
+        RunOptions::new().warm_seed(&cc_prior).recorder(telemetry),
+    )?;
     labels = warm_cc.values;
     assert_eq!(labels, cc(&distributed, telemetry).values);
     println!("warm CC re-validated after the extra churn epoch\n");
@@ -725,11 +682,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(distributed.num_edges(), partitioner.live_edges());
     assert_metrics_recompute_exactly(&partitioner)?;
     let labels_after = engine
-        .run_warm_with(
+        .run_opts(
             &distributed,
             &rebalance_program,
-            &labels_before_skew,
-            telemetry,
+            RunOptions::new()
+                .warm_seed(&labels_before_skew)
+                .recorder(telemetry),
         )?
         .values;
     assert_eq!(labels_after, cc(&distributed, telemetry).values);
