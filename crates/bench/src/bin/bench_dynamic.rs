@@ -772,7 +772,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // run, while a paced reader thread issues point lookups and top-k
         // reads against live snapshots — gated in CI as
         // cc_warm_epoch_served/cc_warm_epoch <= 1.05 (the query plane's
-        // lock-free read path must not tax the epoch driver). Adjacency
+        // read path must not tax the epoch driver). Adjacency
         // publication stays off: the timed path is stage + atomic flip, not
         // the O(E) adjacency rebuild. The reader paces itself like the
         // cc_served scraper, so the gate measures flip interference, not a
@@ -942,7 +942,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // mid-read. Reported as the `query_reads` QPS series plus
         // `query_read_p50`/`query_read_p99` latencies from the store's
         // isolated `ebv_query_read_seconds` histogram — the trend series
-        // for the tentpole claim that reads proceed lock-free under churn.
+        // for the tentpole claim that reads never wait on an epoch under churn.
         let query_registry = MetricsRegistry::new();
         let query_store = SnapshotStore::with_registry(&query_registry);
         let mut labels = engine

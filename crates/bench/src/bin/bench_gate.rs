@@ -25,33 +25,13 @@
 //! entries still apply everywhere.
 //!
 //! No JSON crate is available offline, so both files are read
-//! with a minimal scanner for the flat schemas this repo emits.
+//! with [`ebv_bench::scan_values`], a minimal scanner for the flat schemas
+//! this repo emits.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Extracts every string or number value keyed by `key` from a flat JSON
-/// document, in document order. Enough of a parser for the two schemas the
-/// gate reads (no escapes, no nesting of the scanned keys).
-fn scan_values(json: &str, key: &str) -> Vec<String> {
-    let needle = format!("\"{key}\":");
-    let mut values = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = rest[at + needle.len()..].trim_start();
-        let value = if let Some(quoted) = rest.strip_prefix('"') {
-            let end = quoted.find('"').unwrap_or(quoted.len());
-            quoted[..end].to_string()
-        } else {
-            rest.split(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-                .next()
-                .unwrap_or("")
-                .to_string()
-        };
-        values.push(value);
-    }
-    values
-}
+use ebv_bench::scan_values;
 
 /// The `(name, seconds)` measurements of a `bench_dynamic` report.
 fn parse_measurements(json: &str) -> Result<Vec<(String, f64)>, String> {

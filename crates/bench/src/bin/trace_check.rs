@@ -15,13 +15,16 @@
 //! ```
 //!
 //! No JSON crate is available offline, so the trace is read
-//! with the same minimal key scanner as `bench_gate` — enough of a parser
-//! for the flat event schema `ebv-obs` emits. Missing files, zero events,
+//! with the same minimal key scanner as `bench_gate`
+//! ([`ebv_bench::scan_values`]) — enough of a parser for the flat event
+//! schema `ebv-obs` emits. Missing files, zero events,
 //! a missing phase, or a malformed event all fail the check — it is
 //! fail-closed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use ebv_bench::scan_values;
 
 /// Every phase the `evolving_graph` example must leave at least one span
 /// for: the BSP superstep quartet, the mutation path, and the warm-start
@@ -64,29 +67,6 @@ const REQUIRED_METRICS: [&str; 6] = [
     "ebv_bsp_pool_chunk_workers",
     "ebv_bsp_work_max_mean_ratio",
 ];
-
-/// Extracts every string or number value keyed by `key` from a flat JSON
-/// document, in document order — the `bench_gate` scanner, reused for the
-/// trace-event schema (no escapes, no nesting of the scanned keys).
-fn scan_values(json: &str, key: &str) -> Vec<String> {
-    let needle = format!("\"{key}\":");
-    let mut values = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = rest[at + needle.len()..].trim_start();
-        let value = if let Some(quoted) = rest.strip_prefix('"') {
-            let end = quoted.find('"').unwrap_or(quoted.len());
-            quoted[..end].to_string()
-        } else {
-            rest.split(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-                .next()
-                .unwrap_or("")
-                .to_string()
-        };
-        values.push(value);
-    }
-    values
-}
 
 /// Validates a Chrome trace-event document against `required_phases`.
 /// Returns the event count.

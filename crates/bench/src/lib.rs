@@ -17,16 +17,21 @@
 //! | Evaluation-function ablation (extension) | `ablation_eval_terms` |
 //!
 //! Run a binary with `cargo run --release -p ebv-bench --bin <name>`; set
-//! `EBV_SCALE=full` for the larger dataset sizes. Criterion benches for
-//! partitioner throughput and the α/β ablation live under `benches/`.
+//! `EBV_SCALE=full` for the larger dataset sizes. Timing lives in the
+//! `ebvbench` binary (the benchmark `BENCHMARK.json` names) and
+//! `bench_dynamic`; `bench_gate` and `trace_check` are the CI gates over
+//! their output.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod datasets;
+mod json;
 pub mod report;
 pub mod runner;
 
 pub use datasets::{Dataset, Scale};
+pub use json::scan_values;
 pub use report::{scientific, TextTable};
 pub use runner::{partition_with_metrics, run_experiment, Application, ExperimentResult};

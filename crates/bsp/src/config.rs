@@ -1,12 +1,11 @@
 //! Process configuration from the `EBV_*` environment variables.
 //!
-//! Before this module, every binary parsed its own slice of the
-//! environment: the `evolving_graph` example read `EBV_MODE`,
-//! `EBV_OBS_ADDR`, `EBV_TRACE` and `EBV_METRICS` inline, and the shared
-//! worker pool read `EBV_POOL_SIZE` with a *silent* fallback on malformed
-//! values. [`EnvConfig`] is the one place all five knobs are parsed, with
-//! one policy: a malformed value is a typed [`ConfigError`], never a silent
-//! default — a misspelt mode or pool size must not fake a measurement.
+//! [`EnvConfig`] is the one place the six variables (`EBV_MODE`,
+//! `EBV_OBS_ADDR`, `EBV_TRACE`, `EBV_METRICS`, `EBV_STATE_DIR`,
+//! `EBV_CHECKPOINT_EVERY`) are read, by the binary that wants them — no
+//! library code reads the environment — with one policy: a malformed or
+//! non-UTF-8 value is a typed [`ConfigError`], never a silent default — a
+//! misspelt mode or pool size must not fake a measurement.
 //!
 //! The parsers are pure functions over strings (see
 //! [`EnvConfig::from_lookup`]), so the malformed-value behaviour is unit
@@ -15,12 +14,10 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use crate::engine::{BspEngine, ExecutionMode};
+use crate::engine::{host_parallelism, BspEngine, ExecutionMode};
 
 /// The environment variable selecting the [`ExecutionMode`].
 pub const ENV_MODE: &str = "EBV_MODE";
-/// The environment variable sizing the shared worker pool.
-pub const ENV_POOL_SIZE: &str = "EBV_POOL_SIZE";
 /// The environment variable binding the live observability server.
 pub const ENV_OBS_ADDR: &str = "EBV_OBS_ADDR";
 /// The environment variable naming the Chrome-trace output file.
@@ -45,8 +42,7 @@ pub enum ConfigError {
         /// The rejected value.
         value: String,
     },
-    /// `EBV_POOL_SIZE` (or a `pooled:<n>` mode suffix) is not a positive
-    /// integer.
+    /// The `<n>` of `EBV_MODE=pooled:<n>` is not a positive integer.
     InvalidPoolSize {
         /// The rejected value.
         value: String,
@@ -73,7 +69,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidPoolSize { value } => {
                 write!(
                     f,
-                    "{ENV_POOL_SIZE} must be a positive integer, got {value:?}"
+                    "{ENV_MODE} `pooled:<n>` needs a positive integer, got {value:?}"
                 )
             }
             ConfigError::InvalidCheckpointEvery { value } => {
@@ -103,17 +99,17 @@ impl std::error::Error for ConfigError {}
 ///     _ => None,
 /// })
 /// .unwrap();
-/// assert_eq!(config.mode, ExecutionMode::Threaded);
+/// // `threaded` is `pooled:<host parallelism>`.
+/// assert!(matches!(config.mode, ExecutionMode::Pooled(n) if n >= 1));
 /// assert_eq!(config.obs_addr.as_deref(), Some("127.0.0.1:9808"));
-/// assert_eq!(config.engine().mode(), ExecutionMode::Threaded);
+/// assert_eq!(config.engine().mode(), config.mode);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvConfig {
-    /// Execution mode from `EBV_MODE` (default [`ExecutionMode::Threaded`]
-    /// — the mode every end-to-end driver has defaulted to since PR 5).
+    /// Execution mode from `EBV_MODE` (default `threaded`, i.e.
+    /// [`ExecutionMode::Pooled`] over the host's available parallelism —
+    /// the mode every end-to-end driver has defaulted to since PR 5).
     pub mode: ExecutionMode,
-    /// Shared-pool size override from `EBV_POOL_SIZE`.
-    pub pool_size: Option<usize>,
     /// Live observability bind address from `EBV_OBS_ADDR`.
     pub obs_addr: Option<String>,
     /// Chrome-trace output path from `EBV_TRACE`.
@@ -131,8 +127,7 @@ pub struct EnvConfig {
 impl Default for EnvConfig {
     fn default() -> Self {
         EnvConfig {
-            mode: ExecutionMode::Threaded,
-            pool_size: None,
+            mode: ExecutionMode::Pooled(host_parallelism()),
             obs_addr: None,
             trace_out: None,
             metrics_out: None,
@@ -147,30 +142,24 @@ impl EnvConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] among the set variables; unset
+    /// Returns [`ConfigError::NotUnicode`] for a variable set to a
+    /// non-UTF-8 value (paths included: a mangled path must not be used),
+    /// otherwise the first malformed value among the set variables; unset
     /// variables take their defaults.
     pub fn from_env() -> Result<EnvConfig, ConfigError> {
-        EnvConfig::from_lookup(|name| match std::env::var(name) {
-            Ok(value) => Some(value),
-            Err(std::env::VarError::NotPresent) => None,
-            // Surfaced as a typed error by re-probing below.
-            Err(std::env::VarError::NotUnicode(_)) => Some("\u{fffd}".to_string()),
-        })
-        .map_err(|err| match err {
-            ConfigError::InvalidMode { ref value }
-            | ConfigError::InvalidPoolSize { ref value }
-            | ConfigError::InvalidCheckpointEvery { ref value }
-                if value == "\u{fffd}" =>
-            {
-                let name = match err {
-                    ConfigError::InvalidMode { .. } => ENV_MODE,
-                    ConfigError::InvalidCheckpointEvery { .. } => ENV_CHECKPOINT_EVERY,
-                    _ => ENV_POOL_SIZE,
-                };
-                ConfigError::NotUnicode { name }
+        for name in [
+            ENV_MODE,
+            ENV_OBS_ADDR,
+            ENV_TRACE,
+            ENV_METRICS,
+            ENV_STATE_DIR,
+            ENV_CHECKPOINT_EVERY,
+        ] {
+            if let Err(std::env::VarError::NotUnicode(_)) = std::env::var(name) {
+                return Err(ConfigError::NotUnicode { name });
             }
-            other => other,
-        })
+        }
+        EnvConfig::from_lookup(|name| std::env::var(name).ok())
     }
 
     /// Parses the configuration from any `name -> value` lookup — the
@@ -184,9 +173,6 @@ impl EnvConfig {
         if let Some(value) = lookup(ENV_MODE) {
             config.mode = parse_mode(&value)?;
         }
-        if let Some(value) = lookup(ENV_POOL_SIZE) {
-            config.pool_size = Some(parse_pool_size(&value)?);
-        }
         config.obs_addr = lookup(ENV_OBS_ADDR);
         config.trace_out = lookup(ENV_TRACE).map(PathBuf::from);
         config.metrics_out = lookup(ENV_METRICS).map(PathBuf::from);
@@ -197,18 +183,19 @@ impl EnvConfig {
         Ok(config)
     }
 
-    /// A [`BspEngine`] in the configured execution mode.
+    /// A new [`BspEngine`] in the configured execution mode. A pooled mode
+    /// spawns the engine's threads here: build it once and keep it.
     pub fn engine(&self) -> BspEngine {
         match self.mode {
             ExecutionMode::Sequential => BspEngine::sequential(),
-            ExecutionMode::Threaded => BspEngine::threaded(),
             ExecutionMode::Pooled(n) => BspEngine::pooled(n),
         }
     }
 }
 
-/// Parses an `EBV_MODE` value: `sequential`, `threaded` or `pooled:<n>` (a
-/// run-local pool of exactly `n` threads).
+/// Parses an `EBV_MODE` value: `sequential`, `pooled:<n>` (an engine-owned
+/// pool of exactly `n` threads) or `threaded`, which is `pooled:<n>` with
+/// `n` the host's available parallelism.
 ///
 /// # Errors
 ///
@@ -217,7 +204,7 @@ impl EnvConfig {
 pub fn parse_mode(value: &str) -> Result<ExecutionMode, ConfigError> {
     match value.trim() {
         "sequential" => Ok(ExecutionMode::Sequential),
-        "threaded" => Ok(ExecutionMode::Threaded),
+        "threaded" => Ok(ExecutionMode::Pooled(host_parallelism())),
         trimmed => match trimmed.strip_prefix("pooled:") {
             Some(threads) => Ok(ExecutionMode::Pooled(parse_pool_size(threads)?)),
             None => Err(ConfigError::InvalidMode {
@@ -227,13 +214,9 @@ pub fn parse_mode(value: &str) -> Result<ExecutionMode, ConfigError> {
     }
 }
 
-/// Parses an `EBV_POOL_SIZE` value: a positive integer.
-///
-/// # Errors
-///
-/// Returns [`ConfigError::InvalidPoolSize`] for zero, negative, non-numeric
-/// or empty input.
-pub fn parse_pool_size(value: &str) -> Result<usize, ConfigError> {
+/// Parses the `<n>` of `pooled:<n>`: a positive integer, else
+/// [`ConfigError::InvalidPoolSize`].
+fn parse_pool_size(value: &str) -> Result<usize, ConfigError> {
     value
         .trim()
         .parse::<usize>()
@@ -279,19 +262,25 @@ mod tests {
     fn unset_environment_defaults_to_threaded_and_no_outputs() {
         let config = EnvConfig::from_lookup(|_| None).unwrap();
         assert_eq!(config, EnvConfig::default());
-        assert_eq!(config.mode, ExecutionMode::Threaded);
-        assert_eq!(config.pool_size, None);
-        assert_eq!(config.engine().mode(), ExecutionMode::Threaded);
+        assert_eq!(config.mode, ExecutionMode::Pooled(host_parallelism()));
+        assert_eq!(config.engine().mode(), config.mode);
+
+        // `pooled:<n>` says everything the retired pool-size variable did:
+        // that variable is no longer read, however it is set.
+        let retired = ["EBV", "POOL", "SIZE"].join("_");
+        let lookup = |name: &str| (name == retired).then(|| "many".to_string());
+        assert_eq!(EnvConfig::from_lookup(lookup).unwrap(), config);
     }
 
     #[test]
     fn every_mode_spelling_parses() {
         assert_eq!(parse_mode("sequential").unwrap(), ExecutionMode::Sequential);
-        assert_eq!(parse_mode("threaded").unwrap(), ExecutionMode::Threaded);
+        let threaded = ExecutionMode::Pooled(host_parallelism());
+        assert_eq!(parse_mode("threaded").unwrap(), threaded);
         assert_eq!(parse_mode("pooled:3").unwrap(), ExecutionMode::Pooled(3));
         assert_eq!(
             parse_mode(" threaded ").unwrap(),
-            ExecutionMode::Threaded,
+            threaded,
             "surrounding whitespace is tolerated"
         );
     }
@@ -342,14 +331,14 @@ mod tests {
     fn full_lookup_round_trips_all_five_variables() {
         let config = EnvConfig::from_lookup(lookup_of(&[
             (ENV_MODE, "pooled:2"),
-            (ENV_POOL_SIZE, "6"),
             (ENV_OBS_ADDR, "127.0.0.1:0"),
             (ENV_TRACE, "trace.json"),
             (ENV_METRICS, "metrics.prom"),
+            (ENV_STATE_DIR, "state"),
         ]))
         .unwrap();
         assert_eq!(config.mode, ExecutionMode::Pooled(2));
-        assert_eq!(config.pool_size, Some(6));
+        assert_eq!(config.state_dir, Some(PathBuf::from("state")));
         assert_eq!(config.obs_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(config.trace_out, Some(PathBuf::from("trace.json")));
         assert_eq!(config.metrics_out, Some(PathBuf::from("metrics.prom")));
@@ -390,8 +379,8 @@ mod tests {
     #[test]
     fn a_malformed_variable_fails_the_whole_parse() {
         let err = EnvConfig::from_lookup(lookup_of(&[
-            (ENV_MODE, "threaded"),
-            (ENV_POOL_SIZE, "many"),
+            (ENV_OBS_ADDR, "127.0.0.1:0"),
+            (ENV_MODE, "pooled:many"),
         ]))
         .unwrap_err();
         assert_eq!(
@@ -400,10 +389,31 @@ mod tests {
                 value: "many".to_string()
             }
         );
-        assert!(err.to_string().contains("EBV_POOL_SIZE"));
+        assert!(err.to_string().contains("EBV_MODE"));
         assert!(EnvConfig::from_lookup(lookup_of(&[(ENV_MODE, "turbo")]))
             .unwrap_err()
             .to_string()
             .contains("EBV_MODE"));
+    }
+
+    /// A non-UTF-8 path must be refused, not mangled into a directory the
+    /// run would then create and use. The only test in this crate touching
+    /// the process environment, and on a variable no other test reads.
+    #[cfg(unix)]
+    #[test]
+    fn non_unicode_values_are_typed_errors_even_for_paths() {
+        use std::os::unix::ffi::OsStringExt;
+        let mangled = std::ffi::OsString::from_vec(b"/tmp/ebv-\xff-state".to_vec());
+        std::env::set_var(ENV_STATE_DIR, mangled);
+        let outcome = EnvConfig::from_env();
+        std::env::remove_var(ENV_STATE_DIR);
+        let err = outcome.unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::NotUnicode {
+                name: ENV_STATE_DIR
+            }
+        );
+        assert!(err.to_string().contains("EBV_STATE_DIR"));
     }
 }

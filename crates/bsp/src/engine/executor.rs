@@ -22,8 +22,9 @@
 //! engine folds their results in worker order afterwards.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use super::pool::{panic_message, shared_worker_pool, PoolTask, WorkerPool};
+use super::pool::{panic_message, PoolTask, WorkerPool};
 use super::schedule::lpt_schedule;
 
 /// One worker's whole superstep, packaged for placement: the closure plus
@@ -83,52 +84,26 @@ impl SuperstepExecutor for SequentialExecutor {
 
 /// Runs tasks on a persistent [`WorkerPool`], placed by the LPT scheduler.
 ///
-/// [`shared`](PooledExecutor::shared) borrows the process-wide pool (the
-/// `ExecutionMode::Threaded` path — zero thread spawns after process
-/// warm-up, which is what makes warm mutation epochs spawn-free), while
-/// [`own`](PooledExecutor::own) creates a run-local pool of an explicit
-/// size whose threads are created once per run and joined when the
-/// executor drops (the `ExecutionMode::Pooled(n)` path the property suites
-/// sweep over).
+/// The executor only holds a reference to the pool: the threads belong to
+/// whoever created it (a [`BspEngine`](crate::BspEngine) and its clones)
+/// and are joined when the last reference drops, so creating an executor
+/// per run spawns nothing.
 #[derive(Debug)]
 pub struct PooledExecutor {
-    pool: PoolHandle,
-}
-
-#[derive(Debug)]
-enum PoolHandle {
-    Shared(&'static WorkerPool),
-    Owned(WorkerPool),
+    pool: Arc<WorkerPool>,
 }
 
 impl PooledExecutor {
-    /// An executor over the process-wide shared pool.
-    pub fn shared() -> PooledExecutor {
-        PooledExecutor {
-            pool: PoolHandle::Shared(shared_worker_pool()),
-        }
-    }
-
-    /// An executor over its own fresh pool of `threads` threads (clamped
-    /// to at least one), joined when the executor drops.
-    pub fn own(threads: usize) -> PooledExecutor {
-        PooledExecutor {
-            pool: PoolHandle::Owned(WorkerPool::new(threads)),
-        }
-    }
-
-    fn pool(&self) -> &WorkerPool {
-        match &self.pool {
-            PoolHandle::Shared(pool) => pool,
-            PoolHandle::Owned(pool) => pool,
-        }
+    /// An executor placing tasks on `pool`.
+    pub fn new(pool: Arc<WorkerPool>) -> PooledExecutor {
+        PooledExecutor { pool }
     }
 }
 
 impl SuperstepExecutor for PooledExecutor {
     fn execute(&mut self, tasks: Vec<WorkerTask<'_>>) -> StepOutcome {
         let costs: Vec<u64> = tasks.iter().map(|t| t.cost).collect();
-        let schedule = lpt_schedule(&costs, self.pool().threads());
+        let schedule = lpt_schedule(&costs, self.pool.threads());
         let mut slots: Vec<Option<WorkerTask<'_>>> = tasks.into_iter().map(Some).collect();
         let assignments: Vec<Vec<PoolTask<'_>>> = schedule
             .lanes
@@ -146,7 +121,7 @@ impl SuperstepExecutor for PooledExecutor {
             })
             .collect();
         StepOutcome {
-            panics: self.pool().run_tasks(assignments),
+            panics: self.pool.run_tasks(assignments),
             max_lane_workers: schedule.max_lane_tasks,
         }
     }
@@ -169,6 +144,10 @@ mod tests {
             .collect()
     }
 
+    fn pooled(threads: usize) -> PooledExecutor {
+        PooledExecutor::new(Arc::new(WorkerPool::new(threads)))
+    }
+
     fn exercise(executor: &mut dyn SuperstepExecutor) {
         let counter = AtomicUsize::new(0);
         let outcome = executor.execute(counting_tasks(&counter, 6));
@@ -180,10 +159,14 @@ mod tests {
     #[test]
     fn all_executors_run_every_task() {
         exercise(&mut SequentialExecutor);
-        exercise(&mut PooledExecutor::own(1));
-        exercise(&mut PooledExecutor::own(2));
-        exercise(&mut PooledExecutor::own(9));
-        exercise(&mut PooledExecutor::shared());
+        exercise(&mut pooled(1));
+        exercise(&mut pooled(2));
+        exercise(&mut pooled(9));
+        // Two executors over one pool: the threads are the pool's, not the
+        // executor's.
+        let shared = Arc::new(WorkerPool::new(2));
+        exercise(&mut PooledExecutor::new(Arc::clone(&shared)));
+        exercise(&mut PooledExecutor::new(shared));
     }
 
     #[test]
@@ -203,8 +186,8 @@ mod tests {
         };
         let mut executors: Vec<Box<dyn SuperstepExecutor>> = vec![
             Box::new(SequentialExecutor),
-            Box::new(PooledExecutor::own(1)),
-            Box::new(PooledExecutor::own(3)),
+            Box::new(pooled(1)),
+            Box::new(pooled(3)),
         ];
         for executor in executors.iter_mut() {
             let outcome = executor.execute(make_tasks());
@@ -220,7 +203,7 @@ mod tests {
     fn empty_superstep_is_a_no_op() {
         for executor in [
             &mut SequentialExecutor as &mut dyn SuperstepExecutor,
-            &mut PooledExecutor::own(2),
+            &mut pooled(2),
         ] {
             let outcome = executor.execute(Vec::new());
             assert!(outcome.panics.is_empty());

@@ -9,9 +9,9 @@
 //!   independent worker tasks are placed (sequential or pooled), and the
 //!   seam a multi-process transport plugs into;
 //! * [`pool`] — the persistent [`WorkerPool`]: fixed threads parked across
-//!   supersteps and (for the shared pool) across runs and mutation epochs,
-//!   tasks handed over `std::sync::mpsc` channels, exact per-task panic
-//!   attribution, graceful join on drop;
+//!   supersteps, runs and mutation epochs, tasks handed over
+//!   `std::sync::mpsc` channels, exact per-task panic attribution, graceful
+//!   join on drop;
 //! * [`schedule`] — the work-aware LPT scheduler that chunks workers onto
 //!   pool lanes by estimated cost (CSR edge counts + the previous
 //!   superstep's live `work` counters) instead of count-even.
@@ -23,7 +23,9 @@ mod schedule;
 pub use executor::{
     PooledExecutor, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerTask,
 };
-pub use pool::{pool_threads_spawned, shared_worker_pool, WorkerPool};
+pub use pool::{pool_threads_spawned, WorkerPool};
+
+use std::sync::Arc;
 
 use ebv_graph::VertexId;
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
@@ -186,16 +188,20 @@ pub enum ExecutionMode {
     /// reference mode; the statistics are identical to the parallel modes.
     #[default]
     Sequential,
-    /// Workers run on the process-wide persistent [`WorkerPool`] (sized by
-    /// `EBV_POOL_SIZE` or the host's available parallelism), placed by the
-    /// work-aware LPT scheduler. The pool outlives runs, so warm mutation
-    /// epochs pay zero thread-spawn cost.
-    Threaded,
-    /// Workers run on a run-local pool of exactly this many threads
-    /// (`0` is clamped to `1`): created once per run, joined when the run
-    /// finishes. The property suites sweep this mode over pool sizes to
-    /// prove placement-independence.
+    /// Workers run on the engine's persistent [`WorkerPool`] of exactly
+    /// this many threads (`0` is clamped to `1`), placed by the work-aware
+    /// LPT scheduler. The pool is spawned when the engine is constructed
+    /// and outlives its runs, so warm mutation epochs pay zero thread-spawn
+    /// cost. The property suites sweep this mode over pool sizes to prove
+    /// placement-independence.
     Pooled(usize),
+}
+
+/// The host's available parallelism (`1` when it cannot be determined) —
+/// the pool size `threaded` stands for, in [`BspEngine::threaded`] and in
+/// `EBV_MODE`.
+pub(crate) fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The subgraph-centric BSP engine.
@@ -206,6 +212,11 @@ pub enum ExecutionMode {
 /// subgraph), communication (replica messages are routed between workers)
 /// and synchronization (a barrier). It records the per-worker work and
 /// message counters that the evaluation tables are built from.
+///
+/// A pooled engine owns its threads: [`pooled`](BspEngine::pooled) spawns
+/// them once, every [`run`](BspEngine::run)/[`run_opts`](BspEngine::run_opts)
+/// of the engine *or of its clones* reuses them, and the last clone to drop
+/// joins them. Keep one engine across epochs to keep warm epochs spawn-free.
 ///
 /// # Examples
 ///
@@ -224,9 +235,10 @@ pub enum ExecutionMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BspEngine {
-    mode: ExecutionMode,
+    /// `None` runs workers on the calling thread.
+    pool: Option<Arc<WorkerPool>>,
 }
 
 /// The result of executing a program: the global per-vertex values (taken
@@ -244,30 +256,29 @@ pub struct BspOutcome<V> {
 impl BspEngine {
     /// Creates an engine that runs workers sequentially.
     pub fn sequential() -> Self {
-        BspEngine {
-            mode: ExecutionMode::Sequential,
-        }
+        BspEngine { pool: None }
     }
 
-    /// Creates an engine that runs workers on the shared persistent pool
-    /// (see [`ExecutionMode::Threaded`]).
+    /// Shorthand for [`pooled`](BspEngine::pooled) with one thread per unit
+    /// of the host's available parallelism.
     pub fn threaded() -> Self {
-        BspEngine {
-            mode: ExecutionMode::Threaded,
-        }
+        BspEngine::pooled(host_parallelism())
     }
 
-    /// Creates an engine that runs workers on a run-local pool of exactly
-    /// `threads` threads (see [`ExecutionMode::Pooled`]).
+    /// Creates an engine that runs workers on its own pool of exactly
+    /// `threads` threads (see [`ExecutionMode::Pooled`]), spawned here.
     pub fn pooled(threads: usize) -> Self {
         BspEngine {
-            mode: ExecutionMode::Pooled(threads),
+            pool: Some(Arc::new(WorkerPool::new(threads))),
         }
     }
 
-    /// The configured execution mode.
+    /// The execution mode this engine was built in.
     pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        match &self.pool {
+            None => ExecutionMode::Sequential,
+            Some(pool) => ExecutionMode::Pooled(pool.threads()),
+        }
     }
 
     /// Executes `program` over `distributed` until quiescence (or the
@@ -285,14 +296,12 @@ impl BspEngine {
         self.run_opts(distributed, program, RunOptions::new())
     }
 
-    /// The executor implementing `mode`. Created once per run: a run-local
-    /// pool spawns its threads here and joins them when the box drops; the
-    /// shared pool is only borrowed.
-    fn executor_for(mode: ExecutionMode) -> Box<dyn SuperstepExecutor> {
-        match mode {
-            ExecutionMode::Sequential => Box::new(SequentialExecutor),
-            ExecutionMode::Threaded => Box::new(PooledExecutor::shared()),
-            ExecutionMode::Pooled(threads) => Box::new(PooledExecutor::own(threads)),
+    /// The executor for one run; a pooled one only references the
+    /// engine's pool, so this spawns nothing.
+    fn executor(&self) -> Box<dyn SuperstepExecutor> {
+        match &self.pool {
+            None => Box::new(SequentialExecutor),
+            Some(pool) => Box::new(PooledExecutor::new(Arc::clone(pool))),
         }
     }
 
@@ -368,7 +377,7 @@ impl BspEngine {
         let epoch = distributed.epoch() as u32;
         // Engine-side (barrier) spans use worker == p by convention.
         let engine_worker = num_workers as u32;
-        let mut executor = Self::executor_for(self.mode);
+        let mut executor = self.executor();
         // Reused across supersteps: per-destination delivery counts.
         let mut received: Vec<usize> = Vec::with_capacity(num_workers);
 
@@ -625,7 +634,7 @@ mod tests {
         }
     }
 
-    fn run_min_label(graph: &Graph, p: usize, engine: BspEngine) -> BspOutcome<u64> {
+    fn run_min_label(graph: &Graph, p: usize, engine: &BspEngine) -> BspOutcome<u64> {
         let partition = EbvPartitioner::new().partition(graph, p).unwrap();
         let dg = DistributedGraph::build(graph, &partition).unwrap();
         engine.run(&dg, &MinLabel).unwrap()
@@ -634,7 +643,7 @@ mod tests {
     #[test]
     fn min_label_converges_on_two_triangles() {
         let g = named::two_triangles();
-        let outcome = run_min_label(&g, 2, BspEngine::sequential());
+        let outcome = run_min_label(&g, 2, &BspEngine::sequential());
         assert_eq!(outcome.values, vec![0, 0, 0, 3, 3, 3]);
         assert!(outcome.supersteps >= 1);
     }
@@ -642,34 +651,40 @@ mod tests {
     #[test]
     fn sequential_and_threaded_agree() {
         let g = named::small_social_graph();
-        let seq = run_min_label(&g, 4, BspEngine::sequential());
-        let thr = run_min_label(&g, 4, BspEngine::threaded());
+        let seq = run_min_label(&g, 4, &BspEngine::sequential());
+        let threaded = BspEngine::threaded();
+        let thr = run_min_label(&g, 4, &threaded);
         assert_eq!(seq.values, thr.values);
         // The whole counter structure — per worker, per superstep — is
         // bit-identical, not just the totals.
         assert_eq!(seq.stats, thr.stats);
         assert_eq!(seq.supersteps, thr.supersteps);
-        assert_eq!(BspEngine::threaded().mode(), ExecutionMode::Threaded);
+        assert_eq!(threaded.mode(), ExecutionMode::Pooled(host_parallelism()));
+        assert_eq!(BspEngine::default().mode(), ExecutionMode::Sequential);
     }
 
     #[test]
     fn every_mode_agrees_with_sequential() {
         let g = named::small_social_graph();
-        let seq = run_min_label(&g, 4, BspEngine::sequential());
+        let seq = run_min_label(&g, 4, &BspEngine::sequential());
         for engine in [
             BspEngine::pooled(1),
             BspEngine::pooled(2),
             BspEngine::pooled(4),
             BspEngine::pooled(7),
-            // `Pooled(0)` is clamped to one thread rather than rejected.
+            // `pooled(0)` is clamped to one thread rather than rejected.
             BspEngine::pooled(0),
         ] {
-            let other = run_min_label(&g, 4, engine);
-            assert_eq!(seq.values, other.values, "{:?}", engine.mode());
-            assert_eq!(seq.stats, other.stats, "{:?}", engine.mode());
-            assert_eq!(seq.supersteps, other.supersteps, "{:?}", engine.mode());
+            // A clone shares the pool, and both stay usable run after run.
+            for engine in [&engine, &engine.clone(), &engine] {
+                let other = run_min_label(&g, 4, engine);
+                assert_eq!(seq.values, other.values, "{:?}", engine.mode());
+                assert_eq!(seq.stats, other.stats, "{:?}", engine.mode());
+                assert_eq!(seq.supersteps, other.supersteps, "{:?}", engine.mode());
+            }
         }
         assert_eq!(BspEngine::pooled(3).mode(), ExecutionMode::Pooled(3));
+        assert_eq!(BspEngine::pooled(0).mode(), ExecutionMode::Pooled(1));
     }
 
     /// A program that panics on a fixed set of workers: the engine must
@@ -746,7 +761,7 @@ mod tests {
     #[test]
     fn single_worker_sends_no_messages() {
         let g = named::two_triangles();
-        let outcome = run_min_label(&g, 1, BspEngine::sequential());
+        let outcome = run_min_label(&g, 1, &BspEngine::sequential());
         assert_eq!(outcome.stats.total_messages(), 0);
         assert_eq!(outcome.values, vec![0, 0, 0, 3, 3, 3]);
     }
@@ -754,7 +769,7 @@ mod tests {
     #[test]
     fn stats_record_work_and_messages() {
         let g = named::small_social_graph();
-        let outcome = run_min_label(&g, 4, BspEngine::sequential());
+        let outcome = run_min_label(&g, 4, &BspEngine::sequential());
         assert!(outcome.stats.total_work() > 0);
         assert!(outcome.stats.total_messages() > 0);
         assert_eq!(outcome.stats.num_workers, 4);

@@ -1,13 +1,13 @@
 //! The persistent worker pool: a fixed set of OS threads parked across
-//! supersteps (and, for the shared pool, across runs and mutation epochs),
-//! fed superstep tasks over `std::sync::mpsc` channels.
+//! supersteps, runs and mutation epochs, fed superstep tasks over
+//! `std::sync::mpsc` channels.
 //!
 //! Spawning one OS thread per worker-chunk per superstep lets spawn cost
 //! dominate the barrier on small graphs. The pool amortizes that cost to
-//! zero in the steady state: threads are created once (per
-//! [`WorkerPool::new`], or once per process for the
-//! [`shared_worker_pool`]) and every superstep only moves closures through
-//! channels.
+//! zero in the steady state: threads are created once, in
+//! [`WorkerPool::new`] — which a [`BspEngine`](crate::BspEngine) calls at
+//! construction and never again — and every superstep only moves closures
+//! through channels.
 //!
 //! Each submitted task reports its own completion — including a captured
 //! panic payload — over a per-call completion channel, which gives the
@@ -16,7 +16,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::mpsc;
 use std::thread;
 
 /// A type-erased, `'static` pool job as it travels through a lane channel.
@@ -32,17 +32,16 @@ pub(crate) struct PoolTask<'env> {
 }
 
 /// Total pool threads ever spawned by this process, across every
-/// [`WorkerPool`] (shared or run-local). Test hook for the pool-reuse
-/// guarantee: across warm epochs the counter must not move.
+/// [`WorkerPool`]. Test hook for the pool-reuse guarantee: across the runs
+/// of one engine the counter must not move.
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
-/// Returns the total number of pool threads this process has ever spawned
-/// (across the shared pool and every run-local pool).
+/// Returns the total number of pool threads this process has ever spawned.
 ///
 /// This is the observable side of the pool-persistence guarantee:
-/// re-running a [`BspEngine`](crate::BspEngine) in
-/// [`Threaded`](crate::ExecutionMode::Threaded) mode across many mutation
-/// epochs leaves the counter unchanged after the first run.
+/// [`BspEngine::pooled(n)`](crate::BspEngine::pooled) raises the counter by
+/// exactly `n`, and no run, mutation epoch or clone of that engine moves it
+/// again.
 pub fn pool_threads_spawned() -> u64 {
     THREADS_SPAWNED.load(Ordering::Relaxed)
 }
@@ -51,9 +50,11 @@ pub fn pool_threads_spawned() -> u64 {
 ///
 /// Threads are created once in [`new`](WorkerPool::new) and parked on their
 /// lane's `recv` between tasks; dropping the pool closes the lanes and
-/// joins every thread. The superstep scheduler assigns each worker task to
-/// a lane (see `engine::schedule`), so one lane runs its tasks in
-/// submission order while distinct lanes run concurrently.
+/// joins every thread. Callers on several threads may share one pool (every
+/// `run_tasks` call owns its completion channel); their tasks then queue
+/// behind each other on the lanes. The superstep scheduler assigns each
+/// worker task to a lane (see `engine::schedule`), so one lane runs its
+/// tasks in submission order while distinct lanes run concurrently.
 #[derive(Debug)]
 pub struct WorkerPool {
     lanes: Vec<mpsc::Sender<Job>>,
@@ -130,6 +131,7 @@ impl WorkerPool {
                 // borrow captured by a job survives past this call, and the
                 // channel hand-offs provide the release/acquire ordering
                 // that makes the workers' writes visible to the caller.
+                #[allow(unsafe_code)]
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
                 match self.lanes[lane].send(job) {
@@ -161,40 +163,6 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// The process-wide shared pool behind
-/// [`ExecutionMode::Threaded`](crate::ExecutionMode::Threaded), created
-/// lazily on first use and never torn down — which is exactly what keeps
-/// warm mutation epochs spawn-free: every run of every engine reuses the
-/// same parked threads.
-///
-/// Sizing: the `EBV_POOL_SIZE` environment variable (read once, at first
-/// use) when set to a positive integer — parsed by
-/// [`config::parse_pool_size`](crate::config::parse_pool_size), so a
-/// malformed value panics loudly instead of silently falling back —
-/// otherwise [`std::thread::available_parallelism`].
-pub fn shared_worker_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(shared_pool_size()))
-}
-
-/// Resolves the shared pool's size from `EBV_POOL_SIZE` / the host.
-///
-/// # Panics
-///
-/// Panics on a malformed `EBV_POOL_SIZE` (zero, negative, non-numeric): a
-/// mis-sized pool would silently skew every threaded measurement.
-fn shared_pool_size() -> usize {
-    match std::env::var(crate::config::ENV_POOL_SIZE) {
-        Ok(value) => match crate::config::parse_pool_size(&value) {
-            Ok(n) => n,
-            Err(err) => panic!("{err}"),
-        },
-        Err(_) => thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
     }
 }
 

@@ -14,7 +14,9 @@
 //!   edge-cut) into per-worker [`Subgraph`]s with master/mirror replicas;
 //! * [`SubgraphProgram`] is the "think like a graph" programming interface;
 //! * [`BspEngine`] executes programs sequentially or on a persistent
-//!   [`WorkerPool`] with work-aware (LPT) superstep scheduling, behind the
+//!   [`WorkerPool`] it owns (spawned at construction, shared by its clones,
+//!   joined when the last drops) with work-aware (LPT) superstep
+//!   scheduling, behind the
 //!   [`SuperstepExecutor`] seam a future multi-process transport plugs
 //!   into, recording the per-worker work and message counters. There is
 //!   one run call, [`BspEngine::run_opts`]: telemetry, a warm-start seed
@@ -28,6 +30,8 @@
 //! the paper uses to compare partition algorithms (Tables IV and V).
 
 #![deny(missing_docs)]
+// One site is allowed: the lifetime erasure in `WorkerPool::run_tasks`.
+#![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod config;
@@ -43,8 +47,8 @@ pub mod warm;
 
 pub use config::EnvConfig;
 pub use engine::{
-    pool_threads_spawned, shared_worker_pool, BspEngine, BspOutcome, ExecutionMode, PooledExecutor,
-    RunOptions, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerPool, WorkerTask,
+    pool_threads_spawned, BspEngine, BspOutcome, ExecutionMode, PooledExecutor, RunOptions,
+    SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerPool, WorkerTask,
 };
 pub use error::{BspError, Result};
 pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};

@@ -30,8 +30,7 @@ impl RandomVertexCutPartitioner {
 
     /// Creates the streaming form of this partitioner. The assignment is a
     /// pure hash of each edge and its stream position, so the streaming
-    /// output is bit-identical to [`Partitioner::partition`] and supports
-    /// [`crate::StreamingPartitioner::prehasher`] pre-hashing.
+    /// output is bit-identical to [`Partitioner::partition`].
     ///
     /// # Errors
     ///

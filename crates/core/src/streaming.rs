@@ -23,9 +23,7 @@
 //!   — HDRF was a one-pass algorithm all along.
 //! * **Random** ([`StreamingRandom`]): bit-identical to
 //!   [`RandomVertexCutPartitioner`](crate::RandomVertexCutPartitioner); the
-//!   assignment is a pure hash of the edge and its stream position, exposed
-//!   through [`StreamingPartitioner::prehasher`] so pipelines can
-//!   pre-compute it in parallel.
+//!   assignment is a pure hash of the edge and its stream position.
 //! * **DBH** ([`StreamingDbh`]): a greedy one-pass variant that hashes the
 //!   endpoint with the lower *partial* degree (the degree observed in the
 //!   stream so far, as in the original streaming formulation), since full
@@ -34,7 +32,6 @@
 //!   degrees.
 
 use std::fmt;
-use std::sync::Arc;
 
 use ebv_graph::{Edge, VertexId};
 
@@ -168,28 +165,6 @@ pub trait StreamingPartitioner {
     /// internal state. O(p) for score-based partitioners, O(1) for
     /// hash-based ones.
     fn ingest(&mut self, edge: Edge) -> PartitionId;
-
-    /// Like [`ingest`](StreamingPartitioner::ingest), but with a partition
-    /// pre-computed by this partitioner's
-    /// [`prehasher`](StreamingPartitioner::prehasher). Implementations whose
-    /// assignment equals the hint skip re-scoring; the default ignores the
-    /// hint.
-    fn ingest_hinted(&mut self, edge: Edge, hint: PartitionId) -> PartitionId {
-        let _ = hint;
-        self.ingest(edge)
-    }
-
-    /// For partitioners whose assignment is a pure function of the edge and
-    /// its stream position: a self-contained hasher computing the partition
-    /// an edge *will* get. The closure is `Send + Sync`, so pipelines can
-    /// fan it out over worker threads to pre-hash whole chunks in parallel
-    /// and then replay the results through
-    /// [`ingest_hinted`](StreamingPartitioner::ingest_hinted). Returns
-    /// `None` for state-dependent partitioners, which must score
-    /// sequentially.
-    fn prehasher(&self) -> Option<Arc<dyn Fn(Edge, usize) -> PartitionId + Send + Sync>> {
-        None
-    }
 
     /// Number of edges ingested so far.
     fn edges_ingested(&self) -> usize;
@@ -518,8 +493,7 @@ impl StreamingPartitioner for StreamingDbh {
 
 /// The streaming form of
 /// [`RandomVertexCutPartitioner`](crate::RandomVertexCutPartitioner) —
-/// bit-identical to the batch form, and a pure hash of `(edge, position)`,
-/// so it supports [`StreamingPartitioner::prehasher`].
+/// bit-identical to the batch form, and a pure hash of `(edge, position)`.
 #[derive(Debug, Clone)]
 pub struct StreamingRandom {
     salt: u64,
@@ -528,9 +502,9 @@ pub struct StreamingRandom {
 
 /// The Random-VC assignment: a pure hash of the edge and its stream
 /// position. The single source of truth shared by the batch
-/// [`RandomVertexCutPartitioner`](crate::RandomVertexCutPartitioner), the
-/// streaming [`StreamingRandom`] and its parallel prehasher — their
-/// agreement *is* the bit-identical guarantee, so never fork this formula.
+/// [`RandomVertexCutPartitioner`](crate::RandomVertexCutPartitioner) and the
+/// streaming [`StreamingRandom`] — their agreement *is* the bit-identical
+/// guarantee, so never fork this formula.
 pub(crate) fn random_vertex_cut_part(
     salt: u64,
     num_partitions: usize,
@@ -566,21 +540,9 @@ impl StreamingPartitioner for StreamingRandom {
 
     fn ingest(&mut self, edge: Edge) -> PartitionId {
         let part = self.hash(edge, self.state.assignment.len());
-        self.ingest_hinted(edge, part)
-    }
-
-    fn ingest_hinted(&mut self, edge: Edge, hint: PartitionId) -> PartitionId {
         self.state.observe(edge);
-        self.state.record(edge, hint);
-        hint
-    }
-
-    fn prehasher(&self) -> Option<Arc<dyn Fn(Edge, usize) -> PartitionId + Send + Sync>> {
-        let salt = self.salt;
-        let num_partitions = self.state.num_partitions;
-        Some(Arc::new(move |edge, index| {
-            random_vertex_cut_part(salt, num_partitions, edge, index)
-        }))
+        self.state.record(edge, part);
+        part
     }
 
     fn edges_ingested(&self) -> usize {
@@ -706,26 +668,6 @@ mod tests {
             "vertex imbalance {}",
             m.vertex_imbalance
         );
-    }
-
-    #[test]
-    fn prehasher_agrees_with_ingest() {
-        let g = named::figure1_graph();
-        let streaming = RandomVertexCutPartitioner::new()
-            .streaming(StreamConfig::new(3))
-            .unwrap();
-        let prehasher = streaming.prehasher().unwrap();
-        let mut driven = RandomVertexCutPartitioner::new()
-            .streaming(StreamConfig::new(3))
-            .unwrap();
-        for (i, &edge) in g.edges().iter().enumerate() {
-            assert_eq!(driven.ingest(edge), prehasher(edge, i));
-        }
-        // State-dependent partitioners advertise no prehasher.
-        let ebv = EbvPartitioner::new()
-            .streaming(StreamConfig::new(3))
-            .unwrap();
-        assert!(ebv.prehasher().is_none());
     }
 
     #[test]

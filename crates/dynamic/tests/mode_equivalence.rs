@@ -1,6 +1,6 @@
 //! Property tests for the message plane (PR 5 tentpole) and the executor
-//! seam (PR 8 tentpole): every parallel execution mode — `Threaded` (the
-//! shared persistent pool) and `Pooled(n)` swept over pool sizes
+//! seam (PR 8 tentpole): every parallel engine — `threaded()` (a pool of
+//! the host's parallelism) and `pooled(n)` swept over pool sizes
 //! `{1, 2, p, p + 3}` — must be **bit-identical** to `Sequential`: same
 //! per-vertex values *and* the same [`ExecutionStats`] (work, updates,
 //! messages sent and received per worker per superstep) — for all four
@@ -13,7 +13,9 @@
 //! `apply_mutations` (the warm re-runs mutate the distribution between
 //! executions) shows up here as a value or counter mismatch. Pool size 1
 //! forces every worker onto one lane (the serialization extreme),
-//! `p + 3` leaves lanes idle (the oversubscribed extreme).
+//! `p + 3` leaves lanes idle (the oversubscribed extreme). Each engine is
+//! built once per case and reused across every program and epoch of it, the
+//! way a driver keeps its engine.
 
 use proptest::prelude::*;
 
@@ -28,10 +30,9 @@ use ebv_partition::EbvPartitioner;
 use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 /// The parallel engines every assertion compares against the sequential
-/// reference: the shared persistent pool (`Threaded`) plus run-local pools
-/// swept over the tentpole's size set `{1, 2, p, p + 3}`.
-fn parallel_engines(distributed: &DistributedGraph) -> Vec<BspEngine> {
-    let p = distributed.num_workers();
+/// reference: `threaded()` plus pools swept over the tentpole's size set
+/// `{1, 2, p, p + 3}`.
+fn parallel_engines(p: usize) -> Vec<BspEngine> {
     let mut sizes = vec![1, 2, p, p + 3];
     sizes.dedup();
     let mut engines = vec![BspEngine::threaded()];
@@ -41,13 +42,17 @@ fn parallel_engines(distributed: &DistributedGraph) -> Vec<BspEngine> {
 
 /// Runs `program` cold under every mode and asserts bit-equality of values
 /// and of the whole counter structure against the sequential reference.
-fn assert_modes_agree<P>(distributed: &DistributedGraph, program: &P) -> BspOutcome<P::Value>
+fn assert_modes_agree<P>(
+    engines: &[BspEngine],
+    distributed: &DistributedGraph,
+    program: &P,
+) -> BspOutcome<P::Value>
 where
     P: SubgraphProgram,
     P::Value: PartialEq,
 {
     let seq = BspEngine::sequential().run(distributed, program).unwrap();
-    for engine in parallel_engines(distributed) {
+    for engine in engines {
         let other = engine.run(distributed, program).unwrap();
         assert!(
             seq.values == other.values,
@@ -69,6 +74,7 @@ where
 
 /// Same for a warm start from `prior`.
 fn assert_modes_agree_warm<P>(
+    engines: &[BspEngine],
     distributed: &DistributedGraph,
     program: &P,
     prior: &[P::Value],
@@ -80,7 +86,7 @@ where
     let seq = BspEngine::sequential()
         .run_opts(distributed, program, RunOptions::new().warm_seed(prior))
         .unwrap();
-    for engine in parallel_engines(distributed) {
+    for engine in engines {
         let other = engine
             .run_opts(distributed, program, RunOptions::new().warm_seed(prior))
             .unwrap();
@@ -107,9 +113,9 @@ proptest! {
 
     /// Cold and warm runs of CC, SSSP, BFS and PageRank produce
     /// bit-identical values and per-worker message counters under every
-    /// execution mode — the shared pool and run-local pools of sizes
-    /// {1, 2, p, p + 3} — across churned mutation epochs (the warm re-runs
-    /// exercise the incrementally maintained routing table).
+    /// execution mode — `threaded()` and pools of sizes {1, 2, p, p + 3},
+    /// each reused for the whole case — across churned mutation epochs (the
+    /// warm re-runs exercise the incrementally maintained routing table).
     #[test]
     fn parallel_modes_are_bit_identical_to_sequential_cold_and_warm(
         scale in 5u32..8,
@@ -120,6 +126,7 @@ proptest! {
         batch_size in 32usize..160,
     ) {
         let source = VertexId::new(0);
+        let engines = parallel_engines(p);
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
             .dynamic(stream.stream_config(p))
@@ -128,10 +135,13 @@ proptest! {
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
 
         // Prior outcomes carried warm across the churned epochs.
-        let mut labels = assert_modes_agree(&distributed, &ConnectedComponents::new()).values;
+        let mut labels =
+            assert_modes_agree(&engines, &distributed, &ConnectedComponents::new()).values;
         let mut distances =
-            assert_modes_agree(&distributed, &SingleSourceShortestPath::new(source)).values;
-        let mut depths = assert_modes_agree(&distributed, &BreadthFirstSearch::new(source)).values;
+            assert_modes_agree(&engines, &distributed, &SingleSourceShortestPath::new(source))
+                .values;
+        let mut depths =
+            assert_modes_agree(&engines, &distributed, &BreadthFirstSearch::new(source)).values;
 
         let churned = ChurnStream::new(stream, churn as f64 / 10.0)
             .unwrap()
@@ -145,14 +155,14 @@ proptest! {
                 |dg, batch, _, _| {
                     // Cold equivalence on the mutated distribution (the
                     // routing table was updated incrementally).
-                    assert_modes_agree(dg, &ConnectedComponents::new());
+                    assert_modes_agree(&engines, dg, &ConnectedComponents::new());
                     // Warm equivalence for every warm-capable program.
                     let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
-                    labels = assert_modes_agree_warm(dg, &cc, &labels).values;
+                    labels = assert_modes_agree_warm(&engines, dg, &cc, &labels).values;
                     let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                    distances = assert_modes_agree_warm(dg, &sssp, &distances).values;
+                    distances = assert_modes_agree_warm(&engines, dg, &sssp, &distances).values;
                     let bfs = IncrementalBfs::from_batch(source, &depths, batch);
-                    depths = assert_modes_agree_warm(dg, &bfs, &depths).values;
+                    depths = assert_modes_agree_warm(&engines, dg, &bfs, &depths).values;
                     epochs += 1;
                     Ok(())
                 },
@@ -163,7 +173,7 @@ proptest! {
         // PageRank exercises Master/Mirrors targets and f64 message
         // folding, where even a reordered merge would change the bits.
         let pr = IncrementalPageRank::from_distributed(&distributed, 8);
-        let cold = assert_modes_agree(&distributed, &pr);
-        assert_modes_agree_warm(&distributed, &pr, &cold.values);
+        let cold = assert_modes_agree(&engines, &distributed, &pr);
+        assert_modes_agree_warm(&engines, &distributed, &pr, &cold.values);
     }
 }

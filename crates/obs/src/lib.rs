@@ -38,6 +38,7 @@
 //! no-op-recorder runs.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod journal;

@@ -3,17 +3,18 @@
 //! The serving leg of the reproduction's north star: the paper's EBV
 //! partitioning plus the warm incremental epochs of PRs 3–8 produce fresh
 //! answers on an evolving graph, and this crate is where those answers
-//! become *readable* while the next epoch computes. Three layers:
+//! become *readable* while the next epoch computes. Two layers:
 //!
-//! * [`EpochCell`] — a guarded two-slot publication cell: readers take
-//!   the current snapshot lock-free (they never block on the writer), the
-//!   per-epoch writer flips the slots atomically;
 //! * [`SnapshotStore`] / [`QueryHandle`] — the store the epoch driver
 //!   owns: engine runs *stage* named per-vertex series through
 //!   [`ValueSink`](ebv_bsp::ValueSink) sinks
 //!   ([`SnapshotStore::series_sink`]), and one commit per applied epoch
 //!   flips them all into readers' view together — snapshot isolation at
-//!   epoch granularity, never a torn or mixed-epoch read. Handles are
+//!   epoch granularity, never a torn or mixed-epoch read. The published
+//!   snapshot sits behind a std `RwLock<Arc<_>>` held for one pointer
+//!   operation per read or commit (PR 14 measured the hand-rolled
+//!   lock-free cell it replaced against it: no difference outside noise on
+//!   any `ebvbench` workload or under contended readers). Handles are
 //!   cheap `Clone` and serve point lookups, top-k and neighborhood reads
 //!   from any thread, counting `ebv_query_reads_total` and timing
 //!   `ebv_query_read_seconds` (p50/p99) into the PR 6 registry;
@@ -29,13 +30,12 @@
 //! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-mod cell;
 mod http;
 mod store;
 
-pub use cell::EpochCell;
 pub use http::register_query_routes;
 pub use store::{
     Adjacency, GraphSnapshot, QueryError, QueryHandle, QueryValue, Series, SeriesData, SeriesSink,

@@ -22,6 +22,7 @@
 //! loss (writes are not `fsync`ed); see the [`store`] docs.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 mod crc;

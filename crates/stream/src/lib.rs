@@ -61,6 +61,7 @@
 //! [`DistributedGraph::build_streaming`]: ebv_bsp::DistributedGraph::build_streaming
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod binary;

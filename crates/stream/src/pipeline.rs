@@ -16,13 +16,6 @@ use crate::source::EdgeSource;
 /// imbalance) after every chunk, giving the replication-growth view of the
 /// paper's Figure 5 for free.
 ///
-/// For hash-based partitioners exposing a
-/// [`prehasher`](StreamingPartitioner::prehasher), chunk assignments can be
-/// pre-computed on worker threads
-/// ([`with_parallel_prehash`](Self::with_parallel_prehash)); score-based
-/// partitioners (EBV, HDRF) are inherently sequential and ignore the
-/// setting.
-///
 /// # Examples
 ///
 /// ```
@@ -42,34 +35,12 @@ use crate::source::EdgeSource;
 #[derive(Debug, Clone)]
 pub struct ChunkedPipeline {
     chunk_size: usize,
-    parallel_prehash: bool,
-    prehash_threads: usize,
 }
 
 impl ChunkedPipeline {
     /// Creates a pipeline processing `chunk_size` edges per chunk.
     pub fn new(chunk_size: usize) -> Self {
-        ChunkedPipeline {
-            chunk_size,
-            parallel_prehash: false,
-            prehash_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-
-    /// Enables parallel chunk pre-hashing for partitioners that support it
-    /// (see [`StreamingPartitioner::prehasher`]).
-    pub fn with_parallel_prehash(mut self, enabled: bool) -> Self {
-        self.parallel_prehash = enabled;
-        self
-    }
-
-    /// Overrides the pre-hash worker-thread count (defaults to the
-    /// available parallelism).
-    pub fn with_prehash_threads(mut self, threads: usize) -> Self {
-        self.prehash_threads = threads.max(1);
-        self
+        ChunkedPipeline { chunk_size }
     }
 
     /// The configured chunk size.
@@ -102,11 +73,10 @@ impl ChunkedPipeline {
         self.run_with(source, partitioner, sink, &NoopRecorder)
     }
 
-    /// [`run`](Self::run) with telemetry: every chunk's ingest (including
-    /// the parallel pre-hash when enabled) is recorded as a `chunk_ingest`
-    /// span (superstep = chunk index), the total ingested-edge counter
-    /// accumulates, and the running replication factor is exported as the
-    /// `ebv_stream_replication_factor` gauge.
+    /// [`run`](Self::run) with telemetry: every chunk's ingest is recorded
+    /// as a `chunk_ingest` span (superstep = chunk index), the total
+    /// ingested-edge counter accumulates, and the running replication
+    /// factor is exported as the `ebv_stream_replication_factor` gauge.
     ///
     /// Instrumentation does not perturb the run: assignments, reports and
     /// the final partition are bit-identical to [`run`](Self::run).
@@ -132,16 +102,9 @@ impl ChunkedPipeline {
                 message: "the chunk size must be at least 1".to_string(),
             });
         }
-        let prehasher = if self.parallel_prehash {
-            partitioner.prehasher()
-        } else {
-            None
-        };
-
         // Cap the pre-allocation: a huge chunk size is a valid way to ask
         // for "one chunk", not a promise about the stream length.
         let mut chunk: Vec<Edge> = Vec::with_capacity(self.chunk_size.min(1 << 16));
-        let mut hints: Vec<PartitionId> = Vec::new();
         let mut chunks: Vec<ChunkReport> = Vec::new();
         let mut total_edges = 0usize;
         loop {
@@ -158,37 +121,9 @@ impl ChunkedPipeline {
             }
 
             let started = recorder.start();
-            if let Some(prehasher) = &prehasher {
-                hints.clear();
-                hints.resize(chunk.len(), PartitionId::default());
-                let threads = self.prehash_threads.min(chunk.len());
-                let slice_len = chunk.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (slice_index, (edges, hints)) in chunk
-                        .chunks(slice_len)
-                        .zip(hints.chunks_mut(slice_len))
-                        .enumerate()
-                    {
-                        let prehasher = &**prehasher;
-                        let base = total_edges + slice_index * slice_len;
-                        scope.spawn(move || {
-                            for (offset, (edge, hint)) in
-                                edges.iter().zip(hints.iter_mut()).enumerate()
-                            {
-                                *hint = prehasher(*edge, base + offset);
-                            }
-                        });
-                    }
-                });
-                for (edge, hint) in chunk.iter().zip(&hints) {
-                    let part = partitioner.ingest_hinted(*edge, *hint);
-                    sink(*edge, part);
-                }
-            } else {
-                for edge in &chunk {
-                    let part = partitioner.ingest(*edge);
-                    sink(*edge, part);
-                }
+            for edge in &chunk {
+                let part = partitioner.ingest(*edge);
+                sink(*edge, part);
             }
 
             recorder.span(
@@ -276,7 +211,7 @@ mod tests {
     use crate::source::{pairs, GraphEdgeSource};
     use crate::synthetic::RmatEdgeStream;
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
-    use ebv_partition::{EbvPartitioner, RandomVertexCutPartitioner, StreamConfig};
+    use ebv_partition::{EbvPartitioner, StreamConfig};
 
     #[test]
     fn chunk_size_does_not_change_the_result() {
@@ -353,50 +288,6 @@ mod tests {
             .partition_stream(pairs(vec![(0, 1)]), &mut partitioner)
             .unwrap_err();
         assert!(matches!(err, StreamError::InvalidParameter { .. }));
-    }
-
-    #[test]
-    fn parallel_prehash_matches_sequential_ingest() {
-        let stream = || RmatEdgeStream::new(9, 5000).with_seed(8);
-        let sequential = {
-            let mut partitioner = RandomVertexCutPartitioner::new()
-                .streaming(stream().stream_config(6))
-                .unwrap();
-            ChunkedPipeline::new(512)
-                .partition_stream(stream(), &mut partitioner)
-                .unwrap()
-                .0
-        };
-        let parallel = {
-            let mut partitioner = RandomVertexCutPartitioner::new()
-                .streaming(stream().stream_config(6))
-                .unwrap();
-            ChunkedPipeline::new(512)
-                .with_parallel_prehash(true)
-                .with_prehash_threads(4)
-                .partition_stream(stream(), &mut partitioner)
-                .unwrap()
-                .0
-        };
-        assert_eq!(sequential, parallel);
-
-        // Score-based partitioners silently ignore the setting.
-        let mut partitioner = EbvPartitioner::new()
-            .streaming(stream().stream_config(6))
-            .unwrap();
-        let with_flag = ChunkedPipeline::new(512)
-            .with_parallel_prehash(true)
-            .partition_stream(stream(), &mut partitioner)
-            .unwrap()
-            .0;
-        let mut partitioner = EbvPartitioner::new()
-            .streaming(stream().stream_config(6))
-            .unwrap();
-        let without_flag = ChunkedPipeline::new(512)
-            .partition_stream(stream(), &mut partitioner)
-            .unwrap()
-            .0;
-        assert_eq!(with_flag, without_flag);
     }
 
     #[test]

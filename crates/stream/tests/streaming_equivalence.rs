@@ -94,7 +94,6 @@ proptest! {
             .streaming(source.stream_config(p))
             .unwrap();
         let (streamed, _) = ChunkedPipeline::new(1024)
-            .with_parallel_prehash(true)
             .partition_stream(source, &mut streaming)
             .unwrap();
         prop_assert_eq!(streamed, batch);

@@ -31,10 +31,11 @@
 //!
 //! All knobs come from the consolidated [`EnvConfig`]:
 //! `EBV_MODE=sequential` runs every BSP execution on the calling thread;
-//! the default (`EBV_MODE=threaded` or unset) uses one thread per worker,
-//! exercising the parallel two-phase message exchange end-to-end (and
-//! `pooled:<n>` runs a run-local pool of `n` threads). Every mode produces
-//! bit-identical values and counters.
+//! the default (`EBV_MODE=threaded` or unset) runs the workers on a pool of
+//! the host's available parallelism, exercising the parallel two-phase
+//! message exchange end-to-end (and `pooled:<n>` sizes the pool to `n`
+//! threads). The one engine built in `main` owns that pool for the whole
+//! run. Every mode produces bit-identical values and counters.
 //!
 //! The whole run is traced through the `ebv-obs` telemetry plane:
 //! `EBV_TRACE=out.json` writes a Chrome trace-event file (load it in
@@ -48,11 +49,11 @@
 //! `/trace.json`, `/epochs.json`) *and* the epoch-versioned query plane
 //! (`GET /query`, `/query/<series>/<vertex>`, `/topk`,
 //! `/neighbors/<vertex>`) on one listener: each applied epoch's CC
-//! labels, SSSP distances and BFS depths are published to a lock-free
-//! snapshot store and flipped atomically at the epoch boundary, so reads
-//! are never torn and never block the churn loop. Tracing and serving
-//! never perturb the values — every exactness check holds with or
-//! without them.
+//! labels, SSSP distances and BFS depths are published to the snapshot
+//! store and flipped atomically at the epoch boundary, so reads are never
+//! torn and the churn loop waits on a reader for one pointer clone at
+//! most. Tracing and serving never perturb the values — every exactness
+//! check holds with or without them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,12 +102,12 @@ fn env_config() -> EnvConfig {
     EnvConfig::from_env().unwrap_or_else(|err| panic!("{err}"))
 }
 
-fn engine_from_env() -> BspEngine {
-    env_config().engine()
-}
-
-fn cc(distributed: &DistributedGraph, telemetry: &Telemetry) -> BspOutcome<u64> {
-    engine_from_env()
+fn cc(
+    engine: &BspEngine,
+    distributed: &DistributedGraph,
+    telemetry: &Telemetry,
+) -> BspOutcome<u64> {
+    engine
         .run_opts(
             distributed,
             &ConnectedComponents::new(),
@@ -164,10 +165,13 @@ fn fingerprint(values: &[u64]) -> u64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The one engine of the run: a pooled mode spawns its threads here and
+    // every execution below — cold, warm, replayed — reuses them.
+    let engine = env_config().engine();
     println!(
         "evolving graph: {NUM_EDGES} R-MAT arrivals over 2^{SCALE} vertices, churn {CHURN}, \
          {WORKERS} workers, batches of {BATCH}, {:?} engine\n",
-        engine_from_env().mode(),
+        engine.mode(),
     );
 
     // The telemetry plane observes the whole run: spans from every BSP
@@ -253,7 +257,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (universe, pairs) = recovered.resume_partition_state()?;
         partitioner.restore(universe, pairs)?;
     }
-    let engine = engine_from_env();
     let source = VertexId::new(SOURCE);
 
     // Warm seeds: the checkpointed value series on resume, otherwise the
@@ -266,7 +269,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             checkpoint_series(checkpoint, "bfs"),
         ),
         None => (
-            cc(&distributed, telemetry).values,
+            cc(&engine, &distributed, telemetry).values,
             engine
                 .run_opts(
                     &distributed,
@@ -486,12 +489,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // are bit-identical to a cold CC run, which in turn equals CC on a
     // fresh batch build of the survivors.
     let cold_started = Instant::now();
-    let cc_cold = cc(&distributed, telemetry);
+    let cc_cold = cc(&engine, &distributed, telemetry);
     let cold_cc_time = cold_started.elapsed();
     assert_eq!(labels, cc_cold.values, "warm CC must be bit-identical");
     assert_eq!(
         cc_cold.values,
-        cc(&fresh_build(&partitioner)?, telemetry).values
+        cc(&engine, &fresh_build(&partitioner)?, telemetry).values
     );
     let mut components = labels.clone();
     components.sort_unstable();
@@ -634,7 +637,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunOptions::new().warm_seed(&cc_prior).recorder(telemetry),
     )?;
     labels = warm_cc.values;
-    assert_eq!(labels, cc(&distributed, telemetry).values);
+    assert_eq!(labels, cc(&engine, &distributed, telemetry).values);
     println!("warm CC re-validated after the extra churn epoch\n");
 
     // ── Phase 3: skew + one rebalance epoch ──────────────────────────────
@@ -690,10 +693,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .recorder(telemetry),
         )?
         .values;
-    assert_eq!(labels_after, cc(&distributed, telemetry).values);
+    assert_eq!(labels_after, cc(&engine, &distributed, telemetry).values);
     assert_eq!(
         labels_after,
-        cc(&fresh_build(&partitioner)?, telemetry).values
+        cc(&engine, &fresh_build(&partitioner)?, telemetry).values
     );
     println!(
         "warm CC(rebalanced, epoch {}) == cold == CC(fresh build): migration preserved every \

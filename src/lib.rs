@@ -16,7 +16,7 @@
 //!   tracer and Chrome-trace export (`ebv-obs`)
 //! * [`algorithms`] — CC, SSSP, PageRank, BFS and their sequential
 //!   references (`ebv-algorithms`)
-//! * [`serve`] — the epoch-versioned query plane: lock-free snapshot
+//! * [`serve`] — the epoch-versioned query plane: snapshot-isolated
 //!   store, in-process [`QueryHandle`](ebv_serve::QueryHandle) and the
 //!   `GET /query/*` routes (`ebv-serve`)
 //! * [`state`] — the durable state plane: write-ahead mutation log,
@@ -25,6 +25,7 @@
 //! See the workspace README for the quickstart and the experiment index.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub use ebv_algorithms as algorithms;
