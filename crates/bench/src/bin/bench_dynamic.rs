@@ -316,7 +316,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Recovery latency, replay vs rebuild: reopening the directory
-        // replays the WAL suffix into a fresh distribution, against the
+        // replays the WAL suffix into a fresh distribution *and* resumes
+        // the partitioner (no run can continue without it), against the
         // no-durability alternative of re-running the entire churned
         // pipeline (stream regeneration, partition maintenance, epoch
         // applies) from nothing.
@@ -330,10 +331,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for frame in &recovered.frames {
             replayed.apply_mutations(&frame.batch)?;
         }
+        let mut resumed = EbvPartitioner::new().dynamic(stream().stream_config(workers))?;
+        let (resumed_universe, resumed_pairs) = recovered.resume_partition_state()?;
+        resumed.restore(resumed_universe, resumed_pairs)?;
         let recovery_replay_seconds = started.elapsed().as_secs_f64();
         assert!(
             replayed.same_structure(&durable_graph),
             "WAL replay must reproduce the logged distribution"
+        );
+        assert!(
+            resumed.surviving().eq(partitioner.surviving()),
+            "the resumed partitioner must hold the live one's surviving pairs"
         );
         rows.push(Measurement {
             name: "recovery_replay",

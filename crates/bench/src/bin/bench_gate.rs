@@ -297,6 +297,7 @@ mod tests {
             ("sssp_warm_epoch", "sssp_cold", 1.0, None),
             ("bfs_warm_epoch", "bfs_cold", 1.0, None),
             ("epoch_apply_durable", "epoch_apply_incremental", 1.25, None),
+            ("recovery_replay", "recovery_rebuild", 1.0, None),
         ] {
             let gate = caps
                 .iter()

@@ -27,10 +27,11 @@ use std::process::ExitCode;
 use ebv_bench::scan_values;
 
 /// Every phase the `evolving_graph` example must leave at least one span
-/// for: the BSP superstep quartet, the mutation path, and the warm-start
-/// invalidation hooks. (`chunk_ingest` is a streaming-pipeline phase and is
+/// for: the BSP superstep quartet, the mutation path, the warm-start
+/// invalidation hooks, and the two halves of a pipeline epoch (partition
+/// decision, then apply). (`chunk_ingest` is a streaming-pipeline phase and is
 /// deliberately not required here.)
-const REQUIRED_PHASES: [&str; 8] = [
+const REQUIRED_PHASES: [&str; 9] = [
     "gather",
     "compute",
     "scatter",
@@ -38,6 +39,7 @@ const REQUIRED_PHASES: [&str; 8] = [
     "mutation_apply",
     "routing_patch",
     "warm_invalidation",
+    "partition_decide",
     "epoch_apply",
 ];
 
@@ -46,13 +48,14 @@ const REQUIRED_PHASES: [&str; 8] = [
 /// raced against the first epochs may legitimately predate the first
 /// `warm_invalidation` span — it is excluded here, everything else from
 /// the end-of-run set is required.
-const SCRAPED_PHASES: [&str; 7] = [
+const SCRAPED_PHASES: [&str; 8] = [
     "gather",
     "compute",
     "scatter",
     "barrier",
     "mutation_apply",
     "routing_patch",
+    "partition_decide",
     "epoch_apply",
 ];
 
@@ -329,9 +332,10 @@ mod tests {
 
     #[test]
     fn missing_phase_fails() {
-        let json = trace_with(&REQUIRED_PHASES[..7]);
+        let (last, rest) = REQUIRED_PHASES.split_last().unwrap();
+        let json = trace_with(rest);
         let err = check_trace(&json, &REQUIRED_PHASES).unwrap_err();
-        assert!(err.contains("epoch_apply"), "{err}");
+        assert!(err.contains(last), "{err}");
     }
 
     #[test]

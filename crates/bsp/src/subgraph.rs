@@ -2,43 +2,18 @@
 //! per-worker subgraphs (with master/mirror vertex replicas) that the BSP
 //! engine executes on.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
-use ebv_graph::{Edge, Graph, VertexId};
+use ebv_graph::{Edge, Graph, IdHashMap, VertexId};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 use ebv_partition::{PartitionId, PartitionResult};
 
 use crate::error::{BspError, Result};
 use crate::routing::RoutingTable;
 
-/// Cheap multiply-xor hasher for the vertex/edge-keyed maps on the
-/// assembly hot paths (`Subgraph::build`'s local index, the removal
-/// matching of `apply_mutations`). The keys are 64-bit vertex ids, so a
-/// strong-mixing multiply beats SipHash by a wide margin while staying
-/// deterministic; it is never exposed in iteration-order-sensitive code.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = (self.0 ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// "Not a local vertex" in the universe-sized scratch [`Subgraph::build`]
+/// resolves endpoints through.
+const ABSENT: u32 = u32::MAX;
 
 /// The local graph held by one worker.
 ///
@@ -58,7 +33,8 @@ pub struct Subgraph {
     /// each edge exactly once.
     owns_edge: Vec<bool>,
     vertices: Vec<VertexId>,
-    local_index: IdHashMap<VertexId, usize>,
+    /// Global vertex → local index (`u32`, like the CSR targets).
+    local_index: IdHashMap<VertexId, u32>,
     is_master: Vec<bool>,
     /// CSR out-adjacency: the out-neighbours of local vertex `l` are
     /// `out_targets[out_offsets[l]..out_offsets[l + 1]]`, in local-edge
@@ -72,43 +48,48 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
+    /// Indexes one worker's edge list: local vertex table (first-appearance
+    /// order, then `isolated`), master flags and both CSRs.
+    ///
+    /// `scratch` maps a global vertex to its local index while the worker is
+    /// being built. It covers the whole universe (`masters.len()` entries),
+    /// holds [`ABSENT`] everywhere on entry and is handed back in that
+    /// state, so one allocation serves every worker a caller rebuilds and
+    /// each endpoint costs an array read instead of a hash probe.
     fn build(
         part: PartitionId,
         edges: Vec<Edge>,
         owns_edge: Vec<bool>,
         isolated: &[VertexId],
         masters: &[PartitionId],
+        scratch: &mut [u32],
     ) -> Self {
         let mut vertices: Vec<VertexId> = Vec::new();
-        let mut local_index: IdHashMap<VertexId, usize> = IdHashMap::default();
-        for e in &edges {
-            for v in [e.src, e.dst] {
-                local_index.entry(v).or_insert_with(|| {
-                    vertices.push(v);
-                    vertices.len() - 1
-                });
+        let endpoints = edges.iter().flat_map(|e| [e.src, e.dst]);
+        for v in endpoints.chain(isolated.iter().copied()) {
+            let slot = &mut scratch[v.index()];
+            if *slot == ABSENT {
+                *slot = vertices.len() as u32;
+                vertices.push(v);
             }
         }
-        for &v in isolated {
-            local_index.entry(v).or_insert_with(|| {
-                vertices.push(v);
-                vertices.len() - 1
-            });
-        }
+        let n = vertices.len();
+        debug_assert!(
+            (n as u64) < u64::from(ABSENT),
+            "local vertex count fits u32"
+        );
         let is_master = vertices
             .iter()
             .map(|v| masters[v.index()] == part)
             .collect();
-        let n = vertices.len();
-        debug_assert!(u32::try_from(n).is_ok(), "local vertex count fits u32");
         // CSR assembly: degree histogram, prefix sums, cursor fill in
         // local-edge order (preserving the per-vertex neighbour order of
         // the former Vec-of-Vecs layout).
         let mut out_offsets = vec![0u32; n + 1];
         let mut in_offsets = vec![0u32; n + 1];
         for e in &edges {
-            out_offsets[local_index[&e.src] + 1] += 1;
-            in_offsets[local_index[&e.dst] + 1] += 1;
+            out_offsets[scratch[e.src.index()] as usize + 1] += 1;
+            in_offsets[scratch[e.dst.index()] as usize + 1] += 1;
         }
         for i in 1..=n {
             out_offsets[i] += out_offsets[i - 1];
@@ -119,12 +100,19 @@ impl Subgraph {
         let mut out_cursor = out_offsets[..n].to_vec();
         let mut in_cursor = in_offsets[..n].to_vec();
         for e in &edges {
-            let s = local_index[&e.src];
-            let d = local_index[&e.dst];
-            out_targets[out_cursor[s] as usize] = d as u32;
-            out_cursor[s] += 1;
-            in_targets[in_cursor[d] as usize] = s as u32;
-            in_cursor[d] += 1;
+            let s = scratch[e.src.index()];
+            let d = scratch[e.dst.index()];
+            out_targets[out_cursor[s as usize] as usize] = d;
+            out_cursor[s as usize] += 1;
+            in_targets[in_cursor[d as usize] as usize] = s;
+            in_cursor[d as usize] += 1;
+        }
+        // The only hashing: one insert per local vertex, into a table sized
+        // once. Resetting the scratch rides the same walk.
+        let mut local_index: IdHashMap<VertexId, u32> =
+            IdHashMap::with_capacity_and_hasher(n, Default::default());
+        for &v in &vertices {
+            local_index.insert(v, std::mem::replace(&mut scratch[v.index()], ABSENT));
         }
         Subgraph {
             part,
@@ -176,7 +164,7 @@ impl Subgraph {
 
     /// The local index of a vertex, if it is present in this subgraph.
     pub fn local_index_of(&self, v: VertexId) -> Option<usize> {
-        self.local_index.get(&v).copied()
+        self.local_index.get(&v).map(|&local| local as usize)
     }
 
     /// The global identifier of the vertex at `local_index`.
@@ -252,11 +240,25 @@ impl ReplicaTable {
 /// instead of recording a removal, so a batch built by replaying an
 /// insert/delete event stream always references only pre-batch edges in its
 /// removal list.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct MutationBatch {
     added: Vec<(Edge, PartitionId)>,
     removed: Vec<(Edge, PartitionId)>,
+    /// `added` as a multiset: how many pending additions each pair has.
+    /// Almost every deletion names a copy that predates the batch, and this
+    /// answers "nothing to cancel" without scanning `added`.
+    pending: IdHashMap<(Edge, PartitionId), u32>,
 }
+
+/// Two batches are equal when they replay the same mutations; `pending` is
+/// derived from `added`.
+impl PartialEq for MutationBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.added == other.added && self.removed == other.removed
+    }
+}
+
+impl Eq for MutationBatch {}
 
 impl MutationBatch {
     /// Creates an empty batch.
@@ -267,17 +269,27 @@ impl MutationBatch {
     /// Records the insertion of one edge copy assigned to `part`.
     pub fn record_insert(&mut self, edge: Edge, part: PartitionId) {
         self.added.push((edge, part));
+        *self.pending.entry((edge, part)).or_insert(0) += 1;
     }
 
     /// Records the deletion of one edge copy that lived in `part`. Cancels
     /// against the most recent matching pending addition, if any.
     pub fn record_delete(&mut self, edge: Edge, part: PartitionId) {
-        match self.added.iter().rposition(|&pair| pair == (edge, part)) {
-            Some(index) => {
-                self.added.remove(index);
-            }
-            None => self.removed.push((edge, part)),
+        let pair = (edge, part);
+        let Some(count) = self.pending.get_mut(&pair) else {
+            self.removed.push(pair);
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.pending.remove(&pair);
         }
+        let index = self
+            .added
+            .iter()
+            .rposition(|&added| added == pair)
+            .expect("a pending count implies a pending addition");
+        self.added.remove(index);
     }
 
     /// Records the migration of one edge copy from `from` to `to`.
@@ -298,7 +310,15 @@ impl MutationBatch {
     /// `(edge, partition)` pair holds that pair in *both* lists, and
     /// re-recording would cancel the pair out of existence.
     pub fn from_parts(added: Vec<(Edge, PartitionId)>, removed: Vec<(Edge, PartitionId)>) -> Self {
-        MutationBatch { added, removed }
+        let mut pending = IdHashMap::with_capacity_and_hasher(added.len(), Default::default());
+        for &pair in &added {
+            *pending.entry(pair).or_insert(0) += 1;
+        }
+        MutationBatch {
+            added,
+            removed,
+            pending,
+        }
     }
 
     /// The pending additions, in record order.
@@ -842,7 +862,7 @@ impl DistributedGraph {
                     continue;
                 }
                 let sg = &mut self.subgraphs[holder.index()];
-                let local = sg.local_index[&v];
+                let local = sg.local_index[&v] as usize;
                 sg.is_master[local] = holder == master;
             }
         }
@@ -850,6 +870,7 @@ impl DistributedGraph {
         // Re-assemble exactly the touched workers.
         let mut workers_touched = 0usize;
         let mut edges_rebuilt = 0usize;
+        let mut scratch = vec![ABSENT; n];
         for i in 0..p {
             if !touched[i] {
                 continue;
@@ -868,6 +889,7 @@ impl DistributedGraph {
                 owned,
                 &self.isolated_per_part[i],
                 &self.replicas.master,
+                &mut scratch,
             );
         }
 
@@ -969,6 +991,7 @@ fn assemble(
     let vertex_cut = owned_per_part
         .iter()
         .all(|owned| owned.iter().all(|&flag| flag));
+    let mut scratch = vec![ABSENT; n];
     let subgraphs: Vec<Subgraph> = edges_per_part
         .into_iter()
         .zip(owned_per_part)
@@ -980,6 +1003,7 @@ fn assemble(
                 owned,
                 &isolated_per_part[i],
                 &master,
+                &mut scratch,
             )
         })
         .collect();
@@ -1387,6 +1411,157 @@ mod tests {
             PartitionId::new(1),
         );
         assert_eq!(batch.len(), 4);
+    }
+
+    /// The in-batch cancellation [`MutationBatch`] had before its pending
+    /// multiset: every deletion scans the additions. Kept as the reference
+    /// the O(1)-miss implementation is checked against.
+    #[derive(Default)]
+    struct ScanBatch {
+        added: Vec<(Edge, PartitionId)>,
+        removed: Vec<(Edge, PartitionId)>,
+    }
+
+    impl ScanBatch {
+        fn record_insert(&mut self, edge: Edge, part: PartitionId) {
+            self.added.push((edge, part));
+        }
+
+        fn record_delete(&mut self, edge: Edge, part: PartitionId) {
+            match self.added.iter().rposition(|&pair| pair == (edge, part)) {
+                Some(index) => {
+                    self.added.remove(index);
+                }
+                None => self.removed.push((edge, part)),
+            }
+        }
+
+        fn record_move(&mut self, edge: Edge, from: PartitionId, to: PartitionId) {
+            self.record_delete(edge, from);
+            self.record_insert(edge, to);
+        }
+    }
+
+    fn assert_same_batch(batch: &MutationBatch, oracle: &ScanBatch) {
+        assert_eq!(batch.added(), oracle.added.as_slice());
+        assert_eq!(batch.removed(), oracle.removed.as_slice());
+        assert_eq!(batch.len(), oracle.added.len() + oracle.removed.len());
+        assert_eq!(
+            batch.is_empty(),
+            oracle.added.is_empty() && oracle.removed.is_empty()
+        );
+    }
+
+    #[test]
+    fn delete_then_reinsert_of_a_pre_batch_pair_sits_in_both_lists() {
+        let pair = (Edge::from((4u64, 2u64)), PartitionId::new(1));
+        let mut batch = MutationBatch::new();
+        batch.record_delete(pair.0, pair.1);
+        batch.record_insert(pair.0, pair.1);
+        assert_eq!(batch.added(), &[pair]);
+        assert_eq!(batch.removed(), &[pair]);
+
+        // The round trip keeps both, and a further delete cancels the
+        // re-insert rather than the pre-batch removal.
+        let mut decoded =
+            MutationBatch::from_parts(batch.added().to_vec(), batch.removed().to_vec());
+        assert_eq!(decoded, batch);
+        decoded.record_delete(pair.0, pair.1);
+        assert!(decoded.added().is_empty());
+        assert_eq!(decoded.removed(), &[pair]);
+        // Nothing pending any more: the next delete is a plain removal.
+        decoded.record_delete(pair.0, pair.1);
+        assert_eq!(decoded.removed(), &[pair, pair]);
+    }
+
+    #[test]
+    fn rebalance_plans_replay_through_record_move_like_the_scan() {
+        use ebv_partition::{RandomVertexCutPartitioner, RebalanceConfig, StreamConfig};
+
+        // Duplicate copies hash to one partition, so a rebalance migrates
+        // several copies of the same edge: moves whose `from` matches an
+        // earlier move's `to` cancel in-batch.
+        let mut partitioner = RandomVertexCutPartitioner::new()
+            .dynamic(StreamConfig::new(4))
+            .unwrap();
+        for round in 0..6u64 {
+            for v in 0..5u64 {
+                partitioner.insert(Edge::from((v, (v + round) % 5)));
+            }
+        }
+        let aggressive = RebalanceConfig::new()
+            .with_max_edge_imbalance(1.0)
+            .with_target_edge_imbalance(1.0)
+            .with_max_replication_factor(1.0);
+        let (mut batch, mut oracle) = (MutationBatch::new(), ScanBatch::default());
+        for _ in 0..3 {
+            let plan = partitioner.rebalance(&aggressive).unwrap();
+            for m in plan.moves() {
+                batch.record_move(m.edge, m.from, m.to);
+                oracle.record_move(m.edge, m.from, m.to);
+            }
+        }
+        assert!(!batch.is_empty(), "the skewed setup migrates something");
+        assert_same_batch(&batch, &oracle);
+    }
+
+    mod batch_differential {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random insert/delete/move sequences over a universe small
+            /// enough that duplicate copies, same-batch cancellations and
+            /// delete-then-reinsert of a pre-batch pair are all frequent,
+            /// with a `from_parts` round trip at a random point: the
+            /// multiset-backed batch and the scanning oracle agree on both
+            /// lists after every operation.
+            #[test]
+            fn multiset_cancellation_matches_the_scan(
+                ops in proptest::collection::vec(
+                    (0u8..4, 0u64..4, 0u64..4, 0u32..3, 0u32..3),
+                    1..160,
+                ),
+                round_trip_at in 0usize..160,
+            ) {
+                let (mut batch, mut oracle) = (MutationBatch::new(), ScanBatch::default());
+                for (step, (kind, src, dst, part, other)) in ops.into_iter().enumerate() {
+                    if step == round_trip_at {
+                        batch = MutationBatch::from_parts(
+                            batch.added().to_vec(),
+                            batch.removed().to_vec(),
+                        );
+                    }
+                    let edge = Edge::from((src, dst));
+                    let (part, other) = (PartitionId::new(part), PartitionId::new(other));
+                    match kind {
+                        0 => {
+                            batch.record_insert(edge, part);
+                            oracle.record_insert(edge, part);
+                        }
+                        1 => {
+                            batch.record_delete(edge, part);
+                            oracle.record_delete(edge, part);
+                        }
+                        2 => {
+                            batch.record_move(edge, part, other);
+                            oracle.record_move(edge, part, other);
+                        }
+                        _ => {
+                            // Retire a copy and put the same pair back.
+                            batch.record_delete(edge, part);
+                            batch.record_insert(edge, part);
+                            oracle.record_delete(edge, part);
+                            oracle.record_insert(edge, part);
+                        }
+                    }
+                    assert_same_batch(&batch, &oracle);
+                }
+            }
+        }
     }
 
     #[test]

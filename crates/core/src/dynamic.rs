@@ -42,9 +42,9 @@
 //! emitting a [`MigrationPlan`] that the distribution layer
 //! (`ebv_bsp::DistributedGraph::apply_mutations`) can replay.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, IdHashMap, VertexId};
 
 use crate::baselines::mix64;
 use crate::error::{PartitionError, Result};
@@ -184,22 +184,24 @@ impl RebalanceConfig {
 enum Policy {
     /// EBV's evaluation function over the live state (Algorithm 1 scoring).
     Ebv { alpha: f64, beta: f64 },
-    /// HDRF scoring with *live* partial degrees (decremented on delete).
-    Hdrf {
-        lambda: f64,
-        degree: HashMap<VertexId, usize>,
-    },
+    /// HDRF scoring with *live* partial degrees (decremented on delete),
+    /// one per vertex of the observed universe.
+    Hdrf { lambda: f64, degree: Vec<usize> },
     /// Position-independent hash of the edge endpoints.
     Random { salt: u64 },
 }
 
 impl CoverLookup for DynamicPartitioner {
+    #[inline]
     fn covers(&self, v: VertexId, i: usize) -> bool {
-        self.incidence[i].contains_key(&v)
+        self.refs
+            .get(v.index() * self.num_partitions + i)
+            .is_some_and(|&count| count != 0)
     }
 
+    #[inline]
     fn vcount(&self, i: usize) -> usize {
-        self.incidence[i].len()
+        self.vcount[i]
     }
 
     fn ecount(&self) -> &[usize] {
@@ -222,6 +224,9 @@ fn dynamic_random_part(salt: u64, num_partitions: usize, edge: Edge) -> Partitio
 /// amortized cost at O(1) per deletion).
 const COMPACT_FLOOR: usize = 1024;
 
+/// "No older live copy": the bottom of an edge's copy stack.
+const NO_COPY: u32 = u32::MAX;
+
 /// One insertion recorded in the assignment log. Deleted copies are marked
 /// dead in place so that surviving copies keep their insertion order, and
 /// are dropped wholesale by [`DynamicPartitioner::compact`].
@@ -230,6 +235,9 @@ struct LogEntry {
     edge: Edge,
     part: PartitionId,
     live: bool,
+    /// Log position of the next-older live copy of `edge`, or [`NO_COPY`]:
+    /// the live copies of one edge form a stack threaded through the log.
+    prev: u32,
 }
 
 /// A vertex-cut partitioner for evolving graphs; see the [module
@@ -261,14 +269,19 @@ pub struct DynamicPartitioner {
     policy: Policy,
     num_partitions: usize,
     log: Vec<LogEntry>,
-    /// Live copies of each edge as a stack of log positions (LIFO deletion).
-    copies: HashMap<Edge, Vec<usize>>,
+    /// Log position of the most recent live copy of each edge — the top of
+    /// its copy stack (LIFO deletion); older copies hang off
+    /// [`LogEntry::prev`].
+    heads: IdHashMap<Edge, u32>,
     ecount: Vec<usize>,
     live_edges: usize,
-    /// Per-partition vertex cover as live-incidence reference counts:
-    /// `incidence[i][v]` is the number of live edge copies in partition `i`
-    /// incident to `v`; the keys of `incidence[i]` are exactly `V_i`.
-    incidence: Vec<HashMap<VertexId, usize>>,
+    /// Per-partition vertex cover as live-incidence reference counts over
+    /// the dense vertex universe: `refs[v·p + i]` is the number of live edge
+    /// copies in partition `i` incident to `v`, so `V_i` is the set of `v`
+    /// whose cell is non-zero.
+    refs: Vec<u32>,
+    /// `|V_i|`: the non-zero cells of partition `i`'s column of `refs`.
+    vcount: Vec<usize>,
     max_vertex_exclusive: usize,
     expected_vertices: Option<usize>,
     expected_edges: Option<usize>,
@@ -282,18 +295,21 @@ impl DynamicPartitioner {
                 message: "at least one partition is required".to_string(),
             });
         }
-        Ok(DynamicPartitioner {
+        let mut partitioner = DynamicPartitioner {
             policy,
             num_partitions: config.num_partitions(),
             log: Vec::new(),
-            copies: HashMap::new(),
+            heads: IdHashMap::default(),
             ecount: vec![0; config.num_partitions()],
             live_edges: 0,
-            incidence: vec![HashMap::new(); config.num_partitions()],
+            refs: Vec::new(),
+            vcount: vec![0; config.num_partitions()],
             max_vertex_exclusive: 0,
             expected_vertices: config.expected_vertices(),
             expected_edges: config.expected_edges(),
-        })
+        };
+        partitioner.grow_universe(config.expected_vertices().unwrap_or(0));
+        Ok(partitioner)
     }
 
     pub(crate) fn ebv(alpha: f64, beta: f64, config: StreamConfig) -> Result<Self> {
@@ -304,7 +320,7 @@ impl DynamicPartitioner {
         Self::new(
             Policy::Hdrf {
                 lambda,
-                degree: HashMap::new(),
+                degree: Vec::new(),
             },
             config,
         )
@@ -355,46 +371,68 @@ impl DynamicPartitioner {
 
     /// Number of covered vertices (`|V_i|`) per partition.
     pub fn vertex_counts(&self) -> Vec<usize> {
-        self.incidence.iter().map(|m| m.len()).collect()
+        self.vcount.clone()
     }
 
     /// Whether partition `part` currently covers vertex `v`.
     pub fn covers(&self, v: VertexId, part: PartitionId) -> bool {
-        self.incidence[part.index()].contains_key(&v)
+        part.index() < self.num_partitions && CoverLookup::covers(self, v, part.index())
     }
 
-    /// Approximate bytes of resident state (the assignment log, the copy
-    /// stacks and the incidence refcounts). A memory proxy for benchmarks;
-    /// excludes allocator overhead.
+    /// Bytes of resident state, from the capacities of the structures
+    /// actually held: the assignment log, the copy-stack heads, the dense
+    /// incidence refcounts, the per-partition counters and (HDRF) the
+    /// degrees. A memory figure for benchmarks; excludes allocator and
+    /// hash-table control overhead.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        let incidence_entries: usize = self.incidence.iter().map(|m| m.len()).sum();
-        self.log.len() * size_of::<LogEntry>()
-            + self.copies.len() * (size_of::<Edge>() + size_of::<Vec<usize>>())
-            + self.live_edges * size_of::<usize>()
-            + incidence_entries * (size_of::<VertexId>() + size_of::<usize>())
-            + self.num_partitions * size_of::<usize>()
+        let degrees = match &self.policy {
+            Policy::Hdrf { degree, .. } => degree.capacity(),
+            _ => 0,
+        };
+        self.log.capacity() * size_of::<LogEntry>()
+            + self.heads.capacity() * size_of::<(Edge, u32)>()
+            + self.refs.capacity() * size_of::<u32>()
+            + (self.ecount.capacity() + self.vcount.capacity() + degrees) * size_of::<usize>()
     }
 
     fn observe(&mut self, edge: Edge) {
         let needed = edge.src.index().max(edge.dst.index()) + 1;
         if needed > self.max_vertex_exclusive {
             self.max_vertex_exclusive = needed;
+            self.grow_universe(needed);
+        }
+    }
+
+    /// Extends the dense per-vertex state to cover `vertices` vertices
+    /// (amortized: `Vec::resize` grows geometrically). Never shrinks.
+    fn grow_universe(&mut self, vertices: usize) {
+        let cells = vertices * self.num_partitions;
+        if cells > self.refs.len() {
+            self.refs.resize(cells, 0);
+        }
+        if let Policy::Hdrf { degree, .. } = &mut self.policy {
+            if vertices > degree.len() {
+                degree.resize(vertices, 0);
+            }
         }
     }
 
     fn add_incidence(&mut self, v: VertexId, part: PartitionId) {
-        *self.incidence[part.index()].entry(v).or_insert(0) += 1;
+        let count = &mut self.refs[v.index() * self.num_partitions + part.index()];
+        if *count == 0 {
+            self.vcount[part.index()] += 1;
+        }
+        *count += 1;
     }
 
     fn remove_incidence(&mut self, v: VertexId, part: PartitionId) {
-        let map = &mut self.incidence[part.index()];
-        let count = map
-            .get_mut(&v)
-            .expect("live incidence refcount exists for every live endpoint");
-        *count -= 1;
+        let count = &mut self.refs[v.index() * self.num_partitions + part.index()];
+        *count = count
+            .checked_sub(1)
+            .expect("every live endpoint holds a refcount");
         if *count == 0 {
-            map.remove(&v);
+            self.vcount[part.index()] -= 1;
         }
     }
 
@@ -416,10 +454,10 @@ impl DynamicPartitioner {
             }
             Policy::Hdrf { lambda, degree } => {
                 let lambda = *lambda;
-                *degree.entry(u).or_insert(0) += 1;
-                *degree.entry(v).or_insert(0) += 1;
-                let du = degree[&u] as f64;
-                let dv = degree[&v] as f64;
+                degree[u.index()] += 1;
+                degree[v.index()] += 1;
+                let du = degree[u.index()] as f64;
+                let dv = degree[v.index()] as f64;
                 hdrf_best_part(self, lambda, du, dv, u, v)
             }
             Policy::Random { salt } => dynamic_random_part(*salt, p, edge),
@@ -438,13 +476,17 @@ impl DynamicPartitioner {
     /// Logs a live copy of `edge` in `part` and bumps the load and cover
     /// refcounts — everything an insertion does after scoring.
     fn record(&mut self, edge: Edge, part: PartitionId) {
-        let position = self.log.len();
+        let position = u32::try_from(self.log.len())
+            .ok()
+            .filter(|&position| position != NO_COPY)
+            .expect("the assignment log holds fewer than u32::MAX entries");
+        let prev = self.heads.insert(edge, position).unwrap_or(NO_COPY);
         self.log.push(LogEntry {
             edge,
             part,
             live: true,
+            prev,
         });
-        self.copies.entry(edge).or_default().push(position);
         self.ecount[part.index()] += 1;
         self.live_edges += 1;
         self.add_incidence(edge.src, part);
@@ -462,20 +504,19 @@ impl DynamicPartitioner {
     /// Returns [`PartitionError::EdgeNotPresent`] when no live copy of
     /// `edge` exists.
     pub fn delete(&mut self, edge: Edge) -> Result<PartitionId> {
-        let position = match self.copies.get_mut(&edge) {
-            Some(stack) if !stack.is_empty() => stack.pop().expect("checked non-empty"),
-            _ => {
-                return Err(PartitionError::EdgeNotPresent {
-                    message: format!("no live copy of edge {edge} to delete"),
-                })
-            }
+        let Entry::Occupied(mut head) = self.heads.entry(edge) else {
+            return Err(PartitionError::EdgeNotPresent {
+                message: format!("no live copy of edge {edge} to delete"),
+            });
         };
-        if self.copies.get(&edge).is_some_and(|s| s.is_empty()) {
-            self.copies.remove(&edge);
-        }
-        let entry = &mut self.log[position];
+        let entry = &mut self.log[*head.get() as usize];
         entry.live = false;
         let part = entry.part;
+        if entry.prev == NO_COPY {
+            head.remove();
+        } else {
+            *head.get_mut() = entry.prev;
+        }
         self.ecount[part.index()] -= 1;
         self.live_edges -= 1;
         self.remove_incidence(edge.src, part);
@@ -484,13 +525,9 @@ impl DynamicPartitioner {
         }
         if let Policy::Hdrf { degree, .. } = &mut self.policy {
             for v in [edge.src, edge.dst] {
-                let d = degree
-                    .get_mut(&v)
-                    .expect("HDRF degree exists for every live endpoint");
-                *d -= 1;
-                if *d == 0 {
-                    degree.remove(&v);
-                }
+                degree[v.index()] = degree[v.index()]
+                    .checked_sub(1)
+                    .expect("every live endpoint holds an HDRF degree");
             }
         }
         if self.log.len() >= COMPACT_FLOOR && self.log.len() >= 2 * self.live_edges {
@@ -506,9 +543,11 @@ impl DynamicPartitioner {
     /// can run forever — at amortized O(1) per deletion.
     fn compact(&mut self) {
         self.log.retain(|entry| entry.live);
-        self.copies.clear();
-        for (position, entry) in self.log.iter().enumerate() {
-            self.copies.entry(entry.edge).or_default().push(position);
+        self.heads.clear();
+        for (position, entry) in self.log.iter_mut().enumerate() {
+            // Fits: positions only shrink under compaction.
+            let previous_head = self.heads.insert(entry.edge, position as u32);
+            entry.prev = previous_head.unwrap_or(NO_COPY);
         }
     }
 
@@ -545,6 +584,11 @@ impl DynamicPartitioner {
                 message: "restore requires a freshly constructed partitioner".to_string(),
             });
         }
+        let pairs = pairs.into_iter();
+        let expected = pairs.size_hint().0;
+        self.log.reserve(expected);
+        self.heads.reserve(expected);
+        self.grow_universe(universe);
         for (edge, part) in pairs {
             if part.index() >= self.num_partitions {
                 return Err(PartitionError::InconsistentAssignment {
@@ -571,8 +615,8 @@ impl DynamicPartitioner {
                 // `place` bumps both endpoints per insertion (a self-loop
                 // counts twice), and `delete` undoes it symmetrically, so
                 // live-copy replay lands on the original live degrees.
-                *degree.entry(edge.src).or_insert(0) += 1;
-                *degree.entry(edge.dst).or_insert(0) += 1;
+                degree[edge.src.index()] += 1;
+                degree[edge.dst.index()] += 1;
             }
         }
         self.max_vertex_exclusive = universe;
@@ -608,7 +652,7 @@ impl DynamicPartitioner {
     pub fn metrics(&self) -> PartitionMetrics {
         maintained_metrics(
             &self.ecount,
-            &self.vertex_counts(),
+            &self.vcount,
             self.live_edges,
             self.num_vertices(),
         )
@@ -632,10 +676,11 @@ impl DynamicPartitioner {
             if i == 1 && v == u {
                 break;
             }
-            if !self.incidence[to.index()].contains_key(&w) {
+            let row = w.index() * self.num_partitions;
+            if self.refs[row + to.index()] == 0 {
                 delta += 1;
             }
-            if self.incidence[from.index()][&w] == 1 {
+            if self.refs[row + from.index()] == 1 {
                 delta -= 1;
             }
         }
@@ -785,6 +830,7 @@ mod tests {
     use crate::prelude::*;
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
     use ebv_graph::GraphBuilder;
+    use std::collections::HashMap;
 
     fn edge(s: u64, d: u64) -> Edge {
         Edge::from((s, d))
@@ -1212,6 +1258,355 @@ mod tests {
         assert_bit_identical(dynamic.metrics(), reference_metrics(&dynamic));
         let (expected_edge, expected_part) = dynamic.surviving().next().unwrap();
         assert_eq!(dynamic.delete(expected_edge).unwrap(), expected_part);
+    }
+
+    /// The state layout [`DynamicPartitioner`] had before its dense
+    /// refcounts and intrusive copy stacks: one incidence map per
+    /// partition, one position stack per edge, HDRF degrees in a map. Kept
+    /// as the reference the dense layout is checked against; it scores
+    /// through the same [`CoverLookup`] formulas, so any divergence in
+    /// `covers`/`vcount` shows up as a different placement.
+    struct MapOracle {
+        policy: OraclePolicy,
+        num_partitions: usize,
+        log: Vec<(Edge, PartitionId, bool)>,
+        copies: HashMap<Edge, Vec<usize>>,
+        ecount: Vec<usize>,
+        live_edges: usize,
+        incidence: Vec<HashMap<VertexId, usize>>,
+        max_vertex_exclusive: usize,
+        expected_vertices: Option<usize>,
+        expected_edges: Option<usize>,
+    }
+
+    enum OraclePolicy {
+        Ebv {
+            alpha: f64,
+            beta: f64,
+        },
+        Hdrf {
+            lambda: f64,
+            degree: HashMap<VertexId, usize>,
+        },
+        Random {
+            salt: u64,
+        },
+    }
+
+    impl CoverLookup for MapOracle {
+        fn covers(&self, v: VertexId, i: usize) -> bool {
+            self.incidence[i].contains_key(&v)
+        }
+
+        fn vcount(&self, i: usize) -> usize {
+            self.incidence[i].len()
+        }
+
+        fn ecount(&self) -> &[usize] {
+            &self.ecount
+        }
+    }
+
+    impl MapOracle {
+        /// An empty oracle with the policy and hints of `like`.
+        fn like(like: &DynamicPartitioner) -> Self {
+            let policy = match &like.policy {
+                Policy::Ebv { alpha, beta } => OraclePolicy::Ebv {
+                    alpha: *alpha,
+                    beta: *beta,
+                },
+                Policy::Hdrf { lambda, .. } => OraclePolicy::Hdrf {
+                    lambda: *lambda,
+                    degree: HashMap::new(),
+                },
+                Policy::Random { salt } => OraclePolicy::Random { salt: *salt },
+            };
+            MapOracle {
+                policy,
+                num_partitions: like.num_partitions,
+                log: Vec::new(),
+                copies: HashMap::new(),
+                ecount: vec![0; like.num_partitions],
+                live_edges: 0,
+                incidence: vec![HashMap::new(); like.num_partitions],
+                max_vertex_exclusive: 0,
+                expected_vertices: like.expected_vertices,
+                expected_edges: like.expected_edges,
+            }
+        }
+
+        fn num_vertices(&self) -> usize {
+            self.expected_vertices
+                .unwrap_or(0)
+                .max(self.max_vertex_exclusive)
+        }
+
+        fn bump_degrees(&mut self, edge: Edge) {
+            if let OraclePolicy::Hdrf { degree, .. } = &mut self.policy {
+                *degree.entry(edge.src).or_insert(0) += 1;
+                *degree.entry(edge.dst).or_insert(0) += 1;
+            }
+        }
+
+        fn insert(&mut self, edge: Edge) -> PartitionId {
+            let needed = edge.src.index().max(edge.dst.index()) + 1;
+            self.max_vertex_exclusive = self.max_vertex_exclusive.max(needed);
+            let p = self.num_partitions;
+            let (u, v) = edge.endpoints();
+            self.bump_degrees(edge);
+            let part = match &self.policy {
+                OraclePolicy::Ebv { alpha, beta } => {
+                    let edges_per_part = match self.expected_edges {
+                        Some(e) => e as f64 / p as f64,
+                        None => (self.live_edges + 1) as f64 / p as f64,
+                    };
+                    let vertices_per_part = self.num_vertices() as f64 / p as f64;
+                    ebv_best_part(self, *alpha, *beta, edges_per_part, vertices_per_part, u, v)
+                }
+                OraclePolicy::Hdrf { lambda, degree } => {
+                    hdrf_best_part(self, *lambda, degree[&u] as f64, degree[&v] as f64, u, v)
+                }
+                OraclePolicy::Random { salt } => dynamic_random_part(*salt, p, edge),
+            };
+            self.record(edge, part);
+            part
+        }
+
+        fn record(&mut self, edge: Edge, part: PartitionId) {
+            self.copies.entry(edge).or_default().push(self.log.len());
+            self.log.push((edge, part, true));
+            self.ecount[part.index()] += 1;
+            self.live_edges += 1;
+            *self.incidence[part.index()].entry(edge.src).or_insert(0) += 1;
+            if edge.dst != edge.src {
+                *self.incidence[part.index()].entry(edge.dst).or_insert(0) += 1;
+            }
+        }
+
+        fn delete(&mut self, edge: Edge) -> Option<PartitionId> {
+            let stack = self.copies.get_mut(&edge)?;
+            let position = stack.pop()?;
+            if stack.is_empty() {
+                self.copies.remove(&edge);
+            }
+            self.log[position].2 = false;
+            let part = self.log[position].1;
+            self.ecount[part.index()] -= 1;
+            self.live_edges -= 1;
+            let endpoints = if edge.dst == edge.src {
+                vec![edge.src]
+            } else {
+                vec![edge.src, edge.dst]
+            };
+            for v in endpoints {
+                let map = &mut self.incidence[part.index()];
+                *map.get_mut(&v).unwrap() -= 1;
+                if map[&v] == 0 {
+                    map.remove(&v);
+                }
+            }
+            if let OraclePolicy::Hdrf { degree, .. } = &mut self.policy {
+                for v in [edge.src, edge.dst] {
+                    *degree.get_mut(&v).unwrap() -= 1;
+                    if degree[&v] == 0 {
+                        degree.remove(&v);
+                    }
+                }
+            }
+            Some(part)
+        }
+
+        /// `DynamicPartitioner::restore` over the map layout.
+        fn restored(
+            like: &DynamicPartitioner,
+            universe: usize,
+            pairs: impl IntoIterator<Item = (Edge, PartitionId)>,
+        ) -> Self {
+            let mut oracle = MapOracle::like(like);
+            for (edge, part) in pairs {
+                oracle.record(edge, part);
+                oracle.bump_degrees(edge);
+            }
+            oracle.max_vertex_exclusive = universe;
+            oracle
+        }
+
+        fn surviving(&self) -> Vec<(Edge, PartitionId)> {
+            let live = self.log.iter().filter(|entry| entry.2);
+            live.map(|&(edge, part, _)| (edge, part)).collect()
+        }
+
+        fn vertex_counts(&self) -> Vec<usize> {
+            self.incidence.iter().map(|m| m.len()).collect()
+        }
+
+        fn metrics(&self) -> PartitionMetrics {
+            maintained_metrics(
+                &self.ecount,
+                &self.vertex_counts(),
+                self.live_edges,
+                self.num_vertices(),
+            )
+        }
+    }
+
+    /// Every observable of the dense layout equals the map oracle's.
+    fn assert_matches_oracle(dynamic: &DynamicPartitioner, oracle: &MapOracle, context: &str) {
+        assert_eq!(
+            dynamic.surviving().collect::<Vec<_>>(),
+            oracle.surviving(),
+            "{context}"
+        );
+        assert_eq!(dynamic.live_edges(), oracle.live_edges, "{context}");
+        assert_eq!(dynamic.num_vertices(), oracle.num_vertices(), "{context}");
+        assert_eq!(dynamic.edge_counts(), oracle.ecount.as_slice(), "{context}");
+        assert_eq!(dynamic.vertex_counts(), oracle.vertex_counts(), "{context}");
+        // One vertex past the universe too: an unobserved vertex is covered
+        // nowhere.
+        for v in 0..=dynamic.num_vertices() {
+            let v = VertexId::from(v);
+            for i in 0..dynamic.num_partitions() {
+                assert_eq!(
+                    dynamic.covers(v, PartitionId::from_index(i)),
+                    CoverLookup::covers(oracle, v, i),
+                    "{context}: vertex {v} partition {i}"
+                );
+            }
+        }
+        assert_bit_identical(dynamic.metrics(), oracle.metrics());
+        if let (Policy::Hdrf { degree: dense, .. }, OraclePolicy::Hdrf { degree: map, .. }) =
+            (&dynamic.policy, &oracle.policy)
+        {
+            for (v, &d) in dense.iter().enumerate() {
+                let expected = map.get(&VertexId::from(v)).copied().unwrap_or(0);
+                assert_eq!(d, expected, "{context}: HDRF degree of vertex {v}");
+            }
+            assert!(map.keys().all(|v| v.index() < dense.len()), "{context}");
+        }
+    }
+
+    mod layout_differential {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        fn make(policy: u8, hinted: bool) -> DynamicPartitioner {
+            // An exact-looking hint that the stream then outgrows, or none.
+            let mut config = StreamConfig::new(3);
+            if hinted {
+                config = config.with_expected_vertices(4).with_expected_edges(24);
+            }
+            match policy {
+                0 => EbvPartitioner::new().dynamic(config).unwrap(),
+                1 => HdrfPartitioner::new().dynamic(config).unwrap(),
+                _ => RandomVertexCutPartitioner::new().dynamic(config).unwrap(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Random insert/delete/rebalance/restore sequences — duplicate
+            /// copies, self-loops, deletes of dead edges, universes that
+            /// grow mid-stream past (or without) a hint, all three policies
+            /// — leave the dense layout and the map oracle with identical
+            /// placements, survivors, covers, counts, metric bits and HDRF
+            /// degrees.
+            #[test]
+            fn dense_state_matches_the_map_oracle(
+                policy in 0u8..3,
+                hinted in any::<bool>(),
+                ops in proptest::collection::vec((0u8..10, 0u64..7, 0u64..7), 1..120),
+            ) {
+                let mut dynamic = make(policy, hinted);
+                let mut oracle = MapOracle::like(&dynamic);
+                for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+                    // The universe widens as the sequence advances.
+                    let widen = (step / 24) as u64;
+                    let edge = edge(a + widen, if kind == 9 { a + widen } else { b });
+                    let context = format!("policy {policy} hinted {hinted} step {step}");
+                    match kind {
+                        0..=4 | 9 => {
+                            prop_assert_eq!(dynamic.insert(edge), oracle.insert(edge), "{}", context);
+                        }
+                        5..=6 => {
+                            prop_assert_eq!(
+                                dynamic.delete(edge).ok(),
+                                oracle.delete(edge),
+                                "{}", context
+                            );
+                        }
+                        7 => {
+                            // Migrations happen on the dense state; the
+                            // oracle re-derives everything from the migrated
+                            // survivors, so the maintained refcounts must
+                            // equal a from-scratch recount.
+                            let aggressive = RebalanceConfig::new()
+                                .with_max_edge_imbalance(1.0)
+                                .with_target_edge_imbalance(1.0)
+                                .with_max_replication_factor(1.0);
+                            dynamic.rebalance(&aggressive).unwrap();
+                            oracle = MapOracle::restored(
+                                &dynamic,
+                                dynamic.num_vertices(),
+                                dynamic.surviving(),
+                            );
+                        }
+                        _ => {
+                            // Checkpoint-style restore of both sides.
+                            let survivors: Vec<_> = dynamic.surviving().collect();
+                            let universe = dynamic.num_vertices();
+                            let mut restored = make(policy, hinted);
+                            restored.restore(universe, survivors.iter().copied()).unwrap();
+                            dynamic = restored;
+                            oracle = MapOracle::restored(&dynamic, universe, survivors);
+                        }
+                    }
+                    assert_matches_oracle(&dynamic, &oracle, &context);
+                }
+            }
+        }
+    }
+
+    /// Long enough to compact the log several times while duplicate copies
+    /// are stacked: the rebuilt `prev` chains must keep deleting copies in
+    /// the oracle's LIFO order.
+    #[test]
+    fn copy_stacks_survive_compaction_like_the_oracle() {
+        for policy in 0u8..3 {
+            let mut dynamic = match policy {
+                0 => EbvPartitioner::new().dynamic(StreamConfig::new(4)).unwrap(),
+                1 => HdrfPartitioner::new()
+                    .dynamic(StreamConfig::new(4))
+                    .unwrap(),
+                _ => RandomVertexCutPartitioner::new()
+                    .dynamic(StreamConfig::new(4))
+                    .unwrap(),
+            };
+            let mut oracle = MapOracle::like(&dynamic);
+            let mut lcg = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(policy);
+            let mut compactions = 0;
+            for step in 0..6_000 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let e = edge((lcg >> 33) % 12, (lcg >> 45) % 12);
+                // Insert-heavy until ~300 live copies, then delete-heavy.
+                let insert = (lcg >> 20) % 100 < if dynamic.live_edges() < 300 { 70 } else { 30 };
+                if insert {
+                    assert_eq!(dynamic.insert(e), oracle.insert(e), "step {step}");
+                } else {
+                    let before = dynamic.log.len();
+                    assert_eq!(dynamic.delete(e).ok(), oracle.delete(e), "step {step}");
+                    compactions += usize::from(dynamic.log.len() < before);
+                }
+            }
+            assert!(
+                compactions >= 2,
+                "policy {policy}: {compactions} compactions"
+            );
+            assert_matches_oracle(&dynamic, &oracle, &format!("policy {policy}"));
+        }
     }
 
     #[test]

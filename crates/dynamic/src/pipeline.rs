@@ -2,6 +2,7 @@
 //! [`MutationBatch`]es for the distribution layer.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use ebv_bsp::{DistributedGraph, DurabilityHook, EpochCommitter, MutationBatch, MutationStats};
 use ebv_graph::Edge;
@@ -80,9 +81,12 @@ impl EventPipeline {
         S: EventSource,
         F: FnMut(&MutationBatch, PartitionMetrics) -> Result<()>,
     {
-        self.run_inner(source, partitioner, |batch, metrics, _, _, _| {
-            on_batch(batch, metrics)
-        })
+        self.run_inner(
+            source,
+            partitioner,
+            &NoopRecorder,
+            |batch, metrics, _, _, _, _| on_batch(batch, metrics),
+        )
     }
 
     /// The raw batching loop behind [`run`](Self::run). The callback
@@ -90,15 +94,29 @@ impl EventPipeline {
     /// exceed the recorded mutations whenever events cancelled in-batch)
     /// and a shared view of the partitioner — the durable path needs both
     /// to stamp WAL frames and capture checkpoints.
-    fn run_inner<S, F>(
+    ///
+    /// The callback's last argument is `recorder.start()` sampled before the
+    /// batch's first event was pulled, i.e. the start of the batch's
+    /// [`Phase::PartitionDecide`] span: the clock is read once per batch,
+    /// never per event, and not at all under [`NoopRecorder`].
+    fn run_inner<S, F, R>(
         &self,
         mut source: S,
         partitioner: &mut DynamicPartitioner,
+        recorder: &R,
         mut on_batch: F,
     ) -> Result<EventReport>
     where
         S: EventSource,
-        F: FnMut(&MutationBatch, PartitionMetrics, usize, usize, &DynamicPartitioner) -> Result<()>,
+        F: FnMut(
+            &MutationBatch,
+            PartitionMetrics,
+            usize,
+            usize,
+            &DynamicPartitioner,
+            Option<Instant>,
+        ) -> Result<()>,
+        R: Recorder,
     {
         if self.batch_size == 0 {
             return Err(DynamicError::InvalidParameter {
@@ -110,6 +128,7 @@ impl EventPipeline {
         let mut batch = MutationBatch::new();
         let mut batch_inserts = 0usize;
         let mut batch_deletes = 0usize;
+        let mut decide_started = recorder.start();
         loop {
             let event = match source.next_event() {
                 None => break,
@@ -130,16 +149,31 @@ impl EventPipeline {
             }
             if batch_inserts + batch_deletes == self.batch_size {
                 let metrics = partitioner.metrics();
-                on_batch(&batch, metrics, batch_inserts, batch_deletes, partitioner)?;
+                on_batch(
+                    &batch,
+                    metrics,
+                    batch_inserts,
+                    batch_deletes,
+                    partitioner,
+                    decide_started,
+                )?;
                 report.push(batch_inserts, batch_deletes, metrics);
                 batch = MutationBatch::new();
                 batch_inserts = 0;
                 batch_deletes = 0;
+                decide_started = recorder.start();
             }
         }
         if batch_inserts + batch_deletes > 0 {
             let metrics = partitioner.metrics();
-            on_batch(&batch, metrics, batch_inserts, batch_deletes, partitioner)?;
+            on_batch(
+                &batch,
+                metrics,
+                batch_inserts,
+                batch_deletes,
+                partitioner,
+                decide_started,
+            )?;
             report.push(batch_inserts, batch_deletes, metrics);
         }
         Ok(report)
@@ -252,9 +286,23 @@ impl EventPipeline {
         self.run_inner(
             source,
             partitioner,
-            |batch, metrics, raw_inserts, raw_deletes, partitioner| {
-                events_seen += (raw_inserts + raw_deletes) as u64;
+            recorder,
+            |batch, metrics, raw_inserts, raw_deletes, partitioner, decide_started| {
                 let applied = !batch.is_empty();
+                // Spans of one batch share the epoch the batch becomes.
+                let ctx = SpanCtx {
+                    epoch: (distributed.epoch() + usize::from(applied)) as u32,
+                    superstep: batch_index,
+                    worker: distributed.num_workers() as u32,
+                };
+                recorder.span(decide_started, ctx, Phase::PartitionDecide);
+                if let Some(started) = decide_started {
+                    recorder.gauge_set(
+                        "ebv_dynamic_partition_events_per_second",
+                        (raw_inserts + raw_deletes) as f64 / started.elapsed().as_secs_f64(),
+                    );
+                }
+                events_seen += (raw_inserts + raw_deletes) as u64;
                 if applied {
                     if let Some(hook) = hook {
                         // Write-ahead: the frame for the epoch this batch is
@@ -266,15 +314,7 @@ impl EventPipeline {
                 }
                 let started = recorder.start();
                 let stats = distributed.apply_mutations_with(batch, recorder)?;
-                recorder.span(
-                    started,
-                    SpanCtx {
-                        epoch: distributed.epoch() as u32,
-                        superstep: batch_index,
-                        worker: distributed.num_workers() as u32,
-                    },
-                    Phase::EpochApply,
-                );
+                recorder.span(started, ctx, Phase::EpochApply);
                 recorder.counter_add("ebv_dynamic_inserts_total", batch.added().len() as u64);
                 recorder.counter_add("ebv_dynamic_deletes_total", batch.removed().len() as u64);
                 recorder.gauge_set("ebv_dynamic_live_edges", distributed.num_edges() as f64);
@@ -344,12 +384,16 @@ impl EpochOptions<'_, NoopRecorder> {
 }
 
 impl<'a, R: Recorder> EpochOptions<'a, R> {
-    /// Telemetry: every batch is recorded as an `epoch_apply` span
-    /// (superstep = batch index, on the engine-side track of its
-    /// post-apply epoch) around the mutation application, insert/delete
-    /// counters accumulate, and the maintained partition state is exported
-    /// as gauges (`ebv_dynamic_live_edges`,
-    /// `ebv_dynamic_replication_factor`, `ebv_dynamic_edge_imbalance`).
+    /// Telemetry: every batch is recorded as a `partition_decide` span
+    /// around its event loop (pulling events, placing inserts, retiring
+    /// deletes, in-batch cancellation) followed by an `epoch_apply` span
+    /// around the mutation application (both: superstep = batch index, on
+    /// the engine-side track of the batch's post-apply epoch),
+    /// insert/delete counters accumulate, and the maintained partition
+    /// state is exported as gauges (`ebv_dynamic_live_edges`,
+    /// `ebv_dynamic_replication_factor`, `ebv_dynamic_edge_imbalance`,
+    /// and the decision throughput
+    /// `ebv_dynamic_partition_events_per_second`).
     /// Every non-empty batch additionally reports an
     /// [`EpochMark`](ebv_obs::EpochMark) through
     /// [`Recorder::epoch_applied`], which a live
@@ -633,6 +677,56 @@ mod tests {
         assert!(report.batches().len() >= epochs);
         assert_eq!(distributed.epoch(), epochs, "only non-empty batches count");
         assert_eq!(distributed.num_edges(), partitioner.live_edges());
+    }
+
+    #[test]
+    fn every_batch_records_a_partition_decide_span_before_its_apply() {
+        use ebv_obs::Telemetry;
+
+        let stream = RmatEdgeStream::new(8, 1200).with_seed(11);
+        let mut partitioner = EbvPartitioner::new()
+            .dynamic(stream.stream_config(4))
+            .unwrap();
+        let mut distributed =
+            ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
+        let churn = ChurnStream::new(stream, 0.2).unwrap().with_seed(3);
+        let telemetry = Telemetry::isolated();
+        let report = EventPipeline::new(300)
+            .run_applied_opts(
+                churn,
+                &mut partitioner,
+                &mut distributed,
+                |_, _, _, _| Ok(()),
+                EpochOptions::new().recorder(&telemetry),
+            )
+            .unwrap();
+
+        let spans = telemetry.spans();
+        let of = |phase: Phase| -> Vec<SpanCtx> {
+            let matching = spans.iter().filter(|span| span.phase == phase);
+            matching.map(|span| span.ctx).collect()
+        };
+        let decides = of(Phase::PartitionDecide);
+        // One span per batch, on the same track and epoch as the apply it
+        // precedes, in batch order.
+        assert_eq!(decides.len(), report.batches().len());
+        assert_eq!(decides, of(Phase::EpochApply));
+        for (index, ctx) in decides.iter().enumerate() {
+            assert_eq!(ctx.superstep, index as u32);
+            assert_eq!(ctx.worker, 4);
+        }
+        for pair in spans.windows(2) {
+            if pair[1].phase == Phase::EpochApply && pair[0].phase == Phase::PartitionDecide {
+                assert!(pair[0].start_nanos + pair[0].duration_nanos <= pair[1].start_nanos);
+            }
+        }
+        let decide_seconds = telemetry.phase_totals()[Phase::PartitionDecide.index()].1;
+        assert!(decide_seconds > 0.0);
+        let rate = telemetry
+            .registry()
+            .gauge("ebv_dynamic_partition_events_per_second")
+            .get();
+        assert!(rate > 0.0 && rate.is_finite(), "events/s gauge {rate}");
     }
 
     #[test]

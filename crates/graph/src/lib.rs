@@ -41,6 +41,7 @@ mod degree;
 mod error;
 pub mod generators;
 mod graph;
+mod hash;
 pub mod io;
 mod powerlaw;
 mod stats;
@@ -50,6 +51,7 @@ pub use builder::GraphBuilder;
 pub use degree::DegreeDistribution;
 pub use error::{GraphError, Result};
 pub use graph::Graph;
+pub use hash::{IdHashMap, IdHasher};
 pub use powerlaw::{estimate_eta, estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
 pub use stats::GraphStats;
 pub use types::{Edge, GraphKind, VertexId};

@@ -34,15 +34,25 @@ pub enum Phase {
     /// Warm-start invalidation: building the dirty set / deletion cone an
     /// incremental program re-activates.
     WarmInvalidation,
-    /// One `EventPipeline::run_applied` epoch (partition + apply).
+    /// The partition decision of one `EventPipeline` batch: pulling its
+    /// events, placing every insert and retiring every delete in the
+    /// `DynamicPartitioner`, and in-batch cancellation.
+    PartitionDecide,
+    /// Absorbing one `EventPipeline::run_applied` batch into the
+    /// distribution (`apply_mutations`, which nests `mutation_apply`); the
+    /// partition decision before it is [`Phase::PartitionDecide`].
     EpochApply,
     /// One `ChunkedPipeline` chunk: partitioner ingest (and pre-hash).
     ChunkIngest,
 }
 
 impl Phase {
+    /// Number of phases (one past the last variant): every per-phase array,
+    /// [`Phase::ALL`] included, is sized from it.
+    pub const COUNT: usize = Phase::ChunkIngest as usize + 1;
+
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Gather,
         Phase::Compute,
         Phase::Scatter,
@@ -50,12 +60,10 @@ impl Phase {
         Phase::MutationApply,
         Phase::RoutingPatch,
         Phase::WarmInvalidation,
+        Phase::PartitionDecide,
         Phase::EpochApply,
         Phase::ChunkIngest,
     ];
-
-    /// Number of phases (the length of [`Phase::ALL`]).
-    pub const COUNT: usize = Phase::ALL.len();
 
     /// The phase's position in [`Phase::ALL`] (its declaration index).
     #[inline]
@@ -78,6 +86,7 @@ impl Phase {
             Phase::MutationApply => "mutation_apply",
             Phase::RoutingPatch => "routing_patch",
             Phase::WarmInvalidation => "warm_invalidation",
+            Phase::PartitionDecide => "partition_decide",
             Phase::EpochApply => "epoch_apply",
             Phase::ChunkIngest => "chunk_ingest",
         }
@@ -88,7 +97,7 @@ impl Phase {
         match self {
             Phase::Gather | Phase::Compute | Phase::Scatter | Phase::Barrier => "bsp",
             Phase::MutationApply | Phase::RoutingPatch => "mutation",
-            Phase::WarmInvalidation | Phase::EpochApply => "dynamic",
+            Phase::WarmInvalidation | Phase::PartitionDecide | Phase::EpochApply => "dynamic",
             Phase::ChunkIngest => "stream",
         }
     }
@@ -103,6 +112,7 @@ impl Phase {
             Phase::MutationApply => "ebv_phase_mutation_apply_seconds",
             Phase::RoutingPatch => "ebv_phase_routing_patch_seconds",
             Phase::WarmInvalidation => "ebv_phase_warm_invalidation_seconds",
+            Phase::PartitionDecide => "ebv_phase_partition_decide_seconds",
             Phase::EpochApply => "ebv_phase_epoch_apply_seconds",
             Phase::ChunkIngest => "ebv_phase_chunk_ingest_seconds",
         }
@@ -205,7 +215,14 @@ mod tests {
         let mut names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), Phase::ALL.len());
+        assert_eq!(names.len(), Phase::COUNT);
+        for (index, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase.index(), index);
+            assert_eq!(Phase::from_index(index), Some(phase));
+        }
+        assert_eq!(Phase::from_index(Phase::COUNT), None);
+        assert_eq!(Phase::PartitionDecide.name(), "partition_decide");
+        assert_eq!(Phase::PartitionDecide.category(), "dynamic");
         assert_eq!(Phase::Compute.name(), "compute");
         assert_eq!(Phase::Compute.category(), "bsp");
         assert_eq!(Phase::ChunkIngest.category(), "stream");

@@ -23,6 +23,7 @@
 //! WAL's valid-prefix reader degrades that to "resume from the last
 //! durable epoch", never to corruption.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::ErrorKind;
@@ -31,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ebv_bsp::{DistributedGraph, DurabilityHook, MutationBatch};
-use ebv_graph::Edge;
+use ebv_graph::{Edge, IdHashMap};
 use ebv_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use ebv_partition::{DynamicPartitioner, PartitionId};
 
@@ -107,14 +108,27 @@ impl RecoveredState {
     /// contradict each other, which no crash window can produce.
     pub fn resume_partition_state(&self) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
         let mut universe = self.checkpoint.as_ref().map(|c| c.universe).unwrap_or(0);
-        let mut pairs = self
+        let checkpointed: &[(Edge, PartitionId)] = self
             .checkpoint
             .as_ref()
-            .map(|c| c.surviving.clone())
-            .unwrap_or_default();
+            .map_or(&[], |c| c.surviving.as_slice());
+        let logged: usize = self.frames.iter().map(|f| f.batch.added().len()).sum();
+        let mut pairs = Vec::with_capacity(checkpointed.len() + logged);
+        pairs.extend_from_slice(checkpointed);
+        // One pass. The live copies of an edge form a stack threaded through
+        // `link` (one word per entry of `pairs`), with `heads` naming each
+        // stack's top, so a removal pops in O(1); a popped position is only
+        // marked `DEAD` and dropped by the single `retain` at the end, which
+        // keeps the survivors in order without any mid-vector `remove`.
+        let mut link: Vec<u32> = Vec::with_capacity(pairs.capacity());
+        let mut heads: IdHashMap<Edge, u32> =
+            IdHashMap::with_capacity_and_hasher(pairs.len(), Default::default());
+        for &(edge, _) in checkpointed {
+            push_copy(&mut heads, &mut link, edge);
+        }
         for frame in &self.frames {
             for &(edge, part) in frame.batch.removed() {
-                let Some(pos) = pairs.iter().rposition(|&(e, _)| e == edge) else {
+                let Entry::Occupied(mut head) = heads.entry(edge) else {
                     return Err(StateError::InvalidState {
                         message: format!(
                             "WAL epoch {} removes {edge:?}, which has no live copy",
@@ -122,6 +136,7 @@ impl RecoveredState {
                         ),
                     });
                 };
+                let pos = *head.get() as usize;
                 if pairs[pos].1 != part {
                     return Err(StateError::InvalidState {
                         message: format!(
@@ -131,16 +146,39 @@ impl RecoveredState {
                         ),
                     });
                 }
-                pairs.remove(pos);
+                match std::mem::replace(&mut link[pos], DEAD) {
+                    BOTTOM => {
+                        head.remove();
+                    }
+                    older => *head.get_mut() = older,
+                }
             }
             for &(edge, part) in frame.batch.added() {
                 let top = edge.src.raw().max(edge.dst.raw()) + 1;
                 universe = universe.max(usize::try_from(top).unwrap_or(usize::MAX));
+                push_copy(&mut heads, &mut link, edge);
                 pairs.push((edge, part));
             }
         }
+        let mut link = link.into_iter();
+        pairs.retain(|_| link.next() != Some(DEAD));
         Ok((universe, pairs))
     }
+}
+
+/// `link` value (see [`RecoveredState::resume_partition_state`]) of a live
+/// copy with no older live copy beneath it.
+const BOTTOM: u32 = u32::MAX - 1;
+/// `link` value of a copy that a logged removal popped.
+const DEAD: u32 = u32::MAX;
+
+/// Pushes the copy at position `link.len()` onto `edge`'s stack.
+fn push_copy(heads: &mut IdHashMap<Edge, u32>, link: &mut Vec<u32>, edge: Edge) {
+    let position = u32::try_from(link.len())
+        .ok()
+        .filter(|&position| position < BOTTOM)
+        .expect("fewer than u32::MAX - 1 logged edge copies");
+    link.push(heads.insert(edge, position).unwrap_or(BOTTOM));
 }
 
 /// State behind the store's mutex; see [`DurableState`].
@@ -752,6 +790,186 @@ mod tests {
             broken.resume_partition_state().unwrap_err(),
             StateError::InvalidState { .. }
         ));
+    }
+
+    /// `resume_partition_state` as it was before the one-pass rewrite: an
+    /// `rposition` scan and a mid-vector `remove` per logged removal. Kept
+    /// as the reference the linear implementation is checked against,
+    /// error strings included.
+    fn resume_by_scan(recovered: &RecoveredState) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
+        let mut universe = recovered
+            .checkpoint
+            .as_ref()
+            .map(|c| c.universe)
+            .unwrap_or(0);
+        let mut pairs = recovered
+            .checkpoint
+            .as_ref()
+            .map(|c| c.surviving.clone())
+            .unwrap_or_default();
+        for frame in &recovered.frames {
+            for &(edge, part) in frame.batch.removed() {
+                let Some(pos) = pairs.iter().rposition(|&(e, _)| e == edge) else {
+                    return Err(StateError::InvalidState {
+                        message: format!(
+                            "WAL epoch {} removes {edge:?}, which has no live copy",
+                            frame.epoch
+                        ),
+                    });
+                };
+                if pairs[pos].1 != part {
+                    return Err(StateError::InvalidState {
+                        message: format!(
+                            "WAL epoch {} removes {edge:?} from {part:?}, but its newest \
+                             copy lives on {:?}",
+                            frame.epoch, pairs[pos].1
+                        ),
+                    });
+                }
+                pairs.remove(pos);
+            }
+            for &(edge, part) in frame.batch.added() {
+                let top = edge.src.raw().max(edge.dst.raw()) + 1;
+                universe = universe.max(usize::try_from(top).unwrap_or(usize::MAX));
+                pairs.push((edge, part));
+            }
+        }
+        Ok((universe, pairs))
+    }
+
+    #[test]
+    fn resume_errors_keep_their_wording() {
+        let frame = |epoch, added: &[(u64, u64, u32)], removed: &[(u64, u64, u32)]| WalFrame {
+            epoch,
+            events_seen: epoch,
+            batch: batch(added, removed),
+        };
+        let dead = RecoveredState {
+            checkpoint: None,
+            frames: vec![
+                frame(1, &[(1, 2, 0)], &[]),
+                frame(2, &[], &[(1, 2, 0)]),
+                frame(3, &[], &[(1, 2, 0)]),
+            ],
+        };
+        assert_eq!(
+            dead.resume_partition_state().unwrap_err().to_string(),
+            resume_by_scan(&dead).unwrap_err().to_string()
+        );
+        assert!(dead
+            .resume_partition_state()
+            .unwrap_err()
+            .to_string()
+            .contains("WAL epoch 3 removes Edge { src: VertexId(1), dst: VertexId(2) }, which has no live copy"));
+
+        // The newest copy decides: the older copy on partition 0 does not
+        // license a removal from partition 0 while a newer one lives on 2.
+        let misplaced = RecoveredState {
+            checkpoint: None,
+            frames: vec![
+                frame(1, &[(1, 2, 0), (1, 2, 2)], &[]),
+                frame(2, &[], &[(1, 2, 0)]),
+            ],
+        };
+        assert_eq!(
+            misplaced.resume_partition_state().unwrap_err().to_string(),
+            resume_by_scan(&misplaced).unwrap_err().to_string()
+        );
+        assert!(misplaced
+            .resume_partition_state()
+            .unwrap_err()
+            .to_string()
+            .contains("from PartitionId(0), but its newest copy lives on PartitionId(2)"));
+    }
+
+    mod resume_differential {
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::checkpoint::Checkpoint;
+
+        type Op = (u8, u64, u64, u32, usize);
+
+        /// Turns one frame's ops into a batch. Kinds 0–5 add a random pair;
+        /// 6–8 remove the *newest live copy* of a random live edge (valid
+        /// by construction, so most lineages run deep); 9 adds a self-loop
+        /// or, one time in eight, removes an arbitrary pair — usually dead
+        /// or on the wrong partition. `live` follows the scan semantics:
+        /// removals first, then additions.
+        fn frame_from_ops(ops: &[Op], live: &mut Vec<(Edge, PartitionId)>) -> MutationBatch {
+            let (mut added, mut removed) = (Vec::new(), Vec::new());
+            for &(kind, src, dst, part, pick) in ops {
+                let pair = (Edge::from((src, dst)), PartitionId::new(part));
+                match kind {
+                    0..=5 => added.push(pair),
+                    6..=8 if !live.is_empty() => {
+                        let edge = live[pick % live.len()].0;
+                        let newest = live.iter().rposition(|&(e, _)| e == edge).unwrap();
+                        removed.push(live.remove(newest));
+                    }
+                    6..=8 => {}
+                    _ if pick % 8 == 0 => removed.push(pair),
+                    _ => added.push((Edge::from((src, src)), pair.1)),
+                }
+            }
+            live.extend(added.iter().copied());
+            MutationBatch::from_parts(added, removed)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random checkpoint + WAL lineages over a universe small
+            /// enough for duplicate copies, self-loops and
+            /// delete-then-reinsert frames, salted with removals of dead
+            /// edges and wrong partitions: the one-pass resume returns the
+            /// scan's `(universe, pairs)` or the scan's error, verbatim.
+            #[test]
+            fn linear_resume_matches_the_scan(
+                checkpointed in proptest::collection::vec((0u64..5, 0u64..5, 0u32..3), 0..40),
+                with_checkpoint in any::<bool>(),
+                frames in proptest::collection::vec(
+                    proptest::collection::vec(
+                        (0u8..10, 0u64..6, 0u64..6, 0u32..3, 0usize..1000),
+                        0..30,
+                    ),
+                    0..8,
+                ),
+            ) {
+                let surviving: Vec<(Edge, PartitionId)> = checkpointed
+                    .iter()
+                    .map(|&(s, d, p)| (Edge::from((s, d)), PartitionId::new(p)))
+                    .collect();
+                let mut live = if with_checkpoint { surviving.clone() } else { Vec::new() };
+                let checkpoint = with_checkpoint.then(|| Checkpoint {
+                    epoch: 4,
+                    events_seen: 0,
+                    num_vertices: 5,
+                    worker_edges: Vec::new(),
+                    universe: 5,
+                    surviving,
+                    series: Vec::new(),
+                });
+                let base = checkpoint.as_ref().map_or(0, |c| c.epoch);
+                let frames = frames
+                    .iter()
+                    .enumerate()
+                    .map(|(i, ops)| WalFrame {
+                        epoch: base + 1 + i as u64,
+                        events_seen: 0,
+                        batch: frame_from_ops(ops, &mut live),
+                    })
+                    .collect();
+                let recovered = RecoveredState { checkpoint, frames };
+                let text = |result: Result<(usize, Vec<(Edge, PartitionId)>)>| {
+                    result.map_err(|err| err.to_string())
+                };
+                prop_assert_eq!(
+                    text(recovered.resume_partition_state()),
+                    text(resume_by_scan(&recovered))
+                );
+            }
+        }
     }
 
     #[test]
