@@ -157,6 +157,61 @@ mod tests {
     }
 
     #[test]
+    fn gated_pull_gather_matches_the_edge_scan_warm_and_cold() {
+        use crate::pagerank::{assert_same_outcome, EdgeScanPageRank};
+        use ebv_graph::generators::{GraphGenerator, RmatGenerator};
+
+        let engines = [BspEngine::sequential(), BspEngine::pooled(2)];
+        for seed in 0..12u64 {
+            let graph = RmatGenerator::new(6, 4).with_seed(seed).generate().unwrap();
+            let partition = EbvPartitioner::new().partition(&graph, 4).unwrap();
+            let mut distributed = DistributedGraph::build(&graph, &partition).unwrap();
+            let prior = BspEngine::sequential()
+                .run(&distributed, &PageRank::new(&graph, 30))
+                .unwrap();
+            // Churn one worker so the warm run starts from stale ranks on a
+            // rebuilt subgraph.
+            let mut batch = MutationBatch::new();
+            batch.record_delete(
+                graph.edges()[0],
+                partition.as_vertex_cut().unwrap().part_of(0),
+            );
+            batch.record_insert(Edge::from((seed % 60, 63u64)), PartitionId::new(2));
+            distributed.apply_mutations(&batch).unwrap();
+
+            let program = IncrementalPageRank::from_distributed(&distributed, 30);
+            let reference = EdgeScanPageRank {
+                damping: program.damping,
+                iterations: program.iterations,
+                num_vertices: program.num_vertices,
+                out_degrees: program.out_degrees.clone(),
+                gate_stable_messages: true,
+            };
+            for engine in &engines {
+                let context = format!("seed {seed}, {engine:?}");
+                let cold = engine.run(&distributed, &program).unwrap();
+                let cold_reference = engine.run(&distributed, &reference).unwrap();
+                assert_same_outcome(&cold, &cold_reference, &format!("{context}, cold"));
+                let warm = engine
+                    .run_opts(
+                        &distributed,
+                        &program,
+                        RunOptions::new().warm_seed(&prior.values),
+                    )
+                    .unwrap();
+                let warm_reference = engine
+                    .run_opts(
+                        &distributed,
+                        &reference,
+                        RunOptions::new().warm_seed(&prior.values),
+                    )
+                    .unwrap();
+                assert_same_outcome(&warm, &warm_reference, &format!("{context}, warm"));
+            }
+        }
+    }
+
+    #[test]
     fn incremental_pagerank_accessors() {
         let distributed = DistributedGraph::build_streaming(
             2,

@@ -19,10 +19,11 @@ pub struct PageRankValue {
 /// Each PageRank iteration takes two supersteps, mirroring the master/mirror
 /// protocol of subgraph-centric frameworks:
 ///
-/// 1. **gather** — every worker scans its local edges and accumulates
-///    `rank(u) / outdeg(u)` into the partial sum of the target vertex;
-///    mirrors then send their partials to the vertex's master (one message
-///    per mirror).
+/// 1. **gather** — every worker pulls, for each local vertex, the
+///    `rank(u) / outdeg(u)` of its local in-neighbours (the subgraph's
+///    in-CSR, in local indices: no vertex lookup) into the vertex's partial
+///    sum; mirrors then send their partials to the vertex's master (one
+///    message per mirror).
 /// 2. **apply + scatter** — the master folds the incoming partials with its
 ///    own, applies the PageRank update
 ///    `rank = (1 − d)/|V| + d · Σ partials`, and broadcasts the new rank to
@@ -155,43 +156,44 @@ pub(crate) fn pagerank_superstep(
                 ctx.set_value(local, value);
             }
         }
-        // Accumulate local contributions along every *owned* local edge
-        // (edge-cut distributions replicate crossing edges; only the
-        // source owner's copy contributes so each edge counts once).
-        let mut partials = vec![0.0f64; n];
-        for edge_index in 0..ctx.subgraph().num_edges() {
-            if !ctx.subgraph().owns_edge(edge_index) {
-                continue;
+        // Pull the contributions of every *owned* local in-edge (edge-cut
+        // distributions replicate crossing edges; only the source owner's
+        // copy contributes so each edge counts once). A target's
+        // in-neighbours are listed in local-edge order, so its partial is
+        // the same sequence of additions as a scan of the edge list; only
+        // `partial` fields are written, so the ranks being read stay put.
+        let subgraph = ctx.subgraph();
+        let mut work = 0u64;
+        for target in 0..n {
+            let owned = subgraph.in_neighbor_ownership(target);
+            let mut partial = 0.0f64;
+            for (k, &source) in subgraph.in_neighbors(target).iter().enumerate() {
+                if owned.get(k) == Some(&false) {
+                    continue;
+                }
+                let source = source as usize;
+                // Dangling sources propagate nothing.
+                let out_degree = out_degrees[subgraph.vertex_at(source).index()];
+                if out_degree == 0 {
+                    continue;
+                }
+                work += 1;
+                partial += ctx.value(source).rank / out_degree as f64;
             }
-            let edge = ctx.subgraph().edges()[edge_index];
-            let out_degree = out_degrees[edge.src.index()];
-            if out_degree == 0 {
-                continue;
-            }
-            let (Some(src_local), Some(dst_local)) = (
-                ctx.subgraph().local_index_of(edge.src),
-                ctx.subgraph().local_index_of(edge.dst),
-            ) else {
-                continue;
-            };
-            ctx.add_work(1);
-            let contribution = ctx.value(src_local).rank / out_degree as f64;
-            partials[dst_local] += contribution;
-        }
-        for (local, partial) in partials.into_iter().enumerate() {
-            let mut value = *ctx.value(local);
+            let mut value = *ctx.value(target);
             value.partial = partial;
-            ctx.set_value(local, value);
+            ctx.set_value(target, value);
             updates += 1;
             // Mirrors ship their partial to the master replica (a gated
             // mirror with an exactly-zero partial stays silent).
-            if !ctx.subgraph().is_master(local) {
+            if !subgraph.is_master(target) {
                 let gated = gate_stable_messages && partial == 0.0;
                 if !gated {
-                    ctx.send_to_master(local, partial);
+                    ctx.send_to_master(target, partial);
                 }
             }
         }
+        ctx.add_work(work);
     } else {
         // Apply phase: masters fold incoming partials and broadcast the
         // new rank to their mirrors.
@@ -222,13 +224,256 @@ pub fn ranks(values: &[PageRankValue]) -> Vec<f64> {
     values.iter().map(|v| v.rank).collect()
 }
 
+/// The master/mirror protocol with the gather [`pagerank_superstep`] had
+/// before it pulled over the in-CSR: a scan of the local edge list that
+/// resolves both endpoints of every edge through `local_index_of` and
+/// scatters into a per-superstep `partials` vector. Kept as the reference
+/// the pull is checked against; the apply half is the shared one.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct EdgeScanPageRank {
+    pub(crate) damping: f64,
+    pub(crate) iterations: usize,
+    pub(crate) num_vertices: usize,
+    pub(crate) out_degrees: Vec<u64>,
+    pub(crate) gate_stable_messages: bool,
+}
+
+#[cfg(test)]
+impl SubgraphProgram for EdgeScanPageRank {
+    type Value = PageRankValue;
+    type Message = f64;
+
+    fn name(&self) -> String {
+        "PageRank-edge-scan".to_string()
+    }
+
+    fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> PageRankValue {
+        PageRankValue {
+            rank: 1.0 / self.num_vertices as f64,
+            partial: 0.0,
+        }
+    }
+
+    fn warm_value(&self, _: VertexId, prior: &PageRankValue, _: &Subgraph) -> PageRankValue {
+        PageRankValue {
+            rank: prior.rank,
+            partial: 0.0,
+        }
+    }
+
+    fn run_superstep(
+        &self,
+        ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
+        superstep: usize,
+    ) -> usize {
+        if !superstep.is_multiple_of(2) {
+            return pagerank_superstep(
+                self.damping,
+                self.num_vertices,
+                &self.out_degrees,
+                ctx,
+                superstep,
+                self.gate_stable_messages,
+            );
+        }
+        let n = ctx.subgraph().num_vertices();
+        let mut updates = 0usize;
+        for local in 0..n {
+            if let Some(&rank) = ctx.messages(local).last() {
+                let mut value = *ctx.value(local);
+                value.rank = rank;
+                ctx.set_value(local, value);
+            }
+        }
+        let mut partials = vec![0.0f64; n];
+        for edge_index in 0..ctx.subgraph().num_edges() {
+            if !ctx.subgraph().owns_edge(edge_index) {
+                continue;
+            }
+            let edge = ctx.subgraph().edges()[edge_index];
+            let out_degree = self.out_degrees[edge.src.index()];
+            if out_degree == 0 {
+                continue;
+            }
+            let (Some(src_local), Some(dst_local)) = (
+                ctx.subgraph().local_index_of(edge.src),
+                ctx.subgraph().local_index_of(edge.dst),
+            ) else {
+                continue;
+            };
+            ctx.add_work(1);
+            let contribution = ctx.value(src_local).rank / out_degree as f64;
+            partials[dst_local] += contribution;
+        }
+        for (local, partial) in partials.into_iter().enumerate() {
+            let mut value = *ctx.value(local);
+            value.partial = partial;
+            ctx.set_value(local, value);
+            updates += 1;
+            if !ctx.subgraph().is_master(local) {
+                let gated = self.gate_stable_messages && partial == 0.0;
+                if !gated {
+                    ctx.send_to_master(local, partial);
+                }
+            }
+        }
+        updates
+    }
+
+    fn max_supersteps(&self) -> usize {
+        2 * self.iterations
+    }
+
+    fn halt_on_quiescence(&self) -> bool {
+        false
+    }
+}
+
+/// Asserts two PageRank outcomes equal in every rank and partial bit and
+/// in every counter (per-superstep, per-worker work, messages, updates).
+#[cfg(test)]
+pub(crate) fn assert_same_outcome(
+    got: &ebv_bsp::BspOutcome<PageRankValue>,
+    want: &ebv_bsp::BspOutcome<PageRankValue>,
+    context: &str,
+) {
+    assert_eq!(got.values.len(), want.values.len(), "{context}");
+    for (v, (a, b)) in got.values.iter().zip(&want.values).enumerate() {
+        assert_eq!(a.rank.to_bits(), b.rank.to_bits(), "{context}: rank {v}");
+        assert_eq!(
+            a.partial.to_bits(),
+            b.partial.to_bits(),
+            "{context}: partial {v}"
+        );
+    }
+    assert_eq!(got.stats, want.stats, "{context}");
+    assert_eq!(got.supersteps, want.supersteps, "{context}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::pagerank_reference;
     use ebv_bsp::{BspEngine, DistributedGraph};
     use ebv_graph::generators::{named, GraphGenerator, RmatGenerator};
+    use ebv_graph::GraphBuilder;
     use ebv_partition::{paper_partitioners, EbvPartitioner, Partitioner};
+
+    fn edge_scan(program: &PageRank) -> EdgeScanPageRank {
+        EdgeScanPageRank {
+            damping: program.damping,
+            iterations: program.iterations,
+            num_vertices: program.num_vertices,
+            out_degrees: program.out_degrees.clone(),
+            gate_stable_messages: false,
+        }
+    }
+
+    #[test]
+    fn pull_gather_matches_the_edge_scan_on_random_multigraphs() {
+        let engines = [BspEngine::sequential(), BspEngine::pooled(2)];
+        for seed in 0..24u64 {
+            // R-MAT keeps duplicate edges and leaves vertices isolated.
+            let graph = RmatGenerator::new(6, 3 + (seed as usize % 5))
+                .with_seed(seed)
+                .generate()
+                .unwrap();
+            for p in [1, 3, 8] {
+                let partition = EbvPartitioner::new().partition(&graph, p).unwrap();
+                let dg = DistributedGraph::build(&graph, &partition).unwrap();
+                let program = PageRank::new(&graph, 6);
+                let reference = edge_scan(&program);
+                for engine in &engines {
+                    let got = engine.run(&dg, &program).unwrap();
+                    let want = engine.run(&dg, &reference).unwrap();
+                    assert_same_outcome(&got, &want, &format!("seed {seed}, p {p}, {engine:?}"));
+                    assert_eq!(got.stats.num_supersteps(), 12);
+                }
+            }
+        }
+    }
+
+    /// Sinks (out-degree 0), self-loops, duplicate edges and an isolated
+    /// vertex.
+    fn graph_with_sinks() -> Graph {
+        let mut builder = GraphBuilder::directed();
+        builder.allow_self_loops(true).num_vertices(12);
+        for (src, dst) in [
+            (0, 1),
+            (0, 2),
+            (0, 2),
+            (1, 2),
+            (2, 3),
+            (3, 3),
+            (3, 4),
+            (4, 0),
+            (5, 6),
+            (6, 7),
+            (7, 5),
+            (7, 8),
+            (1, 9),
+            (4, 9),
+            (2, 10),
+        ] {
+            builder.add_edge_ids(src, dst);
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn every_paper_partitioner_matches_the_edge_scan_and_the_reference() {
+        let rmat = RmatGenerator::new(7, 5).with_seed(4).generate().unwrap();
+        for (name, graph) in [("sinks", graph_with_sinks()), ("rmat", rmat)] {
+            let expected = pagerank_reference(&graph, 9, 0.85);
+            let mut edge_cut_copies = 0usize;
+            for partitioner in paper_partitioners() {
+                let context = format!("{name}, {}", partitioner.name());
+                let partition = partitioner.partition(&graph, 4).unwrap();
+                let dg = DistributedGraph::build(&graph, &partition).unwrap();
+                edge_cut_copies += dg
+                    .subgraphs()
+                    .iter()
+                    .map(|sg| (0..sg.num_edges()).filter(|&i| !sg.owns_edge(i)).count())
+                    .sum::<usize>();
+                let program = PageRank::new(&graph, 9);
+                let got = BspEngine::sequential().run(&dg, &program).unwrap();
+                let want = BspEngine::sequential()
+                    .run(&dg, &edge_scan(&program))
+                    .unwrap();
+                assert_same_outcome(&got, &want, &context);
+                assert_close(&ranks(&got.values), &expected, 1e-9, &context);
+            }
+            assert!(
+                edge_cut_copies > 0,
+                "{name}: the edge-cut partitioners produced no unowned copy"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_out_degree_entry_is_skipped_by_the_degree_test() {
+        // A degree table that says "dangling" for sources the distribution
+        // does hold out-edges of (a program built from an older, sparser
+        // graph): their edges contribute nothing and cost no work, and no
+        // division by zero leaks a NaN or an infinity into the ranks.
+        let graph = graph_with_sinks();
+        let partition = EbvPartitioner::new().partition(&graph, 3).unwrap();
+        let dg = DistributedGraph::build(&graph, &partition).unwrap();
+        let mut program = PageRank::new(&graph, 5);
+        program.out_degrees[0] = 0;
+        program.out_degrees[7] = 0;
+        let got = BspEngine::sequential().run(&dg, &program).unwrap();
+        let want = BspEngine::sequential()
+            .run(&dg, &edge_scan(&program))
+            .unwrap();
+        assert_same_outcome(&got, &want, "zeroed out-degrees");
+        assert!(ranks(&got.values).iter().all(|rank| rank.is_finite()));
+        let full = BspEngine::sequential()
+            .run(&dg, &PageRank::new(&graph, 5))
+            .unwrap();
+        assert!(got.stats.total_work() < full.stats.total_work());
+    }
 
     fn run_pagerank(
         graph: &Graph,

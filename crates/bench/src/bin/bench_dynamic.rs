@@ -127,18 +127,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     builder.num_vertices(1 << scale);
     let graph = builder.build()?;
-    let started = Instant::now();
-    let batch = EbvPartitioner::new()
-        .unsorted()
-        .partition(&graph, workers)?;
-    rows.push(Measurement {
-        name: "batch_ebv_partition",
-        items: "edges",
-        count: graph.num_edges(),
-        seconds: started.elapsed().as_secs_f64(),
-        state_bytes: 0,
-    });
-    drop(batch);
+    // Both batch rows feed a gated ratio, so each side takes the best of
+    // three repeats (the partitioners are deterministic; only the clock
+    // varies). `batch_ebv_partition` is Algorithm 1 alone in input order;
+    // `batch_ebv_sort_partition` is the paper's configuration, degree-sum
+    // sort included. Their ratio bounds what the preprocessing may cost on
+    // top of the pass itself.
+    let best_of_three = |partitioner: EbvPartitioner| -> Result<f64, Box<dyn std::error::Error>> {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let started = Instant::now();
+            std::hint::black_box(partitioner.partition(&graph, workers)?);
+            best = best.min(started.elapsed().as_secs_f64());
+        }
+        Ok(best)
+    };
+    for (name, partitioner) in [
+        ("batch_ebv_partition", EbvPartitioner::new().unsorted()),
+        ("batch_ebv_sort_partition", EbvPartitioner::new()),
+    ] {
+        rows.push(Measurement {
+            name,
+            items: "edges",
+            count: graph.num_edges(),
+            seconds: best_of_three(partitioner)?,
+            state_bytes: 0,
+        });
+    }
 
     // Streaming EBV, one pass, exact hints.
     let source = stream();

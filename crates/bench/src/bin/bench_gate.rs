@@ -298,6 +298,12 @@ mod tests {
             ("bfs_warm_epoch", "bfs_cold", 1.0, None),
             ("epoch_apply_durable", "epoch_apply_incremental", 1.25, None),
             ("recovery_replay", "recovery_rebuild", 1.0, None),
+            (
+                "batch_ebv_sort_partition",
+                "batch_ebv_partition",
+                1.75,
+                None,
+            ),
         ] {
             let gate = caps
                 .iter()

@@ -30,7 +30,8 @@ pub struct Subgraph {
     /// distributions own every local edge; edge-cut distributions replicate
     /// crossing edges in both endpoint partitions but only the source
     /// owner's copy is owned, so that sum-style programs (PageRank) count
-    /// each edge exactly once.
+    /// each edge exactly once. Empty when every local edge is owned (every
+    /// vertex-cut worker): nothing to skip, nothing to store.
     owns_edge: Vec<bool>,
     vertices: Vec<VertexId>,
     /// Global vertex → local index (`u32`, like the CSR targets).
@@ -45,11 +46,16 @@ pub struct Subgraph {
     /// CSR in-adjacency (same layout).
     in_offsets: Vec<u32>,
     in_targets: Vec<u32>,
+    /// `owns_edge` permuted into in-CSR order (empty when it is), so a pull
+    /// over [`in_neighbors`](Self::in_neighbors) can skip unowned copies
+    /// without going back to the edge list.
+    in_owned: Vec<bool>,
 }
 
 impl Subgraph {
     /// Indexes one worker's edge list: local vertex table (first-appearance
-    /// order, then `isolated`), master flags and both CSRs.
+    /// order, then `isolated`), master flags and both CSRs. `owns_edge` is
+    /// either empty (every edge owned) or one flag per edge.
     ///
     /// `scratch` maps a global vertex to its local index while the worker is
     /// being built. It covers the whole universe (`masters.len()` entries),
@@ -64,6 +70,12 @@ impl Subgraph {
         masters: &[PartitionId],
         scratch: &mut [u32],
     ) -> Self {
+        debug_assert!(owns_edge.is_empty() || owns_edge.len() == edges.len());
+        let owns_edge = if owns_edge.iter().all(|&owned| owned) {
+            Vec::new()
+        } else {
+            owns_edge
+        };
         let mut vertices: Vec<VertexId> = Vec::new();
         let endpoints = edges.iter().flat_map(|e| [e.src, e.dst]);
         for v in endpoints.chain(isolated.iter().copied()) {
@@ -97,14 +109,19 @@ impl Subgraph {
         }
         let mut out_targets = vec![0u32; edges.len()];
         let mut in_targets = vec![0u32; edges.len()];
+        let mut in_owned = vec![true; owns_edge.len()];
         let mut out_cursor = out_offsets[..n].to_vec();
         let mut in_cursor = in_offsets[..n].to_vec();
-        for e in &edges {
+        for (i, e) in edges.iter().enumerate() {
             let s = scratch[e.src.index()];
             let d = scratch[e.dst.index()];
             out_targets[out_cursor[s as usize] as usize] = d;
             out_cursor[s as usize] += 1;
-            in_targets[in_cursor[d as usize] as usize] = s;
+            let slot = in_cursor[d as usize] as usize;
+            in_targets[slot] = s;
+            if owns_edge.get(i) == Some(&false) {
+                in_owned[slot] = false;
+            }
             in_cursor[d as usize] += 1;
         }
         // The only hashing: one insert per local vertex, into a table sized
@@ -125,6 +142,7 @@ impl Subgraph {
             out_targets,
             in_offsets,
             in_targets,
+            in_owned,
         }
     }
 
@@ -144,7 +162,7 @@ impl Subgraph {
     /// edges). Programs that aggregate per-edge quantities (e.g. PageRank
     /// contributions) must restrict themselves to owned edges.
     pub fn owns_edge(&self, edge_index: usize) -> bool {
-        self.owns_edge[edge_index]
+        self.owns_edge.is_empty() || self.owns_edge[edge_index]
     }
 
     /// Number of local edges.
@@ -190,6 +208,21 @@ impl Subgraph {
     #[inline]
     pub fn in_neighbors(&self, local_index: usize) -> &[u32] {
         &self.in_targets
+            [self.in_offsets[local_index] as usize..self.in_offsets[local_index + 1] as usize]
+    }
+
+    /// Ownership of the in-edges of the vertex at `local_index`, aligned
+    /// with [`in_neighbors`](Self::in_neighbors): entry `k` is
+    /// [`owns_edge`](Self::owns_edge) of the local edge that contributed
+    /// in-neighbour `k`. **Empty when this worker owns every local edge**
+    /// (always, for vertex-cut distributions), so a pull loop reads a
+    /// missing entry as "owned".
+    #[inline]
+    pub fn in_neighbor_ownership(&self, local_index: usize) -> &[bool] {
+        if self.in_owned.is_empty() {
+            return &[];
+        }
+        &self.in_owned
             [self.in_offsets[local_index] as usize..self.in_offsets[local_index + 1] as usize]
     }
 
@@ -403,10 +436,6 @@ pub struct DistributedGraph {
     num_edges: usize,
     /// Number of mutation epochs absorbed since the initial build.
     epoch: usize,
-    /// Cached vertex-cut invariant: `true` iff every local edge is owned.
-    /// Computed once at assembly so [`apply_mutations`](Self::apply_mutations)
-    /// never has to re-scan the per-worker `owns_edge` vectors.
-    vertex_cut: bool,
     /// Per-vertex live-incidence counts per holding partition, kept sorted
     /// by partition — the master-election state of [`assemble`], kept
     /// resident and delta-updated so a mutation epoch re-elects only the
@@ -449,18 +478,23 @@ impl DistributedGraph {
         let p = partition.num_partitions();
         let n = graph.num_vertices();
 
-        // Edge lists per partition, with the ownership flag used by
-        // sum-style programs.
-        let mut edges_per_part: Vec<Vec<Edge>> = vec![Vec::new(); p];
+        // Edge lists per partition, sized exactly up front, with the
+        // ownership flags used by sum-style programs (left empty by a
+        // vertex-cut, which owns every copy).
+        let copies = partition.edge_counts(graph);
+        let mut edges_per_part: Vec<Vec<Edge>> =
+            copies.iter().map(|&c| Vec::with_capacity(c)).collect();
         let mut owned_per_part: Vec<Vec<bool>> = vec![Vec::new(); p];
         match partition {
             PartitionResult::VertexCut(vc) => {
                 for (edge, part) in graph.edges().iter().zip(vc.assignment()) {
                     edges_per_part[part.index()].push(*edge);
-                    owned_per_part[part.index()].push(true);
                 }
             }
             PartitionResult::EdgeCut(ec) => {
+                for (owned, &c) in owned_per_part.iter_mut().zip(&copies) {
+                    owned.reserve_exact(c);
+                }
                 for edge in graph.edges() {
                     let ps = ec.part_of(edge.src);
                     let pd = ec.part_of(edge.dst);
@@ -574,7 +608,8 @@ impl DistributedGraph {
     /// Whether every local edge is owned (the vertex-cut invariant). Only
     /// such distributions support [`apply_mutations`](Self::apply_mutations).
     pub fn is_vertex_cut(&self) -> bool {
-        self.vertex_cut
+        // A worker keeps ownership flags only while it holds an unowned copy.
+        self.subgraphs.iter().all(|sg| sg.owns_edge.is_empty())
     }
 
     /// Counters of the most recent mutation epoch: how many workers were
@@ -611,7 +646,6 @@ impl DistributedGraph {
         };
         self.num_vertices == other.num_vertices
             && self.num_edges == other.num_edges
-            && self.vertex_cut == other.vertex_cut
             && self.subgraphs.len() == other.subgraphs.len()
             && self
                 .subgraphs
@@ -682,7 +716,7 @@ impl DistributedGraph {
             self.last_mutation = MutationStats::default();
             return Ok(self.last_mutation);
         }
-        if !self.vertex_cut {
+        if !self.is_vertex_cut() {
             return Err(BspError::InvalidMutation {
                 message: "only vertex-cut distributions (every local edge owned) support \
                           edge-level mutations"
@@ -882,11 +916,10 @@ impl DistributedGraph {
                 None => std::mem::take(&mut self.subgraphs[i].edges),
             };
             edges_rebuilt += edges.len();
-            let owned = vec![true; edges.len()];
             self.subgraphs[i] = Subgraph::build(
                 PartitionId::from_index(i),
                 edges,
-                owned,
+                Vec::new(),
                 &self.isolated_per_part[i],
                 &self.replicas.master,
                 &mut scratch,
@@ -954,14 +987,26 @@ fn assemble(
     owned_per_part: Vec<Vec<bool>>,
     master_rule: MasterRule<'_>,
 ) -> DistributedGraph {
+    // Partitions are visited in ascending order, so a vertex's entry for
+    // the current partition, if it has one, is the last of its list: bump
+    // it or append — the lists come out sorted without a search, which is
+    // the order `apply_mutations` (through `bump_incidence`) relies on.
     let mut incident_count: Vec<Vec<(PartitionId, u32)>> = vec![Vec::new(); n];
     for (i, edges) in edges_per_part.iter().enumerate() {
         let part = PartitionId::from_index(i);
-        for e in edges {
-            bump_incidence(&mut incident_count[e.src.index()], part);
-            bump_incidence(&mut incident_count[e.dst.index()], part);
+        for v in edges.iter().flat_map(|e| [e.src, e.dst]) {
+            match incident_count[v.index()].last_mut() {
+                Some((holder, count)) if *holder == part => *count += 1,
+                _ => incident_count[v.index()].push((part, 1)),
+            }
         }
     }
+    debug_assert!(
+        incident_count
+            .iter()
+            .all(|holders| holders.windows(2).all(|w| w[0].0 < w[1].0)),
+        "holder lists are strictly ascending by partition"
+    );
     let mut master = vec![PartitionId::default(); n];
     let mut replicas: Vec<Vec<PartitionId>> = vec![Vec::new(); n];
     let mut isolated_per_part: Vec<Vec<VertexId>> = vec![Vec::new(); p];
@@ -988,9 +1033,6 @@ fn assemble(
         }
     }
 
-    let vertex_cut = owned_per_part
-        .iter()
-        .all(|owned| owned.iter().all(|&flag| flag));
     let mut scratch = vec![ABSENT; n];
     let subgraphs: Vec<Subgraph> = edges_per_part
         .into_iter()
@@ -1016,7 +1058,6 @@ fn assemble(
         num_vertices: n,
         num_edges,
         epoch: 0,
-        vertex_cut,
         incident_count,
         isolated_per_part,
         last_mutation: MutationStats::default(),
@@ -1164,11 +1205,7 @@ impl DistributedGraphBuilder {
             }
             None => self.max_vertex_exclusive,
         };
-        let owned_per_part = self
-            .edges_per_part
-            .iter()
-            .map(|edges| vec![true; edges.len()])
-            .collect();
+        let owned_per_part = vec![Vec::new(); self.num_partitions];
         let mut distributed = assemble(
             self.num_partitions,
             n,
@@ -1322,6 +1359,69 @@ mod tests {
             assert_eq!(s.edges(), b.edges());
             assert_eq!(s.vertices(), b.vertices());
         }
+        assert_same_holder_lists(&streamed, &batch);
+    }
+
+    /// The per-vertex holder lists (partition, live incidence) themselves,
+    /// not only the masters elected from them: `apply_mutations` binary
+    /// searches these, so they must come out of every construction path
+    /// identical and strictly ascending by partition.
+    fn assert_same_holder_lists(a: &DistributedGraph, b: &DistributedGraph) {
+        assert_eq!(a.incident_count, b.incident_count, "holder lists diverged");
+        for (v, holders) in a.incident_count.iter().enumerate() {
+            assert!(
+                holders.windows(2).all(|w| w[0].0 < w[1].0),
+                "holders of vertex {v} are not strictly ascending: {holders:?}"
+            );
+            assert!(holders.iter().all(|&(_, count)| count > 0), "vertex {v}");
+        }
+    }
+
+    #[test]
+    fn in_neighbor_ownership_is_empty_for_vertex_cut_and_aligned_for_edge_cut() {
+        let g = ebv_graph::generators::named::small_social_graph();
+        let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
+        let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+        let all_empty = |dg: &DistributedGraph| {
+            dg.subgraphs().iter().all(|sg| {
+                sg.in_owned.is_empty()
+                    && (0..sg.num_vertices()).all(|l| sg.in_neighbor_ownership(l).is_empty())
+            })
+        };
+        assert!(all_empty(&dg));
+        // A re-assembled (touched) worker still owns every edge.
+        let mut batch = MutationBatch::new();
+        batch.record_delete(g.edges()[0], partition.as_vertex_cut().unwrap().part_of(0));
+        batch.record_insert(Edge::from((2u64, 11u64)), PartitionId::new(1));
+        let stats = dg.apply_mutations(&batch).unwrap();
+        assert!(stats.workers_touched >= 1);
+        assert!(all_empty(&dg));
+
+        // Edge-cut: the slice is `owns_edge` in in-CSR order. In-neighbours
+        // of a target are listed in local-edge order, so walking the edge
+        // list with one cursor per target visits the same slots.
+        let ec = MetisLikePartitioner::new().partition(&g, 3).unwrap();
+        let ec_dg = DistributedGraph::build(&g, &ec).unwrap();
+        let mut unowned = 0usize;
+        for sg in ec_dg.subgraphs() {
+            let mut cursor = vec![0usize; sg.num_vertices()];
+            for (edge_index, edge) in sg.edges().iter().enumerate() {
+                let target = sg.local_index_of(edge.dst).unwrap();
+                let k = cursor[target];
+                cursor[target] += 1;
+                assert_eq!(
+                    sg.in_neighbors(target)[k] as usize,
+                    sg.local_index_of(edge.src).unwrap()
+                );
+                let owned = sg.in_neighbor_ownership(target).get(k).copied();
+                assert_eq!(owned.unwrap_or(true), sg.owns_edge(edge_index));
+                unowned += usize::from(!sg.owns_edge(edge_index));
+            }
+        }
+        assert!(
+            unowned > 0,
+            "the edge-cut build replicated no crossing edge"
+        );
     }
 
     #[test]
@@ -1390,6 +1490,7 @@ mod tests {
         // identical to the from-scratch rebuild (routing staleness after
         // `apply_mutations` would surface here).
         assert_eq!(a.routing(), b.routing(), "routing tables diverged");
+        assert_same_holder_lists(a, b);
     }
 
     #[test]

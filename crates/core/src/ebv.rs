@@ -27,6 +27,10 @@ use crate::ordering::EdgeOrder;
 use crate::partitioner::{check_partition_count, Partitioner};
 use crate::types::PartitionId;
 
+/// How many edges [`EbvPartitioner::partition_with_trace`] gathers from the
+/// edge list at a time before scoring them.
+const GATHER_BLOCK: usize = 1024;
+
 /// Configuration and entry point for the EBV algorithm.
 ///
 /// # Examples
@@ -197,52 +201,79 @@ impl EbvPartitioner {
 
         let mut keep = MembershipMatrix::new(num_vertices, num_partitions);
         let mut ecount = vec![0usize; num_partitions];
-        let mut vcount = vec![0usize; num_partitions];
         let mut assignment = vec![PartitionId::default(); num_edges];
 
+        // The two balance terms of every partition. An assignment changes
+        // the counters of the chosen partition only, so only its pair is
+        // refreshed — with the expressions the evaluation function is
+        // defined by, which keeps every score the same f64 as recomputing
+        // all 2p terms per edge.
+        let eterm_of = |edges: usize| self.alpha * edges as f64 / edges_per_part;
+        let vterm_of = |vertices: usize| self.beta * vertices as f64 / vertices_per_part;
+        let mut eterm = vec![eterm_of(0); num_partitions];
+        let mut vterm = vec![vterm_of(0); num_partitions];
+
         let sample_every = (num_edges / self.trace_samples).max(1);
+        let mut until_sample = sample_every;
         let mut trace = EbvTrace::with_capacity(self.trace_samples + 2, self.order.label());
 
+        // The order scatters reads over the edge list. Gathering a block of
+        // endpoints first lets those cache misses overlap each other instead
+        // of each one stalling a scoring step.
+        let edges = graph.edges();
         let order = self.order.arrange_indices(graph);
-        for (processed, &edge_index) in order.iter().enumerate() {
-            let edge = graph.edges()[edge_index];
-            let (u, v) = edge.endpoints();
-
-            let mut best_part = 0usize;
-            let mut best_score = f64::INFINITY;
-            for i in 0..num_partitions {
-                let part = PartitionId::from_index(i);
-                let mut score = 0.0;
-                if !keep.contains(u, part) {
-                    score += 1.0;
+        let mut block = Vec::with_capacity(GATHER_BLOCK);
+        let mut processed = 0usize;
+        for indices in order.chunks(GATHER_BLOCK) {
+            block.clear();
+            block.extend(indices.iter().map(|&i| edges[i].endpoints()));
+            for (&edge_index, &(u, v)) in indices.iter().zip(&block) {
+                // Lowest score wins, ties toward the lowest partition index.
+                // One 64-partition word of each endpoint's row at a time.
+                let mut best_part = 0usize;
+                let mut best_score = f64::INFINITY;
+                let rows = keep.row(u).iter().zip(keep.row(v));
+                let terms = eterm.chunks(64).zip(vterm.chunks(64));
+                for (word, ((&kept_u, &kept_v), (eterms, vterms))) in rows.zip(terms).enumerate() {
+                    let mut missing_u = !kept_u;
+                    let mut missing_v = !kept_v;
+                    for (bit, (&eterm, &vterm)) in eterms.iter().zip(vterms).enumerate() {
+                        let new_replicas = (missing_u & 1) + (missing_v & 1);
+                        let score = new_replicas as f64 + eterm + vterm;
+                        if score < best_score {
+                            best_score = score;
+                            best_part = 64 * word + bit;
+                        }
+                        missing_u >>= 1;
+                        missing_v >>= 1;
+                    }
                 }
-                if !keep.contains(v, part) {
-                    score += 1.0;
-                }
-                score += self.alpha * ecount[i] as f64 / edges_per_part;
-                score += self.beta * vcount[i] as f64 / vertices_per_part;
-                if score < best_score {
-                    best_score = score;
-                    best_part = i;
-                }
-            }
 
-            let part = PartitionId::from_index(best_part);
-            assignment[edge_index] = part;
-            ecount[best_part] += 1;
-            if keep.insert(u, part) {
-                vcount[best_part] += 1;
-            }
-            if v != u && keep.insert(v, part) {
-                vcount[best_part] += 1;
-            }
+                let part = PartitionId::from_index(best_part);
+                assignment[edge_index] = part;
+                ecount[best_part] += 1;
+                keep.insert(u, part);
+                keep.insert(v, part);
+                eterm[best_part] = eterm_of(ecount[best_part]);
+                vterm[best_part] = vterm_of(keep.partition_size(part));
 
-            if (processed + 1) % sample_every == 0 || processed + 1 == num_edges {
-                trace.push(
-                    processed + 1,
-                    keep.total_replicas() as f64 / num_vertices as f64,
-                );
+                processed += 1;
+                until_sample -= 1;
+                if until_sample == 0 {
+                    until_sample = sample_every;
+                    trace.push(
+                        processed,
+                        keep.total_replicas() as f64 / num_vertices as f64,
+                    );
+                }
             }
+        }
+        // The trace always ends at the final state.
+        if !num_edges.is_multiple_of(sample_every) {
+            trace.push(
+                num_edges,
+                keep.total_replicas() as f64 / num_vertices as f64,
+            );
         }
 
         let partition = EdgePartition::new(num_partitions, assignment)?;
@@ -321,7 +352,134 @@ impl EbvTrace {
 mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
+    use crate::ordering::tests::random_multigraph;
     use ebv_graph::generators::{named, GraphGenerator, RmatGenerator};
+
+    /// Algorithm 1 as [`EbvPartitioner::partition_with_trace`] ran it before
+    /// the balance terms were cached: all `2p` terms recomputed (two
+    /// divisions each) and one membership bit tested per partition and
+    /// endpoint, for every edge. Kept as the reference the cached loop is
+    /// checked against.
+    fn recomputing_partition_with_trace(
+        ebv: &EbvPartitioner,
+        graph: &Graph,
+        num_partitions: usize,
+    ) -> (Vec<PartitionId>, Vec<TracePoint>) {
+        let num_edges = graph.num_edges();
+        let num_vertices = graph.num_vertices();
+        let edges_per_part = num_edges as f64 / num_partitions as f64;
+        let vertices_per_part = num_vertices as f64 / num_partitions as f64;
+
+        let mut keep = MembershipMatrix::new(num_vertices, num_partitions);
+        let mut ecount = vec![0usize; num_partitions];
+        let mut vcount = vec![0usize; num_partitions];
+        let mut assignment = vec![PartitionId::default(); num_edges];
+        let sample_every = (num_edges / ebv.trace_samples).max(1);
+        let mut points = Vec::new();
+
+        let order = ebv.order.arrange_indices(graph);
+        for (processed, &edge_index) in order.iter().enumerate() {
+            let (u, v) = graph.edges()[edge_index].endpoints();
+            let mut best_part = 0usize;
+            let mut best_score = f64::INFINITY;
+            for i in 0..num_partitions {
+                let part = PartitionId::from_index(i);
+                let mut score = 0.0;
+                if !keep.contains(u, part) {
+                    score += 1.0;
+                }
+                if !keep.contains(v, part) {
+                    score += 1.0;
+                }
+                score += ebv.alpha * ecount[i] as f64 / edges_per_part;
+                score += ebv.beta * vcount[i] as f64 / vertices_per_part;
+                if score < best_score {
+                    best_score = score;
+                    best_part = i;
+                }
+            }
+            let part = PartitionId::from_index(best_part);
+            assignment[edge_index] = part;
+            ecount[best_part] += 1;
+            if keep.insert(u, part) {
+                vcount[best_part] += 1;
+            }
+            if v != u && keep.insert(v, part) {
+                vcount[best_part] += 1;
+            }
+            if (processed + 1) % sample_every == 0 || processed + 1 == num_edges {
+                points.push(TracePoint {
+                    edges_processed: processed + 1,
+                    replication_factor: keep.total_replicas() as f64 / num_vertices as f64,
+                });
+            }
+        }
+        (assignment, points)
+    }
+
+    #[test]
+    fn cached_terms_match_the_recomputing_loop_bit_for_bit() {
+        let weights = [0.0, 0.5, 1.0, 3.7];
+        let orders = [
+            EdgeOrder::DegreeSumAscending,
+            EdgeOrder::DegreeSumDescending,
+            EdgeOrder::Input,
+            EdgeOrder::Random(7),
+        ];
+        let mut compared = 0usize;
+        for seed in 0..160u64 {
+            let graph = random_multigraph(seed);
+            // p > 64 exercises multi-word membership rows.
+            for p in [1, 2, 8, 64, 65, 130] {
+                if check_partition_count(&graph, p).is_err() {
+                    continue;
+                }
+                let pick = seed as usize + p;
+                let ebv = EbvPartitioner::new()
+                    .with_alpha(weights[pick % 4])
+                    .with_beta(weights[pick / 4 % 4])
+                    .with_order(orders[pick / 16 % 4])
+                    .with_trace_samples(1 + pick % 9);
+                let (partition, trace) = ebv.partition_with_trace(&graph, p).unwrap();
+                let (assignment, points) = recomputing_partition_with_trace(&ebv, &graph, p);
+                let context = format!("seed {seed}, p {p}, {ebv:?}");
+                assert_eq!(partition.assignment(), assignment, "{context}");
+                assert_eq!(trace.points().len(), points.len(), "{context}");
+                for (got, want) in trace.points().iter().zip(&points) {
+                    assert_eq!(got.edges_processed, want.edges_processed, "{context}");
+                    assert_eq!(
+                        got.replication_factor.to_bits(),
+                        want.replication_factor.to_bits(),
+                        "{context}"
+                    );
+                }
+                compared += 1;
+            }
+        }
+        assert!(compared > 400, "only {compared} configurations ran");
+    }
+
+    #[test]
+    fn cached_terms_match_the_recomputing_loop_on_a_power_law_graph() {
+        // Long enough that the counters reach values whose terms round, and
+        // every α, β pair is hit.
+        let graph = RmatGenerator::new(9, 8).with_seed(6).generate().unwrap();
+        for alpha in [0.0, 0.5, 1.0, 3.7] {
+            for beta in [0.0, 0.5, 1.0, 3.7] {
+                for p in [8, 65] {
+                    let ebv = EbvPartitioner::new().with_alpha(alpha).with_beta(beta);
+                    let (partition, trace) = ebv.partition_with_trace(&graph, p).unwrap();
+                    let (assignment, points) = recomputing_partition_with_trace(&ebv, &graph, p);
+                    assert_eq!(
+                        partition.assignment(),
+                        assignment,
+                        "α {alpha} β {beta} p {p}"
+                    );
+                    assert_eq!(trace.points(), points, "α {alpha} β {beta} p {p}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn partitions_every_edge_exactly_once() {

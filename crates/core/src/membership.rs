@@ -70,6 +70,15 @@ impl MembershipMatrix {
         self.bits[word] & mask != 0
     }
 
+    /// The membership row of `v`: bit `i % 64` of word `i / 64` is set when
+    /// partition `i` keeps the vertex. Lets a scoring loop read the row once
+    /// per edge instead of testing one bit per partition.
+    #[inline]
+    pub(crate) fn row(&self, v: VertexId) -> &[u64] {
+        let start = v.index() * self.words_per_row;
+        &self.bits[start..start + self.words_per_row]
+    }
+
     /// Marks vertex `v` as kept by `part`. Returns `true` if the vertex was
     /// newly added (i.e. it was not already a member).
     #[inline]

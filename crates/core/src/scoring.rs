@@ -8,7 +8,12 @@
 //! once over [`CoverLookup`], so the insert-only bit-identity between the
 //! two is structural. The batch loops (`ebv.rs`, `baselines/hdrf.rs`) and
 //! [`PartitionMetrics::compute`] deliberately stay separate: they are the
-//! references the streaming and dynamic suites compare against.
+//! references the streaming and dynamic suites compare against. The batch
+//! EBV loop evaluates the same function in a different shape — it knows
+//! `|E|` and `|V|` up front, so the two balance terms are cached per
+//! partition and only the chosen partition's pair is refreshed — and is
+//! itself pinned bit for bit to the term-recomputing form written here by
+//! the reference loop in `ebv.rs`'s tests.
 
 use ebv_graph::VertexId;
 
