@@ -49,52 +49,7 @@ impl SubgraphProgram for BreadthFirstSearch {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _superstep: usize) -> usize {
-        let sg = ctx.subgraph();
-        let n = sg.num_vertices();
-        let mut changed = vec![false; n];
-
-        for (local, was_changed) in changed.iter_mut().enumerate() {
-            if let Some(min) = ctx.messages(local).iter().copied().min() {
-                if min < *ctx.value(local) {
-                    ctx.set_value(local, min);
-                    *was_changed = true;
-                }
-            }
-        }
-
-        // Local BFS expansion to a fixpoint within the subgraph, streaming
-        // each vertex's CSR neighbour slice.
-        loop {
-            let mut any = false;
-            for local in 0..n {
-                let depth = *ctx.value(local);
-                if depth == UNVISITED {
-                    continue;
-                }
-                for &neighbor in sg.out_neighbors(local) {
-                    let neighbor = neighbor as usize;
-                    ctx.add_work(1);
-                    if depth + 1 < *ctx.value(neighbor) {
-                        ctx.set_value(neighbor, depth + 1);
-                        changed[neighbor] = true;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
-        let mut updates = 0usize;
-        for (local, &was_changed) in changed.iter().enumerate() {
-            if was_changed {
-                updates += 1;
-                let depth = *ctx.value(local);
-                ctx.send_to_replicas(local, depth);
-            }
-        }
-        updates
+        crate::sssp::relax_superstep(ctx)
     }
 }
 

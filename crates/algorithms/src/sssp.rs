@@ -70,54 +70,63 @@ impl SubgraphProgram for SingleSourceShortestPath {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _superstep: usize) -> usize {
-        let sg = ctx.subgraph();
-        let n = sg.num_vertices();
-        let mut changed = vec![false; n];
-
-        for (local, was_changed) in changed.iter_mut().enumerate() {
-            if let Some(min) = ctx.messages(local).iter().copied().min() {
-                if min < *ctx.value(local) {
-                    ctx.set_value(local, min);
-                    *was_changed = true;
-                }
-            }
-        }
-
-        // Bellman–Ford relaxation over the local CSR adjacency to a
-        // fixpoint.
-        loop {
-            let mut any = false;
-            for local in 0..n {
-                let distance = *ctx.value(local);
-                if distance == UNREACHABLE {
-                    continue;
-                }
-                for &neighbor in sg.out_neighbors(local) {
-                    let neighbor = neighbor as usize;
-                    ctx.add_work(1);
-                    let candidate = distance + 1;
-                    if candidate < *ctx.value(neighbor) {
-                        ctx.set_value(neighbor, candidate);
-                        changed[neighbor] = true;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
-        let mut updates = 0usize;
-        for (local, &was_changed) in changed.iter().enumerate() {
-            if was_changed {
-                updates += 1;
-                let distance = *ctx.value(local);
-                ctx.send_to_replicas(local, distance);
-            }
-        }
-        updates
+        relax_superstep(ctx)
     }
+}
+
+/// One superstep of unit-weight distance relaxation, shared with
+/// [`BreadthFirstSearch`](crate::BreadthFirstSearch) (BFS depth *is*
+/// unit-weight distance and `UNVISITED == UNREACHABLE`): fold the distances
+/// received from other replicas, relax over the local CSR adjacency to a
+/// fixpoint, ship every improved distance to the other replicas. Returns
+/// the number of improved vertices.
+pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>) -> usize {
+    let sg = ctx.subgraph();
+    let n = sg.num_vertices();
+    let mut changed = vec![false; n];
+
+    for (local, was_changed) in changed.iter_mut().enumerate() {
+        if let Some(min) = ctx.messages(local).iter().copied().min() {
+            if min < *ctx.value(local) {
+                ctx.set_value(local, min);
+                *was_changed = true;
+            }
+        }
+    }
+
+    // Bellman–Ford relaxation over the local CSR adjacency to a fixpoint.
+    loop {
+        let mut any = false;
+        for local in 0..n {
+            let distance = *ctx.value(local);
+            if distance == UNREACHABLE {
+                continue;
+            }
+            for &neighbor in sg.out_neighbors(local) {
+                let neighbor = neighbor as usize;
+                ctx.add_work(1);
+                let candidate = distance + 1;
+                if candidate < *ctx.value(neighbor) {
+                    ctx.set_value(neighbor, candidate);
+                    changed[neighbor] = true;
+                    any = true;
+                }
+            }
+        }
+        if !any {
+            break;
+        }
+    }
+
+    let mut updates = 0usize;
+    for (local, &was_changed) in changed.iter().enumerate() {
+        if was_changed {
+            updates += 1;
+            let distance = *ctx.value(local);
+            ctx.send_to_replicas(local, distance);
+        }
+    }
+    updates
 }
 
 #[cfg(test)]

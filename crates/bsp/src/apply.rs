@@ -1,0 +1,347 @@
+//! Incremental mutation epochs: absorbing a [`MutationBatch`] in place.
+//!
+//! Invariant owned here: removals are LIFO (the most recent matching copy
+//! goes, survivors keep their order) and additions append in record order,
+//! so a mutated distribution is structurally identical to a fresh
+//! `build_streaming` of the surviving `(edge, partition)` stream — edge
+//! lists, holder lists, isolated lists, elected masters and routing table
+//! alike. An epoch is a fixed sequence of steps — validate removals → grow
+//! universe → incidence delta → new edge lists → re-elect affected →
+//! rebuild touched → routing patch — of which only the first can fail, and
+//! it mutates nothing, so a rejected batch leaves the distribution
+//! unchanged.
+
+use std::time::Instant;
+
+use ebv_graph::{Edge, IdHashMap, VertexId};
+use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
+use ebv_partition::PartitionId;
+
+use crate::distributed::DistributedGraph;
+use crate::error::{BspError, Result};
+use crate::mutation_batch::{MutationBatch, MutationStats};
+use crate::replica::MasterRule;
+use crate::subgraph::Subgraph;
+
+impl DistributedGraph {
+    /// Absorbs one batch of edge mutations in place, incrementally:
+    /// only the workers the batch references (plus any worker whose
+    /// isolated-vertex placement changed) are re-assembled, and master
+    /// election re-runs only for the vertices incident to mutated edges.
+    /// Untouched workers are kept as-is. Returns the [`MutationStats`] of
+    /// the epoch.
+    ///
+    /// Removals delete the *most recent* matching copy from the named
+    /// worker's edge list (matching the LIFO multiset semantics of
+    /// `ebv_partition::DynamicPartitioner::delete`) while preserving the
+    /// relative order of the surviving edges; additions append in record
+    /// order. The incremental result is structurally identical to
+    /// rebuilding from scratch over the surviving `(edge, partition)`
+    /// stream.
+    ///
+    /// An **empty batch** (including one whose inserts and deletes fully
+    /// cancelled in-batch) is a cheap no-op: nothing is cloned or rebuilt
+    /// and [`epoch`](Self::epoch) does **not** advance — epochs count
+    /// absorbed mutations, not calls.
+    ///
+    /// Only vertex-cut style distributions (every local edge owned) can be
+    /// mutated this way; edge-cut distributions replicate crossing edges
+    /// and are rejected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BspError::InvalidMutation`] when a removal references an
+    /// edge copy the named worker does not hold (reporting the smallest
+    /// such edge of the lowest-numbered failing partition, so the message
+    /// is deterministic) or the distribution is not vertex-cut, and
+    /// [`BspError::PartitionMismatch`] when a mutation names a partition
+    /// out of range. On error the distribution is left unchanged.
+    pub fn apply_mutations(&mut self, batch: &MutationBatch) -> Result<MutationStats> {
+        self.apply_mutations_with(batch, &NoopRecorder)
+    }
+
+    /// [`apply_mutations`](Self::apply_mutations) with telemetry: the whole
+    /// epoch is recorded as a `mutation_apply` span and the incremental
+    /// routing-table maintenance inside it as a `routing_patch` span (both
+    /// on the engine-side track, `worker == p`), plus mutation counters.
+    ///
+    /// Instrumentation does not perturb the result: every deterministic
+    /// field of the returned [`MutationStats`] and the distribution itself
+    /// are bit-identical to an uninstrumented call.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`apply_mutations`](Self::apply_mutations).
+    pub fn apply_mutations_with<R: Recorder>(
+        &mut self,
+        batch: &MutationBatch,
+        recorder: &R,
+    ) -> Result<MutationStats> {
+        if batch.is_empty() {
+            self.last_mutation = MutationStats::default();
+            return Ok(self.last_mutation);
+        }
+        if !self.is_vertex_cut() {
+            return Err(BspError::InvalidMutation {
+                message: "only vertex-cut distributions (every local edge owned) support \
+                          edge-level mutations"
+                    .to_string(),
+            });
+        }
+        // `apply_seconds` is always measured (one clock pair per epoch);
+        // the span is only timed when a real recorder is attached.
+        let wall_started = Instant::now();
+        let span_started = recorder.start();
+        let p = self.num_workers();
+
+        let keep_masks = self.validate_removals(batch)?;
+        // The workers whose edge lists change; re-election adds the homes
+        // of vertices that become or stop being isolated.
+        let mut touched = vec![false; p];
+        for &(_, part) in batch.removed().iter().chain(batch.added()) {
+            touched[part.index()] = true;
+        }
+        let old_n = self.grow_universe(batch);
+        let affected = self.update_incidence(batch, old_n);
+        let new_edges = self.new_edge_lists(batch, &touched, keep_masks);
+        self.reelect(&affected, &mut touched);
+        let (workers_touched, edges_rebuilt) = self.rebuild_touched(&touched, new_edges);
+
+        self.num_edges = self.subgraphs.iter().map(Subgraph::num_edges).sum();
+        self.epoch += 1;
+        // Bring the routing table in line: rebuilt workers get fresh route
+        // tables, affected vertices are re-routed inside untouched holders.
+        let span_ctx = SpanCtx {
+            epoch: self.epoch as u32,
+            superstep: 0,
+            worker: p as u32,
+        };
+        let patch_started = recorder.start();
+        self.routing.apply_update(
+            &self.subgraphs,
+            &self.replicas,
+            &touched,
+            &affected,
+            self.num_vertices,
+            self.epoch,
+        );
+        recorder.span(patch_started, span_ctx, Phase::RoutingPatch);
+        self.last_mutation = MutationStats {
+            workers_touched,
+            edges_rebuilt,
+            edges_added: batch.added().len(),
+            edges_removed: batch.removed().len(),
+            apply_seconds: wall_started.elapsed().as_secs_f64(),
+        };
+        recorder.span(span_started, span_ctx, Phase::MutationApply);
+        recorder.counter_add("ebv_mutation_epochs_total", 1);
+        recorder.counter_add("ebv_mutation_edges_added_total", batch.added().len() as u64);
+        recorder.counter_add(
+            "ebv_mutation_edges_removed_total",
+            batch.removed().len() as u64,
+        );
+        recorder.counter_add("ebv_mutation_edges_rebuilt_total", edges_rebuilt as u64);
+        Ok(self.last_mutation)
+    }
+
+    /// Step 1 — checks every partition the batch names and resolves every
+    /// removal to the *last* matching copy of its worker's edge list,
+    /// returning one keep-mask per worker that loses edges. Nothing is
+    /// mutated: this is the only step that can reject the batch.
+    fn validate_removals(&self, batch: &MutationBatch) -> Result<Vec<Option<Vec<bool>>>> {
+        let p = self.num_workers();
+        for &(_, part) in batch.removed().iter().chain(batch.added()) {
+            if part.index() >= p {
+                return Err(BspError::PartitionMismatch {
+                    message: format!(
+                        "mutation references partition {part} but only {p} partitions exist"
+                    ),
+                });
+            }
+        }
+        // Group removals per partition, then resolve the last occurrences in
+        // one reverse sweep per partition so survivor order is preserved.
+        let mut to_remove: Vec<IdHashMap<Edge, usize>> = vec![IdHashMap::default(); p];
+        for &(edge, part) in batch.removed() {
+            *to_remove[part.index()].entry(edge).or_insert(0) += 1;
+        }
+        let mut keep_masks: Vec<Option<Vec<bool>>> = vec![None; p];
+        for (i, pending) in to_remove.iter_mut().enumerate() {
+            if pending.is_empty() {
+                continue;
+            }
+            let edges = self.subgraphs[i].edges();
+            let mut keep = vec![true; edges.len()];
+            for index in (0..edges.len()).rev() {
+                if let Some(count) = pending.get_mut(&edges[index]) {
+                    if *count > 0 {
+                        *count -= 1;
+                        keep[index] = false;
+                    }
+                }
+            }
+            // Deterministic error: the smallest unmatched edge (partitions
+            // are scanned in ascending order).
+            if let Some(&edge) = pending
+                .iter()
+                .filter(|&(_, &count)| count > 0)
+                .map(|(edge, _)| edge)
+                .min()
+            {
+                return Err(BspError::InvalidMutation {
+                    message: format!("partition {i} holds no copy of edge {edge} to remove"),
+                });
+            }
+            keep_masks[i] = Some(keep);
+        }
+        Ok(keep_masks)
+    }
+
+    /// Step 2 — grows the vertex universe to cover additions past the
+    /// current maximum. Returns the previous universe size.
+    fn grow_universe(&mut self, batch: &MutationBatch) -> usize {
+        let old_n = self.num_vertices;
+        let mut n = old_n;
+        for &(edge, _) in batch.added() {
+            n = n.max(edge.src.index().max(edge.dst.index()) + 1);
+        }
+        if n > old_n {
+            self.incident_count.resize_with(n, Vec::new);
+            self.replicas.grow(n);
+            self.num_vertices = n;
+        }
+        old_n
+    }
+
+    /// Step 3 — delta-updates the per-vertex holder lists and returns the
+    /// *affected* vertices, ascending: the endpoints of mutated edges plus
+    /// any newly created vertices. Only these can change masters, replica
+    /// sets or isolated status.
+    fn update_incidence(&mut self, batch: &MutationBatch, old_n: usize) -> Vec<usize> {
+        let n = self.num_vertices;
+        let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
+        for &(edge, part) in batch.removed() {
+            for v in [edge.src, edge.dst] {
+                let counts = &mut self.incident_count[v.index()];
+                let slot = counts
+                    .binary_search_by_key(&part, |&(holder, _)| holder)
+                    .expect("validated removal implies live incidence");
+                counts[slot].1 -= 1;
+                if counts[slot].1 == 0 {
+                    counts.remove(slot);
+                }
+                affected.push(v.index());
+            }
+        }
+        for &(edge, part) in batch.added() {
+            for v in [edge.src, edge.dst] {
+                let counts = &mut self.incident_count[v.index()];
+                match counts.binary_search_by_key(&part, |&(holder, _)| holder) {
+                    Ok(slot) => counts[slot].1 += 1,
+                    Err(slot) => counts.insert(slot, (part, 1)),
+                }
+                affected.push(v.index());
+            }
+        }
+        affected.extend(old_n..n);
+        affected.sort_unstable();
+        affected.dedup();
+        affected
+    }
+
+    /// Step 4 — the new edge lists of the batch-touched workers: survivors
+    /// in original order, then additions in record order — the same stream
+    /// a fresh streamed build of the survivors would consume.
+    fn new_edge_lists(
+        &mut self,
+        batch: &MutationBatch,
+        touched: &[bool],
+        mut keep_masks: Vec<Option<Vec<bool>>>,
+    ) -> Vec<Option<Vec<Edge>>> {
+        let mut new_edges: Vec<Option<Vec<Edge>>> = vec![None; touched.len()];
+        for (i, sg) in self.subgraphs.iter_mut().enumerate() {
+            if !touched[i] {
+                continue;
+            }
+            let mut edges = sg.take_edges();
+            if let Some(keep) = keep_masks[i].take() {
+                let mut it = keep.iter();
+                edges.retain(|_| *it.next().expect("keep mask covers every edge"));
+            }
+            new_edges[i] = Some(edges);
+        }
+        for &(edge, part) in batch.added() {
+            new_edges[part.index()]
+                .as_mut()
+                .expect("addition partitions are touched")
+                .push(edge);
+        }
+        new_edges
+    }
+
+    /// Step 5 — re-elects the affected vertices and keeps the isolated
+    /// lists in step; the home worker of a vertex that becomes or stops
+    /// being isolated is marked touched (its vertex table changes though
+    /// its edges did not). Then patches the master flags of affected
+    /// vertices inside the workers that are *not* being re-assembled: a
+    /// worker that starts or stops holding a vertex had its edge list
+    /// touched, so a kept worker can only gain or lose a master flag.
+    fn reelect(&mut self, affected: &[usize], touched: &mut [bool]) {
+        let p = self.num_workers();
+        for &vi in affected {
+            let v = VertexId::from(vi);
+            let home = &mut self.isolated_per_part[vi % p];
+            let holders = &self.incident_count[vi];
+            let is_isolated = self
+                .replicas
+                .elect(v, holders, p, MasterRule::IncidentMajority);
+            match (home.binary_search(&v), is_isolated) {
+                (Err(pos), true) => home.insert(pos, v),
+                (Ok(pos), false) => {
+                    home.remove(pos);
+                }
+                _ => continue,
+            }
+            touched[vi % p] = true;
+        }
+        for &vi in affected {
+            let v = VertexId::from(vi);
+            let master = self.replicas.master_of(v);
+            for &holder in self.replicas.replicas_of(v) {
+                if !touched[holder.index()] {
+                    self.subgraphs[holder.index()].set_master(v, holder == master);
+                }
+            }
+        }
+    }
+
+    /// Step 6 — re-assembles exactly the touched workers, from their new
+    /// edge list or (touched only through an isolated-placement change) the
+    /// one they have. Returns the workers rebuilt and the edges re-indexed.
+    fn rebuild_touched(
+        &mut self,
+        touched: &[bool],
+        mut new_edges: Vec<Option<Vec<Edge>>>,
+    ) -> (usize, usize) {
+        let mut workers_touched = 0usize;
+        let mut edges_rebuilt = 0usize;
+        let mut scratch = Subgraph::build_scratch(self.num_vertices);
+        for (i, sg) in self.subgraphs.iter_mut().enumerate() {
+            if !touched[i] {
+                continue;
+            }
+            workers_touched += 1;
+            let edges = new_edges[i].take().unwrap_or_else(|| sg.take_edges());
+            edges_rebuilt += edges.len();
+            *sg = Subgraph::build(
+                PartitionId::from_index(i),
+                edges,
+                Vec::new(),
+                &self.isolated_per_part[i],
+                &self.replicas,
+                &mut scratch,
+            );
+        }
+        (workers_touched, edges_rebuilt)
+    }
+}

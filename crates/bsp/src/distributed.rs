@@ -1,0 +1,305 @@
+//! The distributed graph: per-worker subgraphs, the replica table and the
+//! election state, assembled from per-partition edge lists.
+//!
+//! Invariants owned here: every vertex's holder list (`incident_count`) is
+//! strictly ascending by partition with positive counts; every partition's
+//! isolated list is ascending by vertex id; and every construction path —
+//! batch [`DistributedGraph::build`], the streaming builder, and a mutation
+//! epoch over the survivors — ends in the same [`assemble`]d state, which
+//! [`DistributedGraph::same_structure`] compares.
+
+use ebv_graph::{Edge, Graph, VertexId};
+use ebv_partition::{PartitionId, PartitionResult};
+
+use crate::error::{BspError, Result};
+use crate::mutation_batch::MutationStats;
+use crate::replica::{MasterRule, ReplicaTable};
+use crate::routing::RoutingTable;
+use crate::subgraph::Subgraph;
+
+/// A graph distributed over `p` workers: the per-worker subgraphs plus the
+/// replica table used for routing messages.
+#[derive(Debug, Clone)]
+pub struct DistributedGraph {
+    // Crate-visible for `apply`, which mutates this state in place; every
+    // other module goes through the methods.
+    pub(crate) subgraphs: Vec<Subgraph>,
+    pub(crate) replicas: ReplicaTable,
+    pub(crate) num_vertices: usize,
+    pub(crate) num_edges: usize,
+    /// Number of mutation epochs absorbed since the initial build.
+    pub(crate) epoch: usize,
+    /// Per-vertex live-incidence counts per holding partition, kept sorted
+    /// by partition — the master-election state of [`assemble`], kept
+    /// resident and delta-updated so a mutation epoch re-elects only the
+    /// vertices it actually touches. A sorted inline list beats a hash map
+    /// here: almost every vertex has one or two holders, lookups are a
+    /// short binary search, and the resident/clone cost is a fraction of a
+    /// `HashMap` per vertex.
+    pub(crate) incident_count: Vec<Vec<(PartitionId, u32)>>,
+    /// Per-partition isolated vertices, in increasing id order (the order
+    /// [`assemble`] feeds them to [`Subgraph::build`]).
+    pub(crate) isolated_per_part: Vec<Vec<VertexId>>,
+    /// Counters of the most recent mutation epoch (zeroed on fresh builds).
+    pub(crate) last_mutation: MutationStats,
+    /// Precomputed message routes and master locations, maintained in
+    /// lockstep with the subgraphs (epoch-versioned; see
+    /// [`crate::routing`]).
+    pub(crate) routing: RoutingTable,
+}
+
+impl DistributedGraph {
+    /// Distributes `graph` according to `partition`.
+    ///
+    /// For vertex-cut results each partition receives exactly the edges
+    /// assigned to it; the master replica of a vertex is the partition
+    /// holding the most of its incident edges (ties toward the lower
+    /// partition id). For edge-cut results each partition owns its assigned
+    /// vertices (which become masters) and holds every edge incident to
+    /// them, so crossing edges appear in both endpoint partitions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BspError::PartitionMismatch`] when `partition` does not
+    /// describe `graph`.
+    pub fn build(graph: &Graph, partition: &PartitionResult) -> Result<Self> {
+        partition
+            .validate(graph)
+            .map_err(|e| BspError::PartitionMismatch {
+                message: e.to_string(),
+            })?;
+        let p = partition.num_partitions();
+        let n = graph.num_vertices();
+
+        // Edge lists per partition, sized exactly up front, with the
+        // ownership flags used by sum-style programs (left empty by a
+        // vertex-cut, which owns every copy).
+        let copies = partition.edge_counts(graph);
+        let mut edges_per_part: Vec<Vec<Edge>> =
+            copies.iter().map(|&c| Vec::with_capacity(c)).collect();
+        let mut owned_per_part: Vec<Vec<bool>> = vec![Vec::new(); p];
+        let master_rule = match partition {
+            PartitionResult::VertexCut(vc) => {
+                for (edge, part) in graph.edges().iter().zip(vc.assignment()) {
+                    edges_per_part[part.index()].push(*edge);
+                }
+                MasterRule::IncidentMajority
+            }
+            PartitionResult::EdgeCut(ec) => {
+                for (owned, &c) in owned_per_part.iter_mut().zip(&copies) {
+                    owned.reserve_exact(c);
+                }
+                for edge in graph.edges() {
+                    let ps = ec.part_of(edge.src);
+                    let pd = ec.part_of(edge.dst);
+                    edges_per_part[ps.index()].push(*edge);
+                    owned_per_part[ps.index()].push(true);
+                    if pd != ps {
+                        edges_per_part[pd.index()].push(*edge);
+                        owned_per_part[pd.index()].push(false);
+                    }
+                }
+                MasterRule::Owner(ec)
+            }
+        };
+        Ok(assemble(
+            p,
+            n,
+            graph.num_edges(),
+            edges_per_part,
+            owned_per_part,
+            master_rule,
+            0,
+        ))
+    }
+
+    /// Number of workers (subgraphs).
+    pub fn num_workers(&self) -> usize {
+        self.subgraphs.len()
+    }
+
+    /// Number of vertices in the global graph.
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// Number of edges in the global graph.
+    pub fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+
+    /// The per-worker subgraphs, indexed by partition.
+    pub fn subgraphs(&self) -> &[Subgraph] {
+        &self.subgraphs
+    }
+
+    /// The subgraph of worker `part`.
+    pub fn subgraph(&self, part: PartitionId) -> &Subgraph {
+        &self.subgraphs[part.index()]
+    }
+
+    /// The replica table.
+    pub fn replicas(&self) -> &ReplicaTable {
+        &self.replicas
+    }
+
+    /// The replication factor `Σ_i |V_i| / |V|` of this distribution; the
+    /// neutral `1.0` over an empty universe.
+    pub fn replication_factor(&self) -> f64 {
+        if self.num_vertices == 0 {
+            return 1.0;
+        }
+        self.replicas.total_replicas() as f64 / self.num_vertices as f64
+    }
+
+    /// Number of mutation epochs this distribution has absorbed: 0 for a
+    /// fresh build, incremented by every non-empty
+    /// [`apply_mutations`](Self::apply_mutations) batch.
+    pub fn epoch(&self) -> usize {
+        self.epoch
+    }
+
+    /// Whether every local edge is owned (the vertex-cut invariant). Only
+    /// such distributions support [`apply_mutations`](Self::apply_mutations).
+    pub fn is_vertex_cut(&self) -> bool {
+        self.subgraphs.iter().all(Subgraph::owns_every_edge)
+    }
+
+    /// Counters of the most recent mutation epoch: how many workers were
+    /// re-assembled and how many local edges that re-indexing covered.
+    /// Zeroed for fresh builds and after an empty (no-op) batch.
+    pub fn last_mutation(&self) -> MutationStats {
+        self.last_mutation
+    }
+
+    /// The precomputed routing table the engine's communication stage and
+    /// final value extraction run on.
+    pub(crate) fn routing(&self) -> &RoutingTable {
+        &self.routing
+    }
+
+    /// Whether two distributions are structurally identical: same
+    /// per-worker edge lists (content, ownership and order), same local
+    /// vertex tables and master flags, same replica table, and same
+    /// routing tables.
+    ///
+    /// This is the recovery-equivalence predicate: a distribution rebuilt
+    /// from a checkpoint plus a WAL replay must satisfy it against the
+    /// never-crashed original. The *epoch counter* is compared separately
+    /// by callers ([`epoch`](Self::epoch) is lineage, not structure), and
+    /// [`last_mutation`](Self::last_mutation) is excluded because its
+    /// `apply_seconds` field is wall-clock.
+    pub fn same_structure(&self, other: &Self) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.num_edges == other.num_edges
+            && self.subgraphs.len() == other.subgraphs.len()
+            && self
+                .subgraphs
+                .iter()
+                .zip(&other.subgraphs)
+                .all(|(a, b)| a.same_structure(b))
+            && self.replicas.same_structure(&other.replicas)
+            && self.incident_count == other.incident_count
+            && self.isolated_per_part == other.isolated_per_part
+            && self.routing == other.routing
+    }
+}
+
+/// Shared final assembly step: replica sets, master election, isolated
+/// vertex placement and per-worker subgraph construction, stamped with the
+/// mutation `epoch` the result continues. Both [`DistributedGraph::build`]
+/// and [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
+/// end here, which is what keeps the streaming and batch paths structurally
+/// identical.
+pub(crate) fn assemble(
+    p: usize,
+    n: usize,
+    num_edges: usize,
+    edges_per_part: Vec<Vec<Edge>>,
+    owned_per_part: Vec<Vec<bool>>,
+    master_rule: MasterRule<'_>,
+    epoch: usize,
+) -> DistributedGraph {
+    // Partitions are visited in ascending order, so a vertex's entry for
+    // the current partition, if it has one, is the last of its list: bump
+    // it or append — the lists come out sorted without a search, which is
+    // the order `apply_mutations` binary-searches.
+    let mut incident_count: Vec<Vec<(PartitionId, u32)>> = vec![Vec::new(); n];
+    for (i, edges) in edges_per_part.iter().enumerate() {
+        let part = PartitionId::from_index(i);
+        for v in edges.iter().flat_map(|e| [e.src, e.dst]) {
+            match incident_count[v.index()].last_mut() {
+                Some((holder, count)) if *holder == part => *count += 1,
+                _ => incident_count[v.index()].push((part, 1)),
+            }
+        }
+    }
+    debug_assert!(
+        incident_count
+            .iter()
+            .all(|holders| holders.windows(2).all(|w| w[0].0 < w[1].0)),
+        "holder lists are strictly ascending by partition"
+    );
+    // Vertices are elected in ascending order, so the isolated lists come
+    // out ascending too.
+    let mut replicas = ReplicaTable::new(n);
+    let mut isolated_per_part: Vec<Vec<VertexId>> = vec![Vec::new(); p];
+    for (v, holders) in incident_count.iter().enumerate() {
+        let v = VertexId::from(v);
+        if replicas.elect(v, holders, p, master_rule) {
+            isolated_per_part[v.index() % p].push(v);
+        }
+    }
+
+    let mut scratch = Subgraph::build_scratch(n);
+    let subgraphs: Vec<Subgraph> = edges_per_part
+        .into_iter()
+        .zip(owned_per_part)
+        .enumerate()
+        .map(|(i, (edges, owned))| {
+            Subgraph::build(
+                PartitionId::from_index(i),
+                edges,
+                owned,
+                &isolated_per_part[i],
+                &replicas,
+                &mut scratch,
+            )
+        })
+        .collect();
+
+    let routing = RoutingTable::build(&subgraphs, &replicas, n, epoch);
+    DistributedGraph {
+        subgraphs,
+        replicas,
+        num_vertices: n,
+        num_edges,
+        epoch,
+        incident_count,
+        isolated_per_part,
+        last_mutation: MutationStats::default(),
+        routing,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mutation_batch::MutationBatch;
+
+    #[test]
+    fn replication_factor_of_the_empty_seed_is_neutral() {
+        // The state every churn run starts from: no vertices, no edges.
+        let mut dg = DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
+        assert_eq!(dg.num_vertices(), 0);
+        assert_eq!(dg.replication_factor(), 1.0);
+
+        // After the first applied batch it is the real ratio again: vertex 1
+        // is held by both partitions, vertices 0 and 2 by one each.
+        let mut batch = MutationBatch::new();
+        batch.record_insert(Edge::from((0u64, 1u64)), PartitionId::new(0));
+        batch.record_insert(Edge::from((1u64, 2u64)), PartitionId::new(1));
+        dg.apply_mutations(&batch).unwrap();
+        assert_eq!(dg.replication_factor(), 4.0 / 3.0);
+    }
+}

@@ -30,12 +30,12 @@ use std::sync::Arc;
 use ebv_graph::VertexId;
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 
+use crate::distributed::DistributedGraph;
 use crate::error::{BspError, Result};
 use crate::exchange::{self, MessagePlane};
 use crate::program::{SubgraphContext, SubgraphProgram};
 use crate::publish::ValueSink;
 use crate::stats::{ExecutionStats, SuperstepStats, WorkerSuperstepStats};
-use crate::subgraph::DistributedGraph;
 
 /// Options for one engine run: telemetry, a warm-start seed and snapshot
 /// publication are each an optional stage of [`BspEngine::run_opts`]; the

@@ -34,12 +34,17 @@
 #![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+mod apply;
+mod builder;
 pub mod config;
+mod distributed;
 mod engine;
 mod error;
 mod exchange;
+mod mutation_batch;
 mod program;
 pub mod publish;
+mod replica;
 mod routing;
 mod stats;
 mod subgraph;

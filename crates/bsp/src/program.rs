@@ -191,8 +191,8 @@ pub trait SubgraphProgram: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistributedGraph;
     use crate::exchange::InboxView;
-    use crate::subgraph::DistributedGraph;
     use ebv_graph::Graph;
     use ebv_partition::{EbvPartitioner, Partitioner};
 

@@ -44,14 +44,14 @@ pub trait ValueSink<V>: Sync {
 /// values through [`ValueSink`]s). Implementations must be safe to call
 /// while concurrent readers hold the previous epoch's snapshot — that is
 /// the entire point. The post-apply
-/// [`DistributedGraph`](crate::subgraph::DistributedGraph) is passed so a
+/// [`DistributedGraph`](crate::distributed::DistributedGraph) is passed so a
 /// store can tag the snapshot (epoch, vertex count) and optionally derive
 /// structural reads (adjacency) from the same state the values were
 /// computed on.
 pub trait EpochCommitter {
     /// Flips the staged values into the readable snapshot for
     /// `distributed.epoch()`.
-    fn commit_epoch(&self, distributed: &crate::subgraph::DistributedGraph);
+    fn commit_epoch(&self, distributed: &crate::distributed::DistributedGraph);
 }
 
 /// The durability seam of the dynamic pipeline: a write-ahead log plus
@@ -92,7 +92,7 @@ pub trait DurabilityHook {
         &self,
         epoch: u64,
         events_seen: u64,
-        batch: &crate::subgraph::MutationBatch,
+        batch: &crate::mutation_batch::MutationBatch,
     ) -> std::io::Result<()>;
 
     /// Marks epoch `distributed.epoch()` fully applied, computed and
@@ -106,7 +106,7 @@ pub trait DurabilityHook {
     /// Any I/O failure; the pipeline treats it as fatal for the run.
     fn epoch_durable(
         &self,
-        distributed: &crate::subgraph::DistributedGraph,
+        distributed: &crate::distributed::DistributedGraph,
         partitioner: &ebv_partition::DynamicPartitioner,
         events_seen: u64,
     ) -> std::io::Result<()>;

@@ -22,7 +22,8 @@
 use ebv_graph::VertexId;
 use ebv_partition::PartitionId;
 
-use crate::subgraph::{ReplicaTable, Subgraph};
+use crate::replica::ReplicaTable;
+use crate::subgraph::Subgraph;
 
 /// One delivery destination: the worker holding the replica and the
 /// replica's local index inside that worker's subgraph.
@@ -163,6 +164,25 @@ fn push_routes(
     }
 }
 
+/// The one derivation of a master location: worker `worker` holds `v` at
+/// `local`, which is `v`'s master location exactly when that worker is its
+/// elected master. Every vertex has exactly one master replica, so offering
+/// all of a vertex's (re-indexed) replicas settles its entry.
+fn record_if_master(
+    master_location: &mut [Route],
+    replicas: &ReplicaTable,
+    v: VertexId,
+    worker: u32,
+    local: usize,
+) {
+    if replicas.master_of(v).raw() == worker {
+        master_location[v.index()] = Route {
+            worker,
+            local: u32::try_from(local).expect("local index fits u32"),
+        };
+    }
+}
+
 /// The distribution-wide routing table: per-worker route slices plus the
 /// master-location array used by final value extraction. See the module
 /// docs for the layout and the incremental-maintenance contract.
@@ -201,13 +221,9 @@ impl RoutingTable {
             .collect();
         let mut master_location = vec![ABSENT; num_vertices];
         for (d, sg) in subgraphs.iter().enumerate() {
+            let d = u32::try_from(d).expect("worker fits u32");
             for (local, &v) in sg.vertices().iter().enumerate() {
-                if replicas.master_of(v).index() == d {
-                    master_location[v.index()] = Route {
-                        worker: u32::try_from(d).expect("worker fits u32"),
-                        local: u32::try_from(local).expect("local index fits u32"),
-                    };
-                }
+                record_if_master(&mut master_location, replicas, v, d, local);
             }
         }
         RoutingTable {
@@ -220,14 +236,6 @@ impl RoutingTable {
     /// The epoch this table was built (or last updated) for.
     pub(crate) fn epoch(&self) -> usize {
         self.epoch
-    }
-
-    /// Re-stamps the epoch without touching the routes. Used when a
-    /// freshly assembled distribution is adopted as the continuation of an
-    /// earlier lineage (checkpoint recovery): the routes are already the
-    /// from-scratch rebuild, only the version label must follow the graph.
-    pub(crate) fn set_epoch(&mut self, epoch: usize) {
-        self.epoch = epoch;
     }
 
     /// The per-worker route tables, indexed by worker.
@@ -284,17 +292,11 @@ impl RoutingTable {
             }
             let dest = u32::try_from(d).expect("worker fits u32");
             for (local, &v) in sg.vertices().iter().enumerate() {
-                let vi = v.index();
-                let local = u32::try_from(local).expect("local index fits u32");
-                if replicas.master_of(v).index() == d {
-                    self.master_location[vi] = Route {
-                        worker: dest,
-                        local,
-                    };
-                }
-                if affected.binary_search(&vi).is_ok() {
+                record_if_master(&mut self.master_location, replicas, v, dest, local);
+                if affected.binary_search(&v.index()).is_ok() {
                     continue;
                 }
+                let local = u32::try_from(local).expect("local index fits u32");
                 for &holder in replicas.replicas_of(v) {
                     let h = holder.index();
                     if h == d || rebuilt[h] {
@@ -308,26 +310,14 @@ impl RoutingTable {
             }
         }
 
-        // Affected vertices: recompute master locations and the route
-        // lists inside untouched holders (rebuilt holders already have
-        // them from the wholesale rebuild).
+        // Affected vertices: recompute the master location (a master that
+        // sits in a rebuilt holder was recorded above) and the route lists
+        // inside untouched holders (rebuilt holders already have theirs
+        // from the wholesale rebuild).
         let mut changes: Vec<Vec<(usize, Vec<Route>)>> = vec![Vec::new(); subgraphs.len()];
         for &vi in affected {
             let v = VertexId::from(vi);
-            let holders = replicas.replicas_of(v);
-            self.master_location[vi] = if holders.is_empty() {
-                ABSENT
-            } else {
-                let master = replicas.master_of(v);
-                let local = subgraphs[master.index()]
-                    .local_index_of(v)
-                    .expect("master holds its vertex");
-                Route {
-                    worker: master.raw(),
-                    local: u32::try_from(local).expect("local index fits u32"),
-                }
-            };
-            for &holder in holders {
+            for &holder in replicas.replicas_of(v) {
                 let h = holder.index();
                 if rebuilt[h] {
                     continue;
@@ -335,6 +325,7 @@ impl RoutingTable {
                 let hl = subgraphs[h]
                     .local_index_of(v)
                     .expect("replica table lists this holder");
+                record_if_master(&mut self.master_location, replicas, v, holder.raw(), hl);
                 let mut routes = Vec::new();
                 push_routes(h, v, subgraphs, replicas, &mut routes);
                 changes[h].push((hl, routes));

@@ -1,0 +1,833 @@
+//! The distribution layer's structural suite: `Subgraph`, replica table,
+//! mutation batches, batch and streaming assembly, and mutation epochs,
+//! checked against each other (`assert_same_distribution`: a mutated
+//! distribution equals a fresh `build_streaming` of the survivors).
+
+use super::*;
+use crate::BspError;
+use ebv_graph::Graph;
+use ebv_partition::{EbvPartitioner, MetisLikePartitioner, Partitioner};
+
+fn square() -> Graph {
+    Graph::from_edges(vec![(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap()
+}
+
+#[test]
+fn vertex_cut_distribution_covers_all_edges_once() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    assert_eq!(dg.num_workers(), 2);
+    let total_edges: usize = dg.subgraphs().iter().map(|s| s.num_edges()).sum();
+    assert_eq!(total_edges, g.num_edges());
+}
+
+#[test]
+fn every_vertex_has_exactly_one_master() {
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 4).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    for v in g.vertices() {
+        let master = dg.replicas().master_of(v);
+        let master_count = dg
+            .subgraphs()
+            .iter()
+            .filter(|s| s.local_index_of(v).map(|i| s.is_master(i)).unwrap_or(false))
+            .count();
+        if dg.replicas().replica_count(v) > 0 {
+            assert_eq!(master_count, 1, "vertex {v}");
+            assert!(dg.replicas().replicas_of(v).contains(&master));
+        }
+    }
+}
+
+#[test]
+fn replica_table_matches_subgraph_contents() {
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 4).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    for v in g.vertices() {
+        let holders: Vec<PartitionId> = dg
+            .subgraphs()
+            .iter()
+            .filter(|s| s.local_index_of(v).is_some())
+            .map(|s| s.part())
+            .collect();
+        assert_eq!(holders, dg.replicas().replicas_of(v), "vertex {v}");
+    }
+    let rf = dg.replication_factor();
+    assert!(rf >= 1.0 - 1e-9);
+}
+
+#[test]
+fn edge_cut_distribution_replicates_crossing_edges() {
+    let g = square();
+    let partition = MetisLikePartitioner::new().partition(&g, 2).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    let total_edges: usize = dg.subgraphs().iter().map(|s| s.num_edges()).sum();
+    assert!(total_edges >= g.num_edges());
+    // Masters come from the edge-cut ownership.
+    let ec = partition.as_edge_cut().unwrap();
+    for v in g.vertices() {
+        assert_eq!(dg.replicas().master_of(v), ec.part_of(v));
+    }
+    // Each original edge is owned by exactly one subgraph copy.
+    let owned_edges: usize = dg
+        .subgraphs()
+        .iter()
+        .map(|s| (0..s.num_edges()).filter(|&i| s.owns_edge(i)).count())
+        .sum();
+    assert_eq!(owned_edges, g.num_edges());
+}
+
+#[test]
+fn vertex_cut_subgraphs_own_every_local_edge() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    for s in dg.subgraphs() {
+        assert!((0..s.num_edges()).all(|i| s.owns_edge(i)));
+    }
+}
+
+#[test]
+fn local_adjacency_is_consistent() {
+    let g = ebv_graph::generators::named::two_triangles();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    for s in dg.subgraphs() {
+        for (li, v) in s.vertices().iter().enumerate() {
+            assert_eq!(s.local_index_of(*v), Some(li));
+            assert_eq!(s.vertex_at(li), *v);
+            let out_edges = s.edges().iter().filter(|e| e.src == *v).count();
+            assert_eq!(s.out_neighbors(li).len(), out_edges);
+            let in_edges = s.edges().iter().filter(|e| e.dst == *v).count();
+            assert_eq!(s.in_neighbors(li).len(), in_edges);
+        }
+        assert!(s.master_indices().count() <= s.num_vertices());
+    }
+}
+
+#[test]
+fn streaming_builder_matches_batch_build() {
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
+    let batch = DistributedGraph::build(&g, &partition).unwrap();
+    let vc = partition.as_vertex_cut().unwrap();
+    let streamed = DistributedGraph::build_streaming(
+        3,
+        Some(g.num_vertices()),
+        g.edges()
+            .iter()
+            .copied()
+            .zip(vc.assignment().iter().copied()),
+    )
+    .unwrap();
+    assert_eq!(streamed.num_workers(), batch.num_workers());
+    assert_eq!(streamed.num_vertices(), batch.num_vertices());
+    assert_eq!(streamed.num_edges(), batch.num_edges());
+    for v in g.vertices() {
+        assert_eq!(
+            streamed.replicas().master_of(v),
+            batch.replicas().master_of(v),
+            "vertex {v}"
+        );
+        assert_eq!(
+            streamed.replicas().replicas_of(v),
+            batch.replicas().replicas_of(v),
+            "vertex {v}"
+        );
+    }
+    for (s, b) in streamed.subgraphs().iter().zip(batch.subgraphs()) {
+        assert_eq!(s.edges(), b.edges());
+        assert_eq!(s.vertices(), b.vertices());
+    }
+    assert_same_holder_lists(&streamed, &batch);
+}
+
+/// The per-vertex holder lists (partition, live incidence) themselves,
+/// not only the masters elected from them: `apply_mutations` binary
+/// searches these, so they must come out of every construction path
+/// identical and strictly ascending by partition.
+fn assert_same_holder_lists(a: &DistributedGraph, b: &DistributedGraph) {
+    assert_eq!(a.incident_count, b.incident_count, "holder lists diverged");
+    for (v, holders) in a.incident_count.iter().enumerate() {
+        assert!(
+            holders.windows(2).all(|w| w[0].0 < w[1].0),
+            "holders of vertex {v} are not strictly ascending: {holders:?}"
+        );
+        assert!(holders.iter().all(|&(_, count)| count > 0), "vertex {v}");
+    }
+}
+
+#[test]
+fn in_neighbor_ownership_is_empty_for_vertex_cut_and_aligned_for_edge_cut() {
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    let all_empty = |dg: &DistributedGraph| {
+        dg.subgraphs().iter().all(|sg| {
+            sg.in_owned.is_empty()
+                && (0..sg.num_vertices()).all(|l| sg.in_neighbor_ownership(l).is_empty())
+        })
+    };
+    assert!(all_empty(&dg));
+    // A re-assembled (touched) worker still owns every edge.
+    let mut batch = MutationBatch::new();
+    batch.record_delete(g.edges()[0], partition.as_vertex_cut().unwrap().part_of(0));
+    batch.record_insert(Edge::from((2u64, 11u64)), PartitionId::new(1));
+    let stats = dg.apply_mutations(&batch).unwrap();
+    assert!(stats.workers_touched >= 1);
+    assert!(all_empty(&dg));
+
+    // Edge-cut: the slice is `owns_edge` in in-CSR order. In-neighbours
+    // of a target are listed in local-edge order, so walking the edge
+    // list with one cursor per target visits the same slots.
+    let ec = MetisLikePartitioner::new().partition(&g, 3).unwrap();
+    let ec_dg = DistributedGraph::build(&g, &ec).unwrap();
+    let mut unowned = 0usize;
+    for sg in ec_dg.subgraphs() {
+        let mut cursor = vec![0usize; sg.num_vertices()];
+        for (edge_index, edge) in sg.edges().iter().enumerate() {
+            let target = sg.local_index_of(edge.dst).unwrap();
+            let k = cursor[target];
+            cursor[target] += 1;
+            assert_eq!(
+                sg.in_neighbors(target)[k] as usize,
+                sg.local_index_of(edge.src).unwrap()
+            );
+            let owned = sg.in_neighbor_ownership(target).get(k).copied();
+            assert_eq!(owned.unwrap_or(true), sg.owns_edge(edge_index));
+            unowned += usize::from(!sg.owns_edge(edge_index));
+        }
+    }
+    assert!(
+        unowned > 0,
+        "the edge-cut build replicated no crossing edge"
+    );
+}
+
+#[test]
+fn streaming_builder_places_isolated_vertices() {
+    let streamed = DistributedGraph::build_streaming(
+        2,
+        Some(5),
+        vec![(Edge::from((0u64, 1u64)), PartitionId::new(0))],
+    )
+    .unwrap();
+    assert_eq!(streamed.num_vertices(), 5);
+    // Vertices 2..5 are isolated; each still has exactly one master.
+    for v in 2..5u64 {
+        assert_eq!(streamed.replicas().replica_count(VertexId::new(v)), 1);
+    }
+}
+
+#[test]
+fn streaming_builder_rejects_bad_input() {
+    assert!(DistributedGraphBuilder::new(0).is_err());
+    let mut builder = DistributedGraphBuilder::new(2).unwrap();
+    assert!(builder
+        .add_edge(Edge::from((0u64, 1u64)), PartitionId::new(5))
+        .is_err());
+    builder
+        .add_edge(Edge::from((0u64, 9u64)), PartitionId::new(1))
+        .unwrap();
+    assert_eq!(builder.num_edges(), 1);
+    // Hint smaller than the largest streamed endpoint.
+    let too_small = builder.clone().with_num_vertices(3);
+    assert!(too_small.finish().is_err());
+}
+
+#[test]
+fn empty_stream_with_hint_yields_isolated_only_workers() {
+    let streamed = DistributedGraph::build_streaming(3, Some(4), Vec::new()).unwrap();
+    assert_eq!(streamed.num_workers(), 3);
+    assert_eq!(streamed.num_edges(), 0);
+    assert_eq!(streamed.num_vertices(), 4);
+    let total_vertices: usize = streamed.subgraphs().iter().map(|s| s.num_vertices()).sum();
+    assert_eq!(total_vertices, 4);
+}
+
+#[test]
+fn mismatched_partition_is_rejected() {
+    let g = square();
+    let other = Graph::from_edges(vec![(0, 1)]).unwrap();
+    let partition = EbvPartitioner::new().partition(&other, 1).unwrap();
+    assert!(DistributedGraph::build(&g, &partition).is_err());
+}
+
+fn assert_same_distribution(a: &DistributedGraph, b: &DistributedGraph) {
+    assert_eq!(a.num_workers(), b.num_workers());
+    assert_eq!(a.num_vertices(), b.num_vertices());
+    assert_eq!(a.num_edges(), b.num_edges());
+    for v in 0..a.num_vertices() {
+        let v = VertexId::from(v);
+        assert_eq!(a.replicas().master_of(v), b.replicas().master_of(v));
+        assert_eq!(a.replicas().replicas_of(v), b.replicas().replicas_of(v));
+    }
+    for (sa, sb) in a.subgraphs().iter().zip(b.subgraphs()) {
+        assert_eq!(sa.edges(), sb.edges());
+        assert_eq!(sa.vertices(), sb.vertices());
+    }
+    // The incrementally maintained routing table must be structurally
+    // identical to the from-scratch rebuild (routing staleness after
+    // `apply_mutations` would surface here).
+    assert_eq!(a.routing(), b.routing(), "routing tables diverged");
+    assert_same_holder_lists(a, b);
+}
+
+#[test]
+fn mutation_batch_cancels_same_batch_deletions() {
+    let mut batch = MutationBatch::new();
+    let e = Edge::from((0u64, 1u64));
+    batch.record_insert(e, PartitionId::new(0));
+    batch.record_insert(e, PartitionId::new(1));
+    batch.record_delete(e, PartitionId::new(1));
+    assert_eq!(batch.added(), &[(e, PartitionId::new(0))]);
+    assert!(batch.removed().is_empty());
+    batch.record_delete(e, PartitionId::new(1));
+    assert_eq!(batch.removed(), &[(e, PartitionId::new(1))]);
+    assert_eq!(batch.len(), 2);
+    assert!(!batch.is_empty());
+    batch.record_move(
+        Edge::from((2u64, 3u64)),
+        PartitionId::new(0),
+        PartitionId::new(1),
+    );
+    assert_eq!(batch.len(), 4);
+}
+
+/// The in-batch cancellation [`MutationBatch`] had before its pending
+/// multiset: every deletion scans the additions. Kept as the reference
+/// the O(1)-miss implementation is checked against.
+#[derive(Default)]
+struct ScanBatch {
+    added: Vec<(Edge, PartitionId)>,
+    removed: Vec<(Edge, PartitionId)>,
+}
+
+impl ScanBatch {
+    fn record_insert(&mut self, edge: Edge, part: PartitionId) {
+        self.added.push((edge, part));
+    }
+
+    fn record_delete(&mut self, edge: Edge, part: PartitionId) {
+        match self.added.iter().rposition(|&pair| pair == (edge, part)) {
+            Some(index) => {
+                self.added.remove(index);
+            }
+            None => self.removed.push((edge, part)),
+        }
+    }
+
+    fn record_move(&mut self, edge: Edge, from: PartitionId, to: PartitionId) {
+        self.record_delete(edge, from);
+        self.record_insert(edge, to);
+    }
+}
+
+fn assert_same_batch(batch: &MutationBatch, oracle: &ScanBatch) {
+    assert_eq!(batch.added(), oracle.added.as_slice());
+    assert_eq!(batch.removed(), oracle.removed.as_slice());
+    assert_eq!(batch.len(), oracle.added.len() + oracle.removed.len());
+    assert_eq!(
+        batch.is_empty(),
+        oracle.added.is_empty() && oracle.removed.is_empty()
+    );
+}
+
+#[test]
+fn delete_then_reinsert_of_a_pre_batch_pair_sits_in_both_lists() {
+    let pair = (Edge::from((4u64, 2u64)), PartitionId::new(1));
+    let mut batch = MutationBatch::new();
+    batch.record_delete(pair.0, pair.1);
+    batch.record_insert(pair.0, pair.1);
+    assert_eq!(batch.added(), &[pair]);
+    assert_eq!(batch.removed(), &[pair]);
+
+    // The round trip keeps both, and a further delete cancels the
+    // re-insert rather than the pre-batch removal.
+    let mut decoded = MutationBatch::from_parts(batch.added().to_vec(), batch.removed().to_vec());
+    assert_eq!(decoded, batch);
+    decoded.record_delete(pair.0, pair.1);
+    assert!(decoded.added().is_empty());
+    assert_eq!(decoded.removed(), &[pair]);
+    // Nothing pending any more: the next delete is a plain removal.
+    decoded.record_delete(pair.0, pair.1);
+    assert_eq!(decoded.removed(), &[pair, pair]);
+}
+
+#[test]
+fn rebalance_plans_replay_through_record_move_like_the_scan() {
+    use ebv_partition::{RandomVertexCutPartitioner, RebalanceConfig, StreamConfig};
+
+    // Duplicate copies hash to one partition, so a rebalance migrates
+    // several copies of the same edge: moves whose `from` matches an
+    // earlier move's `to` cancel in-batch.
+    let mut partitioner = RandomVertexCutPartitioner::new()
+        .dynamic(StreamConfig::new(4))
+        .unwrap();
+    for round in 0..6u64 {
+        for v in 0..5u64 {
+            partitioner.insert(Edge::from((v, (v + round) % 5)));
+        }
+    }
+    let aggressive = RebalanceConfig::new()
+        .with_max_edge_imbalance(1.0)
+        .with_target_edge_imbalance(1.0)
+        .with_max_replication_factor(1.0);
+    let (mut batch, mut oracle) = (MutationBatch::new(), ScanBatch::default());
+    for _ in 0..3 {
+        let plan = partitioner.rebalance(&aggressive).unwrap();
+        for m in plan.moves() {
+            batch.record_move(m.edge, m.from, m.to);
+            oracle.record_move(m.edge, m.from, m.to);
+        }
+    }
+    assert!(!batch.is_empty(), "the skewed setup migrates something");
+    assert_same_batch(&batch, &oracle);
+}
+
+mod batch_differential {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random insert/delete/move sequences over a universe small
+        /// enough that duplicate copies, same-batch cancellations and
+        /// delete-then-reinsert of a pre-batch pair are all frequent,
+        /// with a `from_parts` round trip at a random point: the
+        /// multiset-backed batch and the scanning oracle agree on both
+        /// lists after every operation.
+        #[test]
+        fn multiset_cancellation_matches_the_scan(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..4, 0u64..4, 0u32..3, 0u32..3),
+                1..160,
+            ),
+            round_trip_at in 0usize..160,
+        ) {
+            let (mut batch, mut oracle) = (MutationBatch::new(), ScanBatch::default());
+            for (step, (kind, src, dst, part, other)) in ops.into_iter().enumerate() {
+                if step == round_trip_at {
+                    batch = MutationBatch::from_parts(
+                        batch.added().to_vec(),
+                        batch.removed().to_vec(),
+                    );
+                }
+                let edge = Edge::from((src, dst));
+                let (part, other) = (PartitionId::new(part), PartitionId::new(other));
+                match kind {
+                    0 => {
+                        batch.record_insert(edge, part);
+                        oracle.record_insert(edge, part);
+                    }
+                    1 => {
+                        batch.record_delete(edge, part);
+                        oracle.record_delete(edge, part);
+                    }
+                    2 => {
+                        batch.record_move(edge, part, other);
+                        oracle.record_move(edge, part, other);
+                    }
+                    _ => {
+                        // Retire a copy and put the same pair back.
+                        batch.record_delete(edge, part);
+                        batch.record_insert(edge, part);
+                        oracle.record_delete(edge, part);
+                        oracle.record_insert(edge, part);
+                    }
+                }
+                assert_same_batch(&batch, &oracle);
+            }
+        }
+    }
+}
+
+#[test]
+fn apply_mutations_equals_fresh_build_of_survivors() {
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
+    let vc = partition.as_vertex_cut().unwrap();
+    let initial = DistributedGraph::build(&g, &partition).unwrap();
+    assert_eq!(initial.epoch(), 0);
+
+    // Remove every third edge and add two new ones.
+    let assigned: Vec<(Edge, PartitionId)> = g
+        .edges()
+        .iter()
+        .copied()
+        .zip(vc.assignment().iter().copied())
+        .collect();
+    let mut batch = MutationBatch::new();
+    for (edge, part) in assigned.iter().step_by(3) {
+        batch.record_delete(*edge, *part);
+    }
+    let additions = [
+        (Edge::from((0u64, 9u64)), PartitionId::new(2)),
+        (Edge::from((4u64, 12u64)), PartitionId::new(1)),
+    ];
+    for (edge, part) in additions {
+        batch.record_insert(edge, part);
+    }
+    let mut mutated = initial.clone();
+    let stats = mutated.apply_mutations(&batch).unwrap();
+    assert_eq!(mutated.epoch(), 1);
+    assert_eq!(stats, mutated.last_mutation());
+    assert_eq!(stats.edges_added, 2);
+    assert!(stats.workers_touched >= 1 && stats.workers_touched <= 3);
+
+    // The surviving stream in order: the undeleted originals, then the
+    // batch additions.
+    let survivors = assigned
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 0)
+        .map(|(_, &pair)| pair)
+        .chain(additions);
+    let fresh =
+        DistributedGraph::build_streaming(3, Some(mutated.num_vertices()), survivors).unwrap();
+    assert_same_distribution(&mutated, &fresh);
+}
+
+#[test]
+fn apply_mutations_removes_the_latest_duplicate_copy() {
+    let e = Edge::from((0u64, 1u64));
+    let stream = vec![
+        (e, PartitionId::new(0)),
+        (Edge::from((1u64, 2u64)), PartitionId::new(1)),
+        (e, PartitionId::new(0)),
+    ];
+    let mut mutated = DistributedGraph::build_streaming(2, None, stream).unwrap();
+    let mut batch = MutationBatch::new();
+    batch.record_delete(e, PartitionId::new(0));
+    mutated.apply_mutations(&batch).unwrap();
+    assert_eq!(mutated.num_edges(), 2);
+    assert_eq!(mutated.subgraph(PartitionId::new(0)).edges(), &[e]);
+}
+
+#[test]
+fn apply_mutations_rejects_bad_batches() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    let pristine = dg.clone();
+
+    let mut missing = MutationBatch::new();
+    missing.record_delete(Edge::from((7u64, 8u64)), PartitionId::new(0));
+    assert!(matches!(
+        dg.apply_mutations(&missing),
+        Err(BspError::InvalidMutation { .. })
+    ));
+
+    let mut out_of_range = MutationBatch::new();
+    out_of_range.record_insert(Edge::from((0u64, 1u64)), PartitionId::new(9));
+    assert!(matches!(
+        dg.apply_mutations(&out_of_range),
+        Err(BspError::PartitionMismatch { .. })
+    ));
+
+    // Rejected batches leave the distribution untouched.
+    assert_eq!(dg.epoch(), 0);
+    assert_same_distribution(&dg, &pristine);
+
+    // Edge-cut distributions replicate crossing edges and cannot absorb
+    // edge-level mutations.
+    let ec = MetisLikePartitioner::new().partition(&g, 2).unwrap();
+    let mut ec_dg = DistributedGraph::build(&g, &ec).unwrap();
+    assert!(!ec_dg.is_vertex_cut());
+    let mut non_empty = MutationBatch::new();
+    non_empty.record_insert(Edge::from((0u64, 2u64)), PartitionId::new(0));
+    assert!(matches!(
+        ec_dg.apply_mutations(&non_empty),
+        Err(BspError::InvalidMutation { .. })
+    ));
+}
+
+#[test]
+fn missing_edge_error_is_deterministic() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    // Several missing edges in the same partition: the message must name
+    // the smallest one, independent of HashMap iteration order.
+    let mut batch = MutationBatch::new();
+    for (s, d) in [(9u64, 9u64), (7u64, 8u64), (8u64, 7u64)] {
+        batch.record_delete(Edge::from((s, d)), PartitionId::new(1));
+    }
+    let err = dg.apply_mutations(&batch).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid mutation: partition 1 holds no copy of edge (7 -> 8) to remove"
+    );
+    // The lowest-numbered failing partition wins when several fail.
+    let mut multi = MutationBatch::new();
+    multi.record_delete(Edge::from((9u64, 9u64)), PartitionId::new(1));
+    multi.record_delete(Edge::from((5u64, 5u64)), PartitionId::new(0));
+    let err = dg.apply_mutations(&multi).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid mutation: partition 0 holds no copy of edge (5 -> 5) to remove"
+    );
+}
+
+#[test]
+fn mutation_stats_display_is_one_line() {
+    assert_eq!(
+        MutationStats::default().to_string(),
+        "no-op epoch (0 workers touched)"
+    );
+    let stats = MutationStats {
+        workers_touched: 3,
+        edges_rebuilt: 1200,
+        edges_added: 45,
+        edges_removed: 12,
+        apply_seconds: 0.00525,
+    };
+    let line = stats.to_string();
+    assert_eq!(
+        line,
+        "3 workers touched, 1200 edges rebuilt (+45/-12 edge copies) in 5.25ms"
+    );
+    assert!(!line.contains('\n'));
+}
+
+#[test]
+fn empty_batch_is_a_no_op_and_does_not_advance_the_epoch() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    let pristine = dg.clone();
+    let edges_buffer = dg.subgraph(PartitionId::new(0)).edges().as_ptr();
+
+    // Literally empty.
+    let stats = dg.apply_mutations(&MutationBatch::new()).unwrap();
+    assert_eq!(stats, MutationStats::default());
+
+    // Fully cancelled in-batch: insert then delete of the same copy.
+    let mut cancelled = MutationBatch::new();
+    let e = Edge::from((0u64, 3u64));
+    cancelled.record_insert(e, PartitionId::new(1));
+    cancelled.record_delete(e, PartitionId::new(1));
+    assert!(cancelled.is_empty());
+    let stats = dg.apply_mutations(&cancelled).unwrap();
+    assert_eq!(stats.workers_touched, 0);
+    assert_eq!(stats.edges_rebuilt, 0);
+
+    assert_eq!(dg.epoch(), 0, "no-op batches do not advance the epoch");
+    assert_same_distribution(&dg, &pristine);
+    // The subgraphs were not even re-allocated.
+    assert_eq!(
+        dg.subgraph(PartitionId::new(0)).edges().as_ptr(),
+        edges_buffer
+    );
+}
+
+#[test]
+fn apply_mutations_rebuilds_only_touched_workers() {
+    // Four chain components, one per partition, so a batch naming two
+    // partitions cannot affect the other two.
+    let stream: Vec<(Edge, PartitionId)> = (0..4u64)
+        .flat_map(|part| {
+            let base = 10 * part;
+            [
+                (Edge::from((base, base + 1)), PartitionId::new(part as u32)),
+                (
+                    Edge::from((base + 1, base + 2)),
+                    PartitionId::new(part as u32),
+                ),
+            ]
+        })
+        .collect();
+    let mut dg = DistributedGraph::build_streaming(4, None, stream.clone()).unwrap();
+    let untouched_buffers: Vec<*const Edge> = [2usize, 3]
+        .iter()
+        .map(|&i| dg.subgraphs()[i].edges().as_ptr())
+        .collect();
+
+    let mut batch = MutationBatch::new();
+    batch.record_delete(Edge::from((0u64, 1u64)), PartitionId::new(0));
+    batch.record_insert(Edge::from((11u64, 13u64)), PartitionId::new(1));
+    let stats = dg.apply_mutations(&batch).unwrap();
+    assert_eq!(stats.workers_touched, 2, "only partitions 0 and 1 rebuild");
+    assert_eq!(dg.epoch(), 1);
+
+    // The untouched workers kept their exact allocations.
+    for (&i, &buffer) in [2usize, 3].iter().zip(&untouched_buffers) {
+        assert_eq!(dg.subgraphs()[i].edges().as_ptr(), buffer, "worker {i}");
+    }
+
+    // And the whole distribution still equals a fresh build of the
+    // survivors.
+    let survivors: Vec<(Edge, PartitionId)> = stream
+        .into_iter()
+        .filter(|&(e, part)| !(e == Edge::from((0u64, 1u64)) && part == PartitionId::new(0)))
+        .chain([(Edge::from((11u64, 13u64)), PartitionId::new(1))])
+        .collect();
+    let fresh = DistributedGraph::build_streaming(4, Some(dg.num_vertices()), survivors).unwrap();
+    assert_same_distribution(&dg, &fresh);
+}
+
+#[test]
+fn isolation_changes_touch_the_home_worker() {
+    // Vertex 5's home partition is 5 % 2 = 1. Removing its only edge
+    // (held by partition 0) must re-home it as an isolated vertex in
+    // partition 1, so both workers are touched.
+    let stream = vec![
+        (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+        (Edge::from((0u64, 5u64)), PartitionId::new(0)),
+        (Edge::from((2u64, 3u64)), PartitionId::new(1)),
+    ];
+    let mut dg = DistributedGraph::build_streaming(2, None, stream.clone()).unwrap();
+    let mut batch = MutationBatch::new();
+    batch.record_delete(Edge::from((0u64, 5u64)), PartitionId::new(0));
+    let stats = dg.apply_mutations(&batch).unwrap();
+    assert_eq!(stats.workers_touched, 2);
+    let fresh = DistributedGraph::build_streaming(
+        2,
+        Some(dg.num_vertices()),
+        vec![
+            (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+            (Edge::from((2u64, 3u64)), PartitionId::new(1)),
+        ],
+    )
+    .unwrap();
+    assert_same_distribution(&dg, &fresh);
+    // And re-adding an edge to vertex 5 un-isolates it again.
+    let mut back = MutationBatch::new();
+    back.record_insert(Edge::from((4u64, 5u64)), PartitionId::new(1));
+    dg.apply_mutations(&back).unwrap();
+    let fresh = DistributedGraph::build_streaming(
+        2,
+        Some(dg.num_vertices()),
+        vec![
+            (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+            (Edge::from((2u64, 3u64)), PartitionId::new(1)),
+            (Edge::from((4u64, 5u64)), PartitionId::new(1)),
+        ],
+    )
+    .unwrap();
+    assert_same_distribution(&dg, &fresh);
+}
+
+#[test]
+fn master_flags_are_patched_in_untouched_workers() {
+    // Vertex 1 is replicated in partitions 0 (two incident edges) and 1
+    // (one incident edge): partition 0 masters it. Adding two more
+    // incident edges to partition 1 flips the master to partition 1
+    // while partition 0's edge list never changes.
+    let stream = vec![
+        (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+        (Edge::from((1u64, 2u64)), PartitionId::new(0)),
+        (Edge::from((1u64, 3u64)), PartitionId::new(1)),
+    ];
+    let mut dg = DistributedGraph::build_streaming(2, None, stream.clone()).unwrap();
+    let v1 = VertexId::new(1);
+    assert_eq!(dg.replicas().master_of(v1), PartitionId::new(0));
+
+    let additions = [
+        (Edge::from((1u64, 4u64)), PartitionId::new(1)),
+        (Edge::from((1u64, 5u64)), PartitionId::new(1)),
+    ];
+    let mut batch = MutationBatch::new();
+    for (e, part) in additions {
+        batch.record_insert(e, part);
+    }
+    let stats = dg.apply_mutations(&batch).unwrap();
+    assert_eq!(stats.workers_touched, 1, "only partition 1 rebuilds");
+    assert_eq!(dg.replicas().master_of(v1), PartitionId::new(1));
+    // The untouched worker's replica flag was patched in place.
+    let sg0 = dg.subgraph(PartitionId::new(0));
+    let local = sg0.local_index_of(v1).unwrap();
+    assert!(!sg0.is_master(local));
+    let fresh = DistributedGraph::build_streaming(
+        2,
+        Some(dg.num_vertices()),
+        stream.into_iter().chain(additions),
+    )
+    .unwrap();
+    assert_same_distribution(&dg, &fresh);
+}
+
+#[test]
+fn incremental_masters_match_fresh_build_under_random_churn() {
+    // A randomized cross-check on a denser graph: several mutation
+    // epochs, then full structural equality including masters.
+    let g = ebv_graph::generators::named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 4).unwrap();
+    let vc = partition.as_vertex_cut().unwrap();
+    let mut assigned: Vec<(Edge, PartitionId)> = g
+        .edges()
+        .iter()
+        .copied()
+        .zip(vc.assignment().iter().copied())
+        .collect();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    let mut next_vertex = g.num_vertices() as u64;
+    for round in 0..5 {
+        let mut batch = MutationBatch::new();
+        // Delete a deterministic third of the survivors.
+        let victims: Vec<(Edge, PartitionId)> = assigned
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(i, _)| i % 3 == round % 3)
+            .map(|(_, pair)| pair)
+            .collect();
+        for &(e, part) in &victims {
+            batch.record_delete(e, part);
+        }
+        assigned.retain(|pair| !victims.contains(pair));
+        // Add edges, including ones growing the universe.
+        let additions = [
+            (
+                Edge::from((round as u64, next_vertex)),
+                PartitionId::new((round % 4) as u32),
+            ),
+            (
+                Edge::from((next_vertex, next_vertex + 1)),
+                PartitionId::new(((round + 1) % 4) as u32),
+            ),
+        ];
+        next_vertex += 2;
+        for (e, part) in additions {
+            batch.record_insert(e, part);
+            assigned.push((e, part));
+        }
+        dg.apply_mutations(&batch).unwrap();
+        let fresh =
+            DistributedGraph::build_streaming(4, Some(dg.num_vertices()), assigned.iter().copied())
+                .unwrap();
+        assert_same_distribution(&dg, &fresh);
+        for v in 0..dg.num_vertices() {
+            let v = VertexId::from(v);
+            for sg in dg.subgraphs() {
+                if let Some(local) = sg.local_index_of(v) {
+                    assert_eq!(
+                        sg.is_master(local),
+                        dg.replicas().master_of(v) == sg.part(),
+                        "round {round} vertex {v} worker {}",
+                        sg.part()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn epochs_accumulate_across_batches() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    for expected in 1..=3 {
+        let mut batch = MutationBatch::new();
+        batch.record_insert(Edge::from((0u64, 2u64)), PartitionId::new(0));
+        dg.apply_mutations(&batch).unwrap();
+        assert_eq!(dg.epoch(), expected);
+    }
+    assert_eq!(dg.num_edges(), g.num_edges() + 3);
+}

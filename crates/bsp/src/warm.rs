@@ -30,7 +30,7 @@ use std::collections::HashSet;
 
 use ebv_graph::{Edge, VertexId};
 
-use crate::subgraph::MutationBatch;
+use crate::mutation_batch::MutationBatch;
 
 /// The algorithm-specific half of a warm start: what one deleted edge
 /// invalidates, and whether a given prior value survived the accumulated
