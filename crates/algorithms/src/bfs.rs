@@ -13,8 +13,9 @@ pub const UNVISITED: u64 = u64::MAX;
 /// Subgraph-centric BFS over directed edges: computes the hop depth of every
 /// vertex reachable from the root. Treats the graph exactly like
 /// [`SingleSourceShortestPath`](crate::SingleSourceShortestPath) with unit
-/// weights but terminates level by level, so its superstep count equals the
-/// number of BFS frontiers crossing subgraph boundaries.
+/// weights — the same first-in-first-out worklist kernel, started from the
+/// root — so within a subgraph it expands level by level, and its superstep
+/// count equals the number of BFS frontiers crossing subgraph boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreadthFirstSearch {
     root: VertexId,
@@ -48,8 +49,8 @@ impl SubgraphProgram for BreadthFirstSearch {
         }
     }
 
-    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _superstep: usize) -> usize {
-        crate::sssp::relax_superstep(ctx)
+    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
+        crate::sssp::relax_superstep(ctx, superstep)
     }
 }
 

@@ -3,16 +3,21 @@
 use ebv_bsp::{Subgraph, SubgraphContext, SubgraphProgram};
 use ebv_graph::VertexId;
 
+use crate::kernel::{gated_min_superstep, Activation, Flow};
+
 /// Subgraph-centric Connected Components (CC), one of the three evaluation
 /// applications of the paper.
 ///
 /// Each vertex carries a component label initialized to its own identifier.
 /// In every superstep each worker first folds the labels received from other
-/// replicas, then runs sequential label propagation over its entire subgraph
-/// to a local fixpoint (this is the "think like a graph" advantage: all
-/// intra-subgraph convergence happens without any network traffic), and
-/// finally sends the labels of boundary vertices that changed to their other
-/// replicas. Edge direction is ignored, as is conventional for CC.
+/// replicas, then runs sequential label propagation to the subgraph's local
+/// fixpoint (this is the "think like a graph" advantage: all intra-subgraph
+/// convergence happens without any network traffic), and finally sends the
+/// labels of boundary vertices that changed to their other replicas. The
+/// propagation is the crate's one worklist kernel: the first superstep
+/// starts from every vertex, a later one only from the vertices whose label
+/// a message lowered, so a superstep costs its frontier, not the subgraph.
+/// Edge direction is ignored, as is conventional for CC.
 ///
 /// # Examples
 ///
@@ -55,59 +60,93 @@ impl SubgraphProgram for ConnectedComponents {
         vertex.raw()
     }
 
-    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _superstep: usize) -> usize {
-        let sg = ctx.subgraph();
-        let n = sg.num_vertices();
-        let mut changed = vec![false; n];
+    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
+        gated_min_superstep(
+            ctx,
+            superstep,
+            Flow::Labels,
+            |_| false,
+            Activation::Propagating,
+        )
+    }
+}
 
-        // Fold replica labels received during the previous communication
-        // stage.
-        for (local, was_changed) in changed.iter_mut().enumerate() {
-            if let Some(min) = ctx.messages(local).iter().copied().min() {
-                if min < *ctx.value(local) {
-                    ctx.set_value(local, min);
-                    *was_changed = true;
-                }
-            }
+/// The full-subgraph sweep the worklist kernel replaced, kept as the oracle
+/// the kernel is checked against superstep by superstep.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Cold CC that re-sweeps the whole local CSR until a pass changes
+    /// nothing, every superstep.
+    pub(crate) struct SweepConnectedComponents;
+
+    impl SubgraphProgram for SweepConnectedComponents {
+        type Value = u64;
+        type Message = u64;
+
+        fn name(&self) -> String {
+            "CC-sweep".to_string()
         }
 
-        // Sequential label propagation over the whole subgraph until a local
-        // fixpoint (undirected: labels flow both ways along each edge),
-        // streaming each vertex's CSR neighbour slice.
-        loop {
-            let mut any = false;
-            for local in 0..n {
-                for &neighbor in sg.out_neighbors(local) {
-                    let neighbor = neighbor as usize;
-                    ctx.add_work(1);
-                    let a = *ctx.value(local);
-                    let b = *ctx.value(neighbor);
-                    if a < b {
-                        ctx.set_value(neighbor, a);
-                        changed[neighbor] = true;
-                        any = true;
-                    } else if b < a {
-                        ctx.set_value(local, b);
-                        changed[local] = true;
-                        any = true;
+        fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
+            vertex.raw()
+        }
+
+        fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _: usize) -> usize {
+            let sg = ctx.subgraph();
+            let n = sg.num_vertices();
+            let mut changed = vec![false; n];
+
+            // Fold replica labels received during the previous communication
+            // stage.
+            for (local, was_changed) in changed.iter_mut().enumerate() {
+                if let Some(min) = ctx.messages(local).iter().copied().min() {
+                    if min < *ctx.value(local) {
+                        ctx.set_value(local, min);
+                        *was_changed = true;
                     }
                 }
             }
-            if !any {
-                break;
-            }
-        }
 
-        // Ship changed boundary labels to the other replicas.
-        let mut updates = 0usize;
-        for (local, &was_changed) in changed.iter().enumerate() {
-            if was_changed {
-                updates += 1;
-                let label = *ctx.value(local);
-                ctx.send_to_replicas(local, label);
+            // Sequential label propagation over the whole subgraph until a local
+            // fixpoint (undirected: labels flow both ways along each edge),
+            // streaming each vertex's CSR neighbour slice.
+            loop {
+                let mut any = false;
+                for local in 0..n {
+                    for &neighbor in sg.out_neighbors(local) {
+                        let neighbor = neighbor as usize;
+                        ctx.add_work(1);
+                        let a = *ctx.value(local);
+                        let b = *ctx.value(neighbor);
+                        if a < b {
+                            ctx.set_value(neighbor, a);
+                            changed[neighbor] = true;
+                            any = true;
+                        } else if b < a {
+                            ctx.set_value(local, b);
+                            changed[local] = true;
+                            any = true;
+                        }
+                    }
+                }
+                if !any {
+                    break;
+                }
             }
+
+            // Ship changed boundary labels to the other replicas.
+            let mut updates = 0usize;
+            for (local, &was_changed) in changed.iter().enumerate() {
+                if was_changed {
+                    updates += 1;
+                    let label = *ctx.value(local);
+                    ctx.send_to_replicas(local, label);
+                }
+            }
+            updates
         }
-        updates
     }
 }
 

@@ -8,7 +8,7 @@ use ebv_bsp::{
 };
 use ebv_graph::{Edge, VertexId};
 
-use super::kernel::{gated_min_superstep, Activation};
+use crate::kernel::{gated_min_superstep, Activation, Flow};
 
 /// The CC [`InvalidationPolicy`]: a deletion may split the components of its
 /// endpoints, and min-label propagation cannot *raise* stale labels, so the
@@ -133,9 +133,7 @@ impl SubgraphProgram for IncrementalConnectedComponents {
         gated_min_superstep(
             ctx,
             superstep,
-            true,
-            0,
-            u64::MAX,
+            Flow::Labels,
             |raw| self.frontier.is_seed(raw),
             Activation::SelfLabeled,
         )

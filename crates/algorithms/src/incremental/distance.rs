@@ -22,14 +22,15 @@
 //! next to the fixpoint instead of at infinity.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use ebv_bsp::{
     DistributedGraph, InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext,
     SubgraphProgram, WarmFrontier,
 };
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, IdHasher, VertexId};
 
-use super::kernel::{gated_min_superstep, Activation};
+use crate::kernel::{gated_min_superstep, Activation, Flow};
 use crate::{UNREACHABLE, UNVISITED};
 
 /// The shortest-path [`InvalidationPolicy`], two-tier:
@@ -50,15 +51,18 @@ pub(crate) struct DistanceInvalidation {
     horizon: u64,
     /// Raw ids whose prior distance lost every deletion-free certificate
     /// (the downstream cones of the deleted tight edges).
-    cone: HashSet<u64>,
+    cone: Cone,
 }
+
+/// A set of raw vertex ids: dense program-generated keys, membership only.
+type Cone = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 impl DistanceInvalidation {
     fn new(source: VertexId) -> Self {
         DistanceInvalidation {
             source,
             horizon: UNREACHABLE,
-            cone: HashSet::new(),
+            cone: Cone::default(),
         }
     }
 }
@@ -93,19 +97,22 @@ impl InvalidationPolicy for DistanceInvalidation {
 /// strengthens the certificate), so only the returned cone has to reset
 /// and re-settle from the surviving rim. One O(E + V + D) vector sweep —
 /// cheap enough to sit inside the timed warm path.
-fn unsupported_cone(
-    source: VertexId,
-    distributed: &DistributedGraph,
-    prior: &[u64],
-) -> HashSet<u64> {
+fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u64]) -> Cone {
     // Bucket the tight edges by head distance, streaming each subgraph's
-    // CSR adjacency (tails grouped, one offset lookup per tail). Hop
-    // distances are < |V|, so anything larger cannot come from a real
-    // outcome; such an edge simply certifies nothing. Within a level the
-    // sweep below is order-independent (every tail sits one level down),
-    // so the CSR visit order is as good as edge order.
-    let max_level = prior.len();
-    let mut tight_by_level: Vec<Vec<(usize, usize)>> = vec![Vec::new(); max_level + 1];
+    // CSR adjacency (tails grouped, one offset lookup per tail). A tight
+    // edge's head distance is itself a finite prior, so one bucket per
+    // level up to the largest finite prior holds them all — about ten
+    // levels on a power-law graph, not |V|. Hop distances are < |V|, so
+    // anything larger cannot come from a real outcome; such an edge simply
+    // certifies nothing. Within a level the sweep below is
+    // order-independent (every tail sits one level down), so the CSR visit
+    // order is as good as edge order.
+    let levels = prior
+        .iter()
+        .filter(|&&distance| distance != UNREACHABLE)
+        .max()
+        .map_or(0, |&deepest| deepest.min(prior.len() as u64) as usize + 1);
+    let mut tight_by_level: Vec<Vec<(usize, usize)>> = vec![Vec::new(); levels];
     for sg in distributed.subgraphs() {
         for (u_local, &u) in sg.vertices().iter().enumerate() {
             let Some(&du) = prior.get(u.index()) else {
@@ -119,7 +126,7 @@ fn unsupported_cone(
                 let Some(&dv) = prior.get(v.index()) else {
                     continue;
                 };
-                if du + 1 == dv && (dv as usize) <= max_level {
+                if du + 1 == dv && dv < levels as u64 {
                     tight_by_level[dv as usize].push((u.index(), v.index()));
                 }
             }
@@ -213,9 +220,7 @@ impl WarmDistanceCore {
         gated_min_superstep(
             ctx,
             superstep,
-            false,
-            1,
-            UNREACHABLE,
+            Flow::Hops,
             |raw| self.frontier.is_seed(raw),
             Activation::DistanceFrontier,
         )
@@ -646,6 +651,20 @@ mod tests {
             .unwrap();
         assert_eq!(warm.values, vec![0, 1, 2]);
         assert_eq!(warm.supersteps, 1, "no invalidation, no seeds: quiescent");
+    }
+
+    #[test]
+    fn a_prior_no_run_produced_certifies_nothing_and_sizes_nothing() {
+        // Path 0→1→2→3 with "distances" beyond |V| on its tail: the level
+        // table stays bounded by |V| (not by the absurd value) and the
+        // tight-looking edge 2→3 certifies nothing.
+        let edges = (0u64..3).map(|i| (Edge::from((i, i + 1)), PartitionId::new(0)));
+        let distributed = DistributedGraph::build_streaming(1, None, edges).unwrap();
+        let prior = [0, 1, u64::MAX - 2, u64::MAX - 1];
+        let cone = unsupported_cone(VertexId::new(0), &distributed, &prior);
+        let mut cone: Vec<u64> = cone.into_iter().collect();
+        cone.sort_unstable();
+        assert_eq!(cone, vec![2, 3]);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! All four share one epoch shape, factored into the [`ebv_bsp::warm`]
 //! harness ([`WarmFrontier`](ebv_bsp::WarmFrontier) +
-//! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the gated
-//! worklist kernel in this module — a new warm-start algorithm only has to
+//! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the crate's
+//! gated worklist kernel, the same one the cold programs run, started from
+//! a smaller frontier — a new warm-start algorithm only has to
 //! state *what a deletion invalidates* and *what a vertex's cold initial
 //! value is*:
 //!
@@ -42,7 +43,6 @@
 
 mod cc;
 mod distance;
-mod kernel;
 mod pagerank;
 
 pub use cc::IncrementalConnectedComponents;

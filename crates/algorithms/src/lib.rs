@@ -37,6 +37,7 @@
 mod bfs;
 mod cc;
 pub mod incremental;
+mod kernel;
 mod pagerank;
 pub mod reference;
 mod sssp;

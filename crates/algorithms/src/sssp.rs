@@ -3,6 +3,8 @@
 use ebv_bsp::{Subgraph, SubgraphContext, SubgraphProgram};
 use ebv_graph::VertexId;
 
+use crate::kernel::{gated_min_superstep, Activation, Flow};
+
 /// Distance value used by [`SingleSourceShortestPath`]: unreachable vertices
 /// keep [`u64::MAX`].
 pub const UNREACHABLE: u64 = u64::MAX;
@@ -12,10 +14,12 @@ pub const UNREACHABLE: u64 = u64::MAX;
 ///
 /// The evaluation graphs are unweighted, so every directed edge has length 1
 /// and the result is the directed hop distance from the source. Each
-/// superstep folds the distances received from other replicas, runs a
-/// sequential Bellman–Ford-style relaxation over the whole subgraph to a
-/// local fixpoint, and ships improved boundary distances to the other
-/// replicas.
+/// superstep folds the distances received from other replicas, relaxes to
+/// the subgraph's local fixpoint and ships improved boundary distances to
+/// the other replicas. The relaxation is the crate's one worklist kernel:
+/// it starts from the source in the first superstep and from the vertices a
+/// message improved afterwards, first in first out, so it visits the edges
+/// behind the advancing frontier instead of sweeping the subgraph.
 ///
 /// # Examples
 ///
@@ -69,64 +73,97 @@ impl SubgraphProgram for SingleSourceShortestPath {
         }
     }
 
-    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _superstep: usize) -> usize {
-        relax_superstep(ctx)
+    fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
+        relax_superstep(ctx, superstep)
     }
 }
 
 /// One superstep of unit-weight distance relaxation, shared with
 /// [`BreadthFirstSearch`](crate::BreadthFirstSearch) (BFS depth *is*
-/// unit-weight distance and `UNVISITED == UNREACHABLE`): fold the distances
-/// received from other replicas, relax over the local CSR adjacency to a
-/// fixpoint, ship every improved distance to the other replicas. Returns
-/// the number of improved vertices.
-pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>) -> usize {
-    let sg = ctx.subgraph();
-    let n = sg.num_vertices();
-    let mut changed = vec![false; n];
+/// unit-weight distance and `UNVISITED == UNREACHABLE`): the worklist
+/// kernel over hop distances, started from whichever vertex holds a finite
+/// one. Returns the number of improved vertices.
+pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
+    gated_min_superstep(
+        ctx,
+        superstep,
+        Flow::Hops,
+        |_| false,
+        Activation::Propagating,
+    )
+}
 
-    for (local, was_changed) in changed.iter_mut().enumerate() {
-        if let Some(min) = ctx.messages(local).iter().copied().min() {
-            if min < *ctx.value(local) {
-                ctx.set_value(local, min);
-                *was_changed = true;
-            }
+/// The full-subgraph sweep the worklist kernel replaced, kept as the oracle
+/// the kernel is checked against superstep by superstep.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Cold SSSP (and, rooted likewise, BFS) that re-relaxes the whole
+    /// local CSR until a pass changes nothing, every superstep.
+    pub(crate) struct SweepShortestPath(pub(crate) VertexId);
+
+    impl SubgraphProgram for SweepShortestPath {
+        type Value = u64;
+        type Message = u64;
+
+        fn name(&self) -> String {
+            "SSSP-sweep".to_string()
         }
-    }
 
-    // Bellman–Ford relaxation over the local CSR adjacency to a fixpoint.
-    loop {
-        let mut any = false;
-        for local in 0..n {
-            let distance = *ctx.value(local);
-            if distance == UNREACHABLE {
-                continue;
-            }
-            for &neighbor in sg.out_neighbors(local) {
-                let neighbor = neighbor as usize;
-                ctx.add_work(1);
-                let candidate = distance + 1;
-                if candidate < *ctx.value(neighbor) {
-                    ctx.set_value(neighbor, candidate);
-                    changed[neighbor] = true;
-                    any = true;
+        fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> u64 {
+            SingleSourceShortestPath::new(self.0).initial_value(vertex, subgraph)
+        }
+
+        fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, _: usize) -> usize {
+            let sg = ctx.subgraph();
+            let n = sg.num_vertices();
+            let mut changed = vec![false; n];
+
+            for (local, was_changed) in changed.iter_mut().enumerate() {
+                if let Some(min) = ctx.messages(local).iter().copied().min() {
+                    if min < *ctx.value(local) {
+                        ctx.set_value(local, min);
+                        *was_changed = true;
+                    }
                 }
             }
-        }
-        if !any {
-            break;
-        }
-    }
 
-    let mut updates = 0usize;
-    for (local, &was_changed) in changed.iter().enumerate() {
-        if was_changed {
-            updates += 1;
-            let distance = *ctx.value(local);
-            ctx.send_to_replicas(local, distance);
+            // Bellman–Ford relaxation over the local CSR adjacency to a fixpoint.
+            loop {
+                let mut any = false;
+                for local in 0..n {
+                    let distance = *ctx.value(local);
+                    if distance == UNREACHABLE {
+                        continue;
+                    }
+                    for &neighbor in sg.out_neighbors(local) {
+                        let neighbor = neighbor as usize;
+                        ctx.add_work(1);
+                        let candidate = distance + 1;
+                        if candidate < *ctx.value(neighbor) {
+                            ctx.set_value(neighbor, candidate);
+                            changed[neighbor] = true;
+                            any = true;
+                        }
+                    }
+                }
+                if !any {
+                    break;
+                }
+            }
+
+            let mut updates = 0usize;
+            for (local, &was_changed) in changed.iter().enumerate() {
+                if was_changed {
+                    updates += 1;
+                    let distance = *ctx.value(local);
+                    ctx.send_to_replicas(local, distance);
+                }
+            }
+            updates
         }
     }
-    updates
 }
 
 #[cfg(test)]

@@ -32,8 +32,9 @@ use super::schedule::lpt_schedule;
 pub struct WorkerTask<'a> {
     /// Worker (partition) index — panic attribution and result slot.
     pub worker: usize,
-    /// Scheduler cost estimate (CSR edge count + previous superstep's
-    /// per-worker `work`); never affects results, only placement.
+    /// Scheduler cost estimate (CSR edge count for the first superstep,
+    /// previous `work` + inbound messages afterwards); never affects
+    /// results, only placement.
     pub cost: u64,
     /// The gather + compute + scatter closure over worker-local state.
     pub run: Box<dyn FnOnce() + Send + 'a>,

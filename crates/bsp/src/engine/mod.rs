@@ -13,12 +13,16 @@
 //!   `std::sync::mpsc` channels, exact per-task panic attribution, graceful
 //!   join on drop;
 //! * [`schedule`] — the work-aware LPT scheduler that chunks workers onto
-//!   pool lanes by estimated cost (CSR edge counts + the previous
-//!   superstep's live `work` counters) instead of count-even.
+//!   pool lanes by estimated cost (CSR edge counts for the first
+//!   superstep, the previous superstep's live `work` counters plus the
+//!   messages waiting in the inbound shards afterwards) instead of
+//!   count-even.
 
 mod executor;
 mod pool;
 mod schedule;
+
+use schedule::superstep_cost;
 
 pub use executor::{
     PooledExecutor, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerTask,
@@ -133,6 +137,7 @@ struct WorkerPart<'a, V, M> {
     /// to it at the end of the previous superstep, by source worker).
     inbound: &'a mut Vec<Vec<(u32, M)>>,
     outbox: &'a mut Vec<exchange::OutboxEntry<M>>,
+    scratch: &'a mut exchange::WorklistScratch,
     /// This worker's row of the scatter-side shard matrix (messages it
     /// routes this superstep, by destination worker).
     outbound: &'a mut Vec<Vec<(u32, M)>>,
@@ -164,7 +169,13 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
     recorder.span(started, span_ctx, Phase::Gather);
 
     let started = recorder.start();
-    let mut ctx = SubgraphContext::new(part.subgraph, part.values, part.inbox.view(), part.outbox);
+    let mut ctx = SubgraphContext::new(
+        part.subgraph,
+        part.values,
+        part.inbox.view(),
+        part.outbox,
+        part.scratch,
+    );
     program.run_superstep(&mut ctx, superstep);
     let (work, changes) = ctx.finish();
     recorder.span(started, span_ctx, Phase::Compute);
@@ -378,8 +389,11 @@ impl BspEngine {
         // Engine-side (barrier) spans use worker == p by convention.
         let engine_worker = num_workers as u32;
         let mut executor = self.executor();
-        // Reused across supersteps: per-destination delivery counts.
+        // Reused across supersteps: per-destination delivery counts, the
+        // scheduler's cost estimates and the workers' result slots.
         let mut received: Vec<usize> = Vec::with_capacity(num_workers);
+        let mut costs: Vec<u64> = Vec::with_capacity(num_workers);
+        let mut results: Vec<Option<(u64, usize, usize)>> = Vec::with_capacity(num_workers);
 
         for superstep in 0..max_supersteps {
             // --- Worker phase: gather + computation + scatter ----------------------
@@ -392,24 +406,20 @@ impl BspEngine {
             // purely worker-local state, packaged as one task per worker
             // and handed to the executor, which owns placement.
             //
-            // The scheduler's cost estimate blends each subgraph's static
-            // CSR edge count with the worker's live `work` counter from
-            // the previous superstep, so both structural skew (R-MAT hubs)
-            // and frontier skew (worklist algorithms) re-balance within
-            // one superstep. Placement cannot affect results.
-            let costs: Vec<u64> = {
-                let last = stats.supersteps.last();
-                distributed
-                    .subgraphs()
-                    .iter()
-                    .enumerate()
-                    .map(|(worker, sg)| {
-                        let live = last.map_or(0, |s| s.per_worker[worker].work);
-                        sg.num_edges() as u64 + 1 + live
-                    })
-                    .collect()
-            };
-            let mut results: Vec<Option<(u64, usize, usize)>> = vec![None; num_workers];
+            // The scheduler's cost estimate follows the frontier (see
+            // `schedule::superstep_cost`), so both structural skew (R-MAT
+            // hubs) and frontier skew (worklist algorithms) re-balance
+            // within one superstep. Placement cannot affect results.
+            let last = stats.supersteps.last();
+            costs.clear();
+            costs.extend(distributed.subgraphs().iter().enumerate().map(|(w, sg)| {
+                superstep_cost(
+                    sg.num_edges(),
+                    last.map(|step| (step.per_worker[w].work, received[w])),
+                )
+            }));
+            results.clear();
+            results.resize(num_workers, None);
             {
                 let parts = distributed
                     .subgraphs()
@@ -419,11 +429,18 @@ impl BspEngine {
                     .zip(plane.inboxes.iter_mut())
                     .zip(plane.in_shards.iter_mut())
                     .zip(plane.outboxes.iter_mut())
+                    .zip(plane.scratch.iter_mut())
                     .zip(plane.out_shards.iter_mut())
                     .zip(results.iter_mut())
                     .map(
                         |(
-                            ((((((subgraph, routes), values), inbox), inbound), outbox), outbound),
+                            (
+                                (
+                                    (((((subgraph, routes), values), inbox), inbound), outbox),
+                                    scratch,
+                                ),
+                                outbound,
+                            ),
                             result,
                         )| WorkerPart {
                             subgraph,
@@ -432,6 +449,7 @@ impl BspEngine {
                             inbox,
                             inbound,
                             outbox,
+                            scratch,
                             outbound,
                             result,
                         },
@@ -483,7 +501,7 @@ impl BspEngine {
             };
             let mut total_messages = 0usize;
             let mut total_changes = 0usize;
-            for (worker, result) in results.into_iter().enumerate() {
+            for (worker, result) in results.iter().enumerate() {
                 let (work, changes, sent) = result.expect("worker produced a result");
                 let per_worker = &mut superstep_stats.per_worker[worker];
                 per_worker.work = work;

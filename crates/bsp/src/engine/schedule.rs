@@ -12,15 +12,30 @@
 //! optimal makespan and, crucially, fully deterministic: ties break on the
 //! lower task index, then the lower lane index.
 //!
-//! The cost estimate combines the static CSR edge count of each subgraph
-//! with the *live* per-worker `work` counter from the previous superstep's
-//! `ExecutionStats` (see `engine::mod`), so a worklist algorithm whose
-//! frontier collapses onto one worker reschedules within one superstep.
+//! The cost estimate ([`superstep_cost`]) is the static CSR edge count of
+//! a subgraph for the first superstep and, once a frontier exists, the
+//! *live* per-worker `work` counter of the previous superstep plus the
+//! messages waiting in the worker's inbound shards — so a worklist
+//! algorithm whose frontier collapses onto one worker reschedules within
+//! one superstep, and a hub subgraph with nothing to do is placed last.
 //!
 //! Placement never affects results: workers are independent within a
 //! superstep, so values and `ExecutionStats` are bit-identical under every
 //! schedule (the mode-equivalence property suites prove this across pool
 //! sizes).
+
+/// The scheduler's estimate of one worker's next superstep. The first
+/// superstep (`previous` is `None`) may touch every local edge; a later one
+/// costs about what the worker's last one did (`previous.0`, its `work`
+/// counter) plus the messages it is about to fold (`previous.1`). Programs
+/// that do sweep every superstep (PageRank) report the sweep as `work`, so
+/// the estimate holds for them too.
+pub(crate) fn superstep_cost(edges: usize, previous: Option<(u64, usize)>) -> u64 {
+    match previous {
+        None => edges as u64 + 1,
+        Some((work, inbound)) => 1 + work + inbound as u64,
+    }
+}
 
 /// The lane placement of one superstep's worker tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +127,29 @@ mod tests {
             .unwrap();
         assert_eq!(hub_lane, &vec![0], "the hub shares no lane");
         assert!(makespan(&costs, &schedule) < count_even_makespan(&costs, 4));
+    }
+
+    #[test]
+    fn idle_hub_is_placed_after_every_active_worker() {
+        // Worker 0 holds the hub subgraph (most edges) but has no inbound
+        // shard and did nothing last superstep; the others are active.
+        let edges = [9_000usize, 40, 40, 40, 40];
+        let previous = [(0u64, 0usize), (12, 3), (0, 1), (700, 0), (5, 5)];
+        let first: Vec<u64> = edges.iter().map(|&e| superstep_cost(e, None)).collect();
+        assert_eq!(lpt_schedule(&first, 1).lanes[0][0], 0, "hub first");
+        let later: Vec<u64> = edges
+            .iter()
+            .zip(previous)
+            .map(|(&e, prev)| superstep_cost(e, Some(prev)))
+            .collect();
+        assert_eq!(later, vec![1, 16, 2, 701, 11]);
+        // One lane lists the LPT order itself; with two lanes the idle
+        // worker is still the last task of whichever lane it lands on.
+        assert_eq!(lpt_schedule(&later, 1).lanes[0], vec![3, 1, 4, 2, 0]);
+        let two = lpt_schedule(&later, 2);
+        let lane = two.lanes.iter().find(|lane| lane.contains(&0)).unwrap();
+        assert_eq!(lane.last(), Some(&0));
+        assert!(lane.len() > 1, "it does not get a lane of its own");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! A [`MessagePlane`] owns every buffer a BSP run needs to move replica
 //! messages — per-worker outboxes, the `p × p` shard matrix of the
-//! partitioned exchange, and per-worker flat inboxes — and reuses all of
-//! them across supersteps, so steady-state supersteps perform no
-//! per-message heap allocation.
+//! partitioned exchange, and per-worker flat inboxes — plus each worker's
+//! [`WorklistScratch`], and reuses all of them across supersteps, so
+//! steady-state supersteps perform no per-message heap allocation.
 //!
 //! One communication stage is two phases with a transpose in between:
 //!
@@ -23,9 +23,31 @@
 //! every counter in `ExecutionStats` — are bit-identical whether the
 //! phases run sequentially or threaded.
 
+use std::collections::VecDeque;
+
 use crate::program::MessageTarget;
 use crate::routing::WorkerRoutes;
 use crate::subgraph::Subgraph;
+
+/// One worker's worklist scratch, owned by the engine and handed to the
+/// program through
+/// [`SubgraphContext::scratch`](crate::SubgraphContext::scratch), so a
+/// frontier kernel allocates when its subgraph is first seen, not once per
+/// superstep.
+///
+/// The engine never reads it. A kernel must leave it the way it found it —
+/// `flags` all zero, `queue` and `changed` empty — by clearing only the
+/// entries it touched; the capacities are what survives a superstep.
+#[derive(Debug, Default)]
+pub struct WorklistScratch {
+    /// Flag bits per local vertex.
+    pub flags: Vec<u8>,
+    /// The first-in-first-out worklist of local vertex indices.
+    pub queue: VecDeque<u32>,
+    /// Local indices of the vertices whose value changed this superstep,
+    /// in discovery order.
+    pub changed: Vec<u32>,
+}
 
 /// A queued outgoing message: local vertex index, payload, fan-out.
 pub(crate) type OutboxEntry<M> = (u32, M, MessageTarget);
@@ -58,6 +80,9 @@ pub(crate) struct Inbox<M> {
 pub(crate) struct InboxView<'a, M> {
     pub(crate) msgs: &'a [M],
     pub(crate) offsets: &'a [u32],
+    /// Local index of every message in arrival order (a vertex that
+    /// received `k` messages appears `k` times).
+    pub(crate) receivers: &'a [u32],
 }
 
 // Manual impls: `#[derive(Clone, Copy)]` would bound `M`.
@@ -93,6 +118,7 @@ impl<M> Inbox<M> {
         InboxView {
             msgs: &self.msgs,
             offsets: &self.offsets,
+            receivers: &self.staging_local,
         }
     }
 
@@ -190,6 +216,8 @@ pub(crate) struct MessagePlane<M> {
     /// Per-worker outbox buffers (filled by the computation stage, drained
     /// by the scatter phase).
     pub(crate) outboxes: Vec<Vec<OutboxEntry<M>>>,
+    /// Per-worker worklist scratch (used only by the program).
+    pub(crate) scratch: Vec<WorklistScratch>,
     /// Scatter-side shards, indexed `[source][destination]`.
     pub(crate) out_shards: Vec<Vec<Shard<M>>>,
     /// Gather-side shards, indexed `[destination][source]`.
@@ -204,6 +232,7 @@ impl<M> MessagePlane<M> {
         MessagePlane {
             inboxes: vertices_per_worker.map(Inbox::new).collect(),
             outboxes: (0..p).map(|_| Vec::new()).collect(),
+            scratch: (0..p).map(|_| WorklistScratch::default()).collect(),
             out_shards: (0..p)
                 .map(|_| (0..p).map(|_| Vec::new()).collect())
                 .collect(),
@@ -254,6 +283,7 @@ mod tests {
         assert_eq!(view.messages(0), &[20]);
         assert_eq!(view.messages(1), &[10, 11, 12]);
         assert_eq!(view.messages(2), &[30]);
+        assert_eq!(view.receivers, &[1, 0, 1, 2, 1], "arrival order");
         assert!(shards.iter().all(|s| s.is_empty()), "shards are drained");
 
         // An empty refill leaves every mailbox empty.
@@ -262,6 +292,7 @@ mod tests {
         for local in 0..3 {
             assert_eq!(inbox.view().messages(local), &[] as &[u64]);
         }
+        assert!(inbox.view().receivers.is_empty());
     }
 
     /// The zero-allocation guarantee: refilling the same shapes reuses

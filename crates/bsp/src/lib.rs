@@ -4,7 +4,7 @@
 //! subgraph-centric framework following the bulk-synchronous-parallel model
 //! of Section IV-B: the graph is split into subgraphs, each bound to one
 //! worker, and every superstep consists of a computation stage (a sequential
-//! algorithm over the whole subgraph), a communication stage (messages
+//! algorithm run to the subgraph's local fixpoint), a communication stage (messages
 //! between replicas of the same vertex) and a synchronization barrier.
 //!
 //! This crate is an in-process reimplementation of that execution model:
@@ -56,6 +56,7 @@ pub use engine::{
     SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerPool, WorkerTask,
 };
 pub use error::{BspError, Result};
+pub use exchange::WorklistScratch;
 pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};
 pub use publish::{DurabilityHook, EpochCommitter, ValueSink};
 pub use stats::{

@@ -2,7 +2,7 @@
 
 use ebv_graph::VertexId;
 
-use crate::exchange::{InboxView, OutboxEntry};
+use crate::exchange::{InboxView, OutboxEntry, WorklistScratch};
 use crate::subgraph::Subgraph;
 
 /// Where a replica message should be delivered.
@@ -35,6 +35,8 @@ pub struct SubgraphContext<'a, V, M> {
     /// Engine-owned outbox buffer, reused across supersteps so queueing a
     /// message performs no allocation in the steady state.
     outbox: &'a mut Vec<OutboxEntry<M>>,
+    /// Engine-owned worklist scratch of this worker, reused likewise.
+    scratch: &'a mut WorklistScratch,
     work: u64,
     changes: usize,
 }
@@ -45,6 +47,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
         values: &'a mut [V],
         incoming: InboxView<'a, M>,
         outbox: &'a mut Vec<OutboxEntry<M>>,
+        scratch: &'a mut WorklistScratch,
     ) -> Self {
         debug_assert!(outbox.is_empty());
         SubgraphContext {
@@ -52,6 +55,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
             values,
             incoming,
             outbox,
+            scratch,
             work: 0,
             changes: 0,
         }
@@ -88,6 +92,23 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
     /// the previous communication stage.
     pub fn messages(&self, local_index: usize) -> &[M] {
         self.incoming.messages(local_index)
+    }
+
+    /// The local index of every message delivered during the previous
+    /// communication stage, in arrival order (a vertex that received `k`
+    /// messages appears `k` times) — what a frontier kernel folds instead
+    /// of probing [`messages`](Self::messages) for every local vertex.
+    /// Borrows the inbox, not the context, like
+    /// [`subgraph`](Self::subgraph).
+    pub fn receivers(&self) -> &'a [u32] {
+        self.incoming.receivers
+    }
+
+    /// This worker's [`WorklistScratch`], kept by the engine across
+    /// supersteps. A kernel that needs the context while it works
+    /// `std::mem::take`s the scratch and puts it back before returning.
+    pub fn scratch(&mut self) -> &mut WorklistScratch {
+        self.scratch
     }
 
     /// Queues a message for delivery to every *other* replica of the local
@@ -133,7 +154,9 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 /// A subgraph-centric BSP program.
 ///
 /// In every superstep each worker runs [`SubgraphProgram::run_superstep`]
-/// over its entire subgraph (the computation stage), then the engine routes
+/// on its subgraph (the computation stage: a sequential algorithm to the
+/// local fixpoint — a worklist over the vertices the last exchange or the
+/// seed activated, not a sweep of every edge), then the engine routes
 /// the queued replica messages (the communication stage) and waits for all
 /// workers (the synchronization stage). The program is generic over the
 /// vertex value type and the replica-message type.
@@ -210,14 +233,18 @@ mod tests {
         let incoming = InboxView {
             msgs: &msgs,
             offsets: &offsets,
+            receivers: &[0],
         };
         let mut outbox = Vec::new();
+        let mut scratch = WorklistScratch::default();
         let mut ctx: SubgraphContext<'_, u64, u64> =
-            SubgraphContext::new(sg, &mut values, incoming, &mut outbox);
+            SubgraphContext::new(sg, &mut values, incoming, &mut outbox, &mut scratch);
 
         assert_eq!(*ctx.value(0), 10);
         assert_eq!(ctx.messages(0), &[7]);
         assert_eq!(ctx.messages(1), &[] as &[u64]);
+        assert_eq!(ctx.receivers(), &[0]);
+        ctx.scratch().changed.push(2);
         ctx.set_value(1, 42);
         assert_eq!(ctx.values()[1], 42);
         assert_eq!(ctx.changes(), 1);
@@ -237,5 +264,6 @@ mod tests {
         );
         assert_eq!(work, 5);
         assert_eq!(changes, 1);
+        assert_eq!(scratch.changed, vec![2], "the scratch outlives the context");
     }
 }

@@ -15,13 +15,18 @@ use ebv_partition::max_mean_ratio;
 /// Counters for one worker during one superstep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSuperstepStats {
-    /// Work units (edge traversals) performed in the computation stage.
+    /// Work units performed in the computation stage. One unit is one edge
+    /// relaxation *performed* — an edge a worklist never reaches costs
+    /// nothing — so the count follows a program's frontier, not the size of
+    /// its subgraph.
     pub work: u64,
     /// Replica messages sent during the communication stage.
     pub messages_sent: usize,
     /// Replica messages received during the communication stage.
     pub messages_received: usize,
-    /// Local vertex updates performed.
+    /// Local value writes performed
+    /// ([`SubgraphContext::set_value`](crate::SubgraphContext::set_value)
+    /// calls; a vertex lowered twice counts twice).
     pub updates: usize,
 }
 
