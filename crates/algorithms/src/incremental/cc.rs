@@ -2,11 +2,12 @@
 //! [`crate::incremental`] for the full design).
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use ebv_bsp::{
     InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext, SubgraphProgram, WarmFrontier,
 };
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, IdHasher, VertexId};
 
 use crate::kernel::{gated_min_superstep, Activation, Flow};
 
@@ -15,8 +16,9 @@ use crate::kernel::{gated_min_superstep, Activation, Flow};
 /// endpoints' whole prior components are conservatively reset.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComponentInvalidation {
-    /// Prior labels whose components must be recomputed from scratch.
-    dirty: HashSet<u64>,
+    /// Prior labels whose components must be recomputed from scratch
+    /// (membership only: `warm_value` probes it once per local vertex).
+    dirty: HashSet<u64, BuildHasherDefault<IdHasher>>,
 }
 
 impl InvalidationPolicy for ComponentInvalidation {

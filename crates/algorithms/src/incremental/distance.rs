@@ -21,7 +21,8 @@
 //! answer — warm SSSP/BFS are bit-identical to cold runs, they just start
 //! next to the fixpoint instead of at infinity.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::hash::BuildHasherDefault;
 
 use ebv_bsp::{
@@ -41,8 +42,8 @@ use crate::{UNREACHABLE, UNVISITED};
 ///   are dirty, everything below is provably unaffected;
 /// * the **cone** — the precise per-vertex invalidation installed by
 ///   [`from_distributed`](IncrementalSssp::from_distributed), which walks
-///   the distribution's tight edges and keeps every vertex that still has a
-///   shortest-path certificate avoiding the deleted edges.
+///   outward from the heads of the removed tight edges and keeps every
+///   vertex that still has a shortest-path certificate avoiding them.
 #[derive(Debug, Clone)]
 pub(crate) struct DistanceInvalidation {
     source: VertexId,
@@ -87,16 +88,94 @@ impl InvalidationPolicy for DistanceInvalidation {
     }
 }
 
-/// Computes the precise invalidation cone over the **post-mutation**
+/// The precise invalidation cone of one batch, over the **post-mutation**
 /// distribution: every vertex with a finite prior distance that no longer
 /// has a *tight certificate chain* — a path of present edges `u→v` with
 /// `prior[u] + 1 == prior[v]` all the way from the source.
 ///
-/// A certified vertex's prior is an upper bound of its new distance
-/// (induction up the chain; a coincidentally tight *inserted* edge only
-/// strengthens the certificate), so only the returned cone has to reset
-/// and re-settle from the surviving rim. One O(E + V + D) vector sweep —
-/// cheap enough to sit inside the timed warm path.
+/// `prior` is the outcome on the graph `batch` was applied to, so before
+/// the batch every finite vertex had such a chain, and inserted edges only
+/// add support: a vertex can lose its chain only by being the head of a
+/// removed tight edge or a tight out-neighbour of a vertex that lost its
+/// own. The walk therefore starts at the removed tight edges' heads and
+/// decides candidates in ascending `prior` — when `v` is popped, every
+/// vertex one level down is final, so `v` keeps its chain iff some present
+/// tight in-edge comes from outside the cone (a surviving parallel copy of
+/// a removed edge, or a coincidentally tight inserted one, counts) — and a
+/// vertex that joins the cone nominates its tight out-neighbours. The cost
+/// follows the cone and its in-edges, not the graph.
+///
+/// A prior whose source is not at 0 certifies nothing: its cone is every
+/// finite non-source vertex, returned directly.
+fn walked_cone(
+    source: VertexId,
+    distributed: &DistributedGraph,
+    prior: &[u64],
+    batch: &MutationBatch,
+) -> Cone {
+    let finite = |v: VertexId| prior.get(v.index()).copied().filter(|&d| d != UNREACHABLE);
+    if prior.get(source.index()) != Some(&0) {
+        return (0..prior.len() as u64)
+            .filter(|&raw| raw != source.raw() && prior[raw as usize] != UNREACHABLE)
+            .collect();
+    }
+    // The local index of `v` in each of its holders.
+    let replicas_of = |v: VertexId| {
+        distributed
+            .replicas()
+            .replicas_of(v)
+            .iter()
+            .map(move |&part| {
+                let sg = distributed.subgraph(part);
+                let local = sg
+                    .local_index_of(v)
+                    .expect("replica table lists this holder");
+                (sg, local)
+            })
+    };
+
+    let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut nominated = Cone::default();
+    for &(edge, _) in batch.removed() {
+        if let (Some(du), Some(dv)) = (finite(edge.src), finite(edge.dst)) {
+            if du + 1 == dv && nominated.insert(edge.dst.raw()) {
+                pending.push(Reverse((dv, edge.dst.raw())));
+            }
+        }
+    }
+    let mut cone = Cone::default();
+    while let Some(Reverse((dv, raw))) = pending.pop() {
+        let v = VertexId::new(raw);
+        let certified = replicas_of(v).any(|(sg, local)| {
+            sg.in_neighbors(local).iter().any(|&w_local| {
+                let w = sg.vertex_at(w_local as usize);
+                finite(w).is_some_and(|dw| dw + 1 == dv) && !cone.contains(&w.raw())
+            })
+        });
+        if certified {
+            continue;
+        }
+        cone.insert(raw);
+        for (sg, local) in replicas_of(v) {
+            for &x_local in sg.out_neighbors(local) {
+                let x = sg.vertex_at(x_local as usize);
+                if finite(x) == Some(dv + 1) && nominated.insert(x.raw()) {
+                    pending.push(Reverse((dv + 1, x.raw())));
+                }
+            }
+        }
+    }
+    cone
+}
+
+/// The cone by exhaustive scan — the oracle [`walked_cone`] is checked
+/// against (inside `from_distributed` in debug builds, so every suite that
+/// warms SSSP or BFS is a differential test of the walk). It reads only the
+/// post-mutation graph and `prior`: every finite vertex without a tight
+/// chain, whatever the batch was.
+///
+/// One O(E + V + D) vector sweep.
+#[cfg(any(test, debug_assertions))]
 fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u64]) -> Cone {
     // Bucket the tight edges by head distance, streaming each subgraph's
     // CSR adjacency (tails grouped, one offset lookup per tail). A tight
@@ -186,7 +265,15 @@ impl WarmDistanceCore {
     ) -> Self {
         let mut core = Self::new(source);
         core.frontier.absorb_seeds(prior, batch);
-        core.frontier.policy_mut().cone = unsupported_cone(source, distributed, prior);
+        let cone = walked_cone(source, distributed, prior, batch);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            cone,
+            unsupported_cone(source, distributed, prior),
+            "the walked cone differs from the scanned one: is `prior` the outcome on the \
+             graph this batch was applied to?"
+        );
+        core.frontier.policy_mut().cone = cone;
         core
     }
 
@@ -254,13 +341,20 @@ macro_rules! warm_distance_program {
                 program
             }
 
-            /// Creates the program for one mutation batch, walking the
+            /// Creates the program for one mutation batch applied on top of
+            /// the graph that produced `prior` (the contract
+            /// [`from_batch`](Self::from_batch) states), walking the
             /// **post-mutation** `distributed` (the batch already applied,
             /// exactly what `EventPipeline::run_applied` hands its epoch
-            /// callback) to compute the *precise* invalidation cone — only
-            /// vertices whose every tight shortest-path certificate crossed
-            /// a deleted edge are reset, instead of everything at or beyond
-            /// the horizon. `batch` contributes the insertion seeds.
+            /// callback) outward from the batch's removed tight edges to
+            /// compute the *precise* invalidation cone — only vertices
+            /// whose every tight shortest-path certificate crossed a
+            /// deleted edge are reset, instead of everything at or beyond
+            /// the horizon — at a cost that follows the cone, not the
+            /// graph. `batch` also contributes the insertion seeds. A
+            /// `prior` from further back (several batches since) is outside
+            /// the contract: absorb those batches with
+            /// [`absorb`](Self::absorb) instead.
             pub fn from_distributed(
                 $root: VertexId,
                 distributed: &DistributedGraph,
@@ -665,6 +759,199 @@ mod tests {
         let mut cone: Vec<u64> = cone.into_iter().collect();
         cone.sort_unstable();
         assert_eq!(cone, vec![2, 3]);
+    }
+
+    /// A small deterministic generator for the differential test below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// Takes up to `count` random live copies satisfying `wanted` out of
+    /// `live` and records their deletion (LIFO: the latest equal copy goes).
+    fn delete_some(
+        live: &mut Vec<(Edge, PartitionId)>,
+        batch: &mut MutationBatch,
+        rng: &mut Lcg,
+        count: usize,
+        wanted: impl Fn(&(Edge, PartitionId)) -> bool,
+    ) -> Vec<Edge> {
+        let mut gone = Vec::new();
+        for _ in 0..count {
+            let candidates: Vec<usize> = (0..live.len()).filter(|&i| wanted(&live[i])).collect();
+            if candidates.is_empty() {
+                break;
+            }
+            let pick = live[candidates[rng.below(candidates.len())]];
+            let latest = live.iter().rposition(|&pair| pair == pick).unwrap();
+            live.remove(latest);
+            batch.record_delete(pick.0, pick.1);
+            gone.push(pick.0);
+        }
+        gone
+    }
+
+    #[test]
+    fn the_walked_cone_equals_the_scanned_cone_under_random_churn() {
+        use ebv_graph::generators::{GraphGenerator, GridGenerator, RmatGenerator};
+
+        let rmat = RmatGenerator::new(7, 4).with_seed(11).generate().unwrap();
+        let grid = GridGenerator::new(8, 9)
+            .with_seed(5)
+            .with_deletion_probability(0.1)
+            .generate()
+            .unwrap();
+        let path: Vec<Edge> = (0u64..40).map(|i| Edge::from((i, i + 1))).collect();
+        let graphs = [
+            ("rmat", rmat.edges().to_vec()),
+            ("grid", grid.edges().to_vec()),
+            ("path", path),
+        ];
+        let engine = BspEngine::sequential();
+        let source = VertexId::new(0);
+        let tight = |prior: &[u64], e: Edge| {
+            let (du, dv) = (prior.get(e.src.index()), prior.get(e.dst.index()));
+            matches!((du, dv), (Some(&du), Some(&dv)) if du != UNREACHABLE && du + 1 == dv)
+        };
+        for (name, edges) in &graphs {
+            let (mut cone_total, mut rescues, mut spared_copies) = (0, 0, 0);
+            for p in [1usize, 2, 4, 7] {
+                let mut rng = Lcg(0x9E37_79B9 ^ (p as u64) << 8 ^ edges.len() as u64);
+                // Random placement, and a second copy of every tenth edge
+                // on a random worker: a multigraph across workers.
+                let mut live: Vec<(Edge, PartitionId)> = Vec::new();
+                for (i, &edge) in edges.iter().enumerate() {
+                    live.push((edge, PartitionId::from_index(rng.below(p))));
+                    if i.is_multiple_of(10) {
+                        live.push((edge, PartitionId::from_index(rng.below(p))));
+                    }
+                }
+                let mut distributed =
+                    DistributedGraph::build_streaming(p, None, live.iter().copied()).unwrap();
+                let mut distances = engine
+                    .run(&distributed, &SingleSourceShortestPath::new(source))
+                    .unwrap()
+                    .values;
+                for epoch in 0..3 {
+                    let prior = distances.clone();
+                    let mut batch = MutationBatch::new();
+                    let cut = delete_some(&mut live, &mut batch, &mut rng, 3, |&(e, _)| {
+                        tight(&prior, e)
+                    });
+                    delete_some(&mut live, &mut batch, &mut rng, 3, |&(e, _)| {
+                        !tight(&prior, e)
+                    });
+                    // One copy of a tight edge that has another live copy.
+                    let doubled = |pair: &(Edge, PartitionId)| {
+                        tight(&prior, pair.0)
+                            && live.iter().filter(|other| other.0 == pair.0).count() > 1
+                    };
+                    let doubled: Vec<(Edge, PartitionId)> =
+                        live.iter().copied().filter(doubled).collect();
+                    if let Some(&pick) = doubled.first() {
+                        let latest = live.iter().rposition(|&pair| pair == pick).unwrap();
+                        live.remove(latest);
+                        batch.record_delete(pick.0, pick.1);
+                        spared_copies += 1;
+                    }
+                    // The source's only out-edge, where it has just one.
+                    if epoch == 2 {
+                        let out: Vec<(Edge, PartitionId)> = live
+                            .iter()
+                            .copied()
+                            .filter(|pair| pair.0.src == source)
+                            .collect();
+                        if let [only] = out[..] {
+                            live.retain(|&pair| pair != only);
+                            batch.record_delete(only.0, only.1);
+                        }
+                    }
+                    // A coincidentally tight insert into the head of a cut
+                    // edge, from another vertex at the tail's level.
+                    if let Some(&gone) = cut.first() {
+                        let level = prior[gone.src.index()];
+                        let other =
+                            (0..prior.len()).find(|&w| prior[w] == level && w != gone.src.index());
+                        if let Some(w) = other {
+                            let edge = Edge::from((w as u64, gone.dst.raw()));
+                            let part = PartitionId::from_index(rng.below(p));
+                            batch.record_insert(edge, part);
+                            live.push((edge, part));
+                            rescues += 1;
+                        }
+                    }
+                    // Universe growth past `prior.len()`, hung off a
+                    // reachable vertex so the new vertices get distances.
+                    let fresh = distributed.num_vertices() as u64 + epoch as u64;
+                    let anchor = (0..prior.len()).rev().find(|&v| prior[v] != UNREACHABLE);
+                    let growth = Edge::from((anchor.unwrap() as u64, fresh));
+                    let part = PartitionId::from_index(rng.below(p));
+                    batch.record_insert(growth, part);
+                    live.push((growth, part));
+
+                    distributed.apply_mutations(&batch).unwrap();
+                    let program =
+                        IncrementalSssp::from_distributed(source, &distributed, &prior, &batch);
+                    let scanned = unsupported_cone(source, &distributed, &prior);
+                    let context = format!("{name} p={p} epoch {epoch}");
+                    assert_eq!(program.core.frontier.policy().cone, scanned, "{context}");
+                    assert_eq!(program.cone_vertices(), scanned.len(), "{context}");
+                    let bfs =
+                        IncrementalBfs::from_distributed(source, &distributed, &prior, &batch);
+                    assert_eq!(bfs.cone_vertices(), scanned.len(), "{context}");
+                    cone_total += scanned.len();
+
+                    let warm = engine
+                        .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
+                        .unwrap();
+                    let cold = engine
+                        .run(&distributed, &SingleSourceShortestPath::new(source))
+                        .unwrap();
+                    assert_eq!(warm.values, cold.values, "{context}");
+                    let fresh_build = DistributedGraph::build_streaming(
+                        p,
+                        Some(distributed.num_vertices()),
+                        live.iter().copied(),
+                    )
+                    .unwrap();
+                    assert!(distributed.same_structure(&fresh_build), "{context}");
+                    distances = warm.values;
+                }
+            }
+            // The scenarios the walk has to get right all occurred.
+            assert!(
+                cone_total > 0,
+                "{name}: no deletion ever cost a certificate"
+            );
+            // (A path has one vertex per level, so nothing to rescue from.)
+            assert!(
+                rescues > 0 || *name == "path",
+                "{name}: no tight insert tried"
+            );
+            assert!(
+                spared_copies > 0,
+                "{name}: no parallel copy was ever spared"
+            );
+        }
+    }
+
+    #[test]
+    fn a_prior_without_its_source_at_zero_puts_every_finite_vertex_in_the_cone() {
+        let edges = (0u64..3).map(|i| (Edge::from((i, i + 1)), PartitionId::new(0)));
+        let distributed = DistributedGraph::build_streaming(1, None, edges).unwrap();
+        let batch = MutationBatch::new();
+        for prior in [vec![1, 2, 3, UNREACHABLE], vec![], vec![UNREACHABLE, 5]] {
+            let source = VertexId::new(0);
+            let walked = walked_cone(source, &distributed, &prior, &batch);
+            assert_eq!(walked, unsupported_cone(source, &distributed, &prior));
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //!   shorten paths); deletions invalidate either everything at or beyond the
 //!   deleted edge's head — the graph-free *horizon* of `from_batch` — or,
 //!   with `from_distributed`, exactly the *downstream cones* of vertices
-//!   whose every tight shortest-path certificate crossed a deleted edge.
+//!   whose every tight shortest-path certificate crossed a deleted edge,
+//!   found by walking outward from the removed tight edges (the exhaustive
+//!   tight-edge scan it replaced checks it in every debug build).
 //!   The surviving settled frontier re-settles the reset region. Kept
 //!   distances are still valid upper bounds, reset ones restart from
 //!   unreachable, so the warm relaxation fixpoint is the cold answer.

@@ -9,7 +9,8 @@
 //! universe → incidence delta → new edge lists → re-elect affected →
 //! rebuild touched → routing patch — of which only the first can fail, and
 //! it mutates nothing, so a rejected batch leaves the distribution
-//! unchanged.
+//! unchanged, its [`Lineage`](crate::Lineage) state id included; a batch
+//! that lands mints a new one and keeps its affected list beside it.
 
 use std::time::Instant;
 
@@ -17,7 +18,7 @@ use ebv_graph::{Edge, IdHashMap, VertexId};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 use ebv_partition::PartitionId;
 
-use crate::distributed::DistributedGraph;
+use crate::distributed::{mint_state, DistributedGraph};
 use crate::error::{BspError, Result};
 use crate::mutation_batch::{MutationBatch, MutationStats};
 use crate::replica::MasterRule;
@@ -126,6 +127,9 @@ impl DistributedGraph {
             self.epoch,
         );
         recorder.span(patch_started, span_ctx, Phase::RoutingPatch);
+        // A new state, derived from the one this batch found.
+        self.parent_state = std::mem::replace(&mut self.state, mint_state());
+        self.affected = affected;
         self.last_mutation = MutationStats {
             workers_touched,
             edges_rebuilt,

@@ -8,6 +8,8 @@
 //! epoch over the survivors — ends in the same [`assemble`]d state, which
 //! [`DistributedGraph::same_structure`] compares.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use ebv_graph::{Edge, Graph, VertexId};
 use ebv_partition::{PartitionId, PartitionResult};
 
@@ -16,6 +18,37 @@ use crate::mutation_batch::MutationStats;
 use crate::replica::{MasterRule, ReplicaTable};
 use crate::routing::RoutingTable;
 use crate::subgraph::Subgraph;
+
+/// Source of [`Lineage::state`] ids; 0 is never minted and means "no state".
+static NEXT_STATE: AtomicU64 = AtomicU64::new(1);
+
+/// A process-unique id for a distribution state nobody has seen before.
+/// `Relaxed`: the id publishes nothing but its own uniqueness.
+pub(crate) fn mint_state() -> u64 {
+    NEXT_STATE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Which state a [`DistributedGraph`] is in and how it got there — what a
+/// consumer that derived something from the previous state (a served
+/// adjacency, say) needs in order to *know*, rather than assume from
+/// `epoch + 1`, that its copy describes this state's parent, and to patch
+/// it instead of re-deriving it.
+#[derive(Debug, Clone, Copy)]
+pub struct Lineage<'a> {
+    /// Process-unique id of this state: minted by every assembly and every
+    /// non-empty [`apply_mutations`](DistributedGraph::apply_mutations),
+    /// copied by `Clone` (a clone *is* the same state until it is mutated).
+    /// Never 0.
+    pub state: u64,
+    /// The `state` the most recent non-empty batch was applied to; 0 for a
+    /// freshly assembled distribution.
+    pub parent: u64,
+    /// The vertices that batch could have changed — endpoints of its edges
+    /// plus the vertices it created — ascending. Every other vertex has the
+    /// neighbours, replicas and master it had in `parent`. Empty for a
+    /// freshly assembled distribution.
+    pub affected: &'a [usize],
+}
 
 /// A graph distributed over `p` workers: the per-worker subgraphs plus the
 /// replica table used for routing messages.
@@ -46,6 +79,12 @@ pub struct DistributedGraph {
     /// lockstep with the subgraphs (epoch-versioned; see
     /// [`crate::routing`]).
     pub(crate) routing: RoutingTable,
+    /// This state's id, its parent's and the last batch's affected list:
+    /// see [`Lineage`]. Not structure — [`same_structure`](Self::same_structure)
+    /// ignores all three.
+    pub(crate) state: u64,
+    pub(crate) parent_state: u64,
+    pub(crate) affected: Vec<usize>,
 }
 
 impl DistributedGraph {
@@ -157,6 +196,15 @@ impl DistributedGraph {
     /// [`apply_mutations`](Self::apply_mutations) batch.
     pub fn epoch(&self) -> usize {
         self.epoch
+    }
+
+    /// This state's identity and its derivation from the previous one.
+    pub fn lineage(&self) -> Lineage<'_> {
+        Lineage {
+            state: self.state,
+            parent: self.parent_state,
+            affected: &self.affected,
+        }
     }
 
     /// Whether every local edge is owned (the vertex-cut invariant). Only
@@ -279,6 +327,9 @@ pub(crate) fn assemble(
         isolated_per_part,
         last_mutation: MutationStats::default(),
         routing,
+        state: mint_state(),
+        parent_state: 0,
+        affected: Vec::new(),
     }
 }
 

@@ -63,7 +63,8 @@ pub use stats::{
     Breakdown, CostModel, ExecutionStats, SuperstepStats, TimelineSpan, WorkerSuperstepStats,
 };
 pub use subgraph::{
-    DistributedGraph, DistributedGraphBuilder, MutationBatch, MutationStats, ReplicaTable, Subgraph,
+    DistributedGraph, DistributedGraphBuilder, Lineage, MutationBatch, MutationStats, ReplicaTable,
+    Subgraph,
 };
 pub use warm::{InvalidationPolicy, WarmFrontier};
 

@@ -51,6 +51,13 @@ pub trait ValueSink<V>: Sync {
 pub trait EpochCommitter {
     /// Flips the staged values into the readable snapshot for
     /// `distributed.epoch()`.
+    ///
+    /// An implementation that keeps something derived from the previous
+    /// commit's graph may patch it with the batch instead of re-deriving
+    /// it, but only on the evidence of
+    /// [`lineage`](crate::distributed::DistributedGraph::lineage): the
+    /// epoch number does not identify a state (two clones of one graph
+    /// reach the same epoch through different batches).
     fn commit_epoch(&self, distributed: &crate::distributed::DistributedGraph);
 }
 

@@ -17,10 +17,18 @@
 //! stale table can be caught by comparing [`RoutingTable::epoch`] with the
 //! distribution's epoch.
 //!
+//! Both [`RoutingTable::build`] and [`RoutingTable::apply_update`] derive
+//! routes from arrays, not hash probes: each first lays out a transient
+//! [`ReplicaLocations`] — every replica of every vertex as a
+//! `(worker, local index)` pair, filled by one pass over the subgraphs'
+//! vertex tables — and reads route destinations and patch targets off it.
+//! A rebuilt worker is re-indexed from scratch (first-appearance local
+//! numbering), so every route into it changes; what the arrays remove is
+//! the `local_index_of` probe per route, not the re-index.
+//!
 //! [`MessageTarget`]: crate::program::MessageTarget
 
 use ebv_graph::VertexId;
-use ebv_partition::PartitionId;
 
 use crate::replica::ReplicaTable;
 use crate::subgraph::Subgraph;
@@ -66,18 +74,20 @@ pub(crate) struct WorkerRoutes {
 }
 
 impl WorkerRoutes {
-    /// Builds the full route set of one worker from the replica table.
+    /// Builds the full route set of one worker from the replica locations.
     fn build(
-        worker: usize,
+        worker: u32,
         sg: &Subgraph,
-        subgraphs: &[Subgraph],
         replicas: &ReplicaTable,
+        locations: &ReplicaLocations,
     ) -> Self {
         let mut offsets = Vec::with_capacity(sg.num_vertices() + 1);
         offsets.push(0u32);
-        let mut routes = Vec::new();
+        // One route to each *other* replica of each local vertex.
+        let others = |&v: &VertexId| locations.of(v).len() - 1;
+        let mut routes = Vec::with_capacity(sg.vertices().iter().map(others).sum());
         for &v in sg.vertices() {
-            push_routes(worker, v, subgraphs, replicas, &mut routes);
+            push_routes(worker, v, replicas, locations, &mut routes);
             offsets.push(u32::try_from(routes.len()).expect("route count fits u32"));
         }
         WorkerRoutes { offsets, routes }
@@ -130,38 +140,73 @@ impl WorkerRoutes {
     }
 }
 
+/// Every replica of every vertex as a `(worker, local index)` pair, flat:
+/// vertex `v`'s replicas are `replicas[offsets[v]..offsets[v + 1]]`, in
+/// ascending worker order. Transient — laid out by one pass over the
+/// subgraphs' vertex tables at the top of a table build or update, so that
+/// deriving a route or a patch target is an array read where it used to be
+/// a `replicas_of` pointer chase plus a `local_index_of` hash probe.
+struct ReplicaLocations {
+    offsets: Vec<u32>,
+    replicas: Vec<Route>,
+}
+
+impl ReplicaLocations {
+    fn build(subgraphs: &[Subgraph], num_vertices: usize) -> Self {
+        let mut offsets = vec![0u32; num_vertices + 1];
+        for sg in subgraphs {
+            for &v in sg.vertices() {
+                offsets[v.index() + 1] += 1;
+            }
+        }
+        for v in 0..num_vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        // Workers are visited in ascending order, so each vertex's slice
+        // fills in ascending worker order.
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut replicas = vec![ABSENT; offsets[num_vertices] as usize];
+        for (worker, sg) in subgraphs.iter().enumerate() {
+            let worker = u32::try_from(worker).expect("worker fits u32");
+            for (local, &v) in sg.vertices().iter().enumerate() {
+                let slot = &mut cursor[v.index()];
+                replicas[*slot as usize] = Route {
+                    worker,
+                    local: u32::try_from(local).expect("local index fits u32"),
+                };
+                *slot += 1;
+            }
+        }
+        ReplicaLocations { offsets, replicas }
+    }
+
+    /// The replicas of vertex `v`, ascending by worker.
+    #[inline]
+    fn of(&self, v: VertexId) -> &[Route] {
+        &self.replicas[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+    }
+}
+
 /// Appends the routes of vertex `v` as seen from `worker` (master first
 /// when `worker` is not the master, then mirrors in ascending worker
 /// order).
 fn push_routes(
-    worker: usize,
+    worker: u32,
     v: VertexId,
-    subgraphs: &[Subgraph],
     replicas: &ReplicaTable,
+    locations: &ReplicaLocations,
     out: &mut Vec<Route>,
 ) {
-    let master = replicas.master_of(v);
-    let local_in = |part: PartitionId| -> u32 {
-        let local = subgraphs[part.index()]
-            .local_index_of(v)
-            .expect("replica table lists this holder");
-        u32::try_from(local).expect("local index fits u32")
-    };
-    if master.index() != worker {
-        out.push(Route {
-            worker: master.raw(),
-            local: local_in(master),
-        });
+    let master = replicas.master_of(v).raw();
+    let held = locations.of(v);
+    if master != worker {
+        let at_master = held.iter().find(|replica| replica.worker == master);
+        out.push(*at_master.expect("the master holds a replica"));
     }
-    for &holder in replicas.replicas_of(v) {
-        if holder.index() == worker || holder == master {
-            continue;
-        }
-        out.push(Route {
-            worker: holder.raw(),
-            local: local_in(holder),
-        });
-    }
+    out.extend(
+        held.iter()
+            .filter(|replica| replica.worker != worker && replica.worker != master),
+    );
 }
 
 /// The one derivation of a master location: worker `worker` holds `v` at
@@ -214,14 +259,12 @@ impl RoutingTable {
         num_vertices: usize,
         epoch: usize,
     ) -> Self {
-        let workers = subgraphs
-            .iter()
-            .enumerate()
-            .map(|(w, sg)| WorkerRoutes::build(w, sg, subgraphs, replicas))
-            .collect();
+        let locations = ReplicaLocations::build(subgraphs, num_vertices);
+        let mut workers = Vec::with_capacity(subgraphs.len());
         let mut master_location = vec![ABSENT; num_vertices];
         for (d, sg) in subgraphs.iter().enumerate() {
             let d = u32::try_from(d).expect("worker fits u32");
+            workers.push(WorkerRoutes::build(d, sg, replicas, &locations));
             for (local, &v) in sg.vertices().iter().enumerate() {
                 record_if_master(&mut master_location, replicas, v, d, local);
             }
@@ -274,38 +317,37 @@ impl RoutingTable {
     ) {
         self.epoch = epoch;
         self.master_location.resize(num_vertices, ABSENT);
-
-        // Rebuilt workers get fresh route tables.
-        for (w, sg) in subgraphs.iter().enumerate() {
-            if rebuilt[w] {
-                self.workers[w] = WorkerRoutes::build(w, sg, subgraphs, replicas);
-            }
+        let locations = ReplicaLocations::build(subgraphs, num_vertices);
+        let mut is_affected = vec![false; num_vertices];
+        for &vi in affected {
+            is_affected[vi] = true;
         }
+        let any_kept = rebuilt.iter().any(|&rebuilt| !rebuilt);
 
-        // Their vertices moved to new local indices: refresh the master
-        // locations they host and re-point the routes of every untouched
-        // holder. Affected vertices are skipped — their route lists are
-        // recomputed from scratch below.
+        // Rebuilt workers get fresh route tables. Their vertices moved to
+        // new local indices: refresh the master locations they host and
+        // re-point the routes of every untouched holder. Affected vertices
+        // are skipped — their route lists are recomputed from scratch below.
         for (d, sg) in subgraphs.iter().enumerate() {
             if !rebuilt[d] {
                 continue;
             }
             let dest = u32::try_from(d).expect("worker fits u32");
+            self.workers[d] = WorkerRoutes::build(dest, sg, replicas, &locations);
             for (local, &v) in sg.vertices().iter().enumerate() {
                 record_if_master(&mut self.master_location, replicas, v, dest, local);
-                if affected.binary_search(&v.index()).is_ok() {
+                if !any_kept || is_affected[v.index()] {
                     continue;
                 }
                 let local = u32::try_from(local).expect("local index fits u32");
-                for &holder in replicas.replicas_of(v) {
-                    let h = holder.index();
-                    if h == d || rebuilt[h] {
-                        continue;
+                for holder in locations.of(v) {
+                    if !rebuilt[holder.worker as usize] {
+                        self.workers[holder.worker as usize].patch_dest(
+                            holder.local as usize,
+                            dest,
+                            local,
+                        );
                     }
-                    let hl = subgraphs[h]
-                        .local_index_of(v)
-                        .expect("replica table lists this holder");
-                    self.workers[h].patch_dest(hl, dest, local);
                 }
             }
         }
@@ -317,17 +359,15 @@ impl RoutingTable {
         let mut changes: Vec<Vec<(usize, Vec<Route>)>> = vec![Vec::new(); subgraphs.len()];
         for &vi in affected {
             let v = VertexId::from(vi);
-            for &holder in replicas.replicas_of(v) {
-                let h = holder.index();
+            for holder in locations.of(v) {
+                let h = holder.worker as usize;
                 if rebuilt[h] {
                     continue;
                 }
-                let hl = subgraphs[h]
-                    .local_index_of(v)
-                    .expect("replica table lists this holder");
-                record_if_master(&mut self.master_location, replicas, v, holder.raw(), hl);
+                let hl = holder.local as usize;
+                record_if_master(&mut self.master_location, replicas, v, holder.worker, hl);
                 let mut routes = Vec::new();
-                push_routes(h, v, subgraphs, replicas, &mut routes);
+                push_routes(holder.worker, v, replicas, &locations, &mut routes);
                 changes[h].push((hl, routes));
             }
         }

@@ -16,7 +16,7 @@ use ebv_partition::PartitionId;
 // The distribution layer's public types, re-exported from the modules that
 // own them so `lib.rs` names them in one list.
 pub use crate::builder::DistributedGraphBuilder;
-pub use crate::distributed::DistributedGraph;
+pub use crate::distributed::{DistributedGraph, Lineage};
 pub use crate::mutation_batch::{MutationBatch, MutationStats};
 pub use crate::replica::ReplicaTable;
 

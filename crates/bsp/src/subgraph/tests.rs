@@ -4,6 +4,7 @@
 //! distribution equals a fresh `build_streaming` of the survivors).
 
 use super::*;
+use crate::routing::RoutingTable;
 use crate::BspError;
 use ebv_graph::Graph;
 use ebv_partition::{EbvPartitioner, MetisLikePartitioner, Partitioner};
@@ -830,4 +831,130 @@ fn epochs_accumulate_across_batches() {
         assert_eq!(dg.epoch(), expected);
     }
     assert_eq!(dg.num_edges(), g.num_edges() + 3);
+}
+
+#[test]
+fn one_touched_worker_repoints_the_routes_of_the_holders_it_leaves_alone() {
+    // The routing update's narrow path: a batch that names one worker
+    // while vertices it changes are also held by workers that are kept, so
+    // kept holders get `patch_dest`s (unaffected vertices of the rebuilt
+    // worker) and spliced route lists (affected ones) instead of a rebuild.
+    // The maintained table must equal `RoutingTable::build` of the state.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 33) % n as u64) as usize
+    };
+    for p in [2usize, 3, 5] {
+        // Dense enough over 24 vertices that most are replicated everywhere.
+        let mut survivors: Vec<(Edge, PartitionId)> = (0..40 * p)
+            .map(|_| {
+                let edge = Edge::from((below(24) as u64, below(24) as u64));
+                (edge, PartitionId::from_index(below(p)))
+            })
+            .collect();
+        let mut dg = DistributedGraph::build_streaming(p, None, survivors.clone()).unwrap();
+        let mut shared_affected = 0;
+        for round in 0..12 {
+            let only = PartitionId::from_index(round % p);
+            let mut batch = MutationBatch::new();
+            for _ in 0..1 + below(3) {
+                let held: Vec<usize> = (0..survivors.len())
+                    .filter(|&i| survivors[i].1 == only)
+                    .collect();
+                // Removal is LIFO: the latest copy equal to the pick goes.
+                let victim = survivors[held[below(held.len())]];
+                let latest = survivors.iter().rposition(|&pair| pair == victim);
+                survivors.remove(latest.expect("the pick itself matches"));
+                batch.record_delete(victim.0, victim.1);
+            }
+            for _ in 0..1 + below(3) {
+                // Every third round one insert grows the universe.
+                let dst = if round.is_multiple_of(3) {
+                    dg.num_vertices() as u64
+                } else {
+                    below(24) as u64
+                };
+                let edge = Edge::from((below(24) as u64, dst));
+                batch.record_insert(edge, only);
+                survivors.push((edge, only));
+            }
+            let stats = dg.apply_mutations(&batch).unwrap();
+            assert!(stats.workers_touched < p, "p={p} round {round}: {stats}");
+            let lineage = dg.lineage();
+            shared_affected += lineage
+                .affected
+                .iter()
+                .filter(|&&v| {
+                    let holders = dg.replicas().replicas_of(VertexId::from(v));
+                    holders.iter().any(|&holder| holder != only)
+                })
+                .count();
+            let rebuilt =
+                RoutingTable::build(&dg.subgraphs, &dg.replicas, dg.num_vertices(), dg.epoch());
+            assert_eq!(dg.routing(), &rebuilt, "p={p} round {round}");
+            let fresh = DistributedGraph::build_streaming(
+                p,
+                Some(dg.num_vertices()),
+                survivors.iter().copied(),
+            )
+            .unwrap();
+            assert_same_distribution(&dg, &fresh);
+        }
+        assert!(
+            shared_affected > 0,
+            "p={p}: no affected vertex had a kept holder"
+        );
+    }
+}
+
+#[test]
+fn lineage_names_each_state_once_and_clones_share_it() {
+    let g = square();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let mut dg = DistributedGraph::build(&g, &partition).unwrap();
+    let built = dg.lineage().state;
+    assert_ne!(built, 0);
+    assert_eq!(dg.lineage().parent, 0);
+    assert!(dg.lineage().affected.is_empty());
+    let other = DistributedGraph::build(&g, &partition).unwrap();
+    assert_ne!(
+        other.lineage().state,
+        built,
+        "equal content, distinct builds"
+    );
+    assert!(other.same_structure(&dg), "lineage is not structure");
+
+    // An empty batch changes nothing, the token included.
+    dg.apply_mutations(&MutationBatch::new()).unwrap();
+    assert_eq!(dg.lineage().state, built);
+
+    let mut twin = dg.clone();
+    assert_eq!(twin.lineage().state, built, "a clone is the same state");
+    let mut batch = MutationBatch::new();
+    batch.record_insert(Edge::from((0u64, 5u64)), PartitionId::new(1));
+    dg.apply_mutations(&batch).unwrap();
+    let lineage = dg.lineage();
+    assert_eq!(lineage.parent, built);
+    assert!(lineage.state != built && lineage.state != 0);
+    assert_eq!(
+        lineage.affected,
+        [0, 4, 5],
+        "endpoints plus created vertices"
+    );
+    let applied = lineage.state;
+
+    // The clone diverges from the same parent into a state of its own.
+    twin.apply_mutations(&batch).unwrap();
+    assert_eq!(twin.lineage().parent, built);
+    assert_ne!(twin.lineage().state, applied);
+    assert!(twin.same_structure(&dg));
+
+    // A rejected batch leaves the state, and so its name, alone.
+    let mut bad = MutationBatch::new();
+    bad.record_delete(Edge::from((7u64, 8u64)), PartitionId::new(0));
+    assert!(dg.apply_mutations(&bad).is_err());
+    assert_eq!(dg.lineage().state, applied);
 }

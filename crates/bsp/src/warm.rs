@@ -27,8 +27,9 @@
 //! worklist kernel for the min-propagation algorithms.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, IdHasher, VertexId};
 
 use crate::mutation_batch::MutationBatch;
 
@@ -69,7 +70,9 @@ pub trait InvalidationPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct WarmFrontier<P> {
     policy: P,
-    seeds: HashSet<u64>,
+    /// Raw vertex ids, membership only: the kernel's superstep 0 probes
+    /// [`is_seed`](WarmFrontier::is_seed) once per local vertex.
+    seeds: HashSet<u64, BuildHasherDefault<IdHasher>>,
 }
 
 impl<P: InvalidationPolicy> WarmFrontier<P> {
@@ -79,7 +82,7 @@ impl<P: InvalidationPolicy> WarmFrontier<P> {
     pub fn new(policy: P) -> Self {
         WarmFrontier {
             policy,
-            seeds: HashSet::new(),
+            seeds: HashSet::default(),
         }
     }
 

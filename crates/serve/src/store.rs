@@ -22,6 +22,7 @@ use std::time::Instant;
 use ebv_algorithms::PageRankValue;
 use ebv_bsp::publish::{EpochCommitter, ValueSink};
 use ebv_bsp::{DistributedGraph, ExecutionStats};
+use ebv_graph::VertexId;
 use ebv_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// One queried value, as served: `Null` renders a vertex whose value is
@@ -94,39 +95,131 @@ pub struct Series {
     pub data: SeriesData,
 }
 
-/// Global out-neighborhoods in CSR form, rebuilt from the distribution's
+/// Global out-neighborhoods in CSR form, read off the distribution's
 /// per-subgraph CSRs at commit time (under a vertex-cut every edge lives
 /// in exactly one subgraph; lists are sorted and deduplicated so edge-cut
-/// distributions serve correctly too).
+/// distributions and parallel copies serve correctly too).
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
     offsets: Vec<usize>,
     targets: Vec<u64>,
+    /// [`Lineage::state`](ebv_bsp::Lineage::state) of the distribution
+    /// these lists describe; 0 — no state — for the empty default. This is
+    /// what lets a commit *know* whether the adjacency it holds is the new
+    /// state's own, its parent's, or neither.
+    state: u64,
 }
 
+/// A batch is patched into the previous adjacency only while its affected
+/// vertices are at most one in this many; past that the per-vertex holder
+/// probes cost more than the counting-sort rebuild they avoid.
+const PATCH_MAX_AFFECTED_SHARE: usize = 8;
+
 impl Adjacency {
-    /// Builds the global out-adjacency of `distributed`.
+    /// Builds the global out-adjacency of `distributed` from scratch: a
+    /// two-pass counting sort into one CSR (degree histogram, scatter),
+    /// then each list sorted and deduplicated in place.
     pub fn from_distributed(distributed: &DistributedGraph) -> Adjacency {
         let n = distributed.num_vertices();
-        let mut lists: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut offsets = vec![0usize; n + 1];
         for sg in distributed.subgraphs() {
-            for local in 0..sg.num_vertices() {
-                let src = sg.vertex_at(local).index();
+            for (local, v) in sg.vertices().iter().enumerate() {
+                offsets[v.index() + 1] += sg.out_neighbors(local).len();
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0u64; offsets[n]];
+        for sg in distributed.subgraphs() {
+            for (local, v) in sg.vertices().iter().enumerate() {
+                let at = &mut cursor[v.index()];
                 for &neighbor in sg.out_neighbors(local) {
-                    lists[src].push(sg.vertex_at(neighbor as usize).raw());
+                    targets[*at] = sg.vertex_at(neighbor as usize).raw();
+                    *at += 1;
                 }
             }
         }
+        // Sort each list, then compact the survivors of its dedup down over
+        // the gaps earlier lists left (`kept` never passes the read index).
+        let mut kept = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1];
+            targets[start..end].sort_unstable();
+            let list_start = kept;
+            for i in start..end {
+                let target = targets[i];
+                if kept == list_start || targets[kept - 1] != target {
+                    targets[kept] = target;
+                    kept += 1;
+                }
+            }
+            offsets[v + 1] = kept;
+            start = end;
+        }
+        targets.truncate(kept);
+        Adjacency {
+            offsets,
+            targets,
+            state: distributed.lineage().state,
+        }
+    }
+
+    /// The adjacency of `distributed`, given that `self` describes the
+    /// state its last batch was applied to and `affected` (ascending) is
+    /// that batch's affected list: every other vertex's list is copied
+    /// forward, a run at a time, and only the affected sources are re-read
+    /// from their holders — sorted and deduplicated exactly as
+    /// [`from_distributed`](Self::from_distributed) does, which is what
+    /// keeps the neighbour of a removed edge whose parallel copy survives.
+    fn patched(&self, distributed: &DistributedGraph, affected: &[usize]) -> Adjacency {
+        let n = distributed.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
+        let mut targets = Vec::with_capacity(self.targets.len() + affected.len());
         offsets.push(0);
-        for list in &mut lists {
+        // Copies the lists of the unaffected run `from..to` (vertices the
+        // previous state already had: a created vertex is always affected).
+        let copy_run =
+            |offsets: &mut Vec<usize>, targets: &mut Vec<u64>, from: usize, to: usize| {
+                if from == to {
+                    return;
+                }
+                let (lo, base) = (self.offsets[from], targets.len());
+                targets.extend_from_slice(&self.targets[lo..self.offsets[to]]);
+                offsets.extend(
+                    self.offsets[from + 1..=to]
+                        .iter()
+                        .map(|&end| base + (end - lo)),
+                );
+            };
+        let mut next = 0;
+        let mut list = Vec::new();
+        for &vertex in affected {
+            copy_run(&mut offsets, &mut targets, next, vertex);
+            let v = VertexId::from(vertex);
+            list.clear();
+            for &holder in distributed.replicas().replicas_of(v) {
+                let sg = distributed.subgraph(holder);
+                let local = sg
+                    .local_index_of(v)
+                    .expect("replica table lists this holder");
+                let neighbors = sg.out_neighbors(local).iter();
+                list.extend(neighbors.map(|&neighbor| sg.vertex_at(neighbor as usize).raw()));
+            }
             list.sort_unstable();
             list.dedup();
-            targets.extend_from_slice(list);
+            targets.extend_from_slice(&list);
             offsets.push(targets.len());
+            next = vertex + 1;
         }
-        Adjacency { offsets, targets }
+        copy_run(&mut offsets, &mut targets, next, n);
+        Adjacency {
+            offsets,
+            targets,
+            state: distributed.lineage().state,
+        }
     }
 
     /// Number of vertices covered.
@@ -173,8 +266,10 @@ pub struct GraphSnapshot {
     pub epoch: u64,
     /// The vertex-space size at this epoch.
     pub num_vertices: usize,
-    series: Vec<Series>,
-    adjacency: Option<Adjacency>,
+    /// Behind `Arc`s so that a series or an adjacency the next commit does
+    /// not replace is carried forward as a pointer, not a copy.
+    series: Vec<Arc<Series>>,
+    adjacency: Option<Arc<Adjacency>>,
 }
 
 impl GraphSnapshot {
@@ -185,7 +280,10 @@ impl GraphSnapshot {
 
     /// The named series, if published.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
+        self.series
+            .iter()
+            .find(|s| s.name == name)
+            .map(|series| &**series)
     }
 
     /// Vertex `vertex`'s value in series `name`.
@@ -261,7 +359,7 @@ impl GraphSnapshot {
     ///
     /// [`QueryError::NoAdjacency`] / [`QueryError::UnknownVertex`].
     pub fn neighbors(&self, vertex: u64) -> Result<&[u64], QueryError> {
-        let adjacency = self.adjacency.as_ref().ok_or(QueryError::NoAdjacency)?;
+        let adjacency = self.adjacency.as_deref().ok_or(QueryError::NoAdjacency)?;
         let index = vertex as usize;
         if index >= adjacency.num_vertices() {
             return Err(QueryError::UnknownVertex);
@@ -282,6 +380,8 @@ struct StoreShared {
     read_seconds: Arc<Histogram>,
     epoch_gauge: Arc<Gauge>,
     commits: Arc<Counter>,
+    adjacency_patches: Arc<Counter>,
+    adjacency_rebuilds: Arc<Counter>,
 }
 
 impl StoreShared {
@@ -374,7 +474,7 @@ impl<V: SeriesValue> ValueSink<V> for SeriesSink<'_, V> {
 pub struct SnapshotStore {
     shared: Arc<StoreShared>,
     staging: Mutex<Vec<Series>>,
-    /// Whether [`EpochCommitter::commit_epoch`] rebuilds adjacency; set by
+    /// Whether [`EpochCommitter::commit_epoch`] serves adjacency; set by
     /// [`serve_adjacency`](SnapshotStore::serve_adjacency).
     adjacency_from_pipeline: std::sync::atomic::AtomicBool,
 }
@@ -392,7 +492,10 @@ impl SnapshotStore {
     }
 
     /// A store reporting `ebv_query_reads_total`, `ebv_query_read_seconds`,
-    /// `ebv_query_epoch` and `ebv_query_commits_total` to `registry`.
+    /// `ebv_query_epoch`, `ebv_query_commits_total` and — how each served
+    /// adjacency was derived, see [`serve_adjacency`](Self::serve_adjacency)
+    /// — `ebv_query_adjacency_patches_total` and
+    /// `ebv_query_adjacency_rebuilds_total` to `registry`.
     pub fn with_registry(registry: &MetricsRegistry) -> SnapshotStore {
         SnapshotStore {
             shared: Arc::new(StoreShared {
@@ -401,6 +504,8 @@ impl SnapshotStore {
                 read_seconds: registry.histogram("ebv_query_read_seconds"),
                 epoch_gauge: registry.gauge("ebv_query_epoch"),
                 commits: registry.counter("ebv_query_commits_total"),
+                adjacency_patches: registry.counter("ebv_query_adjacency_patches_total"),
+                adjacency_rebuilds: registry.counter("ebv_query_adjacency_rebuilds_total"),
             }),
             staging: Mutex::new(Vec::new()),
             adjacency_from_pipeline: std::sync::atomic::AtomicBool::new(false),
@@ -436,9 +541,13 @@ impl SnapshotStore {
         }
     }
 
-    /// Makes [`EpochCommitter::commit_epoch`] rebuild and serve the
-    /// global adjacency each epoch (an `O(E)` pass — leave it off when
-    /// only value lookups are served, e.g. in benchmarks).
+    /// Makes [`EpochCommitter::commit_epoch`] serve the global adjacency
+    /// of each committed epoch. The first commit — and any commit whose
+    /// graph is not one small batch past the previously committed one — is
+    /// an `O(E)` counting-sort build; after that an epoch costs a block
+    /// copy of the previous CSR plus a re-read of the batch's affected
+    /// vertices (see [`EpochCommitter::commit_epoch`] on this type). Leave
+    /// it off when only value lookups are served.
     pub fn serve_adjacency(&self, enabled: bool) {
         self.adjacency_from_pipeline
             .store(enabled, std::sync::atomic::Ordering::Relaxed);
@@ -448,18 +557,22 @@ impl SnapshotStore {
     /// `epoch`'s snapshot. Readers holding the previous snapshot are
     /// undisturbed; new reads see the complete new epoch.
     pub fn commit(&self, epoch: u64, num_vertices: usize, adjacency: Option<Adjacency>) {
+        self.publish(epoch, num_vertices, adjacency.map(Arc::new));
+    }
+
+    fn publish(&self, epoch: u64, num_vertices: usize, adjacency: Option<Arc<Adjacency>>) {
         let staged = {
             let mut staging = self.staging.lock().unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *staging)
         };
         // Carry forward series not re-staged this epoch (a program that
         // didn't run still serves its last committed values), and the
-        // adjacency when this commit brings none.
+        // adjacency when this commit brings none — both by pointer.
         let previous = self.shared.current();
-        let mut series = staged;
+        let mut series: Vec<Arc<Series>> = staged.into_iter().map(Arc::new).collect();
         for old in &previous.series {
             if !series.iter().any(|s| s.name == old.name) {
-                series.push(old.clone());
+                series.push(Arc::clone(old));
             }
         }
         let adjacency = adjacency.or_else(|| previous.adjacency.clone());
@@ -497,16 +610,46 @@ impl std::fmt::Debug for SnapshotStore {
 impl EpochCommitter for SnapshotStore {
     /// The pipeline-side commit: called by the `ebv-dynamic` epoch loop
     /// (`EpochOptions::committer`) after each applied epoch's programs
-    /// have staged their series. Rebuilds adjacency from the
-    /// post-apply distribution when [`serve_adjacency`] is on.
+    /// have staged their series. When [`serve_adjacency`] is on, the
+    /// adjacency of the post-apply distribution is derived by the cheapest
+    /// route its [`lineage`](DistributedGraph::lineage) proves correct:
+    ///
+    /// * the published adjacency already describes this very state (a
+    ///   second commit of an unchanged graph) — shared, by pointer;
+    /// * it describes the state the graph's last batch was applied to, and
+    ///   the batch affected at most one vertex in eight — copied forward
+    ///   with only the affected vertices re-read from their holders;
+    /// * anything else — first commit, an epoch committed elsewhere or not
+    ///   at all, a clone that diverged, a big batch — rebuilt from scratch
+    ///   ([`Adjacency::from_distributed`]).
+    ///
+    /// The decision reads state ids, never epoch numbers: two graphs at
+    /// the same epoch need not be the same state.
     ///
     /// [`serve_adjacency`]: SnapshotStore::serve_adjacency
     fn commit_epoch(&self, distributed: &DistributedGraph) {
         let adjacency = self
             .adjacency_from_pipeline
             .load(std::sync::atomic::Ordering::Relaxed)
-            .then(|| Adjacency::from_distributed(distributed));
-        self.commit(
+            .then(|| {
+                let lineage = distributed.lineage();
+                let small =
+                    lineage.affected.len() * PATCH_MAX_AFFECTED_SHARE <= distributed.num_vertices();
+                // State 0 names no state (the default `Adjacency`, a fresh
+                // graph's parent), so it never counts as a match.
+                match self.shared.current().adjacency.as_ref() {
+                    Some(held) if held.state == lineage.state => Arc::clone(held),
+                    Some(held) if held.state == lineage.parent && held.state != 0 && small => {
+                        self.shared.adjacency_patches.add(1);
+                        Arc::new(held.patched(distributed, lineage.affected))
+                    }
+                    _ => {
+                        self.shared.adjacency_rebuilds.add(1);
+                        Arc::new(Adjacency::from_distributed(distributed))
+                    }
+                }
+            });
+        self.publish(
             distributed.epoch() as u64,
             distributed.num_vertices(),
             adjacency,
@@ -600,6 +743,9 @@ impl std::fmt::Debug for QueryHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebv_bsp::MutationBatch;
+    use ebv_graph::Edge;
+    use ebv_partition::PartitionId;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
     use std::thread;
@@ -697,6 +843,227 @@ mod tests {
         assert!(registry.histogram("ebv_query_read_seconds").count() >= 2);
         assert_eq!(registry.gauge("ebv_query_epoch").get(), 2.0);
         assert_eq!(registry.counter("ebv_query_commits_total").get(), 2);
+    }
+
+    /// A store serving adjacency, with the registry its derivation counters
+    /// report to.
+    fn adjacency_store() -> (SnapshotStore, MetricsRegistry) {
+        let registry = MetricsRegistry::new();
+        let store = SnapshotStore::with_registry(&registry);
+        store.serve_adjacency(true);
+        (store, registry)
+    }
+
+    /// `(patched, rebuilt)` commits so far.
+    fn derivations(registry: &MetricsRegistry) -> (u64, u64) {
+        (
+            registry.counter("ebv_query_adjacency_patches_total").get(),
+            registry.counter("ebv_query_adjacency_rebuilds_total").get(),
+        )
+    }
+
+    fn served(store: &SnapshotStore) -> Arc<Adjacency> {
+        let snapshot = store.shared.current();
+        Arc::clone(snapshot.adjacency.as_ref().expect("adjacency is served"))
+    }
+
+    /// The served adjacency is list for list what a from-scratch build of
+    /// `graph` gives, and says it describes `graph`'s state.
+    fn assert_serves(store: &SnapshotStore, graph: &DistributedGraph, context: &str) {
+        let (held, rebuilt) = (served(store), Adjacency::from_distributed(graph));
+        assert_eq!(held.offsets, rebuilt.offsets, "{context}");
+        assert_eq!(held.targets, rebuilt.targets, "{context}");
+        assert_eq!(held.state, graph.lineage().state, "{context}");
+    }
+
+    fn lcg(state: &mut u64, n: usize) -> usize {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((*state >> 33) % n as u64) as usize
+    }
+
+    /// A random multigraph over `n` vertices and 3 workers: `copies` edge
+    /// copies drawn from few enough pairs that parallel copies, on the same
+    /// worker and across workers, are common.
+    fn multigraph(n: usize, copies: usize, rng: &mut u64) -> Vec<(Edge, PartitionId)> {
+        (0..copies)
+            .map(|_| {
+                let src = lcg(rng, n) as u64;
+                let edge = Edge::from((src, (src + 1 + lcg(rng, 3) as u64) % n as u64));
+                (edge, PartitionId::from_index(lcg(rng, 3)))
+            })
+            .collect()
+    }
+
+    /// One small churn batch over `live`: a few deletions (LIFO), a few
+    /// insertions, and every fifth epoch a vertex past the universe.
+    fn small_batch(
+        live: &mut Vec<(Edge, PartitionId)>,
+        n: usize,
+        epoch: usize,
+        rng: &mut u64,
+    ) -> MutationBatch {
+        let mut batch = MutationBatch::new();
+        for _ in 0..1 + lcg(rng, 3) {
+            let pick = live[lcg(rng, live.len())];
+            let latest = live.iter().rposition(|&pair| pair == pick).unwrap();
+            live.remove(latest);
+            batch.record_delete(pick.0, pick.1);
+        }
+        for _ in 0..1 + lcg(rng, 3) {
+            let (edge, part) = multigraph(n, 1, rng)[0];
+            batch.record_insert(edge, part);
+            live.push((edge, part));
+        }
+        if epoch.is_multiple_of(5) {
+            let edge = Edge::from((lcg(rng, n) as u64, (n + epoch) as u64));
+            batch.record_insert(edge, PartitionId::new(0));
+            live.push((edge, PartitionId::new(0)));
+        }
+        batch
+    }
+
+    #[test]
+    fn thirty_patched_epochs_equal_thirty_rebuilds() {
+        let mut rng = 0xD1B5_4A32_D192_ED03u64;
+        let n = 240;
+        let mut live = multigraph(n, 900, &mut rng);
+        let mut graph =
+            DistributedGraph::build_streaming(3, Some(n), live.iter().copied()).unwrap();
+        let (store, registry) = adjacency_store();
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "first commit");
+        assert_eq!(derivations(&registry), (0, 1), "nothing to patch yet");
+        for epoch in 1..=30 {
+            let batch = small_batch(&mut live, n, epoch, &mut rng);
+            graph.apply_mutations(&batch).unwrap();
+            store.commit_epoch(&graph);
+            assert_serves(&store, &graph, &format!("epoch {epoch}"));
+            assert_eq!(derivations(&registry), (epoch as u64, 1), "epoch {epoch}");
+        }
+        // And the state really is the multigraph's: a fresh build of the
+        // survivors serves the same lists.
+        let fresh = DistributedGraph::build_streaming(3, Some(graph.num_vertices()), live).unwrap();
+        let rebuilt = Adjacency::from_distributed(&fresh);
+        assert_eq!(served(&store).targets, rebuilt.targets);
+    }
+
+    #[test]
+    fn a_commit_rebuilds_unless_it_knows_the_previous_adjacency_is_the_parent() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let n = 240;
+        let mut live = multigraph(n, 900, &mut rng);
+        let mut graph =
+            DistributedGraph::build_streaming(3, Some(n), live.iter().copied()).unwrap();
+        let (store, registry) = adjacency_store();
+        store.commit_epoch(&graph);
+        assert_eq!(derivations(&registry), (0, 1), "first commit");
+
+        // An empty batch is the same state: the same adjacency, by pointer.
+        let before = served(&store);
+        graph.apply_mutations(&MutationBatch::new()).unwrap();
+        store.commit_epoch(&graph);
+        assert!(Arc::ptr_eq(&before, &served(&store)));
+        assert_eq!(
+            derivations(&registry),
+            (0, 1),
+            "neither patched nor rebuilt"
+        );
+
+        // Two applies between commits: the store holds the grandparent.
+        for epoch in 1..=2 {
+            let batch = small_batch(&mut live, n, epoch, &mut rng);
+            graph.apply_mutations(&batch).unwrap();
+        }
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "epoch gap");
+        assert_eq!(derivations(&registry), (0, 2));
+
+        // A clone that diverges after the last commit: same epoch number as
+        // the committed successor, a different batch, the same parent.
+        let mut twin_live = live.clone();
+        let mut twin = graph.clone();
+        graph
+            .apply_mutations(&small_batch(&mut live, n, 3, &mut rng))
+            .unwrap();
+        twin.apply_mutations(&small_batch(&mut twin_live, n, 4, &mut rng))
+            .unwrap();
+        store.commit_epoch(&graph);
+        assert_eq!(derivations(&registry), (1, 2), "one batch past the commit");
+        assert_eq!(twin.epoch(), graph.epoch());
+        store.commit_epoch(&twin);
+        assert_serves(&store, &twin, "diverged clone");
+        assert_eq!(derivations(&registry), (1, 3), "epoch + 1 proves nothing");
+        // Back on the original line the store now holds a stranger's state.
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "back from the clone");
+        assert_eq!(derivations(&registry), (1, 4));
+
+        // A batch over the size rule: more than one vertex in eight.
+        let mut big = MutationBatch::new();
+        for v in 0..n as u64 / 8 + 1 {
+            let edge = Edge::from((v, (v + 7) % n as u64));
+            big.record_insert(edge, PartitionId::new(1));
+        }
+        graph.apply_mutations(&big).unwrap();
+        assert!(graph.lineage().affected.len() * PATCH_MAX_AFFECTED_SHARE > graph.num_vertices());
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "big batch");
+        assert_eq!(derivations(&registry), (1, 5));
+
+        // Adjacency off for an epoch: the stale one is carried (as before),
+        // and turning it back on cannot patch from it.
+        store.serve_adjacency(false);
+        graph
+            .apply_mutations(&small_batch(&mut live, n, 6, &mut rng))
+            .unwrap();
+        let stale = served(&store);
+        store.commit_epoch(&graph);
+        assert!(Arc::ptr_eq(&stale, &served(&store)));
+        store.serve_adjacency(true);
+        graph
+            .apply_mutations(&small_batch(&mut live, n, 7, &mut rng))
+            .unwrap();
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "adjacency back on");
+        assert_eq!(derivations(&registry), (1, 6));
+        // From here the line is unbroken again.
+        graph
+            .apply_mutations(&small_batch(&mut live, n, 8, &mut rng))
+            .unwrap();
+        store.commit_epoch(&graph);
+        assert_serves(&store, &graph, "patched again");
+        assert_eq!(derivations(&registry), (2, 6));
+    }
+
+    #[test]
+    fn carry_forward_shares_the_previous_snapshots_arrays() {
+        let mut rng = 7u64;
+        let live = multigraph(32, 90, &mut rng);
+        let graph = DistributedGraph::build_streaming(3, Some(32), live).unwrap();
+        let (store, _registry) = adjacency_store();
+        let handle = store.handle();
+        store.stage(Series {
+            name: "cc".to_string(),
+            data: u64::pack(&[1; 32]),
+        });
+        store.commit_epoch(&graph);
+        let first = handle.snapshot().unwrap();
+        store.commit(graph.epoch() as u64 + 1, 32, None);
+        let second = handle.snapshot().unwrap();
+        assert_eq!(second.epoch, first.epoch + 1);
+        let busiest = (0..32u64)
+            .max_by_key(|&v| first.neighbors(v).unwrap().len())
+            .unwrap();
+        assert!(!first.neighbors(busiest).unwrap().is_empty());
+        assert_eq!(
+            first.neighbors(busiest).unwrap().as_ptr(),
+            second.neighbors(busiest).unwrap().as_ptr(),
+            "the adjacency is carried forward as a pointer"
+        );
+        let (old, new) = (first.series("cc").unwrap(), second.series("cc").unwrap());
+        assert!(std::ptr::eq(old, new), "so is a series nobody re-staged");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use ebv_partition::{DynamicPartitioner, PartitionId};
 
 use crate::crc::crc32;
 use crate::error::{Result, StateError};
-use crate::wal::{push_varint, Cursor};
+use crate::wal::{push_pairs, push_varint, Cursor};
 
 /// Magic bytes opening every checkpoint file (version 1).
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"EBVCKPT\x01";
@@ -151,54 +151,62 @@ impl Checkpoint {
             })
     }
 
-    /// Encodes the checkpoint: magic ‖ body ‖ crc32(body).
+    /// Encodes the checkpoint: magic ‖ body ‖ crc32(body), written into
+    /// one buffer sized from the element counts.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        push_varint(&mut body, self.epoch);
-        push_varint(&mut body, self.events_seen);
-        push_varint(&mut body, self.num_vertices as u64);
-        push_varint(&mut body, self.worker_edges.len() as u64);
+        // A pair is three varints — ids below 2^21 and a partition index
+        // make it at most 7 bytes — and most series values are small; the
+        // estimate only has to make regrowth rare, not impossible.
+        let pairs = self.surviving.len() + self.worker_edges.iter().map(Vec::len).sum::<usize>();
+        let values: usize = self.series.iter().map(|(_, values)| values.len()).sum();
+        let names: usize = self.series.iter().map(|(name, _)| name.len() + 12).sum();
+        let mut out = Vec::with_capacity(
+            CHECKPOINT_MAGIC.len()
+                + 64
+                + 10 * self.worker_edges.len()
+                + 8 * pairs
+                + 4 * values
+                + names,
+        );
+        out.extend_from_slice(&CHECKPOINT_MAGIC);
+        self.encode_body(&mut out);
+        let crc = crc32(&out[CHECKPOINT_MAGIC.len()..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Appends the varint-encoded body — what the CRC covers.
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        push_varint(out, self.epoch);
+        push_varint(out, self.events_seen);
+        push_varint(out, self.num_vertices as u64);
+        push_varint(out, self.worker_edges.len() as u64);
         for worker in &self.worker_edges {
-            push_varint(&mut body, worker.len() as u64);
-            for &(edge, part) in worker {
-                push_varint(&mut body, edge.src.raw());
-                push_varint(&mut body, edge.dst.raw());
-                push_varint(&mut body, part.index() as u64);
-            }
+            push_pairs(out, worker);
         }
-        push_varint(&mut body, self.universe as u64);
-        push_varint(&mut body, self.surviving.len() as u64);
-        for &(edge, part) in &self.surviving {
-            push_varint(&mut body, edge.src.raw());
-            push_varint(&mut body, edge.dst.raw());
-            push_varint(&mut body, part.index() as u64);
-        }
-        push_varint(&mut body, self.series.len() as u64);
+        push_varint(out, self.universe as u64);
+        push_pairs(out, &self.surviving);
+        push_varint(out, self.series.len() as u64);
         for (name, values) in &self.series {
-            push_varint(&mut body, name.len() as u64);
-            body.extend_from_slice(name.as_bytes());
+            push_varint(out, name.len() as u64);
+            out.extend_from_slice(name.as_bytes());
             match values {
                 SeriesValues::U64(values) => {
-                    body.push(0);
-                    push_varint(&mut body, values.len() as u64);
+                    out.push(0);
+                    push_varint(out, values.len() as u64);
                     for &v in values {
-                        push_varint(&mut body, v);
+                        push_varint(out, v);
                     }
                 }
                 SeriesValues::F64(values) => {
-                    body.push(1);
-                    push_varint(&mut body, values.len() as u64);
+                    out.push(1);
+                    push_varint(out, values.len() as u64);
                     for &v in values {
-                        push_varint(&mut body, v.to_bits());
+                        push_varint(out, v.to_bits());
                     }
                 }
             }
         }
-        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + body.len() + 4);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
     }
 
     /// Loads and verifies a checkpoint file.
@@ -358,6 +366,12 @@ mod tests {
         fs::write(&path, checkpoint.encode()).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, checkpoint);
+        // The single-buffer encode is the file format's definition byte
+        // for byte: magic, then a separately built body, then its CRC.
+        let mut body = Vec::new();
+        checkpoint.encode_body(&mut body);
+        let framed = [&CHECKPOINT_MAGIC[..], &body, &crc32(&body).to_le_bytes()].concat();
+        assert_eq!(checkpoint.encode(), framed);
         match &loaded.series[1].1 {
             SeriesValues::F64(values) => {
                 assert!(values[2].is_infinite());

@@ -70,7 +70,7 @@ pub(crate) fn push_varint(out: &mut Vec<u8>, value: u64) {
     varint::write_u64(out, value).expect("Vec writes are infallible");
 }
 
-fn push_pairs(out: &mut Vec<u8>, pairs: &[(Edge, PartitionId)]) {
+pub(crate) fn push_pairs(out: &mut Vec<u8>, pairs: &[(Edge, PartitionId)]) {
     push_varint(out, pairs.len() as u64);
     for &(edge, part) in pairs {
         push_varint(out, edge.src.raw());
