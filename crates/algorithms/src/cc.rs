@@ -97,11 +97,12 @@ pub(crate) mod oracle {
             let sg = ctx.subgraph();
             let n = sg.num_vertices();
             let mut changed = vec![false; n];
+            let mailboxes = crate::oracle::mailboxes(ctx);
 
             // Fold replica labels received during the previous communication
             // stage.
             for (local, was_changed) in changed.iter_mut().enumerate() {
-                if let Some(min) = ctx.messages(local).iter().copied().min() {
+                if let Some(min) = mailboxes[local].iter().copied().min() {
                     if min < *ctx.value(local) {
                         ctx.set_value(local, min);
                         *was_changed = true;

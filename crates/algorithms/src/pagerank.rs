@@ -24,8 +24,10 @@ pub struct PageRankValue {
 ///    in-CSR, in local indices: no vertex lookup) into the vertex's partial
 ///    sum; mirrors then send their partials to the vertex's master (one
 ///    message per mirror).
-/// 2. **apply + scatter** — the master folds the incoming partials with its
-///    own, applies the PageRank update
+/// 2. **apply + scatter** — the master adds the incoming partials up in
+///    arrival order (source worker ascending — a fixed order, so the sum
+///    keeps its bits under every executor), adds its own partial to that
+///    sum, applies the PageRank update
 ///    `rank = (1 − d)/|V| + d · Σ partials`, and broadcasts the new rank to
 ///    its mirrors (one message per mirror).
 ///
@@ -148,13 +150,11 @@ pub(crate) fn pagerank_superstep(
 
     if gather_phase {
         // Mirrors first adopt the rank broadcast by the master at the end
-        // of the previous iteration.
-        for local in 0..n {
-            if let Some(&rank) = ctx.messages(local).last() {
-                let mut value = *ctx.value(local);
-                value.rank = rank;
-                ctx.set_value(local, value);
-            }
+        // of the previous iteration (a mirror hears from its one master).
+        for (local, &rank) in ctx.mail() {
+            let mut value = *ctx.value(local);
+            value.rank = rank;
+            ctx.set_value(local, value);
         }
         // Pull the contributions of every *owned* local in-edge (edge-cut
         // distributions replicate crossing edges; only the source owner's
@@ -196,12 +196,20 @@ pub(crate) fn pagerank_superstep(
         ctx.add_work(work);
     } else {
         // Apply phase: masters fold incoming partials and broadcast the
-        // new rank to their mirrors.
-        for local in 0..n {
+        // new rank to their mirrors. The partials of one master are summed
+        // on their own, in arrival order, and only then added to its local
+        // partial: `partial + (m1 + m2)`, not `(partial + m1) + m2`.
+        let mut sums = std::mem::take(&mut ctx.scratch().sums);
+        sums.resize(n, 0.0);
+        for (local, &partial) in ctx.mail() {
+            sums[local] += partial;
+        }
+        for (local, sum) in sums.iter_mut().enumerate() {
             if !ctx.subgraph().is_master(local) {
                 continue;
             }
-            let incoming: f64 = ctx.messages(local).iter().sum();
+            // Taking the sum returns the scratch slot to zero.
+            let incoming = std::mem::take(sum);
             let mut value = *ctx.value(local);
             let previous_rank = value.rank;
             let total = value.partial + incoming;
@@ -215,6 +223,9 @@ pub(crate) fn pagerank_superstep(
                 ctx.send_to_mirrors(local, rank);
             }
         }
+        // Only masters are sent partials, so every slot written was taken.
+        debug_assert!(sums.iter().all(|&sum| sum == 0.0));
+        ctx.scratch().sums = sums;
     }
     updates
 }
@@ -227,8 +238,10 @@ pub fn ranks(values: &[PageRankValue]) -> Vec<f64> {
 /// The master/mirror protocol with the gather [`pagerank_superstep`] had
 /// before it pulled over the in-CSR: a scan of the local edge list that
 /// resolves both endpoints of every edge through `local_index_of` and
-/// scatters into a per-superstep `partials` vector. Kept as the reference
-/// the pull is checked against; the apply half is the shared one.
+/// scatters into a per-superstep `partials` vector, and the apply it had
+/// before masters summed their mail in arrival order: per-vertex mailboxes
+/// ([`crate::oracle::mailboxes`]), each summed on its own. Kept as the
+/// reference both are checked against.
 #[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct EdgeScanPageRank {
@@ -267,20 +280,32 @@ impl SubgraphProgram for EdgeScanPageRank {
         ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
         superstep: usize,
     ) -> usize {
-        if !superstep.is_multiple_of(2) {
-            return pagerank_superstep(
-                self.damping,
-                self.num_vertices,
-                &self.out_degrees,
-                ctx,
-                superstep,
-                self.gate_stable_messages,
-            );
-        }
         let n = ctx.subgraph().num_vertices();
+        let mailboxes = crate::oracle::mailboxes(ctx);
         let mut updates = 0usize;
-        for local in 0..n {
-            if let Some(&rank) = ctx.messages(local).last() {
+        if !superstep.is_multiple_of(2) {
+            for (local, mailbox) in mailboxes.iter().enumerate() {
+                if !ctx.subgraph().is_master(local) {
+                    continue;
+                }
+                let incoming: f64 = mailbox.iter().sum();
+                let mut value = *ctx.value(local);
+                let previous_rank = value.rank;
+                let total = value.partial + incoming;
+                value.rank = (1.0 - self.damping) / self.num_vertices as f64 + self.damping * total;
+                value.partial = 0.0;
+                ctx.set_value(local, value);
+                ctx.add_work(1);
+                updates += 1;
+                let rank = value.rank;
+                if !(self.gate_stable_messages && rank.to_bits() == previous_rank.to_bits()) {
+                    ctx.send_to_mirrors(local, rank);
+                }
+            }
+            return updates;
+        }
+        for (local, mailbox) in mailboxes.iter().enumerate() {
+            if let Some(&rank) = mailbox.last() {
                 let mut value = *ctx.value(local);
                 value.rank = rank;
                 ctx.set_value(local, value);
@@ -448,6 +473,99 @@ mod tests {
                 edge_cut_copies > 0,
                 "{name}: the edge-cut partitioners produced no unowned copy"
             );
+        }
+    }
+
+    /// The fold order of a master's mail, pinned on values where it shows:
+    /// vertex 0 has one in-edge on each of four workers, from sources of
+    /// out-degree 1, 5, 3 and 6, so its master adds its own partial to three
+    /// mirrors' partials whose sum depends on how it is associated.
+    #[test]
+    fn masters_sum_their_mail_in_arrival_order_then_add_their_own_partial() {
+        use crate::IncrementalPageRank;
+        use ebv_bsp::RunOptions;
+        use ebv_graph::Edge;
+        use ebv_partition::PartitionId;
+
+        const DEGREES: [u64; 4] = [1, 5, 3, 6];
+        // Source `w + 1` lives on worker `w`: its edge to vertex 0, then
+        // edges to the shared sinks 5.. up to its out-degree.
+        let mut assigned = Vec::new();
+        for (worker, degree) in (0u32..).zip(DEGREES) {
+            let source = u64::from(worker) + 1;
+            let targets = std::iter::once(0).chain(5..5 + degree - 1);
+            assigned.extend(
+                targets.map(|target| (Edge::from((source, target)), PartitionId::new(worker))),
+            );
+        }
+        let mut builder = GraphBuilder::directed();
+        builder.extend_edges(
+            assigned
+                .iter()
+                .map(|(edge, _)| (edge.src.raw(), edge.dst.raw())),
+        );
+        let graph = builder.build().unwrap();
+        let dg = DistributedGraph::build_streaming(4, None, assigned).unwrap();
+        assert_eq!(graph.num_vertices(), 10);
+        assert_eq!(dg.num_vertices(), 10);
+
+        // The first iteration by hand. Every rank is 1/|V|, so worker `w`
+        // contributes `1/|V| / DEGREES[w]`; the master holds its own and
+        // receives the other three by ascending worker.
+        let master = dg
+            .subgraphs()
+            .iter()
+            .position(|sg| {
+                let local = sg.local_index_of(VertexId::new(0)).unwrap();
+                sg.is_master(local)
+            })
+            .unwrap();
+        let partial = |worker: usize| 0.1 / DEGREES[worker] as f64;
+        let own = partial(master);
+        let m: Vec<f64> = (0..4).filter(|&w| w != master).map(partial).collect();
+        let arrival_order = own + ((m[0] + m[1]) + m[2]);
+        let into_the_partial = ((own + m[0]) + m[1]) + m[2];
+        assert_ne!(arrival_order, into_the_partial);
+        assert_ne!(arrival_order, own + ((m[2] + m[1]) + m[0]), "reversed");
+        let rank = |total: f64| (1.0 - 0.85) / 10.0 + 0.85 * total;
+        let expected = rank(arrival_order);
+        assert_ne!(expected, rank(into_the_partial));
+
+        let engines = [
+            BspEngine::sequential(),
+            BspEngine::pooled(1),
+            BspEngine::pooled(2),
+            BspEngine::pooled(3),
+            BspEngine::pooled(8),
+        ];
+        let cold = PageRank::new(&graph, 4);
+        let warm = IncrementalPageRank::from_distributed(&dg, 4);
+        let gated_reference = EdgeScanPageRank {
+            gate_stable_messages: true,
+            ..edge_scan(&cold)
+        };
+        let prior = BspEngine::sequential().run(&dg, &cold).unwrap().values;
+        for engine in &engines {
+            let context = format!("{:?}", engine.mode());
+            let one = engine.run(&dg, &PageRank::new(&graph, 1)).unwrap();
+            assert_eq!(
+                one.values[0].rank.to_bits(),
+                expected.to_bits(),
+                "{context}"
+            );
+
+            let got = engine.run(&dg, &cold).unwrap();
+            let want = engine.run(&dg, &edge_scan(&cold)).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, cold"));
+
+            let got = engine.run(&dg, &warm).unwrap();
+            let want = engine.run(&dg, &gated_reference).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, gated cold"));
+
+            let options = RunOptions::new().warm_seed(&prior);
+            let got = engine.run_opts(&dg, &warm, options).unwrap();
+            let want = engine.run_opts(&dg, &gated_reference, options).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, gated warm"));
         }
     }
 

@@ -27,12 +27,12 @@ use std::process::ExitCode;
 use ebv_bench::scan_values;
 
 /// Every phase the `evolving_graph` example must leave at least one span
-/// for: the BSP superstep quartet, the mutation path, the warm-start
+/// for: the BSP superstep trio, the mutation path, the warm-start
 /// invalidation hooks, and the two halves of a pipeline epoch (partition
 /// decision, then apply). (`chunk_ingest` is a streaming-pipeline phase and is
-/// deliberately not required here.)
-const REQUIRED_PHASES: [&str; 9] = [
-    "gather",
+/// deliberately not required here, and neither is `gather`: a worker reads
+/// its inbound shards in place, so the engine has nothing to bracket with it.)
+const REQUIRED_PHASES: [&str; 8] = [
     "compute",
     "scatter",
     "barrier",
@@ -48,8 +48,7 @@ const REQUIRED_PHASES: [&str; 9] = [
 /// raced against the first epochs may legitimately predate the first
 /// `warm_invalidation` span — it is excluded here, everything else from
 /// the end-of-run set is required.
-const SCRAPED_PHASES: [&str; 8] = [
-    "gather",
+const SCRAPED_PHASES: [&str; 7] = [
     "compute",
     "scatter",
     "barrier",
@@ -347,8 +346,8 @@ mod tests {
             check_trace(&json, &SCRAPED_PHASES).unwrap(),
             SCRAPED_PHASES.len()
         );
-        // But it still requires the BSP quartet and the mutation path.
-        let gutted = trace_with(&SCRAPED_PHASES[..4]);
+        // But it still requires the BSP trio and the mutation path.
+        let gutted = trace_with(&SCRAPED_PHASES[..3]);
         assert!(check_trace(&gutted, &SCRAPED_PHASES).is_err());
     }
 
@@ -361,7 +360,7 @@ mod tests {
     #[test]
     fn zero_duration_fails() {
         let mut names: Vec<&str> = REQUIRED_PHASES.to_vec();
-        names.push("gather");
+        names.push("compute");
         let json = trace_with(&names).replace("\"dur\":2", "\"dur\":0");
         let err = check_trace(&json, &REQUIRED_PHASES).unwrap_err();
         assert!(err.contains("zero-duration"), "{err}");

@@ -2,7 +2,7 @@
 //! tasks are placed onto compute resources.
 //!
 //! The engine (`engine::mod`) prepares one boxed task per worker per
-//! superstep — gather + compute + scatter over purely worker-local state —
+//! superstep — compute + scatter over purely worker-local state —
 //! and hands the batch to an executor. Everything above the seam is
 //! transport-agnostic: the planned multi-process TCP runtime plugs in here
 //! as another `SuperstepExecutor` whose "lanes" are remote worker
@@ -36,7 +36,7 @@ pub struct WorkerTask<'a> {
     /// previous `work` + inbound messages afterwards); never affects
     /// results, only placement.
     pub cost: u64,
-    /// The gather + compute + scatter closure over worker-local state.
+    /// The compute + scatter closure over worker-local state.
     pub run: Box<dyn FnOnce() + Send + 'a>,
 }
 

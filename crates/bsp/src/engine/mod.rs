@@ -91,7 +91,7 @@ impl<V> RunOptions<'_, V, NoopRecorder> {
 }
 
 impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
-    /// Reports phase spans (gather, compute, scatter, barrier) and message
+    /// Reports phase spans (compute, scatter, barrier) and message
     /// counters through `recorder`. Instrumentation does not perturb
     /// execution: values and [`ExecutionStats`] stay bit-identical.
     pub fn recorder<R2: Recorder>(self, recorder: &'a R2) -> RunOptions<'a, V, R2> {
@@ -132,9 +132,9 @@ struct WorkerPart<'a, V, M> {
     subgraph: &'a crate::subgraph::Subgraph,
     routes: &'a crate::routing::WorkerRoutes,
     values: &'a mut Vec<V>,
-    inbox: &'a mut exchange::Inbox<M>,
-    /// This worker's row of the gather-side shard matrix (messages routed
-    /// to it at the end of the previous superstep, by source worker).
+    /// This worker's row of the receive-side shard matrix: its mailbox
+    /// (messages routed to it at the end of the previous superstep, by
+    /// source worker).
     inbound: &'a mut Vec<Vec<(u32, M)>>,
     outbox: &'a mut Vec<exchange::OutboxEntry<M>>,
     scratch: &'a mut exchange::WorklistScratch,
@@ -145,13 +145,13 @@ struct WorkerPart<'a, V, M> {
     result: &'a mut Option<(u64, usize, usize)>,
 }
 
-/// One worker's whole superstep: merge the shards routed to this worker at
-/// the end of the previous superstep into the flat inbox (gather), run the
-/// program over the subgraph (compute), then fan the outbox out into the
-/// worker's own row of per-destination shards along the precomputed routes
-/// (scatter). Touches only worker-local state, so every executor runs it
-/// lock-free; ownership of the part (and with it the worker's shard rows)
-/// moves into the task an executor places.
+/// One worker's whole superstep: run the program over the subgraph with
+/// the shards routed to this worker at the end of the previous superstep as
+/// its mail (compute), then fan the outbox out into the worker's own row of
+/// per-destination shards along the precomputed routes (scatter). Touches
+/// only worker-local state, so every executor runs it lock-free; ownership
+/// of the part (and with it the worker's shard rows) moves into the task an
+/// executor places.
 fn run_worker<P: SubgraphProgram, R: Recorder>(
     program: &P,
     superstep: usize,
@@ -165,19 +165,19 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
         worker: part.subgraph.part().index() as u32,
     };
     let started = recorder.start();
-    part.inbox.fill(part.inbound);
-    recorder.span(started, span_ctx, Phase::Gather);
-
-    let started = recorder.start();
     let mut ctx = SubgraphContext::new(
         part.subgraph,
         part.values,
-        part.inbox.view(),
+        part.inbound,
         part.outbox,
         part.scratch,
     );
     program.run_superstep(&mut ctx, superstep);
     let (work, changes) = ctx.finish();
+    // Delivered once, read or not: the transpose hands this row back as
+    // next superstep's scatter shards, and what it still held would be
+    // sent again.
+    part.inbound.iter_mut().for_each(Vec::clear);
     recorder.span(started, span_ctx, Phase::Compute);
 
     let started = recorder.start();
@@ -370,8 +370,7 @@ impl BspEngine {
             .iter()
             .map(|sg| sg.vertices().iter().map(|&v| seed(v, sg)).collect())
             .collect();
-        let mut plane: MessagePlane<P::Message> =
-            MessagePlane::new(distributed.subgraphs().iter().map(|sg| sg.num_vertices()));
+        let mut plane: MessagePlane<P::Message> = MessagePlane::new(num_workers);
 
         let mutation = distributed.last_mutation();
         let mut stats = ExecutionStats {
@@ -396,15 +395,13 @@ impl BspEngine {
         let mut results: Vec<Option<(u64, usize, usize)>> = Vec::with_capacity(num_workers);
 
         for superstep in 0..max_supersteps {
-            // --- Worker phase: gather + computation + scatter ----------------------
-            // Each worker merges the shards routed to it at the end of the
-            // previous superstep into its flat inbox (exchange phase two,
-            // pipelined into the next superstep so the whole superstep is
-            // one parallel phase), runs the program over its subgraph, and
-            // fans its outbox out into its own row of per-destination
-            // shards along the precomputed routes (exchange phase one) —
-            // purely worker-local state, packaged as one task per worker
-            // and handed to the executor, which owns placement.
+            // --- Worker phase: computation + scatter ---------------------------------
+            // Each worker runs the program over its subgraph, reading the
+            // shards routed to it at the end of the previous superstep in
+            // place, and fans its outbox out into its own row of
+            // per-destination shards along the precomputed routes — purely
+            // worker-local state, packaged as one task per worker and
+            // handed to the executor, which owns placement.
             //
             // The scheduler's cost estimate follows the frontier (see
             // `schedule::superstep_cost`), so both structural skew (R-MAT
@@ -426,7 +423,6 @@ impl BspEngine {
                     .iter()
                     .zip(routing.worker_tables())
                     .zip(values.iter_mut())
-                    .zip(plane.inboxes.iter_mut())
                     .zip(plane.in_shards.iter_mut())
                     .zip(plane.outboxes.iter_mut())
                     .zip(plane.scratch.iter_mut())
@@ -435,10 +431,7 @@ impl BspEngine {
                     .map(
                         |(
                             (
-                                (
-                                    (((((subgraph, routes), values), inbox), inbound), outbox),
-                                    scratch,
-                                ),
+                                (((((subgraph, routes), values), inbound), outbox), scratch),
                                 outbound,
                             ),
                             result,
@@ -446,7 +439,6 @@ impl BspEngine {
                             subgraph,
                             routes,
                             values,
-                            inbox,
                             inbound,
                             outbox,
                             scratch,
@@ -488,9 +480,9 @@ impl BspEngine {
             // --- Exchange hand-off -------------------------------------------------
             // Hand this superstep's scattered shards to the destination
             // side (a `Vec` swap per cell, no message moves); destinations
-            // merge them at the start of the next superstep, in ascending
-            // source order, so values and counters are identical across
-            // modes. The per-destination delivery counts fall out of the
+            // read them during the next superstep, in ascending source
+            // order, so values and counters are identical across modes.
+            // The per-destination delivery counts fall out of the
             // same pass — no message needs to be touched to count them.
             let barrier_started = recorder.start();
             plane.transpose_into(&mut received);
@@ -571,6 +563,7 @@ impl BspEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::GroupedMail;
     use crate::program::SubgraphContext;
     use crate::subgraph::Subgraph;
     use ebv_graph::generators::named;
@@ -600,10 +593,11 @@ mod tests {
             _superstep: usize,
         ) -> usize {
             let n = ctx.subgraph().num_vertices();
-            // Merge incoming replica values.
+            // Merge incoming replica values, through the per-vertex view.
+            let grouped = GroupedMail::group(ctx.mail(), n);
             let mut changed: Vec<bool> = vec![false; n];
             for (i, was_changed) in changed.iter_mut().enumerate() {
-                let incoming_min = ctx.messages(i).iter().copied().min();
+                let incoming_min = grouped.messages(i).iter().copied().min();
                 if let Some(m) = incoming_min {
                     if m < *ctx.value(i) {
                         ctx.set_value(i, m);
@@ -868,6 +862,88 @@ mod tests {
 
         fn halt_on_quiescence(&self) -> bool {
             false
+        }
+    }
+
+    /// Sends every local value to the other replicas in superstep 0 and
+    /// never folds what arrives; logs how much mail each later superstep
+    /// finds.
+    struct SendsOnceNeverReads {
+        mail_seen: std::sync::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl SubgraphProgram for SendsOnceNeverReads {
+        type Value = u64;
+        type Message = u64;
+
+        fn name(&self) -> String {
+            "sends-once".to_string()
+        }
+
+        fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
+            vertex.raw()
+        }
+
+        fn run_superstep(
+            &self,
+            ctx: &mut SubgraphContext<'_, u64, u64>,
+            superstep: usize,
+        ) -> usize {
+            match superstep {
+                0 => {
+                    for local in 0..ctx.subgraph().num_vertices() {
+                        let value = *ctx.value(local);
+                        ctx.send_to_replicas(local, value);
+                    }
+                }
+                // The mail of superstep 0 is here now, and is left unread.
+                1 => {}
+                _ => self
+                    .mail_seen
+                    .lock()
+                    .unwrap()
+                    .push((superstep, ctx.mail().count())),
+            }
+            0
+        }
+
+        fn max_supersteps(&self) -> usize {
+            4
+        }
+
+        fn halt_on_quiescence(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn unread_mail_is_delivered_once_not_resent() {
+        let g = named::small_social_graph();
+        let partition = EbvPartitioner::new().partition(&g, 4).unwrap();
+        let dg = DistributedGraph::build(&g, &partition).unwrap();
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let program = SendsOnceNeverReads {
+                mail_seen: std::sync::Mutex::new(Vec::new()),
+            };
+            let outcome = engine.run(&dg, &program).unwrap();
+            let per_step: Vec<(usize, usize)> = outcome
+                .stats
+                .supersteps
+                .iter()
+                .map(|step| {
+                    let sent = step.per_worker.iter().map(|w| w.messages_sent).sum();
+                    let received = step.per_worker.iter().map(|w| w.messages_received).sum();
+                    (sent, received)
+                })
+                .collect();
+            let sent = per_step[0].0;
+            assert!(sent > 0, "the partition replicates no vertex");
+            // An uncleared row would come back as scatter shards and be
+            // delivered again in superstep 1's exchange.
+            assert_eq!(per_step, vec![(sent, sent), (0, 0), (0, 0), (0, 0)]);
+            let mail_seen = program.mail_seen.into_inner().unwrap();
+            assert_eq!(mail_seen.len(), 2 * dg.num_workers());
+            assert!(mail_seen.iter().all(|&(_, count)| count == 0));
         }
     }
 

@@ -1,27 +1,33 @@
-//! The zero-allocation message plane: double-buffered flat mailboxes and
-//! the two-phase partitioned exchange of the communication stage.
+//! The zero-allocation message plane: the double-buffered shard matrix of
+//! the partitioned exchange, whose rows are the workers' mailboxes.
 //!
 //! A [`MessagePlane`] owns every buffer a BSP run needs to move replica
-//! messages — per-worker outboxes, the `p × p` shard matrix of the
-//! partitioned exchange, and per-worker flat inboxes — plus each worker's
-//! [`WorklistScratch`], and reuses all of them across supersteps, so
-//! steady-state supersteps perform no per-message heap allocation.
+//! messages — per-worker outboxes and the two `p × p` shard matrices of the
+//! partitioned exchange — plus each worker's [`WorklistScratch`], and
+//! reuses all of them across supersteps, so steady-state supersteps perform
+//! no per-message heap allocation.
 //!
-//! One communication stage is two phases with a transpose in between:
+//! One communication stage is a scatter and a transpose; nothing is copied
+//! or sorted on the receiving side:
 //!
 //! 1. **scatter** — each source worker drains its outbox through the
 //!    precomputed [`WorkerRoutes`] into its own row of destination shards
 //!    (`out_shards[src][dst]`), with no shared state between workers;
-//! 2. **gather** — after the shard matrix is transposed (a `Vec` swap, no
-//!    message moves), each destination worker merges its inbound shards in
-//!    ascending source-worker order and counting-sorts them into a flat
-//!    per-vertex mailbox (`msgs` + `offsets`).
+//! 2. **transpose** — the two matrices swap cell for cell (a `Vec` swap, no
+//!    message moves), after which `in_shards[dst]` holds everything routed
+//!    to worker `dst`, one shard per source worker.
 //!
-//! Both phases are data-parallel over workers and, because the merge order
-//! is fixed (source worker ascending, outbox order within a source), the
-//! per-vertex message sequences — and therefore every program value and
-//! every counter in `ExecutionStats` — are bit-identical whether the
-//! phases run sequentially or threaded.
+//! That row *is* worker `dst`'s mailbox for the next superstep: the program
+//! reads it through [`SubgraphContext::mail`](crate::SubgraphContext::mail)
+//! in **arrival order** — source worker ascending, outbox order within a
+//! source ([`arrivals`]) — and the engine clears it once the program has
+//! run, so the cost of delivery is the cost of the messages and a worker
+//! that received nothing pays nothing.
+//!
+//! The scatter is data-parallel over workers and the arrival order is fixed
+//! by the matrix layout, so the sequence of messages each vertex sees — and
+//! therefore every program value and every counter in `ExecutionStats` —
+//! is bit-identical whether the workers run sequentially or pooled.
 
 use std::collections::VecDeque;
 
@@ -36,8 +42,9 @@ use crate::subgraph::Subgraph;
 /// superstep.
 ///
 /// The engine never reads it. A kernel must leave it the way it found it —
-/// `flags` all zero, `queue` and `changed` empty — by clearing only the
-/// entries it touched; the capacities are what survives a superstep.
+/// `flags` and `sums` all zero, `queue` and `changed` empty — by clearing
+/// only the entries it touched; the capacities are what survives a
+/// superstep.
 #[derive(Debug, Default)]
 pub struct WorklistScratch {
     /// Flag bits per local vertex.
@@ -47,133 +54,73 @@ pub struct WorklistScratch {
     /// Local indices of the vertices whose value changed this superstep,
     /// in discovery order.
     pub changed: Vec<u32>,
+    /// One accumulator per local vertex, for folding the mail of a vertex
+    /// that receives several messages (PageRank's masters sum their
+    /// mirrors' partials here).
+    pub sums: Vec<f64>,
 }
 
 /// A queued outgoing message: local vertex index, payload, fan-out.
 pub(crate) type OutboxEntry<M> = (u32, M, MessageTarget);
 
 /// One source→destination shard of the partitioned exchange.
-type Shard<M> = Vec<(u32, M)>;
+pub(crate) type Shard<M> = Vec<(u32, M)>;
 
-/// One worker's inbox: messages grouped by local vertex index in a flat
-/// buffer, plus the counting-sort scratch that keeps refills
-/// allocation-free.
+/// The messages of one worker's row of inbound shards in arrival order —
+/// source worker ascending, outbox order within a source — each with the
+/// local index of the vertex it is addressed to.
+pub(crate) fn arrivals<M>(row: &[Shard<M>]) -> impl Iterator<Item = (usize, &M)> {
+    row.iter()
+        .flatten()
+        .map(|(local, message)| (*local as usize, message))
+}
+
+/// The per-vertex mailbox view the plane built every superstep before
+/// programs folded their mail in arrival order: the arrivals grouped by
+/// local vertex with a stable counting sort. Kept as the oracle the
+/// arrival-order folds are checked against.
+#[cfg(test)]
 #[derive(Debug)]
-pub(crate) struct Inbox<M> {
-    /// Messages grouped by local vertex (stable within a vertex: source
-    /// worker ascending, outbox order within a source).
+pub(crate) struct GroupedMail<M> {
+    /// Messages grouped by local vertex (stable within a vertex: arrival
+    /// order).
     msgs: Vec<M>,
-    /// Per-vertex ranges into `msgs` (length `num_vertices + 1`). Doubles
-    /// as the counting-sort histogram while refilling.
+    /// Per-vertex ranges into `msgs` (length `num_vertices + 1`).
     offsets: Vec<u32>,
-    /// Arrival-order scratch: local indices and payloads.
-    staging_local: Vec<u32>,
-    staging_msgs: Vec<M>,
-    /// Arrival index of each sorted slot.
-    slots: Vec<u32>,
-    /// Per-vertex placement cursors.
-    cursor: Vec<u32>,
 }
 
-/// Read-only view of one worker's inbox for the duration of a superstep.
-#[derive(Debug)]
-pub(crate) struct InboxView<'a, M> {
-    pub(crate) msgs: &'a [M],
-    pub(crate) offsets: &'a [u32],
-    /// Local index of every message in arrival order (a vertex that
-    /// received `k` messages appears `k` times).
-    pub(crate) receivers: &'a [u32],
-}
-
-// Manual impls: `#[derive(Clone, Copy)]` would bound `M`.
-impl<M> Clone for InboxView<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for InboxView<'_, M> {}
-
-impl<M> InboxView<'_, M> {
-    /// The messages delivered to the vertex at `local`.
-    #[inline]
-    pub(crate) fn messages(&self, local: usize) -> &[M] {
-        &self.msgs[self.offsets[local] as usize..self.offsets[local + 1] as usize]
-    }
-}
-
-impl<M> Inbox<M> {
-    fn new(num_vertices: usize) -> Self {
-        Inbox {
-            msgs: Vec::new(),
-            offsets: vec![0; num_vertices + 1],
-            staging_local: Vec::new(),
-            staging_msgs: Vec::new(),
-            slots: Vec::new(),
-            cursor: Vec::new(),
-        }
-    }
-
-    /// The read view handed to the computation stage.
-    pub(crate) fn view(&self) -> InboxView<'_, M> {
-        InboxView {
-            msgs: &self.msgs,
-            offsets: &self.offsets,
-            receivers: &self.staging_local,
-        }
-    }
-
-    /// Replaces the inbox contents with the inbound shards, merged in
-    /// ascending source-worker order and grouped by local vertex with a
-    /// stable counting sort. Returns the number of messages received.
-    pub(crate) fn fill(&mut self, inbound: &mut [Shard<M>]) -> usize
+#[cfg(test)]
+impl<M: Clone> GroupedMail<M> {
+    /// Groups `mail` (a worker's arrivals) over `num_vertices` local
+    /// vertices: histogram → prefix sums → stable placement.
+    pub(crate) fn group<'m>(mail: impl Iterator<Item = (usize, &'m M)>, num_vertices: usize) -> Self
     where
-        M: Clone,
+        M: 'm,
     {
-        let Inbox {
-            msgs,
-            offsets,
-            staging_local,
-            staging_msgs,
-            slots,
-            cursor,
-        } = self;
-        let n = offsets.len() - 1;
-
-        // Merge the shards in source order into arrival-order staging.
-        staging_local.clear();
-        staging_msgs.clear();
-        for shard in inbound.iter_mut() {
-            for (local, msg) in shard.drain(..) {
-                staging_local.push(local);
-                staging_msgs.push(msg);
-            }
+        let staged: Vec<(usize, &M)> = mail.collect();
+        let mut offsets = vec![0u32; num_vertices + 1];
+        for &(local, _) in &staged {
+            offsets[local + 1] += 1;
         }
-        let total = staging_msgs.len();
-
-        // Histogram → prefix sums (offsets) → stable placement permutation.
-        offsets.fill(0);
-        for &local in staging_local.iter() {
-            offsets[local as usize + 1] += 1;
-        }
-        for i in 1..=n {
+        for i in 1..=num_vertices {
             offsets[i] += offsets[i - 1];
         }
-        cursor.clear();
-        cursor.extend_from_slice(&offsets[..n]);
-        slots.clear();
-        slots.resize(total, 0);
-        for (arrival, &local) in staging_local.iter().enumerate() {
-            let slot = &mut cursor[local as usize];
-            slots[*slot as usize] = u32::try_from(arrival).expect("arrival index fits u32");
-            *slot += 1;
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut slots = vec![0usize; staged.len()];
+        for (arrival, &(local, _)) in staged.iter().enumerate() {
+            slots[cursor[local] as usize] = arrival;
+            cursor[local] += 1;
         }
-        msgs.clear();
-        msgs.extend(
-            slots
-                .iter()
-                .map(|&arrival| staging_msgs[arrival as usize].clone()),
-        );
-        total
+        let msgs = slots
+            .iter()
+            .map(|&arrival| staged[arrival].1.clone())
+            .collect();
+        GroupedMail { msgs, offsets }
+    }
+
+    /// The messages delivered to the vertex at `local`, in arrival order.
+    pub(crate) fn messages(&self, local: usize) -> &[M] {
+        &self.msgs[self.offsets[local] as usize..self.offsets[local + 1] as usize]
     }
 }
 
@@ -211,8 +158,6 @@ pub(crate) fn scatter<M: Clone>(
 /// supersteps.
 #[derive(Debug)]
 pub(crate) struct MessagePlane<M> {
-    /// Per-worker flat inboxes.
-    pub(crate) inboxes: Vec<Inbox<M>>,
     /// Per-worker outbox buffers (filled by the computation stage, drained
     /// by the scatter phase).
     pub(crate) outboxes: Vec<Vec<OutboxEntry<M>>>,
@@ -220,17 +165,15 @@ pub(crate) struct MessagePlane<M> {
     pub(crate) scratch: Vec<WorklistScratch>,
     /// Scatter-side shards, indexed `[source][destination]`.
     pub(crate) out_shards: Vec<Vec<Shard<M>>>,
-    /// Gather-side shards, indexed `[destination][source]`.
+    /// Receive-side shards, indexed `[destination][source]`: row `dst` is
+    /// worker `dst`'s mailbox (see [`arrivals`]).
     pub(crate) in_shards: Vec<Vec<Shard<M>>>,
 }
 
 impl<M> MessagePlane<M> {
-    /// Creates the plane for `p` workers with the given per-worker vertex
-    /// counts.
-    pub(crate) fn new(vertices_per_worker: impl ExactSizeIterator<Item = usize>) -> Self {
-        let p = vertices_per_worker.len();
+    /// Creates the plane for `p` workers.
+    pub(crate) fn new(p: usize) -> Self {
         MessagePlane {
-            inboxes: vertices_per_worker.map(Inbox::new).collect(),
             outboxes: (0..p).map(|_| Vec::new()).collect(),
             scratch: (0..p).map(|_| WorklistScratch::default()).collect(),
             out_shards: (0..p)
@@ -242,9 +185,9 @@ impl<M> MessagePlane<M> {
         }
     }
 
-    /// Hands the filled scatter shards to the gather side (and the drained
-    /// gather shards back for reuse) by swapping the two matrices — `Vec`
-    /// moves only, no message is copied — and writes the per-destination
+    /// Hands the filled scatter shards to the receiving side (and the
+    /// cleared mailbox shards back for reuse) by swapping the two matrices —
+    /// `Vec` moves only, no message is copied — and writes the per-destination
     /// delivery counts into `received` (resized to `p`), folding the
     /// counting pass into the same matrix walk so steady-state supersteps
     /// allocate nothing for it.
@@ -270,73 +213,96 @@ mod tests {
 
     #[test]
     fn fill_counting_sort_is_stable_and_grouped() {
-        let mut inbox: Inbox<u64> = Inbox::new(3);
         // Two source shards; vertex 1 receives from both sources and must
         // see source 0's messages (in order) before source 1's.
-        let mut shards = vec![
+        let row = vec![
             vec![(1u32, 10u64), (0, 20), (1, 11)],
             vec![(2, 30), (1, 12)],
         ];
-        let received = inbox.fill(&mut shards);
-        assert_eq!(received, 5);
-        let view = inbox.view();
-        assert_eq!(view.messages(0), &[20]);
-        assert_eq!(view.messages(1), &[10, 11, 12]);
-        assert_eq!(view.messages(2), &[30]);
-        assert_eq!(view.receivers, &[1, 0, 1, 2, 1], "arrival order");
-        assert!(shards.iter().all(|s| s.is_empty()), "shards are drained");
+        let arrived: Vec<(usize, u64)> = arrivals(&row).map(|(local, &m)| (local, m)).collect();
+        assert_eq!(
+            arrived,
+            vec![(1, 10), (0, 20), (1, 11), (2, 30), (1, 12)],
+            "arrival order"
+        );
+        let grouped = GroupedMail::group(arrivals(&row), 3);
+        assert_eq!(grouped.messages(0), &[20]);
+        assert_eq!(grouped.messages(1), &[10, 11, 12]);
+        assert_eq!(grouped.messages(2), &[30]);
 
-        // An empty refill leaves every mailbox empty.
-        let received = inbox.fill(&mut shards);
-        assert_eq!(received, 0);
+        // An empty row leaves every mailbox empty.
+        let row: Vec<Shard<u64>> = vec![Vec::new(), Vec::new()];
+        assert_eq!(arrivals(&row).count(), 0);
+        let grouped = GroupedMail::group(arrivals(&row), 3);
         for local in 0..3 {
-            assert_eq!(inbox.view().messages(local), &[] as &[u64]);
+            assert_eq!(grouped.messages(local), &[] as &[u64]);
         }
-        assert!(inbox.view().receivers.is_empty());
     }
 
-    /// The zero-allocation guarantee: refilling the same shapes reuses
-    /// every buffer — no capacity changes, no reallocation — once the
-    /// first superstep has sized them.
+    /// The zero-allocation guarantee: supersteps that move the same
+    /// messages reuse every buffer — no capacity changes, no reallocation —
+    /// once each side of the double-buffered matrix has been sized (a cell
+    /// alternates between the two sides, so that takes two supersteps).
     #[test]
     fn steady_state_refills_do_not_reallocate() {
-        let mut inbox: Inbox<u64> = Inbox::new(4);
-        let refill = |inbox: &mut Inbox<u64>| {
-            let mut shards = vec![
-                vec![(0u32, 1u64), (3, 2), (0, 3)],
-                vec![(2, 4), (2, 5), (1, 6)],
-            ];
-            inbox.fill(&mut shards)
+        use crate::distributed::DistributedGraph;
+        use ebv_graph::generators::named;
+        use ebv_partition::{EbvPartitioner, Partitioner};
+
+        let graph = named::small_social_graph();
+        let partition = EbvPartitioner::new().partition(&graph, 3).unwrap();
+        let dg = DistributedGraph::build(&graph, &partition).unwrap();
+        let p = dg.num_workers();
+        let mut plane: MessagePlane<u64> = MessagePlane::new(p);
+        let mut received = Vec::new();
+
+        // What `run_worker` does to the plane, for a program that sends
+        // every local value to the other replicas every superstep.
+        let mut superstep = |plane: &mut MessagePlane<u64>| {
+            for (w, sg) in dg.subgraphs().iter().enumerate() {
+                let read = arrivals(&plane.in_shards[w]).count();
+                plane.in_shards[w].iter_mut().for_each(Vec::clear);
+                for local in 0..sg.num_vertices() {
+                    plane.outboxes[w].push((local as u32, 7, MessageTarget::AllReplicas));
+                }
+                let routes = &dg.routing().worker_tables()[w];
+                scatter(routes, sg, &mut plane.outboxes[w], &mut plane.out_shards[w]);
+                assert!(plane.outboxes[w].is_empty(), "scatter drains the outbox");
+                assert_eq!(read, received.get(w).copied().unwrap_or(0));
+            }
+            plane.transpose_into(&mut received);
+            received.iter().sum::<usize>()
         };
-        refill(&mut inbox);
-        let msgs_ptr = inbox.msgs.as_ptr();
-        let capacities = (
-            inbox.msgs.capacity(),
-            inbox.staging_msgs.capacity(),
-            inbox.staging_local.capacity(),
-            inbox.slots.capacity(),
-            inbox.cursor.capacity(),
-        );
-        for _ in 0..5 {
-            assert_eq!(refill(&mut inbox), 6);
-            assert_eq!(inbox.msgs.as_ptr(), msgs_ptr, "message buffer moved");
-            assert_eq!(
-                (
-                    inbox.msgs.capacity(),
-                    inbox.staging_msgs.capacity(),
-                    inbox.staging_local.capacity(),
-                    inbox.slots.capacity(),
-                    inbox.cursor.capacity(),
-                ),
-                capacities,
-                "scratch buffers reallocated"
-            );
+        // Pointer and capacity of every buffer a superstep writes to.
+        let buffers = |plane: &MessagePlane<u64>| -> Vec<(usize, usize)> {
+            let shards = plane.out_shards.iter().chain(&plane.in_shards).flatten();
+            shards
+                .map(|shard| (shard.as_ptr() as usize, shard.capacity()))
+                .chain(
+                    plane
+                        .outboxes
+                        .iter()
+                        .map(|outbox| (outbox.as_ptr() as usize, outbox.capacity())),
+                )
+                .collect()
+        };
+
+        let delivered = superstep(&mut plane);
+        assert!(delivered > 0, "the partition replicates no vertex");
+        assert_eq!(superstep(&mut plane), delivered);
+        let sized = buffers(&plane);
+        for step in 2..8 {
+            assert_eq!(superstep(&mut plane), delivered);
+            // Two transposes bring every cell back to where it was.
+            if step % 2 == 1 {
+                assert_eq!(buffers(&plane), sized, "a buffer moved or grew");
+            }
         }
     }
 
     #[test]
     fn transpose_swaps_rows_for_columns_and_counts_deliveries() {
-        let mut plane: MessagePlane<u64> = MessagePlane::new([1usize, 1].into_iter());
+        let mut plane: MessagePlane<u64> = MessagePlane::new(2);
         plane.out_shards[0][1].push((0, 7));
         plane.out_shards[1][0].push((0, 8));
         plane.out_shards[1][0].push((0, 9));

@@ -2,7 +2,7 @@
 
 use ebv_graph::VertexId;
 
-use crate::exchange::{InboxView, OutboxEntry, WorklistScratch};
+use crate::exchange::{self, OutboxEntry, Shard, WorklistScratch};
 use crate::subgraph::Subgraph;
 
 /// Where a replica message should be delivered.
@@ -22,8 +22,9 @@ pub enum MessageTarget {
 /// worker.
 ///
 /// The context exposes the worker's local [`Subgraph`], the mutable local
-/// vertex values, the messages received from other replicas at the end of
-/// the previous superstep, and an outbox for messages to be delivered to the
+/// vertex values, the [`mail`](Self::mail) received from other replicas at
+/// the end of the previous superstep — one flat list in arrival order, not
+/// a mailbox per vertex — and an outbox for messages to be delivered to the
 /// other replicas of local vertices. It also accumulates the *work units*
 /// (edge traversals) the program performs, which feed the deterministic cost
 /// model used to reproduce the paper's execution-time figures.
@@ -31,7 +32,8 @@ pub enum MessageTarget {
 pub struct SubgraphContext<'a, V, M> {
     subgraph: &'a Subgraph,
     values: &'a mut [V],
-    incoming: InboxView<'a, M>,
+    /// This worker's row of inbound shards, one per source worker.
+    mail: &'a [Shard<M>],
     /// Engine-owned outbox buffer, reused across supersteps so queueing a
     /// message performs no allocation in the steady state.
     outbox: &'a mut Vec<OutboxEntry<M>>,
@@ -45,7 +47,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
     pub(crate) fn new(
         subgraph: &'a Subgraph,
         values: &'a mut [V],
-        incoming: InboxView<'a, M>,
+        mail: &'a [Shard<M>],
         outbox: &'a mut Vec<OutboxEntry<M>>,
         scratch: &'a mut WorklistScratch,
     ) -> Self {
@@ -53,7 +55,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
         SubgraphContext {
             subgraph,
             values,
-            incoming,
+            mail,
             outbox,
             scratch,
             work: 0,
@@ -88,20 +90,21 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
         self.changes += 1;
     }
 
-    /// The messages delivered to the local vertex at `local_index` during
-    /// the previous communication stage.
-    pub fn messages(&self, local_index: usize) -> &[M] {
-        self.incoming.messages(local_index)
-    }
-
-    /// The local index of every message delivered during the previous
-    /// communication stage, in arrival order (a vertex that received `k`
-    /// messages appears `k` times) — what a frontier kernel folds instead
-    /// of probing [`messages`](Self::messages) for every local vertex.
-    /// Borrows the inbox, not the context, like
-    /// [`subgraph`](Self::subgraph).
-    pub fn receivers(&self) -> &'a [u32] {
-        self.incoming.receivers
+    /// Every message delivered to this worker during the previous
+    /// communication stage, each with the local index of the vertex it is
+    /// addressed to, in **arrival order**: source worker ascending, outbox
+    /// order within a source. The messages of any one vertex therefore
+    /// arrive in that same fixed order, whichever executor ran the
+    /// senders, and a program folds them as they come (a `min`, a sum into
+    /// [`WorklistScratch::sums`], the last one wins) instead of asking for
+    /// a mailbox per vertex. The mail is there for this superstep only,
+    /// read or not.
+    ///
+    /// Borrows the mail, not the context, like
+    /// [`subgraph`](Self::subgraph), so the fold may call
+    /// [`set_value`](Self::set_value) as it goes.
+    pub fn mail(&self) -> impl Iterator<Item = (usize, &'a M)> + 'a {
+        exchange::arrivals(self.mail)
     }
 
     /// This worker's [`WorklistScratch`], kept by the engine across
@@ -158,8 +161,11 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 /// local fixpoint — a worklist over the vertices the last exchange or the
 /// seed activated, not a sweep of every edge), then the engine routes
 /// the queued replica messages (the communication stage) and waits for all
-/// workers (the synchronization stage). The program is generic over the
-/// vertex value type and the replica-message type.
+/// workers (the synchronization stage). What was routed to a worker is its
+/// [`mail`](SubgraphContext::mail) in the next superstep and in that one
+/// only: a flat list in a fixed arrival order, which the program folds
+/// itself — the engine keeps no per-vertex mailbox. The program is generic
+/// over the vertex value type and the replica-message type.
 pub trait SubgraphProgram: Sync {
     /// Per-vertex state.
     type Value: Clone + Send + Sync + std::fmt::Debug;
@@ -215,7 +221,6 @@ pub trait SubgraphProgram: Sync {
 mod tests {
     use super::*;
     use crate::distributed::DistributedGraph;
-    use crate::exchange::InboxView;
     use ebv_graph::Graph;
     use ebv_partition::{EbvPartitioner, Partitioner};
 
@@ -227,27 +232,29 @@ mod tests {
         let sg = dg.subgraph(ebv_partition::PartitionId::new(0));
 
         let mut values = vec![10u64; sg.num_vertices()];
-        // Flat mailbox: vertex 0 received one message, the others none.
-        let msgs = [7u64];
-        let offsets = [0u32, 1, 1, 1];
-        let incoming = InboxView {
-            msgs: &msgs,
-            offsets: &offsets,
-            receivers: &[0],
-        };
+        // Two source shards: vertex 0 hears from both workers, vertex 2
+        // from the second; mail arrives shard by shard.
+        let mail = [vec![(0u32, 7u64)], vec![(2, 5), (0, 9)]];
         let mut outbox = Vec::new();
         let mut scratch = WorklistScratch::default();
         let mut ctx: SubgraphContext<'_, u64, u64> =
-            SubgraphContext::new(sg, &mut values, incoming, &mut outbox, &mut scratch);
+            SubgraphContext::new(sg, &mut values, &mail, &mut outbox, &mut scratch);
 
         assert_eq!(*ctx.value(0), 10);
-        assert_eq!(ctx.messages(0), &[7]);
-        assert_eq!(ctx.messages(1), &[] as &[u64]);
-        assert_eq!(ctx.receivers(), &[0]);
+        let arrived: Vec<(usize, u64)> = ctx.mail().map(|(local, &m)| (local, m)).collect();
+        assert_eq!(arrived, vec![(0, 7), (2, 5), (0, 9)]);
+        // The mail outlives a mutable use of the context.
+        for (local, &message) in ctx.mail() {
+            if message < *ctx.value(local) {
+                ctx.set_value(local, message);
+            }
+        }
+        assert_eq!(ctx.values(), &[7, 10, 5]);
+        assert_eq!(ctx.changes(), 2);
         ctx.scratch().changed.push(2);
         ctx.set_value(1, 42);
         assert_eq!(ctx.values()[1], 42);
-        assert_eq!(ctx.changes(), 1);
+        assert_eq!(ctx.changes(), 3);
         ctx.add_work(5);
         ctx.send_to_replicas(0, 99);
         ctx.send_to_master(1, 7);
@@ -263,7 +270,7 @@ mod tests {
             ]
         );
         assert_eq!(work, 5);
-        assert_eq!(changes, 1);
+        assert_eq!(changes, 3);
         assert_eq!(scratch.changed, vec![2], "the scratch outlives the context");
     }
 }

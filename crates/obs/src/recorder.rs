@@ -11,13 +11,15 @@ use crate::journal::EpochMark;
 /// The span hierarchy follows the paper's evaluation structure — epoch →
 /// superstep → worker → phase — so a trace can attribute wall-clock time to
 /// exactly the quantities the modeled `CostModel` breakdown of `ebv-bsp`
-/// predicts: `Gather`/`Compute`/`Scatter` are the three stages of one
-/// worker's superstep, `Barrier` is the engine-side synchronization slice,
+/// predicts: `Compute`/`Scatter` are the two stages of one worker's
+/// superstep, `Barrier` is the engine-side synchronization slice,
 /// and the remaining phases cover the mutation, warm-start and streaming
 /// paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Merging the inbound shards into a worker's flat inbox.
+    /// Receive-side work of the exchange. `ebv-bsp` workers read their
+    /// inbound shards in place during `Compute`, so the engine records no
+    /// span under it and its histogram and `/epochs.json` key read 0.
     #[default]
     Gather,
     /// Running the subgraph program over one worker's subgraph.
