@@ -119,20 +119,6 @@ fn walked_cone(
             .filter(|&raw| raw != source.raw() && prior[raw as usize] != UNREACHABLE)
             .collect();
     }
-    // The local index of `v` in each of its holders.
-    let replicas_of = |v: VertexId| {
-        distributed
-            .replicas()
-            .replicas_of(v)
-            .iter()
-            .map(move |&part| {
-                let sg = distributed.subgraph(part);
-                let local = sg
-                    .local_index_of(v)
-                    .expect("replica table lists this holder");
-                (sg, local)
-            })
-    };
 
     let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut nominated = Cone::default();
@@ -146,7 +132,7 @@ fn walked_cone(
     let mut cone = Cone::default();
     while let Some(Reverse((dv, raw))) = pending.pop() {
         let v = VertexId::new(raw);
-        let certified = replicas_of(v).any(|(sg, local)| {
+        let certified = distributed.holders_of(v).any(|(sg, local)| {
             sg.in_neighbors(local).iter().any(|&w_local| {
                 let w = sg.vertex_at(w_local as usize);
                 finite(w).is_some_and(|dw| dw + 1 == dv) && !cone.contains(&w.raw())
@@ -156,7 +142,7 @@ fn walked_cone(
             continue;
         }
         cone.insert(raw);
-        for (sg, local) in replicas_of(v) {
+        for (sg, local) in distributed.holders_of(v) {
             for &x_local in sg.out_neighbors(local) {
                 let x = sg.vertex_at(x_local as usize);
                 if finite(x) == Some(dv + 1) && nominated.insert(x.raw()) {

@@ -290,6 +290,7 @@ impl DistributedGraph {
     /// vertices inside the workers that are *not* being re-assembled: a
     /// worker that starts or stops holding a vertex had its edge list
     /// touched, so a kept worker can only gain or lose a master flag.
+    /// Must run before the routing patch (it reads the pre-batch table).
     fn reelect(&mut self, affected: &[usize], touched: &mut [bool]) {
         let p = self.num_workers();
         for &vi in affected {
@@ -308,12 +309,13 @@ impl DistributedGraph {
             }
             touched[vi % p] = true;
         }
+        // The routing table still describes the state the batch found, and
+        // a kept worker holds what it held there, at the same local index.
         for &vi in affected {
-            let v = VertexId::from(vi);
-            let master = self.replicas.master_of(v);
-            for &holder in self.replicas.replicas_of(v) {
-                if !touched[holder.index()] {
-                    self.subgraphs[holder.index()].set_master(v, holder == master);
+            let master = self.replicas.master_of(VertexId::from(vi)).index();
+            for (worker, local) in self.routing.holders(vi) {
+                if !touched[worker] {
+                    self.subgraphs[worker].set_master(local, worker == master);
                 }
             }
         }
@@ -329,7 +331,16 @@ impl DistributedGraph {
     ) -> (usize, usize) {
         let mut workers_touched = 0usize;
         let mut edges_rebuilt = 0usize;
-        let mut scratch = Subgraph::build_scratch(self.num_vertices);
+        // A worker touched only through its isolated list keeps its edges.
+        let edges_of = |i: usize| match &new_edges[i] {
+            Some(edges) => edges.len(),
+            None => self.subgraphs[i].num_edges(),
+        };
+        let max_edges = (0..touched.len())
+            .filter(|&i| touched[i])
+            .map(edges_of)
+            .max();
+        let mut scratch = Subgraph::build_scratch(self.num_vertices, max_edges.unwrap_or(0));
         for (i, sg) in self.subgraphs.iter_mut().enumerate() {
             if !touched[i] {
                 continue;

@@ -182,6 +182,20 @@ impl DistributedGraph {
         &self.replicas
     }
 
+    /// Every replica of `v` as `(subgraph, local index)`: the master's
+    /// first, then the mirrors in ascending worker order. Empty for a
+    /// vertex past the universe.
+    ///
+    /// Read off the routing table — the master's location and its route
+    /// slice — so it costs no hash probe and does not make any worker
+    /// build its [`local_index_of`](Subgraph::local_index_of) index; it is
+    /// what snapshot commit and warm-program construction walk.
+    pub fn holders_of(&self, v: VertexId) -> impl Iterator<Item = (&Subgraph, usize)> + '_ {
+        self.routing
+            .holders(v.index())
+            .map(|(worker, local)| (&self.subgraphs[worker], local))
+    }
+
     /// The replication factor `Σ_i |V_i| / |V|` of this distribution; the
     /// neutral `1.0` over an empty universe.
     pub fn replication_factor(&self) -> f64 {
@@ -299,7 +313,8 @@ pub(crate) fn assemble(
         }
     }
 
-    let mut scratch = Subgraph::build_scratch(n);
+    let max_edges = edges_per_part.iter().map(Vec::len).max().unwrap_or(0);
+    let mut scratch = Subgraph::build_scratch(n, max_edges);
     let subgraphs: Vec<Subgraph> = edges_per_part
         .into_iter()
         .zip(owned_per_part)
@@ -352,5 +367,60 @@ mod tests {
         batch.record_insert(Edge::from((1u64, 2u64)), PartitionId::new(1));
         dg.apply_mutations(&batch).unwrap();
         assert_eq!(dg.replication_factor(), 4.0 / 3.0);
+    }
+
+    #[test]
+    fn an_epoch_builds_no_hash_index() {
+        // Four workers, each holding a piece of the path 0 – 1 – … – 8.
+        let part = PartitionId::new;
+        let stream = (0..8u64).map(|i| (Edge::from((i, i + 1)), part(i as u32 % 4)));
+        let mut dg = DistributedGraph::build_streaming(4, None, stream).unwrap();
+        let built = |dg: &DistributedGraph| -> Vec<bool> {
+            dg.subgraphs()
+                .iter()
+                .map(Subgraph::index_is_built)
+                .collect()
+        };
+        assert_eq!(built(&dg), [false; 4], "assembly indexes nothing");
+
+        // A batch naming one worker whose endpoints the kept workers 3 and 1
+        // hold too: their master flags are re-patched without a probe.
+        let mut batch = MutationBatch::new();
+        batch.record_delete(Edge::from((4u64, 5u64)), part(0));
+        assert_eq!(dg.apply_mutations(&batch).unwrap().workers_touched, 1);
+        assert_eq!(built(&dg), [false; 4], "kept workers index nothing");
+
+        // A batch naming every worker, one insert growing the universe, and
+        // then what commit and warm construction do: walk the holders of
+        // the affected vertices.
+        let mut batch = MutationBatch::new();
+        batch.record_delete(Edge::from((0u64, 1u64)), part(0));
+        batch.record_insert(Edge::from((2u64, 9u64)), part(1));
+        batch.record_insert(Edge::from((0u64, 5u64)), part(2));
+        batch.record_delete(Edge::from((3u64, 4u64)), part(3));
+        let stats = dg.apply_mutations(&batch).unwrap();
+        assert_eq!(stats.workers_touched, 4);
+        let mut replicas_walked = 0;
+        for &vertex in dg.lineage().affected {
+            for (sg, local) in dg.holders_of(VertexId::from(vertex)) {
+                assert_eq!(sg.vertex_at(local), VertexId::from(vertex));
+                replicas_walked += 1;
+            }
+        }
+        assert!(replicas_walked > dg.lineage().affected.len());
+        assert_eq!(built(&dg), [false; 4], "the epoch path indexes nothing");
+
+        // The first probe builds that worker's index and no other's, and a
+        // clone taken afterwards carries it.
+        let probed = dg.subgraph(part(2));
+        assert_eq!(
+            probed
+                .local_index_of(VertexId::new(5))
+                .map(|l| probed.vertex_at(l).raw()),
+            Some(5)
+        );
+        assert_eq!(probed.local_index_of(VertexId::new(4)), None);
+        assert_eq!(built(&dg), [false, false, true, false]);
+        assert_eq!(built(&dg.clone()), [false, false, true, false]);
     }
 }

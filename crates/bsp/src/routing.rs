@@ -26,6 +26,19 @@
 //! numbering), so every route into it changes; what the arrays remove is
 //! the `local_index_of` probe per route, not the re-index.
 //!
+//! The route tables are derived **in vertex order** ([`derive_routes`], the
+//! one derivation both entry points share): the universe is walked front to
+//! back, so the locations, the elected masters and the master-location
+//! array are read sequentially, a vertex with a single replica — four in
+//! five on a power-law graph — costs its master location and nothing else,
+//! and the only scattered accesses are the route slices of the replicated
+//! rest. A worker's local numbering is first-appearance order, so deriving
+//! worker by worker would read all three arrays at random instead.
+//!
+//! Because the master's own slice lists every mirror, the table also
+//! answers "where is every replica of `v`" ([`RoutingTable::holders`]) —
+//! which is why nothing on the epoch path keeps a per-worker hash index.
+//!
 //! [`MessageTarget`]: crate::program::MessageTarget
 
 use ebv_graph::VertexId;
@@ -74,25 +87,6 @@ pub(crate) struct WorkerRoutes {
 }
 
 impl WorkerRoutes {
-    /// Builds the full route set of one worker from the replica locations.
-    fn build(
-        worker: u32,
-        sg: &Subgraph,
-        replicas: &ReplicaTable,
-        locations: &ReplicaLocations,
-    ) -> Self {
-        let mut offsets = Vec::with_capacity(sg.num_vertices() + 1);
-        offsets.push(0u32);
-        // One route to each *other* replica of each local vertex.
-        let others = |&v: &VertexId| locations.of(v).len() - 1;
-        let mut routes = Vec::with_capacity(sg.vertices().iter().map(others).sum());
-        for &v in sg.vertices() {
-            push_routes(worker, v, replicas, locations, &mut routes);
-            offsets.push(u32::try_from(routes.len()).expect("route count fits u32"));
-        }
-        WorkerRoutes { offsets, routes }
-    }
-
     /// The routes of the local vertex at `local` (all other replicas).
     #[inline]
     pub(crate) fn all(&self, local: usize) -> &[Route] {
@@ -187,44 +181,94 @@ impl ReplicaLocations {
     }
 }
 
-/// Appends the routes of vertex `v` as seen from `worker` (master first
-/// when `worker` is not the master, then mirrors in ascending worker
-/// order).
-fn push_routes(
-    worker: u32,
-    v: VertexId,
-    replicas: &ReplicaTable,
-    locations: &ReplicaLocations,
-    out: &mut Vec<Route>,
-) {
-    let master = replicas.master_of(v).raw();
-    let held = locations.of(v);
-    if master != worker {
+/// The routes of a vertex as seen from `worker`, given the vertex's
+/// replicas `held` (ascending by worker) and its `master`: the master's
+/// replica first when `worker` is not the master, then the mirrors in
+/// ascending worker order — the layout invariant, written once.
+fn routes_from(worker: u32, master: u32, held: &[Route]) -> impl Iterator<Item = Route> + '_ {
+    let at_master = (master != worker).then(|| {
         let at_master = held.iter().find(|replica| replica.worker == master);
-        out.push(*at_master.expect("the master holds a replica"));
-    }
-    out.extend(
-        held.iter()
-            .filter(|replica| replica.worker != worker && replica.worker != master),
-    );
+        *at_master.expect("the master holds a replica")
+    });
+    let mirrors = held
+        .iter()
+        .filter(move |replica| replica.worker != worker && replica.worker != master);
+    at_master.into_iter().chain(mirrors.copied())
 }
 
-/// The one derivation of a master location: worker `worker` holds `v` at
-/// `local`, which is `v`'s master location exactly when that worker is its
-/// elected master. Every vertex has exactly one master replica, so offering
-/// all of a vertex's (re-indexed) replicas settles its entry.
-fn record_if_master(
-    master_location: &mut [Route],
+/// The one route derivation, in vertex order: fresh [`WorkerRoutes`] for
+/// every worker flagged in `rebuilt` and the master location of every
+/// vertex mastered there; nothing of a kept worker is read or written.
+///
+/// Two walks over the universe. The first sizes the slices — a replicated
+/// vertex needs one route per *other* replica in each rebuilt holder, a
+/// vertex with one replica none — and records master locations; after a
+/// prefix sum per rebuilt worker, the second visits the replicated vertices
+/// again and writes each rebuilt holder's slice in the layout
+/// [`WorkerRoutes`] documents ([`routes_from`]).
+fn derive_routes(
+    subgraphs: &[Subgraph],
     replicas: &ReplicaTable,
-    v: VertexId,
-    worker: u32,
-    local: usize,
+    locations: &ReplicaLocations,
+    rebuilt: &[bool],
+    workers: &mut [WorkerRoutes],
+    master_location: &mut [Route],
 ) {
-    if replicas.master_of(v).raw() == worker {
-        master_location[v.index()] = Route {
-            worker,
-            local: u32::try_from(local).expect("local index fits u32"),
-        };
+    let num_vertices = master_location.len();
+    for (w, sg) in subgraphs.iter().enumerate() {
+        if rebuilt[w] {
+            workers[w].offsets = vec![0u32; sg.num_vertices() + 1];
+        }
+    }
+    for (vi, at_master) in master_location.iter_mut().enumerate() {
+        let v = VertexId::from(vi);
+        let held = locations.of(v);
+        let master = replicas.master_of(v).raw();
+        for replica in held {
+            if !rebuilt[replica.worker as usize] {
+                continue;
+            }
+            if replica.worker == master {
+                *at_master = *replica;
+            }
+            if held.len() > 1 {
+                workers[replica.worker as usize].offsets[replica.local as usize + 1] =
+                    (held.len() - 1) as u32;
+            }
+        }
+    }
+    for (w, table) in workers.iter_mut().enumerate() {
+        if !rebuilt[w] {
+            continue;
+        }
+        let mut end = 0u32;
+        for slot in &mut table.offsets {
+            end = end.checked_add(*slot).expect("route count fits u32");
+            *slot = end;
+        }
+        table.routes = vec![ABSENT; end as usize];
+    }
+    for vi in 0..num_vertices {
+        let v = VertexId::from(vi);
+        let held = locations.of(v);
+        if held.len() < 2 {
+            continue;
+        }
+        let master = replicas.master_of(v).raw();
+        for replica in held {
+            if !rebuilt[replica.worker as usize] {
+                continue;
+            }
+            let table = &mut workers[replica.worker as usize];
+            let start = table.offsets[replica.local as usize] as usize;
+            let slice = &mut table.routes[start..start + held.len() - 1];
+            for (slot, route) in slice
+                .iter_mut()
+                .zip(routes_from(replica.worker, master, held))
+            {
+                *slot = route;
+            }
+        }
     }
 }
 
@@ -260,15 +304,16 @@ impl RoutingTable {
         epoch: usize,
     ) -> Self {
         let locations = ReplicaLocations::build(subgraphs, num_vertices);
-        let mut workers = Vec::with_capacity(subgraphs.len());
+        let mut workers = vec![WorkerRoutes::default(); subgraphs.len()];
         let mut master_location = vec![ABSENT; num_vertices];
-        for (d, sg) in subgraphs.iter().enumerate() {
-            let d = u32::try_from(d).expect("worker fits u32");
-            workers.push(WorkerRoutes::build(d, sg, replicas, &locations));
-            for (local, &v) in sg.vertices().iter().enumerate() {
-                record_if_master(&mut master_location, replicas, v, d, local);
-            }
-        }
+        derive_routes(
+            subgraphs,
+            replicas,
+            &locations,
+            &vec![true; subgraphs.len()],
+            &mut workers,
+            &mut master_location,
+        );
         RoutingTable {
             workers,
             master_location,
@@ -287,15 +332,35 @@ impl RoutingTable {
     }
 
     /// The `(worker, local)` location of vertex `raw`'s master replica, or
-    /// `None` when the vertex is absent from every subgraph.
+    /// `None` when the vertex is absent from every subgraph (or lies past
+    /// the universe).
     #[inline]
     pub(crate) fn master_location(&self, raw: usize) -> Option<(usize, usize)> {
-        let route = self.master_location[raw];
-        if route == ABSENT {
-            None
-        } else {
-            Some((route.worker as usize, route.local as usize))
-        }
+        let route = self.master_route(raw)?;
+        Some((route.worker as usize, route.local as usize))
+    }
+
+    #[inline]
+    fn master_route(&self, raw: usize) -> Option<Route> {
+        self.master_location
+            .get(raw)
+            .copied()
+            .filter(|&route| route != ABSENT)
+    }
+
+    /// Every replica of vertex `raw` as `(worker, local)`: the master's,
+    /// then — off the master's own route slice, which by the layout
+    /// invariant is exactly the mirrors — the others in ascending worker
+    /// order. Empty for a vertex no subgraph holds or one past the universe
+    /// (which is what a mutation epoch's re-election finds for a vertex its
+    /// batch created: the table still describes the state before it).
+    pub(crate) fn holders(&self, raw: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let master = self.master_route(raw);
+        let mirrors = master.map_or(&[][..], |at| {
+            self.workers[at.worker as usize].all(at.local as usize)
+        });
+        let replicas = master.into_iter().chain(mirrors.iter().copied());
+        replicas.map(|at| (at.worker as usize, at.local as usize))
     }
 
     /// Incrementally brings the table in line with a mutation epoch:
@@ -318,14 +383,26 @@ impl RoutingTable {
         self.epoch = epoch;
         self.master_location.resize(num_vertices, ABSENT);
         let locations = ReplicaLocations::build(subgraphs, num_vertices);
+        // Rebuilt workers get fresh route tables and fresh master locations
+        // for the vertices they master.
+        derive_routes(
+            subgraphs,
+            replicas,
+            &locations,
+            rebuilt,
+            &mut self.workers,
+            &mut self.master_location,
+        );
+        if rebuilt.iter().all(|&rebuilt| rebuilt) {
+            // No kept worker holds a route to re-point or a slice to splice.
+            return;
+        }
         let mut is_affected = vec![false; num_vertices];
         for &vi in affected {
             is_affected[vi] = true;
         }
-        let any_kept = rebuilt.iter().any(|&rebuilt| !rebuilt);
 
-        // Rebuilt workers get fresh route tables. Their vertices moved to
-        // new local indices: refresh the master locations they host and
+        // The vertices of a rebuilt worker moved to new local indices:
         // re-point the routes of every untouched holder. Affected vertices
         // are skipped — their route lists are recomputed from scratch below.
         for (d, sg) in subgraphs.iter().enumerate() {
@@ -333,10 +410,8 @@ impl RoutingTable {
                 continue;
             }
             let dest = u32::try_from(d).expect("worker fits u32");
-            self.workers[d] = WorkerRoutes::build(dest, sg, replicas, &locations);
             for (local, &v) in sg.vertices().iter().enumerate() {
-                record_if_master(&mut self.master_location, replicas, v, dest, local);
-                if !any_kept || is_affected[v.index()] {
+                if is_affected[v.index()] {
                     continue;
                 }
                 let local = u32::try_from(local).expect("local index fits u32");
@@ -364,11 +439,12 @@ impl RoutingTable {
                 if rebuilt[h] {
                     continue;
                 }
-                let hl = holder.local as usize;
-                record_if_master(&mut self.master_location, replicas, v, holder.worker, hl);
-                let mut routes = Vec::new();
-                push_routes(holder.worker, v, replicas, &locations, &mut routes);
-                changes[h].push((hl, routes));
+                let master = replicas.master_of(v).raw();
+                if holder.worker == master {
+                    self.master_location[vi] = *holder;
+                }
+                let routes = routes_from(holder.worker, master, locations.of(v)).collect();
+                changes[h].push((holder.local as usize, routes));
             }
         }
         for (w, mut changed) in changes.into_iter().enumerate() {
@@ -380,3 +456,6 @@ impl RoutingTable {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;

@@ -6,9 +6,13 @@
 //! master table — so rebuilding a worker from the same edge list reproduces
 //! its local vertex numbering (first appearance, then isolated vertices)
 //! bit for bit. Nothing outside this file reads or writes a field; the
-//! distribution layer goes through the `pub(crate)` methods below. The
-//! universe-sized `scratch` [`Subgraph::build`] resolves endpoints through
-//! is all-`ABSENT` on entry and on exit.
+//! distribution layer goes through the `pub(crate)` methods below. What
+//! [`Subgraph::build`] needs only while it runs is a [`BuildScratch`],
+//! which owns the hand-back invariant (resolver all-`ABSENT`, buffers
+//! empty). No hash map is built on that path: the global → local index
+//! behind [`Subgraph::local_index_of`] is built by its first caller.
+
+use std::sync::OnceLock;
 
 use ebv_graph::{Edge, IdHashMap, VertexId};
 use ebv_partition::PartitionId;
@@ -20,9 +24,58 @@ pub use crate::distributed::{DistributedGraph, Lineage};
 pub use crate::mutation_batch::{MutationBatch, MutationStats};
 pub use crate::replica::ReplicaTable;
 
-/// "Not a local vertex" in the universe-sized scratch [`Subgraph::build`]
-/// resolves endpoints through.
+/// "Not a local vertex" in [`BuildScratch`]'s resolver.
 const ABSENT: u32 = u32::MAX;
+
+/// Everything [`Subgraph::build`] needs only while it runs, shared by every
+/// worker one caller (re)builds so that the per-worker allocations are the
+/// finished arrays alone.
+///
+/// Invariant: between builds `local_of` — global vertex → local index, one
+/// slot per vertex of the universe the replica table elects over — holds
+/// [`ABSENT`] everywhere and the other buffers are empty (their capacity is
+/// what the next worker reuses). A build resolves each endpoint through
+/// `local_of` exactly once and resets the slots it wrote on its way out.
+#[derive(Debug)]
+pub(crate) struct BuildScratch {
+    local_of: Vec<u32>,
+    /// The worker's edges as local `[src, dst]` pairs, in edge order.
+    staged: Vec<[u32; 2]>,
+    /// The vertex table as it grows.
+    vertices: Vec<VertexId>,
+    /// Per local vertex: out/in degree while the edges are walked, then the
+    /// CSR fill cursors.
+    out_cursor: Vec<u32>,
+    in_cursor: Vec<u32>,
+}
+
+impl BuildScratch {
+    /// The local index of `v`, numbering it on first appearance.
+    #[inline]
+    fn resolve(&mut self, v: VertexId) -> u32 {
+        let slot = &mut self.local_of[v.index()];
+        if *slot == ABSENT {
+            *slot = self.vertices.len() as u32;
+            self.vertices.push(v);
+            self.out_cursor.push(0);
+            self.in_cursor.push(0);
+        }
+        *slot
+    }
+}
+
+/// Turns per-vertex degrees into CSR offsets (one entry longer), leaving
+/// each vertex's range start behind in `degrees` as its fill cursor.
+fn offsets_from_degrees(degrees: &mut [u32]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(degrees.len() + 1);
+    let mut end = 0u32;
+    for slot in degrees {
+        offsets.push(end);
+        end += std::mem::replace(slot, end);
+    }
+    offsets.push(end);
+    offsets
+}
 
 /// The local graph held by one worker.
 ///
@@ -43,8 +96,9 @@ pub struct Subgraph {
     /// vertex-cut worker): nothing to skip, nothing to store.
     owns_edge: Vec<bool>,
     vertices: Vec<VertexId>,
-    /// Global vertex → local index (`u32`, like the CSR targets).
-    local_index: IdHashMap<VertexId, u32>,
+    /// Global vertex → local index (`u32`, like the CSR targets), built by
+    /// the first [`local_index_of`](Self::local_index_of) call.
+    local_index: OnceLock<IdHashMap<VertexId, u32>>,
     is_master: Vec<bool>,
     /// CSR out-adjacency: the out-neighbours of local vertex `l` are
     /// `out_targets[out_offsets[l]..out_offsets[l + 1]]`, in local-edge
@@ -66,18 +120,19 @@ impl Subgraph {
     /// order, then `isolated`), master flags and both CSRs. `owns_edge` is
     /// either empty (every edge owned) or one flag per edge.
     ///
-    /// `scratch` maps a global vertex to its local index while the worker is
-    /// being built. It covers the whole universe `replicas` elects over,
-    /// holds [`ABSENT`] everywhere on entry and is handed back in that
-    /// state, so one allocation serves every worker a caller rebuilds and
-    /// each endpoint costs an array read instead of a hash probe.
+    /// Each endpoint is resolved once: one walk over the edge list numbers
+    /// a vertex on first appearance, counts its out/in degree and stages
+    /// the local `[src, dst]` pair; the fill reads the staged pairs and
+    /// never goes back to the universe-sized array. Everything transient
+    /// lives in `scratch` (see [`BuildScratch`]), so what this allocates is
+    /// the finished arrays at their exact sizes.
     pub(crate) fn build(
         part: PartitionId,
         edges: Vec<Edge>,
         owns_edge: Vec<bool>,
         isolated: &[VertexId],
         replicas: &ReplicaTable,
-        scratch: &mut [u32],
+        scratch: &mut BuildScratch,
     ) -> Self {
         debug_assert!(owns_edge.is_empty() || owns_edge.len() == edges.len());
         let owns_edge = if owns_edge.iter().all(|&owned| owned) {
@@ -85,67 +140,60 @@ impl Subgraph {
         } else {
             owns_edge
         };
-        let mut vertices: Vec<VertexId> = Vec::new();
-        let endpoints = edges.iter().flat_map(|e| [e.src, e.dst]);
-        for v in endpoints.chain(isolated.iter().copied()) {
-            let slot = &mut scratch[v.index()];
-            if *slot == ABSENT {
-                *slot = vertices.len() as u32;
-                vertices.push(v);
-            }
+        debug_assert!(scratch.staged.is_empty() && scratch.vertices.is_empty());
+        for e in &edges {
+            let s = scratch.resolve(e.src);
+            let d = scratch.resolve(e.dst);
+            scratch.out_cursor[s as usize] += 1;
+            scratch.in_cursor[d as usize] += 1;
+            scratch.staged.push([s, d]);
         }
+        for &v in isolated {
+            scratch.resolve(v);
+        }
+        let vertices = scratch.vertices.clone();
         let n = vertices.len();
         debug_assert!(
             (n as u64) < u64::from(ABSENT),
             "local vertex count fits u32"
         );
+        // The flags ride the walk that hands the scratch back all-`ABSENT`.
         let is_master = vertices
             .iter()
-            .map(|&v| replicas.master_of(v) == part)
+            .map(|&v| {
+                scratch.local_of[v.index()] = ABSENT;
+                replicas.master_of(v) == part
+            })
             .collect();
-        // CSR assembly: degree histogram, prefix sums, cursor fill in
-        // local-edge order (preserving the per-vertex neighbour order of
-        // the former Vec-of-Vecs layout).
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for e in &edges {
-            out_offsets[scratch[e.src.index()] as usize + 1] += 1;
-            in_offsets[scratch[e.dst.index()] as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            out_offsets[i] += out_offsets[i - 1];
-            in_offsets[i] += in_offsets[i - 1];
-        }
+        // CSR assembly: the degrees become offsets and, in place, the fill
+        // cursors; the fill runs in local-edge order, which is the
+        // per-vertex neighbour order the kernels rely on.
+        let out_offsets = offsets_from_degrees(&mut scratch.out_cursor);
+        let in_offsets = offsets_from_degrees(&mut scratch.in_cursor);
         let mut out_targets = vec![0u32; edges.len()];
         let mut in_targets = vec![0u32; edges.len()];
         let mut in_owned = vec![true; owns_edge.len()];
-        let mut out_cursor = out_offsets[..n].to_vec();
-        let mut in_cursor = in_offsets[..n].to_vec();
-        for (i, e) in edges.iter().enumerate() {
-            let s = scratch[e.src.index()];
-            let d = scratch[e.dst.index()];
-            out_targets[out_cursor[s as usize] as usize] = d;
-            out_cursor[s as usize] += 1;
-            let slot = in_cursor[d as usize] as usize;
-            in_targets[slot] = s;
+        for (i, &[s, d]) in scratch.staged.iter().enumerate() {
+            let out_slot = &mut scratch.out_cursor[s as usize];
+            out_targets[*out_slot as usize] = d;
+            *out_slot += 1;
+            let in_slot = &mut scratch.in_cursor[d as usize];
+            in_targets[*in_slot as usize] = s;
             if owns_edge.get(i) == Some(&false) {
-                in_owned[slot] = false;
+                in_owned[*in_slot as usize] = false;
             }
-            in_cursor[d as usize] += 1;
+            *in_slot += 1;
         }
-        // The only hashing: one insert per local vertex, into a table sized
-        // once. Resetting the scratch rides the same walk.
-        let mut local_index: IdHashMap<VertexId, u32> =
-            IdHashMap::with_capacity_and_hasher(n, Default::default());
-        for &v in &vertices {
-            local_index.insert(v, std::mem::replace(&mut scratch[v.index()], ABSENT));
-        }
+        scratch.staged.clear();
+        scratch.vertices.clear();
+        scratch.out_cursor.clear();
+        scratch.in_cursor.clear();
         Subgraph {
             part,
             edges,
             owns_edge,
             vertices,
-            local_index,
+            local_index: OnceLock::new(),
             is_master,
             out_offsets,
             out_targets,
@@ -155,9 +203,17 @@ impl Subgraph {
         }
     }
 
-    /// A scratch for [`build`](Self::build) over the universe `0..n`.
-    pub(crate) fn build_scratch(n: usize) -> Vec<u32> {
-        vec![ABSENT; n]
+    /// A scratch for [`build`](Self::build) over the universe `0..n`, for
+    /// workers of at most `max_edges` edges (a longer list still builds; it
+    /// regrows the staging buffer).
+    pub(crate) fn build_scratch(n: usize, max_edges: usize) -> BuildScratch {
+        BuildScratch {
+            local_of: vec![ABSENT; n],
+            staged: Vec::with_capacity(max_edges),
+            vertices: Vec::new(),
+            out_cursor: Vec::new(),
+            in_cursor: Vec::new(),
+        }
     }
 
     /// Moves the edge list out, ahead of a rebuild that replaces `self`.
@@ -165,11 +221,10 @@ impl Subgraph {
         std::mem::take(&mut self.edges)
     }
 
-    /// Sets the master flag of local vertex `v`, for a worker that keeps
-    /// its edges while a boundary vertex's master moves.
-    pub(crate) fn set_master(&mut self, v: VertexId, is_master: bool) {
-        let local = self.local_index[&v] as usize;
-        self.is_master[local] = is_master;
+    /// Sets the master flag of the vertex at `local_index`, for a worker
+    /// that keeps its edges while a boundary vertex's master moves.
+    pub(crate) fn set_master(&mut self, local_index: usize, is_master: bool) {
+        self.is_master[local_index] = is_master;
     }
 
     /// Whether this worker owns every local edge (always, in a vertex-cut).
@@ -224,8 +279,31 @@ impl Subgraph {
     }
 
     /// The local index of a vertex, if it is present in this subgraph.
+    ///
+    /// The first call builds the index (one hash insert per local vertex);
+    /// later calls, and calls on a clone taken afterwards, are one probe.
+    /// The engine, the routing table, snapshot commit and warm-program
+    /// construction never call it — they read replica positions off the
+    /// routing table ([`DistributedGraph::holders_of`]) — so a worker that
+    /// is rebuilt every epoch pays for an index only if somebody asks.
     pub fn local_index_of(&self, v: VertexId) -> Option<usize> {
-        self.local_index.get(&v).map(|&local| local as usize)
+        let index = self.local_index.get_or_init(|| {
+            let mut index =
+                IdHashMap::with_capacity_and_hasher(self.vertices.len(), Default::default());
+            for (local, &v) in self.vertices.iter().enumerate() {
+                index.insert(v, local as u32);
+            }
+            index
+        });
+        index.get(&v).map(|&local| local as usize)
+    }
+
+    /// Whether the global → local index has been built (by a
+    /// [`local_index_of`](Self::local_index_of) call on this subgraph or
+    /// on the one it was cloned from).
+    #[cfg(test)]
+    pub(crate) fn index_is_built(&self) -> bool {
+        self.local_index.get().is_some()
     }
 
     /// The global identifier of the vertex at `local_index`.
@@ -275,5 +353,7 @@ impl Subgraph {
     }
 }
 
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod tests;

@@ -200,11 +200,7 @@ impl Adjacency {
             copy_run(&mut offsets, &mut targets, next, vertex);
             let v = VertexId::from(vertex);
             list.clear();
-            for &holder in distributed.replicas().replicas_of(v) {
-                let sg = distributed.subgraph(holder);
-                let local = sg
-                    .local_index_of(v)
-                    .expect("replica table lists this holder");
+            for (sg, local) in distributed.holders_of(v) {
                 let neighbors = sg.out_neighbors(local).iter();
                 list.extend(neighbors.map(|&neighbor| sg.vertex_at(neighbor as usize).raw()));
             }
