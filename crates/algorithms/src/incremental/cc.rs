@@ -9,7 +9,7 @@ use ebv_bsp::{
 };
 use ebv_graph::{Edge, IdHasher, VertexId};
 
-use crate::kernel::{gated_min_superstep, Activation, Flow};
+use crate::cc::component_min_superstep;
 
 /// The CC [`InvalidationPolicy`]: a deletion may split the components of its
 /// endpoints, and min-label propagation cannot *raise* stale labels, so the
@@ -81,7 +81,8 @@ pub struct IncrementalConnectedComponents {
 
 impl IncrementalConnectedComponents {
     /// Creates a pure warm restart: nothing is dirty, nothing is seeded, so
-    /// the run converges immediately when the prior labels are still valid.
+    /// the run converges in one superstep, sending nothing, when the prior
+    /// labels are still valid.
     pub fn new() -> Self {
         Self::default()
     }
@@ -106,7 +107,10 @@ impl IncrementalConnectedComponents {
         self.frontier.policy().dirty.len()
     }
 
-    /// Number of seed vertices activated in the first superstep.
+    /// Number of seed vertices the absorbed batches named (inserted-edge
+    /// endpoints, and removed-edge endpoints newer than the prior). The
+    /// first superstep lowers every local component to its minimum, seeds
+    /// or not, so this sizes the batch, not the work.
     pub fn seed_vertices(&self) -> usize {
         self.frontier.seed_vertices()
     }
@@ -132,13 +136,7 @@ impl SubgraphProgram for IncrementalConnectedComponents {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
-        gated_min_superstep(
-            ctx,
-            superstep,
-            Flow::Labels,
-            |raw| self.frontier.is_seed(raw),
-            Activation::SelfLabeled,
-        )
+        component_min_superstep(ctx, superstep)
     }
 }
 
@@ -217,6 +215,122 @@ mod tests {
                 .unwrap();
             assert_eq!(warm.values, cold.values, "warm CC must be bit-identical");
             labels = warm.values;
+        }
+    }
+
+    /// The distinct labels of `labels`, ascending: one representative (the
+    /// smallest member) per component.
+    fn representatives(labels: &[u64]) -> Vec<u64> {
+        let mut reps: Vec<u64> = labels.to_vec();
+        reps.sort_unstable();
+        reps.dedup();
+        reps
+    }
+
+    /// Warm CC's component superstep equals the warm sweep — the same warm
+    /// start, then label propagation over every edge — superstep by
+    /// superstep and worker by worker over churned epochs: deletions that
+    /// split, insertions that merge, a mixed batch growing the universe
+    /// and a pure restart. This turns "the FIFO kernel's warm superstep 0
+    /// already reached the full fixpoint" into a checked fact.
+    #[test]
+    fn warm_component_superstep_equals_the_warm_sweep() {
+        use crate::cc::oracle::WarmSweepConnectedComponents;
+        use crate::oracle::{assert_equals_oracle, Work};
+        use ebv_graph::generators::{named, GraphGenerator, GridGenerator, RmatGenerator};
+
+        let graphs = [
+            (
+                "rmat",
+                RmatGenerator::new(7, 5).with_seed(25).generate().unwrap(),
+            ),
+            (
+                "road",
+                GridGenerator::new(12, 11)
+                    .with_deletion_probability(0.1)
+                    .with_seed(25)
+                    .generate()
+                    .unwrap(),
+            ),
+            ("path", named::path_graph(40).unwrap()),
+        ];
+        for (name, graph) in &graphs {
+            for p in [1usize, 2, 4, 7] {
+                let (mut distributed, mut survivors) = distribute(graph, p);
+                let engine = BspEngine::sequential();
+                let mut labels = engine
+                    .run(&distributed, &ConnectedComponents::new())
+                    .unwrap()
+                    .values;
+                let part = |i: usize| PartitionId::from_index(i % p);
+                let n = graph.num_vertices() as u64;
+                for shape in ["deletions", "insertions", "mixed"] {
+                    let reps = representatives(&labels);
+                    let mut batch = MutationBatch::new();
+                    let mut removed = Vec::new();
+                    match shape {
+                        "deletions" => removed.extend((0..survivors.len()).filter(|i| i % 3 != 0)),
+                        "insertions" => {
+                            for (i, pair) in reps.windows(2).take(6).enumerate() {
+                                let edge = Edge::from((pair[0], pair[1]));
+                                batch.record_insert(edge, part(i));
+                                survivors.push((edge, part(i)));
+                            }
+                        }
+                        _ => {
+                            removed.extend((0..survivors.len()).step_by(4));
+                            for k in 0..3 {
+                                for edge in
+                                    [(n + k, reps[k as usize % reps.len()]), (n + k, n + k + 1)]
+                                {
+                                    let edge = Edge::from(edge);
+                                    batch.record_insert(edge, part(k as usize));
+                                    survivors.push((edge, part(k as usize)));
+                                }
+                            }
+                        }
+                    }
+                    for &index in removed.iter().rev() {
+                        let (edge, part) = survivors.remove(index);
+                        batch.record_delete(edge, part);
+                    }
+                    let what = format!("{name} p={p} {shape}");
+                    let program = IncrementalConnectedComponents::from_batch(&labels, &batch);
+                    distributed.apply_mutations(&batch).unwrap();
+                    let warm = assert_equals_oracle(
+                        &distributed,
+                        (program.clone(), WarmSweepConnectedComponents(&program)),
+                        Some(&labels),
+                        Work::Components,
+                        &what,
+                    );
+                    let cold = engine
+                        .run(&distributed, &ConnectedComponents::new())
+                        .unwrap();
+                    assert_eq!(warm.values, cold.values, "{what}: warm == cold");
+                    let components = representatives(&warm.values).len();
+                    match shape {
+                        "deletions" if *name == "path" => {
+                            assert!(components > reps.len(), "{what}: nothing split")
+                        }
+                        "insertions" => assert!(components < reps.len(), "{what}: nothing merged"),
+                        _ => {}
+                    }
+                    labels = warm.values;
+                }
+
+                let restart = IncrementalConnectedComponents::new();
+                let warm = assert_equals_oracle(
+                    &distributed,
+                    (restart.clone(), WarmSweepConnectedComponents(&restart)),
+                    Some(&labels),
+                    Work::Components,
+                    &format!("{name} p={p} restart"),
+                );
+                assert_eq!(warm.values, labels);
+                assert_eq!(warm.supersteps, 1, "{name} p={p}: one quiescent superstep");
+                assert_eq!(warm.stats.total_messages(), 0, "{name} p={p}");
+            }
         }
     }
 

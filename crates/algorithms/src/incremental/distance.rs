@@ -31,7 +31,7 @@ use ebv_bsp::{
 };
 use ebv_graph::{Edge, IdHasher, VertexId};
 
-use crate::kernel::{gated_min_superstep, Activation, Flow};
+use crate::kernel::{gated_min_superstep, Activation};
 use crate::{UNREACHABLE, UNVISITED};
 
 /// The shortest-path [`InvalidationPolicy`], two-tier:
@@ -293,7 +293,6 @@ impl WarmDistanceCore {
         gated_min_superstep(
             ctx,
             superstep,
-            Flow::Hops,
             |raw| self.frontier.is_seed(raw),
             Activation::DistanceFrontier,
         )

@@ -10,19 +10,23 @@
 //!
 //! All four share one epoch shape, factored into the [`ebv_bsp::warm`]
 //! harness ([`WarmFrontier`](ebv_bsp::WarmFrontier) +
-//! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the crate's
-//! gated worklist kernel, the same one the cold programs run, started from
-//! a smaller frontier — a new warm-start algorithm only has to
-//! state *what a deletion invalidates* and *what a vertex's cold initial
-//! value is*:
+//! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the superstep
+//! their cold program runs — the component superstep for CC, the gated
+//! worklist kernel for SSSP/BFS, started from a smaller frontier — so a new
+//! warm-start algorithm only has to state *what a deletion invalidates* and
+//! *what a vertex's cold initial value is*:
 //!
 //! * [`IncrementalConnectedComponents`] converges to labels **bit-identical**
 //!   to a cold [`crate::ConnectedComponents`] run: the final label of every
 //!   vertex is the minimum vertex id of its component, a pure function of
-//!   the graph, so a correct incremental fixpoint cannot differ. Insertions
-//!   re-activate only the inserted endpoints; deletions conservatively reset
-//!   the components they touched (a deletion may split a component, and
-//!   min-label propagation cannot *raise* stale labels).
+//!   the graph, so a correct incremental fixpoint cannot differ. Deletions
+//!   conservatively reset the components they touched (a deletion may split
+//!   a component, and a minimum cannot *raise* stale labels); then the first
+//!   superstep lowers each local component to its minimum — which settles
+//!   inserted edges inside a worker and reset vertices next to kept ones —
+//!   and only the labels that changed travel. A warm epoch therefore costs
+//!   the workers' local components (cached on every worker the epoch kept)
+//!   plus its messages.
 //! * [`IncrementalSssp`] and [`IncrementalBfs`] carry hop distances across
 //!   epochs with delta-stepping-style re-activation, **bit-identical** to
 //!   cold [`crate::SingleSourceShortestPath`] / [`crate::BreadthFirstSearch`]

@@ -1,7 +1,8 @@
-//! The gated worklist kernel: the one min-propagation superstep behind
-//! cold and warm CC, SSSP and BFS.
+//! The gated worklist kernel: the distance superstep behind cold and warm
+//! SSSP and BFS. (CC does not propagate along edges at all: it relabels
+//! whole local components, see `cc.rs`.)
 //!
-//! All three algorithms compute a minimum fixpoint over `u64` values with
+//! Both compute a minimum fixpoint over `u64` hop distances with
 //! min-folded replica messages, so one superstep is always the same three
 //! moves:
 //!
@@ -10,9 +11,10 @@
 //!    value fell join the frontier;
 //! 2. on the first superstep, additionally activate the program's
 //!    [`Activation`] set plus the seed vertices;
-//! 3. run a worklist propagation to the local fixpoint, touching only edges
-//!    incident to active vertices, then ship only *changed* values to the
-//!    other replicas (the message gating).
+//! 3. relax out-edges from the worklist to the local fixpoint (a distance
+//!    plus one along each edge, source to destination), touching only
+//!    edges leaving active vertices, then ship only *changed* values to
+//!    the other replicas (the message gating).
 //!
 //! # Contract
 //!
@@ -25,7 +27,7 @@
 //!   its final value is below its starting one, whatever the visiting
 //!   order. Values, the changed set, message and superstep counts
 //!   therefore equal those of a full-subgraph sweep to the fixpoint (the
-//!   `#[cfg(test)]` oracles in `cc.rs` and `sssp.rs`); only `work` differs.
+//!   `#[cfg(test)]` oracle in `sssp.rs`); only `work` differs.
 //! * **The scratch is borrowed clean and returned clean.** Flags, queue
 //!   and changed-list live in the engine's per-worker
 //!   [`WorklistScratch`]: flags all zero, queue and list empty, on entry
@@ -41,8 +43,7 @@
 
 use ebv_bsp::{SubgraphContext, WorklistScratch};
 
-/// The "cannot propagate" value: an unreached distance. (Labels are vertex
-/// ids and never reach it.)
+/// The "cannot propagate" value: an unreached distance.
 const INFINITY: u64 = u64::MAX;
 
 /// [`WorklistScratch::flags`] bit: the vertex is in the changed-list.
@@ -50,26 +51,13 @@ const CHANGED: u8 = 1;
 /// [`WorklistScratch::flags`] bit: the vertex is in the queue.
 const QUEUED: u8 = 2;
 
-/// Which way values move along an edge, and what they pick up crossing it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Flow {
-    /// Component labels: unchanged, in both directions (CC).
-    Labels,
-    /// Hop distances: plus one, source to destination only (SSSP, BFS).
-    Hops,
-}
-
 /// Which vertices the first superstep activates, beyond message receivers
 /// and seed vertices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Activation {
-    /// Every vertex that can propagate, i.e. holds a finite value — all of
-    /// them for cold CC, the source alone for cold SSSP/BFS.
+    /// Every vertex that holds a finite distance — the source alone, for
+    /// cold SSSP/BFS.
     Propagating,
-    /// Vertices whose value equals their own raw id: reset members of
-    /// dirty components, new vertices, and component minima, whose
-    /// re-scan is free of updates (warm CC).
-    SelfLabeled,
     /// Propagation-capable vertices with at least one unreached
     /// out-neighbor — the settled rim of the reset cone that must re-relax
     /// into it (warm SSSP/BFS).
@@ -96,20 +84,15 @@ fn lowered(scratch: &mut WorklistScratch, v: usize) {
     activate(scratch, v);
 }
 
-/// Runs one gated min-propagation superstep and returns the number of local
-/// vertices whose value changed. `is_seed` is raw-id membership in a warm
-/// frontier's seed set (cold programs have none).
+/// Runs one gated distance-relaxation superstep and returns the number of
+/// local vertices whose value changed. `is_seed` is raw-id membership in a
+/// warm frontier's seed set (cold programs have none).
 pub(crate) fn gated_min_superstep(
     ctx: &mut SubgraphContext<'_, u64, u64>,
     superstep: usize,
-    flow: Flow,
     is_seed: impl Fn(u64) -> bool,
     activation: Activation,
 ) -> usize {
-    let (undirected, step) = match flow {
-        Flow::Labels => (true, 0),
-        Flow::Hops => (false, 1),
-    };
     let sg = ctx.subgraph();
     let n = sg.num_vertices();
     // Taken so the context stays usable below; put back before returning.
@@ -134,11 +117,7 @@ pub(crate) fn gated_min_superstep(
             let vertex = sg.vertex_at(local);
             let value = *ctx.value(local);
             let active = is_seed(vertex.raw())
-                || match activation {
-                    Activation::Propagating => value != INFINITY,
-                    Activation::SelfLabeled => value == vertex.raw(),
-                    Activation::DistanceFrontier => false,
-                };
+                || (activation == Activation::Propagating && value != INFINITY);
             if active {
                 activate(&mut scratch, local);
             }
@@ -155,26 +134,23 @@ pub(crate) fn gated_min_superstep(
         }
     }
 
-    // Worklist propagation to the local fixpoint, touching only edges
-    // incident to the active frontier; each direction streams one CSR
-    // neighbour slice.
+    // Worklist relaxation to the local fixpoint, touching only the out-edges
+    // of the active frontier, one CSR neighbour slice each.
     while let Some(u) = scratch.queue.pop_front() {
         let u = u as usize;
         scratch.flags[u] &= !QUEUED;
-        let inward = if undirected { sg.in_neighbors(u) } else { &[] };
-        for neighbors in [sg.out_neighbors(u), inward] {
-            for &w in neighbors {
-                let w = w as usize;
-                ctx.add_work(1);
-                let a = *ctx.value(u);
-                let b = *ctx.value(w);
-                if a != INFINITY && a.saturating_add(step) < b {
-                    ctx.set_value(w, a + step);
-                    lowered(&mut scratch, w);
-                } else if undirected && b != INFINITY && b.saturating_add(step) < a {
-                    ctx.set_value(u, b + step);
-                    lowered(&mut scratch, u);
-                }
+        let neighbors = sg.out_neighbors(u);
+        ctx.add_work(neighbors.len() as u64);
+        // Only `w`s are lowered, never `u` (a self-loop cannot shorten).
+        let candidate = match *ctx.value(u) {
+            INFINITY => continue,
+            distance => distance + 1,
+        };
+        for &w in neighbors {
+            let w = w as usize;
+            if candidate < *ctx.value(w) {
+                ctx.set_value(w, candidate);
+                lowered(&mut scratch, w);
             }
         }
     }
@@ -196,126 +172,17 @@ pub(crate) fn gated_min_superstep(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-
     use proptest::prelude::*;
 
-    use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, Subgraph, SubgraphProgram};
+    use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph};
     use ebv_graph::generators::{named, GraphGenerator, GridGenerator, RmatGenerator};
     use ebv_graph::{Graph, VertexId};
     use ebv_partition::{paper_partitioners, EbvPartitioner, Partitioner};
 
-    use super::*;
     use crate::cc::oracle::SweepConnectedComponents;
+    use crate::oracle::{assert_equals_oracle, run_recorded, StepRecord, Work};
     use crate::sssp::oracle::SweepShortestPath;
     use crate::{BreadthFirstSearch, ConnectedComponents, SingleSourceShortestPath};
-
-    /// What one worker's superstep left behind.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct StepRecord {
-        superstep: usize,
-        worker: usize,
-        /// `run_superstep`'s return value: the vertices whose value changed.
-        updates: usize,
-        values: Vec<u64>,
-        /// Capacities of the scratch's flags, queue and changed-list.
-        capacities: [usize; 3],
-    }
-
-    /// Runs `P` unchanged and logs a [`StepRecord`] per worker superstep,
-    /// asserting the kernel's "returned clean" half of the scratch contract.
-    struct Recording<P> {
-        inner: P,
-        log: Mutex<Vec<StepRecord>>,
-    }
-
-    impl<P> Recording<P> {
-        fn new(inner: P) -> Self {
-            Recording {
-                inner,
-                log: Mutex::new(Vec::new()),
-            }
-        }
-    }
-
-    impl<P: SubgraphProgram<Value = u64, Message = u64>> SubgraphProgram for Recording<P> {
-        type Value = u64;
-        type Message = u64;
-
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-
-        fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> u64 {
-            self.inner.initial_value(vertex, subgraph)
-        }
-
-        fn run_superstep(
-            &self,
-            ctx: &mut SubgraphContext<'_, u64, u64>,
-            superstep: usize,
-        ) -> usize {
-            let updates = self.inner.run_superstep(ctx, superstep);
-            let scratch = ctx.scratch();
-            assert!(scratch.flags.iter().all(|&flags| flags == 0));
-            assert!(scratch.queue.is_empty() && scratch.changed.is_empty());
-            let capacities = [
-                scratch.flags.capacity(),
-                scratch.queue.capacity(),
-                scratch.changed.capacity(),
-            ];
-            self.log.lock().unwrap().push(StepRecord {
-                superstep,
-                worker: ctx.subgraph().part().index(),
-                updates,
-                values: ctx.values().to_vec(),
-                capacities,
-            });
-            updates
-        }
-    }
-
-    fn run_recorded<P: SubgraphProgram<Value = u64, Message = u64>>(
-        distributed: &DistributedGraph,
-        program: P,
-    ) -> (BspOutcome<u64>, Vec<StepRecord>) {
-        let program = Recording::new(program);
-        let outcome = BspEngine::sequential().run(distributed, &program).unwrap();
-        (outcome, program.log.into_inner().unwrap())
-    }
-
-    /// The kernel-backed program and its sweep oracle agree on everything
-    /// but `work` and the scratch, superstep by superstep and worker by
-    /// worker, and the kernel never does more edge relaxations.
-    fn assert_equals_oracle<K, O>(distributed: &DistributedGraph, kernel: K, oracle: O, what: &str)
-    where
-        K: SubgraphProgram<Value = u64, Message = u64>,
-        O: SubgraphProgram<Value = u64, Message = u64>,
-    {
-        let (got, got_log) = run_recorded(distributed, kernel);
-        let (want, want_log) = run_recorded(distributed, oracle);
-        assert_eq!(got.values, want.values, "{what}: final values");
-        assert_eq!(got.supersteps, want.supersteps, "{what}: supersteps");
-        assert_eq!(got_log.len(), want_log.len(), "{what}");
-        for (g, w) in got_log.iter().zip(&want_log) {
-            let at = format!("{what}, superstep {} worker {}", w.superstep, w.worker);
-            assert_eq!((g.superstep, g.worker), (w.superstep, w.worker), "{at}");
-            assert_eq!(g.updates, w.updates, "{at}: updates");
-            assert_eq!(g.values, w.values, "{at}: values");
-            let (g, w) = (
-                &got.stats.supersteps[g.superstep].per_worker[g.worker],
-                &want.stats.supersteps[w.superstep].per_worker[w.worker],
-            );
-            assert_eq!(g.messages_sent, w.messages_sent, "{at}: sent");
-            assert_eq!(g.messages_received, w.messages_received, "{at}: received");
-        }
-        assert!(
-            got.stats.total_work() <= want.stats.total_work(),
-            "{what}: kernel work {} > sweep work {}",
-            got.stats.total_work(),
-            want.stats.total_work()
-        );
-    }
 
     fn sample_graph(kind: usize, seed: u64) -> Graph {
         match kind {
@@ -332,9 +199,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(9))]
 
-        /// Cold CC, SSSP and BFS on the worklist kernel equal the
-        /// full-subgraph sweeps they replaced, for vertex-cut and edge-cut
-        /// partitioners alike.
+        /// Cold SSSP and BFS on the worklist kernel, and cold CC on the
+        /// component superstep, equal the full-subgraph sweeps they
+        /// replaced, for vertex-cut and edge-cut partitioners alike.
         #[test]
         fn kernel_equals_the_sweep_oracles(kind in 0usize..3, seed in 0u64..1_000) {
             let graph = sample_graph(kind, seed);
@@ -348,20 +215,23 @@ mod tests {
                     };
                     assert_equals_oracle(
                         &dg,
-                        ConnectedComponents::new(),
-                        SweepConnectedComponents,
+                        (ConnectedComponents::new(), SweepConnectedComponents),
+                        None,
+                        Work::Components,
                         &what("CC"),
                     );
                     assert_equals_oracle(
                         &dg,
-                        SingleSourceShortestPath::new(source),
-                        SweepShortestPath(source),
+                        (SingleSourceShortestPath::new(source), SweepShortestPath(source)),
+                        None,
+                        Work::AtMostTheSweep,
                         &what("SSSP"),
                     );
                     assert_equals_oracle(
                         &dg,
-                        BreadthFirstSearch::new(source),
-                        SweepShortestPath(source),
+                        (BreadthFirstSearch::new(source), SweepShortestPath(source)),
+                        None,
+                        Work::AtMostTheSweep,
                         &what("BFS"),
                     );
                 }
@@ -385,13 +255,14 @@ mod tests {
         let dg = DistributedGraph::build_streaming(4, None, assigned).unwrap();
         assert_equals_oracle(
             &dg,
-            ConnectedComponents::new(),
-            SweepConnectedComponents,
+            (ConnectedComponents::new(), SweepConnectedComponents),
+            None,
+            Work::Components,
             "falling messages",
         );
 
-        let (kernel, log) = run_recorded(&dg, ConnectedComponents::new());
-        let (sweep, _) = run_recorded(&dg, SweepConnectedComponents);
+        let (components, log) = run_recorded(&dg, ConnectedComponents::new(), None);
+        let (sweep, _) = run_recorded(&dg, SweepConnectedComponents, None);
         let sg = &dg.subgraphs()[3];
         let hub = sg.local_index_of(VertexId::new(9)).unwrap();
         let leaf = sg.local_index_of(VertexId::new(10)).unwrap();
@@ -409,17 +280,18 @@ mod tests {
         assert_eq!(step(1).updates, 2);
         let stats = |outcome: &BspOutcome<u64>| outcome.stats.supersteps[1].per_worker[3];
         assert_eq!(
-            kernel.stats.supersteps[0].per_worker[3].messages_received,
+            components.stats.supersteps[0].per_worker[3].messages_received,
             3
         );
-        assert_eq!(stats(&kernel).messages_sent, 3);
+        assert_eq!(stats(&components).messages_sent, 3);
         assert_eq!(stats(&sweep).messages_sent, 3);
         // `updates` in the engine's statistics counts `set_value` calls: the
-        // kernel lowers the hub three times, the sweep folds the minimum
-        // first and lowers it once.
-        assert_eq!(stats(&kernel).updates, 4);
+        // component superstep lowers the hub's label three times and
+        // relabels the leaf once; the sweep folds the minimum first and
+        // lowers each once.
+        assert_eq!(stats(&components).updates, 4);
         assert_eq!(stats(&sweep).updates, 2);
-        assert_eq!(kernel.values[9], 3);
+        assert_eq!(components.values[9], 3);
     }
 
     fn road_grid_at_8() -> DistributedGraph {
@@ -432,12 +304,14 @@ mod tests {
         DistributedGraph::build(&graph, &partition).unwrap()
     }
 
-    /// The high-diameter case the kernel exists for, pinned by exact
-    /// counts rather than a timer: the full sweeps made 35,913,295 (CC) and
-    /// 19,359,152 (SSSP) edge visits over the same supersteps and messages.
-    /// The kernel makes 3,413,383 and 714,442; the bounds sit 5% above, so
-    /// a change of queue discipline fails here before it shows in a
-    /// benchmark.
+    /// The high-diameter case, pinned by exact counts rather than a timer.
+    /// The full sweeps made 35,913,295 (CC) and 19,359,152 (SSSP) edge
+    /// visits over the same supersteps and messages; the FIFO kernel
+    /// 3,413,383 and 714,442. SSSP still runs that kernel; CC relabels
+    /// components instead and does 754,963 units (local edges +
+    /// vertices once, then the members relabelled). The bounds sit 5%
+    /// above, so a change of queue discipline or of the component rule
+    /// fails here before it shows in a benchmark.
     #[test]
     fn road_grid_work_follows_the_frontier() {
         let dg = road_grid_at_8();
@@ -447,7 +321,7 @@ mod tests {
         assert_eq!(cc.supersteps, 35);
         assert_eq!(cc.stats.total_messages(), 536_468);
         assert!(
-            cc.stats.total_work() <= 3_580_000,
+            cc.stats.total_work() <= 793_000,
             "{}",
             cc.stats.total_work()
         );
@@ -464,26 +338,50 @@ mod tests {
         );
     }
 
+    /// Every record of `log` from `from` on has the capacities of that
+    /// worker's first such record.
+    fn assert_capacities_stable(log: &[StepRecord], from: usize, what: &str) {
+        for record in log.iter().filter(|r| r.superstep >= from) {
+            let first = log
+                .iter()
+                .find(|r| r.superstep == from && r.worker == record.worker)
+                .unwrap();
+            assert_eq!(
+                record.capacities, first.capacities,
+                "{what}: worker {} reallocated its scratch in superstep {}",
+                record.worker, record.superstep
+            );
+        }
+    }
+
     /// The message plane's zero-allocation guarantee, extended to the
-    /// kernel's scratch: cold CC sizes it in the first superstep (every
-    /// vertex queued, nearly every label lowered) and never again.
+    /// programs' scratch: CC's component superstep sizes flags and queue to
+    /// the component count in the first superstep that folds mail
+    /// (superstep 1) and never again; SSSP's kernel sizes its flags in the
+    /// first superstep and never again.
     #[test]
     fn scratch_capacities_are_stable_after_the_first_superstep() {
         let graph = GridGenerator::new(30, 30).generate().unwrap();
         let partition = EbvPartitioner::new().partition(&graph, 4).unwrap();
         let dg = DistributedGraph::build(&graph, &partition).unwrap();
-        let (outcome, log) = run_recorded(&dg, ConnectedComponents::new());
+
+        let (outcome, log) = run_recorded(&dg, ConnectedComponents::new(), None);
+        assert!(outcome.supersteps >= 4, "needs steady-state supersteps");
+        for record in log.iter().filter(|r| r.superstep == 1) {
+            let components = dg.subgraphs()[record.worker].local_components().len();
+            assert!(record.capacities[0] >= components && record.capacities[1] >= components);
+        }
+        assert_capacities_stable(&log, 1, "CC");
+
+        // SSSP's queue and changed-list follow its frontier, which starts
+        // at one vertex, so only the flags are sized up front.
+        let sssp = SingleSourceShortestPath::new(VertexId::new(0));
+        let (outcome, log) = run_recorded(&dg, sssp, None);
         assert!(outcome.supersteps >= 3, "needs steady-state supersteps");
         for record in &log {
-            let first = &log[record.worker];
-            assert_eq!((first.superstep, first.worker), (0, record.worker));
             let vertices = dg.subgraphs()[record.worker].num_vertices();
-            assert!(first.capacities[0] >= vertices && first.capacities[1] >= vertices);
-            assert_eq!(
-                record.capacities, first.capacities,
-                "worker {} reallocated its scratch in superstep {}",
-                record.worker, record.superstep
-            );
+            assert_eq!(record.capacities[0], log[record.worker].capacities[0]);
+            assert!(record.capacities[0] >= vertices, "SSSP flags");
         }
     }
 }

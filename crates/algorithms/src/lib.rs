@@ -59,24 +59,8 @@ pub mod prelude {
     };
 }
 
-/// What the test oracles share.
 #[cfg(test)]
-pub(crate) mod oracle {
-    use ebv_bsp::SubgraphContext;
-
-    /// The per-vertex mailboxes the engine used to hand a program, rebuilt
-    /// from the mail: every local vertex's messages in arrival order. The
-    /// oracles fold these (`min`, `last`, `sum`) the way every program did
-    /// before programs folded arrivals, which is what the arrival-order
-    /// folds are checked against.
-    pub(crate) fn mailboxes<V, M: Clone>(ctx: &SubgraphContext<'_, V, M>) -> Vec<Vec<M>> {
-        let mut mailboxes = vec![Vec::new(); ctx.subgraph().num_vertices()];
-        for (local, message) in ctx.mail() {
-            mailboxes[local].push(message.clone());
-        }
-        mailboxes
-    }
-}
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod proptests {

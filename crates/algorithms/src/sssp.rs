@@ -3,7 +3,7 @@
 use ebv_bsp::{Subgraph, SubgraphContext, SubgraphProgram};
 use ebv_graph::VertexId;
 
-use crate::kernel::{gated_min_superstep, Activation, Flow};
+use crate::kernel::{gated_min_superstep, Activation};
 
 /// Distance value used by [`SingleSourceShortestPath`]: unreachable vertices
 /// keep [`u64::MAX`].
@@ -84,13 +84,7 @@ impl SubgraphProgram for SingleSourceShortestPath {
 /// kernel over hop distances, started from whichever vertex holds a finite
 /// one. Returns the number of improved vertices.
 pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
-    gated_min_superstep(
-        ctx,
-        superstep,
-        Flow::Hops,
-        |_| false,
-        Activation::Propagating,
-    )
+    gated_min_superstep(ctx, superstep, |_| false, Activation::Propagating)
 }
 
 /// The full-subgraph sweep the worklist kernel replaced, kept as the oracle

@@ -352,6 +352,7 @@ pub(crate) fn assemble(
 mod tests {
     use super::*;
     use crate::mutation_batch::MutationBatch;
+    use crate::subgraph::LocalComponents;
 
     #[test]
     fn replication_factor_of_the_empty_seed_is_neutral() {
@@ -422,5 +423,42 @@ mod tests {
         assert_eq!(probed.local_index_of(VertexId::new(4)), None);
         assert_eq!(built(&dg), [false, false, true, false]);
         assert_eq!(built(&dg.clone()), [false, false, true, false]);
+    }
+
+    #[test]
+    fn local_components_are_cached_until_their_worker_is_rebuilt() {
+        // Four workers, each holding a piece of the path 0 – 1 – … – 8.
+        let part = PartitionId::new;
+        let stream = (0..8u64).map(|i| (Edge::from((i, i + 1)), part(i as u32 % 4)));
+        let mut dg = DistributedGraph::build_streaming(4, None, stream).unwrap();
+        let built = |dg: &DistributedGraph| -> Vec<bool> {
+            dg.subgraphs()
+                .iter()
+                .map(Subgraph::components_are_built)
+                .collect()
+        };
+        assert_eq!(built(&dg), [false; 4], "assembly computes no components");
+        let before: Vec<LocalComponents> = dg
+            .subgraphs()
+            .iter()
+            .map(|sg| sg.local_components().clone())
+            .collect();
+        assert_eq!(built(&dg), [true; 4]);
+        assert_eq!(built(&dg.clone()), [true; 4], "a clone carries them");
+        // Worker 1 holds (1, 2) and (5, 6): two components of two vertices.
+        assert_eq!(before[1].len(), 2);
+
+        // A batch naming worker 0 only: it is rebuilt and starts empty, the
+        // kept workers keep what they had.
+        let mut batch = MutationBatch::new();
+        batch.record_delete(Edge::from((4u64, 5u64)), part(0));
+        assert_eq!(dg.apply_mutations(&batch).unwrap().workers_touched, 1);
+        assert_eq!(built(&dg), [false, true, true, true]);
+        for (sg, before) in dg.subgraphs().iter().zip(&before).skip(1) {
+            assert_eq!(sg.local_components(), before);
+        }
+        // Worker 0 now holds (0, 1) alone, so its first call sees that.
+        assert_eq!(dg.subgraphs()[0].local_components().len(), 1);
+        assert_eq!(before[0].len(), 2);
     }
 }

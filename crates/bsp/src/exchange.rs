@@ -44,12 +44,16 @@ use crate::subgraph::Subgraph;
 /// The engine never reads it. A kernel must leave it the way it found it —
 /// `flags` and `sums` all zero, `queue` and `changed` empty — by clearing
 /// only the entries it touched; the capacities are what survives a
-/// superstep.
+/// superstep. What the entries index is the kernel's business: local
+/// vertices in the SSSP/BFS worklist kernel, local *components* (see
+/// [`Subgraph::local_components`]) in the CC component superstep.
 #[derive(Debug, Default)]
 pub struct WorklistScratch {
-    /// Flag bits per local vertex.
+    /// Flag bits per local vertex (per local component, in the CC
+    /// superstep).
     pub flags: Vec<u8>,
-    /// The first-in-first-out worklist of local vertex indices.
+    /// The first-in-first-out worklist of local vertex indices (of
+    /// component ids, in the CC superstep).
     pub queue: VecDeque<u32>,
     /// Local indices of the vertices whose value changed this superstep,
     /// in discovery order.

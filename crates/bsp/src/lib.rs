@@ -63,8 +63,8 @@ pub use stats::{
     Breakdown, CostModel, ExecutionStats, SuperstepStats, TimelineSpan, WorkerSuperstepStats,
 };
 pub use subgraph::{
-    DistributedGraph, DistributedGraphBuilder, Lineage, MutationBatch, MutationStats, ReplicaTable,
-    Subgraph,
+    DistributedGraph, DistributedGraphBuilder, Lineage, LocalComponents, MutationBatch,
+    MutationStats, ReplicaTable, Subgraph,
 };
 pub use warm::{InvalidationPolicy, WarmFrontier};
 

@@ -158,8 +158,10 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 ///
 /// In every superstep each worker runs [`SubgraphProgram::run_superstep`]
 /// on its subgraph (the computation stage: a sequential algorithm to the
-/// local fixpoint — a worklist over the vertices the last exchange or the
-/// seed activated, not a sweep of every edge), then the engine routes
+/// local fixpoint — for SSSP/BFS a worklist over the vertices the last
+/// exchange or the seed activated, for CC a relabel of the local
+/// components whose label the mail lowered; never a sweep of every edge),
+/// then the engine routes
 /// the queued replica messages (the communication stage) and waits for all
 /// workers (the synchronization stage). What was routed to a worker is its
 /// [`mail`](SubgraphContext::mail) in the next superstep and in that one

@@ -18,7 +18,10 @@ pub struct WorkerSuperstepStats {
     /// Work units performed in the computation stage. One unit is one edge
     /// relaxation *performed* — an edge a worklist never reaches costs
     /// nothing — so the count follows a program's frontier, not the size of
-    /// its subgraph.
+    /// its subgraph. CC's component superstep counts local edges + local
+    /// vertices in superstep 0 (whether or not the subgraph's
+    /// [`local_components`](crate::Subgraph::local_components) were cached)
+    /// and the vertices it relabels afterwards.
     pub work: u64,
     /// Replica messages sent during the communication stage.
     pub messages_sent: usize,
@@ -26,7 +29,9 @@ pub struct WorkerSuperstepStats {
     pub messages_received: usize,
     /// Local value writes performed
     /// ([`SubgraphContext::set_value`](crate::SubgraphContext::set_value)
-    /// calls; a vertex lowered twice counts twice).
+    /// calls; a vertex lowered twice counts twice — CC lowers a component's
+    /// label on its first member once per message that undercuts it, then
+    /// each other member once).
     pub updates: usize,
 }
 

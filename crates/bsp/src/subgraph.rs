@@ -10,7 +10,8 @@
 //! [`Subgraph::build`] needs only while it runs is a [`BuildScratch`],
 //! which owns the hand-back invariant (resolver all-`ABSENT`, buffers
 //! empty). No hash map is built on that path: the global → local index
-//! behind [`Subgraph::local_index_of`] is built by its first caller.
+//! behind [`Subgraph::local_index_of`] is built by its first caller, and so
+//! are the [`LocalComponents`] behind [`Subgraph::local_components`].
 
 use std::sync::OnceLock;
 
@@ -77,6 +78,109 @@ fn offsets_from_degrees(degrees: &mut [u32]) -> Vec<u32> {
     offsets
 }
 
+/// The connected components of one worker's local edges, direction
+/// ignored: what a subgraph-centric CC superstep relabels as a whole
+/// instead of propagating labels along edges (see
+/// [`Subgraph::local_components`]).
+///
+/// Components are numbered densely in ascending order of their smallest
+/// member, and each lists its members ascending, so a component's first
+/// member is its smallest local index. Every local vertex is in exactly one
+/// component; a vertex with no local edge is a singleton.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalComponents {
+    /// Component id per local vertex.
+    component_of: Vec<u32>,
+    /// Per-component ranges into `members` (one entry longer than the
+    /// component count).
+    offsets: Vec<u32>,
+    /// Local indices grouped by component, ascending within each.
+    members: Vec<u32>,
+}
+
+impl LocalComponents {
+    /// One union-find pass over the out-CSR. A union hangs the larger root
+    /// under the smaller, so every parent index is below its child's and a
+    /// root is its component's smallest local index; one ascending pass
+    /// then rewrites the parent array in place into dense ids (a root takes
+    /// the next one, any other vertex its parent's, rewritten already), and
+    /// one counting sort lists the members.
+    fn build(subgraph: &Subgraph) -> Self {
+        let n = subgraph.num_vertices();
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        for u in 0..n {
+            for &v in subgraph.out_neighbors(u) {
+                let (a, b) = (find_root(&mut parent, u as u32), find_root(&mut parent, v));
+                if a < b {
+                    parent[b as usize] = a;
+                } else if b < a {
+                    parent[a as usize] = b;
+                }
+            }
+        }
+        let mut len = 0u32;
+        for local in 0..n {
+            parent[local] = if parent[local] == local as u32 {
+                len += 1;
+                len - 1
+            } else {
+                parent[parent[local] as usize]
+            };
+        }
+        let component_of = parent;
+        let mut sizes = vec![0u32; len as usize];
+        for &c in &component_of {
+            sizes[c as usize] += 1;
+        }
+        let offsets = offsets_from_degrees(&mut sizes);
+        let mut members = vec![0u32; n];
+        for (local, &c) in component_of.iter().enumerate() {
+            let slot = &mut sizes[c as usize];
+            members[*slot as usize] = local as u32;
+            *slot += 1;
+        }
+        LocalComponents {
+            component_of,
+            offsets,
+            members,
+        }
+    }
+
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there is no component (the subgraph has no vertex).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The component of the local vertex at `local_index`.
+    #[inline]
+    pub fn component_of(&self, local_index: usize) -> usize {
+        self.component_of[local_index] as usize
+    }
+
+    /// The local indices of the members of `component`, ascending.
+    #[inline]
+    pub fn members(&self, component: usize) -> &[u32] {
+        &self.members[self.offsets[component] as usize..self.offsets[component + 1] as usize]
+    }
+}
+
+/// The root of `x`'s set, halving the path on the way (each visited vertex
+/// is re-pointed at its grandparent, which keeps parents below children).
+#[inline]
+fn find_root(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grandparent = parent[parent[x as usize] as usize];
+        parent[x as usize] = grandparent;
+        x = grandparent;
+    }
+    x
+}
+
 /// The local graph held by one worker.
 ///
 /// A subgraph contains the edges assigned to its partition plus every vertex
@@ -99,6 +203,9 @@ pub struct Subgraph {
     /// Global vertex → local index (`u32`, like the CSR targets), built by
     /// the first [`local_index_of`](Self::local_index_of) call.
     local_index: OnceLock<IdHashMap<VertexId, u32>>,
+    /// The local connected components, built by the first
+    /// [`local_components`](Self::local_components) call.
+    components: OnceLock<LocalComponents>,
     is_master: Vec<bool>,
     /// CSR out-adjacency: the out-neighbours of local vertex `l` are
     /// `out_targets[out_offsets[l]..out_offsets[l + 1]]`, in local-edge
@@ -194,6 +301,7 @@ impl Subgraph {
             owns_edge,
             vertices,
             local_index: OnceLock::new(),
+            components: OnceLock::new(),
             is_master,
             out_offsets,
             out_targets,
@@ -234,8 +342,8 @@ impl Subgraph {
     }
 
     /// Structural equality: same partition, edge list (content, ownership
-    /// and order), local vertex table and master flags. The CSRs and the
-    /// local index are functions of those.
+    /// and order), local vertex table and master flags. The CSRs, the local
+    /// index and the local components are functions of those.
     pub(crate) fn same_structure(&self, other: &Self) -> bool {
         self.part == other.part
             && self.edges == other.edges
@@ -304,6 +412,25 @@ impl Subgraph {
     #[cfg(test)]
     pub(crate) fn index_is_built(&self) -> bool {
         self.local_index.get().is_some()
+    }
+
+    /// The connected components of the local edges, direction ignored.
+    ///
+    /// The first call builds them (one union-find pass over the out-CSR,
+    /// see [`LocalComponents`]); later calls, and calls on a clone taken
+    /// afterwards, return the cached result. Like the CSRs they are a pure
+    /// function of the edge list, so a worker an epoch keeps keeps them and
+    /// a worker it rebuilds starts without.
+    pub fn local_components(&self) -> &LocalComponents {
+        self.components.get_or_init(|| LocalComponents::build(self))
+    }
+
+    /// Whether the local components have been built (by a
+    /// [`local_components`](Self::local_components) call on this subgraph
+    /// or on the one it was cloned from).
+    #[cfg(test)]
+    pub(crate) fn components_are_built(&self) -> bool {
+        self.components.get().is_some()
     }
 
     /// The global identifier of the vertex at `local_index`.

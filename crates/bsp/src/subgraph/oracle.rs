@@ -2,7 +2,11 @@
 //! walks over the edge list (numbering, degree histogram, fill), each
 //! resolving both endpoints through a universe-sized array, and an eager
 //! global → local hash index. The differential tests below hold the
-//! single-resolve build to it field by field.
+//! single-resolve build to it field by field. Beside it, a breadth-first
+//! search over both CSRs is the reference for [`LocalComponents`]'
+//! union-find.
+
+use std::collections::VecDeque;
 
 use super::*;
 use crate::DistributedGraph;
@@ -77,6 +81,7 @@ fn three_pass_build(
         owns_edge,
         vertices,
         local_index: OnceLock::from(local_index),
+        components: OnceLock::new(),
         is_master,
         out_offsets,
         out_targets,
@@ -227,4 +232,88 @@ fn offsets_from_degrees_leaves_the_range_starts_behind() {
     assert_eq!(offsets_from_degrees(&mut degrees), [0, 2, 2, 5, 6]);
     assert_eq!(degrees, [0, 2, 2, 5]);
     assert_eq!(offsets_from_degrees(&mut []), [0]);
+}
+
+/// The local components by breadth-first search over both CSRs, started
+/// from each unseen vertex in ascending order: each component's members
+/// ascending, components in ascending order of their smallest member.
+fn components_by_bfs(subgraph: &Subgraph) -> Vec<Vec<u32>> {
+    let n = subgraph.num_vertices();
+    let mut seen = vec![false; n];
+    let mut components = Vec::new();
+    for start in 0..n {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        let mut members = vec![start as u32];
+        let mut queue = VecDeque::from([start]);
+        while let Some(u) = queue.pop_front() {
+            let neighbors = subgraph.out_neighbors(u).iter();
+            for &w in neighbors.chain(subgraph.in_neighbors(u)) {
+                if !std::mem::replace(&mut seen[w as usize], true) {
+                    members.push(w);
+                    queue.push_back(w as usize);
+                }
+            }
+        }
+        members.sort_unstable();
+        components.push(members);
+    }
+    components
+}
+
+#[test]
+fn local_components_equal_a_bfs_over_both_csrs() {
+    let partitioners: [(&str, Box<dyn Partitioner>); 2] = [
+        ("vertex-cut", Box::new(EbvPartitioner::new())),
+        ("edge-cut", Box::new(MetisLikePartitioner::new())),
+    ];
+    let mut isolated_singletons = 0usize;
+    for (name, graph) in graphs() {
+        for p in [1usize, 2, 4, 7] {
+            for (cut, partitioner) in &partitioners {
+                let partition = partitioner.partition(&graph, p).unwrap();
+                let dg = DistributedGraph::build(&graph, &partition).unwrap();
+                for (i, sg) in dg.subgraphs().iter().enumerate() {
+                    let what = format!("{name} p={p} {cut} worker {i}");
+                    let got = sg.local_components();
+                    let want = components_by_bfs(sg);
+                    assert_eq!(got.len(), want.len(), "{what}: component count");
+                    assert_eq!(got.is_empty(), sg.num_vertices() == 0, "{what}");
+                    for (c, members) in want.iter().enumerate() {
+                        assert_eq!(got.members(c), members.as_slice(), "{what}: component {c}");
+                        for &m in members {
+                            assert_eq!(got.component_of(m as usize), c, "{what}: vertex {m}");
+                        }
+                    }
+                    // Dense ids in ascending smallest-member order, members
+                    // ascending, every local vertex exactly once.
+                    let firsts: Vec<u32> = (0..got.len()).map(|c| got.members(c)[0]).collect();
+                    assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{what}: id order");
+                    let mut all: Vec<u32> = (0..got.len())
+                        .flat_map(|c| got.members(c).iter().copied())
+                        .collect();
+                    assert!(
+                        (0..got.len()).all(|c| got.members(c).windows(2).all(|w| w[0] < w[1])),
+                        "{what}: members ascending"
+                    );
+                    all.sort_unstable();
+                    assert!(
+                        all.iter().copied().eq(0..sg.num_vertices() as u32),
+                        "{what}"
+                    );
+                    // A vertex without a local edge is a singleton.
+                    for local in 0..sg.num_vertices() {
+                        if sg.out_neighbors(local).is_empty() && sg.in_neighbors(local).is_empty() {
+                            let c = got.component_of(local);
+                            assert_eq!(got.members(c), [local as u32], "{what}: isolated");
+                            isolated_singletons += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(isolated_singletons > 0, "no case held an isolated vertex");
 }

@@ -13,8 +13,9 @@
 //!    that carries clean prior values over and resets dirty ones to their
 //!    cold initial state;
 //! 3. **gated re-activation**: activate only the disturbed region (the
-//!    endpoints of inserted edges plus whatever the invalidation reset) and
-//!    ship only changed values between replicas.
+//!    endpoints of inserted edges plus whatever the invalidation reset; CC
+//!    instead lowers every local component to its minimum, which reaches
+//!    the same region) and ship only changed values between replicas.
 //!
 //! [`WarmFrontier`] implements steps 1 and 2 once, parameterized by an
 //! [`InvalidationPolicy`] that captures the only part that differs between
@@ -23,8 +24,8 @@
 //! paths dirty every distance at or beyond the settled horizon of the
 //! deleted edge (a deletion may lengthen any path through it); PageRank
 //! dirties nothing (rank mass re-converges from any starting point). Step 3
-//! lives next to the programs in `ebv-algorithms`, which share a gated
-//! worklist kernel for the min-propagation algorithms.
+//! lives next to the programs in `ebv-algorithms`: a gated worklist kernel
+//! for SSSP/BFS and a component superstep for CC.
 
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -70,8 +71,8 @@ pub trait InvalidationPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct WarmFrontier<P> {
     policy: P,
-    /// Raw vertex ids, membership only: the kernel's superstep 0 probes
-    /// [`is_seed`](WarmFrontier::is_seed) once per local vertex.
+    /// Raw vertex ids, membership only: the distance kernel's superstep 0
+    /// probes [`is_seed`](WarmFrontier::is_seed) once per local vertex.
     seeds: HashSet<u64, BuildHasherDefault<IdHasher>>,
 }
 
