@@ -23,18 +23,19 @@ pub struct IncrementalPageRank {
     damping: f64,
     iterations: usize,
     num_vertices: usize,
-    out_degrees: Vec<u64>,
+    out_degrees: Vec<f64>,
 }
 
 impl IncrementalPageRank {
     /// Creates the program for `distributed` with the given number of warm
     /// iterations and the conventional damping factor 0.85.
     pub fn from_distributed(distributed: &DistributedGraph, iterations: usize) -> Self {
-        let mut out_degrees = vec![0u64; distributed.num_vertices()];
+        // Counted in `f64` (exact below 2^53), the table the kernel reads.
+        let mut out_degrees = vec![0.0f64; distributed.num_vertices()];
         for sg in distributed.subgraphs() {
             for (edge_index, edge) in sg.edges().iter().enumerate() {
                 if sg.owns_edge(edge_index) {
-                    out_degrees[edge.src.index()] += 1;
+                    out_degrees[edge.src.index()] += 1.0;
                 }
             }
         }
@@ -117,10 +118,22 @@ impl SubgraphProgram for IncrementalPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagerank::{assert_same_outcome, EdgeScanPageRank};
     use crate::{ranks, PageRank};
     use ebv_bsp::{BspEngine, MutationBatch, RunOptions};
-    use ebv_graph::Edge;
+    use ebv_graph::{Edge, GraphBuilder};
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
+
+    /// The edge-scan oracle of `program`'s parameters, gated or not.
+    fn edge_scan(program: &IncrementalPageRank, gate_stable_messages: bool) -> EdgeScanPageRank {
+        EdgeScanPageRank::of(
+            program.damping,
+            program.iterations,
+            program.num_vertices,
+            &program.out_degrees,
+            gate_stable_messages,
+        )
+    }
 
     #[test]
     fn warm_pagerank_matches_cold_to_tolerance_and_gates_messages() {
@@ -158,7 +171,6 @@ mod tests {
 
     #[test]
     fn gated_pull_gather_matches_the_edge_scan_warm_and_cold() {
-        use crate::pagerank::{assert_same_outcome, EdgeScanPageRank};
         use ebv_graph::generators::{GraphGenerator, RmatGenerator};
 
         let engines = [BspEngine::sequential(), BspEngine::pooled(2)];
@@ -180,13 +192,7 @@ mod tests {
             distributed.apply_mutations(&batch).unwrap();
 
             let program = IncrementalPageRank::from_distributed(&distributed, 30);
-            let reference = EdgeScanPageRank {
-                damping: program.damping,
-                iterations: program.iterations,
-                num_vertices: program.num_vertices,
-                out_degrees: program.out_degrees.clone(),
-                gate_stable_messages: true,
-            };
+            let reference = edge_scan(&program, true);
             for engine in &engines {
                 let context = format!("seed {seed}, {engine:?}");
                 let cold = engine.run(&distributed, &program).unwrap();
@@ -208,6 +214,83 @@ mod tests {
                     .unwrap();
                 assert_same_outcome(&warm, &warm_reference, &format!("{context}, warm"));
             }
+        }
+    }
+
+    /// The master and mirror lists PageRank walks are cached on the
+    /// subgraph, so a batch that moves a vertex's master off a worker it
+    /// keeps must drop them there: a stale list would keep the vertex that
+    /// worker's master, and its partial would never reach the new master.
+    #[test]
+    fn a_master_flip_on_a_kept_worker_refreshes_the_cached_role_lists() {
+        let part = PartitionId::new;
+        let assigned = |edges: &[((u64, u64), u32)]| -> Vec<(Edge, PartitionId)> {
+            edges
+                .iter()
+                .map(|&(edge, worker)| (Edge::from(edge), part(worker)))
+                .collect()
+        };
+        // Vertex 1 is held by worker 0 (two incident edges, its master)
+        // and worker 1 (one); worker 2 holds a cycle of its own.
+        let initial = assigned(&[
+            ((0, 1), 0),
+            ((1, 2), 0),
+            ((2, 0), 0),
+            ((1, 3), 1),
+            ((3, 4), 1),
+            ((4, 5), 2),
+            ((5, 6), 2),
+            ((6, 4), 2),
+        ]);
+        let additions = assigned(&[((1, 7), 1), ((7, 1), 1)]);
+        let mut distributed = DistributedGraph::build_streaming(3, None, initial.clone()).unwrap();
+        let v1 = VertexId::new(1);
+        assert_eq!(distributed.replicas().master_of(v1), part(0));
+        // A run fills every worker's role lists.
+        let prior = BspEngine::sequential()
+            .run(
+                &distributed,
+                &IncrementalPageRank::from_distributed(&distributed, 10),
+            )
+            .unwrap();
+
+        let mut batch = MutationBatch::new();
+        for &(edge, worker) in &additions {
+            batch.record_insert(edge, worker);
+        }
+        let stats = distributed.apply_mutations(&batch).unwrap();
+        assert_eq!(stats.workers_touched, 1, "worker 0 is kept");
+        assert_eq!(distributed.replicas().master_of(v1), part(1));
+        let kept = distributed.subgraph(part(0));
+        let local = kept.local_index_of(v1).unwrap();
+        assert!(
+            !kept.is_master(local),
+            "the batch flips a kept worker's flag"
+        );
+
+        let mut builder = GraphBuilder::directed();
+        builder.num_vertices(distributed.num_vertices());
+        builder.extend_edges(
+            initial
+                .iter()
+                .chain(&additions)
+                .map(|(edge, _)| (edge.src.raw(), edge.dst.raw())),
+        );
+        let graph = builder.build().unwrap();
+        let cold = PageRank::new(&graph, 10);
+        let warm = IncrementalPageRank::from_distributed(&distributed, 10);
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let context = format!("{:?}", engine.mode());
+            let got = engine.run(&distributed, &cold).unwrap();
+            let want = engine.run(&distributed, &edge_scan(&warm, false)).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, cold"));
+
+            let options = RunOptions::new().warm_seed(&prior.values);
+            let got = engine.run_opts(&distributed, &warm, options).unwrap();
+            let want = engine
+                .run_opts(&distributed, &edge_scan(&warm, true), options)
+                .unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, gated warm"));
         }
     }
 

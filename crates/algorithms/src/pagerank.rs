@@ -19,11 +19,13 @@ pub struct PageRankValue {
 /// Each PageRank iteration takes two supersteps, mirroring the master/mirror
 /// protocol of subgraph-centric frameworks:
 ///
-/// 1. **gather** — every worker pulls, for each local vertex, the
-///    `rank(u) / outdeg(u)` of its local in-neighbours (the subgraph's
-///    in-CSR, in local indices: no vertex lookup) into the vertex's partial
-///    sum; mirrors then send their partials to the vertex's master (one
-///    message per mirror).
+/// 1. **gather** — every worker writes each local source's weight
+///    `rank(u) / outdeg(u)` once, then pulls in **one flat pass** over its
+///    in-CSR positions ([`Subgraph::in_edges`]: `(source, row)` pairs in
+///    local indices, no vertex lookup and no per-row loop), adding each
+///    position's source weight into its row's partial sum; mirrors then
+///    send their partials to the vertex's master (one message per mirror,
+///    walked off [`Subgraph::mirrors`]).
 /// 2. **apply + scatter** — the master adds the incoming partials up in
 ///    arrival order (source worker ascending — a fixed order, so the sum
 ///    keeps its bits under every executor), adds its own partial to that
@@ -38,13 +40,23 @@ pub struct PageRankValue {
 /// Dangling vertices (out-degree 0) simply stop propagating their mass, the
 /// same convention used by the sequential reference implementation in
 /// [`crate::reference::pagerank_reference`], so the two agree to floating
-/// point tolerance.
+/// point tolerance. A dangling source's weight is `−0.0`, which the pull
+/// adds like any other: `x + (−0.0)` is `x` for every `f64`, `+0.0`
+/// included, so that addition has the bits of skipping the edge.
+///
+/// The flat pass keeps every bit of the row-by-row pull it replaced: a
+/// row's positions are contiguous and in local-edge order, which is the
+/// order that pull added them in, every partial starts at `+0.0`, and the
+/// weight is the same `rank / (outdeg as f64)` division (the degree table
+/// is stored as `f64`, exact below 2^53). Sends go out in ascending local
+/// order, as before, so outboxes, arrival order and every master's fold
+/// are unchanged too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRank {
     damping: f64,
     iterations: usize,
     num_vertices: usize,
-    out_degrees: Vec<u64>,
+    out_degrees: Vec<f64>,
 }
 
 impl PageRank {
@@ -61,7 +73,7 @@ impl PageRank {
             num_vertices: graph.num_vertices(),
             out_degrees: graph
                 .vertices()
-                .map(|v| graph.out_degree(v) as u64)
+                .map(|v| graph.out_degree(v) as f64)
                 .collect(),
         }
     }
@@ -124,7 +136,21 @@ impl SubgraphProgram for PageRank {
 
 /// One gather/scatter superstep of the master/mirror PageRank protocol,
 /// shared by [`PageRank`] and the warm-start variant
-/// [`crate::IncrementalPageRank`].
+/// [`crate::IncrementalPageRank`]. `out_degrees` is the global out-degree
+/// table, by vertex id.
+///
+/// An even superstep gathers: it adopts the mail (each mirror's new rank),
+/// writes every local source's weight into
+/// [`WorklistScratch::weights`](ebv_bsp::WorklistScratch::weights) (`−0.0`
+/// for a dangling source), adds `weights[source]` into `sums[row]` for
+/// every position of [`Subgraph::in_edges`] in one pass — skipping the
+/// copies an edge-cut worker does not own — then writes every partial and
+/// ships the mirrors' partials along [`Subgraph::mirrors`]. Its `work` is
+/// the number of owned positions with a live source; in a vertex-cut,
+/// where every position is owned, that is the live sources' local
+/// out-degrees summed. An odd superstep applies: it folds the mail into
+/// [`WorklistScratch::sums`](ebv_bsp::WorklistScratch::sums) and walks
+/// [`Subgraph::masters`]. Both scratch buffers go back clean.
 ///
 /// With `gate_stable_messages` set, two bit-exact message eliminations are
 /// applied: a mirror whose partial sum is exactly `0.0` skips the gather
@@ -139,95 +165,130 @@ impl SubgraphProgram for PageRank {
 pub(crate) fn pagerank_superstep(
     damping: f64,
     num_vertices: usize,
-    out_degrees: &[u64],
+    out_degrees: &[f64],
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
     superstep: usize,
     gate_stable_messages: bool,
 ) -> usize {
-    let n = ctx.subgraph().num_vertices();
-    let gather_phase = superstep.is_multiple_of(2);
-    let mut updates = 0usize;
-
-    if gather_phase {
-        // Mirrors first adopt the rank broadcast by the master at the end
-        // of the previous iteration (a mirror hears from its one master).
-        for (local, &rank) in ctx.mail() {
-            let mut value = *ctx.value(local);
-            value.rank = rank;
-            ctx.set_value(local, value);
-        }
-        // Pull the contributions of every *owned* local in-edge (edge-cut
-        // distributions replicate crossing edges; only the source owner's
-        // copy contributes so each edge counts once). A target's
-        // in-neighbours are listed in local-edge order, so its partial is
-        // the same sequence of additions as a scan of the edge list; only
-        // `partial` fields are written, so the ranks being read stay put.
-        let subgraph = ctx.subgraph();
-        let mut work = 0u64;
-        for target in 0..n {
-            let owned = subgraph.in_neighbor_ownership(target);
-            let mut partial = 0.0f64;
-            for (k, &source) in subgraph.in_neighbors(target).iter().enumerate() {
-                if owned.get(k) == Some(&false) {
-                    continue;
-                }
-                let source = source as usize;
-                // Dangling sources propagate nothing.
-                let out_degree = out_degrees[subgraph.vertex_at(source).index()];
-                if out_degree == 0 {
-                    continue;
-                }
-                work += 1;
-                partial += ctx.value(source).rank / out_degree as f64;
-            }
-            let mut value = *ctx.value(target);
-            value.partial = partial;
-            ctx.set_value(target, value);
-            updates += 1;
-            // Mirrors ship their partial to the master replica (a gated
-            // mirror with an exactly-zero partial stays silent).
-            if !subgraph.is_master(target) {
-                let gated = gate_stable_messages && partial == 0.0;
-                if !gated {
-                    ctx.send_to_master(target, partial);
-                }
-            }
-        }
-        ctx.add_work(work);
+    let mut sums = std::mem::take(&mut ctx.scratch().sums);
+    sums.resize(ctx.subgraph().num_vertices(), 0.0);
+    let updates = if superstep.is_multiple_of(2) {
+        gather(out_degrees, ctx, &mut sums, gate_stable_messages)
     } else {
-        // Apply phase: masters fold incoming partials and broadcast the
-        // new rank to their mirrors. The partials of one master are summed
-        // on their own, in arrival order, and only then added to its local
-        // partial: `partial + (m1 + m2)`, not `(partial + m1) + m2`.
-        let mut sums = std::mem::take(&mut ctx.scratch().sums);
-        sums.resize(n, 0.0);
-        for (local, &partial) in ctx.mail() {
-            sums[local] += partial;
-        }
-        for (local, sum) in sums.iter_mut().enumerate() {
-            if !ctx.subgraph().is_master(local) {
-                continue;
-            }
-            // Taking the sum returns the scratch slot to zero.
-            let incoming = std::mem::take(sum);
-            let mut value = *ctx.value(local);
-            let previous_rank = value.rank;
-            let total = value.partial + incoming;
-            value.rank = (1.0 - damping) / num_vertices as f64 + damping * total;
-            value.partial = 0.0;
-            ctx.set_value(local, value);
-            ctx.add_work(1);
-            updates += 1;
-            let rank = value.rank;
-            if !(gate_stable_messages && rank.to_bits() == previous_rank.to_bits()) {
-                ctx.send_to_mirrors(local, rank);
-            }
-        }
-        // Only masters are sent partials, so every slot written was taken.
-        debug_assert!(sums.iter().all(|&sum| sum == 0.0));
-        ctx.scratch().sums = sums;
-    }
+        apply(damping, num_vertices, ctx, &mut sums, gate_stable_messages)
+    };
+    ctx.scratch().sums = sums;
     updates
+}
+
+/// The gather half of [`pagerank_superstep`]; `sums` is all zero on entry
+/// and on exit.
+fn gather(
+    out_degrees: &[f64],
+    ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
+    sums: &mut [f64],
+    gate_stable_messages: bool,
+) -> usize {
+    // Mirrors first adopt the rank broadcast by the master at the end of
+    // the previous iteration (a mirror hears from its one master).
+    for (local, &rank) in ctx.mail() {
+        let mut value = *ctx.value(local);
+        value.rank = rank;
+        ctx.set_value(local, value);
+    }
+    let subgraph = ctx.subgraph();
+    let in_edges = subgraph.in_edges();
+    let every_edge_owned = in_edges.owned.is_empty();
+    let mut work = 0u64;
+    // One weight per source. Dangling sources propagate nothing: their
+    // `−0.0` leaves every sum it is added to bit for bit as it was.
+    let mut weights = std::mem::take(&mut ctx.scratch().weights);
+    debug_assert!(weights.is_empty());
+    let sources = ctx.values().iter().zip(subgraph.vertices()).enumerate();
+    weights.extend(sources.map(|(local, (value, v))| {
+        let out_degree = out_degrees[v.index()];
+        if out_degree == 0.0 {
+            return -0.0;
+        }
+        if every_edge_owned {
+            work += subgraph.out_neighbors(local).len() as u64;
+        }
+        value.rank / out_degree
+    }));
+    // The pull, position by position: a row's positions are contiguous
+    // and in local-edge order, so each partial is the same sequence of
+    // additions as a scan of the edge list.
+    if every_edge_owned {
+        for (&source, &row) in in_edges.sources.iter().zip(in_edges.rows) {
+            sums[row as usize] += weights[source as usize];
+        }
+    } else {
+        // An edge-cut replicates crossing edges; only the source owner's
+        // copy contributes, so each edge counts once.
+        let positions = in_edges.sources.iter().zip(in_edges.rows);
+        for ((&source, &row), &owned) in positions.zip(in_edges.owned) {
+            if owned {
+                sums[row as usize] += weights[source as usize];
+                let live = out_degrees[subgraph.vertex_at(source as usize).index()] != 0.0;
+                work += u64::from(live);
+            }
+        }
+    }
+    weights.clear();
+    ctx.scratch().weights = weights;
+    for (local, sum) in sums.iter_mut().enumerate() {
+        let mut value = *ctx.value(local);
+        // Taking the sum returns the scratch slot to zero.
+        value.partial = std::mem::take(sum);
+        ctx.set_value(local, value);
+    }
+    // Mirrors ship their partial to the master replica (a gated mirror
+    // with an exactly-zero partial stays silent).
+    for &mirror in subgraph.mirrors() {
+        let partial = ctx.value(mirror as usize).partial;
+        if !(gate_stable_messages && partial == 0.0) {
+            ctx.send_to_master(mirror as usize, partial);
+        }
+    }
+    ctx.add_work(work);
+    sums.len()
+}
+
+/// The apply half of [`pagerank_superstep`]: masters fold incoming
+/// partials and broadcast the new rank to their mirrors. The partials of
+/// one master are summed on their own, in arrival order, and only then
+/// added to its local partial: `partial + (m1 + m2)`, not
+/// `(partial + m1) + m2`. `sums` is all zero on entry and on exit.
+fn apply(
+    damping: f64,
+    num_vertices: usize,
+    ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
+    sums: &mut [f64],
+    gate_stable_messages: bool,
+) -> usize {
+    for (local, &partial) in ctx.mail() {
+        sums[local] += partial;
+    }
+    let masters = ctx.subgraph().masters();
+    for &master in masters {
+        let master = master as usize;
+        // Taking the sum returns the scratch slot to zero.
+        let incoming = std::mem::take(&mut sums[master]);
+        let mut value = *ctx.value(master);
+        let previous_rank = value.rank;
+        let total = value.partial + incoming;
+        value.rank = (1.0 - damping) / num_vertices as f64 + damping * total;
+        value.partial = 0.0;
+        ctx.set_value(master, value);
+        let rank = value.rank;
+        if !(gate_stable_messages && rank.to_bits() == previous_rank.to_bits()) {
+            ctx.send_to_mirrors(master, rank);
+        }
+    }
+    // Only masters are sent partials, so every slot written was taken.
+    debug_assert!(sums.iter().all(|&sum| sum == 0.0));
+    ctx.add_work(masters.len() as u64);
+    masters.len()
 }
 
 /// Extracts the plain rank vector from a PageRank outcome.
@@ -241,7 +302,9 @@ pub fn ranks(values: &[PageRankValue]) -> Vec<f64> {
 /// scatters into a per-superstep `partials` vector, and the apply it had
 /// before masters summed their mail in arrival order: per-vertex mailboxes
 /// ([`crate::oracle::mailboxes`]), each summed on its own. Kept as the
-/// reference both are checked against.
+/// reference both — and since the flat pull, its weights and the cached
+/// role lists — are checked against; it keeps the integer degree table and
+/// skips dangling sources instead of adding their `−0.0`.
 #[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct EdgeScanPageRank {
@@ -250,6 +313,26 @@ pub(crate) struct EdgeScanPageRank {
     pub(crate) num_vertices: usize,
     pub(crate) out_degrees: Vec<u64>,
     pub(crate) gate_stable_messages: bool,
+}
+
+#[cfg(test)]
+impl EdgeScanPageRank {
+    /// The oracle of a program with these parameters and degree table.
+    pub(crate) fn of(
+        damping: f64,
+        iterations: usize,
+        num_vertices: usize,
+        out_degrees: &[f64],
+        gate_stable_messages: bool,
+    ) -> Self {
+        EdgeScanPageRank {
+            damping,
+            iterations,
+            num_vertices,
+            out_degrees: out_degrees.iter().map(|&d| d as u64).collect(),
+            gate_stable_messages,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -386,13 +469,13 @@ mod tests {
     use ebv_partition::{paper_partitioners, EbvPartitioner, Partitioner};
 
     fn edge_scan(program: &PageRank) -> EdgeScanPageRank {
-        EdgeScanPageRank {
-            damping: program.damping,
-            iterations: program.iterations,
-            num_vertices: program.num_vertices,
-            out_degrees: program.out_degrees.clone(),
-            gate_stable_messages: false,
-        }
+        EdgeScanPageRank::of(
+            program.damping,
+            program.iterations,
+            program.num_vertices,
+            &program.out_degrees,
+            false,
+        )
     }
 
     #[test]
@@ -416,6 +499,42 @@ mod tests {
                     assert_eq!(got.stats.num_supersteps(), 12);
                 }
             }
+        }
+    }
+
+    /// `batch_rmat`'s shape — scale-16 R-MAT, 500k edges, 8 workers,
+    /// EBV-sort, 10 iterations — where a hub's in-degree is in the
+    /// thousands and local rows reach hundreds of positions, far past what
+    /// the property graphs above hold.
+    #[test]
+    fn flat_pull_is_bit_identical_to_the_edge_scan_at_benchmark_scale() {
+        let full = RmatGenerator::new(16, 8).with_seed(42).generate().unwrap();
+        let mut builder = GraphBuilder::directed();
+        builder.allow_self_loops(true).num_vertices(1 << 16);
+        builder.extend_edges(
+            full.edges()[..500_000]
+                .iter()
+                .map(|edge| (edge.src.raw(), edge.dst.raw())),
+        );
+        let graph = builder.build().unwrap();
+        let partition = EbvPartitioner::new().partition(&graph, 8).unwrap();
+        let dg = DistributedGraph::build(&graph, &partition).unwrap();
+        let widest_row = dg
+            .subgraphs()
+            .iter()
+            .flat_map(|sg| (0..sg.num_vertices()).map(|t| sg.in_neighbors(t).len()))
+            .max();
+        // EBV spreads the hub's 6,126 in-edges over the workers; the
+        // widest local row still holds 885 of them.
+        let hub = graph.vertices().map(|v| graph.in_degree(v)).max();
+        assert!(hub >= Some(1000), "hub in-degree {hub:?}");
+        assert!(widest_row >= Some(500), "widest row {widest_row:?}");
+        let program = PageRank::new(&graph, 10);
+        let reference = edge_scan(&program);
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let got = engine.run(&dg, &program).unwrap();
+            let want = engine.run(&dg, &reference).unwrap();
+            assert_same_outcome(&got, &want, &format!("{:?}", engine.mode()));
         }
     }
 
@@ -579,8 +698,8 @@ mod tests {
         let partition = EbvPartitioner::new().partition(&graph, 3).unwrap();
         let dg = DistributedGraph::build(&graph, &partition).unwrap();
         let mut program = PageRank::new(&graph, 5);
-        program.out_degrees[0] = 0;
-        program.out_degrees[7] = 0;
+        program.out_degrees[0] = 0.0;
+        program.out_degrees[7] = 0.0;
         let got = BspEngine::sequential().run(&dg, &program).unwrap();
         let want = BspEngine::sequential()
             .run(&dg, &edge_scan(&program))

@@ -42,11 +42,12 @@ use crate::subgraph::Subgraph;
 /// superstep.
 ///
 /// The engine never reads it. A kernel must leave it the way it found it —
-/// `flags` and `sums` all zero, `queue` and `changed` empty — by clearing
-/// only the entries it touched; the capacities are what survives a
+/// `flags` and `sums` all zero, `queue`, `changed` and `weights` empty — by
+/// clearing only the entries it touched; the capacities are what survives a
 /// superstep. What the entries index is the kernel's business: local
-/// vertices in the SSSP/BFS worklist kernel, local *components* (see
-/// [`Subgraph::local_components`]) in the CC component superstep.
+/// vertices in the SSSP/BFS worklist kernel and in PageRank, local
+/// *components* (see [`Subgraph::local_components`]) in the CC component
+/// superstep.
 #[derive(Debug, Default)]
 pub struct WorklistScratch {
     /// Flag bits per local vertex (per local component, in the CC
@@ -60,8 +61,12 @@ pub struct WorklistScratch {
     pub changed: Vec<u32>,
     /// One accumulator per local vertex, for folding the mail of a vertex
     /// that receives several messages (PageRank's masters sum their
-    /// mirrors' partials here).
+    /// mirrors' partials here, and its gather sums every row's in-edges).
     pub sums: Vec<f64>,
+    /// One value per local vertex, written in full and read back within a
+    /// superstep, then cleared (PageRank's gather keeps each source's
+    /// `rank / out_degree` here, so the pull reads one weight per edge).
+    pub weights: Vec<f64>,
 }
 
 /// A queued outgoing message: local vertex index, payload, fan-out.

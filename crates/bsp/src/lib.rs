@@ -63,7 +63,7 @@ pub use stats::{
     Breakdown, CostModel, ExecutionStats, SuperstepStats, TimelineSpan, WorkerSuperstepStats,
 };
 pub use subgraph::{
-    DistributedGraph, DistributedGraphBuilder, Lineage, LocalComponents, MutationBatch,
+    DistributedGraph, DistributedGraphBuilder, InEdges, Lineage, LocalComponents, MutationBatch,
     MutationStats, ReplicaTable, Subgraph,
 };
 pub use warm::{InvalidationPolicy, WarmFrontier};

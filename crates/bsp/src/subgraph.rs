@@ -11,7 +11,9 @@
 //! which owns the hand-back invariant (resolver all-`ABSENT`, buffers
 //! empty). No hash map is built on that path: the global → local index
 //! behind [`Subgraph::local_index_of`] is built by its first caller, and so
-//! are the [`LocalComponents`] behind [`Subgraph::local_components`].
+//! are the [`LocalComponents`] behind [`Subgraph::local_components`], the
+//! row index behind [`Subgraph::in_edges`] and the role lists behind
+//! [`Subgraph::masters`] / [`Subgraph::mirrors`].
 
 use std::sync::OnceLock;
 
@@ -169,6 +171,52 @@ impl LocalComponents {
     }
 }
 
+/// A worker's in-CSR as one flat list of positions, the shape a pull that
+/// streams edges instead of walking vertex rows reads (see
+/// [`Subgraph::in_edges`]).
+///
+/// Position `k` is one local edge, `sources[k] → rows[k]`. Positions are
+/// grouped by row (target) ascending, and within a row they follow
+/// local-edge order, so position order is the order a row-by-row walk of
+/// [`Subgraph::in_neighbors`] visits.
+#[derive(Debug, Clone, Copy)]
+pub struct InEdges<'a> {
+    /// The source (local index) of every position: row `t` of this array
+    /// is [`Subgraph::in_neighbors`]`(t)`.
+    pub sources: &'a [u32],
+    /// The row (target local index) of every position, ascending.
+    pub rows: &'a [u32],
+    /// Whether this worker owns the local edge behind each position (see
+    /// [`Subgraph::owns_edge`]). **Empty when it owns every local edge**
+    /// (always, in a vertex-cut), so only an edge-cut worker has anything
+    /// to skip.
+    pub owned: &'a [bool],
+}
+
+/// A worker's local vertices split by role, each list ascending.
+#[derive(Debug, Clone)]
+struct Roles {
+    masters: Vec<u32>,
+    mirrors: Vec<u32>,
+}
+
+impl Roles {
+    /// Two exact-size lists from the master flags.
+    fn build(is_master: &[bool]) -> Self {
+        let num_masters = is_master.iter().filter(|&&master| master).count();
+        let mut masters = Vec::with_capacity(num_masters);
+        let mut mirrors = Vec::with_capacity(is_master.len() - num_masters);
+        for (local, &master) in (0u32..).zip(is_master) {
+            if master {
+                masters.push(local);
+            } else {
+                mirrors.push(local);
+            }
+        }
+        Roles { masters, mirrors }
+    }
+}
+
 /// The root of `x`'s set, halving the path on the way (each visited vertex
 /// is re-pointed at its grandparent, which keeps parents below children).
 #[inline]
@@ -207,6 +255,10 @@ pub struct Subgraph {
     /// [`local_components`](Self::local_components) call.
     components: OnceLock<LocalComponents>,
     is_master: Vec<bool>,
+    /// `is_master` as two ascending lists, built by the first
+    /// [`masters`](Self::masters) / [`mirrors`](Self::mirrors) call and
+    /// dropped by a [`set_master`](Self::set_master) that flips a flag.
+    roles: OnceLock<Roles>,
     /// CSR out-adjacency: the out-neighbours of local vertex `l` are
     /// `out_targets[out_offsets[l]..out_offsets[l + 1]]`, in local-edge
     /// order. One offset array + one flat index array instead of a `Vec`
@@ -217,9 +269,12 @@ pub struct Subgraph {
     in_offsets: Vec<u32>,
     in_targets: Vec<u32>,
     /// `owns_edge` permuted into in-CSR order (empty when it is), so a pull
-    /// over [`in_neighbors`](Self::in_neighbors) can skip unowned copies
-    /// without going back to the edge list.
+    /// over [`in_edges`](Self::in_edges) can skip unowned copies without
+    /// going back to the edge list.
     in_owned: Vec<bool>,
+    /// The row (target) of every in-CSR position, built by the first
+    /// [`in_edges`](Self::in_edges) call.
+    in_rows: OnceLock<Vec<u32>>,
 }
 
 impl Subgraph {
@@ -303,11 +358,13 @@ impl Subgraph {
             local_index: OnceLock::new(),
             components: OnceLock::new(),
             is_master,
+            roles: OnceLock::new(),
             out_offsets,
             out_targets,
             in_offsets,
             in_targets,
             in_owned,
+            in_rows: OnceLock::new(),
         }
     }
 
@@ -330,9 +387,13 @@ impl Subgraph {
     }
 
     /// Sets the master flag of the vertex at `local_index`, for a worker
-    /// that keeps its edges while a boundary vertex's master moves.
+    /// that keeps its edges while a boundary vertex's master moves. The
+    /// only writer of the flags after [`build`](Self::build): a flag that
+    /// actually flips drops the cached role lists.
     pub(crate) fn set_master(&mut self, local_index: usize, is_master: bool) {
-        self.is_master[local_index] = is_master;
+        if std::mem::replace(&mut self.is_master[local_index], is_master) != is_master {
+            self.roles.take();
+        }
     }
 
     /// Whether this worker owns every local edge (always, in a vertex-cut).
@@ -343,7 +404,8 @@ impl Subgraph {
 
     /// Structural equality: same partition, edge list (content, ownership
     /// and order), local vertex table and master flags. The CSRs, the local
-    /// index and the local components are functions of those.
+    /// index, the local components, the in-CSR row index and the role lists
+    /// are functions of those.
     pub(crate) fn same_structure(&self, other: &Self) -> bool {
         self.part == other.part
             && self.edges == other.edges
@@ -459,24 +521,50 @@ impl Subgraph {
             [self.in_offsets[local_index] as usize..self.in_offsets[local_index + 1] as usize]
     }
 
-    /// Ownership of the in-edges of the vertex at `local_index`, aligned
-    /// with [`in_neighbors`](Self::in_neighbors): entry `k` is
-    /// [`owns_edge`](Self::owns_edge) of the local edge that contributed
-    /// in-neighbour `k`. **Empty when this worker owns every local edge**
-    /// (always, for vertex-cut distributions), so a pull loop reads a
-    /// missing entry as "owned".
-    #[inline]
-    pub fn in_neighbor_ownership(&self, local_index: usize) -> &[bool] {
-        if self.in_owned.is_empty() {
-            return &[];
+    /// The in-CSR as one flat list of `(source, row)` positions with their
+    /// ownership flags (see [`InEdges`]), for a pull that streams positions
+    /// instead of walking rows.
+    ///
+    /// The sources and flags are the build's own arrays. The row of every
+    /// position (one `u32` each) is built by the first call and cached,
+    /// like the [`local_components`](Self::local_components): a pure
+    /// function of the edge list, so a clone taken afterwards carries it, a
+    /// worker an epoch keeps keeps it and a worker it rebuilds starts
+    /// without.
+    pub fn in_edges(&self) -> InEdges<'_> {
+        let rows = self.in_rows.get_or_init(|| {
+            let mut rows = Vec::with_capacity(self.in_targets.len());
+            for (row, range) in (0u32..).zip(self.in_offsets.windows(2)) {
+                rows.resize(range[1] as usize, row);
+            }
+            rows
+        });
+        InEdges {
+            sources: &self.in_targets,
+            rows,
+            owned: &self.in_owned,
         }
-        &self.in_owned
-            [self.in_offsets[local_index] as usize..self.in_offsets[local_index + 1] as usize]
     }
 
-    /// Iterator over the local indices of master vertices.
-    pub fn master_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.num_vertices()).filter(|&i| self.is_master[i])
+    /// The local indices of the vertices this worker masters, ascending.
+    ///
+    /// Built together with [`mirrors`](Self::mirrors) by the first call of
+    /// either and cached; a clone taken afterwards carries both, a worker
+    /// an epoch rebuilds starts without, and a worker it keeps keeps them
+    /// until re-election flips one of its flags.
+    pub fn masters(&self) -> &[u32] {
+        &self.roles().masters
+    }
+
+    /// The local indices of the vertices this worker holds as mirrors,
+    /// ascending: the complement of [`masters`](Self::masters) in
+    /// `0..num_vertices()`, cached with it.
+    pub fn mirrors(&self) -> &[u32] {
+        &self.roles().mirrors
+    }
+
+    fn roles(&self) -> &Roles {
+        self.roles.get_or_init(|| Roles::build(&self.is_master))
     }
 }
 
@@ -484,3 +572,5 @@ impl Subgraph {
 mod oracle;
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod views;

@@ -83,11 +83,13 @@ fn three_pass_build(
         local_index: OnceLock::from(local_index),
         components: OnceLock::new(),
         is_master,
+        roles: OnceLock::new(),
         out_offsets,
         out_targets,
         in_offsets,
         in_targets,
         in_owned,
+        in_rows: OnceLock::new(),
     }
 }
 
@@ -117,7 +119,7 @@ fn multigraph() -> Graph {
         .unwrap()
 }
 
-fn graphs() -> Vec<(&'static str, Graph)> {
+pub(super) fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
         (
             "rmat",

@@ -105,7 +105,7 @@ fn local_adjacency_is_consistent() {
             let in_edges = s.edges().iter().filter(|e| e.dst == *v).count();
             assert_eq!(s.in_neighbors(li).len(), in_edges);
         }
-        assert!(s.master_indices().count() <= s.num_vertices());
+        assert!(s.masters().len() <= s.num_vertices());
     }
 }
 
@@ -167,10 +167,9 @@ fn in_neighbor_ownership_is_empty_for_vertex_cut_and_aligned_for_edge_cut() {
     let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
     let mut dg = DistributedGraph::build(&g, &partition).unwrap();
     let all_empty = |dg: &DistributedGraph| {
-        dg.subgraphs().iter().all(|sg| {
-            sg.in_owned.is_empty()
-                && (0..sg.num_vertices()).all(|l| sg.in_neighbor_ownership(l).is_empty())
-        })
+        dg.subgraphs()
+            .iter()
+            .all(|sg| sg.in_owned.is_empty() && sg.in_edges().owned.is_empty())
     };
     assert!(all_empty(&dg));
     // A re-assembled (touched) worker still owns every edge.
@@ -181,23 +180,28 @@ fn in_neighbor_ownership_is_empty_for_vertex_cut_and_aligned_for_edge_cut() {
     assert!(stats.workers_touched >= 1);
     assert!(all_empty(&dg));
 
-    // Edge-cut: the slice is `owns_edge` in in-CSR order. In-neighbours
-    // of a target are listed in local-edge order, so walking the edge
-    // list with one cursor per target visits the same slots.
+    // Edge-cut: the flat view's flags are `owns_edge` in in-CSR order.
+    // In-neighbours of a target are listed in local-edge order, so walking
+    // the edge list with one cursor per target visits the same positions.
     let ec = MetisLikePartitioner::new().partition(&g, 3).unwrap();
     let ec_dg = DistributedGraph::build(&g, &ec).unwrap();
     let mut unowned = 0usize;
     for sg in ec_dg.subgraphs() {
-        let mut cursor = vec![0usize; sg.num_vertices()];
+        let in_edges = sg.in_edges();
+        let mut cursor: Vec<usize> = sg.in_offsets[..sg.num_vertices()]
+            .iter()
+            .map(|&start| start as usize)
+            .collect();
         for (edge_index, edge) in sg.edges().iter().enumerate() {
             let target = sg.local_index_of(edge.dst).unwrap();
             let k = cursor[target];
             cursor[target] += 1;
+            assert_eq!(in_edges.rows[k] as usize, target);
             assert_eq!(
-                sg.in_neighbors(target)[k] as usize,
+                in_edges.sources[k] as usize,
                 sg.local_index_of(edge.src).unwrap()
             );
-            let owned = sg.in_neighbor_ownership(target).get(k).copied();
+            let owned = in_edges.owned.get(k).copied();
             assert_eq!(owned.unwrap_or(true), sg.owns_edge(edge_index));
             unowned += usize::from(!sg.owns_edge(edge_index));
         }
