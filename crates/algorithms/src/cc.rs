@@ -165,10 +165,6 @@ impl SubgraphProgram for ConnectedComponents {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "CC".to_string()
-    }
-
     fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         vertex.raw()
     }
@@ -193,10 +189,6 @@ pub(crate) mod oracle {
         type Value = u64;
         type Message = u64;
 
-        fn name(&self) -> String {
-            "CC-sweep".to_string()
-        }
-
         fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
             vertex.raw()
         }
@@ -216,10 +208,6 @@ pub(crate) mod oracle {
     impl SubgraphProgram for WarmSweepConnectedComponents<'_> {
         type Value = u64;
         type Message = u64;
-
-        fn name(&self) -> String {
-            "CC-warm-sweep".to_string()
-        }
 
         fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> u64 {
             self.0.initial_value(vertex, subgraph)

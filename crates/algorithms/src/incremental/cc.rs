@@ -120,10 +120,6 @@ impl SubgraphProgram for IncrementalConnectedComponents {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "CC-warm".to_string()
-    }
-
     fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         vertex.raw()
     }

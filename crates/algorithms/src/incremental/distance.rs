@@ -1,8 +1,7 @@
-//! Warm-start SSSP and BFS: delta-stepping-style re-activation of hop
-//! distances across mutation epochs (see the module-level discussion in
-//! [`crate::incremental`] for the full design).
-//!
-//! Both programs share [`DistanceInvalidation`] and one core:
+//! Warm-start SSSP: delta-stepping-style re-activation of hop distances
+//! across mutation epochs (see the module-level discussion in
+//! [`crate::incremental`] for the full design). Its invalidation is
+//! [`DistanceInvalidation`]:
 //!
 //! * **Insertions** only shorten paths, so every prior distance remains a
 //!   valid upper bound; the inserted endpoints are seeded and relax
@@ -18,8 +17,8 @@
 //!
 //! Every warm seed is therefore an upper bound of the new true distance
 //! with the source at 0, so the monotone relaxation fixpoint *is* the cold
-//! answer — warm SSSP/BFS are bit-identical to cold runs, they just start
-//! next to the fixpoint instead of at infinity.
+//! answer — warm SSSP is bit-identical to cold runs, it just starts next to
+//! the fixpoint instead of at infinity.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -32,7 +31,7 @@ use ebv_bsp::{
 use ebv_graph::{Edge, IdHasher, VertexId};
 
 use crate::kernel::{gated_min_superstep, Activation};
-use crate::{UNREACHABLE, UNVISITED};
+use crate::UNREACHABLE;
 
 /// The shortest-path [`InvalidationPolicy`], two-tier:
 ///
@@ -156,7 +155,7 @@ fn walked_cone(
 
 /// The cone by exhaustive scan — the oracle [`walked_cone`] is checked
 /// against (inside `from_distributed` in debug builds, so every suite that
-/// warms SSSP or BFS is a differential test of the walk). It reads only the
+/// warms SSSP is a differential test of the walk). It reads only the
 /// post-mutation graph and `prior`: every finite vertex without a tight
 /// chain, whatever the batch was.
 ///
@@ -222,35 +221,93 @@ fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u
         .collect()
 }
 
-/// The shared warm-distance machinery behind [`IncrementalSssp`] and
-/// [`IncrementalBfs`]; the two differ only in program name and in which
-/// cold program they are bit-identical to.
+/// Warm-start Single-Source Shortest Path: distance-equal (in fact
+/// bit-identical — hop distances are integers) to a cold
+/// [`crate::SingleSourceShortestPath`] run on the mutated graph. See the
+/// module-level discussion in [`crate::incremental`] for the invalidation
+/// design.
+///
+/// # Examples
+///
+/// ```
+/// use ebv_algorithms::{IncrementalSssp, SingleSourceShortestPath};
+/// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
+/// use ebv_graph::{Edge, VertexId};
+/// use ebv_partition::PartitionId;
+///
+/// # fn main() -> Result<(), ebv_bsp::BspError> {
+/// let mut distributed = DistributedGraph::build_streaming(
+///     2,
+///     None,
+///     vec![
+///         (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+///         (Edge::from((1u64, 2u64)), PartitionId::new(1)),
+///     ],
+/// )?;
+/// let engine = BspEngine::sequential();
+/// let source = VertexId::new(0);
+/// let cold = engine.run(&distributed, &SingleSourceShortestPath::new(source))?;
+/// assert_eq!(cold.values, vec![0, 1, 2]);
+///
+/// // A shortcut 0→2 arrives: only its endpoints re-activate.
+/// let mut batch = MutationBatch::new();
+/// batch.record_insert(Edge::from((0u64, 2u64)), PartitionId::new(0));
+/// distributed.apply_mutations(&batch)?;
+///
+/// let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
+/// assert_eq!(program.horizon(), None, "insertions invalidate nothing");
+/// let warm =
+///     engine.run_opts(&distributed, &program, RunOptions::new().warm_seed(&cold.values))?;
+/// assert_eq!(warm.values, vec![0, 1, 1]);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-struct WarmDistanceCore {
+pub struct IncrementalSssp {
     source: VertexId,
     frontier: WarmFrontier<DistanceInvalidation>,
 }
 
-impl WarmDistanceCore {
-    fn new(source: VertexId) -> Self {
-        WarmDistanceCore {
+impl IncrementalSssp {
+    /// Creates a pure warm restart rooted at `source`: nothing is dirty,
+    /// nothing is seeded, so the run converges immediately when the prior
+    /// distances are still valid.
+    pub fn new(source: VertexId) -> Self {
+        IncrementalSssp {
             source,
             frontier: WarmFrontier::new(DistanceInvalidation::new(source)),
         }
     }
 
-    fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
-        self.frontier.absorb(prior, batch);
+    /// Creates the program for one mutation batch applied on top of the
+    /// graph that produced `prior`, without looking at the graph itself:
+    /// deletions invalidate via the conservative horizon.
+    pub fn from_batch(source: VertexId, prior: &[u64], batch: &MutationBatch) -> Self {
+        let mut program = Self::new(source);
+        program.absorb(prior, batch);
+        program
     }
 
-    fn from_distributed(
+    /// Creates the program for one mutation batch applied on top of the
+    /// graph that produced `prior` (the contract
+    /// [`from_batch`](Self::from_batch) states), walking the
+    /// **post-mutation** `distributed` (the batch already applied, exactly
+    /// what `EventPipeline::run_applied` hands its epoch callback) outward
+    /// from the batch's removed tight edges to compute the *precise*
+    /// invalidation cone — only vertices whose every tight shortest-path
+    /// certificate crossed a deleted edge are reset, instead of everything
+    /// at or beyond the horizon — at a cost that follows the cone, not the
+    /// graph. `batch` also contributes the insertion seeds. A `prior` from
+    /// further back (several batches since) is outside the contract:
+    /// absorb those batches with [`absorb`](Self::absorb) instead.
+    pub fn from_distributed(
         source: VertexId,
         distributed: &DistributedGraph,
         prior: &[u64],
         batch: &MutationBatch,
     ) -> Self {
-        let mut core = Self::new(source);
-        core.frontier.absorb_seeds(prior, batch);
+        let mut program = Self::new(source);
+        program.frontier.absorb_seeds(prior, batch);
         let cone = walked_cone(source, distributed, prior, batch);
         #[cfg(debug_assertions)]
         assert_eq!(
@@ -259,22 +316,50 @@ impl WarmDistanceCore {
             "the walked cone differs from the scanned one: is `prior` the outcome on the \
              graph this batch was applied to?"
         );
-        core.frontier.policy_mut().cone = cone;
-        core
+        program.frontier.policy_mut().cone = cone;
+        program
     }
 
-    fn cone_vertices(&self) -> usize {
-        self.frontier.policy().cone.len()
+    /// Folds one more mutation batch into the horizon/seed state. Every
+    /// batch applied since `prior` was computed must be absorbed (in any
+    /// order) before the warm run.
+    pub fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
+        self.frontier.absorb(prior, batch);
     }
 
-    fn horizon(&self) -> Option<u64> {
+    /// The source vertex.
+    pub fn source(&self) -> VertexId {
+        self.source
+    }
+
+    /// The settled horizon: the smallest prior distance an absorbed
+    /// deletion may have invalidated, or `None` when no deletion touched a
+    /// tight edge (all prior distances survive).
+    pub fn horizon(&self) -> Option<u64> {
         match self.frontier.policy().horizon {
             UNREACHABLE => None,
             h => Some(h),
         }
     }
 
-    fn initial_value(&self, vertex: VertexId) -> u64 {
+    /// Number of seed vertices activated in the first superstep.
+    pub fn seed_vertices(&self) -> usize {
+        self.frontier.seed_vertices()
+    }
+
+    /// Number of vertices in the precise invalidation cone computed by
+    /// [`from_distributed`](Self::from_distributed) (0 for the
+    /// horizon-based constructors).
+    pub fn cone_vertices(&self) -> usize {
+        self.frontier.policy().cone.len()
+    }
+}
+
+impl SubgraphProgram for IncrementalSssp {
+    type Value = u64;
+    type Message = u64;
+
+    fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         if vertex == self.source {
             0
         } else {
@@ -282,11 +367,11 @@ impl WarmDistanceCore {
         }
     }
 
-    fn warm_value(&self, vertex: VertexId, prior: &u64) -> u64 {
+    fn warm_value(&self, vertex: VertexId, prior: &u64, subgraph: &Subgraph) -> u64 {
         self.frontier
             .retain(vertex, prior)
             .copied()
-            .unwrap_or_else(|| self.initial_value(vertex))
+            .unwrap_or_else(|| self.initial_value(vertex, subgraph))
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
@@ -299,185 +384,10 @@ impl WarmDistanceCore {
     }
 }
 
-macro_rules! warm_distance_program {
-    ($(#[$doc:meta])* $name:ident, $program_name:literal, $root:ident, $root_doc:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            core: WarmDistanceCore,
-        }
-
-        impl $name {
-            #[doc = concat!("Creates a pure warm restart rooted at `", $root_doc, "`: nothing")]
-            /// is dirty, nothing is seeded, so the run converges immediately
-            /// when the prior distances are still valid.
-            pub fn new($root: VertexId) -> Self {
-                $name {
-                    core: WarmDistanceCore::new($root),
-                }
-            }
-
-            /// Creates the program for one mutation batch applied on top of
-            /// the graph that produced `prior`, without looking at the graph
-            /// itself: deletions invalidate via the conservative horizon.
-            pub fn from_batch($root: VertexId, prior: &[u64], batch: &MutationBatch) -> Self {
-                let mut program = Self::new($root);
-                program.absorb(prior, batch);
-                program
-            }
-
-            /// Creates the program for one mutation batch applied on top of
-            /// the graph that produced `prior` (the contract
-            /// [`from_batch`](Self::from_batch) states), walking the
-            /// **post-mutation** `distributed` (the batch already applied,
-            /// exactly what `EventPipeline::run_applied` hands its epoch
-            /// callback) outward from the batch's removed tight edges to
-            /// compute the *precise* invalidation cone — only vertices
-            /// whose every tight shortest-path certificate crossed a
-            /// deleted edge are reset, instead of everything at or beyond
-            /// the horizon — at a cost that follows the cone, not the
-            /// graph. `batch` also contributes the insertion seeds. A
-            /// `prior` from further back (several batches since) is outside
-            /// the contract: absorb those batches with
-            /// [`absorb`](Self::absorb) instead.
-            pub fn from_distributed(
-                $root: VertexId,
-                distributed: &DistributedGraph,
-                prior: &[u64],
-                batch: &MutationBatch,
-            ) -> Self {
-                $name {
-                    core: WarmDistanceCore::from_distributed($root, distributed, prior, batch),
-                }
-            }
-
-            /// Folds one more mutation batch into the horizon/seed state.
-            /// Every batch applied since `prior` was computed must be
-            /// absorbed (in any order) before the warm run.
-            pub fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
-                self.core.absorb(prior, batch);
-            }
-
-            #[doc = concat!("The ", $root_doc, " vertex.")]
-            pub fn $root(&self) -> VertexId {
-                self.core.source
-            }
-
-            /// The settled horizon: the smallest prior distance an absorbed
-            /// deletion may have invalidated, or `None` when no deletion
-            /// touched a tight edge (all prior distances survive).
-            pub fn horizon(&self) -> Option<u64> {
-                self.core.horizon()
-            }
-
-            /// Number of seed vertices activated in the first superstep.
-            pub fn seed_vertices(&self) -> usize {
-                self.core.frontier.seed_vertices()
-            }
-
-            /// Number of vertices in the precise invalidation cone computed
-            /// by [`from_distributed`](Self::from_distributed) (0 for the
-            /// horizon-based constructors).
-            pub fn cone_vertices(&self) -> usize {
-                self.core.cone_vertices()
-            }
-        }
-
-        impl SubgraphProgram for $name {
-            type Value = u64;
-            type Message = u64;
-
-            fn name(&self) -> String {
-                $program_name.to_string()
-            }
-
-            fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
-                self.core.initial_value(vertex)
-            }
-
-            fn warm_value(&self, vertex: VertexId, prior: &u64, _subgraph: &Subgraph) -> u64 {
-                self.core.warm_value(vertex, prior)
-            }
-
-            fn run_superstep(
-                &self,
-                ctx: &mut SubgraphContext<'_, u64, u64>,
-                superstep: usize,
-            ) -> usize {
-                self.core.run_superstep(ctx, superstep)
-            }
-        }
-    };
-}
-
-warm_distance_program!(
-    /// Warm-start Single-Source Shortest Path: distance-equal (in fact
-    /// bit-identical — hop distances are integers) to a cold
-    /// [`crate::SingleSourceShortestPath`] run on the mutated graph. See
-    /// the module-level discussion in [`crate::incremental`] for the
-    /// invalidation design.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ebv_algorithms::{IncrementalSssp, SingleSourceShortestPath};
-    /// use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
-    /// use ebv_graph::{Edge, VertexId};
-    /// use ebv_partition::PartitionId;
-    ///
-    /// # fn main() -> Result<(), ebv_bsp::BspError> {
-    /// let mut distributed = DistributedGraph::build_streaming(
-    ///     2,
-    ///     None,
-    ///     vec![
-    ///         (Edge::from((0u64, 1u64)), PartitionId::new(0)),
-    ///         (Edge::from((1u64, 2u64)), PartitionId::new(1)),
-    ///     ],
-    /// )?;
-    /// let engine = BspEngine::sequential();
-    /// let source = VertexId::new(0);
-    /// let cold = engine.run(&distributed, &SingleSourceShortestPath::new(source))?;
-    /// assert_eq!(cold.values, vec![0, 1, 2]);
-    ///
-    /// // A shortcut 0→2 arrives: only its endpoints re-activate.
-    /// let mut batch = MutationBatch::new();
-    /// batch.record_insert(Edge::from((0u64, 2u64)), PartitionId::new(0));
-    /// distributed.apply_mutations(&batch)?;
-    ///
-    /// let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
-    /// assert_eq!(program.horizon(), None, "insertions invalidate nothing");
-    /// let warm =
-    ///     engine.run_opts(&distributed, &program, RunOptions::new().warm_seed(&cold.values))?;
-    /// assert_eq!(warm.values, vec![0, 1, 1]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    IncrementalSssp,
-    "SSSP-warm",
-    source,
-    "source"
-);
-
-warm_distance_program!(
-    /// Warm-start Breadth-First Search: bit-identical to a cold
-    /// [`crate::BreadthFirstSearch`] run on the mutated graph (BFS depths
-    /// are unit-weight shortest paths, so the warm machinery is exactly
-    /// [`IncrementalSssp`]'s). See the module-level discussion in
-    /// [`crate::incremental`] for the invalidation design.
-    IncrementalBfs,
-    "BFS-warm",
-    root,
-    "root"
-);
-
-// `UNVISITED == UNREACHABLE` is what lets BFS reuse the SSSP core; assert
-// the coupling the types cannot express.
-const _: () = assert!(UNVISITED == UNREACHABLE);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BreadthFirstSearch, SingleSourceShortestPath};
+    use crate::SingleSourceShortestPath;
     use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
     use ebv_graph::Graph;
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
@@ -569,7 +479,6 @@ mod tests {
         assert_eq!(program.source(), source);
         assert_eq!(program.horizon(), None);
         assert_eq!(program.seed_vertices(), 0);
-        assert_eq!(program.name(), "SSSP-warm");
         let warm = engine
             .run_opts(
                 &distributed,
@@ -886,11 +795,8 @@ mod tests {
                         IncrementalSssp::from_distributed(source, &distributed, &prior, &batch);
                     let scanned = unsupported_cone(source, &distributed, &prior);
                     let context = format!("{name} p={p} epoch {epoch}");
-                    assert_eq!(program.core.frontier.policy().cone, scanned, "{context}");
+                    assert_eq!(program.frontier.policy().cone, scanned, "{context}");
                     assert_eq!(program.cone_vertices(), scanned.len(), "{context}");
-                    let bfs =
-                        IncrementalBfs::from_distributed(source, &distributed, &prior, &batch);
-                    assert_eq!(bfs.cone_vertices(), scanned.len(), "{context}");
                     cone_total += scanned.len();
 
                     let warm = engine
@@ -940,13 +846,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_bfs_is_bit_identical_across_mixed_epochs() {
+    fn warm_sssp_is_bit_identical_across_a_mixed_batch() {
         let graph = ebv_graph::generators::named::small_social_graph();
         let (mut distributed, assigned) = distribute(&graph, 3);
         let engine = BspEngine::sequential();
-        let root = VertexId::new(0);
-        let mut depths = engine
-            .run(&distributed, &BreadthFirstSearch::new(root))
+        let source = VertexId::new(0);
+        let prior = engine
+            .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap()
             .values;
 
@@ -955,18 +861,15 @@ mod tests {
             batch.record_delete(e, p);
         }
         batch.record_insert(Edge::from((0u64, 11u64)), PartitionId::new(1));
-        let program = IncrementalBfs::from_batch(root, &depths, &batch);
-        assert_eq!(program.root(), root);
-        assert_eq!(program.name(), "BFS-warm");
+        let program = IncrementalSssp::from_batch(source, &prior, &batch);
         distributed.apply_mutations(&batch).unwrap();
         let warm = engine
-            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&depths))
+            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
             .unwrap();
         let cold = engine
-            .run(&distributed, &BreadthFirstSearch::new(root))
+            .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap();
-        assert_eq!(warm.values, cold.values, "warm BFS must be bit-identical");
-        depths = warm.values;
-        assert_eq!(depths[11], 1, "inserted edge re-activated its endpoints");
+        assert_eq!(warm.values, cold.values, "warm SSSP must be bit-identical");
+        assert_eq!(warm.values[11], 1, "inserted edge re-activated vertex 11");
     }
 }

@@ -1,18 +1,18 @@
 //! Warm-start (incremental) variants of the evaluation applications.
 //!
 //! A mutation epoch (`ebv_bsp::DistributedGraph::apply_mutations`) usually
-//! disturbs a tiny fraction of the graph, yet re-running CC, PageRank, SSSP
-//! or BFS from scratch pays the full cold-start cost every time. The
+//! disturbs a tiny fraction of the graph, yet re-running CC, PageRank or
+//! SSSP from scratch pays the full cold-start cost every time. The
 //! programs here are designed for
 //! [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed): they seed every
 //! vertex from the previous epoch's outcome and re-activate only the region
 //! the mutations disturbed.
 //!
-//! All four share one epoch shape, factored into the [`ebv_bsp::warm`]
+//! All three share one epoch shape, factored into the [`ebv_bsp::warm`]
 //! harness ([`WarmFrontier`](ebv_bsp::WarmFrontier) +
 //! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the superstep
 //! their cold program runs — the component superstep for CC, the gated
-//! worklist kernel for SSSP/BFS, started from a smaller frontier — so a new
+//! worklist kernel for SSSP, started from a smaller frontier — so a new
 //! warm-start algorithm only has to state *what a deletion invalidates* and
 //! *what a vertex's cold initial value is*:
 //!
@@ -27,10 +27,10 @@
 //!   and only the labels that changed travel. A warm epoch therefore costs
 //!   the workers' local components (cached on every worker the epoch kept)
 //!   plus its messages.
-//! * [`IncrementalSssp`] and [`IncrementalBfs`] carry hop distances across
-//!   epochs with delta-stepping-style re-activation, **bit-identical** to
-//!   cold [`crate::SingleSourceShortestPath`] / [`crate::BreadthFirstSearch`]
-//!   runs. Inserted-edge endpoints relax downward (an insertion can only
+//! * [`IncrementalSssp`] carries hop distances (BFS depths: every edge has
+//!   length 1) across epochs with delta-stepping-style re-activation,
+//!   **bit-identical** to cold [`crate::SingleSourceShortestPath`] runs.
+//!   Inserted-edge endpoints relax downward (an insertion can only
 //!   shorten paths); deletions invalidate either everything at or beyond the
 //!   deleted edge's head — the graph-free *horizon* of `from_batch` — or,
 //!   with `from_distributed`, exactly the *downstream cones* of vertices
@@ -52,5 +52,5 @@ mod distance;
 mod pagerank;
 
 pub use cc::IncrementalConnectedComponents;
-pub use distance::{IncrementalBfs, IncrementalSssp};
+pub use distance::IncrementalSssp;
 pub use pagerank::IncrementalPageRank;

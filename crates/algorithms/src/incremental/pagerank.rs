@@ -68,10 +68,6 @@ impl SubgraphProgram for IncrementalPageRank {
     type Value = PageRankValue;
     type Message = f64;
 
-    fn name(&self) -> String {
-        "PageRank-warm".to_string()
-    }
-
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> PageRankValue {
         PageRankValue {
             rank: 1.0 / self.num_vertices as f64,
@@ -307,6 +303,5 @@ mod tests {
         assert!((program.damping() - 0.9).abs() < 1e-12);
         assert_eq!(program.max_supersteps(), 8);
         assert!(!program.halt_on_quiescence());
-        assert_eq!(program.name(), "PageRank-warm");
     }
 }

@@ -1,6 +1,7 @@
 //! The gated worklist kernel: the distance superstep behind cold and warm
-//! SSSP and BFS. (CC does not propagate along edges at all: it relabels
-//! whole local components, see `cc.rs`.)
+//! SSSP, whose unit-weight distances are BFS depths. (CC does not
+//! propagate along edges at all: it relabels whole local components, see
+//! `cc.rs`.)
 //!
 //! Both compute a minimum fixpoint over `u64` hop distances with
 //! min-folded replica messages, so one superstep is always the same three
@@ -56,11 +57,11 @@ const QUEUED: u8 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Activation {
     /// Every vertex that holds a finite distance — the source alone, for
-    /// cold SSSP/BFS.
+    /// cold SSSP.
     Propagating,
     /// Propagation-capable vertices with at least one unreached
     /// out-neighbor — the settled rim of the reset cone that must re-relax
-    /// into it (warm SSSP/BFS).
+    /// into it (warm SSSP).
     DistanceFrontier,
 }
 
@@ -182,7 +183,7 @@ mod tests {
     use crate::cc::oracle::SweepConnectedComponents;
     use crate::oracle::{assert_equals_oracle, run_recorded, StepRecord, Work};
     use crate::sssp::oracle::SweepShortestPath;
-    use crate::{BreadthFirstSearch, ConnectedComponents, SingleSourceShortestPath};
+    use crate::{ConnectedComponents, SingleSourceShortestPath};
 
     fn sample_graph(kind: usize, seed: u64) -> Graph {
         match kind {
@@ -199,9 +200,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(9))]
 
-        /// Cold SSSP and BFS on the worklist kernel, and cold CC on the
-        /// component superstep, equal the full-subgraph sweeps they
-        /// replaced, for vertex-cut and edge-cut partitioners alike.
+        /// Cold SSSP on the worklist kernel, and cold CC on the component
+        /// superstep, equal the full-subgraph sweeps they replaced, for
+        /// vertex-cut and edge-cut partitioners alike.
         #[test]
         fn kernel_equals_the_sweep_oracles(kind in 0usize..3, seed in 0u64..1_000) {
             let graph = sample_graph(kind, seed);
@@ -226,13 +227,6 @@ mod tests {
                         None,
                         Work::AtMostTheSweep,
                         &what("SSSP"),
-                    );
-                    assert_equals_oracle(
-                        &dg,
-                        (BreadthFirstSearch::new(source), SweepShortestPath(source)),
-                        None,
-                        Work::AtMostTheSweep,
-                        &what("BFS"),
                     );
                 }
             }

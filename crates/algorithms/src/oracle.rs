@@ -45,10 +45,6 @@ impl<P: SubgraphProgram<Value = u64, Message = u64>> SubgraphProgram for Recordi
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
     fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> u64 {
         self.inner.initial_value(vertex, subgraph)
     }

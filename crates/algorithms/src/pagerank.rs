@@ -99,10 +99,6 @@ impl SubgraphProgram for PageRank {
     type Value = PageRankValue;
     type Message = f64;
 
-    fn name(&self) -> String {
-        "PageRank".to_string()
-    }
-
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> PageRankValue {
         PageRankValue {
             rank: 1.0 / self.num_vertices as f64,
@@ -339,10 +335,6 @@ impl EdgeScanPageRank {
 impl SubgraphProgram for EdgeScanPageRank {
     type Value = PageRankValue;
     type Message = f64;
-
-    fn name(&self) -> String {
-        "PageRank-edge-scan".to_string()
-    }
 
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> PageRankValue {
         PageRankValue {

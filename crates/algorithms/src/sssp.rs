@@ -13,7 +13,8 @@ pub const UNREACHABLE: u64 = u64::MAX;
 /// evaluation applications of the paper.
 ///
 /// The evaluation graphs are unweighted, so every directed edge has length 1
-/// and the result is the directed hop distance from the source. Each
+/// and the result is the directed hop distance from the source — the BFS
+/// depth, which is why the crate has no separate BFS program. Each
 /// superstep folds the distances received from other replicas, relaxes to
 /// the subgraph's local fixpoint and ships improved boundary distances to
 /// the other replicas. The relaxation is the crate's one worklist kernel:
@@ -61,10 +62,6 @@ impl SubgraphProgram for SingleSourceShortestPath {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "SSSP".to_string()
-    }
-
     fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         if vertex == self.source {
             0
@@ -74,17 +71,8 @@ impl SubgraphProgram for SingleSourceShortestPath {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
-        relax_superstep(ctx, superstep)
+        gated_min_superstep(ctx, superstep, |_| false, Activation::Propagating)
     }
-}
-
-/// One superstep of unit-weight distance relaxation, shared with
-/// [`BreadthFirstSearch`](crate::BreadthFirstSearch) (BFS depth *is*
-/// unit-weight distance and `UNVISITED == UNREACHABLE`): the worklist
-/// kernel over hop distances, started from whichever vertex holds a finite
-/// one. Returns the number of improved vertices.
-pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
-    gated_min_superstep(ctx, superstep, |_| false, Activation::Propagating)
 }
 
 /// The full-subgraph sweep the worklist kernel replaced, kept as the oracle
@@ -93,17 +81,13 @@ pub(crate) fn relax_superstep(ctx: &mut SubgraphContext<'_, u64, u64>, superstep
 pub(crate) mod oracle {
     use super::*;
 
-    /// Cold SSSP (and, rooted likewise, BFS) that re-relaxes the whole
-    /// local CSR until a pass changes nothing, every superstep.
+    /// Cold SSSP that re-relaxes the whole local CSR until a pass changes
+    /// nothing, every superstep.
     pub(crate) struct SweepShortestPath(pub(crate) VertexId);
 
     impl SubgraphProgram for SweepShortestPath {
         type Value = u64;
         type Message = u64;
-
-        fn name(&self) -> String {
-            "SSSP-sweep".to_string()
-        }
 
         fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> u64 {
             SingleSourceShortestPath::new(self.0).initial_value(vertex, subgraph)
@@ -217,6 +201,20 @@ mod tests {
     fn source_accessor() {
         let p = SingleSourceShortestPath::new(VertexId::new(7));
         assert_eq!(p.source(), VertexId::new(7));
-        assert_eq!(p.name(), "SSSP");
+    }
+
+    #[test]
+    fn distances_equal_sequential_bfs_depths() {
+        let graph = RmatGenerator::new(8, 6).with_seed(11).generate().unwrap();
+        let expected = sssp_reference(&graph, VertexId::new(0));
+        let got = run_sssp(&graph, &ebv_partition::EbvPartitioner::new(), 4, 0);
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn path_graph_distances_are_positions() {
+        let graph = named::path_graph(6).unwrap();
+        let distances = run_sssp(&graph, &ebv_partition::EbvPartitioner::new(), 2, 0);
+        assert_eq!(distances, vec![0, 1, 2, 3, 4, 5]);
     }
 }

@@ -1,7 +1,7 @@
 //! Machine-readable throughput benchmark for the partitioning paths:
 //! batch, streaming, dynamic maintenance (insert/delete churn), the
 //! incremental-vs-full mutation-epoch comparison, warm-vs-cold BSP
-//! re-execution (CC, SSSP, BFS) and one rebalance epoch, written as
+//! re-execution (CC, SSSP) and one rebalance epoch, written as
 //! `BENCH_dynamic.json` at the workspace root for trend tracking.
 //!
 //! Run with:
@@ -25,8 +25,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ebv_algorithms::{
-    BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
-    IncrementalSssp, SingleSourceShortestPath,
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, SingleSourceShortestPath,
 };
 use ebv_bench::TextTable;
 use ebv_bsp::DurabilityHook;
@@ -867,9 +866,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             state_bytes: 0,
         });
 
-        // Warm vs cold SSSP and BFS across further churned mutation epochs
-        // (the run_applied wiring with the precise invalidation cone); the
-        // distances/depths are carried warm across every epoch like the
+        // Warm vs cold SSSP across further churned mutation epochs (the
+        // run_applied wiring with the precise invalidation cone); the
+        // distances are carried warm across every epoch like the
         // `evolving_graph` example does.
         let source = VertexId::new(0);
         let started = Instant::now();
@@ -877,11 +876,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run(&incremental, &SingleSourceShortestPath::new(source))?
             .values;
         let sssp_cold_seconds = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let mut depths = engine
-            .run(&incremental, &BreadthFirstSearch::new(source))?
-            .values;
-        let bfs_cold_seconds = started.elapsed().as_secs_f64();
 
         let extra = ChurnStream::new(
             RmatEdgeStream::new(scale, 1 << 13).with_seed(45),
@@ -892,10 +886,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cone_total = 0usize;
         let mut seed_total = 0usize;
         let mut sssp_warm_seconds = 0.0f64;
-        let mut bfs_warm_seconds = 0.0f64;
-        // The construction share of the two warm windows (reported, not a
-        // row of its own).
-        let mut construction_seconds = [0.0f64; 2];
+        // The construction share of the warm window (reported, not a row of
+        // its own).
+        let mut construction_seconds = 0.0f64;
         EventPipeline::new(1 << 20).run_applied(
             extra,
             &mut partitioner,
@@ -906,7 +899,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // ratios cover the whole warm path, not just the BSP run.
                 let started = Instant::now();
                 let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                construction_seconds[0] += started.elapsed().as_secs_f64();
+                construction_seconds += started.elapsed().as_secs_f64();
                 let warm = engine.run_opts(dg, &sssp, RunOptions::new().warm_seed(&distances))?;
                 sssp_warm_seconds += started.elapsed().as_secs_f64();
                 let verify = engine.run(dg, &SingleSourceShortestPath::new(source))?;
@@ -915,14 +908,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "warm SSSP must be distance-equal"
                 );
                 distances = warm.values;
-                let started = Instant::now();
-                let bfs = IncrementalBfs::from_distributed(source, dg, &depths, batch);
-                construction_seconds[1] += started.elapsed().as_secs_f64();
-                let warm = engine.run_opts(dg, &bfs, RunOptions::new().warm_seed(&depths))?;
-                bfs_warm_seconds += started.elapsed().as_secs_f64();
-                let verify = engine.run(dg, &BreadthFirstSearch::new(source))?;
-                assert_eq!(warm.values, verify.values, "warm BFS must be bit-identical");
-                depths = warm.values;
                 warm_epochs += 1;
                 cone_total += sssp.cone_vertices();
                 seed_total += sssp.seed_vertices();
@@ -931,15 +916,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         assert!(warm_epochs >= 1, "the extra churn stream produced no epoch");
         println!(
-            "warm SSSP/BFS across {warm_epochs} epoch(s): re-settled {cone_total} cone \
-             vertices from {seed_total} seeds; warm windows {:.2} / {:.2} ms of which \
-             construction {:.2} / {:.2} ms, cold runs {:.2} / {:.2} ms",
+            "warm SSSP across {warm_epochs} epoch(s): re-settled {cone_total} cone \
+             vertices from {seed_total} seeds; warm window {:.2} ms of which \
+             construction {:.2} ms, cold run {:.2} ms",
             sssp_warm_seconds * 1e3,
-            bfs_warm_seconds * 1e3,
-            construction_seconds[0] * 1e3,
-            construction_seconds[1] * 1e3,
+            construction_seconds * 1e3,
             sssp_cold_seconds * 1e3,
-            bfs_cold_seconds * 1e3,
         );
         rows.push(Measurement {
             name: "sssp_cold",
@@ -953,20 +935,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             items: "distances",
             count: incremental.num_vertices(),
             seconds: sssp_warm_seconds,
-            state_bytes: 0,
-        });
-        rows.push(Measurement {
-            name: "bfs_cold",
-            items: "depths",
-            count: incremental.num_vertices(),
-            seconds: bfs_cold_seconds,
-            state_bytes: 0,
-        });
-        rows.push(Measurement {
-            name: "bfs_warm_epoch",
-            items: "depths",
-            count: incremental.num_vertices(),
-            seconds: bfs_warm_seconds,
             state_bytes: 0,
         });
 

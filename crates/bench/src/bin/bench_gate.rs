@@ -295,7 +295,6 @@ mod tests {
             ("cc_warm_epoch", "cc_cold", 1.0, None),
             ("cc_warm_epoch_served", "cc_warm_epoch", 1.05, Some(2)),
             ("sssp_warm_epoch", "sssp_cold", 1.0, None),
-            ("bfs_warm_epoch", "bfs_cold", 1.0, None),
             ("epoch_apply_durable", "epoch_apply_incremental", 1.25, None),
             ("recovery_replay", "recovery_rebuild", 1.0, None),
             (

@@ -18,10 +18,6 @@ impl SubgraphProgram for MinLabel {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "min-label".to_string()
-    }
-
     fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         vertex.raw()
     }
@@ -142,10 +138,6 @@ impl SubgraphProgram for PanicsOnWorkers {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "panics".to_string()
-    }
-
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         0
     }
@@ -226,10 +218,6 @@ impl SubgraphProgram for NeverConverges {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "never".to_string()
-    }
-
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         0
     }
@@ -265,10 +253,6 @@ impl SubgraphProgram for FixedIterations {
     type Value = u64;
     type Message = u64;
 
-    fn name(&self) -> String {
-        "fixed".to_string()
-    }
-
     fn initial_value(&self, _vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         0
     }
@@ -298,10 +282,6 @@ struct SendsOnceNeverReads {
 impl SubgraphProgram for SendsOnceNeverReads {
     type Value = u64;
     type Message = u64;
-
-    fn name(&self) -> String {
-        "sends-once".to_string()
-    }
 
     fn initial_value(&self, vertex: VertexId, _subgraph: &Subgraph) -> u64 {
         vertex.raw()

@@ -45,7 +45,7 @@ use crate::subgraph::Subgraph;
 /// `flags` and `sums` all zero, `queue`, `changed` and `weights` empty — by
 /// clearing only the entries it touched; the capacities are what survives a
 /// superstep. What the entries index is the kernel's business: local
-/// vertices in the SSSP/BFS worklist kernel and in PageRank, local
+/// vertices in the SSSP worklist kernel and in PageRank, local
 /// *components* (see [`Subgraph::local_components`]) in the CC component
 /// superstep.
 #[derive(Debug, Default)]

@@ -158,7 +158,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 ///
 /// In every superstep each worker runs [`SubgraphProgram::run_superstep`]
 /// on its subgraph (the computation stage: a sequential algorithm to the
-/// local fixpoint — for SSSP/BFS a worklist over the vertices the last
+/// local fixpoint — for SSSP a worklist over the vertices the last
 /// exchange or the seed activated, for CC a relabel of the local
 /// components whose label the mail lowered; never a sweep of every edge),
 /// then the engine routes
@@ -173,9 +173,6 @@ pub trait SubgraphProgram: Sync {
     type Value: Clone + Send + Sync + std::fmt::Debug;
     /// Message exchanged between replicas of the same vertex.
     type Message: Clone + Send + Sync + std::fmt::Debug;
-
-    /// A short name used in reports (e.g. `"CC"`, `"PageRank"`).
-    fn name(&self) -> String;
 
     /// The initial value of `vertex` (called once per local replica).
     fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> Self::Value;

@@ -1,8 +1,8 @@
 //! The warm-start harness: shared dirty-set/seed bookkeeping for
 //! incremental (re-activation) programs.
 //!
-//! Every warm-start program built so far — incremental CC, PageRank, SSSP
-//! and BFS in `ebv-algorithms` — shares the same epoch shape:
+//! Every warm-start program built so far — incremental CC, PageRank and
+//! SSSP in `ebv-algorithms` — shares the same epoch shape:
 //!
 //! 1. **dirty-set computation**: fold the [`MutationBatch`]es applied since
 //!    the prior outcome into an algorithm-specific description of which
@@ -25,7 +25,7 @@
 //! deleted edge (a deletion may lengthen any path through it); PageRank
 //! dirties nothing (rank mass re-converges from any starting point). Step 3
 //! lives next to the programs in `ebv-algorithms`: a gated worklist kernel
-//! for SSSP/BFS and a component superstep for CC.
+//! for SSSP and a component superstep for CC.
 
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;

@@ -247,7 +247,7 @@ impl EventPipeline {
     /// typically warm-started via
     /// [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed) with an
     /// `ebv_algorithms::incremental` program fed the same batch (see the
-    /// `evolving_graph` example for the CC/SSSP/BFS epoch loop).
+    /// `evolving_graph` example for the CC/SSSP epoch loop).
     ///
     /// A batch whose events fully cancelled in-batch is a no-op at the
     /// distribution layer (`workers_touched == 0`, the epoch counter does

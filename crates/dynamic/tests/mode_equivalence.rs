@@ -3,8 +3,9 @@
 //! the host's parallelism) and `pooled(n)` swept over pool sizes
 //! `{1, 2, p, p + 3}` — must be **bit-identical** to `Sequential`: same
 //! per-vertex values *and* the same [`ExecutionStats`] (work, updates,
-//! messages sent and received per worker per superstep) — for all four
-//! algorithms, cold and warm, over churned R-MAT distributions.
+//! messages sent and received per worker per superstep) — for CC, SSSP
+//! and PageRank, cold and warm (SSSP through both warm constructors), over
+//! churned R-MAT distributions.
 //!
 //! The parallel path is a two-phase partitioned exchange over the
 //! precomputed routing table, placed onto pool lanes by the work-aware LPT
@@ -20,8 +21,8 @@
 use proptest::prelude::*;
 
 use ebv_algorithms::{
-    BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
-    IncrementalPageRank, IncrementalSssp, SingleSourceShortestPath,
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank, IncrementalSssp,
+    SingleSourceShortestPath,
 };
 use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
 use ebv_dynamic::{ChurnStream, EventPipeline};
@@ -40,11 +41,13 @@ fn parallel_engines(p: usize) -> Vec<BspEngine> {
     engines
 }
 
-/// Runs `program` cold under every mode and asserts bit-equality of values
-/// and of the whole counter structure against the sequential reference.
+/// Runs `program` (named `what` in failures) cold under every mode and
+/// asserts bit-equality of values and of the whole counter structure
+/// against the sequential reference.
 fn assert_modes_agree<P>(
     engines: &[BspEngine],
     distributed: &DistributedGraph,
+    what: &str,
     program: &P,
 ) -> BspOutcome<P::Value>
 where
@@ -56,15 +59,13 @@ where
         let other = engine.run(distributed, program).unwrap();
         assert!(
             seq.values == other.values,
-            "{}: values diverged under {:?}",
-            program.name(),
+            "{what}: values diverged under {:?}",
             engine.mode()
         );
         assert_eq!(
             seq.stats,
             other.stats,
-            "{}: stats diverged under {:?}",
-            program.name(),
+            "{what}: stats diverged under {:?}",
             engine.mode()
         );
         assert_eq!(seq.supersteps, other.supersteps);
@@ -76,6 +77,7 @@ where
 fn assert_modes_agree_warm<P>(
     engines: &[BspEngine],
     distributed: &DistributedGraph,
+    what: &str,
     program: &P,
     prior: &[P::Value],
 ) -> BspOutcome<P::Value>
@@ -92,15 +94,13 @@ where
             .unwrap();
         assert!(
             seq.values == other.values,
-            "{}: warm values diverged under {:?}",
-            program.name(),
+            "{what}: warm values diverged under {:?}",
             engine.mode()
         );
         assert_eq!(
             seq.stats,
             other.stats,
-            "{}: warm stats diverged under {:?}",
-            program.name(),
+            "{what}: warm stats diverged under {:?}",
             engine.mode()
         );
         assert_eq!(seq.supersteps, other.supersteps);
@@ -111,7 +111,7 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Cold and warm runs of CC, SSSP, BFS and PageRank produce
+    /// Cold and warm runs of CC, SSSP and PageRank produce
     /// bit-identical values and per-worker message counters under every
     /// execution mode — `threaded()` and pools of sizes {1, 2, p, p + 3},
     /// each reused for the whole case — across churned mutation epochs (the
@@ -136,12 +136,9 @@ proptest! {
 
         // Prior outcomes carried warm across the churned epochs.
         let mut labels =
-            assert_modes_agree(&engines, &distributed, &ConnectedComponents::new()).values;
-        let mut distances =
-            assert_modes_agree(&engines, &distributed, &SingleSourceShortestPath::new(source))
-                .values;
-        let mut depths =
-            assert_modes_agree(&engines, &distributed, &BreadthFirstSearch::new(source)).values;
+            assert_modes_agree(&engines, &distributed, "CC", &ConnectedComponents::new()).values;
+        let sssp = SingleSourceShortestPath::new(source);
+        let mut distances = assert_modes_agree(&engines, &distributed, "SSSP", &sssp).values;
 
         let churned = ChurnStream::new(stream, churn as f64 / 10.0)
             .unwrap()
@@ -155,14 +152,18 @@ proptest! {
                 |dg, batch, _, _| {
                     // Cold equivalence on the mutated distribution (the
                     // routing table was updated incrementally).
-                    assert_modes_agree(&engines, dg, &ConnectedComponents::new());
-                    // Warm equivalence for every warm-capable program.
+                    assert_modes_agree(&engines, dg, "CC", &ConnectedComponents::new());
+                    // Warm equivalence for every warm-capable program, SSSP
+                    // through both constructors: the precise cone and the
+                    // graph-free horizon.
                     let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
-                    labels = assert_modes_agree_warm(&engines, dg, &cc, &labels).values;
-                    let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                    distances = assert_modes_agree_warm(&engines, dg, &sssp, &distances).values;
-                    let bfs = IncrementalBfs::from_batch(source, &depths, batch);
-                    depths = assert_modes_agree_warm(&engines, dg, &bfs, &depths).values;
+                    labels = assert_modes_agree_warm(&engines, dg, "CC", &cc, &labels).values;
+                    let cone = IncrementalSssp::from_distributed(source, dg, &distances, batch);
+                    let horizon = IncrementalSssp::from_batch(source, &distances, batch);
+                    assert_modes_agree_warm(&engines, dg, "SSSP horizon", &horizon, &distances);
+                    distances =
+                        assert_modes_agree_warm(&engines, dg, "SSSP cone", &cone, &distances)
+                            .values;
                     epochs += 1;
                     Ok(())
                 },
@@ -173,7 +174,7 @@ proptest! {
         // PageRank exercises Master/Mirrors targets and f64 message
         // folding, where even a reordered merge would change the bits.
         let pr = IncrementalPageRank::from_distributed(&distributed, 8);
-        let cold = assert_modes_agree(&engines, &distributed, &pr);
-        assert_modes_agree_warm(&engines, &distributed, &pr, &cold.values);
+        let cold = assert_modes_agree(&engines, &distributed, "PageRank", &pr);
+        assert_modes_agree_warm(&engines, &distributed, "PageRank", &pr, &cold.values);
     }
 }

@@ -27,10 +27,12 @@ use ebv_obs::{NoopRecorder, ObsServer, ObsServerConfig, Recorder, Telemetry};
 use ebv_partition::EbvPartitioner;
 use ebv_stream::{EdgeSource, RmatEdgeStream};
 
-/// Runs `program` cold with and without the live recorder, in both
-/// execution modes, and asserts bit-equality of values and counters.
+/// Runs `program` (named `what` in failures) cold with and without the
+/// live recorder, in every execution mode, and asserts bit-equality of
+/// values and counters.
 fn assert_tracing_invisible<P>(
     distributed: &DistributedGraph,
+    what: &str,
     program: &P,
     telemetry: &Telemetry,
 ) -> BspOutcome<P::Value>
@@ -50,14 +52,11 @@ where
             .unwrap();
         assert!(
             plain.values == traced.values,
-            "{}: tracing changed the values",
-            program.name()
+            "{what}: tracing changed the values"
         );
         assert_eq!(
-            plain.stats,
-            traced.stats,
-            "{}: tracing changed the counters",
-            program.name()
+            plain.stats, traced.stats,
+            "{what}: tracing changed the counters"
         );
         assert_eq!(plain.supersteps, traced.supersteps);
         witness.get_or_insert(plain);
@@ -68,6 +67,7 @@ where
 /// Same for a warm start from `prior`.
 fn assert_tracing_invisible_warm<P>(
     distributed: &DistributedGraph,
+    what: &str,
     program: &P,
     prior: &[P::Value],
     telemetry: &Telemetry,
@@ -94,14 +94,11 @@ where
             .unwrap();
         assert!(
             plain.values == traced.values,
-            "{}: tracing changed the warm values",
-            program.name()
+            "{what}: tracing changed the warm values"
         );
         assert_eq!(
-            plain.stats,
-            traced.stats,
-            "{}: tracing changed the warm counters",
-            program.name()
+            plain.stats, traced.stats,
+            "{what}: tracing changed the warm counters"
         );
         assert_eq!(plain.supersteps, traced.supersteps);
         witness.get_or_insert(plain);
@@ -137,10 +134,11 @@ proptest! {
 
         // Prior outcomes carried warm across the churned epochs.
         let mut labels =
-            assert_tracing_invisible(&distributed, &ConnectedComponents::new(), &telemetry)
+            assert_tracing_invisible(&distributed, "CC", &ConnectedComponents::new(), &telemetry)
                 .values;
         let mut distances = assert_tracing_invisible(
             &distributed,
+            "SSSP",
             &SingleSourceShortestPath::new(source),
             &telemetry,
         )
@@ -158,15 +156,15 @@ proptest! {
                 |dg, batch, _, _| {
                     // Cold equivalence on the mutated distribution (the
                     // instrumented apply patched the routing table).
-                    assert_tracing_invisible(dg, &ConnectedComponents::new(), &telemetry);
+                    assert_tracing_invisible(dg, "CC", &ConnectedComponents::new(), &telemetry);
                     // Warm equivalence for both warm-capable programs under
                     // test, carrying the traced distribution forward.
                     let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
                     labels =
-                        assert_tracing_invisible_warm(dg, &cc, &labels, &telemetry).values;
+                        assert_tracing_invisible_warm(dg, "CC", &cc, &labels, &telemetry).values;
                     let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
                     distances =
-                        assert_tracing_invisible_warm(dg, &sssp, &distances, &telemetry)
+                        assert_tracing_invisible_warm(dg, "SSSP", &sssp, &distances, &telemetry)
                             .values;
                     epochs += 1;
                     Ok(())

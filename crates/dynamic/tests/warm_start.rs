@@ -10,8 +10,8 @@
 //!    cold run of the same kernel and iteration count within tolerance
 //!    (both sit within the power-iteration contraction bound of the same
 //!    fixpoint);
-//! 3. warm-started SSSP ([`IncrementalSssp`]) is **distance-equal** and
-//!    warm-started BFS ([`IncrementalBfs`]) **bit-identical** to cold runs
+//! 3. warm-started SSSP ([`IncrementalSssp`]), through both its precise
+//!    cone and its graph-free horizon, is **bit-identical** to cold runs
 //!    after every churned epoch, including deletion-heavy batches that
 //!    disconnect previously-settled vertices (their distances must re-settle
 //!    to unreachable, never keep a stale finite value);
@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 
 use ebv_algorithms::{
-    ranks, BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
-    IncrementalPageRank, IncrementalSssp, SingleSourceShortestPath, UNREACHABLE,
+    ranks, ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank,
+    IncrementalSssp, SingleSourceShortestPath, UNREACHABLE,
 };
 use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline, InsertEvents};
@@ -153,8 +153,8 @@ proptest! {
         prop_assert!(warm.stats.total_messages() <= cold.stats.total_messages());
     }
 
-    /// Warm SSSP distances and warm BFS depths equal cold runs bit-for-bit
-    /// after every churned epoch, driven through the incremental
+    /// Warm SSSP distances equal cold runs bit-for-bit after every churned
+    /// epoch, from both constructors, driven through the incremental
     /// `EventPipeline::run_applied` loop.
     #[test]
     fn warm_sssp_and_bfs_equal_cold_across_churned_epochs(
@@ -177,10 +177,6 @@ proptest! {
             .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap()
             .values;
-        let mut depths = engine
-            .run(&distributed, &BreadthFirstSearch::new(source))
-            .unwrap()
-            .values;
 
         let churned = ChurnStream::new(stream, churn as f64 / 10.0)
             .unwrap()
@@ -189,37 +185,31 @@ proptest! {
         EventPipeline::new(batch_size)
             .run_applied(churned, &mut partitioner, &mut distributed, |dg, batch, _, stats| {
                 assert!(stats.workers_touched <= p);
-                // Exercise both constructors: the precise cone for SSSP
+                // Exercise both constructors: the precise cone
                 // (`run_applied` hands the post-mutation distribution the
-                // constructor expects), the graph-free horizon for BFS.
-                let sssp = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                let bfs = IncrementalBfs::from_batch(source, &depths, batch);
-                let warm_sssp = engine
-                    .run_opts(dg, &sssp, RunOptions::new().warm_seed(&distances))
-                    .unwrap();
-                let cold_sssp = engine
+                // constructor expects) and the graph-free horizon.
+                let cone = IncrementalSssp::from_distributed(source, dg, &distances, batch);
+                let horizon = IncrementalSssp::from_batch(source, &distances, batch);
+                let cold = engine
                     .run(dg, &SingleSourceShortestPath::new(source))
                     .unwrap();
-                assert_eq!(
-                    warm_sssp.values, cold_sssp.values,
-                    "warm SSSP diverged at epoch {}",
-                    dg.epoch()
-                );
-                let warm_bfs = engine
-                    .run_opts(dg, &bfs, RunOptions::new().warm_seed(&depths))
-                    .unwrap();
-                let cold_bfs = engine
-                    .run(dg, &BreadthFirstSearch::new(source))
+                let warm_horizon = engine
+                    .run_opts(dg, &horizon, RunOptions::new().warm_seed(&distances))
                     .unwrap();
                 assert_eq!(
-                    warm_bfs.values, cold_bfs.values,
-                    "warm BFS diverged at epoch {}",
+                    warm_horizon.values, cold.values,
+                    "warm SSSP (horizon) diverged at epoch {}",
                     dg.epoch()
                 );
-                // Unit-weight SSSP and BFS are the same function.
-                assert_eq!(warm_sssp.values, warm_bfs.values);
-                distances = warm_sssp.values;
-                depths = warm_bfs.values;
+                let warm_cone = engine
+                    .run_opts(dg, &cone, RunOptions::new().warm_seed(&distances))
+                    .unwrap();
+                assert_eq!(
+                    warm_cone.values, cold.values,
+                    "warm SSSP (cone) diverged at epoch {}",
+                    dg.epoch()
+                );
+                distances = warm_cone.values;
                 epochs += 1;
                 Ok(())
             })
@@ -230,7 +220,7 @@ proptest! {
 
     /// Deletion-heavy batches that disconnect previously-settled vertices:
     /// after deleting every `step`-th surviving edge (step 1 = all of them)
-    /// warm SSSP/BFS still equal cold runs, and every settled vertex severed
+    /// warm SSSP still equals a cold run, and every settled vertex severed
     /// from the source re-settles to unreachable instead of keeping its
     /// stale finite distance.
     #[test]
@@ -261,11 +251,6 @@ proptest! {
             .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap()
             .values;
-        let prior_bfs = engine
-            .run(&distributed, &BreadthFirstSearch::new(source))
-            .unwrap()
-            .values;
-        prop_assert_eq!(&prior_sssp, &prior_bfs);
 
         // One deletion-heavy batch over the survivors.
         let victims: Vec<_> = partitioner.surviving().collect();
@@ -274,7 +259,6 @@ proptest! {
             batch.record_delete(edge, partitioner.delete(edge).unwrap());
         }
         let sssp = IncrementalSssp::from_batch(source, &prior_sssp, &batch);
-        let bfs = IncrementalBfs::from_batch(source, &prior_bfs, &batch);
         distributed.apply_mutations(&batch).unwrap();
 
         let warm = engine
@@ -284,13 +268,6 @@ proptest! {
             .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap();
         prop_assert_eq!(&warm.values, &cold.values, "deletion-heavy warm SSSP diverged");
-        let warm_bfs = engine
-            .run_opts(&distributed, &bfs, RunOptions::new().warm_seed(&prior_bfs))
-            .unwrap();
-        let cold_bfs = engine
-            .run(&distributed, &BreadthFirstSearch::new(source))
-            .unwrap();
-        prop_assert_eq!(&warm_bfs.values, &cold_bfs.values, "deletion-heavy warm BFS diverged");
 
         if step == 1 {
             // Every edge is gone: all previously-settled vertices except the

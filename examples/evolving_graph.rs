@@ -15,9 +15,9 @@
 //!   `DistributedGraph` equals a fresh batch build of the survivors;
 //! * warm-started Connected Components carried across every epoch are
 //!   *bit-identical* to a cold run, at a fraction of the cost;
-//! * warm-started SSSP distances and BFS depths carried across the same
-//!   epochs (delta-stepping-style re-activation of the precise deletion
-//!   cones) are *bit-identical* to cold runs from the same source;
+//! * warm-started SSSP distances carried across the same epochs
+//!   (delta-stepping-style re-activation of the precise deletion cones)
+//!   are *bit-identical* to cold runs from the same source;
 //! * warm-started PageRank seeded from pre-mutation ranks matches a cold
 //!   run of the same kernel within tolerance, with fewer replica messages;
 //! * a sliding window bounds the live edge set regardless of stream
@@ -49,8 +49,8 @@
 //! `/trace.json`, `/epochs.json`) *and* the epoch-versioned query plane
 //! (`GET /query`, `/query/<series>/<vertex>`, `/topk`,
 //! `/neighbors/<vertex>`) on one listener: each applied epoch's CC
-//! labels, SSSP distances and BFS depths are published to the snapshot
-//! store and flipped atomically at the epoch boundary, so reads are never
+//! labels and SSSP distances are published to the snapshot store and
+//! flipped atomically at the epoch boundary, so reads are never
 //! torn and the churn loop waits on a reader for one pointer clone at
 //! most. Tracing and serving never perturb the values — every exactness
 //! check holds with or without them.
@@ -59,8 +59,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ebv::algorithms::{
-    ranks, BreadthFirstSearch, ConnectedComponents, IncrementalBfs, IncrementalConnectedComponents,
-    IncrementalPageRank, IncrementalSssp, SingleSourceShortestPath,
+    ranks, ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank,
+    IncrementalSssp, SingleSourceShortestPath,
 };
 use ebv::bsp::{
     BspEngine, BspOutcome, DistributedGraph, EnvConfig, EpochCommitter, MutationBatch,
@@ -86,7 +86,7 @@ const CHURN: f64 = 0.25;
 const BATCH: usize = 50_000;
 const WINDOW: usize = 100_000;
 const SEED: u64 = 20_210_707;
-/// Root of the warm-carried SSSP/BFS outcomes (the R-MAT hub vertex).
+/// Root of the warm-carried SSSP outcome (the R-MAT hub vertex).
 const SOURCE: u64 = 0;
 /// Cold PageRank iteration budget…
 const PR_ITERATIONS: usize = 60;
@@ -147,7 +147,7 @@ fn assert_metrics_recompute_exactly(
 }
 
 /// A checkpointed warm value series, by name. Checkpoints taken by the
-/// durable loop below always carry all three, so a miss is a hard error.
+/// durable loop below always carry both, so a miss is a hard error.
 fn checkpoint_series(checkpoint: &Checkpoint, name: &str) -> Vec<u64> {
     match checkpoint.series.iter().find(|(n, _)| n == name) {
         Some((_, SeriesValues::U64(values))) => values.clone(),
@@ -187,7 +187,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry: &Telemetry = &telemetry_arc;
 
     // The epoch-versioned query plane: every applied epoch below publishes
-    // its CC labels, SSSP distances and BFS depths into this store, and
+    // its CC labels and SSSP distances into this store, and
     // the pipeline's epoch commit flips them into readers' view atomically.
     // Read metrics (`ebv_query_*`) land in the same global registry as
     // everything else.
@@ -213,8 +213,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // ── Phase 1: churned ingestion through `run_applied` — one
-    //    *incremental* apply_mutations epoch per batch; CC labels, SSSP
-    //    distances and BFS depths all *warm-started* across every epoch ───
+    //    *incremental* apply_mutations epoch per batch; CC labels and SSSP
+    //    distances both *warm-started* across every epoch ──────────────────
     // `EBV_STATE_DIR` turns on the durable state plane: every applied
     // batch is write-ahead logged before it mutates the distribution, the
     // whole world (graph, partitioner inputs, warm value series) is
@@ -262,11 +262,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Warm seeds: the checkpointed value series on resume, otherwise the
     // values of the empty distribution — every vertex its own component,
     // everything but the source unreachable.
-    let (mut labels, mut distances, mut depths) = match checkpoint {
+    let (mut labels, mut distances) = match checkpoint {
         Some(checkpoint) => (
             checkpoint_series(checkpoint, "cc"),
             checkpoint_series(checkpoint, "sssp"),
-            checkpoint_series(checkpoint, "bfs"),
         ),
         None => (
             cc(&engine, &distributed, telemetry).values,
@@ -274,13 +273,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .run_opts(
                     &distributed,
                     &SingleSourceShortestPath::new(source),
-                    RunOptions::new().recorder(telemetry),
-                )?
-                .values,
-            engine
-                .run_opts(
-                    &distributed,
-                    &BreadthFirstSearch::new(source),
                     RunOptions::new().recorder(telemetry),
                 )?
                 .values,
@@ -300,7 +292,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut warm_cc_time = Duration::ZERO;
     let mut warm_sssp_time = Duration::ZERO;
-    let mut warm_bfs_time = Duration::ZERO;
 
     println!(
         "epoch  live-edges  ins     del     rf      e-imb   touched  rebuilt  apply-ms  sssp-cone"
@@ -313,7 +304,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Incremental assembly already happened: `dg` is the
         // post-mutation distribution, only touched workers rebuilt.
         // Warm-started re-execution re-activates only the disturbed
-        // region for all three carried outcomes; each timed window
+        // region for both carried outcomes; each timed window
         // covers program construction (dirty sets, deletion cones)
         // plus the warm BSP run. The constructions — the invalidation
         // work proper — are additionally recorded as
@@ -361,32 +352,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )?
             .values;
         warm_sssp_time += warm_started.elapsed();
-        let warm_started = Instant::now();
-        let span = telemetry.start();
-        let bfs_program = IncrementalBfs::from_distributed(source, dg, &depths, batch);
-        telemetry.span(span, warm_ctx, Phase::WarmInvalidation);
-        depths = engine
-            .run_opts(
-                dg,
-                &bfs_program,
-                RunOptions::new()
-                    .recorder(telemetry)
-                    .warm_seed(&depths)
-                    .publish_to(
-                        &store
-                            .series_sink::<u64>("bfs")
-                            .with_absent(ebv::algorithms::UNREACHABLE),
-                    ),
-            )?
-            .values;
-        warm_bfs_time += warm_started.elapsed();
         // Durable runs stage the post-epoch warm series so the next
         // cadenced checkpoint snapshots them alongside the graph and
         // a restart can re-seed the warm programs exactly.
         if let Some((state, _)) = durable.as_ref() {
             state.stage_series("cc", SeriesValues::U64(labels.clone()));
             state.stage_series("sssp", SeriesValues::U64(distances.clone()));
-            state.stage_series("bfs", SeriesValues::U64(depths.clone()));
         }
         println!(
             "{:>5}  {:>10}  {:>6}  {:>6}  {:.4}  {:.4}  {:>4}/{WORKERS}  {:>7}  {:>8.2}  {:>9}",
@@ -450,13 +421,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // crash-recovery smoke SIGKILLs a durable run mid-churn, restarts it,
     // and asserts this line matches a never-killed reference run.
     println!(
-        "durable summary: epoch={} edges={} events={} cc={:016x} sssp={:016x} bfs={:016x}",
+        "durable summary: epoch={} edges={} events={} cc={:016x} sssp={:016x}",
         distributed.epoch(),
         distributed.num_edges(),
         events_already_seen + (report.total_inserts() + report.total_deletes()) as u64,
         fingerprint(&labels),
         fingerprint(&distances),
-        fingerprint(&depths),
     );
 
     // The query plane serves the final epoch: the committed snapshot is
@@ -511,8 +481,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warm_cc_time / epochs,
     );
 
-    // Exactness check 3: the warm-carried SSSP distances and BFS depths are
-    // bit-identical to cold runs on the final distribution.
+    // Exactness check 3: the warm-carried SSSP distances are bit-identical
+    // to a cold run on the final distribution.
     let cold_started = Instant::now();
     let sssp_cold = engine.run_opts(
         &distributed,
@@ -524,29 +494,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         distances, sssp_cold.values,
         "warm SSSP must be distance-equal"
     );
-    let cold_started = Instant::now();
-    let bfs_cold = engine.run_opts(
-        &distributed,
-        &BreadthFirstSearch::new(source),
-        RunOptions::new().recorder(telemetry),
-    )?;
-    let bfs_cold_time = cold_started.elapsed();
-    assert_eq!(depths, bfs_cold.values, "warm BFS must be bit-identical");
-    assert_eq!(distances, depths, "unit-weight SSSP and BFS agree");
     let reachable = distances
         .iter()
         .filter(|&&d| d != ebv::algorithms::UNREACHABLE)
         .count();
     println!(
         "warm SSSP across {} epochs == cold SSSP ({reachable} reachable vertices): \
-         {:.2?}/epoch vs cold {sssp_cold_time:.2?}",
+         {:.2?}/epoch vs cold {sssp_cold_time:.2?}\n",
         distributed.epoch(),
         warm_sssp_time / epochs,
-    );
-    println!(
-        "warm BFS across {} epochs == cold BFS: {:.2?}/epoch vs cold {bfs_cold_time:.2?}\n",
-        distributed.epoch(),
-        warm_bfs_time / epochs,
     );
 
     // ── Localized epoch: mutations confined to one worker ────────────────

@@ -14,8 +14,8 @@
 //! * [`bsp`] — the subgraph-centric BSP engine and cost model (`ebv-bsp`)
 //! * [`obs`] — the std-only telemetry plane: metrics registry, phase
 //!   tracer and Chrome-trace export (`ebv-obs`)
-//! * [`algorithms`] — CC, SSSP, PageRank, BFS and their sequential
-//!   references (`ebv-algorithms`)
+//! * [`algorithms`] — CC, SSSP, PageRank, their warm-start variants and
+//!   sequential references (`ebv-algorithms`)
 //! * [`serve`] — the epoch-versioned query plane: snapshot-isolated
 //!   store, in-process [`QueryHandle`](ebv_serve::QueryHandle) and the
 //!   `GET /query/*` routes (`ebv-serve`)
