@@ -946,6 +946,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // `query_read_p50`/`query_read_p99` latencies from the store's
         // isolated `ebv_query_read_seconds` histogram — the trend series
         // for the tentpole claim that reads never wait on an epoch under churn.
+        // The histogram is a 1-in-64 systematic sample of the reads (the
+        // store's clock reads would otherwise cost more than a lookup), so
+        // its count is about `query_reads / 64`.
         let query_registry = MetricsRegistry::new();
         let query_store = SnapshotStore::with_registry(&query_registry);
         let mut labels = engine

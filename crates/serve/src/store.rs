@@ -16,6 +16,7 @@
 //! The published pointer is a plain `RwLock<Arc<GraphSnapshot>>`; the
 //! reader/writer contract is stated on [`SnapshotStore`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -64,14 +65,14 @@ pub enum SeriesData {
 }
 
 impl SeriesData {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             SeriesData::U64 { values, .. } => values.len(),
             SeriesData::F64(values) => values.len(),
         }
     }
 
-    fn get(&self, vertex: usize) -> QueryValue {
+    pub(crate) fn get(&self, vertex: usize) -> QueryValue {
         match self {
             SeriesData::U64 { values, absent } => {
                 let v = values[vertex];
@@ -298,7 +299,10 @@ impl GraphSnapshot {
 
     /// The `k` best vertices of series `name` as `(vertex, value)` pairs:
     /// largest first when `descending`, smallest first otherwise; ties go
-    /// to the lower vertex id; absent (`Null`) vertices are skipped.
+    /// to the lower vertex id; absent (`Null`) vertices are skipped. One
+    /// pass over the series whose working memory is sized from
+    /// `min(k, num_vertices)`, so any `k` — `usize::MAX` included — is
+    /// served.
     ///
     /// # Errors
     ///
@@ -310,43 +314,7 @@ impl GraphSnapshot {
         descending: bool,
     ) -> Result<Vec<(u64, QueryValue)>, QueryError> {
         let series = self.series(name).ok_or(QueryError::UnknownSeries)?;
-        // Rank on an f64 key (exact for every id/distance/depth in range;
-        // the returned values stay exact).
-        let mut ranked: Vec<(f64, u64)> = match &series.data {
-            SeriesData::U64 { values, absent } => values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| Some(**v) != *absent)
-                .map(|(i, &v)| (v as f64, i as u64))
-                .collect(),
-            SeriesData::F64(values) => values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, i as u64))
-                .collect(),
-        };
-        let better = |a: &(f64, u64), b: &(f64, u64)| {
-            let by_value = if descending {
-                b.0.total_cmp(&a.0)
-            } else {
-                a.0.total_cmp(&b.0)
-            };
-            by_value.then_with(|| a.1.cmp(&b.1))
-        };
-        if ranked.len() > k && k > 0 {
-            ranked.select_nth_unstable_by(k - 1, better);
-            ranked.truncate(k);
-        } else {
-            ranked.truncate(k);
-        }
-        ranked.sort_unstable_by(better);
-        Ok(ranked
-            .into_iter()
-            .map(|(_, vertex)| {
-                let value = series.data.get(vertex as usize);
-                (vertex, value)
-            })
-            .collect())
+        Ok(crate::topk::topk(&series.data, k, descending))
     }
 
     /// The sorted out-neighbors of `vertex`.
@@ -373,12 +341,19 @@ struct StoreShared {
     /// [`SnapshotStore::commit`]).
     published: RwLock<Arc<GraphSnapshot>>,
     reads: Arc<Counter>,
+    /// Read attempts so far; the one whose tick is a multiple of
+    /// [`READ_SAMPLE_EVERY`] is timed.
+    read_ticks: AtomicU64,
     read_seconds: Arc<Histogram>,
     epoch_gauge: Arc<Gauge>,
     commits: Arc<Counter>,
     adjacency_patches: Arc<Counter>,
     adjacency_rebuilds: Arc<Counter>,
 }
+
+/// One read in this many is timed into `ebv_query_read_seconds` (see
+/// [`QueryHandle`] for why).
+const READ_SAMPLE_EVERY: u64 = 64;
 
 impl StoreShared {
     /// The currently published snapshot: an `Arc::clone` under the read
@@ -487,16 +462,18 @@ impl SnapshotStore {
         SnapshotStore::with_registry(MetricsRegistry::global())
     }
 
-    /// A store reporting `ebv_query_reads_total`, `ebv_query_read_seconds`,
-    /// `ebv_query_epoch`, `ebv_query_commits_total` and — how each served
-    /// adjacency was derived, see [`serve_adjacency`](Self::serve_adjacency)
-    /// — `ebv_query_adjacency_patches_total` and
+    /// A store reporting `ebv_query_reads_total`, `ebv_query_read_seconds`
+    /// (one read in 64, see [`QueryHandle`]), `ebv_query_epoch`,
+    /// `ebv_query_commits_total` and — how each served adjacency was
+    /// derived, see [`serve_adjacency`](Self::serve_adjacency) —
+    /// `ebv_query_adjacency_patches_total` and
     /// `ebv_query_adjacency_rebuilds_total` to `registry`.
     pub fn with_registry(registry: &MetricsRegistry) -> SnapshotStore {
         SnapshotStore {
             shared: Arc::new(StoreShared {
                 published: RwLock::new(Arc::new(GraphSnapshot::default())),
                 reads: registry.counter("ebv_query_reads_total"),
+                read_ticks: AtomicU64::new(0),
                 read_seconds: registry.histogram("ebv_query_read_seconds"),
                 epoch_gauge: registry.gauge("ebv_query_epoch"),
                 commits: registry.counter("ebv_query_commits_total"),
@@ -655,8 +632,14 @@ impl EpochCommitter for SnapshotStore {
 
 /// The read half of the query plane: cheap to clone, usable from any
 /// thread (scrapers, HTTP handlers, benchmark hammers). Every read is
-/// counted and timed into the store's registry
-/// (`ebv_query_reads_total`, `ebv_query_read_seconds`).
+/// counted into the store's registry (`ebv_query_reads_total`, exact), and
+/// a fixed systematic sample of one read in 64 — the first, the 65th, … of
+/// the store's read attempts, whichever handle made them — is timed into
+/// `ebv_query_read_seconds`. A clock read costs about twice the lookup
+/// itself, so timing every read would make the latency it reports mostly
+/// the cost of measuring it; the sample keeps p50/p99 for one relaxed
+/// atomic increment per read. A sampled read's clock starts before the
+/// snapshot is pinned, so lock waits stay in the sample.
 #[derive(Clone)]
 pub struct QueryHandle {
     shared: Arc<StoreShared>,
@@ -710,20 +693,24 @@ impl QueryHandle {
         self.timed(|snapshot| snapshot.neighbors(vertex).map(|n| n.to_vec()))
     }
 
-    /// Runs `read` against one pinned snapshot, counting and timing it as
-    /// a single read — the HTTP handlers use this so a whole response
-    /// (epoch tag + values) comes from one epoch.
+    /// Runs `read` against one pinned snapshot, counting it — and, if it
+    /// falls on the 1-in-64 sample, timing it — as a single read. The HTTP
+    /// handlers use this too, so a whole response (epoch tag + values)
+    /// comes from one epoch and every read path follows one metering rule.
     pub(crate) fn timed<T>(
         &self,
         read: impl FnOnce(&GraphSnapshot) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
-        let started = Instant::now();
+        let tick = self.shared.read_ticks.fetch_add(1, Ordering::Relaxed);
+        let started = tick.is_multiple_of(READ_SAMPLE_EVERY).then(Instant::now);
         let snapshot = self.snapshot()?;
         let result = read(&snapshot);
         self.shared.reads.add(1);
-        self.shared
-            .read_seconds
-            .observe(started.elapsed().as_secs_f64());
+        if let Some(started) = started {
+            self.shared
+                .read_seconds
+                .observe(started.elapsed().as_secs_f64());
+        }
         result
     }
 }
@@ -742,7 +729,7 @@ mod tests {
     use ebv_bsp::MutationBatch;
     use ebv_graph::Edge;
     use ebv_partition::PartitionId;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
     use std::thread;
 
@@ -834,9 +821,16 @@ mod tests {
         assert_eq!(handle.lookup("cc", 0), Ok(QueryValue::U64(7)));
         assert_eq!(handle.lookup("rank", 1), Ok(QueryValue::F64(0.5)));
 
-        let reads = registry.counter("ebv_query_reads_total").get();
-        assert!(reads >= 2);
-        assert!(registry.histogram("ebv_query_read_seconds").count() >= 2);
+        // Every read is counted; one in 64 is timed, the first included.
+        let reads = || registry.counter("ebv_query_reads_total").get();
+        let timed = || registry.histogram("ebv_query_read_seconds").count();
+        assert_eq!(reads(), 2, "snapshot() is not a read; the two lookups are");
+        assert_eq!(timed(), 1, "the first read is timed");
+        for r in 3..=300u64 {
+            assert!(handle.lookup("cc", r % 2).is_ok());
+            assert_eq!(reads(), r);
+            assert_eq!(timed(), r.div_ceil(64), "after {r} reads");
+        }
         assert_eq!(registry.gauge("ebv_query_epoch").get(), 2.0);
         assert_eq!(registry.counter("ebv_query_commits_total").get(), 2);
     }

@@ -138,6 +138,38 @@ fn query_routes_serve_the_committed_epoch_over_http() {
 }
 
 #[test]
+fn topk_with_the_largest_k_serves_every_vertex_over_http() {
+    let (server, store, distributed) = serve_committed_store();
+    let addr = server.local_addr();
+
+    // A `k` nothing could be sized from: the answer is the whole series,
+    // ranked, exactly as the in-process read gives it.
+    let k = usize::MAX;
+    let response = get(addr, &format!("/topk?series=cc&k={k}"));
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    let top = store.handle().topk("cc", k, true).expect("topk");
+    assert_eq!(
+        top.len(),
+        distributed.num_vertices(),
+        "cc has no absent vertex"
+    );
+    let results = top
+        .iter()
+        .map(|(vertex, value)| format!("{{\"vertex\": {vertex}, \"value\": {}}}", value.to_json()))
+        .collect::<Vec<_>>()
+        .join(", ");
+    assert_eq!(
+        body_of(&response),
+        format!(
+            "{{\"epoch\": 1, \"series\": \"cc\", \"k\": {k}, \"order\": \"desc\", \
+             \"results\": [{results}]}}\n"
+        )
+    );
+
+    server.shutdown();
+}
+
+#[test]
 fn unknown_vertices_and_series_are_404_over_http() {
     let (server, _store, distributed) = serve_committed_store();
     let addr = server.local_addr();
