@@ -31,6 +31,13 @@ impl Counter {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Adds `delta` to the counter and returns the value before the add —
+    /// one atomic read-modify-write that both counts and numbers an event.
+    #[inline]
+    pub fn fetch_add(&self, delta: u64) -> u64 {
+        self.0.fetch_add(delta, Ordering::Relaxed)
+    }
+
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

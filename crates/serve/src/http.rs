@@ -17,7 +17,8 @@
 
 use ebv_obs::{Request, Response, Router};
 
-use crate::store::{QueryError, QueryHandle};
+use crate::handle::QueryHandle;
+use crate::store::QueryError;
 
 /// Registers the query plane's routes on `router`, answering from
 /// `handle`'s store.

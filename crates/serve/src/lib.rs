@@ -14,10 +14,15 @@
 //!   snapshot sits behind a std `RwLock<Arc<_>>` held for one pointer
 //!   operation per read or commit (PR 14 measured the hand-rolled
 //!   lock-free cell it replaced against it: no difference outside noise on
-//!   any `ebvbench` workload or under contended readers). Handles are
-//!   cheap `Clone` and serve point lookups, top-k (one bounded pass over
-//!   the series, whatever `k`) and neighborhood reads from any thread,
-//!   counting every read in `ebv_query_reads_total` and timing a 1-in-64
+//!   any `ebvbench` workload or under contended readers), beside a
+//!   generation counter each commit bumps. A handle keeps its own pinned
+//!   snapshot and re-pins only when the generation has moved, so between
+//!   commits a read costs one load and one counter add on shared lines
+//!   (the retention this buys is stated on [`SnapshotStore`]). Handles
+//!   are cheap `Clone` and serve point lookups, top-k (a pass over only
+//!   the chunks of the series its per-chunk min/max zone map cannot rule
+//!   out, whatever `k`) and neighborhood reads from any thread, counting
+//!   every read attempt in `ebv_query_reads_total` and timing a 1-in-64
 //!   systematic sample of them into `ebv_query_read_seconds` (p50/p99) in
 //!   the store's metrics registry — a clock read costs about twice the
 //!   lookup itself, so timing every read would mostly measure the timer;
@@ -36,12 +41,16 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+mod adjacency;
+mod handle;
 mod http;
 mod store;
 mod topk;
 
+pub use adjacency::Adjacency;
+pub use handle::QueryHandle;
 pub use http::register_query_routes;
 pub use store::{
-    Adjacency, GraphSnapshot, QueryError, QueryHandle, QueryValue, Series, SeriesData, SeriesSink,
-    SeriesValue, SnapshotStore,
+    GraphSnapshot, QueryError, QueryValue, Series, SeriesData, SeriesSink, SeriesValue,
+    SnapshotStore,
 };

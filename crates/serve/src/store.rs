@@ -8,23 +8,27 @@
 //! named value array per program), then commits — one pointer swap that
 //! makes every staged series visible together, tagged with the epoch. The
 //! read side is any number of [`QueryHandle`] clones: point lookups, top-k
-//! and neighborhood reads all start from [`QueryHandle::snapshot`], an
-//! `Arc` to an immutable [`GraphSnapshot`], so a reader holding epoch N's
-//! answers is undisturbed by the flip to N+1 — snapshot isolation at epoch
-//! granularity, never a torn read.
+//! and neighborhood reads all answer from one `Arc` to an immutable
+//! [`GraphSnapshot`], so a reader holding epoch N's answers is undisturbed
+//! by the flip to N+1 — snapshot isolation at epoch granularity, never a
+//! torn read.
 //!
-//! The published pointer is a plain `RwLock<Arc<GraphSnapshot>>`; the
+//! The published pointer is a plain `RwLock<Arc<GraphSnapshot>>` beside a
+//! generation counter; each handle keeps its own pinned copy of the `Arc`
+//! and goes back to the lock only when the generation has moved. The
 //! reader/writer contract is stated on [`SnapshotStore`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 use ebv_algorithms::PageRankValue;
 use ebv_bsp::publish::{EpochCommitter, ValueSink};
 use ebv_bsp::{DistributedGraph, ExecutionStats};
-use ebv_graph::VertexId;
 use ebv_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+
+use crate::adjacency::Adjacency;
+use crate::handle::QueryHandle;
+use crate::topk::ZoneMap;
 
 /// One queried value, as served: `Null` renders a vertex whose value is
 /// the series' absent sentinel (e.g. an unreachable SSSP distance).
@@ -96,139 +100,25 @@ pub struct Series {
     pub data: SeriesData,
 }
 
-/// Global out-neighborhoods in CSR form, read off the distribution's
-/// per-subgraph CSRs at commit time (under a vertex-cut every edge lives
-/// in exactly one subgraph; lists are sorted and deduplicated so edge-cut
-/// distributions and parallel copies serve correctly too).
-#[derive(Debug, Clone, Default)]
-pub struct Adjacency {
-    offsets: Vec<usize>,
-    targets: Vec<u64>,
-    /// [`Lineage::state`](ebv_bsp::Lineage::state) of the distribution
-    /// these lists describe; 0 — no state — for the empty default. This is
-    /// what lets a commit *know* whether the adjacency it holds is the new
-    /// state's own, its parent's, or neither.
-    state: u64,
+/// A committed series and the zone map its top-k gates on, behind one
+/// `Arc`: a series carried forward keeps its map by pointer.
+#[derive(Debug)]
+struct CommittedSeries {
+    series: Series,
+    zones: ZoneMap,
+}
+
+impl CommittedSeries {
+    fn new(series: Series) -> CommittedSeries {
+        let zones = ZoneMap::build(&series.data);
+        CommittedSeries { series, zones }
+    }
 }
 
 /// A batch is patched into the previous adjacency only while its affected
 /// vertices are at most one in this many; past that the per-vertex holder
 /// probes cost more than the counting-sort rebuild they avoid.
 const PATCH_MAX_AFFECTED_SHARE: usize = 8;
-
-impl Adjacency {
-    /// Builds the global out-adjacency of `distributed` from scratch: a
-    /// two-pass counting sort into one CSR (degree histogram, scatter),
-    /// then each list sorted and deduplicated in place.
-    pub fn from_distributed(distributed: &DistributedGraph) -> Adjacency {
-        let n = distributed.num_vertices();
-        let mut offsets = vec![0usize; n + 1];
-        for sg in distributed.subgraphs() {
-            for (local, v) in sg.vertices().iter().enumerate() {
-                offsets[v.index() + 1] += sg.out_neighbors(local).len();
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0u64; offsets[n]];
-        for sg in distributed.subgraphs() {
-            for (local, v) in sg.vertices().iter().enumerate() {
-                let at = &mut cursor[v.index()];
-                for &neighbor in sg.out_neighbors(local) {
-                    targets[*at] = sg.vertex_at(neighbor as usize).raw();
-                    *at += 1;
-                }
-            }
-        }
-        // Sort each list, then compact the survivors of its dedup down over
-        // the gaps earlier lists left (`kept` never passes the read index).
-        let mut kept = 0;
-        let mut start = 0;
-        for v in 0..n {
-            let end = offsets[v + 1];
-            targets[start..end].sort_unstable();
-            let list_start = kept;
-            for i in start..end {
-                let target = targets[i];
-                if kept == list_start || targets[kept - 1] != target {
-                    targets[kept] = target;
-                    kept += 1;
-                }
-            }
-            offsets[v + 1] = kept;
-            start = end;
-        }
-        targets.truncate(kept);
-        Adjacency {
-            offsets,
-            targets,
-            state: distributed.lineage().state,
-        }
-    }
-
-    /// The adjacency of `distributed`, given that `self` describes the
-    /// state its last batch was applied to and `affected` (ascending) is
-    /// that batch's affected list: every other vertex's list is copied
-    /// forward, a run at a time, and only the affected sources are re-read
-    /// from their holders — sorted and deduplicated exactly as
-    /// [`from_distributed`](Self::from_distributed) does, which is what
-    /// keeps the neighbour of a removed edge whose parallel copy survives.
-    fn patched(&self, distributed: &DistributedGraph, affected: &[usize]) -> Adjacency {
-        let n = distributed.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len() + affected.len());
-        offsets.push(0);
-        // Copies the lists of the unaffected run `from..to` (vertices the
-        // previous state already had: a created vertex is always affected).
-        let copy_run =
-            |offsets: &mut Vec<usize>, targets: &mut Vec<u64>, from: usize, to: usize| {
-                if from == to {
-                    return;
-                }
-                let (lo, base) = (self.offsets[from], targets.len());
-                targets.extend_from_slice(&self.targets[lo..self.offsets[to]]);
-                offsets.extend(
-                    self.offsets[from + 1..=to]
-                        .iter()
-                        .map(|&end| base + (end - lo)),
-                );
-            };
-        let mut next = 0;
-        let mut list = Vec::new();
-        for &vertex in affected {
-            copy_run(&mut offsets, &mut targets, next, vertex);
-            let v = VertexId::from(vertex);
-            list.clear();
-            for (sg, local) in distributed.holders_of(v) {
-                let neighbors = sg.out_neighbors(local).iter();
-                list.extend(neighbors.map(|&neighbor| sg.vertex_at(neighbor as usize).raw()));
-            }
-            list.sort_unstable();
-            list.dedup();
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len());
-            next = vertex + 1;
-        }
-        copy_run(&mut offsets, &mut targets, next, n);
-        Adjacency {
-            offsets,
-            targets,
-            state: distributed.lineage().state,
-        }
-    }
-
-    /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The sorted out-neighbors of `vertex`.
-    pub fn neighbors(&self, vertex: usize) -> &[u64] {
-        &self.targets[self.offsets[vertex]..self.offsets[vertex + 1]]
-    }
-}
 
 /// Why a read could not be answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,22 +155,27 @@ pub struct GraphSnapshot {
     pub num_vertices: usize,
     /// Behind `Arc`s so that a series or an adjacency the next commit does
     /// not replace is carried forward as a pointer, not a copy.
-    series: Vec<Arc<Series>>,
+    series: Vec<Arc<CommittedSeries>>,
     adjacency: Option<Arc<Adjacency>>,
 }
 
 impl GraphSnapshot {
     /// The published series names, in staging order.
     pub fn series_names(&self) -> Vec<&str> {
-        self.series.iter().map(|s| s.name.as_str()).collect()
+        self.series.iter().map(|c| c.series.name.as_str()).collect()
+    }
+
+    fn committed(&self, name: &str) -> Result<&CommittedSeries, QueryError> {
+        self.series
+            .iter()
+            .find(|c| c.series.name == name)
+            .map(|committed| &**committed)
+            .ok_or(QueryError::UnknownSeries)
     }
 
     /// The named series, if published.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series
-            .iter()
-            .find(|s| s.name == name)
-            .map(|series| &**series)
+        self.committed(name).ok().map(|c| &c.series)
     }
 
     /// Vertex `vertex`'s value in series `name`.
@@ -300,9 +195,9 @@ impl GraphSnapshot {
     /// The `k` best vertices of series `name` as `(vertex, value)` pairs:
     /// largest first when `descending`, smallest first otherwise; ties go
     /// to the lower vertex id; absent (`Null`) vertices are skipped. One
-    /// pass over the series whose working memory is sized from
-    /// `min(k, num_vertices)`, so any `k` — `usize::MAX` included — is
-    /// served.
+    /// pass over the chunks of the series its zone map cannot rule out,
+    /// with working memory sized from `min(k, num_vertices)`, so any `k` —
+    /// `usize::MAX` included — is served.
     ///
     /// # Errors
     ///
@@ -313,8 +208,9 @@ impl GraphSnapshot {
         k: usize,
         descending: bool,
     ) -> Result<Vec<(u64, QueryValue)>, QueryError> {
-        let series = self.series(name).ok_or(QueryError::UnknownSeries)?;
-        Ok(crate::topk::topk(&series.data, k, descending))
+        let committed = self.committed(name)?;
+        let data = &committed.series.data;
+        Ok(crate::topk::topk(data, &committed.zones, k, descending))
     }
 
     /// The sorted out-neighbors of `vertex`.
@@ -332,36 +228,47 @@ impl GraphSnapshot {
     }
 }
 
+/// `snapshot`, unless no epoch has been committed yet.
+pub(crate) fn ready(snapshot: &GraphSnapshot) -> Result<&GraphSnapshot, QueryError> {
+    if snapshot.epoch == 0 && snapshot.series.is_empty() {
+        return Err(QueryError::NotReady);
+    }
+    Ok(snapshot)
+}
+
 /// The store's shared core: the published snapshot plus the read-side
 /// metrics, shared between the committing [`SnapshotStore`] and every
 /// [`QueryHandle`].
-struct StoreShared {
+pub(crate) struct StoreShared {
     /// The current epoch's snapshot. Both guards are held for one pointer
     /// operation only (see [`current`](StoreShared::current) and
     /// [`SnapshotStore::commit`]).
     published: RwLock<Arc<GraphSnapshot>>,
-    reads: Arc<Counter>,
-    /// Read attempts so far; the one whose tick is a multiple of
-    /// [`READ_SAMPLE_EVERY`] is timed.
-    read_ticks: AtomicU64,
-    read_seconds: Arc<Histogram>,
+    /// Bumped (`Release`) after every swap of `published`: a handle whose
+    /// pin was taken at this generation still holds the current snapshot.
+    pub(crate) generation: AtomicU64,
+    /// Read attempts; the previous count is the read's sampling tick.
+    pub(crate) reads: Arc<Counter>,
+    pub(crate) read_seconds: Arc<Histogram>,
     epoch_gauge: Arc<Gauge>,
     commits: Arc<Counter>,
     adjacency_patches: Arc<Counter>,
     adjacency_rebuilds: Arc<Counter>,
 }
 
-/// One read in this many is timed into `ebv_query_read_seconds` (see
-/// [`QueryHandle`] for why).
-const READ_SAMPLE_EVERY: u64 = 64;
-
 impl StoreShared {
     /// The currently published snapshot: an `Arc::clone` under the read
     /// guard. A poisoned lock is recovered — the only write ever made under
     /// the guard is a pointer swap, which leaves the slot valid at every
     /// step.
-    fn current(&self) -> Arc<GraphSnapshot> {
+    pub(crate) fn current(&self) -> Arc<GraphSnapshot> {
         Arc::clone(&self.published.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// A pin of the current snapshot: the generation is loaded first, so
+    /// the snapshot is never older than the generation it is filed under.
+    pub(crate) fn pin(&self) -> (u64, Arc<GraphSnapshot>) {
+        (self.generation.load(Ordering::Acquire), self.current())
     }
 }
 
@@ -436,12 +343,20 @@ impl<V: SeriesValue> ValueSink<V> for SeriesSink<'_, V> {
 ///
 /// # Reader/writer contract
 ///
-/// A read clones the published `Arc` under the read guard; a commit holds
-/// the write guard for a pointer swap only. The new snapshot is built
-/// before the guard is taken and the retired one is dropped after it is
-/// released, so a reader can wait on a writer for one pointer store — never
-/// for a snapshot build or free — and a writer waits only for readers that
-/// are mid-`Arc::clone`.
+/// A commit builds the new snapshot — zone maps included — before it takes
+/// the write guard, holds the guard for a pointer swap only, drops its
+/// reference to the retired snapshot after releasing it, and then bumps
+/// the store's generation (`Release`). A read loads the generation
+/// (`Acquire`) and answers from the snapshot its handle pinned at that
+/// generation; only when the generation has moved does it re-pin, by
+/// cloning the published `Arc` under the read guard. So a reader can wait
+/// on a writer for one pointer store — never for a snapshot build or free —
+/// and a writer waits only for readers that are mid-`Arc::clone`, never
+/// for a read.
+///
+/// **Retention.** A [`QueryHandle`] keeps the snapshot it last read alive
+/// until its next read or its drop, so a retired epoch's memory is freed
+/// by whichever holder lets go of it last — possibly a reader re-pinning.
 pub struct SnapshotStore {
     shared: Arc<StoreShared>,
     staging: Mutex<Vec<Series>>,
@@ -462,8 +377,9 @@ impl SnapshotStore {
         SnapshotStore::with_registry(MetricsRegistry::global())
     }
 
-    /// A store reporting `ebv_query_reads_total`, `ebv_query_read_seconds`
-    /// (one read in 64, see [`QueryHandle`]), `ebv_query_epoch`,
+    /// A store reporting `ebv_query_reads_total` (read attempts through any
+    /// of its handles, `NotReady` ones included), `ebv_query_read_seconds`
+    /// (one attempt in 64, see [`QueryHandle`]), `ebv_query_epoch`,
     /// `ebv_query_commits_total` and — how each served adjacency was
     /// derived, see [`serve_adjacency`](Self::serve_adjacency) —
     /// `ebv_query_adjacency_patches_total` and
@@ -472,8 +388,8 @@ impl SnapshotStore {
         SnapshotStore {
             shared: Arc::new(StoreShared {
                 published: RwLock::new(Arc::new(GraphSnapshot::default())),
+                generation: AtomicU64::new(0),
                 reads: registry.counter("ebv_query_reads_total"),
-                read_ticks: AtomicU64::new(0),
                 read_seconds: registry.histogram("ebv_query_read_seconds"),
                 epoch_gauge: registry.gauge("ebv_query_epoch"),
                 commits: registry.counter("ebv_query_commits_total"),
@@ -487,9 +403,7 @@ impl SnapshotStore {
 
     /// A cheap clonable read handle sharing this store's snapshots.
     pub fn handle(&self) -> QueryHandle {
-        QueryHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        QueryHandle::new(Arc::clone(&self.shared))
     }
 
     /// Stages `series` for the next commit, replacing any staged series of
@@ -539,12 +453,17 @@ impl SnapshotStore {
             std::mem::take(&mut *staging)
         };
         // Carry forward series not re-staged this epoch (a program that
-        // didn't run still serves its last committed values), and the
-        // adjacency when this commit brings none — both by pointer.
+        // didn't run still serves its last committed values) with their
+        // zone maps, and the adjacency when this commit brings none — all
+        // by pointer. A staged series gets its zone map here, before the
+        // write guard.
         let previous = self.shared.current();
-        let mut series: Vec<Arc<Series>> = staged.into_iter().map(Arc::new).collect();
+        let mut series: Vec<Arc<CommittedSeries>> = staged
+            .into_iter()
+            .map(|staged| Arc::new(CommittedSeries::new(staged)))
+            .collect();
         for old in &previous.series {
-            if !series.iter().any(|s| s.name == old.name) {
+            if !series.iter().any(|c| c.series.name == old.series.name) {
                 series.push(Arc::clone(old));
             }
         }
@@ -567,6 +486,7 @@ impl SnapshotStore {
             next,
         );
         drop(retired);
+        self.shared.generation.fetch_add(1, Ordering::Release);
         self.shared.epoch_gauge.set(epoch as f64);
         self.shared.commits.add(1);
     }
@@ -630,99 +550,6 @@ impl EpochCommitter for SnapshotStore {
     }
 }
 
-/// The read half of the query plane: cheap to clone, usable from any
-/// thread (scrapers, HTTP handlers, benchmark hammers). Every read is
-/// counted into the store's registry (`ebv_query_reads_total`, exact), and
-/// a fixed systematic sample of one read in 64 — the first, the 65th, … of
-/// the store's read attempts, whichever handle made them — is timed into
-/// `ebv_query_read_seconds`. A clock read costs about twice the lookup
-/// itself, so timing every read would make the latency it reports mostly
-/// the cost of measuring it; the sample keeps p50/p99 for one relaxed
-/// atomic increment per read. A sampled read's clock starts before the
-/// snapshot is pinned, so lock waits stay in the sample.
-#[derive(Clone)]
-pub struct QueryHandle {
-    shared: Arc<StoreShared>,
-}
-
-impl QueryHandle {
-    /// The current epoch's complete snapshot — the zero-copy entry point
-    /// for batched reads; the `Arc` keeps the epoch alive against later
-    /// flips.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::NotReady`] before the first commit.
-    pub fn snapshot(&self) -> Result<Arc<GraphSnapshot>, QueryError> {
-        let snapshot = self.shared.current();
-        if snapshot.epoch == 0 && snapshot.series.is_empty() {
-            return Err(QueryError::NotReady);
-        }
-        Ok(snapshot)
-    }
-
-    /// Point lookup: vertex `vertex`'s value in series `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError`] as for [`GraphSnapshot::lookup`].
-    pub fn lookup(&self, name: &str, vertex: u64) -> Result<QueryValue, QueryError> {
-        self.timed(|snapshot| snapshot.lookup(name, vertex))
-    }
-
-    /// Top-k query — see [`GraphSnapshot::topk`].
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError`] as for [`GraphSnapshot::topk`].
-    pub fn topk(
-        &self,
-        name: &str,
-        k: usize,
-        descending: bool,
-    ) -> Result<Vec<(u64, QueryValue)>, QueryError> {
-        self.timed(|snapshot| snapshot.topk(name, k, descending))
-    }
-
-    /// Neighborhood query: `vertex`'s sorted out-neighbors.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError`] as for [`GraphSnapshot::neighbors`].
-    pub fn neighbors(&self, vertex: u64) -> Result<Vec<u64>, QueryError> {
-        self.timed(|snapshot| snapshot.neighbors(vertex).map(|n| n.to_vec()))
-    }
-
-    /// Runs `read` against one pinned snapshot, counting it — and, if it
-    /// falls on the 1-in-64 sample, timing it — as a single read. The HTTP
-    /// handlers use this too, so a whole response (epoch tag + values)
-    /// comes from one epoch and every read path follows one metering rule.
-    pub(crate) fn timed<T>(
-        &self,
-        read: impl FnOnce(&GraphSnapshot) -> Result<T, QueryError>,
-    ) -> Result<T, QueryError> {
-        let tick = self.shared.read_ticks.fetch_add(1, Ordering::Relaxed);
-        let started = tick.is_multiple_of(READ_SAMPLE_EVERY).then(Instant::now);
-        let snapshot = self.snapshot()?;
-        let result = read(&snapshot);
-        self.shared.reads.add(1);
-        if let Some(started) = started {
-            self.shared
-                .read_seconds
-                .observe(started.elapsed().as_secs_f64());
-        }
-        result
-    }
-}
-
-impl std::fmt::Debug for QueryHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryHandle")
-            .field("epoch", &self.shared.current().epoch)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,7 +581,12 @@ mod tests {
         let store = SnapshotStore::with_registry(&registry);
         let handle = store.handle();
         assert_eq!(handle.lookup("cc", 0), Err(QueryError::NotReady));
+        assert_eq!(handle.topk("cc", 3, true), Err(QueryError::NotReady));
         assert_eq!(handle.snapshot().unwrap_err(), QueryError::NotReady);
+        // A read attempt is counted — and sampled — whether or not it
+        // finds an epoch; `snapshot()` is not a read.
+        assert_eq!(registry.counter("ebv_query_reads_total").get(), 2);
+        assert_eq!(registry.histogram("ebv_query_read_seconds").count(), 1);
     }
 
     #[test]
@@ -821,7 +653,8 @@ mod tests {
         assert_eq!(handle.lookup("cc", 0), Ok(QueryValue::U64(7)));
         assert_eq!(handle.lookup("rank", 1), Ok(QueryValue::F64(0.5)));
 
-        // Every read is counted; one in 64 is timed, the first included.
+        // Every read is counted by the one counter whose previous value is
+        // its sampling tick: one in 64 is timed, the first included.
         let reads = || registry.counter("ebv_query_reads_total").get();
         let timed = || registry.histogram("ebv_query_read_seconds").count();
         assert_eq!(reads(), 2, "snapshot() is not a read; the two lookups are");
@@ -1057,6 +890,40 @@ mod tests {
     }
 
     #[test]
+    fn a_carried_forward_series_keeps_its_zone_map_and_a_restaged_one_gets_a_fresh_one() {
+        let store = SnapshotStore::with_registry(&MetricsRegistry::new());
+        let committed = |name: &str| {
+            let snapshot = store.shared.current();
+            let found = snapshot.series.iter().find(|c| c.series.name == name);
+            Arc::clone(found.expect("series is committed"))
+        };
+        store.stage(Series {
+            name: "cc".to_string(),
+            data: u64::pack(&(0..200).collect::<Vec<u64>>()),
+        });
+        store.stage(Series {
+            name: "rank".to_string(),
+            data: f64::pack(&[0.25; 200]),
+        });
+        store.commit(1, 200, None);
+        let (cc, rank) = (committed("cc"), committed("rank"));
+        let restaged = f64::pack(&(0..200).map(|v| v as f64).collect::<Vec<_>>());
+        store.stage(Series {
+            name: "rank".to_string(),
+            data: restaged.clone(),
+        });
+        store.commit(2, 200, None);
+        assert!(Arc::ptr_eq(&cc, &committed("cc")), "carried with its map");
+        let fresh = committed("rank");
+        assert!(!Arc::ptr_eq(&rank, &fresh));
+        assert_eq!(fresh.zones, ZoneMap::build(&restaged));
+        assert_ne!(
+            fresh.zones, rank.zones,
+            "the old map went with the old values"
+        );
+    }
+
+    #[test]
     fn pagerank_values_publish_as_normalized_ranks() {
         let values = vec![
             PageRankValue {
@@ -1106,9 +973,10 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let all_reading = Arc::new(Barrier::new(5));
         let total_loads = Arc::new(AtomicU64::new(0));
+        let shared_handle = store.handle();
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let handle = store.handle();
+                let handle = shared_handle.clone();
                 let stop = Arc::clone(&stop);
                 let all_reading = Arc::clone(&all_reading);
                 let total_loads = Arc::clone(&total_loads);
@@ -1126,6 +994,28 @@ mod tests {
                         assert_eq!(snapshot.epoch, first, "values belong to their epoch tag");
                         assert!(first >= last, "flips must be monotonic");
                         last = first;
+                        // The same through the handle's own pin: a point
+                        // read and a top-k, each from one epoch, never
+                        // older than the last one this reader saw.
+                        let Ok(QueryValue::U64(point)) = handle.lookup("v", loads % 64) else {
+                            panic!("epoch 0 is committed")
+                        };
+                        assert!(point >= last, "a pinned read went back in time");
+                        last = point;
+                        let top = handle
+                            .topk("v", 3, loads.is_multiple_of(2))
+                            .expect("committed");
+                        let ids: Vec<u64> = top.iter().map(|&(vertex, _)| vertex).collect();
+                        assert_eq!(ids, vec![0, 1, 2], "ties go to the lower ids");
+                        let QueryValue::U64(best) = top[0].1 else {
+                            panic!("a u64 series")
+                        };
+                        assert!(
+                            top.iter().all(|&(_, value)| value == QueryValue::U64(best)),
+                            "torn top-k: {top:?}"
+                        );
+                        assert!(best >= last, "a pinned top-k went back in time");
+                        last = best;
                         loads += 1;
                         total_loads.fetch_add(1, Ordering::SeqCst);
                         if loads == 1 {
