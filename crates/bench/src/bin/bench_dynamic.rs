@@ -20,6 +20,7 @@
 //! The warm-vs-cold and incremental-vs-full ratios in the JSON are gated in
 //! CI by the `bench_gate` binary against `.github/bench_baseline.json`.
 
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -329,25 +330,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             durable_seconds / incremental_seconds,
         );
 
-        // Recovery latency, replay vs rebuild: reopening the directory
-        // replays the WAL suffix into a fresh distribution *and* resumes
-        // the partitioner (no run can continue without it), against the
-        // no-durability alternative of re-running the entire churned
-        // pipeline (stream regeneration, partition maintenance, epoch
-        // applies) from nothing.
+        // Recovery latency, replay vs rebuild: reopening the directory and
+        // resuming it — the partitioner restored (no run can continue
+        // without it), the WAL suffix replayed into a fresh distribution
+        // through an empty epoch body — against the no-durability
+        // alternative of re-running the entire churned pipeline (stream
+        // regeneration, partition maintenance, epoch applies) from nothing.
         drop(durable);
         let started = Instant::now();
         let (durable, recovered) = DurableState::open(&durable_dir, batches.len() + 1)?;
-        let mut replayed = match recovered.checkpoint.as_ref() {
-            Some(checkpoint) => checkpoint.rebuild_graph()?,
-            None => DistributedGraph::build_streaming(workers, universe, Vec::new())?,
-        };
-        for frame in &recovered.frames {
-            replayed.apply_mutations(&frame.batch)?;
-        }
         let mut resumed = EbvPartitioner::new().dynamic(stream().stream_config(workers))?;
-        let (resumed_universe, resumed_pairs) = recovered.resume_partition_state()?;
-        resumed.restore(resumed_universe, resumed_pairs)?;
+        let replayed = recovered.resume(
+            DistributedGraph::build_streaming(workers, universe, Vec::new())?,
+            &mut resumed,
+            None,
+            |_, _, _, _| Ok::<_, Infallible>(()),
+        )?;
         let recovery_replay_seconds = started.elapsed().as_secs_f64();
         assert!(
             replayed.same_structure(&durable_graph),

@@ -136,21 +136,6 @@ impl Checkpoint {
         builder.finish().map_err(invalid)
     }
 
-    /// Restores `partitioner` (freshly constructed with the original's
-    /// policy and [`ebv_partition::StreamConfig`]) to the captured state.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::InvalidState`] when the partitioner already holds
-    /// state or the pairs are inconsistent with its configuration.
-    pub fn restore_partitioner(&self, partitioner: &mut DynamicPartitioner) -> Result<()> {
-        partitioner
-            .restore(self.universe, self.surviving.iter().copied())
-            .map_err(|err| StateError::InvalidState {
-                message: format!("checkpoint does not restore the partitioner: {err}"),
-            })
-    }
-
     /// Encodes the checkpoint: magic ‖ body ‖ crc32(body), written into
     /// one buffer sized from the element counts.
     pub fn encode(&self) -> Vec<u8> {
@@ -321,6 +306,7 @@ fn decode_pair_list(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, PartitionId)>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveredState;
     use ebv_partition::{EbvPartitioner, StreamConfig};
 
     fn sample_state() -> (DistributedGraph, DynamicPartitioner) {
@@ -393,7 +379,18 @@ mod tests {
         let mut fresh = EbvPartitioner::new()
             .dynamic(StreamConfig::new(3).with_expected_vertices(32))
             .unwrap();
-        checkpoint.restore_partitioner(&mut fresh).unwrap();
+        // `resume` restores the partitioner and rebuilds in place of `empty`.
+        let empty = DistributedGraph::builder(3).unwrap().finish().unwrap();
+        let recovered = RecoveredState {
+            checkpoint: Some(checkpoint),
+            frames: Vec::new(),
+        };
+        let resumed = recovered
+            .resume(empty, &mut fresh, None, |_, _, _, _| {
+                Ok::<_, std::convert::Infallible>(())
+            })
+            .unwrap();
+        assert!(resumed.same_structure(&distributed));
         assert_eq!(fresh.snapshot().unwrap(), partitioner.snapshot().unwrap());
     }
 

@@ -111,6 +111,32 @@ impl From<StateError> for io::Error {
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StateError>;
 
+/// Why [`RecoveredState::resume`](crate::RecoveredState::resume) stopped.
+#[derive(Debug)]
+pub enum ResumeError<E> {
+    /// The recovered state does not rebuild, restore or replay.
+    State(StateError),
+    /// The caller's `on_epoch` failed; its error, unchanged.
+    Epoch(E),
+}
+
+impl<E: fmt::Display> fmt::Display for ResumeError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::State(err) => err.fmt(f),
+            ResumeError::Epoch(err) => write!(f, "replayed epoch failed: {err}"),
+        }
+    }
+}
+
+impl<E: fmt::Debug + fmt::Display> std::error::Error for ResumeError<E> {}
+
+impl<E> From<StateError> for ResumeError<E> {
+    fn from(err: StateError) -> Self {
+        ResumeError::State(err)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,12 @@
 //! * [`checkpoint`] — periodic full snapshots (distribution, partitioner,
 //!   warm algorithm series, stream position) written atomically with an
 //!   epoch-lineage manifest.
-//! * [`store`] — [`DurableState`] glues both together: recovery loads the
-//!   newest valid checkpoint, replays the WAL suffix and tells the caller
-//!   how far the event stream must fast-forward; live operation plugs into
-//!   the engine through [`ebv_bsp::DurabilityHook`].
+//! * [`store`] — [`DurableState`] glues both together: opening a
+//!   directory loads the newest valid checkpoint and the WAL suffix past
+//!   it; live operation plugs into the engine through
+//!   [`ebv_bsp::DurabilityHook`].
+//! * [`recover`] — [`RecoveredState::resume`] rebuilds, restores and
+//!   replays that into the live world through the caller's epoch body.
 //! * [`failpoint`] — byte-budget fault injection, so tests can crash the
 //!   writer after *any* byte or rename and prove recovery is exact.
 //!
@@ -28,12 +30,14 @@ pub mod checkpoint;
 mod crc;
 pub mod error;
 pub mod failpoint;
+pub mod recover;
 pub mod store;
 pub mod wal;
 
 pub use checkpoint::{Checkpoint, SeriesValues, CHECKPOINT_MAGIC};
 pub use crc::crc32;
-pub use error::{Result, StateError};
+pub use error::{Result, ResumeError, StateError};
 pub use failpoint::Failpoint;
-pub use store::{DurableState, RecoveredState, MANIFEST_FILE};
+pub use recover::RecoveredState;
+pub use store::{DurableState, MANIFEST_FILE};
 pub use wal::{read_segment, WalFrame, WalWriter, WAL_MAGIC};

@@ -4,11 +4,10 @@
 //! directory, loads the newest checkpoint that still verifies (falling
 //! back along the manifest lineage), reads the WAL suffix past it, and
 //! returns both the live store and a [`RecoveredState`] describing exactly
-//! what survived. The caller rebuilds its in-memory world from the
-//! checkpoint, replays the WAL frames through
-//! `DistributedGraph::apply_mutations`, fast-forwards its event source by
-//! [`RecoveredState::events_seen`], and continues — the lineage never
-//! forks.
+//! what survived. [`RecoveredState::resume`] turns that back into the
+//! live world — rebuild, restore, replay each frame through the caller's
+//! epoch body, commit — and the caller fast-forwards its event source by
+//! [`RecoveredState::events_seen`] and continues: the lineage never forks.
 //!
 //! Live operation goes through the [`DurabilityHook`] seam:
 //! [`DurabilityHook::log_batch`] appends a WAL frame **before** the batch
@@ -23,7 +22,6 @@
 //! WAL's valid-prefix reader degrades that to "resume from the last
 //! durable epoch", never to corruption.
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::ErrorKind;
@@ -32,13 +30,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ebv_bsp::{DistributedGraph, DurabilityHook, MutationBatch};
-use ebv_graph::{Edge, IdHashMap};
 use ebv_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use ebv_partition::{DynamicPartitioner, PartitionId};
+use ebv_partition::DynamicPartitioner;
 
 use crate::checkpoint::{Checkpoint, SeriesValues};
 use crate::error::{Result, StateError};
 use crate::failpoint::Failpoint;
+use crate::recover::RecoveredState;
 use crate::wal::{self, WalFrame, WalWriter};
 
 /// The manifest file name inside a state directory.
@@ -47,139 +45,6 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "ebv-manifest v1";
 /// How many checkpoints (newest first) the manifest retains.
 const RETAINED_CHECKPOINTS: usize = 2;
-
-/// What [`DurableState::open`] found on disk.
-#[derive(Debug)]
-pub struct RecoveredState {
-    /// The newest checkpoint that verified, if any.
-    pub checkpoint: Option<Checkpoint>,
-    /// WAL frames past the checkpoint, in strict epoch order starting at
-    /// `checkpoint.epoch + 1` (or epoch 1 when there is no checkpoint).
-    pub frames: Vec<WalFrame>,
-}
-
-impl RecoveredState {
-    /// The epoch the process resumes at after replaying [`Self::frames`].
-    pub fn resume_epoch(&self) -> u64 {
-        self.frames
-            .last()
-            .map(|f| f.epoch)
-            .or_else(|| self.checkpoint.as_ref().map(|c| c.epoch))
-            .unwrap_or(0)
-    }
-
-    /// Raw stream events already consumed by the recovered state; a
-    /// deterministic event source should skip this many events before
-    /// producing new ones.
-    pub fn events_seen(&self) -> u64 {
-        self.frames
-            .last()
-            .map(|f| f.events_seen)
-            .or_else(|| self.checkpoint.as_ref().map(|c| c.events_seen))
-            .unwrap_or(0)
-    }
-
-    /// Number of WAL epochs recovery has to replay.
-    pub fn replayed_epochs(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the directory held no durable state at all.
-    pub fn is_empty(&self) -> bool {
-        self.checkpoint.is_none() && self.frames.is_empty()
-    }
-
-    /// Computes the partitioner's state at the resume point: the
-    /// checkpoint's surviving pairs with every WAL frame applied **as
-    /// recorded** — removals pop the most recent copy of their edge (the
-    /// partitioner's LIFO contract), insertions append with their logged
-    /// placement. Removals apply before insertions within a frame, because
-    /// a delete-then-reinsert batch records the same edge in both lists
-    /// and the delete refers to the pre-batch copy.
-    ///
-    /// Feed the result to [`DynamicPartitioner::restore`] on a freshly
-    /// configured partitioner; placement then continues bit-identically to
-    /// the pre-crash run.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::InvalidState`] when a logged removal has no live copy
-    /// or disagrees with the recorded placement — the WAL and checkpoint
-    /// contradict each other, which no crash window can produce.
-    pub fn resume_partition_state(&self) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
-        let mut universe = self.checkpoint.as_ref().map(|c| c.universe).unwrap_or(0);
-        let checkpointed: &[(Edge, PartitionId)] = self
-            .checkpoint
-            .as_ref()
-            .map_or(&[], |c| c.surviving.as_slice());
-        let logged: usize = self.frames.iter().map(|f| f.batch.added().len()).sum();
-        let mut pairs = Vec::with_capacity(checkpointed.len() + logged);
-        pairs.extend_from_slice(checkpointed);
-        // One pass. The live copies of an edge form a stack threaded through
-        // `link` (one word per entry of `pairs`), with `heads` naming each
-        // stack's top, so a removal pops in O(1); a popped position is only
-        // marked `DEAD` and dropped by the single `retain` at the end, which
-        // keeps the survivors in order without any mid-vector `remove`.
-        let mut link: Vec<u32> = Vec::with_capacity(pairs.capacity());
-        let mut heads: IdHashMap<Edge, u32> =
-            IdHashMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        for &(edge, _) in checkpointed {
-            push_copy(&mut heads, &mut link, edge);
-        }
-        for frame in &self.frames {
-            for &(edge, part) in frame.batch.removed() {
-                let Entry::Occupied(mut head) = heads.entry(edge) else {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?}, which has no live copy",
-                            frame.epoch
-                        ),
-                    });
-                };
-                let pos = *head.get() as usize;
-                if pairs[pos].1 != part {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?} from {part:?}, but its newest \
-                             copy lives on {:?}",
-                            frame.epoch, pairs[pos].1
-                        ),
-                    });
-                }
-                match std::mem::replace(&mut link[pos], DEAD) {
-                    BOTTOM => {
-                        head.remove();
-                    }
-                    older => *head.get_mut() = older,
-                }
-            }
-            for &(edge, part) in frame.batch.added() {
-                let top = edge.src.raw().max(edge.dst.raw()) + 1;
-                universe = universe.max(usize::try_from(top).unwrap_or(usize::MAX));
-                push_copy(&mut heads, &mut link, edge);
-                pairs.push((edge, part));
-            }
-        }
-        let mut link = link.into_iter();
-        pairs.retain(|_| link.next() != Some(DEAD));
-        Ok((universe, pairs))
-    }
-}
-
-/// `link` value (see [`RecoveredState::resume_partition_state`]) of a live
-/// copy with no older live copy beneath it.
-const BOTTOM: u32 = u32::MAX - 1;
-/// `link` value of a copy that a logged removal popped.
-const DEAD: u32 = u32::MAX;
-
-/// Pushes the copy at position `link.len()` onto `edge`'s stack.
-fn push_copy(heads: &mut IdHashMap<Edge, u32>, link: &mut Vec<u32>, edge: Edge) {
-    let position = u32::try_from(link.len())
-        .ok()
-        .filter(|&position| position < BOTTOM)
-        .expect("fewer than u32::MAX - 1 logged edge copies");
-    link.push(heads.insert(edge, position).unwrap_or(BOTTOM));
-}
 
 /// State behind the store's mutex; see [`DurableState`].
 #[derive(Debug)]
@@ -282,7 +147,7 @@ impl DurableState {
 
     /// Stages (or replaces) a named warm series for the next checkpoint.
     /// Staged series ride every checkpoint until restaged; recovery hands
-    /// them back through [`Checkpoint::series`](crate::Checkpoint).
+    /// them back through [`RecoveredState::series_u64`].
     pub fn stage_series(&self, name: &str, values: SeriesValues) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.series.insert(name.to_string(), values);
@@ -563,18 +428,20 @@ fn retire_wal_segments(dir: &Path, oldest_retained: u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::convert::Infallible;
+
     use super::*;
     use ebv_graph::Edge;
     use ebv_partition::{EbvPartitioner, PartitionId, StreamConfig};
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ebv-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
 
-    fn batch(added: &[(u64, u64, u32)], removed: &[(u64, u64, u32)]) -> MutationBatch {
+    pub(crate) fn batch(added: &[(u64, u64, u32)], removed: &[(u64, u64, u32)]) -> MutationBatch {
         let pairs = |list: &[(u64, u64, u32)]| {
             list.iter()
                 .map(|&(s, d, p)| (Edge::from((s, d)), PartitionId::new(p)))
@@ -583,17 +450,39 @@ mod tests {
         MutationBatch::from_parts(pairs(added), pairs(removed))
     }
 
-    /// A small live world: partitioner + distribution kept in lockstep
-    /// through `epochs` single-edge epochs.
-    fn churned_world(epochs: usize) -> (DistributedGraph, DynamicPartitioner, u64) {
-        let mut partitioner = EbvPartitioner::new()
+    /// The partitioner every world below is configured with.
+    pub(crate) fn fresh_partitioner() -> DynamicPartitioner {
+        EbvPartitioner::new()
             .dynamic(StreamConfig::new(3).with_expected_vertices(64))
-            .unwrap();
-        let mut distributed = DistributedGraph::builder(3)
+            .unwrap()
+    }
+
+    /// The edgeless distribution every world below starts from.
+    pub(crate) fn empty_world() -> DistributedGraph {
+        DistributedGraph::builder(3)
             .unwrap()
             .with_num_vertices(64)
             .finish()
+            .unwrap()
+    }
+
+    /// `recovered` resumed into a fresh world by an epoch body that does
+    /// nothing, committing nowhere.
+    pub(crate) fn resumed(recovered: &RecoveredState) -> (DistributedGraph, DynamicPartitioner) {
+        let mut partitioner = fresh_partitioner();
+        let distributed = recovered
+            .resume(empty_world(), &mut partitioner, None, |_, _, _, _| {
+                Ok::<_, Infallible>(())
+            })
             .unwrap();
+        (distributed, partitioner)
+    }
+
+    /// A small live world: partitioner + distribution kept in lockstep
+    /// through `epochs` single-edge epochs.
+    pub(crate) fn churned_world(epochs: usize) -> (DistributedGraph, DynamicPartitioner, u64) {
+        let mut partitioner = fresh_partitioner();
+        let mut distributed = empty_world();
         let mut events = 0u64;
         for i in 0..epochs as u64 {
             let edge = Edge::from((i % 13, (i * 7 + 1) % 13));
@@ -611,9 +500,8 @@ mod tests {
         let dir = temp_dir("empty");
         let (_store, recovered) = DurableState::open(&dir, 4).unwrap();
         assert!(recovered.is_empty());
-        assert_eq!(recovered.resume_epoch(), 0);
+        assert!(recovered.frames.is_empty());
         assert_eq!(recovered.events_seen(), 0);
-        assert_eq!(recovered.replayed_epochs(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -630,21 +518,37 @@ mod tests {
     #[test]
     fn wal_only_recovery_replays_from_epoch_one() {
         let dir = temp_dir("wal-only");
+        let logged = [
+            (2, batch(&[(0, 1, 0), (1, 2, 1)], &[])),
+            (3, batch(&[], &[(0, 1, 0)])),
+            (5, batch(&[(4, 5, 2)], &[])),
+        ];
+        let mut live = empty_world();
         {
             let (store, recovered) = DurableState::open(&dir, 100).unwrap();
             assert!(recovered.is_empty());
-            store
-                .log_batch(1, 2, &batch(&[(0, 1, 0), (1, 2, 1)], &[]))
-                .unwrap();
-            store.log_batch(2, 3, &batch(&[], &[(0, 1, 0)])).unwrap();
-            store.log_batch(3, 5, &batch(&[(4, 5, 2)], &[])).unwrap();
+            for (epoch, (events, batch)) in (1..).zip(&logged) {
+                store.log_batch(epoch, *events, batch).unwrap();
+                live.apply_mutations(batch).unwrap();
+            }
         }
         let (_store, recovered) = DurableState::open(&dir, 100).unwrap();
         assert!(recovered.checkpoint.is_none());
-        assert_eq!(recovered.replayed_epochs(), 3);
-        assert_eq!(recovered.resume_epoch(), 3);
+        assert_eq!(recovered.frames.len(), 3);
+        assert_eq!(recovered.frames.last().map(|f| f.epoch), Some(3));
         assert_eq!(recovered.events_seen(), 5);
         assert_eq!(recovered.frames[1].batch, batch(&[], &[(0, 1, 0)]));
+
+        let (resumed, partitioner) = resumed(&recovered);
+        assert!(resumed.same_structure(&live));
+        assert_eq!(resumed.epoch(), 3);
+        assert_eq!(
+            partitioner.surviving().collect::<Vec<_>>(),
+            vec![
+                (Edge::from((1u64, 2u64)), PartitionId::new(1)),
+                (Edge::from((4u64, 5u64)), PartitionId::new(2)),
+            ]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -664,8 +568,8 @@ mod tests {
                 .unwrap());
         }
         let (_store, recovered) = DurableState::open(&dir, 4).unwrap();
-        assert_eq!(recovered.replayed_epochs(), 0);
-        let checkpoint = recovered.checkpoint.expect("checkpoint recovered");
+        assert!(recovered.frames.is_empty());
+        let checkpoint = recovered.checkpoint.as_ref().expect("checkpoint recovered");
         assert_eq!(checkpoint.epoch, distributed.epoch() as u64);
         assert_eq!(checkpoint.events_seen, events);
         assert_eq!(
@@ -675,10 +579,11 @@ mod tests {
         let rebuilt = checkpoint.rebuild_graph().unwrap();
         assert!(rebuilt.same_structure(&distributed));
         assert_eq!(rebuilt.epoch(), distributed.epoch());
-        let mut fresh = EbvPartitioner::new()
-            .dynamic(StreamConfig::new(3).with_expected_vertices(64))
-            .unwrap();
-        checkpoint.restore_partitioner(&mut fresh).unwrap();
+
+        let (resumed, fresh) = resumed(&recovered);
+        assert!(resumed.same_structure(&distributed));
+        assert_eq!(resumed.epoch(), distributed.epoch());
+        assert!(fresh.surviving().eq(partitioner.surviving()));
         assert_eq!(fresh.snapshot().unwrap(), partitioner.snapshot().unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -686,28 +591,40 @@ mod tests {
     #[test]
     fn checkpoint_plus_wal_suffix_recovers_both() {
         let dir = temp_dir("ckpt-plus-wal");
-        let (distributed, partitioner, events) = churned_world(4);
+        let (mut distributed, partitioner, events) = churned_world(4);
+        let checkpointed = distributed.epoch() as u64;
         {
             let (store, _) = DurableState::open(&dir, 100).unwrap();
             store
                 .checkpoint_now(&distributed, &partitioner, events)
                 .unwrap();
-            let next = distributed.epoch() as u64 + 1;
-            store
-                .log_batch(next, events + 1, &batch(&[(20, 21, 0)], &[]))
-                .unwrap();
-            store
-                .log_batch(next + 1, events + 2, &batch(&[(21, 22, 1)], &[]))
-                .unwrap();
+            for (i, added) in [(20, 21, 0), (21, 22, 1)].into_iter().enumerate() {
+                let logged = batch(&[added], &[]);
+                let i = i as u64;
+                store
+                    .log_batch(checkpointed + 1 + i, events + 1 + i, &logged)
+                    .unwrap();
+                distributed.apply_mutations(&logged).unwrap();
+            }
         }
         let (_store, recovered) = DurableState::open(&dir, 100).unwrap();
         assert_eq!(
             recovered.checkpoint.as_ref().map(|c| c.epoch),
-            Some(distributed.epoch() as u64)
+            Some(checkpointed)
         );
-        assert_eq!(recovered.replayed_epochs(), 2);
-        assert_eq!(recovered.resume_epoch(), distributed.epoch() as u64 + 2);
+        assert_eq!(recovered.frames.len(), 2);
+        assert_eq!(
+            recovered.frames.last().map(|f| f.epoch),
+            Some(checkpointed + 2)
+        );
         assert_eq!(recovered.events_seen(), events + 2);
+
+        let (resumed, fresh) = resumed(&recovered);
+        assert!(resumed.same_structure(&distributed));
+        assert_eq!(resumed.epoch(), distributed.epoch());
+        let logged = [(20u64, 21u64, 0), (21, 22, 1)]
+            .map(|(s, d, p)| (Edge::from((s, d)), PartitionId::new(p)));
+        assert!(fresh.surviving().eq(partitioner.surviving().chain(logged)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -743,233 +660,6 @@ mod tests {
             "{err}"
         );
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resume_partition_state_applies_removals_before_insertions() {
-        use crate::wal::WalFrame;
-        // Epoch 1 inserts X→0 and Y→1; epoch 2 deletes X's old copy and
-        // re-inserts X on partition 2 in the same batch. The recorded
-        // removal must pop the *pre-batch* copy, keeping the re-insert.
-        let recovered = RecoveredState {
-            checkpoint: None,
-            frames: vec![
-                WalFrame {
-                    epoch: 1,
-                    events_seen: 2,
-                    batch: batch(&[(7, 3, 0), (3, 4, 1)], &[]),
-                },
-                WalFrame {
-                    epoch: 2,
-                    events_seen: 4,
-                    batch: batch(&[(7, 3, 2)], &[(7, 3, 0)]),
-                },
-            ],
-        };
-        let (universe, pairs) = recovered.resume_partition_state().unwrap();
-        assert_eq!(universe, 8);
-        assert_eq!(
-            pairs,
-            vec![
-                (Edge::from((3u64, 4u64)), PartitionId::new(1)),
-                (Edge::from((7u64, 3u64)), PartitionId::new(2)),
-            ]
-        );
-
-        // A removal whose placement contradicts the live copy is evidence
-        // of a forked lineage, not a crash: hard error.
-        let broken = RecoveredState {
-            checkpoint: None,
-            frames: vec![WalFrame {
-                epoch: 1,
-                events_seen: 2,
-                batch: batch(&[(1, 2, 0)], &[(9, 9, 0)]),
-            }],
-        };
-        assert!(matches!(
-            broken.resume_partition_state().unwrap_err(),
-            StateError::InvalidState { .. }
-        ));
-    }
-
-    /// `resume_partition_state` as it was before the one-pass rewrite: an
-    /// `rposition` scan and a mid-vector `remove` per logged removal. Kept
-    /// as the reference the linear implementation is checked against,
-    /// error strings included.
-    fn resume_by_scan(recovered: &RecoveredState) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
-        let mut universe = recovered
-            .checkpoint
-            .as_ref()
-            .map(|c| c.universe)
-            .unwrap_or(0);
-        let mut pairs = recovered
-            .checkpoint
-            .as_ref()
-            .map(|c| c.surviving.clone())
-            .unwrap_or_default();
-        for frame in &recovered.frames {
-            for &(edge, part) in frame.batch.removed() {
-                let Some(pos) = pairs.iter().rposition(|&(e, _)| e == edge) else {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?}, which has no live copy",
-                            frame.epoch
-                        ),
-                    });
-                };
-                if pairs[pos].1 != part {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?} from {part:?}, but its newest \
-                             copy lives on {:?}",
-                            frame.epoch, pairs[pos].1
-                        ),
-                    });
-                }
-                pairs.remove(pos);
-            }
-            for &(edge, part) in frame.batch.added() {
-                let top = edge.src.raw().max(edge.dst.raw()) + 1;
-                universe = universe.max(usize::try_from(top).unwrap_or(usize::MAX));
-                pairs.push((edge, part));
-            }
-        }
-        Ok((universe, pairs))
-    }
-
-    #[test]
-    fn resume_errors_keep_their_wording() {
-        let frame = |epoch, added: &[(u64, u64, u32)], removed: &[(u64, u64, u32)]| WalFrame {
-            epoch,
-            events_seen: epoch,
-            batch: batch(added, removed),
-        };
-        let dead = RecoveredState {
-            checkpoint: None,
-            frames: vec![
-                frame(1, &[(1, 2, 0)], &[]),
-                frame(2, &[], &[(1, 2, 0)]),
-                frame(3, &[], &[(1, 2, 0)]),
-            ],
-        };
-        assert_eq!(
-            dead.resume_partition_state().unwrap_err().to_string(),
-            resume_by_scan(&dead).unwrap_err().to_string()
-        );
-        assert!(dead
-            .resume_partition_state()
-            .unwrap_err()
-            .to_string()
-            .contains("WAL epoch 3 removes Edge { src: VertexId(1), dst: VertexId(2) }, which has no live copy"));
-
-        // The newest copy decides: the older copy on partition 0 does not
-        // license a removal from partition 0 while a newer one lives on 2.
-        let misplaced = RecoveredState {
-            checkpoint: None,
-            frames: vec![
-                frame(1, &[(1, 2, 0), (1, 2, 2)], &[]),
-                frame(2, &[], &[(1, 2, 0)]),
-            ],
-        };
-        assert_eq!(
-            misplaced.resume_partition_state().unwrap_err().to_string(),
-            resume_by_scan(&misplaced).unwrap_err().to_string()
-        );
-        assert!(misplaced
-            .resume_partition_state()
-            .unwrap_err()
-            .to_string()
-            .contains("from PartitionId(0), but its newest copy lives on PartitionId(2)"));
-    }
-
-    mod resume_differential {
-        use proptest::prelude::*;
-
-        use super::*;
-        use crate::checkpoint::Checkpoint;
-
-        type Op = (u8, u64, u64, u32, usize);
-
-        /// Turns one frame's ops into a batch. Kinds 0–5 add a random pair;
-        /// 6–8 remove the *newest live copy* of a random live edge (valid
-        /// by construction, so most lineages run deep); 9 adds a self-loop
-        /// or, one time in eight, removes an arbitrary pair — usually dead
-        /// or on the wrong partition. `live` follows the scan semantics:
-        /// removals first, then additions.
-        fn frame_from_ops(ops: &[Op], live: &mut Vec<(Edge, PartitionId)>) -> MutationBatch {
-            let (mut added, mut removed) = (Vec::new(), Vec::new());
-            for &(kind, src, dst, part, pick) in ops {
-                let pair = (Edge::from((src, dst)), PartitionId::new(part));
-                match kind {
-                    0..=5 => added.push(pair),
-                    6..=8 if !live.is_empty() => {
-                        let edge = live[pick % live.len()].0;
-                        let newest = live.iter().rposition(|&(e, _)| e == edge).unwrap();
-                        removed.push(live.remove(newest));
-                    }
-                    6..=8 => {}
-                    _ if pick % 8 == 0 => removed.push(pair),
-                    _ => added.push((Edge::from((src, src)), pair.1)),
-                }
-            }
-            live.extend(added.iter().copied());
-            MutationBatch::from_parts(added, removed)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            /// Random checkpoint + WAL lineages over a universe small
-            /// enough for duplicate copies, self-loops and
-            /// delete-then-reinsert frames, salted with removals of dead
-            /// edges and wrong partitions: the one-pass resume returns the
-            /// scan's `(universe, pairs)` or the scan's error, verbatim.
-            #[test]
-            fn linear_resume_matches_the_scan(
-                checkpointed in proptest::collection::vec((0u64..5, 0u64..5, 0u32..3), 0..40),
-                with_checkpoint in any::<bool>(),
-                frames in proptest::collection::vec(
-                    proptest::collection::vec(
-                        (0u8..10, 0u64..6, 0u64..6, 0u32..3, 0usize..1000),
-                        0..30,
-                    ),
-                    0..8,
-                ),
-            ) {
-                let surviving: Vec<(Edge, PartitionId)> = checkpointed
-                    .iter()
-                    .map(|&(s, d, p)| (Edge::from((s, d)), PartitionId::new(p)))
-                    .collect();
-                let mut live = if with_checkpoint { surviving.clone() } else { Vec::new() };
-                let checkpoint = with_checkpoint.then(|| Checkpoint {
-                    epoch: 4,
-                    events_seen: 0,
-                    num_vertices: 5,
-                    worker_edges: Vec::new(),
-                    universe: 5,
-                    surviving,
-                    series: Vec::new(),
-                });
-                let base = checkpoint.as_ref().map_or(0, |c| c.epoch);
-                let frames = frames
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ops)| WalFrame {
-                        epoch: base + 1 + i as u64,
-                        events_seen: 0,
-                        batch: frame_from_ops(ops, &mut live),
-                    })
-                    .collect();
-                let recovered = RecoveredState { checkpoint, frames };
-                let text = |result: Result<(usize, Vec<(Edge, PartitionId)>)>| {
-                    result.map_err(|err| err.to_string())
-                };
-                prop_assert_eq!(
-                    text(recovered.resume_partition_state()),
-                    text(resume_by_scan(&recovered))
-                );
-            }
-        }
     }
 
     #[test]
@@ -1020,7 +710,7 @@ mod tests {
         // the stray tmp file).
         let (_s2, recovered) = DurableState::open(&dir, 100).unwrap();
         assert_eq!(recovered.checkpoint.as_ref().map(|c| c.epoch), Some(6));
-        assert_eq!(recovered.replayed_epochs(), 0);
+        assert!(recovered.frames.is_empty());
         assert!(!dir.join("checkpoint-9.ckpt.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1109,7 +799,7 @@ mod tests {
             );
             let (_s2, recovered) = DurableState::open(&dir, 100).unwrap();
             match recovered.checkpoint {
-                None => assert_eq!(recovered.replayed_epochs(), 0, "budget {budget}"),
+                None => assert!(recovered.frames.is_empty(), "budget {budget}"),
                 Some(ckpt) => {
                     assert_eq!(ckpt.epoch, distributed.epoch() as u64, "budget {budget}");
                     assert!(ckpt.rebuild_graph().unwrap().same_structure(&distributed));

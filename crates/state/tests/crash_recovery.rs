@@ -11,9 +11,10 @@
 //! 2. a **crashed** run armed to fail after `k` units, for `k` sampled
 //!    across `[0, total)` — the write-ahead log or a checkpoint is torn at
 //!    an arbitrary byte — followed by a recovery run that reopens the
-//!    directory, rebuilds the world from the newest valid checkpoint,
-//!    replays the WAL suffix, fast-forwards the event stream by the
-//!    recovered `events_seen`, and continues to completion.
+//!    directory, resumes the world (`RecoveredState::resume`: newest valid
+//!    checkpoint, WAL suffix replayed through the same epoch body the
+//!    live loop runs), fast-forwards the event stream by the recovered
+//!    `events_seen`, and continues to completion.
 //!
 //! The recovered run must be **bit-identical** to the reference: graph
 //! structure (including the routing table), epoch counter, warm CC/SSSP
@@ -31,13 +32,13 @@ use ebv_algorithms::{
     ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, SingleSourceShortestPath,
     UNREACHABLE,
 };
-use ebv_bsp::{BspEngine, DistributedGraph, EpochCommitter, RunOptions};
+use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, MutationStats, RunOptions};
 use ebv_dynamic::{ChurnStream, DynamicError, EventPipeline, EventSource};
 use ebv_graph::{Edge, VertexId};
 use ebv_obs::NoopRecorder;
 use ebv_partition::{EbvPartitioner, PartitionId, PartitionMetrics, PartitionResult};
 use ebv_serve::{GraphSnapshot, SeriesData, SnapshotStore};
-use ebv_state::{DurableState, Failpoint, SeriesValues, StateError};
+use ebv_state::{DurableState, Failpoint, ResumeError, SeriesValues, StateError};
 use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 const SCALE: u32 = 7; // 128 vertices
@@ -67,13 +68,6 @@ fn state_err(err: StateError) -> DynamicError {
     DynamicError::Durability(err.into())
 }
 
-fn series_u64(values: &SeriesValues) -> Vec<u64> {
-    match values {
-        SeriesValues::U64(v) => v.clone(),
-        other => panic!("expected a u64 series, got {other:?}"),
-    }
-}
-
 fn served_u64(snapshot: &GraphSnapshot, name: &str) -> Vec<u64> {
     match &snapshot.series(name).expect("series published").data {
         SeriesData::U64 { values, .. } => values.clone(),
@@ -95,76 +89,71 @@ fn run_to_completion(dir: &Path, failpoint: Failpoint) -> Result<Final, DynamicE
     let mut partitioner = EbvPartitioner::new()
         .dynamic(stream.stream_config(WORKERS))
         .expect("partitioner config");
-    let mut distributed = match recovered.checkpoint.as_ref() {
-        Some(checkpoint) => checkpoint.rebuild_graph().map_err(state_err)?,
-        None => DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())
-            .expect("empty distribution"),
-    };
-    if !recovered.is_empty() {
-        let (universe, pairs) = recovered.resume_partition_state().map_err(state_err)?;
-        partitioner.restore(universe, pairs)?;
-    }
+    let empty = DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())
+        .expect("empty distribution");
 
     // Warm seeds: the checkpointed series, or (fresh start / WAL-only
     // recovery) the cold values of the empty distribution — exactly what
     // the reference run started from.
-    let (mut labels, mut distances) = match recovered.checkpoint.as_ref() {
-        Some(checkpoint) => {
-            let lookup = |name: &str| {
-                checkpoint
-                    .series
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| series_u64(v))
-                    .unwrap_or_else(|| panic!("checkpoint misses warm series {name:?}"))
-            };
-            (lookup("cc"), lookup("sssp"))
-        }
+    let mut labels = match recovered.series_u64("cc").map_err(state_err)? {
+        Some(labels) => labels,
         None => {
-            let labels = engine
-                .run(&distributed, &ConnectedComponents::new())
+            engine
+                .run(&empty, &ConnectedComponents::new())
                 .expect("cold CC")
-                .values;
-            let distances = engine
-                .run(&distributed, &SingleSourceShortestPath::new(source))
+                .values
+        }
+    };
+    let mut distances = match recovered.series_u64("sssp").map_err(state_err)? {
+        Some(distances) => distances,
+        None => {
+            engine
+                .run(&empty, &SingleSourceShortestPath::new(source))
                 .expect("cold SSSP")
-                .values;
-            (labels, distances)
+                .values
         }
     };
 
-    // Replay the WAL suffix: apply each logged batch and re-run the warm
-    // programs, publishing to the query plane like the live loop does.
+    // The one epoch body: `resume` replays the WAL suffix through it, then
+    // the durable loop runs it for every new epoch.
     let snapshots = SnapshotStore::new();
-    for frame in &recovered.frames {
-        distributed.apply_mutations(&frame.batch)?;
-        let cc_program = IncrementalConnectedComponents::from_batch(&labels, &frame.batch);
+    let mut on_epoch = |dg: &DistributedGraph,
+                        batch: &MutationBatch,
+                        _: PartitionMetrics,
+                        _: MutationStats|
+     -> Result<(), DynamicError> {
+        let cc_program = IncrementalConnectedComponents::from_batch(&labels, batch);
         labels = engine
             .run_opts(
-                &distributed,
+                dg,
                 &cc_program,
                 RunOptions::new()
                     .warm_seed(&labels)
                     .publish_to(&snapshots.series_sink::<u64>("cc")),
-            )
-            .expect("warm CC replay")
+            )?
             .values;
-        let sssp_program =
-            IncrementalSssp::from_distributed(source, &distributed, &distances, &frame.batch);
+        let sssp_program = IncrementalSssp::from_distributed(source, dg, &distances, batch);
         distances = engine
             .run_opts(
-                &distributed,
+                dg,
                 &sssp_program,
                 RunOptions::new().warm_seed(&distances).publish_to(
                     &snapshots
                         .series_sink::<u64>("sssp")
                         .with_absent(UNREACHABLE),
                 ),
-            )
-            .expect("warm SSSP replay")
+            )?
             .values;
-        snapshots.commit_epoch(&distributed);
-    }
+        store.stage_series("cc", SeriesValues::U64(labels.clone()));
+        store.stage_series("sssp", SeriesValues::U64(distances.clone()));
+        Ok(())
+    };
+    let mut distributed = recovered
+        .resume(empty, &mut partitioner, Some(&snapshots), &mut on_epoch)
+        .map_err(|err| match err {
+            ResumeError::State(err) => state_err(err),
+            ResumeError::Epoch(err) => err,
+        })?;
 
     // Fast-forward the deterministic event stream past everything the
     // recovered state already absorbed, then continue durably.
@@ -185,35 +174,7 @@ fn run_to_completion(dir: &Path, failpoint: Failpoint) -> Result<Final, DynamicE
         &snapshots,
         &store,
         events_start,
-        |dg, batch, _metrics, _stats| {
-            let cc_program = IncrementalConnectedComponents::from_batch(&labels, batch);
-            labels = engine
-                .run_opts(
-                    dg,
-                    &cc_program,
-                    RunOptions::new()
-                        .warm_seed(&labels)
-                        .publish_to(&snapshots.series_sink::<u64>("cc")),
-                )
-                .map_err(DynamicError::Bsp)?
-                .values;
-            let sssp_program = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-            distances = engine
-                .run_opts(
-                    dg,
-                    &sssp_program,
-                    RunOptions::new().warm_seed(&distances).publish_to(
-                        &snapshots
-                            .series_sink::<u64>("sssp")
-                            .with_absent(UNREACHABLE),
-                    ),
-                )
-                .map_err(DynamicError::Bsp)?
-                .values;
-            store.stage_series("cc", SeriesValues::U64(labels.clone()));
-            store.stage_series("sssp", SeriesValues::U64(distances.clone()));
-            Ok(())
-        },
+        &mut on_epoch,
         &NoopRecorder,
     )?;
 

@@ -63,8 +63,7 @@ use ebv::algorithms::{
     IncrementalSssp, SingleSourceShortestPath,
 };
 use ebv::bsp::{
-    BspEngine, BspOutcome, DistributedGraph, EnvConfig, EpochCommitter, MutationBatch,
-    MutationStats, RunOptions,
+    BspEngine, BspOutcome, DistributedGraph, EnvConfig, MutationBatch, MutationStats, RunOptions,
 };
 use ebv::dynamic::{
     batch_from_plan, ChurnStream, EpochOptions, EventPipeline, EventSource, SlidingWindow,
@@ -76,7 +75,7 @@ use ebv::obs::{
 };
 use ebv::partition::{EbvPartitioner, PartitionMetrics, RebalanceConfig, StreamConfig};
 use ebv::serve::{register_query_routes, SnapshotStore};
-use ebv::state::{Checkpoint, DurableState, RecoveredState, SeriesValues};
+use ebv::state::{DurableState, RecoveredState, SeriesValues};
 use ebv::stream::{EdgeSource, RmatEdgeStream};
 
 const SCALE: u32 = 16; // 65 536 vertices
@@ -146,15 +145,6 @@ fn assert_metrics_recompute_exactly(
     Ok(maintained)
 }
 
-/// A checkpointed warm value series, by name. Checkpoints taken by the
-/// durable loop below always carry both, so a miss is a hard error.
-fn checkpoint_series(checkpoint: &Checkpoint, name: &str) -> Vec<u64> {
-    match checkpoint.series.iter().find(|(n, _)| n == name) {
-        Some((_, SeriesValues::U64(values))) => values.clone(),
-        other => panic!("checkpoint misses u64 warm series {name:?}: {other:?}"),
-    }
-}
-
 /// FNV-1a over a value vector: the order-sensitive fingerprint printed in
 /// the `durable summary` line, which the CI crash-recovery smoke compares
 /// between a SIGKILLed-and-restarted run and a clean reference run.
@@ -221,7 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // checkpointed every `EBV_CHECKPOINT_EVERY` applied epochs, and a
     // restart over the same directory recovers the newest valid
     // checkpoint plus the WAL suffix before continuing the stream.
-    let durable = match env_config().state_dir {
+    let (durable, recovered) = match env_config().state_dir {
         Some(dir) => {
             let (state, recovered) = DurableState::open(&dir, env_config().checkpoint_every)?;
             println!(
@@ -236,54 +226,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ),
                 },
             );
-            Some((state, recovered))
+            (Some(state), recovered)
         }
-        None => None,
+        None => (None, RecoveredState::default()),
     };
-    let recovered: Option<&RecoveredState> = durable.as_ref().map(|(_, recovered)| recovered);
-    let checkpoint = recovered.and_then(|recovered| recovered.checkpoint.as_ref());
 
     let stream = RmatEdgeStream::new(SCALE, NUM_EDGES).with_seed(SEED);
     let mut partitioner = EbvPartitioner::new().dynamic(stream.stream_config(WORKERS))?;
     // Declare the generator's full vertex universe up front so the
     // distribution and the partitioner agree on it at every epoch. A
-    // resume rebuilds the checkpointed distribution and restores the
-    // partitioner's surviving multiset (checkpoint + WAL replay) instead.
-    let mut distributed = match checkpoint {
-        Some(checkpoint) => checkpoint.rebuild_graph()?,
-        None => DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())?,
-    };
-    if let Some(recovered) = recovered.filter(|recovered| !recovered.is_empty()) {
-        let (universe, pairs) = recovered.resume_partition_state()?;
-        partitioner.restore(universe, pairs)?;
-    }
+    // resume replaces this empty distribution with the recovered one.
+    let empty = DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())?;
     let source = VertexId::new(SOURCE);
 
     // Warm seeds: the checkpointed value series on resume, otherwise the
     // values of the empty distribution — every vertex its own component,
     // everything but the source unreachable.
-    let (mut labels, mut distances) = match checkpoint {
-        Some(checkpoint) => (
-            checkpoint_series(checkpoint, "cc"),
-            checkpoint_series(checkpoint, "sssp"),
-        ),
-        None => (
-            cc(&engine, &distributed, telemetry).values,
+    let mut labels = match recovered.series_u64("cc")? {
+        Some(labels) => labels,
+        None => cc(&engine, &empty, telemetry).values,
+    };
+    let mut distances = match recovered.series_u64("sssp")? {
+        Some(distances) => distances,
+        None => {
             engine
                 .run_opts(
-                    &distributed,
+                    &empty,
                     &SingleSourceShortestPath::new(source),
                     RunOptions::new().recorder(telemetry),
                 )?
-                .values,
-        ),
+                .values
+        }
     };
 
     // Fast-forward the deterministic event stream past everything the
     // recovered state already absorbed; WAL frame stamps count raw events
     // *before* batch cancellation, so this replays the exact draw
     // sequence.
-    let events_already_seen = recovered.map(RecoveredState::events_seen).unwrap_or(0);
+    let events_already_seen = recovered.events_seen();
     let mut churn = ChurnStream::new(stream, CHURN)?.with_seed(SEED);
     for _ in 0..events_already_seen {
         churn
@@ -355,7 +335,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Durable runs stage the post-epoch warm series so the next
         // cadenced checkpoint snapshots them alongside the graph and
         // a restart can re-seed the warm programs exactly.
-        if let Some((state, _)) = durable.as_ref() {
+        if let Some(state) = durable.as_ref() {
             state.stage_series("cc", SeriesValues::U64(labels.clone()));
             state.stage_series("sssp", SeriesValues::U64(distances.clone()));
         }
@@ -375,28 +355,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(())
     };
 
-    // Replay the WAL suffix beyond the checkpoint through the same epoch
-    // body as the live loop — apply each logged batch, re-run the warm
-    // programs, commit to the query plane. A resume that lands exactly on
-    // a checkpoint still publishes the recovered values once: an
-    // empty-batch warm run converges immediately and commits them.
-    if let Some(recovered) = recovered {
-        for frame in &recovered.frames {
-            let stats = distributed.apply_mutations(&frame.batch)?;
-            on_epoch(&distributed, &frame.batch, partitioner.metrics(), stats)?;
-            store.commit_epoch(&distributed);
-        }
-        if !recovered.is_empty() && recovered.frames.is_empty() {
-            let empty = MutationBatch::new();
-            let stats = distributed.apply_mutations(&empty)?;
-            on_epoch(&distributed, &empty, partitioner.metrics(), stats)?;
-            store.commit_epoch(&distributed);
-        }
-    }
+    // Resume whatever the state directory held through the same epoch
+    // body as the live loop: rebuild, replay the WAL suffix, commit each
+    // replayed epoch to the query plane. Without durable state this hands
+    // back the empty distribution untouched.
+    let mut distributed = recovered.resume(empty, &mut partitioner, Some(&store), &mut on_epoch)?;
 
     let started = Instant::now();
     let mut stages = EpochOptions::new().recorder(telemetry).committer(&store);
-    if let Some((state, _)) = durable.as_ref() {
+    if let Some(state) = durable.as_ref() {
         stages = stages.durability(state, events_already_seen);
     }
     let report = EventPipeline::new(BATCH).run_applied_opts(
