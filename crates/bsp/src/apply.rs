@@ -4,13 +4,14 @@
 //! goes, survivors keep their order) and additions append in record order,
 //! so a mutated distribution is structurally identical to a fresh
 //! `build_streaming` of the surviving `(edge, partition)` stream — edge
-//! lists, holder lists, isolated lists, elected masters and routing table
-//! alike. An epoch is a fixed sequence of steps — validate removals → grow
-//! universe → incidence delta → new edge lists → re-elect affected →
-//! rebuild touched → routing patch — of which only the first can fail, and
-//! it mutates nothing, so a rejected batch leaves the distribution
-//! unchanged, its [`Lineage`](crate::Lineage) state id included; a batch
-//! that lands mints a new one and keeps its affected list beside it.
+//! lists, the replica table (holder counts and elected masters), isolated
+//! lists and routing table alike. An epoch is a fixed sequence of steps —
+//! validate removals → grow universe → bump the replica table's holder
+//! counts → new edge lists → re-elect affected → rebuild touched → routing
+//! patch — of which only the first can fail, and it mutates nothing, so a
+//! rejected batch leaves the distribution unchanged, its
+//! [`Lineage`](crate::Lineage) state id included; a batch that lands mints
+//! a new one and keeps its affected list beside it.
 
 use std::time::Instant;
 
@@ -210,41 +211,25 @@ impl DistributedGraph {
             n = n.max(edge.src.index().max(edge.dst.index()) + 1);
         }
         if n > old_n {
-            self.incident_count.resize_with(n, Vec::new);
             self.replicas.grow(n);
             self.num_vertices = n;
         }
         old_n
     }
 
-    /// Step 3 — delta-updates the per-vertex holder lists and returns the
-    /// *affected* vertices, ascending: the endpoints of mutated edges plus
-    /// any newly created vertices. Only these can change masters, replica
-    /// sets or isolated status.
+    /// Step 3 — moves the replica table's holder counts by the batch and
+    /// returns the *affected* vertices, ascending: the endpoints of mutated
+    /// edges plus any newly created vertices. Only these can change
+    /// masters, replica sets or isolated status.
     fn update_incidence(&mut self, batch: &MutationBatch, old_n: usize) -> Vec<usize> {
         let n = self.num_vertices;
         let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
-        for &(edge, part) in batch.removed() {
-            for v in [edge.src, edge.dst] {
-                let counts = &mut self.incident_count[v.index()];
-                let slot = counts
-                    .binary_search_by_key(&part, |&(holder, _)| holder)
-                    .expect("validated removal implies live incidence");
-                counts[slot].1 -= 1;
-                if counts[slot].1 == 0 {
-                    counts.remove(slot);
+        for (copies, added) in [(batch.removed(), false), (batch.added(), true)] {
+            for &(edge, part) in copies {
+                for v in [edge.src, edge.dst] {
+                    self.replicas.bump(v, part, added);
+                    affected.push(v.index());
                 }
-                affected.push(v.index());
-            }
-        }
-        for &(edge, part) in batch.added() {
-            for v in [edge.src, edge.dst] {
-                let counts = &mut self.incident_count[v.index()];
-                match counts.binary_search_by_key(&part, |&(holder, _)| holder) {
-                    Ok(slot) => counts[slot].1 += 1,
-                    Err(slot) => counts.insert(slot, (part, 1)),
-                }
-                affected.push(v.index());
             }
         }
         affected.extend(old_n..n);
@@ -296,10 +281,7 @@ impl DistributedGraph {
         for &vi in affected {
             let v = VertexId::from(vi);
             let home = &mut self.isolated_per_part[vi % p];
-            let holders = &self.incident_count[vi];
-            let is_isolated = self
-                .replicas
-                .elect(v, holders, p, MasterRule::IncidentMajority);
+            let is_isolated = self.replicas.elect(v, p, MasterRule::IncidentMajority);
             match (home.binary_search(&v), is_isolated) {
                 (Err(pos), true) => home.insert(pos, v),
                 (Ok(pos), false) => {

@@ -1,12 +1,13 @@
 //! The distributed graph: per-worker subgraphs, the replica table and the
 //! election state, assembled from per-partition edge lists.
 //!
-//! Invariants owned here: every vertex's holder list (`incident_count`) is
-//! strictly ascending by partition with positive counts; every partition's
-//! isolated list is ascending by vertex id; and every construction path —
-//! batch [`DistributedGraph::build`], the streaming builder, and a mutation
-//! epoch over the survivors — ends in the same [`assemble`]d state, which
-//! [`DistributedGraph::same_structure`] compares.
+//! Invariants owned here: every partition's isolated list is ascending by
+//! vertex id, and every construction path — batch
+//! [`DistributedGraph::build`], the streaming builder, and a mutation epoch
+//! over the survivors — ends in the same [`assemble`]d state, which
+//! [`DistributedGraph::same_structure`] compares. Which partitions hold each
+//! vertex, and how many of its edges, is held once, by the
+//! [`ReplicaTable`] (see [`crate::replica`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,14 +63,6 @@ pub struct DistributedGraph {
     pub(crate) num_edges: usize,
     /// Number of mutation epochs absorbed since the initial build.
     pub(crate) epoch: usize,
-    /// Per-vertex live-incidence counts per holding partition, kept sorted
-    /// by partition — the master-election state of [`assemble`], kept
-    /// resident and delta-updated so a mutation epoch re-elects only the
-    /// vertices it actually touches. A sorted inline list beats a hash map
-    /// here: almost every vertex has one or two holders, lookups are a
-    /// short binary search, and the resident/clone cost is a fraction of a
-    /// `HashMap` per vertex.
-    pub(crate) incident_count: Vec<Vec<(PartitionId, u32)>>,
     /// Per-partition isolated vertices, in increasing id order (the order
     /// [`assemble`] feeds them to [`Subgraph::build`]).
     pub(crate) isolated_per_part: Vec<Vec<VertexId>>,
@@ -261,13 +254,12 @@ impl DistributedGraph {
                 .zip(&other.subgraphs)
                 .all(|(a, b)| a.same_structure(b))
             && self.replicas.same_structure(&other.replicas)
-            && self.incident_count == other.incident_count
             && self.isolated_per_part == other.isolated_per_part
             && self.routing == other.routing
     }
 }
 
-/// Shared final assembly step: replica sets, master election, isolated
+/// Shared final assembly step: holder counts, master election, isolated
 /// vertex placement and per-worker subgraph construction, stamped with the
 /// mutation `epoch` the result continues. Both [`DistributedGraph::build`]
 /// and [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
@@ -282,33 +274,12 @@ pub(crate) fn assemble(
     master_rule: MasterRule<'_>,
     epoch: usize,
 ) -> DistributedGraph {
-    // Partitions are visited in ascending order, so a vertex's entry for
-    // the current partition, if it has one, is the last of its list: bump
-    // it or append — the lists come out sorted without a search, which is
-    // the order `apply_mutations` binary-searches.
-    let mut incident_count: Vec<Vec<(PartitionId, u32)>> = vec![Vec::new(); n];
-    for (i, edges) in edges_per_part.iter().enumerate() {
-        let part = PartitionId::from_index(i);
-        for v in edges.iter().flat_map(|e| [e.src, e.dst]) {
-            match incident_count[v.index()].last_mut() {
-                Some((holder, count)) if *holder == part => *count += 1,
-                _ => incident_count[v.index()].push((part, 1)),
-            }
-        }
-    }
-    debug_assert!(
-        incident_count
-            .iter()
-            .all(|holders| holders.windows(2).all(|w| w[0].0 < w[1].0)),
-        "holder lists are strictly ascending by partition"
-    );
     // Vertices are elected in ascending order, so the isolated lists come
     // out ascending too.
-    let mut replicas = ReplicaTable::new(n);
+    let mut replicas = ReplicaTable::count(n, &edges_per_part);
     let mut isolated_per_part: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    for (v, holders) in incident_count.iter().enumerate() {
-        let v = VertexId::from(v);
-        if replicas.elect(v, holders, p, master_rule) {
+    for v in (0..n).map(VertexId::from) {
+        if replicas.elect(v, p, master_rule) {
             isolated_per_part[v.index() % p].push(v);
         }
     }
@@ -338,7 +309,6 @@ pub(crate) fn assemble(
         num_vertices: n,
         num_edges,
         epoch,
-        incident_count,
         isolated_per_part,
         last_mutation: MutationStats::default(),
         routing,

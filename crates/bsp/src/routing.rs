@@ -20,8 +20,10 @@
 //! Both [`RoutingTable::build`] and [`RoutingTable::apply_update`] derive
 //! routes from arrays, not hash probes: each first lays out a transient
 //! [`ReplicaLocations`] — every replica of every vertex as a
-//! `(worker, local index)` pair, filled by one pass over the subgraphs'
-//! vertex tables — and reads route destinations and patch targets off it.
+//! `(worker, local index)` pair, its per-vertex slices sized from the
+//! [`ReplicaTable`]'s replica counts and filled by one pass over the
+//! subgraphs' vertex tables — and reads route destinations and patch
+//! targets off it.
 //! A rebuilt worker is re-indexed from scratch (first-appearance local
 //! numbering), so every route into it changes; what the arrays remove is
 //! the `local_index_of` probe per route, not the re-index.
@@ -136,25 +138,21 @@ impl WorkerRoutes {
 
 /// Every replica of every vertex as a `(worker, local index)` pair, flat:
 /// vertex `v`'s replicas are `replicas[offsets[v]..offsets[v + 1]]`, in
-/// ascending worker order. Transient — laid out by one pass over the
-/// subgraphs' vertex tables at the top of a table build or update, so that
-/// deriving a route or a patch target is an array read where it used to be
-/// a `replicas_of` pointer chase plus a `local_index_of` hash probe.
+/// ascending worker order. Transient — sized from the replica table's
+/// counts and filled by one pass over the subgraphs' vertex tables at the
+/// top of a table build or update, so that deriving a route or a patch
+/// target is an array read where it used to be a `replicas_of` pointer
+/// chase plus a `local_index_of` hash probe.
 struct ReplicaLocations {
     offsets: Vec<u32>,
     replicas: Vec<Route>,
 }
 
 impl ReplicaLocations {
-    fn build(subgraphs: &[Subgraph], num_vertices: usize) -> Self {
+    fn build(subgraphs: &[Subgraph], table: &ReplicaTable, num_vertices: usize) -> Self {
         let mut offsets = vec![0u32; num_vertices + 1];
-        for sg in subgraphs {
-            for &v in sg.vertices() {
-                offsets[v.index() + 1] += 1;
-            }
-        }
         for v in 0..num_vertices {
-            offsets[v + 1] += offsets[v];
+            offsets[v + 1] = offsets[v] + table.replica_count(VertexId::from(v)) as u32;
         }
         // Workers are visited in ascending order, so each vertex's slice
         // fills in ascending worker order.
@@ -171,6 +169,10 @@ impl ReplicaLocations {
                 *slot += 1;
             }
         }
+        debug_assert!(
+            cursor == offsets[1..],
+            "the subgraphs hold exactly the replicas the table counts"
+        );
         ReplicaLocations { offsets, replicas }
     }
 
@@ -303,7 +305,7 @@ impl RoutingTable {
         num_vertices: usize,
         epoch: usize,
     ) -> Self {
-        let locations = ReplicaLocations::build(subgraphs, num_vertices);
+        let locations = ReplicaLocations::build(subgraphs, replicas, num_vertices);
         let mut workers = vec![WorkerRoutes::default(); subgraphs.len()];
         let mut master_location = vec![ABSENT; num_vertices];
         derive_routes(
@@ -382,7 +384,7 @@ impl RoutingTable {
     ) {
         self.epoch = epoch;
         self.master_location.resize(num_vertices, ABSENT);
-        let locations = ReplicaLocations::build(subgraphs, num_vertices);
+        let locations = ReplicaLocations::build(subgraphs, replicas, num_vertices);
         // Rebuilt workers get fresh route tables and fresh master locations
         // for the vertices they master.
         derive_routes(

@@ -71,7 +71,7 @@ fn record_if_master(
 /// The whole table, worker-major.
 fn build_worker_major(dg: &DistributedGraph) -> RoutingTable {
     let (subgraphs, replicas, n) = (dg.subgraphs(), dg.replicas(), dg.num_vertices());
-    let locations = ReplicaLocations::build(subgraphs, n);
+    let locations = ReplicaLocations::build(subgraphs, replicas, n);
     let mut workers = Vec::new();
     let mut master_location = vec![ABSENT; n];
     for (d, sg) in subgraphs.iter().enumerate() {
@@ -219,8 +219,9 @@ fn maintained_table_equals_the_worker_major_build_after_churn() {
             assert!(dg.same_structure(&fresh), "p={p} round {round}");
             shared_affected += (dg.lineage().affected.iter())
                 .filter(|&&v| {
-                    let holders = dg.replicas().replicas_of(VertexId::from(v));
-                    holders.iter().any(|holder| holder.index() != only)
+                    dg.replicas()
+                        .replicas_of(VertexId::from(v))
+                        .any(|holder| holder.index() != only)
                 })
                 .count();
             assert_eq!(
@@ -279,8 +280,10 @@ fn holders_of_equals_the_replica_table_joined_with_the_hash_index() {
             // Master first; as a set, the replica list in its own order.
             assert_eq!(read[0].0, dg.replicas().master_of(v).index());
             read.sort_unstable();
-            let probed: Vec<(usize, usize)> = (dg.replicas().replicas_of(v).iter())
-                .map(|&part| {
+            let probed: Vec<(usize, usize)> = dg
+                .replicas()
+                .replicas_of(v)
+                .map(|part| {
                     let local = dg.subgraph(part).local_index_of(v);
                     (part.index(), local.expect("a replica holds the vertex"))
                 })

@@ -37,7 +37,7 @@ fn every_vertex_has_exactly_one_master() {
             .count();
         if dg.replicas().replica_count(v) > 0 {
             assert_eq!(master_count, 1, "vertex {v}");
-            assert!(dg.replicas().replicas_of(v).contains(&master));
+            assert!(dg.replicas().replicas_of(v).any(|part| part == master));
         }
     }
 }
@@ -54,7 +54,7 @@ fn replica_table_matches_subgraph_contents() {
             .filter(|s| s.local_index_of(v).is_some())
             .map(|s| s.part())
             .collect();
-        assert_eq!(holders, dg.replicas().replicas_of(v), "vertex {v}");
+        assert_eq!(holders, replicas_of(&dg, v), "vertex {v}");
     }
     let rf = dg.replication_factor();
     assert!(rf >= 1.0 - 1e-9);
@@ -134,8 +134,8 @@ fn streaming_builder_matches_batch_build() {
             "vertex {v}"
         );
         assert_eq!(
-            streamed.replicas().replicas_of(v),
-            batch.replicas().replicas_of(v),
+            replicas_of(&streamed, v),
+            replicas_of(&batch, v),
             "vertex {v}"
         );
     }
@@ -146,13 +146,22 @@ fn streaming_builder_matches_batch_build() {
     assert_same_holder_lists(&streamed, &batch);
 }
 
-/// The per-vertex holder lists (partition, live incidence) themselves,
-/// not only the masters elected from them: `apply_mutations` binary
-/// searches these, so they must come out of every construction path
-/// identical and strictly ascending by partition.
+/// Every partition holding a replica of `v`, ascending.
+fn replicas_of(dg: &DistributedGraph, v: VertexId) -> Vec<PartitionId> {
+    dg.replicas().replicas_of(v).collect()
+}
+
+/// The replica table's per-vertex holder lists (partition, live
+/// incidence) themselves, not only the masters elected from them:
+/// `apply_mutations` binary searches these, so they must come out of every
+/// construction path identical and strictly ascending by partition.
 fn assert_same_holder_lists(a: &DistributedGraph, b: &DistributedGraph) {
-    assert_eq!(a.incident_count, b.incident_count, "holder lists diverged");
-    for (v, holders) in a.incident_count.iter().enumerate() {
+    assert!(
+        a.replicas.same_structure(&b.replicas),
+        "holder lists diverged"
+    );
+    for v in (0..a.num_vertices()).map(VertexId::from) {
+        let holders = a.replicas.holders(v);
         assert!(
             holders.windows(2).all(|w| w[0].0 < w[1].0),
             "holders of vertex {v} are not strictly ascending: {holders:?}"
@@ -268,7 +277,7 @@ fn assert_same_distribution(a: &DistributedGraph, b: &DistributedGraph) {
     for v in 0..a.num_vertices() {
         let v = VertexId::from(v);
         assert_eq!(a.replicas().master_of(v), b.replicas().master_of(v));
-        assert_eq!(a.replicas().replicas_of(v), b.replicas().replicas_of(v));
+        assert_eq!(replicas_of(a, v), replicas_of(b, v));
     }
     for (sa, sb) in a.subgraphs().iter().zip(b.subgraphs()) {
         assert_eq!(sa.edges(), sb.edges());
@@ -892,8 +901,9 @@ fn one_touched_worker_repoints_the_routes_of_the_holders_it_leaves_alone() {
                 .affected
                 .iter()
                 .filter(|&&v| {
-                    let holders = dg.replicas().replicas_of(VertexId::from(v));
-                    holders.iter().any(|&holder| holder != only)
+                    dg.replicas()
+                        .replicas_of(VertexId::from(v))
+                        .any(|holder| holder != only)
                 })
                 .count();
             let rebuilt =

@@ -395,6 +395,73 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_after_a_rebalance_resumes_the_live_state() {
+        use ebv_bsp::MutationBatch;
+        use ebv_partition::RebalanceConfig;
+
+        let p = 3;
+        let mut partitioner = EbvPartitioner::new()
+            .dynamic(StreamConfig::new(p).with_expected_vertices(24))
+            .unwrap();
+        let mut distributed = DistributedGraph::build_streaming(p, None, Vec::new()).unwrap();
+        let mut batch = MutationBatch::new();
+        for i in 0..72u64 {
+            let edge = Edge::from((i % 24, (i * 7 + 5) % 24));
+            batch.record_insert(edge, partitioner.insert(edge));
+        }
+        distributed.apply_mutations(&batch).unwrap();
+
+        // Skew the load onto partition 0: drop most copies held elsewhere.
+        let victims: Vec<Edge> = (partitioner.surviving())
+            .filter(|(_, part)| part.index() != 0)
+            .map(|(edge, _)| edge)
+            .collect();
+        let mut batch = MutationBatch::new();
+        for &edge in &victims[..victims.len() * 9 / 10] {
+            batch.record_delete(edge, partitioner.delete(edge).unwrap());
+        }
+        distributed.apply_mutations(&batch).unwrap();
+
+        // Rebalance, and replay the migrations downstream.
+        let config = RebalanceConfig::new()
+            .with_max_edge_imbalance(1.25)
+            .with_target_edge_imbalance(1.05);
+        assert!(
+            partitioner.metrics().edge_imbalance > 1.25,
+            "the skew holds"
+        );
+        let plan = partitioner.rebalance(&config).unwrap();
+        assert!(!plan.is_empty(), "the skew migrates something");
+        let mut batch = MutationBatch::new();
+        for m in plan.moves() {
+            batch.record_move(m.edge, m.from, m.to);
+        }
+        distributed.apply_mutations(&batch).unwrap();
+
+        let checkpoint = Checkpoint::capture(&distributed, &partitioner, 0, Vec::new());
+        assert!(checkpoint
+            .rebuild_graph()
+            .unwrap()
+            .same_structure(&distributed));
+
+        let mut resumed_partitioner = EbvPartitioner::new()
+            .dynamic(StreamConfig::new(p).with_expected_vertices(24))
+            .unwrap();
+        let empty = DistributedGraph::builder(p).unwrap().finish().unwrap();
+        let recovered = RecoveredState {
+            checkpoint: Some(checkpoint),
+            frames: Vec::new(),
+        };
+        let resumed = recovered
+            .resume(empty, &mut resumed_partitioner, None, |_, _, _, _| {
+                Ok::<_, std::convert::Infallible>(())
+            })
+            .unwrap();
+        assert!(resumed.same_structure(&distributed));
+        assert!(resumed_partitioner.surviving().eq(partitioner.surviving()));
+    }
+
+    #[test]
     fn any_damage_is_rejected() {
         let (distributed, partitioner) = sample_state();
         let checkpoint = Checkpoint::capture(&distributed, &partitioner, 7, Vec::new());

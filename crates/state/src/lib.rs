@@ -34,10 +34,8 @@ pub mod recover;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{Checkpoint, SeriesValues, CHECKPOINT_MAGIC};
-pub use crc::crc32;
+pub use checkpoint::{Checkpoint, SeriesValues};
 pub use error::{Result, ResumeError, StateError};
 pub use failpoint::Failpoint;
 pub use recover::RecoveredState;
-pub use store::{DurableState, MANIFEST_FILE};
-pub use wal::{read_segment, WalFrame, WalWriter, WAL_MAGIC};
+pub use store::DurableState;

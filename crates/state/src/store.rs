@@ -140,11 +140,6 @@ impl DurableState {
         Ok((store, RecoveredState { checkpoint, frames }))
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Stages (or replaces) a named warm series for the next checkpoint.
     /// Staged series ride every checkpoint until restaged; recovery hands
     /// them back through [`RecoveredState::series_u64`].
