@@ -34,8 +34,8 @@ impl DistributedGraph {
     /// the epoch.
     ///
     /// Removals delete the *most recent* matching copy from the named
-    /// worker's edge list (matching the LIFO multiset semantics of
-    /// `ebv_partition::DynamicPartitioner::delete`) while preserving the
+    /// worker's edge list (the copy rule of `ebv_partition::CopyLog`, which
+    /// the partitioner's deletes and moves follow) while preserving the
     /// relative order of the surviving edges; additions append in record
     /// order. The incremental result is structurally identical to
     /// rebuilding from scratch over the surviving `(edge, partition)`

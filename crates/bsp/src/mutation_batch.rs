@@ -76,7 +76,13 @@ impl MutationBatch {
         self.added.remove(index);
     }
 
-    /// Records the migration of one edge copy from `from` to `to`.
+    /// Records the migration of one edge copy from `from` to `to` as a
+    /// delete plus an insert: the newest copy of `edge` on `from` goes
+    /// (cancelling a pending addition there, if any) and `edge` is
+    /// appended on `to`. That is the one move rule
+    /// `ebv_partition::DynamicPartitioner::rebalance` and WAL replay follow
+    /// too, so replaying a plan keeps every worker's edge list in the
+    /// partitioner's survivor order.
     pub fn record_move(&mut self, edge: Edge, from: PartitionId, to: PartitionId) {
         self.record_delete(edge, from);
         self.record_insert(edge, to);

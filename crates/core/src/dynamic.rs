@@ -13,8 +13,10 @@
 //!   counts** of live incident edges so that removing the last incident
 //!   edge of a vertex removes the replica — a plain membership bitset
 //!   cannot decrement,
-//! * the edge→partition assignment log of every live copy (duplicate edges
-//!   form a multiset; deletion removes the most recently inserted copy).
+//! * the edge→partition assignment log of every live copy, a [`CopyLog`]
+//!   (duplicate edges form a multiset; deletion removes the most recently
+//!   inserted copy, and a migration removes the newest copy on its donor
+//!   and appends the edge on its receiver).
 //!
 //! ## Exactness guarantees
 //!
@@ -42,19 +44,19 @@
 //! emitting a [`MigrationPlan`] that the distribution layer
 //! (`ebv_bsp::DistributedGraph::apply_mutations`) can replay.
 
-use std::collections::hash_map::Entry;
-
-use ebv_graph::{Edge, IdHashMap, VertexId};
+use ebv_graph::{Edge, VertexId};
 
 use crate::baselines::mix64;
+use crate::copy_log::CopyLog;
 use crate::error::{PartitionError, Result};
 use crate::metrics::PartitionMetrics;
 use crate::scoring::{ebv_best_part, hdrf_best_part, maintained_metrics, CoverLookup};
 use crate::streaming::StreamConfig;
 use crate::types::PartitionId;
 
-/// One migrated edge copy: `edge` leaves partition `from` for partition
-/// `to`.
+/// One migrated edge copy: the newest live copy of `edge` on partition
+/// `from` goes, and a new copy of `edge` is appended on partition `to` —
+/// a delete plus an insert, in the partitioner's log and downstream alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeMove {
     /// The migrated edge.
@@ -66,8 +68,12 @@ pub struct EdgeMove {
 }
 
 /// The outcome of one rebalance epoch: the ordered list of edge migrations
-/// the partitioner performed on its own state. Replay it against the
-/// distribution layer to keep both in sync.
+/// the partitioner performed on its own state. Each move is a removal of
+/// the newest copy on the donor plus an append on the receiver (the one
+/// rule of [`CopyLog`]), so replaying the moves in order against the
+/// distribution layer — or logging them as a WAL frame — keeps every
+/// worker's edge list equal to [`DynamicPartitioner::surviving`] filtered
+/// to that worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationPlan {
     moves: Vec<EdgeMove>,
@@ -219,27 +225,6 @@ fn dynamic_random_part(salt: u64, num_partitions: usize, edge: Edge) -> Partitio
     PartitionId::new((mix64(key) % num_partitions as u64) as u32)
 }
 
-/// Once the log reaches this length, deletions compact it whenever dead
-/// entries outnumber live ones (the classic doubling argument bounds the
-/// amortized cost at O(1) per deletion).
-const COMPACT_FLOOR: usize = 1024;
-
-/// "No older live copy": the bottom of an edge's copy stack.
-const NO_COPY: u32 = u32::MAX;
-
-/// One insertion recorded in the assignment log. Deleted copies are marked
-/// dead in place so that surviving copies keep their insertion order, and
-/// are dropped wholesale by [`DynamicPartitioner::compact`].
-#[derive(Debug, Clone, Copy)]
-struct LogEntry {
-    edge: Edge,
-    part: PartitionId,
-    live: bool,
-    /// Log position of the next-older live copy of `edge`, or [`NO_COPY`]:
-    /// the live copies of one edge form a stack threaded through the log.
-    prev: u32,
-}
-
 /// A vertex-cut partitioner for evolving graphs; see the [module
 /// documentation](self) for the maintained invariants.
 ///
@@ -268,13 +253,9 @@ struct LogEntry {
 pub struct DynamicPartitioner {
     policy: Policy,
     num_partitions: usize,
-    log: Vec<LogEntry>,
-    /// Log position of the most recent live copy of each edge — the top of
-    /// its copy stack (LIFO deletion); older copies hang off
-    /// [`LogEntry::prev`].
-    heads: IdHashMap<Edge, u32>,
+    /// Every live copy in insertion order, with its partition.
+    log: CopyLog,
     ecount: Vec<usize>,
-    live_edges: usize,
     /// Per-partition vertex cover as live-incidence reference counts over
     /// the dense vertex universe: `refs[v·p + i]` is the number of live edge
     /// copies in partition `i` incident to `v`, so `V_i` is the set of `v`
@@ -298,10 +279,8 @@ impl DynamicPartitioner {
         let mut partitioner = DynamicPartitioner {
             policy,
             num_partitions: config.num_partitions(),
-            log: Vec::new(),
-            heads: IdHashMap::default(),
+            log: CopyLog::default(),
             ecount: vec![0; config.num_partitions()],
-            live_edges: 0,
             refs: Vec::new(),
             vcount: vec![0; config.num_partitions()],
             max_vertex_exclusive: 0,
@@ -346,12 +325,12 @@ impl DynamicPartitioner {
 
     /// Number of live (surviving) edge copies.
     pub fn live_edges(&self) -> usize {
-        self.live_edges
+        self.log.len()
     }
 
     /// Whether no edge copy is currently live.
     pub fn is_empty(&self) -> bool {
-        self.live_edges == 0
+        self.log.is_empty()
     }
 
     /// Size of the vertex universe: the configured
@@ -380,8 +359,8 @@ impl DynamicPartitioner {
     }
 
     /// Bytes of resident state, from the capacities of the structures
-    /// actually held: the assignment log, the copy-stack heads, the dense
-    /// incidence refcounts, the per-partition counters and (HDRF) the
+    /// actually held: the assignment log with its copy-stack heads, the
+    /// dense incidence refcounts, the per-partition counters and (HDRF) the
     /// degrees. A memory figure for benchmarks; excludes allocator and
     /// hash-table control overhead.
     pub fn state_bytes(&self) -> usize {
@@ -390,8 +369,7 @@ impl DynamicPartitioner {
             Policy::Hdrf { degree, .. } => degree.capacity(),
             _ => 0,
         };
-        self.log.capacity() * size_of::<LogEntry>()
-            + self.heads.capacity() * size_of::<(Edge, u32)>()
+        self.log.state_bytes()
             + self.refs.capacity() * size_of::<u32>()
             + (self.ecount.capacity() + self.vcount.capacity() + degrees) * size_of::<usize>()
     }
@@ -447,7 +425,7 @@ impl DynamicPartitioner {
                 let (alpha, beta) = (*alpha, *beta);
                 let edges_per_part = match self.expected_edges {
                     Some(e) => e as f64 / p as f64,
-                    None => (self.live_edges + 1) as f64 / p as f64,
+                    None => (self.log.len() + 1) as f64 / p as f64,
                 };
                 let vertices_per_part = self.num_vertices() as f64 / p as f64;
                 ebv_best_part(self, alpha, beta, edges_per_part, vertices_per_part, u, v)
@@ -476,22 +454,22 @@ impl DynamicPartitioner {
     /// Logs a live copy of `edge` in `part` and bumps the load and cover
     /// refcounts — everything an insertion does after scoring.
     fn record(&mut self, edge: Edge, part: PartitionId) {
-        let position = u32::try_from(self.log.len())
-            .ok()
-            .filter(|&position| position != NO_COPY)
-            .expect("the assignment log holds fewer than u32::MAX entries");
-        let prev = self.heads.insert(edge, position).unwrap_or(NO_COPY);
-        self.log.push(LogEntry {
-            edge,
-            part,
-            live: true,
-            prev,
-        });
+        self.log.push(edge, part);
         self.ecount[part.index()] += 1;
-        self.live_edges += 1;
         self.add_incidence(edge.src, part);
         if edge.dst != edge.src {
             self.add_incidence(edge.dst, part);
+        }
+    }
+
+    /// Drops the load and cover refcounts of a copy of `edge` in `part`
+    /// that was just removed from the log — the inverse of
+    /// [`record`](Self::record) after the log removal.
+    fn unrecord(&mut self, edge: Edge, part: PartitionId) {
+        self.ecount[part.index()] -= 1;
+        self.remove_incidence(edge.src, part);
+        if edge.dst != edge.src {
+            self.remove_incidence(edge.dst, part);
         }
     }
 
@@ -504,25 +482,12 @@ impl DynamicPartitioner {
     /// Returns [`PartitionError::EdgeNotPresent`] when no live copy of
     /// `edge` exists.
     pub fn delete(&mut self, edge: Edge) -> Result<PartitionId> {
-        let Entry::Occupied(mut head) = self.heads.entry(edge) else {
+        let Some(part) = self.log.remove(edge, None) else {
             return Err(PartitionError::EdgeNotPresent {
                 message: format!("no live copy of edge {edge} to delete"),
             });
         };
-        let entry = &mut self.log[*head.get() as usize];
-        entry.live = false;
-        let part = entry.part;
-        if entry.prev == NO_COPY {
-            head.remove();
-        } else {
-            *head.get_mut() = entry.prev;
-        }
-        self.ecount[part.index()] -= 1;
-        self.live_edges -= 1;
-        self.remove_incidence(edge.src, part);
-        if edge.dst != edge.src {
-            self.remove_incidence(edge.dst, part);
-        }
+        self.unrecord(edge, part);
         if let Policy::Hdrf { degree, .. } = &mut self.policy {
             for v in [edge.src, edge.dst] {
                 degree[v.index()] = degree[v.index()]
@@ -530,25 +495,7 @@ impl DynamicPartitioner {
                     .expect("every live endpoint holds an HDRF degree");
             }
         }
-        if self.log.len() >= COMPACT_FLOOR && self.log.len() >= 2 * self.live_edges {
-            self.compact();
-        }
         Ok(part)
-    }
-
-    /// Drops dead log entries and rebuilds the copy stacks, preserving the
-    /// insertion order (and therefore the LIFO stacks) of every live copy.
-    /// Triggered from [`delete`](Self::delete) once dead entries outnumber
-    /// live ones, so resident state is O(live edges) — a windowed stream
-    /// can run forever — at amortized O(1) per deletion.
-    fn compact(&mut self) {
-        self.log.retain(|entry| entry.live);
-        self.heads.clear();
-        for (position, entry) in self.log.iter_mut().enumerate() {
-            // Fits: positions only shrink under compaction.
-            let previous_head = self.heads.insert(entry.edge, position as u32);
-            entry.prev = previous_head.unwrap_or(NO_COPY);
-        }
     }
 
     /// Restores a freshly constructed partitioner from a checkpoint: the
@@ -578,7 +525,7 @@ impl DynamicPartitioner {
         universe: usize,
         pairs: impl IntoIterator<Item = (Edge, PartitionId)>,
     ) -> Result<()> {
-        if !self.log.is_empty() || self.live_edges != 0 {
+        if !self.log.is_empty() || self.max_vertex_exclusive != 0 {
             return Err(PartitionError::InvalidParameter {
                 parameter: "restore",
                 message: "restore requires a freshly constructed partitioner".to_string(),
@@ -586,8 +533,7 @@ impl DynamicPartitioner {
         }
         let pairs = pairs.into_iter();
         let expected = pairs.size_hint().0;
-        self.log.reserve(expected);
-        self.heads.reserve(expected);
+        self.log.reserve(expected, expected);
         self.grow_universe(universe);
         for (edge, part) in pairs {
             if part.index() >= self.num_partitions {
@@ -623,13 +569,12 @@ impl DynamicPartitioner {
         Ok(())
     }
 
-    /// The surviving `(edge, partition)` pairs in insertion order — the
-    /// edge multiset a from-scratch rebuild would consume.
+    /// The surviving `(edge, partition)` pairs in insertion order (a
+    /// migrated copy counts as inserted when it moved) — the stream a
+    /// from-scratch rebuild would consume, and filtered to one partition
+    /// the order that partition's worker holds its edges in.
     pub fn surviving(&self) -> impl Iterator<Item = (Edge, PartitionId)> + '_ {
-        self.log
-            .iter()
-            .filter(|entry| entry.live)
-            .map(|entry| (entry.edge, entry.part))
+        self.log.iter()
     }
 
     /// The maintained assignment of the surviving edges as an
@@ -653,7 +598,7 @@ impl DynamicPartitioner {
         maintained_metrics(
             &self.ecount,
             &self.vcount,
-            self.live_edges,
+            self.log.len(),
             self.num_vertices(),
         )
     }
@@ -687,27 +632,25 @@ impl DynamicPartitioner {
         delta
     }
 
-    /// Applies one migration to the maintained state.
-    fn apply_move(&mut self, position: usize, to: PartitionId) {
-        let entry = &mut self.log[position];
-        debug_assert!(entry.live, "only live copies migrate");
-        let edge = entry.edge;
-        let from = entry.part;
-        entry.part = to;
-        self.ecount[from.index()] -= 1;
-        self.ecount[to.index()] += 1;
-        self.remove_incidence(edge.src, from);
-        self.add_incidence(edge.src, to);
-        if edge.dst != edge.src {
-            self.remove_incidence(edge.dst, from);
-            self.add_incidence(edge.dst, to);
-        }
+    /// Applies one migration to the maintained state: the newest copy of
+    /// `edge` on `from` goes, a copy on `to` is appended.
+    fn apply_move(&mut self, edge: Edge, from: PartitionId, to: PartitionId) {
+        let removed = self.log.remove(edge, Some(from));
+        debug_assert_eq!(removed, Some(from), "only live copies migrate");
+        self.unrecord(edge, from);
+        self.record(edge, to);
     }
 
     /// Runs one rebalance epoch if the maintained metrics exceed the
     /// `config` thresholds, migrating edge copies on the partitioner's own
     /// state and returning the [`MigrationPlan`] to replay downstream
     /// (e.g. via `ebv_bsp::MutationBatch::record_move`).
+    ///
+    /// Every move is a delete plus an insert: the newest live copy of the
+    /// edge on the donor leaves the log and a copy on the receiver is
+    /// appended — the rule `record_move` and WAL replay follow too — so
+    /// [`surviving`](Self::surviving) order after the epoch is the order
+    /// the downstream workers hold their edges in.
     ///
     /// The epoch is greedy and deterministic:
     ///
@@ -731,7 +674,7 @@ impl DynamicPartitioner {
             return Ok(plan);
         }
         let p = self.num_partitions;
-        let average = self.live_edges as f64 / p as f64;
+        let average = self.log.len() as f64 / p as f64;
         // Clamp to at least one live edge of headroom: on tiny or
         // near-empty graphs (`average < 1`) the scaled target floors to 0,
         // which would forbid every receiver (`load + 1 > cap`) and stall
@@ -740,12 +683,14 @@ impl DynamicPartitioner {
             .max((average * config.target_edge_imbalance).floor() as usize)
             .max(1);
 
-        // Live log positions per partition, in insertion order.
+        // The live copies in pre-epoch log order, each with its current
+        // partition: a move appends the copy at the end of the log, but the
+        // epoch keeps visiting (and tie-breaking on) the pre-epoch order.
+        let mut copies: Vec<(Edge, PartitionId)> = self.log.iter().collect();
+        // Positions in `copies` per partition, in insertion order.
         let mut positions: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for (position, entry) in self.log.iter().enumerate() {
-            if entry.live {
-                positions[entry.part.index()].push(position);
-            }
+        for (position, &(_, part)) in copies.iter().enumerate() {
+            positions[part.index()].push(position);
         }
 
         // Load phase: drain each overloaded partition in turn. The donor's
@@ -767,7 +712,7 @@ impl DynamicPartitioner {
                 .iter()
                 .map(|&position| {
                     (
-                        self.move_delta(self.log[position].edge, from, hint_receiver),
+                        self.move_delta(copies[position].0, from, hint_receiver),
                         position,
                     )
                 })
@@ -785,8 +730,9 @@ impl DynamicPartitioner {
                     break;
                 };
                 let to = PartitionId::from_index(receiver);
-                let edge = self.log[position].edge;
-                self.apply_move(position, to);
+                let edge = copies[position].0;
+                self.apply_move(edge, from, to);
+                copies[position].1 = to;
                 positions[receiver].push(position);
                 plan.moves.push(EdgeMove { edge, from, to });
             }
@@ -795,12 +741,7 @@ impl DynamicPartitioner {
 
         // Consolidation sweep: only when replication triggered the epoch.
         if self.metrics().replication_factor > config.max_replication_factor {
-            for position in 0..self.log.len() {
-                if !self.log[position].live {
-                    continue;
-                }
-                let edge = self.log[position].edge;
-                let from = self.log[position].part;
+            for (edge, from) in copies {
                 let mut best: Option<(i64, usize)> = None;
                 for i in 0..p {
                     let to = PartitionId::from_index(i);
@@ -814,7 +755,7 @@ impl DynamicPartitioner {
                 }
                 if let Some((_, i)) = best {
                     let to = PartitionId::from_index(i);
-                    self.apply_move(position, to);
+                    self.apply_move(edge, from, to);
                     plan.moves.push(EdgeMove { edge, from, to });
                 }
             }
@@ -1596,9 +1537,9 @@ mod tests {
                 if insert {
                     assert_eq!(dynamic.insert(e), oracle.insert(e), "step {step}");
                 } else {
-                    let before = dynamic.log.len();
+                    let before = dynamic.log.entries();
                     assert_eq!(dynamic.delete(e).ok(), oracle.delete(e), "step {step}");
-                    compactions += usize::from(dynamic.log.len() < before);
+                    compactions += usize::from(dynamic.log.entries() < before);
                 }
             }
             assert!(

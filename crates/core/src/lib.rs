@@ -39,6 +39,7 @@
 mod assignment;
 pub mod baselines;
 pub mod bounds;
+mod copy_log;
 pub mod dynamic;
 mod ebv;
 mod error;
@@ -55,6 +56,7 @@ pub use baselines::{
     CvcPartitioner, DbhPartitioner, GingerPartitioner, HdrfPartitioner, MetisLikePartitioner,
     NePartitioner, RandomEdgeCutPartitioner, RandomVertexCutPartitioner,
 };
+pub use copy_log::CopyLog;
 pub use dynamic::{DynamicPartitioner, EdgeMove, MigrationPlan, RebalanceConfig};
 pub use ebv::{EbvPartitioner, EbvTrace, TracePoint};
 pub use error::{PartitionError, Result};

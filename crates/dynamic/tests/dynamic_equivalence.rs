@@ -393,6 +393,19 @@ fn rebalance_epoch_restores_balance_and_preserves_cc() {
         .unwrap();
     assert!(stats.workers_touched >= 1 && stats.workers_touched <= p);
     assert_eq!(distributed.num_edges(), partitioner.live_edges());
+    // A move is a delete plus an insert on both sides, so every worker
+    // holds exactly the survivors on it, in the partitioner's order.
+    for sg in distributed.subgraphs() {
+        let on_worker = partitioner
+            .surviving()
+            .filter(|&(_, part)| part == sg.part())
+            .map(|(edge, _)| edge);
+        assert!(
+            sg.edges().iter().copied().eq(on_worker),
+            "worker {}",
+            sg.part()
+        );
+    }
     let fresh = DistributedGraph::build_streaming(
         p,
         Some(distributed.num_vertices()),

@@ -3,14 +3,20 @@
 //! A checkpoint captures everything a restart needs to continue the
 //! lineage at epoch `E` without replaying history from zero:
 //!
-//! * the **distribution** — each worker's edge list in local order, which
-//!   is sufficient to rebuild the whole [`DistributedGraph`] bit-for-bit
-//!   (replica sets, master election, isolated placement and the routing
-//!   table are all deterministic functions of the per-worker lists);
 //! * the **partitioner** — the surviving `(edge, partition)` pairs in
 //!   insertion order plus the observed vertex universe, from which
 //!   [`DynamicPartitioner::restore`] reproduces placement-identical
 //!   state;
+//! * the **distribution**, which is *derived*, not stored: every layer
+//!   follows the one copy rule of [`ebv_partition::CopyLog`] (inserts and
+//!   the receiving half of a move append, deletes and the donor half of a
+//!   move take the newest copy on their partition), so each worker's edge
+//!   list is the surviving stream filtered to that worker, in order. The
+//!   file keeps only the worker count and vertex universe, and
+//!   [`Checkpoint::rebuild_graph`] streams the survivors back through
+//!   [`DistributedGraphBuilder`] — replica sets, master election, isolated
+//!   placement and the routing table are all deterministic functions of
+//!   the per-worker lists;
 //! * the **warm series** — named algorithm value vectors (components,
 //!   distances, …) so warm-started programs re-seed instead of re-running
 //!   cold;
@@ -30,10 +36,10 @@ use ebv_partition::{DynamicPartitioner, PartitionId};
 
 use crate::crc::crc32;
 use crate::error::{Result, StateError};
-use crate::wal::{push_pairs, push_varint, Cursor};
+use crate::wal::{decode_pairs, push_pairs, push_varint, Cursor};
 
-/// Magic bytes opening every checkpoint file (version 1).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"EBVCKPT\x01";
+/// Magic bytes opening every checkpoint file (version 2: the edges once).
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"EBVCKPT\x02";
 
 /// A named warm-algorithm value series carried by a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +75,8 @@ pub struct Checkpoint {
     pub events_seen: u64,
     /// Vertex universe of the distribution (`DistributedGraph::num_vertices`).
     pub num_vertices: usize,
-    /// Per-worker local edge lists, in worker order and local edge order.
-    pub worker_edges: Vec<Vec<(Edge, PartitionId)>>,
+    /// Worker count of the distribution.
+    pub workers: usize,
     /// The partitioner's observed universe (`DynamicPartitioner::num_vertices`).
     pub universe: usize,
     /// The partitioner's surviving pairs in insertion order.
@@ -80,29 +86,34 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures the durable snapshot of a live distribution and
-    /// partitioner.
+    /// Captures the durable snapshot of a live distribution and the
+    /// partitioner it was built from. Debug builds assert that every
+    /// worker holds exactly the partitioner's survivors on it, in order —
+    /// what [`rebuild_graph`](Self::rebuild_graph) relies on.
     pub fn capture(
         distributed: &DistributedGraph,
         partitioner: &DynamicPartitioner,
         events_seen: u64,
         series: Vec<(String, SeriesValues)>,
     ) -> Self {
-        let worker_edges = distributed
-            .subgraphs()
-            .iter()
-            .map(|sg| {
-                let part = sg.part();
-                sg.edges().iter().map(|&e| (e, part)).collect()
-            })
-            .collect();
+        let surviving: Vec<(Edge, PartitionId)> = partitioner.surviving().collect();
+        debug_assert!(
+            distributed
+                .subgraphs()
+                .iter()
+                .all(|sg| sg.edges().iter().eq(surviving
+                    .iter()
+                    .filter(|&&(_, part)| part == sg.part())
+                    .map(|(edge, _)| edge))),
+            "every worker's edge list is the survivors filtered to it"
+        );
         Checkpoint {
             epoch: distributed.epoch() as u64,
             events_seen,
             num_vertices: distributed.num_vertices(),
-            worker_edges,
+            workers: distributed.num_workers(),
             universe: partitioner.num_vertices(),
-            surviving: partitioner.surviving().collect(),
+            surviving,
             series,
         }
     }
@@ -113,14 +124,14 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`StateError::InvalidState`] when the stored lists are mutually
-    /// inconsistent (they came from a live graph, so this indicates file
-    /// tampering that still passed CRC, or a version skew).
+    /// [`StateError::InvalidState`] when the survivors name a worker the
+    /// distribution does not have (they came from a live graph, so this
+    /// indicates file tampering that still passed CRC).
     pub fn rebuild_graph(&self) -> Result<DistributedGraph> {
         let invalid = |err: ebv_bsp::BspError| StateError::InvalidState {
             message: format!("checkpoint does not describe a buildable distribution: {err}"),
         };
-        let mut builder = DistributedGraphBuilder::new(self.worker_edges.len())
+        let mut builder = DistributedGraphBuilder::new(self.workers)
             .map_err(invalid)?
             .with_num_vertices(self.num_vertices)
             .with_epoch(
@@ -128,10 +139,8 @@ impl Checkpoint {
                     message: format!("checkpoint epoch {} exceeds usize", self.epoch),
                 })?,
             );
-        for worker in &self.worker_edges {
-            for &(edge, part) in worker {
-                builder.add_edge(edge, part).map_err(invalid)?;
-            }
+        for &(edge, part) in &self.surviving {
+            builder.add_edge(edge, part).map_err(invalid)?;
         }
         builder.finish().map_err(invalid)
     }
@@ -142,16 +151,10 @@ impl Checkpoint {
         // A pair is three varints — ids below 2^21 and a partition index
         // make it at most 7 bytes — and most series values are small; the
         // estimate only has to make regrowth rare, not impossible.
-        let pairs = self.surviving.len() + self.worker_edges.iter().map(Vec::len).sum::<usize>();
         let values: usize = self.series.iter().map(|(_, values)| values.len()).sum();
         let names: usize = self.series.iter().map(|(name, _)| name.len() + 12).sum();
         let mut out = Vec::with_capacity(
-            CHECKPOINT_MAGIC.len()
-                + 64
-                + 10 * self.worker_edges.len()
-                + 8 * pairs
-                + 4 * values
-                + names,
+            CHECKPOINT_MAGIC.len() + 64 + 8 * self.surviving.len() + 4 * values + names,
         );
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         self.encode_body(&mut out);
@@ -165,10 +168,7 @@ impl Checkpoint {
         push_varint(out, self.epoch);
         push_varint(out, self.events_seen);
         push_varint(out, self.num_vertices as u64);
-        push_varint(out, self.worker_edges.len() as u64);
-        for worker in &self.worker_edges {
-            push_pairs(out, worker);
-        }
+        push_varint(out, self.workers as u64);
         push_varint(out, self.universe as u64);
         push_pairs(out, &self.surviving);
         push_varint(out, self.series.len() as u64);
@@ -204,8 +204,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`StateError::Corrupt`] for every validation failure and
-    /// [`StateError::Io`] for filesystem failures.
+    /// [`StateError::UnsupportedVersion`] for a checkpoint of another
+    /// format version, [`StateError::Corrupt`] for every other validation
+    /// failure and [`StateError::Io`] for filesystem failures.
     pub fn load(path: &Path) -> Result<Self> {
         let corrupt = |offset: u64, message: String| StateError::Corrupt {
             file: path.to_path_buf(),
@@ -216,8 +217,15 @@ impl Checkpoint {
         if bytes.len() < CHECKPOINT_MAGIC.len() + 4 {
             return Err(corrupt(0, format!("{} bytes is too short", bytes.len())));
         }
-        if bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
+        let (magic, version) = bytes.split_at(CHECKPOINT_MAGIC.len() - 1);
+        if magic != &CHECKPOINT_MAGIC[..magic.len()] {
             return Err(corrupt(0, "bad checkpoint magic".to_string()));
+        }
+        if version[0] != CHECKPOINT_MAGIC[magic.len()] {
+            return Err(StateError::UnsupportedVersion {
+                file: path.to_path_buf(),
+                found: version[0],
+            });
         }
         let body = &bytes[CHECKPOINT_MAGIC.len()..bytes.len() - 4];
         let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
@@ -244,12 +252,8 @@ impl Checkpoint {
         let events_seen = cursor.varint()?;
         let num_vertices = usize::try_from(cursor.varint()?).ok()?;
         let workers = usize::try_from(cursor.varint()?).ok()?;
-        let mut worker_edges = Vec::with_capacity(workers.min(1 << 16));
-        for _ in 0..workers {
-            worker_edges.push(decode_pair_list(&mut cursor)?);
-        }
         let universe = usize::try_from(cursor.varint()?).ok()?;
-        let surviving = decode_pair_list(&mut cursor)?;
+        let surviving = decode_pairs(&mut cursor)?;
         let n_series = usize::try_from(cursor.varint()?).ok()?;
         let mut series = Vec::with_capacity(n_series.min(1 << 10));
         for _ in 0..n_series {
@@ -283,24 +287,12 @@ impl Checkpoint {
             epoch,
             events_seen,
             num_vertices,
-            worker_edges,
+            workers,
             universe,
             surviving,
             series,
         })
     }
-}
-
-fn decode_pair_list(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, PartitionId)>> {
-    let count = usize::try_from(cursor.varint()?).ok()?;
-    let mut pairs = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let src = cursor.varint()?;
-        let dst = cursor.varint()?;
-        let part = u32::try_from(cursor.varint()?).ok()?;
-        pairs.push((Edge::from((src, dst)), PartitionId::new(part)));
-    }
-    Some(pairs)
 }
 
 #[cfg(test)]
@@ -490,6 +482,35 @@ mod tests {
             Checkpoint::load(&path).unwrap_err(),
             StateError::Corrupt { .. }
         ));
+        // A foreign magic is corruption, not a version.
+        let mut foreign = bytes.clone();
+        foreign[0] = b'X';
+        fs::write(&path, &foreign).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&path).unwrap_err(),
+            StateError::Corrupt { .. }
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_one_checkpoint_is_unsupported() {
+        // A v1 body stored every worker's edge list before the survivors;
+        // the version byte alone decides, before the body is read.
+        let mut v1 = b"EBVCKPT\x01".to_vec();
+        let body = [7u8, 0, 4, 1, 0, 4, 0, 0];
+        v1.extend_from_slice(&body);
+        v1.extend_from_slice(&crc32(&body).to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("ebv-ckpt-v1-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint-7.ckpt");
+        fs::write(&path, &v1).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, StateError::UnsupportedVersion { file, found: 1 } if *file == path),
+            "{err}"
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -43,6 +43,14 @@ pub enum StateError {
     /// produced by stores armed with a crashing
     /// [`Failpoint`](crate::Failpoint).
     InjectedCrash,
+    /// A checkpoint of another format version, which is not read (version 1
+    /// stored every worker's edge list beside the partitioner's survivors).
+    UnsupportedVersion {
+        /// The offending checkpoint.
+        file: PathBuf,
+        /// The version byte the file carries.
+        found: u8,
+    },
     /// The store was driven outside its contract (e.g. a checkpoint for
     /// an epoch older than one already on disk).
     InvalidState {
@@ -72,6 +80,11 @@ impl fmt::Display for StateError {
                 f,
                 "epoch regression in {}: lineage requires epoch {expected}, frame carries \
                  {found}",
+                file.display()
+            ),
+            StateError::UnsupportedVersion { file, found } => write!(
+                f,
+                "unsupported checkpoint format version {found} in {}",
                 file.display()
             ),
             StateError::InjectedCrash => write!(f, "injected crash (failpoint budget exhausted)"),

@@ -2,11 +2,9 @@
 //! re-execute the logged epochs through the live loop's own epoch body
 //! ([`RecoveredState::resume`]).
 
-use std::collections::hash_map::Entry;
-
 use ebv_bsp::{DistributedGraph, EpochCommitter, MutationBatch, MutationStats};
-use ebv_graph::{Edge, IdHashMap};
-use ebv_partition::{DynamicPartitioner, PartitionId, PartitionMetrics};
+use ebv_graph::Edge;
+use ebv_partition::{CopyLog, DynamicPartitioner, PartitionId, PartitionMetrics};
 
 use crate::checkpoint::{Checkpoint, SeriesValues};
 use crate::error::{Result, ResumeError, StateError};
@@ -131,8 +129,9 @@ impl RecoveredState {
 
     /// Computes the partitioner's state at the resume point: the
     /// checkpoint's surviving pairs with every WAL frame applied **as
-    /// recorded** — removals pop the most recent copy of their edge (the
-    /// partitioner's LIFO contract), insertions append with their logged
+    /// recorded** through a [`CopyLog`] — a removal takes the newest live
+    /// copy of its edge on its partition (the rule the partitioner's
+    /// deletes and moves follow), an insertion appends with its logged
     /// placement. Removals apply before insertions within a frame, because
     /// a delete-then-reinsert batch records the same edge in both lists
     /// and the delete refers to the pre-batch copy.
@@ -144,9 +143,10 @@ impl RecoveredState {
     ///
     /// # Errors
     ///
-    /// [`StateError::InvalidState`] when a logged removal has no live copy
-    /// or disagrees with the recorded placement — the WAL and checkpoint
-    /// contradict each other, which no crash window can produce.
+    /// [`StateError::InvalidState`] when a logged removal names a
+    /// partition holding no live copy of its edge — the check
+    /// `apply_mutations` makes; the WAL and checkpoint contradict each
+    /// other, which no crash window can produce.
     pub fn resume_partition_state(&self) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
         let mut universe = self.checkpoint.as_ref().map(|c| c.universe).unwrap_or(0);
         let checkpointed: &[(Edge, PartitionId)] = self
@@ -154,72 +154,30 @@ impl RecoveredState {
             .as_ref()
             .map_or(&[], |c| c.surviving.as_slice());
         let logged: usize = self.frames.iter().map(|f| f.batch.added().len()).sum();
-        let mut pairs = Vec::with_capacity(checkpointed.len() + logged);
-        pairs.extend_from_slice(checkpointed);
-        // One pass. The live copies of an edge form a stack threaded through
-        // `link` (one word per entry of `pairs`), with `heads` naming each
-        // stack's top, so a removal pops in O(1); a popped position is only
-        // marked `DEAD` and dropped by the single `retain` at the end, which
-        // keeps the survivors in order without any mid-vector `remove`.
-        let mut link: Vec<u32> = Vec::with_capacity(pairs.capacity());
-        let mut heads: IdHashMap<Edge, u32> =
-            IdHashMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        for &(edge, _) in checkpointed {
-            push_copy(&mut heads, &mut link, edge);
+        let mut log = CopyLog::default();
+        log.reserve(checkpointed.len() + logged, checkpointed.len());
+        for &(edge, part) in checkpointed {
+            log.push(edge, part);
         }
         for frame in &self.frames {
             for &(edge, part) in frame.batch.removed() {
-                let Entry::Occupied(mut head) = heads.entry(edge) else {
+                if log.remove(edge, Some(part)).is_none() {
                     return Err(StateError::InvalidState {
                         message: format!(
-                            "WAL epoch {} removes {edge:?}, which has no live copy",
+                            "WAL epoch {} removes {edge:?}, which has no live copy on {part:?}",
                             frame.epoch
                         ),
                     });
-                };
-                let pos = *head.get() as usize;
-                if pairs[pos].1 != part {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?} from {part:?}, but its newest \
-                             copy lives on {:?}",
-                            frame.epoch, pairs[pos].1
-                        ),
-                    });
-                }
-                match std::mem::replace(&mut link[pos], DEAD) {
-                    BOTTOM => {
-                        head.remove();
-                    }
-                    older => *head.get_mut() = older,
                 }
             }
             for &(edge, part) in frame.batch.added() {
                 let top = edge.src.raw().max(edge.dst.raw()) + 1;
                 universe = universe.max(usize::try_from(top).unwrap_or(usize::MAX));
-                push_copy(&mut heads, &mut link, edge);
-                pairs.push((edge, part));
+                log.push(edge, part);
             }
         }
-        let mut link = link.into_iter();
-        pairs.retain(|_| link.next() != Some(DEAD));
-        Ok((universe, pairs))
+        Ok((universe, log.into_pairs()))
     }
-}
-
-/// `link` value (see [`RecoveredState::resume_partition_state`]) of a live
-/// copy with no older live copy beneath it.
-const BOTTOM: u32 = u32::MAX - 1;
-/// `link` value of a copy that a logged removal popped.
-const DEAD: u32 = u32::MAX;
-
-/// Pushes the copy at position `link.len()` onto `edge`'s stack.
-fn push_copy(heads: &mut IdHashMap<Edge, u32>, link: &mut Vec<u32>, edge: Edge) {
-    let position = u32::try_from(link.len())
-        .ok()
-        .filter(|&position| position < BOTTOM)
-        .expect("fewer than u32::MAX - 1 logged edge copies");
-    link.push(heads.insert(edge, position).unwrap_or(BOTTOM));
 }
 
 #[cfg(test)]
@@ -396,8 +354,8 @@ mod tests {
             ]
         );
 
-        // A removal whose placement contradicts the live copy is evidence
-        // of a forked lineage, not a crash: hard error.
+        // A removal from a partition holding no live copy is evidence of a
+        // forked lineage, not a crash: hard error.
         let broken = RecoveredState {
             checkpoint: None,
             frames: vec![WalFrame {
@@ -412,10 +370,10 @@ mod tests {
         ));
     }
 
-    /// `resume_partition_state` as it was before the one-pass rewrite: an
-    /// `rposition` scan and a mid-vector `remove` per logged removal. Kept
-    /// as the reference the linear implementation is checked against,
-    /// error strings included.
+    /// `resume_partition_state` by brute force: an `rposition` scan over
+    /// the `(edge, partition)` pair and a mid-vector `remove` per logged
+    /// removal. The reference the copy-log implementation is checked
+    /// against, error strings included.
     fn resume_by_scan(recovered: &RecoveredState) -> Result<(usize, Vec<(Edge, PartitionId)>)> {
         let mut universe = recovered
             .checkpoint
@@ -429,23 +387,14 @@ mod tests {
             .unwrap_or_default();
         for frame in &recovered.frames {
             for &(edge, part) in frame.batch.removed() {
-                let Some(pos) = pairs.iter().rposition(|&(e, _)| e == edge) else {
+                let Some(pos) = pairs.iter().rposition(|&pair| pair == (edge, part)) else {
                     return Err(StateError::InvalidState {
                         message: format!(
-                            "WAL epoch {} removes {edge:?}, which has no live copy",
+                            "WAL epoch {} removes {edge:?}, which has no live copy on {part:?}",
                             frame.epoch
                         ),
                     });
                 };
-                if pairs[pos].1 != part {
-                    return Err(StateError::InvalidState {
-                        message: format!(
-                            "WAL epoch {} removes {edge:?} from {part:?}, but its newest \
-                             copy lives on {:?}",
-                            frame.epoch, pairs[pos].1
-                        ),
-                    });
-                }
                 pairs.remove(pos);
             }
             for &(edge, part) in frame.batch.added() {
@@ -482,13 +431,13 @@ mod tests {
             .to_string()
             .contains("WAL epoch 3 removes Edge { src: VertexId(1), dst: VertexId(2) }, which has no live copy"));
 
-        // The newest copy decides: the older copy on partition 0 does not
-        // license a removal from partition 0 while a newer one lives on 2.
+        // The named partition decides: live copies on 0 and 2 do not
+        // license a removal from partition 1.
         let misplaced = RecoveredState {
             checkpoint: None,
             frames: vec![
                 frame(1, &[(1, 2, 0), (1, 2, 2)], &[]),
-                frame(2, &[], &[(1, 2, 0)]),
+                frame(2, &[], &[(1, 2, 1)]),
             ],
         };
         assert_eq!(
@@ -499,7 +448,7 @@ mod tests {
             .resume_partition_state()
             .unwrap_err()
             .to_string()
-            .contains("from PartitionId(0), but its newest copy lives on PartitionId(2)"));
+            .contains("which has no live copy on PartitionId(1)"));
     }
 
     mod resume_differential {
@@ -509,24 +458,33 @@ mod tests {
 
         type Op = (u8, u64, u64, u32, usize);
 
-        /// Turns one frame's ops into a batch. Kinds 0–5 add a random pair;
-        /// 6–8 remove the *newest live copy* of a random live edge (valid
-        /// by construction, so most lineages run deep); 9 adds a self-loop
-        /// or, one time in eight, removes an arbitrary pair — usually dead
-        /// or on the wrong partition. `live` follows the scan semantics:
-        /// removals first, then additions.
+        /// Turns one frame's ops into a batch. Kinds 0–4 add a random pair;
+        /// 5–6 remove the *newest live copy* of a random live edge and 7
+        /// moves a random live copy — often not its edge's newest — to
+        /// another partition, removing the newest copy on its own (both
+        /// valid by construction, so most lineages run deep); 8–9 add a
+        /// self-loop or, one time in eight, remove an arbitrary pair —
+        /// usually dead or on the wrong partition. `live` follows the scan
+        /// semantics: removals first, then additions.
         fn frame_from_ops(ops: &[Op], live: &mut Vec<(Edge, PartitionId)>) -> MutationBatch {
             let (mut added, mut removed) = (Vec::new(), Vec::new());
             for &(kind, src, dst, part, pick) in ops {
                 let pair = (Edge::from((src, dst)), PartitionId::new(part));
                 match kind {
-                    0..=5 => added.push(pair),
-                    6..=8 if !live.is_empty() => {
-                        let edge = live[pick % live.len()].0;
-                        let newest = live.iter().rposition(|&(e, _)| e == edge).unwrap();
-                        removed.push(live.remove(newest));
+                    0..=4 => added.push(pair),
+                    5..=7 if !live.is_empty() => {
+                        let (edge, on) = live[pick % live.len()];
+                        let newest = if kind == 7 {
+                            live.iter().rposition(|&copy| copy == (edge, on))
+                        } else {
+                            live.iter().rposition(|&(e, _)| e == edge)
+                        };
+                        removed.push(live.remove(newest.unwrap()));
+                        if kind == 7 {
+                            added.push((edge, PartitionId::new((on.raw() + 1 + part % 2) % 3)));
+                        }
                     }
-                    6..=8 => {}
+                    5..=7 => {}
                     _ if pick % 8 == 0 => removed.push(pair),
                     _ => added.push((Edge::from((src, src)), pair.1)),
                 }
@@ -539,9 +497,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Random checkpoint + WAL lineages over a universe small
-            /// enough for duplicate copies, self-loops and
+            /// enough for duplicate copies, self-loops, moves and
             /// delete-then-reinsert frames, salted with removals of dead
-            /// edges and wrong partitions: the one-pass resume returns the
+            /// edges and wrong partitions: the copy-log resume returns the
             /// scan's `(universe, pairs)` or the scan's error, verbatim.
             #[test]
             fn linear_resume_matches_the_scan(
@@ -564,7 +522,7 @@ mod tests {
                     epoch: 4,
                     events_seen: 0,
                     num_vertices: 5,
-                    worker_edges: Vec::new(),
+                    workers: 3,
                     universe: 5,
                     surviving,
                     series: Vec::new(),

@@ -427,6 +427,7 @@ pub(crate) mod tests {
     use std::convert::Infallible;
 
     use super::*;
+    use crate::checkpoint::CHECKPOINT_MAGIC;
     use ebv_graph::Edge;
     use ebv_partition::{EbvPartitioner, PartitionId, StreamConfig};
 
@@ -743,6 +744,39 @@ pub(crate) mod tests {
             DurableState::open(&dir, 100).unwrap_err(),
             StateError::Corrupt { .. }
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directory_of_version_one_checkpoints_refuses_to_open() {
+        let dir = temp_dir("v1-only");
+        let (store, _) = DurableState::open(&dir, 100).unwrap();
+        for n in [3, 5] {
+            let (distributed, partitioner, events) = churned_world(n);
+            store
+                .checkpoint_now(&distributed, &partitioner, events)
+                .unwrap();
+        }
+        drop(store);
+        // Stamp both files with the version 1 magic: the CRC covers only
+        // the body, so each still verifies up to its version byte.
+        for n in [3, 5] {
+            let path = dir.join(format!("checkpoint-{n}.ckpt"));
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[CHECKPOINT_MAGIC.len() - 1] = 1;
+            fs::write(&path, &bytes).unwrap();
+        }
+        // Neither the manifest's lineage nor a scan of the directory starts
+        // empty over them: the typed error surfaces.
+        for manifest in [true, false] {
+            if !manifest {
+                fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+            }
+            assert!(matches!(
+                DurableState::open(&dir, 100).unwrap_err(),
+                StateError::UnsupportedVersion { found: 1, .. }
+            ));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

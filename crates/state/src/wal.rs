@@ -144,15 +144,14 @@ fn decode_body(body: &[u8]) -> Option<WalFrame> {
     })
 }
 
-fn decode_pairs(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, PartitionId)>> {
-    let count = cursor.varint()?;
-    let count = usize::try_from(count).ok()?;
+/// Reads one [`push_pairs`] list. Shared by the WAL and checkpoint decoders.
+pub(crate) fn decode_pairs(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, PartitionId)>> {
+    let count = usize::try_from(cursor.varint()?).ok()?;
     let mut pairs = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         let src = cursor.varint()?;
         let dst = cursor.varint()?;
-        let part = cursor.varint()?;
-        let part = u32::try_from(part).ok()?;
+        let part = u32::try_from(cursor.varint()?).ok()?;
         pairs.push((Edge::from((src, dst)), PartitionId::new(part)));
     }
     Some(pairs)

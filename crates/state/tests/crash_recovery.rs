@@ -341,3 +341,136 @@ fn recovery_survives_a_second_crash() {
     assert_eq!(recovered.events_total, reference_final.events_total);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A rebalance is just another durable epoch: churn over duplicated edges,
+/// checkpoint, skew the load, rebalance with the migration batch logged as
+/// a WAL frame, run a delete-heavy epoch over the duplicates, then restart
+/// from disk. Every layer takes the same copy on a move, so the resumed
+/// world equals the live one — structure, survivor order, and the
+/// partition every later delete takes its copy from.
+#[test]
+fn a_logged_rebalance_recovers() {
+    use ebv_bsp::DurabilityHook;
+    use ebv_dynamic::batch_from_plan;
+    use ebv_partition::{DynamicPartitioner, RebalanceConfig, StreamConfig};
+
+    const P: usize = 4;
+    const UNIVERSE: u64 = 20;
+    let fresh = || -> DynamicPartitioner {
+        EbvPartitioner::new()
+            .dynamic(StreamConfig::new(P).with_expected_vertices(UNIVERSE as usize))
+            .expect("partitioner config")
+    };
+    let empty = || {
+        DistributedGraph::build_streaming(P, Some(UNIVERSE as usize), Vec::new())
+            .expect("empty distribution")
+    };
+    let dir = fresh_dir("rebalance");
+    let (store, _) = DurableState::open(&dir, 1_000).expect("open");
+    let mut partitioner = fresh();
+    let mut distributed = empty();
+    let mut events = 0u64;
+    // Log, then apply: the durable loop's order.
+    let mut durable_epoch = |distributed: &mut DistributedGraph, batch: &MutationBatch| {
+        events += batch.len() as u64;
+        store
+            .log_batch(distributed.epoch() as u64 + 1, events, batch)
+            .expect("log");
+        distributed.apply_mutations(batch).expect("apply");
+        events
+    };
+    let mut lcg = 0x0005_DEEC_E66D_u64;
+    let mut next = move |bound: u64| {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 33) % bound
+    };
+
+    // Churn over a 20-vertex universe, so most edges hold several copies.
+    let mut events_seen = 0;
+    for _ in 0..3 {
+        let mut batch = MutationBatch::new();
+        for _ in 0..150 {
+            let edge = Edge::from((next(UNIVERSE), next(UNIVERSE / 2)));
+            if next(10) < 3 {
+                if let Ok(part) = partitioner.delete(edge) {
+                    batch.record_delete(edge, part);
+                }
+            } else {
+                batch.record_insert(edge, partitioner.insert(edge));
+            }
+        }
+        events_seen = durable_epoch(&mut distributed, &batch);
+    }
+    store
+        .checkpoint_now(&distributed, &partitioner, events_seen)
+        .expect("checkpoint");
+
+    // Skew the load onto partition 0, then rebalance — load phase and
+    // consolidation sweep both — logging the migrations as one frame.
+    let mut batch = MutationBatch::new();
+    let victims: Vec<Edge> = partitioner
+        .surviving()
+        .filter(|(_, part)| part.index() != 0)
+        .map(|(edge, _)| edge)
+        .collect();
+    for &edge in &victims[..victims.len() * 3 / 4] {
+        batch.record_delete(edge, partitioner.delete(edge).expect("live"));
+    }
+    durable_epoch(&mut distributed, &batch);
+    let plan = partitioner
+        .rebalance(
+            &RebalanceConfig::new()
+                .with_max_edge_imbalance(1.25)
+                .with_target_edge_imbalance(1.05)
+                .with_max_replication_factor(1.0),
+        )
+        .expect("rebalance");
+    assert!(plan.len() >= 20, "the skew migrates copies: {}", plan.len());
+    durable_epoch(&mut distributed, &batch_from_plan(&plan));
+
+    // Delete-heavy: every other surviving copy of each duplicated edge.
+    let survivors: Vec<Edge> = partitioner.surviving().map(|(edge, _)| edge).collect();
+    let duplicated: Vec<Edge> = survivors
+        .iter()
+        .copied()
+        .filter(|edge| survivors.iter().filter(|e| *e == edge).count() >= 2)
+        .step_by(2)
+        .collect();
+    assert!(duplicated.len() >= 10, "duplicates: {}", duplicated.len());
+    let mut batch = MutationBatch::new();
+    for &edge in &duplicated {
+        batch.record_delete(edge, partitioner.delete(edge).expect("live"));
+    }
+    batch.record_insert(duplicated[0], partitioner.insert(duplicated[0]));
+    durable_epoch(&mut distributed, &batch);
+    drop(store);
+
+    let (_store, recovered) = DurableState::open(&dir, 1_000).expect("reopen");
+    assert_eq!(recovered.frames.len(), 3, "skew, rebalance, deletes");
+    let mut restored = fresh();
+    let mut resumed = recovered
+        .resume(empty(), &mut restored, None, |_, _, _, _| {
+            Ok::<_, std::convert::Infallible>(())
+        })
+        .expect("a logged rebalance replays");
+    assert!(resumed.same_structure(&distributed));
+    assert!(restored.surviving().eq(partitioner.surviving()));
+
+    // Both sides keep deleting the same copies, down to the last one.
+    let mut batch = MutationBatch::new();
+    for (edge, _) in partitioner.surviving().collect::<Vec<_>>() {
+        let live = partitioner.delete(edge).expect("live");
+        assert_eq!(restored.delete(edge).expect("restored"), live, "{edge:?}");
+        batch.record_delete(edge, live);
+    }
+    distributed
+        .apply_mutations(&batch)
+        .expect("live deletes apply");
+    resumed
+        .apply_mutations(&batch)
+        .expect("resumed deletes apply");
+    assert!(resumed.same_structure(&distributed));
+    let _ = std::fs::remove_dir_all(&dir);
+}
