@@ -7,9 +7,10 @@
 //! lists, the replica table (holder counts and elected masters), isolated
 //! lists and routing table alike. An epoch is a fixed sequence of steps —
 //! validate removals → grow universe → bump the replica table's holder
-//! counts → new edge lists → re-elect affected → rebuild touched → routing
-//! patch — of which only the first can fail, and it mutates nothing, so a
-//! rejected batch leaves the distribution unchanged, its
+//! counts → new edge lists → re-elect affected and patch kept workers'
+//! master flags → rebuild touched and place their replicas in the table →
+//! routing patch — of which only the first can fail, and it mutates
+//! nothing, so a rejected batch leaves the distribution unchanged, its
 //! [`Lineage`](crate::Lineage) state id included; a batch that lands mints
 //! a new one and keeps its affected list beside it.
 
@@ -274,8 +275,8 @@ impl DistributedGraph {
     /// its edges did not). Then patches the master flags of affected
     /// vertices inside the workers that are *not* being re-assembled: a
     /// worker that starts or stops holding a vertex had its edge list
-    /// touched, so a kept worker can only gain or lose a master flag.
-    /// Must run before the routing patch (it reads the pre-batch table).
+    /// touched, so a kept worker can only gain or lose a master flag, and
+    /// its replica table entry still says where.
     fn reelect(&mut self, affected: &[usize], touched: &mut [bool]) {
         let p = self.num_workers();
         for &vi in affected {
@@ -291,11 +292,9 @@ impl DistributedGraph {
             }
             touched[vi % p] = true;
         }
-        // The routing table still describes the state the batch found, and
-        // a kept worker holds what it held there, at the same local index.
-        for &vi in affected {
-            let master = self.replicas.master_of(VertexId::from(vi)).index();
-            for (worker, local) in self.routing.holders(vi) {
+        for v in affected.iter().copied().map(VertexId::from) {
+            let master = self.replicas.master_of(v).index();
+            for (worker, local) in self.replicas.locations(v) {
                 if !touched[worker] {
                     self.subgraphs[worker].set_master(local, worker == master);
                 }
@@ -305,7 +304,8 @@ impl DistributedGraph {
 
     /// Step 6 — re-assembles exactly the touched workers, from their new
     /// edge list or (touched only through an isolated-placement change) the
-    /// one they have. Returns the workers rebuilt and the edges re-indexed.
+    /// one they have, and records their replicas' new local indices in the
+    /// replica table. Returns the workers rebuilt and the edges re-indexed.
     fn rebuild_touched(
         &mut self,
         touched: &[bool],
@@ -339,6 +339,7 @@ impl DistributedGraph {
                 &mut scratch,
             );
         }
+        self.replicas.place(&self.subgraphs, touched);
         (workers_touched, edges_rebuilt)
     }
 }

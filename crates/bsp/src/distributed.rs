@@ -6,8 +6,8 @@
 //! [`DistributedGraph::build`], the streaming builder, and a mutation epoch
 //! over the survivors — ends in the same [`assemble`]d state, which
 //! [`DistributedGraph::same_structure`] compares. Which partitions hold each
-//! vertex, and how many of its edges, is held once, by the
-//! [`ReplicaTable`] (see [`crate::replica`]).
+//! vertex, how many of its edges and at which local index, is held once, by
+//! the [`ReplicaTable`] (see [`crate::replica`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,9 +68,8 @@ pub struct DistributedGraph {
     pub(crate) isolated_per_part: Vec<Vec<VertexId>>,
     /// Counters of the most recent mutation epoch (zeroed on fresh builds).
     pub(crate) last_mutation: MutationStats,
-    /// Precomputed message routes and master locations, maintained in
-    /// lockstep with the subgraphs (epoch-versioned; see
-    /// [`crate::routing`]).
+    /// Precomputed message routes, maintained in lockstep with the
+    /// subgraphs (epoch-versioned; see [`crate::routing`]).
     pub(crate) routing: RoutingTable,
     /// This state's id, its parent's and the last batch's affected list:
     /// see [`Lineage`]. Not structure — [`same_structure`](Self::same_structure)
@@ -179,14 +178,18 @@ impl DistributedGraph {
     /// first, then the mirrors in ascending worker order. Empty for a
     /// vertex past the universe.
     ///
-    /// Read off the routing table — the master's location and its route
-    /// slice — so it costs no hash probe and does not make any worker
-    /// build its [`local_index_of`](Subgraph::local_index_of) index; it is
-    /// what snapshot commit and warm-program construction walk.
+    /// Read off the replica table, which records each replica's local
+    /// index, so it costs no hash probe and does not make any worker build
+    /// its [`local_index_of`](Subgraph::local_index_of) index; it is what
+    /// snapshot commit and warm-program construction walk.
     pub fn holders_of(&self, v: VertexId) -> impl Iterator<Item = (&Subgraph, usize)> + '_ {
-        self.routing
-            .holders(v.index())
-            .map(|(worker, local)| (&self.subgraphs[worker], local))
+        let master = self.replicas.master_at(v);
+        let mirrors = self
+            .replicas
+            .locations(v)
+            .filter(move |&at| Some(at) != master);
+        let holders = master.into_iter().chain(mirrors);
+        holders.map(|(worker, local)| (&self.subgraphs[worker], local))
     }
 
     /// The replication factor `Σ_i |V_i| / |V|` of this distribution; the
@@ -227,8 +230,8 @@ impl DistributedGraph {
         self.last_mutation
     }
 
-    /// The precomputed routing table the engine's communication stage and
-    /// final value extraction run on.
+    /// The precomputed routing table the engine's communication stage runs
+    /// on.
     pub(crate) fn routing(&self) -> &RoutingTable {
         &self.routing
     }
@@ -260,9 +263,10 @@ impl DistributedGraph {
 }
 
 /// Shared final assembly step: holder counts, master election, isolated
-/// vertex placement and per-worker subgraph construction, stamped with the
-/// mutation `epoch` the result continues. Both [`DistributedGraph::build`]
-/// and [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
+/// vertex placement, per-worker subgraph construction and the replicas'
+/// local indices, stamped with the mutation `epoch` the result continues.
+/// Both [`DistributedGraph::build`] and
+/// [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
 /// end here, which is what keeps the streaming and batch paths structurally
 /// identical.
 pub(crate) fn assemble(
@@ -302,6 +306,7 @@ pub(crate) fn assemble(
         })
         .collect();
 
+    replicas.place(&subgraphs, &vec![true; p]);
     let routing = RoutingTable::build(&subgraphs, &replicas, n, epoch);
     DistributedGraph {
         subgraphs,

@@ -31,7 +31,6 @@ pub use pool::{pool_threads_spawned, WorkerPool};
 
 use std::sync::Arc;
 
-use ebv_graph::VertexId;
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 
 use crate::distributed::DistributedGraph;
@@ -532,21 +531,25 @@ impl BspEngine {
         // input), so zero-work runs cannot emit NaN/inf into /metrics.
         recorder.gauge_set("ebv_bsp_work_max_mean_ratio", stats.work_max_mean_ratio());
 
-        // Extract the global result from each vertex's master replica via
-        // the precomputed master-location array (no per-vertex hash
-        // probes).
-        let global_values: Vec<P::Value> = (0..distributed.num_vertices())
-            .map(|raw| match routing.master_location(raw) {
-                Some((worker, local)) => values[worker][local].clone(),
-                // Vertices absent from every subgraph report their seed
-                // value (initial for cold runs, warm for warm runs).
-                None => {
-                    let v = VertexId::from(raw);
-                    let sg = distributed.subgraph(distributed.replicas().master_of(v));
-                    seed(v, sg)
+        // Extract the global result from each vertex's master replica. Every
+        // vertex of the universe has exactly one, so the scatter over the
+        // workers' master flags writes every slot; a walk in vertex order
+        // would look each master up in the replica table instead, one
+        // scattered read per vertex.
+        let mut global_values = match values.iter().flatten().next() {
+            Some(any) => vec![any.clone(); distributed.num_vertices()],
+            None => Vec::new(),
+        };
+        let mut written = 0;
+        for (sg, values) in distributed.subgraphs().iter().zip(values) {
+            for (local, value) in values.into_iter().enumerate() {
+                if sg.is_master(local) {
+                    global_values[sg.vertex_at(local).index()] = value;
+                    written += 1;
                 }
-            })
-            .collect();
+            }
+        }
+        debug_assert_eq!(written, global_values.len(), "one master per vertex");
 
         let outcome = BspOutcome {
             values: global_values,

@@ -25,8 +25,9 @@ use crate::stats::ExecutionStats;
 /// A destination for a finished run's master values.
 ///
 /// `values[i]` is vertex `i`'s converged value, exactly as returned in
-/// [`BspOutcome::values`](crate::BspOutcome) (absent vertices hold the
-/// program's initial value). The sink must not assume it is called from any
+/// [`BspOutcome::values`](crate::BspOutcome): the value of its master
+/// replica, which every vertex of the universe has (an isolated one on its
+/// home worker). The sink must not assume it is called from any
 /// particular thread, but calls for a given store are not concurrent: the
 /// engine publishes synchronously at the end of the run that computed the
 /// values.

@@ -1,45 +1,36 @@
 //! The derivation [`derive_routes`] replaced, kept as its reference: route
 //! tables built worker by worker, each walking its vertex table in local
-//! (first-appearance) order and appending the vertex's routes. The tests
-//! below hold the vertex-order derivation — from-scratch and maintained —
-//! and [`DistributedGraph::holders_of`], which reads the table, to it.
+//! (first-appearance) order and appending the vertex's routes. It finds a
+//! replica's local index through the holder's hash index
+//! ([`Subgraph::local_index_of`]), not through the local indices the
+//! replica table records, so comparing against it checks those too. The
+//! tests below hold the vertex-order derivation — from-scratch and
+//! maintained — and [`DistributedGraph::holders_of`], which reads the
+//! replica table, to it.
 
 use super::*;
 use crate::{DistributedGraph, MutationBatch};
 use ebv_graph::generators::{named, GraphGenerator, GridGenerator, RmatGenerator};
-use ebv_graph::Edge;
+use ebv_graph::{Edge, GraphBuilder};
 use ebv_partition::{EbvPartitioner, MetisLikePartitioner, PartitionId, Partitioner};
 
-impl WorkerRoutes {
-    /// The full route set of one worker, in local-index order.
-    fn build_worker_major(
-        worker: u32,
-        sg: &Subgraph,
-        replicas: &ReplicaTable,
-        locations: &ReplicaLocations,
-    ) -> Self {
-        let mut offsets = vec![0u32];
-        let mut routes = Vec::new();
-        for &v in sg.vertices() {
-            push_routes(worker, v, replicas, locations, &mut routes);
-            offsets.push(u32::try_from(routes.len()).expect("route count fits u32"));
+/// Every replica of `v` as a route, ascending by worker: the partitions the
+/// replica table lists, joined with each holder's hash index.
+fn probed_replicas(dg: &DistributedGraph, v: VertexId) -> Vec<Route> {
+    let probe = |part: PartitionId| {
+        let local = dg.subgraph(part).local_index_of(v);
+        Route {
+            worker: part.raw(),
+            local: local.expect("a replica holds the vertex") as u32,
         }
-        WorkerRoutes { offsets, routes }
-    }
+    };
+    dg.replicas().replicas_of(v).map(probe).collect()
 }
 
-/// Appends the routes of vertex `v` as seen from `worker` — the layout
-/// invariant as the worker-major build wrote it, independent of
-/// [`routes_from`].
-fn push_routes(
-    worker: u32,
-    v: VertexId,
-    replicas: &ReplicaTable,
-    locations: &ReplicaLocations,
-    out: &mut Vec<Route>,
-) {
-    let master = replicas.master_of(v).raw();
-    let held = locations.of(v);
+/// Appends the routes of a vertex with replicas `held` (ascending by
+/// worker) and master `master` as seen from `worker` — the layout invariant
+/// as the worker-major build wrote it, independent of [`routes_from`].
+fn push_routes(worker: u32, master: u32, held: &[Route], out: &mut Vec<Route>) {
     if master != worker {
         let at_master = held.iter().find(|replica| replica.worker == master);
         out.push(*at_master.expect("the master holds a replica"));
@@ -50,43 +41,46 @@ fn push_routes(
     );
 }
 
-/// Worker `worker` holds `v` at `local`, which is `v`'s master location
-/// exactly when that worker is its elected master. Every vertex has exactly
-/// one master replica, so offering all of its replicas settles its entry.
-fn record_if_master(
-    master_location: &mut [Route],
-    replicas: &ReplicaTable,
-    v: VertexId,
-    worker: u32,
-    local: usize,
-) {
-    if replicas.master_of(v).raw() == worker {
-        master_location[v.index()] = Route {
-            worker,
-            local: u32::try_from(local).expect("local index fits u32"),
-        };
-    }
-}
-
 /// The whole table, worker-major.
 fn build_worker_major(dg: &DistributedGraph) -> RoutingTable {
-    let (subgraphs, replicas, n) = (dg.subgraphs(), dg.replicas(), dg.num_vertices());
-    let locations = ReplicaLocations::build(subgraphs, replicas, n);
     let mut workers = Vec::new();
-    let mut master_location = vec![ABSENT; n];
-    for (d, sg) in subgraphs.iter().enumerate() {
-        let d = d as u32;
-        workers.push(WorkerRoutes::build_worker_major(
-            d, sg, replicas, &locations,
-        ));
-        for (local, &v) in sg.vertices().iter().enumerate() {
-            record_if_master(&mut master_location, replicas, v, d, local);
+    for (d, sg) in dg.subgraphs().iter().enumerate() {
+        let mut offsets = vec![0u32];
+        let mut routes = Vec::new();
+        for &v in sg.vertices() {
+            let master = dg.replicas().master_of(v).raw();
+            push_routes(d as u32, master, &probed_replicas(dg, v), &mut routes);
+            offsets.push(u32::try_from(routes.len()).expect("route count fits u32"));
         }
+        workers.push(WorkerRoutes { offsets, routes });
     }
     RoutingTable {
         workers,
-        master_location,
         epoch: dg.epoch(),
+    }
+}
+
+/// [`DistributedGraph::holders_of`] lists every vertex of the universe,
+/// master first and then the mirrors ascending, and as a set its replicas
+/// are exactly the replica table's partitions joined with the holders' hash
+/// indices.
+fn assert_holders_joined(dg: &DistributedGraph, what: &str) {
+    for raw in 0..dg.num_vertices() {
+        let v = VertexId::from(raw);
+        let mut read: Vec<Route> = dg
+            .holders_of(v)
+            .map(|(sg, local)| Route {
+                worker: sg.part().raw(),
+                local: local as u32,
+            })
+            .collect();
+        let master = dg.replicas().master_of(v).raw();
+        let first = read.first().map(|route| route.worker);
+        assert_eq!(first, Some(master), "{what}: vertex {v}");
+        let mirrors = &read[1..];
+        assert!(mirrors.windows(2).all(|w| w[0].worker < w[1].worker));
+        read.sort_unstable_by_key(|route| route.worker);
+        assert_eq!(read, probed_replicas(dg, v), "{what}: vertex {v}");
     }
 }
 
@@ -260,7 +254,55 @@ fn holders_of_lists_the_master_then_the_mirrors_ascending() {
     assert_eq!(holders(6), [(2, v(6))]);
     assert_eq!(holders(7), [], "one past the universe");
     assert_eq!(holders(u64::from(u32::MAX)), [], "far past the universe");
-    assert_eq!(dg.routing().master_location(7), None);
+    assert_eq!(dg.replicas().master_at(v(7)), None);
+}
+
+#[test]
+fn every_vertex_is_held_and_mastered_first() {
+    // Vertices 6..10 touch no edge.
+    let mut builder = GraphBuilder::directed();
+    builder.num_vertices(10);
+    builder.extend_edges([(0u64, 1u64), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]);
+    let graph = builder.build().unwrap();
+    let partitioners: [Box<dyn Partitioner>; 2] = [
+        Box::new(EbvPartitioner::new()),
+        Box::new(MetisLikePartitioner::new()),
+    ];
+    for partitioner in &partitioners {
+        for p in [1usize, 3, 4] {
+            let partition = partitioner.partition(&graph, p).unwrap();
+            let dg = DistributedGraph::build(&graph, &partition).unwrap();
+            assert_holders_joined(&dg, &format!("{} p={p}", partitioner.name()));
+        }
+    }
+
+    // A declared universe past the last streamed endpoint.
+    let part = PartitionId::new;
+    let stream = [
+        (Edge::from((0u64, 1u64)), part(0)),
+        (Edge::from((1u64, 2u64)), part(1)),
+        (Edge::from((2u64, 3u64)), part(2)),
+    ];
+    let mut dg = DistributedGraph::build_streaming(3, Some(9), stream).unwrap();
+    assert_holders_joined(&dg, "declared universe");
+
+    // An epoch growing the universe, one isolating vertex 3 (its home 0
+    // gains it) and one re-attaching it on another worker.
+    let mut batch = MutationBatch::new();
+    batch.record_insert(Edge::from((1u64, 12u64)), part(2));
+    dg.apply_mutations(&batch).unwrap();
+    assert_eq!(dg.num_vertices(), 13);
+    assert_holders_joined(&dg, "grown universe");
+    let mut batch = MutationBatch::new();
+    batch.record_delete(Edge::from((2u64, 3u64)), part(2));
+    dg.apply_mutations(&batch).unwrap();
+    assert_eq!(dg.replicas().master_of(VertexId::new(3)), part(0));
+    assert_holders_joined(&dg, "isolated vertex");
+    let mut batch = MutationBatch::new();
+    batch.record_insert(Edge::from((3u64, 4u64)), part(1));
+    dg.apply_mutations(&batch).unwrap();
+    assert_eq!(dg.replicas().master_of(VertexId::new(3)), part(1));
+    assert_holders_joined(&dg, "re-attached vertex");
 }
 
 #[test]
@@ -271,24 +313,45 @@ fn holders_of_equals_the_replica_table_joined_with_the_hash_index() {
     let everyone: Vec<usize> = (0..p).collect();
     for round in 0..10 {
         churn(&mut dg, &mut survivors, &everyone, 6, 60, &mut rng);
-        for raw in 0..dg.num_vertices() {
-            let v = VertexId::from(raw);
-            let mut read: Vec<(usize, usize)> = dg
-                .holders_of(v)
-                .map(|(sg, local)| (sg.part().index(), local))
-                .collect();
-            // Master first; as a set, the replica list in its own order.
-            assert_eq!(read[0].0, dg.replicas().master_of(v).index());
-            read.sort_unstable();
-            let probed: Vec<(usize, usize)> = dg
-                .replicas()
-                .replicas_of(v)
-                .map(|part| {
-                    let local = dg.subgraph(part).local_index_of(v);
-                    (part.index(), local.expect("a replica holds the vertex"))
-                })
-                .collect();
-            assert_eq!(read, probed, "round {round} vertex {v}");
-        }
+        assert_holders_joined(&dg, &format!("round {round}"));
     }
+    // One worker per round, so the kept workers' recorded local indices are
+    // read after the epoch.
+    for round in 0..10 {
+        churn(&mut dg, &mut survivors, &[round % p], 2, 60, &mut rng);
+        assert!(dg.last_mutation().workers_touched < p, "one-worker {round}");
+        assert_holders_joined(&dg, &format!("one-worker round {round}"));
+    }
+    // Isolate a vertex by deleting every edge copy it touches, then
+    // re-attach it: once on its home worker, once elsewhere.
+    for (round, v) in [7usize, 18, 29, 41].into_iter().enumerate() {
+        let mut batch = MutationBatch::new();
+        survivors.retain(|&(edge, part)| {
+            let incident = edge.src.index() == v || edge.dst.index() == v;
+            if incident {
+                batch.record_delete(edge, part);
+            }
+            !incident
+        });
+        dg.apply_mutations(&batch).unwrap();
+        let home = PartitionId::from_index(v % p);
+        let vertex = VertexId::from(v);
+        assert_eq!(
+            dg.replicas().replicas_of(vertex).collect::<Vec<_>>(),
+            [home]
+        );
+        assert_holders_joined(&dg, &format!("isolated {v}"));
+
+        let part = PartitionId::from_index((v + round % 2) % p);
+        let edge = Edge::from((v as u64, rng.below(60) as u64));
+        let mut batch = MutationBatch::new();
+        batch.record_insert(edge, part);
+        survivors.push((edge, part));
+        dg.apply_mutations(&batch).unwrap();
+        assert!(dg.last_mutation().workers_touched < p, "re-attached {v}");
+        assert_holders_joined(&dg, &format!("re-attached {v}"));
+    }
+    let n = Some(dg.num_vertices());
+    let fresh = DistributedGraph::build_streaming(p, n, survivors).unwrap();
+    assert!(dg.same_structure(&fresh));
 }

@@ -454,7 +454,7 @@ impl Subgraph {
     /// later calls, and calls on a clone taken afterwards, are one probe.
     /// The engine, the routing table, snapshot commit and warm-program
     /// construction never call it — they read replica positions off the
-    /// routing table ([`DistributedGraph::holders_of`]) — so a worker that
+    /// replica table ([`DistributedGraph::holders_of`]) — so a worker that
     /// is rebuilt every epoch pays for an index only if somebody asks.
     pub fn local_index_of(&self, v: VertexId) -> Option<usize> {
         let index = self.local_index.get_or_init(|| {

@@ -152,21 +152,27 @@ fn replicas_of(dg: &DistributedGraph, v: VertexId) -> Vec<PartitionId> {
 }
 
 /// The replica table's per-vertex holder lists (partition, live
-/// incidence) themselves, not only the masters elected from them:
-/// `apply_mutations` binary searches these, so they must come out of every
-/// construction path identical and strictly ascending by partition.
+/// incidence, local index) themselves, not only the masters elected from
+/// them: `apply_mutations` binary searches these, so they must come out of
+/// every construction path identical and strictly ascending by partition,
+/// every count positive but an isolated vertex's one home entry.
 fn assert_same_holder_lists(a: &DistributedGraph, b: &DistributedGraph) {
     assert!(
         a.replicas.same_structure(&b.replicas),
         "holder lists diverged"
     );
+    let p = a.num_workers();
     for v in (0..a.num_vertices()).map(VertexId::from) {
-        let holders = a.replicas.holders(v);
+        let holders = a.replicas.counts(v);
         assert!(
             holders.windows(2).all(|w| w[0].0 < w[1].0),
             "holders of vertex {v} are not strictly ascending: {holders:?}"
         );
-        assert!(holders.iter().all(|&(_, count)| count > 0), "vertex {v}");
+        let home = PartitionId::from_index(v.index() % p);
+        assert!(
+            holders.iter().all(|&(_, count)| count > 0) || holders == [(home, 0)],
+            "vertex {v}: {holders:?}"
+        );
     }
 }
 
