@@ -9,10 +9,11 @@
 //! validate removals → grow universe → bump the replica table's holder
 //! counts → new edge lists → re-elect affected and patch kept workers'
 //! master flags → rebuild touched and place their replicas in the table →
-//! routing patch — of which only the first can fail, and it mutates
-//! nothing, so a rejected batch leaves the distribution unchanged, its
-//! [`Lineage`](crate::Lineage) state id included; a batch that lands mints
-//! a new one and keeps its affected list beside it.
+//! re-derive every worker's routes from the table — of which only the
+//! first can fail, and it mutates nothing, so a rejected batch leaves the
+//! distribution unchanged, its [`Lineage`](crate::Lineage) state id
+//! included; a batch that lands mints a new one and keeps its affected
+//! list beside it.
 
 use std::time::Instant;
 
@@ -64,9 +65,10 @@ impl DistributedGraph {
     }
 
     /// [`apply_mutations`](Self::apply_mutations) with telemetry: the whole
-    /// epoch is recorded as a `mutation_apply` span and the incremental
-    /// routing-table maintenance inside it as a `routing_patch` span (both
-    /// on the engine-side track, `worker == p`), plus mutation counters.
+    /// epoch is recorded as a `mutation_apply` span and the route
+    /// derivation inside it (step 7, every worker's routes) as a
+    /// `routing_patch` span (both on the engine-side track, `worker == p`),
+    /// plus mutation counters.
     ///
     /// Instrumentation does not perturb the result: every deterministic
     /// field of the returned [`MutationStats`] and the distribution itself
@@ -112,23 +114,22 @@ impl DistributedGraph {
 
         self.num_edges = self.subgraphs.iter().map(Subgraph::num_edges).sum();
         self.epoch += 1;
-        // Bring the routing table in line: rebuilt workers get fresh route
-        // tables, affected vertices are re-routed inside untouched holders.
+        // Step 7 — re-derive every worker's routes from the replica table:
+        // the kept workers' recorded locals are still valid, the rebuilt
+        // workers' were placed in step 6.
         let span_ctx = SpanCtx {
             epoch: self.epoch as u32,
             superstep: 0,
             worker: p as u32,
         };
-        let patch_started = recorder.start();
-        self.routing.apply_update(
+        let routes_started = recorder.start();
+        self.routing.derive_routes(
             &self.subgraphs,
             &self.replicas,
-            &touched,
-            &affected,
             self.num_vertices,
             self.epoch,
         );
-        recorder.span(patch_started, span_ctx, Phase::RoutingPatch);
+        recorder.span(routes_started, span_ctx, Phase::RoutingPatch);
         // A new state, derived from the one this batch found.
         self.parent_state = std::mem::replace(&mut self.state, mint_state());
         self.affected = affected;

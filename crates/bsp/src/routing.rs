@@ -9,26 +9,31 @@
 //! local index), laid out so that the three [`MessageTarget`] fan-outs are
 //! contiguous sub-slices.
 //!
-//! The table is **epoch-versioned**: `DistributedGraph::apply_mutations`
-//! updates it incrementally in lockstep with the subgraphs (rebuilding
-//! routes only for rebuilt workers and batch-affected vertices), so a
-//! stale table can be caught by comparing [`RoutingTable::epoch`] with the
-//! distribution's epoch.
+//! The table is **epoch-versioned** and has **one derivation**,
+//! [`RoutingTable::derive_routes`]: assembly runs it on an empty table and
+//! every `DistributedGraph::apply_mutations` epoch re-runs it over every
+//! worker, refilling the buffers the previous epoch left, so a stale table
+//! can be caught by comparing [`RoutingTable::epoch`] with the
+//! distribution's epoch. It reads each replica's `(worker, local index)`
+//! off the [`ReplicaTable`] — an array read, not a `local_index_of` hash
+//! probe. A worker the epoch keeps keeps its recorded local indices, so
+//! re-deriving its routes only picks up the new indices of the rebuilt
+//! workers and the changed replica sets.
 //!
-//! Both [`RoutingTable::build`] and [`RoutingTable::apply_update`] read
-//! route destinations and patch targets off the [`ReplicaTable`], which
-//! records every replica's `(worker, local index)` — an array read, not a
-//! `local_index_of` hash probe. A rebuilt worker is re-indexed from scratch
-//! (first-appearance local numbering), so every route into it changes;
-//! what the table's locations remove is the probe per route, not the
-//! re-index.
+//! Re-deriving everything is the faster of the two ways to do that. A
+//! rebuilt worker is re-indexed from scratch (first-appearance local
+//! numbering), so every route into it changes: patching the kept holders
+//! instead meant a scattered re-point per such route plus a splice that
+//! copied each kept worker's routes anyway. On `bench_dynamic`'s localized
+//! epochs (one of eight workers touched, scale 16, a shared 2-vCPU host)
+//! patching took 0.088 s for eight epochs and re-deriving takes 0.054 s
+//! (medians of seven alternating runs).
 //!
-//! The route tables are derived **in vertex order** ([`derive_routes`], the
-//! one derivation both entry points share): the universe is walked front to
-//! back, so the replica table is read sequentially, a vertex with a single
-//! replica — four in five on a power-law graph — costs nothing, and the
-//! only scattered accesses are the route slices of the replicated rest. A
-//! worker's local numbering is first-appearance order, so deriving worker
+//! The routes are derived **in vertex order**: the universe is walked front
+//! to back, so the replica table is read sequentially, a vertex with a
+//! single replica — four in five on a power-law graph — costs nothing, and
+//! the only scattered accesses are the route slices of the replicated rest.
+//! A worker's local numbering is first-appearance order, so deriving worker
 //! by worker would read the replica table at random instead.
 //!
 //! [`MessageTarget`]: crate::program::MessageTarget
@@ -84,46 +89,6 @@ impl WorkerRoutes {
     pub(crate) fn all(&self, local: usize) -> &[Route] {
         &self.routes[self.offsets[local] as usize..self.offsets[local + 1] as usize]
     }
-
-    /// Re-points the route to `dest_worker` (whose subgraph was rebuilt and
-    /// re-indexed) at the vertex's new local index there.
-    fn patch_dest(&mut self, local: usize, dest_worker: u32, dest_local: u32) {
-        let range = self.offsets[local] as usize..self.offsets[local + 1] as usize;
-        for route in &mut self.routes[range] {
-            if route.worker == dest_worker {
-                route.local = dest_local;
-                return;
-            }
-        }
-        debug_assert!(false, "no route to rebuilt worker {dest_worker}");
-    }
-
-    /// Replaces the route lists of the given locals (sorted ascending) in
-    /// one linear splice pass; all other vertices keep their routes.
-    fn splice(&mut self, changes: &[(usize, Vec<Route>)]) {
-        debug_assert!(changes.windows(2).all(|w| w[0].0 < w[1].0));
-        let n = self.offsets.len() - 1;
-        let old_routes = std::mem::take(&mut self.routes);
-        let old_offsets = std::mem::take(&mut self.offsets);
-        let mut routes = Vec::with_capacity(old_routes.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut pending = changes.iter().peekable();
-        for local in 0..n {
-            match pending.peek() {
-                Some((changed, replacement)) if *changed == local => {
-                    routes.extend_from_slice(replacement);
-                    pending.next();
-                }
-                _ => routes.extend_from_slice(
-                    &old_routes[old_offsets[local] as usize..old_offsets[local + 1] as usize],
-                ),
-            }
-            offsets.push(u32::try_from(routes.len()).expect("route count fits u32"));
-        }
-        self.routes = routes;
-        self.offsets = offsets;
-    }
 }
 
 /// The routes of a vertex as seen from `worker`, given the vertex's
@@ -149,67 +114,8 @@ where
         })
 }
 
-/// The one route derivation, in vertex order: fresh [`WorkerRoutes`] for
-/// every worker flagged in `rebuilt`; nothing of a kept worker is read or
-/// written.
-///
-/// Two walks over the universe. The first sizes the slices — a replicated
-/// vertex needs one route per *other* replica in each rebuilt holder, a
-/// vertex with one replica none; after a prefix sum per rebuilt worker, the
-/// second visits the replicated vertices again and writes each rebuilt
-/// holder's slice in the layout [`WorkerRoutes`] documents
-/// ([`routes_from`]).
-fn derive_routes(
-    subgraphs: &[Subgraph],
-    replicas: &ReplicaTable,
-    num_vertices: usize,
-    rebuilt: &[bool],
-    workers: &mut [WorkerRoutes],
-) {
-    for (w, sg) in subgraphs.iter().enumerate() {
-        if rebuilt[w] {
-            workers[w].offsets = vec![0u32; sg.num_vertices() + 1];
-        }
-    }
-    let replicated = (0..num_vertices)
-        .map(VertexId::from)
-        .map(|v| (v, replicas.locations(v)))
-        .filter(|(_, held)| held.len() > 1);
-    for (_, held) in replicated.clone() {
-        let others = (held.len() - 1) as u32;
-        for (worker, local) in held.filter(|&(worker, _)| rebuilt[worker]) {
-            workers[worker].offsets[local + 1] = others;
-        }
-    }
-    for (w, table) in workers.iter_mut().enumerate() {
-        if !rebuilt[w] {
-            continue;
-        }
-        let mut end = 0u32;
-        for slot in &mut table.offsets {
-            end = end.checked_add(*slot).expect("route count fits u32");
-            *slot = end;
-        }
-        table.routes = vec![ABSENT; end as usize];
-    }
-    for (v, held) in replicated {
-        let master = replicas.master_of(v).index();
-        for (worker, local) in held.clone().filter(|&(worker, _)| rebuilt[worker]) {
-            let table = &mut workers[worker];
-            let start = table.offsets[local] as usize;
-            let slice = &mut table.routes[start..start + held.len() - 1];
-            for (slot, route) in slice
-                .iter_mut()
-                .zip(routes_from(worker, master, held.clone()))
-            {
-                *slot = route;
-            }
-        }
-    }
-}
-
 /// The distribution-wide routing table: per-worker route slices. See the
-/// module docs for the layout and the incremental-maintenance contract.
+/// module docs for the layout and the one derivation.
 #[derive(Debug, Clone)]
 pub(crate) struct RoutingTable {
     workers: Vec<WorkerRoutes>,
@@ -218,9 +124,9 @@ pub(crate) struct RoutingTable {
     epoch: usize,
 }
 
-/// Structural equality ignores the epoch: an incrementally maintained
-/// table must equal the from-scratch rebuild of the same distribution even
-/// though the two disagree on how many epochs produced it.
+/// Structural equality ignores the epoch: the table an epoch re-derived
+/// must equal the from-scratch build of the same distribution even though
+/// the two disagree on how many epochs produced it.
 impl PartialEq for RoutingTable {
     fn eq(&self, other: &Self) -> bool {
         self.workers == other.workers
@@ -228,20 +134,23 @@ impl PartialEq for RoutingTable {
 }
 
 impl RoutingTable {
-    /// Builds the table from scratch for the given distribution state.
+    /// Builds the table from scratch for the given distribution state: an
+    /// empty table, then [`RoutingTable::derive_routes`].
     pub(crate) fn build(
         subgraphs: &[Subgraph],
         replicas: &ReplicaTable,
         num_vertices: usize,
         epoch: usize,
     ) -> Self {
-        let mut workers = vec![WorkerRoutes::default(); subgraphs.len()];
-        let rebuilt = vec![true; subgraphs.len()];
-        derive_routes(subgraphs, replicas, num_vertices, &rebuilt, &mut workers);
-        RoutingTable { workers, epoch }
+        let mut table = RoutingTable {
+            workers: vec![WorkerRoutes::default(); subgraphs.len()],
+            epoch,
+        };
+        table.derive_routes(subgraphs, replicas, num_vertices, epoch);
+        table
     }
 
-    /// The epoch this table was built (or last updated) for.
+    /// The epoch this table was built (or last re-derived) for.
     pub(crate) fn epoch(&self) -> usize {
         self.epoch
     }
@@ -251,80 +160,60 @@ impl RoutingTable {
         &self.workers
     }
 
-    /// Incrementally brings the table in line with a mutation epoch:
-    /// `rebuilt` flags the workers whose subgraphs were re-assembled (their
-    /// route tables rebuild wholesale and their new local indices are
-    /// patched into every untouched holder), `affected` lists (ascending)
-    /// the vertices whose replica set or master may have changed (their
-    /// route lists are recomputed in every untouched holder and spliced
-    /// in). Everything else is untouched — the incremental counterpart of
-    /// [`RoutingTable::build`]. `replicas` has the rebuilt workers placed
-    /// already ([`ReplicaTable::place`]).
-    pub(crate) fn apply_update(
+    /// The one route derivation, in vertex order: every worker's routes,
+    /// written into the buffers the table already holds. `replicas` has
+    /// every worker placed ([`ReplicaTable::place`]).
+    ///
+    /// Two walks over the universe. The first sizes the slices — a
+    /// replicated vertex needs one route per *other* replica in each
+    /// holder, a vertex with one replica none; after a prefix sum per
+    /// worker, the second visits the replicated vertices again and writes
+    /// each holder's slice in the layout [`WorkerRoutes`] documents
+    /// ([`routes_from`]).
+    pub(crate) fn derive_routes(
         &mut self,
         subgraphs: &[Subgraph],
         replicas: &ReplicaTable,
-        rebuilt: &[bool],
-        affected: &[usize],
         num_vertices: usize,
         epoch: usize,
     ) {
         self.epoch = epoch;
-        // Rebuilt workers get fresh route tables.
-        derive_routes(
-            subgraphs,
-            replicas,
-            num_vertices,
-            rebuilt,
-            &mut self.workers,
-        );
-        if rebuilt.iter().all(|&rebuilt| rebuilt) {
-            // No kept worker holds a route to re-point or a slice to splice.
-            return;
+        for (table, sg) in self.workers.iter_mut().zip(subgraphs) {
+            table.offsets.clear();
+            table.offsets.resize(sg.num_vertices() + 1, 0);
         }
-        let mut is_affected = vec![false; num_vertices];
-        for &vi in affected {
-            is_affected[vi] = true;
-        }
-
-        // The vertices of a rebuilt worker moved to new local indices:
-        // re-point the routes of every untouched holder. Affected vertices
-        // are skipped — their route lists are recomputed from scratch below.
-        for (d, sg) in subgraphs.iter().enumerate() {
-            if !rebuilt[d] {
-                continue;
-            }
-            let dest = u32::try_from(d).expect("worker fits u32");
-            for (local, &v) in (0u32..).zip(sg.vertices()) {
-                if is_affected[v.index()] {
-                    continue;
-                }
-                for (holder, at) in replicas.locations(v) {
-                    if !rebuilt[holder] {
-                        self.workers[holder].patch_dest(at, dest, local);
-                    }
-                }
+        let replicated = (0..num_vertices)
+            .map(VertexId::from)
+            .map(|v| (v, replicas.locations(v)))
+            .filter(|(_, held)| held.len() > 1);
+        for (_, held) in replicated.clone() {
+            let others = (held.len() - 1) as u32;
+            for (worker, local) in held {
+                self.workers[worker].offsets[local + 1] = others;
             }
         }
-
-        // Affected vertices: recompute the route lists inside untouched
-        // holders (rebuilt holders already have theirs from the wholesale
-        // rebuild).
-        let mut changes: Vec<Vec<(usize, Vec<Route>)>> = vec![Vec::new(); subgraphs.len()];
-        for v in affected.iter().copied().map(VertexId::from) {
+        for table in &mut self.workers {
+            let mut end = 0u32;
+            for slot in &mut table.offsets {
+                end = end.checked_add(*slot).expect("route count fits u32");
+                *slot = end;
+            }
+            table.routes.clear();
+            table.routes.resize(end as usize, ABSENT);
+        }
+        for (v, held) in replicated {
             let master = replicas.master_of(v).index();
-            let held = replicas.locations(v);
-            for (holder, at) in held.clone().filter(|&(holder, _)| !rebuilt[holder]) {
-                let routes = routes_from(holder, master, held.clone()).collect();
-                changes[holder].push((at, routes));
+            for (worker, local) in held.clone() {
+                let table = &mut self.workers[worker];
+                let start = table.offsets[local] as usize;
+                let slice = &mut table.routes[start..start + held.len() - 1];
+                for (slot, route) in slice
+                    .iter_mut()
+                    .zip(routes_from(worker, master, held.clone()))
+                {
+                    *slot = route;
+                }
             }
-        }
-        for (w, mut changed) in changes.into_iter().enumerate() {
-            if changed.is_empty() {
-                continue;
-            }
-            changed.sort_unstable_by_key(|&(local, _)| local);
-            self.workers[w].splice(&changed);
         }
     }
 }

@@ -1,12 +1,12 @@
-//! The derivation [`derive_routes`] replaced, kept as its reference: route
-//! tables built worker by worker, each walking its vertex table in local
-//! (first-appearance) order and appending the vertex's routes. It finds a
-//! replica's local index through the holder's hash index
+//! The derivation [`RoutingTable::derive_routes`] replaced, kept as its
+//! reference: route tables built worker by worker, each walking its vertex
+//! table in local (first-appearance) order and appending the vertex's
+//! routes. It finds a replica's local index through the holder's hash index
 //! ([`Subgraph::local_index_of`]), not through the local indices the
 //! replica table records, so comparing against it checks those too. The
-//! tests below hold the vertex-order derivation — from-scratch and
-//! maintained — and [`DistributedGraph::holders_of`], which reads the
-//! replica table, to it.
+//! tests below hold the vertex-order derivation — at assembly and after
+//! epochs that rebuild every, one or several workers — and
+//! [`DistributedGraph::holders_of`], which reads the replica table, to it.
 
 use super::*;
 use crate::{DistributedGraph, MutationBatch};
@@ -196,7 +196,8 @@ fn maintained_table_equals_the_worker_major_build_after_churn() {
             );
         }
         // One worker touched while the vertices it changes keep holders
-        // elsewhere: `patch_dest` and the splice on top of the derivation.
+        // elsewhere: the epoch re-derives the kept workers' routes from the
+        // locals the replica table recorded for them.
         let (mut dg, mut survivors) = random_distribution(p, 24, 40 * p, &mut rng);
         let mut shared_affected = 0;
         for round in 0..12 {
@@ -206,11 +207,7 @@ fn maintained_table_equals_the_worker_major_build_after_churn() {
                 dg.last_mutation().workers_touched < p,
                 "p={p} round {round}"
             );
-            // Kept workers had their master flags patched through the
-            // pre-batch table's holders; a fresh build elects them anew.
-            let n = Some(dg.num_vertices());
-            let fresh = DistributedGraph::build_streaming(p, n, survivors.clone()).unwrap();
-            assert!(dg.same_structure(&fresh), "p={p} round {round}");
+            assert_rederived(&dg, &survivors, &format!("p={p} round {round}"));
             shared_affected += (dg.lineage().affected.iter())
                 .filter(|&&v| {
                     dg.replicas()
@@ -218,17 +215,41 @@ fn maintained_table_equals_the_worker_major_build_after_churn() {
                         .any(|holder| holder.index() != only)
                 })
                 .count();
-            assert_eq!(
-                dg.routing(),
-                &build_worker_major(&dg),
-                "p={p} round {round}"
-            );
         }
         assert!(
             shared_affected > 0,
             "p={p}: no affected vertex kept a holder"
         );
+        // A random 2..p-1 of the workers touched: several rebuilt workers'
+        // new locals beside the kept workers' recorded ones.
+        if p > 2 {
+            let (mut dg, mut survivors) = random_distribution(p, 24, 40 * p, &mut rng);
+            for round in 0..12 {
+                let mut workers: Vec<usize> = (0..p).collect();
+                let count = 2 + rng.below(p - 2);
+                for i in 0..count {
+                    workers.swap(i, i + rng.below(p - i));
+                }
+                workers.truncate(count);
+                workers.sort_unstable();
+                churn(&mut dg, &mut survivors, &workers, 2, 24, &mut rng);
+                let what = format!("p={p} partial round {round} over {workers:?}");
+                assert!(dg.last_mutation().workers_touched < p, "{what}");
+                assert_rederived(&dg, &survivors, &what);
+            }
+        }
     }
+}
+
+/// The routes an epoch derived equal the worker-major build, and the
+/// distribution a fresh streamed build of `survivors`: kept workers had
+/// their master flags patched through their recorded locals, a fresh build
+/// elects them anew.
+fn assert_rederived(dg: &DistributedGraph, survivors: &[(Edge, PartitionId)], what: &str) {
+    assert_eq!(dg.routing(), &build_worker_major(dg), "{what}");
+    let n = Some(dg.num_vertices());
+    let fresh = DistributedGraph::build_streaming(dg.num_workers(), n, survivors.to_vec());
+    assert!(dg.same_structure(&fresh.unwrap()), "{what}");
 }
 
 #[test]

@@ -289,8 +289,8 @@ fn assert_same_distribution(a: &DistributedGraph, b: &DistributedGraph) {
         assert_eq!(sa.edges(), sb.edges());
         assert_eq!(sa.vertices(), sb.vertices());
     }
-    // The incrementally maintained routing table must be structurally
-    // identical to the from-scratch rebuild (routing staleness after
+    // The routing table the epochs re-derived must be structurally
+    // identical to the from-scratch build (routing staleness after
     // `apply_mutations` would surface here).
     assert_eq!(a.routing(), b.routing(), "routing tables diverged");
     assert_same_holder_lists(a, b);
@@ -854,11 +854,12 @@ fn epochs_accumulate_across_batches() {
 
 #[test]
 fn one_touched_worker_repoints_the_routes_of_the_holders_it_leaves_alone() {
-    // The routing update's narrow path: a batch that names one worker
-    // while vertices it changes are also held by workers that are kept, so
-    // kept holders get `patch_dest`s (unaffected vertices of the rebuilt
-    // worker) and spliced route lists (affected ones) instead of a rebuild.
-    // The maintained table must equal `RoutingTable::build` of the state.
+    // A batch that names one worker while vertices it changes are also
+    // held by workers that are kept: the epoch re-derives the kept
+    // workers' routes from the locals the replica table recorded for them,
+    // beside the rebuilt worker's new ones (for its unaffected vertices)
+    // and the affected vertices' new replica sets. The table the epoch
+    // derived must equal `RoutingTable::build` of the state.
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut below = |n: usize| {
         state = state

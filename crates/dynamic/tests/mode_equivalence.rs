@@ -115,7 +115,7 @@ proptest! {
     /// bit-identical values and per-worker message counters under every
     /// execution mode — `threaded()` and pools of sizes {1, 2, p, p + 3},
     /// each reused for the whole case — across churned mutation epochs (the
-    /// warm re-runs exercise the incrementally maintained routing table).
+    /// warm re-runs exercise the routing table each epoch re-derives).
     #[test]
     fn parallel_modes_are_bit_identical_to_sequential_cold_and_warm(
         scale in 5u32..8,
@@ -151,7 +151,7 @@ proptest! {
                 &mut distributed,
                 |dg, batch, _, _| {
                     // Cold equivalence on the mutated distribution (the
-                    // routing table was updated incrementally).
+                    // epoch re-derived the routing table).
                     assert_modes_agree(&engines, dg, "CC", &ConnectedComponents::new());
                     // Warm equivalence for every warm-capable program, SSSP
                     // through both constructors: the precise cone and the

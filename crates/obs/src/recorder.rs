@@ -31,7 +31,9 @@ pub enum Phase {
     Barrier,
     /// One `DistributedGraph::apply_mutations` epoch.
     MutationApply,
-    /// The incremental routing-table maintenance inside a mutation epoch.
+    /// The route derivation inside a mutation epoch: every worker's route
+    /// table re-derived from the replica table. Its label stays
+    /// `routing_patch`, because journals and trace consumers key on it.
     RoutingPatch,
     /// Warm-start invalidation: building the dirty set / deletion cone an
     /// incremental program re-activates.
