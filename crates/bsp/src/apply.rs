@@ -4,13 +4,14 @@
 //! goes, survivors keep their order) and additions append in record order,
 //! so a mutated distribution is structurally identical to a fresh
 //! `build_streaming` of the surviving `(edge, partition)` stream — edge
-//! lists, the replica table (holder counts and elected masters), isolated
-//! lists and routing table alike. An epoch is a fixed sequence of steps —
-//! validate removals → grow universe → bump the replica table's holder
-//! counts → new edge lists → re-elect affected and patch kept workers'
-//! master flags → rebuild touched and place their replicas in the table →
-//! re-derive every worker's routes from the table — of which only the
-//! first can fail, and it mutates nothing, so a rejected batch leaves the
+//! lists, vertex tables, the replica table (holder counts and elected
+//! masters) and routing table alike. An epoch runs the steps of assembly
+//! over the workers the batch names: validate removals → grow universe →
+//! list the affected vertices → new edge lists → rebuild the named workers
+//! → re-derive the replica table from every worker (rewriting the isolated
+//! tails that changed), re-elect the affected vertices and write master
+//! flags → re-derive every worker's routes from the table. Only the first
+//! can fail, and it mutates nothing, so a rejected batch leaves the
 //! distribution unchanged, its [`Lineage`](crate::Lineage) state id
 //! included; a batch that lands mints a new one and keeps its affected
 //! list beside it.
@@ -19,7 +20,6 @@ use std::time::Instant;
 
 use ebv_graph::{Edge, IdHashMap, VertexId};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
-use ebv_partition::PartitionId;
 
 use crate::distributed::{mint_state, DistributedGraph};
 use crate::error::{BspError, Result};
@@ -29,11 +29,11 @@ use crate::subgraph::Subgraph;
 
 impl DistributedGraph {
     /// Absorbs one batch of edge mutations in place, incrementally:
-    /// only the workers the batch references (plus any worker whose
-    /// isolated-vertex placement changed) are re-assembled, and master
-    /// election re-runs only for the vertices incident to mutated edges.
-    /// Untouched workers are kept as-is. Returns the [`MutationStats`] of
-    /// the epoch.
+    /// only the workers the batch references are re-assembled (a worker
+    /// whose isolated vertices changed has its vertex table's tail
+    /// rewritten), and master election re-runs only for the vertices
+    /// incident to mutated edges. Untouched workers are kept as-is. Returns
+    /// the [`MutationStats`] of the epoch.
     ///
     /// Removals delete the *most recent* matching copy from the named
     /// worker's edge list (the copy rule of `ebv_partition::CopyLog`, which
@@ -100,23 +100,27 @@ impl DistributedGraph {
         let p = self.num_workers();
 
         let keep_masks = self.validate_removals(batch)?;
-        // The workers whose edge lists change; re-election adds the homes
-        // of vertices that become or stop being isolated.
+        // The workers whose edge lists change; the derivation adds those
+        // whose isolated tail it rewrites.
         let mut touched = vec![false; p];
         for &(_, part) in batch.removed().iter().chain(batch.added()) {
             touched[part.index()] = true;
         }
         let old_n = self.grow_universe(batch);
-        let affected = self.update_incidence(batch, old_n);
+        let affected = affected_vertices(batch, old_n, self.num_vertices);
         let new_edges = self.new_edge_lists(batch, &touched, keep_masks);
-        self.reelect(&affected, &mut touched);
-        let (workers_touched, edges_rebuilt) = self.rebuild_touched(&touched, new_edges);
+        let edges_rebuilt = self.rebuild_touched(new_edges);
+        // Step 6 — the replica table from every worker's vertex table, the
+        // affected vertices' masters and the master flags.
+        let elected = affected.iter().copied().map(VertexId::from);
+        let (n, rule) = (self.num_vertices, MasterRule::IncidentMajority);
+        let replicas = &mut self.replicas;
+        replicas.derive(&mut self.subgraphs, n, &mut touched, elected, rule);
+        let workers_touched = touched.iter().filter(|&&touched| touched).count();
 
         self.num_edges = self.subgraphs.iter().map(Subgraph::num_edges).sum();
         self.epoch += 1;
-        // Step 7 — re-derive every worker's routes from the replica table:
-        // the kept workers' recorded locals are still valid, the rebuilt
-        // workers' were placed in step 6.
+        // Step 7 — re-derive every worker's routes from the replica table.
         let span_ctx = SpanCtx {
             epoch: self.epoch as u32,
             superstep: 0,
@@ -208,36 +212,11 @@ impl DistributedGraph {
     /// current maximum. Returns the previous universe size.
     fn grow_universe(&mut self, batch: &MutationBatch) -> usize {
         let old_n = self.num_vertices;
-        let mut n = old_n;
         for &(edge, _) in batch.added() {
-            n = n.max(edge.src.index().max(edge.dst.index()) + 1);
-        }
-        if n > old_n {
-            self.replicas.grow(n);
-            self.num_vertices = n;
+            let n = edge.src.index().max(edge.dst.index()) + 1;
+            self.num_vertices = self.num_vertices.max(n);
         }
         old_n
-    }
-
-    /// Step 3 — moves the replica table's holder counts by the batch and
-    /// returns the *affected* vertices, ascending: the endpoints of mutated
-    /// edges plus any newly created vertices. Only these can change
-    /// masters, replica sets or isolated status.
-    fn update_incidence(&mut self, batch: &MutationBatch, old_n: usize) -> Vec<usize> {
-        let n = self.num_vertices;
-        let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
-        for (copies, added) in [(batch.removed(), false), (batch.added(), true)] {
-            for &(edge, part) in copies {
-                for v in [edge.src, edge.dst] {
-                    self.replicas.bump(v, part, added);
-                    affected.push(v.index());
-                }
-            }
-        }
-        affected.extend(old_n..n);
-        affected.sort_unstable();
-        affected.dedup();
-        affected
     }
 
     /// Step 4 — the new edge lists of the batch-touched workers: survivors
@@ -270,77 +249,33 @@ impl DistributedGraph {
         new_edges
     }
 
-    /// Step 5 — re-elects the affected vertices and keeps the isolated
-    /// lists in step; the home worker of a vertex that becomes or stops
-    /// being isolated is marked touched (its vertex table changes though
-    /// its edges did not). Then patches the master flags of affected
-    /// vertices inside the workers that are *not* being re-assembled: a
-    /// worker that starts or stops holding a vertex had its edge list
-    /// touched, so a kept worker can only gain or lose a master flag, and
-    /// its replica table entry still says where.
-    fn reelect(&mut self, affected: &[usize], touched: &mut [bool]) {
-        let p = self.num_workers();
-        for &vi in affected {
-            let v = VertexId::from(vi);
-            let home = &mut self.isolated_per_part[vi % p];
-            let is_isolated = self.replicas.elect(v, p, MasterRule::IncidentMajority);
-            match (home.binary_search(&v), is_isolated) {
-                (Err(pos), true) => home.insert(pos, v),
-                (Ok(pos), false) => {
-                    home.remove(pos);
-                }
-                _ => continue,
-            }
-            touched[vi % p] = true;
-        }
-        for v in affected.iter().copied().map(VertexId::from) {
-            let master = self.replicas.master_of(v).index();
-            for (worker, local) in self.replicas.locations(v) {
-                if !touched[worker] {
-                    self.subgraphs[worker].set_master(local, worker == master);
-                }
+    /// Step 5 — re-assembles exactly the workers with a new edge list, in
+    /// the buffers they hold, with no isolated tail or master flag yet.
+    /// Returns the edges re-indexed.
+    fn rebuild_touched(&mut self, new_edges: Vec<Option<Vec<Edge>>>) -> usize {
+        let lists = new_edges.iter().flatten();
+        let max_edges = lists.clone().map(Vec::len).max().unwrap_or(0);
+        let edges_rebuilt = lists.map(Vec::len).sum();
+        let mut scratch = Subgraph::build_scratch(self.num_vertices, max_edges);
+        for (sg, edges) in self.subgraphs.iter_mut().zip(new_edges) {
+            if let Some(edges) = edges {
+                sg.rebuild(edges, Vec::new(), &mut scratch);
             }
         }
+        edges_rebuilt
     }
+}
 
-    /// Step 6 — re-assembles exactly the touched workers, from their new
-    /// edge list or (touched only through an isolated-placement change) the
-    /// one they have, and records their replicas' new local indices in the
-    /// replica table. Returns the workers rebuilt and the edges re-indexed.
-    fn rebuild_touched(
-        &mut self,
-        touched: &[bool],
-        mut new_edges: Vec<Option<Vec<Edge>>>,
-    ) -> (usize, usize) {
-        let mut workers_touched = 0usize;
-        let mut edges_rebuilt = 0usize;
-        // A worker touched only through its isolated list keeps its edges.
-        let edges_of = |i: usize| match &new_edges[i] {
-            Some(edges) => edges.len(),
-            None => self.subgraphs[i].num_edges(),
-        };
-        let max_edges = (0..touched.len())
-            .filter(|&i| touched[i])
-            .map(edges_of)
-            .max();
-        let mut scratch = Subgraph::build_scratch(self.num_vertices, max_edges.unwrap_or(0));
-        for (i, sg) in self.subgraphs.iter_mut().enumerate() {
-            if !touched[i] {
-                continue;
-            }
-            workers_touched += 1;
-            let edges = new_edges[i].take().unwrap_or_else(|| sg.take_edges());
-            edges_rebuilt += edges.len();
-            *sg = Subgraph::build(
-                PartitionId::from_index(i),
-                edges,
-                Vec::new(),
-                &self.isolated_per_part[i],
-                &self.replicas,
-                &mut scratch,
-            );
-        }
-        self.replicas.place(&self.subgraphs, touched);
-        (workers_touched, edges_rebuilt)
+/// Step 3 — the *affected* vertices, ascending: the endpoints of mutated
+/// edges plus the vertices the batch created (`old_n..n`). Only these can
+/// change masters, replica sets or isolated status.
+fn affected_vertices(batch: &MutationBatch, old_n: usize, n: usize) -> Vec<usize> {
+    let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
+    for &(edge, _) in batch.removed().iter().chain(batch.added()) {
+        affected.extend([edge.src.index(), edge.dst.index()]);
     }
+    affected.extend(old_n..n);
+    affected.sort_unstable();
+    affected.dedup();
+    affected
 }

@@ -1,13 +1,13 @@
 //! The distributed graph: per-worker subgraphs, the replica table and the
 //! election state, assembled from per-partition edge lists.
 //!
-//! Invariants owned here: every partition's isolated list is ascending by
-//! vertex id, and every construction path — batch
+//! Invariant owned here: every construction path — batch
 //! [`DistributedGraph::build`], the streaming builder, and a mutation epoch
 //! over the survivors — ends in the same [`assemble`]d state, which
 //! [`DistributedGraph::same_structure`] compares. Which partitions hold each
-//! vertex, how many of its edges and at which local index, is held once, by
-//! the [`ReplicaTable`] (see [`crate::replica`]).
+//! vertex, how many of its edges and at which local index, and which
+//! vertices are isolated, is derived from the workers into the
+//! [`ReplicaTable`] (see [`crate::replica`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,9 +63,6 @@ pub struct DistributedGraph {
     pub(crate) num_edges: usize,
     /// Number of mutation epochs absorbed since the initial build.
     pub(crate) epoch: usize,
-    /// Per-partition isolated vertices, in increasing id order (the order
-    /// [`assemble`] feeds them to [`Subgraph::build`]).
-    pub(crate) isolated_per_part: Vec<Vec<VertexId>>,
     /// Counters of the most recent mutation epoch (zeroed on fresh builds).
     pub(crate) last_mutation: MutationStats,
     /// Precomputed message routes, maintained in lockstep with the
@@ -257,15 +254,15 @@ impl DistributedGraph {
                 .zip(&other.subgraphs)
                 .all(|(a, b)| a.same_structure(b))
             && self.replicas.same_structure(&other.replicas)
-            && self.isolated_per_part == other.isolated_per_part
             && self.routing == other.routing
     }
 }
 
-/// Shared final assembly step: holder counts, master election, isolated
-/// vertex placement, per-worker subgraph construction and the replicas'
-/// local indices, stamped with the mutation `epoch` the result continues.
-/// Both [`DistributedGraph::build`] and
+/// Shared final assembly step, stamped with the mutation `epoch` the result
+/// continues: the per-worker subgraphs are built from their edge lists, the
+/// replica table is derived from them (placing the isolated vertices), every
+/// vertex is elected, and the master flags and routes are written last —
+/// the order every epoch follows too. Both [`DistributedGraph::build`] and
 /// [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
 /// end here, which is what keeps the streaming and batch paths structurally
 /// identical.
@@ -278,35 +275,19 @@ pub(crate) fn assemble(
     master_rule: MasterRule<'_>,
     epoch: usize,
 ) -> DistributedGraph {
-    // Vertices are elected in ascending order, so the isolated lists come
-    // out ascending too.
-    let mut replicas = ReplicaTable::count(n, &edges_per_part);
-    let mut isolated_per_part: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    for v in (0..n).map(VertexId::from) {
-        if replicas.elect(v, p, master_rule) {
-            isolated_per_part[v.index() % p].push(v);
-        }
-    }
-
     let max_edges = edges_per_part.iter().map(Vec::len).max().unwrap_or(0);
     let mut scratch = Subgraph::build_scratch(n, max_edges);
-    let subgraphs: Vec<Subgraph> = edges_per_part
+    let mut subgraphs: Vec<Subgraph> = edges_per_part
         .into_iter()
         .zip(owned_per_part)
         .enumerate()
         .map(|(i, (edges, owned))| {
-            Subgraph::build(
-                PartitionId::from_index(i),
-                edges,
-                owned,
-                &isolated_per_part[i],
-                &replicas,
-                &mut scratch,
-            )
+            Subgraph::build(PartitionId::from_index(i), edges, owned, &mut scratch)
         })
         .collect();
-
-    replicas.place(&subgraphs, &vec![true; p]);
+    let mut replicas = ReplicaTable::new();
+    let (all_new, every_vertex) = (&mut vec![true; p], (0..n).map(VertexId::from));
+    replicas.derive(&mut subgraphs, n, all_new, every_vertex, master_rule);
     let routing = RoutingTable::build(&subgraphs, &replicas, n, epoch);
     DistributedGraph {
         subgraphs,
@@ -314,7 +295,6 @@ pub(crate) fn assemble(
         num_vertices: n,
         num_edges,
         epoch,
-        isolated_per_part,
         last_mutation: MutationStats::default(),
         routing,
         state: mint_state(),

@@ -144,17 +144,21 @@ impl MutationBatch {
 /// epoch: how much of the distribution actually had to be rebuilt.
 ///
 /// An incremental epoch re-assembles only the workers the batch touches
-/// (plus any worker whose isolated-vertex list changed); everything else is
-/// kept as-is. `workers_touched == 0` therefore identifies a no-op epoch
-/// and `workers_touched < p` quantifies the locality win over the
-/// full-reassembly path that rebuilds every worker.
+/// and rewrites the isolated tail of any worker whose isolated vertices
+/// changed; everything else is kept as-is. `workers_touched == 0`
+/// therefore identifies a no-op epoch and `workers_touched < p` quantifies
+/// the locality win over the full-reassembly path that rebuilds every
+/// worker.
 ///
 /// [`DistributedGraph::apply_mutations`]: crate::DistributedGraph::apply_mutations
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MutationStats {
-    /// Workers whose subgraph was re-built this epoch.
+    /// Workers whose vertex table changed this epoch: those re-built and
+    /// those whose isolated tail was rewritten.
     pub workers_touched: usize,
-    /// Total local edges of the re-built workers (the re-indexing cost).
+    /// Total local edges of the re-built workers (the re-indexing cost). A
+    /// worker whose only change is its isolated tail re-indexes no edge and
+    /// adds nothing.
     pub edges_rebuilt: usize,
     /// Edge copies the batch added.
     pub edges_added: usize,

@@ -1,26 +1,24 @@
 //! Replica bookkeeping and master election.
 //!
-//! Invariant owned here: every vertex of the universe has a *holder list* —
-//! one `(partition, live incident edges, local index)` entry per replica,
-//! strictly ascending by partition — and exactly one master among them. A
-//! vertex with no live edge is *isolated*: its one entry is a zero-count
-//! replica in its round-robin home partition `v % p`, its master, so that
-//! every vertex is processed by exactly one worker; every other count is
-//! positive. Counts are taken at assembly ([`ReplicaTable::count`]), moved
-//! one edge at a time by an epoch ([`ReplicaTable::bump`]) and read by the
-//! one election rule ([`ReplicaTable::elect`]); local indices are written
-//! by [`ReplicaTable::place`] once the holding worker is (re)built, so the
-//! entry of a worker an epoch keeps stays valid across it. Routing,
-//! re-election's flag patch and `holders_of` all find a replica here.
+//! Invariant owned here: the [`ReplicaTable`] is derived from the workers'
+//! vertex tables, never maintained beside them. Per vertex it holds one run
+//! of `(worker, live incident edges, local index)` entries, one per worker
+//! whose vertex table lists the vertex, ascending by worker: the count is
+//! that replica's local degree (out + in, so a self-loop counts twice) and
+//! the local index its position in that vertex table. Exactly one entry of
+//! the run is the master. A vertex no worker's edges touch is *isolated*:
+//! it sits in the tail of its round-robin home worker `v % p`'s vertex
+//! table, so its run is one zero-count entry there, its master, and every
+//! vertex is processed by exactly one worker; every other count is
+//! positive. [`ReplicaTable::derive`] writes the runs, and decides the
+//! isolated tails, at assembly and in every epoch alike, once the workers
+//! are (re)built; [`ReplicaTable::elect`] is the one election rule.
+//! Routing, the master flags and `holders_of` all find a replica here.
 
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::VertexId;
 use ebv_partition::{PartitionId, VertexPartition};
 
 use crate::subgraph::Subgraph;
-
-/// The local index of an entry whose worker has not been (re)built since
-/// the entry appeared.
-const UNPLACED: u32 = u32::MAX;
 
 /// How the master replica of a vertex with at least one holder is elected.
 #[derive(Debug, Clone, Copy)]
@@ -43,15 +41,6 @@ struct Holder {
 }
 
 impl Holder {
-    /// A replica on `part` that awaits [`ReplicaTable::place`].
-    fn unplaced(part: PartitionId, count: u32) -> Self {
-        Holder {
-            part,
-            count,
-            local: UNPLACED,
-        }
-    }
-
     /// The replica as `(worker, local index)`.
     fn location(&self) -> (usize, usize) {
         (self.part.index(), self.local as usize)
@@ -64,129 +53,139 @@ impl Holder {
 #[derive(Debug, Clone)]
 pub struct ReplicaTable {
     master: Vec<PartitionId>,
-    /// Per vertex, its holders. A sorted inline list beats a hash map here:
-    /// almost every vertex has one or two holders, a lookup is a short
-    /// binary search, and the resident and clone cost is a fraction of a
-    /// map per vertex.
-    holders: Vec<Vec<Holder>>,
+    /// Per vertex, where its run starts in `holders`; one entry longer.
+    offsets: Vec<u32>,
+    /// Every replica, vertex-major.
+    holders: Vec<Holder>,
 }
 
 impl ReplicaTable {
-    /// The holder lists of the universe `0..n` over the per-partition edge
-    /// lists, with nothing elected or placed yet.
-    pub(crate) fn count(n: usize, edges_per_part: &[Vec<Edge>]) -> Self {
-        // Partitions are visited in ascending order, so a vertex's entry for
-        // the current partition, if it has one, is the last of its list:
-        // bump it or append — the lists come out sorted without a search.
-        let mut holders: Vec<Vec<Holder>> = vec![Vec::new(); n];
-        for (i, edges) in edges_per_part.iter().enumerate() {
-            let part = PartitionId::from_index(i);
-            for v in edges.iter().flat_map(|e| [e.src, e.dst]) {
-                match holders[v.index()].last_mut() {
-                    Some(holder) if holder.part == part => holder.count += 1,
-                    _ => holders[v.index()].push(Holder::unplaced(part, 1)),
+    /// A table over no vertex, for [`derive`](Self::derive) to fill.
+    pub(crate) fn new() -> Self {
+        ReplicaTable {
+            master: Vec::new(),
+            offsets: vec![0],
+            holders: Vec::new(),
+        }
+    }
+
+    /// The one derivation, at assembly and in every epoch once the workers
+    /// are (re)built: the runs of the universe `0..n`, read off the
+    /// workers' vertex tables into the buffers the table already holds;
+    /// then `elected` is elected and the master flags are written, all of
+    /// a `touched` worker's and the elected vertices' on the others.
+    ///
+    /// The runs take two passes. The first counts, per vertex, the workers
+    /// whose edges touch it; a worker's isolated tail that no longer lists
+    /// exactly the vertices homed there that none touches is rewritten
+    /// ([`Subgraph::set_isolated`]) and marked `touched`. After a prefix
+    /// sum, the second walks the workers in ascending order and writes each
+    /// replica at its vertex's cursor, so every run ascends by worker.
+    pub(crate) fn derive<I>(
+        &mut self,
+        subgraphs: &mut [Subgraph],
+        n: usize,
+        touched: &mut [bool],
+        elected: I,
+        rule: MasterRule<'_>,
+    ) where
+        I: Iterator<Item = VertexId> + Clone,
+    {
+        let p = subgraphs.len();
+        // Pass 1: `offsets[v + 1]` counts the workers whose edges touch `v`.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for v in subgraphs.iter().flat_map(Subgraph::held) {
+            self.offsets[v.index() + 1] += 1;
+        }
+        let isolated = |offsets: &[u32], v: usize| offsets[v + 1] == 0;
+        let (mut listed, mut stale) = (vec![0usize; p], vec![false; p]);
+        for v in (0..n).filter(|&v| isolated(&self.offsets, v)) {
+            let tail = subgraphs[v % p].isolated();
+            stale[v % p] |= tail.get(listed[v % p]) != Some(&VertexId::from(v));
+            listed[v % p] += 1;
+        }
+        for (i, sg) in subgraphs.iter_mut().enumerate() {
+            if stale[i] || listed[i] != sg.isolated().len() {
+                let homed = (i..n).step_by(p).filter(|&v| isolated(&self.offsets, v));
+                sg.set_isolated(homed.map(VertexId::from));
+                touched[i] = true;
+            }
+        }
+        // `offsets[v + 1]` becomes the start of `v`'s run (an isolated
+        // vertex's is one entry long), then its fill cursor, then its end.
+        let mut start = 0u32;
+        for slot in &mut self.offsets[1..] {
+            let len = (*slot).max(1);
+            *slot = start;
+            start = start.checked_add(len).expect("replica count fits u32");
+        }
+        let (part, count, local) = (PartitionId::default(), 0, u32::MAX);
+        self.holders.clear();
+        self.holders
+            .resize(start as usize, Holder { part, count, local });
+        for (sg, part) in subgraphs.iter().zip((0..p).map(PartitionId::from_index)) {
+            for ((v, count), local) in sg.local_degrees().zip(0u32..) {
+                let cursor = &mut self.offsets[v.index() + 1];
+                self.holders[*cursor as usize] = Holder { part, count, local };
+                *cursor += 1;
+            }
+        }
+        debug_assert!(self.holders.iter().all(|holder| holder.local != u32::MAX));
+        self.master.resize(n, PartitionId::default());
+        for v in elected.clone() {
+            self.elect(v, rule);
+        }
+        for (sg, _) in subgraphs.iter_mut().zip(&*touched).filter(|(_, &new)| new) {
+            sg.write_masters(self);
+        }
+        if touched.contains(&false) {
+            for v in elected {
+                let master = self.master_of(v).index();
+                for (worker, local) in self.locations(v) {
+                    if !touched[worker] {
+                        subgraphs[worker].set_master(local, worker == master);
+                    }
                 }
             }
         }
-        debug_assert!(
-            holders
-                .iter()
-                .all(|list| list.windows(2).all(|w| w[0].part < w[1].part)),
-            "holder lists are strictly ascending by partition"
-        );
-        ReplicaTable {
-            master: vec![PartitionId::default(); n],
-            holders,
-        }
     }
 
-    /// Grows the universe to `0..n`; the new vertices hold nothing and
-    /// await election.
-    pub(crate) fn grow(&mut self, n: usize) {
-        self.master.resize(n, PartitionId::default());
-        self.holders.resize_with(n, Vec::new);
-    }
-
-    /// Moves the count of `v`'s live edges on `part` by one: up when an
-    /// edge copy is `added` (a new holder is inserted in order, unplaced),
-    /// down when one is removed (a holder whose count falls to zero is
-    /// dropped). The caller re-elects `v` afterwards.
-    pub(crate) fn bump(&mut self, v: VertexId, part: PartitionId, added: bool) {
-        let holders = &mut self.holders[v.index()];
-        let slot = holders.binary_search_by_key(&part, |holder| holder.part);
-        if added {
-            match slot {
-                Ok(slot) => holders[slot].count += 1,
-                Err(slot) => holders.insert(slot, Holder::unplaced(part, 1)),
-            }
-        } else {
-            let slot = slot.expect("a validated removal implies live incidence");
-            holders[slot].count -= 1;
-            if holders[slot].count == 0 {
-                holders.remove(slot);
-            }
-        }
+    /// The run of vertex index `v`.
+    fn run(&self, v: usize) -> &[Holder] {
+        &self.holders[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// The election rule: the master of `v` is chosen among its holders by
-    /// `rule`. A vertex with no positive count left is isolated: it gets an
-    /// unplaced zero-count entry at its home `v % p` and is mastered there;
-    /// any other vertex drops such an entry. Returns whether `v` is
-    /// isolated.
-    ///
-    /// An isolated vertex never has a placed home entry to keep here: at
-    /// assembly it holds nothing, and an epoch re-elects it only when it is
-    /// new or has lost its last edge (an isolated vertex an epoch touches
-    /// gains one).
-    pub(crate) fn elect(&mut self, v: VertexId, p: usize, rule: MasterRule<'_>) -> bool {
-        let home = PartitionId::from_index(v.index() % p);
-        let holders = &mut self.holders[v.index()];
-        holders.retain(|holder| holder.count > 0);
-        let isolated = holders.is_empty();
-        if isolated {
-            holders.push(Holder::unplaced(home, 0));
-        }
+    /// `rule`. A vertex with one replica — an isolated vertex's is at its
+    /// home — is mastered there under either rule.
+    fn elect(&mut self, v: VertexId, rule: MasterRule<'_>) {
+        let run = self.run(v.index());
         self.master[v.index()] = match rule {
-            _ if isolated => home,
+            _ if run.len() == 1 => run[0].part,
             MasterRule::Owner(owners) => owners.part_of(v),
             MasterRule::IncidentMajority => {
-                let majority = holders
+                let majority = run
                     .iter()
                     .max_by_key(|holder| (holder.count, std::cmp::Reverse(holder.part)));
                 majority.expect("a held vertex has holders").part
             }
         };
-        isolated
-    }
-
-    /// Records where each worker flagged in `rebuilt` holds each of its
-    /// vertices: one pass over those workers' vertex tables. Afterwards no
-    /// entry awaits placement.
-    pub(crate) fn place(&mut self, subgraphs: &[Subgraph], rebuilt: &[bool]) {
-        for sg in subgraphs.iter().filter(|sg| rebuilt[sg.part().index()]) {
-            for (local, &v) in (0u32..).zip(sg.vertices()) {
-                let holders = &mut self.holders[v.index()];
-                let slot = holders.binary_search_by_key(&sg.part(), |holder| holder.part);
-                holders[slot.expect("the table lists every replica a worker holds")].local = local;
-            }
-        }
-        debug_assert!(
-            self.holders.iter().flatten().all(|h| h.local != UNPLACED),
-            "the subgraphs hold exactly the replicas the table counts"
-        );
     }
 
     /// Whether both tables elect the same masters over the same holders,
     /// placed at the same local indices.
     pub(crate) fn same_structure(&self, other: &Self) -> bool {
-        self.master == other.master && self.holders == other.holders
+        self.master == other.master
+            && self.offsets == other.offsets
+            && self.holders == other.holders
     }
 
-    /// The holder list of `v` as `(partition, live incident edges)`, for
-    /// the structural suites.
+    /// The run of `v` as `(partition, live incident edges)`, for the
+    /// structural suites.
     #[cfg(test)]
     pub(crate) fn counts(&self, v: VertexId) -> Vec<(PartitionId, u32)> {
-        let holders = self.holders[v.index()].iter();
+        let holders = self.run(v.index()).iter();
         holders.map(|holder| (holder.part, holder.count)).collect()
     }
 
@@ -198,17 +197,17 @@ impl ReplicaTable {
     /// Every partition holding a replica of `v` (including the master), in
     /// increasing partition order.
     pub fn replicas_of(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        self.holders[v.index()].iter().map(|holder| holder.part)
+        self.run(v.index()).iter().map(|holder| holder.part)
     }
 
     /// Number of replicas of `v`.
     pub fn replica_count(&self, v: VertexId) -> usize {
-        self.holders[v.index()].len()
+        self.run(v.index()).len()
     }
 
     /// Total number of replicas across all vertices (`Σ_i |V_i|`).
     pub fn total_replicas(&self) -> usize {
-        self.holders.iter().map(Vec::len).sum()
+        self.holders.len()
     }
 
     /// Every replica of `v` as `(worker, local index)`, ascending by
@@ -217,23 +216,28 @@ impl ReplicaTable {
         &self,
         v: VertexId,
     ) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
-        let holders = self.holders.get(v.index()).map_or(&[][..], Vec::as_slice);
-        holders.iter().map(Holder::location)
+        let run = if v.index() < self.master.len() {
+            self.run(v.index())
+        } else {
+            &[]
+        };
+        run.iter().map(Holder::location)
     }
 
     /// The `(worker, local index)` of `v`'s master replica; `None` past the
     /// universe.
     pub(crate) fn master_at(&self, v: VertexId) -> Option<(usize, usize)> {
         let master = *self.master.get(v.index())?;
-        let holders = &self.holders[v.index()];
-        let slot = holders.binary_search_by_key(&master, |holder| holder.part);
-        Some(holders[slot.expect("the master holds a replica")].location())
+        let run = self.run(v.index());
+        let slot = run.binary_search_by_key(&master, |holder| holder.part);
+        Some(run[slot.expect("the master holds a replica")].location())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebv_graph::Edge;
 
     /// How a row changes its vertex's holder list before the election.
     enum Step {
@@ -243,34 +247,61 @@ mod tests {
         Bump(u32, bool),
     }
 
+    /// A table laid out from per-vertex holder lists as `(partition, live
+    /// incident edges)`, an empty list standing for an isolated vertex at
+    /// home `v % p`, every vertex elected.
+    fn table_of(lists: &[Vec<(PartitionId, u32)>], p: usize) -> ReplicaTable {
+        let mut table = ReplicaTable::new();
+        for (v, list) in lists.iter().enumerate() {
+            let home = [(PartitionId::from_index(v % p), 0)];
+            let run = if list.is_empty() { &home[..] } else { list };
+            let holders = run.iter().map(|&(part, count)| Holder {
+                part,
+                count,
+                local: 0,
+            });
+            table.holders.extend(holders);
+            table.offsets.push(table.holders.len() as u32);
+            table.master.push(PartitionId::default());
+        }
+        for v in (0..lists.len()).map(VertexId::from) {
+            table.elect(v, MasterRule::IncidentMajority);
+        }
+        table
+    }
+
     #[test]
     fn election_rule_table() {
         use Step::{Bump, Set};
         let part = PartitionId::new;
-        let mut table = ReplicaTable::count(9, &[]);
         // As assembly does: every vertex elected, here all isolated.
-        for v in 0..9 {
-            assert!(table.elect(VertexId::new(v), 4, MasterRule::IncidentMajority));
-        }
-        // Applies `step` to `v`, elects it with p = 4 and checks the holder
-        // list (an isolated vertex's is its zero-count home entry), the
-        // master and the replicas.
+        let mut lists: Vec<Vec<(PartitionId, u32)>> = vec![Vec::new(); 9];
+        let mut table = table_of(&lists, 4);
+        // Applies `step` to `v`'s list, lays the table out again with every
+        // vertex elected (p = 4) and checks the run (an isolated vertex's is
+        // its zero-count home entry), the master and the replicas.
         let mut check =
             |v: u64, step: Step, holders: &[(u32, u32)], master: u32, replicas: &[u32]| {
                 let v = VertexId::new(v);
                 let holders: Vec<_> = holders.iter().map(|&(p, c)| (part(p), c)).collect();
+                let list = &mut lists[v.index()];
                 match step {
-                    Set => {
-                        let set = holders.iter().map(|&(p, c)| Holder::unplaced(p, c));
-                        table.holders[v.index()] = set.collect();
+                    Set => list.clone_from(&holders),
+                    Bump(p, added) => {
+                        let slot = list.binary_search_by_key(&part(p), |&(p, _)| p);
+                        match (slot, added) {
+                            (Ok(slot), true) => list[slot].1 += 1,
+                            (Err(slot), true) => list.insert(slot, (part(p), 1)),
+                            (Ok(slot), false) => list[slot].1 -= 1,
+                            (Err(_), false) => panic!("vertex {v} holds nothing on {p}"),
+                        }
+                        list.retain(|&(_, count)| count > 0);
                     }
-                    Bump(p, added) => table.bump(v, part(p), added),
                 }
-                let isolated = table.elect(v, 4, MasterRule::IncidentMajority);
+                table = table_of(&lists, 4);
                 let home = vec![(part(v.raw() as u32 % 4), 0)];
                 let expected = if holders.is_empty() { home } else { holders };
                 assert_eq!(table.counts(v), expected, "vertex {v}");
-                assert_eq!(isolated, expected[0].1 == 0, "vertex {v}");
                 assert_eq!(table.master_of(v), part(master), "vertex {v}");
                 let replicas: Vec<_> = replicas.iter().copied().map(part).collect();
                 assert_eq!(
@@ -312,9 +343,26 @@ mod tests {
     fn count_reads_the_edge_lists_in_partition_order() {
         let part = PartitionId::new;
         let e = |s: u64, d: u64| Edge::from((s, d));
-        // A self-loop counts on both ends; vertex 3 touches no edge.
-        let edges = [vec![e(0, 1), e(1, 1)], Vec::new(), vec![e(2, 1), e(1, 0)]];
-        let table = ReplicaTable::count(4, &edges);
+        // A self-loop counts on both ends; vertex 3 touches no edge, so it
+        // is isolated at home 3 % 3 = 0.
+        let edge_lists = [vec![e(0, 1), e(1, 1)], Vec::new(), vec![e(2, 1), e(1, 0)]];
+        let mut scratch = Subgraph::build_scratch(4, 2);
+        let mut subgraphs: Vec<Subgraph> = (0..3)
+            .map(|i| {
+                Subgraph::build(
+                    part(i),
+                    edge_lists[i as usize].clone(),
+                    Vec::new(),
+                    &mut scratch,
+                )
+            })
+            .collect();
+        let mut table = ReplicaTable::new();
+        // As assembly does: every worker is new.
+        let mut touched = [true; 3];
+        let every_vertex = (0..4).map(VertexId::new);
+        let rule = MasterRule::IncidentMajority;
+        table.derive(&mut subgraphs, 4, &mut touched, every_vertex.clone(), rule);
         let lists: Vec<_> = (0..4).map(|v| table.counts(VertexId::new(v))).collect();
         assert_eq!(
             lists,
@@ -322,8 +370,29 @@ mod tests {
                 vec![(part(0), 1), (part(2), 1)],
                 vec![(part(0), 3), (part(2), 2)],
                 vec![(part(2), 1)],
-                vec![],
+                vec![(part(0), 0)],
             ]
         );
+        // The isolated vertex sits at its home worker's tail.
+        assert_eq!(subgraphs[0].vertices(), [0, 1, 3].map(VertexId::new));
+        assert_eq!(subgraphs[0].isolated(), [VertexId::new(3)]);
+        // Every entry's local index is its vertex's position in that
+        // worker's vertex table, and the runs ascend by worker.
+        for v in (0..4).map(VertexId::new) {
+            let at: Vec<_> = table.locations(v).collect();
+            assert!(at.windows(2).all(|w| w[0].0 < w[1].0), "vertex {v}: {at:?}");
+            for (worker, local) in at {
+                assert_eq!(subgraphs[worker].vertex_at(local), v, "vertex {v}");
+            }
+        }
+        assert_eq!(table.total_replicas(), 6);
+
+        // Deriving again over kept workers changes nothing and writes no
+        // tail.
+        let before = table.clone();
+        let mut touched = [false; 3];
+        table.derive(&mut subgraphs, 4, &mut touched, every_vertex, rule);
+        assert!(table.same_structure(&before));
+        assert_eq!(touched, [false; 3]);
     }
 }

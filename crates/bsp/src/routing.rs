@@ -161,8 +161,8 @@ impl RoutingTable {
     }
 
     /// The one route derivation, in vertex order: every worker's routes,
-    /// written into the buffers the table already holds. `replicas` has
-    /// every worker placed ([`ReplicaTable::place`]).
+    /// written into the buffers the table already holds. `replicas` is
+    /// derived from `subgraphs` ([`ReplicaTable::derive`]).
     ///
     /// Two walks over the universe. The first sizes the slices — a
     /// replicated vertex needs one route per *other* replica in each
@@ -219,4 +219,4 @@ impl RoutingTable {
 }
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;

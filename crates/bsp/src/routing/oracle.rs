@@ -42,7 +42,7 @@ fn push_routes(worker: u32, master: u32, held: &[Route], out: &mut Vec<Route>) {
 }
 
 /// The whole table, worker-major.
-fn build_worker_major(dg: &DistributedGraph) -> RoutingTable {
+pub(crate) fn build_worker_major(dg: &DistributedGraph) -> RoutingTable {
     let mut workers = Vec::new();
     for (d, sg) in dg.subgraphs().iter().enumerate() {
         let mut offsets = vec![0u32];

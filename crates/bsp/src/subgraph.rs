@@ -3,10 +3,12 @@
 //!
 //! Invariant owned here: a [`Subgraph`] is a pure function of its inputs —
 //! the edge list in arrival order, the isolated vertices homed here and the
-//! master table — so rebuilding a worker from the same edge list reproduces
-//! its local vertex numbering (first appearance, then isolated vertices)
-//! bit for bit. Nothing outside this file reads or writes a field; the
-//! distribution layer goes through the `pub(crate)` methods below. What
+//! elected masters, which arrive in that order ([`Subgraph::build`], then
+//! [`Subgraph::set_isolated`], then [`Subgraph::write_masters`]) — so
+//! rebuilding a worker from the same edge list reproduces its local vertex
+//! numbering (first appearance, then isolated vertices) bit for bit.
+//! Nothing outside this file reads or writes a field; the distribution
+//! layer goes through the `pub(crate)` methods below. What
 //! [`Subgraph::build`] needs only while it runs is a [`BuildScratch`],
 //! which owns the hand-back invariant (resolver all-`ABSENT`, buffers
 //! empty). No hash map is built on that path: the global → local index
@@ -67,17 +69,24 @@ impl BuildScratch {
     }
 }
 
-/// Turns per-vertex degrees into CSR offsets (one entry longer), leaving
-/// each vertex's range start behind in `degrees` as its fill cursor.
-fn offsets_from_degrees(degrees: &mut [u32]) -> Vec<u32> {
-    let mut offsets = Vec::with_capacity(degrees.len() + 1);
+/// Writes per-vertex degrees into `offsets` as CSR offsets (one entry
+/// longer), leaving each range start behind in `degrees` as its cursor.
+fn offsets_from_degrees(degrees: &mut [u32], offsets: &mut Vec<u32>) {
+    offsets.clear();
+    offsets.reserve_exact(degrees.len() + 1);
     let mut end = 0u32;
     for slot in degrees {
         offsets.push(end);
         end += std::mem::replace(slot, end);
     }
     offsets.push(end);
-    offsets
+}
+
+/// Resizes `buf` to `len`, filling with `value`; it grows to exactly `len`
+/// if it must.
+fn resize_exact<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+    buf.resize(len, value);
 }
 
 /// The connected components of one worker's local edges, direction
@@ -134,7 +143,8 @@ impl LocalComponents {
         for &c in &component_of {
             sizes[c as usize] += 1;
         }
-        let offsets = offsets_from_degrees(&mut sizes);
+        let mut offsets = Vec::new();
+        offsets_from_degrees(&mut sizes, &mut offsets);
         let mut members = vec![0u32; n];
         for (local, &c) in component_of.iter().enumerate() {
             let slot = &mut sizes[c as usize];
@@ -248,6 +258,9 @@ pub struct Subgraph {
     /// vertex-cut worker): nothing to skip, nothing to store.
     owns_edge: Vec<bool>,
     vertices: Vec<VertexId>,
+    /// Where the isolated tail of `vertices` starts: every vertex before it
+    /// touches a local edge, none from it on does.
+    tail: usize,
     /// Global vertex → local index (`u32`, like the CSR targets), built by
     /// the first [`local_index_of`](Self::local_index_of) call.
     local_index: OnceLock<IdHashMap<VertexId, u32>>,
@@ -278,24 +291,51 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Indexes one worker's edge list: local vertex table (first-appearance
-    /// order, then `isolated`), master flags and both CSRs. `owns_edge` is
-    /// either empty (every edge owned) or one flag per edge.
+    /// Indexes one worker's edge list; see [`rebuild`](Self::rebuild).
+    pub(crate) fn build(
+        part: PartitionId,
+        edges: Vec<Edge>,
+        owns_edge: Vec<bool>,
+        scratch: &mut BuildScratch,
+    ) -> Self {
+        let mut sg = Subgraph {
+            part,
+            edges: Vec::new(),
+            owns_edge: Vec::new(),
+            vertices: Vec::new(),
+            tail: 0,
+            local_index: OnceLock::new(),
+            components: OnceLock::new(),
+            is_master: Vec::new(),
+            roles: OnceLock::new(),
+            out_offsets: Vec::new(),
+            out_targets: Vec::new(),
+            in_offsets: Vec::new(),
+            in_targets: Vec::new(),
+            in_owned: Vec::new(),
+            in_rows: OnceLock::new(),
+        };
+        sg.rebuild(edges, owns_edge, scratch);
+        sg
+    }
+
+    /// Re-indexes this worker from `edges`: local vertex table
+    /// (first-appearance order, no isolated tail yet) and both CSRs, with
+    /// no master flag written. `owns_edge` is either empty (every edge
+    /// owned) or one flag per edge. The arrays are refilled in place, so a
+    /// rebuild allocates only where it outgrows them, to the exact size.
     ///
     /// Each endpoint is resolved once: one walk over the edge list numbers
     /// a vertex on first appearance, counts its out/in degree and stages
     /// the local `[src, dst]` pair; the fill reads the staged pairs and
     /// never goes back to the universe-sized array. Everything transient
-    /// lives in `scratch` (see [`BuildScratch`]), so what this allocates is
-    /// the finished arrays at their exact sizes.
-    pub(crate) fn build(
-        part: PartitionId,
+    /// lives in `scratch` (see [`BuildScratch`]).
+    pub(crate) fn rebuild(
+        &mut self,
         edges: Vec<Edge>,
         owns_edge: Vec<bool>,
-        isolated: &[VertexId],
-        replicas: &ReplicaTable,
         scratch: &mut BuildScratch,
-    ) -> Self {
+    ) {
         debug_assert!(owns_edge.is_empty() || owns_edge.len() == edges.len());
         let owns_edge = if owns_edge.iter().all(|&owned| owned) {
             Vec::new()
@@ -310,62 +350,47 @@ impl Subgraph {
             scratch.in_cursor[d as usize] += 1;
             scratch.staged.push([s, d]);
         }
-        for &v in isolated {
-            scratch.resolve(v);
-        }
-        let vertices = scratch.vertices.clone();
-        let n = vertices.len();
         debug_assert!(
-            (n as u64) < u64::from(ABSENT),
+            (scratch.vertices.len() as u64) < u64::from(ABSENT),
             "local vertex count fits u32"
         );
-        // The flags ride the walk that hands the scratch back all-`ABSENT`.
-        let is_master = vertices
-            .iter()
-            .map(|&v| {
-                scratch.local_of[v.index()] = ABSENT;
-                replicas.master_of(v) == part
-            })
-            .collect();
+        for v in &scratch.vertices {
+            scratch.local_of[v.index()] = ABSENT;
+        }
+        self.vertices.clear();
+        self.vertices.reserve_exact(scratch.vertices.len());
+        self.vertices.append(&mut scratch.vertices);
+        self.tail = self.vertices.len();
         // CSR assembly: the degrees become offsets and, in place, the fill
         // cursors; the fill runs in local-edge order, which is the
         // per-vertex neighbour order the kernels rely on.
-        let out_offsets = offsets_from_degrees(&mut scratch.out_cursor);
-        let in_offsets = offsets_from_degrees(&mut scratch.in_cursor);
-        let mut out_targets = vec![0u32; edges.len()];
-        let mut in_targets = vec![0u32; edges.len()];
-        let mut in_owned = vec![true; owns_edge.len()];
+        offsets_from_degrees(&mut scratch.out_cursor, &mut self.out_offsets);
+        offsets_from_degrees(&mut scratch.in_cursor, &mut self.in_offsets);
+        for targets in [&mut self.out_targets, &mut self.in_targets] {
+            targets.clear();
+            resize_exact(targets, edges.len(), 0);
+        }
+        self.in_owned.clear();
+        resize_exact(&mut self.in_owned, owns_edge.len(), true);
         for (i, &[s, d]) in scratch.staged.iter().enumerate() {
             let out_slot = &mut scratch.out_cursor[s as usize];
-            out_targets[*out_slot as usize] = d;
+            self.out_targets[*out_slot as usize] = d;
             *out_slot += 1;
             let in_slot = &mut scratch.in_cursor[d as usize];
-            in_targets[*in_slot as usize] = s;
+            self.in_targets[*in_slot as usize] = s;
             if owns_edge.get(i) == Some(&false) {
-                in_owned[*in_slot as usize] = false;
+                self.in_owned[*in_slot as usize] = false;
             }
             *in_slot += 1;
         }
         scratch.staged.clear();
-        scratch.vertices.clear();
         scratch.out_cursor.clear();
         scratch.in_cursor.clear();
-        Subgraph {
-            part,
-            edges,
-            owns_edge,
-            vertices,
-            local_index: OnceLock::new(),
-            components: OnceLock::new(),
-            is_master,
-            roles: OnceLock::new(),
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-            in_owned,
-            in_rows: OnceLock::new(),
-        }
+        self.edges = edges;
+        self.owns_edge = owns_edge;
+        self.in_rows.take();
+        // No isolated tail yet, and no master flag or other cache.
+        self.set_isolated(std::iter::empty());
     }
 
     /// A scratch for [`build`](Self::build) over the universe `0..n`, for
@@ -386,10 +411,62 @@ impl Subgraph {
         std::mem::take(&mut self.edges)
     }
 
+    /// The vertices some local edge touches, in local order.
+    pub(crate) fn held(&self) -> &[VertexId] {
+        &self.vertices[..self.tail]
+    }
+
+    /// The isolated vertices homed here, ascending: the tail of the vertex
+    /// table.
+    pub(crate) fn isolated(&self) -> &[VertexId] {
+        &self.vertices[self.tail..]
+    }
+
+    /// Replaces the isolated tail of the vertex table by `isolated`
+    /// (ascending), with empty CSR rows; the vertices the edges touch keep
+    /// their local indices. The master flags and the caches over every
+    /// local vertex are dropped ([`write_masters`](Self::write_masters)).
+    pub(crate) fn set_isolated<I>(&mut self, isolated: I)
+    where
+        I: Iterator<Item = VertexId> + Clone,
+    {
+        self.vertices.truncate(self.tail);
+        self.vertices.reserve_exact(isolated.clone().count());
+        self.vertices.extend(isolated);
+        for offsets in [&mut self.out_offsets, &mut self.in_offsets] {
+            offsets.truncate(self.tail + 1);
+            resize_exact(offsets, self.vertices.len() + 1, self.edges.len() as u32);
+        }
+        self.is_master.clear();
+        self.local_index.take();
+        self.components.take();
+        self.roles.take();
+    }
+
+    /// Every local vertex with its local degree (out + in, so a self-loop
+    /// counts twice), in local order.
+    pub(crate) fn local_degrees(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        let out = self.out_offsets.windows(2).map(|row| row[1] - row[0]);
+        let inn = self.in_offsets.windows(2).map(|row| row[1] - row[0]);
+        let degrees = out.zip(inn).map(|(out, inn)| out + inn);
+        self.vertices.iter().copied().zip(degrees)
+    }
+
+    /// Writes every master flag from the elected masters, for a worker
+    /// whose vertex table is new.
+    pub(crate) fn write_masters(&mut self, replicas: &ReplicaTable) {
+        self.is_master.clear();
+        let flags = self
+            .vertices
+            .iter()
+            .map(|&v| replicas.master_of(v) == self.part);
+        self.is_master.extend(flags);
+        self.roles.take();
+    }
+
     /// Sets the master flag of the vertex at `local_index`, for a worker
-    /// that keeps its edges while a boundary vertex's master moves. The
-    /// only writer of the flags after [`build`](Self::build): a flag that
-    /// actually flips drops the cached role lists.
+    /// that keeps its vertex table while a boundary vertex's master moves.
+    /// A flag that actually flips drops the cached role lists.
     pub(crate) fn set_master(&mut self, local_index: usize, is_master: bool) {
         if std::mem::replace(&mut self.is_master[local_index], is_master) != is_master {
             self.roles.take();

@@ -30,13 +30,19 @@ fn three_pass_build(
         owns_edge
     };
     let mut vertices: Vec<VertexId> = Vec::new();
-    let endpoints = edges.iter().flat_map(|e| [e.src, e.dst]);
-    for v in endpoints.chain(isolated.iter().copied()) {
+    let mut number = |v: VertexId, vertices: &mut Vec<VertexId>| {
         let slot = &mut scratch[v.index()];
         if *slot == ABSENT {
             *slot = vertices.len() as u32;
             vertices.push(v);
         }
+    };
+    for v in edges.iter().flat_map(|e| [e.src, e.dst]) {
+        number(v, &mut vertices);
+    }
+    let tail = vertices.len();
+    for &v in isolated {
+        number(v, &mut vertices);
     }
     let n = vertices.len();
     let is_master = vertices
@@ -80,6 +86,7 @@ fn three_pass_build(
         edges,
         owns_edge,
         vertices,
+        tail,
         local_index: OnceLock::from(local_index),
         components: OnceLock::new(),
         is_master,
@@ -136,6 +143,7 @@ fn assert_field_by_field(built: &Subgraph, oracle: &Subgraph, universe: usize, w
     assert_eq!(built.edges, oracle.edges, "{what}");
     assert_eq!(built.owns_edge, oracle.owns_edge, "{what}");
     assert_eq!(built.vertices, oracle.vertices, "{what}: vertex table");
+    assert_eq!(built.tail, oracle.tail, "{what}: isolated tail");
     assert_eq!(built.is_master, oracle.is_master, "{what}: master flags");
     assert_eq!(built.out_offsets, oracle.out_offsets, "{what}: out offsets");
     assert_eq!(built.out_targets, oracle.out_targets, "{what}: out targets");
@@ -177,7 +185,7 @@ fn single_resolve_build_equals_the_three_pass_build() {
                         .map(|e| assembled.owns_edge(e))
                         .collect();
                     unowned_copies += owned.iter().filter(|&&owned| !owned).count();
-                    let (part, isolated) = (assembled.part, &dg.isolated_per_part[i]);
+                    let (part, isolated) = (assembled.part, assembled.isolated());
                     let edges = || assembled.edges.clone();
                     let oracle = three_pass_build(
                         part,
@@ -190,9 +198,30 @@ fn single_resolve_build_equals_the_three_pass_build() {
                     // What assembly produced, and a rebuild on a scratch
                     // shared across this distribution's workers.
                     assert_field_by_field(assembled, &oracle, n, &what);
-                    let rebuilt =
-                        Subgraph::build(part, edges(), owned, isolated, &dg.replicas, &mut scratch);
+                    let mut rebuilt = Subgraph::build(part, edges(), owned.clone(), &mut scratch);
+                    rebuilt.set_isolated(isolated.iter().copied());
+                    rebuilt.write_masters(&dg.replicas);
                     assert_field_by_field(&rebuilt, &oracle, n, &what);
+                    // A rebuild in place, over buffers and caches that hold
+                    // another edge list's, keeps none of it.
+                    let mut reused = assembled.clone();
+                    let _ = (
+                        reused.local_components(),
+                        reused.in_edges(),
+                        reused.masters(),
+                    );
+                    let _ = reused.local_index_of(VertexId::new(0));
+                    reused.rebuild(Vec::new(), Vec::new(), &mut scratch);
+                    assert!(
+                        reused.vertices.is_empty() && reused.out_offsets == [0],
+                        "{what}"
+                    );
+                    assert!(!reused.index_is_built() && !reused.components_are_built());
+                    assert!(reused.in_rows.get().is_none() && reused.roles.get().is_none());
+                    reused.rebuild(edges(), owned, &mut scratch);
+                    reused.set_isolated(isolated.iter().copied());
+                    reused.write_masters(&dg.replicas);
+                    assert_field_by_field(&reused, &oracle, n, &what);
 
                     // The hand-back invariant, and buffers that are reused
                     // rather than regrown from nothing.
@@ -219,7 +248,7 @@ fn single_resolve_build_equals_the_three_pass_build() {
                         let kept = now.iter().zip(&before).all(|(now, before)| now >= before);
                         assert!(kept, "{what}: a buffer shrank: {before:?} → {now:?}");
                     }
-                    assert!(now[1] >= rebuilt.num_vertices(), "{what}");
+                    assert!(now[1] >= rebuilt.held().len(), "{what}");
                     capacity = Some(now);
                 }
             }
@@ -231,9 +260,13 @@ fn single_resolve_build_equals_the_three_pass_build() {
 #[test]
 fn offsets_from_degrees_leaves_the_range_starts_behind() {
     let mut degrees = [2u32, 0, 3, 1];
-    assert_eq!(offsets_from_degrees(&mut degrees), [0, 2, 2, 5, 6]);
+    // Written over whatever the buffer held.
+    let mut offsets = vec![7, 7];
+    offsets_from_degrees(&mut degrees, &mut offsets);
+    assert_eq!(offsets, [0, 2, 2, 5, 6]);
     assert_eq!(degrees, [0, 2, 2, 5]);
-    assert_eq!(offsets_from_degrees(&mut []), [0]);
+    offsets_from_degrees(&mut [], &mut offsets);
+    assert_eq!(offsets, [0]);
 }
 
 /// The local components by breadth-first search over both CSRs, started

@@ -693,44 +693,62 @@ fn apply_mutations_rebuilds_only_touched_workers() {
 
 #[test]
 fn isolation_changes_touch_the_home_worker() {
-    // Vertex 5's home partition is 5 % 2 = 1. Removing its only edge
-    // (held by partition 0) must re-home it as an isolated vertex in
-    // partition 1, so both workers are touched.
-    let stream = vec![
-        (Edge::from((0u64, 1u64)), PartitionId::new(0)),
-        (Edge::from((0u64, 5u64)), PartitionId::new(0)),
-        (Edge::from((2u64, 3u64)), PartitionId::new(1)),
+    // Worker 1 holds (8, 10) and is home to the odd vertices; 1, 5, 7, 9
+    // and 11 touch no edge, so they form its isolated tail. Vertex 3 is
+    // held by worker 0 alone, vertex 10 by both. Removing vertex 3's only
+    // edge re-homes it as an isolated vertex in worker 1, so both workers
+    // are touched.
+    let part = PartitionId::new;
+    let e = |s: u64, d: u64| Edge::from((s, d));
+    let mut survivors = vec![
+        (e(0, 2), part(0)),
+        (e(2, 3), part(0)),
+        (e(2, 10), part(0)),
+        (e(8, 10), part(1)),
     ];
-    let mut dg = DistributedGraph::build_streaming(2, None, stream.clone()).unwrap();
+    let mut dg = DistributedGraph::build_streaming(2, Some(12), survivors.clone()).unwrap();
+    let tail = |dg: &DistributedGraph| dg.subgraphs()[1].isolated().to_vec();
+    assert_eq!(tail(&dg), [1, 5, 7, 9, 11].map(VertexId::new));
+    let kept_edges = dg.subgraphs()[1].edges().as_ptr();
+
+    // Isolating vertex 3 puts it in the middle of worker 1's tail; worker
+    // 1's edges are not re-indexed, only its tail is rewritten.
     let mut batch = MutationBatch::new();
-    batch.record_delete(Edge::from((0u64, 5u64)), PartitionId::new(0));
+    batch.record_delete(e(2, 3), part(0));
     let stats = dg.apply_mutations(&batch).unwrap();
-    assert_eq!(stats.workers_touched, 2);
-    let fresh = DistributedGraph::build_streaming(
-        2,
-        Some(dg.num_vertices()),
-        vec![
-            (Edge::from((0u64, 1u64)), PartitionId::new(0)),
-            (Edge::from((2u64, 3u64)), PartitionId::new(1)),
-        ],
-    )
-    .unwrap();
-    assert_same_distribution(&dg, &fresh);
-    // And re-adding an edge to vertex 5 un-isolates it again.
-    let mut back = MutationBatch::new();
-    back.record_insert(Edge::from((4u64, 5u64)), PartitionId::new(1));
-    dg.apply_mutations(&back).unwrap();
-    let fresh = DistributedGraph::build_streaming(
-        2,
-        Some(dg.num_vertices()),
-        vec![
-            (Edge::from((0u64, 1u64)), PartitionId::new(0)),
-            (Edge::from((2u64, 3u64)), PartitionId::new(1)),
-            (Edge::from((4u64, 5u64)), PartitionId::new(1)),
-        ],
-    )
-    .unwrap();
-    assert_same_distribution(&dg, &fresh);
+    survivors.retain(|&(edge, _)| edge != e(2, 3));
+    assert_eq!((stats.workers_touched, stats.edges_rebuilt), (2, 2));
+    assert_eq!(tail(&dg), [1, 3, 5, 7, 9, 11].map(VertexId::new));
+    assert_eq!(dg.subgraphs()[1].edges().as_ptr(), kept_edges);
+    let check = |dg: &DistributedGraph, survivors: &[(Edge, PartitionId)]| {
+        let fresh =
+            DistributedGraph::build_streaming(2, Some(12), survivors.iter().copied()).unwrap();
+        assert_same_distribution(dg, &fresh);
+        assert!(dg.same_structure(&fresh));
+        assert_eq!(
+            dg.routing(),
+            &crate::routing::oracle::build_worker_major(dg)
+        );
+    };
+    check(&dg, &survivors);
+
+    // A later batch un-isolates it: the tail loses its middle entry.
+    let mut batch = MutationBatch::new();
+    batch.record_insert(e(0, 3), part(0));
+    let stats = dg.apply_mutations(&batch).unwrap();
+    survivors.push((e(0, 3), part(0)));
+    assert_eq!((stats.workers_touched, stats.edges_rebuilt), (2, 3));
+    assert_eq!(tail(&dg), [1, 5, 7, 9, 11].map(VertexId::new));
+    assert_eq!(dg.subgraphs()[1].edges().as_ptr(), kept_edges);
+    check(&dg, &survivors);
+
+    // An edge on its home worker un-isolates vertex 5 there.
+    let mut batch = MutationBatch::new();
+    batch.record_insert(e(5, 8), part(1));
+    assert_eq!(dg.apply_mutations(&batch).unwrap().workers_touched, 1);
+    survivors.push((e(5, 8), part(1)));
+    assert_eq!(tail(&dg), [1, 7, 9, 11].map(VertexId::new));
+    check(&dg, &survivors);
 }
 
 #[test]
