@@ -9,7 +9,7 @@
 //! over the workers the batch names: validate removals → grow universe →
 //! list the affected vertices → new edge lists → rebuild the named workers
 //! → re-derive the replica table from every worker (rewriting the isolated
-//! tails that changed), re-elect the affected vertices and write master
+//! tails that changed), elect every vertex and write every worker's master
 //! flags → re-derive every worker's routes from the table. Only the first
 //! can fail, and it mutates nothing, so a rejected batch leaves the
 //! distribution unchanged, its [`Lineage`](crate::Lineage) state id
@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use ebv_graph::{Edge, IdHashMap, VertexId};
+use ebv_graph::{Edge, IdHashMap};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 
 use crate::distributed::{mint_state, DistributedGraph};
@@ -31,9 +31,10 @@ impl DistributedGraph {
     /// Absorbs one batch of edge mutations in place, incrementally:
     /// only the workers the batch references are re-assembled (a worker
     /// whose isolated vertices changed has its vertex table's tail
-    /// rewritten), and master election re-runs only for the vertices
-    /// incident to mutated edges. Untouched workers are kept as-is. Returns
-    /// the [`MutationStats`] of the epoch.
+    /// rewritten). Every vertex is re-elected, as at assembly, and a kept
+    /// worker's master flags change only where its vertices' masters moved;
+    /// untouched workers keep their edge lists, vertex tables and CSRs.
+    /// Returns the [`MutationStats`] of the epoch.
     ///
     /// Removals delete the *most recent* matching copy from the named
     /// worker's edge list (the copy rule of `ebv_partition::CopyLog`, which
@@ -110,12 +111,11 @@ impl DistributedGraph {
         let affected = affected_vertices(batch, old_n, self.num_vertices);
         let new_edges = self.new_edge_lists(batch, &touched, keep_masks);
         let edges_rebuilt = self.rebuild_touched(new_edges);
-        // Step 6 — the replica table from every worker's vertex table, the
-        // affected vertices' masters and the master flags.
-        let elected = affected.iter().copied().map(VertexId::from);
+        // Step 6 — the replica table from every worker's vertex table, every
+        // vertex's master and every worker's master flags.
         let (n, rule) = (self.num_vertices, MasterRule::IncidentMajority);
         let replicas = &mut self.replicas;
-        replicas.derive(&mut self.subgraphs, n, &mut touched, elected, rule);
+        replicas.derive(&mut self.subgraphs, n, &mut touched, rule);
         let workers_touched = touched.iter().filter(|&&touched| touched).count();
 
         self.num_edges = self.subgraphs.iter().map(Subgraph::num_edges).sum();
@@ -268,7 +268,8 @@ impl DistributedGraph {
 
 /// Step 3 — the *affected* vertices, ascending: the endpoints of mutated
 /// edges plus the vertices the batch created (`old_n..n`). Only these can
-/// change masters, replica sets or isolated status.
+/// change masters, replica sets or isolated status, which is what a
+/// consumer that patches its copy reads off [`Lineage`](crate::Lineage).
 fn affected_vertices(batch: &MutationBatch, old_n: usize, n: usize) -> Vec<usize> {
     let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
     for &(edge, _) in batch.removed().iter().chain(batch.added()) {

@@ -260,9 +260,10 @@ impl DistributedGraph {
 
 /// Shared final assembly step, stamped with the mutation `epoch` the result
 /// continues: the per-worker subgraphs are built from their edge lists, the
-/// replica table is derived from them (placing the isolated vertices), every
-/// vertex is elected, and the master flags and routes are written last —
-/// the order every epoch follows too. Both [`DistributedGraph::build`] and
+/// replica table is derived from them (placing the isolated vertices,
+/// electing every vertex and writing every worker's master flags), and the
+/// routes are written last — the one derivation every epoch runs too. Both
+/// [`DistributedGraph::build`] and
 /// [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
 /// end here, which is what keeps the streaming and batch paths structurally
 /// identical.
@@ -286,8 +287,7 @@ pub(crate) fn assemble(
         })
         .collect();
     let mut replicas = ReplicaTable::new();
-    let (all_new, every_vertex) = (&mut vec![true; p], (0..n).map(VertexId::from));
-    replicas.derive(&mut subgraphs, n, all_new, every_vertex, master_rule);
+    replicas.derive(&mut subgraphs, n, &mut vec![true; p], master_rule);
     let routing = RoutingTable::build(&subgraphs, &replicas, n, epoch);
     DistributedGraph {
         subgraphs,
@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(built(&dg), [false; 4], "assembly indexes nothing");
 
         // A batch naming one worker whose endpoints the kept workers 3 and 1
-        // hold too: their master flags are re-patched without a probe.
+        // hold too: their master flags are re-written without a probe.
         let mut batch = MutationBatch::new();
         batch.record_delete(Edge::from((4u64, 5u64)), part(0));
         assert_eq!(dg.apply_mutations(&batch).unwrap().workers_touched, 1);

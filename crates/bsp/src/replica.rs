@@ -12,8 +12,11 @@
 //! vertex is processed by exactly one worker; every other count is
 //! positive. [`ReplicaTable::derive`] writes the runs, and decides the
 //! isolated tails, at assembly and in every epoch alike, once the workers
-//! are (re)built; [`ReplicaTable::elect`] is the one election rule.
-//! Routing, the master flags and `holders_of` all find a replica here.
+//! are (re)built; then it elects every vertex by [`ReplicaTable::elect`],
+//! the one election rule, and writes every worker's master flags, their
+//! one write path. Routing, the master flags and `holders_of` all find a
+//! replica here; past the universe every reader but `master_of` finds
+//! none.
 
 use ebv_graph::VertexId;
 use ebv_partition::{PartitionId, VertexPartition};
@@ -72,8 +75,9 @@ impl ReplicaTable {
     /// The one derivation, at assembly and in every epoch once the workers
     /// are (re)built: the runs of the universe `0..n`, read off the
     /// workers' vertex tables into the buffers the table already holds;
-    /// then `elected` is elected and the master flags are written, all of
-    /// a `touched` worker's and the elected vertices' on the others.
+    /// then every vertex is elected and every worker's master flags are
+    /// written ([`Subgraph::write_masters`]). Elections are deterministic,
+    /// so a vertex no epoch touched is re-elected where it was.
     ///
     /// The runs take two passes. The first counts, per vertex, the workers
     /// whose edges touch it; a worker's isolated tail that no longer lists
@@ -81,16 +85,13 @@ impl ReplicaTable {
     /// ([`Subgraph::set_isolated`]) and marked `touched`. After a prefix
     /// sum, the second walks the workers in ascending order and writes each
     /// replica at its vertex's cursor, so every run ascends by worker.
-    pub(crate) fn derive<I>(
+    pub(crate) fn derive(
         &mut self,
         subgraphs: &mut [Subgraph],
         n: usize,
         touched: &mut [bool],
-        elected: I,
         rule: MasterRule<'_>,
-    ) where
-        I: Iterator<Item = VertexId> + Clone,
-    {
+    ) {
         let p = subgraphs.len();
         // Pass 1: `offsets[v + 1]` counts the workers whose edges touch `v`.
         self.offsets.clear();
@@ -133,27 +134,20 @@ impl ReplicaTable {
         }
         debug_assert!(self.holders.iter().all(|holder| holder.local != u32::MAX));
         self.master.resize(n, PartitionId::default());
-        for v in elected.clone() {
+        for v in (0..n).map(VertexId::from) {
             self.elect(v, rule);
         }
-        for (sg, _) in subgraphs.iter_mut().zip(&*touched).filter(|(_, &new)| new) {
+        for sg in subgraphs.iter_mut() {
             sg.write_masters(self);
-        }
-        if touched.contains(&false) {
-            for v in elected {
-                let master = self.master_of(v).index();
-                for (worker, local) in self.locations(v) {
-                    if !touched[worker] {
-                        subgraphs[worker].set_master(local, worker == master);
-                    }
-                }
-            }
         }
     }
 
-    /// The run of vertex index `v`.
+    /// The run of vertex index `v`; empty past the universe.
     fn run(&self, v: usize) -> &[Holder] {
-        &self.holders[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        match self.offsets.get(v..).unwrap_or_default() {
+            &[start, end, ..] => &self.holders[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// The election rule: the master of `v` is chosen among its holders by
@@ -190,17 +184,21 @@ impl ReplicaTable {
     }
 
     /// The master partition of vertex `v`.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is past the universe.
     pub fn master_of(&self, v: VertexId) -> PartitionId {
         self.master[v.index()]
     }
 
     /// Every partition holding a replica of `v` (including the master), in
-    /// increasing partition order.
+    /// increasing partition order; none past the universe.
     pub fn replicas_of(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
         self.run(v.index()).iter().map(|holder| holder.part)
     }
 
-    /// Number of replicas of `v`.
+    /// Number of replicas of `v`; zero past the universe.
     pub fn replica_count(&self, v: VertexId) -> usize {
         self.run(v.index()).len()
     }
@@ -216,12 +214,7 @@ impl ReplicaTable {
         &self,
         v: VertexId,
     ) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
-        let run = if v.index() < self.master.len() {
-            self.run(v.index())
-        } else {
-            &[]
-        };
-        run.iter().map(Holder::location)
+        self.run(v.index()).iter().map(Holder::location)
     }
 
     /// The `(worker, local index)` of `v`'s master replica; `None` past the
@@ -360,9 +353,8 @@ mod tests {
         let mut table = ReplicaTable::new();
         // As assembly does: every worker is new.
         let mut touched = [true; 3];
-        let every_vertex = (0..4).map(VertexId::new);
         let rule = MasterRule::IncidentMajority;
-        table.derive(&mut subgraphs, 4, &mut touched, every_vertex.clone(), rule);
+        table.derive(&mut subgraphs, 4, &mut touched, rule);
         let lists: Vec<_> = (0..4).map(|v| table.counts(VertexId::new(v))).collect();
         assert_eq!(
             lists,
@@ -391,8 +383,27 @@ mod tests {
         // tail.
         let before = table.clone();
         let mut touched = [false; 3];
-        table.derive(&mut subgraphs, 4, &mut touched, every_vertex, rule);
+        table.derive(&mut subgraphs, 4, &mut touched, rule);
         assert!(table.same_structure(&before));
         assert_eq!(touched, [false; 3]);
+    }
+
+    #[test]
+    fn the_readers_find_nothing_past_the_universe() {
+        let edges = vec![Edge::from((0u64, 1u64)), Edge::from((2u64, 3u64))];
+        let mut scratch = Subgraph::build_scratch(4, 2);
+        let part = PartitionId::new(0);
+        let mut subgraphs = [Subgraph::build(part, edges, Vec::new(), &mut scratch)];
+        let mut table = ReplicaTable::new();
+        let rule = MasterRule::IncidentMajority;
+        table.derive(&mut subgraphs, 4, &mut [true], rule);
+        let last = VertexId::new(3);
+        assert_eq!(table.replicas_of(last).collect::<Vec<_>>(), [part]);
+        assert_eq!(table.master_at(last), Some((0, 3)));
+        let past = VertexId::new(4);
+        assert_eq!(table.replicas_of(past).count(), 0);
+        assert_eq!(table.replica_count(past), 0);
+        assert_eq!(table.locations(past).len(), 0);
+        assert_eq!(table.master_at(past), None);
     }
 }

@@ -242,9 +242,9 @@ fn maintained_table_equals_the_worker_major_build_after_churn() {
 }
 
 /// The routes an epoch derived equal the worker-major build, and the
-/// distribution a fresh streamed build of `survivors`: kept workers had
-/// their master flags patched through their recorded locals, a fresh build
-/// elects them anew.
+/// distribution a fresh streamed build of `survivors`: the epoch and the
+/// fresh build elect every vertex and write every worker's master flags
+/// alike.
 fn assert_rederived(dg: &DistributedGraph, survivors: &[(Edge, PartitionId)], what: &str) {
     assert_eq!(dg.routing(), &build_worker_major(dg), "{what}");
     let n = Some(dg.num_vertices());

@@ -270,7 +270,8 @@ pub struct Subgraph {
     is_master: Vec<bool>,
     /// `is_master` as two ascending lists, built by the first
     /// [`masters`](Self::masters) / [`mirrors`](Self::mirrors) call and
-    /// dropped by a [`set_master`](Self::set_master) that flips a flag.
+    /// dropped by a [`write_masters`](Self::write_masters) that flips a
+    /// flag.
     roles: OnceLock<Roles>,
     /// CSR out-adjacency: the out-neighbours of local vertex `l` are
     /// `out_targets[out_offsets[l]..out_offsets[l + 1]]`, in local-edge
@@ -320,10 +321,11 @@ impl Subgraph {
     }
 
     /// Re-indexes this worker from `edges`: local vertex table
-    /// (first-appearance order, no isolated tail yet) and both CSRs, with
-    /// no master flag written. `owns_edge` is either empty (every edge
-    /// owned) or one flag per edge. The arrays are refilled in place, so a
-    /// rebuild allocates only where it outgrows them, to the exact size.
+    /// (first-appearance order, no isolated tail yet) and both CSRs; the
+    /// master flags wait for [`write_masters`](Self::write_masters).
+    /// `owns_edge` is either empty (every edge owned) or one flag per edge.
+    /// The arrays are refilled in place, so a rebuild allocates only where
+    /// it outgrows them, to the exact size.
     ///
     /// Each endpoint is resolved once: one walk over the edge list numbers
     /// a vertex on first appearance, counts its out/in degree and stages
@@ -389,7 +391,7 @@ impl Subgraph {
         self.edges = edges;
         self.owns_edge = owns_edge;
         self.in_rows.take();
-        // No isolated tail yet, and no master flag or other cache.
+        // No isolated tail yet, and no cache over the local vertices.
         self.set_isolated(std::iter::empty());
     }
 
@@ -424,8 +426,9 @@ impl Subgraph {
 
     /// Replaces the isolated tail of the vertex table by `isolated`
     /// (ascending), with empty CSR rows; the vertices the edges touch keep
-    /// their local indices. The master flags and the caches over every
-    /// local vertex are dropped ([`write_masters`](Self::write_masters)).
+    /// their local indices. The caches over every local vertex are
+    /// dropped; the master flags are stale until
+    /// [`write_masters`](Self::write_masters).
     pub(crate) fn set_isolated<I>(&mut self, isolated: I)
     where
         I: Iterator<Item = VertexId> + Clone,
@@ -437,7 +440,6 @@ impl Subgraph {
             offsets.truncate(self.tail + 1);
             resize_exact(offsets, self.vertices.len() + 1, self.edges.len() as u32);
         }
-        self.is_master.clear();
         self.local_index.take();
         self.components.take();
         self.roles.take();
@@ -452,23 +454,18 @@ impl Subgraph {
         self.vertices.iter().copied().zip(degrees)
     }
 
-    /// Writes every master flag from the elected masters, for a worker
-    /// whose vertex table is new.
+    /// Writes every master flag from the elected masters: the one writer
+    /// of the flags. The cached role lists are dropped only when the
+    /// vertex table's length changed or a flag flipped, so a kept worker
+    /// whose masters all stayed keeps them.
     pub(crate) fn write_masters(&mut self, replicas: &ReplicaTable) {
-        self.is_master.clear();
-        let flags = self
-            .vertices
-            .iter()
-            .map(|&v| replicas.master_of(v) == self.part);
-        self.is_master.extend(flags);
-        self.roles.take();
-    }
-
-    /// Sets the master flag of the vertex at `local_index`, for a worker
-    /// that keeps its vertex table while a boundary vertex's master moves.
-    /// A flag that actually flips drops the cached role lists.
-    pub(crate) fn set_master(&mut self, local_index: usize, is_master: bool) {
-        if std::mem::replace(&mut self.is_master[local_index], is_master) != is_master {
+        let mut changed = self.is_master.len() != self.vertices.len();
+        self.is_master.resize(self.vertices.len(), false);
+        for (flag, &v) in self.is_master.iter_mut().zip(&self.vertices) {
+            let master = replicas.master_of(v) == self.part;
+            changed |= std::mem::replace(flag, master) != master;
+        }
+        if changed {
             self.roles.take();
         }
     }
@@ -628,7 +625,7 @@ impl Subgraph {
     /// Built together with [`mirrors`](Self::mirrors) by the first call of
     /// either and cached; a clone taken afterwards carries both, a worker
     /// an epoch rebuilds starts without, and a worker it keeps keeps them
-    /// until re-election flips one of its flags.
+    /// until an epoch's election flips one of its flags.
     pub fn masters(&self) -> &[u32] {
         &self.roles().masters
     }

@@ -777,7 +777,7 @@ fn master_flags_are_patched_in_untouched_workers() {
     let stats = dg.apply_mutations(&batch).unwrap();
     assert_eq!(stats.workers_touched, 1, "only partition 1 rebuilds");
     assert_eq!(dg.replicas().master_of(v1), PartitionId::new(1));
-    // The untouched worker's replica flag was patched in place.
+    // The untouched worker's replica flag was re-written in place.
     let sg0 = dg.subgraph(PartitionId::new(0));
     let local = sg0.local_index_of(v1).unwrap();
     assert!(!sg0.is_master(local));

@@ -171,16 +171,24 @@ fn the_views_are_cached_until_their_worker_is_rebuilt_or_a_flag_flips() {
         let sg = &dg.subgraphs()[worker];
         assert_eq!(sg.in_edges().rows.as_ptr(), rows_before[worker], "{worker}");
     }
-    // Rebuilt on demand from the patched flags.
+    // Rebuilt on demand from the re-written flags.
     let masters_0 = dg.subgraph(part(0)).masters();
     assert!(!masters_0.contains(&(held as u32)));
     assert_eq!(masters_0.len() + 1, masters_before[0].len());
     assert_eq!(dg.subgraph(part(2)).masters(), masters_before[2]);
 
-    // Re-writing a flag to the value it has keeps the lists.
-    let mut sg = dg.subgraphs()[2].clone();
-    sg.set_master(0, sg.is_master(0));
+    // Writing unchanged flags keeps the lists; a table in which one of the
+    // worker's vertices changes master drops them.
+    let mut sg = dg.subgraphs()[0].clone();
+    sg.write_masters(dg.replicas());
     assert_eq!(built(&sg), (true, true));
-    sg.set_master(0, !sg.is_master(0));
+    let mut flipped = dg.clone();
+    let mut batch = MutationBatch::new();
+    for dst in [9u64, 10] {
+        batch.record_insert(Edge::from((0u64, dst)), part(2));
+    }
+    flipped.apply_mutations(&batch).unwrap();
+    assert_eq!(flipped.replicas().master_of(VertexId::new(0)), part(2));
+    sg.write_masters(flipped.replicas());
     assert_eq!(built(&sg), (true, false));
 }
