@@ -1,13 +1,10 @@
 //! Warm-start Connected Components (see the module-level discussion in
 //! [`crate::incremental`] for the full design).
 
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
-
 use ebv_bsp::{
     InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext, SubgraphProgram, WarmFrontier,
 };
-use ebv_graph::{Edge, IdHasher, VertexId};
+use ebv_graph::{Edge, VertexId, VertexSet};
 
 use crate::cc::component_min_superstep;
 
@@ -17,8 +14,10 @@ use crate::cc::component_min_superstep;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComponentInvalidation {
     /// Prior labels whose components must be recomputed from scratch
-    /// (membership only: `warm_value` probes it once per local vertex).
-    dirty: HashSet<u64, BuildHasherDefault<IdHasher>>,
+    /// (membership only: `warm_value` probes it once per replica). Sized to
+    /// the prior's universe on every absorb, since a label is the smallest
+    /// id of its component; a larger label the caller handed in spills.
+    dirty: VertexSet,
 }
 
 impl InvalidationPolicy for ComponentInvalidation {
@@ -31,7 +30,7 @@ impl InvalidationPolicy for ComponentInvalidation {
     }
 
     fn is_dirty(&self, _vertex: VertexId, prior: &u64) -> bool {
-        self.dirty.contains(prior)
+        self.dirty.contains(*prior)
     }
 }
 
@@ -99,6 +98,7 @@ impl IncrementalConnectedComponents {
     /// applied since `prior` was computed must be absorbed (in any order)
     /// before the warm run.
     pub fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
+        self.frontier.policy_mut().dirty.grow_universe(prior.len());
         self.frontier.absorb(prior, batch);
     }
 
@@ -328,6 +328,49 @@ mod tests {
                 assert_eq!(warm.stats.total_messages(), 0, "{name} p={p}");
             }
         }
+    }
+
+    /// A prior is caller data: a label far past the vertex universe must
+    /// still reset every vertex carrying it, without sizing the dirty set to
+    /// the label's magnitude (a bit per id up to `u64::MAX - 1` would abort).
+    #[test]
+    fn a_label_past_the_universe_resets_its_component_without_sizing_the_set() {
+        let graph = ebv_graph::generators::named::two_triangles();
+        let (mut distributed, assigned) = distribute(&graph, 2);
+        let engine = BspEngine::sequential();
+        let cold = engine
+            .run(&distributed, &ConnectedComponents::new())
+            .unwrap()
+            .values;
+        let (removed, part) = assigned[0];
+        let stale = u64::MAX - 1;
+        let relabelled = cold[removed.src.index()];
+        let prior: Vec<u64> = cold
+            .iter()
+            .map(|&label| if label == relabelled { stale } else { label })
+            .collect();
+        assert!(prior.contains(&stale) && prior.iter().any(|&label| label != stale));
+
+        let mut batch = MutationBatch::new();
+        batch.record_delete(removed, part);
+        let program = IncrementalConnectedComponents::from_batch(&prior, &batch);
+        assert_eq!(program.dirty_components(), 1);
+        for (v, label) in prior.iter().enumerate() {
+            let reset = program
+                .frontier
+                .retain(VertexId::new(v as u64), label)
+                .is_none();
+            assert_eq!(reset, *label == stale, "vertex {v}");
+        }
+
+        distributed.apply_mutations(&batch).unwrap();
+        let warm = engine
+            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
+            .unwrap();
+        let cold = engine
+            .run(&distributed, &ConnectedComponents::new())
+            .unwrap();
+        assert_eq!(warm.values, cold.values, "warm CC must be bit-identical");
     }
 
     #[test]

@@ -20,15 +20,11 @@
 //! answer — warm SSSP is bit-identical to cold runs, it just starts next to
 //! the fixpoint instead of at infinity.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::BuildHasherDefault;
-
 use ebv_bsp::{
     DistributedGraph, InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext,
     SubgraphProgram, WarmFrontier,
 };
-use ebv_graph::{Edge, IdHasher, VertexId};
+use ebv_graph::{Edge, VertexId, VertexSet};
 
 use crate::kernel::{gated_min_superstep, Activation};
 use crate::UNREACHABLE;
@@ -54,8 +50,10 @@ pub(crate) struct DistanceInvalidation {
     cone: Cone,
 }
 
-/// A set of raw vertex ids: dense program-generated keys, membership only.
-type Cone = HashSet<u64, BuildHasherDefault<IdHasher>>;
+/// A set of raw vertex ids, membership only. Every member has a finite
+/// prior distance, so a cone sized for `0..prior.len()` never spills: a bit
+/// per id, probed once per replica at warm seeding.
+type Cone = VertexSet;
 
 impl DistanceInvalidation {
     fn new(source: VertexId) -> Self {
@@ -83,7 +81,7 @@ impl InvalidationPolicy for DistanceInvalidation {
     fn is_dirty(&self, vertex: VertexId, prior: &u64) -> bool {
         // The source is always exactly 0; unreachable priors reset to the
         // same unreachable initial, so >= keeps the predicate trivial.
-        vertex != self.source && (*prior >= self.horizon || self.cone.contains(&vertex.raw()))
+        vertex != self.source && (*prior >= self.horizon || self.cone.contains(vertex.raw()))
     }
 }
 
@@ -97,12 +95,14 @@ impl InvalidationPolicy for DistanceInvalidation {
 /// add support: a vertex can lose its chain only by being the head of a
 /// removed tight edge or a tight out-neighbour of a vertex that lost its
 /// own. The walk therefore starts at the removed tight edges' heads and
-/// decides candidates in ascending `prior` — when `v` is popped, every
-/// vertex one level down is final, so `v` keeps its chain iff some present
-/// tight in-edge comes from outside the cone (a surviving parallel copy of
-/// a removed edge, or a coincidentally tight inserted one, counts) — and a
-/// vertex that joins the cone nominates its tight out-neighbours. The cost
-/// follows the cone and its in-edges, not the graph.
+/// decides candidates level by level in ascending `prior` — when `v` is
+/// decided, every vertex one level down is final, so `v` keeps its chain
+/// iff some present tight in-edge comes from outside the cone (a surviving
+/// parallel copy of a removed edge, or a coincidentally tight inserted one,
+/// counts) — and a vertex that joins the cone nominates its tight
+/// out-neighbours for the next level. Within a level the order does not
+/// matter, since a decision reads only the level below. The cost follows
+/// the cone and its in-edges, not the graph.
 ///
 /// A prior whose source is not at 0 certifies nothing: its cone is every
 /// finite non-source vertex, returned directly.
@@ -119,36 +119,57 @@ fn walked_cone(
             .collect();
     }
 
-    let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut nominated = Cone::default();
+    let mut heads = Vec::new();
+    let mut nominated = Cone::new(prior.len());
     for &(edge, _) in batch.removed() {
         if let (Some(du), Some(dv)) = (finite(edge.src), finite(edge.dst)) {
             if du + 1 == dv && nominated.insert(edge.dst.raw()) {
-                pending.push(Reverse((dv, edge.dst.raw())));
+                heads.push((dv, edge.dst.raw()));
             }
         }
     }
-    let mut cone = Cone::default();
-    while let Some(Reverse((dv, raw))) = pending.pop() {
-        let v = VertexId::new(raw);
-        let certified = distributed.holders_of(v).any(|(sg, local)| {
-            sg.in_neighbors(local).iter().any(|&w_local| {
-                let w = sg.vertex_at(w_local as usize);
-                finite(w).is_some_and(|dw| dw + 1 == dv) && !cone.contains(&w.raw())
-            })
-        });
-        if certified {
-            continue;
+    heads.sort_unstable();
+    let mut heads = heads.into_iter().peekable();
+    let mut cone = Cone::new(prior.len());
+    // `level` holds the candidates at distance `dv`, `next` the ones they
+    // nominate at `dv + 1`.
+    let (mut level, mut next) = (Vec::new(), Vec::new());
+    let mut dv = 0;
+    loop {
+        if level.is_empty() {
+            // Nothing was nominated into this level: go to the next head's.
+            match heads.peek() {
+                Some(&(head_level, _)) => dv = head_level,
+                None => break,
+            }
         }
-        cone.insert(raw);
-        for (sg, local) in distributed.holders_of(v) {
-            for &x_local in sg.out_neighbors(local) {
-                let x = sg.vertex_at(x_local as usize);
-                if finite(x) == Some(dv + 1) && nominated.insert(x.raw()) {
-                    pending.push(Reverse((dv + 1, x.raw())));
+        while let Some((_, raw)) = heads.next_if(|&(head_level, _)| head_level == dv) {
+            level.push(raw);
+        }
+        for &raw in &level {
+            let v = VertexId::new(raw);
+            let certified = distributed.holders_of(v).any(|(sg, local)| {
+                sg.in_neighbors(local).iter().any(|&w_local| {
+                    let w = sg.vertex_at(w_local as usize);
+                    finite(w).is_some_and(|dw| dw + 1 == dv) && !cone.contains(w.raw())
+                })
+            });
+            if certified {
+                continue;
+            }
+            cone.insert(raw);
+            for (sg, local) in distributed.holders_of(v) {
+                for &x_local in sg.out_neighbors(local) {
+                    let x = sg.vertex_at(x_local as usize);
+                    if finite(x) == Some(dv + 1) && nominated.insert(x.raw()) {
+                        next.push(x.raw());
+                    }
                 }
             }
         }
+        level.clear();
+        std::mem::swap(&mut level, &mut next);
+        dv += 1;
     }
     cone
 }
@@ -650,9 +671,7 @@ mod tests {
         let distributed = DistributedGraph::build_streaming(1, None, edges).unwrap();
         let prior = [0, 1, u64::MAX - 2, u64::MAX - 1];
         let cone = unsupported_cone(VertexId::new(0), &distributed, &prior);
-        let mut cone: Vec<u64> = cone.into_iter().collect();
-        cone.sort_unstable();
-        assert_eq!(cone, vec![2, 3]);
+        assert_eq!(cone.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     /// A small deterministic generator for the differential test below.

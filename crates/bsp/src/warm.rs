@@ -27,10 +27,7 @@
 //! lives next to the programs in `ebv-algorithms`: a gated worklist kernel
 //! for SSSP and a component superstep for CC.
 
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
-
-use ebv_graph::{Edge, IdHasher, VertexId};
+use ebv_graph::{Edge, VertexId, VertexSet};
 
 use crate::mutation_batch::MutationBatch;
 
@@ -72,8 +69,11 @@ pub trait InvalidationPolicy {
 pub struct WarmFrontier<P> {
     policy: P,
     /// Raw vertex ids, membership only: the distance kernel's superstep 0
-    /// probes [`is_seed`](WarmFrontier::is_seed) once per local vertex.
-    seeds: HashSet<u64, BuildHasherDefault<IdHasher>>,
+    /// probes [`is_seed`](WarmFrontier::is_seed) once per local vertex, so
+    /// it is a bit per id, sized to the prior's universe by
+    /// [`absorb_seeds`](WarmFrontier::absorb_seeds); endpoints the universe
+    /// has since grown by spill beside the bits.
+    seeds: VertexSet,
 }
 
 impl<P: InvalidationPolicy> WarmFrontier<P> {
@@ -83,7 +83,7 @@ impl<P: InvalidationPolicy> WarmFrontier<P> {
     pub fn new(policy: P) -> Self {
         WarmFrontier {
             policy,
-            seeds: HashSet::default(),
+            seeds: VertexSet::default(),
         }
     }
 
@@ -113,6 +113,7 @@ impl<P: InvalidationPolicy> WarmFrontier<P> {
     /// over the distribution itself) instead of folding per-edge
     /// consequences, and install it via [`policy_mut`](Self::policy_mut).
     pub fn absorb_seeds(&mut self, prior: &[P::Value], batch: &MutationBatch) {
+        self.seeds.grow_universe(prior.len());
         for &(edge, _) in batch.removed() {
             for v in [edge.src, edge.dst] {
                 if prior.get(v.index()).is_none() {
@@ -128,7 +129,7 @@ impl<P: InvalidationPolicy> WarmFrontier<P> {
 
     /// Whether the raw vertex id is part of the seed frontier.
     pub fn is_seed(&self, raw: u64) -> bool {
-        self.seeds.contains(&raw)
+        self.seeds.contains(raw)
     }
 
     /// Number of seed vertices activated in the first warm superstep.
@@ -168,7 +169,7 @@ mod tests {
     /// prior, to observe the plumbing.
     #[derive(Default)]
     struct DirtySrcValue {
-        dirty: HashSet<u64>,
+        dirty: VertexSet,
     }
 
     impl InvalidationPolicy for DirtySrcValue {
@@ -181,7 +182,7 @@ mod tests {
         }
 
         fn is_dirty(&self, _vertex: VertexId, prior: &u64) -> bool {
-            self.dirty.contains(prior)
+            self.dirty.contains(*prior)
         }
     }
 

@@ -46,6 +46,7 @@ pub mod io;
 mod powerlaw;
 mod stats;
 mod types;
+mod vertex_set;
 
 pub use builder::GraphBuilder;
 pub use degree::DegreeDistribution;
@@ -55,6 +56,7 @@ pub use hash::{IdHashMap, IdHasher};
 pub use powerlaw::{estimate_eta, estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
 pub use stats::GraphStats;
 pub use types::{Edge, GraphKind, VertexId};
+pub use vertex_set::VertexSet;
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
