@@ -58,7 +58,7 @@ pub use engine::{
 pub use error::{BspError, Result};
 pub use exchange::WorklistScratch;
 pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};
-pub use publish::{DurabilityHook, EpochCommitter, ValueSink};
+pub use publish::{run_epoch, DurabilityHook, EpochCommitter, ValueSink};
 pub use stats::{
     Breakdown, CostModel, ExecutionStats, SuperstepStats, TimelineSpan, WorkerSuperstepStats,
 };

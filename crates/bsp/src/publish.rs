@@ -9,9 +9,11 @@
 //!   engine calls it from `run_opts` when
 //!   [`RunOptions::publish_to`](crate::RunOptions::publish_to) is set), so
 //!   a snapshot store can *stage* the values of the epoch being built;
-//! * [`EpochCommitter`] is called by the dynamic pipeline after an epoch's
-//!   mutations are applied and its programs have run, to *flip* everything
-//!   staged for that epoch into readers' view atomically.
+//! * [`EpochCommitter`] is called by the epoch loops (through
+//!   [`run_epoch`]) after an epoch's mutations are applied and its programs
+//!   have run, to *flip* everything staged for that epoch into readers'
+//!   view atomically — with a *prepare* step that derives the graph-only
+//!   part of the commit beside the programs.
 //!
 //! The split is what gives snapshot isolation at epoch granularity: any
 //! number of series (components, distances, ranks) are staged one by one,
@@ -20,6 +22,7 @@
 //! so the dependency direction stays clean: the engine and pipeline know
 //! only these seams, and the concrete store (`ebv-serve`) plugs in on top.
 
+use crate::distributed::DistributedGraph;
 use crate::stats::ExecutionStats;
 
 /// A destination for a finished run's master values.
@@ -40,26 +43,75 @@ pub trait ValueSink<V>: Sync {
 /// An epoch-boundary commit hook: makes everything staged since the last
 /// commit visible to readers atomically, tagged with the graph's epoch.
 ///
-/// The dynamic pipeline calls this once per *applied* epoch, after the
-/// caller's `on_epoch` hook has run every program it wants served (staging
-/// values through [`ValueSink`]s). Implementations must be safe to call
-/// while concurrent readers hold the previous epoch's snapshot — that is
-/// the entire point. The post-apply
-/// [`DistributedGraph`](crate::distributed::DistributedGraph) is passed so a
-/// store can tag the snapshot (epoch, vertex count) and optionally derive
-/// structural reads (adjacency) from the same state the values were
-/// computed on.
-pub trait EpochCommitter {
+/// Epoch loops drive it through [`run_epoch`], once per *applied* epoch:
+/// [`prepare_epoch`](Self::prepare_epoch) on a helper thread while the
+/// caller's `on_epoch` hook runs every program it wants served (staging
+/// values through [`ValueSink`]s), then
+/// [`commit_epoch`](Self::commit_epoch) once the hook returned `Ok`.
+/// Implementations must be safe to call while concurrent readers hold the
+/// previous epoch's snapshot — that is the entire point. The post-apply
+/// [`DistributedGraph`] is passed so a store can tag the snapshot (epoch,
+/// vertex count) and optionally derive structural reads (adjacency) from
+/// the same state the values were computed on.
+pub trait EpochCommitter: Sync {
+    /// Derives ahead of the commit whatever the commit of `distributed`
+    /// needs from the graph alone (a store's adjacency), so the work runs
+    /// beside the epoch's programs instead of after them. The default does
+    /// nothing.
+    ///
+    /// It runs **concurrently with `on_epoch`**, and so with
+    /// [`ValueSink::publish`] on the same store: it may read only
+    /// `distributed` and what the previous commit published, never the
+    /// values being staged. A [`commit_epoch`](Self::commit_epoch) that is
+    /// not preceded by a prepare of the same state — a direct call, a
+    /// commit after a failed `on_epoch`, a diverged clone — must still be
+    /// correct on its own.
+    fn prepare_epoch(&self, _distributed: &DistributedGraph) {}
+
     /// Flips the staged values into the readable snapshot for
     /// `distributed.epoch()`.
     ///
     /// An implementation that keeps something derived from the previous
     /// commit's graph may patch it with the batch instead of re-deriving
     /// it, but only on the evidence of
-    /// [`lineage`](crate::distributed::DistributedGraph::lineage): the
-    /// epoch number does not identify a state (two clones of one graph
-    /// reach the same epoch through different batches).
-    fn commit_epoch(&self, distributed: &crate::distributed::DistributedGraph);
+    /// [`lineage`](DistributedGraph::lineage): the epoch number does not
+    /// identify a state (two clones of one graph reach the same epoch
+    /// through different batches).
+    fn commit_epoch(&self, distributed: &DistributedGraph);
+}
+
+/// Runs one applied epoch's programs and commits them: the one place an
+/// epoch loop calls an [`EpochCommitter`].
+///
+/// With a committer, [`prepare_epoch`](EpochCommitter::prepare_epoch) runs
+/// on a scoped helper thread while `on_epoch` runs on the calling thread;
+/// the helper is joined (its panic re-raised here) before
+/// [`commit_epoch`](EpochCommitter::commit_epoch), which runs only if
+/// `on_epoch` returned `Ok` — a failed epoch leaves readers on the last
+/// committed one. Without a committer this is `on_epoch()` and nothing is
+/// spawned.
+///
+/// # Errors
+///
+/// `on_epoch`'s error, after the helper has finished.
+pub fn run_epoch<E>(
+    committer: Option<&dyn EpochCommitter>,
+    distributed: &DistributedGraph,
+    on_epoch: impl FnOnce() -> Result<(), E>,
+) -> Result<(), E> {
+    let Some(committer) = committer else {
+        return on_epoch();
+    };
+    std::thread::scope(|scope| {
+        let prepare = scope.spawn(|| committer.prepare_epoch(distributed));
+        let programs = on_epoch();
+        if let Err(panic) = prepare.join() {
+            std::panic::resume_unwind(panic);
+        }
+        programs
+    })?;
+    committer.commit_epoch(distributed);
+    Ok(())
 }
 
 /// The durability seam of the dynamic pipeline: a write-ahead log plus
@@ -114,7 +166,7 @@ pub trait DurabilityHook {
     /// Any I/O failure; the pipeline treats it as fatal for the run.
     fn epoch_durable(
         &self,
-        distributed: &crate::distributed::DistributedGraph,
+        distributed: &DistributedGraph,
         partitioner: &ebv_partition::DynamicPartitioner,
         events_seen: u64,
     ) -> std::io::Result<()>;

@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ebv_bsp::{DistributedGraph, DurabilityHook, EpochCommitter, MutationBatch, MutationStats};
+use ebv_bsp::{
+    run_epoch, DistributedGraph, DurabilityHook, EpochCommitter, MutationBatch, MutationStats,
+};
 use ebv_graph::Edge;
 use ebv_obs::{EpochMark, NoopRecorder, Phase, Recorder, SpanCtx};
 use ebv_partition::{DynamicPartitioner, MigrationPlan, PartitionId, PartitionMetrics};
@@ -238,9 +240,12 @@ impl EventPipeline {
     /// workers a batch touches are re-assembled — before `on_epoch`
     /// observes the post-mutation distribution, the batch, the maintained
     /// metrics and the epoch's [`MutationStats`]. Per batch, in order: log
-    /// (when durable), apply, record, `on_epoch`, commit (when
-    /// publishing), mark the epoch durable (when durable) — the
+    /// (when durable), apply, record, `on_epoch` ∥ prepare, then commit
+    /// (when publishing), mark the epoch durable (when durable) — the
     /// conditional stages are the ones [`EpochOptions`] switches on.
+    /// "`on_epoch` ∥ prepare" is [`run_epoch`]: the committer's
+    /// [`prepare_epoch`](EpochCommitter::prepare_epoch) runs on a scoped
+    /// helper thread beside `on_epoch` and is joined before the commit.
     ///
     /// The distribution handed to `on_epoch` is the one the batch was just
     /// applied to, so the callback can re-execute programs against it —
@@ -253,8 +258,9 @@ impl EventPipeline {
     /// distribution layer (`workers_touched == 0`, the epoch counter does
     /// not advance): `on_epoch` still sees it, so callers can count raw
     /// batches if they want to, but it is neither logged (a frame without
-    /// an epoch would fork the WAL lineage) nor committed. Its raw events
-    /// still advance the cumulative counter stamped into the next frame.
+    /// an epoch would fork the WAL lineage) nor prepared nor committed —
+    /// no helper thread is spawned for it. Its raw events still advance
+    /// the cumulative counter stamped into the next frame.
     ///
     /// # Errors
     ///
@@ -335,11 +341,11 @@ impl EventPipeline {
                     });
                 }
                 batch_index += 1;
-                on_epoch(distributed, batch, metrics, stats)?;
+                let graph: &DistributedGraph = distributed;
+                run_epoch(committer.filter(|_| applied), graph, || {
+                    on_epoch(graph, batch, metrics, stats)
+                })?;
                 if applied {
-                    if let Some(committer) = committer {
-                        committer.commit_epoch(distributed);
-                    }
                     if let Some(hook) = hook {
                         hook.epoch_durable(distributed, partitioner, events_seen)
                             .map_err(DynamicError::Durability)?;
@@ -411,9 +417,10 @@ impl<'a, R: Recorder> EpochOptions<'a, R> {
         }
     }
 
-    /// Feeds the query plane (see [`EpochCommitter`]): `committer` runs
-    /// once per non-empty batch, strictly *after* `on_epoch` returned `Ok`
-    /// — i.e. after the caller staged that epoch's values through
+    /// Feeds the query plane (see [`EpochCommitter`]): once per non-empty
+    /// batch, `committer` prepares the epoch beside `on_epoch` and commits
+    /// it strictly *after* `on_epoch` returned `Ok` — i.e. after the caller
+    /// staged that epoch's values through
     /// [`ValueSink`](ebv_bsp::ValueSink)s — so concurrent readers see the
     /// previous epoch's complete snapshot or this one's, never a
     /// half-staged mix and never an epoch whose programs later failed.
@@ -733,13 +740,19 @@ mod tests {
     fn committer_stage_commits_after_each_applied_epoch() {
         use std::sync::Mutex;
 
-        /// Records the graph epoch at each commit, and how many epochs
-        /// `on_epoch` had completed by then.
+        /// Records the graph epoch at each prepare, and at each commit with
+        /// how many epochs `on_epoch` had completed by then.
+        #[derive(Default)]
         struct RecordingCommitter {
+            prepares: Mutex<Vec<usize>>,
             commits: Mutex<Vec<(usize, usize)>>,
         }
 
         impl EpochCommitter for RecordingCommitter {
+            fn prepare_epoch(&self, distributed: &DistributedGraph) {
+                self.prepares.lock().unwrap().push(distributed.epoch());
+            }
+
             fn commit_epoch(&self, distributed: &DistributedGraph) {
                 let staged = STAGED.with(|s| *s.borrow());
                 self.commits
@@ -761,9 +774,7 @@ mod tests {
         let mut distributed =
             ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
         let churn = ChurnStream::new(stream, 0.2).unwrap().with_seed(3);
-        let committer = RecordingCommitter {
-            commits: Mutex::new(Vec::new()),
-        };
+        let committer = RecordingCommitter::default();
         EventPipeline::new(300)
             .run_applied_opts(
                 churn,
@@ -778,6 +789,7 @@ mod tests {
                 EpochOptions::new().committer(&committer),
             )
             .unwrap();
+        let prepares = committer.prepares.into_inner().unwrap();
         let commits = committer.commits.into_inner().unwrap();
         assert_eq!(
             commits.len(),
@@ -788,6 +800,47 @@ mod tests {
             assert_eq!(epoch, i + 1, "commits tag consecutive epochs");
             assert_eq!(staged, i + 1, "commit runs after on_epoch staged the epoch");
         }
+        let epochs: Vec<usize> = (1..=distributed.epoch()).collect();
+        assert_eq!(
+            prepares, epochs,
+            "one prepare per applied epoch, post-apply"
+        );
+
+        // Batches of two: applied, fully cancelled, applied. The cancelled
+        // batch reaches `on_epoch` but is neither prepared nor committed.
+        let [a, b, c] = [(0u64, 1u64), (1, 2), (2, 3)].map(Edge::from);
+        let source = events(vec![
+            GraphEvent::Insert(a),
+            GraphEvent::Insert(b),
+            GraphEvent::Insert(c),
+            GraphEvent::Delete(c),
+            GraphEvent::Insert(c),
+            GraphEvent::Delete(a),
+        ]);
+        let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::new(2)).unwrap();
+        let mut distributed =
+            ebv_bsp::DistributedGraph::build_streaming(2, None, Vec::new()).unwrap();
+        let committer = RecordingCommitter::default();
+        let mut batches = 0;
+        EventPipeline::new(2)
+            .run_applied_opts(
+                source,
+                &mut partitioner,
+                &mut distributed,
+                |_, _, _, _| {
+                    batches += 1;
+                    Ok(())
+                },
+                EpochOptions::new().committer(&committer),
+            )
+            .unwrap();
+        assert_eq!(batches, 3);
+        assert_eq!(committer.prepares.into_inner().unwrap(), vec![1, 2]);
+        let committed = committer.commits.into_inner().unwrap();
+        assert_eq!(
+            committed.iter().map(|c| c.0).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
     }
 
     #[test]
@@ -795,10 +848,15 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         struct CountingCommitter {
+            prepares: AtomicUsize,
             commits: AtomicUsize,
         }
 
         impl EpochCommitter for CountingCommitter {
+            fn prepare_epoch(&self, _distributed: &DistributedGraph) {
+                self.prepares.fetch_add(1, Ordering::SeqCst);
+            }
+
             fn commit_epoch(&self, _distributed: &DistributedGraph) {
                 self.commits.fetch_add(1, Ordering::SeqCst);
             }
@@ -811,6 +869,7 @@ mod tests {
         let mut distributed =
             ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
         let committer = CountingCommitter {
+            prepares: AtomicUsize::new(0),
             commits: AtomicUsize::new(0),
         };
         let mut epochs = 0usize;
@@ -833,8 +892,60 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.to_string().contains("program failed"));
-        // Epoch 1 committed; epoch 2's failure left it unpublished.
+        // Both epochs were prepared beside their programs; epoch 1
+        // committed, and epoch 2's failure left it unpublished.
+        assert_eq!(committer.prepares.load(Ordering::SeqCst), 2);
         assert_eq!(committer.commits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_panicking_prepare_panics_the_loop_and_commits_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        struct PanickingPrepare {
+            commits: AtomicUsize,
+        }
+
+        impl EpochCommitter for PanickingPrepare {
+            fn prepare_epoch(&self, distributed: &DistributedGraph) {
+                panic!("prepare of epoch {} failed", distributed.epoch());
+            }
+
+            fn commit_epoch(&self, _distributed: &DistributedGraph) {
+                self.commits.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let stream = RmatEdgeStream::new(8, 600).with_seed(7);
+        let mut partitioner = EbvPartitioner::new()
+            .dynamic(stream.stream_config(4))
+            .unwrap();
+        let mut distributed =
+            ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
+        let committer = PanickingPrepare {
+            commits: AtomicUsize::new(0),
+        };
+        let mut programs = 0usize;
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            EventPipeline::new(200).run_applied_opts(
+                InsertEvents::new(stream),
+                &mut partitioner,
+                &mut distributed,
+                |_, _, _, _| {
+                    programs += 1;
+                    Ok(())
+                },
+                EpochOptions::new().committer(&committer),
+            )
+        }))
+        .expect_err("the helper's panic reaches the caller");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, "prepare of epoch 1 failed");
+        // The first epoch's programs ran beside the prepare; the loop went
+        // no further and committed nothing.
+        assert_eq!(programs, 1);
+        assert_eq!(committer.commits.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -927,9 +1038,9 @@ mod tests {
     /// `on_epoch` but is neither logged, committed nor marked durable.
     #[test]
     fn durability_stage_orders_log_epoch_commit_durable_with_or_without_a_committer() {
-        use std::cell::RefCell;
+        use std::sync::Mutex;
 
-        struct Tracing<'a>(&'a RefCell<Vec<String>>);
+        struct Tracing<'a>(&'a Mutex<Vec<String>>);
 
         impl DurabilityHook for Tracing<'_> {
             fn log_batch(
@@ -939,7 +1050,8 @@ mod tests {
                 _batch: &MutationBatch,
             ) -> std::io::Result<()> {
                 self.0
-                    .borrow_mut()
+                    .lock()
+                    .unwrap()
                     .push(format!("log {epoch} @{events_seen}"));
                 Ok(())
             }
@@ -952,7 +1064,8 @@ mod tests {
             ) -> std::io::Result<()> {
                 let epoch = distributed.epoch();
                 self.0
-                    .borrow_mut()
+                    .lock()
+                    .unwrap()
                     .push(format!("durable {epoch} @{events_seen}"));
                 Ok(())
             }
@@ -961,14 +1074,15 @@ mod tests {
         impl EpochCommitter for Tracing<'_> {
             fn commit_epoch(&self, distributed: &DistributedGraph) {
                 self.0
-                    .borrow_mut()
+                    .lock()
+                    .unwrap()
                     .push(format!("commit {}", distributed.epoch()));
             }
         }
 
         let [a, b, c] = [(0u64, 1u64), (1, 2), (2, 3)].map(Edge::from);
         for with_committer in [false, true] {
-            let trace = RefCell::new(Vec::new());
+            let trace = Mutex::new(Vec::new());
             let stages = Tracing(&trace);
             let mut options = EpochOptions::new().durability(&stages, 0);
             if with_committer {
@@ -993,7 +1107,7 @@ mod tests {
                     &mut distributed,
                     |dg, batch, _, _| {
                         let kind = if batch.is_empty() { "empty" } else { "epoch" };
-                        trace.borrow_mut().push(format!("{kind} {}", dg.epoch()));
+                        trace.lock().unwrap().push(format!("{kind} {}", dg.epoch()));
                         Ok(())
                     },
                     options,
@@ -1014,7 +1128,11 @@ mod tests {
             if !with_committer {
                 expected.retain(|entry| !entry.starts_with("commit"));
             }
-            assert_eq!(trace.into_inner(), expected, "committer: {with_committer}");
+            assert_eq!(
+                trace.into_inner().unwrap(),
+                expected,
+                "committer: {with_committer}"
+            );
         }
     }
 

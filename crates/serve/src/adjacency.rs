@@ -1,7 +1,7 @@
 //! The served global out-adjacency: one CSR read off the distribution's
-//! per-subgraph CSRs at commit time, either built from scratch or patched
-//! forward from the previous commit's (see
-//! [`SnapshotStore::commit_epoch`](crate::SnapshotStore)).
+//! per-subgraph CSRs while an epoch's programs run (or at commit time),
+//! either built from scratch or patched forward from the previous
+//! commit's (see [`SnapshotStore::commit_epoch`](crate::SnapshotStore)).
 
 use ebv_bsp::DistributedGraph;
 use ebv_graph::VertexId;

@@ -35,7 +35,9 @@
 //! in `ebv-bsp`: the engine publishes values via
 //! [`RunOptions::publish_to`](ebv_bsp::RunOptions::publish_to), and
 //! the `ebv-dynamic` epoch loop (`EpochOptions::committer`) commits via
-//! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch.
+//! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch,
+//! having prepared the epoch's adjacency beside its programs
+//! ([`run_epoch`](ebv_bsp::run_epoch)).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -120,6 +120,18 @@ impl CommittedSeries {
 /// probes cost more than the counting-sort rebuild they avoid.
 const PATCH_MAX_AFFECTED_SHARE: usize = 8;
 
+/// How a served adjacency was derived; a commit counts the route of the
+/// adjacency it serves.
+#[derive(Clone, Copy)]
+enum Route {
+    /// The published adjacency already described this state.
+    Shared,
+    /// Copied forward from the parent's with the affected lists re-read.
+    Patched,
+    /// Built from scratch.
+    Rebuilt,
+}
+
 /// Why a read could not be answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
@@ -254,6 +266,7 @@ pub(crate) struct StoreShared {
     commits: Arc<Counter>,
     adjacency_patches: Arc<Counter>,
     adjacency_rebuilds: Arc<Counter>,
+    adjacency_prepared_unused: Arc<Counter>,
 }
 
 impl StoreShared {
@@ -363,6 +376,10 @@ pub struct SnapshotStore {
     /// Whether [`EpochCommitter::commit_epoch`] serves adjacency; set by
     /// [`serve_adjacency`](SnapshotStore::serve_adjacency).
     adjacency_from_pipeline: std::sync::atomic::AtomicBool,
+    /// The adjacency [`EpochCommitter::prepare_epoch`] derived, with its
+    /// route, for the commit of the state it names
+    /// ([`Adjacency::state`]).
+    prepared: Mutex<Option<(Arc<Adjacency>, Route)>>,
 }
 
 impl Default for SnapshotStore {
@@ -383,7 +400,9 @@ impl SnapshotStore {
     /// `ebv_query_commits_total` and — how each served adjacency was
     /// derived, see [`serve_adjacency`](Self::serve_adjacency) —
     /// `ebv_query_adjacency_patches_total` and
-    /// `ebv_query_adjacency_rebuilds_total` to `registry`.
+    /// `ebv_query_adjacency_rebuilds_total` to `registry`, and
+    /// `ebv_query_adjacency_prepared_unused_total`: commits that dropped a
+    /// prepared adjacency because it named another state.
     pub fn with_registry(registry: &MetricsRegistry) -> SnapshotStore {
         SnapshotStore {
             shared: Arc::new(StoreShared {
@@ -395,9 +414,12 @@ impl SnapshotStore {
                 commits: registry.counter("ebv_query_commits_total"),
                 adjacency_patches: registry.counter("ebv_query_adjacency_patches_total"),
                 adjacency_rebuilds: registry.counter("ebv_query_adjacency_rebuilds_total"),
+                adjacency_prepared_unused: registry
+                    .counter("ebv_query_adjacency_prepared_unused_total"),
             }),
             staging: Mutex::new(Vec::new()),
             adjacency_from_pipeline: std::sync::atomic::AtomicBool::new(false),
+            prepared: Mutex::new(None),
         }
     }
 
@@ -433,11 +455,42 @@ impl SnapshotStore {
     /// graph is not one small batch past the previously committed one — is
     /// an `O(E)` counting-sort build; after that an epoch costs a block
     /// copy of the previous CSR plus a re-read of the batch's affected
-    /// vertices (see [`EpochCommitter::commit_epoch`] on this type). Leave
-    /// it off when only value lookups are served.
+    /// vertices (see [`EpochCommitter::commit_epoch`] on this type). In an
+    /// epoch loop that derivation runs in
+    /// [`EpochCommitter::prepare_epoch`], beside the epoch's programs, and
+    /// the commit only publishes it. Leave it off when only value lookups
+    /// are served; then `prepare_epoch` does nothing.
     pub fn serve_adjacency(&self, enabled: bool) {
         self.adjacency_from_pipeline
             .store(enabled, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn serves_adjacency(&self) -> bool {
+        self.adjacency_from_pipeline
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The adjacency of `distributed`, by the cheapest route its
+    /// [`lineage`](DistributedGraph::lineage) proves correct against the
+    /// published snapshot (see [`EpochCommitter::commit_epoch`] on this
+    /// type). Reads only the graph and the published snapshot, so it may
+    /// run beside the epoch's programs.
+    fn derive_adjacency(&self, distributed: &DistributedGraph) -> (Arc<Adjacency>, Route) {
+        let lineage = distributed.lineage();
+        let small = lineage.affected.len() * PATCH_MAX_AFFECTED_SHARE <= distributed.num_vertices();
+        // State 0 names no state (the default `Adjacency`, a fresh graph's
+        // parent), so it never counts as a match.
+        match self.shared.current().adjacency.as_ref() {
+            Some(held) if held.state == lineage.state => (Arc::clone(held), Route::Shared),
+            Some(held) if held.state == lineage.parent && held.state != 0 && small => (
+                Arc::new(held.patched(distributed, lineage.affected)),
+                Route::Patched,
+            ),
+            _ => (
+                Arc::new(Adjacency::from_distributed(distributed)),
+                Route::Rebuilt,
+            ),
+        }
     }
 
     /// Atomically publishes everything staged since the last commit as
@@ -501,11 +554,27 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 impl EpochCommitter for SnapshotStore {
-    /// The pipeline-side commit: called by the `ebv-dynamic` epoch loop
-    /// (`EpochOptions::committer`) after each applied epoch's programs
-    /// have staged their series. When [`serve_adjacency`] is on, the
-    /// adjacency of the post-apply distribution is derived by the cheapest
-    /// route its [`lineage`](DistributedGraph::lineage) proves correct:
+    /// Derives the adjacency [`commit_epoch`](Self::commit_epoch) will
+    /// serve and parks it for the commit of the same state; a no-op unless
+    /// [`serve_adjacency`](SnapshotStore::serve_adjacency) is on. It reads
+    /// the graph and the published snapshot only — never `staging`, which
+    /// the epoch's programs fill meanwhile.
+    fn prepare_epoch(&self, distributed: &DistributedGraph) {
+        if self.serves_adjacency() {
+            let derived = self.derive_adjacency(distributed);
+            *self.prepared.lock().unwrap_or_else(|e| e.into_inner()) = Some(derived);
+        }
+    }
+
+    /// The pipeline-side commit: called by the epoch loops (through
+    /// [`run_epoch`](ebv_bsp::run_epoch)) after each applied epoch's
+    /// programs have staged their series. When [`serve_adjacency`] is on,
+    /// the adjacency of the post-apply distribution is the one
+    /// [`prepare_epoch`](Self::prepare_epoch) parked, if it names this
+    /// very state; otherwise — a direct commit, a prepare of another state
+    /// (counted by `ebv_query_adjacency_prepared_unused_total`) — it is
+    /// derived here. Either way it comes by the cheapest route the graph's
+    /// [`lineage`](DistributedGraph::lineage) proves correct:
     ///
     /// * the published adjacency already describes this very state (a
     ///   second commit of an unchanged graph) — shared, by pointer;
@@ -516,32 +585,33 @@ impl EpochCommitter for SnapshotStore {
     ///   at all, a clone that diverged, a big batch — rebuilt from scratch
     ///   ([`Adjacency::from_distributed`]).
     ///
-    /// The decision reads state ids, never epoch numbers: two graphs at
+    /// The decisions read state ids, never epoch numbers: two graphs at
     /// the same epoch need not be the same state.
     ///
     /// [`serve_adjacency`]: SnapshotStore::serve_adjacency
     fn commit_epoch(&self, distributed: &DistributedGraph) {
-        let adjacency = self
-            .adjacency_from_pipeline
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .then(|| {
-                let lineage = distributed.lineage();
-                let small =
-                    lineage.affected.len() * PATCH_MAX_AFFECTED_SHARE <= distributed.num_vertices();
-                // State 0 names no state (the default `Adjacency`, a fresh
-                // graph's parent), so it never counts as a match.
-                match self.shared.current().adjacency.as_ref() {
-                    Some(held) if held.state == lineage.state => Arc::clone(held),
-                    Some(held) if held.state == lineage.parent && held.state != 0 && small => {
-                        self.shared.adjacency_patches.add(1);
-                        Arc::new(held.patched(distributed, lineage.affected))
+        let prepared = self
+            .prepared
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        let adjacency = self.serves_adjacency().then(|| {
+            let (adjacency, route) = match prepared {
+                Some(held) if held.0.state == distributed.lineage().state => held,
+                stale => {
+                    if stale.is_some() {
+                        self.shared.adjacency_prepared_unused.add(1);
                     }
-                    _ => {
-                        self.shared.adjacency_rebuilds.add(1);
-                        Arc::new(Adjacency::from_distributed(distributed))
-                    }
+                    self.derive_adjacency(distributed)
                 }
-            });
+            };
+            match route {
+                Route::Shared => {}
+                Route::Patched => self.shared.adjacency_patches.add(1),
+                Route::Rebuilt => self.shared.adjacency_rebuilds.add(1),
+            }
+            adjacency
+        });
         self.publish(
             distributed.epoch() as u64,
             distributed.num_vertices(),
@@ -858,6 +928,119 @@ mod tests {
         store.commit_epoch(&graph);
         assert_serves(&store, &graph, "patched again");
         assert_eq!(derivations(&registry), (2, 6));
+    }
+
+    /// Commits dropping a prepared adjacency that named another state.
+    fn prepared_unused(registry: &MetricsRegistry) -> u64 {
+        registry
+            .counter("ebv_query_adjacency_prepared_unused_total")
+            .get()
+    }
+
+    /// One batch inserting `n / 4` random copies: more than one vertex in
+    /// eight is affected, so it cannot be patched.
+    fn large_batch(live: &mut Vec<(Edge, PartitionId)>, n: usize, rng: &mut u64) -> MutationBatch {
+        let mut batch = MutationBatch::new();
+        for (edge, part) in multigraph(n, n / 4, rng) {
+            batch.record_insert(edge, part);
+            live.push((edge, part));
+        }
+        batch
+    }
+
+    #[test]
+    fn prepared_commits_serve_what_inline_commits_serve() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let n = 240;
+        let mut live = multigraph(n, 900, &mut rng);
+        let mut graph =
+            DistributedGraph::build_streaming(3, Some(n), live.iter().copied()).unwrap();
+        let (inline, inline_registry) = adjacency_store();
+        let (prepared, prepared_registry) = adjacency_store();
+        let commit_both = |graph: &DistributedGraph, context: &str| {
+            inline.commit_epoch(graph);
+            prepared.prepare_epoch(graph);
+            let parked = prepared.prepared.lock().unwrap().clone();
+            prepared.commit_epoch(graph);
+            let (parked, _) = parked.expect("prepare parks the adjacency");
+            assert!(Arc::ptr_eq(&parked, &served(&prepared)), "{context}");
+            assert_serves(&inline, graph, context);
+            assert_serves(&prepared, graph, context);
+            assert_eq!(
+                derivations(&prepared_registry),
+                derivations(&inline_registry),
+                "{context}"
+            );
+        };
+        commit_both(&graph, "first commit");
+        for epoch in 1..=33 {
+            // Every eleventh epoch is large: rebuilt, then patched onward.
+            let batch = if epoch % 11 == 0 {
+                let batch = large_batch(&mut live, n, &mut rng);
+                graph.apply_mutations(&batch).unwrap();
+                let affected = graph.lineage().affected.len();
+                assert!(affected * PATCH_MAX_AFFECTED_SHARE > n, "epoch {epoch}");
+                batch
+            } else {
+                let batch = small_batch(&mut live, n, epoch, &mut rng);
+                graph.apply_mutations(&batch).unwrap();
+                batch
+            };
+            assert!(!batch.is_empty());
+            commit_both(&graph, &format!("epoch {epoch}"));
+        }
+        assert_eq!(derivations(&prepared_registry), (30, 4));
+        assert_eq!(prepared_unused(&prepared_registry), 0);
+        assert!(
+            prepared.prepared.lock().unwrap().is_none(),
+            "commit takes it"
+        );
+    }
+
+    #[test]
+    fn a_prepare_of_another_state_is_dropped_and_counted() {
+        let mut rng = 0xBF58_476D_1CE4_E5B9u64;
+        let n = 240;
+        let mut live = multigraph(n, 900, &mut rng);
+        let base = DistributedGraph::build_streaming(3, Some(n), live.iter().copied()).unwrap();
+        let (store, registry) = adjacency_store();
+        store.commit_epoch(&base);
+
+        // Two clones of one state, one batch apart in different directions.
+        let (mut a, mut b) = (base.clone(), base);
+        let mut b_live = live.clone();
+        a.apply_mutations(&small_batch(&mut live, n, 1, &mut rng))
+            .unwrap();
+        b.apply_mutations(&small_batch(&mut b_live, n, 2, &mut rng))
+            .unwrap();
+        assert_eq!(a.epoch(), b.epoch());
+        store.prepare_epoch(&a);
+        store.commit_epoch(&b);
+        assert_serves(&store, &b, "committed B after preparing A");
+        assert_eq!(prepared_unused(&registry), 1);
+        assert_eq!(derivations(&registry), (1, 1), "B was patched inline");
+        assert!(store.prepared.lock().unwrap().is_none());
+
+        // A direct commit afterwards finds nothing parked, so nothing more
+        // is dropped.
+        store.commit_epoch(&a);
+        assert_serves(&store, &a, "direct commit of A");
+        assert_eq!(prepared_unused(&registry), 1);
+    }
+
+    #[test]
+    fn without_adjacency_a_prepare_parks_nothing() {
+        let mut rng = 11u64;
+        let graph =
+            DistributedGraph::build_streaming(3, Some(32), multigraph(32, 90, &mut rng)).unwrap();
+        let registry = MetricsRegistry::new();
+        let store = SnapshotStore::with_registry(&registry);
+        store.prepare_epoch(&graph);
+        assert!(store.prepared.lock().unwrap().is_none());
+        store.commit_epoch(&graph);
+        assert!(store.shared.current().adjacency.is_none());
+        assert_eq!(derivations(&registry), (0, 0));
+        assert_eq!(prepared_unused(&registry), 0);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! `on_epoch` returns `Ok`), so by the time any reader can see epoch N
 //! its expected values are already on file — a snapshot that mixes two
 //! epochs' values, or leaks a half-staged series, fails the comparison.
+//! The store serves adjacency too, so every epoch's prepare runs beside
+//! the CC program and its commit must find that prepared adjacency.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +25,7 @@ use ebv_algorithms::ConnectedComponents;
 use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
 use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
 use ebv_partition::EbvPartitioner;
-use ebv_serve::{QueryError, SeriesData, SnapshotStore};
+use ebv_serve::{Adjacency, QueryError, SeriesData, SnapshotStore};
 use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 /// One churned pipeline run publishing CC labels per epoch, with `readers`
@@ -41,6 +43,9 @@ fn run_churned_epochs(scale: u32, num_edges: usize, seed: u64, churn: f64, batch
 
     let registry = ebv_obs::MetricsRegistry::new();
     let store = SnapshotStore::with_registry(&registry);
+    // Served adjacency makes every commit publish what its prepare derived
+    // beside the epoch's programs.
+    store.serve_adjacency(true);
     let handle = store.handle();
     let engine = BspEngine::sequential();
 
@@ -133,6 +138,23 @@ fn run_churned_epochs(scale: u32, num_edges: usize, seed: u64, churn: f64, batch
         panic!("cc must be a u64 series");
     };
     assert_eq!(values, &expected.lock().unwrap()[&epochs]);
+    // Every commit found its epoch's prepared adjacency, and serves the
+    // final graph's lists.
+    let counter = |name: &'static str| registry.counter(name).get();
+    assert_eq!(counter("ebv_query_adjacency_prepared_unused_total"), 0);
+    assert_eq!(
+        counter("ebv_query_adjacency_patches_total")
+            + counter("ebv_query_adjacency_rebuilds_total"),
+        epochs,
+        "one derivation per committed epoch"
+    );
+    let rebuilt = Adjacency::from_distributed(&distributed);
+    for vertex in 0..distributed.num_vertices() {
+        assert_eq!(
+            final_snapshot.neighbors(vertex as u64).unwrap(),
+            rebuilt.neighbors(vertex)
+        );
+    }
     for (last_epoch, _) in reader_results {
         assert!(last_epoch <= epochs);
     }

@@ -2,7 +2,7 @@
 //! re-execute the logged epochs through the live loop's own epoch body
 //! ([`RecoveredState::resume`]).
 
-use ebv_bsp::{DistributedGraph, EpochCommitter, MutationBatch, MutationStats};
+use ebv_bsp::{run_epoch, DistributedGraph, EpochCommitter, MutationBatch, MutationStats};
 use ebv_graph::Edge;
 use ebv_partition::{CopyLog, DynamicPartitioner, PartitionId, PartitionMetrics};
 
@@ -66,10 +66,11 @@ impl RecoveredState {
     /// [`resume_partition_state`](Self::resume_partition_state), then for
     /// each WAL frame applies it, runs `on_epoch` — the closure
     /// `EventPipeline::run_applied_opts` takes, handed the restored
-    /// partitioner's metrics — and commits through `committer`. A
-    /// checkpoint with no frames runs one empty-batch epoch, which
-    /// republishes the recovered values; an empty directory returns
-    /// `empty` and commits nothing.
+    /// partitioner's metrics — and commits through `committer`, both by
+    /// the pipeline's own [`run_epoch`] (prepare beside `on_epoch`, commit
+    /// after it returned `Ok`). A checkpoint with no frames runs one
+    /// empty-batch epoch, which republishes the recovered values; an empty
+    /// directory returns `empty` and commits nothing.
     ///
     /// # Errors
     ///
@@ -118,11 +119,10 @@ impl RecoveredState {
                     .map_err(|err| StateError::InvalidState {
                         message: format!("WAL epoch {epoch} does not apply: {err}"),
                     })?;
-            on_epoch(&distributed, batch, partitioner.metrics(), stats)
-                .map_err(ResumeError::Epoch)?;
-            if let Some(committer) = committer {
-                committer.commit_epoch(&distributed);
-            }
+            run_epoch(committer, &distributed, || {
+                on_epoch(&distributed, batch, partitioner.metrics(), stats)
+            })
+            .map_err(ResumeError::Epoch)?;
         }
         Ok(distributed)
     }
