@@ -10,10 +10,11 @@
 //!   [`RunOptions::publish_to`](crate::RunOptions::publish_to) is set), so
 //!   a snapshot store can *stage* the values of the epoch being built;
 //! * [`EpochCommitter`] is called by the epoch loops (through
-//!   [`run_epoch`]) after an epoch's mutations are applied and its programs
-//!   have run, to *flip* everything staged for that epoch into readers'
-//!   view atomically — with a *prepare* step that derives the graph-only
-//!   part of the commit beside the programs.
+//!   [`run_epoch`]) after an epoch's mutations are applied: its *prepare*
+//!   step derives the graph-only part of the commit beside the programs and
+//!   returns the commit as a value, which *flips* everything staged for
+//!   that epoch into readers' view atomically once the programs succeeded
+//!   and is dropped uncalled when they failed.
 //!
 //! The split is what gives snapshot isolation at epoch granularity: any
 //! number of series (components, distances, ranks) are staged one by one,
@@ -44,32 +45,27 @@ pub trait ValueSink<V>: Sync {
 /// commit visible to readers atomically, tagged with the graph's epoch.
 ///
 /// Epoch loops drive it through [`run_epoch`], once per *applied* epoch:
-/// [`prepare_epoch`](Self::prepare_epoch) on a helper thread while the
+/// [`prepare_epoch`](Self::prepare_epoch) runs on a helper thread while the
 /// caller's `on_epoch` hook runs every program it wants served (staging
-/// values through [`ValueSink`]s), then
-/// [`commit_epoch`](Self::commit_epoch) once the hook returned `Ok`.
-/// Implementations must be safe to call while concurrent readers hold the
-/// previous epoch's snapshot — that is the entire point. The post-apply
+/// values through [`ValueSink`]s), and the commit it returns is called once
+/// the hook returned `Ok` — or dropped uncalled. Implementations must be
+/// safe to call while concurrent readers hold the previous epoch's
+/// snapshot — that is the entire point. The post-apply
 /// [`DistributedGraph`] is passed so a store can tag the snapshot (epoch,
 /// vertex count) and optionally derive structural reads (adjacency) from
 /// the same state the values were computed on.
 pub trait EpochCommitter: Sync {
-    /// Derives ahead of the commit whatever the commit of `distributed`
-    /// needs from the graph alone (a store's adjacency), so the work runs
-    /// beside the epoch's programs instead of after them. The default does
-    /// nothing.
+    /// Derives whatever the commit of `distributed` needs from the graph
+    /// alone (a store's adjacency) and returns the commit: a closure that
+    /// flips the staged values into the readable snapshot for
+    /// `distributed.epoch()`. What it derived is bound to `distributed`, so
+    /// it is only ever published for the graph it was derived from, and
+    /// dropping the closure publishes nothing.
     ///
-    /// It runs **concurrently with `on_epoch`**, and so with
+    /// The preparation runs **concurrently with `on_epoch`**, and so with
     /// [`ValueSink::publish`] on the same store: it may read only
     /// `distributed` and what the previous commit published, never the
-    /// values being staged. A [`commit_epoch`](Self::commit_epoch) that is
-    /// not preceded by a prepare of the same state — a direct call, a
-    /// commit after a failed `on_epoch`, a diverged clone — must still be
-    /// correct on its own.
-    fn prepare_epoch(&self, _distributed: &DistributedGraph) {}
-
-    /// Flips the staged values into the readable snapshot for
-    /// `distributed.epoch()`.
+    /// values being staged — those are read when the closure runs.
     ///
     /// An implementation that keeps something derived from the previous
     /// commit's graph may patch it with the batch instead of re-deriving
@@ -77,7 +73,15 @@ pub trait EpochCommitter: Sync {
     /// [`lineage`](DistributedGraph::lineage): the epoch number does not
     /// identify a state (two clones of one graph reach the same epoch
     /// through different batches).
-    fn commit_epoch(&self, distributed: &DistributedGraph);
+    fn prepare_epoch<'a>(
+        &'a self,
+        distributed: &'a DistributedGraph,
+    ) -> Box<dyn FnOnce() + Send + 'a>;
+
+    /// Prepares and commits `distributed` at once, outside an epoch loop.
+    fn commit_epoch(&self, distributed: &DistributedGraph) {
+        self.prepare_epoch(distributed)()
+    }
 }
 
 /// Runs one applied epoch's programs and commits them: the one place an
@@ -85,11 +89,10 @@ pub trait EpochCommitter: Sync {
 ///
 /// With a committer, [`prepare_epoch`](EpochCommitter::prepare_epoch) runs
 /// on a scoped helper thread while `on_epoch` runs on the calling thread;
-/// the helper is joined (its panic re-raised here) before
-/// [`commit_epoch`](EpochCommitter::commit_epoch), which runs only if
-/// `on_epoch` returned `Ok` — a failed epoch leaves readers on the last
-/// committed one. Without a committer this is `on_epoch()` and nothing is
-/// spawned.
+/// the helper is joined (its panic re-raised here), and the commit it
+/// returned runs only if `on_epoch` returned `Ok` — a failed epoch drops
+/// it, leaving readers on the last committed epoch. Without a committer
+/// this is `on_epoch()` and nothing is spawned.
 ///
 /// # Errors
 ///
@@ -102,15 +105,15 @@ pub fn run_epoch<E>(
     let Some(committer) = committer else {
         return on_epoch();
     };
-    std::thread::scope(|scope| {
+    let commit = std::thread::scope(|scope| {
         let prepare = scope.spawn(|| committer.prepare_epoch(distributed));
         let programs = on_epoch();
-        if let Err(panic) = prepare.join() {
-            std::panic::resume_unwind(panic);
-        }
-        programs
+        let commit = prepare
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        programs.map(|()| commit)
     })?;
-    committer.commit_epoch(distributed);
+    commit();
     Ok(())
 }
 
@@ -130,6 +133,11 @@ pub fn run_epoch<E>(
 ///    snapshot — the implementation decides whether this epoch is a
 ///    checkpoint boundary (fold the WAL suffix into a full snapshot of
 ///    the distribution) or a no-op.
+///
+/// A logged batch belongs to the lineage whether or not its programs
+/// succeed: when `on_epoch` fails, the epoch is neither committed nor
+/// marked durable, but its frame stays in the WAL, and recovery applies it
+/// and re-runs its programs like any other frame.
 ///
 /// Like the other publication seams, the trait lives here so the
 /// dependency direction stays clean: the pipeline (`ebv-dynamic`) knows
@@ -196,5 +204,89 @@ mod tests {
         let dyn_sink: &dyn ValueSink<u64> = &sink;
         dyn_sink.publish(&[3, 1, 4], &stats);
         assert_eq!(*sink.seen.lock().unwrap(), vec![vec![3, 1, 4]]);
+    }
+
+    /// Records the steps of one epoch in the order they happen.
+    #[derive(Default)]
+    struct Steps(Mutex<Vec<&'static str>>);
+
+    impl Steps {
+        fn push(&self, step: &'static str) {
+            self.0.lock().unwrap().push(step);
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    /// Moved into a commit: records `dropped` unless the commit ran.
+    struct Uncalled<'a>(&'a Steps);
+
+    impl Drop for Uncalled<'_> {
+        fn drop(&mut self) {
+            self.0.push("dropped");
+        }
+    }
+
+    impl EpochCommitter for Steps {
+        fn prepare_epoch<'a>(
+            &'a self,
+            _distributed: &'a DistributedGraph,
+        ) -> Box<dyn FnOnce() + Send + 'a> {
+            // Slow enough that a loop not joining the helper would return
+            // before the prepare is recorded.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            self.push("prepare");
+            let uncalled = Uncalled(self);
+            Box::new(move || {
+                self.push("commit");
+                std::mem::forget(uncalled);
+            })
+        }
+    }
+
+    fn empty_graph() -> DistributedGraph {
+        DistributedGraph::build_streaming(2, Some(4), Vec::new()).unwrap()
+    }
+
+    #[test]
+    fn an_ok_epoch_prepares_once_then_commits_once_after_its_programs() {
+        let (steps, graph) = (Steps::default(), empty_graph());
+        let result = run_epoch(Some(&steps), &graph, || {
+            steps.push("programs");
+            Ok::<(), String>(())
+        });
+        assert_eq!(result, Ok(()));
+        let mut order = steps.take();
+        assert_eq!(order.pop(), Some("commit"), "the commit runs last");
+        order.sort_unstable();
+        // The prepare and the programs run side by side, in either order.
+        assert_eq!(order, vec!["prepare", "programs"]);
+    }
+
+    #[test]
+    fn a_failed_epoch_drops_its_commit_uncalled_after_the_helper_joined() {
+        let (steps, graph) = (Steps::default(), empty_graph());
+        let result = run_epoch(Some(&steps), &graph, || {
+            steps.push("programs");
+            Err("program failed".to_string())
+        });
+        assert_eq!(result, Err("program failed".to_string()));
+        let mut order = steps.take();
+        assert_eq!(order.pop(), Some("dropped"), "nothing is committed");
+        order.sort_unstable();
+        assert_eq!(order, vec!["prepare", "programs"], "the helper finished");
+    }
+
+    #[test]
+    fn without_a_committer_only_the_programs_run() {
+        let (steps, graph) = (Steps::default(), empty_graph());
+        let result = run_epoch(None, &graph, || {
+            steps.push("programs");
+            Ok::<(), String>(())
+        });
+        assert_eq!(result, Ok(()));
+        assert_eq!(steps.take(), vec!["programs"]);
     }
 }

@@ -245,7 +245,8 @@ impl EventPipeline {
     /// conditional stages are the ones [`EpochOptions`] switches on.
     /// "`on_epoch` ∥ prepare" is [`run_epoch`]: the committer's
     /// [`prepare_epoch`](EpochCommitter::prepare_epoch) runs on a scoped
-    /// helper thread beside `on_epoch` and is joined before the commit.
+    /// helper thread beside `on_epoch` and is joined before the commit it
+    /// returned is called.
     ///
     /// The distribution handed to `on_epoch` is the one the batch was just
     /// applied to, so the callback can re-execute programs against it —
@@ -270,7 +271,10 @@ impl EventPipeline {
     /// before a failure remain absorbed in both the partitioner and the
     /// distribution; a batch that failed to log is **not** applied, so the
     /// durable lineage never lags the in-memory state; a failed `on_epoch`
-    /// skips the commit, leaving readers on the last good epoch.
+    /// drops the prepared commit, leaving readers on the last good epoch,
+    /// and the epoch is not marked durable. Its batch was logged, though,
+    /// and a logged batch belongs to the lineage whether or not its
+    /// programs succeeded: recovery applies it and re-runs its programs.
     pub fn run_applied_opts<S, F, R>(
         &self,
         source: S,
@@ -749,16 +753,18 @@ mod tests {
         }
 
         impl EpochCommitter for RecordingCommitter {
-            fn prepare_epoch(&self, distributed: &DistributedGraph) {
+            fn prepare_epoch<'a>(
+                &'a self,
+                distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
                 self.prepares.lock().unwrap().push(distributed.epoch());
-            }
-
-            fn commit_epoch(&self, distributed: &DistributedGraph) {
-                let staged = STAGED.with(|s| *s.borrow());
-                self.commits
-                    .lock()
-                    .unwrap()
-                    .push((distributed.epoch(), staged));
+                Box::new(move || {
+                    let staged = STAGED.with(|s| *s.borrow());
+                    self.commits
+                        .lock()
+                        .unwrap()
+                        .push((distributed.epoch(), staged));
+                })
             }
         }
 
@@ -853,12 +859,14 @@ mod tests {
         }
 
         impl EpochCommitter for CountingCommitter {
-            fn prepare_epoch(&self, _distributed: &DistributedGraph) {
+            fn prepare_epoch<'a>(
+                &'a self,
+                _distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
                 self.prepares.fetch_add(1, Ordering::SeqCst);
-            }
-
-            fn commit_epoch(&self, _distributed: &DistributedGraph) {
-                self.commits.fetch_add(1, Ordering::SeqCst);
+                Box::new(|| {
+                    self.commits.fetch_add(1, Ordering::SeqCst);
+                })
             }
         }
 
@@ -908,12 +916,18 @@ mod tests {
         }
 
         impl EpochCommitter for PanickingPrepare {
-            fn prepare_epoch(&self, distributed: &DistributedGraph) {
-                panic!("prepare of epoch {} failed", distributed.epoch());
-            }
-
-            fn commit_epoch(&self, _distributed: &DistributedGraph) {
-                self.commits.fetch_add(1, Ordering::SeqCst);
+            fn prepare_epoch<'a>(
+                &'a self,
+                distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
+                // Only the first epoch's prepare fails: a loop that went on
+                // past it would commit the next one.
+                if distributed.epoch() == 1 {
+                    panic!("prepare of epoch {} failed", distributed.epoch());
+                }
+                Box::new(|| {
+                    self.commits.fetch_add(1, Ordering::SeqCst);
+                })
             }
         }
 
@@ -991,7 +1005,12 @@ mod tests {
 
         struct NoopCommitter;
         impl EpochCommitter for NoopCommitter {
-            fn commit_epoch(&self, _distributed: &DistributedGraph) {}
+            fn prepare_epoch<'a>(
+                &'a self,
+                _distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
+                Box::new(|| {})
+            }
         }
 
         let stream = RmatEdgeStream::new(8, 1200).with_seed(11);
@@ -1072,11 +1091,16 @@ mod tests {
         }
 
         impl EpochCommitter for Tracing<'_> {
-            fn commit_epoch(&self, distributed: &DistributedGraph) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push(format!("commit {}", distributed.epoch()));
+            fn prepare_epoch<'a>(
+                &'a self,
+                distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
+                Box::new(move || {
+                    self.0
+                        .lock()
+                        .unwrap()
+                        .push(format!("commit {}", distributed.epoch()));
+                })
             }
         }
 
@@ -1161,8 +1185,11 @@ mod tests {
 
         struct NoopCommitter;
         impl EpochCommitter for NoopCommitter {
-            fn commit_epoch(&self, _distributed: &DistributedGraph) {
-                panic!("commit must not run when the log failed");
+            fn prepare_epoch<'a>(
+                &'a self,
+                _distributed: &'a DistributedGraph,
+            ) -> Box<dyn FnOnce() + Send + 'a> {
+                panic!("neither prepare nor commit may run when the log failed");
             }
         }
 

@@ -1,15 +1,16 @@
 //! The served global out-adjacency: one CSR read off the distribution's
-//! per-subgraph CSRs while an epoch's programs run (or at commit time),
-//! either built from scratch or patched forward from the previous
-//! commit's (see [`SnapshotStore::commit_epoch`](crate::SnapshotStore)).
+//! per-subgraph CSRs when a commit is prepared — in an epoch loop, while
+//! the epoch's programs run — either built from scratch or patched forward
+//! from the previous commit's (see
+//! [`SnapshotStore::prepare_epoch`](crate::SnapshotStore)).
 
 use ebv_bsp::DistributedGraph;
 use ebv_graph::VertexId;
 
 /// Global out-neighborhoods in CSR form, read off the distribution's
-/// per-subgraph CSRs at commit time (under a vertex-cut every edge lives
-/// in exactly one subgraph; lists are sorted and deduplicated so edge-cut
-/// distributions and parallel copies serve correctly too).
+/// per-subgraph CSRs when a commit is prepared (under a vertex-cut every
+/// edge lives in exactly one subgraph; lists are sorted and deduplicated
+/// so edge-cut distributions and parallel copies serve correctly too).
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
     pub(crate) offsets: Vec<usize>,

@@ -35,9 +35,10 @@
 //! in `ebv-bsp`: the engine publishes values via
 //! [`RunOptions::publish_to`](ebv_bsp::RunOptions::publish_to), and
 //! the `ebv-dynamic` epoch loop (`EpochOptions::committer`) commits via
-//! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch,
-//! having prepared the epoch's adjacency beside its programs
-//! ([`run_epoch`](ebv_bsp::run_epoch)).
+//! [`EpochCommitter`](ebv_bsp::EpochCommitter) after each applied epoch:
+//! [`run_epoch`](ebv_bsp::run_epoch) prepares the epoch's adjacency beside
+//! its programs and calls the commit that prepare returned once they
+//! succeeded.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -342,6 +342,137 @@ fn recovery_survives_a_second_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cold CC over `dg`, staged into `snapshots` as series `cc`.
+fn stage_cc(engine: &BspEngine, dg: &DistributedGraph, snapshots: &SnapshotStore) -> Vec<u64> {
+    engine
+        .run_opts(
+            dg,
+            &ConnectedComponents::new(),
+            RunOptions::new().publish_to(&snapshots.series_sink::<u64>("cc")),
+        )
+        .expect("CC")
+        .values
+}
+
+/// A failed epoch's batch stays in the lineage. The durable loop logs a
+/// batch before it applies it, so when `on_epoch` fails at epoch 3 the run
+/// returns the error, readers stay on epoch 2 and the WAL holds frame 3.
+/// Recovery replays frame 3, re-runs its programs and commits it, serving
+/// what a run that never failed computed at epoch 3.
+#[test]
+fn a_failed_epoch_stays_logged_and_recovery_commits_it() {
+    use ebv_dynamic::EpochOptions;
+    use ebv_obs::MetricsRegistry;
+    use ebv_serve::Adjacency;
+    use std::collections::BTreeMap;
+
+    const FAILING: usize = 3;
+    let engine = BspEngine::sequential();
+    let stream = || RmatEdgeStream::new(SCALE, EDGES).with_seed(SEED);
+    let churn = || {
+        ChurnStream::new(stream(), CHURN)
+            .expect("churn config")
+            .with_seed(SEED)
+    };
+    let partitioner = || {
+        EbvPartitioner::new()
+            .dynamic(stream().stream_config(WORKERS))
+            .expect("partitioner config")
+    };
+    let empty = || {
+        DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())
+            .expect("empty distribution")
+    };
+    let store = || SnapshotStore::with_registry(&MetricsRegistry::new());
+
+    // The run that never fails, kept at the epochs either side of the
+    // failure.
+    let mut kept = BTreeMap::new();
+    let reference = store();
+    EventPipeline::new(BATCH)
+        .run_applied_opts(
+            churn(),
+            &mut partitioner(),
+            &mut empty(),
+            |dg, _, _, _| {
+                if (FAILING - 1..=FAILING).contains(&dg.epoch()) {
+                    kept.insert(dg.epoch(), (dg.clone(), stage_cc(&engine, dg, &reference)));
+                }
+                Ok(())
+            },
+            EpochOptions::new(),
+        )
+        .expect("the reference run completes");
+    assert!(kept.contains_key(&FAILING));
+
+    // The same run, durable and served, with epoch 3's programs failing
+    // after they staged their values.
+    let dir = fresh_dir("failed-epoch");
+    let (durable, recovered) = DurableState::open(&dir, 1_000).expect("open");
+    assert!(recovered.is_empty());
+    let live = store();
+    live.serve_adjacency(true);
+    let readers = live.handle();
+    let mut distributed = empty();
+    let err = EventPipeline::new(BATCH)
+        .run_applied_opts(
+            churn(),
+            &mut partitioner(),
+            &mut distributed,
+            |dg, _, _, _| {
+                stage_cc(&engine, dg, &live);
+                if dg.epoch() == FAILING {
+                    return Err(DynamicError::InvalidParameter {
+                        parameter: "on_epoch",
+                        message: "program failed".to_string(),
+                    });
+                }
+                Ok(())
+            },
+            EpochOptions::new().committer(&live).durability(&durable, 0),
+        )
+        .expect_err("epoch 3's programs fail");
+    assert!(err.to_string().contains("program failed"), "{err}");
+    assert_eq!(distributed.epoch(), FAILING, "the failed batch was applied");
+    let served = readers.snapshot().expect("epochs 1 and 2 were committed");
+    let (graph, labels) = &kept[&(FAILING - 1)];
+    assert_eq!(served.epoch, FAILING as u64 - 1);
+    assert_eq!(served_u64(&served, "cc"), *labels);
+    let adjacency = Adjacency::from_distributed(graph);
+    for vertex in 0..graph.num_vertices() {
+        assert_eq!(
+            served.neighbors(vertex as u64).unwrap(),
+            adjacency.neighbors(vertex),
+            "epoch 3's prepared adjacency was dropped unpublished"
+        );
+    }
+    drop(durable);
+
+    // Recovery replays the logged frame through the same body, now
+    // succeeding, and commits epoch 3.
+    let (_durable, recovered) = DurableState::open(&dir, 1_000).expect("reopen");
+    let logged: Vec<u64> = recovered.frames.iter().map(|frame| frame.epoch).collect();
+    assert_eq!(logged, vec![1, 2, 3], "the failed epoch's frame is logged");
+    let snapshots = store();
+    let resumed = recovered
+        .resume(
+            empty(),
+            &mut partitioner(),
+            Some(&snapshots),
+            |dg, _, _, _| {
+                stage_cc(&engine, dg, &snapshots);
+                Ok::<_, std::convert::Infallible>(())
+            },
+        )
+        .expect("recovery replays the failed epoch");
+    let (graph, labels) = &kept[&FAILING];
+    assert!(resumed.same_structure(graph));
+    let served = snapshots.handle().snapshot().expect("recovery commits");
+    assert_eq!(served.epoch, FAILING as u64);
+    assert_eq!(served_u64(&served, "cc"), *labels);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A rebalance is just another durable epoch: churn over duplicated edges,
 /// checkpoint, skew the load, rebalance with the migration batch logged as
 /// a WAL frame, run a delete-heavy epoch over the duplicates, then restart
