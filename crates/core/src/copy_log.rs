@@ -16,7 +16,7 @@ const COMPACT_FLOOR: usize = 1024;
 const NO_COPY: u32 = u32::MAX;
 
 /// The link of a removed copy: the live flag folded into the link keeps an
-/// entry at 24 bytes.
+/// entry at 16 bytes.
 const DEAD: u32 = u32::MAX - 1;
 
 /// One appended copy. Removed copies are marked [`DEAD`] in place so that
@@ -31,7 +31,7 @@ struct LogEntry {
     prev: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<LogEntry>() == 24);
+const _: () = assert!(std::mem::size_of::<LogEntry>() == 16);
 
 /// Every live `(edge, partition)` copy in insertion order, with the copies
 /// of one edge threaded into a LIFO stack.
@@ -162,7 +162,9 @@ impl CopyLog {
     }
 
     /// The live copies in insertion order, collected into the log's own
-    /// buffer (an entry and a pair have the same layout).
+    /// buffer: a pair (12 bytes) is smaller than an entry (16 bytes) and
+    /// shares its alignment, so the pairs reuse the allocation, which then
+    /// holds a third more pairs than it held entries.
     pub fn into_pairs(self) -> Vec<(Edge, PartitionId)> {
         let live = self.entries.into_iter().filter(|entry| entry.prev != DEAD);
         live.map(|entry| (entry.edge, entry.part)).collect()

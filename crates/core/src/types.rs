@@ -20,6 +20,10 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(u32);
 
+/// A placed edge copy, the element of every `(edge, partition)` list: the
+/// 8-byte [`Edge`](ebv_graph::Edge) plus the partition, no padding.
+const _: () = assert!(std::mem::size_of::<(ebv_graph::Edge, PartitionId)>() == 12);
+
 impl PartitionId {
     /// Creates a partition identifier from its dense index.
     #[inline]

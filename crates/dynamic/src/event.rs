@@ -17,6 +17,9 @@ pub enum GraphEvent {
     Delete(Edge),
 }
 
+/// The tag shares the 8-byte [`Edge`]'s 4-byte alignment.
+const _: () = assert!(std::mem::size_of::<GraphEvent>() == 12);
+
 impl GraphEvent {
     /// The edge this event concerns.
     pub fn edge(&self) -> Edge {

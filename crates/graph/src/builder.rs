@@ -6,6 +6,9 @@ use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use crate::types::{Edge, GraphKind, VertexId};
 
+/// The most vertices a graph can have: one per 32-bit [`VertexId`].
+const MAX_VERTICES: usize = VertexId::MAX_RAW as usize + 1;
+
 /// Builder for [`Graph`] values.
 ///
 /// The builder accepts edges with arbitrary (possibly sparse) vertex
@@ -122,8 +125,11 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidParameter`] when a declared vertex count
-    /// is smaller than the largest endpoint identifier, and
+    /// Returns [`GraphError::VertexOutOfRange`] when an endpoint (after the
+    /// optional remap) exceeds [`VertexId::MAX_RAW`],
+    /// [`GraphError::InvalidParameter`] when a declared vertex count
+    /// is smaller than the largest endpoint identifier or larger than the
+    /// id range, and
     /// [`GraphError::EmptyGraph`] when no edges were staged and no vertex
     /// count hint was given.
     pub fn build(&self) -> Result<Graph> {
@@ -156,8 +162,14 @@ impl GraphBuilder {
             GraphKind::Directed => raw.len(),
             GraphKind::Undirected => raw.len() * 2,
         });
+        let checked = |raw: u64| {
+            VertexId::try_new(raw).ok_or(GraphError::VertexOutOfRange {
+                vertex: raw,
+                num_vertices: MAX_VERTICES,
+            })
+        };
         for &(s, d) in &raw {
-            let e = Edge::new(VertexId::new(s), VertexId::new(d));
+            let e = Edge::new(checked(s)?, checked(d)?);
             directed.push(e);
             if self.kind.is_undirected() {
                 directed.push(e.reversed());
@@ -174,6 +186,14 @@ impl GraphBuilder {
         let implied_vertices = max_endpoint.map(|m| m as usize + 1).unwrap_or(0);
         let num_vertices = match self.num_vertices_hint {
             Some(hint) => {
+                if hint > MAX_VERTICES {
+                    return Err(GraphError::InvalidParameter {
+                        parameter: "num_vertices",
+                        message: format!(
+                            "declared {hint} vertices, past the {MAX_VERTICES} that 32-bit ids reach"
+                        ),
+                    });
+                }
                 if hint < implied_vertices {
                     return Err(GraphError::InvalidParameter {
                         parameter: "num_vertices",
@@ -199,6 +219,24 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ids_past_the_32_bit_range_are_errors_unless_remapped() {
+        let mut builder = GraphBuilder::directed();
+        builder.add_edge_ids(0, 1 << 32);
+        match builder.build().unwrap_err() {
+            GraphError::VertexOutOfRange { vertex, .. } => assert_eq!(vertex, 1 << 32),
+            other => panic!("unexpected error {other:?}"),
+        }
+        let remapped = builder.remap_ids(true).build().unwrap();
+        assert_eq!(remapped.num_vertices(), 2);
+        let err = GraphBuilder::directed()
+            .add_edge_ids(0, 1)
+            .num_vertices(MAX_VERTICES + 1)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter { .. }), "{err}");
+    }
 
     #[test]
     fn directed_build_counts_vertices_from_max_id() {

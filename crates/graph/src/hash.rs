@@ -8,10 +8,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// dynamic partitioner, `Subgraph`'s local index, the removal matching of
 /// `apply_mutations`, the in-batch cancellation multiset and the WAL resume.
 ///
-/// The keys are dense program-generated 64-bit ids, so a strong-mixing
+/// The keys are dense program-generated 32-bit ids, so a strong-mixing
 /// multiply beats SipHash by a wide margin while staying deterministic. It
 /// offers no protection against keys crafted to collide and must never be
 /// used where iteration order is observable.
+///
+/// [`write_u32`](Hasher::write_u32) widens to [`write_u64`](Hasher::write_u64),
+/// so a key hashes to the same value whether its ids are stored in 32 or
+/// 64 bits: narrowing `VertexId` changed no hash, and so no map's
+/// iteration order.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 

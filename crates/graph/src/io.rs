@@ -78,8 +78,10 @@ pub fn parse_edge_line(line: &str, line_number: usize) -> Result<Option<(u64, u6
 /// # Errors
 ///
 /// Returns [`GraphError::ParseEdge`] for malformed lines, [`GraphError::Io`]
-/// for underlying I/O failures and [`GraphError::EmptyGraph`] when the input
-/// has no edges.
+/// for underlying I/O failures, [`GraphError::EmptyGraph`] when the input
+/// has no edges and [`GraphError::VertexOutOfRange`] for an id past
+/// [`VertexId::MAX_RAW`](crate::VertexId::MAX_RAW) unless
+/// [`EdgeListOptions::remap_ids`] is set.
 ///
 /// # Examples
 ///
@@ -175,6 +177,28 @@ mod tests {
     #[test]
     fn remap_option_densifies() {
         let text = "100 200\n200 300\n";
+        let opts = EdgeListOptions {
+            remap_ids: true,
+            ..EdgeListOptions::default()
+        };
+        let g = read_edge_list(text.as_bytes(), opts).unwrap();
+        assert_eq!(g.num_vertices(), 3);
+    }
+
+    #[test]
+    fn ids_past_the_32_bit_range_need_the_remap() {
+        let text = "0 1\n1 4294967296\n";
+        let err = read_edge_list(text.as_bytes(), EdgeListOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::VertexOutOfRange {
+                    vertex: 4_294_967_296,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         let opts = EdgeListOptions {
             remap_ids: true,
             ..EdgeListOptions::default()

@@ -8,6 +8,14 @@ use std::fmt;
 /// identifiers `0..n`. External (sparse) identifiers are remapped by
 /// [`GraphBuilder`](crate::GraphBuilder) when the graph is constructed.
 ///
+/// An identifier is stored in 32 bits, so the range is
+/// `0..=`[`VertexId::MAX_RAW`] (2³² − 1) and an [`Edge`] takes 8 bytes.
+/// The accessors still speak `u64` and `usize`. [`VertexId::new`] and the
+/// conversions from `u64` and `usize` panic on a raw value past the range,
+/// like an out-of-bounds index; code that reads identifiers from outside
+/// the program checks them with [`VertexId::try_new`] (or
+/// [`Edge::try_from_raw`]) and reports a typed error instead.
+///
 /// # Examples
 ///
 /// ```
@@ -16,21 +24,49 @@ use std::fmt;
 /// let v = VertexId::new(7);
 /// assert_eq!(v.index(), 7);
 /// assert_eq!(format!("{v}"), "7");
+/// assert_eq!(VertexId::try_new(u64::from(u32::MAX)), Some(VertexId::new(4_294_967_295)));
+/// assert_eq!(VertexId::try_new(1 << 32), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct VertexId(u64);
+pub struct VertexId(u32);
+
+const _: () = assert!(std::mem::size_of::<VertexId>() == 4);
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
 
 impl VertexId {
+    /// The largest raw value a vertex identifier can hold.
+    pub const MAX_RAW: u64 = u32::MAX as u64;
+
     /// Creates a vertex identifier from its dense index.
+    ///
+    /// # Panics
+    ///
+    /// When `raw` exceeds [`VertexId::MAX_RAW`].
     #[inline]
+    #[track_caller]
     pub const fn new(raw: u64) -> Self {
-        VertexId(raw)
+        match Self::try_new(raw) {
+            Some(id) => id,
+            None => panic!("vertex id out of the 32-bit range"),
+        }
     }
 
-    /// Returns the raw 64-bit value of this identifier.
+    /// Creates a vertex identifier from its dense index, or `None` when
+    /// `raw` exceeds [`VertexId::MAX_RAW`]. Readers of external input use
+    /// this to turn an out-of-range id into their own typed error.
+    #[inline]
+    pub const fn try_new(raw: u64) -> Option<Self> {
+        if raw <= Self::MAX_RAW {
+            Some(VertexId(raw as u32))
+        } else {
+            None
+        }
+    }
+
+    /// Returns the raw value of this identifier, widened to 64 bits.
     #[inline]
     pub const fn raw(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// Returns the identifier as a `usize` suitable for indexing
@@ -47,25 +83,35 @@ impl fmt::Display for VertexId {
     }
 }
 
+/// Panics past [`VertexId::MAX_RAW`], like [`VertexId::new`].
 impl From<u64> for VertexId {
+    #[track_caller]
     fn from(raw: u64) -> Self {
-        VertexId(raw)
+        VertexId::new(raw)
     }
 }
 
 impl From<u32> for VertexId {
     fn from(raw: u32) -> Self {
-        VertexId(u64::from(raw))
+        VertexId(raw)
     }
 }
 
+/// Panics past [`VertexId::MAX_RAW`], like [`VertexId::new`].
 impl From<usize> for VertexId {
+    #[track_caller]
     fn from(raw: usize) -> Self {
-        VertexId(raw as u64)
+        VertexId::new(raw as u64)
     }
 }
 
 impl From<VertexId> for u64 {
+    fn from(id: VertexId) -> Self {
+        id.raw()
+    }
+}
+
+impl From<VertexId> for u32 {
     fn from(id: VertexId) -> Self {
         id.0
     }
@@ -107,6 +153,16 @@ impl Edge {
         Edge { src, dst }
     }
 
+    /// Creates an edge from raw endpoint ids, or `None` when either exceeds
+    /// [`VertexId::MAX_RAW`].
+    #[inline]
+    pub const fn try_from_raw(src: u64, dst: u64) -> Option<Self> {
+        match (VertexId::try_new(src), VertexId::try_new(dst)) {
+            (Some(src), Some(dst)) => Some(Edge { src, dst }),
+            _ => None,
+        }
+    }
+
     /// Returns the edge with its direction flipped.
     #[inline]
     pub const fn reversed(self) -> Self {
@@ -146,7 +202,9 @@ impl fmt::Display for Edge {
     }
 }
 
+/// Panics when an endpoint exceeds [`VertexId::MAX_RAW`].
 impl From<(u64, u64)> for Edge {
+    #[track_caller]
     fn from((src, dst): (u64, u64)) -> Self {
         Edge::new(VertexId::new(src), VertexId::new(dst))
     }
@@ -200,10 +258,28 @@ mod tests {
         assert_eq!(v.raw(), 42);
         assert_eq!(v.index(), 42);
         assert_eq!(u64::from(v), 42);
+        assert_eq!(u32::from(v), 42);
         assert_eq!(usize::from(v), 42);
         assert_eq!(VertexId::from(42u64), v);
         assert_eq!(VertexId::from(42u32), v);
         assert_eq!(VertexId::from(42usize), v);
+    }
+
+    #[test]
+    fn vertex_id_range_is_32_bit() {
+        let top = VertexId::new(VertexId::MAX_RAW);
+        assert_eq!(top.raw(), u64::from(u32::MAX));
+        assert_eq!(top.index(), u32::MAX as usize);
+        assert_eq!(VertexId::try_new(VertexId::MAX_RAW), Some(top));
+        assert_eq!(VertexId::try_new(VertexId::MAX_RAW + 1), None);
+        assert_eq!(VertexId::try_new(u64::MAX), None);
+        assert!(std::panic::catch_unwind(|| VertexId::new(1 << 32)).is_err());
+        assert!(std::panic::catch_unwind(|| Edge::from((0, u64::MAX))).is_err());
+        assert_eq!(
+            Edge::try_from_raw(0, VertexId::MAX_RAW),
+            Some(Edge::new(VertexId::new(0), top))
+        );
+        assert_eq!(Edge::try_from_raw(1 << 32, 0), None);
     }
 
     #[test]

@@ -11,10 +11,11 @@ use ebv_graph::VertexId;
 /// per-subgraph CSRs when a commit is prepared (under a vertex-cut every
 /// edge lives in exactly one subgraph; lists are sorted and deduplicated
 /// so edge-cut distributions and parallel copies serve correctly too).
+/// Targets are stored as 32-bit vertex ids, half the bytes of a `u64`.
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
     pub(crate) offsets: Vec<usize>,
-    pub(crate) targets: Vec<u64>,
+    pub(crate) targets: Vec<u32>,
     /// [`Lineage::state`](ebv_bsp::Lineage::state) of the distribution
     /// these lists describe; 0 — no state — for the empty default. This is
     /// what lets a commit *know* whether the adjacency it holds is the new
@@ -38,12 +39,12 @@ impl Adjacency {
             offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0u64; offsets[n]];
+        let mut targets = vec![0u32; offsets[n]];
         for sg in distributed.subgraphs() {
             for (local, v) in sg.vertices().iter().enumerate() {
                 let at = &mut cursor[v.index()];
                 for &neighbor in sg.out_neighbors(local) {
-                    targets[*at] = sg.vertex_at(neighbor as usize).raw();
+                    targets[*at] = sg.vertex_at(neighbor as usize).into();
                     *at += 1;
                 }
             }
@@ -89,7 +90,7 @@ impl Adjacency {
         // Copies the lists of the unaffected run `from..to` (vertices the
         // previous state already had: a created vertex is always affected).
         let copy_run =
-            |offsets: &mut Vec<usize>, targets: &mut Vec<u64>, from: usize, to: usize| {
+            |offsets: &mut Vec<usize>, targets: &mut Vec<u32>, from: usize, to: usize| {
                 if from == to {
                     return;
                 }
@@ -109,7 +110,7 @@ impl Adjacency {
             list.clear();
             for (sg, local) in distributed.holders_of(v) {
                 let neighbors = sg.out_neighbors(local).iter();
-                list.extend(neighbors.map(|&neighbor| sg.vertex_at(neighbor as usize).raw()));
+                list.extend(neighbors.map(|&neighbor| u32::from(sg.vertex_at(neighbor as usize))));
             }
             list.sort_unstable();
             list.dedup();
@@ -130,8 +131,8 @@ impl Adjacency {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// The sorted out-neighbors of `vertex`.
-    pub fn neighbors(&self, vertex: usize) -> &[u64] {
+    /// The sorted out-neighbors of `vertex`, as raw 32-bit vertex ids.
+    pub fn neighbors(&self, vertex: usize) -> &[u32] {
         &self.targets[self.offsets[vertex]..self.offsets[vertex + 1]]
     }
 }

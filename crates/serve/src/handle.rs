@@ -113,13 +113,17 @@ impl QueryHandle {
         self.timed(|snapshot| snapshot.topk(name, k, descending))
     }
 
-    /// Neighborhood query: `vertex`'s sorted out-neighbors.
+    /// Neighborhood query: `vertex`'s sorted out-neighbors, widened from
+    /// the served 32-bit ids.
     ///
     /// # Errors
     ///
     /// [`QueryError`] as for [`GraphSnapshot::neighbors`].
     pub fn neighbors(&self, vertex: u64) -> Result<Vec<u64>, QueryError> {
-        self.timed(|snapshot| snapshot.neighbors(vertex).map(|n| n.to_vec()))
+        self.timed(|snapshot| {
+            let neighbors = snapshot.neighbors(vertex)?;
+            Ok(neighbors.iter().map(|&n| u64::from(n)).collect())
+        })
     }
 
     /// Runs `read` against one snapshot, counting it — and, if it falls on

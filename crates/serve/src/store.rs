@@ -224,12 +224,12 @@ impl GraphSnapshot {
         Ok(crate::topk::topk(data, &committed.zones, k, descending))
     }
 
-    /// The sorted out-neighbors of `vertex`.
+    /// The sorted out-neighbors of `vertex`, as raw 32-bit vertex ids.
     ///
     /// # Errors
     ///
     /// [`QueryError::NoAdjacency`] / [`QueryError::UnknownVertex`].
-    pub fn neighbors(&self, vertex: u64) -> Result<&[u64], QueryError> {
+    pub fn neighbors(&self, vertex: u64) -> Result<&[u32], QueryError> {
         let adjacency = self.adjacency.as_deref().ok_or(QueryError::NoAdjacency)?;
         let index = vertex as usize;
         if index >= adjacency.num_vertices() {

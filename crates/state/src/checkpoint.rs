@@ -31,7 +31,7 @@ use std::fs;
 use std::path::Path;
 
 use ebv_bsp::{DistributedGraph, DistributedGraphBuilder};
-use ebv_graph::Edge;
+use ebv_graph::{Edge, VertexId};
 use ebv_partition::{DynamicPartitioner, PartitionId};
 
 use crate::crc::crc32;
@@ -253,6 +253,12 @@ impl Checkpoint {
         let num_vertices = usize::try_from(cursor.varint()?).ok()?;
         let workers = usize::try_from(cursor.varint()?).ok()?;
         let universe = usize::try_from(cursor.varint()?).ok()?;
+        // Vertex spaces past the 32-bit id range are corruption, as are the
+        // ids `decode_pairs` rejects.
+        let id_space = VertexId::MAX_RAW as usize + 1;
+        if num_vertices > id_space || universe > id_space {
+            return None;
+        }
         let surviving = decode_pairs(&mut cursor)?;
         let n_series = usize::try_from(cursor.varint()?).ok()?;
         let mut series = Vec::with_capacity(n_series.min(1 << 10));
@@ -490,6 +496,16 @@ mod tests {
             Checkpoint::load(&path).unwrap_err(),
             StateError::Corrupt { .. }
         ));
+        // So is a CRC-valid body whose vertex space outruns 32-bit ids.
+        for wide in [(1 << 32) + 1, 1 << 40] {
+            let mut spaced = checkpoint.clone();
+            spaced.num_vertices = wide;
+            fs::write(&path, spaced.encode()).unwrap();
+            assert!(matches!(
+                Checkpoint::load(&path).unwrap_err(),
+                StateError::Corrupt { .. }
+            ));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

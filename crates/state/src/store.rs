@@ -635,6 +635,29 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn crc_valid_frame_with_an_id_past_the_32_bit_range_is_corrupt() {
+        let dir = temp_dir("hostile-id");
+        fs::create_dir_all(&dir).unwrap();
+        // epoch 1, 1 event, one added copy (2^32 -> 0 on partition 0), no
+        // removals: well-formed varints under a valid CRC.
+        let mut body = Vec::new();
+        for value in [1, 1, 1, 1 << 32, 0, 0, 0] {
+            wal::push_varint(&mut body, value);
+        }
+        let mut segment = wal::WAL_MAGIC.to_vec();
+        wal::push_varint(&mut segment, body.len() as u64);
+        segment.extend_from_slice(&body);
+        segment.extend_from_slice(&crate::crc::crc32(&body).to_le_bytes());
+        fs::write(dir.join("wal-1.log"), &segment).unwrap();
+        let err = DurableState::open(&dir, 4).unwrap_err();
+        assert!(
+            matches!(err, StateError::Corrupt { offset, .. } if offset == wal::WAL_MAGIC.len() as u64),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn crc_valid_epoch_gap_is_a_hard_error() {
         let dir = temp_dir("gap");
         {

@@ -144,7 +144,9 @@ fn decode_body(body: &[u8]) -> Option<WalFrame> {
     })
 }
 
-/// Reads one [`push_pairs`] list. Shared by the WAL and checkpoint decoders.
+/// Reads one [`push_pairs`] list. Shared by the WAL and checkpoint decoders,
+/// which report `None` — including an id past the 32-bit vertex range — as
+/// corruption.
 pub(crate) fn decode_pairs(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, PartitionId)>> {
     let count = usize::try_from(cursor.varint()?).ok()?;
     let mut pairs = Vec::with_capacity(count.min(1 << 20));
@@ -152,7 +154,7 @@ pub(crate) fn decode_pairs(cursor: &mut Cursor<'_>) -> Option<Vec<(Edge, Partiti
         let src = cursor.varint()?;
         let dst = cursor.varint()?;
         let part = u32::try_from(cursor.varint()?).ok()?;
-        pairs.push((Edge::from((src, dst)), PartitionId::new(part)));
+        pairs.push((Edge::try_from_raw(src, dst)?, PartitionId::new(part)));
     }
     Some(pairs)
 }

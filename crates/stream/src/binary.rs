@@ -4,13 +4,14 @@
 //! by edges as pairs of LEB128 varint-encoded vertex identifiers. Typical
 //! social-network edge lists compress to 2–6 bytes per endpoint instead of
 //! the 8 of fixed-width `u64`, and the format needs no length prefix — the
-//! stream simply ends at a pair boundary.
+//! stream simply ends at a pair boundary. The varints are 64-bit; a reader
+//! rejects an id past the 32-bit [`VertexId`] range as malformed.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use ebv_graph::Edge;
+use ebv_graph::{Edge, VertexId};
 
 use crate::error::{Result, StreamError};
 use crate::source::EdgeSource;
@@ -136,15 +137,20 @@ impl<R: Read> BinaryEdgeReader<R> {
         Ok(BinaryEdgeReader { reader, offset: 8 })
     }
 
-    /// Reads one varint via the shared strict codec; `Ok(None)` on clean
-    /// EOF at the first byte when `allow_eof` is set.
-    fn read_varint(&mut self, allow_eof: bool) -> Result<Option<u64>> {
+    /// Reads one vertex id, a varint via the shared strict codec; `Ok(None)`
+    /// on clean EOF at the first byte when `allow_eof` is set.
+    fn read_id(&mut self, allow_eof: bool) -> Result<Option<VertexId>> {
         let invalid = |offset: u64, message: &str| StreamError::InvalidFormat {
             offset,
             message: message.to_string(),
         };
         match varint::read_u64(&mut self.reader, &mut self.offset) {
-            Ok(Some(value)) => Ok(Some(value)),
+            Ok(Some(value)) => VertexId::try_new(value).map(Some).ok_or_else(|| {
+                invalid(
+                    self.offset,
+                    &format!("vertex id {value} exceeds the 32-bit id range"),
+                )
+            }),
             Ok(None) if allow_eof => Ok(None),
             Ok(None) => Err(invalid(self.offset, "stream truncated mid-edge")),
             Err(VarintError::Truncated) => Err(invalid(self.offset, "stream truncated mid-edge")),
@@ -171,16 +177,16 @@ impl BinaryEdgeReader<File> {
 
 impl<R: Read> EdgeSource for BinaryEdgeReader<R> {
     fn next_edge(&mut self) -> Option<Result<Edge>> {
-        let src = match self.read_varint(true) {
+        let src = match self.read_id(true) {
             Ok(Some(src)) => src,
             Ok(None) => return None,
             Err(err) => return Some(Err(err)),
         };
-        match self.read_varint(false) {
-            Ok(Some(dst)) => Some(Ok(Edge::from((src, dst)))),
+        match self.read_id(false) {
+            Ok(Some(dst)) => Some(Ok(Edge::new(src, dst))),
             // `allow_eof = false` maps EOF to InvalidFormat, so plain
             // unreachable data never reaches here.
-            Ok(None) => unreachable!("read_varint(false) never yields None"),
+            Ok(None) => unreachable!("read_id(false) never yields None"),
             Err(err) => Some(Err(err)),
         }
     }
@@ -207,17 +213,38 @@ mod tests {
 
     #[test]
     fn roundtrips_varied_magnitudes() {
+        let top = VertexId::MAX_RAW;
         let edges = [
             (0, 1),
             (127, 128),
             (16_383, 16_384),
-            (u64::MAX, 42),
-            (1 << 40, (1 << 50) + 3),
+            (top, 42),
+            (1 << 31, top - 3),
         ];
         let out = roundtrip(&edges);
         assert_eq!(out.len(), edges.len());
         for (edge, &(s, d)) in out.iter().zip(&edges) {
             assert_eq!(*edge, Edge::from((s, d)));
+        }
+
+        // One past the top of the id range, as a source and as a target:
+        // a typed error after the edges before it, not a panic.
+        for past in [(top + 1, 0), (3, u64::MAX)] {
+            let mut buffer = MAGIC.to_vec();
+            for value in [5, 6, past.0, past.1] {
+                varint::write_u64(&mut buffer, value).unwrap();
+            }
+            let mut reader = BinaryEdgeReader::new(buffer.as_slice()).unwrap();
+            assert_eq!(
+                reader.next_edge().unwrap().unwrap(),
+                Edge::from((5u64, 6u64))
+            );
+            match reader.next_edge().unwrap().unwrap_err() {
+                StreamError::InvalidFormat { message, .. } => {
+                    assert!(message.contains("32-bit"), "{message}")
+                }
+                other => panic!("expected InvalidFormat, got {other:?}"),
+            }
         }
     }
 

@@ -11,15 +11,16 @@ use ebv_partition::PartitionError;
 /// stream.
 #[derive(Debug)]
 pub enum StreamError {
-    /// A line of edge-list text could not be parsed.
+    /// A line of edge-list text could not be parsed, or names a vertex id
+    /// past the 32-bit range.
     Parse {
         /// 1-based line number within the stream.
         line: usize,
         /// The offending line content.
         content: String,
     },
-    /// A binary edge stream is malformed (bad magic, truncated varint or a
-    /// pair cut off mid-edge).
+    /// A binary edge stream is malformed (bad magic, truncated varint, a
+    /// pair cut off mid-edge or a vertex id past the 32-bit range).
     InvalidFormat {
         /// Byte offset at which the problem was detected.
         offset: u64,

@@ -48,6 +48,8 @@ pub trait EdgeSource {
 }
 
 /// An [`EdgeSource`] over any infallible iterator of `(src, dst)` pairs.
+/// The pairs come from the program itself, so an id past the 32-bit
+/// [`VertexId`](ebv_graph::VertexId) range panics, as in `Edge::from`.
 ///
 /// # Examples
 ///

@@ -173,11 +173,16 @@ impl UniformEdgeStream {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vertices < 2` (no loop-free edge exists).
+    /// Panics if `num_vertices < 2` (no loop-free edge exists) or exceeds
+    /// the 2³² ids a [`VertexId`](ebv_graph::VertexId) holds.
     pub fn new(num_vertices: u64, num_edges: usize) -> Self {
         assert!(
             num_vertices >= 2,
             "a loop-free uniform stream needs at least 2 vertices"
+        );
+        assert!(
+            num_vertices <= ebv_graph::VertexId::MAX_RAW + 1,
+            "a uniform stream has at most 2^32 vertices, got {num_vertices}"
         );
         UniformEdgeStream {
             num_vertices,

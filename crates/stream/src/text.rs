@@ -8,14 +8,15 @@ use std::path::Path;
 use ebv_graph::io::parse_edge_line;
 use ebv_graph::Edge;
 
-use crate::error::Result;
+use crate::error::{Result, StreamError};
 use crate::source::EdgeSource;
 
 /// Streams edges out of whitespace-separated edge-list text without ever
 /// materializing the file: one buffered line at a time, using the same line
 /// grammar as the batch reader ([`ebv_graph::io::read_edge_list`]) — blank
 /// lines and `#`/`%` comments are skipped, malformed lines report their
-/// 1-based line number.
+/// 1-based line number. Ids are not remapped, so a line naming an id past
+/// the 32-bit [`VertexId`](ebv_graph::VertexId) range is malformed too.
 ///
 /// # Examples
 ///
@@ -78,7 +79,14 @@ impl<R: Read> EdgeSource for TextEdgeReader<R> {
             }
             self.line_number += 1;
             match parse_edge_line(&self.line_buffer, self.line_number) {
-                Ok(Some(pair)) => return Some(Ok(Edge::from(pair))),
+                Ok(Some((src, dst))) => {
+                    return Some(
+                        Edge::try_from_raw(src, dst).ok_or_else(|| StreamError::Parse {
+                            line: self.line_number,
+                            content: self.line_buffer.trim().to_string(),
+                        }),
+                    )
+                }
                 Ok(None) => continue,
                 Err(err) => return Some(Err(err.into())),
             }
@@ -89,7 +97,6 @@ impl<R: Read> EdgeSource for TextEdgeReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StreamError;
 
     fn collect(text: &str) -> Result<Vec<Edge>> {
         let mut reader = TextEdgeReader::new(text.as_bytes());
@@ -115,6 +122,19 @@ mod tests {
             StreamError::Parse { line, content } => {
                 assert_eq!(line, 4);
                 assert_eq!(content, "broken");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ids_past_the_32_bit_range_are_parse_errors() {
+        let edges = collect("0 4294967295\n").unwrap();
+        assert_eq!(edges[0].dst.raw(), u64::from(u32::MAX));
+        match collect("0 1\n4294967296 2\n").unwrap_err() {
+            StreamError::Parse { line, content } => {
+                assert_eq!(line, 2);
+                assert_eq!(content, "4294967296 2");
             }
             other => panic!("unexpected error {other:?}"),
         }

@@ -1,12 +1,13 @@
 //! Property and adversarial tests for the binary varint edge-stream
 //! format: arbitrary edge lists roundtrip exactly, and every malformed
-//! input class (truncation, overlong varints, bad magic) surfaces as a
-//! typed [`StreamError::InvalidFormat`] — never a panic.
+//! input class (truncation, overlong varints, bad magic, ids past the
+//! 32-bit vertex range) surfaces as a typed [`StreamError::InvalidFormat`]
+//! — never a panic.
 
 use proptest::prelude::*;
 
-use ebv_graph::Edge;
-use ebv_stream::{BinaryEdgeReader, BinaryEdgeWriter, EdgeSource, StreamError, MAGIC};
+use ebv_graph::{Edge, VertexId};
+use ebv_stream::{varint, BinaryEdgeReader, BinaryEdgeWriter, EdgeSource, StreamError, MAGIC};
 
 fn encode(edges: &[(u64, u64)]) -> Vec<u8> {
     let mut buffer = Vec::new();
@@ -15,6 +16,17 @@ fn encode(edges: &[(u64, u64)]) -> Vec<u8> {
         writer.write_edge(Edge::from(pair)).unwrap();
     }
     writer.finish().unwrap();
+    buffer
+}
+
+/// The stream a writer with no id range would produce: magic, then every
+/// id as a varint, past-range ones included.
+fn encode_raw(pairs: &[(u64, u64)]) -> Vec<u8> {
+    let mut buffer = MAGIC.to_vec();
+    for &(src, dst) in pairs {
+        varint::write_u64(&mut buffer, src).unwrap();
+        varint::write_u64(&mut buffer, dst).unwrap();
+    }
     buffer
 }
 
@@ -27,47 +39,82 @@ fn decode_all(bytes: &[u8]) -> Result<Vec<Edge>, StreamError> {
     Ok(out)
 }
 
+/// The edges decoded before the first error, and that error.
+fn decode_prefix(bytes: &[u8]) -> (Vec<Edge>, Option<StreamError>) {
+    let mut reader = BinaryEdgeReader::new(bytes).unwrap();
+    let mut out = Vec::new();
+    while let Some(edge) = reader.next_edge() {
+        match edge {
+            Ok(edge) => out.push(edge),
+            Err(err) => return (out, Some(err)),
+        }
+    }
+    (out, None)
+}
+
+/// Ids of `bits` significant bits for `bits` uniform in `0..=max_bits`,
+/// so every varint length class up to `max_bits` is drawn.
+fn id(max_bits: u32) -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0..=max_bits).prop_map(|(x, bits)| x.checked_shr(64 - bits).unwrap_or(0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Roundtrip: any edge list (including endpoints spanning every varint
-    /// length class up to the full u64 range) decodes to exactly the edges
-    /// that were written.
+    /// Roundtrip: any edge list (endpoints spanning every varint length
+    /// class up to the top of the 32-bit id range) decodes to exactly the
+    /// edges that were written. One id past the range, spliced in at any
+    /// edge, ends the stream there with a typed error.
     #[test]
-    fn arbitrary_edges_roundtrip(edges in proptest::collection::vec(
-        (any::<u64>(), any::<u64>()),
-        0..200,
-    )) {
+    fn arbitrary_edges_roundtrip(
+        edges in proptest::collection::vec((id(32), id(32)), 0..200),
+        past in (VertexId::MAX_RAW + 1)..=u64::MAX,
+        at in any::<u64>(),
+        as_src in any::<bool>(),
+    ) {
         let bytes = encode(&edges);
+        prop_assert_eq!(&bytes, &encode_raw(&edges));
         let decoded = decode_all(&bytes).unwrap();
         prop_assert_eq!(decoded.len(), edges.len());
         for (edge, &(s, d)) in decoded.iter().zip(&edges) {
             prop_assert_eq!(*edge, Edge::from((s, d)));
         }
+
+        let mut hostile = edges.clone();
+        let at = (at as usize) % (hostile.len() + 1);
+        hostile.insert(at, if as_src { (past, 0) } else { (0, past) });
+        let (decoded, err) = decode_prefix(&encode_raw(&hostile));
+        prop_assert_eq!(&decoded[..], &decode_all(&bytes).unwrap()[..at]);
+        match err {
+            Some(StreamError::InvalidFormat { message, .. }) => {
+                prop_assert!(message.contains("32-bit"), "{}", message)
+            }
+            other => prop_assert!(false, "expected InvalidFormat, got {:?}", other),
+        }
     }
 
-    /// Truncating a valid stream at any byte inside the edge payload either
-    /// yields a clean prefix of the edges or a typed InvalidFormat error —
-    /// never a panic, never a phantom edge.
+    /// Truncating a stream of arbitrary 64-bit ids at any byte inside the
+    /// edge payload yields a prefix of the edges and, unless the cut falls
+    /// on a pair boundary past only in-range ids, a typed InvalidFormat
+    /// error — never a panic, never a phantom edge.
     #[test]
     fn truncation_never_panics(
-        edges in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..50),
+        edges in proptest::collection::vec((id(64), id(64)), 1..50),
         cut in any::<u64>(),
     ) {
-        let bytes = encode(&edges);
+        let bytes = encode_raw(&edges);
         let cut = MAGIC.len() + (cut as usize) % (bytes.len() - MAGIC.len());
-        match decode_all(&bytes[..cut]) {
-            Ok(decoded) => {
-                // A clean cut at a pair boundary: a strict prefix.
-                prop_assert!(decoded.len() < edges.len());
-                for (edge, &(s, d)) in decoded.iter().zip(&edges) {
-                    prop_assert_eq!(*edge, Edge::from((s, d)));
-                }
+        let (decoded, err) = decode_prefix(&bytes[..cut]);
+        prop_assert!(decoded.len() < edges.len());
+        for (edge, &(s, d)) in decoded.iter().zip(&edges) {
+            prop_assert_eq!((edge.src.raw(), edge.dst.raw()), (s, d));
+        }
+        match err {
+            None => {}
+            Some(StreamError::InvalidFormat { offset, .. }) => {
+                prop_assert!(offset <= cut as u64);
             }
-            Err(StreamError::InvalidFormat { offset, .. }) => {
-                prop_assert!(offset <= bytes.len() as u64);
-            }
-            Err(other) => prop_assert!(false, "unexpected error class: {}", other),
+            Some(other) => prop_assert!(false, "unexpected error class: {}", other),
         }
     }
 }
@@ -114,17 +161,30 @@ fn overlong_varint_is_invalid_format_not_a_panic() {
 
 #[test]
 fn ten_byte_varint_with_excess_high_bits_is_rejected() {
-    // u64::MAX encodes as nine 0xFF bytes plus 0x01; flipping more bits
-    // into the tenth byte overflows the 64-bit value range.
-    let mut ok = MAGIC.to_vec();
-    ok.extend_from_slice(&[0xFF; 9]);
-    ok.push(0x01); // u64::MAX as src
-    ok.push(0x00); // dst = 0
-    let mut reader = BinaryEdgeReader::new(ok.as_slice()).unwrap();
+    // u32::MAX, the top vertex id, is five bytes and decodes.
+    let mut top = MAGIC.to_vec();
+    top.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+    top.push(0x00);
+    let mut reader = BinaryEdgeReader::new(top.as_slice()).unwrap();
     let edge = reader.next_edge().unwrap().unwrap();
-    assert_eq!(edge.src.raw(), u64::MAX);
+    assert_eq!(edge.src.raw(), VertexId::MAX_RAW);
     assert_eq!(edge.dst.raw(), 0);
 
+    // u64::MAX encodes as nine 0xFF bytes plus 0x01: a valid varint, but
+    // far past the 32-bit id range.
+    let mut wide = MAGIC.to_vec();
+    wide.extend_from_slice(&[0xFF; 9]);
+    wide.push(0x01); // u64::MAX as src
+    wide.push(0x00); // dst = 0
+    let mut reader = BinaryEdgeReader::new(wide.as_slice()).unwrap();
+    let err = reader.next_edge().unwrap().unwrap_err();
+    assert!(
+        matches!(err, StreamError::InvalidFormat { offset: 18, ref message } if message.contains("32-bit")),
+        "got {err}"
+    );
+
+    // Flipping more bits into the tenth byte overflows the 64-bit value
+    // range itself.
     let mut overflowing = MAGIC.to_vec();
     overflowing.extend_from_slice(&[0xFF; 9]);
     overflowing.push(0x03); // one bit beyond the 64th
@@ -132,7 +192,7 @@ fn ten_byte_varint_with_excess_high_bits_is_rejected() {
     let mut reader = BinaryEdgeReader::new(overflowing.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
     assert!(
-        matches!(err, StreamError::InvalidFormat { .. }),
+        matches!(err, StreamError::InvalidFormat { ref message, .. } if message.contains("overflow")),
         "got {err}"
     );
 }
