@@ -18,11 +18,12 @@
 
 use std::time::Instant;
 
-use ebv_graph::{Edge, IdHashMap};
+use ebv_graph::{Edge, IdHashMap, VertexSet};
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 
 use crate::distributed::{mint_state, DistributedGraph};
 use crate::error::{BspError, Result};
+use crate::lanes::Job;
 use crate::mutation_batch::{MutationBatch, MutationStats};
 use crate::replica::MasterRule;
 use crate::subgraph::Subgraph;
@@ -173,24 +174,19 @@ impl DistributedGraph {
         // Group removals per partition, then resolve the last occurrences in
         // one reverse sweep per partition so survivor order is preserved.
         let mut to_remove: Vec<IdHashMap<Edge, usize>> = vec![IdHashMap::default(); p];
+        let mut removals = vec![0usize; p];
         for &(edge, part) in batch.removed() {
             *to_remove[part.index()].entry(edge).or_insert(0) += 1;
+            removals[part.index()] += 1;
         }
         let mut keep_masks: Vec<Option<Vec<bool>>> = vec![None; p];
+        let mut filter = EdgeFilter::default();
         for (i, pending) in to_remove.iter_mut().enumerate() {
             if pending.is_empty() {
                 continue;
             }
-            let edges = self.subgraphs[i].edges();
-            let mut keep = vec![true; edges.len()];
-            for index in (0..edges.len()).rev() {
-                if let Some(count) = pending.get_mut(&edges[index]) {
-                    if *count > 0 {
-                        *count -= 1;
-                        keep[index] = false;
-                    }
-                }
-            }
+            filter.fill(pending.keys().copied(), removals[i]);
+            let keep = sweep(self.subgraphs[i].edges(), pending, &filter);
             // Deterministic error: the smallest unmatched edge (partitions
             // are scanned in ascending order).
             if let Some(&edge) = pending
@@ -250,27 +246,125 @@ impl DistributedGraph {
     }
 
     /// Step 5 — re-assembles exactly the workers with a new edge list, in
-    /// the buffers they hold, with no isolated tail or master flag yet.
-    /// Returns the edges re-indexed.
+    /// the buffers they hold, on the graph's lanes: CSRs and local
+    /// components, with no isolated tail or master flag yet. Returns the
+    /// edges re-indexed.
     fn rebuild_touched(&mut self, new_edges: Vec<Option<Vec<Edge>>>) -> usize {
-        let lists = new_edges.iter().flatten();
-        let max_edges = lists.clone().map(Vec::len).max().unwrap_or(0);
-        let edges_rebuilt = lists.map(Vec::len).sum();
-        let mut scratch = Subgraph::build_scratch(self.num_vertices, max_edges);
-        for (sg, edges) in self.subgraphs.iter_mut().zip(new_edges) {
-            if let Some(edges) = edges {
-                sg.rebuild(edges, Vec::new(), &mut scratch);
-            }
-        }
+        let edges_rebuilt = new_edges.iter().flatten().map(Vec::len).sum();
+        let jobs = self.subgraphs.iter_mut().zip(new_edges);
+        let jobs = jobs.filter_map(|(worker, edges)| {
+            let (edges, owned) = (edges?, Vec::new());
+            Some(Job {
+                worker,
+                edges,
+                owned,
+            })
+        });
+        self.lanes.rebuild(self.num_vertices, jobs.collect());
         edges_rebuilt
     }
+}
+
+/// A hashed bit filter over one worker's pending removals, keyed by the
+/// whole edge: a clear bit proves an edge is not pending, so the reverse
+/// sweep probes the hash map only for the few edges whose bit is set. At
+/// least 16 bits per removal, a power of two, so a small batch's filter
+/// stays in L1 and a false positive costs one probe in sixteen edges or
+/// fewer.
+#[derive(Debug, Default)]
+struct EdgeFilter {
+    words: Vec<u64>,
+    /// `64 - log2(bits)`: the hash's top bits pick the bit.
+    shift: u32,
+}
+
+impl EdgeFilter {
+    /// Refills the filter with `pending`, sized for `removals` removals.
+    fn fill(&mut self, pending: impl Iterator<Item = Edge>, removals: usize) {
+        let bits = (16 * removals).next_power_of_two().max(64);
+        self.shift = 64 - bits.trailing_zeros();
+        self.words.clear();
+        self.words.resize(bits / 64, 0);
+        for edge in pending {
+            let bit = self.bit(edge);
+            self.words[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// The bit of `edge`: the top bits of its packed ids times a
+    /// Fibonacci-hashing multiplier.
+    #[inline]
+    fn bit(&self, edge: Edge) -> usize {
+        let key = (edge.src.raw() << 32) | edge.dst.raw();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Whether `edge` may be pending; `false` is exact.
+    #[inline]
+    fn may_contain(&self, edge: Edge) -> bool {
+        let bit = self.bit(edge);
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+}
+
+/// The reverse sweep of one worker's `edges`: each pending removal takes
+/// the last copy not yet taken, and its count goes down. Returns the keep
+/// mask; a count left above zero names an edge the worker does not hold.
+/// `filter` holds every pending edge.
+fn sweep(edges: &[Edge], pending: &mut IdHashMap<Edge, usize>, filter: &EdgeFilter) -> Vec<bool> {
+    let mut keep = vec![true; edges.len()];
+    for (index, &edge) in edges.iter().enumerate().rev() {
+        if !filter.may_contain(edge) {
+            continue;
+        }
+        if let Some(count) = pending.get_mut(&edge) {
+            if *count > 0 {
+                *count -= 1;
+                keep[index] = false;
+            }
+        }
+    }
+    keep
+}
+
+/// The sweep [`sweep`] replaced: a probe for every edge.
+#[cfg(test)]
+fn sweep_probing_every_edge(edges: &[Edge], pending: &mut IdHashMap<Edge, usize>) -> Vec<bool> {
+    let mut keep = vec![true; edges.len()];
+    for index in (0..edges.len()).rev() {
+        if let Some(count) = pending.get_mut(&edges[index]) {
+            if *count > 0 {
+                *count -= 1;
+                keep[index] = false;
+            }
+        }
+    }
+    keep
 }
 
 /// Step 3 — the *affected* vertices, ascending: the endpoints of mutated
 /// edges plus the vertices the batch created (`old_n..n`). Only these can
 /// change masters, replica sets or isolated status, which is what a
 /// consumer that patches its copy reads off [`Lineage`](crate::Lineage).
+/// Marked in a bitmap over the universe and read out in order.
 fn affected_vertices(batch: &MutationBatch, old_n: usize, n: usize) -> Vec<usize> {
+    let mut marked = VertexSet::new(n);
+    for &(edge, _) in batch.removed().iter().chain(batch.added()) {
+        marked.insert(edge.src.raw());
+        marked.insert(edge.dst.raw());
+    }
+    for v in old_n..n {
+        marked.insert(v as u64);
+    }
+    let mut affected = Vec::with_capacity(marked.len());
+    affected.extend(marked.iter().map(|v| v as usize));
+    affected
+}
+
+/// The list [`affected_vertices`] replaced: every endpoint collected,
+/// sorted and deduplicated.
+#[cfg(test)]
+fn affected_by_sorting(batch: &MutationBatch, old_n: usize, n: usize) -> Vec<usize> {
     let mut affected: Vec<usize> = Vec::with_capacity(2 * batch.len() + (n - old_n));
     for &(edge, _) in batch.removed().iter().chain(batch.added()) {
         affected.extend([edge.src.index(), edge.dst.index()]);
@@ -280,3 +374,6 @@ fn affected_vertices(batch: &MutationBatch, old_n: usize, n: usize) -> Vec<usize
     affected.dedup();
     affected
 }
+
+#[cfg(test)]
+mod tests;

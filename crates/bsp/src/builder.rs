@@ -12,6 +12,7 @@ use ebv_partition::PartitionId;
 
 use crate::distributed::{assemble, DistributedGraph};
 use crate::error::{BspError, Result};
+use crate::lanes::Lanes;
 use crate::replica::MasterRule;
 
 impl DistributedGraph {
@@ -189,7 +190,7 @@ impl DistributedGraphBuilder {
         };
         let owned_per_part = vec![Vec::new(); self.num_partitions];
         Ok(assemble(
-            self.num_partitions,
+            Lanes::host(),
             n,
             self.num_edges,
             self.edges_per_part,

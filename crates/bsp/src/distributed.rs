@@ -15,6 +15,7 @@ use ebv_graph::{Edge, Graph, VertexId};
 use ebv_partition::{PartitionId, PartitionResult};
 
 use crate::error::{BspError, Result};
+use crate::lanes::{Job, Lanes};
 use crate::mutation_batch::MutationStats;
 use crate::replica::{MasterRule, ReplicaTable};
 use crate::routing::RoutingTable;
@@ -74,6 +75,9 @@ pub struct DistributedGraph {
     pub(crate) state: u64,
     pub(crate) parent_state: u64,
     pub(crate) affected: Vec<usize>,
+    /// The lanes workers are (re)built on, with their scratches. Not
+    /// structure either: a clone gets fresh ones.
+    pub(crate) lanes: Lanes,
 }
 
 impl DistributedGraph {
@@ -131,7 +135,7 @@ impl DistributedGraph {
             }
         };
         Ok(assemble(
-            p,
+            Lanes::host(),
             n,
             graph.num_edges(),
             edges_per_part,
@@ -259,16 +263,16 @@ impl DistributedGraph {
 }
 
 /// Shared final assembly step, stamped with the mutation `epoch` the result
-/// continues: the per-worker subgraphs are built from their edge lists, the
-/// replica table is derived from them (placing the isolated vertices,
-/// electing every vertex and writing every worker's master flags), and the
-/// routes are written last — the one derivation every epoch runs too. Both
-/// [`DistributedGraph::build`] and
+/// continues: the per-worker subgraphs are built from their edge lists on
+/// `lanes`, which the result keeps, the replica table is derived from them
+/// (placing the isolated vertices, electing every vertex and writing every
+/// worker's master flags), and the routes are written last — the one
+/// derivation every epoch runs too. Both [`DistributedGraph::build`] and
 /// [`DistributedGraphBuilder::finish`](crate::DistributedGraphBuilder::finish)
 /// end here, which is what keeps the streaming and batch paths structurally
 /// identical.
 pub(crate) fn assemble(
-    p: usize,
+    mut lanes: Lanes,
     n: usize,
     num_edges: usize,
     edges_per_part: Vec<Vec<Edge>>,
@@ -276,16 +280,18 @@ pub(crate) fn assemble(
     master_rule: MasterRule<'_>,
     epoch: usize,
 ) -> DistributedGraph {
-    let max_edges = edges_per_part.iter().map(Vec::len).max().unwrap_or(0);
-    let mut scratch = Subgraph::build_scratch(n, max_edges);
-    let mut subgraphs: Vec<Subgraph> = edges_per_part
-        .into_iter()
-        .zip(owned_per_part)
-        .enumerate()
-        .map(|(i, (edges, owned))| {
-            Subgraph::build(PartitionId::from_index(i), edges, owned, &mut scratch)
-        })
-        .collect();
+    let p = edges_per_part.len();
+    let parts = (0..p).map(PartitionId::from_index);
+    let mut subgraphs: Vec<Subgraph> = parts.map(Subgraph::empty).collect();
+    let jobs = subgraphs
+        .iter_mut()
+        .zip(edges_per_part.into_iter().zip(owned_per_part));
+    let jobs = jobs.map(|(worker, (edges, owned))| Job {
+        worker,
+        edges,
+        owned,
+    });
+    lanes.rebuild(n, jobs.collect());
     let mut replicas = ReplicaTable::new();
     replicas.derive(&mut subgraphs, n, &mut vec![true; p], master_rule);
     let routing = RoutingTable::build(&subgraphs, &replicas, n, epoch);
@@ -300,6 +306,7 @@ pub(crate) fn assemble(
         state: mint_state(),
         parent_state: 0,
         affected: Vec::new(),
+        lanes,
     }
 }
 
@@ -386,34 +393,44 @@ mod tests {
         let part = PartitionId::new;
         let stream = (0..8u64).map(|i| (Edge::from((i, i + 1)), part(i as u32 % 4)));
         let mut dg = DistributedGraph::build_streaming(4, None, stream).unwrap();
-        let built = |dg: &DistributedGraph| -> Vec<bool> {
-            dg.subgraphs()
-                .iter()
-                .map(Subgraph::components_are_built)
-                .collect()
+        let fresh = |dg: &DistributedGraph| -> Vec<LocalComponents> {
+            dg.subgraphs().iter().map(LocalComponents::build).collect()
         };
-        assert_eq!(built(&dg), [false; 4], "assembly computes no components");
-        let before: Vec<LocalComponents> = dg
-            .subgraphs()
-            .iter()
-            .map(|sg| sg.local_components().clone())
-            .collect();
-        assert_eq!(built(&dg), [true; 4]);
-        assert_eq!(built(&dg.clone()), [true; 4], "a clone carries them");
+        let held = |dg: &DistributedGraph| -> Vec<LocalComponents> {
+            let held = dg.subgraphs().iter().map(Subgraph::local_components);
+            held.cloned().collect()
+        };
+        // Where each worker's member list lives, to tell components that
+        // were kept from equal ones built again.
+        let buffers = |dg: &DistributedGraph| -> Vec<*const u32> {
+            let members = dg
+                .subgraphs()
+                .iter()
+                .map(|sg| sg.local_components().members(0));
+            members.map(<[u32]>::as_ptr).collect()
+        };
+        let before = held(&dg);
+        assert_eq!(
+            before,
+            fresh(&dg),
+            "assembly builds every worker's components"
+        );
         // Worker 1 holds (1, 2) and (5, 6): two components of two vertices.
         assert_eq!(before[1].len(), 2);
+        assert_eq!(held(&dg.clone()), before, "a clone carries them");
 
-        // A batch naming worker 0 only: it is rebuilt and starts empty, the
-        // kept workers keep what they had.
+        // A batch naming worker 0 only: it is rebuilt, and its components
+        // describe its new edges; the kept workers keep what they had, in
+        // the buffers they had.
+        let kept = buffers(&dg);
         let mut batch = MutationBatch::new();
         batch.record_delete(Edge::from((4u64, 5u64)), part(0));
         assert_eq!(dg.apply_mutations(&batch).unwrap().workers_touched, 1);
-        assert_eq!(built(&dg), [false, true, true, true]);
-        for (sg, before) in dg.subgraphs().iter().zip(&before).skip(1) {
-            assert_eq!(sg.local_components(), before);
-        }
-        // Worker 0 now holds (0, 1) alone, so its first call sees that.
-        assert_eq!(dg.subgraphs()[0].local_components().len(), 1);
-        assert_eq!(before[0].len(), 2);
+        let after = held(&dg);
+        assert_eq!(after[1..], before[1..]);
+        assert_eq!(buffers(&dg)[1..], kept[1..]);
+        // Worker 0 now holds (0, 1) alone.
+        assert_eq!((after[0].len(), before[0].len()), (1, 2));
+        assert_eq!(after, fresh(&dg));
     }
 }

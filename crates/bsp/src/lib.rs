@@ -41,6 +41,7 @@ mod distributed;
 mod engine;
 mod error;
 mod exchange;
+mod lanes;
 mod mutation_batch;
 mod program;
 pub mod publish;

@@ -82,9 +82,10 @@ impl ReplicaTable {
     /// The runs take two passes. The first counts, per vertex, the workers
     /// whose edges touch it; a worker's isolated tail that no longer lists
     /// exactly the vertices homed there that none touches is rewritten
-    /// ([`Subgraph::set_isolated`]) and marked `touched`. After a prefix
-    /// sum, the second walks the workers in ascending order and writes each
-    /// replica at its vertex's cursor, so every run ascends by worker.
+    /// ([`place_isolated`](Self::place_isolated)) and marked `touched`.
+    /// After a prefix sum, the second walks the workers in ascending order
+    /// and writes each replica at its vertex's cursor, so every run ascends
+    /// by worker.
     pub(crate) fn derive(
         &mut self,
         subgraphs: &mut [Subgraph],
@@ -99,20 +100,7 @@ impl ReplicaTable {
         for v in subgraphs.iter().flat_map(Subgraph::held) {
             self.offsets[v.index() + 1] += 1;
         }
-        let isolated = |offsets: &[u32], v: usize| offsets[v + 1] == 0;
-        let (mut listed, mut stale) = (vec![0usize; p], vec![false; p]);
-        for v in (0..n).filter(|&v| isolated(&self.offsets, v)) {
-            let tail = subgraphs[v % p].isolated();
-            stale[v % p] |= tail.get(listed[v % p]) != Some(&VertexId::from(v));
-            listed[v % p] += 1;
-        }
-        for (i, sg) in subgraphs.iter_mut().enumerate() {
-            if stale[i] || listed[i] != sg.isolated().len() {
-                let homed = (i..n).step_by(p).filter(|&v| isolated(&self.offsets, v));
-                sg.set_isolated(homed.map(VertexId::from));
-                touched[i] = true;
-            }
-        }
+        self.place_isolated(subgraphs, n, touched);
         // `offsets[v + 1]` becomes the start of `v`'s run (an isolated
         // vertex's is one entry long), then its fill cursor, then its end.
         let mut start = 0u32;
@@ -139,6 +127,69 @@ impl ReplicaTable {
         }
         for sg in subgraphs.iter_mut() {
             sg.write_masters(self);
+        }
+    }
+
+    /// Lists every vertex of `0..n` that pass 1 counted no holder for in
+    /// the tail of its home worker `v % p`, ascending, and marks `touched`
+    /// each worker whose tail that changed.
+    ///
+    /// One ascending walk, the home stepping round the workers beside it:
+    /// a worker's tail is compared entry by entry until the first mismatch
+    /// and written from there on ([`Subgraph::put_isolated`]), so a stale
+    /// tail is rewritten in the same walk that finds it stale. A tail that
+    /// is stale or whose length changed is then cut to what was listed
+    /// ([`Subgraph::end_isolated`]).
+    fn place_isolated(&self, subgraphs: &mut [Subgraph], n: usize, touched: &mut [bool]) {
+        let p = subgraphs.len();
+        let (mut listed, mut stale) = (vec![0usize; p], vec![false; p]);
+        let mut home = 0;
+        for (v, counts) in self.offsets[1..=n].iter().enumerate() {
+            if *counts == 0 {
+                let (sg, at, v) = (&mut subgraphs[home], listed[home], VertexId::from(v));
+                stale[home] = stale[home] || sg.isolated().get(at) != Some(&v);
+                if stale[home] {
+                    sg.put_isolated(at, v);
+                }
+                listed[home] += 1;
+            }
+            home += 1;
+            if home == p {
+                home = 0;
+            }
+        }
+        for (i, sg) in subgraphs.iter_mut().enumerate() {
+            if stale[i] || listed[i] != sg.isolated().len() {
+                sg.end_isolated(listed[i]);
+                touched[i] = true;
+            }
+        }
+    }
+
+    /// The pass [`place_isolated`](Self::place_isolated) replaced: the home
+    /// of each isolated vertex by division, and each stale tail rewritten by
+    /// two strided walks of its own.
+    #[cfg(test)]
+    fn place_isolated_by_division(
+        &self,
+        subgraphs: &mut [Subgraph],
+        n: usize,
+        touched: &mut [bool],
+    ) {
+        let p = subgraphs.len();
+        let isolated = |offsets: &[u32], v: usize| offsets[v + 1] == 0;
+        let (mut listed, mut stale) = (vec![0usize; p], vec![false; p]);
+        for v in (0..n).filter(|&v| isolated(&self.offsets, v)) {
+            let tail = subgraphs[v % p].isolated();
+            stale[v % p] |= tail.get(listed[v % p]) != Some(&VertexId::from(v));
+            listed[v % p] += 1;
+        }
+        for (i, sg) in subgraphs.iter_mut().enumerate() {
+            if stale[i] || listed[i] != sg.isolated().len() {
+                let homed = (i..n).step_by(p).filter(|&v| isolated(&self.offsets, v));
+                sg.set_isolated(homed.map(VertexId::from));
+                touched[i] = true;
+            }
         }
     }
 
@@ -230,6 +281,7 @@ impl ReplicaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subgraph::LocalComponents;
     use ebv_graph::Edge;
 
     /// How a row changes its vertex's holder list before the election.
@@ -386,6 +438,80 @@ mod tests {
         table.derive(&mut subgraphs, 4, &mut touched, rule);
         assert!(table.same_structure(&before));
         assert_eq!(touched, [false; 3]);
+    }
+
+    /// Workers over the universe `0..n` built from `lists`, each with the
+    /// isolated tail `tails` gives it, and a table whose offsets hold pass
+    /// 1's holder counts over them.
+    fn counted(lists: &[Vec<Edge>], tails: &[Vec<u64>], n: usize) -> (ReplicaTable, Vec<Subgraph>) {
+        let mut scratch = Subgraph::build_scratch(n, 0);
+        let subgraphs: Vec<Subgraph> = lists
+            .iter()
+            .zip(tails)
+            .enumerate()
+            .map(|(i, (edges, tail))| {
+                let part = PartitionId::from_index(i);
+                let mut sg = Subgraph::build(part, edges.clone(), Vec::new(), &mut scratch);
+                sg.set_isolated(tail.iter().map(|&v| VertexId::new(v)));
+                sg
+            })
+            .collect();
+        let mut table = ReplicaTable::new();
+        table.offsets.resize(n + 1, 0);
+        for v in subgraphs.iter().flat_map(Subgraph::held) {
+            table.offsets[v.index() + 1] += 1;
+        }
+        (table, subgraphs)
+    }
+
+    #[test]
+    fn one_walk_places_the_tails_the_division_walks_placed() {
+        // SplitMix64: a value below `bound` (0 when it is 0).
+        let mut state = 36u64;
+        let mut draw = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        };
+        let mut rewritten = 0;
+        for case in 0..400 {
+            let (p, n) = (1 + draw(5), draw(40));
+            let edges = draw(3 * n + 1);
+            let mut lists = vec![Vec::new(); p];
+            for _ in 0..edges.min(n * n) {
+                let (s, d) = (draw(n) as u64, draw(n) as u64);
+                lists[draw(p)].push(Edge::from((s, d)));
+            }
+            // Each worker's tail before the walk: some of the vertices homed
+            // there, some of them held somewhere and some missing, so tails
+            // are kept, cut, grown and rewritten from the middle.
+            let tails: Vec<Vec<u64>> = (0..p)
+                .map(|i| {
+                    (i..n)
+                        .step_by(p)
+                        .filter(|_| draw(3) != 0)
+                        .map(|v| v as u64)
+                        .collect()
+                })
+                .collect();
+            let (table, mut walked) = counted(&lists, &tails, n);
+            let mut by_division = walked.clone();
+            let (mut touched, mut expected) = (vec![false; p], vec![false; p]);
+            table.place_isolated(&mut walked, n, &mut touched);
+            table.place_isolated_by_division(&mut by_division, n, &mut expected);
+            assert_eq!(touched, expected, "case {case}");
+            for (i, (sg, oracle)) in walked.iter().zip(&by_division).enumerate() {
+                assert!(sg.same_structure(oracle), "case {case} worker {i}");
+                assert_eq!(sg.isolated(), oracle.isolated(), "case {case} worker {i}");
+                let (got, want) = (sg.local_components(), oracle.local_components());
+                assert_eq!(got, want, "case {case} worker {i}");
+                assert_eq!(got, &LocalComponents::build(sg), "case {case} worker {i}");
+            }
+            rewritten += touched.iter().filter(|&&t| t).count();
+        }
+        assert!(rewritten > 100, "only {rewritten} tails rewritten");
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //!
 //! Invariant owned here: a [`Subgraph`] is a pure function of its inputs —
 //! the edge list in arrival order, the isolated vertices homed here and the
-//! elected masters, which arrive in that order ([`Subgraph::build`], then
-//! [`Subgraph::set_isolated`], then [`Subgraph::write_masters`]) — so
-//! rebuilding a worker from the same edge list reproduces its local vertex
-//! numbering (first appearance, then isolated vertices) bit for bit.
+//! elected masters, which arrive in that order ([`Subgraph::rebuild`],
+//! then [`Subgraph::put_isolated`] up to [`Subgraph::end_isolated`], then
+//! [`Subgraph::write_masters`]) — so rebuilding a worker from the same edge
+//! list reproduces its local vertex numbering (first appearance, then
+//! isolated vertices) bit for bit.
 //! Nothing outside this file reads or writes a field; the distribution
 //! layer goes through the `pub(crate)` methods below. What
-//! [`Subgraph::build`] needs only while it runs is a [`BuildScratch`],
+//! [`Subgraph::rebuild`] needs only while it runs is a [`BuildScratch`],
 //! which owns the hand-back invariant (resolver all-`ABSENT`, buffers
-//! empty). No hash map is built on that path: the global → local index
-//! behind [`Subgraph::local_index_of`] is built by its first caller, and so
-//! are the [`LocalComponents`] behind [`Subgraph::local_components`], the
-//! row index behind [`Subgraph::in_edges`] and the role lists behind
-//! [`Subgraph::masters`] / [`Subgraph::mirrors`].
+//! empty). The [`LocalComponents`] are part of the worker: a build fills
+//! them right after the CSRs, in the buffers the last build left, and a new
+//! isolated tail re-tails them. No hash map is built on that path: the
+//! global → local index behind [`Subgraph::local_index_of`] is built by its
+//! first caller, and so are the row index behind [`Subgraph::in_edges`] and
+//! the role lists behind [`Subgraph::masters`] / [`Subgraph::mirrors`].
 
 use std::sync::OnceLock;
 
@@ -32,8 +34,8 @@ pub use crate::replica::ReplicaTable;
 /// "Not a local vertex" in [`BuildScratch`]'s resolver.
 const ABSENT: u32 = u32::MAX;
 
-/// Everything [`Subgraph::build`] needs only while it runs, shared by every
-/// worker one caller (re)builds so that the per-worker allocations are the
+/// Everything [`Subgraph::rebuild`] needs only while it runs, shared by every
+/// worker one lane (re)builds so that the per-worker allocations are the
 /// finished arrays alone.
 ///
 /// Invariant: between builds `local_of` — global vertex → local index, one
@@ -41,7 +43,7 @@ const ABSENT: u32 = u32::MAX;
 /// [`ABSENT`] everywhere and the other buffers are empty (their capacity is
 /// what the next worker reuses). A build resolves each endpoint through
 /// `local_of` exactly once and resets the slots it wrote on its way out.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
     local_of: Vec<u32>,
     /// The worker's edges as local `[src, dst]` pairs, in edge order.
@@ -55,6 +57,16 @@ pub(crate) struct BuildScratch {
 }
 
 impl BuildScratch {
+    /// Readies the scratch for workers over the universe `0..n` of at most
+    /// `max_edges` edges each; the buffers only ever grow, to the exact
+    /// size asked.
+    pub(crate) fn cover(&mut self, n: usize, max_edges: usize) {
+        if self.local_of.len() < n {
+            resize_exact(&mut self.local_of, n, ABSENT);
+        }
+        self.staged.reserve_exact(max_edges);
+    }
+
     /// The local index of `v`, numbering it on first appearance.
     #[inline]
     fn resolve(&mut self, v: VertexId) -> u32 {
@@ -110,13 +122,106 @@ pub struct LocalComponents {
 }
 
 impl LocalComponents {
+    /// Components over no vertex, for a first [`refill`](Self::refill).
+    fn new() -> Self {
+        LocalComponents {
+            component_of: Vec::new(),
+            offsets: vec![0],
+            members: Vec::new(),
+        }
+    }
+
+    /// The components of the out-CSR `out_offsets` / `out_targets`, written
+    /// over the buffers held, each reserving room for `room` local vertices
+    /// (the vertex table's length once its isolated tail is expected back),
+    /// so a re-tail that fits allocates nothing. `sizes` is a scratch,
+    /// handed back empty.
+    ///
     /// One union-find pass over the out-CSR. A union hangs the larger root
     /// under the smaller, so every parent index is below its child's and a
     /// root is its component's smallest local index; one ascending pass
     /// then rewrites the parent array in place into dense ids (a root takes
     /// the next one, any other vertex its parent's, rewritten already), and
     /// one counting sort lists the members.
-    fn build(subgraph: &Subgraph) -> Self {
+    fn refill(
+        &mut self,
+        out_offsets: &[u32],
+        out_targets: &[u32],
+        room: usize,
+        sizes: &mut Vec<u32>,
+    ) {
+        let n = out_offsets.len() - 1;
+        let parent = &mut self.component_of;
+        parent.clear();
+        parent.reserve_exact(room.max(n));
+        parent.extend(0..n as u32);
+        for (u, row) in (0u32..).zip(out_offsets.windows(2)) {
+            // `u`'s root, found once per row and followed through unions.
+            let mut root = find_root(parent, u);
+            for &v in &out_targets[row[0] as usize..row[1] as usize] {
+                let other = find_root(parent, v);
+                if root < other {
+                    parent[other as usize] = root;
+                } else if other < root {
+                    parent[root as usize] = other;
+                    root = other;
+                }
+            }
+        }
+        let mut len = 0u32;
+        for local in 0..n {
+            parent[local] = if parent[local] == local as u32 {
+                len += 1;
+                len - 1
+            } else {
+                parent[parent[local] as usize]
+            };
+        }
+        sizes.clear();
+        sizes.resize(len as usize, 0);
+        for &c in &self.component_of {
+            sizes[c as usize] += 1;
+        }
+        self.offsets.clear();
+        self.offsets
+            .reserve_exact(len as usize + 1 + room.saturating_sub(n));
+        offsets_from_degrees(sizes, &mut self.offsets);
+        self.members.clear();
+        self.members.reserve_exact(room.max(n));
+        self.members.resize(n, 0);
+        for (local, &c) in (0u32..).zip(&self.component_of) {
+            let slot = &mut sizes[c as usize];
+            self.members[*slot as usize] = local;
+            *slot += 1;
+        }
+        sizes.clear();
+    }
+
+    /// Keeps the components of the first `held` local vertices — every one
+    /// of which touches a local edge — and lists each vertex of `held..len`
+    /// as a singleton after them. The vertices past `held` so far were
+    /// singletons too, numbered after every component of the held prefix
+    /// (ascending smallest member), so cutting them off leaves that prefix
+    /// numbered as it was and the appended ones keep the order.
+    fn retail(&mut self, held: usize, len: usize) {
+        let components = self.len() - (self.component_of.len() - held);
+        self.component_of.truncate(held);
+        self.members.truncate(held);
+        self.offsets.truncate(components + 1);
+        let singletons = len - held;
+        self.component_of.reserve_exact(singletons);
+        self.members.reserve_exact(singletons);
+        self.offsets.reserve_exact(singletons);
+        self.component_of
+            .extend((components as u32..).take(singletons));
+        self.members.extend(held as u32..len as u32);
+        self.offsets.extend(held as u32 + 1..=len as u32);
+    }
+
+    /// The components of `subgraph` from nothing: what every worker's
+    /// built-in and re-tailed components must equal.
+    #[cfg(test)]
+    pub(crate) fn build(subgraph: &Subgraph) -> Self {
         let n = subgraph.num_vertices();
         let mut parent: Vec<u32> = (0..n as u32).collect();
         for u in 0..n {
@@ -264,9 +369,9 @@ pub struct Subgraph {
     /// Global vertex → local index (`u32`, like the CSR targets), built by
     /// the first [`local_index_of`](Self::local_index_of) call.
     local_index: OnceLock<IdHashMap<VertexId, u32>>,
-    /// The local connected components, built by the first
-    /// [`local_components`](Self::local_components) call.
-    components: OnceLock<LocalComponents>,
+    /// The local connected components, filled by every build right after
+    /// the CSRs and re-tailed with the vertex table.
+    components: LocalComponents,
     is_master: Vec<bool>,
     /// `is_master` as two ascending lists, built by the first
     /// [`masters`](Self::masters) / [`mirrors`](Self::mirrors) call and
@@ -293,20 +398,29 @@ pub struct Subgraph {
 
 impl Subgraph {
     /// Indexes one worker's edge list; see [`rebuild`](Self::rebuild).
+    #[cfg(test)]
     pub(crate) fn build(
         part: PartitionId,
         edges: Vec<Edge>,
         owns_edge: Vec<bool>,
         scratch: &mut BuildScratch,
     ) -> Self {
-        let mut sg = Subgraph {
+        let mut sg = Subgraph::empty(part);
+        sg.rebuild(edges, owns_edge, scratch);
+        sg
+    }
+
+    /// Worker `part` before its first [`rebuild`](Self::rebuild): no
+    /// vertex, no edge, nothing allocated.
+    pub(crate) fn empty(part: PartitionId) -> Self {
+        Subgraph {
             part,
             edges: Vec::new(),
             owns_edge: Vec::new(),
             vertices: Vec::new(),
             tail: 0,
             local_index: OnceLock::new(),
-            components: OnceLock::new(),
+            components: LocalComponents::new(),
             is_master: Vec::new(),
             roles: OnceLock::new(),
             out_offsets: Vec::new(),
@@ -315,23 +429,24 @@ impl Subgraph {
             in_targets: Vec::new(),
             in_owned: Vec::new(),
             in_rows: OnceLock::new(),
-        };
-        sg.rebuild(edges, owns_edge, scratch);
-        sg
+        }
     }
 
     /// Re-indexes this worker from `edges`: local vertex table
-    /// (first-appearance order, no isolated tail yet) and both CSRs; the
-    /// master flags wait for [`write_masters`](Self::write_masters).
-    /// `owns_edge` is either empty (every edge owned) or one flag per edge.
-    /// The arrays are refilled in place, so a rebuild allocates only where
-    /// it outgrows them, to the exact size.
+    /// (first-appearance order, no isolated tail yet), both CSRs and the
+    /// local components; the master flags wait for
+    /// [`write_masters`](Self::write_masters). `owns_edge` is either empty
+    /// (every edge owned) or one flag per edge. The arrays are refilled in
+    /// place, so a rebuild allocates only where it outgrows them, to the
+    /// exact size — with room for an isolated tail as long as the one the
+    /// worker had, since the derivation that follows lists about as many.
     ///
     /// Each endpoint is resolved once: one walk over the edge list numbers
     /// a vertex on first appearance, counts its out/in degree and stages
     /// the local `[src, dst]` pair; the fill reads the staged pairs and
-    /// never goes back to the universe-sized array. Everything transient
-    /// lives in `scratch` (see [`BuildScratch`]).
+    /// never goes back to the universe-sized array. The components follow
+    /// while the out-CSR is still in cache. Everything transient lives in
+    /// `scratch` (see [`BuildScratch`]).
     pub(crate) fn rebuild(
         &mut self,
         edges: Vec<Edge>,
@@ -339,6 +454,7 @@ impl Subgraph {
         scratch: &mut BuildScratch,
     ) {
         debug_assert!(owns_edge.is_empty() || owns_edge.len() == edges.len());
+        let old_tail = self.isolated().len();
         let owns_edge = if owns_edge.iter().all(|&owned| owned) {
             Vec::new()
         } else {
@@ -359,8 +475,9 @@ impl Subgraph {
         for v in &scratch.vertices {
             scratch.local_of[v.index()] = ABSENT;
         }
+        let room = scratch.vertices.len() + old_tail;
         self.vertices.clear();
-        self.vertices.reserve_exact(scratch.vertices.len());
+        self.vertices.reserve_exact(room);
         self.vertices.append(&mut scratch.vertices);
         self.tail = self.vertices.len();
         // CSR assembly: the degrees become offsets and, in place, the fill
@@ -388,24 +505,25 @@ impl Subgraph {
         scratch.staged.clear();
         scratch.out_cursor.clear();
         scratch.in_cursor.clear();
+        let (offsets, targets) = (&self.out_offsets, &self.out_targets);
+        let sizes = &mut scratch.out_cursor;
+        self.components.refill(offsets, targets, room, sizes);
         self.edges = edges;
         self.owns_edge = owns_edge;
-        self.in_rows.take();
         // No isolated tail yet, and no cache over the local vertices.
-        self.set_isolated(std::iter::empty());
+        self.in_rows.take();
+        self.local_index.take();
+        self.roles.take();
     }
 
     /// A scratch for [`build`](Self::build) over the universe `0..n`, for
     /// workers of at most `max_edges` edges (a longer list still builds; it
     /// regrows the staging buffer).
+    #[cfg(test)]
     pub(crate) fn build_scratch(n: usize, max_edges: usize) -> BuildScratch {
-        BuildScratch {
-            local_of: vec![ABSENT; n],
-            staged: Vec::with_capacity(max_edges),
-            vertices: Vec::new(),
-            out_cursor: Vec::new(),
-            in_cursor: Vec::new(),
-        }
+        let mut scratch = BuildScratch::default();
+        scratch.cover(n, max_edges);
+        scratch
     }
 
     /// Moves the edge list out, ahead of a rebuild that replaces `self`.
@@ -425,23 +543,47 @@ impl Subgraph {
     }
 
     /// Replaces the isolated tail of the vertex table by `isolated`
-    /// (ascending), with empty CSR rows; the vertices the edges touch keep
-    /// their local indices. The caches over every local vertex are
-    /// dropped; the master flags are stale until
+    /// (ascending): [`put_isolated`](Self::put_isolated) at every position,
+    /// then [`end_isolated`](Self::end_isolated).
+    #[cfg(test)]
+    pub(crate) fn set_isolated(&mut self, isolated: impl IntoIterator<Item = VertexId>) {
+        let mut len = 0;
+        for (at, v) in isolated.into_iter().enumerate() {
+            self.put_isolated(at, v);
+            len = at + 1;
+        }
+        self.end_isolated(len);
+    }
+
+    /// Writes `v` at position `at` of the isolated tail, which holds at
+    /// least `at` vertices: a tail is rewritten front to back, each
+    /// position once, and is not a valid tail again until
+    /// [`end_isolated`](Self::end_isolated).
+    #[inline]
+    pub(crate) fn put_isolated(&mut self, at: usize, v: VertexId) {
+        match self.vertices.get_mut(self.tail + at) {
+            Some(slot) => *slot = v,
+            None => {
+                debug_assert_eq!(self.vertices.len(), self.tail + at);
+                self.vertices.push(v);
+            }
+        }
+    }
+
+    /// Ends a tail rewrite at `len` vertices: the tail is cut there and
+    /// gets empty CSR rows, and the local components list its vertices as
+    /// singletons after the components of the vertices the edges touch,
+    /// which keep their local indices and components. The caches over
+    /// every local vertex are dropped; the master flags are stale until
     /// [`write_masters`](Self::write_masters).
-    pub(crate) fn set_isolated<I>(&mut self, isolated: I)
-    where
-        I: Iterator<Item = VertexId> + Clone,
-    {
-        self.vertices.truncate(self.tail);
-        self.vertices.reserve_exact(isolated.clone().count());
-        self.vertices.extend(isolated);
+    pub(crate) fn end_isolated(&mut self, len: usize) {
+        self.vertices.truncate(self.tail + len);
         for offsets in [&mut self.out_offsets, &mut self.in_offsets] {
             offsets.truncate(self.tail + 1);
             resize_exact(offsets, self.vertices.len() + 1, self.edges.len() as u32);
         }
+        self.components.retail(self.tail, self.vertices.len());
         self.local_index.take();
-        self.components.take();
         self.roles.take();
     }
 
@@ -550,23 +692,15 @@ impl Subgraph {
         self.local_index.get().is_some()
     }
 
-    /// The connected components of the local edges, direction ignored.
+    /// The connected components of the local edges, direction ignored
+    /// (see [`LocalComponents`]).
     ///
-    /// The first call builds them (one union-find pass over the out-CSR,
-    /// see [`LocalComponents`]); later calls, and calls on a clone taken
-    /// afterwards, return the cached result. Like the CSRs they are a pure
-    /// function of the edge list, so a worker an epoch keeps keeps them and
-    /// a worker it rebuilds starts without.
+    /// They are part of the worker, like its CSRs: every build fills them,
+    /// on the lane that builds the worker, so a clone carries them, a
+    /// worker an epoch keeps keeps them, and one it rebuilds describes its
+    /// new edges. A new isolated tail re-tails them.
     pub fn local_components(&self) -> &LocalComponents {
-        self.components.get_or_init(|| LocalComponents::build(self))
-    }
-
-    /// Whether the local components have been built (by a
-    /// [`local_components`](Self::local_components) call on this subgraph
-    /// or on the one it was cloned from).
-    #[cfg(test)]
-    pub(crate) fn components_are_built(&self) -> bool {
-        self.components.get().is_some()
+        &self.components
     }
 
     /// The global identifier of the vertex at `local_index`.
@@ -600,10 +734,9 @@ impl Subgraph {
     /// instead of walking rows.
     ///
     /// The sources and flags are the build's own arrays. The row of every
-    /// position (one `u32` each) is built by the first call and cached,
-    /// like the [`local_components`](Self::local_components): a pure
-    /// function of the edge list, so a clone taken afterwards carries it, a
-    /// worker an epoch keeps keeps it and a worker it rebuilds starts
+    /// position (one `u32` each) is built by the first call and cached: a
+    /// pure function of the edge list, so a clone taken afterwards carries
+    /// it, a worker an epoch keeps keeps it and a worker it rebuilds starts
     /// without.
     pub fn in_edges(&self) -> InEdges<'_> {
         let rows = self.in_rows.get_or_init(|| {

@@ -81,14 +81,14 @@ fn three_pass_build(
     for &v in &vertices {
         local_index.insert(v, std::mem::replace(&mut scratch[v.index()], ABSENT));
     }
-    Subgraph {
+    let mut built = Subgraph {
         part,
         edges,
         owns_edge,
         vertices,
         tail,
         local_index: OnceLock::from(local_index),
-        components: OnceLock::new(),
+        components: LocalComponents::new(),
         is_master,
         roles: OnceLock::new(),
         out_offsets,
@@ -97,7 +97,9 @@ fn three_pass_build(
         in_targets,
         in_owned,
         in_rows: OnceLock::new(),
-    }
+    };
+    built.components = LocalComponents::build(&built);
+    built
 }
 
 /// Self-loops, parallel edges (same and opposite direction) and isolated
@@ -150,6 +152,10 @@ fn assert_field_by_field(built: &Subgraph, oracle: &Subgraph, universe: usize, w
     assert_eq!(built.in_offsets, oracle.in_offsets, "{what}: in offsets");
     assert_eq!(built.in_targets, oracle.in_targets, "{what}: in targets");
     assert_eq!(built.in_owned, oracle.in_owned, "{what}: in ownership");
+    assert_eq!(
+        built.components, oracle.components,
+        "{what}: local components"
+    );
     // The lazily built index answers what the eager one holds, for every
     // vertex of the universe and one past it.
     let eager = oracle
@@ -216,7 +222,7 @@ fn single_resolve_build_equals_the_three_pass_build() {
                         reused.vertices.is_empty() && reused.out_offsets == [0],
                         "{what}"
                     );
-                    assert!(!reused.index_is_built() && !reused.components_are_built());
+                    assert!(!reused.index_is_built() && reused.components.is_empty());
                     assert!(reused.in_rows.get().is_none() && reused.roles.get().is_none());
                     reused.rebuild(edges(), owned, &mut scratch);
                     reused.set_isolated(isolated.iter().copied());

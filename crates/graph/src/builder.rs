@@ -133,34 +133,17 @@ impl GraphBuilder {
     /// [`GraphError::EmptyGraph`] when no edges were staged and no vertex
     /// count hint was given.
     pub fn build(&self) -> Result<Graph> {
-        let mut raw: Vec<(u64, u64)> = Vec::with_capacity(self.edges.len());
-        if self.remap_ids {
-            let mut mapping: HashMap<u64, u64> = HashMap::new();
-            let mut next: u64 = 0;
-            for &(s, d) in &self.edges {
-                let s = *mapping.entry(s).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                });
-                let d = *mapping.entry(d).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                });
-                raw.push((s, d));
-            }
+        // One pass from the staged pairs to the edges: remap (every
+        // endpoint is numbered, a dropped self-loop's included), drop
+        // self-loops, check the range, expand undirected pairs.
+        let pairs = if self.allow_self_loops {
+            self.edges.len()
         } else {
-            raw.extend_from_slice(&self.edges);
-        }
-
-        if !self.allow_self_loops {
-            raw.retain(|&(s, d)| s != d);
-        }
-
+            self.edges.iter().filter(|&&(s, d)| s != d).count()
+        };
         let mut directed: Vec<Edge> = Vec::with_capacity(match self.kind {
-            GraphKind::Directed => raw.len(),
-            GraphKind::Undirected => raw.len() * 2,
+            GraphKind::Directed => pairs,
+            GraphKind::Undirected => pairs * 2,
         });
         let checked = |raw: u64| {
             VertexId::try_new(raw).ok_or(GraphError::VertexOutOfRange {
@@ -168,7 +151,19 @@ impl GraphBuilder {
                 num_vertices: MAX_VERTICES,
             })
         };
-        for &(s, d) in &raw {
+        let mut mapping: HashMap<u64, u64> = HashMap::new();
+        let mut remap = |raw: u64| {
+            if !self.remap_ids {
+                return raw;
+            }
+            let next = mapping.len() as u64;
+            *mapping.entry(raw).or_insert(next)
+        };
+        for &(s, d) in &self.edges {
+            let (s, d) = (remap(s), remap(d));
+            if s == d && !self.allow_self_loops {
+                continue;
+            }
             let e = Edge::new(checked(s)?, checked(d)?);
             directed.push(e);
             if self.kind.is_undirected() {
@@ -236,6 +231,79 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, GraphError::InvalidParameter { .. }), "{err}");
+    }
+
+    #[test]
+    fn build_is_pinned_across_every_option_combination() {
+        // A parallel pair, a reversed pair and two self-loops, the second
+        // on a vertex no other edge touches.
+        let staged = [(10, 20), (20, 20), (20, 10), (10, 20), (30, 10), (5, 5)];
+        let kinds = [GraphKind::Directed, GraphKind::Undirected];
+        for (kind, bits) in kinds.into_iter().flat_map(|k| (0..8).map(move |b| (k, b))) {
+            let (remap, loops, dedup) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+            let what = format!("{kind:?} remap={remap} loops={loops} dedup={dedup}");
+            let graph = GraphBuilder::new(kind)
+                .remap_ids(remap)
+                .allow_self_loops(loops)
+                .dedup(dedup)
+                .extend_edges(staged)
+                .build()
+                .unwrap();
+            // Remapping numbers every endpoint in first-seen order, that of
+            // a dropped self-loop included.
+            let id = |raw: u64| match (remap, raw) {
+                (false, raw) => raw,
+                (true, 10) => 0,
+                (true, 20) => 1,
+                (true, 30) => 2,
+                (true, _) => 3,
+            };
+            let mut want = Vec::new();
+            for (s, d) in staged.into_iter().filter(|&(s, d)| loops || s != d) {
+                want.push((id(s), id(d)));
+                if kind.is_undirected() {
+                    want.push((id(d), id(s)));
+                }
+            }
+            if dedup {
+                want.sort_unstable();
+                want.dedup();
+            }
+            let got: Vec<(u64, u64)> = graph
+                .edges()
+                .iter()
+                .map(|e| (e.src.raw(), e.dst.raw()))
+                .collect();
+            assert_eq!(got, want, "{what}");
+            let n = match (remap, loops) {
+                (false, _) => 31,
+                (true, false) => 3,
+                (true, true) => 4,
+            };
+            assert_eq!(graph.num_vertices(), n, "{what}");
+            assert_eq!(graph.kind(), kind, "{what}");
+        }
+        // Spelled out: directed, remapped, self-loops dropped.
+        let graph = GraphBuilder::directed()
+            .remap_ids(true)
+            .extend_edges(staged)
+            .build()
+            .unwrap();
+        let pairs: Vec<_> = graph
+            .edges()
+            .iter()
+            .map(|e| (e.src.raw(), e.dst.raw()))
+            .collect();
+        assert_eq!(pairs, [(0, 1), (1, 0), (0, 1), (2, 0)]);
+        // A dropped self-loop still takes the first remapped id, which
+        // leaves that vertex isolated.
+        let graph = GraphBuilder::directed()
+            .remap_ids(true)
+            .extend_edges([(7, 7), (1, 2)])
+            .build()
+            .unwrap();
+        assert_eq!(graph.num_vertices(), 3);
+        assert_eq!(graph.edges(), [Edge::from((1u64, 2u64))]);
     }
 
     #[test]
