@@ -275,7 +275,7 @@ mod tests {
 
     /// The checked-in baseline must parse and keep gating the series CI
     /// depends on — in particular the threaded-vs-sequential caps of the
-    /// persistent-pool engine (the gate is fail-closed: a missing
+    /// pooled (lane crew) engine (the gate is fail-closed: a missing
     /// measurement or a dropped entry fails CI, this test catches the
     /// dropped-entry half without a bench run).
     #[test]

@@ -183,8 +183,8 @@ impl EnvConfig {
         Ok(config)
     }
 
-    /// A new [`BspEngine`] in the configured execution mode. A pooled mode
-    /// spawns the engine's threads here: build it once and keep it.
+    /// A new [`BspEngine`] in the configured execution mode. It spawns
+    /// nothing: a pooled engine opens its lanes for each run.
     pub fn engine(&self) -> BspEngine {
         match self.mode {
             ExecutionMode::Sequential => BspEngine::sequential(),
@@ -193,9 +193,10 @@ impl EnvConfig {
     }
 }
 
-/// Parses an `EBV_MODE` value: `sequential`, `pooled:<n>` (an engine-owned
-/// pool of exactly `n` threads) or `threaded`, which is `pooled:<n>` with
-/// `n` the host's available parallelism.
+/// Parses an `EBV_MODE` value: `sequential`, `pooled:<n>` (each run on
+/// `min(n, workers)` scoped lanes, the calling thread first) or
+/// `threaded`, which is `pooled:<n>` with `n` the host's available
+/// parallelism.
 ///
 /// # Errors
 ///

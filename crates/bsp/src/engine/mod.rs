@@ -4,38 +4,27 @@
 //!
 //! * `mod` (this file) — the public [`BspEngine`] API and the superstep
 //!   loop: seeding, the quiescence/convergence protocol, statistics and
-//!   result extraction;
-//! * [`executor`] — the [`SuperstepExecutor`] trait: how one superstep's
-//!   independent worker tasks are placed (sequential or pooled), and the
-//!   seam a multi-process transport plugs into;
-//! * [`pool`] — the persistent [`WorkerPool`]: fixed threads parked across
-//!   supersteps, runs and mutation epochs, tasks handed over
-//!   `std::sync::mpsc` channels, exact per-task panic attribution, graceful
-//!   join on drop;
-//! * [`schedule`] — the work-aware LPT scheduler that chunks workers onto
-//!   pool lanes by estimated cost (CSR edge counts for the first
-//!   superstep, the previous superstep's live `work` counters plus the
-//!   messages waiting in the inbound shards afterwards) instead of
-//!   count-even.
+//!   result extraction. Each superstep is one round of the run's lane crew
+//!   (`crate::lanes`): one owned job per worker, run on the calling thread
+//!   alone or on `min(n, workers)` scoped lanes;
+//! * [`schedule`] — the work-aware LPT scheduler that places jobs onto
+//!   lanes by estimated cost (CSR edge counts for the first superstep, the
+//!   previous superstep's live `work` counters plus the messages waiting in
+//!   the inbound shards afterwards) instead of count-even.
 
-mod executor;
-mod pool;
-mod schedule;
+pub(crate) mod schedule;
 
 use schedule::superstep_cost;
 
-pub use executor::{
-    PooledExecutor, SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerTask,
-};
-pub use pool::{pool_threads_spawned, WorkerPool};
-
-use std::sync::Arc;
+use std::iter::repeat;
+use std::time::Instant;
 
 use ebv_obs::{NoopRecorder, Phase, Recorder, SpanCtx};
 
 use crate::distributed::DistributedGraph;
 use crate::error::{BspError, Result};
-use crate::exchange::{self, MessagePlane};
+use crate::exchange::{self, WorkerMail};
+use crate::lanes::{crew, panic_message, Crew};
 use crate::program::{SubgraphContext, SubgraphProgram};
 use crate::publish::ValueSink;
 use crate::stats::{ExecutionStats, SuperstepStats, WorkerSuperstepStats};
@@ -126,63 +115,74 @@ impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
     }
 }
 
-/// The per-worker slice of engine state one superstep works on.
-struct WorkerPart<'a, V, M> {
-    subgraph: &'a crate::subgraph::Subgraph,
-    routes: &'a crate::routing::WorkerRoutes,
-    values: &'a mut Vec<V>,
-    /// This worker's row of the receive-side shard matrix: its mailbox
-    /// (messages routed to it at the end of the previous superstep, by
-    /// source worker).
-    inbound: &'a mut Vec<Vec<(u32, M)>>,
-    outbox: &'a mut Vec<exchange::OutboxEntry<M>>,
-    scratch: &'a mut exchange::WorklistScratch,
-    /// This worker's row of the scatter-side shard matrix (messages it
-    /// routes this superstep, by destination worker).
-    outbound: &'a mut Vec<Vec<(u32, M)>>,
-    /// `(work, changes, sent)` of the superstep.
-    result: &'a mut Option<(u64, usize, usize)>,
+/// One worker's state through a run, a crew job every superstep: what the
+/// worker writes, owned, so it can move to its lane and back.
+struct WorkerJob<V, M> {
+    worker: usize,
+    superstep: usize,
+    /// When the job was handed to the crew (`None` under a recorder that
+    /// does not time): the start of its queue wait.
+    enqueued: Option<Instant>,
+    values: Vec<V>,
+    mail: WorkerMail<M>,
+    /// `(work, changes, sent)` of the last superstep it ran.
+    result: (u64, usize, usize),
 }
+
+impl<V, M> AsMut<WorkerMail<M>> for WorkerJob<V, M> {
+    fn as_mut(&mut self) -> &mut WorkerMail<M> {
+        &mut self.mail
+    }
+}
+
+/// The superstep job of a program.
+type JobOf<P> = WorkerJob<<P as SubgraphProgram>::Value, <P as SubgraphProgram>::Message>;
 
 /// One worker's whole superstep: run the program over the subgraph with
 /// the shards routed to this worker at the end of the previous superstep as
 /// its mail (compute), then fan the outbox out into the worker's own row of
 /// per-destination shards along the precomputed routes (scatter). Touches
-/// only worker-local state, so every executor runs it lock-free; ownership
-/// of the part (and with it the worker's shard rows) moves into the task an
-/// executor places.
+/// only the job's own state, so lanes run it lock-free.
 fn run_worker<P: SubgraphProgram, R: Recorder>(
     program: &P,
-    superstep: usize,
     epoch: u32,
     recorder: &R,
-    part: WorkerPart<'_, P::Value, P::Message>,
+    subgraph: &crate::subgraph::Subgraph,
+    routes: &crate::routing::WorkerRoutes,
+    job: &mut JobOf<P>,
 ) {
+    if let Some(enqueued) = job.enqueued {
+        recorder.observe_seconds(
+            "ebv_bsp_pool_queue_wait_seconds",
+            enqueued.elapsed().as_secs_f64(),
+        );
+    }
     let span_ctx = SpanCtx {
         epoch,
-        superstep: superstep as u32,
-        worker: part.subgraph.part().index() as u32,
+        superstep: job.superstep as u32,
+        worker: job.worker as u32,
     };
+    let mail = &mut job.mail;
     let started = recorder.start();
     let mut ctx = SubgraphContext::new(
-        part.subgraph,
-        part.values,
-        part.inbound,
-        part.outbox,
-        part.scratch,
+        subgraph,
+        &mut job.values,
+        &mail.inbound,
+        &mut mail.outbox,
+        &mut mail.scratch,
     );
-    program.run_superstep(&mut ctx, superstep);
+    program.run_superstep(&mut ctx, job.superstep);
     let (work, changes) = ctx.finish();
     // Delivered once, read or not: the transpose hands this row back as
     // next superstep's scatter shards, and what it still held would be
     // sent again.
-    part.inbound.iter_mut().for_each(Vec::clear);
+    mail.inbound.iter_mut().for_each(Vec::clear);
     recorder.span(started, span_ctx, Phase::Compute);
 
     let started = recorder.start();
-    let sent = exchange::scatter(part.routes, part.subgraph, part.outbox, part.outbound);
+    let sent = exchange::scatter(routes, subgraph, &mut mail.outbox, &mut mail.outbound);
     recorder.span(started, span_ctx, Phase::Scatter);
-    *part.result = Some((work, changes, sent));
+    job.result = (work, changes, sent);
 }
 
 /// How the workers of a superstep are executed.
@@ -198,11 +198,12 @@ pub enum ExecutionMode {
     /// reference mode; the statistics are identical to the parallel modes.
     #[default]
     Sequential,
-    /// Workers run on the engine's persistent [`WorkerPool`] of exactly
-    /// this many threads (`0` is clamped to `1`), placed by the work-aware
-    /// LPT scheduler. The pool is spawned when the engine is constructed
-    /// and outlives its runs, so warm mutation epochs pay zero thread-spawn
-    /// cost. The property suites sweep this mode over pool sizes to prove
+    /// Workers run on up to this many lanes (`0` is clamped to `1`):
+    /// each run opens one thread scope of `min(n, workers)` lanes, the
+    /// calling thread being the first, that loop over the run's
+    /// supersteps, with each superstep's workers placed by the work-aware
+    /// LPT scheduler. Constructing the engine spawns nothing. The property
+    /// suites sweep this mode over lane counts to prove
     /// placement-independence.
     Pooled(usize),
 }
@@ -223,10 +224,10 @@ pub(crate) fn host_parallelism() -> usize {
 /// and synchronization (a barrier). It records the per-worker work and
 /// message counters that the evaluation tables are built from.
 ///
-/// A pooled engine owns its threads: [`pooled`](BspEngine::pooled) spawns
-/// them once, every [`run`](BspEngine::run)/[`run_opts`](BspEngine::run_opts)
-/// of the engine *or of its clones* reuses them, and the last clone to drop
-/// joins them. Keep one engine across epochs to keep warm epochs spawn-free.
+/// An engine is only its [`ExecutionMode`]: it holds no thread. A pooled
+/// engine's [`run`](BspEngine::run)/[`run_opts`](BspEngine::run_opts)
+/// spawns its lanes for that run and joins them before returning, so
+/// borrowing the program and the graph for the run is all it needs.
 ///
 /// # Examples
 ///
@@ -247,8 +248,7 @@ pub(crate) fn host_parallelism() -> usize {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BspEngine {
-    /// `None` runs workers on the calling thread.
-    pool: Option<Arc<WorkerPool>>,
+    mode: ExecutionMode,
 }
 
 /// The result of executing a program: the global per-vertex values (taken
@@ -266,7 +266,9 @@ pub struct BspOutcome<V> {
 impl BspEngine {
     /// Creates an engine that runs workers sequentially.
     pub fn sequential() -> Self {
-        BspEngine { pool: None }
+        BspEngine {
+            mode: ExecutionMode::Sequential,
+        }
     }
 
     /// Shorthand for [`pooled`](BspEngine::pooled) with one thread per unit
@@ -275,20 +277,17 @@ impl BspEngine {
         BspEngine::pooled(host_parallelism())
     }
 
-    /// Creates an engine that runs workers on its own pool of exactly
-    /// `threads` threads (see [`ExecutionMode::Pooled`]), spawned here.
+    /// Creates an engine that runs workers on up to `threads` lanes per
+    /// run (see [`ExecutionMode::Pooled`]); it spawns nothing here.
     pub fn pooled(threads: usize) -> Self {
         BspEngine {
-            pool: Some(Arc::new(WorkerPool::new(threads))),
+            mode: ExecutionMode::Pooled(threads.max(1)),
         }
     }
 
     /// The execution mode this engine was built in.
     pub fn mode(&self) -> ExecutionMode {
-        match &self.pool {
-            None => ExecutionMode::Sequential,
-            Some(pool) => ExecutionMode::Pooled(pool.threads()),
-        }
+        self.mode
     }
 
     /// Executes `program` over `distributed` until quiescence (or the
@@ -304,15 +303,6 @@ impl BspEngine {
         program: &P,
     ) -> Result<BspOutcome<P::Value>> {
         self.run_opts(distributed, program, RunOptions::new())
-    }
-
-    /// The executor for one run; a pooled one only references the
-    /// engine's pool, so this spawns nothing.
-    fn executor(&self) -> Box<dyn SuperstepExecutor> {
-        match &self.pool {
-            None => Box::new(SequentialExecutor),
-            Some(pool) => Box::new(PooledExecutor::new(Arc::clone(pool))),
-        }
     }
 
     /// Executes `program` over `distributed` with explicit [`RunOptions`] —
@@ -361,15 +351,19 @@ impl BspEngine {
             }
         };
 
-        // Per-worker local state; every message buffer lives in the plane
-        // and is reused across supersteps (steady-state supersteps perform
-        // no per-message allocation).
-        let mut values: Vec<Vec<P::Value>> = distributed
-            .subgraphs()
-            .iter()
-            .map(|sg| sg.vertices().iter().map(|&v| seed(v, sg)).collect())
+        // Per-worker state, one job per worker for the whole run; every
+        // message buffer lives in its mail and is reused across supersteps
+        // (steady-state supersteps perform no per-message allocation).
+        let mut jobs: Vec<JobOf<P>> = (distributed.subgraphs().iter().enumerate())
+            .map(|(worker, sg)| WorkerJob {
+                worker,
+                superstep: 0,
+                enqueued: None,
+                values: sg.vertices().iter().map(|&v| seed(v, sg)).collect(),
+                mail: WorkerMail::new(num_workers),
+                result: (0, 0, 0),
+            })
             .collect();
-        let mut plane: MessagePlane<P::Message> = MessagePlane::new(num_workers);
 
         let mutation = distributed.last_mutation();
         let mut stats = ExecutionStats {
@@ -381,146 +375,99 @@ impl BspEngine {
         };
 
         let max_supersteps = program.max_supersteps();
-        let mut converged = false;
-        let mut executed = 0usize;
         let epoch = distributed.epoch() as u32;
         // Engine-side (barrier) spans use worker == p by convention.
         let engine_worker = num_workers as u32;
-        let mut executor = self.executor();
-        // Reused across supersteps: per-destination delivery counts, the
-        // scheduler's cost estimates and the workers' result slots.
+        // Reused across supersteps: per-destination delivery counts and the
+        // scheduler's cost estimates.
         let mut received: Vec<usize> = Vec::with_capacity(num_workers);
         let mut costs: Vec<u64> = Vec::with_capacity(num_workers);
-        let mut results: Vec<Option<(u64, usize, usize)>> = Vec::with_capacity(num_workers);
 
-        for superstep in 0..max_supersteps {
-            // --- Worker phase: computation + scatter ---------------------------------
-            // Each worker runs the program over its subgraph, reading the
-            // shards routed to it at the end of the previous superstep in
-            // place, and fans its outbox out into its own row of
-            // per-destination shards along the precomputed routes — purely
-            // worker-local state, packaged as one task per worker and
-            // handed to the executor, which owns placement.
-            //
-            // The scheduler's cost estimate follows the frontier (see
-            // `schedule::superstep_cost`), so both structural skew (R-MAT
-            // hubs) and frontier skew (worklist algorithms) re-balance
-            // within one superstep. Placement cannot affect results.
-            let last = stats.supersteps.last();
-            costs.clear();
-            costs.extend(distributed.subgraphs().iter().enumerate().map(|(w, sg)| {
-                superstep_cost(
-                    sg.num_edges(),
-                    last.map(|step| (step.per_worker[w].work, received[w])),
-                )
-            }));
-            results.clear();
-            results.resize(num_workers, None);
-            {
-                let parts = distributed
-                    .subgraphs()
-                    .iter()
-                    .zip(routing.worker_tables())
-                    .zip(values.iter_mut())
-                    .zip(plane.in_shards.iter_mut())
-                    .zip(plane.outboxes.iter_mut())
-                    .zip(plane.scratch.iter_mut())
-                    .zip(plane.out_shards.iter_mut())
-                    .zip(results.iter_mut())
-                    .map(
-                        |(
-                            (
-                                (((((subgraph, routes), values), inbound), outbox), scratch),
-                                outbound,
-                            ),
-                            result,
-                        )| WorkerPart {
-                            subgraph,
-                            routes,
-                            values,
-                            inbound,
-                            outbox,
-                            scratch,
-                            outbound,
-                            result,
-                        },
-                    );
-                let tasks: Vec<WorkerTask<'_>> = parts
-                    .map(|part| {
-                        let worker = part.subgraph.part().index();
-                        // Queue-wait: sampled at submission, observed when
-                        // the task starts on its lane. Free under the
-                        // no-op recorder (`start()` returns `None`).
-                        let enqueued = recorder.start();
-                        WorkerTask {
-                            worker,
-                            cost: costs[worker],
-                            run: Box::new(move || {
-                                if let Some(started) = enqueued {
-                                    recorder.observe_seconds(
-                                        "ebv_bsp_pool_queue_wait_seconds",
-                                        started.elapsed().as_secs_f64(),
-                                    );
-                                }
-                                run_worker(program, superstep, epoch, recorder, part);
-                            }),
-                        }
-                    })
-                    .collect();
-                let step = executor.execute(tasks);
-                if let Some((worker, message)) = step.panics.into_iter().next() {
-                    // Every executor attributes panics exactly per task;
-                    // report the lowest panicking worker.
+        let (subgraphs, tables) = (distributed.subgraphs(), routing.worker_tables());
+        let work = |_: &mut (), job: &mut JobOf<P>| {
+            let (subgraph, routes) = (&subgraphs[job.worker], &tables[job.worker]);
+            run_worker(program, epoch, recorder, subgraph, routes, job);
+        };
+        let lanes = match self.mode {
+            ExecutionMode::Sequential => 1,
+            ExecutionMode::Pooled(n) => n,
+        };
+        let supersteps = |crew: &mut Crew<'_, (), JobOf<P>>| -> Result<bool> {
+            for superstep in 0..max_supersteps {
+                // --- Worker phase: computation + scatter ---------------------
+                // One crew round: each worker's job runs the program over its
+                // subgraph, reading the shards routed to it at the end of the
+                // previous superstep in place, and fans its outbox out into
+                // its own row of per-destination shards along the
+                // precomputed routes — purely job-local state, which moves to
+                // its lane and back.
+                //
+                // The scheduler's cost estimate follows the frontier (see
+                // `schedule::superstep_cost`), so both structural skew (R-MAT
+                // hubs) and frontier skew (worklist algorithms) re-balance
+                // within one superstep. Placement cannot affect results.
+                let last = stats.supersteps.last();
+                costs.clear();
+                costs.extend(subgraphs.iter().enumerate().map(|(w, sg)| {
+                    let previous = last.map(|step| (step.per_worker[w].work, received[w]));
+                    superstep_cost(sg.num_edges(), previous)
+                }));
+                for job in &mut jobs {
+                    job.superstep = superstep;
+                    job.enqueued = recorder.start();
+                }
+                let panics = crew.round(&mut jobs, &costs);
+                // Panics come back by worker: report the lowest panicking
+                // worker, with its own message.
+                if let Some((worker, panic)) = panics.into_iter().next() {
+                    let message = panic_message(panic);
                     return Err(BspError::WorkerPanicked { worker, message });
                 }
-                recorder.gauge_set("ebv_bsp_pool_chunk_workers", step.max_lane_workers as f64);
-            }
+                recorder.gauge_set("ebv_bsp_pool_chunk_workers", crew.busiest() as f64);
 
-            // --- Exchange hand-off -------------------------------------------------
-            // Hand this superstep's scattered shards to the destination
-            // side (a `Vec` swap per cell, no message moves); destinations
-            // read them during the next superstep, in ascending source
-            // order, so values and counters are identical across modes.
-            // The per-destination delivery counts fall out of the
-            // same pass — no message needs to be touched to count them.
-            let barrier_started = recorder.start();
-            plane.transpose_into(&mut received);
+                // --- Exchange hand-off ---------------------------------------
+                // Hand this superstep's scattered shards to the destination
+                // side (a `Vec` swap per cell, no message moves);
+                // destinations read them during the next superstep, in
+                // ascending source order, so values and counters are
+                // identical across modes. The per-destination delivery
+                // counts fall out of the same pass — no message needs to be
+                // touched to count them.
+                let barrier_started = recorder.start();
+                exchange::transpose_into(&mut jobs, &mut received);
 
-            // --- Statistics / synchronization --------------------------------------
-            let mut superstep_stats = SuperstepStats {
-                per_worker: vec![WorkerSuperstepStats::default(); num_workers],
-            };
-            let mut total_messages = 0usize;
-            let mut total_changes = 0usize;
-            for (worker, result) in results.iter().enumerate() {
-                let (work, changes, sent) = result.expect("worker produced a result");
-                let per_worker = &mut superstep_stats.per_worker[worker];
-                per_worker.work = work;
-                per_worker.updates = changes;
-                per_worker.messages_sent = sent;
-                per_worker.messages_received = received[worker];
-                total_changes += changes;
-                total_messages += sent;
-            }
-            stats.supersteps.push(superstep_stats);
-            executed = superstep + 1;
-            recorder.span(
-                barrier_started,
-                SpanCtx {
+                // --- Statistics / synchronization ----------------------------
+                let mut superstep_stats = SuperstepStats {
+                    per_worker: vec![WorkerSuperstepStats::default(); num_workers],
+                };
+                let mut total_messages = 0usize;
+                let mut total_changes = 0usize;
+                for (per_worker, job) in superstep_stats.per_worker.iter_mut().zip(&jobs) {
+                    let (work, changes, sent) = job.result;
+                    per_worker.work = work;
+                    per_worker.updates = changes;
+                    per_worker.messages_sent = sent;
+                    per_worker.messages_received = received[job.worker];
+                    total_changes += changes;
+                    total_messages += sent;
+                }
+                stats.supersteps.push(superstep_stats);
+                let span_ctx = SpanCtx {
                     epoch,
                     superstep: superstep as u32,
                     worker: engine_worker,
-                },
-                Phase::Barrier,
-            );
-            recorder.counter_add("ebv_bsp_messages_total", total_messages as u64);
-            recorder.counter_add("ebv_bsp_supersteps_total", 1);
+                };
+                recorder.span(barrier_started, span_ctx, Phase::Barrier);
+                recorder.counter_add("ebv_bsp_messages_total", total_messages as u64);
+                recorder.counter_add("ebv_bsp_supersteps_total", 1);
 
-            if program.halt_on_quiescence() && total_messages == 0 && total_changes == 0 {
-                converged = true;
-                break;
+                if program.halt_on_quiescence() && total_messages == 0 && total_changes == 0 {
+                    return Ok(true);
+                }
             }
-        }
+            Ok(false)
+        };
+        let converged = crew(lanes, num_workers, repeat(()), &work, supersteps)?;
 
         if program.halt_on_quiescence() && !converged {
             return Err(BspError::DidNotConverge { max_supersteps });
@@ -536,13 +483,13 @@ impl BspEngine {
         // workers' master flags writes every slot; a walk in vertex order
         // would look each master up in the replica table instead, one
         // scattered read per vertex.
-        let mut global_values = match values.iter().flatten().next() {
+        let mut global_values = match jobs.iter().flat_map(|job| &job.values).next() {
             Some(any) => vec![any.clone(); distributed.num_vertices()],
             None => Vec::new(),
         };
         let mut written = 0;
-        for (sg, values) in distributed.subgraphs().iter().zip(values) {
-            for (local, value) in values.into_iter().enumerate() {
+        for (sg, job) in subgraphs.iter().zip(jobs) {
+            for (local, value) in job.values.into_iter().enumerate() {
                 if sg.is_master(local) {
                     global_values[sg.vertex_at(local).index()] = value;
                     written += 1;
@@ -553,8 +500,8 @@ impl BspEngine {
 
         let outcome = BspOutcome {
             values: global_values,
+            supersteps: stats.supersteps.len(),
             stats,
-            supersteps: executed,
         };
         if let Some(sink) = options.sink {
             sink.publish(&outcome.values, &outcome.stats);

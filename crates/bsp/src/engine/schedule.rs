@@ -1,9 +1,11 @@
-//! Work-aware superstep scheduling: chunk workers onto pool lanes by
-//! estimated cost instead of count-even.
+//! Work-aware placement: chunk jobs onto a crew's lanes by estimated cost
+//! instead of count-even. Every multi-lane crew round is placed here:
+//! superstep rounds priced by [`superstep_cost`], build rounds by edge
+//! count.
 //!
 //! The paper's EBV partitioner balances per-worker load *statically*; at
 //! run time the engine still has to place `p` worker tasks onto `t ≤ p`
-//! pool threads, and a count-even split strands the hub-heavy subgraph of a
+//! lanes, and a count-even split strands the hub-heavy subgraph of a
 //! skewed R-MAT distribution behind light siblings on the same thread —
 //! PR 7's `ebv_bsp_straggler_ratio` gauge measures exactly that barrier
 //! skew. The scheduler here uses the classic LPT (longest processing time
@@ -21,8 +23,8 @@
 //!
 //! Placement never affects results: workers are independent within a
 //! superstep, so values and `ExecutionStats` are bit-identical under every
-//! schedule (the mode-equivalence property suites prove this across pool
-//! sizes).
+//! schedule (the mode-equivalence property suites prove this across lane
+//! counts).
 
 /// The scheduler's estimate of one worker's next superstep. The first
 /// superstep (`previous` is `None`) may touch every local edge; a later one

@@ -1,5 +1,5 @@
-//! The engine's own suite: a toy min-label program run through both
-//! executors, the run options, and the error surface.
+//! The engine's own suite: a toy min-label program run sequentially and on
+//! crews of several sizes, the run options, and the error surface.
 
 use super::*;
 use crate::exchange::GroupedMail;
@@ -118,7 +118,7 @@ fn every_mode_agrees_with_sequential() {
         // `pooled(0)` is clamped to one thread rather than rejected.
         BspEngine::pooled(0),
     ] {
-        // A clone shares the pool, and both stay usable run after run.
+        // A clone runs the same, and both stay usable run after run.
         for engine in [&engine, &engine.clone(), &engine] {
             let other = run_min_label(&g, 4, engine);
             assert_eq!(seq.values, other.values, "{:?}", engine.mode());
@@ -169,9 +169,9 @@ fn threaded_worker_panics_surface_as_typed_errors() {
 }
 
 /// Regression for the PR 5 first-missing-result attribution: with two
-/// panicking workers forced into the *same* lane (pool size 1) the
-/// error must name the lowest panicking worker with its own message —
-/// exactly, not by chunk-position inference.
+/// panicking workers forced into the *same* lane (one lane) the error
+/// must name the lowest panicking worker with its own message — exactly,
+/// not by chunk-position inference.
 #[test]
 fn two_panics_in_one_chunk_attribute_the_lowest_worker_exactly() {
     let g = named::small_social_graph();

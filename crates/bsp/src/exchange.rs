@@ -1,21 +1,23 @@
 //! The zero-allocation message plane: the double-buffered shard matrix of
 //! the partitioned exchange, whose rows are the workers' mailboxes.
 //!
-//! A [`MessagePlane`] owns every buffer a BSP run needs to move replica
-//! messages — per-worker outboxes and the two `p × p` shard matrices of the
-//! partitioned exchange — plus each worker's [`WorklistScratch`], and
-//! reuses all of them across supersteps, so steady-state supersteps perform
-//! no per-message heap allocation.
+//! A worker's [`WorkerMail`] holds every buffer a BSP run needs to move its
+//! replica messages — its outbox, its rows of the two `p × p` shard
+//! matrices of the partitioned exchange and its [`WorklistScratch`] — and
+//! the run reuses all of them across supersteps, so steady-state
+//! supersteps perform no per-message heap allocation. The mail is part of
+//! the worker's superstep job, which moves to the lane that runs it and
+//! back, so the matrices are whole again between supersteps.
 //!
 //! One communication stage is a scatter and a transpose; nothing is copied
 //! or sorted on the receiving side:
 //!
 //! 1. **scatter** — each source worker drains its outbox through the
 //!    precomputed [`WorkerRoutes`] into its own row of destination shards
-//!    (`out_shards[src][dst]`), with no shared state between workers;
+//!    (its `outbound[dst]`), with no shared state between workers;
 //! 2. **transpose** — the two matrices swap cell for cell (a `Vec` swap, no
-//!    message moves), after which `in_shards[dst]` holds everything routed
-//!    to worker `dst`, one shard per source worker.
+//!    message moves), after which worker `dst`'s `inbound` row holds
+//!    everything routed to it, one shard per source worker.
 //!
 //! That row *is* worker `dst`'s mailbox for the next superstep: the program
 //! reads it through [`SubgraphContext::mail`](crate::SubgraphContext::mail)
@@ -163,55 +165,61 @@ pub(crate) fn scatter<M: Clone>(
     sent
 }
 
-/// All the communication-stage buffers of one run, reused across
-/// supersteps.
+/// One worker's buffers of the exchange, held by its superstep job.
 #[derive(Debug)]
-pub(crate) struct MessagePlane<M> {
-    /// Per-worker outbox buffers (filled by the computation stage, drained
-    /// by the scatter phase).
-    pub(crate) outboxes: Vec<Vec<OutboxEntry<M>>>,
-    /// Per-worker worklist scratch (used only by the program).
-    pub(crate) scratch: Vec<WorklistScratch>,
-    /// Scatter-side shards, indexed `[source][destination]`.
-    pub(crate) out_shards: Vec<Vec<Shard<M>>>,
-    /// Receive-side shards, indexed `[destination][source]`: row `dst` is
-    /// worker `dst`'s mailbox (see [`arrivals`]).
-    pub(crate) in_shards: Vec<Vec<Shard<M>>>,
+pub(crate) struct WorkerMail<M> {
+    /// Filled by the computation stage, drained by the scatter phase.
+    pub(crate) outbox: Vec<OutboxEntry<M>>,
+    /// The worklist scratch (used only by the program).
+    pub(crate) scratch: WorklistScratch,
+    /// The scatter-side row: shards by destination worker.
+    pub(crate) outbound: Vec<Shard<M>>,
+    /// The receive-side row, shards by source worker: this worker's
+    /// mailbox (see [`arrivals`]).
+    pub(crate) inbound: Vec<Shard<M>>,
 }
 
-impl<M> MessagePlane<M> {
-    /// Creates the plane for `p` workers.
+impl<M> WorkerMail<M> {
+    /// The empty buffers of one of `p` workers.
     pub(crate) fn new(p: usize) -> Self {
-        MessagePlane {
-            outboxes: (0..p).map(|_| Vec::new()).collect(),
-            scratch: (0..p).map(|_| WorklistScratch::default()).collect(),
-            out_shards: (0..p)
-                .map(|_| (0..p).map(|_| Vec::new()).collect())
-                .collect(),
-            in_shards: (0..p)
-                .map(|_| (0..p).map(|_| Vec::new()).collect())
-                .collect(),
+        let row = || (0..p).map(|_| Vec::new()).collect();
+        WorkerMail {
+            outbox: Vec::new(),
+            scratch: WorklistScratch::default(),
+            outbound: row(),
+            inbound: row(),
         }
     }
+}
 
-    /// Hands the filled scatter shards to the receiving side (and the
-    /// cleared mailbox shards back for reuse) by swapping the two matrices —
-    /// `Vec` moves only, no message is copied — and writes the per-destination
-    /// delivery counts into `received` (resized to `p`), folding the
-    /// counting pass into the same matrix walk so steady-state supersteps
-    /// allocate nothing for it.
-    pub(crate) fn transpose_into(&mut self, received: &mut Vec<usize>) {
-        let p = self.out_shards.len();
-        received.clear();
-        received.resize(p, 0);
-        for src in 0..p {
-            for (dst, count) in received.iter_mut().enumerate() {
-                std::mem::swap(
-                    &mut self.out_shards[src][dst],
-                    &mut self.in_shards[dst][src],
-                );
-                *count += self.in_shards[dst][src].len();
-            }
+/// A bare plane of mails, as this module's tests transpose it.
+#[cfg(test)]
+impl<M> AsMut<WorkerMail<M>> for WorkerMail<M> {
+    fn as_mut(&mut self) -> &mut WorkerMail<M> {
+        self
+    }
+}
+
+/// Hands the filled scatter shards of every worker to the receiving side
+/// (and the cleared mailbox shards back for reuse) by swapping
+/// `outbound[dst]` of worker `src` with `inbound[src]` of worker `dst` —
+/// `Vec` moves only, no message is copied — and writes the per-destination
+/// delivery counts into `received` (resized to `p`), folding the counting
+/// pass into the same matrix walk so steady-state supersteps allocate
+/// nothing for it.
+pub(crate) fn transpose_into<M, W: AsMut<WorkerMail<M>>>(
+    workers: &mut [W],
+    received: &mut Vec<usize>,
+) {
+    received.clear();
+    received.resize(workers.len(), 0);
+    for src in 0..workers.len() {
+        for (dst, count) in received.iter_mut().enumerate() {
+            let sent = std::mem::take(&mut workers[src].as_mut().outbound[dst]);
+            let inbound = &mut workers[dst].as_mut().inbound[src];
+            let drained = std::mem::replace(inbound, sent);
+            *count += inbound.len();
+            workers[src].as_mut().outbound[dst] = drained;
         }
     }
 }
@@ -262,37 +270,37 @@ mod tests {
         let partition = EbvPartitioner::new().partition(&graph, 3).unwrap();
         let dg = DistributedGraph::build(&graph, &partition).unwrap();
         let p = dg.num_workers();
-        let mut plane: MessagePlane<u64> = MessagePlane::new(p);
+        let mut plane: Vec<WorkerMail<u64>> = (0..p).map(|_| WorkerMail::new(p)).collect();
         let mut received = Vec::new();
 
         // What `run_worker` does to the plane, for a program that sends
         // every local value to the other replicas every superstep.
-        let mut superstep = |plane: &mut MessagePlane<u64>| {
+        let mut superstep = |plane: &mut Vec<WorkerMail<u64>>| {
             for (w, sg) in dg.subgraphs().iter().enumerate() {
-                let read = arrivals(&plane.in_shards[w]).count();
-                plane.in_shards[w].iter_mut().for_each(Vec::clear);
+                let mail = &mut plane[w];
+                let read = arrivals(&mail.inbound).count();
+                mail.inbound.iter_mut().for_each(Vec::clear);
                 for local in 0..sg.num_vertices() {
-                    plane.outboxes[w].push((local as u32, 7, MessageTarget::AllReplicas));
+                    mail.outbox
+                        .push((local as u32, 7, MessageTarget::AllReplicas));
                 }
                 let routes = &dg.routing().worker_tables()[w];
-                scatter(routes, sg, &mut plane.outboxes[w], &mut plane.out_shards[w]);
-                assert!(plane.outboxes[w].is_empty(), "scatter drains the outbox");
+                scatter(routes, sg, &mut mail.outbox, &mut mail.outbound);
+                assert!(mail.outbox.is_empty(), "scatter drains the outbox");
                 assert_eq!(read, received.get(w).copied().unwrap_or(0));
             }
-            plane.transpose_into(&mut received);
+            transpose_into(plane, &mut received);
             received.iter().sum::<usize>()
         };
         // Pointer and capacity of every buffer a superstep writes to.
-        let buffers = |plane: &MessagePlane<u64>| -> Vec<(usize, usize)> {
-            let shards = plane.out_shards.iter().chain(&plane.in_shards).flatten();
+        let buffers = |plane: &Vec<WorkerMail<u64>>| -> Vec<(usize, usize)> {
+            let mails = plane.iter();
+            let shards = mails
+                .clone()
+                .flat_map(|mail| mail.outbound.iter().chain(&mail.inbound));
             shards
                 .map(|shard| (shard.as_ptr() as usize, shard.capacity()))
-                .chain(
-                    plane
-                        .outboxes
-                        .iter()
-                        .map(|outbox| (outbox.as_ptr() as usize, outbox.capacity())),
-                )
+                .chain(mails.map(|mail| (mail.outbox.as_ptr() as usize, mail.outbox.capacity())))
                 .collect()
         };
 
@@ -311,22 +319,22 @@ mod tests {
 
     #[test]
     fn transpose_swaps_rows_for_columns_and_counts_deliveries() {
-        let mut plane: MessagePlane<u64> = MessagePlane::new(2);
-        plane.out_shards[0][1].push((0, 7));
-        plane.out_shards[1][0].push((0, 8));
-        plane.out_shards[1][0].push((0, 9));
+        let mut plane: Vec<WorkerMail<u64>> = (0..2).map(|_| WorkerMail::new(2)).collect();
+        plane[0].outbound[1].push((0, 7));
+        plane[1].outbound[0].push((0, 8));
+        plane[1].outbound[0].push((0, 9));
         let mut received = Vec::new();
-        plane.transpose_into(&mut received);
-        assert_eq!(plane.in_shards[1][0], vec![(0, 7)]);
-        assert_eq!(plane.in_shards[0][1], vec![(0, 8), (0, 9)]);
-        assert!(plane.out_shards[0][1].is_empty());
+        transpose_into(&mut plane, &mut received);
+        assert_eq!(plane[1].inbound[0], vec![(0, 7)]);
+        assert_eq!(plane[0].inbound[1], vec![(0, 8), (0, 9)]);
+        assert!(plane[0].outbound[1].is_empty());
         // The delivery counts fall out of the same pass: worker 0 received
         // two messages (from worker 1), worker 1 received one.
         assert_eq!(received, vec![2, 1]);
         // Swapping back restores the (drained) buffers for reuse and
         // recounts from scratch into the reused buffer.
-        plane.transpose_into(&mut received);
-        assert_eq!(plane.out_shards[0][1], vec![(0, 7)]);
+        transpose_into(&mut plane, &mut received);
+        assert_eq!(plane[0].outbound[1], vec![(0, 7)]);
         assert_eq!(received, vec![0, 0]);
     }
 }

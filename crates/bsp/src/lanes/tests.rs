@@ -1,6 +1,13 @@
-//! The lane count is invisible: assembly and every mutation epoch give the
-//! same distribution on one lane as on three, and every worker's local
-//! components equal a fresh [`LocalComponents::build`] of it.
+//! The crew runs every job of a round once, hands each panic back with its
+//! index and keeps its lanes from round to round; and the lane count is
+//! invisible: assembly and every mutation epoch give the same distribution
+//! on one lane as on three, and every worker's local components equal a
+//! fresh [`LocalComponents::build`] of it.
+
+use std::collections::HashSet;
+use std::iter::repeat;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::{self, ThreadId};
 
 use proptest::prelude::*;
 
@@ -39,6 +46,162 @@ fn assembled(count: usize, p: usize, n: usize, stream: &[(Edge, PartitionId)]) -
     );
     assert_eq!(dg.lanes.count, count);
     dg
+}
+
+/// A crew test's job: its index, and the thread it ran on.
+type Probe = (usize, Option<ThreadId>);
+
+fn probes(n: usize) -> Vec<Probe> {
+    (0..n).map(|index| (index, None)).collect()
+}
+
+/// Records each job's thread, then panics on the jobs `panics` names.
+fn record(panics: &[usize]) -> impl Fn(&mut (), &mut Probe) + Sync + '_ {
+    move |_, job| {
+        job.1 = Some(thread::current().id());
+        if panics.contains(&job.0) {
+            panic!("job {} exploded", job.0);
+        }
+    }
+}
+
+/// The threads a round's jobs ran on.
+fn threads(jobs: &[Probe]) -> HashSet<ThreadId> {
+    jobs.iter().filter_map(|job| job.1).collect()
+}
+
+/// A round's panics, each with its message.
+fn messages(panics: Vec<(usize, Panic)>) -> Vec<(usize, String)> {
+    let message = |(index, panic)| (index, panic_message(panic));
+    panics.into_iter().map(message).collect()
+}
+
+#[test]
+fn every_job_runs_once_and_comes_back_in_index_order() {
+    let costs = [5u64, 1, 9, 3, 3, 7, 2, 8];
+    for lanes in [1, 2, 3, 9] {
+        // The jobs are owned; the state they share is borrowed for the
+        // scope.
+        let runs = AtomicUsize::new(0);
+        let work = |_: &mut (), job: &mut (usize, usize)| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            job.1 += 1;
+        };
+        let mut jobs: Vec<(usize, usize)> = (0..costs.len()).map(|job| (job, 0)).collect();
+        crew(lanes, costs.len(), repeat(()), &work, |crew| {
+            assert!(crew.round(&mut jobs, &costs).is_empty());
+            let busiest = match lanes {
+                1 => costs.len(),
+                _ => lpt_schedule(&costs, lanes).max_lane_tasks,
+            };
+            assert_eq!(crew.busiest(), busiest, "{lanes} lanes");
+        });
+        let once: Vec<(usize, usize)> = (0..costs.len()).map(|job| (job, 1)).collect();
+        assert_eq!(jobs, once, "{lanes} lanes");
+        assert_eq!(runs.load(Ordering::Relaxed), costs.len(), "{lanes} lanes");
+    }
+}
+
+#[test]
+fn panics_are_attributed_per_job_lowest_first_with_their_own_message() {
+    let here = thread::current().id();
+    for lanes in [1, 3] {
+        let work = record(&[3, 1]);
+        let mut jobs = probes(4);
+        let panics = crew(lanes, 4, repeat(()), &work, |crew| {
+            crew.round(&mut jobs, &[1, 1, 1, 1])
+        });
+        let expected = [(1, "job 1 exploded"), (3, "job 3 exploded")];
+        let expected = expected.map(|(job, message)| (job, message.to_string()));
+        assert_eq!(messages(panics), expected, "{lanes} lanes");
+        // Every job ran and came back in place, the ones after a panic on
+        // the same lane too; lane 0 is the caller.
+        assert!(jobs
+            .iter()
+            .enumerate()
+            .all(|(i, job)| job.0 == i && job.1.is_some()));
+        assert_eq!(jobs[0].1, Some(here));
+    }
+}
+
+#[test]
+fn a_lane_that_ran_a_panicking_job_runs_the_next_round() {
+    let work = record(&[0, 1]);
+    crew(2, 2, repeat(()), &work, |crew| {
+        let mut first = probes(2);
+        assert_eq!(
+            crew.round(&mut first, &[1, 1]).len(),
+            2,
+            "both lanes panicked"
+        );
+        let mut second = vec![(2, None), (3, None)];
+        assert!(crew.round(&mut second, &[1, 1]).is_empty());
+        assert_eq!(threads(&second).len(), 2, "both lanes ran again");
+        assert_eq!(threads(&second), threads(&first));
+    });
+}
+
+#[test]
+fn rounds_of_one_crew_run_on_the_same_lane_threads() {
+    let work = record(&[]);
+    let here = thread::current().id();
+    crew(3, 3, repeat(()), &work, |crew| {
+        let mut first = probes(3);
+        assert!(crew.round(&mut first, &[1, 1, 1]).is_empty());
+        assert_eq!(first[0].1, Some(here));
+        assert_eq!(threads(&first).len(), 3);
+        // Equal costs place job `l` on lane `l`, round after round.
+        for round in 1..10 {
+            let mut again = probes(3);
+            assert!(crew.round(&mut again, &[1, 1, 1]).is_empty());
+            assert_eq!(again, first, "round {round}");
+        }
+    });
+}
+
+#[test]
+fn an_empty_round_does_nothing() {
+    for lanes in [1, 2] {
+        let runs = AtomicUsize::new(0);
+        let work = |_: &mut (), _: &mut ()| {
+            runs.fetch_add(1, Ordering::Relaxed);
+        };
+        crew(lanes, 2, repeat(()), &work, |crew| {
+            assert!(crew.round(&mut Vec::new(), &[]).is_empty());
+            assert_eq!(crew.busiest(), 0);
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 0, "{lanes} lanes");
+    }
+}
+
+/// A crew asked for more lanes than it has jobs runs one lane per job at
+/// most, so a large request spawns no more threads than a small one, and
+/// one job runs on the caller alone.
+#[test]
+fn a_crew_runs_one_lane_per_job_at_most() {
+    let work = record(&[]);
+    for jobs in [1, 3] {
+        let seen = crew(64, jobs, repeat(()), &work, |crew| {
+            let mut seen = HashSet::new();
+            for _ in 0..4 {
+                let mut round = probes(jobs);
+                assert!(crew.round(&mut round, &vec![1; jobs]).is_empty());
+                seen.extend(threads(&round));
+            }
+            seen
+        });
+        assert_eq!(seen.len(), jobs, "64 lanes asked over {jobs} jobs");
+        if jobs == 1 {
+            assert!(seen.contains(&thread::current().id()));
+        }
+    }
+}
+
+#[test]
+fn panic_messages_are_readable() {
+    assert_eq!(panic_message(Box::new("boom")), "boom");
+    assert_eq!(panic_message(Box::new("boom".to_string())), "boom");
+    assert_eq!(panic_message(Box::new(42u32)), "worker thread panicked");
 }
 
 #[test]

@@ -13,16 +13,16 @@
 //!   [`PartitionResult`](ebv_partition::PartitionResult) (vertex-cut or
 //!   edge-cut) into per-worker [`Subgraph`]s with master/mirror replicas;
 //! * [`SubgraphProgram`] is the "think like a graph" programming interface;
-//! * [`BspEngine`] executes programs sequentially or on a persistent
-//!   [`WorkerPool`] it owns (spawned at construction, shared by its clones,
-//!   joined when the last drops) with work-aware (LPT) superstep
-//!   scheduling, behind the
-//!   [`SuperstepExecutor`] seam a future multi-process transport plugs
-//!   into, recording the per-worker work and message counters. There is
-//!   one run call, [`BspEngine::run_opts`]: telemetry, a warm-start seed
-//!   and snapshot publication are optional stages of its [`RunOptions`]
-//!   (`run` is the no-options shorthand), and the [`ExecutionMode`]
-//!   belongs to the engine;
+//! * [`BspEngine`] executes programs sequentially or on a crew of scoped
+//!   lanes opened for each run (the calling thread first, one thread scope
+//!   per run, each superstep one round placed by the work-aware LPT
+//!   scheduler), recording the per-worker work and message counters. The
+//!   same crew builds every worker at assembly and in every epoch; a job
+//!   owns what it writes and borrows the graph, so no thread outlives the
+//!   call that started it. There is one run call, [`BspEngine::run_opts`]:
+//!   telemetry, a warm-start seed and snapshot publication are optional
+//!   stages of its [`RunOptions`] (`run` is the no-options shorthand), and
+//!   the [`ExecutionMode`] belongs to the engine;
 //! * [`CostModel`] converts the counters into the comp/comm/ΔC/execution
 //!   breakdown of Table II and the timelines of Figure 4.
 //!
@@ -30,8 +30,7 @@
 //! the paper uses to compare partition algorithms (Tables IV and V).
 
 #![deny(missing_docs)]
-// One site is allowed: the lifetime erasure in `WorkerPool::run_tasks`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod apply;
@@ -52,10 +51,7 @@ mod subgraph;
 pub mod warm;
 
 pub use config::EnvConfig;
-pub use engine::{
-    pool_threads_spawned, BspEngine, BspOutcome, ExecutionMode, PooledExecutor, RunOptions,
-    SequentialExecutor, StepOutcome, SuperstepExecutor, WorkerPool, WorkerTask,
-};
+pub use engine::{BspEngine, BspOutcome, ExecutionMode, RunOptions};
 pub use error::{BspError, Result};
 pub use exchange::WorklistScratch;
 pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};

@@ -134,14 +134,25 @@ impl ReplicaTable {
     /// the tail of its home worker `v % p`, ascending, and marks `touched`
     /// each worker whose tail that changed.
     ///
-    /// One ascending walk, the home stepping round the workers beside it:
-    /// a worker's tail is compared entry by entry until the first mismatch
-    /// and written from there on ([`Subgraph::put_isolated`]), so a stale
-    /// tail is rewritten in the same walk that finds it stale. A tail that
-    /// is stale or whose length changed is then cut to what was listed
-    /// ([`Subgraph::end_isolated`]).
+    /// Each worker's tail is first sized for what will be listed there, so
+    /// neither its vertex table nor its components grow while it is
+    /// written. Then one ascending walk, the home stepping round the
+    /// workers beside it: a worker's tail is compared entry by entry until
+    /// the first mismatch and written from there on
+    /// ([`Subgraph::put_isolated`]), so a stale tail is rewritten in the
+    /// same walk that finds it stale. A tail that is stale or whose length
+    /// changed is then cut to what was listed ([`Subgraph::end_isolated`]).
     fn place_isolated(&self, subgraphs: &mut [Subgraph], n: usize, touched: &mut [bool]) {
         let p = subgraphs.len();
+        let mut room = vec![0usize; p];
+        for (v, &counts) in self.offsets[1..=n].iter().enumerate() {
+            if counts == 0 {
+                room[v % p] += 1;
+            }
+        }
+        for (sg, &len) in subgraphs.iter_mut().zip(&room) {
+            sg.reserve_isolated(len);
+        }
         let (mut listed, mut stale) = (vec![0usize; p], vec![false; p]);
         let mut home = 0;
         for (v, counts) in self.offsets[1..=n].iter().enumerate() {

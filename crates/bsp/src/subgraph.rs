@@ -94,10 +94,26 @@ fn offsets_from_degrees(degrees: &mut [u32], offsets: &mut Vec<u32>) {
     offsets.push(end);
 }
 
+/// Makes room for `len` elements in `buf`; it grows to exactly `len` if it
+/// must.
+fn reserve_len<T>(buf: &mut Vec<T>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+}
+
+/// Makes room for `len` elements in `buf`, growing it by at least a
+/// quarter when it must grow: a tail assembled in one go is sized near its
+/// exact length, while one that grows a little every epoch reallocates
+/// rarely.
+fn grow_to<T>(buf: &mut Vec<T>, len: usize) {
+    if len > buf.capacity() {
+        reserve_len(buf, len.max(buf.capacity() + buf.capacity() / 4));
+    }
+}
+
 /// Resizes `buf` to `len`, filling with `value`; it grows to exactly `len`
 /// if it must.
 fn resize_exact<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
-    buf.reserve_exact(len.saturating_sub(buf.len()));
+    reserve_len(buf, len);
     buf.resize(len, value);
 }
 
@@ -195,6 +211,14 @@ impl LocalComponents {
             *slot += 1;
         }
         sizes.clear();
+    }
+
+    /// Makes room for [`retail`](Self::retail)`(held, held + singletons)`.
+    fn reserve_tail(&mut self, held: usize, singletons: usize) {
+        let components = self.len() - (self.component_of.len() - held);
+        grow_to(&mut self.component_of, held + singletons);
+        grow_to(&mut self.members, held + singletons);
+        grow_to(&mut self.offsets, components + 1 + singletons);
     }
 
     /// Keeps the components of the first `held` local vertices — every one
@@ -438,8 +462,9 @@ impl Subgraph {
     /// [`write_masters`](Self::write_masters). `owns_edge` is either empty
     /// (every edge owned) or one flag per edge. The arrays are refilled in
     /// place, so a rebuild allocates only where it outgrows them, to the
-    /// exact size — with room for an isolated tail as long as the one the
-    /// worker had, since the derivation that follows lists about as many.
+    /// exact size — but for the vertex table, which keeps room for an
+    /// isolated tail as long as the one the worker had (the derivation
+    /// that follows lists about as many) and grows by at least a quarter.
     ///
     /// Each endpoint is resolved once: one walk over the edge list numbers
     /// a vertex on first appearance, counts its out/in degree and stages
@@ -477,7 +502,7 @@ impl Subgraph {
         }
         let room = scratch.vertices.len() + old_tail;
         self.vertices.clear();
-        self.vertices.reserve_exact(room);
+        grow_to(&mut self.vertices, room);
         self.vertices.append(&mut scratch.vertices);
         self.tail = self.vertices.len();
         // CSR assembly: the degrees become offsets and, in place, the fill
@@ -553,6 +578,15 @@ impl Subgraph {
             len = at + 1;
         }
         self.end_isolated(len);
+    }
+
+    /// Makes room for an isolated tail of `len` vertices, so writing it
+    /// ([`put_isolated`](Self::put_isolated) up to
+    /// [`end_isolated`](Self::end_isolated)) allocates at most once per
+    /// array.
+    pub(crate) fn reserve_isolated(&mut self, len: usize) {
+        grow_to(&mut self.vertices, self.tail + len);
+        self.components.reserve_tail(self.tail, len);
     }
 
     /// Writes `v` at position `at` of the isolated tail, which holds at

@@ -242,6 +242,33 @@ fn streaming_builder_places_isolated_vertices() {
     }
 }
 
+/// Assembly sizes each worker's isolated tail once, before writing it: on
+/// tails far longer than a quarter of the held prefix, the vertex table and
+/// the local components end exactly as long as what they list, not at
+/// whatever a doubling `Vec` reached.
+#[test]
+fn assembly_sizes_isolated_tails_exactly() {
+    // Vertices 3..50 touch no edge.
+    let g = Graph::from_edges(vec![(0, 1), (1, 2), (2, 0), (50, 51)]).unwrap();
+    let partition = EbvPartitioner::new().partition(&g, 2).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    for (i, sg) in dg.subgraphs().iter().enumerate() {
+        assert!(sg.isolated().len() > 20, "worker {i}");
+        assert_eq!(sg.vertices.capacity(), sg.vertices.len(), "worker {i}");
+        let components = &sg.components;
+        for (len, capacity) in [
+            (
+                components.component_of.len(),
+                components.component_of.capacity(),
+            ),
+            (components.members.len(), components.members.capacity()),
+            (components.offsets.len(), components.offsets.capacity()),
+        ] {
+            assert_eq!(capacity, len, "worker {i}");
+        }
+    }
+}
+
 #[test]
 fn streaming_builder_rejects_bad_input() {
     assert!(DistributedGraphBuilder::new(0).is_err());

@@ -1,23 +1,20 @@
-//! Pool ownership and persistence: a pooled [`BspEngine`] spawns its
-//! threads once, at construction, and every run of that engine or of its
-//! clones — across supersteps, cold runs *and* mutation epochs — reuses
-//! them. Warm epochs are spawn-free for any driver that keeps its engine.
-//!
-//! This lives in its own single-test integration binary on purpose: it
-//! asserts on the process-wide [`ebv_bsp::pool_threads_spawned`] counter,
-//! which would race with other tests creating engines in the same process.
+//! One pooled [`BspEngine`] and its clones across churned epochs: each run
+//! opens its own lanes, so an engine kept across epochs, a clone of it and
+//! a fresh sequential engine give the same values and counters, epoch
+//! after epoch.
 
 use ebv_algorithms::{ConnectedComponents, IncrementalConnectedComponents};
-use ebv_bsp::{pool_threads_spawned, BspEngine, DistributedGraph, ExecutionMode, RunOptions};
+use ebv_bsp::{BspEngine, DistributedGraph, ExecutionMode, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline};
 use ebv_partition::EbvPartitioner;
 use ebv_stream::{EdgeSource, RmatEdgeStream};
 
-/// `pooled(n)` raises the spawn counter by exactly `n`; ten churned epochs
-/// of warm connected components, clones of the engine and repeated cold
-/// runs never move it again.
+/// Ten churned epochs of warm connected components, alternating between a
+/// pooled engine and its clone, each equal to the same warm run on a
+/// sequential engine in values and stats; repeated cold runs equal a cold
+/// sequential run.
 #[test]
-fn ten_epochs_reuse_the_same_pool_threads() {
+fn ten_epochs_alternating_an_engine_and_its_clone_equal_sequential() {
     let p = 4usize;
     let scale = 6u32;
     let threads = 3usize;
@@ -28,24 +25,14 @@ fn ten_epochs_reuse_the_same_pool_threads() {
     let mut distributed =
         DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
 
-    let before = pool_threads_spawned();
     let engine = BspEngine::pooled(threads);
-    let spawned = pool_threads_spawned();
-    assert_eq!(
-        spawned,
-        before + threads as u64,
-        "pooled(n) spawns exactly n threads, at construction"
-    );
     assert_eq!(engine.mode(), ExecutionMode::Pooled(threads));
-
+    let sequential = BspEngine::sequential();
     let mut labels = engine
         .run(&distributed, &ConnectedComponents::new())
         .unwrap()
         .values;
-    assert_eq!(pool_threads_spawned(), spawned, "the first run spawned");
 
-    // Warm epochs over a churned stream, alternating between the engine
-    // and a clone of it: zero additional spawns.
     let clone = engine.clone();
     let churned = ChurnStream::new(stream, 0.3).unwrap().with_seed(43);
     let mut epochs = 0usize;
@@ -57,27 +44,22 @@ fn ten_epochs_reuse_the_same_pool_threads() {
             |dg, batch, _, _| {
                 let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
                 let runner = [&engine, &clone][epochs % 2];
-                labels = runner
-                    .run_opts(dg, &cc, RunOptions::new().warm_seed(&labels))
-                    .unwrap()
-                    .values;
+                let options = RunOptions::new().warm_seed(&labels);
+                let warm = runner.run_opts(dg, &cc, options).unwrap();
+                let reference = sequential.run_opts(dg, &cc, options).unwrap();
+                assert_eq!(warm.values, reference.values, "epoch {epochs}");
+                assert_eq!(warm.stats, reference.stats, "epoch {epochs}");
+                labels = warm.values;
                 epochs += 1;
-                assert_eq!(
-                    pool_threads_spawned(),
-                    spawned,
-                    "epoch {epochs} spawned new threads"
-                );
                 Ok(())
             },
         )
         .unwrap();
     assert!(epochs >= 10, "expected at least 10 epochs, got {epochs}");
 
-    // Repeated cold runs, on the original after its clone is gone: still
-    // the same threads, and still the right answer — bit-identical to a
-    // cold sequential run over the final distribution.
-    drop(clone);
-    let seq = BspEngine::sequential()
+    // Repeated cold runs on the original: still the right answer,
+    // bit-identical to a cold sequential run over the final distribution.
+    let seq = sequential
         .run(&distributed, &ConnectedComponents::new())
         .unwrap();
     for _ in 0..3 {
@@ -88,5 +70,4 @@ fn ten_epochs_reuse_the_same_pool_threads() {
         assert_eq!(cold.stats, seq.stats);
     }
     assert_eq!(labels, seq.values);
-    assert_eq!(pool_threads_spawned(), spawned, "cold runs spawned");
 }

@@ -31,11 +31,11 @@
 //!
 //! All knobs come from the consolidated [`EnvConfig`]:
 //! `EBV_MODE=sequential` runs every BSP execution on the calling thread;
-//! the default (`EBV_MODE=threaded` or unset) runs the workers on a pool of
-//! the host's available parallelism, exercising the parallel two-phase
-//! message exchange end-to-end (and `pooled:<n>` sizes the pool to `n`
-//! threads). The one engine built in `main` owns that pool for the whole
-//! run. Every mode produces bit-identical values and counters.
+//! the default (`EBV_MODE=threaded` or unset) runs the workers on as many
+//! lanes as the host has available parallelism, exercising the parallel
+//! two-phase message exchange end-to-end (and `pooled:<n>` caps the lanes
+//! at `n`). Each execution opens its lanes and joins them before it
+//! returns. Every mode produces bit-identical values and counters.
 //!
 //! The whole run is traced through the `ebv-obs` telemetry plane:
 //! `EBV_TRACE=out.json` writes a Chrome trace-event file (load it in
@@ -155,8 +155,8 @@ fn fingerprint(values: &[u64]) -> u64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The one engine of the run: a pooled mode spawns its threads here and
-    // every execution below — cold, warm, replayed — reuses them.
+    // The one engine of the run, used by every execution below — cold,
+    // warm, replayed. It holds no thread: each run opens its own lanes.
     let engine = env_config().engine();
     println!(
         "evolving graph: {NUM_EDGES} R-MAT arrivals over 2^{SCALE} vertices, churn {CHURN}, \
