@@ -103,6 +103,29 @@ fn every_job_runs_once_and_comes_back_in_index_order() {
 }
 
 #[test]
+fn owned_jobs_run_once_while_lane_states_borrow_the_callers_counters() {
+    // Each lane's state borrows one of the caller's counters, and the work
+    // borrows a shared one: ten owned jobs on two lanes add up in both.
+    let shared = AtomicUsize::new(0);
+    let per_lane = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    let work = |lane: &mut &AtomicUsize, job: &mut Vec<usize>| {
+        lane.fetch_add(1, Ordering::Relaxed);
+        shared.fetch_add(job[0], Ordering::Relaxed);
+        job.push(job[0]);
+    };
+    let mut jobs: Vec<Vec<usize>> = (0..10).map(|job| vec![job]).collect();
+    crew(2, jobs.len(), per_lane.iter(), &work, |crew| {
+        assert!(crew.round(&mut jobs, &[1; 10]).is_empty());
+        assert_eq!(crew.busiest(), 5);
+    });
+    // The crew returning proves every job completed.
+    let lanes = per_lane.each_ref().map(|lane| lane.load(Ordering::Relaxed));
+    assert_eq!(lanes, [5, 5]);
+    assert_eq!(shared.load(Ordering::Relaxed), (0..10).sum::<usize>());
+    assert!(jobs.iter().enumerate().all(|(i, job)| *job == [i, i]));
+}
+
+#[test]
 fn panics_are_attributed_per_job_lowest_first_with_their_own_message() {
     let here = thread::current().id();
     for lanes in [1, 3] {
