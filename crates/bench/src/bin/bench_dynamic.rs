@@ -1,5 +1,5 @@
 //! Machine-readable throughput benchmark for the partitioning paths:
-//! batch, streaming, dynamic maintenance (insert/delete churn), the
+//! batch, online insert, dynamic maintenance (insert/delete churn), the
 //! incremental-vs-full mutation-epoch comparison, warm-vs-cold BSP
 //! re-execution (CC, SSSP) and one rebalance epoch, written as
 //! `BENCH_dynamic.json` at the workspace root for trend tracking.
@@ -34,9 +34,7 @@ use ebv_bsp::{BspEngine, CostModel, DistributedGraph, MutationBatch, RunOptions}
 use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
 use ebv_graph::{GraphBuilder, VertexId};
 use ebv_obs::{MetricsRegistry, ObsServer, ObsServerConfig, Phase, Telemetry};
-use ebv_partition::{
-    EbvPartitioner, Partitioner, RandomVertexCutPartitioner, RebalanceConfig, StreamingPartitioner,
-};
+use ebv_partition::{EbvPartitioner, Partitioner, RandomVertexCutPartitioner, RebalanceConfig};
 use ebv_serve::{Series, SeriesValue, SnapshotStore};
 use ebv_state::DurableState;
 use ebv_stream::{EdgeSource, RmatEdgeStream};
@@ -155,21 +153,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // Streaming EBV, one pass, exact hints.
-    let source = stream();
-    let mut streaming = EbvPartitioner::new().streaming(source.stream_config(workers))?;
+    // Online EBV over the insert-only stream: one pass, exact hints.
+    let mut online = EbvPartitioner::new().dynamic(stream().stream_config(workers))?;
     let started = Instant::now();
     let mut source = stream();
     while let Some(edge) = source.next_edge() {
-        streaming.ingest(edge?);
+        online.insert(edge?);
     }
     let seconds = started.elapsed().as_secs_f64();
     rows.push(Measurement {
-        name: "streaming_ebv_ingest",
+        name: "dynamic_ebv_insert",
         items: "edges",
-        count: streaming.edges_ingested(),
+        count: online.live_edges(),
         seconds,
-        state_bytes: streaming.state_bytes(),
+        state_bytes: online.state_bytes(),
     });
 
     // Dynamic maintenance under churn, for EBV and the hash baseline.

@@ -29,9 +29,9 @@ use ebv_bench::scan_values;
 /// Every phase the `evolving_graph` example must leave at least one span
 /// for: the BSP superstep trio, the mutation path, the warm-start
 /// invalidation hooks, and the two halves of a pipeline epoch (partition
-/// decision, then apply). (`chunk_ingest` is a streaming-pipeline phase and is
-/// deliberately not required here, and neither is `gather`: a worker reads
-/// its inbound shards in place, so the engine has nothing to bracket with it.)
+/// decision, then apply). (`chunk_ingest` is not required because nothing
+/// records it any more, and neither is `gather`: a worker reads its inbound
+/// shards in place, so the engine has nothing to bracket with it.)
 const REQUIRED_PHASES: [&str; 8] = [
     "compute",
     "scatter",

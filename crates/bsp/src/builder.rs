@@ -60,8 +60,8 @@ impl DistributedGraph {
 /// Incremental, streaming-friendly construction of a [`DistributedGraph`].
 ///
 /// Edges arrive one at a time, already assigned to their partition (for
-/// example by an
-/// [`ebv_partition::StreamingPartitioner`]); the builder routes each edge
+/// example by
+/// [`ebv_partition::DynamicPartitioner::insert`]); the builder routes each edge
 /// to its worker's edge list immediately, so peak memory is the final
 /// per-worker state — no global edge vector is ever held. Master election
 /// and replica bookkeeping happen once, in [`finish`](Self::finish), through

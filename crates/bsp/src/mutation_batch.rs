@@ -188,3 +188,6 @@ impl std::fmt::Display for MutationStats {
         )
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -47,19 +47,6 @@ impl DbhPartitioner {
         self.salt = salt;
         self
     }
-
-    /// Creates the streaming (greedy one-pass) form of this partitioner,
-    /// which hashes the endpoint with the lower degree *observed so far* —
-    /// full degrees are unavailable online, so this intentionally differs
-    /// from the batch assignment (see [`crate::streaming`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::PartitionError::InvalidPartitionCount`] for a zero
-    /// partition count.
-    pub fn streaming(&self, config: crate::StreamConfig) -> crate::Result<crate::StreamingDbh> {
-        crate::StreamingDbh::from_parts(self.salt, config)
-    }
 }
 
 impl Partitioner for DbhPartitioner {

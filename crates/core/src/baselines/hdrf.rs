@@ -53,19 +53,6 @@ impl HdrfPartitioner {
         self
     }
 
-    /// Creates the streaming form of this partitioner. HDRF is one-pass by
-    /// construction, so under the default input order the streaming output
-    /// is bit-identical to [`Partitioner::partition`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::InvalidParameter`] for an invalid `λ` and
-    /// [`PartitionError::InvalidPartitionCount`] for a zero partition count.
-    pub fn streaming(&self, config: crate::StreamConfig) -> Result<crate::StreamingHdrf> {
-        self.validate()?;
-        crate::StreamingHdrf::from_parts(self.lambda, config)
-    }
-
     fn validate(&self) -> Result<()> {
         if !self.lambda.is_finite() || self.lambda < 0.0 {
             return Err(PartitionError::InvalidParameter {
@@ -81,8 +68,9 @@ impl HdrfPartitioner {
 
     /// Creates the dynamic (evolving-graph) form of this partitioner, whose
     /// partial degrees and cover state are decremented exactly under edge
-    /// deletions; see [`crate::dynamic`]. Insert-only sequences are
-    /// bit-identical to [`HdrfPartitioner::streaming`].
+    /// deletions; see [`crate::dynamic`]. HDRF is one-pass by
+    /// construction, so under the default input order an insert-only
+    /// sequence is bit-identical to [`Partitioner::partition`].
     ///
     /// # Errors
     ///

@@ -28,21 +28,9 @@ impl RandomVertexCutPartitioner {
         self
     }
 
-    /// Creates the streaming form of this partitioner. The assignment is a
-    /// pure hash of each edge and its stream position, so the streaming
-    /// output is bit-identical to [`Partitioner::partition`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::PartitionError::InvalidPartitionCount`] for a zero
-    /// partition count.
-    pub fn streaming(&self, config: crate::StreamConfig) -> crate::Result<crate::StreamingRandom> {
-        crate::StreamingRandom::from_parts(self.salt, config)
-    }
-
     /// Creates the dynamic (evolving-graph) form of this partitioner. The
     /// assignment is a pure hash of the edge *endpoints* only — unlike the
-    /// streaming form it deliberately ignores the stream position, so after
+    /// batch form it deliberately ignores the stream position, so after
     /// any insert/delete sequence the assignment equals a from-scratch run
     /// over the surviving edges; see [`crate::dynamic`].
     ///
@@ -66,8 +54,11 @@ impl Partitioner for RandomVertexCutPartitioner {
             .edges()
             .iter()
             .enumerate()
-            .map(|(i, edge)| {
-                crate::streaming::random_vertex_cut_part(self.salt, num_partitions, *edge, i)
+            .map(|(i, &edge)| {
+                let key = mix64(edge.src.raw())
+                    ^ mix64(edge.dst.raw().rotate_left(17))
+                    ^ mix64(i as u64 ^ self.salt);
+                PartitionId::new((mix64(key) % num_partitions as u64) as u32)
             })
             .collect();
         Ok(EdgePartition::new(num_partitions, assignment)?.into())

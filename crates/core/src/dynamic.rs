@@ -2,9 +2,10 @@
 //! partition maintenance under edge **deletions** and imbalance-triggered
 //! **rebalancing**.
 //!
-//! The streaming module ([`crate::streaming`]) opened the insert-only online
-//! scenario; this module opens full mutation streams. A
-//! [`DynamicPartitioner`] accepts [`insert`](DynamicPartitioner::insert) and
+//! This is the one online partitioner: a stream is an insert-only event
+//! sequence (configured by [`StreamConfig`]), and full mutation streams add
+//! deletions and rebalancing. A [`DynamicPartitioner`] accepts
+//! [`insert`](DynamicPartitioner::insert) and
 //! [`delete`](DynamicPartitioner::delete) calls and keeps three pieces of
 //! state *exactly* consistent with the surviving edge multiset:
 //!
@@ -25,10 +26,10 @@
 //!   surviving edges into a graph and recomputing
 //!   [`PartitionMetrics::compute`] from scratch over the maintained
 //!   assignment — the decrement path never drifts.
-//! * **Insert-only equivalence**: a sequence with no deletions reproduces
-//!   the corresponding [`StreamingPartitioner`](crate::StreamingPartitioner)
-//!   (and therefore, with exact hints and input order, the batch algorithm)
-//!   bit for bit.
+//! * **Insert-only equivalence**: with exact [`StreamConfig`] hints, a
+//!   sequence with no deletions reproduces the batch EBV
+//!   ([`EdgeOrder::Input`](crate::EdgeOrder::Input)) and HDRF algorithms
+//!   bit for bit, assignments and metrics alike.
 //! * **History-obliviousness (Random)**: the dynamic Random variant hashes
 //!   only the edge endpoints (not the stream position), so after any event
 //!   sequence its assignment — not just its metrics — equals a from-scratch
@@ -216,7 +217,7 @@ impl CoverLookup for DynamicPartitioner {
 }
 
 /// The deletion-oblivious Random-VC assignment: a pure hash of the edge
-/// endpoints and the salt. Unlike the streaming form it deliberately does
+/// endpoints and the salt. Unlike the batch form it deliberately does
 /// **not** mix in the stream position, so deleting unrelated edges never
 /// changes where an edge hashes — the assignment after any event sequence
 /// equals a from-scratch run over the survivors.
@@ -270,12 +271,7 @@ pub struct DynamicPartitioner {
 
 impl DynamicPartitioner {
     fn new(policy: Policy, config: StreamConfig) -> Result<Self> {
-        if config.num_partitions() == 0 {
-            return Err(PartitionError::InvalidPartitionCount {
-                requested: 0,
-                message: "at least one partition is required".to_string(),
-            });
-        }
+        config.validate()?;
         let mut partitioner = DynamicPartitioner {
             policy,
             num_partitions: config.num_partitions(),
@@ -415,8 +411,7 @@ impl DynamicPartitioner {
     }
 
     /// Scores the partitions for `edge` with the configured policy against
-    /// the live state, through the same scoring functions as the streaming
-    /// implementations, so insert-only sequences are bit-identical.
+    /// the live state, through the scoring functions of [`crate::scoring`].
     fn place(&mut self, edge: Edge) -> PartitionId {
         let p = self.num_partitions;
         let (u, v) = edge.endpoints();
@@ -799,23 +794,25 @@ mod tests {
     }
 
     #[test]
-    fn insert_only_matches_streaming_bit_for_bit() {
+    fn insert_only_matches_batch_bit_for_bit() {
         let g = RmatGenerator::new(8, 8).with_seed(21).generate().unwrap();
         let config = StreamConfig::new(5)
             .with_expected_vertices(g.num_vertices())
             .with_expected_edges(g.num_edges());
-        let mut streaming = EbvPartitioner::new().streaming(config).unwrap();
-        let mut dynamic = EbvPartitioner::new().dynamic(config).unwrap();
-        for &e in g.edges() {
-            assert_eq!(streaming.ingest(e), dynamic.insert(e), "edge {e}");
-        }
-        let streamed = streaming.finish().unwrap();
-        assert_eq!(streamed, dynamic.snapshot().unwrap());
-
-        let mut s_hdrf = HdrfPartitioner::new().streaming(config).unwrap();
-        let mut d_hdrf = HdrfPartitioner::new().dynamic(config).unwrap();
-        for &e in g.edges() {
-            assert_eq!(s_hdrf.ingest(e), d_hdrf.insert(e), "edge {e}");
+        let batch_ebv = EbvPartitioner::new().unsorted().partition(&g, 5).unwrap();
+        let batch_hdrf = HdrfPartitioner::new().partition(&g, 5).unwrap();
+        for (mut dynamic, batch) in [
+            (EbvPartitioner::new().dynamic(config).unwrap(), batch_ebv),
+            (HdrfPartitioner::new().dynamic(config).unwrap(), batch_hdrf),
+        ] {
+            let name = dynamic.name();
+            let assignment = batch.as_vertex_cut().unwrap().assignment();
+            for (&e, &expected) in g.edges().iter().zip(assignment) {
+                assert_eq!(dynamic.insert(e), expected, "{name} edge {e}");
+            }
+            assert_eq!(dynamic.snapshot().unwrap(), batch, "{name}");
+            let metrics = PartitionMetrics::compute(&g, &batch).unwrap();
+            assert_bit_identical(dynamic.metrics(), metrics);
         }
     }
 

@@ -145,29 +145,13 @@ impl EbvPartitioner {
         Ok(())
     }
 
-    /// Creates the streaming (online) form of this partitioner: an
-    /// [`ingest`](crate::StreamingPartitioner::ingest)-driven partitioner
-    /// with the same `α`/`β` configuration.
-    ///
-    /// With exact cardinality hints in `config`, the streaming output is
-    /// bit-identical to [`Partitioner::partition`] under
-    /// [`EdgeOrder::Input`]; see [`crate::streaming`]. The configured edge
-    /// order is ignored — a stream is consumed in arrival order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::InvalidParameter`] for invalid `α`/`β` and
-    /// [`PartitionError::InvalidPartitionCount`] for a zero partition count.
-    pub fn streaming(&self, config: crate::StreamConfig) -> Result<crate::StreamingEbv> {
-        self.validate()?;
-        crate::StreamingEbv::from_parts(self.alpha, self.beta, config)
-    }
-
-    /// Creates the dynamic (evolving-graph) form of this partitioner: an
-    /// insert/delete-driven partitioner with the same `α`/`β` configuration
-    /// whose maintained state stays exact under deletions; see
-    /// [`crate::dynamic`]. Insert-only sequences are bit-identical to
-    /// [`EbvPartitioner::streaming`].
+    /// Creates the online form of this partitioner: an insert/delete-driven
+    /// partitioner with the same `α`/`β` configuration whose maintained
+    /// state stays exact under deletions; see [`crate::dynamic`]. The
+    /// configured edge order is ignored — a stream is consumed in arrival
+    /// order. With exact cardinality hints in `config`, an insert-only
+    /// sequence is bit-identical to [`Partitioner::partition`] under
+    /// [`EdgeOrder::Input`].
     ///
     /// # Errors
     ///

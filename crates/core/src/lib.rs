@@ -48,7 +48,7 @@ mod metrics;
 mod ordering;
 mod partitioner;
 mod scoring;
-pub mod streaming;
+mod streaming;
 mod types;
 
 pub use assignment::{EdgePartition, PartitionResult, VertexPartition};
@@ -64,10 +64,7 @@ pub use membership::MembershipMatrix;
 pub use metrics::{max_mean_ratio, PartitionMetrics};
 pub use ordering::{degree_sum, EdgeOrder};
 pub use partitioner::{check_partition_count, Partitioner};
-pub use streaming::{
-    StreamConfig, StreamingDbh, StreamingEbv, StreamingHdrf, StreamingMetrics,
-    StreamingPartitioner, StreamingRandom,
-};
+pub use streaming::StreamConfig;
 pub use types::PartitionId;
 
 /// Commonly used items, for glob import in examples and downstream crates.
@@ -77,7 +74,7 @@ pub mod prelude {
         EdgePartition, GingerPartitioner, HdrfPartitioner, MetisLikePartitioner, MigrationPlan,
         NePartitioner, PartitionId, PartitionMetrics, PartitionResult, Partitioner,
         RandomEdgeCutPartitioner, RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
-        StreamingPartitioner, VertexPartition,
+        VertexPartition,
     };
 }
 

@@ -40,8 +40,8 @@ impl MembershipMatrix {
     }
 
     /// Grows the matrix to at least `num_vertices` rows, keeping existing
-    /// memberships. Used by the streaming partitioners, which discover the
-    /// vertex universe one edge at a time.
+    /// memberships, for a caller that discovers the vertex universe one
+    /// edge at a time.
     pub fn grow_to(&mut self, num_vertices: usize) {
         if num_vertices > self.num_vertices {
             self.num_vertices = num_vertices;

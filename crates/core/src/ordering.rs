@@ -13,7 +13,7 @@
 //! input order, in the ascending *and* in the descending direction (the
 //! descending order is a stable sort on the reversed key, not the ascending
 //! order read backwards). Callers rely on it — a batch EBV run under one of
-//! these orders equals the streaming run fed the arranged edge list, and
+//! these orders equals the online run fed the arranged edge list, and
 //! the paper-claim tests pin the resulting metrics.
 //!
 //! The key of an edge is an integer no larger than `2Δ` (`Δ` the maximum

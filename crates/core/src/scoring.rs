@@ -1,16 +1,14 @@
-//! The online scoring formulas and maintained-metrics arithmetic shared by
-//! the streaming ([`crate::streaming`]) and dynamic ([`crate::dynamic`])
-//! partitioners.
+//! The online scoring formulas and maintained-metrics arithmetic of the
+//! online partitioner ([`crate::dynamic`]).
 //!
-//! Both keep a per-partition vertex cover and edge load and score each
-//! arriving edge against them; only the cover's representation differs (a
-//! membership bitset vs. live-incidence refcounts). Each formula is written
-//! once over [`CoverLookup`], so the insert-only bit-identity between the
-//! two is structural. The batch loops (`ebv.rs`, `baselines/hdrf.rs`) and
-//! [`PartitionMetrics::compute`] deliberately stay separate: they are the
-//! references the streaming and dynamic suites compare against. The batch
-//! EBV loop evaluates the same function in a different shape — it knows
-//! `|E|` and `|V|` up front, so the two balance terms are cached per
+//! It keeps a per-partition vertex cover and edge load and scores each
+//! arriving edge against them. Each formula is written once over
+//! [`CoverLookup`], which the partitioner's dense refcounts and its test
+//! oracle's maps both implement. The batch loops (`ebv.rs`,
+//! `baselines/hdrf.rs`) and [`PartitionMetrics::compute`] deliberately stay
+//! separate: they are the references the online suites compare against.
+//! The batch EBV loop evaluates the same function in a different shape — it
+//! knows `|E|` and `|V|` up front, so the two balance terms are cached per
 //! partition and only the chosen partition's pair is refreshed — and is
 //! itself pinned bit for bit to the term-recomputing form written here by
 //! the reference loop in `ebv.rs`'s tests.

@@ -1,9 +1,8 @@
 //! # ebv-dynamic — evolving-graph support for the EBV reproduction
 //!
-//! The batch path partitions a frozen edge list and the streaming path
-//! (`ebv-stream`, PR 1) partitions an insert-only stream; real workloads
-//! *mutate* — social edges churn, road segments close. This crate opens the
-//! evolving-graph scenario family: mutation streams of
+//! The batch path partitions a frozen edge list; real workloads *mutate* —
+//! social edges churn, road segments close. This crate is the online path:
+//! mutation streams of
 //! [`GraphEvent::Insert`]/[`GraphEvent::Delete`] flow through a
 //! [`DynamicPartitioner`](ebv_partition::DynamicPartitioner) whose
 //! reference-counted state stays *exactly* consistent under deletions, and
@@ -26,6 +25,10 @@
 //!        delta-metrics after every batch; batch_from_plan() replays
 //!        rebalance migrations downstream.
 //! ```
+//!
+//! A plain stream is the insert-only case: [`InsertEvents`] wraps any
+//! `ebv-stream` edge source, and with exact hints the online EBV and HDRF
+//! assignments equal the batch ones under input order.
 //!
 //! There is one epoch loop, [`EventPipeline::run_applied_opts`]: telemetry,
 //! the query plane's epoch commit and the write-ahead durability hook are

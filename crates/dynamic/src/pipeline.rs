@@ -625,6 +625,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_stream_produces_an_empty_run() {
+        let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::new(3)).unwrap();
+        let report = EventPipeline::new(128)
+            .run(events(Vec::new()), &mut partitioner, |_, _| {
+                panic!("an empty stream emits no batch")
+            })
+            .unwrap();
+        assert!(report.batches().is_empty());
+        assert_eq!(report.total_inserts() + report.total_deletes(), 0);
+        assert_eq!(report.final_metrics(), None);
+        let result = partitioner.snapshot().unwrap();
+        assert_eq!(result.num_partitions(), 3);
+        assert_eq!(result.as_vertex_cut().unwrap().num_edges(), 0);
+    }
+
+    #[test]
     fn deleting_a_missing_edge_is_a_typed_error() {
         let source = events(vec![GraphEvent::Delete(Edge::from((5u64, 6u64)))]);
         let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::new(2)).unwrap();

@@ -27,7 +27,7 @@ use ebv_dynamic::{
 };
 use ebv_graph::{Edge, GraphBuilder};
 use ebv_partition::{
-    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics, Partitioner,
+    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics,
     RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
 };
 use ebv_stream::{EdgeSource, RmatEdgeStream, UniformEdgeStream};
@@ -218,40 +218,6 @@ proptest! {
         let b = partitioner.metrics();
         prop_assert!(a.edge_imbalance == b.edge_imbalance
             && a.replication_factor == b.replication_factor);
-    }
-
-    /// Insert-only sequences reproduce the streaming partitioners (and so,
-    /// with exact hints, the batch algorithms) bit for bit.
-    #[test]
-    fn insert_only_equals_streaming(
-        scale in 5u32..9,
-        num_edges in 50usize..800,
-        seed in 0u64..500,
-        p in 1usize..7,
-    ) {
-        let stream = || RmatEdgeStream::new(scale, num_edges).with_seed(seed);
-        let config = stream().stream_config(p);
-
-        let mut dynamic = EbvPartitioner::new().dynamic(config).unwrap();
-        let mut streaming = EbvPartitioner::new().streaming(config).unwrap();
-        let mut source = stream();
-        while let Some(edge) = source.next_edge() {
-            let edge = edge.unwrap();
-            prop_assert_eq!(dynamic.insert(edge), streaming.ingest(edge), "edge {}", edge);
-        }
-        use ebv_partition::StreamingPartitioner;
-        prop_assert_eq!(dynamic.snapshot().unwrap(), streaming.finish().unwrap());
-
-        // And therefore the batch algorithm under input order.
-        let mut builder = GraphBuilder::directed();
-        let mut source = stream();
-        while let Some(edge) = source.next_edge() {
-            builder.add_edge(edge.unwrap());
-        }
-        builder.num_vertices(1 << scale);
-        let graph = builder.build().unwrap();
-        let batch = EbvPartitioner::new().unsorted().partition(&graph, p).unwrap();
-        prop_assert_eq!(dynamic.snapshot().unwrap(), batch);
     }
 
     /// Anchor 3: a distribution mutated batch-by-batch through the event

@@ -6,7 +6,7 @@
 //! from a graph library:
 //!
 //! * immutable [`Graph`] values with both an insertion-ordered edge list
-//!   (streaming partitioners care about edge order) and CSR adjacency
+//!   (online partitioners care about edge order) and CSR adjacency
 //!   (applications care about neighbourhood access),
 //! * a [`GraphBuilder`] that remaps sparse identifiers and expands undirected
 //!   edges into opposite directed pairs, exactly as Section III-C of the

@@ -46,7 +46,10 @@ pub enum Phase {
     /// distribution (`apply_mutations`, which nests `mutation_apply`); the
     /// partition decision before it is [`Phase::PartitionDecide`].
     EpochApply,
-    /// One `ChunkedPipeline` chunk: partitioner ingest (and pre-hash).
+    /// One chunk of the retired chunked ingest loop. Nothing records it
+    /// now: a stream goes through `EventPipeline` and records
+    /// [`Phase::PartitionDecide`]. The variant goes in the journal format's
+    /// next version bump.
     ChunkIngest,
 }
 

@@ -1,14 +1,12 @@
-//! Error type for streaming ingestion and the chunked pipeline.
+//! Error type for reading and generating edge streams.
 
 use std::error::Error as StdError;
 use std::fmt;
 use std::io;
 
 use ebv_graph::GraphError;
-use ebv_partition::PartitionError;
 
-/// Errors produced while reading, generating or partitioning an edge
-/// stream.
+/// Errors produced while reading or generating an edge stream.
 #[derive(Debug)]
 pub enum StreamError {
     /// A line of edge-list text could not be parsed, or names a vertex id
@@ -27,17 +25,8 @@ pub enum StreamError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// A reader, generator or pipeline was configured inconsistently.
-    InvalidParameter {
-        /// Name of the offending parameter.
-        parameter: &'static str,
-        /// Human-readable description of the constraint that was violated.
-        message: String,
-    },
     /// An error bubbled up from the graph substrate.
     Graph(GraphError),
-    /// An error bubbled up from a partitioner.
-    Partition(PartitionError),
     /// An underlying I/O error.
     Io(io::Error),
 }
@@ -51,11 +40,7 @@ impl fmt::Display for StreamError {
             StreamError::InvalidFormat { offset, message } => {
                 write!(f, "invalid binary edge stream at byte {offset}: {message}")
             }
-            StreamError::InvalidParameter { parameter, message } => {
-                write!(f, "invalid parameter `{parameter}`: {message}")
-            }
             StreamError::Graph(err) => write!(f, "graph error: {err}"),
-            StreamError::Partition(err) => write!(f, "partition error: {err}"),
             StreamError::Io(err) => write!(f, "i/o error: {err}"),
         }
     }
@@ -65,7 +50,6 @@ impl StdError for StreamError {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
             StreamError::Graph(err) => Some(err),
-            StreamError::Partition(err) => Some(err),
             StreamError::Io(err) => Some(err),
             _ => None,
         }
@@ -75,12 +59,6 @@ impl StdError for StreamError {
 impl From<io::Error> for StreamError {
     fn from(err: io::Error) -> Self {
         StreamError::Io(err)
-    }
-}
-
-impl From<PartitionError> for StreamError {
-    fn from(err: PartitionError) -> Self {
-        StreamError::Partition(err)
     }
 }
 
@@ -115,11 +93,6 @@ mod tests {
             message: "truncated varint".to_string(),
         };
         assert!(e.to_string().contains("byte 12"));
-        let e = StreamError::InvalidParameter {
-            parameter: "chunk_size",
-            message: "must be positive".to_string(),
-        };
-        assert!(e.to_string().contains("chunk_size"));
     }
 
     #[test]

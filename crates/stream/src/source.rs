@@ -8,15 +8,13 @@ use crate::error::Result;
 
 /// A fallible, pull-based stream of edges.
 ///
-/// Sources deliver edges in a fixed arrival order; a [`StreamingPartitioner`]
-/// (see [`ebv_partition::streaming`]) consumes them in that order. Sources
-/// optionally know their cardinalities up front
-/// ([`expected_edges`](EdgeSource::expected_edges) /
+/// Sources deliver edges in a fixed arrival order; the online partitioner
+/// ([`DynamicPartitioner::insert`](ebv_partition::DynamicPartitioner::insert))
+/// consumes them in that order. Sources optionally know their
+/// cardinalities up front ([`expected_edges`](EdgeSource::expected_edges) /
 /// [`expected_vertices`](EdgeSource::expected_vertices)), which
 /// [`stream_config`](EdgeSource::stream_config) turns into the hints EBV
 /// needs for exact batch equivalence.
-///
-/// [`StreamingPartitioner`]: ebv_partition::StreamingPartitioner
 pub trait EdgeSource {
     /// Pulls the next edge: `None` at end of stream, `Some(Err(_))` when
     /// the underlying reader failed or the input is malformed.

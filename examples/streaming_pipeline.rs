@@ -1,11 +1,13 @@
-//! End-to-end streaming pipeline: generator stream → chunked online EBV →
+//! End-to-end streaming pipeline: generator stream → online EBV →
 //! incremental distributed graph → Connected Components, without ever
 //! materializing the global edge vector on the streaming path.
 //!
-//! The example also replays the same deterministic stream into a batch
-//! graph to demonstrate the subsystem's central guarantee: streaming EBV is
-//! *bit-identical* to batch EBV under input order — same assignments, same
-//! replication factor, same imbalance factors.
+//! A stream is an insert-only event sequence, so the online partitioner is
+//! the `DynamicPartitioner` fed nothing but inserts. The example also
+//! replays the same deterministic stream into a batch graph to demonstrate
+//! the central guarantee: with exact hints, online EBV is *bit-identical* to
+//! batch EBV under input order — same assignments, same replication factor,
+//! same imbalance factors.
 //!
 //! Run with:
 //!
@@ -18,8 +20,8 @@ use std::time::Instant;
 use ebv::algorithms::ConnectedComponents;
 use ebv::bsp::{BspEngine, DistributedGraph};
 use ebv::graph::GraphBuilder;
-use ebv::partition::{EbvPartitioner, PartitionMetrics, Partitioner, StreamingPartitioner};
-use ebv::stream::{ChunkedPipeline, EdgeSource, RmatEdgeStream};
+use ebv::partition::{EbvPartitioner, PartitionMetrics, Partitioner};
+use ebv::stream::{EdgeSource, RmatEdgeStream};
 
 const SCALE: u32 = 18; // 262 144 vertices
 const NUM_EDGES: usize = 1_100_000;
@@ -31,46 +33,48 @@ fn stream() -> RmatEdgeStream {
     RmatEdgeStream::new(SCALE, NUM_EDGES).with_seed(SEED)
 }
 
+fn print_metrics(chunk: usize, edges: usize, metrics: PartitionMetrics) {
+    println!(
+        "{chunk:>5}  {edges:>9}  {:.4}  {:.4}  {:.4}",
+        metrics.replication_factor, metrics.edge_imbalance, metrics.vertex_imbalance,
+    );
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "streaming pipeline: {NUM_EDGES} R-MAT edges over 2^{SCALE} vertices, \
-         {WORKERS} workers, chunks of {CHUNK_SIZE}\n"
+         {WORKERS} workers, metrics every {CHUNK_SIZE} edges\n"
     );
 
     // ── Streaming path ────────────────────────────────────────────────────
-    // generator → StreamingEbv → DistributedGraphBuilder, chunk by chunk.
-    // Peak memory: one chunk of edges + partitioner state + the per-worker
+    // generator → DynamicPartitioner::insert → DistributedGraphBuilder, one
+    // edge at a time. Peak memory: partitioner state + the per-worker
     // subgraphs under construction.
-    let source = stream();
-    let mut partitioner = EbvPartitioner::new().streaming(source.stream_config(WORKERS))?;
+    let mut source = stream();
+    let mut partitioner = EbvPartitioner::new().dynamic(source.stream_config(WORKERS))?;
     let mut builder = DistributedGraph::builder(WORKERS)?.with_num_vertices(1 << SCALE);
 
+    println!("chunk  edges      rf      e-imb   v-imb");
     let started = Instant::now();
-    let run = ChunkedPipeline::new(CHUNK_SIZE).run(source, &mut partitioner, |edge, part| {
-        builder
-            .add_edge(edge, part)
-            .expect("streaming assignments are always in range");
-    })?;
-    let streaming_result = partitioner.finish()?;
+    let mut edges = 0;
+    while let Some(edge) = source.next_edge() {
+        let edge = edge?;
+        builder.add_edge(edge, partitioner.insert(edge))?;
+        edges += 1;
+        if edges % CHUNK_SIZE == 0 {
+            print_metrics(edges / CHUNK_SIZE - 1, edges, partitioner.metrics());
+        }
+    }
+    let online_metrics = partitioner.metrics();
+    if edges % CHUNK_SIZE != 0 {
+        print_metrics(edges / CHUNK_SIZE, edges, online_metrics);
+    }
+    let online_result = partitioner.snapshot()?;
     let distributed = builder.finish()?;
     let streaming_elapsed = started.elapsed();
-
-    println!("chunk  edges      rf      e-imb   v-imb");
-    for chunk in run.chunks() {
-        println!(
-            "{:>5}  {:>9}  {:.4}  {:.4}  {:.4}",
-            chunk.chunk_index,
-            chunk.metrics.edges_ingested,
-            chunk.metrics.replication_factor,
-            chunk.metrics.edge_imbalance,
-            chunk.metrics.vertex_imbalance,
-        );
-    }
-    let delta = run.final_metrics().expect("the stream is non-empty");
     println!(
-        "\nstreamed {} edges in {streaming_elapsed:.2?} ({:.2e} edges/s)\n",
-        run.total_edges(),
-        run.total_edges() as f64 / streaming_elapsed.as_secs_f64(),
+        "\nstreamed {edges} edges in {streaming_elapsed:.2?} ({:.2e} edges/s)\n",
+        edges as f64 / streaming_elapsed.as_secs_f64(),
     );
 
     // ── Batch reference ───────────────────────────────────────────────────
@@ -79,8 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut graph_builder = GraphBuilder::directed();
     let mut source = stream();
     while let Some(edge) = source.next_edge() {
-        let edge = edge?;
-        graph_builder.add_edge(edge);
+        graph_builder.add_edge(edge?);
     }
     graph_builder.num_vertices(1 << SCALE);
     let graph = graph_builder.build()?;
@@ -91,13 +94,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Exactness check ───────────────────────────────────────────────────
     assert_eq!(
-        streaming_result, batch_result,
-        "streaming EBV must be bit-identical to batch EBV under input order"
+        online_result, batch_result,
+        "online EBV must be bit-identical to batch EBV under input order"
     );
-    assert_eq!(delta.replication_factor, batch_metrics.replication_factor);
-    assert_eq!(delta.edge_imbalance, batch_metrics.edge_imbalance);
-    assert_eq!(delta.vertex_imbalance, batch_metrics.vertex_imbalance);
-    println!("streaming == batch: identical assignments and exactly equal metrics");
+    assert_eq!(online_metrics, batch_metrics);
+    println!("online == batch: identical assignments and exactly equal metrics");
     println!(
         "  replication factor {:.4}, edge imbalance {:.4}, vertex imbalance {:.4}\n",
         batch_metrics.replication_factor,

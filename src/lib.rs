@@ -5,10 +5,10 @@
 //!
 //! * [`graph`] — graph structures, generators, statistics and I/O
 //!   (`ebv-graph`)
-//! * [`partition`] — the EBV partitioner, every baseline, the streaming
-//!   variants and the quality metrics (`ebv-partition`)
-//! * [`stream`] — streaming edge ingestion and the chunked online
-//!   partitioning pipeline (`ebv-stream`)
+//! * [`partition`] — the EBV partitioner, every baseline, the online
+//!   (insert/delete) partitioner and the quality metrics (`ebv-partition`)
+//! * [`stream`] — edge sources for streaming ingestion: text and binary
+//!   readers and synthetic generators (`ebv-stream`)
 //! * [`dynamic`] — evolving-graph support: mutation events, window and
 //!   churn sources, the batched event pipeline (`ebv-dynamic`)
 //! * [`bsp`] — the subgraph-centric BSP engine and cost model (`ebv-bsp`)
