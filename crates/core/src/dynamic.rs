@@ -793,8 +793,11 @@ mod tests {
         );
     }
 
+    /// An insert-only stream reproduces the single pass of batch EBV (input
+    /// order) and batch HDRF: every insert's partition, the snapshot and
+    /// the maintained metrics.
     #[test]
-    fn insert_only_matches_batch_bit_for_bit() {
+    fn insert_only_matches_streaming_bit_for_bit() {
         let g = RmatGenerator::new(8, 8).with_seed(21).generate().unwrap();
         let config = StreamConfig::new(5)
             .with_expected_vertices(g.num_vertices())

@@ -121,6 +121,35 @@ mod tests {
         }
     }
 
+    /// HDRF's online pass equals its batch form. Online Random hashes the
+    /// endpoints only (not the stream position, unlike batch Random), so
+    /// its assignment differs from batch by design; what must match is the
+    /// batch metric computation over its result, and hints must not move
+    /// an edge.
+    #[test]
+    fn streaming_hdrf_and_random_match_batch() {
+        let g = RmatGenerator::new(8, 8).with_seed(5).generate().unwrap();
+        let batch_hdrf = HdrfPartitioner::new().partition(&g, 4).unwrap();
+        let mut online_hdrf = HdrfPartitioner::new().dynamic(exact_config(&g, 4)).unwrap();
+        assert_eq!(batch_hdrf, stream_all(&mut online_hdrf, &g));
+
+        // The exact vertex hint counts the graph's isolated vertices into the
+        // replication denominator, as the batch computation does.
+        let mut online_random = RandomVertexCutPartitioner::new()
+            .dynamic(exact_config(&g, 4))
+            .unwrap();
+        let random = stream_all(&mut online_random, &g);
+        random.validate(&g).unwrap();
+        assert_eq!(
+            online_random.metrics(),
+            PartitionMetrics::compute(&g, &random).unwrap()
+        );
+        let mut unhinted_random = RandomVertexCutPartitioner::new()
+            .dynamic(StreamConfig::new(4))
+            .unwrap();
+        assert_eq!(random, stream_all(&mut unhinted_random, &g));
+    }
+
     #[test]
     fn delta_metrics_match_batch_metrics_at_end_of_stream() {
         let g = RmatGenerator::new(8, 8).with_seed(3).generate().unwrap();

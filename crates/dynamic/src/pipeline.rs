@@ -576,9 +576,10 @@ mod tests {
     use super::*;
     use crate::churn::ChurnStream;
     use crate::event::{events, GraphEvent, InsertEvents};
+    use ebv_graph::generators::{GraphGenerator, RmatGenerator};
     use ebv_graph::Edge;
     use ebv_partition::{EbvPartitioner, PartitionError, RebalanceConfig, StreamConfig};
-    use ebv_stream::{EdgeSource, RmatEdgeStream};
+    use ebv_stream::{pairs, EdgeSource, GraphEdgeSource, RmatEdgeStream};
 
     #[test]
     fn batches_cover_every_event_and_cancel_within_batch() {
@@ -621,6 +622,93 @@ mod tests {
         assert_eq!(report.final_metrics().unwrap(), partitioner.metrics());
         for w in report.batches().windows(2) {
             assert!(w[0].batch_index < w[1].batch_index);
+        }
+    }
+
+    #[test]
+    fn chunk_size_does_not_change_the_result() {
+        let graph = RmatGenerator::new(8, 8).with_seed(6).generate().unwrap();
+        let run = |batch_size: usize| {
+            let source = GraphEdgeSource::new(&graph);
+            let mut partitioner = EbvPartitioner::new()
+                .dynamic(source.stream_config(4))
+                .unwrap();
+            let report = EventPipeline::new(batch_size)
+                .run(InsertEvents::new(source), &mut partitioner, |_, _| Ok(()))
+                .unwrap();
+            (partitioner.snapshot().unwrap(), report)
+        };
+        let (reference, _) = run(usize::MAX);
+        // 1 exercises the degenerate batching, 7 a non-divisor, 64 an exact
+        // divisor of 1024-edge scales, huge a single batch.
+        for batch_size in [1usize, 7, 64, 1 << 20] {
+            let (result, report) = run(batch_size);
+            assert_eq!(result, reference, "batch size {batch_size}");
+            assert_eq!(report.total_inserts(), graph.num_edges());
+            let reported: usize = report.batches().iter().map(|b| b.inserts).sum();
+            assert_eq!(reported, graph.num_edges());
+        }
+    }
+
+    #[test]
+    fn chunk_reports_cover_boundaries() {
+        let source = RmatEdgeStream::new(7, 1000).with_seed(2);
+        let mut partitioner = EbvPartitioner::new()
+            .dynamic(source.stream_config(4))
+            .unwrap();
+        let mut added_per_batch = Vec::new();
+        let report = EventPipeline::new(256)
+            .run(InsertEvents::new(source), &mut partitioner, |batch, _| {
+                added_per_batch.push(batch.added().len());
+                Ok(())
+            })
+            .unwrap();
+        // 1000 = 3 × 256 + 232: four batches, the last one short.
+        assert_eq!(added_per_batch, [256, 256, 256, 1000 - 3 * 256]);
+        assert_eq!(report.batches()[2].inserts, 256);
+        assert!(report.batches().iter().all(|b| b.deletes == 0));
+        assert_eq!(partitioner.live_edges(), 1000);
+        // Replication factor is non-decreasing batch over batch.
+        for w in report.batches().windows(2) {
+            assert!(w[0].metrics.replication_factor <= w[1].metrics.replication_factor + 1e-12);
+            assert!(w[0].batch_index < w[1].batch_index);
+        }
+    }
+
+    #[test]
+    fn zero_chunk_size_is_rejected() {
+        let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::new(2)).unwrap();
+        let err = EventPipeline::new(0)
+            .run(
+                InsertEvents::new(pairs(vec![(0, 1)])),
+                &mut partitioner,
+                |_, _| panic!("a rejected run emits no batch"),
+            )
+            .unwrap_err();
+        assert!(matches!(err, DynamicError::InvalidParameter { .. }));
+        assert_eq!(partitioner.live_edges(), 0);
+    }
+
+    #[test]
+    fn sink_sees_every_assignment_in_stream_order() {
+        let graph = RmatGenerator::new(7, 8).with_seed(4).generate().unwrap();
+        let source = GraphEdgeSource::new(&graph);
+        let mut partitioner = EbvPartitioner::new()
+            .dynamic(source.stream_config(3))
+            .unwrap();
+        let mut sunk = Vec::new();
+        EventPipeline::new(100)
+            .run(InsertEvents::new(source), &mut partitioner, |batch, _| {
+                sunk.extend_from_slice(batch.added());
+                Ok(())
+            })
+            .unwrap();
+        let result = partitioner.snapshot().unwrap();
+        let vc = result.as_vertex_cut().unwrap();
+        assert_eq!(sunk.len(), graph.num_edges());
+        for (i, ((edge, part), expected)) in sunk.iter().zip(graph.edges()).enumerate() {
+            assert_eq!(edge, expected, "edge {i}");
+            assert_eq!(*part, vc.part_of(i), "edge {i}");
         }
     }
 

@@ -27,7 +27,7 @@ use ebv_dynamic::{
 };
 use ebv_graph::{Edge, GraphBuilder};
 use ebv_partition::{
-    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics,
+    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics, Partitioner,
     RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
 };
 use ebv_stream::{EdgeSource, RmatEdgeStream, UniformEdgeStream};
@@ -218,6 +218,41 @@ proptest! {
         let b = partitioner.metrics();
         prop_assert!(a.edge_imbalance == b.edge_imbalance
             && a.replication_factor == b.replication_factor);
+    }
+
+    /// An insert-only stream read straight off an [`EdgeSource`], with the
+    /// source's own hints and a plain insert loop, reproduces batch EBV
+    /// under input order over the materialized graph bit for bit:
+    /// every insert's partition, the snapshot and the maintained metrics.
+    #[test]
+    fn insert_only_equals_streaming(
+        scale in 5u32..9,
+        num_edges in 50usize..800,
+        seed in 0u64..500,
+        p in 1usize..7,
+    ) {
+        let stream = || RmatEdgeStream::new(scale, num_edges).with_seed(seed);
+        let mut builder = GraphBuilder::directed();
+        let mut source = stream();
+        while let Some(edge) = source.next_edge() {
+            builder.add_edge(edge.unwrap());
+        }
+        builder.num_vertices(1 << scale);
+        let graph = builder.build().unwrap();
+        let batch = EbvPartitioner::new().unsorted().partition(&graph, p).unwrap();
+        let assignment = batch.as_vertex_cut().unwrap().assignment();
+
+        let mut dynamic = EbvPartitioner::new().dynamic(stream().stream_config(p)).unwrap();
+        let mut source = stream();
+        let mut position = 0;
+        while let Some(edge) = source.next_edge() {
+            let edge = edge.unwrap();
+            prop_assert_eq!(dynamic.insert(edge), assignment[position], "edge {}", edge);
+            position += 1;
+        }
+        prop_assert_eq!(position, graph.num_edges());
+        prop_assert_eq!(dynamic.snapshot().unwrap(), batch.clone());
+        prop_assert_eq!(dynamic.metrics(), PartitionMetrics::compute(&graph, &batch).unwrap());
     }
 
     /// Anchor 3: a distribution mutated batch-by-batch through the event
