@@ -102,11 +102,6 @@ impl IncrementalConnectedComponents {
         self.frontier.absorb(prior, batch);
     }
 
-    /// Number of prior component labels scheduled for recomputation.
-    pub fn dirty_components(&self) -> usize {
-        self.frontier.policy().dirty.len()
-    }
-
     /// Number of seed vertices the absorbed batches named (inserted-edge
     /// endpoints, and removed-edge endpoints newer than the prior). The
     /// first superstep lowers every local component to its minimum, seeds
@@ -354,7 +349,7 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.record_delete(removed, part);
         let program = IncrementalConnectedComponents::from_batch(&prior, &batch);
-        assert_eq!(program.dirty_components(), 1);
+        assert_eq!(program.frontier.policy().dirty.len(), 1);
         for (v, label) in prior.iter().enumerate() {
             let reset = program
                 .frontier
@@ -382,7 +377,7 @@ mod tests {
             .run(&distributed, &ConnectedComponents::new())
             .unwrap();
         let program = IncrementalConnectedComponents::new();
-        assert_eq!(program.dirty_components(), 0);
+        assert_eq!(program.frontier.policy().dirty.len(), 0);
         assert_eq!(program.seed_vertices(), 0);
         let warm = engine
             .run_opts(

@@ -20,7 +20,6 @@ use crate::pagerank::{pagerank_superstep, PageRankValue};
 /// kernel suppresses replica traffic wherever ranks have stopped moving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalPageRank {
-    damping: f64,
     iterations: usize,
     num_vertices: usize,
     out_degrees: Vec<f64>,
@@ -40,27 +39,15 @@ impl IncrementalPageRank {
             }
         }
         IncrementalPageRank {
-            damping: 0.85,
             iterations,
             num_vertices: distributed.num_vertices(),
             out_degrees,
         }
     }
 
-    /// Overrides the damping factor (default 0.85).
-    pub fn with_damping(mut self, damping: f64) -> Self {
-        self.damping = damping;
-        self
-    }
-
     /// The configured number of warm iterations.
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// The configured damping factor.
-    pub fn damping(&self) -> f64 {
-        self.damping
     }
 }
 
@@ -92,14 +79,7 @@ impl SubgraphProgram for IncrementalPageRank {
         ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
         superstep: usize,
     ) -> usize {
-        pagerank_superstep(
-            self.damping,
-            self.num_vertices,
-            &self.out_degrees,
-            ctx,
-            superstep,
-            true,
-        )
+        pagerank_superstep(self.num_vertices, &self.out_degrees, ctx, superstep, true)
     }
 
     fn max_supersteps(&self) -> usize {
@@ -114,7 +94,7 @@ impl SubgraphProgram for IncrementalPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::{assert_same_outcome, EdgeScanPageRank};
+    use crate::pagerank::{assert_same_outcome, EdgeScanPageRank, DAMPING};
     use crate::{ranks, PageRank};
     use ebv_bsp::{BspEngine, MutationBatch, RunOptions};
     use ebv_graph::{Edge, GraphBuilder};
@@ -123,7 +103,7 @@ mod tests {
     /// The edge-scan oracle of `program`'s parameters, gated or not.
     fn edge_scan(program: &IncrementalPageRank, gate_stable_messages: bool) -> EdgeScanPageRank {
         EdgeScanPageRank::of(
-            program.damping,
+            DAMPING,
             program.iterations,
             program.num_vertices,
             &program.out_degrees,
@@ -298,9 +278,8 @@ mod tests {
             vec![(Edge::from((0u64, 1u64)), PartitionId::new(0))],
         )
         .unwrap();
-        let program = IncrementalPageRank::from_distributed(&distributed, 4).with_damping(0.9);
+        let program = IncrementalPageRank::from_distributed(&distributed, 4);
         assert_eq!(program.iterations(), 4);
-        assert!((program.damping() - 0.9).abs() < 1e-12);
         assert_eq!(program.max_supersteps(), 8);
         assert!(!program.halt_on_quiescence());
     }

@@ -55,14 +55,6 @@ pub type BreadthFirstSearch = SingleSourceShortestPath;
 /// benchmark names it, until that drops its BFS run (ROADMAP item 5(c)).
 pub type IncrementalBfs = IncrementalSssp;
 
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::{
-        ranks, ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank,
-        IncrementalSssp, PageRank, SingleSourceShortestPath,
-    };
-}
-
 #[cfg(test)]
 pub(crate) mod oracle;
 

@@ -3,6 +3,9 @@
 use ebv_bsp::{Subgraph, SubgraphContext, SubgraphProgram};
 use ebv_graph::{Graph, VertexId};
 
+/// The damping factor of every PageRank program: the conventional 0.85.
+pub(crate) const DAMPING: f64 = 0.85;
+
 /// Per-vertex PageRank state: the current rank plus the partial contribution
 /// sum accumulated locally during the gather half-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +56,6 @@ pub struct PageRankValue {
 /// are unchanged too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRank {
-    damping: f64,
     iterations: usize,
     num_vertices: usize,
     out_degrees: Vec<f64>,
@@ -68,7 +70,6 @@ impl PageRank {
     /// defined by its *global* out-degree.
     pub fn new(graph: &Graph, iterations: usize) -> Self {
         PageRank {
-            damping: 0.85,
             iterations,
             num_vertices: graph.num_vertices(),
             out_degrees: graph
@@ -78,20 +79,9 @@ impl PageRank {
         }
     }
 
-    /// Overrides the damping factor (default 0.85).
-    pub fn with_damping(mut self, damping: f64) -> Self {
-        self.damping = damping;
-        self
-    }
-
     /// The configured number of PageRank iterations.
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// The configured damping factor.
-    pub fn damping(&self) -> f64 {
-        self.damping
     }
 }
 
@@ -111,14 +101,7 @@ impl SubgraphProgram for PageRank {
         ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
         superstep: usize,
     ) -> usize {
-        pagerank_superstep(
-            self.damping,
-            self.num_vertices,
-            &self.out_degrees,
-            ctx,
-            superstep,
-            false,
-        )
+        pagerank_superstep(self.num_vertices, &self.out_degrees, ctx, superstep, false)
     }
 
     fn max_supersteps(&self) -> usize {
@@ -159,7 +142,6 @@ impl SubgraphProgram for PageRank {
 /// [`PageRank`] keeps them off so its message counts remain the paper's
 /// `2 · (Σ_i |V_i| − |V|)` per iteration.
 pub(crate) fn pagerank_superstep(
-    damping: f64,
     num_vertices: usize,
     out_degrees: &[f64],
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
@@ -171,7 +153,7 @@ pub(crate) fn pagerank_superstep(
     let updates = if superstep.is_multiple_of(2) {
         gather(out_degrees, ctx, &mut sums, gate_stable_messages)
     } else {
-        apply(damping, num_vertices, ctx, &mut sums, gate_stable_messages)
+        apply(num_vertices, ctx, &mut sums, gate_stable_messages)
     };
     ctx.scratch().sums = sums;
     updates
@@ -256,7 +238,6 @@ fn gather(
 /// added to its local partial: `partial + (m1 + m2)`, not
 /// `(partial + m1) + m2`. `sums` is all zero on entry and on exit.
 fn apply(
-    damping: f64,
     num_vertices: usize,
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
     sums: &mut [f64],
@@ -273,7 +254,7 @@ fn apply(
         let mut value = *ctx.value(master);
         let previous_rank = value.rank;
         let total = value.partial + incoming;
-        value.rank = (1.0 - damping) / num_vertices as f64 + damping * total;
+        value.rank = (1.0 - DAMPING) / num_vertices as f64 + DAMPING * total;
         value.partial = 0.0;
         ctx.set_value(master, value);
         let rank = value.rank;
@@ -462,7 +443,7 @@ mod tests {
 
     fn edge_scan(program: &PageRank) -> EdgeScanPageRank {
         EdgeScanPageRank::of(
-            program.damping,
+            DAMPING,
             program.iterations,
             program.num_vertices,
             &program.out_degrees,
@@ -759,11 +740,10 @@ mod tests {
     }
 
     #[test]
-    fn iteration_and_damping_accessors() {
+    fn iteration_accessors() {
         let graph = named::figure1_graph();
-        let pr = PageRank::new(&graph, 5).with_damping(0.9);
+        let pr = PageRank::new(&graph, 5);
         assert_eq!(pr.iterations(), 5);
-        assert!((pr.damping() - 0.9).abs() < 1e-12);
         assert_eq!(pr.max_supersteps(), 10);
         assert!(!pr.halt_on_quiescence());
     }

@@ -619,11 +619,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let breakdown = CostModel::default().breakdown(&traced.stats);
         let p = workers as f64;
         phase_rows.push(("comp", total_of(Phase::Compute), breakdown.comp * p));
-        phase_rows.push((
-            "comm",
-            total_of(Phase::Gather) + total_of(Phase::Scatter),
-            breakdown.comm * p,
-        ));
+        phase_rows.push(("comm", total_of(Phase::Scatter), breakdown.comm * p));
         phase_rows.push(("sync", total_of(Phase::Barrier), breakdown.delta_c));
         for (phase, measured, modeled) in &phase_rows {
             println!("phase {phase}: measured {measured:.4}s, modeled {modeled:.4}s");

@@ -29,9 +29,8 @@ use ebv_bench::scan_values;
 /// Every phase the `evolving_graph` example must leave at least one span
 /// for: the BSP superstep trio, the mutation path, the warm-start
 /// invalidation hooks, and the two halves of a pipeline epoch (partition
-/// decision, then apply). (`chunk_ingest` is not required because nothing
-/// records it any more, and neither is `gather`: a worker reads its inbound
-/// shards in place, so the engine has nothing to bracket with it.)
+/// decision, then apply). That is every phase `ebv-obs` declares, so a
+/// phase nothing records cannot be added silently.
 const REQUIRED_PHASES: [&str; 8] = [
     "compute",
     "scatter",
@@ -285,6 +284,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebv_obs::Phase;
 
     fn event(name: &str, ts: u64, dur: u64) -> String {
         format!(
@@ -309,7 +309,7 @@ mod tests {
                 format!(
                     "{{\"epoch\": {id}, \"batch_index\": 0, \"at_seconds\": 0.5, \
                      \"apply_seconds\": 0.01, \"straggler_ratio\": 1.25, \
-                     \"phase_seconds\": {{\"gather\": 0.001, \"compute\": 0.002}}}}"
+                     \"phase_seconds\": {{\"compute\": 0.002, \"scatter\": 0.001}}}}"
                 )
             })
             .collect();
@@ -318,6 +318,12 @@ mod tests {
             ids.len(),
             entries.join(", ")
         )
+    }
+
+    #[test]
+    fn every_declared_phase_is_required() {
+        let declared: Vec<&str> = Phase::ALL.iter().map(|phase| phase.name()).collect();
+        assert_eq!(declared, REQUIRED_PHASES);
     }
 
     #[test]

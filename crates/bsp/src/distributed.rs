@@ -227,7 +227,7 @@ impl DistributedGraph {
     /// Counters of the most recent mutation epoch: how many workers were
     /// re-assembled and how many local edges that re-indexing covered.
     /// Zeroed for fresh builds and after an empty (no-op) batch.
-    pub fn last_mutation(&self) -> MutationStats {
+    pub(crate) fn last_mutation(&self) -> MutationStats {
         self.last_mutation
     }
 
@@ -246,7 +246,7 @@ impl DistributedGraph {
     /// from a checkpoint plus a WAL replay must satisfy it against the
     /// never-crashed original. The *epoch counter* is compared separately
     /// by callers ([`epoch`](Self::epoch) is lineage, not structure), and
-    /// [`last_mutation`](Self::last_mutation) is excluded because its
+    /// the last mutation epoch's counters are excluded because their
     /// `apply_seconds` field is wall-clock.
     pub fn same_structure(&self, other: &Self) -> bool {
         self.num_vertices == other.num_vertices

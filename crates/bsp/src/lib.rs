@@ -54,7 +54,7 @@ pub use config::EnvConfig;
 pub use engine::{BspEngine, BspOutcome, ExecutionMode, RunOptions};
 pub use error::{BspError, Result};
 pub use exchange::WorklistScratch;
-pub use program::{MessageTarget, SubgraphContext, SubgraphProgram};
+pub use program::{SubgraphContext, SubgraphProgram};
 pub use publish::{run_epoch, DurabilityHook, EpochCommitter, ValueSink};
 pub use stats::{
     Breakdown, CostModel, ExecutionStats, SuperstepStats, TimelineSpan, WorkerSuperstepStats,
@@ -64,15 +64,6 @@ pub use subgraph::{
     MutationStats, ReplicaTable, Subgraph,
 };
 pub use warm::{InvalidationPolicy, WarmFrontier};
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::{
-        Breakdown, BspEngine, BspOutcome, CostModel, DistributedGraph, DistributedGraphBuilder,
-        ExecutionStats, MutationBatch, MutationStats, RunOptions, Subgraph, SubgraphContext,
-        SubgraphProgram,
-    };
-}
 
 #[cfg(test)]
 mod proptests {

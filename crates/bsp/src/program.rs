@@ -7,7 +7,7 @@ use crate::subgraph::Subgraph;
 
 /// Where a replica message should be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageTarget {
+pub(crate) enum MessageTarget {
     /// Every other replica of the vertex (mirror-to-mirror broadcast).
     AllReplicas,
     /// Only the master replica of the vertex (the gather direction of a

@@ -113,7 +113,7 @@ impl ExecutionStats {
     }
 
     /// Work units performed by each worker, summed over supersteps.
-    pub fn work_per_worker(&self) -> Vec<usize> {
+    pub(crate) fn work_per_worker(&self) -> Vec<usize> {
         let mut totals = vec![0usize; self.num_workers];
         for superstep in &self.supersteps {
             for (i, w) in superstep.per_worker.iter().enumerate() {
@@ -128,7 +128,7 @@ impl ExecutionStats {
     /// gauge: work skew predicts compute-time skew under the cost model,
     /// so a divergence between the two points at platform effects (cache,
     /// scheduling) rather than partitioning.
-    pub fn work_max_mean_ratio(&self) -> f64 {
+    pub(crate) fn work_max_mean_ratio(&self) -> f64 {
         max_mean_ratio(&self.work_per_worker())
     }
 }

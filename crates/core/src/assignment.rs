@@ -94,7 +94,7 @@ impl EdgePartition {
     ///
     /// Panics if `graph` has a different number of edges than this
     /// assignment; use [`EdgePartition::validate`] for a fallible check.
-    pub fn vertex_membership(&self, graph: &Graph) -> MembershipMatrix {
+    pub(crate) fn vertex_membership(&self, graph: &Graph) -> MembershipMatrix {
         assert_eq!(
             graph.num_edges(),
             self.assignment.len(),
@@ -224,7 +224,8 @@ impl VertexPartition {
 
     /// Number of edges crossing partition boundaries (the classical edge-cut
     /// objective value).
-    pub fn cut_edges(&self, graph: &Graph) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cut_edges(&self, graph: &Graph) -> usize {
         graph
             .edges()
             .iter()

@@ -36,7 +36,7 @@ impl CvcPartitioner {
     /// Chooses the most square `r × c = p` grid for the given worker count.
     /// Prime worker counts degrade to a `1 × p` grid, exactly as a real 2-D
     /// partitioner would.
-    pub fn grid_shape(num_partitions: usize) -> (usize, usize) {
+    pub(crate) fn grid_shape(num_partitions: usize) -> (usize, usize) {
         let mut best = (1, num_partitions);
         let mut r = 1;
         while r * r <= num_partitions {

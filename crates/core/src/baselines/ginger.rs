@@ -7,10 +7,13 @@ use ebv_graph::VertexId;
 
 use crate::assignment::{EdgePartition, PartitionResult};
 use crate::baselines::mix64;
-use crate::error::{PartitionError, Result};
+use crate::error::Result;
 use crate::membership::MembershipMatrix;
 use crate::partitioner::{check_partition_count, Partitioner};
 use crate::types::PartitionId;
+
+/// Weight of Ginger's balance penalty (the paper's Fennel-like γ).
+const GAMMA: f64 = 1.5;
 
 /// The Ginger vertex-cut partitioner.
 ///
@@ -20,19 +23,16 @@ use crate::types::PartitionId;
 ///   of its in-edges) goes to the partition maximizing the Fennel-style score
 ///   `|N_in(v) ∩ V_i| − γ/2 · (vcount_i/(|V|/p) + ecount_i/(|E|/p))`, so that
 ///   neighbourhoods stay together while the balance penalty spreads load;
-/// * **high-degree target vertices** have their in-edges scattered by hashing
-///   the *source* endpoint, accepting replication of the hub itself.
+/// * **high-degree target vertices** — in-degree above `4 × average
+///   in-degree`, PowerLyra's recommended ballpark — have their in-edges
+///   scattered by hashing the *source* endpoint, accepting replication of
+///   the hub itself.
 ///
 /// This reproduces the behaviour the paper reports: good balance, lower
 /// replication than plain hashing, but a higher replication factor than EBV
 /// on power-law graphs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GingerPartitioner {
-    /// In-degree above which a vertex is treated as high-degree. `None`
-    /// selects `4 × average in-degree`, PowerLyra's recommended ballpark.
-    degree_threshold: Option<usize>,
-    /// Weight of the balance penalty (the paper's Fennel-like γ).
-    gamma: f64,
     salt: u64,
 }
 
@@ -43,26 +43,10 @@ impl Default for GingerPartitioner {
 }
 
 impl GingerPartitioner {
-    /// Creates a Ginger partitioner with the default threshold
-    /// (4 × average in-degree) and balance weight (γ = 1.5).
+    /// Creates a Ginger partitioner with the high-degree threshold
+    /// 4 × average in-degree and the balance weight γ = 1.5.
     pub fn new() -> Self {
-        GingerPartitioner {
-            degree_threshold: None,
-            gamma: 1.5,
-            salt: 0,
-        }
-    }
-
-    /// Fixes the high-degree threshold explicitly.
-    pub fn with_degree_threshold(mut self, threshold: usize) -> Self {
-        self.degree_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the balance-penalty weight γ.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
+        GingerPartitioner { salt: 0 }
     }
 
     /// Uses a different hash salt for the high-degree fallback.
@@ -71,11 +55,10 @@ impl GingerPartitioner {
         self
     }
 
+    /// In-degree above which a vertex is treated as high-degree.
     fn threshold(&self, graph: &Graph) -> usize {
-        self.degree_threshold.unwrap_or_else(|| {
-            let avg_in = graph.num_edges() as f64 / graph.num_vertices().max(1) as f64;
-            (4.0 * avg_in).ceil() as usize
-        })
+        let avg_in = graph.num_edges() as f64 / graph.num_vertices().max(1) as f64;
+        (4.0 * avg_in).ceil() as usize
     }
 }
 
@@ -86,12 +69,6 @@ impl Partitioner for GingerPartitioner {
 
     fn partition(&self, graph: &Graph, num_partitions: usize) -> Result<PartitionResult> {
         check_partition_count(graph, num_partitions)?;
-        if !self.gamma.is_finite() || self.gamma < 0.0 {
-            return Err(PartitionError::InvalidParameter {
-                parameter: "gamma",
-                message: format!("gamma must be non-negative and finite, got {}", self.gamma),
-            });
-        }
         let threshold = self.threshold(graph);
         let edges_per_part = graph.num_edges() as f64 / num_partitions as f64;
         let vertices_per_part = graph.num_vertices() as f64 / num_partitions as f64;
@@ -148,7 +125,7 @@ impl Partitioner for GingerPartitioner {
                         .filter(|&&u| keep.contains(u, part))
                         .count() as f64
                         + if keep.contains(v, part) { 1.0 } else { 0.0 };
-                    let balance = self.gamma / 2.0
+                    let balance = GAMMA / 2.0
                         * (vcount[i] as f64 / vertices_per_part
                             + ecount[i] as f64 / edges_per_part);
                     let mut score = locality - balance;
@@ -222,7 +199,7 @@ fn distinct_parts_of_in_edges(graph: &Graph, result: &EdgePartition, v: VertexId
 mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
-    use ebv_graph::generators::{named, GraphGenerator, RmatGenerator};
+    use ebv_graph::generators::{GraphGenerator, RmatGenerator};
 
     #[test]
     fn low_degree_in_edges_stay_together() {
@@ -253,38 +230,6 @@ mod tests {
             m.edge_imbalance
         );
         assert!(m.replication_factor >= 1.0);
-    }
-
-    #[test]
-    fn explicit_threshold_and_gamma_are_respected() {
-        let g = named::small_social_graph();
-        // Threshold 0 forces every vertex down the high-degree (hash) path.
-        let all_hash = GingerPartitioner::new()
-            .with_degree_threshold(0)
-            .partition(&g, 4)
-            .unwrap();
-        // A huge threshold forces every vertex down the greedy path.
-        let all_greedy = GingerPartitioner::new()
-            .with_degree_threshold(usize::MAX)
-            .partition(&g, 4)
-            .unwrap();
-        let m_hash = PartitionMetrics::compute(&g, &all_hash).unwrap();
-        let m_greedy = PartitionMetrics::compute(&g, &all_greedy).unwrap();
-        // Greedy grouping keeps neighbourhoods local, so it replicates less.
-        assert!(m_greedy.replication_factor <= m_hash.replication_factor + 1e-9);
-    }
-
-    #[test]
-    fn invalid_gamma_is_rejected() {
-        let g = named::figure1_graph();
-        assert!(GingerPartitioner::new()
-            .with_gamma(f64::NAN)
-            .partition(&g, 2)
-            .is_err());
-        assert!(GingerPartitioner::new()
-            .with_gamma(-1.0)
-            .partition(&g, 2)
-            .is_err());
     }
 
     #[test]

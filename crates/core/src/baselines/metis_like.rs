@@ -20,52 +20,24 @@ use crate::error::Result;
 use crate::partitioner::{check_partition_count, Partitioner};
 use crate::types::PartitionId;
 
-/// The multilevel edge-cut (vertex partitioning) baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetisLikePartitioner {
-    /// Stop coarsening once the graph has at most `coarsen_factor × p`
-    /// vertices.
-    coarsen_factor: usize,
-    /// Allowed vertex-weight imbalance during refinement (METIS' ubfactor);
-    /// 0.03 means any part may hold at most 3% more than the average weight.
-    balance_tolerance: f64,
-    /// Number of boundary-refinement passes per level.
-    refinement_passes: usize,
-}
+/// Coarsening stops once the graph has at most `COARSEN_FACTOR × p`
+/// vertices.
+const COARSEN_FACTOR: usize = 30;
+/// Allowed vertex-weight imbalance during refinement (METIS' ubfactor): any
+/// part may hold at most 3% more than the average weight.
+const BALANCE_TOLERANCE: f64 = 0.03;
+/// Number of boundary-refinement passes per level.
+const REFINEMENT_PASSES: usize = 4;
 
-impl Default for MetisLikePartitioner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The multilevel edge-cut (vertex partitioning) baseline.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetisLikePartitioner;
 
 impl MetisLikePartitioner {
     /// Creates the partitioner with METIS-like defaults (coarsen to ~30·p
     /// vertices, 3% imbalance tolerance, 4 refinement passes).
     pub fn new() -> Self {
-        MetisLikePartitioner {
-            coarsen_factor: 30,
-            balance_tolerance: 0.03,
-            refinement_passes: 4,
-        }
-    }
-
-    /// Sets the coarsening stop factor.
-    pub fn with_coarsen_factor(mut self, factor: usize) -> Self {
-        self.coarsen_factor = factor.max(1);
-        self
-    }
-
-    /// Sets the allowed vertex-weight imbalance (e.g. 0.03 for 3%).
-    pub fn with_balance_tolerance(mut self, tolerance: f64) -> Self {
-        self.balance_tolerance = tolerance.max(0.0);
-        self
-    }
-
-    /// Sets the number of refinement passes per level.
-    pub fn with_refinement_passes(mut self, passes: usize) -> Self {
-        self.refinement_passes = passes;
-        self
+        MetisLikePartitioner
     }
 }
 
@@ -249,15 +221,16 @@ impl Level {
     /// Boundary KL/FM-style refinement: greedily move boundary vertices to
     /// the neighbouring part with the largest cut-weight gain, subject to the
     /// vertex-weight balance constraint.
-    fn refine(&self, part: &mut [usize], p: usize, tolerance: f64, passes: usize) {
+    fn refine(&self, part: &mut [usize], p: usize) {
         let total_weight: usize = self.vertex_weights.iter().sum();
-        let max_weight = ((total_weight as f64 / p as f64) * (1.0 + tolerance)).ceil() as usize;
+        let max_weight =
+            ((total_weight as f64 / p as f64) * (1.0 + BALANCE_TOLERANCE)).ceil() as usize;
         let mut part_weight = vec![0usize; p];
         for v in 0..self.num_vertices() {
             part_weight[part[v]] += self.vertex_weights[v];
         }
 
-        for _ in 0..passes {
+        for _ in 0..REFINEMENT_PASSES {
             let mut moved = 0usize;
             for v in 0..self.num_vertices() {
                 let own = part[v];
@@ -351,7 +324,7 @@ impl Partitioner for MetisLikePartitioner {
 
         // Phase 1: coarsen.
         let mut levels = vec![Level::from_graph(graph)];
-        let stop_at = (self.coarsen_factor * p).max(p * 2);
+        let stop_at = (COARSEN_FACTOR * p).max(p * 2);
         while levels.last().expect("non-empty").num_vertices() > stop_at {
             match levels.last().expect("non-empty").coarsen() {
                 Some(coarser) => levels.push(coarser),
@@ -362,7 +335,7 @@ impl Partitioner for MetisLikePartitioner {
         // Phase 2: initial partition of the coarsest level.
         let coarsest = levels.last().expect("non-empty");
         let mut part = coarsest.initial_partition(p);
-        coarsest.refine(&mut part, p, self.balance_tolerance, self.refinement_passes);
+        coarsest.refine(&mut part, p);
 
         // Phase 3: uncoarsen and refine level by level.
         for window in (1..levels.len()).rev() {
@@ -372,12 +345,7 @@ impl Partitioner for MetisLikePartitioner {
             for v in 0..fine.num_vertices() {
                 fine_part[v] = part[coarse.fine_to_coarse[v]];
             }
-            fine.refine(
-                &mut fine_part,
-                p,
-                self.balance_tolerance,
-                self.refinement_passes,
-            );
+            fine.refine(&mut fine_part, p);
             part = fine_part;
         }
 
@@ -478,17 +446,5 @@ mod tests {
             assert!(ec.part_of(v).index() < 2);
         }
         let _ = ec.part_of(VertexId::new(0));
-    }
-
-    #[test]
-    fn configuration_setters_are_respected() {
-        let g = GridGenerator::new(20, 20).generate().unwrap();
-        let quick = MetisLikePartitioner::new()
-            .with_coarsen_factor(5)
-            .with_refinement_passes(1)
-            .with_balance_tolerance(0.5)
-            .partition(&g, 4)
-            .unwrap();
-        quick.validate(&g).unwrap();
     }
 }

@@ -154,16 +154,6 @@ impl RebalanceConfig {
         self.max_edge_imbalance
     }
 
-    /// The configured replication-factor trigger.
-    pub fn max_replication_factor(&self) -> f64 {
-        self.max_replication_factor
-    }
-
-    /// The configured post-rebalance target.
-    pub fn target_edge_imbalance(&self) -> f64 {
-        self.target_edge_imbalance
-    }
-
     fn validate(&self) -> Result<()> {
         let ok = |x: f64| x >= 1.0 && !x.is_nan();
         if !ok(self.max_edge_imbalance)
@@ -763,7 +753,7 @@ impl DynamicPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prelude::*;
+    use crate::{EbvPartitioner, HdrfPartitioner, Partitioner, RandomVertexCutPartitioner};
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
     use ebv_graph::GraphBuilder;
     use std::collections::HashMap;

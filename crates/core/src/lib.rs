@@ -60,23 +60,11 @@ pub use copy_log::CopyLog;
 pub use dynamic::{DynamicPartitioner, EdgeMove, MigrationPlan, RebalanceConfig};
 pub use ebv::{EbvPartitioner, EbvTrace, TracePoint};
 pub use error::{PartitionError, Result};
-pub use membership::MembershipMatrix;
 pub use metrics::{max_mean_ratio, PartitionMetrics};
-pub use ordering::{degree_sum, EdgeOrder};
-pub use partitioner::{check_partition_count, Partitioner};
+pub use ordering::EdgeOrder;
+pub use partitioner::Partitioner;
 pub use streaming::StreamConfig;
 pub use types::PartitionId;
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::{
-        CvcPartitioner, DbhPartitioner, DynamicPartitioner, EbvPartitioner, EdgeOrder,
-        EdgePartition, GingerPartitioner, HdrfPartitioner, MetisLikePartitioner, MigrationPlan,
-        NePartitioner, PartitionId, PartitionMetrics, PartitionResult, Partitioner,
-        RandomEdgeCutPartitioner, RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
-        VertexPartition,
-    };
-}
 
 /// Returns the full roster of partitioners the paper's evaluation section
 /// compares (EBV, Ginger, DBH, CVC, NE, METIS-like), boxed behind the common
@@ -114,8 +102,11 @@ mod proptests {
     use ebv_graph::GraphBuilder;
 
     use crate::bounds::{edge_imbalance_bound, vertex_imbalance_bound};
-    use crate::prelude::*;
-    use crate::{paper_partitioners, EbvTrace};
+    use crate::{
+        paper_partitioners, CvcPartitioner, DbhPartitioner, EbvPartitioner, EbvTrace,
+        EdgePartition, HdrfPartitioner, NePartitioner, PartitionMetrics, PartitionResult,
+        Partitioner,
+    };
 
     /// Strategy: a random directed graph with 2..=60 vertices and 1..=300
     /// edges (self loops filtered by the builder).

@@ -11,7 +11,7 @@ use ebv_graph::VertexId;
 /// A `|V| × p` bit matrix recording which partitions keep which vertices —
 /// the `keep[i]` sets of Algorithm 1 in the paper.
 #[derive(Debug, Clone)]
-pub struct MembershipMatrix {
+pub(crate) struct MembershipMatrix {
     num_vertices: usize,
     num_partitions: usize,
     words_per_row: usize,
@@ -23,7 +23,7 @@ pub struct MembershipMatrix {
 impl MembershipMatrix {
     /// Creates an empty membership matrix for `num_vertices` vertices and
     /// `num_partitions` partitions.
-    pub fn new(num_vertices: usize, num_partitions: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize, num_partitions: usize) -> Self {
         let words_per_row = num_partitions.div_ceil(64).max(1);
         MembershipMatrix {
             num_vertices,
@@ -32,26 +32,6 @@ impl MembershipMatrix {
             bits: vec![0; num_vertices * words_per_row],
             per_partition_counts: vec![0; num_partitions],
         }
-    }
-
-    /// Number of vertices (rows).
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Grows the matrix to at least `num_vertices` rows, keeping existing
-    /// memberships, for a caller that discovers the vertex universe one
-    /// edge at a time.
-    pub fn grow_to(&mut self, num_vertices: usize) {
-        if num_vertices > self.num_vertices {
-            self.num_vertices = num_vertices;
-            self.bits.resize(num_vertices * self.words_per_row, 0);
-        }
-    }
-
-    /// Number of partitions (columns).
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
     }
 
     #[inline]
@@ -65,7 +45,7 @@ impl MembershipMatrix {
 
     /// Returns `true` when `part` keeps vertex `v`.
     #[inline]
-    pub fn contains(&self, v: VertexId, part: PartitionId) -> bool {
+    pub(crate) fn contains(&self, v: VertexId, part: PartitionId) -> bool {
         let (word, mask) = self.cell(v, part);
         self.bits[word] & mask != 0
     }
@@ -82,7 +62,7 @@ impl MembershipMatrix {
     /// Marks vertex `v` as kept by `part`. Returns `true` if the vertex was
     /// newly added (i.e. it was not already a member).
     #[inline]
-    pub fn insert(&mut self, v: VertexId, part: PartitionId) -> bool {
+    pub(crate) fn insert(&mut self, v: VertexId, part: PartitionId) -> bool {
         let (word, mask) = self.cell(v, part);
         let newly = self.bits[word] & mask == 0;
         if newly {
@@ -94,32 +74,19 @@ impl MembershipMatrix {
 
     /// Number of vertices kept by `part` — the paper's `vcount[i]`.
     #[inline]
-    pub fn partition_size(&self, part: PartitionId) -> usize {
+    pub(crate) fn partition_size(&self, part: PartitionId) -> usize {
         self.per_partition_counts[part.index()]
     }
 
     /// Number of partitions that keep vertex `v` (its replica count).
-    pub fn replica_count(&self, v: VertexId) -> usize {
-        let start = v.index() * self.words_per_row;
-        self.bits[start..start + self.words_per_row]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Iterator over the partitions that keep vertex `v`, in increasing
-    /// partition order.
-    pub fn partitions_of(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        let start = v.index() * self.words_per_row;
-        let words = &self.bits[start..start + self.words_per_row];
-        (0..self.num_partitions)
-            .filter(move |&i| words[i / 64] & (1u64 << (i % 64)) != 0)
-            .map(PartitionId::from_index)
+    #[cfg(test)]
+    pub(crate) fn replica_count(&self, v: VertexId) -> usize {
+        self.row(v).iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Sum of `partition_size` over all partitions: `Σ |V_i|`, the numerator
     /// of the replication factor.
-    pub fn total_replicas(&self) -> usize {
+    pub(crate) fn total_replicas(&self) -> usize {
         self.per_partition_counts.iter().sum()
     }
 }
@@ -163,50 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn partitions_of_lists_members_in_order() {
-        let mut m = MembershipMatrix::new(3, 8);
-        m.insert(v(2), p(5));
-        m.insert(v(2), p(1));
-        m.insert(v(2), p(7));
-        let parts: Vec<u32> = m.partitions_of(v(2)).map(|q| q.raw()).collect();
-        assert_eq!(parts, vec![1, 5, 7]);
-    }
-
-    #[test]
     fn works_with_more_than_64_partitions() {
         let mut m = MembershipMatrix::new(4, 130);
         m.insert(v(1), p(0));
         m.insert(v(1), p(64));
         m.insert(v(1), p(129));
+        assert!(m.contains(v(1), p(0)));
         assert!(m.contains(v(1), p(64)));
         assert!(m.contains(v(1), p(129)));
         assert!(!m.contains(v(1), p(128)));
         assert_eq!(m.replica_count(v(1)), 3);
-        let parts: Vec<u32> = m.partitions_of(v(1)).map(|q| q.raw()).collect();
-        assert_eq!(parts, vec![0, 64, 129]);
-    }
-
-    #[test]
-    fn grow_to_keeps_existing_memberships() {
-        let mut m = MembershipMatrix::new(2, 3);
-        m.insert(v(1), p(2));
-        m.grow_to(10);
-        assert_eq!(m.num_vertices(), 10);
-        assert!(m.contains(v(1), p(2)));
-        assert!(!m.contains(v(9), p(0)));
-        m.insert(v(9), p(0));
-        assert_eq!(m.partition_size(p(0)), 1);
-        // Shrinking is a no-op.
-        m.grow_to(4);
-        assert_eq!(m.num_vertices(), 10);
-        assert!(m.contains(v(9), p(0)));
-    }
-
-    #[test]
-    fn dimensions_are_reported() {
-        let m = MembershipMatrix::new(7, 3);
-        assert_eq!(m.num_vertices(), 7);
-        assert_eq!(m.num_partitions(), 3);
-        assert_eq!(m.total_replicas(), 0);
     }
 }

@@ -72,15 +72,6 @@ impl PartitionMetrics {
             num_partitions: p,
         })
     }
-
-    /// Renders the metrics in the `edge/vertex imbalance, replication`
-    /// layout used by Table III.
-    pub fn table_cell(&self) -> String {
-        format!(
-            "{:.2}/{:.2}  rf={:.2}",
-            self.edge_imbalance, self.vertex_imbalance, self.replication_factor
-        )
-    }
 }
 
 impl fmt::Display for PartitionMetrics {
@@ -185,11 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn display_and_table_cell() {
+    fn display_names_the_metrics() {
         let g = square();
         let part = EdgePartition::new(2, vec![pid(0), pid(0), pid(1), pid(1)]).unwrap();
         let m = PartitionMetrics::compute(&g, &part.into()).unwrap();
         assert!(m.to_string().contains("replication factor"));
-        assert!(m.table_cell().contains("rf="));
     }
 }

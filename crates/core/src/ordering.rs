@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use ebv_graph::{Edge, Graph};
+use ebv_graph::Graph;
 
 /// The order in which a streaming partitioner visits the edge list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,15 +57,6 @@ impl EdgeOrder {
         }
     }
 
-    /// Produces the edge list of `graph` in this order. The graph itself is
-    /// not modified.
-    pub fn arrange(&self, graph: &Graph) -> Vec<Edge> {
-        self.arrange_indices(graph)
-            .into_iter()
-            .map(|i| graph.edges()[i])
-            .collect()
-    }
-
     /// Produces a permutation of edge *indices* (into [`Graph::edges`]) in
     /// this order. Streaming partitioners use the indices so that their
     /// output assignment stays aligned with the graph's edge list.
@@ -84,8 +75,8 @@ impl EdgeOrder {
     }
 }
 
-/// The edge indices of `graph` stably counting-sorted by [`degree_sum`],
-/// ascending or descending (see the module documentation for the contract).
+/// The edge indices of `graph` stably counting-sorted by the sum of the end
+/// vertices' total degrees, ascending or descending (see the module documentation for the contract).
 fn degree_sum_order(graph: &Graph, descending: bool) -> Vec<usize> {
     let edges = graph.edges();
     // A key is at most 2Δ ≤ 4|E|, so below this size every degree and key
@@ -131,18 +122,27 @@ fn degree_sum_order(graph: &Graph, descending: bool) -> Vec<usize> {
     order
 }
 
-/// The sorting key of the paper's preprocessing: the sum of the end
-/// vertices' total degrees.
-pub fn degree_sum(graph: &Graph, edge: &Edge) -> usize {
-    graph.degree(edge.src) + graph.degree(edge.dst)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use ebv_graph::generators::named;
-    use ebv_graph::{GraphBuilder, VertexId};
+    use ebv_graph::{Edge, GraphBuilder, VertexId};
     use rand::Rng;
+
+    /// The sorting key of the paper's preprocessing: the sum of the end
+    /// vertices' total degrees.
+    fn degree_sum(graph: &Graph, edge: &Edge) -> usize {
+        graph.degree(edge.src) + graph.degree(edge.dst)
+    }
+
+    /// The edge list of `graph` in `order`.
+    fn arrange(order: EdgeOrder, graph: &Graph) -> Vec<Edge> {
+        order
+            .arrange_indices(graph)
+            .into_iter()
+            .map(|i| graph.edges()[i])
+            .collect()
+    }
 
     /// The comparison sort [`degree_sum_order`] replaced: a stable
     /// `sort_by_key` that looks both degrees up inside every comparison.
@@ -247,13 +247,13 @@ pub(crate) mod tests {
     #[test]
     fn input_order_is_graph_order() {
         let g = named::figure1_graph();
-        assert_eq!(EdgeOrder::Input.arrange(&g), g.edges().to_vec());
+        assert_eq!(arrange(EdgeOrder::Input, &g), g.edges().to_vec());
     }
 
     #[test]
     fn ascending_order_puts_low_degree_edges_first() {
         let g = named::figure1_graph();
-        let edges = EdgeOrder::DegreeSumAscending.arrange(&g);
+        let edges = arrange(EdgeOrder::DegreeSumAscending, &g);
         let sums: Vec<usize> = edges.iter().map(|e| degree_sum(&g, e)).collect();
         let mut sorted = sums.clone();
         sorted.sort_unstable();
@@ -266,7 +266,7 @@ pub(crate) mod tests {
     #[test]
     fn descending_order_is_reverse_sorted() {
         let g = named::figure1_graph();
-        let edges = EdgeOrder::DegreeSumDescending.arrange(&g);
+        let edges = arrange(EdgeOrder::DegreeSumDescending, &g);
         let sums: Vec<usize> = edges.iter().map(|e| degree_sum(&g, e)).collect();
         let mut sorted = sums.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -276,9 +276,9 @@ pub(crate) mod tests {
     #[test]
     fn random_order_is_deterministic_per_seed() {
         let g = named::figure1_graph();
-        let a = EdgeOrder::Random(5).arrange(&g);
-        let b = EdgeOrder::Random(5).arrange(&g);
-        let c = EdgeOrder::Random(6).arrange(&g);
+        let a = arrange(EdgeOrder::Random(5), &g);
+        let b = arrange(EdgeOrder::Random(5), &g);
+        let c = arrange(EdgeOrder::Random(6), &g);
         assert_eq!(a, b);
         assert_ne!(a, c);
         // Same multiset of edges regardless of order.

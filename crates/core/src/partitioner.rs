@@ -35,7 +35,7 @@ pub trait Partitioner {
 /// Returns [`PartitionError::InvalidPartitionCount`] when `num_partitions`
 /// is zero or exceeds the number of edges in the graph (some partition would
 /// necessarily stay empty).
-pub fn check_partition_count(graph: &Graph, num_partitions: usize) -> Result<()> {
+pub(crate) fn check_partition_count(graph: &Graph, num_partitions: usize) -> Result<()> {
     if num_partitions == 0 {
         return Err(PartitionError::InvalidPartitionCount {
             requested: 0,

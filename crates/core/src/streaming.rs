@@ -89,7 +89,10 @@ impl StreamConfig {
 mod tests {
     use super::*;
     use crate::dynamic::DynamicPartitioner;
-    use crate::prelude::*;
+    use crate::{
+        EbvPartitioner, HdrfPartitioner, PartitionMetrics, PartitionResult, Partitioner,
+        RandomVertexCutPartitioner,
+    };
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
     use ebv_graph::Graph;
 

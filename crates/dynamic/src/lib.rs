@@ -92,11 +92,3 @@ pub use pipeline::{
     batch_from_plan, confined_deletion_batch, BatchReport, EpochOptions, EventPipeline, EventReport,
 };
 pub use window::{SlidingWindow, TumblingWindow};
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::{
-        batch_from_plan, confined_deletion_batch, events, ChurnStream, DynamicError, EventPipeline,
-        EventReport, EventSource, GraphEvent, InsertEvents, SlidingWindow, TumblingWindow,
-    };
-}

@@ -70,7 +70,7 @@ impl GraphBuilder {
     /// Remap sparse external identifiers to a dense `0..n` range in first-seen
     /// order. When disabled (the default) the maximum identifier determines
     /// the vertex count.
-    pub fn remap_ids(&mut self, remap: bool) -> &mut Self {
+    pub(crate) fn remap_ids(&mut self, remap: bool) -> &mut Self {
         self.remap_ids = remap;
         self
     }
@@ -114,11 +114,6 @@ impl GraphBuilder {
     {
         self.edges.extend(iter);
         self
-    }
-
-    /// Number of raw (pre-expansion) edges currently staged in the builder.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Consumes the staged edges and produces an immutable [`Graph`].
@@ -399,10 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn extend_edges_and_staged_count() {
+    fn extend_edges_adds_every_pair() {
         let mut b = GraphBuilder::directed();
         b.extend_edges(vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(b.staged_edges(), 3);
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 3);
     }

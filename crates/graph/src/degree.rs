@@ -8,7 +8,7 @@ use crate::graph::Graph;
 ///
 /// Collects, for every observed degree `d`, the number of vertices with that
 /// degree. The distribution is the basis for the power-law exponent
-/// estimation in [`estimate_eta`](crate::estimate_eta) and for the skew statistics reported in
+/// estimation in [`estimate_graph_eta`](crate::estimate_graph_eta) and for the skew statistics reported in
 /// Table I of the paper.
 ///
 /// # Examples
@@ -66,27 +66,18 @@ impl DegreeDistribution {
     }
 
     /// Number of vertices with degree at least `d`.
-    pub fn count_with_degree_at_least(&self, d: usize) -> usize {
+    pub(crate) fn count_with_degree_at_least(&self, d: usize) -> usize {
         self.counts.range(d..).map(|(_, &count)| count).sum()
     }
 
     /// The smallest observed degree, or `None` for an empty distribution.
-    pub fn min_degree(&self) -> Option<usize> {
+    pub(crate) fn min_degree(&self) -> Option<usize> {
         self.counts.keys().next().copied()
     }
 
     /// The largest observed degree, or `None` for an empty distribution.
     pub fn max_degree(&self) -> Option<usize> {
         self.counts.keys().next_back().copied()
-    }
-
-    /// Mean degree over all vertices (0 for an empty distribution).
-    pub fn mean_degree(&self) -> f64 {
-        if self.num_vertices == 0 {
-            return 0.0;
-        }
-        let total: usize = self.counts.iter().map(|(&d, &c)| d * c).sum();
-        total as f64 / self.num_vertices as f64
     }
 
     /// Iterator over `(degree, vertex count)` pairs in increasing degree
@@ -103,14 +94,6 @@ impl DegreeDistribution {
         self.count_with_degree(d) as f64 / self.num_vertices as f64
     }
 
-    /// Empirical complementary CDF `P(degree >= d)`.
-    pub fn ccdf(&self, d: usize) -> f64 {
-        if self.num_vertices == 0 {
-            return 0.0;
-        }
-        self.count_with_degree_at_least(d) as f64 / self.num_vertices as f64
-    }
-
     /// Fraction of all edge endpoints that are incident on the top
     /// `fraction` highest-degree vertices. A large value for a small
     /// `fraction` (e.g. 0.01) is a hallmark of power-law graphs.
@@ -118,7 +101,8 @@ impl DegreeDistribution {
     /// # Panics
     ///
     /// Panics if `fraction` is not within `0.0..=1.0`.
-    pub fn endpoint_share_of_top(&self, fraction: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn endpoint_share_of_top(&self, fraction: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "fraction must lie in [0, 1]"
@@ -164,12 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_probability() {
+    fn probability_reads_the_histogram() {
         let dist = DegreeDistribution::from_degrees(vec![1, 1, 2, 4]);
-        assert!((dist.mean_degree() - 2.0).abs() < 1e-12);
         assert!((dist.probability(1) - 0.5).abs() < 1e-12);
         assert!((dist.probability(3) - 0.0).abs() < 1e-12);
-        assert!((dist.ccdf(2) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -186,7 +168,6 @@ mod tests {
         assert_eq!(dist.num_vertices(), 0);
         assert_eq!(dist.min_degree(), None);
         assert_eq!(dist.max_degree(), None);
-        assert_eq!(dist.mean_degree(), 0.0);
         assert_eq!(dist.probability(1), 0.0);
         assert_eq!(dist.endpoint_share_of_top(0.1), 0.0);
     }

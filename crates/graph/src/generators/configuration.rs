@@ -37,7 +37,6 @@ pub struct ConfigurationModelGenerator {
     num_vertices: usize,
     eta: f64,
     min_degree: usize,
-    max_degree: Option<usize>,
     seed: u64,
 }
 
@@ -49,7 +48,6 @@ impl ConfigurationModelGenerator {
             num_vertices,
             eta,
             min_degree: 1,
-            max_degree: None,
             seed: 0,
         }
     }
@@ -63,13 +61,6 @@ impl ConfigurationModelGenerator {
     /// Sets the minimum degree of the sampled sequence (default 1).
     pub fn with_min_degree(mut self, d: usize) -> Self {
         self.min_degree = d;
-        self
-    }
-
-    /// Caps the maximum degree of the sampled sequence (default `sqrt(n·min)`
-    /// structural cut-off).
-    pub fn with_max_degree(mut self, d: usize) -> Self {
-        self.max_degree = Some(d);
         self
     }
 
@@ -92,17 +83,6 @@ impl ConfigurationModelGenerator {
                 message: "minimum degree must be at least 1".to_string(),
             });
         }
-        if let Some(max) = self.max_degree {
-            if max < self.min_degree {
-                return Err(GraphError::InvalidParameter {
-                    parameter: "max_degree",
-                    message: format!(
-                        "maximum degree {max} is below the minimum degree {}",
-                        self.min_degree
-                    ),
-                });
-            }
-        }
         Ok(())
     }
 
@@ -121,9 +101,7 @@ impl GraphGenerator for ConfigurationModelGenerator {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let structural_cutoff =
             ((self.num_vertices * self.min_degree) as f64).sqrt().ceil() as usize;
-        let max_degree = self
-            .max_degree
-            .unwrap_or_else(|| structural_cutoff.max(self.min_degree + 1));
+        let max_degree = structural_cutoff.max(self.min_degree + 1);
 
         let mut degrees: Vec<usize> = (0..self.num_vertices)
             .map(|_| self.sample_degree(&mut rng, max_degree))
@@ -220,12 +198,13 @@ mod tests {
     fn max_degree_cap_is_respected() {
         let g = ConfigurationModelGenerator::new(5_000, 1.8)
             .with_min_degree(2)
-            .with_max_degree(40)
             .with_seed(5)
             .generate()
             .unwrap();
-        // Total degree counts both directions, so the cap doubles.
-        assert!(g.max_degree() <= 2 * 40);
+        // The cap is the structural cut-off `sqrt(n·min)` = 100, plus one
+        // stub the parity fix-up may add; total degree counts both
+        // directions, so it doubles.
+        assert!(g.max_degree() <= 2 * 101);
     }
 
     #[test]
@@ -236,11 +215,6 @@ mod tests {
             .is_err());
         assert!(ConfigurationModelGenerator::new(100, 2.0)
             .with_min_degree(0)
-            .generate()
-            .is_err());
-        assert!(ConfigurationModelGenerator::new(100, 2.0)
-            .with_min_degree(5)
-            .with_max_degree(2)
             .generate()
             .is_err());
     }

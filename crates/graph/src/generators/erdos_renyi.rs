@@ -144,7 +144,7 @@ mod tests {
             .with_seed(3)
             .generate()
             .unwrap();
-        let avg = g.average_total_degree();
+        let avg = 2.0 * g.average_degree();
         let max = g.max_degree() as f64;
         // Binomial tail: the max degree stays within a small factor of the mean.
         assert!(max < 3.0 * avg, "max {max} vs avg {avg}");

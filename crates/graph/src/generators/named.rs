@@ -37,17 +37,17 @@ pub fn figure1_graph() -> Graph {
 }
 
 /// Vertex `A` of [`figure1_graph`].
-pub const FIG1_A: u64 = 0;
+pub(crate) const FIG1_A: u64 = 0;
 /// Vertex `B` of [`figure1_graph`].
-pub const FIG1_B: u64 = 1;
+pub(crate) const FIG1_B: u64 = 1;
 /// Vertex `C` of [`figure1_graph`].
-pub const FIG1_C: u64 = 2;
+pub(crate) const FIG1_C: u64 = 2;
 /// Vertex `D` of [`figure1_graph`].
-pub const FIG1_D: u64 = 3;
+pub(crate) const FIG1_D: u64 = 3;
 /// Vertex `E` of [`figure1_graph`].
-pub const FIG1_E: u64 = 4;
+pub(crate) const FIG1_E: u64 = 4;
 /// Vertex `F` of [`figure1_graph`].
-pub const FIG1_F: u64 = 5;
+pub(crate) const FIG1_F: u64 = 5;
 
 /// A directed path `0 -> 1 -> … -> n-1`.
 ///
@@ -93,21 +93,6 @@ pub fn star_graph(leaves: usize) -> Result<Graph> {
     GraphBuilder::undirected()
         .extend_edges((1..=leaves as u64).map(|i| (0, i)))
         .build()
-}
-
-/// A complete undirected graph over `n` vertices.
-///
-/// # Errors
-///
-/// Returns an error when `n < 2`.
-pub fn complete_graph(n: usize) -> Result<Graph> {
-    let mut builder = GraphBuilder::undirected();
-    for i in 0..n as u64 {
-        for j in (i + 1)..n as u64 {
-            builder.add_edge_ids(i, j);
-        }
-    }
-    builder.build()
 }
 
 /// Two disjoint undirected triangles (`0,1,2` and `3,4,5`), useful for
@@ -186,15 +171,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 8);
         assert_eq!(g.degree(VertexId::new(0)), 14);
         assert!(star_graph(0).is_err());
-    }
-
-    #[test]
-    fn complete_graph_edge_count() {
-        let g = complete_graph(5).unwrap();
-        assert_eq!(g.num_edges(), 5 * 4);
-        for v in g.vertices() {
-            assert_eq!(g.degree(v), 8);
-        }
     }
 
     #[test]

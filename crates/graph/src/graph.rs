@@ -1,6 +1,6 @@
 //! The immutable [`Graph`] representation used across the workspace.
 
-use crate::error::{GraphError, Result};
+use crate::error::Result;
 use crate::types::{Edge, GraphKind, VertexId};
 
 /// An immutable directed graph with both an edge list and CSR adjacency.
@@ -62,7 +62,7 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::EmptyGraph`] if `edges` is empty.
+    /// Returns [`GraphError::EmptyGraph`](crate::GraphError::EmptyGraph) if `edges` is empty.
     pub fn from_edges<I>(edges: I) -> Result<Self>
     where
         I: IntoIterator<Item = (u64, u64)>,
@@ -106,34 +106,11 @@ impl Graph {
         (0..self.num_vertices as u64).map(VertexId::new)
     }
 
-    /// Returns `true` when `v` is a valid vertex of this graph.
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.num_vertices
-    }
-
-    /// Validates that a vertex belongs to the graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] when the vertex does not
-    /// belong to the graph.
-    pub fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if self.contains_vertex(v) {
-            Ok(())
-        } else {
-            Err(GraphError::VertexOutOfRange {
-                vertex: v.raw(),
-                num_vertices: self.num_vertices,
-            })
-        }
-    }
-
     /// Out-neighbours of `v` (targets of edges leaving `v`).
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range; use [`Graph::check_vertex`] first for
-    /// untrusted input.
+    /// Panics if `v` is out of range (`v.index() >= num_vertices()`).
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         let i = v.index();
         &self.out_targets[self.out_offsets[i]..self.out_offsets[i + 1]]
@@ -143,8 +120,7 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range; use [`Graph::check_vertex`] first for
-    /// untrusted input.
+    /// Panics if `v` is out of range (`v.index() >= num_vertices()`).
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         let i = v.index();
         &self.in_sources[self.in_offsets[i]..self.in_offsets[i + 1]]
@@ -182,13 +158,6 @@ impl Graph {
         self.num_edges() as f64 / self.num_vertices as f64
     }
 
-    /// Average total degree `2|E| / |V|`: every directed edge counted at both
-    /// of its endpoints. This matches
-    /// [`DegreeDistribution::mean_degree`](crate::DegreeDistribution::mean_degree).
-    pub fn average_total_degree(&self) -> f64 {
-        2.0 * self.average_degree()
-    }
-
     /// The maximum total degree over all vertices, or 0 for an empty graph.
     pub fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
@@ -203,18 +172,6 @@ impl Graph {
     pub fn reversed(&self) -> Graph {
         let edges = self.edges.iter().map(|e| e.reversed()).collect();
         Graph::from_parts(self.kind, self.num_vertices, edges)
-    }
-
-    /// Returns the edge list sorted by an arbitrary key, leaving the graph
-    /// itself untouched. Used by partitioner preprocessing steps.
-    pub fn edges_sorted_by_key<K, F>(&self, mut key: F) -> Vec<Edge>
-    where
-        K: Ord,
-        F: FnMut(&Edge) -> K,
-    {
-        let mut edges = self.edges.clone();
-        edges.sort_by_key(|e| key(e));
-        edges
     }
 }
 
@@ -279,7 +236,6 @@ mod tests {
         assert_eq!(g.degrees(), vec![2, 2, 2, 2]);
         assert_eq!(g.max_degree(), 2);
         assert!((g.average_degree() - 1.0).abs() < 1e-12);
-        assert!((g.average_total_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -291,15 +247,6 @@ mod tests {
             .unwrap();
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.num_input_edges(), 2);
-    }
-
-    #[test]
-    fn contains_and_check_vertex() {
-        let g = diamond();
-        assert!(g.contains_vertex(VertexId::new(3)));
-        assert!(!g.contains_vertex(VertexId::new(4)));
-        assert!(g.check_vertex(VertexId::new(3)).is_ok());
-        assert!(g.check_vertex(VertexId::new(9)).is_err());
     }
 
     #[test]
@@ -326,15 +273,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g.num_isolated_vertices(), 4);
-    }
-
-    #[test]
-    fn edges_sorted_by_key_sorts_without_mutation() {
-        let g = diamond();
-        let sorted = g.edges_sorted_by_key(|e| std::cmp::Reverse(e.src));
-        assert_eq!(sorted[0].src, VertexId::new(2));
-        // Original order untouched.
-        assert_eq!(g.edges()[0].src, VertexId::new(0));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The format is compatible with the SNAP dumps the paper uses: one edge per
 //! line as `src dst` (or `src\tdst`), with `#`-prefixed comment lines.
 
-use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
@@ -108,16 +106,6 @@ pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Gr
     builder.build()
 }
 
-/// Reads a graph from an edge-list file on disk.
-///
-/// # Errors
-///
-/// See [`read_edge_list`].
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P, options: EdgeListOptions) -> Result<Graph> {
-    let file = File::open(path)?;
-    read_edge_list(file, options)
-}
-
 /// Writes a graph's directed edge list to any writer, one `src dst` pair per
 /// line, preceded by a comment header with the vertex and edge counts.
 ///
@@ -140,20 +128,9 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Writes a graph's edge list to a file on disk.
-///
-/// # Errors
-///
-/// See [`write_edge_list`].
-pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
-    let file = File::create(path)?;
-    write_edge_list(graph, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VertexId;
 
     #[test]
     fn read_simple_edge_list() {
@@ -252,19 +229,6 @@ mod tests {
         assert_eq!(reread.num_vertices(), original.num_vertices());
         assert_eq!(reread.num_edges(), original.num_edges());
         assert_eq!(reread.edges(), original.edges());
-    }
-
-    #[test]
-    fn roundtrip_through_file() {
-        let dir = std::env::temp_dir().join("ebv-graph-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.edges");
-        let original = Graph::from_edges(vec![(0, 1), (1, 2)]).unwrap();
-        write_edge_list_file(&original, &path).unwrap();
-        let reread = read_edge_list_file(&path, EdgeListOptions::default()).unwrap();
-        assert_eq!(reread.num_edges(), 2);
-        assert_eq!(reread.out_neighbors(VertexId::new(0)), &[VertexId::new(1)]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   edges into opposite directed pairs, exactly as Section III-C of the
 //!   paper prescribes,
 //! * degree distributions ([`DegreeDistribution`]) and power-law exponent
-//!   estimation ([`estimate_eta`]) for characterizing graphs as in Table I,
+//!   estimation ([`estimate_graph_eta`]) for characterizing graphs as in Table I,
 //! * deterministic synthetic [`generators`] that substitute for the
 //!   non-redistributable evaluation datasets (LiveJournal, Twitter,
 //!   Friendster, USARoad), and
@@ -53,27 +53,16 @@ pub use degree::DegreeDistribution;
 pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use hash::{IdHashMap, IdHasher};
-pub use powerlaw::{estimate_eta, estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
+pub use powerlaw::{estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
 pub use stats::GraphStats;
 pub use types::{Edge, GraphKind, VertexId};
 pub use vertex_set::VertexSet;
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::generators::{
-        BarabasiAlbertGenerator, ConfigurationModelGenerator, ErdosRenyiGenerator, GraphGenerator,
-        GridGenerator, RmatGenerator,
-    };
-    pub use crate::{
-        DegreeDistribution, Edge, Graph, GraphBuilder, GraphError, GraphKind, GraphStats, VertexId,
-    };
-}
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::prelude::*;
+    use crate::{DegreeDistribution, Edge, GraphBuilder};
 
     proptest! {
         /// Building a graph from arbitrary edge pairs never panics and the
@@ -102,7 +91,7 @@ mod proptests {
             if let Ok(graph) = builder.build() {
                 for v in graph.vertices() {
                     for &n in graph.out_neighbors(v) {
-                        prop_assert!(graph.contains_vertex(n));
+                        prop_assert!(n.index() < graph.num_vertices());
                         prop_assert!(graph.edges().contains(&Edge::new(v, n)));
                     }
                     for &n in graph.in_neighbors(v) {
@@ -127,8 +116,8 @@ mod proptests {
             }
         }
 
-        /// Degree distribution totals match the vertex count and mean degree
-        /// matches the graph's average degree.
+        /// Degree distribution totals match the vertex count and twice the
+        /// edge count.
         #[test]
         fn degree_distribution_is_consistent(edges in proptest::collection::vec((0u64..60, 0u64..60), 1..200)) {
             let mut builder = GraphBuilder::directed();
@@ -138,7 +127,6 @@ mod proptests {
                 prop_assert_eq!(dist.num_vertices(), graph.num_vertices());
                 let total: usize = dist.iter().map(|(d, c)| d * c).sum();
                 prop_assert_eq!(total, 2 * graph.num_edges());
-                prop_assert!((dist.mean_degree() - graph.average_total_degree()).abs() < 1e-9);
             }
         }
 

@@ -98,7 +98,7 @@ pub fn estimate_eta_with_dmin(dist: &DegreeDistribution, d_min: usize) -> Result
 ///
 /// Propagates errors from [`estimate_eta_with_dmin`]; in particular an empty
 /// distribution yields [`GraphError::EmptyGraph`].
-pub fn estimate_eta(dist: &DegreeDistribution) -> Result<PowerLawFit> {
+pub(crate) fn estimate_eta(dist: &DegreeDistribution) -> Result<PowerLawFit> {
     let max_degree = dist.max_degree().ok_or(GraphError::EmptyGraph)?;
     let min_degree = dist.min_degree().unwrap_or(1).max(1);
     let min_tail = (dist.num_vertices() / 100).max(10);

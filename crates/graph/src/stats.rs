@@ -71,28 +71,6 @@ impl GraphStats {
             is_power_law: fit.is_power_law(),
         })
     }
-
-    /// Renders the statistics as a single row matching the column layout of
-    /// Table I: `name, type, |V|, |E|, average degree, eta`.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<16} {:<10} {:>12} {:>14} {:>10.2} {:>8.2}",
-            self.name,
-            self.kind.to_string(),
-            self.num_vertices,
-            self.num_input_edges,
-            self.average_degree,
-            self.eta
-        )
-    }
-
-    /// Header matching [`GraphStats::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<16} {:<10} {:>12} {:>14} {:>10} {:>8}",
-            "Graph", "Type", "V", "E", "AvgDeg", "eta"
-        )
-    }
 }
 
 impl fmt::Display for GraphStats {
@@ -136,16 +114,6 @@ mod tests {
         assert!(!stats.is_power_law);
         assert!(stats.average_degree < 5.0);
         assert_eq!(stats.isolated_vertices, 0);
-    }
-
-    #[test]
-    fn table_row_and_header_align() {
-        let g = GridGenerator::new(5, 5).generate().unwrap();
-        let stats = GraphStats::compute("tiny-grid", &g).unwrap();
-        let header = GraphStats::table_header();
-        let row = stats.table_row();
-        assert!(header.contains("AvgDeg"));
-        assert!(row.contains("tiny-grid"));
     }
 
     #[test]

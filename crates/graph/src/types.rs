@@ -234,7 +234,7 @@ pub enum GraphKind {
 
 impl GraphKind {
     /// Returns `true` for [`GraphKind::Undirected`].
-    pub fn is_undirected(self) -> bool {
+    pub(crate) fn is_undirected(self) -> bool {
         matches!(self, GraphKind::Undirected)
     }
 }

@@ -16,7 +16,7 @@ use crate::recorder::Phase;
 
 /// Default capacity (epochs) of the journal a
 /// [`Telemetry`](crate::Telemetry) carries.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// The facts one applied mutation epoch reports through
 /// [`Recorder::epoch_applied`](crate::Recorder::epoch_applied): the
@@ -68,13 +68,6 @@ pub struct EpochSnapshot {
     pub straggler_ratio: f64,
     /// Cumulative spans dropped to ring-slot contention at record time.
     pub spans_dropped: u64,
-}
-
-impl EpochSnapshot {
-    /// Seconds the epoch's window spent in [`Phase::Compute`].
-    pub fn compute_seconds(&self) -> f64 {
-        self.phase_seconds[Phase::Compute.index()]
-    }
 }
 
 /// The mutable state: the ring plus the cumulative watermarks the
@@ -173,7 +166,7 @@ impl EpochJournal {
 
     /// Origin offset of the most recent snapshot (the staleness anchor of
     /// the `/healthz` route).
-    pub fn last_at_seconds(&self) -> Option<f64> {
+    pub(crate) fn last_at_seconds(&self) -> Option<f64> {
         self.lock().snapshots.back().map(|s| s.at_seconds)
     }
 
@@ -183,9 +176,9 @@ impl EpochJournal {
     /// ```json
     /// {"recorded_total": 9, "capacity": 1024, "epochs": [
     ///   {"epoch": 1, "batch_index": 0, "at_seconds": 0.51, ...,
-    ///    "phase_seconds": {"gather": 0.001, ...}}]}
+    ///    "phase_seconds": {"compute": 0.001, ...}}]}
     /// ```
-    pub fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let snapshots = self.snapshots();
         write!(
             out,
@@ -233,7 +226,7 @@ impl EpochJournal {
         writeln!(out, "\n  ]\n}}")
     }
 
-    /// [`to_json_into`](Self::to_json_into) into a fresh `String`.
+    /// The journal rendered as a JSON document into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.to_json_into(&mut out)
@@ -284,9 +277,9 @@ mod tests {
         journal.record(mark(2), 1.0, nanos(5_000_000_000), 130, 1.3, 0);
         let snapshots = journal.snapshots();
         assert_eq!(snapshots.len(), 2);
-        assert!((snapshots[0].compute_seconds() - 2.0).abs() < 1e-9);
+        assert!((snapshots[0].phase_seconds[Phase::Compute.index()] - 2.0).abs() < 1e-9);
         assert_eq!(snapshots[0].messages_delta, 100);
-        assert!((snapshots[1].compute_seconds() - 3.0).abs() < 1e-9);
+        assert!((snapshots[1].phase_seconds[Phase::Compute.index()] - 3.0).abs() < 1e-9);
         assert_eq!(snapshots[1].messages_delta, 30);
         assert_eq!(journal.last().unwrap().mark.epoch, 2);
         assert_eq!(journal.last_at_seconds(), Some(1.0));
@@ -314,7 +307,7 @@ mod tests {
         assert!(json.contains("\"epoch\": 1"));
         assert!(json.contains("\"phase_seconds\": {"));
         assert!(json.contains("\"compute\": 1.5"));
-        assert!(json.contains("\"gather\": 0.0"));
+        assert!(json.contains("\"scatter\": 0.0"));
         assert!(json.contains("\"spans_dropped\": 2"));
         // Every phase key appears exactly once per entry.
         for phase in Phase::ALL {

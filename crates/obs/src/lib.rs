@@ -14,7 +14,7 @@
 //!   extraction), snapshot-able to JSON and the Prometheus text
 //!   exposition format.
 //! * [`Telemetry`] — the real recorder: spans (epoch → superstep →
-//!   worker → phase) land in a bounded lock-free [`SpanRing`] with real
+//!   worker → phase) land in a bounded lock-free span ring with real
 //!   `Instant` timings and export as Chrome trace-event JSON loadable in
 //!   `chrome://tracing` or Perfetto, with per-(worker, phase) wall-clock
 //!   attribution and a per-superstep straggler gauge on top.
@@ -48,11 +48,11 @@ mod router;
 mod serve;
 mod trace;
 
-pub use journal::{EpochJournal, EpochMark, EpochSnapshot, DEFAULT_JOURNAL_CAPACITY};
+pub use journal::{EpochJournal, EpochMark, EpochSnapshot};
 pub use recorder::{NoopRecorder, Phase, Recorder, SpanCtx};
 pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use router::{Request, Response, RouteHandler, Router};
 pub use serve::{telemetry_router, ObsServer, ObsServerConfig};
-pub use trace::{SpanRecord, SpanRing, Telemetry, DEFAULT_RING_CAPACITY};
+pub use trace::{SpanRecord, Telemetry};

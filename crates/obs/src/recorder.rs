@@ -15,14 +15,11 @@ use crate::journal::EpochMark;
 /// superstep, `Barrier` is the engine-side synchronization slice,
 /// and the remaining phases cover the mutation, warm-start and streaming
 /// paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Receive-side work of the exchange. `ebv-bsp` workers read their
-    /// inbound shards in place during `Compute`, so the engine records no
-    /// span under it and its histogram and `/epochs.json` key read 0.
-    #[default]
-    Gather,
-    /// Running the subgraph program over one worker's subgraph.
+    /// Running the subgraph program over one worker's subgraph. Workers
+    /// read their inbound shards in place here, so the receive side of the
+    /// exchange has no phase of its own.
     Compute,
     /// Fanning the outbox out along the precomputed routes.
     Scatter,
@@ -46,21 +43,15 @@ pub enum Phase {
     /// distribution (`apply_mutations`, which nests `mutation_apply`); the
     /// partition decision before it is [`Phase::PartitionDecide`].
     EpochApply,
-    /// One chunk of the retired chunked ingest loop. Nothing records it
-    /// now: a stream goes through `EventPipeline` and records
-    /// [`Phase::PartitionDecide`]. The variant goes in the journal format's
-    /// next version bump.
-    ChunkIngest,
 }
 
 impl Phase {
     /// Number of phases (one past the last variant): every per-phase array,
     /// [`Phase::ALL`] included, is sized from it.
-    pub const COUNT: usize = Phase::ChunkIngest as usize + 1;
+    pub(crate) const COUNT: usize = Phase::EpochApply as usize + 1;
 
     /// Every phase, in declaration order.
     pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Gather,
         Phase::Compute,
         Phase::Scatter,
         Phase::Barrier,
@@ -69,7 +60,6 @@ impl Phase {
         Phase::WarmInvalidation,
         Phase::PartitionDecide,
         Phase::EpochApply,
-        Phase::ChunkIngest,
     ];
 
     /// The phase's position in [`Phase::ALL`] (its declaration index).
@@ -86,7 +76,6 @@ impl Phase {
     /// The stable snake_case name used as the Chrome-trace event name.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::Gather => "gather",
             Phase::Compute => "compute",
             Phase::Scatter => "scatter",
             Phase::Barrier => "barrier",
@@ -95,24 +84,21 @@ impl Phase {
             Phase::WarmInvalidation => "warm_invalidation",
             Phase::PartitionDecide => "partition_decide",
             Phase::EpochApply => "epoch_apply",
-            Phase::ChunkIngest => "chunk_ingest",
         }
     }
 
     /// The Chrome-trace category (`cat`) the phase belongs to.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
-            Phase::Gather | Phase::Compute | Phase::Scatter | Phase::Barrier => "bsp",
+            Phase::Compute | Phase::Scatter | Phase::Barrier => "bsp",
             Phase::MutationApply | Phase::RoutingPatch => "mutation",
             Phase::WarmInvalidation | Phase::PartitionDecide | Phase::EpochApply => "dynamic",
-            Phase::ChunkIngest => "stream",
         }
     }
 
     /// The name of the per-phase latency histogram the tracer feeds.
-    pub fn histogram_name(self) -> &'static str {
+    pub(crate) fn histogram_name(self) -> &'static str {
         match self {
-            Phase::Gather => "ebv_phase_gather_seconds",
             Phase::Compute => "ebv_phase_compute_seconds",
             Phase::Scatter => "ebv_phase_scatter_seconds",
             Phase::Barrier => "ebv_phase_barrier_seconds",
@@ -121,7 +107,6 @@ impl Phase {
             Phase::WarmInvalidation => "ebv_phase_warm_invalidation_seconds",
             Phase::PartitionDecide => "ebv_phase_partition_decide_seconds",
             Phase::EpochApply => "ebv_phase_epoch_apply_seconds",
-            Phase::ChunkIngest => "ebv_phase_chunk_ingest_seconds",
         }
     }
 }
@@ -232,7 +217,6 @@ mod tests {
         assert_eq!(Phase::PartitionDecide.category(), "dynamic");
         assert_eq!(Phase::Compute.name(), "compute");
         assert_eq!(Phase::Compute.category(), "bsp");
-        assert_eq!(Phase::ChunkIngest.category(), "stream");
         assert!(Phase::Barrier.histogram_name().ends_with("_seconds"));
     }
 }

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Upper bucket bounds (seconds) of every latency histogram: a 1-2-5
 /// ladder from 1µs to 100s. Latencies above the last bound land in the
 /// implicit overflow (`+Inf`) bucket.
-pub const BUCKET_BOUNDS: [f64; 25] = [
+pub(crate) const BUCKET_BOUNDS: [f64; 25] = [
     1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1,
     2e-1, 5e-1, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
 ];
@@ -62,8 +62,8 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket latency histogram over [`BUCKET_BOUNDS`] plus an
-/// overflow bucket, with total count and sum, supporting quantile
+/// A fixed-bucket latency histogram over a 1-2-5 ladder of bounds from 1µs
+/// to 100s plus an overflow bucket, with total count and sum, supporting quantile
 /// extraction (p50/p99) by linear interpolation within the hit bucket.
 #[derive(Debug)]
 pub struct Histogram {
@@ -102,7 +102,7 @@ impl Histogram {
     }
 
     /// Sum of all observations in seconds.
-    pub fn sum_seconds(&self) -> f64 {
+    pub(crate) fn sum_seconds(&self) -> f64 {
         self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
@@ -274,8 +274,7 @@ pub struct HistogramSnapshot {
 
 /// A point-in-time copy of a whole registry, in sorted name order —
 /// serializable to JSON ([`to_json`](MetricsSnapshot::to_json)) or the
-/// Prometheus text exposition format
-/// ([`to_prometheus`](MetricsSnapshot::to_prometheus)).
+/// Prometheus text exposition format.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` of every counter.
@@ -299,7 +298,7 @@ impl MetricsSnapshot {
     /// no JSON crate is available offline). Writing into a
     /// caller-supplied sink lets HTTP handlers and large exports stream
     /// without building intermediate strings.
-    pub fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("{\n  \"counters\": {")?;
         for (i, (name, value)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
@@ -327,7 +326,7 @@ impl MetricsSnapshot {
         out.write_str("\n  ]\n}\n")
     }
 
-    /// [`to_json_into`](Self::to_json_into) into a fresh `String`.
+    /// The snapshot rendered as a JSON document into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.to_json_into(&mut out)
@@ -338,7 +337,7 @@ impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format into
     /// `out` (counters, gauges and cumulative histogram buckets with
     /// `+Inf`).
-    pub fn to_prometheus_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn to_prometheus_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         for (name, value) in &self.counters {
             let name = assert_bare_name(name);
             writeln!(out, "# TYPE {name} counter")?;
@@ -363,15 +362,6 @@ impl MetricsSnapshot {
             writeln!(out, "{name}_count {}", histogram.count)?;
         }
         Ok(())
-    }
-
-    /// [`to_prometheus_into`](Self::to_prometheus_into) into a fresh
-    /// `String`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        self.to_prometheus_into(&mut out)
-            .expect("writing to a String cannot fail");
-        out
     }
 }
 
@@ -477,7 +467,8 @@ mod tests {
         assert!(json.contains("\"run_seconds\""));
         assert!(json.contains("\"p99_seconds\""));
 
-        let prom = snapshot.to_prometheus();
+        let mut prom = String::new();
+        snapshot.to_prometheus_into(&mut prom).unwrap();
         assert!(prom.contains("# TYPE msgs_total counter"));
         assert!(prom.contains("msgs_total 5"));
         assert!(prom.contains("# TYPE imbalance gauge"));

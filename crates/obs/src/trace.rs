@@ -71,7 +71,7 @@ impl Slot {
 /// detected via their sequence word and skipped, so a live HTTP scrape
 /// never blocks or corrupts the hot path.
 #[derive(Debug)]
-pub struct SpanRing {
+pub(crate) struct SpanRing {
     slots: Box<[Slot]>,
     /// Next ticket; slot index is `ticket % slots.len()`.
     head: AtomicU64,
@@ -81,7 +81,7 @@ pub struct SpanRing {
 
 impl SpanRing {
     /// Creates a ring holding up to `capacity` spans (rounded up to 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         SpanRing {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
@@ -90,25 +90,15 @@ impl SpanRing {
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total spans pushed (including overwritten and dropped ones).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
     /// Spans dropped because of slot contention (distinct from the silent
     /// overwrite of old spans when the ring wraps).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Pushes one span. Lock-free: on slot contention the span is dropped
     /// and counted rather than waited for.
-    pub fn push(&self, record: SpanRecord) {
+    pub(crate) fn push(&self, record: SpanRecord) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         if slot.seq.swap(WRITING, Ordering::Acquire) == WRITING {
@@ -134,7 +124,7 @@ impl SpanRing {
     /// payload, re-check the sequence word — a slot a writer touched in
     /// between fails the re-check and is skipped, exactly like a span
     /// dropped to contention.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
+    pub(crate) fn snapshot(&self) -> Vec<SpanRecord> {
         let head = self.head.load(Ordering::Acquire);
         let capacity = self.slots.len() as u64;
         let oldest = head.saturating_sub(capacity);
@@ -175,7 +165,7 @@ impl SpanRing {
 
 /// Default span-ring capacity (spans) of a [`Telemetry`] built with
 /// [`Telemetry::new`] / [`Telemetry::isolated`].
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Cap on per-worker attribution tracks; spans from worker indices past
 /// the cap are folded into the last track.
@@ -193,7 +183,7 @@ struct StragglerWindow {
     last_ratio: f64,
 }
 
-/// The real [`Recorder`]: spans land in a bounded lock-free [`SpanRing`]
+/// The real [`Recorder`]: spans land in a bounded lock-free span ring
 /// with `Instant` timings *and* feed per-phase latency histograms, per-
 /// (worker, phase) wall-clock totals and the per-superstep straggler
 /// gauge; counters/gauges/histograms go to a [`MetricsRegistry`]; applied
@@ -260,7 +250,7 @@ impl Telemetry {
 
     /// Seconds elapsed since the tracer's origin instant (the time base of
     /// every span timestamp and journal record).
-    pub fn elapsed_seconds(&self) -> f64 {
+    pub(crate) fn elapsed_seconds(&self) -> f64 {
         self.origin.elapsed().as_secs_f64()
     }
 
@@ -277,7 +267,7 @@ impl Telemetry {
 
     /// Cumulative recorded nanoseconds per phase (summed over workers), in
     /// [`Phase::ALL`] order.
-    pub fn phase_nanos(&self) -> [u64; Phase::COUNT] {
+    pub(crate) fn phase_nanos(&self) -> [u64; Phase::COUNT] {
         let tracks = self.lock_tracks_read();
         let mut out = [0u64; Phase::COUNT];
         for track in tracks.iter() {
@@ -329,7 +319,7 @@ impl Telemetry {
     /// Workers map to `tid`s so each worker gets its own track;
     /// engine-side spans (`worker == p`) land on their own track above the
     /// workers. Non-destructive: concurrent with writers and repeatable.
-    pub fn chrome_trace_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn chrome_trace_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let spans = self.ring.snapshot();
         out.write_str("{\"traceEvents\":[")?;
         for (i, span) in spans.iter().enumerate() {
@@ -351,8 +341,8 @@ impl Telemetry {
         out.write_str("\n]}\n")
     }
 
-    /// [`chrome_trace_into`](Self::chrome_trace_into) into a fresh
-    /// `String`.
+    /// The recorded spans as a Chrome trace-event JSON document in a fresh
+    /// `String`. Non-destructive: concurrent with writers and repeatable.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::new();
         self.chrome_trace_into(&mut out)
@@ -364,7 +354,7 @@ impl Telemetry {
     /// into `out`, followed by the labeled per-worker attribution families
     /// (`ebv_worker_phase_seconds{worker="3",phase="compute"}`) the
     /// bare-name registry cannot hold.
-    pub fn prometheus_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn prometheus_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         self.registry.snapshot().to_prometheus_into(out)?;
         let workers = self.worker_phase_seconds();
         if workers
@@ -388,7 +378,8 @@ impl Telemetry {
         Ok(())
     }
 
-    /// [`prometheus_into`](Self::prometheus_into) into a fresh `String`.
+    /// The live registry in the Prometheus text exposition format, followed
+    /// by the labeled per-worker attribution families, in a fresh `String`.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
         self.prometheus_into(&mut out)
@@ -546,7 +537,7 @@ mod tests {
         assert_eq!(spans.len(), 4);
         let supersteps: Vec<u32> = spans.iter().map(|s| s.ctx.superstep).collect();
         assert_eq!(supersteps, vec![2, 3, 4, 5]);
-        assert_eq!(ring.pushed(), 6);
+        assert_eq!(ring.head.load(Ordering::Relaxed), 6);
         assert_eq!(ring.dropped(), 0);
     }
 
@@ -572,7 +563,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ring.pushed(), 2000);
+        assert_eq!(ring.head.load(Ordering::Relaxed), 2000);
         // Nothing wrapped, so every span not dropped to contention survives.
         assert_eq!(ring.snapshot().len() as u64 + ring.dropped(), 2000);
     }
@@ -614,7 +605,7 @@ mod tests {
             superstep: 7,
             worker: 3,
         };
-        telemetry.span(started, ctx, Phase::Gather);
+        telemetry.span(started, ctx, Phase::Compute);
         telemetry.counter_add("probe_total", 2);
         telemetry.gauge_set("probe_gauge", 1.5);
 
@@ -626,13 +617,13 @@ mod tests {
                 .iter()
                 .map(|h| h.name.as_str())
                 .collect::<Vec<_>>(),
-            vec![Phase::Gather.histogram_name()]
+            vec![Phase::Compute.histogram_name()]
         );
         assert_eq!(snapshot.histograms[0].count, 1);
 
         let spans = telemetry.spans();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].phase, Phase::Gather);
+        assert_eq!(spans[0].phase, Phase::Compute);
         assert_eq!(spans[0].ctx, ctx);
     }
 
@@ -681,8 +672,8 @@ mod tests {
             barrier >= 3e-3,
             "3 × 2ms spans should sum past 3ms, got {barrier}"
         );
-        let gather = totals.iter().find(|(p, _)| *p == Phase::Gather).unwrap().1;
-        assert_eq!(gather, 0.0);
+        let compute = totals.iter().find(|(p, _)| *p == Phase::Compute).unwrap().1;
+        assert_eq!(compute, 0.0);
     }
 
     #[test]
@@ -751,7 +742,7 @@ mod tests {
         let snapshot = telemetry.journal().last().expect("one epoch recorded");
         assert_eq!(snapshot.mark, mark);
         assert_eq!(snapshot.messages_delta, 42);
-        assert!(snapshot.compute_seconds() >= 2e-3);
+        assert!(snapshot.phase_seconds[Phase::Compute.index()] >= 2e-3);
         // The pending compute window was force-finalized by the epoch.
         assert!(snapshot.straggler_ratio > 0.0);
         assert!(snapshot.at_seconds >= 0.0);

@@ -39,7 +39,7 @@ use crate::error::{Result, StateError};
 use crate::wal::{decode_pairs, push_pairs, push_varint, Cursor};
 
 /// Magic bytes opening every checkpoint file (version 2: the edges once).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"EBVCKPT\x02";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 8] = *b"EBVCKPT\x02";
 
 /// A named warm-algorithm value series carried by a checkpoint.
 #[derive(Debug, Clone, PartialEq)]

@@ -42,7 +42,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = tables();
     let mut crc = !0u32;
     let mut words = bytes.chunks_exact(8);

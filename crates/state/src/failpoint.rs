@@ -113,7 +113,7 @@ impl Failpoint {
     ///
     /// [`StateError::InjectedCrash`] at budget exhaustion,
     /// [`StateError::Io`] from the filesystem.
-    pub fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+    pub(crate) fn rename(&self, from: &Path, to: &Path) -> Result<()> {
         if self.admit(1) == 0 {
             return Err(StateError::InjectedCrash);
         }

@@ -40,7 +40,7 @@ use crate::recover::RecoveredState;
 use crate::wal::{self, WalFrame, WalWriter};
 
 /// The manifest file name inside a state directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of a valid manifest.
 const MANIFEST_HEADER: &str = "ebv-manifest v1";
 /// How many checkpoints (newest first) the manifest retains.

@@ -251,7 +251,7 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// every checkpoint. Segments are created lazily on the first append so
 /// the file name can carry its first frame's epoch.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     dir: PathBuf,
     failpoint: Failpoint,
     current: Option<File>,
@@ -259,7 +259,7 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// A writer over `dir` with no open segment.
-    pub fn new(dir: PathBuf, failpoint: Failpoint) -> Self {
+    pub(crate) fn new(dir: PathBuf, failpoint: Failpoint) -> Self {
         WalWriter {
             dir,
             failpoint,
@@ -274,7 +274,12 @@ impl WalWriter {
     /// # Errors
     ///
     /// [`StateError::Io`] and [`StateError::InjectedCrash`].
-    pub fn append(&mut self, epoch: u64, events_seen: u64, batch: &MutationBatch) -> Result<u64> {
+    pub(crate) fn append(
+        &mut self,
+        epoch: u64,
+        events_seen: u64,
+        batch: &MutationBatch,
+    ) -> Result<u64> {
         let mut written = 0u64;
         if self.current.is_none() {
             // `create` truncates: the only way the name can collide is a
@@ -293,7 +298,7 @@ impl WalWriter {
 
     /// Closes the open segment; the next append starts a new one. Called
     /// at checkpoint boundaries so retired epochs live in retired files.
-    pub fn rotate(&mut self) {
+    pub(crate) fn rotate(&mut self) {
         self.current = None;
     }
 }

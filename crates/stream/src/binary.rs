@@ -43,7 +43,6 @@ pub const MAGIC: [u8; 8] = *b"EBVSTRM\x01";
 #[derive(Debug)]
 pub struct BinaryEdgeWriter<W: Write> {
     writer: BufWriter<W>,
-    edges_written: usize,
 }
 
 impl<W: Write> BinaryEdgeWriter<W> {
@@ -55,10 +54,7 @@ impl<W: Write> BinaryEdgeWriter<W> {
     pub fn new(inner: W) -> Result<Self> {
         let mut writer = BufWriter::new(inner);
         writer.write_all(&MAGIC)?;
-        Ok(BinaryEdgeWriter {
-            writer,
-            edges_written: 0,
-        })
+        Ok(BinaryEdgeWriter { writer })
     }
 
     /// Appends one edge.
@@ -69,13 +65,7 @@ impl<W: Write> BinaryEdgeWriter<W> {
     pub fn write_edge(&mut self, edge: Edge) -> Result<()> {
         varint::write_u64(&mut self.writer, edge.src.raw())?;
         varint::write_u64(&mut self.writer, edge.dst.raw())?;
-        self.edges_written += 1;
         Ok(())
-    }
-
-    /// Number of edges written so far.
-    pub fn edges_written(&self) -> usize {
-        self.edges_written
     }
 
     /// Flushes and closes the stream.
@@ -262,7 +252,6 @@ mod tests {
                 .write_edge(Edge::from((i % 100, (i + 1) % 100)))
                 .unwrap();
         }
-        assert_eq!(writer.edges_written(), 1000);
         writer.finish().unwrap();
         // 8 magic + 2 bytes per edge, far below 16 bytes per edge.
         assert!(buffer.len() < 8 + 1000 * 4, "{} bytes", buffer.len());

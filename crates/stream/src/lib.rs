@@ -68,11 +68,3 @@ pub use error::{Result, StreamError};
 pub use source::{pairs, EdgeSource, GraphEdgeSource, PairSource};
 pub use synthetic::{RmatEdgeStream, UniformEdgeStream};
 pub use text::TextEdgeReader;
-
-/// Commonly used items, for glob import in examples and downstream crates.
-pub mod prelude {
-    pub use crate::{
-        pairs, BinaryEdgeReader, BinaryEdgeWriter, EdgeSource, GraphEdgeSource, RmatEdgeStream,
-        StreamError, TextEdgeReader, UniformEdgeStream,
-    };
-}

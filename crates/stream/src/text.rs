@@ -48,12 +48,6 @@ impl<R: Read> TextEdgeReader<R> {
             line_number: 0,
         }
     }
-
-    /// The number of physical lines consumed so far (including comments and
-    /// blanks).
-    pub fn lines_read(&self) -> usize {
-        self.line_number
-    }
 }
 
 impl TextEdgeReader<File> {

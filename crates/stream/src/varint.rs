@@ -80,12 +80,6 @@ pub fn write_u64<W: Write>(writer: &mut W, mut value: u64) -> io::Result<usize> 
     }
 }
 
-/// Encoded length of `value` without writing it.
-pub fn encoded_len(value: u64) -> usize {
-    let bits = 64 - value.leading_zeros() as usize;
-    std::cmp::max(1, bits.div_ceil(7))
-}
-
 /// Reads one varint from `reader`.
 ///
 /// Returns `Ok(None)` on clean EOF before the first byte — the caller
@@ -156,7 +150,6 @@ mod tests {
             let mut buffer = Vec::new();
             let written = write_u64(&mut buffer, value).unwrap();
             assert_eq!(written, buffer.len());
-            assert_eq!(written, encoded_len(value), "value {value}");
             let mut consumed = 0;
             let back = read_u64(&mut buffer.as_slice(), &mut consumed).unwrap();
             assert_eq!(back, Some(value));
@@ -208,6 +201,6 @@ mod tests {
 
     #[test]
     fn max_len_matches_u64_max() {
-        assert_eq!(encoded_len(u64::MAX), MAX_LEN);
+        assert_eq!(write_u64(&mut Vec::new(), u64::MAX).unwrap(), MAX_LEN);
     }
 }

@@ -1,6 +1,6 @@
 //! # ebv — umbrella crate for the EBV reproduction
 //!
-//! Re-exports the five library crates of the workspace under short module
+//! Re-exports the nine library crates of the workspace under short module
 //! names so that examples and integration tests can use one import root:
 //!
 //! * [`graph`] — graph structures, generators, statistics and I/O
