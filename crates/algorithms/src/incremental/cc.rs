@@ -1,38 +1,10 @@
 //! Warm-start Connected Components (see the module-level discussion in
 //! [`crate::incremental`] for the full design).
 
-use ebv_bsp::{
-    InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext, SubgraphProgram, WarmFrontier,
-};
-use ebv_graph::{Edge, VertexId, VertexSet};
+use ebv_bsp::{MutationBatch, Subgraph, SubgraphContext, SubgraphProgram};
+use ebv_graph::{VertexId, VertexSet};
 
 use crate::cc::component_min_superstep;
-
-/// The CC [`InvalidationPolicy`]: a deletion may split the components of its
-/// endpoints, and min-label propagation cannot *raise* stale labels, so the
-/// endpoints' whole prior components are conservatively reset.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ComponentInvalidation {
-    /// Prior labels whose components must be recomputed from scratch
-    /// (membership only: `warm_value` probes it once per replica). Sized to
-    /// the prior's universe on every absorb, since a label is the smallest
-    /// id of its component; a larger label the caller handed in spills.
-    dirty: VertexSet,
-}
-
-impl InvalidationPolicy for ComponentInvalidation {
-    type Value = u64;
-
-    fn on_removed_edge(&mut self, _edge: Edge, src_prior: Option<&u64>, dst_prior: Option<&u64>) {
-        for &label in [src_prior, dst_prior].into_iter().flatten() {
-            self.dirty.insert(label);
-        }
-    }
-
-    fn is_dirty(&self, _vertex: VertexId, prior: &u64) -> bool {
-        self.dirty.contains(*prior)
-    }
-}
 
 /// Warm-start Connected Components (see the module-level discussion in
 /// [`crate::incremental`] for the full design).
@@ -75,13 +47,20 @@ impl InvalidationPolicy for ComponentInvalidation {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalConnectedComponents {
-    frontier: WarmFrontier<ComponentInvalidation>,
+    /// Prior labels whose components must be recomputed from scratch: a
+    /// deletion may split the components of its endpoints, and min-label
+    /// propagation cannot *raise* stale labels, so the endpoints' whole
+    /// prior components reset. Membership only (`warm_value` probes it once
+    /// per replica), sized to the prior's universe on every absorb, since a
+    /// label is the smallest id of its component; a larger label the caller
+    /// handed in spills.
+    dirty: VertexSet,
 }
 
 impl IncrementalConnectedComponents {
-    /// Creates a pure warm restart: nothing is dirty, nothing is seeded, so
-    /// the run converges in one superstep, sending nothing, when the prior
-    /// labels are still valid.
+    /// Creates a pure warm restart: nothing is dirty, so the run converges
+    /// in one superstep, sending nothing, when the prior labels are still
+    /// valid.
     pub fn new() -> Self {
         Self::default()
     }
@@ -94,20 +73,21 @@ impl IncrementalConnectedComponents {
         program
     }
 
-    /// Folds one more mutation batch into the dirty/seed sets. Every batch
-    /// applied since `prior` was computed must be absorbed (in any order)
-    /// before the warm run.
+    /// Folds one more mutation batch into the dirty labels: the prior labels
+    /// of every removed edge's endpoints (an endpoint newer than `prior` has
+    /// none). Insertions dirty nothing, since the first superstep lowers
+    /// every local component to its minimum anyway. Every batch applied
+    /// since `prior` was computed must be absorbed (in any order) before
+    /// the warm run.
     pub fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
-        self.frontier.policy_mut().dirty.grow_universe(prior.len());
-        self.frontier.absorb(prior, batch);
-    }
-
-    /// Number of seed vertices the absorbed batches named (inserted-edge
-    /// endpoints, and removed-edge endpoints newer than the prior). The
-    /// first superstep lowers every local component to its minimum, seeds
-    /// or not, so this sizes the batch, not the work.
-    pub fn seed_vertices(&self) -> usize {
-        self.frontier.seed_vertices()
+        self.dirty.grow_universe(prior.len());
+        for &(edge, _) in batch.removed() {
+            for v in [edge.src, edge.dst] {
+                if let Some(&label) = prior.get(v.index()) {
+                    self.dirty.insert(label);
+                }
+            }
+        }
     }
 }
 
@@ -120,10 +100,11 @@ impl SubgraphProgram for IncrementalConnectedComponents {
     }
 
     fn warm_value(&self, vertex: VertexId, prior: &u64, _subgraph: &Subgraph) -> u64 {
-        self.frontier
-            .retain(vertex, prior)
-            .copied()
-            .unwrap_or_else(|| vertex.raw())
+        if self.dirty.contains(*prior) {
+            vertex.raw()
+        } else {
+            *prior
+        }
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
@@ -137,7 +118,7 @@ mod tests {
     use crate::reference::cc_reference;
     use crate::ConnectedComponents;
     use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
-    use ebv_graph::Graph;
+    use ebv_graph::{Edge, Graph};
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
     fn distribute(graph: &Graph, p: usize) -> (DistributedGraph, Vec<(Edge, PartitionId)>) {
@@ -349,12 +330,9 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.record_delete(removed, part);
         let program = IncrementalConnectedComponents::from_batch(&prior, &batch);
-        assert_eq!(program.frontier.policy().dirty.len(), 1);
+        assert_eq!(program.dirty.len(), 1);
         for (v, label) in prior.iter().enumerate() {
-            let reset = program
-                .frontier
-                .retain(VertexId::new(v as u64), label)
-                .is_none();
+            let reset = program.dirty.contains(*label);
             assert_eq!(reset, *label == stale, "vertex {v}");
         }
 
@@ -377,8 +355,7 @@ mod tests {
             .run(&distributed, &ConnectedComponents::new())
             .unwrap();
         let program = IncrementalConnectedComponents::new();
-        assert_eq!(program.frontier.policy().dirty.len(), 0);
-        assert_eq!(program.seed_vertices(), 0);
+        assert_eq!(program.dirty.len(), 0);
         let warm = engine
             .run_opts(
                 &distributed,

@@ -1,89 +1,36 @@
 //! Warm-start SSSP: delta-stepping-style re-activation of hop distances
 //! across mutation epochs (see the module-level discussion in
-//! [`crate::incremental`] for the full design). Its invalidation is
-//! [`DistanceInvalidation`]:
+//! [`crate::incremental`] for the full design). [`IncrementalSssp`] owns its
+//! invalidation, derived once per batch by
+//! [`from_distributed`](IncrementalSssp::from_distributed):
 //!
 //! * **Insertions** only shorten paths, so every prior distance remains a
 //!   valid upper bound; the inserted endpoints are seeded and relax
 //!   downward from there.
 //! * **Deletions** may lengthen or sever paths. A deleted edge `u→v` can
 //!   only have carried shortest paths if it was *tight* in the prior
-//!   outcome (`prior[u] + 1 == prior[v]`), and every vertex whose shortest
-//!   path crossed it then satisfies `prior[w] >= prior[v]` (subpaths of
-//!   shortest paths are shortest). The minimum such `prior[v]` over the
-//!   batch is the **horizon**: all distances at or beyond it are reset to
-//!   unreachable, everything strictly below it provably kept its exact
-//!   distance. The surviving settled rim re-relaxes into the reset cone.
+//!   outcome (`prior[u] + 1 == prior[v]`). The **cone** is every vertex
+//!   whose every tight certificate chain crossed such an edge, walked
+//!   outward from the deleted tight edges' heads over the post-mutation
+//!   graph: its distances reset to unreachable, everything outside it
+//!   provably kept its exact distance. The surviving settled rim re-relaxes
+//!   into the reset cone.
 //!
 //! Every warm seed is therefore an upper bound of the new true distance
 //! with the source at 0, so the monotone relaxation fixpoint *is* the cold
 //! answer — warm SSSP is bit-identical to cold runs, it just starts next to
 //! the fixpoint instead of at infinity.
 
-use ebv_bsp::{
-    DistributedGraph, InvalidationPolicy, MutationBatch, Subgraph, SubgraphContext,
-    SubgraphProgram, WarmFrontier,
-};
-use ebv_graph::{Edge, VertexId, VertexSet};
+use ebv_bsp::{DistributedGraph, MutationBatch, Subgraph, SubgraphContext, SubgraphProgram};
+use ebv_graph::{VertexId, VertexSet};
 
 use crate::kernel::{gated_min_superstep, Activation};
 use crate::UNREACHABLE;
-
-/// The shortest-path [`InvalidationPolicy`], two-tier:
-///
-/// * the **horizon** — the minimum prior distance a removed tight edge may
-///   have produced — is the graph-free conservative tier maintained by
-///   [`absorb`](IncrementalSssp::absorb): prior distances at or beyond it
-///   are dirty, everything below is provably unaffected;
-/// * the **cone** — the precise per-vertex invalidation installed by
-///   [`from_distributed`](IncrementalSssp::from_distributed), which walks
-///   outward from the heads of the removed tight edges and keeps every
-///   vertex that still has a shortest-path certificate avoiding them.
-#[derive(Debug, Clone)]
-pub(crate) struct DistanceInvalidation {
-    source: VertexId,
-    /// Smallest prior distance a deletion may have invalidated;
-    /// [`UNREACHABLE`] when no deletion touched a tight edge.
-    horizon: u64,
-    /// Raw ids whose prior distance lost every deletion-free certificate
-    /// (the downstream cones of the deleted tight edges).
-    cone: Cone,
-}
 
 /// A set of raw vertex ids, membership only. Every member has a finite
 /// prior distance, so a cone sized for `0..prior.len()` never spills: a bit
 /// per id, probed once per replica at warm seeding.
 type Cone = VertexSet;
-
-impl DistanceInvalidation {
-    fn new(source: VertexId) -> Self {
-        DistanceInvalidation {
-            source,
-            horizon: UNREACHABLE,
-            cone: Cone::default(),
-        }
-    }
-}
-
-impl InvalidationPolicy for DistanceInvalidation {
-    type Value = u64;
-
-    fn on_removed_edge(&mut self, _edge: Edge, src_prior: Option<&u64>, dst_prior: Option<&u64>) {
-        // Endpoints that postdate the prior outcome carry no settled
-        // distance, so removing an edge between them invalidates nothing.
-        if let (Some(&src), Some(&dst)) = (src_prior, dst_prior) {
-            if src != UNREACHABLE && src + 1 == dst {
-                self.horizon = self.horizon.min(dst);
-            }
-        }
-    }
-
-    fn is_dirty(&self, vertex: VertexId, prior: &u64) -> bool {
-        // The source is always exactly 0; unreachable priors reset to the
-        // same unreachable initial, so >= keeps the predicate trivial.
-        vertex != self.source && (*prior >= self.horizon || self.cone.contains(vertex.raw()))
-    }
-}
 
 /// The precise invalidation cone of one batch, over the **post-mutation**
 /// distribution: every vertex with a finite prior distance that no longer
@@ -275,8 +222,8 @@ fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u
 /// batch.record_insert(Edge::from((0u64, 2u64)), PartitionId::new(0));
 /// distributed.apply_mutations(&batch)?;
 ///
-/// let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
-/// assert_eq!(program.horizon(), None, "insertions invalidate nothing");
+/// let program = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
+/// assert_eq!(program.cone_vertices(), 0, "insertions invalidate nothing");
 /// let warm =
 ///     engine.run_opts(&distributed, &program, RunOptions::new().warm_seed(&cold.values))?;
 /// assert_eq!(warm.values, vec![0, 1, 1]);
@@ -286,49 +233,48 @@ fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u
 #[derive(Debug, Clone)]
 pub struct IncrementalSssp {
     source: VertexId,
-    frontier: WarmFrontier<DistanceInvalidation>,
+    /// Raw ids the first superstep activates: the endpoints of inserted
+    /// edges, and removed-edge endpoints newer than the prior (they start
+    /// unreachable and may still need to propagate it). The kernel probes it
+    /// once per local vertex, so it is a bit per id, sized to the prior's
+    /// universe; endpoints the universe has since grown by spill beside the
+    /// bits.
+    seeds: VertexSet,
+    /// Raw ids whose prior distance lost every deletion-free certificate
+    /// (the downstream cones of the deleted tight edges). Never holds the
+    /// source.
+    cone: Cone,
 }
 
 impl IncrementalSssp {
-    /// Creates a pure warm restart rooted at `source`: nothing is dirty,
-    /// nothing is seeded, so the run converges immediately when the prior
-    /// distances are still valid.
-    pub fn new(source: VertexId) -> Self {
-        IncrementalSssp {
-            source,
-            frontier: WarmFrontier::new(DistanceInvalidation::new(source)),
-        }
-    }
-
     /// Creates the program for one mutation batch applied on top of the
-    /// graph that produced `prior`, without looking at the graph itself:
-    /// deletions invalidate via the conservative horizon.
-    pub fn from_batch(source: VertexId, prior: &[u64], batch: &MutationBatch) -> Self {
-        let mut program = Self::new(source);
-        program.absorb(prior, batch);
-        program
-    }
-
-    /// Creates the program for one mutation batch applied on top of the
-    /// graph that produced `prior` (the contract
-    /// [`from_batch`](Self::from_batch) states), walking the
-    /// **post-mutation** `distributed` (the batch already applied, exactly
-    /// what `EventPipeline::run_applied` hands its epoch callback) outward
-    /// from the batch's removed tight edges to compute the *precise*
-    /// invalidation cone — only vertices whose every tight shortest-path
-    /// certificate crossed a deleted edge are reset, instead of everything
-    /// at or beyond the horizon — at a cost that follows the cone, not the
-    /// graph. `batch` also contributes the insertion seeds. A `prior` from
-    /// further back (several batches since) is outside the contract:
-    /// absorb those batches with [`absorb`](Self::absorb) instead.
+    /// graph that produced `prior`, walking the **post-mutation**
+    /// `distributed` (the batch already applied, exactly what
+    /// `EventPipeline::run_applied` hands its epoch callback) outward from
+    /// the batch's removed tight edges to compute the invalidation cone —
+    /// only vertices whose every tight shortest-path certificate crossed a
+    /// deleted edge are reset — at a cost that follows the cone, not the
+    /// graph. `batch` also contributes the seeds. A `prior` from further
+    /// back (several batches since) is outside the contract: run SSSP cold
+    /// instead.
     pub fn from_distributed(
         source: VertexId,
         distributed: &DistributedGraph,
         prior: &[u64],
         batch: &MutationBatch,
     ) -> Self {
-        let mut program = Self::new(source);
-        program.frontier.absorb_seeds(prior, batch);
+        let mut seeds = VertexSet::new(prior.len());
+        for &(edge, _) in batch.removed() {
+            for v in [edge.src, edge.dst] {
+                if prior.get(v.index()).is_none() {
+                    seeds.insert(v.raw());
+                }
+            }
+        }
+        for &(edge, _) in batch.added() {
+            seeds.insert(edge.src.raw());
+            seeds.insert(edge.dst.raw());
+        }
         let cone = walked_cone(source, distributed, prior, batch);
         #[cfg(debug_assertions)]
         assert_eq!(
@@ -337,15 +283,11 @@ impl IncrementalSssp {
             "the walked cone differs from the scanned one: is `prior` the outcome on the \
              graph this batch was applied to?"
         );
-        program.frontier.policy_mut().cone = cone;
-        program
-    }
-
-    /// Folds one more mutation batch into the horizon/seed state. Every
-    /// batch applied since `prior` was computed must be absorbed (in any
-    /// order) before the warm run.
-    pub fn absorb(&mut self, prior: &[u64], batch: &MutationBatch) {
-        self.frontier.absorb(prior, batch);
+        IncrementalSssp {
+            source,
+            seeds,
+            cone,
+        }
     }
 
     /// The source vertex.
@@ -353,26 +295,14 @@ impl IncrementalSssp {
         self.source
     }
 
-    /// The settled horizon: the smallest prior distance an absorbed
-    /// deletion may have invalidated, or `None` when no deletion touched a
-    /// tight edge (all prior distances survive).
-    pub fn horizon(&self) -> Option<u64> {
-        match self.frontier.policy().horizon {
-            UNREACHABLE => None,
-            h => Some(h),
-        }
-    }
-
     /// Number of seed vertices activated in the first superstep.
     pub fn seed_vertices(&self) -> usize {
-        self.frontier.seed_vertices()
+        self.seeds.len()
     }
 
-    /// Number of vertices in the precise invalidation cone computed by
-    /// [`from_distributed`](Self::from_distributed) (0 for the
-    /// horizon-based constructors).
+    /// Number of vertices in the invalidation cone.
     pub fn cone_vertices(&self) -> usize {
-        self.frontier.policy().cone.len()
+        self.cone.len()
     }
 }
 
@@ -388,18 +318,21 @@ impl SubgraphProgram for IncrementalSssp {
         }
     }
 
-    fn warm_value(&self, vertex: VertexId, prior: &u64, subgraph: &Subgraph) -> u64 {
-        self.frontier
-            .retain(vertex, prior)
-            .copied()
-            .unwrap_or_else(|| self.initial_value(vertex, subgraph))
+    fn warm_value(&self, vertex: VertexId, prior: &u64, _subgraph: &Subgraph) -> u64 {
+        // A reset vertex restarts from its cold value: unreachable for
+        // every vertex but the source, which the cone never holds.
+        if self.cone.contains(vertex.raw()) {
+            UNREACHABLE
+        } else {
+            *prior
+        }
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
         gated_min_superstep(
             ctx,
             superstep,
-            |raw| self.frontier.is_seed(raw),
+            |raw| self.seeds.contains(raw),
             Activation::DistanceFrontier,
         )
     }
@@ -410,7 +343,7 @@ mod tests {
     use super::*;
     use crate::SingleSourceShortestPath;
     use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
-    use ebv_graph::Graph;
+    use ebv_graph::{Edge, Graph};
     use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
     fn distribute(graph: &Graph, p: usize) -> (DistributedGraph, Vec<(Edge, PartitionId)>) {
@@ -470,8 +403,9 @@ mod tests {
                     survivors.remove(pos);
                 }
             }
-            let program = IncrementalSssp::from_batch(source, &distances, &batch);
             distributed.apply_mutations(&batch).unwrap();
+            let program =
+                IncrementalSssp::from_distributed(source, &distributed, &distances, &batch);
             let warm = engine
                 .run_opts(
                     &distributed,
@@ -496,9 +430,14 @@ mod tests {
         let cold = engine
             .run(&distributed, &SingleSourceShortestPath::new(source))
             .unwrap();
-        let program = IncrementalSssp::new(source);
+        let program = IncrementalSssp::from_distributed(
+            source,
+            &distributed,
+            &cold.values,
+            &MutationBatch::new(),
+        );
         assert_eq!(program.source(), source);
-        assert_eq!(program.horizon(), None);
+        assert_eq!(program.cone_vertices(), 0);
         assert_eq!(program.seed_vertices(), 0);
         let warm = engine
             .run_opts(
@@ -513,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn deleting_a_tight_edge_sets_the_horizon_and_resets_the_cone() {
+    fn deleting_a_tight_edge_resets_its_cone() {
         // Path 0→1→2→3 distributed over two workers; deleting 1→2 severs
         // the tail, which must re-settle to unreachable.
         let edges = vec![
@@ -531,11 +470,11 @@ mod tests {
 
         let mut batch = MutationBatch::new();
         batch.record_delete(Edge::from((1u64, 2u64)), PartitionId::new(0));
-        let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
-        // The deleted edge was tight with prior head distance 2: vertices 2
-        // and 3 reset, vertices 0 and 1 keep exact distances.
-        assert_eq!(program.horizon(), Some(2));
         distributed.apply_mutations(&batch).unwrap();
+        let program = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
+        // The deleted edge was tight: vertices 2 and 3 lost their only
+        // certificate and reset, vertices 0 and 1 keep exact distances.
+        assert_eq!(program.cone.iter().collect::<Vec<_>>(), vec![2, 3]);
         let warm = engine
             .run_opts(
                 &distributed,
@@ -565,13 +504,13 @@ mod tests {
 
         let mut batch = MutationBatch::new();
         batch.record_delete(Edge::from((1u64, 2u64)), PartitionId::new(0));
-        let program = IncrementalSssp::from_batch(source, &cold.values, &batch);
+        distributed.apply_mutations(&batch).unwrap();
+        let program = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
         assert_eq!(
-            program.horizon(),
-            None,
+            program.cone_vertices(),
+            0,
             "slack edges carry no shortest path"
         );
-        distributed.apply_mutations(&batch).unwrap();
         let warm = engine
             .run_opts(
                 &distributed,
@@ -585,9 +524,8 @@ mod tests {
 
     #[test]
     fn the_precise_cone_spares_vertices_with_surviving_certificates() {
-        // Diamond 0→1, 0→2, 1→3, 2→3: deleting 0→1 horizon-invalidates
-        // everything at distance ≥ 1, but only vertex 1 actually lost its
-        // certificate — 2 keeps 0→2 and 3 keeps 2→3.
+        // Diamond 0→1, 0→2, 1→3, 2→3: deleting 0→1 leaves only vertex 1
+        // without a certificate — 2 keeps 0→2 and 3 keeps 2→3.
         let edges = vec![
             (Edge::from((0u64, 1u64)), PartitionId::new(0)),
             (Edge::from((0u64, 2u64)), PartitionId::new(1)),
@@ -604,31 +542,21 @@ mod tests {
 
         let mut batch = MutationBatch::new();
         batch.record_delete(Edge::from((0u64, 1u64)), PartitionId::new(0));
-        let coarse = IncrementalSssp::from_batch(source, &cold.values, &batch);
-        assert_eq!(
-            coarse.horizon(),
-            Some(1),
-            "horizon resets everything settled"
-        );
         distributed.apply_mutations(&batch).unwrap();
-        let precise = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
-        assert_eq!(precise.horizon(), None);
+        let program = IncrementalSssp::from_distributed(source, &distributed, &cold.values, &batch);
         assert_eq!(
-            precise.cone_vertices(),
+            program.cone_vertices(),
             1,
             "only vertex 1 lost its certificate"
         );
-
-        for program in [&coarse, &precise] {
-            let warm = engine
-                .run_opts(
-                    &distributed,
-                    program,
-                    RunOptions::new().warm_seed(&cold.values),
-                )
-                .unwrap();
-            assert_eq!(warm.values, vec![0, UNREACHABLE, 1, 2]);
-        }
+        let warm = engine
+            .run_opts(
+                &distributed,
+                &program,
+                RunOptions::new().warm_seed(&cold.values),
+            )
+            .unwrap();
+        assert_eq!(warm.values, vec![0, UNREACHABLE, 1, 2]);
     }
 
     #[test]
@@ -672,6 +600,42 @@ mod tests {
         let prior = [0, 1, u64::MAX - 2, u64::MAX - 1];
         let cone = unsupported_cone(VertexId::new(0), &distributed, &prior);
         assert_eq!(cone.iter().collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn seeds_are_inserted_and_post_prior_removed_endpoints() {
+        // Cycle 0→1→2→0 plus 3→1; the prior predates vertex 3.
+        let edges = vec![
+            (Edge::from((0u64, 1u64)), PartitionId::new(0)),
+            (Edge::from((1u64, 2u64)), PartitionId::new(0)),
+            (Edge::from((2u64, 0u64)), PartitionId::new(1)),
+            (Edge::from((3u64, 1u64)), PartitionId::new(0)),
+        ];
+        let mut distributed = DistributedGraph::build_streaming(2, None, edges).unwrap();
+        let engine = BspEngine::sequential();
+        let source = VertexId::new(0);
+        let prior = [0, 1, 2];
+
+        let mut batch = MutationBatch::new();
+        batch.record_insert(Edge::from((0u64, 1u64)), PartitionId::new(1));
+        batch.record_delete(Edge::from((2u64, 0u64)), PartitionId::new(1));
+        batch.record_delete(Edge::from((3u64, 1u64)), PartitionId::new(0));
+        distributed.apply_mutations(&batch).unwrap();
+        let program = IncrementalSssp::from_distributed(source, &distributed, &prior, &batch);
+
+        // Inserted endpoints 0 and 1 and removed endpoint 3 (newer than the
+        // prior) are seeds; removed endpoint 2 is not, and 2→0 was slack.
+        assert_eq!(program.seeds.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert_eq!(program.seed_vertices(), 3);
+        assert_eq!(program.cone_vertices(), 0);
+        let warm = engine
+            .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
+            .unwrap();
+        let cold = engine
+            .run(&distributed, &SingleSourceShortestPath::new(source))
+            .unwrap();
+        assert_eq!(warm.values, cold.values);
+        assert_eq!(warm.values, vec![0, 1, 2, UNREACHABLE]);
     }
 
     /// A small deterministic generator for the differential test below.
@@ -814,7 +778,7 @@ mod tests {
                         IncrementalSssp::from_distributed(source, &distributed, &prior, &batch);
                     let scanned = unsupported_cone(source, &distributed, &prior);
                     let context = format!("{name} p={p} epoch {epoch}");
-                    assert_eq!(program.frontier.policy().cone, scanned, "{context}");
+                    assert_eq!(program.cone, scanned, "{context}");
                     assert_eq!(program.cone_vertices(), scanned.len(), "{context}");
                     cone_total += scanned.len();
 
@@ -880,8 +844,8 @@ mod tests {
             batch.record_delete(e, p);
         }
         batch.record_insert(Edge::from((0u64, 11u64)), PartitionId::new(1));
-        let program = IncrementalSssp::from_batch(source, &prior, &batch);
         distributed.apply_mutations(&batch).unwrap();
+        let program = IncrementalSssp::from_distributed(source, &distributed, &prior, &batch);
         let warm = engine
             .run_opts(&distributed, &program, RunOptions::new().warm_seed(&prior))
             .unwrap();

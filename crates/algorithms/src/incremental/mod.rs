@@ -8,13 +8,12 @@
 //! vertex from the previous epoch's outcome and re-activate only the region
 //! the mutations disturbed.
 //!
-//! All three share one epoch shape, factored into the [`ebv_bsp::warm`]
-//! harness ([`WarmFrontier`](ebv_bsp::WarmFrontier) +
-//! [`InvalidationPolicy`](ebv_bsp::InvalidationPolicy)) and the superstep
-//! their cold program runs — the component superstep for CC, the gated
-//! worklist kernel for SSSP, started from a smaller frontier — so a new
-//! warm-start algorithm only has to state *what a deletion invalidates* and
-//! *what a vertex's cold initial value is*:
+//! Each program owns its invalidation — *what a deletion invalidates* —
+//! and hands the engine a [`warm_value`](ebv_bsp::SubgraphProgram::warm_value)
+//! that keeps a clean prior value and resets a dirty one to the vertex's
+//! cold initial value; then it runs the superstep its cold program runs —
+//! the component superstep for CC, the gated worklist kernel for SSSP,
+//! started from a smaller frontier:
 //!
 //! * [`IncrementalConnectedComponents`] converges to labels **bit-identical**
 //!   to a cold [`crate::ConnectedComponents`] run: the final label of every
@@ -31,12 +30,11 @@
 //!   length 1) across epochs with delta-stepping-style re-activation,
 //!   **bit-identical** to cold [`crate::SingleSourceShortestPath`] runs.
 //!   Inserted-edge endpoints relax downward (an insertion can only
-//!   shorten paths); deletions invalidate either everything at or beyond the
-//!   deleted edge's head — the graph-free *horizon* of `from_batch` — or,
-//!   with `from_distributed`, exactly the *downstream cones* of vertices
-//!   whose every tight shortest-path certificate crossed a deleted edge,
-//!   found by walking outward from the removed tight edges (the exhaustive
-//!   tight-edge scan it replaced checks it in every debug build).
+//!   shorten paths); deletions invalidate exactly the *downstream cones* of
+//!   vertices whose every tight shortest-path certificate crossed a deleted
+//!   edge, found by `from_distributed` walking outward from the removed
+//!   tight edges over the post-mutation graph (the exhaustive tight-edge
+//!   scan it replaced checks it in every debug build).
 //!   The surviving settled frontier re-settles the reset region. Kept
 //!   distances are still valid upper bounds, reset ones restart from
 //!   unreachable, so the warm relaxation fixpoint is the cold answer.

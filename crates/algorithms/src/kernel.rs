@@ -87,7 +87,7 @@ fn lowered(scratch: &mut WorklistScratch, v: usize) {
 
 /// Runs one gated distance-relaxation superstep and returns the number of
 /// local vertices whose value changed. `is_seed` is raw-id membership in a
-/// warm frontier's seed set (cold programs have none).
+/// warm program's seed set (cold programs have none).
 pub(crate) fn gated_min_superstep(
     ctx: &mut SubgraphContext<'_, u64, u64>,
     superstep: usize,

@@ -48,7 +48,6 @@ mod replica;
 mod routing;
 mod stats;
 mod subgraph;
-pub mod warm;
 
 pub use config::EnvConfig;
 pub use engine::{BspEngine, BspOutcome, ExecutionMode, RunOptions};
@@ -63,7 +62,6 @@ pub use subgraph::{
     DistributedGraph, DistributedGraphBuilder, InEdges, Lineage, LocalComponents, MutationBatch,
     MutationStats, ReplicaTable, Subgraph,
 };
-pub use warm::{InvalidationPolicy, WarmFrontier};
 
 #[cfg(test)]
 mod proptests {

@@ -153,14 +153,10 @@ proptest! {
                     // Cold equivalence on the mutated distribution (the
                     // epoch re-derived the routing table).
                     assert_modes_agree(&engines, dg, "CC", &ConnectedComponents::new());
-                    // Warm equivalence for every warm-capable program, SSSP
-                    // through both constructors: the precise cone and the
-                    // graph-free horizon.
+                    // Warm equivalence for every warm-capable program.
                     let cc = IncrementalConnectedComponents::from_batch(&labels, batch);
                     labels = assert_modes_agree_warm(&engines, dg, "CC", &cc, &labels).values;
                     let cone = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                    let horizon = IncrementalSssp::from_batch(source, &distances, batch);
-                    assert_modes_agree_warm(&engines, dg, "SSSP horizon", &horizon, &distances);
                     distances =
                         assert_modes_agree_warm(&engines, dg, "SSSP cone", &cone, &distances)
                             .values;

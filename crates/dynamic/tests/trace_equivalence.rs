@@ -295,7 +295,7 @@ fn run_scenario<R: Recorder>(recorder: &R) -> (Vec<u64>, Vec<ebv_bsp::ExecutionS
 fn serving_is_invisible_to_execution() {
     use std::io::{Read as _, Write as _};
     use std::net::{SocketAddr, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -321,10 +321,12 @@ fn serving_is_invisible_to_execution() {
     .expect("bind an ephemeral port");
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicUsize::new(0));
     let scrapers: Vec<_> = ["/metrics", "/healthz", "/trace.json", "/epochs.json"]
         .into_iter()
         .map(|path| {
             let stop = Arc::clone(&stop);
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let mut scrapes = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -334,6 +336,9 @@ fn serving_is_invisible_to_execution() {
                         "{path} scrape failed mid-run: {}",
                         response.lines().next().unwrap_or_default(),
                     );
+                    if scrapes == 0 {
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
                     scrapes += 1;
                     std::thread::sleep(Duration::from_millis(5));
                 }
@@ -341,6 +346,12 @@ fn serving_is_invisible_to_execution() {
             })
         })
         .collect();
+    // The run takes tens of milliseconds, so a scraper not yet scheduled
+    // when it ends would scrape nothing: start it once every route has
+    // answered (or a scraper has died, which the join below reports).
+    while answered.load(Ordering::Relaxed) < 4 && !scrapers.iter().any(|h| h.is_finished()) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let (labels, stats_log, applied) = run_scenario(&*telemetry);
     stop.store(true, Ordering::Relaxed);

@@ -10,8 +10,8 @@
 //!    cold run of the same kernel and iteration count within tolerance
 //!    (both sit within the power-iteration contraction bound of the same
 //!    fixpoint);
-//! 3. warm-started SSSP ([`IncrementalSssp`]), through both its precise
-//!    cone and its graph-free horizon, is **bit-identical** to cold runs
+//! 3. warm-started SSSP ([`IncrementalSssp`]), through its invalidation
+//!    cone, is **bit-identical** to cold runs
 //!    after every churned epoch, including deletion-heavy batches that
 //!    disconnect previously-settled vertices (their distances must re-settle
 //!    to unreachable, never keep a stale finite value);
@@ -185,22 +185,12 @@ proptest! {
         EventPipeline::new(batch_size)
             .run_applied(churned, &mut partitioner, &mut distributed, |dg, batch, _, stats| {
                 assert!(stats.workers_touched <= p);
-                // Exercise both constructors: the precise cone
-                // (`run_applied` hands the post-mutation distribution the
-                // constructor expects) and the graph-free horizon.
+                // `run_applied` hands the post-mutation distribution the
+                // constructor expects.
                 let cone = IncrementalSssp::from_distributed(source, dg, &distances, batch);
-                let horizon = IncrementalSssp::from_batch(source, &distances, batch);
                 let cold = engine
                     .run(dg, &SingleSourceShortestPath::new(source))
                     .unwrap();
-                let warm_horizon = engine
-                    .run_opts(dg, &horizon, RunOptions::new().warm_seed(&distances))
-                    .unwrap();
-                assert_eq!(
-                    warm_horizon.values, cold.values,
-                    "warm SSSP (horizon) diverged at epoch {}",
-                    dg.epoch()
-                );
                 let warm_cone = engine
                     .run_opts(dg, &cone, RunOptions::new().warm_seed(&distances))
                     .unwrap();
@@ -258,8 +248,8 @@ proptest! {
         for &(edge, _) in victims.iter().step_by(step) {
             batch.record_delete(edge, partitioner.delete(edge).unwrap());
         }
-        let sssp = IncrementalSssp::from_batch(source, &prior_sssp, &batch);
         distributed.apply_mutations(&batch).unwrap();
+        let sssp = IncrementalSssp::from_distributed(source, &distributed, &prior_sssp, &batch);
 
         let warm = engine
             .run_opts(&distributed, &sssp, RunOptions::new().warm_seed(&prior_sssp))

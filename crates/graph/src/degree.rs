@@ -86,14 +86,6 @@ impl DegreeDistribution {
         self.counts.iter().map(|(&d, &c)| (d, c))
     }
 
-    /// Empirical probability `P(degree = d)`.
-    pub fn probability(&self, d: usize) -> f64 {
-        if self.num_vertices == 0 {
-            return 0.0;
-        }
-        self.count_with_degree(d) as f64 / self.num_vertices as f64
-    }
-
     /// Fraction of all edge endpoints that are incident on the top
     /// `fraction` highest-degree vertices. A large value for a small
     /// `fraction` (e.g. 0.01) is a hallmark of power-law graphs.
@@ -148,13 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_reads_the_histogram() {
-        let dist = DegreeDistribution::from_degrees(vec![1, 1, 2, 4]);
-        assert!((dist.probability(1) - 0.5).abs() < 1e-12);
-        assert!((dist.probability(3) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn count_at_least_sums_tail() {
         let dist = DegreeDistribution::from_degrees(vec![1, 2, 2, 3, 10]);
         assert_eq!(dist.count_with_degree_at_least(2), 4);
@@ -168,7 +153,6 @@ mod tests {
         assert_eq!(dist.num_vertices(), 0);
         assert_eq!(dist.min_degree(), None);
         assert_eq!(dist.max_degree(), None);
-        assert_eq!(dist.probability(1), 0.0);
         assert_eq!(dist.endpoint_share_of_top(0.1), 0.0);
     }
 
