@@ -239,6 +239,35 @@ mod tests {
     }
 
     #[test]
+    fn writer_golden_bytes() {
+        // One edge per varint length an id can take (1 to 5 bytes), each
+        // endpoint at the bottom and top of its length.
+        let edges = [
+            (0, 127),
+            (128, 16_383),
+            (16_384, 2_097_151),
+            (2_097_152, 268_435_455),
+            (268_435_456, VertexId::MAX_RAW),
+        ];
+        let mut buffer = Vec::new();
+        let mut writer = BinaryEdgeWriter::new(&mut buffer).unwrap();
+        for &pair in &edges {
+            writer.write_edge(Edge::from(pair)).unwrap();
+        }
+        writer.finish().unwrap();
+        let expected: &[u8] = &[
+            b'E', b'B', b'V', b'S', b'T', b'R', b'M', 0x01, // MAGIC
+            0x00, 0x7f, // 0, 127
+            0x80, 0x01, 0xff, 0x7f, // 128, 16_383
+            0x80, 0x80, 0x01, 0xff, 0xff, 0x7f, // 16_384, 2_097_151
+            0x80, 0x80, 0x80, 0x01, 0xff, 0xff, 0xff, 0x7f, // 2^21, 2^28 - 1
+            0x80, 0x80, 0x80, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f, // 2^28, 2^32 - 1
+        ];
+        assert_eq!(buffer, expected);
+        assert_eq!(roundtrip(&edges).len(), edges.len());
+    }
+
+    #[test]
     fn empty_stream_roundtrips() {
         assert_eq!(roundtrip(&[]), Vec::new());
     }

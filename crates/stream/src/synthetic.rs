@@ -248,6 +248,25 @@ mod tests {
         assert!(a.iter().all(|e| !e.is_self_loop()));
     }
 
+    /// Word-wise FNV-1a over the edges' `(src, dst)` ids, in stream order.
+    fn fingerprint(edges: &[Edge]) -> u64 {
+        edges
+            .iter()
+            .flat_map(|edge| [edge.src.raw(), edge.dst.raw()])
+            .fold(0xcbf2_9ce4_8422_2325_u64, |acc, value| {
+                (acc ^ value).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn rmat_stream_golden_fingerprint() {
+        // ebvbench's batch_rmat input and its churn arrivals are this
+        // stream: a change to the draw moves every exact metric it reports.
+        let edges = drain(RmatEdgeStream::new(16, 100_000).with_seed(9101));
+        assert_eq!(edges.len(), 100_000);
+        assert_eq!(fingerprint(&edges), 0xfe21_695f_3047_0dc7);
+    }
+
     #[test]
     fn rmat_stream_is_skewed() {
         let edges = drain(RmatEdgeStream::new(9, 8000).with_seed(1));
