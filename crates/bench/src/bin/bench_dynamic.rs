@@ -32,12 +32,13 @@ use ebv_bench::TextTable;
 use ebv_bsp::DurabilityHook;
 use ebv_bsp::{BspEngine, CostModel, DistributedGraph, MutationBatch, RunOptions};
 use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
-use ebv_graph::{GraphBuilder, VertexId};
+use ebv_graph::{EdgeSource, GraphBuilder, RmatEdgeStream, VertexId};
 use ebv_obs::{MetricsRegistry, ObsServer, ObsServerConfig, Phase, Telemetry};
-use ebv_partition::{EbvPartitioner, Partitioner, RandomVertexCutPartitioner, RebalanceConfig};
+use ebv_partition::{
+    EbvPartitioner, Partitioner, RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
+};
 use ebv_serve::{Series, SeriesValue, SnapshotStore};
 use ebv_state::DurableState;
-use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 struct Measurement {
     name: &'static str,
@@ -154,7 +155,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Online EBV over the insert-only stream: one pass, exact hints.
-    let mut online = EbvPartitioner::new().dynamic(stream().stream_config(workers))?;
+    let mut online = EbvPartitioner::new().dynamic(StreamConfig::for_source(&stream(), workers))?;
     let started = Instant::now();
     let mut source = stream();
     while let Some(edge) = source.next_edge() {
@@ -173,9 +174,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for hash_based in [false, true] {
         let source = stream();
         let mut partitioner = if hash_based {
-            RandomVertexCutPartitioner::new().dynamic(source.stream_config(workers))?
+            RandomVertexCutPartitioner::new().dynamic(StreamConfig::for_source(&source, workers))?
         } else {
-            EbvPartitioner::new().dynamic(source.stream_config(workers))?
+            EbvPartitioner::new().dynamic(StreamConfig::for_source(&source, workers))?
         };
         let churn = ChurnStream::new(source, churn_ratio)?.with_seed(7);
         let started = Instant::now();
@@ -223,7 +224,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-execution, over the same churned batch sequence.
     {
         let source = stream();
-        let mut partitioner = EbvPartitioner::new().dynamic(source.stream_config(workers))?;
+        let mut partitioner =
+            EbvPartitioner::new().dynamic(StreamConfig::for_source(&source, workers))?;
         let churn = ChurnStream::new(source, churn_ratio)?.with_seed(7);
         let epoch_batch = (num_edges / 64).max(1 << 10);
         let mut batches: Vec<MutationBatch> = Vec::new();
@@ -336,7 +338,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         drop(durable);
         let started = Instant::now();
         let (durable, recovered) = DurableState::open(&durable_dir, batches.len() + 1)?;
-        let mut resumed = EbvPartitioner::new().dynamic(stream().stream_config(workers))?;
+        let mut resumed =
+            EbvPartitioner::new().dynamic(StreamConfig::for_source(&stream(), workers))?;
         let replayed = recovered.resume(
             DistributedGraph::build_streaming(workers, universe, Vec::new())?,
             &mut resumed,
@@ -364,7 +367,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         {
             let source = stream();
             let mut cold_partitioner =
-                EbvPartitioner::new().dynamic(source.stream_config(workers))?;
+                EbvPartitioner::new().dynamic(StreamConfig::for_source(&source, workers))?;
             let churn = ChurnStream::new(source, churn_ratio)?.with_seed(7);
             let mut rebuilt = DistributedGraph::build_streaming(workers, universe, Vec::new())?;
             EventPipeline::new(epoch_batch).run(churn, &mut cold_partitioner, |batch, _| {

@@ -24,8 +24,8 @@ impl DistributedGraph {
     /// `num_vertices` optionally declares the vertex universe so that
     /// isolated vertices (never mentioned by the stream) still get a home
     /// worker; when `None` the universe is implied by the largest endpoint
-    /// streamed. Feed it from `ebv-stream`'s chunked pipeline, whose sink
-    /// yields exactly `(Edge, PartitionId)` pairs.
+    /// streamed. Feed it the `(Edge, PartitionId)` pairs an online
+    /// partitioner's `insert` assigns to an `ebv_graph::EdgeSource`'s edges.
     ///
     /// # Errors
     ///

@@ -17,6 +17,8 @@
 //! * **HDRF**: bit-identical to [`HdrfPartitioner`](crate::HdrfPartitioner)
 //!   in its default input order — HDRF was a one-pass algorithm all along.
 
+use ebv_graph::EdgeSource;
+
 use crate::error::{PartitionError, Result};
 
 /// Configuration of an online partitioner: the partition count plus
@@ -42,6 +44,20 @@ impl StreamConfig {
             expected_vertices: None,
             expected_edges: None,
         }
+    }
+
+    /// Creates a configuration for `num_partitions` partitions carrying
+    /// whatever cardinality hints `source` knows
+    /// ([`EdgeSource::expected_vertices`] / [`EdgeSource::expected_edges`]).
+    pub fn for_source<S: EdgeSource + ?Sized>(source: &S, num_partitions: usize) -> Self {
+        let mut config = StreamConfig::new(num_partitions);
+        if let Some(v) = source.expected_vertices() {
+            config = config.with_expected_vertices(v);
+        }
+        if let Some(e) = source.expected_edges() {
+            config = config.with_expected_edges(e);
+        }
+        config
     }
 
     /// Declares the number of vertices the stream will reference. A zero
@@ -94,7 +110,7 @@ mod tests {
         RandomVertexCutPartitioner,
     };
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
-    use ebv_graph::Graph;
+    use ebv_graph::{pairs, Graph, GraphEdgeSource};
 
     /// Inserts every edge of `graph` in input order and returns the
     /// maintained assignment.
@@ -109,6 +125,17 @@ mod tests {
         StreamConfig::new(p)
             .with_expected_vertices(graph.num_vertices())
             .with_expected_edges(graph.num_edges())
+    }
+
+    #[test]
+    fn for_source_carries_the_source_hints() {
+        let graph = Graph::from_edges(vec![(0, 1), (1, 2)]).unwrap();
+        let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), 2);
+        assert_eq!(config, exact_config(&graph, 2));
+        // A filter hides the pairs' count, so this source knows nothing and
+        // yields the bare configuration.
+        let unknown = pairs((0..3).map(|i| (i, i + 1)).filter(|_| true));
+        assert_eq!(StreamConfig::for_source(&unknown, 2), StreamConfig::new(2));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ebv_graph::Edge;
-use ebv_stream::EdgeSource;
+use ebv_graph::{Edge, EdgeSource};
 
 use crate::error::{DynamicError, Result};
 use crate::event::{EventSource, GraphEvent};
@@ -26,7 +25,7 @@ use crate::event::{EventSource, GraphEvent};
 ///
 /// ```
 /// use ebv_dynamic::{ChurnStream, EventSource};
-/// use ebv_stream::RmatEdgeStream;
+/// use ebv_graph::RmatEdgeStream;
 ///
 /// # fn main() -> Result<(), ebv_dynamic::DynamicError> {
 /// let mut churn = ChurnStream::new(RmatEdgeStream::new(8, 500).with_seed(3), 0.3)?
@@ -109,7 +108,7 @@ impl<S: EdgeSource> EventSource for ChurnStream<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebv_stream::{pairs, RmatEdgeStream};
+    use ebv_graph::{pairs, RmatEdgeStream};
 
     fn drain<S: EventSource>(mut source: S) -> Vec<GraphEvent> {
         let mut out = Vec::new();

@@ -4,8 +4,8 @@ use std::error::Error as StdError;
 use std::fmt;
 
 use ebv_bsp::BspError;
+use ebv_graph::GraphError;
 use ebv_partition::PartitionError;
-use ebv_stream::StreamError;
 
 /// Errors produced while generating, windowing or applying mutation
 /// streams.
@@ -19,7 +19,7 @@ pub enum DynamicError {
         message: String,
     },
     /// An error bubbled up from the underlying edge stream.
-    Stream(StreamError),
+    Stream(GraphError),
     /// An error bubbled up from the partition-maintenance layer (for
     /// example a deletion of an edge with no live copy).
     Partition(PartitionError),
@@ -57,8 +57,8 @@ impl StdError for DynamicError {
     }
 }
 
-impl From<StreamError> for DynamicError {
-    fn from(err: StreamError) -> Self {
+impl From<GraphError> for DynamicError {
+    fn from(err: GraphError) -> Self {
         DynamicError::Stream(err)
     }
 }

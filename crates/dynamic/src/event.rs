@@ -1,8 +1,7 @@
 //! Mutation events and the [`EventSource`] abstraction: anything that can
 //! deliver a stream of graph mutations one at a time.
 
-use ebv_graph::Edge;
-use ebv_stream::EdgeSource;
+use ebv_graph::{Edge, EdgeSource};
 
 use crate::error::Result;
 
@@ -96,7 +95,7 @@ impl<I: Iterator<Item = GraphEvent>> EventSource for EventVec<I> {
 ///
 /// ```
 /// use ebv_dynamic::{EventSource, InsertEvents};
-/// use ebv_stream::RmatEdgeStream;
+/// use ebv_graph::RmatEdgeStream;
 ///
 /// let mut source = InsertEvents::new(RmatEdgeStream::new(8, 100).with_seed(1));
 /// assert_eq!(source.expected_events(), Some(100));
@@ -130,7 +129,7 @@ impl<S: EdgeSource> EventSource for InsertEvents<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebv_stream::pairs;
+    use ebv_graph::pairs;
 
     #[test]
     fn events_replay_in_order() {

@@ -17,7 +17,7 @@
 //!     │                  │                                      (epoch += 1)
 //!     │                  └─ ebv_partition::dynamic (EBV, HDRF, Random;
 //!     │                     exact decremental metrics, rebalancer)
-//!     ├─ InsertEvents(any ebv-stream EdgeSource)
+//!     ├─ InsertEvents(any ebv-graph EdgeSource)
 //!     ├─ SlidingWindow · TumblingWindow   (bounded live edge set)
 //!     └─ ChurnStream                      (randomized insert/delete mix)
 //!
@@ -27,7 +27,7 @@
 //! ```
 //!
 //! A plain stream is the insert-only case: [`InsertEvents`] wraps any
-//! `ebv-stream` edge source, and with exact hints the online EBV and HDRF
+//! `ebv-graph` edge source, and with exact hints the online EBV and HDRF
 //! assignments equal the batch ones under input order.
 //!
 //! There is one epoch loop, [`EventPipeline::run_applied_opts`]: telemetry,
@@ -45,14 +45,14 @@
 //! use ebv_bsp::DistributedGraph;
 //! use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
 //! use ebv_obs::Telemetry;
-//! use ebv_partition::EbvPartitioner;
-//! use ebv_stream::{EdgeSource, RmatEdgeStream};
+//! use ebv_partition::{EbvPartitioner, StreamConfig};
+//! use ebv_graph::{EdgeSource, RmatEdgeStream};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let telemetry = Telemetry::new();
 //! let stream = RmatEdgeStream::new(10, 10_000).with_seed(1);
 //! let workers = 4;
-//! let mut partitioner = EbvPartitioner::new().dynamic(stream.stream_config(workers))?;
+//! let mut partitioner = EbvPartitioner::new().dynamic(StreamConfig::for_source(&stream, workers))?;
 //! let mut distributed = DistributedGraph::build_streaming(workers, None, Vec::new())?;
 //!
 //! let churn = ChurnStream::new(stream, 0.25)?.with_seed(9);

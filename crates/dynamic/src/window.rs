@@ -14,8 +14,7 @@
 
 use std::collections::VecDeque;
 
-use ebv_graph::Edge;
-use ebv_stream::EdgeSource;
+use ebv_graph::{Edge, EdgeSource};
 
 use crate::error::{DynamicError, Result};
 use crate::event::{EventSource, GraphEvent};
@@ -38,7 +37,7 @@ fn validate_capacity(capacity: usize) -> Result<()> {
 ///
 /// ```
 /// use ebv_dynamic::{EventSource, GraphEvent, SlidingWindow};
-/// use ebv_stream::pairs;
+/// use ebv_graph::pairs;
 ///
 /// # fn main() -> Result<(), ebv_dynamic::DynamicError> {
 /// let mut window = SlidingWindow::new(pairs(vec![(0, 1), (1, 2), (2, 3)]), 2)?;
@@ -123,7 +122,7 @@ impl<S: EdgeSource> EventSource for SlidingWindow<S> {
 ///
 /// ```
 /// use ebv_dynamic::{EventSource, TumblingWindow};
-/// use ebv_stream::pairs;
+/// use ebv_graph::pairs;
 ///
 /// # fn main() -> Result<(), ebv_dynamic::DynamicError> {
 /// let mut window = TumblingWindow::new(pairs(vec![(0, 1), (1, 2), (2, 3)]), 2)?;
@@ -210,7 +209,7 @@ impl<S: EdgeSource> EventSource for TumblingWindow<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebv_stream::pairs;
+    use ebv_graph::pairs;
 
     fn drain<S: EventSource>(mut source: S) -> Vec<GraphEvent> {
         let mut out = Vec::new();

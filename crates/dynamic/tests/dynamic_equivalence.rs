@@ -25,12 +25,11 @@ use ebv_dynamic::{
     batch_from_plan, ChurnStream, EventPipeline, EventSource, GraphEvent, InsertEvents,
     SlidingWindow, TumblingWindow,
 };
-use ebv_graph::{Edge, GraphBuilder};
+use ebv_graph::{Edge, EdgeSource, GraphBuilder, RmatEdgeStream, UniformEdgeStream};
 use ebv_partition::{
     DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics, Partitioner,
     RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
 };
-use ebv_stream::{EdgeSource, RmatEdgeStream, UniformEdgeStream};
 
 /// The three wrapped policies, constructed fresh on demand.
 fn make_partitioner(algo: u8, p: usize) -> DynamicPartitioner {
@@ -242,7 +241,7 @@ proptest! {
         let batch = EbvPartitioner::new().unsorted().partition(&graph, p).unwrap();
         let assignment = batch.as_vertex_cut().unwrap().assignment();
 
-        let mut dynamic = EbvPartitioner::new().dynamic(stream().stream_config(p)).unwrap();
+        let mut dynamic = EbvPartitioner::new().dynamic(StreamConfig::for_source(&stream(), p)).unwrap();
         let mut source = stream();
         let mut position = 0;
         while let Some(edge) = source.next_edge() {
@@ -347,7 +346,7 @@ fn rebalance_epoch_restores_balance_and_preserves_cc() {
     let p = 4;
     let stream = RmatEdgeStream::new(10, 8_000).with_seed(77);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(p))
+        .dynamic(StreamConfig::for_source(&stream, p))
         .unwrap();
     let mut distributed = DistributedGraph::build_streaming(p, None, Vec::new()).unwrap();
     let churn = ChurnStream::new(stream, 0.2).unwrap().with_seed(5);

@@ -26,9 +26,8 @@ use ebv_algorithms::{
 };
 use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
 use ebv_dynamic::{ChurnStream, EventPipeline};
-use ebv_graph::VertexId;
-use ebv_partition::EbvPartitioner;
-use ebv_stream::{EdgeSource, RmatEdgeStream};
+use ebv_graph::{RmatEdgeStream, VertexId};
+use ebv_partition::{EbvPartitioner, StreamConfig};
 
 /// The parallel engines every assertion compares against the sequential
 /// reference: `threaded()` plus pools swept over the tentpole's size set
@@ -129,7 +128,7 @@ proptest! {
         let engines = parallel_engines(p);
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();

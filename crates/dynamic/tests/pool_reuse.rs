@@ -6,8 +6,8 @@
 use ebv_algorithms::{ConnectedComponents, IncrementalConnectedComponents};
 use ebv_bsp::{BspEngine, DistributedGraph, ExecutionMode, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline};
-use ebv_partition::EbvPartitioner;
-use ebv_stream::{EdgeSource, RmatEdgeStream};
+use ebv_graph::RmatEdgeStream;
+use ebv_partition::{EbvPartitioner, StreamConfig};
 
 /// Ten churned epochs of warm connected components, alternating between a
 /// pooled engine and its clone, each equal to the same warm run on a
@@ -20,7 +20,7 @@ fn ten_epochs_alternating_an_engine_and_its_clone_equal_sequential() {
     let threads = 3usize;
     let stream = RmatEdgeStream::new(scale, 800).with_seed(42);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(p))
+        .dynamic(StreamConfig::for_source(&stream, p))
         .unwrap();
     let mut distributed =
         DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();

@@ -10,11 +10,11 @@ use proptest::prelude::*;
 
 use ebv_dynamic::{EventPipeline, EventReport, InsertEvents};
 use ebv_graph::generators::{ErdosRenyiGenerator, GraphGenerator, RmatGenerator};
-use ebv_graph::{Edge, Graph};
+use ebv_graph::{Edge, Graph, GraphEdgeSource};
 use ebv_partition::{
-    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionId, PartitionMetrics, Partitioner,
+    DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionId, PartitionMetrics,
+    Partitioner, StreamConfig,
 };
-use ebv_stream::{EdgeSource, GraphEdgeSource};
 
 /// Strategy: a power-law (R-MAT) or uniform (Erdős–Rényi) graph of modest
 /// size — the two families the paper's evaluation spans.
@@ -77,7 +77,7 @@ proptest! {
         prop_assume!(p <= graph.num_edges());
         let batch = EbvPartitioner::new().unsorted().partition(&graph, p).unwrap();
 
-        let config = GraphEdgeSource::new(&graph).stream_config(p);
+        let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), p);
         let mut online = EbvPartitioner::new().unsorted().dynamic(config).unwrap();
         let (report, carried) = stream_through(&graph, &mut online, batch_size);
 
@@ -102,7 +102,7 @@ proptest! {
     fn streaming_hdrf_equals_batch(graph in arbitrary_graph(), p in 1usize..7) {
         prop_assume!(p <= graph.num_edges());
         let batch = HdrfPartitioner::new().partition(&graph, p).unwrap();
-        let config = GraphEdgeSource::new(&graph).stream_config(p);
+        let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), p);
         let mut online = HdrfPartitioner::new().dynamic(config).unwrap();
         stream_through(&graph, &mut online, 1024);
         prop_assert_eq!(online.snapshot().unwrap(), batch);
@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn chunking_is_invisible(graph in arbitrary_graph(), p in 1usize..7, batch_size in 1usize..600) {
         prop_assume!(p <= graph.num_edges());
-        let config = GraphEdgeSource::new(&graph).stream_config(p);
+        let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), p);
         let mut single = EbvPartitioner::new().dynamic(config).unwrap();
         let (one_batch, _) = stream_through(&graph, &mut single, usize::MAX);
         let mut batched = EbvPartitioner::new().dynamic(config).unwrap();

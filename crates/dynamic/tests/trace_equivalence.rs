@@ -22,10 +22,9 @@ use ebv_algorithms::{
 };
 use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
 use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline, InsertEvents};
-use ebv_graph::VertexId;
+use ebv_graph::{RmatEdgeStream, VertexId};
 use ebv_obs::{NoopRecorder, ObsServer, ObsServerConfig, Recorder, Telemetry};
-use ebv_partition::EbvPartitioner;
-use ebv_stream::{EdgeSource, RmatEdgeStream};
+use ebv_partition::{EbvPartitioner, StreamConfig};
 
 /// Runs `program` (named `what` in failures) cold with and without the
 /// live recorder, in every execution mode, and asserts bit-equality of
@@ -126,7 +125,7 @@ proptest! {
         let source = VertexId::new(0);
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
@@ -190,7 +189,7 @@ fn attribution_survives_pool_thread_reuse() {
     let p = 4usize;
     let stream = RmatEdgeStream::new(6, 600).with_seed(11);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(p))
+        .dynamic(StreamConfig::for_source(&stream, p))
         .unwrap();
     let mut distributed = DistributedGraph::build_streaming(p, Some(1 << 6), Vec::new()).unwrap();
     EventPipeline::new(200)
@@ -245,7 +244,7 @@ fn attribution_survives_pool_thread_reuse() {
 fn run_scenario<R: Recorder>(recorder: &R) -> (Vec<u64>, Vec<ebv_bsp::ExecutionStats>, usize) {
     let stream = RmatEdgeStream::new(7, 2_000).with_seed(99);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(4))
+        .dynamic(StreamConfig::for_source(&stream, 4))
         .unwrap();
     let mut distributed = DistributedGraph::build_streaming(4, Some(1 << 7), Vec::new()).unwrap();
     let engine = BspEngine::threaded();

@@ -26,9 +26,8 @@ use ebv_algorithms::{
 };
 use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, RunOptions};
 use ebv_dynamic::{ChurnStream, EventPipeline, InsertEvents};
-use ebv_graph::VertexId;
-use ebv_partition::EbvPartitioner;
-use ebv_stream::{EdgeSource, RmatEdgeStream};
+use ebv_graph::{RmatEdgeStream, VertexId};
+use ebv_partition::{EbvPartitioner, StreamConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -45,7 +44,7 @@ proptest! {
     ) {
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
@@ -100,7 +99,7 @@ proptest! {
 
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
@@ -168,7 +167,7 @@ proptest! {
         let source = VertexId::new(0);
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();
@@ -224,7 +223,7 @@ proptest! {
         let source = VertexId::new(0);
         let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
         let mut partitioner = EbvPartitioner::new()
-            .dynamic(stream.stream_config(p))
+            .dynamic(StreamConfig::for_source(&stream, p))
             .unwrap();
         let mut distributed =
             DistributedGraph::build_streaming(p, Some(1 << scale), Vec::new()).unwrap();

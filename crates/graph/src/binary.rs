@@ -11,10 +11,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use ebv_graph::{Edge, VertexId};
-
-use crate::error::{Result, StreamError};
+use crate::error::{GraphError, Result};
 use crate::source::EdgeSource;
+use crate::types::{Edge, VertexId};
 use crate::varint::{self, VarintError};
 
 /// Magic bytes opening every binary edge stream (version 1).
@@ -25,10 +24,9 @@ pub const MAGIC: [u8; 8] = *b"EBVSTRM\x01";
 /// # Examples
 ///
 /// ```
-/// use ebv_stream::{BinaryEdgeReader, BinaryEdgeWriter, EdgeSource};
-/// use ebv_graph::Edge;
+/// use ebv_graph::{BinaryEdgeReader, BinaryEdgeWriter, Edge, EdgeSource};
 ///
-/// # fn main() -> Result<(), ebv_stream::StreamError> {
+/// # fn main() -> Result<(), ebv_graph::GraphError> {
 /// let mut buffer = Vec::new();
 /// let mut writer = BinaryEdgeWriter::new(&mut buffer)?;
 /// writer.write_edge(Edge::from((3u64, 70_000u64)))?;
@@ -50,7 +48,7 @@ impl<W: Write> BinaryEdgeWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] when writing fails.
+    /// Returns [`GraphError::Io`] when writing fails.
     pub fn new(inner: W) -> Result<Self> {
         let mut writer = BufWriter::new(inner);
         writer.write_all(&MAGIC)?;
@@ -61,7 +59,7 @@ impl<W: Write> BinaryEdgeWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] when writing fails.
+    /// Returns [`GraphError::Io`] when writing fails.
     pub fn write_edge(&mut self, edge: Edge) -> Result<()> {
         varint::write_u64(&mut self.writer, edge.src.raw())?;
         varint::write_u64(&mut self.writer, edge.dst.raw())?;
@@ -72,7 +70,7 @@ impl<W: Write> BinaryEdgeWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] when flushing fails.
+    /// Returns [`GraphError::Io`] when flushing fails.
     pub fn finish(mut self) -> Result<()> {
         self.writer.flush()?;
         Ok(())
@@ -84,7 +82,7 @@ impl BinaryEdgeWriter<File> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] when the file cannot be created.
+    /// Returns [`GraphError::Io`] when the file cannot be created.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
         BinaryEdgeWriter::new(File::create(path)?)
     }
@@ -103,23 +101,23 @@ impl<R: Read> BinaryEdgeReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::InvalidFormat`] when the magic does not match
-    /// and [`StreamError::Io`] on read failures.
+    /// Returns [`GraphError::InvalidFormat`] when the magic does not match
+    /// and [`GraphError::Io`] on read failures.
     pub fn new(inner: R) -> Result<Self> {
         let mut reader = BufReader::new(inner);
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic).map_err(|err| {
             if err.kind() == std::io::ErrorKind::UnexpectedEof {
-                StreamError::InvalidFormat {
+                GraphError::InvalidFormat {
                     offset: 0,
                     message: "stream shorter than the 8-byte magic header".to_string(),
                 }
             } else {
-                StreamError::Io(err)
+                GraphError::Io(err)
             }
         })?;
         if magic != MAGIC {
-            return Err(StreamError::InvalidFormat {
+            return Err(GraphError::InvalidFormat {
                 offset: 0,
                 message: format!("bad magic {magic:?}, expected {MAGIC:?}"),
             });
@@ -130,7 +128,7 @@ impl<R: Read> BinaryEdgeReader<R> {
     /// Reads one vertex id, a varint via the shared strict codec; `Ok(None)`
     /// on clean EOF at the first byte when `allow_eof` is set.
     fn read_id(&mut self, allow_eof: bool) -> Result<Option<VertexId>> {
-        let invalid = |offset: u64, message: &str| StreamError::InvalidFormat {
+        let invalid = |offset: u64, message: &str| GraphError::InvalidFormat {
             offset,
             message: message.to_string(),
         };
@@ -149,7 +147,7 @@ impl<R: Read> BinaryEdgeReader<R> {
                 self.offset,
                 "non-canonical over-long varint encoding",
             )),
-            Err(VarintError::Io(err)) => Err(StreamError::Io(err)),
+            Err(VarintError::Io(err)) => Err(GraphError::Io(err)),
         }
     }
 }
@@ -230,7 +228,7 @@ mod tests {
                 Edge::from((5u64, 6u64))
             );
             match reader.next_edge().unwrap().unwrap_err() {
-                StreamError::InvalidFormat { message, .. } => {
+                GraphError::InvalidFormat { message, .. } => {
                     assert!(message.contains("32-bit"), "{message}")
                 }
                 other => panic!("expected InvalidFormat, got {other:?}"),
@@ -289,9 +287,9 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let err = BinaryEdgeReader::new(&b"NOTMAGIC rest"[..]).unwrap_err();
-        assert!(matches!(err, StreamError::InvalidFormat { offset: 0, .. }));
+        assert!(matches!(err, GraphError::InvalidFormat { offset: 0, .. }));
         let err = BinaryEdgeReader::new(&b"EBV"[..]).unwrap_err();
-        assert!(matches!(err, StreamError::InvalidFormat { offset: 0, .. }));
+        assert!(matches!(err, GraphError::InvalidFormat { offset: 0, .. }));
     }
 
     #[test]
@@ -305,7 +303,7 @@ mod tests {
         let mut reader = BinaryEdgeReader::new(buffer.as_slice()).unwrap();
         let err = reader.next_edge().unwrap().unwrap_err();
         match err {
-            StreamError::InvalidFormat { offset, message } => {
+            GraphError::InvalidFormat { offset, message } => {
                 assert_eq!(offset, 10, "both bytes of the bad varint consumed");
                 assert!(message.contains("non-canonical"), "{message}");
             }
@@ -323,6 +321,6 @@ mod tests {
         buffer.pop();
         let mut reader = BinaryEdgeReader::new(buffer.as_slice()).unwrap();
         let err = reader.next_edge().unwrap().unwrap_err();
-        assert!(matches!(err, StreamError::InvalidFormat { .. }));
+        assert!(matches!(err, GraphError::InvalidFormat { .. }));
     }
 }

@@ -7,7 +7,7 @@ use crate::graph::Graph;
 use crate::types::{Edge, GraphKind, VertexId};
 
 /// The most vertices a graph can have: one per 32-bit [`VertexId`].
-const MAX_VERTICES: usize = VertexId::MAX_RAW as usize + 1;
+pub(crate) const MAX_VERTICES: usize = VertexId::MAX_RAW as usize + 1;
 
 /// Builder for [`Graph`] values.
 ///

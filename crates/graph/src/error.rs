@@ -33,6 +33,14 @@ pub enum GraphError {
         /// The offending line content.
         content: String,
     },
+    /// A binary edge stream is malformed (bad magic, truncated varint, a
+    /// pair cut off mid-edge or a vertex id past the 32-bit range).
+    InvalidFormat {
+        /// Byte offset at which the problem was detected.
+        offset: u64,
+        /// Human-readable description of the problem.
+        message: String,
+    },
     /// An underlying I/O error while reading or writing a graph file.
     Io(io::Error),
 }
@@ -53,6 +61,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::ParseEdge { line, content } => {
                 write!(f, "could not parse edge on line {line}: {content:?}")
+            }
+            GraphError::InvalidFormat { offset, message } => {
+                write!(f, "invalid binary edge stream at byte {offset}: {message}")
             }
             GraphError::Io(err) => write!(f, "i/o error: {err}"),
         }
@@ -100,6 +111,12 @@ mod tests {
             content: "a b".to_string(),
         };
         assert!(e.to_string().contains("line 3"));
+
+        let e = GraphError::InvalidFormat {
+            offset: 12,
+            message: "truncated varint".to_string(),
+        };
+        assert!(e.to_string().contains("byte 12"));
 
         assert!(GraphError::EmptyGraph.to_string().contains("non-empty"));
     }

@@ -36,26 +36,9 @@ impl Default for EdgeListOptions {
 /// Returns `Ok(None)` for lines that carry no edge — blank lines and `#`- or
 /// `%`-prefixed comments — and `Ok(Some((src, dst)))` for well-formed edges
 /// (two whitespace-separated integers; extra trailing tokens, such as edge
-/// weights in some SNAP dumps, are ignored). This is the single line-format
-/// authority shared by [`read_edge_list`] and the chunked text reader in
-/// `ebv-stream`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::ParseEdge`] carrying `line_number` and the
-/// offending content for malformed lines.
-///
-/// # Examples
-///
-/// ```
-/// use ebv_graph::io::parse_edge_line;
-///
-/// assert_eq!(parse_edge_line("3 5", 1).unwrap(), Some((3, 5)));
-/// assert_eq!(parse_edge_line("  # comment", 2).unwrap(), None);
-/// assert_eq!(parse_edge_line("", 3).unwrap(), None);
-/// assert!(parse_edge_line("3 five", 4).is_err());
-/// ```
-pub fn parse_edge_line(line: &str, line_number: usize) -> Result<Option<(u64, u64)>> {
+/// weights in some SNAP dumps, are ignored), or [`GraphError::ParseEdge`]
+/// carrying `line_number` and the offending content for malformed lines.
+fn parse_edge_line(line: &str, line_number: usize) -> Result<Option<(u64, u64)>> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
         return Ok(None);

@@ -15,8 +15,17 @@
 //!   estimation ([`estimate_graph_eta`]) for characterizing graphs as in Table I,
 //! * deterministic synthetic [`generators`] that substitute for the
 //!   non-redistributable evaluation datasets (LiveJournal, Twitter,
-//!   Friendster, USARoad), and
-//! * SNAP-compatible edge-list [`io`].
+//!   Friendster, USARoad),
+//! * SNAP-compatible edge-list [`io`], and
+//! * edge sources for the online scenario, which never hold the whole
+//!   edge list: the pull-based [`EdgeSource`] trait, a compact varint
+//!   binary format ([`BinaryEdgeReader`]/[`BinaryEdgeWriter`], over the
+//!   strict LEB128 codec in [`varint`] that `ebv-state`'s WAL shares),
+//!   streaming generators ([`RmatEdgeStream`], [`UniformEdgeStream`]) and
+//!   adapters ([`pairs`], [`GraphEdgeSource`]). A stream is an insert-only
+//!   event sequence: it feeds `ebv-partition`'s one online partitioner,
+//!   `DynamicPartitioner::insert`, configured by
+//!   `StreamConfig::for_source`.
 //!
 //! ## Quick example
 //!
@@ -36,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+mod binary;
 mod builder;
 mod degree;
 mod error;
@@ -44,17 +54,23 @@ mod graph;
 mod hash;
 pub mod io;
 mod powerlaw;
+mod source;
 mod stats;
+mod synthetic;
 mod types;
+pub mod varint;
 mod vertex_set;
 
+pub use binary::{BinaryEdgeReader, BinaryEdgeWriter, MAGIC};
 pub use builder::GraphBuilder;
 pub use degree::DegreeDistribution;
 pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use hash::{IdHashMap, IdHasher};
 pub use powerlaw::{estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
+pub use source::{pairs, EdgeSource, GraphEdgeSource, PairSource};
 pub use stats::GraphStats;
+pub use synthetic::{RmatEdgeStream, UniformEdgeStream};
 pub use types::{Edge, GraphKind, VertexId};
 pub use vertex_set::VertexSet;
 

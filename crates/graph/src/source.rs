@@ -1,20 +1,20 @@
 //! The [`EdgeSource`] abstraction: anything that can deliver edges one at a
 //! time.
 
-use ebv_graph::{Edge, Graph};
-use ebv_partition::StreamConfig;
-
-use crate::error::Result;
+use crate::builder::MAX_VERTICES;
+use crate::error::{GraphError, Result};
+use crate::graph::Graph;
+use crate::types::Edge;
 
 /// A fallible, pull-based stream of edges.
 ///
 /// Sources deliver edges in a fixed arrival order; the online partitioner
-/// ([`DynamicPartitioner::insert`](ebv_partition::DynamicPartitioner::insert))
-/// consumes them in that order. Sources optionally know their
-/// cardinalities up front ([`expected_edges`](EdgeSource::expected_edges) /
+/// (`ebv-partition`'s `DynamicPartitioner::insert`) consumes them in that
+/// order. Sources optionally know their cardinalities up front
+/// ([`expected_edges`](EdgeSource::expected_edges) /
 /// [`expected_vertices`](EdgeSource::expected_vertices)), which
-/// [`stream_config`](EdgeSource::stream_config) turns into the hints EBV
-/// needs for exact batch equivalence.
+/// `StreamConfig::for_source` turns into the hints EBV needs for exact
+/// batch equivalence.
 pub trait EdgeSource {
     /// Pulls the next edge: `None` at end of stream, `Some(Err(_))` when
     /// the underlying reader failed or the input is malformed.
@@ -30,29 +30,16 @@ pub trait EdgeSource {
     fn expected_vertices(&self) -> Option<usize> {
         None
     }
-
-    /// Builds a [`StreamConfig`] for `num_partitions` partitions carrying
-    /// whatever cardinality hints this source knows.
-    fn stream_config(&self, num_partitions: usize) -> StreamConfig {
-        let mut config = StreamConfig::new(num_partitions);
-        if let Some(v) = self.expected_vertices() {
-            config = config.with_expected_vertices(v);
-        }
-        if let Some(e) = self.expected_edges() {
-            config = config.with_expected_edges(e);
-        }
-        config
-    }
 }
 
 /// An [`EdgeSource`] over any infallible iterator of `(src, dst)` pairs.
-/// The pairs come from the program itself, so an id past the 32-bit
-/// [`VertexId`](ebv_graph::VertexId) range panics, as in `Edge::from`.
+/// A pair naming an id past the 32-bit [`VertexId`](crate::VertexId) range
+/// yields [`GraphError::VertexOutOfRange`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ebv_stream::{pairs, EdgeSource};
+/// use ebv_graph::{pairs, EdgeSource};
 ///
 /// let mut source = pairs(vec![(0, 1), (1, 2)]);
 /// assert_eq!(source.next_edge().unwrap().unwrap().src.raw(), 0);
@@ -74,7 +61,12 @@ pub struct PairSource<I> {
 
 impl<I: Iterator<Item = (u64, u64)>> EdgeSource for PairSource<I> {
     fn next_edge(&mut self) -> Option<Result<Edge>> {
-        self.inner.next().map(|pair| Ok(Edge::from(pair)))
+        self.inner.next().map(|(src, dst)| {
+            Edge::try_from_raw(src, dst).ok_or(GraphError::VertexOutOfRange {
+                vertex: src.max(dst),
+                num_vertices: MAX_VERTICES,
+            })
+        })
     }
 
     fn expected_edges(&self) -> Option<usize> {
@@ -135,14 +127,33 @@ mod tests {
     }
 
     #[test]
+    fn pair_source_reports_ids_past_the_32_bit_range() {
+        // An id past the range is an error, not a panic, and the source
+        // keeps delivering the pairs after it.
+        let mut source = pairs([(0, 1), (1 << 32, 0), (2, u64::MAX), (2, 3)]);
+        assert_eq!(
+            source.next_edge().unwrap().unwrap(),
+            Edge::from((0u64, 1u64))
+        );
+        for past in [1 << 32, u64::MAX] {
+            match source.next_edge().unwrap().unwrap_err() {
+                GraphError::VertexOutOfRange { vertex, .. } => assert_eq!(vertex, past),
+                other => panic!("expected VertexOutOfRange, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            source.next_edge().unwrap().unwrap(),
+            Edge::from((2u64, 3u64))
+        );
+        assert!(source.next_edge().is_none());
+    }
+
+    #[test]
     fn graph_source_replays_the_edge_list() {
         let graph = Graph::from_edges(vec![(0, 1), (1, 2)]).unwrap();
         let mut source = GraphEdgeSource::new(&graph);
         assert_eq!(source.expected_edges(), Some(2));
         assert_eq!(source.expected_vertices(), Some(3));
-        let config = source.stream_config(2);
-        assert_eq!(config.expected_edges(), Some(2));
-        assert_eq!(config.expected_vertices(), Some(3));
         let mut count = 0;
         while source.next_edge().is_some() {
             count += 1;

@@ -2,8 +2,8 @@
 //! at a time with O(1) state, so arbitrarily large workloads can be
 //! partitioned without ever materializing an edge list.
 //!
-//! These complement the batch generators of [`ebv_graph::generators`]
-//! (which build a whole [`Graph`](ebv_graph::Graph)): the streaming R-MAT
+//! These complement the batch generators of [`crate::generators`]
+//! (which build a whole [`Graph`](crate::Graph)): the streaming R-MAT
 //! here draws each edge independently from the recursive-matrix
 //! distribution, giving the same power-law skew the paper's evaluation
 //! graphs have.
@@ -11,10 +11,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ebv_graph::Edge;
-
 use crate::error::Result;
 use crate::source::EdgeSource;
+use crate::types::Edge;
 
 /// A streaming R-MAT generator: `num_edges` directed edges over the dense
 /// vertex universe `0..2^scale`, each drawn independently by recursive
@@ -27,7 +26,7 @@ use crate::source::EdgeSource;
 /// # Examples
 ///
 /// ```
-/// use ebv_stream::{EdgeSource, RmatEdgeStream};
+/// use ebv_graph::{EdgeSource, RmatEdgeStream};
 ///
 /// let mut stream = RmatEdgeStream::new(10, 5_000).with_seed(42);
 /// assert_eq!(stream.expected_edges(), Some(5_000));
@@ -55,7 +54,7 @@ impl RmatEdgeStream {
     /// # Panics
     ///
     /// Panics unless `1 <= scale <= 30` (the same range the batch
-    /// [`RmatGenerator`](ebv_graph::generators::RmatGenerator) accepts;
+    /// [`RmatGenerator`](crate::generators::RmatGenerator) accepts;
     /// scale 0 has no loop-free edge to draw).
     pub fn new(scale: u32, num_edges: usize) -> Self {
         assert!(
@@ -153,7 +152,7 @@ impl EdgeSource for RmatEdgeStream {
 /// # Examples
 ///
 /// ```
-/// use ebv_stream::{EdgeSource, UniformEdgeStream};
+/// use ebv_graph::{EdgeSource, UniformEdgeStream};
 ///
 /// let mut stream = UniformEdgeStream::new(100, 500).with_seed(7);
 /// let edge = stream.next_edge().unwrap().unwrap();
@@ -174,14 +173,14 @@ impl UniformEdgeStream {
     /// # Panics
     ///
     /// Panics if `num_vertices < 2` (no loop-free edge exists) or exceeds
-    /// the 2³² ids a [`VertexId`](ebv_graph::VertexId) holds.
+    /// the 2³² ids a [`VertexId`](crate::VertexId) holds.
     pub fn new(num_vertices: u64, num_edges: usize) -> Self {
         assert!(
             num_vertices >= 2,
             "a loop-free uniform stream needs at least 2 vertices"
         );
         assert!(
-            num_vertices <= ebv_graph::VertexId::MAX_RAW + 1,
+            num_vertices <= crate::VertexId::MAX_RAW + 1,
             "a uniform stream has at most 2^32 vertices, got {num_vertices}"
         );
         UniformEdgeStream {

@@ -1,13 +1,14 @@
 //! Property and adversarial tests for the binary varint edge-stream
 //! format: arbitrary edge lists roundtrip exactly, and every malformed
 //! input class (truncation, overlong varints, bad magic, ids past the
-//! 32-bit vertex range) surfaces as a typed [`StreamError::InvalidFormat`]
+//! 32-bit vertex range) surfaces as a typed [`GraphError::InvalidFormat`]
 //! — never a panic.
 
 use proptest::prelude::*;
 
-use ebv_graph::{Edge, VertexId};
-use ebv_stream::{varint, BinaryEdgeReader, BinaryEdgeWriter, EdgeSource, StreamError, MAGIC};
+use ebv_graph::{
+    varint, BinaryEdgeReader, BinaryEdgeWriter, Edge, EdgeSource, GraphError, VertexId, MAGIC,
+};
 
 fn encode(edges: &[(u64, u64)]) -> Vec<u8> {
     let mut buffer = Vec::new();
@@ -30,7 +31,7 @@ fn encode_raw(pairs: &[(u64, u64)]) -> Vec<u8> {
     buffer
 }
 
-fn decode_all(bytes: &[u8]) -> Result<Vec<Edge>, StreamError> {
+fn decode_all(bytes: &[u8]) -> Result<Vec<Edge>, GraphError> {
     let mut reader = BinaryEdgeReader::new(bytes)?;
     let mut out = Vec::new();
     while let Some(edge) = reader.next_edge() {
@@ -40,7 +41,7 @@ fn decode_all(bytes: &[u8]) -> Result<Vec<Edge>, StreamError> {
 }
 
 /// The edges decoded before the first error, and that error.
-fn decode_prefix(bytes: &[u8]) -> (Vec<Edge>, Option<StreamError>) {
+fn decode_prefix(bytes: &[u8]) -> (Vec<Edge>, Option<GraphError>) {
     let mut reader = BinaryEdgeReader::new(bytes).unwrap();
     let mut out = Vec::new();
     while let Some(edge) = reader.next_edge() {
@@ -86,7 +87,7 @@ proptest! {
         let (decoded, err) = decode_prefix(&encode_raw(&hostile));
         prop_assert_eq!(&decoded[..], &decode_all(&bytes).unwrap()[..at]);
         match err {
-            Some(StreamError::InvalidFormat { message, .. }) => {
+            Some(GraphError::InvalidFormat { message, .. }) => {
                 prop_assert!(message.contains("32-bit"), "{}", message)
             }
             other => prop_assert!(false, "expected InvalidFormat, got {:?}", other),
@@ -111,7 +112,7 @@ proptest! {
         }
         match err {
             None => {}
-            Some(StreamError::InvalidFormat { offset, .. }) => {
+            Some(GraphError::InvalidFormat { offset, .. }) => {
                 prop_assert!(offset <= cut as u64);
             }
             Some(other) => prop_assert!(false, "unexpected error class: {}", other),
@@ -127,7 +128,7 @@ fn truncated_varint_mid_continuation_is_invalid_format() {
     let mut reader = BinaryEdgeReader::new(bytes.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
     assert!(
-        matches!(err, StreamError::InvalidFormat { ref message, .. } if message.contains("truncated")),
+        matches!(err, GraphError::InvalidFormat { ref message, .. } if message.contains("truncated")),
         "got {err}"
     );
 }
@@ -139,10 +140,7 @@ fn truncated_second_endpoint_is_invalid_format() {
     bytes.push(0x07);
     let mut reader = BinaryEdgeReader::new(bytes.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
-    assert!(
-        matches!(err, StreamError::InvalidFormat { .. }),
-        "got {err}"
-    );
+    assert!(matches!(err, GraphError::InvalidFormat { .. }), "got {err}");
 }
 
 #[test]
@@ -154,7 +152,7 @@ fn overlong_varint_is_invalid_format_not_a_panic() {
     let mut reader = BinaryEdgeReader::new(bytes.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
     assert!(
-        matches!(err, StreamError::InvalidFormat { ref message, .. } if message.contains("overflow")),
+        matches!(err, GraphError::InvalidFormat { ref message, .. } if message.contains("overflow")),
         "got {err}"
     );
 }
@@ -179,7 +177,7 @@ fn ten_byte_varint_with_excess_high_bits_is_rejected() {
     let mut reader = BinaryEdgeReader::new(wide.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
     assert!(
-        matches!(err, StreamError::InvalidFormat { offset: 18, ref message } if message.contains("32-bit")),
+        matches!(err, GraphError::InvalidFormat { offset: 18, ref message } if message.contains("32-bit")),
         "got {err}"
     );
 
@@ -192,7 +190,7 @@ fn ten_byte_varint_with_excess_high_bits_is_rejected() {
     let mut reader = BinaryEdgeReader::new(overflowing.as_slice()).unwrap();
     let err = reader.next_edge().unwrap().unwrap_err();
     assert!(
-        matches!(err, StreamError::InvalidFormat { ref message, .. } if message.contains("overflow")),
+        matches!(err, GraphError::InvalidFormat { ref message, .. } if message.contains("overflow")),
         "got {err}"
     );
 }
@@ -210,7 +208,7 @@ fn error_offsets_point_into_the_stream() {
         Edge::from((300u64, 400u64))
     );
     match reader.next_edge().unwrap().unwrap_err() {
-        StreamError::InvalidFormat { offset, .. } => assert!(offset >= healthy),
+        GraphError::InvalidFormat { offset, .. } => assert!(offset >= healthy),
         other => panic!("unexpected error class: {other}"),
     }
 }

@@ -14,10 +14,10 @@ use std::sync::Arc;
 use ebv_algorithms::ConnectedComponents;
 use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
 use ebv_dynamic::{EventPipeline, InsertEvents};
+use ebv_graph::RmatEdgeStream;
 use ebv_obs::{ObsServer, ObsServerConfig, Telemetry};
-use ebv_partition::EbvPartitioner;
+use ebv_partition::{EbvPartitioner, StreamConfig};
 use ebv_serve::{register_query_routes, SnapshotStore};
-use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 /// Sends one GET and returns the full raw response.
 fn get(addr: SocketAddr, path: &str) -> String {
@@ -42,7 +42,7 @@ fn body_of(response: &str) -> &str {
 fn serve_committed_store() -> (ObsServer, SnapshotStore, DistributedGraph) {
     let stream = RmatEdgeStream::new(7, 600).with_seed(9);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(4))
+        .dynamic(StreamConfig::for_source(&stream, 4))
         .expect("dynamic partitioner");
     let mut distributed = DistributedGraph::build_streaming(4, None, Vec::new()).expect("seed");
     EventPipeline::new(200)

@@ -24,9 +24,9 @@ use proptest::prelude::*;
 use ebv_algorithms::ConnectedComponents;
 use ebv_bsp::{BspEngine, DistributedGraph, RunOptions};
 use ebv_dynamic::{ChurnStream, EpochOptions, EventPipeline};
-use ebv_partition::EbvPartitioner;
+use ebv_graph::RmatEdgeStream;
+use ebv_partition::{EbvPartitioner, StreamConfig};
 use ebv_serve::{Adjacency, QueryError, SeriesData, SnapshotStore};
-use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 /// One churned pipeline run publishing CC labels per epoch, with `readers`
 /// threads validating every snapshot they can observe against the recorded
@@ -34,7 +34,7 @@ use ebv_stream::{EdgeSource, RmatEdgeStream};
 fn run_churned_epochs(scale: u32, num_edges: usize, seed: u64, churn: f64, batch: usize) {
     let stream = RmatEdgeStream::new(scale, num_edges).with_seed(seed);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(4))
+        .dynamic(StreamConfig::for_source(&stream, 4))
         .unwrap();
     let mut distributed = DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
     let churned = ChurnStream::new(stream, churn)

@@ -10,7 +10,7 @@
 //!        ‖ varint(n_removed) ‖ (varint src ‖ varint dst ‖ varint part)*
 //! ```
 //!
-//! Varints use the shared strict LEB128 codec of [`ebv_stream::varint`],
+//! Varints use the shared strict LEB128 codec of [`ebv_graph::varint`],
 //! so every frame has exactly one valid encoding. A reader accepts the
 //! longest valid prefix of each segment: the first truncated varint, short
 //! read or CRC mismatch ends the segment — that is what a torn tail from a
@@ -28,9 +28,9 @@ use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
 use ebv_bsp::MutationBatch;
+use ebv_graph::varint;
 use ebv_graph::Edge;
 use ebv_partition::PartitionId;
-use ebv_stream::varint;
 
 use crate::crc::crc32;
 use crate::error::{Result, StateError};

@@ -34,12 +34,11 @@ use ebv_algorithms::{
 };
 use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch, MutationStats, RunOptions};
 use ebv_dynamic::{ChurnStream, DynamicError, EventPipeline, EventSource};
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, RmatEdgeStream, VertexId};
 use ebv_obs::NoopRecorder;
-use ebv_partition::{EbvPartitioner, PartitionId, PartitionMetrics, PartitionResult};
+use ebv_partition::{EbvPartitioner, PartitionId, PartitionMetrics, PartitionResult, StreamConfig};
 use ebv_serve::{GraphSnapshot, SeriesData, SnapshotStore};
 use ebv_state::{DurableState, Failpoint, ResumeError, SeriesValues, StateError};
-use ebv_stream::{EdgeSource, RmatEdgeStream};
 
 const SCALE: u32 = 7; // 128 vertices
 const EDGES: usize = 700;
@@ -87,7 +86,7 @@ fn run_to_completion(dir: &Path, failpoint: Failpoint) -> Result<Final, DynamicE
 
     let stream = RmatEdgeStream::new(SCALE, EDGES).with_seed(SEED);
     let mut partitioner = EbvPartitioner::new()
-        .dynamic(stream.stream_config(WORKERS))
+        .dynamic(StreamConfig::for_source(&stream, WORKERS))
         .expect("partitioner config");
     let empty = DistributedGraph::build_streaming(WORKERS, Some(1 << SCALE), Vec::new())
         .expect("empty distribution");
@@ -376,7 +375,7 @@ fn a_failed_epoch_stays_logged_and_recovery_commits_it() {
     };
     let partitioner = || {
         EbvPartitioner::new()
-            .dynamic(stream().stream_config(WORKERS))
+            .dynamic(StreamConfig::for_source(&stream(), WORKERS))
             .expect("partitioner config")
     };
     let empty = || {

@@ -68,7 +68,7 @@ use ebv::bsp::{
 use ebv::dynamic::{
     batch_from_plan, ChurnStream, EpochOptions, EventPipeline, EventSource, SlidingWindow,
 };
-use ebv::graph::{GraphBuilder, VertexId};
+use ebv::graph::{GraphBuilder, RmatEdgeStream, VertexId};
 use ebv::obs::{
     telemetry_router, MetricsRegistry, ObsServer, ObsServerConfig, Phase, Recorder, SpanCtx,
     Telemetry,
@@ -76,7 +76,6 @@ use ebv::obs::{
 use ebv::partition::{EbvPartitioner, PartitionMetrics, RebalanceConfig, StreamConfig};
 use ebv::serve::{register_query_routes, SnapshotStore};
 use ebv::state::{DurableState, RecoveredState, SeriesValues};
-use ebv::stream::{EdgeSource, RmatEdgeStream};
 
 const SCALE: u32 = 16; // 65 536 vertices
 const NUM_EDGES: usize = 400_000;
@@ -232,7 +231,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let stream = RmatEdgeStream::new(SCALE, NUM_EDGES).with_seed(SEED);
-    let mut partitioner = EbvPartitioner::new().dynamic(stream.stream_config(WORKERS))?;
+    let mut partitioner =
+        EbvPartitioner::new().dynamic(StreamConfig::for_source(&stream, WORKERS))?;
     // Declare the generator's full vertex universe up front so the
     // distribution and the partitioner agree on it at every epoch. A
     // resume replaces this empty distribution with the recovered one.

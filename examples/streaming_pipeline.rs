@@ -19,9 +19,8 @@ use std::time::Instant;
 
 use ebv::algorithms::ConnectedComponents;
 use ebv::bsp::{BspEngine, DistributedGraph};
-use ebv::graph::GraphBuilder;
-use ebv::partition::{EbvPartitioner, PartitionMetrics, Partitioner};
-use ebv::stream::{EdgeSource, RmatEdgeStream};
+use ebv::graph::{EdgeSource, GraphBuilder, RmatEdgeStream};
+use ebv::partition::{EbvPartitioner, PartitionMetrics, Partitioner, StreamConfig};
 
 const SCALE: u32 = 18; // 262 144 vertices
 const NUM_EDGES: usize = 1_100_000;
@@ -51,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // edge at a time. Peak memory: partitioner state + the per-worker
     // subgraphs under construction.
     let mut source = stream();
-    let mut partitioner = EbvPartitioner::new().dynamic(source.stream_config(WORKERS))?;
+    let mut partitioner =
+        EbvPartitioner::new().dynamic(StreamConfig::for_source(&source, WORKERS))?;
     let mut builder = DistributedGraph::builder(WORKERS)?.with_num_vertices(1 << SCALE);
 
     println!("chunk  edges      rf      e-imb   v-imb");

@@ -1,14 +1,13 @@
 //! # ebv — umbrella crate for the EBV reproduction
 //!
-//! Re-exports the nine library crates of the workspace under short module
+//! Re-exports the eight library crates of the workspace under short module
 //! names so that examples and integration tests can use one import root:
 //!
-//! * [`graph`] — graph structures, generators, statistics and I/O
-//!   (`ebv-graph`)
+//! * [`graph`] — graph structures, generators, statistics, I/O and the
+//!   edge sources for streaming ingestion: the binary reader and writer
+//!   and the synthetic edge streams (`ebv-graph`)
 //! * [`partition`] — the EBV partitioner, every baseline, the online
 //!   (insert/delete) partitioner and the quality metrics (`ebv-partition`)
-//! * [`stream`] — edge sources for streaming ingestion: text and binary
-//!   readers and synthetic generators (`ebv-stream`)
 //! * [`dynamic`] — evolving-graph support: mutation events, window and
 //!   churn sources, the batched event pipeline (`ebv-dynamic`)
 //! * [`bsp`] — the subgraph-centric BSP engine and cost model (`ebv-bsp`)
@@ -36,4 +35,3 @@ pub use ebv_obs as obs;
 pub use ebv_partition as partition;
 pub use ebv_serve as serve;
 pub use ebv_state as state;
-pub use ebv_stream as stream;
