@@ -270,6 +270,52 @@ mod tests {
         }
     }
 
+    /// A batch that grows the universe and rebuilds one worker: the warm
+    /// run starts from a prior shorter than the universe, the rebuilt
+    /// worker fills its local degree table afresh from the grown global
+    /// table, and the gated runs, cold and warm, equal the gated edge scan
+    /// in every rank bit and every counter.
+    #[test]
+    fn a_batch_that_grows_the_universe_and_rebuilds_a_worker_matches_the_edge_scan() {
+        use ebv_graph::generators::{GraphGenerator, RmatGenerator};
+
+        let graph = RmatGenerator::new(6, 4).with_seed(3).generate().unwrap();
+        let partition = EbvPartitioner::new().partition(&graph, 4).unwrap();
+        let mut distributed = DistributedGraph::build(&graph, &partition).unwrap();
+        let before = IncrementalPageRank::from_distributed(&distributed, 20);
+        let prior = BspEngine::sequential().run(&distributed, &before).unwrap();
+
+        // Two new vertices, a path through them from vertex 0 back to 3,
+        // all on worker 2.
+        let n = distributed.num_vertices() as u64;
+        let mut batch = MutationBatch::new();
+        for edge in [(0, n), (n, n + 1), (n + 1, 3)] {
+            batch.record_insert(Edge::from(edge), PartitionId::new(2));
+        }
+        let stats = distributed.apply_mutations(&batch).unwrap();
+        assert_eq!(stats.workers_touched, 1);
+        assert_eq!(distributed.num_vertices(), n as usize + 2);
+        assert_eq!(prior.values.len(), n as usize);
+
+        let program = IncrementalPageRank::from_distributed(&distributed, 20);
+        assert_eq!(program.out_degrees[0], before.out_degrees[0] + 1.0);
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let context = format!("{:?}", engine.mode());
+            let got = engine.run(&distributed, &program).unwrap();
+            let want = engine
+                .run(&distributed, &edge_scan(&program, true))
+                .unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, gated cold"));
+            let options = RunOptions::new().warm_seed(&prior.values);
+            let got = engine.run_opts(&distributed, &program, options).unwrap();
+            let want = engine
+                .run_opts(&distributed, &edge_scan(&program, true), options)
+                .unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, gated warm"));
+            assert!(got.values[n as usize + 1].rank > 0.0);
+        }
+    }
+
     #[test]
     fn incremental_pagerank_accessors() {
         let distributed = DistributedGraph::build_streaming(

@@ -57,6 +57,8 @@ pub type IncrementalBfs = IncrementalSssp;
 
 #[cfg(test)]
 pub(crate) mod oracle;
+#[cfg(test)]
+mod tests;
 
 #[cfg(test)]
 mod proptests {

@@ -51,9 +51,10 @@ pub struct PageRankValue {
 /// row's positions are contiguous and in local-edge order, which is the
 /// order that pull added them in, every partial starts at `+0.0`, and the
 /// weight is the same `rank / (outdeg as f64)` division (the degree table
-/// is stored as `f64`, exact below 2^53). Sends go out in ascending local
-/// order, as before, so outboxes, arrival order and every master's fold
-/// are unchanged too.
+/// is stored as `f64`, exact below 2^53, and each run copies a worker's
+/// entries into local order once, so the gather reads them in sequence).
+/// Sends go out in ascending local order, as before, so arrival order and
+/// every master's fold are unchanged too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRank {
     iterations: usize,
@@ -118,16 +119,22 @@ impl SubgraphProgram for PageRank {
 /// [`crate::IncrementalPageRank`]. `out_degrees` is the global out-degree
 /// table, by vertex id.
 ///
+/// The run's first gather copies every local vertex's global out-degree
+/// into [`WorklistScratch::degrees`](ebv_bsp::WorklistScratch::degrees),
+/// in local order, and counts the gather's `work` once: the number of
+/// owned positions with a live source; in a vertex-cut, where every
+/// position is owned, that is the live sources' local out-degrees summed.
+/// Both stay for the run, so no later gather reads the global table.
+///
 /// An even superstep gathers: it adopts the mail (each mirror's new rank),
 /// writes every local source's weight into
-/// [`WorklistScratch::weights`](ebv_bsp::WorklistScratch::weights) (`−0.0`
-/// for a dangling source), adds `weights[source]` into `sums[row]` for
-/// every position of [`Subgraph::in_edges`] in one pass — skipping the
-/// copies an edge-cut worker does not own — then writes every partial and
-/// ships the mirrors' partials along [`Subgraph::mirrors`]. Its `work` is
-/// the number of owned positions with a live source; in a vertex-cut,
-/// where every position is owned, that is the live sources' local
-/// out-degrees summed. An odd superstep applies: it folds the mail into
+/// [`WorklistScratch::weights`](ebv_bsp::WorklistScratch::weights) off the
+/// local degrees in sequence (`−0.0` for a dangling source), adds
+/// `weights[source]` into `sums[row]` for every position of
+/// [`Subgraph::in_edges`] in one pass — skipping the copies an edge-cut
+/// worker does not own — then writes every partial and ships the mirrors'
+/// partials along [`Subgraph::mirrors`]. An odd superstep applies: it
+/// folds the mail into
 /// [`WorklistScratch::sums`](ebv_bsp::WorklistScratch::sums) and walks
 /// [`Subgraph::masters`]. Both scratch buffers go back clean.
 ///
@@ -151,7 +158,12 @@ pub(crate) fn pagerank_superstep(
     let mut sums = std::mem::take(&mut ctx.scratch().sums);
     sums.resize(ctx.subgraph().num_vertices(), 0.0);
     let updates = if superstep.is_multiple_of(2) {
-        gather(out_degrees, ctx, &mut sums, gate_stable_messages)
+        if superstep == 0 {
+            let subgraph = ctx.subgraph();
+            let scratch = ctx.scratch();
+            scratch.degree_work = local_degrees(out_degrees, subgraph, &mut scratch.degrees);
+        }
+        gather(ctx, &mut sums, gate_stable_messages)
     } else {
         apply(num_vertices, ctx, &mut sums, gate_stable_messages)
     };
@@ -159,10 +171,30 @@ pub(crate) fn pagerank_superstep(
     updates
 }
 
+/// Writes the global out-degree of every local vertex into `degrees`, in
+/// local order, and returns the gather's work: the owned in-CSR positions
+/// whose source is live (out-degree not 0). Neither changes within a run,
+/// so [`pagerank_superstep`] calls this on the run's first gather only.
+fn local_degrees(out_degrees: &[f64], subgraph: &Subgraph, degrees: &mut Vec<f64>) -> u64 {
+    degrees.clear();
+    degrees.extend(subgraph.vertices().iter().map(|v| out_degrees[v.index()]));
+    let in_edges = subgraph.in_edges();
+    if in_edges.owned.is_empty() {
+        // Every position is owned: a live source's positions are its local
+        // out-edges.
+        let live = degrees.iter().enumerate().filter(|&(_, &d)| d != 0.0);
+        live.map(|(local, _)| subgraph.out_neighbors(local).len() as u64)
+            .sum()
+    } else {
+        let positions = in_edges.sources.iter().zip(in_edges.owned);
+        let live = positions.filter(|&(&source, &owned)| owned && degrees[source as usize] != 0.0);
+        live.count() as u64
+    }
+}
+
 /// The gather half of [`pagerank_superstep`]; `sums` is all zero on entry
-/// and on exit.
+/// and on exit, and the scratch holds the run's local degrees.
 fn gather(
-    out_degrees: &[f64],
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
     sums: &mut [f64],
     gate_stable_messages: bool,
@@ -176,27 +208,29 @@ fn gather(
     }
     let subgraph = ctx.subgraph();
     let in_edges = subgraph.in_edges();
-    let every_edge_owned = in_edges.owned.is_empty();
-    let mut work = 0u64;
-    // One weight per source. Dangling sources propagate nothing: their
-    // `−0.0` leaves every sum it is added to bit for bit as it was.
-    let mut weights = std::mem::take(&mut ctx.scratch().weights);
+    // One weight per source, off the local degree table in sequence.
+    // Dangling sources propagate nothing: their `−0.0` leaves every sum it
+    // is added to bit for bit as it was.
+    let scratch = ctx.scratch();
+    let (mut weights, degrees) = (
+        std::mem::take(&mut scratch.weights),
+        std::mem::take(&mut scratch.degrees),
+    );
+    let work = scratch.degree_work;
     debug_assert!(weights.is_empty());
-    let sources = ctx.values().iter().zip(subgraph.vertices()).enumerate();
-    weights.extend(sources.map(|(local, (value, v))| {
-        let out_degree = out_degrees[v.index()];
+    debug_assert_eq!(degrees.len(), sums.len(), "filled on the first gather");
+    let sources = ctx.values().iter().zip(&degrees);
+    weights.extend(sources.map(|(value, &out_degree)| {
         if out_degree == 0.0 {
-            return -0.0;
+            -0.0
+        } else {
+            value.rank / out_degree
         }
-        if every_edge_owned {
-            work += subgraph.out_neighbors(local).len() as u64;
-        }
-        value.rank / out_degree
     }));
     // The pull, position by position: a row's positions are contiguous
     // and in local-edge order, so each partial is the same sequence of
     // additions as a scan of the edge list.
-    if every_edge_owned {
+    if in_edges.owned.is_empty() {
         for (&source, &row) in in_edges.sources.iter().zip(in_edges.rows) {
             sums[row as usize] += weights[source as usize];
         }
@@ -207,13 +241,12 @@ fn gather(
         for ((&source, &row), &owned) in positions.zip(in_edges.owned) {
             if owned {
                 sums[row as usize] += weights[source as usize];
-                let live = out_degrees[subgraph.vertex_at(source as usize).index()] != 0.0;
-                work += u64::from(live);
             }
         }
     }
     weights.clear();
-    ctx.scratch().weights = weights;
+    let scratch = ctx.scratch();
+    (scratch.weights, scratch.degrees) = (weights, degrees);
     for (local, sum) in sums.iter_mut().enumerate() {
         let mut value = *ctx.value(local);
         // Taking the sum returns the scratch slot to zero.

@@ -166,6 +166,7 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
     let started = recorder.start();
     let mut ctx = SubgraphContext::new(
         subgraph,
+        routes,
         &mut job.values,
         &mail.inbound,
         &mut mail.outbox,
@@ -180,7 +181,7 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
     recorder.span(started, span_ctx, Phase::Compute);
 
     let started = recorder.start();
-    let sent = exchange::scatter(routes, subgraph, &mut mail.outbox, &mut mail.outbound);
+    let sent = exchange::scatter(routes, &mut mail.outbox, &mut mail.outbound);
     recorder.span(started, span_ctx, Phase::Scatter);
     job.result = (work, changes, sent);
 }

@@ -9,11 +9,19 @@
 //! the worker's superstep job, which moves to the lane that runs it and
 //! back, so the matrices are whole again between supersteps.
 //!
+//! A send resolves its fan-out when the program calls it: [`fan_out`] is
+//! the one [`MessageTarget`] → route-range rule, and the send queues the
+//! message with that range of the worker's [`WorkerRoutes`], or nothing at
+//! all when the range is empty — a vertex with no other replica, a
+//! master's message to its master, a master without mirrors. Such a send
+//! has no destination, so skipping it changes no message, counter or
+//! value; the outbox holds only what has one.
+//!
 //! One communication stage is a scatter and a transpose; nothing is copied
 //! or sorted on the receiving side:
 //!
-//! 1. **scatter** — each source worker drains its outbox through the
-//!    precomputed [`WorkerRoutes`] into its own row of destination shards
+//! 1. **scatter** — each source worker drains its outbox along the route
+//!    ranges its sends resolved into its own row of destination shards
 //!    (its `outbound[dst]`), with no shared state between workers;
 //! 2. **transpose** — the two matrices swap cell for cell (a `Vec` swap, no
 //!    message moves), after which worker `dst`'s `inbound` row holds
@@ -32,6 +40,7 @@
 //! is bit-identical whether the workers run sequentially or pooled.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::program::MessageTarget;
 use crate::routing::WorkerRoutes;
@@ -43,13 +52,15 @@ use crate::subgraph::Subgraph;
 /// frontier kernel allocates when its subgraph is first seen, not once per
 /// superstep.
 ///
-/// The engine never reads it. A kernel must leave it the way it found it —
-/// `flags` and `sums` all zero, `queue`, `changed` and `weights` empty — by
-/// clearing only the entries it touched; the capacities are what survives a
-/// superstep. What the entries index is the kernel's business: local
-/// vertices in the SSSP worklist kernel and in PageRank, local
-/// *components* (see [`Subgraph::local_components`]) in the CC component
-/// superstep.
+/// The engine never reads it, and each run starts from an empty one. A
+/// kernel must leave it the way it found it — `flags` and `sums` all zero,
+/// `queue`, `changed` and `weights` empty — by clearing only the entries it
+/// touched; the capacities are what survives a superstep. `degrees` and
+/// `degree_work` are the exception: a kernel fills them once per run and
+/// reads them in every later superstep. What the entries index is the
+/// kernel's business: local vertices in the SSSP worklist kernel and in
+/// PageRank, local *components* (see [`Subgraph::local_components`]) in the
+/// CC component superstep.
 #[derive(Debug, Default)]
 pub struct WorklistScratch {
     /// Flag bits per local vertex (per local component, in the CC
@@ -69,10 +80,18 @@ pub struct WorklistScratch {
     /// superstep, then cleared (PageRank's gather keeps each source's
     /// `rank / out_degree` here, so the pull reads one weight per edge).
     pub weights: Vec<f64>,
+    /// One value per local vertex, written on a run's first superstep and
+    /// kept for the rest of it (PageRank's global out-degrees in local
+    /// order, so its gather reads them in sequence).
+    pub degrees: Vec<f64>,
+    /// A count that goes with `degrees`, written and kept the same way
+    /// (PageRank's gather work, which depends on the degrees alone).
+    pub degree_work: u64,
 }
 
-/// A queued outgoing message: local vertex index, payload, fan-out.
-pub(crate) type OutboxEntry<M> = (u32, M, MessageTarget);
+/// A queued outgoing message: the range of the sending worker's routes it
+/// fans out along — resolved by the send, never empty — and its payload.
+pub(crate) type OutboxEntry<M> = (u32, u32, M);
 
 /// One source→destination shard of the partitioned exchange.
 pub(crate) type Shard<M> = Vec<(u32, M)>;
@@ -135,21 +154,70 @@ impl<M: Clone> GroupedMail<M> {
     }
 }
 
-/// Fans one worker's outbox out into its destination shards along the
-/// precomputed routes. Returns the number of messages sent (deliveries).
-pub(crate) fn scatter<M: Clone>(
+/// The routes a message from the local vertex `local` to `target` fans out
+/// along, as a range of the worker's flat route storage: the one
+/// [`MessageTarget`] → route-range rule. The send reads it, queues nothing
+/// when it is empty and otherwise queues the range, so [`scatter`] reads
+/// neither the route offsets nor the master flags again.
+#[inline]
+pub(crate) fn fan_out(
     routes: &WorkerRoutes,
     subgraph: &Subgraph,
+    local: usize,
+    target: MessageTarget,
+) -> Range<u32> {
+    let Range { start, end } = routes.range(local);
+    // Layout invariant (see `WorkerRoutes`): for a non-master replica the
+    // first route points at the master, the rest at the mirrors; for the
+    // master the whole slice is mirrors.
+    match target {
+        MessageTarget::AllReplicas => start..end,
+        MessageTarget::Master if subgraph.is_master(local) => start..start,
+        MessageTarget::Master => start..start + 1,
+        MessageTarget::Mirrors if subgraph.is_master(local) => start..end,
+        MessageTarget::Mirrors => start + 1..end,
+    }
+}
+
+/// Fans one worker's outbox out into its destination shards along the
+/// route ranges its sends resolved. Returns the number of messages sent
+/// (deliveries).
+pub(crate) fn scatter<M: Clone>(
+    routes: &WorkerRoutes,
     outbox: &mut Vec<OutboxEntry<M>>,
+    shards: &mut [Shard<M>],
+) -> usize {
+    let mut sent = 0usize;
+    for (start, end, msg) in outbox.drain(..) {
+        let fan_out = routes.slice(start..end);
+        debug_assert!(!fan_out.is_empty(), "a queued message has no destination");
+        for route in fan_out {
+            shards[route.worker as usize].push((route.local, msg.clone()));
+        }
+        sent += fan_out.len();
+    }
+    sent
+}
+
+/// An outbox entry of the send that queued every message, a destination or
+/// not: local vertex index, payload, fan-out.
+#[cfg(test)]
+pub(crate) type UnfilteredEntry<M> = (u32, M, MessageTarget);
+
+/// The scatter of the send that queued every message: it resolved each
+/// entry's fan-out itself and skipped the empty ones. Kept as the oracle
+/// the filtered send and [`scatter`] are checked against.
+#[cfg(test)]
+pub(crate) fn scatter_unfiltered<M: Clone>(
+    routes: &WorkerRoutes,
+    subgraph: &Subgraph,
+    outbox: &mut Vec<UnfilteredEntry<M>>,
     shards: &mut [Shard<M>],
 ) -> usize {
     let mut sent = 0usize;
     for (local, msg, target) in outbox.drain(..) {
         let local = local as usize;
         let all = routes.all(local);
-        // Layout invariant (see `WorkerRoutes`): for a non-master replica
-        // the first route points at the master, the rest at the mirrors;
-        // for the master the whole slice is mirrors.
         let fan_out = match target {
             MessageTarget::AllReplicas => all,
             MessageTarget::Master if subgraph.is_master(local) => &[],
@@ -227,6 +295,161 @@ pub(crate) fn transpose_into<M, W: AsMut<WorkerMail<M>>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistributedGraph;
+    use crate::program::SubgraphContext;
+    use crate::routing::Route;
+    use ebv_graph::generators::{GraphGenerator, GridGenerator, RmatGenerator};
+    use ebv_graph::{Graph, GraphBuilder};
+    use ebv_partition::{paper_partitioners, EbvPartitioner, Partitioner};
+    use proptest::prelude::*;
+
+    /// A graph of `kind`: R-MAT (parallel edges, isolated vertices), a grid
+    /// with holes, or a small multigraph of self-loops and parallel edges.
+    fn sample_graph(kind: usize, seed: u64) -> Graph {
+        match kind {
+            0 => RmatGenerator::new(7, 5).with_seed(seed).generate().unwrap(),
+            1 => GridGenerator::new(6 + seed as usize % 5, 9)
+                .with_deletion_probability(0.1)
+                .with_seed(seed)
+                .generate()
+                .unwrap(),
+            _ => {
+                let mut builder = GraphBuilder::directed();
+                builder.allow_self_loops(true);
+                let mut x = seed | 1;
+                for _ in 0..120 {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let (src, dst) = ((x >> 33) % 24, (x >> 45) % 24);
+                    // Every fifth draw doubles its edge, every seventh loops.
+                    builder.add_edge_ids(src, if x.is_multiple_of(7) { src } else { dst });
+                    if x.is_multiple_of(5) {
+                        builder.add_edge_ids(src, dst);
+                    }
+                }
+                builder.build().unwrap()
+            }
+        }
+    }
+
+    const TARGETS: [MessageTarget; 3] = [
+        MessageTarget::AllReplicas,
+        MessageTarget::Master,
+        MessageTarget::Mirrors,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(9))]
+
+        /// Every local vertex of every worker sends to each target once:
+        /// what the filtered sends queue, `scatter` delivers shard for
+        /// shard and counts as the unfiltered send and its scatter did,
+        /// and only the sends with no destination are missing from the
+        /// outbox.
+        #[test]
+        fn filtered_sends_deliver_what_the_unfiltered_send_did(
+            kind in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let graph = sample_graph(kind, seed);
+            for partitioner in paper_partitioners() {
+                for p in [1usize, 2, 3, 8] {
+                    let partition = partitioner.partition(&graph, p).unwrap();
+                    let dg = DistributedGraph::build(&graph, &partition).unwrap();
+                    for (w, sg) in dg.subgraphs().iter().enumerate() {
+                        let at = format!("{} p={p} worker {w}, kind {kind} seed {seed}", partitioner.name());
+                        let routes = &dg.routing().worker_tables()[w];
+                        let (mut unfiltered, mut filtered) = (Vec::new(), Vec::new());
+                        let mut values = vec![0u64; sg.num_vertices()];
+                        let mut scratch = WorklistScratch::default();
+                        let mut ctx = SubgraphContext::new(
+                            sg, routes, &mut values, &[], &mut filtered, &mut scratch,
+                        );
+                        for local in 0..sg.num_vertices() {
+                            for (i, target) in TARGETS.into_iter().enumerate() {
+                                let message = 3 * local as u64 + i as u64;
+                                unfiltered.push((local as u32, message, target));
+                                match target {
+                                    MessageTarget::AllReplicas => ctx.send_to_replicas(local, message),
+                                    MessageTarget::Master => ctx.send_to_master(local, message),
+                                    MessageTarget::Mirrors => ctx.send_to_mirrors(local, message),
+                                }
+                            }
+                        }
+                        ctx.finish();
+                        // The entries the unfiltered send queued for nothing.
+                        let silent = unfiltered
+                            .iter()
+                            .filter(|&&(local, _, target)| {
+                                let mut shards = vec![Vec::new(); p];
+                                scatter_unfiltered(routes, sg, &mut vec![(local, 0, target)], &mut shards) == 0
+                            })
+                            .count();
+                        prop_assert_eq!(filtered.len() + silent, unfiltered.len(), "{}", at);
+                        let (mut want, mut got) = (vec![Vec::new(); p], vec![Vec::new(); p]);
+                        let want_sent = scatter_unfiltered(routes, sg, &mut unfiltered, &mut want);
+                        let got_sent = scatter(routes, &mut filtered, &mut got);
+                        prop_assert_eq!(got_sent, want_sent, "{}", at);
+                        prop_assert_eq!(got, want, "{}", at);
+                    }
+                }
+            }
+        }
+    }
+
+    /// PageRank's apply superstep sends every master's new rank to its
+    /// mirrors, and its gather every mirror's partial to the master. On a
+    /// power-law graph most masters have no mirror: the apply queues one
+    /// entry per master that has one and nothing for the rest, the gather
+    /// one entry per mirror.
+    #[test]
+    fn an_apply_superstep_queues_one_entry_per_master_with_a_mirror() {
+        let graph = RmatGenerator::new(10, 8).with_seed(7).generate().unwrap();
+        let partition = EbvPartitioner::new().partition(&graph, 8).unwrap();
+        let dg = DistributedGraph::build(&graph, &partition).unwrap();
+        let (mut masters, mut mirrored_masters) = (0, 0);
+        for (w, sg) in dg.subgraphs().iter().enumerate() {
+            let routes = &dg.routing().worker_tables()[w];
+            let mut values = vec![0.0f64; sg.num_vertices()];
+            let (mut outbox, mut scratch) = (Vec::new(), WorklistScratch::default());
+            let mut ctx =
+                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            for &master in sg.masters() {
+                ctx.send_to_mirrors(master as usize, 0.5);
+            }
+            ctx.finish();
+            let queued = |outbox: &[OutboxEntry<f64>]| -> Vec<Vec<Route>> {
+                let ranges = outbox.iter().map(|&(start, end, _)| start..end);
+                ranges.map(|range| routes.slice(range).to_vec()).collect()
+            };
+            // One entry per master with a mirror, routed to all of them.
+            let mirrored = (sg.masters().iter())
+                .filter(|&&master| dg.replicas().replica_count(sg.vertex_at(master as usize)) > 1);
+            let apply: Vec<Vec<Route>> =
+                mirrored.map(|&m| routes.all(m as usize).to_vec()).collect();
+            assert_eq!(queued(&outbox), apply, "worker {w}");
+            masters += sg.masters().len();
+            mirrored_masters += apply.len();
+
+            outbox.clear();
+            let mut ctx =
+                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            for &mirror in sg.mirrors() {
+                ctx.send_to_master(mirror as usize, 0.5);
+            }
+            ctx.finish();
+            // One entry per mirror, routed to its master (the first route).
+            let gather = sg
+                .mirrors()
+                .iter()
+                .map(|&m| routes.all(m as usize)[..1].to_vec());
+            assert_eq!(queued(&outbox), gather.collect::<Vec<_>>(), "worker {w}");
+        }
+        assert_eq!(masters, dg.num_vertices());
+        assert!(
+            2 * mirrored_masters < masters,
+            "{mirrored_masters} of {masters} masters have a mirror"
+        );
+    }
 
     #[test]
     fn fill_counting_sort_is_stable_and_grouped() {
@@ -262,9 +485,7 @@ mod tests {
     /// alternates between the two sides, so that takes two supersteps).
     #[test]
     fn steady_state_refills_do_not_reallocate() {
-        use crate::distributed::DistributedGraph;
         use ebv_graph::generators::named;
-        use ebv_partition::{EbvPartitioner, Partitioner};
 
         let graph = named::small_social_graph();
         let partition = EbvPartitioner::new().partition(&graph, 3).unwrap();
@@ -280,12 +501,14 @@ mod tests {
                 let mail = &mut plane[w];
                 let read = arrivals(&mail.inbound).count();
                 mail.inbound.iter_mut().for_each(Vec::clear);
-                for local in 0..sg.num_vertices() {
-                    mail.outbox
-                        .push((local as u32, 7, MessageTarget::AllReplicas));
-                }
                 let routes = &dg.routing().worker_tables()[w];
-                scatter(routes, sg, &mut mail.outbox, &mut mail.outbound);
+                for local in 0..sg.num_vertices() {
+                    let range = fan_out(routes, sg, local, MessageTarget::AllReplicas);
+                    if !range.is_empty() {
+                        mail.outbox.push((range.start, range.end, 7));
+                    }
+                }
+                scatter(routes, &mut mail.outbox, &mut mail.outbound);
                 assert!(mail.outbox.is_empty(), "scatter drains the outbox");
                 assert_eq!(read, received.get(w).copied().unwrap_or(0));
             }

@@ -3,6 +3,7 @@
 use ebv_graph::VertexId;
 
 use crate::exchange::{self, OutboxEntry, Shard, WorklistScratch};
+use crate::routing::WorkerRoutes;
 use crate::subgraph::Subgraph;
 
 /// Where a replica message should be delivered.
@@ -31,6 +32,8 @@ pub(crate) enum MessageTarget {
 #[derive(Debug)]
 pub struct SubgraphContext<'a, V, M> {
     subgraph: &'a Subgraph,
+    /// The worker's routes, which tell a send whether it has a destination.
+    routes: &'a WorkerRoutes,
     values: &'a mut [V],
     /// This worker's row of inbound shards, one per source worker.
     mail: &'a [Shard<M>],
@@ -46,6 +49,7 @@ pub struct SubgraphContext<'a, V, M> {
 impl<'a, V, M> SubgraphContext<'a, V, M> {
     pub(crate) fn new(
         subgraph: &'a Subgraph,
+        routes: &'a WorkerRoutes,
         values: &'a mut [V],
         mail: &'a [Shard<M>],
         outbox: &'a mut Vec<OutboxEntry<M>>,
@@ -54,6 +58,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
         debug_assert!(outbox.is_empty());
         SubgraphContext {
             subgraph,
+            routes,
             values,
             mail,
             outbox,
@@ -115,25 +120,36 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
     }
 
     /// Queues a message for delivery to every *other* replica of the local
-    /// vertex at `local_index` during the communication stage.
+    /// vertex at `local_index` during the communication stage. A vertex
+    /// with no other replica queues nothing and counts nowhere: the send
+    /// has no destination.
     pub fn send_to_replicas(&mut self, local_index: usize, message: M) {
-        self.outbox
-            .push((local_index as u32, message, MessageTarget::AllReplicas));
+        self.send(local_index, message, MessageTarget::AllReplicas);
     }
 
     /// Queues a message for the *master* replica of the local vertex at
-    /// `local_index` (a no-op at routing time if this worker already is the
-    /// master).
+    /// `local_index`. On the master itself it queues nothing and counts
+    /// nowhere: the send has no destination.
     pub fn send_to_master(&mut self, local_index: usize, message: M) {
-        self.outbox
-            .push((local_index as u32, message, MessageTarget::Master));
+        self.send(local_index, message, MessageTarget::Master);
     }
 
     /// Queues a message for every *mirror* replica of the local vertex at
-    /// `local_index`.
+    /// `local_index`. A vertex without mirrors queues nothing and counts
+    /// nowhere: the send has no destination.
     pub fn send_to_mirrors(&mut self, local_index: usize, message: M) {
-        self.outbox
-            .push((local_index as u32, message, MessageTarget::Mirrors));
+        self.send(local_index, message, MessageTarget::Mirrors);
+    }
+
+    /// Queues the message with the route range of its fan-out (see
+    /// [`exchange::fan_out`]), and only where that range holds a route, so
+    /// the scatter drains no entry into an empty fan-out.
+    #[inline]
+    fn send(&mut self, local_index: usize, message: M, target: MessageTarget) {
+        let routes = exchange::fan_out(self.routes, self.subgraph, local_index, target);
+        if !routes.is_empty() {
+            self.outbox.push((routes.start, routes.end, message));
+        }
     }
 
     /// Records `units` of computational work (typically edge traversals);
@@ -236,8 +252,9 @@ mod tests {
         let mail = [vec![(0u32, 7u64)], vec![(2, 5), (0, 9)]];
         let mut outbox = Vec::new();
         let mut scratch = WorklistScratch::default();
+        let routes = &dg.routing().worker_tables()[0];
         let mut ctx: SubgraphContext<'_, u64, u64> =
-            SubgraphContext::new(sg, &mut values, &mail, &mut outbox, &mut scratch);
+            SubgraphContext::new(sg, routes, &mut values, &mail, &mut outbox, &mut scratch);
 
         assert_eq!(*ctx.value(0), 10);
         let arrived: Vec<(usize, u64)> = ctx.mail().map(|(local, &m)| (local, m)).collect();
@@ -255,21 +272,60 @@ mod tests {
         assert_eq!(ctx.values()[1], 42);
         assert_eq!(ctx.changes(), 3);
         ctx.add_work(5);
+        // One worker holds every vertex alone: no send has a destination.
         ctx.send_to_replicas(0, 99);
         ctx.send_to_master(1, 7);
         ctx.send_to_mirrors(2, 3);
 
         let (work, changes) = ctx.finish();
-        assert_eq!(
-            outbox,
-            vec![
-                (0, 99, MessageTarget::AllReplicas),
-                (1, 7, MessageTarget::Master),
-                (2, 3, MessageTarget::Mirrors),
-            ]
-        );
+        assert!(outbox.is_empty(), "{outbox:?}");
         assert_eq!(work, 5);
         assert_eq!(changes, 3);
         assert_eq!(scratch.changed, vec![2], "the scratch outlives the context");
+    }
+
+    /// A send queues its message only where a replica waits for it. Vertex
+    /// 1 is held by both workers; 0 lives on worker 0 alone, 2 on worker 1.
+    #[test]
+    fn sends_queue_only_where_a_replica_waits() {
+        use crate::routing::Route;
+        use ebv_graph::{Edge, VertexId};
+        use ebv_partition::PartitionId;
+
+        let assigned = [((0u64, 1u64), 0u32), ((1, 2), 1), ((2, 1), 1)]
+            .map(|(edge, worker)| (Edge::from(edge), PartitionId::new(worker)));
+        let dg = DistributedGraph::build_streaming(2, None, assigned).unwrap();
+        let master = dg.replicas().master_of(VertexId::new(1)).index();
+        assert_eq!(master, 1, "worker 1 holds two of vertex 1's edges");
+        for (worker, sg) in dg.subgraphs().iter().enumerate() {
+            let routes = &dg.routing().worker_tables()[worker];
+            let shared = sg.local_index_of(VertexId::new(1)).unwrap();
+            let alone = sg.local_index_of(VertexId::new(2 * worker as u64)).unwrap();
+            let mut values = vec![0u64; sg.num_vertices()];
+            let (mut outbox, mut scratch) = (Vec::new(), WorklistScratch::default());
+            let mut ctx: SubgraphContext<'_, u64, u64> =
+                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            for local in [alone, shared] {
+                ctx.send_to_replicas(local, 1);
+                ctx.send_to_master(local, 2);
+                ctx.send_to_mirrors(local, 3);
+            }
+            ctx.finish();
+            // The shared vertex's one other replica is the master's mirror
+            // and the mirror's master: each send that has it queues one
+            // entry, routed there.
+            let other = 1 - worker;
+            let there = dg.subgraphs()[other].local_index_of(VertexId::new(1));
+            let to_other = vec![Route {
+                worker: other as u32,
+                local: there.unwrap() as u32,
+            }];
+            let role_message = if worker == master { 3 } else { 2 };
+            let queued: Vec<(u64, Vec<Route>)> = (outbox.iter())
+                .map(|&(start, end, message)| (message, routes.slice(start..end).to_vec()))
+                .collect();
+            let want = vec![(1, to_other.clone()), (role_message, to_other)];
+            assert_eq!(queued, want, "worker {worker}");
+        }
     }
 }

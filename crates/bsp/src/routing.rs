@@ -38,6 +38,8 @@
 //!
 //! [`MessageTarget`]: crate::program::MessageTarget
 
+use std::ops::Range;
+
 use ebv_graph::VertexId;
 
 use crate::replica::ReplicaTable;
@@ -74,6 +76,9 @@ const ABSENT: Route = Route {
 /// * `Mirrors` — everything after the master route (the whole slice if
 ///   this worker is the master).
 ///
+/// `exchange::fan_out` is that rule's one implementation; a send keeps the
+/// range it resolved, so the scatter reads the flat storage directly.
+///
 /// [`MessageTarget`]: crate::program::MessageTarget
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WorkerRoutes {
@@ -84,10 +89,23 @@ pub(crate) struct WorkerRoutes {
 }
 
 impl WorkerRoutes {
-    /// The routes of the local vertex at `local` (all other replicas).
+    /// Where the routes of the local vertex at `local` (all other
+    /// replicas) sit in the flat storage.
     #[inline]
+    pub(crate) fn range(&self, local: usize) -> Range<u32> {
+        self.offsets[local]..self.offsets[local + 1]
+    }
+
+    /// The routes in `range` of the flat storage.
+    #[inline]
+    pub(crate) fn slice(&self, range: Range<u32>) -> &[Route] {
+        &self.routes[range.start as usize..range.end as usize]
+    }
+
+    /// The routes of the local vertex at `local` (all other replicas).
+    #[cfg(test)]
     pub(crate) fn all(&self, local: usize) -> &[Route] {
-        &self.routes[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+        self.slice(self.range(local))
     }
 }
 

@@ -579,6 +579,13 @@ impl DynamicPartitioner {
     /// bit-identical to [`PartitionMetrics::compute`] over a graph holding
     /// exactly the surviving edges (in any order) with
     /// [`num_vertices`](Self::num_vertices) declared vertices.
+    ///
+    /// So they divide by what `compute` divides by: the replication factor
+    /// by the id universe ([`num_vertices`](Self::num_vertices), declared or
+    /// grown, never shrunk), which counts vertices with no live copy; the
+    /// edge imbalance by live copies / `p`; the vertex imbalance by
+    /// `Σ_i |V_i| / p`. The replication factor can therefore read below 1
+    /// (ROADMAP item 25(a)).
     pub fn metrics(&self) -> PartitionMetrics {
         maintained_metrics(
             &self.ecount,

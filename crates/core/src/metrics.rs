@@ -25,6 +25,14 @@ pub struct PartitionMetrics {
     /// `max_i |V_i| / (Σ_i |V_i| / p)`.
     pub vertex_imbalance: f64,
     /// `Σ_i |V_i| / |V|` (vertex-cut) or `Σ_i |E_i| / |E|` (edge-cut).
+    ///
+    /// In [`compute`](Self::compute), `|V|` is `graph.num_vertices()`:
+    /// every vertex of the graph, declared isolated ones included, while
+    /// `Σ_i |V_i|` counts only the vertices an edge covers. So a graph that
+    /// declares isolated vertices can read below the paper's
+    /// `Σ_i |V_i| / |V| ≥ 1` (ROADMAP item 25(a)). The two imbalance
+    /// factors divide by `|E| / p` and `Σ_i |V_i| / p`, which isolated
+    /// vertices do not enter.
     pub replication_factor: f64,
     /// Number of partitions the metrics were computed for.
     pub num_partitions: usize,
@@ -148,6 +156,24 @@ mod tests {
         assert!((m.replication_factor - 1.5).abs() < 1e-12);
         assert!((m.vertex_imbalance - 1.0).abs() < 1e-12);
         assert!((m.edge_imbalance - 1.5).abs() < 1e-12);
+    }
+
+    /// Declared isolated vertices count in the replication factor's `|V|`
+    /// but in no `|V_i|`: four covered vertices and six isolated ones read
+    /// `6 / 10`, where the covered vertices alone would read `6 / 4`.
+    #[test]
+    fn declared_isolated_vertices_count_in_the_replication_denominator() {
+        let mut builder = ebv_graph::GraphBuilder::directed();
+        builder.num_vertices(10);
+        builder.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let g = builder.build().unwrap();
+        assert_eq!((g.num_vertices(), g.num_isolated_vertices()), (10, 6));
+        let part = EdgePartition::new(2, vec![pid(0), pid(0), pid(1), pid(1)]).unwrap();
+        let m = PartitionMetrics::compute(&g, &part.into()).unwrap();
+        // Partition 0 covers {0, 1, 2}, partition 1 {0, 2, 3}.
+        assert_eq!(m.replication_factor, 0.6);
+        assert_eq!(m.edge_imbalance, 1.0);
+        assert_eq!(m.vertex_imbalance, 1.0);
     }
 
     #[test]
