@@ -15,11 +15,13 @@ use ebv_graph::generators::{
 };
 use ebv_graph::{Graph, GraphError};
 
+/// The environment variable selecting the [`Scale`].
+const ENV_SCALE: &str = "EBV_SCALE";
+
 /// How large the synthetic substitutes should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Fast sizes for CI and the default binary runs (tens of thousands of
-    /// edges).
+    /// Fast sizes for CI and the default runs (tens of thousands of edges).
     #[default]
     Small,
     /// Larger sizes for benchmark runs (hundreds of thousands of edges).
@@ -27,20 +29,42 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `EBV_SCALE` environment variable
-    /// (`"full"` selects [`Scale::Full`]; anything else, or an unset
-    /// variable, selects [`Scale::Small`]).
-    pub fn from_env() -> Self {
-        match std::env::var("EBV_SCALE") {
-            Ok(v) if v.eq_ignore_ascii_case("full") => Scale::Full,
-            _ => Scale::Small,
+    /// Reads the scale from the `EBV_SCALE` environment variable.
+    ///
+    /// # Errors
+    ///
+    /// See [`from_lookup`](Self::from_lookup); a non-UTF-8 value is
+    /// rejected too.
+    pub fn from_env() -> Result<Self, String> {
+        Scale::from_lookup(|name| {
+            std::env::var_os(name).map(|value| value.to_string_lossy().into_owned())
+        })
+    }
+
+    /// Parses the scale from any `name -> value` lookup, the testable core
+    /// of [`from_env`](Self::from_env): unset or `small` selects
+    /// [`Scale::Small`], `full` selects [`Scale::Full`] (both
+    /// case-insensitive).
+    ///
+    /// # Errors
+    ///
+    /// Any other value is an error naming the variable and the value, never
+    /// a silent fallback: a misspelt `full` must not run the small datasets.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        match lookup(ENV_SCALE) {
+            None => Ok(Scale::Small),
+            Some(value) if value.eq_ignore_ascii_case("small") => Ok(Scale::Small),
+            Some(value) if value.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+            Some(value) => Err(format!(
+                "{ENV_SCALE} must be `small` or `full`, got {value:?}"
+            )),
         }
     }
 }
 
 /// One synthetic evaluation dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dataset {
+pub(crate) struct Dataset {
     /// Name used in reports ("usaroad-like", "livejournal-like", ...).
     pub name: &'static str,
     /// The paper graph this dataset substitutes for.
@@ -64,74 +88,58 @@ enum DatasetKind {
 
 impl Dataset {
     /// The non-power-law control graph (substitute for USARoad).
-    pub fn road() -> Self {
-        Dataset {
-            name: "usaroad-like",
-            substitutes_for: "USARoad",
-            table_workers: 12,
-            figure_workers: &[4, 8, 12, 16, 20, 24],
-            power_law: false,
-            kind: DatasetKind::Road,
-        }
-    }
+    pub(crate) const ROAD: Dataset = Dataset {
+        name: "usaroad-like",
+        substitutes_for: "USARoad",
+        table_workers: 12,
+        figure_workers: &[4, 8, 12, 16, 20, 24],
+        power_law: false,
+        kind: DatasetKind::Road,
+    };
 
     /// Moderately skewed directed power-law graph (substitute for
     /// LiveJournal, η ≈ 2.6).
-    pub fn livejournal_like() -> Self {
-        Dataset {
-            name: "livejournal-like",
-            substitutes_for: "LiveJournal",
-            table_workers: 12,
-            figure_workers: &[4, 8, 12, 16, 20, 24],
-            power_law: true,
-            kind: DatasetKind::LiveJournalLike,
-        }
-    }
+    pub(crate) const LIVEJOURNAL: Dataset = Dataset {
+        name: "livejournal-like",
+        substitutes_for: "LiveJournal",
+        table_workers: 12,
+        figure_workers: &[4, 8, 12, 16, 20, 24],
+        power_law: true,
+        kind: DatasetKind::LiveJournalLike,
+    };
 
     /// Heavily skewed directed power-law graph (substitute for Twitter,
     /// η ≈ 1.9).
-    pub fn twitter_like() -> Self {
-        Dataset {
-            name: "twitter-like",
-            substitutes_for: "Twitter",
-            table_workers: 32,
-            figure_workers: &[24, 32, 40, 48],
-            power_law: true,
-            kind: DatasetKind::TwitterLike,
-        }
-    }
+    pub(crate) const TWITTER: Dataset = Dataset {
+        name: "twitter-like",
+        substitutes_for: "Twitter",
+        table_workers: 32,
+        figure_workers: &[24, 32, 40, 48],
+        power_law: true,
+        kind: DatasetKind::TwitterLike,
+    };
 
     /// Large undirected power-law graph (substitute for Friendster,
     /// η ≈ 2.4).
-    pub fn friendster_like() -> Self {
-        Dataset {
-            name: "friendster-like",
-            substitutes_for: "Friendster",
-            table_workers: 32,
-            figure_workers: &[24, 32, 40, 48],
-            power_law: true,
-            kind: DatasetKind::FriendsterLike,
-        }
-    }
+    pub(crate) const FRIENDSTER: Dataset = Dataset {
+        name: "friendster-like",
+        substitutes_for: "Friendster",
+        table_workers: 32,
+        figure_workers: &[24, 32, 40, 48],
+        power_law: true,
+        kind: DatasetKind::FriendsterLike,
+    };
 
     /// All four datasets in the order of Table I (by descending η).
-    pub fn all() -> Vec<Dataset> {
-        vec![
-            Dataset::road(),
-            Dataset::livejournal_like(),
-            Dataset::friendster_like(),
-            Dataset::twitter_like(),
-        ]
-    }
+    pub(crate) const ALL: [Dataset; 4] = [
+        Self::ROAD,
+        Self::LIVEJOURNAL,
+        Self::FRIENDSTER,
+        Self::TWITTER,
+    ];
 
     /// The three power-law datasets used by Figures 2 and 5.
-    pub fn power_law_sets() -> Vec<Dataset> {
-        vec![
-            Dataset::livejournal_like(),
-            Dataset::twitter_like(),
-            Dataset::friendster_like(),
-        ]
-    }
+    pub(crate) const POWER_LAW: [Dataset; 3] = [Self::LIVEJOURNAL, Self::TWITTER, Self::FRIENDSTER];
 
     /// Generates the dataset at the requested scale. Deterministic: the same
     /// scale always produces the same graph.
@@ -140,39 +148,33 @@ impl Dataset {
     ///
     /// Propagates generator errors (which only occur for invalid
     /// configurations and therefore indicate a bug in this registry).
-    pub fn generate(&self, scale: Scale) -> Result<Graph, GraphError> {
-        match (self.kind, scale) {
-            (DatasetKind::Road, Scale::Small) => GridGenerator::new(80, 75)
-                .with_deletion_probability(0.05)
-                .with_seed(42)
-                .generate(),
-            (DatasetKind::Road, Scale::Full) => GridGenerator::new(320, 300)
-                .with_deletion_probability(0.05)
-                .with_seed(42)
-                .generate(),
-            (DatasetKind::LiveJournalLike, Scale::Small) => BarabasiAlbertGenerator::new(6_000, 7)
-                .with_seed(7)
-                .generate(),
-            (DatasetKind::LiveJournalLike, Scale::Full) => BarabasiAlbertGenerator::new(60_000, 7)
-                .with_seed(7)
-                .generate(),
-            (DatasetKind::TwitterLike, Scale::Small) => RmatGenerator::new(13, 16)
-                .with_probabilities(0.62, 0.18, 0.15)
-                .with_seed(11)
-                .generate(),
-            (DatasetKind::TwitterLike, Scale::Full) => RmatGenerator::new(16, 18)
-                .with_probabilities(0.62, 0.18, 0.15)
-                .with_seed(11)
-                .generate(),
-            (DatasetKind::FriendsterLike, Scale::Small) => {
-                ConfigurationModelGenerator::new(10_000, 2.4)
-                    .with_min_degree(6)
-                    .with_seed(13)
+    pub(crate) fn generate(&self, scale: Scale) -> Result<Graph, GraphError> {
+        let full = scale == Scale::Full;
+        match self.kind {
+            DatasetKind::Road => {
+                let (rows, cols) = if full { (320, 300) } else { (80, 75) };
+                GridGenerator::new(rows, cols)
+                    .with_deletion_probability(0.05)
+                    .with_seed(42)
                     .generate()
             }
-            (DatasetKind::FriendsterLike, Scale::Full) => {
-                ConfigurationModelGenerator::new(80_000, 2.4)
-                    .with_min_degree(7)
+            DatasetKind::LiveJournalLike => {
+                let vertices = if full { 60_000 } else { 6_000 };
+                BarabasiAlbertGenerator::new(vertices, 7)
+                    .with_seed(7)
+                    .generate()
+            }
+            DatasetKind::TwitterLike => {
+                let (rmat_scale, edge_factor) = if full { (16, 18) } else { (13, 16) };
+                RmatGenerator::new(rmat_scale, edge_factor)
+                    .with_probabilities(0.62, 0.18, 0.15)
+                    .with_seed(11)
+                    .generate()
+            }
+            DatasetKind::FriendsterLike => {
+                let (vertices, min_degree) = if full { (80_000, 7) } else { (10_000, 6) };
+                ConfigurationModelGenerator::new(vertices, 2.4)
+                    .with_min_degree(min_degree)
                     .with_seed(13)
                     .generate()
             }
@@ -187,19 +189,19 @@ mod tests {
 
     #[test]
     fn registry_covers_the_four_paper_graphs() {
-        let all = Dataset::all();
+        let all = Dataset::ALL;
         assert_eq!(all.len(), 4);
         let names: Vec<&str> = all.iter().map(|d| d.substitutes_for).collect();
         assert_eq!(
             names,
             vec!["USARoad", "LiveJournal", "Friendster", "Twitter"]
         );
-        assert_eq!(Dataset::power_law_sets().len(), 3);
+        assert_eq!(Dataset::POWER_LAW.len(), 3);
     }
 
     #[test]
     fn small_datasets_generate_and_match_their_skew_class() {
-        for dataset in Dataset::all() {
+        for dataset in Dataset::ALL {
             let graph = dataset.generate(Scale::Small).unwrap();
             assert!(graph.num_edges() > 1_000, "{}", dataset.name);
             let eta = estimate_graph_eta(&graph).unwrap();
@@ -215,25 +217,43 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Dataset::twitter_like().generate(Scale::Small).unwrap();
-        let b = Dataset::twitter_like().generate(Scale::Small).unwrap();
+        let a = Dataset::TWITTER.generate(Scale::Small).unwrap();
+        let b = Dataset::TWITTER.generate(Scale::Small).unwrap();
         assert_eq!(a.edges(), b.edges());
     }
 
     #[test]
     fn scale_from_env_defaults_to_small() {
         // The environment variable is unset in the test harness.
-        assert_eq!(Scale::from_env(), Scale::Small);
+        assert_eq!(Scale::from_env(), Ok(Scale::Small));
         assert_eq!(Scale::default(), Scale::Small);
     }
 
     #[test]
+    fn scale_accepts_small_and_full_and_rejects_anything_else() {
+        let scale = |value: Option<&str>| {
+            Scale::from_lookup(|name| {
+                assert_eq!(name, "EBV_SCALE");
+                value.map(str::to_string)
+            })
+        };
+        assert_eq!(scale(None), Ok(Scale::Small));
+        assert_eq!(scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(scale(Some("FULL")), Ok(Scale::Full));
+        for value in ["ful", "full ", "large", ""] {
+            let error = scale(Some(value)).unwrap_err();
+            assert!(error.contains("EBV_SCALE"), "{error}");
+            assert!(error.contains(&format!("{value:?}")), "{error}");
+        }
+    }
+
+    #[test]
     fn worker_counts_match_the_paper() {
-        assert_eq!(Dataset::road().table_workers, 12);
-        assert_eq!(Dataset::livejournal_like().table_workers, 12);
-        assert_eq!(Dataset::twitter_like().table_workers, 32);
-        assert_eq!(Dataset::friendster_like().table_workers, 32);
-        assert_eq!(Dataset::road().figure_workers, &[4, 8, 12, 16, 20, 24]);
-        assert_eq!(Dataset::twitter_like().figure_workers, &[24, 32, 40, 48]);
+        assert_eq!(Dataset::ROAD.table_workers, 12);
+        assert_eq!(Dataset::LIVEJOURNAL.table_workers, 12);
+        assert_eq!(Dataset::TWITTER.table_workers, 32);
+        assert_eq!(Dataset::FRIENDSTER.table_workers, 32);
+        assert_eq!(Dataset::ROAD.figure_workers, &[4, 8, 12, 16, 20, 24]);
+        assert_eq!(Dataset::TWITTER.figure_workers, &[24, 32, 40, 48]);
     }
 }

@@ -1,9 +1,9 @@
-//! Minimal text-table reporting used by the per-experiment binaries.
+//! Minimal text-table reporting used by the paper's reports and `bench_dynamic`.
 
 use std::fmt;
 
-/// A simple aligned text table, printed to stdout by every experiment
-/// binary in the same visual layout as the paper's tables.
+/// A simple aligned text table, in the same visual layout as the paper's
+/// tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,
@@ -39,11 +39,6 @@ impl TextTable {
     {
         self.rows.push(cells.into_iter().map(Into::into).collect());
         self
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     fn column_widths(&self) -> Vec<usize> {
@@ -93,7 +88,7 @@ impl fmt::Display for TextTable {
 }
 
 /// Formats a large count the way the paper's Table IV does (`4.05e7`).
-pub fn scientific(count: usize) -> String {
+pub(crate) fn scientific(count: usize) -> String {
     if count == 0 {
         return "0".to_string();
     }
@@ -114,9 +109,9 @@ mod tests {
         assert!(rendered.contains("Table X: demo"));
         assert!(rendered.contains("Graph"));
         assert!(rendered.contains("livejournal-like"));
-        assert_eq!(table.num_rows(), 2);
-        // Every data line has the separator in the same position.
+        // The header and both rows have the separator in the same position.
         let lines: Vec<&str> = rendered.lines().filter(|l| l.contains('|')).collect();
+        assert_eq!(lines.len(), 3);
         let positions: Vec<usize> = lines.iter().map(|l| l.find('|').unwrap()).collect();
         assert!(positions.windows(2).all(|w| w[0] == w[1]));
     }

@@ -1,17 +1,17 @@
-//! Shared experiment runner: partition a graph, distribute it, run one of
-//! the paper's applications and collect every statistic the tables and
-//! figures need.
+//! Shared experiment runner: partition a graph, distribute it once, run the
+//! paper's applications on that build and collect every statistic the
+//! reports need.
 
 use std::error::Error;
 
 use ebv_algorithms::{ConnectedComponents, PageRank, SingleSourceShortestPath};
 use ebv_bsp::{Breakdown, BspEngine, CostModel, DistributedGraph, ExecutionStats};
 use ebv_graph::{Graph, VertexId};
-use ebv_partition::{PartitionMetrics, PartitionResult, Partitioner};
+use ebv_partition::{PartitionMetrics, Partitioner};
 
 /// The applications used in the paper's evaluation (Section V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Application {
+pub(crate) enum Application {
     /// Connected Components.
     ConnectedComponents,
     /// Single-Source Shortest Path from vertex 0.
@@ -26,7 +26,7 @@ pub enum Application {
 
 impl Application {
     /// The name used in tables and figure captions.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Application::ConnectedComponents => "CC",
             Application::Sssp => "SSSP",
@@ -36,7 +36,7 @@ impl Application {
 
     /// The three applications of Figure 2, with the PageRank iteration count
     /// used throughout the harness.
-    pub fn figure2_set() -> Vec<Application> {
+    pub(crate) fn figure2_set() -> Vec<Application> {
         vec![
             Application::ConnectedComponents,
             Application::PageRank { iterations: 10 },
@@ -50,93 +50,72 @@ impl Application {
     /// # Errors
     ///
     /// Propagates engine errors (non-convergence or invalid configuration).
-    pub fn run(
+    fn run(
         &self,
         graph: &Graph,
         distributed: &DistributedGraph,
-    ) -> Result<(ExecutionStats, usize), Box<dyn Error>> {
+    ) -> Result<ExecutionStats, Box<dyn Error>> {
         let engine = BspEngine::sequential();
-        match self {
+        Ok(match self {
             Application::ConnectedComponents => {
-                let outcome = engine.run(distributed, &ConnectedComponents::new())?;
-                Ok((outcome.stats, outcome.supersteps))
+                engine.run(distributed, &ConnectedComponents::new())?.stats
             }
             Application::Sssp => {
-                let outcome = engine.run(
-                    distributed,
-                    &SingleSourceShortestPath::new(VertexId::new(0)),
-                )?;
-                Ok((outcome.stats, outcome.supersteps))
+                let source = VertexId::new(0);
+                engine
+                    .run(distributed, &SingleSourceShortestPath::new(source))?
+                    .stats
             }
             Application::PageRank { iterations } => {
-                let program = PageRank::new(graph, *iterations);
-                let outcome = engine.run(distributed, &program)?;
-                Ok((outcome.stats, outcome.supersteps))
+                engine
+                    .run(distributed, &PageRank::new(graph, *iterations))?
+                    .stats
             }
-        }
+        })
     }
 }
 
-/// Everything one (graph, partitioner, application, worker-count) experiment
-/// produces.
+/// What one application run of an experiment produces.
 #[derive(Debug, Clone)]
-pub struct ExperimentResult {
+pub(crate) struct ExperimentResult {
     /// Name of the partitioner that produced the distribution.
     pub partitioner: String,
-    /// Number of workers.
-    pub workers: usize,
     /// Partition quality metrics (Table III).
     pub metrics: PartitionMetrics,
     /// Raw execution counters (Tables IV/V).
     pub stats: ExecutionStats,
     /// Modeled time breakdown (Table II, Figures 2–4).
     pub breakdown: Breakdown,
-    /// Number of supersteps the application executed.
-    pub supersteps: usize,
 }
 
-/// Partitions `graph`, distributes it and runs `application`, returning the
-/// full set of statistics used by the experiment binaries.
+/// Partitions `graph` into `workers` parts and distributes it once, then
+/// runs every application on that build: one result per application, in
+/// order, with the default [`CostModel`]'s time breakdown.
 ///
 /// # Errors
 ///
 /// Propagates partitioning, distribution and engine errors.
-pub fn run_experiment(
+pub(crate) fn run_experiment(
     graph: &Graph,
     partitioner: &dyn Partitioner,
     workers: usize,
-    application: Application,
-    cost_model: &CostModel,
-) -> Result<ExperimentResult, Box<dyn Error>> {
+    applications: &[Application],
+) -> Result<Vec<ExperimentResult>, Box<dyn Error>> {
     let partition = partitioner.partition(graph, workers)?;
     let metrics = PartitionMetrics::compute(graph, &partition)?;
     let distributed = DistributedGraph::build(graph, &partition)?;
-    let (stats, supersteps) = application.run(graph, &distributed)?;
-    let breakdown = cost_model.breakdown(&stats);
-    Ok(ExperimentResult {
-        partitioner: partitioner.name(),
-        workers,
-        metrics,
-        stats,
-        breakdown,
-        supersteps,
-    })
-}
-
-/// Partitions `graph` and returns the partition plus its quality metrics
-/// (the Table III datapoint), without running any application.
-///
-/// # Errors
-///
-/// Propagates partitioning errors.
-pub fn partition_with_metrics(
-    graph: &Graph,
-    partitioner: &dyn Partitioner,
-    workers: usize,
-) -> Result<(PartitionResult, PartitionMetrics), Box<dyn Error>> {
-    let partition = partitioner.partition(graph, workers)?;
-    let metrics = PartitionMetrics::compute(graph, &partition)?;
-    Ok((partition, metrics))
+    applications
+        .iter()
+        .map(|application| {
+            let stats = application.run(graph, &distributed)?;
+            Ok(ExperimentResult {
+                partitioner: partitioner.name(),
+                metrics,
+                breakdown: CostModel::default().breakdown(&stats),
+                stats,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -156,46 +135,58 @@ mod tests {
     #[test]
     fn run_experiment_produces_consistent_statistics() {
         let graph = ebv_graph::generators::named::small_social_graph();
-        let result = run_experiment(
+        let results = run_experiment(
             &graph,
             &EbvPartitioner::new(),
             4,
-            Application::ConnectedComponents,
-            &CostModel::default(),
+            &[Application::ConnectedComponents],
         )
         .unwrap();
+        let [result] = results.as_slice() else {
+            panic!("one application, one result: {results:?}");
+        };
         assert_eq!(result.partitioner, "EBV");
-        assert_eq!(result.workers, 4);
+        assert_eq!(result.metrics.num_partitions, 4);
         assert!(result.metrics.replication_factor >= 1.0);
         assert!(result.breakdown.execution_time > 0.0);
-        assert_eq!(result.stats.num_supersteps(), result.supersteps);
+        assert!(result.stats.num_supersteps() > 0);
     }
 
     #[test]
     fn every_partitioner_runs_every_application_on_a_small_dataset() {
-        let graph = Dataset::road().generate(Scale::Small).unwrap();
+        let graph = Dataset::ROAD.generate(Scale::Small).unwrap();
         // Trim to something tiny for test speed: use the small social graph
         // shape of experiments but the real registry road graph for realism.
+        let applications = [
+            Application::ConnectedComponents,
+            Application::Sssp,
+            Application::PageRank { iterations: 3 },
+        ];
         for partitioner in paper_partitioners() {
-            for app in [
-                Application::ConnectedComponents,
-                Application::Sssp,
-                Application::PageRank { iterations: 3 },
-            ] {
-                let result =
-                    run_experiment(&graph, partitioner.as_ref(), 4, app, &CostModel::default())
-                        .unwrap();
-                assert!(result.supersteps > 0, "{} {:?}", partitioner.name(), app);
+            let results = run_experiment(&graph, partitioner.as_ref(), 4, &applications).unwrap();
+            assert_eq!(results.len(), applications.len());
+            for (result, app) in results.iter().zip(applications) {
+                let supersteps = result.stats.num_supersteps();
+                assert!(supersteps > 0, "{} {:?}", partitioner.name(), app);
             }
         }
     }
 
     #[test]
-    fn partition_with_metrics_matches_direct_computation() {
-        let graph = Dataset::livejournal_like().generate(Scale::Small).unwrap();
-        let (partition, metrics) =
-            partition_with_metrics(&graph, &EbvPartitioner::new(), 8).unwrap();
+    fn experiment_metrics_match_direct_computation() {
+        let graph = Dataset::LIVEJOURNAL.generate(Scale::Small).unwrap();
+        let partitioner = EbvPartitioner::new();
+        let results = run_experiment(
+            &graph,
+            &partitioner,
+            8,
+            &[Application::ConnectedComponents, Application::Sssp],
+        )
+        .unwrap();
+        let partition = partitioner.partition(&graph, 8).unwrap();
         let recomputed = PartitionMetrics::compute(&graph, &partition).unwrap();
-        assert_eq!(metrics, recomputed);
+        for result in results {
+            assert_eq!(result.metrics, recomputed);
+        }
     }
 }

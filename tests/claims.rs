@@ -6,6 +6,11 @@
 //! SNAP graphs on a 4-node cluster; these tests assert the *direction and
 //! rough magnitude* of each claim on the laptop-scale substitutes, which is
 //! what a reproduction on different data can meaningfully check.
+//!
+//! This file asserts thresholds on its own R-MAT(12,16) graph; it pins no
+//! exact value. The exact values of the paper's reports (`paper <name>` in
+//! `ebv-bench`) are pinned byte for byte by `crates/bench/golden/`, checked
+//! by `crates/bench/tests/golden.rs`.
 
 use ebv::algorithms::ConnectedComponents;
 use ebv::bsp::{BspEngine, CostModel, DistributedGraph};
