@@ -14,8 +14,9 @@
 //!
 //! * `EBV_BENCH_OUT` — output path (default: `BENCH_dynamic.json` at the
 //!   workspace root, regardless of the invoking directory);
-//! * `EBV_SCALE=full` — the larger workload size;
-//! * `EBV_SCALE=smoke` — a CI-sized workload (seconds, not minutes).
+//! * `EBV_SCALE` — unset for the default workload, `smoke` for a CI-sized
+//!   one (seconds, not minutes) or `full` for the larger one, in any case;
+//!   any other value is an error.
 //!
 //! The warm-vs-cold and incremental-vs-full ratios in the JSON are gated in
 //! CI by the `bench_gate` binary against `.github/bench_baseline.json`.
@@ -104,12 +105,25 @@ fn emit_json(
     out
 }
 
+/// The R-MAT `(scale, edges)` of the workload `EBV_SCALE` selects: unset is
+/// the default, `smoke` and `full` (in any case) the CI-sized and the
+/// larger one. Any other value is an error naming the variable and the
+/// value, never a silent fallback to the default workload.
+fn workload_size(value: Option<&str>) -> Result<(u32, usize), String> {
+    match value {
+        None => Ok((16, 500_000)),
+        Some(value) if value.eq_ignore_ascii_case("smoke") => Ok((13, 60_000)),
+        Some(value) if value.eq_ignore_ascii_case("full") => Ok((20, 4_000_000)),
+        Some(value) => Err(format!(
+            "EBV_SCALE must be unset, `smoke` or `full`, got {value:?}"
+        )),
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (scale, num_edges) = match std::env::var("EBV_SCALE").as_deref() {
-        Ok("full") => (20, 4_000_000),
-        Ok("smoke") => (13, 60_000),
-        _ => (16, 500_000),
-    };
+    let scale_value =
+        std::env::var_os("EBV_SCALE").map(|value| value.to_string_lossy().into_owned());
+    let (scale, num_edges) = workload_size(scale_value.as_deref())?;
     let workers = 8;
     let churn_ratio = 0.25;
     let stream = || RmatEdgeStream::new(scale, num_edges).with_seed(42);
@@ -539,7 +553,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             state_bytes: 0,
         });
         // Trace-overhead measurement: the same sequential cold CC with a
-        // live Telemetry recorder (spans into the lock-free ring + phase
+        // live Telemetry recorder (spans into the bounded ring + phase
         // histograms), gated in CI as cc_traced/cc_cold_sequential <= 1.05.
         // A single run is tens of milliseconds — short enough for one
         // scheduler preemption to fake a >5% "overhead" — so the traced
@@ -1081,4 +1095,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&out_path, &json)?;
     println!("wrote {}", out_path.display());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::workload_size;
+
+    #[test]
+    fn ebv_scale_selects_a_workload_or_is_rejected() {
+        assert_eq!(workload_size(None), Ok((16, 500_000)));
+        assert_eq!(workload_size(Some("smoke")), Ok((13, 60_000)));
+        assert_eq!(workload_size(Some("Smoke")), Ok((13, 60_000)));
+        assert_eq!(workload_size(Some("full")), Ok((20, 4_000_000)));
+        assert_eq!(workload_size(Some("FULL")), Ok((20, 4_000_000)));
+        for value in ["ful", "full ", "small", ""] {
+            let error = workload_size(Some(value)).unwrap_err();
+            assert!(error.contains("EBV_SCALE"), "{error}");
+            assert!(error.contains(&format!("{value:?}")), "{error}");
+        }
+    }
 }

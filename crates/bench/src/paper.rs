@@ -2,19 +2,23 @@
 //! evaluation-function ablation, each a [`Report`] that returns exactly what
 //! `paper <name>` prints.
 //!
-//! One [`Experiments`] computes each experiment at most once and every
-//! report renders from it: the datasets are generated once, Tables III–V
-//! read one (dataset × partitioner) CC sweep at the paper's per-graph worker
-//! counts, Table II and Figure 4 one CC sweep on livejournal-like with 4
-//! workers, and a figure panel partitions and distributes each (dataset,
-//! partitioner, workers) once and runs every application on that build.
+//! One [`Experiments`] runs each experiment at most once and every report
+//! renders from it: the datasets are generated once, and each application
+//! runs once per (dataset, workers) under each paper partitioner, whichever
+//! report asks first. Tables III–V read the CC sweep at the paper's
+//! per-graph worker counts, Table II and Figure 4 the CC sweep on
+//! livejournal-like with 4 workers, which is also Figure 2's CC row there;
+//! the ablation's full-EBV and DBH rows are cells of the Tables III–V
+//! sweep. A figure panel partitions and distributes each (dataset,
+//! partitioner, workers) once for all the applications it still lacks.
 //! `crates/bench/golden/` holds each report's exact small-scale output.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
+use std::collections::HashMap;
 use std::error::Error;
 
 use ebv_graph::{Graph, GraphStats};
-use ebv_partition::{paper_partitioners, DbhPartitioner, EbvPartitioner, EdgeOrder, Partitioner};
+use ebv_partition::{paper_partitioners, EbvPartitioner, EdgeOrder, Partitioner};
 
 use crate::datasets::{Dataset, Scale};
 use crate::report::{scientific, TextTable};
@@ -40,18 +44,18 @@ pub const REPORTS: [(&str, Report); 10] = [
     ("ablation", ablation),
 ];
 
+/// Dataset name, workers and application of one sweep.
+type SweepKey = (&'static str, usize, Application);
+
 /// The experiments of one invocation at one [`Scale`], each run the first
 /// time a report asks for it.
 pub struct Experiments {
     scale: Scale,
     /// One graph per dataset, in [`Dataset::ALL`] order.
     graphs: [OnceCell<Graph>; 4],
-    /// Tables III–V: CC on each dataset, [`Dataset::ALL`] order, under each
-    /// paper partitioner at the dataset's `table_workers`.
-    table_sweep: OnceCell<Vec<Vec<ExperimentResult>>>,
-    /// Table II and Figure 4: CC on livejournal-like with 4 workers under
-    /// each paper partitioner.
-    breakdown_sweep: OnceCell<Vec<ExperimentResult>>,
+    /// Every application run so far: one result per paper partitioner, in
+    /// roster order.
+    sweeps: RefCell<HashMap<SweepKey, Vec<ExperimentResult>>>,
 }
 
 impl Experiments {
@@ -60,8 +64,7 @@ impl Experiments {
         Experiments {
             scale,
             graphs: Default::default(),
-            table_sweep: OnceCell::new(),
-            breakdown_sweep: OnceCell::new(),
+            sweeps: RefCell::default(),
         }
     }
 
@@ -87,13 +90,47 @@ impl Experiments {
         cached(cell, || Ok(dataset.generate(self.scale)?))
     }
 
+    /// Each of `applications` on `dataset` with `workers` workers under
+    /// each paper partitioner: `[application][partitioner]`. Only the
+    /// applications no earlier call ran are run, all on one build per
+    /// partitioner.
+    fn sweep(
+        &self,
+        dataset: &Dataset,
+        workers: usize,
+        applications: &[Application],
+    ) -> Result<Vec<Vec<ExperimentResult>>> {
+        let key = |application: &Application| (dataset.name, workers, *application);
+        let missing: Vec<Application> = applications
+            .iter()
+            .filter(|a| !self.sweeps.borrow().contains_key(&key(a)))
+            .copied()
+            .collect();
+        if !missing.is_empty() {
+            let graph = self.graph(dataset)?;
+            let mut fresh = vec![Vec::new(); missing.len()];
+            for partitioner in paper_partitioners() {
+                let results = run_experiment(graph, partitioner.as_ref(), workers, &missing)?;
+                for (column, result) in fresh.iter_mut().zip(results) {
+                    column.push(result);
+                }
+            }
+            let mut sweeps = self.sweeps.borrow_mut();
+            for (application, results) in missing.iter().zip(fresh) {
+                sweeps.insert(key(application), results);
+            }
+        }
+        let sweeps = self.sweeps.borrow();
+        Ok(applications
+            .iter()
+            .map(|a| sweeps[&key(a)].clone())
+            .collect())
+    }
+
     /// CC on `dataset` with `workers` workers under each paper partitioner.
     fn cc_sweep(&self, dataset: &Dataset, workers: usize) -> Result<Vec<ExperimentResult>> {
-        let graph = self.graph(dataset)?;
-        paper_partitioners()
-            .iter()
-            .map(|p| cc(graph, p.as_ref(), workers))
-            .collect()
+        let mut sweep = self.sweep(dataset, workers, &[Application::ConnectedComponents])?;
+        Ok(sweep.remove(0))
     }
 
     /// A Tables III–V page: one row per dataset, one `cell` per paper
@@ -104,37 +141,29 @@ impl Experiments {
         cell: impl Fn(&ExperimentResult) -> String,
         note: &str,
     ) -> Result<String> {
-        let sweep = cached(&self.table_sweep, || {
-            Dataset::ALL
-                .iter()
-                .map(|d| self.cc_sweep(d, d.table_workers))
-                .collect()
-        })?;
         let mut table = TextTable::new(title);
         table.headers(partitioner_headers(&["Graph", "workers"]));
-        for (dataset, results) in Dataset::ALL.iter().zip(sweep) {
+        for dataset in Dataset::ALL {
+            let results = self.cc_sweep(&dataset, dataset.table_workers)?;
             let head = [dataset.name.to_string(), dataset.table_workers.to_string()];
             table.row(head.into_iter().chain(results.iter().map(&cell)));
         }
         page([&table], note)
     }
 
-    fn breakdown_sweep(&self) -> Result<&Vec<ExperimentResult>> {
-        cached(&self.breakdown_sweep, || {
-            self.cc_sweep(&Dataset::LIVEJOURNAL, 4)
-        })
+    /// Table II and Figure 4: CC on livejournal-like with 4 workers.
+    fn breakdown_sweep(&self) -> Result<Vec<ExperimentResult>> {
+        self.cc_sweep(&Dataset::LIVEJOURNAL, 4)
     }
 
     /// One Figure 2/3 panel per application on `dataset`: modeled execution
-    /// time per (workers, partitioner). Each partition is built once and
-    /// runs every application.
+    /// time per (workers, partitioner).
     fn panels(
         &self,
         figure: &str,
         dataset: &Dataset,
         applications: &[Application],
     ) -> Result<Vec<TextTable>> {
-        let graph = self.graph(dataset)?;
         // At the small scale a reduced sweep keeps the run short; the full
         // scale uses the paper's own per-graph worker counts.
         let sweep: &[usize] = match self.scale {
@@ -154,15 +183,12 @@ impl Experiments {
             })
             .collect();
         for &workers in sweep {
-            let mut rows = vec![vec![workers.to_string()]; applications.len()];
-            for partitioner in paper_partitioners() {
-                let results = run_experiment(graph, partitioner.as_ref(), workers, applications)?;
-                for (row, result) in rows.iter_mut().zip(results) {
-                    row.push(format!("{:.4}", result.breakdown.execution_time));
-                }
-            }
-            for (panel, row) in panels.iter_mut().zip(rows) {
-                panel.row(row);
+            let results = self.sweep(dataset, workers, applications)?;
+            for (panel, results) in panels.iter_mut().zip(results) {
+                let times = results
+                    .iter()
+                    .map(|result| format!("{:.4}", result.breakdown.execution_time));
+                panel.row([workers.to_string()].into_iter().chain(times));
             }
         }
         Ok(panels)
@@ -249,7 +275,7 @@ fn table2(x: &Experiments) -> Result<String> {
         "Execution time",
         "supersteps",
     ]);
-    for result in x.breakdown_sweep()? {
+    for result in &x.breakdown_sweep()? {
         table.row([
             result.partitioner.clone(),
             format!("{:.4}", result.breakdown.comp),
@@ -350,7 +376,7 @@ fn fig3(x: &Experiments) -> Result<String> {
 /// synchronization time, with an ASCII rendering of the Gantt chart.
 fn fig4(x: &Experiments) -> Result<String> {
     let mut tables = Vec::new();
-    for result in x.breakdown_sweep()? {
+    for result in &x.breakdown_sweep()? {
         let mut table = TextTable::new(&format!(
             "Figure 4 panel: {} (C = computation, N = network, S = synchronization)",
             result.partitioner
@@ -439,28 +465,35 @@ fn fig5(x: &Experiments) -> Result<String> {
 
 /// The evaluation-function ablation (an extension beyond the paper): EBV
 /// with the full evaluation function, replication terms only, balance terms
-/// dominating, and without or with a reversed sort, against DBH.
+/// dominating, and without or with a reversed sort, against DBH. The full
+/// EBV and DBH rows are the Tables III–V sweep's livejournal-like cells.
 fn ablation(x: &Experiments) -> Result<String> {
     let dataset = Dataset::LIVEJOURNAL;
     let graph = x.graph(&dataset)?;
     let workers = dataset.table_workers;
-    let dbh = DbhPartitioner::new();
-    let variants: [(&str, &dyn Partitioner); 6] = [
-        ("full (alpha=beta=1, sorted)", &EbvPartitioner::new()),
+    let swept = x.cc_sweep(&dataset, workers)?;
+    let from_sweep = |name: &str| {
+        let cell = swept.iter().find(|result| result.partitioner == name);
+        cell.cloned()
+            .ok_or_else(|| format!("the paper roster has no {name}"))
+    };
+    let variant = |partitioner: EbvPartitioner| cc(graph, &partitioner, workers);
+    let variants = [
+        ("full (alpha=beta=1, sorted)", from_sweep("EBV")?),
         (
             "replication-only (alpha=beta=0)",
-            &EbvPartitioner::new().with_alpha(0.0).with_beta(0.0),
+            variant(EbvPartitioner::new().with_alpha(0.0).with_beta(0.0))?,
         ),
         (
             "balance-dominated (alpha=beta=100)",
-            &EbvPartitioner::new().with_alpha(100.0).with_beta(100.0),
+            variant(EbvPartitioner::new().with_alpha(100.0).with_beta(100.0))?,
         ),
-        ("full, unsorted", &EbvPartitioner::new().unsorted()),
+        ("full, unsorted", variant(EbvPartitioner::new().unsorted())?),
         (
             "full, descending sort",
-            &EbvPartitioner::new().with_order(EdgeOrder::DegreeSumDescending),
+            variant(EbvPartitioner::new().with_order(EdgeOrder::DegreeSumDescending))?,
         ),
-        ("DBH (reference)", &dbh),
+        ("DBH (reference)", from_sweep("DBH")?),
     ];
     let mut table = TextTable::new(&format!(
         "Evaluation-function ablation on {} ({} workers)",
@@ -474,8 +507,7 @@ fn ablation(x: &Experiments) -> Result<String> {
         "CC messages",
         "modeled time (s)",
     ]);
-    for (label, partitioner) in variants {
-        let result = cc(graph, partitioner, workers)?;
+    for (label, result) in variants {
         table.row([
             label.to_string(),
             format!("{:.3}", result.metrics.edge_imbalance),

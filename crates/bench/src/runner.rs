@@ -10,7 +10,7 @@ use ebv_graph::{Graph, VertexId};
 use ebv_partition::{PartitionMetrics, Partitioner};
 
 /// The applications used in the paper's evaluation (Section V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Application {
     /// Connected Components.
     ConnectedComponents,

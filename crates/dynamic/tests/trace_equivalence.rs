@@ -1,6 +1,6 @@
 //! Property tests for the telemetry plane (PR 6 tentpole): instrumentation
 //! must be **invisible to execution**. A run with a live [`Telemetry`]
-//! recorder (spans into the lock-free ring, phase histograms, counters)
+//! recorder (spans into the bounded ring, phase histograms, counters)
 //! must produce bit-identical per-vertex values *and* an identical
 //! [`ExecutionStats`](ebv_bsp::ExecutionStats) counter structure to the
 //! same run with the no-op recorder — for CC and SSSP, cold and warm,

@@ -23,7 +23,7 @@ pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 /// apply-cost counters of the batch plus the maintained partition-quality
 /// metrics after it. Everything here is known to the epoch driver; the
 /// telemetry-derived fields (per-phase deltas, straggler ratio, span
-/// drops) are added by the journal when the mark is recorded.
+/// evictions) are added by the journal when the mark is recorded.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochMark {
     /// Mutation epoch of the distribution *after* the batch applied.
@@ -66,7 +66,7 @@ pub struct EpochSnapshot {
     /// The most recent per-superstep straggler ratio (max/mean worker
     /// compute wall-clock; 0.0 until a superstep has been finalized).
     pub straggler_ratio: f64,
-    /// Cumulative spans dropped to ring-slot contention at record time.
+    /// Cumulative spans the full span ring had evicted at record time.
     pub spans_dropped: u64,
 }
 

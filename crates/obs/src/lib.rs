@@ -14,10 +14,11 @@
 //!   extraction), snapshot-able to JSON and the Prometheus text
 //!   exposition format.
 //! * [`Telemetry`] — the real recorder: spans (epoch → superstep →
-//!   worker → phase) land in a bounded lock-free span ring with real
-//!   `Instant` timings and export as Chrome trace-event JSON loadable in
+//!   worker → phase) land in a bounded span ring with real `Instant`
+//!   timings and export as Chrome trace-event JSON loadable in
 //!   `chrome://tracing` or Perfetto, with per-(worker, phase) wall-clock
-//!   attribution and a per-superstep straggler gauge on top.
+//!   attribution and a per-superstep straggler gauge on top. The ring,
+//!   the totals and the straggler window share one `Mutex`.
 //! * [`EpochJournal`] — a bounded ring of per-epoch [`EpochSnapshot`]s
 //!   (apply cost, partition quality, per-phase deltas) fed through
 //!   [`Recorder::epoch_applied`] from the epoch driver — the process's

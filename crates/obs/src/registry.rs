@@ -2,10 +2,10 @@
 //! fixed-bucket latency histograms, snapshot-able to JSON and renderable
 //! in the Prometheus text exposition format.
 //!
-//! Everything is `std`-only and lock-free on the hot path: metric handles
-//! are plain atomics behind `Arc`s; the registry maps names to handles
-//! under an `RwLock` that is only write-locked the first time a name is
-//! seen.
+//! Everything is `std`-only. Metric handles are plain atomics behind
+//! `Arc`s; the registry maps names to handles under an `RwLock`. Every
+//! lookup by name takes its read guard, and only the first lookup of a
+//! name takes the write guard.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -590,6 +590,38 @@ mod tests {
     }
 
     #[test]
+    fn a_full_span_ring_reports_its_evictions_in_healthz_and_the_journal() {
+        let telemetry = Arc::new(Telemetry::with_capacity(crate::MetricsRegistry::new(), 4));
+        for superstep in 0..7 {
+            let ctx = SpanCtx {
+                epoch: 1,
+                superstep,
+                worker: 0,
+            };
+            telemetry.span(telemetry.start(), ctx, Phase::Scatter);
+        }
+        telemetry.epoch_applied(&EpochMark {
+            epoch: 1,
+            ..EpochMark::default()
+        });
+        assert_eq!(telemetry.spans().len(), 4);
+        assert_eq!(telemetry.dropped(), 3);
+        let journaled = telemetry.journal().last().expect("one epoch recorded");
+        assert_eq!(journaled.spans_dropped, 3);
+
+        let server = ObsServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&telemetry),
+            ObsServerConfig::default(),
+        )
+        .expect("bind");
+        let addr = server.local_addr();
+        assert!(get(addr, "/healthz").contains("\"spans_dropped\": 3,"));
+        assert!(get(addr, "/epochs.json").contains("\"spans_dropped\": 3,"));
+        server.shutdown();
+    }
+
+    #[test]
     fn healthz_reports_stale_epochs_with_503() {
         let telemetry = Arc::new(Telemetry::isolated());
         telemetry.epoch_applied(&EpochMark::default());
