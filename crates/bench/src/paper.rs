@@ -7,7 +7,8 @@
 //! runs once per (dataset, workers) under each paper partitioner, whichever
 //! report asks first. Tables III–V read the CC sweep at the paper's
 //! per-graph worker counts, Table II and Figure 4 the CC sweep on
-//! livejournal-like with 4 workers, which is also Figure 2's CC row there;
+//! livejournal-like with 4 workers, which runs beside Figure 2's PR and
+//! SSSP there on the same builds and is also Figure 2's CC row;
 //! the ablation's full-EBV and DBH rows are cells of the Tables III–V
 //! sweep. A figure panel partitions and distributes each (dataset,
 //! partitioner, workers) once for all the applications it still lacks.
@@ -151,9 +152,17 @@ impl Experiments {
         page([&table], note)
     }
 
-    /// Table II and Figure 4: CC on livejournal-like with 4 workers.
+    /// Table II and Figure 4: CC on livejournal-like with 4 workers. Figure
+    /// 2's livejournal-like panels sweep that cell at every scale, so it
+    /// runs with Figure 2's applications: one build per partitioner serves
+    /// all of them, whichever report comes first.
     fn breakdown_sweep(&self) -> Result<Vec<ExperimentResult>> {
-        self.cc_sweep(&Dataset::LIVEJOURNAL, 4)
+        let applications = Application::figure2_set();
+        let cc = (applications.iter())
+            .position(|a| *a == Application::ConnectedComponents)
+            .expect("Figure 2 runs CC");
+        let mut sweep = self.sweep(&Dataset::LIVEJOURNAL, 4, &applications)?;
+        Ok(sweep.swap_remove(cc))
     }
 
     /// One Figure 2/3 panel per application on `dataset`: modeled execution

@@ -15,6 +15,7 @@ use ebv_graph::{Edge, Graph, VertexId};
 use ebv_partition::{PartitionId, PartitionResult};
 
 use crate::error::{BspError, Result};
+use crate::exchange::RetainedPlane;
 use crate::lanes::{Job, Lanes};
 use crate::mutation_batch::MutationStats;
 use crate::replica::{MasterRule, ReplicaTable};
@@ -78,6 +79,12 @@ pub struct DistributedGraph {
     /// The lanes workers are (re)built on, with their scratches. Not
     /// structure either: a clone gets fresh ones.
     pub(crate) lanes: Lanes,
+    /// The message plane the last warm run on this graph handed back,
+    /// emptied, for the next run to start from (see
+    /// [`BspEngine::run_opts`](crate::BspEngine::run_opts)). Working memory
+    /// like `lanes`: a clone gets an empty one, and `same_structure`
+    /// ignores it.
+    pub(crate) plane: RetainedPlane,
 }
 
 impl DistributedGraph {
@@ -307,6 +314,7 @@ pub(crate) fn assemble(
         parent_state: 0,
         affected: Vec::new(),
         lanes,
+        plane: RetainedPlane::default(),
     }
 }
 

@@ -11,6 +11,17 @@
 //!   lanes by estimated cost (CSR edge counts for the first superstep, the
 //!   previous superstep's live `work` counters plus the messages waiting in
 //!   the inbound shards afterwards) instead of count-even.
+//!
+//! A job's buffers — its worker's value vector and
+//! [`WorkerMail`](crate::exchange::WorkerMail) — outlive a *warm* run: a
+//! run started with [`RunOptions::warm_seed`] that returns `Ok` empties
+//! them, keeping every capacity, and leaves them in the graph it ran on,
+//! where the next run with the same value and message types and worker
+//! count starts from them. A cold run takes them too but drops them at the
+//! end, as does a run that errors or panics, so only a graph that warm
+//! programs run on holds a plane between runs: one warm run's buffers at
+//! their high-water capacity. Values and [`ExecutionStats`] do not depend
+//! on which buffers a run starts from.
 
 pub(crate) mod schedule;
 
@@ -101,6 +112,12 @@ impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
     /// (e.g. `ebv_algorithms::IncrementalConnectedComponents`) this re-runs
     /// a fixpoint from the previous epoch's answer, activating only the
     /// region the mutations disturbed.
+    ///
+    /// A warm run that succeeds leaves its emptied buffers in the graph for
+    /// the next run on it (see [`BspEngine::run_opts`]), so a series of warm
+    /// epochs on one graph does not regrow its message plane every run; the
+    /// graph holds that memory, at the run's high-water size, until a later
+    /// run takes it.
     pub fn warm_seed(mut self, prior: &'a [V]) -> Self {
         self.warm = Some(prior);
         self
@@ -315,6 +332,17 @@ impl BspEngine {
     /// returns, so a snapshot store has staged the values by the time the
     /// caller sees the outcome.
     ///
+    /// The run takes whatever buffers `distributed` holds and starts from
+    /// them when they are of `P`'s value and message types over as many
+    /// workers; otherwise it allocates fresh ones. A run started with
+    /// [`RunOptions::warm_seed`] that returns `Ok` empties its buffers,
+    /// keeping their capacities, and leaves them in `distributed`; any other
+    /// run drops them. Until a later run takes them, the graph holds that
+    /// memory: the outbox, the `p × p` shard rows and the worklist scratch
+    /// at the largest size the run reached, plus one value per local
+    /// replica. Values and [`ExecutionStats`] are the same whichever buffers
+    /// a run starts from.
+    ///
     /// # Errors
     ///
     /// Returns [`BspError::DidNotConverge`] when a quiescence-halting program
@@ -354,15 +382,25 @@ impl BspEngine {
 
         // Per-worker state, one job per worker for the whole run; every
         // message buffer lives in its mail and is reused across supersteps
-        // (steady-state supersteps perform no per-message allocation).
+        // (steady-state supersteps perform no per-message allocation). The
+        // buffers are the ones the graph's last warm run handed back when
+        // that run had these types, and fresh ones otherwise; either way
+        // the graph holds none while this run does.
+        let (mails, values) = distributed.plane.take(num_workers).unzip();
+        let (mut mails, mut values) = (mails.into_iter().flatten(), values.into_iter().flatten());
         let mut jobs: Vec<JobOf<P>> = (distributed.subgraphs().iter().enumerate())
-            .map(|(worker, sg)| WorkerJob {
-                worker,
-                superstep: 0,
-                enqueued: None,
-                values: sg.vertices().iter().map(|&v| seed(v, sg)).collect(),
-                mail: WorkerMail::new(num_workers),
-                result: (0, 0, 0),
+            .map(|(worker, sg)| {
+                let mut values: Vec<P::Value> = values.next().unwrap_or_default();
+                values.clear();
+                values.extend(sg.vertices().iter().map(|&v| seed(v, sg)));
+                WorkerJob {
+                    worker,
+                    superstep: 0,
+                    enqueued: None,
+                    values,
+                    mail: mails.next().unwrap_or_else(|| WorkerMail::new(num_workers)),
+                    result: (0, 0, 0),
+                }
             })
             .collect();
 
@@ -489,8 +527,8 @@ impl BspEngine {
             None => Vec::new(),
         };
         let mut written = 0;
-        for (sg, job) in subgraphs.iter().zip(jobs) {
-            for (local, value) in job.values.into_iter().enumerate() {
+        for (sg, job) in subgraphs.iter().zip(&mut jobs) {
+            for (local, value) in job.values.drain(..).enumerate() {
                 if sg.is_master(local) {
                     global_values[sg.vertex_at(local).index()] = value;
                     written += 1;
@@ -498,6 +536,22 @@ impl BspEngine {
             }
         }
         debug_assert_eq!(written, global_values.len(), "one master per vertex");
+
+        // A warm run hands its plane back, emptied, for the graph's next
+        // run; a cold run drops it (see `run_opts`). Each transpose swaps
+        // every shard with its partner cell's, so after an odd number of
+        // supersteps one more brings every shard home: an identical next
+        // run then finds each buffer where it grew.
+        if prior.is_some() {
+            if stats.supersteps.len() % 2 == 1 {
+                exchange::transpose_into(&mut jobs, &mut received);
+            }
+            let plane = jobs.into_iter().map(|mut job| {
+                job.mail.empty();
+                (job.mail, job.values)
+            });
+            distributed.plane.put::<P::Message, P::Value>(plane.unzip());
+        }
 
         let outcome = BspOutcome {
             values: global_values,

@@ -9,6 +9,12 @@
 //! the worker's superstep job, which moves to the lane that runs it and
 //! back, so the matrices are whole again between supersteps.
 //!
+//! A warm run reuses them across runs as well: it hands the plane back,
+//! emptied, to the [`RetainedPlane`] of the graph it ran on, and the next
+//! run on that graph with the same value and message types starts from
+//! it. A cold run, or one that fails, keeps nothing (see
+//! [`BspEngine::run_opts`](crate::BspEngine::run_opts)).
+//!
 //! A send resolves its fan-out when the program calls it: [`fan_out`] is
 //! the one [`MessageTarget`] → route-range rule, and the send queues the
 //! message with that range of the worker's [`WorkerRoutes`], or nothing at
@@ -39,8 +45,10 @@
 //! therefore every program value and every counter in `ExecutionStats` —
 //! is bit-identical whether the workers run sequentially or pooled.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::program::MessageTarget;
 use crate::routing::WorkerRoutes;
@@ -52,15 +60,20 @@ use crate::subgraph::Subgraph;
 /// frontier kernel allocates when its subgraph is first seen, not once per
 /// superstep.
 ///
-/// The engine never reads it, and each run starts from an empty one. A
-/// kernel must leave it the way it found it — `flags` and `sums` all zero,
-/// `queue`, `changed` and `weights` empty — by clearing only the entries it
-/// touched; the capacities are what survives a superstep. `degrees` and
-/// `degree_work` are the exception: a kernel fills them once per run and
-/// reads them in every later superstep. What the entries index is the
-/// kernel's business: local vertices in the SSSP worklist kernel and in
-/// PageRank, local *components* (see [`Subgraph::local_components`]) in the
-/// CC component superstep.
+/// The engine never reads it. A run starts from a fresh one or from the
+/// one the last warm run on the same graph handed back (see
+/// [`BspEngine::run_opts`](crate::BspEngine::run_opts)): every capacity
+/// kept, `flags` and `sums` all zero but of whatever length that run left,
+/// every other vector empty and `degree_work` zero. A kernel therefore
+/// sizes `flags` and `sums` itself, and must leave the scratch the way it
+/// found it — `flags` and `sums` all zero, `queue`, `changed` and
+/// `weights` empty — by clearing only the entries it touched; the
+/// capacities are what survives a superstep. `degrees` and `degree_work`
+/// are the exception: a kernel fills them once per run and reads them in
+/// every later superstep. What the entries index is the kernel's business:
+/// local vertices in the SSSP worklist kernel and in PageRank, local
+/// *components* (see [`Subgraph::local_components`]) in the CC component
+/// superstep.
 #[derive(Debug, Default)]
 pub struct WorklistScratch {
     /// Flag bits per local vertex (per local component, in the CC
@@ -257,6 +270,80 @@ impl<M> WorkerMail<M> {
             outbound: row(),
             inbound: row(),
         }
+    }
+
+    /// Empties every buffer a finished run may have left filled, keeping
+    /// its capacity, so the next run starts as if from [`new`](Self::new).
+    /// `flags` and `sums` keep their length: the kernels return them all
+    /// zero, which is all a kernel asks of them.
+    pub(crate) fn empty(&mut self) {
+        self.outbox.clear();
+        self.outbound.iter_mut().for_each(Vec::clear);
+        self.inbound.iter_mut().for_each(Vec::clear);
+        let scratch = &mut self.scratch;
+        debug_assert!(scratch.flags.iter().all(|&flags| flags == 0));
+        debug_assert!(scratch.sums.iter().all(|&sum| sum == 0.0));
+        scratch.queue.clear();
+        scratch.changed.clear();
+        scratch.weights.clear();
+        scratch.degrees.clear();
+        scratch.degree_work = 0;
+    }
+}
+
+/// The message plane of a run: each worker's mail and value vector.
+pub(crate) type Plane<M, V> = (Vec<WorkerMail<M>>, Vec<Vec<V>>);
+
+/// The plane a graph's last warm run handed back, for the next run on the
+/// same graph to start from: its buffers are emptied but keep their
+/// capacity, so that run regrows nothing it needed before. Held by the
+/// [`DistributedGraph`](crate::DistributedGraph) between runs, which is
+/// what it costs: one warm run's buffers at their high-water capacity
+/// until a later run takes them.
+///
+/// It is working memory, not state: a clone starts empty, and neither
+/// `same_structure` nor `Debug` looks at it.
+#[derive(Default)]
+pub(crate) struct RetainedPlane {
+    /// A [`Plane`] of whichever types its run had.
+    slot: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl RetainedPlane {
+    /// Takes what the slot holds, leaving it empty, and returns it if it
+    /// is a plane of these types over `p` workers.
+    pub(crate) fn take<M: Send + 'static, V: Send + 'static>(
+        &self,
+        p: usize,
+    ) -> Option<Plane<M, V>> {
+        let held = self.lock().take()?;
+        let plane = *held.downcast::<Plane<M, V>>().ok()?;
+        (plane.0.len() == p && plane.1.len() == p).then_some(plane)
+    }
+
+    /// Puts `plane` in the slot, in place of whatever it holds.
+    pub(crate) fn put<M: Send + 'static, V: Send + 'static>(&self, plane: Plane<M, V>) {
+        *self.lock() = Some(Box::new(plane));
+    }
+
+    /// Nothing panics while the lock is held, but a poisoned slot holds a
+    /// whole plane or none anyway.
+    fn lock(&self) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A clone runs on fresh buffers: its first run requests exactly the bytes
+/// the original's first run did.
+impl Clone for RetainedPlane {
+    fn clone(&self) -> Self {
+        RetainedPlane::default()
+    }
+}
+
+impl std::fmt::Debug for RetainedPlane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RetainedPlane").finish_non_exhaustive()
     }
 }
 

@@ -183,12 +183,14 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 /// [`mail`](SubgraphContext::mail) in the next superstep and in that one
 /// only: a flat list in a fixed arrival order, which the program folds
 /// itself — the engine keeps no per-vertex mailbox. The program is generic
-/// over the vertex value type and the replica-message type.
+/// over the vertex value type and the replica-message type, both
+/// `'static` so that a warm run's buffers can wait in the graph for the
+/// next run of the same types.
 pub trait SubgraphProgram: Sync {
     /// Per-vertex state.
-    type Value: Clone + Send + Sync + std::fmt::Debug;
+    type Value: Clone + Send + Sync + std::fmt::Debug + 'static;
     /// Message exchanged between replicas of the same vertex.
-    type Message: Clone + Send + Sync + std::fmt::Debug;
+    type Message: Clone + Send + Sync + std::fmt::Debug + 'static;
 
     /// The initial value of `vertex` (called once per local replica).
     fn initial_value(&self, vertex: VertexId, subgraph: &Subgraph) -> Self::Value;

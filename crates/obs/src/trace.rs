@@ -8,12 +8,12 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::journal::{EpochJournal, EpochMark};
 use crate::recorder::{Phase, Recorder, SpanCtx};
-use crate::registry::MetricsRegistry;
+use crate::registry::{Histogram, MetricsRegistry};
 
 /// One completed span: a phase with its hierarchy coordinates and its
 /// start/duration relative to the tracer's origin instant.
@@ -134,6 +134,11 @@ impl TraceState {
 #[derive(Debug)]
 pub struct Telemetry {
     registry: MetricsRegistry,
+    /// Each phase's latency histogram in `registry`, by
+    /// [`Phase::index`], resolved by the phase's first span: a span then
+    /// observes it without a registry lookup, and a phase nothing recorded
+    /// stays out of `/metrics`.
+    histograms: [OnceLock<Arc<Histogram>>; Phase::COUNT],
     /// All span timestamps are offsets from this instant.
     origin: Instant,
     state: Mutex<TraceState>,
@@ -164,6 +169,7 @@ impl Telemetry {
     pub fn with_capacity(registry: MetricsRegistry, capacity: usize) -> Self {
         Telemetry {
             registry,
+            histograms: Default::default(),
             origin: Instant::now(),
             state: Mutex::new(TraceState {
                 spans: VecDeque::new(),
@@ -337,9 +343,9 @@ impl Recorder for Telemetry {
     fn span(&self, started: Option<Instant>, ctx: SpanCtx, phase: Phase) {
         let Some(started) = started else { return };
         let duration = started.elapsed();
-        self.registry
-            .histogram(phase.histogram_name())
-            .observe(duration.as_secs_f64());
+        let histogram = self.histograms[phase.index()]
+            .get_or_init(|| self.registry.histogram(phase.histogram_name()));
+        histogram.observe(duration.as_secs_f64());
         self.record(SpanRecord {
             phase,
             ctx,
@@ -548,6 +554,21 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].phase, Phase::Compute);
         assert_eq!(spans[0].ctx, ctx);
+    }
+
+    /// A tracer resolves each phase histogram once, and it is the
+    /// registry's: two tracers over one registry, and later spans of one
+    /// tracer, observe into the same histogram.
+    #[test]
+    fn phase_histograms_are_the_registrys() {
+        let registry = MetricsRegistry::new();
+        let tracers = [0, 1].map(|_| Telemetry::with_capacity(registry.clone(), 4));
+        for telemetry in tracers.iter().chain(&tracers) {
+            telemetry.span(telemetry.start(), SpanCtx::default(), Phase::Barrier);
+        }
+        let histogram = registry.histogram(Phase::Barrier.histogram_name());
+        assert_eq!(histogram.count(), 4);
+        assert_eq!(registry.snapshot().histograms.len(), 1);
     }
 
     #[test]
