@@ -94,9 +94,9 @@ fn a_second_warm_run_requests_its_outputs_and_a_constant() {
     assert!(first.stats.total_messages() > 1_000, "too little to carry");
 
     // Beyond its outputs the second run requests, per worker, its job, a
-    // slot in each of the scheduler's two rows and the plane's two entries
-    // it hands back (about 640 B), and per superstep the growth of the
-    // superstep list.
+    // slot in the row of per-destination delivery counts and the plane's
+    // two entries it hands back (about 630 B), and per superstep the
+    // growth of the superstep list.
     let overhead = second_bytes - output_bytes(&second, p);
     let supersteps = second.supersteps as u64;
     let constant = 768 * p as u64 + 64 * supersteps;

@@ -1,16 +1,11 @@
 //! The bulk-synchronous-parallel execution engine.
 //!
-//! The module tree splits the engine along its seams:
-//!
-//! * `mod` (this file) — the public [`BspEngine`] API and the superstep
-//!   loop: seeding, the quiescence/convergence protocol, statistics and
-//!   result extraction. Each superstep is one round of the run's lane crew
-//!   (`crate::lanes`): one owned job per worker, run on the calling thread
-//!   alone or on `min(n, workers)` scoped lanes;
-//! * [`schedule`] — the work-aware LPT scheduler that places jobs onto
-//!   lanes by estimated cost (CSR edge counts for the first superstep, the
-//!   previous superstep's live `work` counters plus the messages waiting in
-//!   the inbound shards afterwards) instead of count-even.
+//! The public [`BspEngine`] API and the superstep loop: seeding, the
+//! quiescence/convergence protocol, statistics and result extraction. Each
+//! superstep is one round of the run's lane crew (`crate::lanes`): one
+//! owned job per worker, run on the calling thread alone or on
+//! `min(n, workers)` scoped lanes, lane `l` of `L` running workers
+//! `l, l + L, …` in every superstep.
 //!
 //! A job's buffers — its worker's value vector and
 //! [`WorkerMail`](crate::exchange::WorkerMail) — outlive a *warm* run: a
@@ -22,10 +17,6 @@
 //! programs run on holds a plane between runs: one warm run's buffers at
 //! their high-water capacity. Values and [`ExecutionStats`] do not depend
 //! on which buffers a run starts from.
-
-pub(crate) mod schedule;
-
-use schedule::superstep_cost;
 
 use std::iter::repeat;
 use std::time::Instant;
@@ -219,8 +210,8 @@ pub enum ExecutionMode {
     /// Workers run on up to this many lanes (`0` is clamped to `1`):
     /// each run opens one thread scope of `min(n, workers)` lanes, the
     /// calling thread being the first, that loop over the run's
-    /// supersteps, with each superstep's workers placed by the work-aware
-    /// LPT scheduler. Constructing the engine spawns nothing. The property
+    /// supersteps, lane `l` of `L` running workers `l, l + L, …` in every
+    /// one. Constructing the engine spawns nothing. The property
     /// suites sweep this mode over lane counts to prove
     /// placement-independence.
     Pooled(usize),
@@ -417,10 +408,8 @@ impl BspEngine {
         let epoch = distributed.epoch() as u32;
         // Engine-side (barrier) spans use worker == p by convention.
         let engine_worker = num_workers as u32;
-        // Reused across supersteps: per-destination delivery counts and the
-        // scheduler's cost estimates.
+        // Reused across supersteps: per-destination delivery counts.
         let mut received: Vec<usize> = Vec::with_capacity(num_workers);
-        let mut costs: Vec<u64> = Vec::with_capacity(num_workers);
 
         let (subgraphs, tables) = (distributed.subgraphs(), routing.worker_tables());
         let work = |_: &mut (), job: &mut JobOf<P>| {
@@ -439,30 +428,21 @@ impl BspEngine {
                 // previous superstep in place, and fans its outbox out into
                 // its own row of per-destination shards along the
                 // precomputed routes — purely job-local state, which moves to
-                // its lane and back.
-                //
-                // The scheduler's cost estimate follows the frontier (see
-                // `schedule::superstep_cost`), so both structural skew (R-MAT
-                // hubs) and frontier skew (worklist algorithms) re-balance
-                // within one superstep. Placement cannot affect results.
-                let last = stats.supersteps.last();
-                costs.clear();
-                costs.extend(subgraphs.iter().enumerate().map(|(w, sg)| {
-                    let previous = last.map(|step| (step.per_worker[w].work, received[w]));
-                    superstep_cost(sg.num_edges(), previous)
-                }));
+                // its lane and back. A worker runs on the same lane every
+                // superstep; placement cannot affect results.
                 for job in &mut jobs {
                     job.superstep = superstep;
                     job.enqueued = recorder.start();
                 }
-                let panics = crew.round(&mut jobs, &costs);
+                let panics = crew.round(&mut jobs);
                 // Panics come back by worker: report the lowest panicking
                 // worker, with its own message.
                 if let Some((worker, panic)) = panics.into_iter().next() {
                     let message = panic_message(panic);
                     return Err(BspError::WorkerPanicked { worker, message });
                 }
-                recorder.gauge_set("ebv_bsp_pool_chunk_workers", crew.busiest() as f64);
+                let busiest = crew.busiest(num_workers) as f64;
+                recorder.gauge_set("ebv_bsp_pool_chunk_workers", busiest);
 
                 // --- Exchange hand-off ---------------------------------------
                 // Hand this superstep's scattered shards to the destination

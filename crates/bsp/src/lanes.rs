@@ -5,10 +5,13 @@
 //! spawns nothing. It runs rounds: every job of a round runs exactly once,
 //! its panic is caught and handed back with its index, and the jobs come
 //! back in index order, so nothing downstream can tell which lane ran
-//! which job. One lane runs a round in index order, in place; more lanes
-//! place it by [`lpt_schedule`] (cost descending, ties by index, each job
-//! on the least-loaded lane). Jobs are owned values that move to their
-//! lane and back through a mutex-guarded board; what they share — the
+//! which job. Placement is a fixed stride: of `L` lanes, lane `l` runs jobs
+//! `l, l + L, l + 2L, …` in index order, in every round, so a worker keeps
+//! its lane from superstep to superstep and every lane has a job whenever
+//! a round has as many jobs as lanes. EBV balances the workers' edges and
+//! vertices, so no run-time placement is needed on top (paper §III). Jobs
+//! are owned values that move to their lane and back through the slots of
+//! a mutex-guarded board, kept from round to round; what they share — the
 //! graph, the program, the recorder — is borrowed for the scope, and so
 //! are the lanes' own states.
 //!
@@ -37,7 +40,6 @@ use std::thread;
 use ebv_graph::Edge;
 
 use crate::engine::host_parallelism;
-use crate::engine::schedule::lpt_schedule;
 use crate::subgraph::{BuildScratch, Subgraph};
 
 /// What a lane does to one job, on its own state.
@@ -52,8 +54,9 @@ fn run<L, J>(work: Work<'_, L, J>, state: &mut L, job: &mut J) -> Option<Panic> 
 }
 
 /// What the calling lane posts and the spawned lanes hand back. Waiting on
-/// it allocates nothing (a futex), so a run requests the same bytes
-/// however its lanes interleave.
+/// it allocates nothing (a futex) and its slots are kept from round to
+/// round, so only a crew's first round allocates, and a run requests the
+/// same bytes however its lanes interleave.
 struct Board<J> {
     rounds: Mutex<Rounds<J>>,
     /// Signalled when a round is posted or the crew closes.
@@ -67,14 +70,21 @@ struct Rounds<J> {
     /// Rounds posted so far.
     posted: u64,
     closed: bool,
-    /// Spawned lane `l`'s share, `plans[l - 1]`, taken by the lane.
-    plans: Vec<Vec<(usize, J)>>,
+    /// Every job of the round by index, out of its slot while its lane
+    /// runs it.
+    slots: Vec<Option<J>>,
     /// Spawned lanes still working on their share.
     running: usize,
-    /// Every job, back by index once it ran.
-    done: Vec<Option<J>>,
     /// The panics of the round, by job index.
     panics: Vec<(usize, Panic)>,
+}
+
+impl<J> Rounds<J> {
+    /// Takes job `index` out of its slot, if the round has that many jobs.
+    fn take(&mut self, index: usize) -> Option<(usize, J)> {
+        let job = self.slots.get_mut(index)?.take().expect("taken once");
+        Some((index, job))
+    }
 }
 
 impl<J> Board<J> {
@@ -84,22 +94,30 @@ impl<J> Board<J> {
         self.rounds.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs one lane's share of a round, handing each job back.
-    fn work<L>(&self, work: Work<'_, L, J>, state: &mut L, plan: Vec<(usize, J)>) {
-        for (index, mut job) in plan {
+    /// Runs one lane's share of a round, every `lanes`-th job from `next`
+    /// on, handing each job back.
+    fn work<L>(
+        &self,
+        work: Work<'_, L, J>,
+        state: &mut L,
+        mut next: Option<(usize, J)>,
+        lanes: usize,
+    ) {
+        while let Some((index, mut job)) = next {
             let panic = run(work, state, &mut job);
             let mut rounds = self.lock();
-            rounds.done[index] = Some(job);
+            rounds.slots[index] = Some(job);
             rounds.panics.extend(panic.map(|panic| (index, panic)));
+            next = rounds.take(index + lanes);
         }
     }
 
     /// Spawned lane `lane`'s loop: its share of each posted round, until
     /// the crew closes.
-    fn lane<L>(&self, lane: usize, work: Work<'_, L, J>, mut state: L) {
+    fn lane<L>(&self, lane: usize, lanes: usize, work: Work<'_, L, J>, mut state: L) {
         let mut seen = 0;
         loop {
-            let plan = {
+            let first = {
                 let mut rounds = self.lock();
                 while rounds.posted == seen && !rounds.closed {
                     rounds = self
@@ -111,9 +129,9 @@ impl<J> Board<J> {
                     return;
                 }
                 seen = rounds.posted;
-                std::mem::take(&mut rounds.plans[lane - 1])
+                rounds.take(lane)
             };
-            self.work(work, &mut state, plan);
+            self.work(work, &mut state, first, lanes);
             let mut rounds = self.lock();
             rounds.running -= 1;
             if rounds.running == 0 {
@@ -131,8 +149,6 @@ pub(crate) struct Crew<'w, L, J> {
     /// Shared with lanes 1 onward.
     board: &'w Board<J>,
     lanes: usize,
-    /// The most jobs one lane ran in the last round.
-    busiest: usize,
 }
 
 /// Runs `body` with a crew of `min(requested, jobs)` lanes (at least one)
@@ -146,49 +162,46 @@ pub(crate) fn crew<L: Send, J: Send, T>(
     work: Work<'_, L, J>,
     body: impl FnOnce(&mut Crew<'_, L, J>) -> T,
 ) -> T {
-    let mut states = states.into_iter().take(requested.min(jobs).max(1));
+    let lanes = requested.min(jobs).max(1);
+    let mut states = states.into_iter();
     let own = states.next().expect("a state per lane");
     let board = Board {
         rounds: Mutex::new(Rounds {
             posted: 0,
             closed: false,
-            plans: Vec::new(),
+            slots: Vec::new(),
             running: 0,
-            done: Vec::new(),
             panics: Vec::new(),
         }),
         posted: Condvar::new(),
         finished: Condvar::new(),
     };
     thread::scope(|scope| {
-        let mut lanes = 1;
-        for state in states {
-            let (lane, board) = (lanes, &board);
-            scope.spawn(move || board.lane(lane, work, state));
-            lanes += 1;
-        }
+        let board = &board;
         // Dropped on return or unwind, before the scope joins: that closes
         // the board and so ends every lane's loop.
-        let board = &board;
-        body(&mut Crew {
+        let mut crew = Crew {
             own,
             work,
             board,
             lanes,
-            busiest: 0,
-        })
+        };
+        for lane in 1..lanes {
+            let state = states.next().expect("a state per lane");
+            scope.spawn(move || board.lane(lane, lanes, work, state));
+        }
+        body(&mut crew)
     })
 }
 
 impl<L, J> Crew<'_, L, J> {
-    /// Runs `work` on every job of `jobs` exactly once, job `i` priced
-    /// `costs[i]` for placement, and leaves them where they were. Returns
-    /// the panics, `(job index, payload)` in ascending index order; a job
-    /// that panicked is handed back as its panic left it.
-    pub(crate) fn round(&mut self, jobs: &mut Vec<J>, costs: &[u64]) -> Vec<(usize, Panic)> {
-        debug_assert_eq!(jobs.len(), costs.len());
+    /// Runs `work` on every job of `jobs` exactly once and leaves them
+    /// where they were. Of `L` lanes, lane `l` runs jobs `l, l + L, …` in
+    /// index order. Returns the panics, `(job index, payload)` in ascending
+    /// index order; a job that panicked is handed back as its panic left
+    /// it.
+    pub(crate) fn round(&mut self, jobs: &mut Vec<J>) -> Vec<(usize, Panic)> {
         if self.lanes == 1 {
-            self.busiest = jobs.len();
             let (work, own) = (self.work, &mut self.own);
             let panics = jobs.iter_mut().map(|job| run(work, own, job));
             let panics = panics
@@ -196,27 +209,16 @@ impl<L, J> Crew<'_, L, J> {
                 .filter_map(|(i, panic)| Some((i, panic?)));
             return panics.collect();
         }
-        let schedule = lpt_schedule(costs, self.lanes);
-        self.busiest = schedule.max_lane_tasks;
-        let mut slots: Vec<Option<J>> = jobs.drain(..).map(Some).collect();
-        let mut plans: Vec<Vec<(usize, J)>> = (schedule.lanes.iter())
-            .map(|lane| {
-                let job = |&index: &usize| (index, slots[index].take().expect("placed once"));
-                lane.iter().map(job).collect()
-            })
-            .collect();
-        plans.resize_with(self.lanes, Vec::new);
-        let own = plans.remove(0);
         let board = self.board;
-        {
+        let first = {
             let mut rounds = board.lock();
-            rounds.done = slots;
-            rounds.plans = plans;
+            rounds.slots.extend(jobs.drain(..).map(Some));
             rounds.running = self.lanes - 1;
             rounds.posted += 1;
-        }
+            rounds.take(0)
+        };
         board.posted.notify_all();
-        board.work(self.work, &mut self.own, own);
+        board.work(self.work, &mut self.own, first, self.lanes);
         let mut rounds = board.lock();
         while rounds.running > 0 {
             rounds = board
@@ -224,16 +226,19 @@ impl<L, J> Crew<'_, L, J> {
                 .wait(rounds)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        let done = std::mem::take(&mut rounds.done).into_iter();
-        jobs.extend(done.map(|job| job.expect("every job ran")));
+        let done = rounds
+            .slots
+            .drain(..)
+            .map(|job| job.expect("every job ran"));
+        jobs.extend(done);
         let mut panics = std::mem::take(&mut rounds.panics);
         panics.sort_unstable_by_key(|&(index, _)| index);
         panics
     }
 
-    /// The most jobs one lane ran in the last round.
-    pub(crate) fn busiest(&self) -> usize {
-        self.busiest
+    /// The most jobs one lane runs in a round of `jobs`: `⌈jobs / lanes⌉`.
+    pub(crate) fn busiest(&self, jobs: usize) -> usize {
+        jobs.div_ceil(self.lanes)
     }
 }
 
@@ -285,8 +290,8 @@ impl Lanes {
         }
     }
 
-    /// Runs every job, over the universe `0..n`, in one crew round priced
-    /// by edge count. Every lane readies its scratch for the longest job.
+    /// Runs every job, over the universe `0..n`, in one crew round. Every
+    /// lane readies its scratch for the longest job.
     ///
     /// # Panics
     ///
@@ -300,7 +305,6 @@ impl Lanes {
             self.scratch.resize_with(lanes, BuildScratch::default);
         }
         let longest = jobs.iter().map(|job| job.edges.len()).max().unwrap_or(0);
-        let costs: Vec<u64> = jobs.iter().map(|job| job.edges.len() as u64 + 1).collect();
         let build = |scratch: &mut &mut BuildScratch, job: &mut Job<'_>| {
             // Sized once per lane, on the lane's own thread.
             scratch.cover(n, longest);
@@ -312,7 +316,7 @@ impl Lanes {
         };
         let (count, scratch) = (self.count, self.scratch.iter_mut());
         let panics = crew(count, jobs.len(), scratch, &build, |crew| {
-            crew.round(&mut jobs, &costs)
+            crew.round(&mut jobs)
         });
         if let Some((_, panic)) = panics.into_iter().next() {
             resume_unwind(panic);

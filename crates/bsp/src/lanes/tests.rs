@@ -1,13 +1,14 @@
 //! The crew runs every job of a round once, hands each panic back with its
-//! index and keeps its lanes from round to round; and the lane count is
-//! invisible: assembly and every mutation epoch give the same distribution
-//! on one lane as on three, and every worker's local components equal a
-//! fresh [`LocalComponents::build`] of it.
+//! index and keeps job `i` on lane `i mod L` from round to round; and the
+//! lane count is invisible: assembly and every mutation epoch give the same
+//! distribution on one lane as on three, and every worker's local
+//! components equal a fresh [`LocalComponents::build`] of it.
 
 use std::collections::HashSet;
 use std::iter::repeat;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::{self, ThreadId};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -78,7 +79,7 @@ fn messages(panics: Vec<(usize, Panic)>) -> Vec<(usize, String)> {
 
 #[test]
 fn every_job_runs_once_and_comes_back_in_index_order() {
-    let costs = [5u64, 1, 9, 3, 3, 7, 2, 8];
+    let count = 8;
     for lanes in [1, 2, 3, 9] {
         // The jobs are owned; the state they share is borrowed for the
         // scope.
@@ -87,18 +88,14 @@ fn every_job_runs_once_and_comes_back_in_index_order() {
             runs.fetch_add(1, Ordering::Relaxed);
             job.1 += 1;
         };
-        let mut jobs: Vec<(usize, usize)> = (0..costs.len()).map(|job| (job, 0)).collect();
-        crew(lanes, costs.len(), repeat(()), &work, |crew| {
-            assert!(crew.round(&mut jobs, &costs).is_empty());
-            let busiest = match lanes {
-                1 => costs.len(),
-                _ => lpt_schedule(&costs, lanes).max_lane_tasks,
-            };
-            assert_eq!(crew.busiest(), busiest, "{lanes} lanes");
+        let mut jobs: Vec<(usize, usize)> = (0..count).map(|job| (job, 0)).collect();
+        crew(lanes, count, repeat(()), &work, |crew| {
+            assert!(crew.round(&mut jobs).is_empty());
+            assert_eq!(crew.busiest(count), count.div_ceil(lanes), "{lanes} lanes");
         });
-        let once: Vec<(usize, usize)> = (0..costs.len()).map(|job| (job, 1)).collect();
+        let once: Vec<(usize, usize)> = (0..count).map(|job| (job, 1)).collect();
         assert_eq!(jobs, once, "{lanes} lanes");
-        assert_eq!(runs.load(Ordering::Relaxed), costs.len(), "{lanes} lanes");
+        assert_eq!(runs.load(Ordering::Relaxed), count, "{lanes} lanes");
     }
 }
 
@@ -115,8 +112,8 @@ fn owned_jobs_run_once_while_lane_states_borrow_the_callers_counters() {
     };
     let mut jobs: Vec<Vec<usize>> = (0..10).map(|job| vec![job]).collect();
     crew(2, jobs.len(), per_lane.iter(), &work, |crew| {
-        assert!(crew.round(&mut jobs, &[1; 10]).is_empty());
-        assert_eq!(crew.busiest(), 5);
+        assert!(crew.round(&mut jobs).is_empty());
+        assert_eq!(crew.busiest(jobs.len()), 5);
     });
     // The crew returning proves every job completed.
     let lanes = per_lane.each_ref().map(|lane| lane.load(Ordering::Relaxed));
@@ -131,9 +128,7 @@ fn panics_are_attributed_per_job_lowest_first_with_their_own_message() {
     for lanes in [1, 3] {
         let work = record(&[3, 1]);
         let mut jobs = probes(4);
-        let panics = crew(lanes, 4, repeat(()), &work, |crew| {
-            crew.round(&mut jobs, &[1, 1, 1, 1])
-        });
+        let panics = crew(lanes, 4, repeat(()), &work, |crew| crew.round(&mut jobs));
         let expected = [(1, "job 1 exploded"), (3, "job 3 exploded")];
         let expected = expected.map(|(job, message)| (job, message.to_string()));
         assert_eq!(messages(panics), expected, "{lanes} lanes");
@@ -152,13 +147,9 @@ fn a_lane_that_ran_a_panicking_job_runs_the_next_round() {
     let work = record(&[0, 1]);
     crew(2, 2, repeat(()), &work, |crew| {
         let mut first = probes(2);
-        assert_eq!(
-            crew.round(&mut first, &[1, 1]).len(),
-            2,
-            "both lanes panicked"
-        );
+        assert_eq!(crew.round(&mut first).len(), 2, "both lanes panicked");
         let mut second = vec![(2, None), (3, None)];
-        assert!(crew.round(&mut second, &[1, 1]).is_empty());
+        assert!(crew.round(&mut second).is_empty());
         assert_eq!(threads(&second).len(), 2, "both lanes ran again");
         assert_eq!(threads(&second), threads(&first));
     });
@@ -166,17 +157,27 @@ fn a_lane_that_ran_a_panicking_job_runs_the_next_round() {
 
 #[test]
 fn rounds_of_one_crew_run_on_the_same_lane_threads() {
-    let work = record(&[]);
+    // Job 0 works a hundred times longer than the others: a lane pulling
+    // the next free job would take job 3 or 6 off lane 0; the stride keeps
+    // every job on its lane.
+    let work = |_: &mut (), job: &mut Probe| {
+        let micros = if job.0 == 0 { 2_000 } else { 20 };
+        thread::sleep(Duration::from_micros(micros));
+        job.1 = Some(thread::current().id());
+    };
     let here = thread::current().id();
-    crew(3, 3, repeat(()), &work, |crew| {
-        let mut first = probes(3);
-        assert!(crew.round(&mut first, &[1, 1, 1]).is_empty());
+    crew(3, 7, repeat(()), &work, |crew| {
+        let mut first = probes(7);
+        assert!(crew.round(&mut first).is_empty());
         assert_eq!(first[0].1, Some(here));
         assert_eq!(threads(&first).len(), 3);
-        // Equal costs place job `l` on lane `l`, round after round.
+        // Job `i` runs on lane `i mod 3`, round after round.
+        for (i, job) in first.iter().enumerate() {
+            assert_eq!(job.1, first[i % 3].1, "job {i}");
+        }
         for round in 1..10 {
-            let mut again = probes(3);
-            assert!(crew.round(&mut again, &[1, 1, 1]).is_empty());
+            let mut again = probes(7);
+            assert!(crew.round(&mut again).is_empty());
             assert_eq!(again, first, "round {round}");
         }
     });
@@ -190,8 +191,8 @@ fn an_empty_round_does_nothing() {
             runs.fetch_add(1, Ordering::Relaxed);
         };
         crew(lanes, 2, repeat(()), &work, |crew| {
-            assert!(crew.round(&mut Vec::new(), &[]).is_empty());
-            assert_eq!(crew.busiest(), 0);
+            assert!(crew.round(&mut Vec::new()).is_empty());
+            assert_eq!(crew.busiest(0), 0);
         });
         assert_eq!(runs.load(Ordering::Relaxed), 0, "{lanes} lanes");
     }
@@ -208,7 +209,7 @@ fn a_crew_runs_one_lane_per_job_at_most() {
             let mut seen = HashSet::new();
             for _ in 0..4 {
                 let mut round = probes(jobs);
-                assert!(crew.round(&mut round, &vec![1; jobs]).is_empty());
+                assert!(crew.round(&mut round).is_empty());
                 seen.extend(threads(&round));
             }
             seen

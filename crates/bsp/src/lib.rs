@@ -15,14 +15,15 @@
 //! * [`SubgraphProgram`] is the "think like a graph" programming interface;
 //! * [`BspEngine`] executes programs sequentially or on a crew of scoped
 //!   lanes opened for each run (the calling thread first, one thread scope
-//!   per run, each superstep one round placed by the work-aware LPT
-//!   scheduler), recording the per-worker work and message counters. The
-//!   same crew builds every worker at assembly and in every epoch; a job
-//!   owns what it writes and borrows the graph, so no thread outlives the
-//!   call that started it. There is one run call, [`BspEngine::run_opts`]:
-//!   telemetry, a warm-start seed and snapshot publication are optional
-//!   stages of its [`RunOptions`] (`run` is the no-options shorthand), and
-//!   the [`ExecutionMode`] belongs to the engine;
+//!   per run, each superstep one round in which lane `l` of `L` runs
+//!   workers `l, l + L, …`), recording the per-worker work and message
+//!   counters. The same crew builds every worker at assembly and in every
+//!   epoch; a job owns what it writes and borrows the graph, so no thread
+//!   outlives the call that started it. There is one run call,
+//!   [`BspEngine::run_opts`]: telemetry, a warm-start seed and snapshot
+//!   publication are optional stages of its [`RunOptions`] (`run` is the
+//!   no-options shorthand), and the [`ExecutionMode`] belongs to the
+//!   engine;
 //! * [`CostModel`] converts the counters into the comp/comm/ΔC/execution
 //!   breakdown of Table II and the timelines of Figure 4.
 //!
