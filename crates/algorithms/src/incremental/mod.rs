@@ -1,9 +1,9 @@
 //! Warm-start (incremental) variants of the evaluation applications.
 //!
 //! A mutation epoch (`ebv_bsp::DistributedGraph::apply_mutations`) usually
-//! disturbs a tiny fraction of the graph, yet re-running CC, PageRank or
-//! SSSP from scratch pays the full cold-start cost every time. The
-//! programs here are designed for
+//! disturbs a tiny fraction of the graph, yet re-running CC or SSSP from
+//! scratch pays the full cold-start cost every time. The two programs
+//! here are designed for
 //! [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed): they seed every
 //! vertex from the previous epoch's outcome and re-activate only the region
 //! the mutations disturbed.
@@ -38,17 +38,14 @@
 //!   The surviving settled frontier re-settles the reset region. Kept
 //!   distances are still valid upper bounds, reset ones restart from
 //!   unreachable, so the warm relaxation fixpoint is the cold answer.
-//! * [`IncrementalPageRank`] continues the power iteration from the previous
-//!   epoch's ranks. Rank mass propagates globally, so instead of a frontier
-//!   the win is iteration count: a warm start near the fixpoint needs far
-//!   fewer iterations than a cold uniform start to reach the same tolerance,
-//!   and bit-exact message gating suppresses replica traffic in regions that
-//!   have already re-converged.
+//!
+//! PageRank has no warm program: rank mass propagates globally, so there is
+//! no frontier to shrink. [`crate::PageRank`] itself can be seeded from a
+//! previous epoch's ranks through `RunOptions::warm_seed`, and then runs
+//! its fixed number of iterations from there.
 
 mod cc;
 mod distance;
-mod pagerank;
 
 pub use cc::IncrementalConnectedComponents;
 pub use distance::IncrementalSssp;
-pub use pagerank::IncrementalPageRank;

@@ -4,10 +4,11 @@
 //! applications on the subgraph-centric BSP framework: Connected Components,
 //! PageRank and Single-Source Shortest Path (Section V-A). This crate
 //! implements all three as [`SubgraphProgram`](ebv_bsp::SubgraphProgram)s,
-//! with warm-start variants for mutation epochs, and provides sequential
-//! reference implementations used to validate the distributed results for
-//! every partitioner. The graphs are unweighted, so SSSP's hop distances
-//! are BFS depths: there is no separate BFS program.
+//! with warm-start variants of CC and SSSP for mutation epochs (see
+//! [`incremental`]), and provides sequential reference implementations
+//! used to validate the distributed results for every partitioner. The
+//! graphs are unweighted, so SSSP's hop distances are BFS depths: there is
+//! no separate BFS program.
 //!
 //! ## Quick example
 //!
@@ -43,16 +44,16 @@ pub mod reference;
 mod sssp;
 
 pub use cc::ConnectedComponents;
-pub use incremental::{IncrementalConnectedComponents, IncrementalPageRank, IncrementalSssp};
+pub use incremental::{IncrementalConnectedComponents, IncrementalSssp};
 pub use pagerank::{ranks, PageRank, PageRankValue};
 pub use sssp::{SingleSourceShortestPath, UNREACHABLE};
 
 /// The old name of [`SingleSourceShortestPath`], kept only because the
 /// `ebvbench` benchmark names it, until that drops its BFS run (ROADMAP
-/// item 5(c)).
+/// item 29(c)).
 pub type BreadthFirstSearch = SingleSourceShortestPath;
 /// The old name of [`IncrementalSssp`], kept only because the `ebvbench`
-/// benchmark names it, until that drops its BFS run (ROADMAP item 5(c)).
+/// benchmark names it, until that drops its BFS run (ROADMAP item 29(c)).
 pub type IncrementalBfs = IncrementalSssp;
 
 #[cfg(test)]

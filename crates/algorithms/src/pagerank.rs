@@ -40,6 +40,11 @@ pub struct PageRankValue {
 /// directly proportional to the replication factor, which is exactly the
 /// relationship between Table III and Table IV that the paper points out.
 ///
+/// A run seeded through [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed)
+/// starts its power iteration from the prior ranks and sends the same
+/// messages: the default `warm_value` carries each prior value over, and
+/// the first gather overwrites every partial before anything reads it.
+///
 /// Dangling vertices (out-degree 0) simply stop propagating their mass, the
 /// same convention used by the sequential reference implementation in
 /// [`crate::reference::pagerank_reference`], so the two agree to floating
@@ -102,7 +107,7 @@ impl SubgraphProgram for PageRank {
         ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
         superstep: usize,
     ) -> usize {
-        pagerank_superstep(self.num_vertices, &self.out_degrees, ctx, superstep, false)
+        pagerank_superstep(self.num_vertices, &self.out_degrees, ctx, superstep)
     }
 
     fn max_supersteps(&self) -> usize {
@@ -114,10 +119,8 @@ impl SubgraphProgram for PageRank {
     }
 }
 
-/// One gather/scatter superstep of the master/mirror PageRank protocol,
-/// shared by [`PageRank`] and the warm-start variant
-/// [`crate::IncrementalPageRank`]. `out_degrees` is the global out-degree
-/// table, by vertex id.
+/// One gather/scatter superstep of [`PageRank`]'s master/mirror protocol.
+/// `out_degrees` is the global out-degree table, by vertex id.
 ///
 /// The run's first gather copies every local vertex's global out-degree
 /// into [`WorklistScratch::degrees`](ebv_bsp::WorklistScratch::degrees),
@@ -138,22 +141,13 @@ impl SubgraphProgram for PageRank {
 /// [`WorklistScratch::sums`](ebv_bsp::WorklistScratch::sums) and walks
 /// [`Subgraph::masters`]. Both scratch buffers go back clean.
 ///
-/// With `gate_stable_messages` set, two bit-exact message eliminations are
-/// applied: a mirror whose partial sum is exactly `0.0` skips the gather
-/// message (the master's fold sums incoming partials, so dropping exact
-/// zeros cannot change it), and a master whose new rank is bit-identical to
-/// its previous rank skips the scatter broadcast (mirrors already hold that
-/// rank). Both gates leave every rank bit-identical to the ungated run;
-/// they only reduce traffic in converged regions, which is where a
-/// warm-started execution spends most of its supersteps. The cold
-/// [`PageRank`] keeps them off so its message counts remain the paper's
-/// `2 · (Σ_i |V_i| − |V|)` per iteration.
-pub(crate) fn pagerank_superstep(
+/// Every mirror sends its partial and every master its new rank, so a run
+/// sends `2 · (Σ_i |V_i| − |V|)` messages per iteration, cold or warm.
+fn pagerank_superstep(
     num_vertices: usize,
     out_degrees: &[f64],
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
     superstep: usize,
-    gate_stable_messages: bool,
 ) -> usize {
     let mut sums = std::mem::take(&mut ctx.scratch().sums);
     sums.resize(ctx.subgraph().num_vertices(), 0.0);
@@ -163,9 +157,9 @@ pub(crate) fn pagerank_superstep(
             let scratch = ctx.scratch();
             scratch.degree_work = local_degrees(out_degrees, subgraph, &mut scratch.degrees);
         }
-        gather(ctx, &mut sums, gate_stable_messages)
+        gather(ctx, &mut sums)
     } else {
-        apply(num_vertices, ctx, &mut sums, gate_stable_messages)
+        apply(num_vertices, ctx, &mut sums)
     };
     ctx.scratch().sums = sums;
     updates
@@ -194,11 +188,7 @@ fn local_degrees(out_degrees: &[f64], subgraph: &Subgraph, degrees: &mut Vec<f64
 
 /// The gather half of [`pagerank_superstep`]; `sums` is all zero on entry
 /// and on exit, and the scratch holds the run's local degrees.
-fn gather(
-    ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
-    sums: &mut [f64],
-    gate_stable_messages: bool,
-) -> usize {
+fn gather(ctx: &mut SubgraphContext<'_, PageRankValue, f64>, sums: &mut [f64]) -> usize {
     // Mirrors first adopt the rank broadcast by the master at the end of
     // the previous iteration (a mirror hears from its one master).
     for (local, &rank) in ctx.mail() {
@@ -253,13 +243,10 @@ fn gather(
         value.partial = std::mem::take(sum);
         ctx.set_value(local, value);
     }
-    // Mirrors ship their partial to the master replica (a gated mirror
-    // with an exactly-zero partial stays silent).
+    // Mirrors ship their partial to the master replica.
     for &mirror in subgraph.mirrors() {
         let partial = ctx.value(mirror as usize).partial;
-        if !(gate_stable_messages && partial == 0.0) {
-            ctx.send_to_master(mirror as usize, partial);
-        }
+        ctx.send_to_master(mirror as usize, partial);
     }
     ctx.add_work(work);
     sums.len()
@@ -274,7 +261,6 @@ fn apply(
     num_vertices: usize,
     ctx: &mut SubgraphContext<'_, PageRankValue, f64>,
     sums: &mut [f64],
-    gate_stable_messages: bool,
 ) -> usize {
     for (local, &partial) in ctx.mail() {
         sums[local] += partial;
@@ -285,15 +271,11 @@ fn apply(
         // Taking the sum returns the scratch slot to zero.
         let incoming = std::mem::take(&mut sums[master]);
         let mut value = *ctx.value(master);
-        let previous_rank = value.rank;
         let total = value.partial + incoming;
         value.rank = (1.0 - DAMPING) / num_vertices as f64 + DAMPING * total;
         value.partial = 0.0;
         ctx.set_value(master, value);
-        let rank = value.rank;
-        if !(gate_stable_messages && rank.to_bits() == previous_rank.to_bits()) {
-            ctx.send_to_mirrors(master, rank);
-        }
+        ctx.send_to_mirrors(master, value.rank);
     }
     // Only masters are sent partials, so every slot written was taken.
     debug_assert!(sums.iter().all(|&sum| sum == 0.0));
@@ -322,7 +304,6 @@ pub(crate) struct EdgeScanPageRank {
     pub(crate) iterations: usize,
     pub(crate) num_vertices: usize,
     pub(crate) out_degrees: Vec<u64>,
-    pub(crate) gate_stable_messages: bool,
 }
 
 #[cfg(test)]
@@ -333,14 +314,12 @@ impl EdgeScanPageRank {
         iterations: usize,
         num_vertices: usize,
         out_degrees: &[f64],
-        gate_stable_messages: bool,
     ) -> Self {
         EdgeScanPageRank {
             damping,
             iterations,
             num_vertices,
             out_degrees: out_degrees.iter().map(|&d| d as u64).collect(),
-            gate_stable_messages,
         }
     }
 }
@@ -379,17 +358,13 @@ impl SubgraphProgram for EdgeScanPageRank {
                 }
                 let incoming: f64 = mailbox.iter().sum();
                 let mut value = *ctx.value(local);
-                let previous_rank = value.rank;
                 let total = value.partial + incoming;
                 value.rank = (1.0 - self.damping) / self.num_vertices as f64 + self.damping * total;
                 value.partial = 0.0;
                 ctx.set_value(local, value);
                 ctx.add_work(1);
                 updates += 1;
-                let rank = value.rank;
-                if !(self.gate_stable_messages && rank.to_bits() == previous_rank.to_bits()) {
-                    ctx.send_to_mirrors(local, rank);
-                }
+                ctx.send_to_mirrors(local, value.rank);
             }
             return updates;
         }
@@ -426,10 +401,7 @@ impl SubgraphProgram for EdgeScanPageRank {
             ctx.set_value(local, value);
             updates += 1;
             if !ctx.subgraph().is_master(local) {
-                let gated = self.gate_stable_messages && partial == 0.0;
-                if !gated {
-                    ctx.send_to_master(local, partial);
-                }
+                ctx.send_to_master(local, partial);
             }
         }
         updates
@@ -480,7 +452,6 @@ mod tests {
             program.iterations,
             program.num_vertices,
             &program.out_degrees,
-            false,
         )
     }
 
@@ -607,7 +578,6 @@ mod tests {
     /// mirrors' partials whose sum depends on how it is associated.
     #[test]
     fn masters_sum_their_mail_in_arrival_order_then_add_their_own_partial() {
-        use crate::IncrementalPageRank;
         use ebv_bsp::RunOptions;
         use ebv_graph::Edge;
         use ebv_partition::PartitionId;
@@ -663,13 +633,9 @@ mod tests {
             BspEngine::pooled(3),
             BspEngine::pooled(8),
         ];
-        let cold = PageRank::new(&graph, 4);
-        let warm = IncrementalPageRank::from_distributed(&dg, 4);
-        let gated_reference = EdgeScanPageRank {
-            gate_stable_messages: true,
-            ..edge_scan(&cold)
-        };
-        let prior = BspEngine::sequential().run(&dg, &cold).unwrap().values;
+        let program = PageRank::new(&graph, 4);
+        let reference = edge_scan(&program);
+        let prior = BspEngine::sequential().run(&dg, &program).unwrap().values;
         for engine in &engines {
             let context = format!("{:?}", engine.mode());
             let one = engine.run(&dg, &PageRank::new(&graph, 1)).unwrap();
@@ -679,18 +645,143 @@ mod tests {
                 "{context}"
             );
 
-            let got = engine.run(&dg, &cold).unwrap();
-            let want = engine.run(&dg, &edge_scan(&cold)).unwrap();
+            let got = engine.run(&dg, &program).unwrap();
+            let want = engine.run(&dg, &reference).unwrap();
             assert_same_outcome(&got, &want, &format!("{context}, cold"));
 
-            let got = engine.run(&dg, &warm).unwrap();
-            let want = engine.run(&dg, &gated_reference).unwrap();
-            assert_same_outcome(&got, &want, &format!("{context}, gated cold"));
-
             let options = RunOptions::new().warm_seed(&prior);
-            let got = engine.run_opts(&dg, &warm, options).unwrap();
-            let want = engine.run_opts(&dg, &gated_reference, options).unwrap();
-            assert_same_outcome(&got, &want, &format!("{context}, gated warm"));
+            let got = engine.run_opts(&dg, &program, options).unwrap();
+            let want = engine.run_opts(&dg, &reference, options).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, warm"));
+        }
+    }
+
+    /// The graph a distribution holds: each owned local edge once, parallel
+    /// copies and self-loops kept, over the distribution's universe. Its
+    /// out-degrees are the table a churned distribution's PageRank reads.
+    fn graph_of(distributed: &DistributedGraph) -> Graph {
+        let mut builder = GraphBuilder::directed();
+        builder
+            .allow_self_loops(true)
+            .num_vertices(distributed.num_vertices());
+        for sg in distributed.subgraphs() {
+            for (edge_index, edge) in sg.edges().iter().enumerate() {
+                if sg.owns_edge(edge_index) {
+                    builder.add_edge(*edge);
+                }
+            }
+        }
+        builder.build().unwrap()
+    }
+
+    /// The master and mirror lists PageRank walks are cached on the
+    /// subgraph, so a batch that moves a vertex's master off a worker it
+    /// keeps must drop them there: a stale list would keep the vertex that
+    /// worker's master, and its partial would never reach the new master.
+    #[test]
+    fn a_master_flip_on_a_kept_worker_refreshes_the_cached_role_lists() {
+        use ebv_bsp::{MutationBatch, RunOptions};
+        use ebv_graph::Edge;
+        use ebv_partition::PartitionId;
+
+        let part = PartitionId::new;
+        let assigned = |edges: &[((u64, u64), u32)]| -> Vec<(Edge, PartitionId)> {
+            edges
+                .iter()
+                .map(|&(edge, worker)| (Edge::from(edge), part(worker)))
+                .collect()
+        };
+        // Vertex 1 is held by worker 0 (two incident edges, its master)
+        // and worker 1 (one); worker 2 holds a cycle of its own.
+        let initial = assigned(&[
+            ((0, 1), 0),
+            ((1, 2), 0),
+            ((2, 0), 0),
+            ((1, 3), 1),
+            ((3, 4), 1),
+            ((4, 5), 2),
+            ((5, 6), 2),
+            ((6, 4), 2),
+        ]);
+        let additions = assigned(&[((1, 7), 1), ((7, 1), 1)]);
+        let mut distributed = DistributedGraph::build_streaming(3, None, initial).unwrap();
+        let v1 = VertexId::new(1);
+        assert_eq!(distributed.replicas().master_of(v1), part(0));
+        // A run fills every worker's role lists.
+        let before = PageRank::new(&graph_of(&distributed), 10);
+        let prior = BspEngine::sequential().run(&distributed, &before).unwrap();
+
+        let mut batch = MutationBatch::new();
+        for &(edge, worker) in &additions {
+            batch.record_insert(edge, worker);
+        }
+        let stats = distributed.apply_mutations(&batch).unwrap();
+        assert_eq!(stats.workers_touched, 1, "worker 0 is kept");
+        assert_eq!(distributed.replicas().master_of(v1), part(1));
+        let kept = distributed.subgraph(part(0));
+        let local = kept.local_index_of(v1).unwrap();
+        assert!(
+            !kept.is_master(local),
+            "the batch flips a kept worker's flag"
+        );
+
+        let program = PageRank::new(&graph_of(&distributed), 10);
+        let reference = edge_scan(&program);
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let context = format!("{:?}", engine.mode());
+            let got = engine.run(&distributed, &program).unwrap();
+            let want = engine.run(&distributed, &reference).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, cold"));
+
+            let options = RunOptions::new().warm_seed(&prior.values);
+            let got = engine.run_opts(&distributed, &program, options).unwrap();
+            let want = engine.run_opts(&distributed, &reference, options).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, warm"));
+        }
+    }
+
+    /// A batch that grows the universe and rebuilds one worker: the warm
+    /// run starts from a prior shorter than the universe, the rebuilt
+    /// worker fills its local degree table afresh from the grown global
+    /// table, and the runs, cold and warm, equal the edge scan in every
+    /// rank bit and every counter.
+    #[test]
+    fn a_universe_growing_batch_that_rebuilds_a_worker_matches_the_edge_scan() {
+        use ebv_bsp::{MutationBatch, RunOptions};
+        use ebv_graph::Edge;
+        use ebv_partition::PartitionId;
+
+        let graph = RmatGenerator::new(6, 4).with_seed(3).generate().unwrap();
+        let partition = EbvPartitioner::new().partition(&graph, 4).unwrap();
+        let mut distributed = DistributedGraph::build(&graph, &partition).unwrap();
+        let before = PageRank::new(&graph_of(&distributed), 20);
+        let prior = BspEngine::sequential().run(&distributed, &before).unwrap();
+
+        // Two new vertices, a path through them from vertex 0 back to 3,
+        // all on worker 2.
+        let n = distributed.num_vertices() as u64;
+        let mut batch = MutationBatch::new();
+        for edge in [(0, n), (n, n + 1), (n + 1, 3)] {
+            batch.record_insert(Edge::from(edge), PartitionId::new(2));
+        }
+        let stats = distributed.apply_mutations(&batch).unwrap();
+        assert_eq!(stats.workers_touched, 1);
+        assert_eq!(distributed.num_vertices(), n as usize + 2);
+        assert_eq!(prior.values.len(), n as usize);
+
+        let program = PageRank::new(&graph_of(&distributed), 20);
+        assert_eq!(program.out_degrees[0], before.out_degrees[0] + 1.0);
+        let reference = edge_scan(&program);
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let context = format!("{:?}", engine.mode());
+            let got = engine.run(&distributed, &program).unwrap();
+            let want = engine.run(&distributed, &reference).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, cold"));
+            let options = RunOptions::new().warm_seed(&prior.values);
+            let got = engine.run_opts(&distributed, &program, options).unwrap();
+            let want = engine.run_opts(&distributed, &reference, options).unwrap();
+            assert_same_outcome(&got, &want, &format!("{context}, warm"));
+            assert!(got.values[n as usize + 1].rank > 0.0);
         }
     }
 

@@ -4,7 +4,7 @@
 //! which holds no plane, in values and `ExecutionStats`.
 
 use ebv_algorithms::{
-    ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank, IncrementalSssp,
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, PageRank,
     SingleSourceShortestPath,
 };
 use ebv_bsp::{
@@ -12,7 +12,7 @@ use ebv_bsp::{
     SubgraphContext, SubgraphProgram,
 };
 use ebv_graph::generators::{GraphGenerator, RmatGenerator};
-use ebv_graph::{Edge, VertexId};
+use ebv_graph::{Edge, Graph, GraphBuilder, VertexId};
 use ebv_partition::{EbvPartitioner, PartitionId, Partitioner};
 
 const P: usize = 4;
@@ -31,6 +31,23 @@ fn distributed() -> (DistributedGraph, Vec<(Edge, PartitionId)>) {
         .collect();
     let dg = DistributedGraph::build_streaming(P, None, assigned.clone()).unwrap();
     (dg, assigned)
+}
+
+/// The graph `dg` holds: each owned local edge once, parallel copies and
+/// self-loops kept, over `dg`'s universe.
+fn graph_of(dg: &DistributedGraph) -> Graph {
+    let mut builder = GraphBuilder::directed();
+    builder
+        .allow_self_loops(true)
+        .num_vertices(dg.num_vertices());
+    for sg in dg.subgraphs() {
+        for (edge_index, edge) in sg.edges().iter().enumerate() {
+            if sg.owns_edge(edge_index) {
+                builder.add_edge(*edge);
+            }
+        }
+    }
+    builder.build().unwrap()
 }
 
 /// Every vertex its own prior label: the warm run relabels the whole graph
@@ -67,7 +84,7 @@ fn warm_cc_after_a_warm_run_of_another_program() {
     let (dg, _) = distributed();
     let engine = BspEngine::sequential();
 
-    let pagerank = IncrementalPageRank::from_distributed(&dg, 5);
+    let pagerank = PageRank::new(&graph_of(&dg), 5);
     let ranks = engine.run(&dg, &pagerank).unwrap().values;
     let options = RunOptions::new().warm_seed(&ranks);
     let first = engine.run_opts(&dg, &pagerank, options).unwrap();

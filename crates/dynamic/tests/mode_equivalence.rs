@@ -1,43 +1,60 @@
-//! Property tests for the message plane (PR 5 tentpole) and the executor
-//! seam (PR 8 tentpole): every parallel engine — `threaded()` (a pool of
-//! the host's parallelism) and `pooled(n)` swept over pool sizes
-//! `{1, 2, p, p + 3}` — must be **bit-identical** to `Sequential`: same
-//! per-vertex values *and* the same [`ExecutionStats`] (work, updates,
-//! messages sent and received per worker per superstep) — for CC, SSSP
-//! and PageRank, cold and warm (SSSP through both warm constructors), over
-//! churned R-MAT distributions.
+//! Property tests for the message plane and the lane crew: every parallel
+//! engine — `threaded()` (as many lanes as the host's parallelism) and
+//! `pooled(n)` swept over lane counts `{1, 2, p, p + 3}` — must be
+//! **bit-identical** to `Sequential`: same per-vertex values *and* the same
+//! [`ExecutionStats`] (work, updates, messages sent and received per worker
+//! per superstep) — for CC, SSSP and PageRank, cold and warm, over churned
+//! R-MAT distributions.
 //!
 //! The parallel path is a two-phase partitioned exchange over the
-//! precomputed routing table, placed onto pool lanes by the work-aware LPT
-//! scheduler; any divergence in message routing, merge order, lane
-//! placement leaking into results, or routing-table staleness after
-//! `apply_mutations` (the warm re-runs mutate the distribution between
-//! executions) shows up here as a value or counter mismatch. Pool size 1
-//! forces every worker onto one lane (the serialization extreme),
-//! `p + 3` leaves lanes idle (the oversubscribed extreme). Each engine is
-//! built once per case and reused across every program and epoch of it, the
-//! way a driver keeps its engine.
+//! precomputed routing table, run by a scoped lane crew that places worker
+//! `i` on lane `i mod L` in every round; any divergence in message routing,
+//! merge order, lane placement leaking into results, or routing-table
+//! staleness after `apply_mutations` (the warm re-runs mutate the
+//! distribution between executions) shows up here as a value or counter
+//! mismatch. One lane runs every worker on the calling thread (the
+//! serialization extreme); `p + 3` asks for more lanes than there are
+//! workers, and the crew opens only `p` (the oversubscribed extreme). Each
+//! engine is built once per case and reused across every program and epoch
+//! of it, the way a driver keeps its engine.
 
 use proptest::prelude::*;
 
 use ebv_algorithms::{
-    ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank, IncrementalSssp,
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, PageRank,
     SingleSourceShortestPath,
 };
 use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, SubgraphProgram};
 use ebv_dynamic::{ChurnStream, EventPipeline};
-use ebv_graph::{RmatEdgeStream, VertexId};
+use ebv_graph::{Graph, GraphBuilder, RmatEdgeStream, VertexId};
 use ebv_partition::{EbvPartitioner, StreamConfig};
 
 /// The parallel engines every assertion compares against the sequential
-/// reference: `threaded()` plus pools swept over the tentpole's size set
-/// `{1, 2, p, p + 3}`.
+/// reference: `threaded()` plus pooled engines of `{1, 2, p, p + 3}` lanes.
 fn parallel_engines(p: usize) -> Vec<BspEngine> {
     let mut sizes = vec![1, 2, p, p + 3];
     sizes.dedup();
     let mut engines = vec![BspEngine::threaded()];
     engines.extend(sizes.into_iter().map(BspEngine::pooled));
     engines
+}
+
+/// The graph `distributed` holds: each owned local edge once, parallel
+/// copies and self-loops kept, over its universe. A churned distribution
+/// has no global graph, and PageRank reads this one's out-degrees.
+fn graph_of(distributed: &DistributedGraph) -> Graph {
+    let mut builder = GraphBuilder::directed();
+    builder
+        .allow_self_loops(true)
+        .num_vertices(distributed.num_vertices());
+    for sg in distributed.subgraphs() {
+        for (edge_index, edge) in sg.edges().iter().enumerate() {
+            if sg.owns_edge(edge_index) {
+                builder.add_edge(*edge);
+            }
+        }
+    }
+    builder.build().unwrap()
 }
 
 /// Runs `program` (named `what` in failures) cold under every mode and
@@ -112,7 +129,7 @@ proptest! {
 
     /// Cold and warm runs of CC, SSSP and PageRank produce
     /// bit-identical values and per-worker message counters under every
-    /// execution mode — `threaded()` and pools of sizes {1, 2, p, p + 3},
+    /// execution mode — `threaded()` and {1, 2, p, p + 3} lanes,
     /// each reused for the whole case — across churned mutation epochs (the
     /// warm re-runs exercise the routing table each epoch re-derives).
     #[test]
@@ -168,7 +185,7 @@ proptest! {
 
         // PageRank exercises Master/Mirrors targets and f64 message
         // folding, where even a reordered merge would change the bits.
-        let pr = IncrementalPageRank::from_distributed(&distributed, 8);
+        let pr = PageRank::new(&graph_of(&distributed), 8);
         let cold = assert_modes_agree(&engines, &distributed, "PageRank", &pr);
         assert_modes_agree_warm(&engines, &distributed, "PageRank", &pr, &cold.values);
     }

@@ -18,8 +18,6 @@
 //! * warm-started SSSP distances carried across the same epochs
 //!   (delta-stepping-style re-activation of the precise deletion cones)
 //!   are *bit-identical* to cold runs from the same source;
-//! * warm-started PageRank seeded from pre-mutation ranks matches a cold
-//!   run of the same kernel within tolerance, with fewer replica messages;
 //! * a sliding window bounds the live edge set regardless of stream
 //!   length.
 //!
@@ -59,8 +57,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ebv::algorithms::{
-    ranks, ConnectedComponents, IncrementalConnectedComponents, IncrementalPageRank,
-    IncrementalSssp, SingleSourceShortestPath,
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, SingleSourceShortestPath,
 };
 use ebv::bsp::{
     BspEngine, BspOutcome, DistributedGraph, EnvConfig, MutationBatch, MutationStats, RunOptions,
@@ -86,11 +83,6 @@ const WINDOW: usize = 100_000;
 const SEED: u64 = 20_210_707;
 /// Root of the warm-carried SSSP outcome (the R-MAT hub vertex).
 const SOURCE: u64 = 0;
-/// Cold PageRank iteration budget…
-const PR_ITERATIONS: usize = 60;
-/// …and the far smaller warm budget that reaches the same tolerance when
-/// seeded from the previous epoch's ranks.
-const PR_WARM_ITERATIONS: usize = 15;
 
 /// The consolidated `EBV_*` environment configuration (used by CI to
 /// drive the parallel exchange path end-to-end). A malformed value is
@@ -502,13 +494,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         local_started.elapsed(),
     );
 
-    // ── Phase 2: warm PageRank across a mutation epoch ───────────────────
-    let pr_cold = engine.run_opts(
-        &distributed,
-        &IncrementalPageRank::from_distributed(&distributed, PR_ITERATIONS),
-        RunOptions::new().recorder(telemetry),
-    )?;
-    // One more churned batch on top of the ranked graph.
+    // ── Phase 2: one more churned epoch ──────────────────────────────────
     let extra = ChurnStream::new(
         RmatEdgeStream::new(SCALE, BATCH / 2).with_seed(SEED + 11),
         CHURN,
@@ -521,38 +507,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         distributed.apply_mutations_with(batch, telemetry)?;
         Ok(())
     })?;
-    // Warm-start with a quarter of the iteration budget: near the old
-    // fixpoint the contraction has that much less error to burn down.
-    let warm_program = IncrementalPageRank::from_distributed(&distributed, PR_WARM_ITERATIONS);
-    let warm_started = Instant::now();
-    let pr_warm = engine.run_opts(
-        &distributed,
-        &warm_program,
-        RunOptions::new()
-            .warm_seed(&pr_cold.values)
-            .recorder(telemetry),
-    )?;
-    let pr_warm_time = warm_started.elapsed();
-    let cold_program = IncrementalPageRank::from_distributed(&distributed, PR_ITERATIONS);
-    let cold_started = Instant::now();
-    let pr_cold_after = engine.run_opts(
-        &distributed,
-        &cold_program,
-        RunOptions::new().recorder(telemetry),
-    )?;
-    let pr_cold_time = cold_started.elapsed();
-    let max_diff = ranks(&pr_warm.values)
-        .iter()
-        .zip(ranks(&pr_cold_after.values))
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_diff < 1e-4, "warm PR drifted: max diff {max_diff}");
-    assert!(pr_warm.stats.total_messages() < pr_cold_after.stats.total_messages());
-    println!(
-        "warm PR ({pr_warm_time:.2?}) matches cold ({pr_cold_time:.2?}): max |Δrank| \
-         {max_diff:.2e}\n  warm: {}\n  cold: {}",
-        pr_warm.stats, pr_cold_after.stats,
-    );
     // Warm CC absorbed the same extra batches and still agrees.
     let warm_cc = engine.run_opts(
         &distributed,
