@@ -17,20 +17,12 @@ use crate::types::PartitionId;
 /// regardless of its degree — good worst-case behaviour for hubs, but a high
 /// replication factor overall (Table III).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CvcPartitioner {
-    salt: u64,
-}
+pub struct CvcPartitioner;
 
 impl CvcPartitioner {
-    /// Creates a CVC partitioner with the default hash salt.
+    /// Creates a CVC partitioner.
     pub fn new() -> Self {
-        CvcPartitioner { salt: 0 }
-    }
-
-    /// Uses a different hash salt.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
+        CvcPartitioner
     }
 
     /// Chooses the most square `r × c = p` grid for the given worker count.
@@ -61,8 +53,8 @@ impl Partitioner for CvcPartitioner {
             .edges()
             .iter()
             .map(|edge| {
-                let row = mix64(edge.src.raw() ^ self.salt) % rows as u64;
-                let col = mix64(edge.dst.raw() ^ self.salt.rotate_left(32)) % cols as u64;
+                let row = mix64(edge.src.raw()) % rows as u64;
+                let col = mix64(edge.dst.raw()) % cols as u64;
                 PartitionId::new((row * cols as u64 + col) as u32)
             })
             .collect();
@@ -123,14 +115,15 @@ mod tests {
 
     #[test]
     fn deterministic_per_salt() {
+        // p = 6 is a 2 × 3 grid: each edge lands on the cell its source's
+        // hash picks the row of and its target's hash the column.
         let g = RmatGenerator::new(8, 4).with_seed(1).generate().unwrap();
-        assert_eq!(
-            CvcPartitioner::new().partition(&g, 6).unwrap(),
-            CvcPartitioner::new().partition(&g, 6).unwrap()
-        );
-        assert_ne!(
-            CvcPartitioner::new().partition(&g, 6).unwrap(),
-            CvcPartitioner::new().with_salt(3).partition(&g, 6).unwrap()
-        );
+        let result = CvcPartitioner::new().partition(&g, 6).unwrap();
+        assert_eq!(result, CvcPartitioner::new().partition(&g, 6).unwrap());
+        let vc = result.as_vertex_cut().unwrap();
+        for (i, edge) in g.edges().iter().enumerate() {
+            let cell = mix64(edge.src.raw()) % 2 * 3 + mix64(edge.dst.raw()) % 3;
+            assert_eq!(vc.part_of(i).index() as u64, cell, "edge {i}");
+        }
     }
 }

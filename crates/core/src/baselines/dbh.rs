@@ -31,21 +31,12 @@ use crate::types::PartitionId;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbhPartitioner {
-    salt: u64,
-}
+pub struct DbhPartitioner;
 
 impl DbhPartitioner {
-    /// Creates a DBH partitioner with the default hash salt.
+    /// Creates a DBH partitioner.
     pub fn new() -> Self {
-        DbhPartitioner { salt: 0 }
-    }
-
-    /// Uses a different hash salt, producing a different (but still
-    /// deterministic) assignment. Useful for variance studies.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
+        DbhPartitioner
     }
 }
 
@@ -65,7 +56,7 @@ impl Partitioner for DbhPartitioner {
                 // Hash the endpoint with the lower degree; break ties toward
                 // the source so the choice stays deterministic.
                 let key = if du <= dv { edge.src } else { edge.dst };
-                let part = mix64(key.raw() ^ self.salt) % num_partitions as u64;
+                let part = mix64(key.raw()) % num_partitions as u64;
                 PartitionId::new(part as u32)
             })
             .collect();
@@ -113,15 +104,19 @@ mod tests {
 
     #[test]
     fn deterministic_per_salt() {
+        // Each edge lands where its lower-degree endpoint's hash points.
         let g = RmatGenerator::new(8, 4).with_seed(1).generate().unwrap();
         let a = DbhPartitioner::new().partition(&g, 4).unwrap();
-        let b = DbhPartitioner::new().partition(&g, 4).unwrap();
-        let c = DbhPartitioner::new()
-            .with_salt(99)
-            .partition(&g, 4)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_eq!(a, DbhPartitioner::new().partition(&g, 4).unwrap());
+        let vc = a.as_vertex_cut().unwrap();
+        for (i, edge) in g.edges().iter().enumerate() {
+            let key = if g.degree(edge.src) <= g.degree(edge.dst) {
+                edge.src
+            } else {
+                edge.dst
+            };
+            assert_eq!(vc.part_of(i).index() as u64, mix64(key.raw()) % 4);
+        }
     }
 
     #[test]

@@ -31,28 +31,14 @@ const GAMMA: f64 = 1.5;
 /// This reproduces the behaviour the paper reports: good balance, lower
 /// replication than plain hashing, but a higher replication factor than EBV
 /// on power-law graphs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GingerPartitioner {
-    salt: u64,
-}
-
-impl Default for GingerPartitioner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GingerPartitioner;
 
 impl GingerPartitioner {
     /// Creates a Ginger partitioner with the high-degree threshold
     /// 4 × average in-degree and the balance weight γ = 1.5.
     pub fn new() -> Self {
-        GingerPartitioner { salt: 0 }
-    }
-
-    /// Uses a different hash salt for the high-degree fallback.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
+        GingerPartitioner
     }
 
     /// In-degree above which a vertex is treated as high-degree.
@@ -155,7 +141,7 @@ impl Partitioner for GingerPartitioner {
                 let capacity = (1.05 * edges_per_part).ceil() as usize;
                 for &edge_index in in_edges {
                     let src = graph.edges()[edge_index].src;
-                    let hashed = (mix64(src.raw() ^ self.salt) % num_partitions as u64) as usize;
+                    let hashed = (mix64(src.raw()) % num_partitions as u64) as usize;
                     let chosen = if ecount[hashed] < capacity {
                         hashed
                     } else {

@@ -5,7 +5,7 @@
 use ebv_graph::Graph;
 
 use crate::assignment::{EdgePartition, PartitionResult};
-use crate::error::{PartitionError, Result};
+use crate::error::Result;
 use crate::membership::MembershipMatrix;
 use crate::ordering::EdgeOrder;
 use crate::partitioner::{check_partition_count, Partitioner};
@@ -17,10 +17,10 @@ use crate::types::PartitionId;
 /// term that prefers partitions already holding `u` or `v` — weighted so
 /// that the *lower-degree* endpoint counts more, pushing replication onto
 /// hubs — plus a balance term `λ · (maxsize − |E_i|) / (ε + maxsize −
-/// minsize)`. The edge goes to the highest-scoring partition.
+/// minsize)` at the original paper's `λ = 1`, so the term is written
+/// without its factor. The edge goes to the highest-scoring partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HdrfPartitioner {
-    lambda: f64,
     order: EdgeOrder,
 }
 
@@ -31,19 +31,11 @@ impl Default for HdrfPartitioner {
 }
 
 impl HdrfPartitioner {
-    /// Creates an HDRF partitioner with the original paper's default
-    /// balance weight `λ = 1`.
+    /// Creates an HDRF partitioner (balance weight `λ = 1`, input order).
     pub fn new() -> Self {
         HdrfPartitioner {
-            lambda: 1.0,
             order: EdgeOrder::Input,
         }
-    }
-
-    /// Sets the balance weight λ.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
     }
 
     /// Sets the streaming order (default: input order, as HDRF is a one-pass
@@ -51,19 +43,6 @@ impl HdrfPartitioner {
     pub fn with_order(mut self, order: EdgeOrder) -> Self {
         self.order = order;
         self
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !self.lambda.is_finite() || self.lambda < 0.0 {
-            return Err(PartitionError::InvalidParameter {
-                parameter: "lambda",
-                message: format!(
-                    "lambda must be non-negative and finite, got {}",
-                    self.lambda
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Creates the dynamic (evolving-graph) form of this partitioner, whose
@@ -74,11 +53,10 @@ impl HdrfPartitioner {
     ///
     /// # Errors
     ///
-    /// Returns [`PartitionError::InvalidParameter`] for an invalid `λ` and
-    /// [`PartitionError::InvalidPartitionCount`] for a zero partition count.
+    /// Returns [`crate::PartitionError::InvalidPartitionCount`] for a zero
+    /// partition count.
     pub fn dynamic(&self, config: crate::StreamConfig) -> Result<crate::DynamicPartitioner> {
-        self.validate()?;
-        crate::DynamicPartitioner::hdrf(self.lambda, config)
+        crate::DynamicPartitioner::hdrf(config)
     }
 }
 
@@ -89,7 +67,6 @@ impl Partitioner for HdrfPartitioner {
 
     fn partition(&self, graph: &Graph, num_partitions: usize) -> Result<PartitionResult> {
         check_partition_count(graph, num_partitions)?;
-        self.validate()?;
         const EPSILON: f64 = 1.0;
 
         let mut keep = MembershipMatrix::new(graph.num_vertices(), num_partitions);
@@ -123,8 +100,7 @@ impl Partitioner for HdrfPartitioner {
                 if keep.contains(v, part) {
                     replication += 1.0 + (1.0 - theta_v);
                 }
-                let balance =
-                    self.lambda * (max_size - edges_here as f64) / (EPSILON + max_size - min_size);
+                let balance = (max_size - edges_here as f64) / (EPSILON + max_size - min_size);
                 let score = replication + balance;
                 if score > best_score {
                     best_score = score;
@@ -149,7 +125,7 @@ impl Partitioner for HdrfPartitioner {
 mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
-    use ebv_graph::generators::{named, GraphGenerator, RmatGenerator};
+    use ebv_graph::generators::{GraphGenerator, RmatGenerator};
 
     #[test]
     fn produces_balanced_edges() {
@@ -176,31 +152,6 @@ mod tests {
         )
         .unwrap();
         assert!(hdrf.replication_factor < random.replication_factor);
-    }
-
-    #[test]
-    fn larger_lambda_improves_balance() {
-        let g = RmatGenerator::new(9, 8).with_seed(4).generate().unwrap();
-        let loose = HdrfPartitioner::new()
-            .with_lambda(0.0)
-            .partition(&g, 8)
-            .unwrap();
-        let tight = HdrfPartitioner::new()
-            .with_lambda(5.0)
-            .partition(&g, 8)
-            .unwrap();
-        let m_loose = PartitionMetrics::compute(&g, &loose).unwrap();
-        let m_tight = PartitionMetrics::compute(&g, &tight).unwrap();
-        assert!(m_tight.edge_imbalance <= m_loose.edge_imbalance + 1e-9);
-    }
-
-    #[test]
-    fn invalid_lambda_is_rejected() {
-        let g = named::figure1_graph();
-        assert!(HdrfPartitioner::new()
-            .with_lambda(-0.1)
-            .partition(&g, 2)
-            .is_err());
     }
 
     #[test]

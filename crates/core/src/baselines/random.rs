@@ -12,20 +12,12 @@ use crate::types::PartitionId;
 /// regard for structure. Perfectly balanced edges, worst-case replication —
 /// the natural lower bound every structure-aware vertex-cut must beat.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RandomVertexCutPartitioner {
-    salt: u64,
-}
+pub struct RandomVertexCutPartitioner;
 
 impl RandomVertexCutPartitioner {
-    /// Creates a random vertex-cut partitioner with the default salt.
+    /// Creates a random vertex-cut partitioner.
     pub fn new() -> Self {
-        RandomVertexCutPartitioner { salt: 0 }
-    }
-
-    /// Uses a different hash salt.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
+        RandomVertexCutPartitioner
     }
 
     /// Creates the dynamic (evolving-graph) form of this partitioner. The
@@ -39,7 +31,7 @@ impl RandomVertexCutPartitioner {
     /// Returns [`crate::PartitionError::InvalidPartitionCount`] for a zero
     /// partition count.
     pub fn dynamic(&self, config: crate::StreamConfig) -> crate::Result<crate::DynamicPartitioner> {
-        crate::DynamicPartitioner::random(self.salt, config)
+        crate::DynamicPartitioner::random(config)
     }
 }
 
@@ -55,9 +47,8 @@ impl Partitioner for RandomVertexCutPartitioner {
             .iter()
             .enumerate()
             .map(|(i, &edge)| {
-                let key = mix64(edge.src.raw())
-                    ^ mix64(edge.dst.raw().rotate_left(17))
-                    ^ mix64(i as u64 ^ self.salt);
+                let key =
+                    mix64(edge.src.raw()) ^ mix64(edge.dst.raw().rotate_left(17)) ^ mix64(i as u64);
                 PartitionId::new((mix64(key) % num_partitions as u64) as u32)
             })
             .collect();
@@ -68,20 +59,12 @@ impl Partitioner for RandomVertexCutPartitioner {
 /// Random (hash) edge-cut: every vertex is hashed to a partition, the
 /// default placement of vertex-centric systems such as Giraph/Pregel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RandomEdgeCutPartitioner {
-    salt: u64,
-}
+pub struct RandomEdgeCutPartitioner;
 
 impl RandomEdgeCutPartitioner {
-    /// Creates a random edge-cut partitioner with the default salt.
+    /// Creates a random edge-cut partitioner.
     pub fn new() -> Self {
-        RandomEdgeCutPartitioner { salt: 0 }
-    }
-
-    /// Uses a different hash salt.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
+        RandomEdgeCutPartitioner
     }
 }
 
@@ -94,7 +77,7 @@ impl Partitioner for RandomEdgeCutPartitioner {
         check_partition_count(graph, num_partitions)?;
         let assignment = graph
             .vertices()
-            .map(|v| PartitionId::new((mix64(v.raw() ^ self.salt) % num_partitions as u64) as u32))
+            .map(|v| PartitionId::new((mix64(v.raw()) % num_partitions as u64) as u32))
             .collect();
         Ok(VertexPartition::new(num_partitions, assignment)?.into())
     }
@@ -105,6 +88,7 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
     use ebv_graph::generators::{GraphGenerator, RmatGenerator};
+    use ebv_graph::GraphBuilder;
 
     #[test]
     fn random_vertex_cut_balances_edges_but_replicates_heavily() {
@@ -128,19 +112,26 @@ mod tests {
     }
 
     #[test]
-    fn both_are_deterministic_and_salt_sensitive() {
+    fn both_are_deterministic_and_position_sensitive() {
         let g = RmatGenerator::new(8, 4).with_seed(1).generate().unwrap();
+        let forward = RandomVertexCutPartitioner::new().partition(&g, 4).unwrap();
         assert_eq!(
-            RandomVertexCutPartitioner::new().partition(&g, 4).unwrap(),
+            forward,
             RandomVertexCutPartitioner::new().partition(&g, 4).unwrap()
         );
-        assert_ne!(
-            RandomVertexCutPartitioner::new().partition(&g, 4).unwrap(),
-            RandomVertexCutPartitioner::new()
-                .with_salt(5)
-                .partition(&g, 4)
-                .unwrap()
-        );
+        // The vertex-cut hash mixes in each edge's stream position, so the
+        // same edges in reverse order do not get the reversed assignment.
+        let mut builder = GraphBuilder::directed();
+        builder.num_vertices(g.num_vertices());
+        for &edge in g.edges().iter().rev() {
+            builder.add_edge(edge);
+        }
+        let backward = RandomVertexCutPartitioner::new()
+            .partition(&builder.build().unwrap(), 4)
+            .unwrap();
+        let mut undone = backward.as_vertex_cut().unwrap().assignment().to_vec();
+        undone.reverse();
+        assert_ne!(forward.as_vertex_cut().unwrap().assignment(), undone);
         assert_eq!(
             RandomEdgeCutPartitioner::new().partition(&g, 4).unwrap(),
             RandomEdgeCutPartitioner::new().partition(&g, 4).unwrap()

@@ -183,9 +183,9 @@ enum Policy {
     Ebv { alpha: f64, beta: f64 },
     /// HDRF scoring with *live* partial degrees (decremented on delete),
     /// one per vertex of the observed universe.
-    Hdrf { lambda: f64, degree: Vec<usize> },
+    Hdrf { degree: Vec<usize> },
     /// Position-independent hash of the edge endpoints.
-    Random { salt: u64 },
+    Random,
 }
 
 impl CoverLookup for DynamicPartitioner {
@@ -207,12 +207,13 @@ impl CoverLookup for DynamicPartitioner {
 }
 
 /// The deletion-oblivious Random-VC assignment: a pure hash of the edge
-/// endpoints and the salt. Unlike the batch form it deliberately does
-/// **not** mix in the stream position, so deleting unrelated edges never
-/// changes where an edge hashes — the assignment after any event sequence
-/// equals a from-scratch run over the survivors.
-fn dynamic_random_part(salt: u64, num_partitions: usize, edge: Edge) -> PartitionId {
-    let key = mix64(edge.src.raw()) ^ mix64(edge.dst.raw().rotate_left(17)) ^ mix64(salt);
+/// endpoints. Unlike the batch form it deliberately does **not** mix in
+/// the stream position, so deleting unrelated edges never changes where an
+/// edge hashes — the assignment after any event sequence equals a
+/// from-scratch run over the survivors. The `mix64(0)` term is the salt
+/// this hash was first defined with; it stays so placements do not move.
+fn dynamic_random_part(num_partitions: usize, edge: Edge) -> PartitionId {
+    let key = mix64(edge.src.raw()) ^ mix64(edge.dst.raw().rotate_left(17)) ^ mix64(0);
     PartitionId::new((mix64(key) % num_partitions as u64) as u32)
 }
 
@@ -281,18 +282,12 @@ impl DynamicPartitioner {
         Self::new(Policy::Ebv { alpha, beta }, config)
     }
 
-    pub(crate) fn hdrf(lambda: f64, config: StreamConfig) -> Result<Self> {
-        Self::new(
-            Policy::Hdrf {
-                lambda,
-                degree: Vec::new(),
-            },
-            config,
-        )
+    pub(crate) fn hdrf(config: StreamConfig) -> Result<Self> {
+        Self::new(Policy::Hdrf { degree: Vec::new() }, config)
     }
 
-    pub(crate) fn random(salt: u64, config: StreamConfig) -> Result<Self> {
-        Self::new(Policy::Random { salt }, config)
+    pub(crate) fn random(config: StreamConfig) -> Result<Self> {
+        Self::new(Policy::Random, config)
     }
 
     /// A short, stable name used in reports (e.g. `"EBV-dynamic"`).
@@ -300,7 +295,7 @@ impl DynamicPartitioner {
         match self.policy {
             Policy::Ebv { .. } => "EBV-dynamic".to_string(),
             Policy::Hdrf { .. } => "HDRF-dynamic".to_string(),
-            Policy::Random { .. } => "Random-VC-dynamic".to_string(),
+            Policy::Random => "Random-VC-dynamic".to_string(),
         }
     }
 
@@ -352,7 +347,7 @@ impl DynamicPartitioner {
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         let degrees = match &self.policy {
-            Policy::Hdrf { degree, .. } => degree.capacity(),
+            Policy::Hdrf { degree } => degree.capacity(),
             _ => 0,
         };
         self.log.state_bytes()
@@ -375,7 +370,7 @@ impl DynamicPartitioner {
         if cells > self.refs.len() {
             self.refs.resize(cells, 0);
         }
-        if let Policy::Hdrf { degree, .. } = &mut self.policy {
+        if let Policy::Hdrf { degree } = &mut self.policy {
             if vertices > degree.len() {
                 degree.resize(vertices, 0);
             }
@@ -415,15 +410,14 @@ impl DynamicPartitioner {
                 let vertices_per_part = self.num_vertices() as f64 / p as f64;
                 ebv_best_part(self, alpha, beta, edges_per_part, vertices_per_part, u, v)
             }
-            Policy::Hdrf { lambda, degree } => {
-                let lambda = *lambda;
+            Policy::Hdrf { degree } => {
                 degree[u.index()] += 1;
                 degree[v.index()] += 1;
                 let du = degree[u.index()] as f64;
                 let dv = degree[v.index()] as f64;
-                hdrf_best_part(self, lambda, du, dv, u, v)
+                hdrf_best_part(self, du, dv, u, v)
             }
-            Policy::Random { salt } => dynamic_random_part(*salt, p, edge),
+            Policy::Random => dynamic_random_part(p, edge),
         }
     }
 
@@ -473,7 +467,7 @@ impl DynamicPartitioner {
             });
         };
         self.unrecord(edge, part);
-        if let Policy::Hdrf { degree, .. } = &mut self.policy {
+        if let Policy::Hdrf { degree } = &mut self.policy {
             for v in [edge.src, edge.dst] {
                 degree[v.index()] = degree[v.index()]
                     .checked_sub(1)
@@ -542,7 +536,7 @@ impl DynamicPartitioner {
             }
             // The insert path minus scoring.
             self.record(edge, part);
-            if let Policy::Hdrf { degree, .. } = &mut self.policy {
+            if let Policy::Hdrf { degree } = &mut self.policy {
                 // `place` bumps both endpoints per insertion (a self-loop
                 // counts twice), and `delete` undoes it symmetrically, so
                 // live-copy replay lands on the original live degrees.

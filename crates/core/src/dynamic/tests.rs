@@ -122,7 +122,6 @@ fn metrics_stay_exact_under_interleaved_churn() {
 fn dynamic_random_is_history_oblivious() {
     let g = RmatGenerator::new(7, 6).with_seed(5).generate().unwrap();
     let mut dynamic = RandomVertexCutPartitioner::new()
-        .with_salt(11)
         .dynamic(StreamConfig::new(6))
         .unwrap();
     for &e in g.edges() {
@@ -133,7 +132,6 @@ fn dynamic_random_is_history_oblivious() {
     }
     let survivors: Vec<(Edge, PartitionId)> = dynamic.surviving().collect();
     let mut fresh = RandomVertexCutPartitioner::new()
-        .with_salt(11)
         .dynamic(StreamConfig::new(6))
         .unwrap();
     for &(e, expected) in &survivors {
@@ -295,11 +293,9 @@ fn rebalancer_restores_edge_balance() {
 
 #[test]
 fn consolidation_sweep_reduces_replication() {
-    // Spread copies of a small clique across partitions with the
-    // position-dependent streaming-style churn, then ask the rebalancer
-    // to consolidate.
-    let mut dynamic = HdrfPartitioner::new()
-        .with_lambda(50.0)
+    // Scatter copies of a small clique across partitions by hashing, then
+    // ask the rebalancer to consolidate.
+    let mut dynamic = RandomVertexCutPartitioner::new()
         .dynamic(StreamConfig::new(4))
         .unwrap();
     for s in 0..6u64 {
@@ -384,10 +380,6 @@ fn invalid_configs_are_rejected() {
         .with_alpha(-1.0)
         .dynamic(StreamConfig::new(2))
         .is_err());
-    assert!(HdrfPartitioner::new()
-        .with_lambda(f64::NAN)
-        .dynamic(StreamConfig::new(2))
-        .is_err());
     let mut dynamic = EbvPartitioner::new().dynamic(StreamConfig::new(2)).unwrap();
     dynamic.insert(edge(0, 1));
     let bad = RebalanceConfig::new()
@@ -461,17 +453,9 @@ struct MapOracle {
 }
 
 enum OraclePolicy {
-    Ebv {
-        alpha: f64,
-        beta: f64,
-    },
-    Hdrf {
-        lambda: f64,
-        degree: HashMap<VertexId, usize>,
-    },
-    Random {
-        salt: u64,
-    },
+    Ebv { alpha: f64, beta: f64 },
+    Hdrf { degree: HashMap<VertexId, usize> },
+    Random,
 }
 
 impl CoverLookup for MapOracle {
@@ -496,11 +480,10 @@ impl MapOracle {
                 alpha: *alpha,
                 beta: *beta,
             },
-            Policy::Hdrf { lambda, .. } => OraclePolicy::Hdrf {
-                lambda: *lambda,
+            Policy::Hdrf { .. } => OraclePolicy::Hdrf {
                 degree: HashMap::new(),
             },
-            Policy::Random { salt } => OraclePolicy::Random { salt: *salt },
+            Policy::Random => OraclePolicy::Random,
         };
         MapOracle {
             policy,
@@ -523,7 +506,7 @@ impl MapOracle {
     }
 
     fn bump_degrees(&mut self, edge: Edge) {
-        if let OraclePolicy::Hdrf { degree, .. } = &mut self.policy {
+        if let OraclePolicy::Hdrf { degree } = &mut self.policy {
             *degree.entry(edge.src).or_insert(0) += 1;
             *degree.entry(edge.dst).or_insert(0) += 1;
         }
@@ -544,10 +527,10 @@ impl MapOracle {
                 let vertices_per_part = self.num_vertices() as f64 / p as f64;
                 ebv_best_part(self, *alpha, *beta, edges_per_part, vertices_per_part, u, v)
             }
-            OraclePolicy::Hdrf { lambda, degree } => {
-                hdrf_best_part(self, *lambda, degree[&u] as f64, degree[&v] as f64, u, v)
+            OraclePolicy::Hdrf { degree } => {
+                hdrf_best_part(self, degree[&u] as f64, degree[&v] as f64, u, v)
             }
-            OraclePolicy::Random { salt } => dynamic_random_part(*salt, p, edge),
+            OraclePolicy::Random => dynamic_random_part(p, edge),
         };
         self.record(edge, part);
         part
@@ -586,7 +569,7 @@ impl MapOracle {
                 map.remove(&v);
             }
         }
-        if let OraclePolicy::Hdrf { degree, .. } = &mut self.policy {
+        if let OraclePolicy::Hdrf { degree } = &mut self.policy {
             for v in [edge.src, edge.dst] {
                 *degree.get_mut(&v).unwrap() -= 1;
                 if degree[&v] == 0 {

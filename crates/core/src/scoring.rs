@@ -63,13 +63,12 @@ pub(crate) fn ebv_best_part(
 }
 
 /// HDRF's score: the partition maximizing degree-weighted replica reuse
-/// plus the λ-weighted load balance term. `du`/`dv` are the endpoints'
+/// plus the load balance term at `λ = 1`. `du`/`dv` are the endpoints'
 /// partial degrees *including* the edge being placed. Ties go to the lowest
 /// partition index.
 #[inline]
 pub(crate) fn hdrf_best_part(
     state: &impl CoverLookup,
-    lambda: f64,
     du: f64,
     dv: f64,
     u: VertexId,
@@ -91,7 +90,7 @@ pub(crate) fn hdrf_best_part(
         if state.covers(v, i) {
             replication += 1.0 + (1.0 - theta_v);
         }
-        let balance = lambda * (max_size - edges as f64) / (EPSILON + max_size - min_size);
+        let balance = (max_size - edges as f64) / (EPSILON + max_size - min_size);
         let score = replication + balance;
         if score > best_score {
             best_score = score;

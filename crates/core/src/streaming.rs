@@ -15,7 +15,9 @@
 //!   metrics alike. Without hints it runs in a self-normalizing online mode
 //!   (balance terms normalized by the stream seen so far).
 //! * **HDRF**: bit-identical to [`HdrfPartitioner`](crate::HdrfPartitioner)
-//!   in its default input order — HDRF was a one-pass algorithm all along.
+//!   in its default input order: both forms score with partial degrees
+//!   and the live loads at the same fixed `λ = 1`. HDRF was a one-pass
+//!   algorithm all along.
 
 use ebv_graph::EdgeSource;
 

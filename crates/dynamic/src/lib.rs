@@ -18,12 +18,12 @@
 //!     │                  └─ ebv_partition::dynamic (EBV, HDRF, Random;
 //!     │                     exact decremental metrics, rebalancer)
 //!     ├─ InsertEvents(any ebv-graph EdgeSource)
-//!     ├─ SlidingWindow · TumblingWindow   (bounded live edge set)
+//!     ├─ SlidingWindow                    (bounded live edge set)
 //!     └─ ChurnStream                      (randomized insert/delete mix)
 //!
-//!        EventPipeline drives the flow batch-by-batch and records
-//!        delta-metrics after every batch; batch_from_plan() replays
-//!        rebalance migrations downstream.
+//!        EventPipeline drives the flow batch-by-batch and hands each
+//!        batch its delta-metrics; batch_from_plan() replays rebalance
+//!        migrations downstream.
 //! ```
 //!
 //! A plain stream is the insert-only case: [`InsertEvents`] wraps any
@@ -89,6 +89,6 @@ pub use churn::ChurnStream;
 pub use error::{DynamicError, Result};
 pub use event::{events, EventSource, EventVec, GraphEvent, InsertEvents};
 pub use pipeline::{
-    batch_from_plan, confined_deletion_batch, BatchReport, EpochOptions, EventPipeline, EventReport,
+    batch_from_plan, confined_deletion_batch, EpochOptions, EventPipeline, EventReport,
 };
-pub use window::{SlidingWindow, TumblingWindow};
+pub use window::SlidingWindow;

@@ -150,16 +150,15 @@ impl EventPipeline {
                 }
             }
             if batch_inserts + batch_deletes == self.batch_size {
-                let metrics = partitioner.metrics();
                 on_batch(
                     &batch,
-                    metrics,
+                    partitioner.metrics(),
                     batch_inserts,
                     batch_deletes,
                     partitioner,
                     decide_started,
                 )?;
-                report.push(batch_inserts, batch_deletes, metrics);
+                report.count(batch_inserts, batch_deletes);
                 batch = MutationBatch::new();
                 batch_inserts = 0;
                 batch_deletes = 0;
@@ -167,16 +166,15 @@ impl EventPipeline {
             }
         }
         if batch_inserts + batch_deletes > 0 {
-            let metrics = partitioner.metrics();
             on_batch(
                 &batch,
-                metrics,
+                partitioner.metrics(),
                 batch_inserts,
                 batch_deletes,
                 partitioner,
                 decide_started,
             )?;
-            report.push(batch_inserts, batch_deletes, metrics);
+            report.count(batch_inserts, batch_deletes);
         }
         Ok(report)
     }
@@ -517,42 +515,20 @@ pub fn confined_deletion_batch(
     Ok(batch)
 }
 
-/// The running metrics recorded after one event batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchReport {
-    /// 0-based index of the batch.
-    pub batch_index: usize,
-    /// Insertions the batch carried.
-    pub inserts: usize,
-    /// Deletions the batch carried.
-    pub deletes: usize,
-    /// Maintained delta-metrics after the batch.
-    pub metrics: PartitionMetrics,
-}
-
-/// The outcome of one pipeline run: how much churned, batch by batch.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The outcome of one pipeline run: how many events it carried. Each
+/// batch's metrics go to the callback as the batch closes; the report
+/// keeps no per-batch history, so it stays two counters on an unbounded
+/// source.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventReport {
-    batches: Vec<BatchReport>,
     total_inserts: usize,
     total_deletes: usize,
 }
 
 impl EventReport {
-    fn push(&mut self, inserts: usize, deletes: usize, metrics: PartitionMetrics) {
-        self.batches.push(BatchReport {
-            batch_index: self.batches.len(),
-            inserts,
-            deletes,
-            metrics,
-        });
+    fn count(&mut self, inserts: usize, deletes: usize) {
         self.total_inserts += inserts;
         self.total_deletes += deletes;
-    }
-
-    /// Per-batch reports in stream order.
-    pub fn batches(&self) -> &[BatchReport] {
-        &self.batches
     }
 
     /// Total insertions across the run.
@@ -563,11 +539,6 @@ impl EventReport {
     /// Total deletions across the run.
     pub fn total_deletes(&self) -> usize {
         self.total_deletes
-    }
-
-    /// The metrics after the final batch, or `None` for an empty stream.
-    pub fn final_metrics(&self) -> Option<PartitionMetrics> {
-        self.batches.last().map(|b| b.metrics)
     }
 }
 

@@ -41,16 +41,21 @@ fn batch_size_controls_emission() {
     let mut partitioner = EbvPartitioner::new()
         .dynamic(StreamConfig::for_source(&stream, 4))
         .unwrap();
-    let report = EventPipeline::new(256)
-        .run(InsertEvents::new(stream), &mut partitioner, |_, _| Ok(()))
+    let mut batches = Vec::new();
+    EventPipeline::new(256)
+        .run(
+            InsertEvents::new(stream),
+            &mut partitioner,
+            |batch, metrics| {
+                batches.push((batch.added().len(), metrics));
+                Ok(())
+            },
+        )
         .unwrap();
     // 1000 = 3 × 256 + 232: four batches, the last one short.
-    assert_eq!(report.batches().len(), 4);
-    assert_eq!(report.batches()[3].inserts, 1000 - 3 * 256);
-    assert_eq!(report.final_metrics().unwrap(), partitioner.metrics());
-    for w in report.batches().windows(2) {
-        assert!(w[0].batch_index < w[1].batch_index);
-    }
+    assert_eq!(batches.len(), 4);
+    assert_eq!(batches[3].0, 1000 - 3 * 256);
+    assert_eq!(batches[3].1, partitioner.metrics());
 }
 
 #[test]
@@ -61,20 +66,23 @@ fn chunk_size_does_not_change_the_result() {
         let mut partitioner = EbvPartitioner::new()
             .dynamic(StreamConfig::for_source(&source, 4))
             .unwrap();
+        let mut carried = 0;
         let report = EventPipeline::new(batch_size)
-            .run(InsertEvents::new(source), &mut partitioner, |_, _| Ok(()))
+            .run(InsertEvents::new(source), &mut partitioner, |batch, _| {
+                carried += batch.added().len();
+                Ok(())
+            })
             .unwrap();
-        (partitioner.snapshot().unwrap(), report)
+        (partitioner.snapshot().unwrap(), report, carried)
     };
-    let (reference, _) = run(usize::MAX);
+    let (reference, _, _) = run(usize::MAX);
     // 1 exercises the degenerate batching, 7 a non-divisor, 64 an exact
     // divisor of 1024-edge scales, huge a single batch.
     for batch_size in [1usize, 7, 64, 1 << 20] {
-        let (result, report) = run(batch_size);
+        let (result, report, carried) = run(batch_size);
         assert_eq!(result, reference, "batch size {batch_size}");
         assert_eq!(report.total_inserts(), graph.num_edges());
-        let reported: usize = report.batches().iter().map(|b| b.inserts).sum();
-        assert_eq!(reported, graph.num_edges());
+        assert_eq!(carried, graph.num_edges());
     }
 }
 
@@ -85,21 +93,26 @@ fn chunk_reports_cover_boundaries() {
         .dynamic(StreamConfig::for_source(&source, 4))
         .unwrap();
     let mut added_per_batch = Vec::new();
+    let mut replication = Vec::new();
     let report = EventPipeline::new(256)
-        .run(InsertEvents::new(source), &mut partitioner, |batch, _| {
-            added_per_batch.push(batch.added().len());
-            Ok(())
-        })
+        .run(
+            InsertEvents::new(source),
+            &mut partitioner,
+            |batch, metrics| {
+                assert!(batch.removed().is_empty());
+                added_per_batch.push(batch.added().len());
+                replication.push(metrics.replication_factor);
+                Ok(())
+            },
+        )
         .unwrap();
     // 1000 = 3 × 256 + 232: four batches, the last one short.
     assert_eq!(added_per_batch, [256, 256, 256, 1000 - 3 * 256]);
-    assert_eq!(report.batches()[2].inserts, 256);
-    assert!(report.batches().iter().all(|b| b.deletes == 0));
+    assert_eq!(report.total_deletes(), 0);
     assert_eq!(partitioner.live_edges(), 1000);
     // Replication factor is non-decreasing batch over batch.
-    for w in report.batches().windows(2) {
-        assert!(w[0].metrics.replication_factor <= w[1].metrics.replication_factor + 1e-12);
-        assert!(w[0].batch_index < w[1].batch_index);
+    for w in replication.windows(2) {
+        assert!(w[0] <= w[1] + 1e-12);
     }
 }
 
@@ -148,9 +161,7 @@ fn empty_stream_produces_an_empty_run() {
             panic!("an empty stream emits no batch")
         })
         .unwrap();
-    assert!(report.batches().is_empty());
-    assert_eq!(report.total_inserts() + report.total_deletes(), 0);
-    assert_eq!(report.final_metrics(), None);
+    assert_eq!(report, EventReport::default());
     let result = partitioner.snapshot().unwrap();
     assert_eq!(result.num_partitions(), 3);
     assert_eq!(result.as_vertex_cut().unwrap().num_edges(), 0);
@@ -195,13 +206,14 @@ fn run_applied_drives_incremental_epochs() {
         .unwrap();
     let mut distributed = ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
     let churn = ChurnStream::new(stream, 0.2).unwrap().with_seed(3);
-    let mut epochs = 0usize;
-    let report = EventPipeline::new(300)
+    let (mut batches, mut epochs) = (0usize, 0usize);
+    EventPipeline::new(300)
         .run_applied(
             churn,
             &mut partitioner,
             &mut distributed,
             |dg, batch, metrics, stats| {
+                batches += 1;
                 assert!(metrics.edge_imbalance >= 1.0);
                 assert_eq!(dg.num_workers(), 4);
                 if batch.is_empty() {
@@ -216,7 +228,7 @@ fn run_applied_drives_incremental_epochs() {
             },
         )
         .unwrap();
-    assert!(report.batches().len() >= epochs);
+    assert!(batches >= epochs);
     assert_eq!(distributed.epoch(), epochs, "only non-empty batches count");
     assert_eq!(distributed.num_edges(), partitioner.live_edges());
 }
@@ -232,12 +244,16 @@ fn every_batch_records_a_partition_decide_span_before_its_apply() {
     let mut distributed = ebv_bsp::DistributedGraph::build_streaming(4, None, Vec::new()).unwrap();
     let churn = ChurnStream::new(stream, 0.2).unwrap().with_seed(3);
     let telemetry = Telemetry::isolated();
-    let report = EventPipeline::new(300)
+    let mut batches = 0;
+    EventPipeline::new(300)
         .run_applied_opts(
             churn,
             &mut partitioner,
             &mut distributed,
-            |_, _, _, _| Ok(()),
+            |_, _, _, _| {
+                batches += 1;
+                Ok(())
+            },
             EpochOptions::new().recorder(&telemetry),
         )
         .unwrap();
@@ -250,7 +266,7 @@ fn every_batch_records_a_partition_decide_span_before_its_apply() {
     let decides = of(Phase::PartitionDecide);
     // One span per batch, on the same track and epoch as the apply it
     // precedes, in batch order.
-    assert_eq!(decides.len(), report.batches().len());
+    assert_eq!(decides.len(), batches);
     assert_eq!(decides, of(Phase::EpochApply));
     for (index, ctx) in decides.iter().enumerate() {
         assert_eq!(ctx.superstep, index as u32);

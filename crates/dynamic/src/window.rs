@@ -1,16 +1,11 @@
-//! Window sources: turn a plain edge stream into a mutation stream whose
-//! live edge set is bounded by a window.
+//! The window source: turns a plain edge stream into a mutation stream
+//! whose live edge set is bounded by a window.
 //!
-//! * [`SlidingWindow`] keeps the most recent `capacity` edges: once full,
-//!   each arrival first evicts (deletes) the oldest live edge, then inserts
-//!   the new one.
-//! * [`TumblingWindow`] processes the stream in back-to-back windows of
-//!   `capacity` edges: when a window fills, the *entire* previous window is
-//!   evicted before the next window starts inserting.
-//!
-//! Both preserve the underlying arrival order for insertions and emit
-//! deletions oldest-first, so the surviving edge multiset after draining
-//! the source is exactly the final window.
+//! [`SlidingWindow`] keeps the most recent `capacity` edges: once full,
+//! each arrival first evicts (deletes) the oldest live edge, then inserts
+//! the new one. It preserves the underlying arrival order for insertions
+//! and emits deletions oldest-first, so the surviving edge multiset after
+//! draining the source is exactly the final window.
 
 use std::collections::VecDeque;
 
@@ -18,16 +13,6 @@ use ebv_graph::{Edge, EdgeSource};
 
 use crate::error::{DynamicError, Result};
 use crate::event::{EventSource, GraphEvent};
-
-fn validate_capacity(capacity: usize) -> Result<()> {
-    if capacity == 0 {
-        return Err(DynamicError::InvalidParameter {
-            parameter: "capacity",
-            message: "a window must hold at least one edge".to_string(),
-        });
-    }
-    Ok(())
-}
 
 /// A sliding window of the most recent `capacity` edges: once full, each
 /// arrival first evicts (deletes) the oldest live edge, then inserts the
@@ -65,7 +50,12 @@ impl<S: EdgeSource> SlidingWindow<S> {
     ///
     /// Returns [`DynamicError::InvalidParameter`] for a zero capacity.
     pub fn new(source: S, capacity: usize) -> Result<Self> {
-        validate_capacity(capacity)?;
+        if capacity == 0 {
+            return Err(DynamicError::InvalidParameter {
+                parameter: "capacity",
+                message: "a window must hold at least one edge".to_string(),
+            });
+        }
         Ok(SlidingWindow {
             source,
             capacity,
@@ -111,98 +101,6 @@ impl<S: EdgeSource> EventSource for SlidingWindow<S> {
         self.source
             .expected_edges()
             .map(|n| n + n.saturating_sub(self.capacity))
-    }
-}
-
-/// A tumbling window of `capacity` edges: when a window fills, the entire
-/// previous window is evicted (oldest-first) before the next window starts
-/// inserting.
-///
-/// # Examples
-///
-/// ```
-/// use ebv_dynamic::{EventSource, TumblingWindow};
-/// use ebv_graph::pairs;
-///
-/// # fn main() -> Result<(), ebv_dynamic::DynamicError> {
-/// let mut window = TumblingWindow::new(pairs(vec![(0, 1), (1, 2), (2, 3)]), 2)?;
-/// let mut kinds = Vec::new();
-/// while let Some(event) = window.next_event() {
-///     kinds.push(event?.is_insert());
-/// }
-/// // Two inserts fill window 1; both are evicted before the third insert.
-/// assert_eq!(kinds, vec![true, true, false, false, true]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TumblingWindow<S> {
-    source: S,
-    capacity: usize,
-    window: Vec<Edge>,
-    draining: VecDeque<Edge>,
-    pending_insert: Option<Edge>,
-}
-
-impl<S: EdgeSource> TumblingWindow<S> {
-    /// Wraps `source` in tumbling windows of `capacity` edges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynamicError::InvalidParameter`] for a zero capacity.
-    pub fn new(source: S, capacity: usize) -> Result<Self> {
-        validate_capacity(capacity)?;
-        Ok(TumblingWindow {
-            source,
-            capacity,
-            window: Vec::with_capacity(capacity.min(1 << 16)),
-            draining: VecDeque::new(),
-            pending_insert: None,
-        })
-    }
-
-    /// The configured window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of edges currently live (the filling window plus any window
-    /// still draining).
-    pub fn live_edges(&self) -> usize {
-        self.window.len() + self.draining.len()
-    }
-}
-
-impl<S: EdgeSource> EventSource for TumblingWindow<S> {
-    fn next_event(&mut self) -> Option<Result<GraphEvent>> {
-        if let Some(evicted) = self.draining.pop_front() {
-            return Some(Ok(GraphEvent::Delete(evicted)));
-        }
-        if let Some(edge) = self.pending_insert.take() {
-            self.window.push(edge);
-            return Some(Ok(GraphEvent::Insert(edge)));
-        }
-        match self.source.next_edge()? {
-            Err(err) => Some(Err(err.into())),
-            Ok(edge) => {
-                if self.window.len() == self.capacity {
-                    self.draining.extend(self.window.drain(..));
-                    self.pending_insert = Some(edge);
-                    let evicted = self.draining.pop_front().expect("full window is non-empty");
-                    Some(Ok(GraphEvent::Delete(evicted)))
-                } else {
-                    self.window.push(edge);
-                    Some(Ok(GraphEvent::Insert(edge)))
-                }
-            }
-        }
-    }
-
-    fn expected_events(&self) -> Option<usize> {
-        // n inserts plus capacity deletions per completed window.
-        self.source
-            .expected_edges()
-            .map(|n| n + n.saturating_sub(1) / self.capacity * self.capacity)
     }
 }
 
@@ -264,23 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn tumbling_window_drops_whole_windows() {
-        let input: Vec<(u64, u64)> = (0..7).map(|i| (i, i + 1)).collect();
-        let window = TumblingWindow::new(pairs(input.clone()), 3).unwrap();
-        assert_eq!(window.expected_events(), Some(7 + 6));
-        let events = drain(window);
-        assert_eq!(events.len(), 13);
-        // The final (partial) window survives: edge 6 only.
-        let expected: Vec<Edge> = input[6..]
-            .iter()
-            .map(|&(s, d)| Edge::from((s, d)))
-            .collect();
-        assert_eq!(survivors(&events), expected);
-        let deletes = events.iter().filter(|e| !e.is_insert()).count();
-        assert_eq!(deletes, 6);
-    }
-
-    #[test]
     fn live_edges_track_window_occupancy() {
         let mut sliding = SlidingWindow::new(pairs((0..6).map(|i| (i, i + 1))), 3).unwrap();
         let mut peak = 0;
@@ -290,17 +171,10 @@ mod tests {
         }
         assert_eq!(peak, 3);
         assert_eq!(sliding.live_edges(), 3);
-
-        let mut tumbling = TumblingWindow::new(pairs((0..6).map(|i| (i, i + 1))), 3).unwrap();
-        while let Some(event) = tumbling.next_event() {
-            event.unwrap();
-            assert!(tumbling.live_edges() <= tumbling.capacity());
-        }
     }
 
     #[test]
     fn zero_capacity_is_rejected() {
         assert!(SlidingWindow::new(pairs(vec![(0, 1)]), 0).is_err());
-        assert!(TumblingWindow::new(pairs(vec![(0, 1)]), 0).is_err());
     }
 }

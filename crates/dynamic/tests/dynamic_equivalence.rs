@@ -22,10 +22,11 @@ use proptest::prelude::*;
 use ebv_algorithms::ConnectedComponents;
 use ebv_bsp::{BspEngine, DistributedGraph, MutationBatch};
 use ebv_dynamic::{
-    batch_from_plan, ChurnStream, EventPipeline, EventSource, GraphEvent, InsertEvents,
-    SlidingWindow, TumblingWindow,
+    batch_from_plan, events, ChurnStream, EventPipeline, EventSource, GraphEvent, InsertEvents,
+    SlidingWindow,
 };
-use ebv_graph::{Edge, EdgeSource, GraphBuilder, RmatEdgeStream, UniformEdgeStream};
+use ebv_graph::generators::{ErdosRenyiGenerator, GraphGenerator};
+use ebv_graph::{pairs, Edge, EdgeSource, GraphBuilder, RmatEdgeStream};
 use ebv_partition::{
     DynamicPartitioner, EbvPartitioner, HdrfPartitioner, PartitionMetrics, Partitioner,
     RandomVertexCutPartitioner, RebalanceConfig, StreamConfig,
@@ -37,16 +38,14 @@ fn make_partitioner(algo: u8, p: usize) -> DynamicPartitioner {
     match algo % 3 {
         0 => EbvPartitioner::new().dynamic(config).unwrap(),
         1 => HdrfPartitioner::new().dynamic(config).unwrap(),
-        _ => RandomVertexCutPartitioner::new()
-            .with_salt(42)
-            .dynamic(config)
-            .unwrap(),
+        _ => RandomVertexCutPartitioner::new().dynamic(config).unwrap(),
     }
 }
 
-/// An arbitrary mutation stream: a power-law or uniform edge stream pushed
-/// through churn and/or a window, so the event sequence mixes inserts and
-/// deletes across multiple windows.
+/// An arbitrary mutation stream: a power-law (R-MAT) or uniform
+/// (Erdős–Rényi) edge stream pushed through churn, a sliding window or a
+/// tumbling window, so the event sequence mixes inserts and deletes across
+/// multiple windows.
 #[derive(Debug, Clone)]
 struct StreamSpec {
     family: u8,
@@ -115,10 +114,7 @@ fn drive(spec: &StreamSpec, partitioner: &mut DynamicPartitioner) -> Vec<GraphEv
                     partitioner,
                 ),
                 2 => collect(SlidingWindow::new(edges, spec.window).unwrap(), partitioner),
-                _ => collect(
-                    TumblingWindow::new(edges, spec.window).unwrap(),
-                    partitioner,
-                ),
+                _ => collect(events(tumbling(edges, spec.window)), partitioner),
             }
         }};
     }
@@ -126,8 +122,33 @@ fn drive(spec: &StreamSpec, partitioner: &mut DynamicPartitioner) -> Vec<GraphEv
     if spec.family == 0 {
         with_edges!(RmatEdgeStream::new(spec.scale, spec.num_edges).with_seed(spec.seed))
     } else {
-        with_edges!(UniformEdgeStream::new(1 << spec.scale, spec.num_edges).with_seed(spec.seed))
+        let graph = ErdosRenyiGenerator::new(1 << spec.scale, spec.num_edges)
+            .with_seed(spec.seed)
+            .generate()
+            .unwrap();
+        let edges: Vec<(u64, u64)> = graph
+            .edges()
+            .iter()
+            .map(|edge| (edge.src.raw(), edge.dst.raw()))
+            .collect();
+        with_edges!(pairs(edges))
     }
+}
+
+/// A tumbling window: back-to-back windows of `window` edges. When one is
+/// full, the next arrival first evicts the whole window, oldest first, so
+/// the stream deletes a window's worth of edges in one run of events.
+fn tumbling(mut edges: impl EdgeSource, window: usize) -> Vec<GraphEvent> {
+    let (mut events, mut live) = (Vec::new(), Vec::new());
+    while let Some(edge) = edges.next_edge() {
+        let edge = edge.unwrap();
+        if live.len() == window {
+            events.extend(live.drain(..).map(GraphEvent::Delete));
+        }
+        live.push(edge);
+        events.push(GraphEvent::Insert(edge));
+    }
+    events
 }
 
 /// Recomputes the maintained metrics from scratch over the survivors.
@@ -204,7 +225,6 @@ proptest! {
         // Pin the universe: the original observed every inserted edge, the
         // replay only sees survivors, and the universe never shrinks.
         let mut fresh = RandomVertexCutPartitioner::new()
-            .with_salt(42)
             .dynamic(
                 StreamConfig::new(p).with_expected_vertices(partitioner.num_vertices()),
             )

@@ -38,27 +38,40 @@ fn arbitrary_graph() -> impl Strategy<Value = Graph> {
     )
 }
 
+/// What one pipeline run carried: the report, the `(edge, partition)` pairs
+/// its batches carried in stream order, and the metrics handed over with
+/// each batch.
+struct Streamed {
+    report: EventReport,
+    carried: Vec<(Edge, PartitionId)>,
+    metrics: Vec<PartitionMetrics>,
+}
+
 /// Streams `graph`'s edges in input order through an [`EventPipeline`] of
-/// `batch_size` events into `partitioner`. Returns the run's report and the
-/// `(edge, partition)` pairs its batches carried, in stream order.
+/// `batch_size` events into `partitioner`.
 fn stream_through(
     graph: &Graph,
     partitioner: &mut DynamicPartitioner,
     batch_size: usize,
-) -> (EventReport, Vec<(Edge, PartitionId)>) {
-    let mut carried = Vec::new();
+) -> Streamed {
+    let (mut carried, mut metrics) = (Vec::new(), Vec::new());
     let report = EventPipeline::new(batch_size)
         .run(
             InsertEvents::new(GraphEdgeSource::new(graph)),
             partitioner,
-            |batch, _| {
+            |batch, batch_metrics| {
                 assert!(batch.removed().is_empty());
                 carried.extend_from_slice(batch.added());
+                metrics.push(batch_metrics);
                 Ok(())
             },
         )
         .unwrap();
-    (report, carried)
+    Streamed {
+        report,
+        carried,
+        metrics,
+    }
 }
 
 proptest! {
@@ -79,7 +92,7 @@ proptest! {
 
         let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), p);
         let mut online = EbvPartitioner::new().unsorted().dynamic(config).unwrap();
-        let (report, carried) = stream_through(&graph, &mut online, batch_size);
+        let run = stream_through(&graph, &mut online, batch_size);
 
         // Same assignments...
         let streamed = online.snapshot().unwrap();
@@ -87,12 +100,12 @@ proptest! {
         let assignment = batch.as_vertex_cut().unwrap().assignment();
         let expected: Vec<(Edge, PartitionId)> =
             graph.edges().iter().copied().zip(assignment.iter().copied()).collect();
-        prop_assert_eq!(carried, expected);
+        prop_assert_eq!(run.carried, expected);
         // ...and exactly equal metrics, both through the batch metric
         // computation and through the pipeline's maintained metrics.
         let batch_metrics = PartitionMetrics::compute(&graph, &batch).unwrap();
         prop_assert_eq!(PartitionMetrics::compute(&graph, &streamed).unwrap(), batch_metrics);
-        prop_assert_eq!(report.final_metrics(), Some(batch_metrics));
+        prop_assert_eq!(run.metrics.last(), Some(&batch_metrics));
         prop_assert_eq!(online.metrics(), batch_metrics);
     }
 
@@ -115,13 +128,13 @@ proptest! {
         prop_assume!(p <= graph.num_edges());
         let config = StreamConfig::for_source(&GraphEdgeSource::new(&graph), p);
         let mut single = EbvPartitioner::new().dynamic(config).unwrap();
-        let (one_batch, _) = stream_through(&graph, &mut single, usize::MAX);
+        let one_batch = stream_through(&graph, &mut single, usize::MAX);
         let mut batched = EbvPartitioner::new().dynamic(config).unwrap();
-        let (report, _) = stream_through(&graph, &mut batched, batch_size);
+        let run = stream_through(&graph, &mut batched, batch_size);
         prop_assert_eq!(single.snapshot().unwrap(), batched.snapshot().unwrap());
-        prop_assert_eq!(one_batch.batches().len(), 1);
-        prop_assert_eq!(report.total_inserts(), graph.num_edges());
-        prop_assert_eq!(report.batches().len(), graph.num_edges().div_ceil(batch_size));
-        prop_assert_eq!(report.final_metrics(), one_batch.final_metrics());
+        prop_assert_eq!(one_batch.metrics.len(), 1);
+        prop_assert_eq!(run.report.total_inserts(), graph.num_edges());
+        prop_assert_eq!(run.metrics.len(), graph.num_edges().div_ceil(batch_size));
+        prop_assert_eq!(run.metrics.last(), one_batch.metrics.last());
     }
 }

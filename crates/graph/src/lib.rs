@@ -21,9 +21,9 @@
 //!   edge list: the pull-based [`EdgeSource`] trait, a compact varint
 //!   binary format ([`BinaryEdgeReader`]/[`BinaryEdgeWriter`], over the
 //!   strict LEB128 codec in [`varint`] that `ebv-state`'s WAL shares),
-//!   streaming generators ([`RmatEdgeStream`], [`UniformEdgeStream`]) and
-//!   adapters ([`pairs`], [`GraphEdgeSource`]). A stream is an insert-only
-//!   event sequence: it feeds `ebv-partition`'s one online partitioner,
+//!   the streaming R-MAT generator ([`RmatEdgeStream`]) and adapters
+//!   ([`pairs`], [`GraphEdgeSource`]). A stream is an insert-only event
+//!   sequence: it feeds `ebv-partition`'s one online partitioner,
 //!   `DynamicPartitioner::insert`, configured by
 //!   `StreamConfig::for_source`.
 //!
@@ -70,7 +70,7 @@ pub use hash::{IdHashMap, IdHasher};
 pub use powerlaw::{estimate_eta_with_dmin, estimate_graph_eta, PowerLawFit};
 pub use source::{pairs, EdgeSource, GraphEdgeSource, PairSource};
 pub use stats::GraphStats;
-pub use synthetic::{RmatEdgeStream, UniformEdgeStream};
+pub use synthetic::RmatEdgeStream;
 pub use types::{Edge, GraphKind, VertexId};
 pub use vertex_set::VertexSet;
 

@@ -1,12 +1,11 @@
-//! Synthetic edge streams: deterministic generators that deliver edges one
-//! at a time with O(1) state, so arbitrarily large workloads can be
+//! A synthetic edge stream: a deterministic generator that delivers edges
+//! one at a time with O(1) state, so arbitrarily large workloads can be
 //! partitioned without ever materializing an edge list.
 //!
-//! These complement the batch generators of [`crate::generators`]
-//! (which build a whole [`Graph`](crate::Graph)): the streaming R-MAT
-//! here draws each edge independently from the recursive-matrix
-//! distribution, giving the same power-law skew the paper's evaluation
-//! graphs have.
+//! It complements the batch generators of [`crate::generators`] (which
+//! build a whole [`Graph`](crate::Graph)): the streaming R-MAT here draws
+//! each edge independently from the recursive-matrix distribution, giving
+//! the same power-law skew the paper's evaluation graphs have.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,84 +144,6 @@ impl EdgeSource for RmatEdgeStream {
     }
 }
 
-/// A streaming uniform (Erdős–Rényi G(n, m)-style) generator: `num_edges`
-/// directed edges with both endpoints uniform over `0..num_vertices`, self
-/// loops rejected. The non-power-law control for streaming experiments.
-///
-/// # Examples
-///
-/// ```
-/// use ebv_graph::{EdgeSource, UniformEdgeStream};
-///
-/// let mut stream = UniformEdgeStream::new(100, 500).with_seed(7);
-/// let edge = stream.next_edge().unwrap().unwrap();
-/// assert!(edge.src.raw() < 100 && edge.src != edge.dst);
-/// ```
-#[derive(Debug, Clone)]
-pub struct UniformEdgeStream {
-    num_vertices: u64,
-    num_edges: usize,
-    remaining: usize,
-    rng: StdRng,
-}
-
-impl UniformEdgeStream {
-    /// Creates a stream of `num_edges` uniform edges over `num_vertices`
-    /// vertices with seed 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vertices < 2` (no loop-free edge exists) or exceeds
-    /// the 2³² ids a [`VertexId`](crate::VertexId) holds.
-    pub fn new(num_vertices: u64, num_edges: usize) -> Self {
-        assert!(
-            num_vertices >= 2,
-            "a loop-free uniform stream needs at least 2 vertices"
-        );
-        assert!(
-            num_vertices <= crate::VertexId::MAX_RAW + 1,
-            "a uniform stream has at most 2^32 vertices, got {num_vertices}"
-        );
-        UniformEdgeStream {
-            num_vertices,
-            num_edges,
-            remaining: num_edges,
-            rng: StdRng::seed_from_u64(0),
-        }
-    }
-
-    /// Reseeds the stream (and restarts it).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.rng = StdRng::seed_from_u64(seed);
-        self.remaining = self.num_edges;
-        self
-    }
-}
-
-impl EdgeSource for UniformEdgeStream {
-    fn next_edge(&mut self) -> Option<Result<Edge>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        loop {
-            let src = self.rng.gen_range(0..self.num_vertices);
-            let dst = self.rng.gen_range(0..self.num_vertices);
-            if src != dst {
-                return Some(Ok(Edge::from((src, dst))));
-            }
-        }
-    }
-
-    fn expected_edges(&self) -> Option<usize> {
-        Some(self.num_edges)
-    }
-
-    fn expected_vertices(&self) -> Option<usize> {
-        Some(self.num_vertices as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,15 +212,5 @@ mod tests {
     #[should_panic(expected = "R-MAT probabilities")]
     fn rmat_degenerate_probabilities_are_rejected() {
         let _ = RmatEdgeStream::new(8, 10).with_probabilities(0.6, 0.3, 0.2);
-    }
-
-    #[test]
-    fn uniform_stream_is_deterministic_and_in_range() {
-        let a = drain(UniformEdgeStream::new(50, 1000).with_seed(9));
-        let b = drain(UniformEdgeStream::new(50, 1000).with_seed(9));
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1000);
-        assert!(a.iter().all(|e| e.src.raw() < 50 && e.dst.raw() < 50));
-        assert!(a.iter().all(|e| !e.is_self_loop()));
     }
 }

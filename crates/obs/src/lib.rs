@@ -11,8 +11,8 @@
 //!   uninstrumented runs monomorphize to the exact uninstrumented code.
 //! * [`MetricsRegistry`] — process-wide named atomic
 //!   counters/gauges/histograms (fixed 1-2-5 bucket ladder with p50/p99
-//!   extraction), snapshot-able to JSON and the Prometheus text
-//!   exposition format.
+//!   extraction), snapshot-able to the Prometheus text exposition
+//!   format.
 //! * [`Telemetry`] — the real recorder: spans (epoch → superstep →
 //!   worker → phase) land in a bounded span ring with real `Instant`
 //!   timings and export as Chrome trace-event JSON loadable in
@@ -24,8 +24,8 @@
 //!   [`Recorder::epoch_applied`] from the epoch driver — the process's
 //!   time series, exportable as JSON.
 //! * [`ObsServer`] — the live ops plane: a std-only HTTP/1.1 exporter
-//!   (hand-rolled `TcpListener` + thread pool, no async runtime) serving
-//!   `GET /metrics`, `/healthz`, `/trace.json` and `/epochs.json` from a
+//!   (hand-rolled `TcpListener` + two accept threads, no async runtime)
+//!   serving `GET /metrics`, `/healthz`, `/trace.json` and `/epochs.json` from a
 //!   running [`Telemetry`] without stopping it.
 //! * [`Router`] — the typed route-registration seam behind the server:
 //!   `path → handler` trait objects, exact-then-longest-prefix matching,

@@ -1,6 +1,6 @@
 //! The process-wide metrics registry: atomic counters, gauges and
-//! fixed-bucket latency histograms, snapshot-able to JSON and renderable
-//! in the Prometheus text exposition format.
+//! fixed-bucket latency histograms, snapshot-able and renderable in the
+//! Prometheus text exposition format.
 //!
 //! Everything is `std`-only. Metric handles are plain atomics behind
 //! `Arc`s; the registry maps names to handles under an `RwLock`. Every
@@ -273,8 +273,8 @@ pub struct HistogramSnapshot {
 }
 
 /// A point-in-time copy of a whole registry, in sorted name order —
-/// serializable to JSON ([`to_json`](MetricsSnapshot::to_json)) or the
-/// Prometheus text exposition format.
+/// rendered in the Prometheus text exposition format (`/metrics`) or as a
+/// one-line-per-metric summary ([`Display`](fmt::Display)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` of every counter.
@@ -294,46 +294,6 @@ fn assert_bare_name(name: &str) -> &str {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as a JSON document into `out` (hand-rolled:
-    /// no JSON crate is available offline). Writing into a
-    /// caller-supplied sink lets HTTP handlers and large exports stream
-    /// without building intermediate strings.
-    pub(crate) fn to_json_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        out.write_str("{\n  \"counters\": {")?;
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(out, "{sep}\n    \"{}\": {value}", assert_bare_name(name))?;
-        }
-        out.write_str("\n  },\n  \"gauges\": {")?;
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(out, "{sep}\n    \"{}\": {value:.9}", assert_bare_name(name))?;
-        }
-        out.write_str("\n  },\n  \"histograms\": [")?;
-        for (i, histogram) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(
-                out,
-                "{sep}\n    {{\"name\": \"{}\", \"count\": {}, \"sum_seconds\": {:.9}, \
-                 \"p50_seconds\": {:.9}, \"p99_seconds\": {:.9}}}",
-                assert_bare_name(&histogram.name),
-                histogram.count,
-                histogram.sum_seconds,
-                histogram.p50,
-                histogram.p99,
-            )?;
-        }
-        out.write_str("\n  ]\n}\n")
-    }
-
-    /// The snapshot rendered as a JSON document into a fresh `String`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.to_json_into(&mut out)
-            .expect("writing to a String cannot fail");
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format into
     /// `out` (counters, gauges and cumulative histogram buckets with
     /// `+Inf`).
@@ -454,18 +414,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_json_and_prometheus() {
+    fn snapshot_renders_prometheus_and_display() {
         let registry = MetricsRegistry::new();
         registry.counter("msgs_total").add(5);
         registry.gauge("imbalance").set(1.25);
         registry.histogram("run_seconds").observe(3e-3);
         let snapshot = registry.snapshot();
-
-        let json = snapshot.to_json();
-        assert!(json.contains("\"msgs_total\": 5"));
-        assert!(json.contains("\"imbalance\": 1.25"));
-        assert!(json.contains("\"run_seconds\""));
-        assert!(json.contains("\"p99_seconds\""));
 
         let mut prom = String::new();
         snapshot.to_prometheus_into(&mut prom).unwrap();

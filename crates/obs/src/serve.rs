@@ -1,5 +1,5 @@
 //! The live ops plane: [`ObsServer`], a std-only HTTP/1.1 exporter over a
-//! `TcpListener` and a small accept-thread pool (no async runtime, no
+//! `TcpListener` and two accept threads (no async runtime, no
 //! external dependencies — requests are parsed and responses written by
 //! hand) serving the four read-only routes of a running [`Telemetry`]:
 //!
@@ -30,12 +30,13 @@ use std::time::Duration;
 use crate::router::{Request, Response, Router};
 use crate::trace::Telemetry;
 
+/// Accept/handler threads of every [`ObsServer`]; each accepts and serves
+/// one connection at a time.
+const ACCEPT_THREADS: usize = 2;
+
 /// Tuning knobs of an [`ObsServer`].
 #[derive(Debug, Clone)]
 pub struct ObsServerConfig {
-    /// Accept/handler threads (each thread accepts and serves one
-    /// connection at a time; rounded up to 1).
-    pub threads: usize,
     /// `/healthz` reports `503 stale` when the last journal record is
     /// older than this.
     pub staleness_threshold: Duration,
@@ -49,7 +50,6 @@ pub struct ObsServerConfig {
 impl Default for ObsServerConfig {
     fn default() -> Self {
         ObsServerConfig {
-            threads: 2,
             staleness_threshold: Duration::from_secs(60),
             read_timeout: Duration::from_secs(2),
             max_request_bytes: 8192,
@@ -73,8 +73,8 @@ pub struct ObsServer {
 
 impl ObsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:9808"`, port 0 for an ephemeral
-    /// port) and starts serving `telemetry`'s four routes on a pool of
-    /// [`config.threads`](ObsServerConfig::threads) accept threads.
+    /// port) and starts serving `telemetry`'s four routes on two accept
+    /// threads.
     ///
     /// Equivalent to [`bind_with_router`](ObsServer::bind_with_router) over
     /// [`telemetry_router`]; use that pair to mount additional routes on
@@ -99,9 +99,8 @@ impl ObsServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let requests = Arc::new(AtomicU64::new(0));
         let router = Arc::new(router);
-        let threads = config.threads.max(1);
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
+        let mut handles = Vec::with_capacity(ACCEPT_THREADS);
+        for worker in 0..ACCEPT_THREADS {
             let listener = listener.try_clone()?;
             let router = Arc::clone(&router);
             let shutdown = Arc::clone(&shutdown);
@@ -688,15 +687,8 @@ mod tests {
     #[test]
     fn shutdown_joins_all_threads_and_frees_the_port() {
         let telemetry = Arc::new(Telemetry::isolated());
-        let server = ObsServer::bind(
-            "127.0.0.1:0",
-            telemetry,
-            ObsServerConfig {
-                threads: 3,
-                ..ObsServerConfig::default()
-            },
-        )
-        .expect("bind");
+        let server =
+            ObsServer::bind("127.0.0.1:0", telemetry, ObsServerConfig::default()).expect("bind");
         let addr = server.local_addr();
         assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200"));
         server.shutdown();
