@@ -189,6 +189,29 @@ fn unsupported_cone(source: VertexId, distributed: &DistributedGraph, prior: &[u
         .collect()
 }
 
+/// The per-worker start bitmaps of [`IncrementalSssp::start`], set through
+/// each vertex's holders in the replica table.
+fn start_bitmaps(
+    source: VertexId,
+    distributed: &DistributedGraph,
+    prior: &[u64],
+    seeds: &VertexSet,
+    cone: &Cone,
+) -> Vec<Vec<u64>> {
+    let subgraphs = distributed.subgraphs();
+    let mut start: Vec<Vec<u64>> = (subgraphs.iter())
+        .map(|sg| vec![0; sg.num_vertices().div_ceil(64)])
+        .collect();
+    let grown = prior.len() as u64..distributed.num_vertices() as u64;
+    let firsts = seeds.iter().chain(cone.iter()).chain(grown);
+    for raw in firsts.chain([source.raw()]) {
+        for (sg, local) in distributed.holders_of(VertexId::new(raw)) {
+            start[sg.part().index()][local / 64] |= 1 << (local % 64);
+        }
+    }
+    start
+}
+
 /// Warm-start Single-Source Shortest Path: distance-equal (in fact
 /// bit-identical — hop distances are integers) to a cold
 /// [`crate::SingleSourceShortestPath`] run on the mutated graph. See the
@@ -244,6 +267,14 @@ pub struct IncrementalSssp {
     /// (the downstream cones of the deleted tight edges). Never holds the
     /// source.
     cone: Cone,
+    /// Per worker, a bit per local vertex: the replicas of the seeds, the
+    /// cone, every id at or past `prior.len()` and the source. These are
+    /// the only locals whose first-superstep activations can be non-empty
+    /// (a settled vertex that is no seed activates nothing, and an
+    /// unreached one outside them has no settled in-neighbour, since its
+    /// in-edges are the prior graph's or inserted), so the kernel's first
+    /// superstep visits them alone. `Σ|V_i| / 8` bytes per program.
+    start: Vec<Vec<u64>>,
 }
 
 impl IncrementalSssp {
@@ -283,10 +314,12 @@ impl IncrementalSssp {
             "the walked cone differs from the scanned one: is `prior` the outcome on the \
              graph this batch was applied to?"
         );
+        let start = start_bitmaps(source, distributed, prior, &seeds, &cone);
         IncrementalSssp {
             source,
             seeds,
             cone,
+            start,
         }
     }
 
@@ -303,6 +336,18 @@ impl IncrementalSssp {
     /// Number of vertices in the invalidation cone.
     pub fn cone_vertices(&self) -> usize {
         self.cone.len()
+    }
+}
+
+#[cfg(test)]
+impl IncrementalSssp {
+    /// The same program without a start set: its first superstep scans
+    /// every local, as it did before the start set.
+    pub(super) fn scanning(&self) -> Self {
+        IncrementalSssp {
+            start: Vec::new(),
+            ..self.clone()
+        }
     }
 }
 
@@ -329,11 +374,13 @@ impl SubgraphProgram for IncrementalSssp {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
+        let start = self.start.get(ctx.subgraph().part().index());
         gated_min_superstep(
             ctx,
             superstep,
             |raw| self.seeds.contains(raw),
             Activation::DistanceFrontier,
+            start.map(Vec::as_slice),
         )
     }
 }

@@ -38,6 +38,17 @@
 //!   The surviving settled frontier re-settles the reset region. Kept
 //!   distances are still valid upper bounds, reset ones restart from
 //!   unreachable, so the warm relaxation fixpoint is the cold answer.
+//!   `from_distributed` also maps the seeds, the cone, the vertices past
+//!   the prior and the source to per-worker bitmaps of local vertices, and
+//!   the first superstep visits only those instead of scanning every local.
+//!
+//! Both run on the engine's warm path, which seeds every replica but
+//! writes its output by patching the prior: only masters whose seed
+//! differs from their prior value, or that a superstep set, are written
+//! (see [`RunOptions::warm_seed`](ebv_bsp::RunOptions::warm_seed)). A warm
+//! SSSP epoch therefore costs its batch plus one seeding pass and one
+//! copy of the prior; warm CC, whose reset dirties most of a giant
+//! component, costs about what it did with the full walk.
 //!
 //! PageRank has no warm program: rank mass propagates globally, so there is
 //! no frontier to shrink. [`crate::PageRank`] itself can be seeded from a
@@ -46,6 +57,8 @@
 
 mod cc;
 mod distance;
+#[cfg(test)]
+mod tests;
 
 pub use cc::IncrementalConnectedComponents;
 pub use distance::IncrementalSssp;

@@ -11,7 +11,9 @@
 //!    below its value (minimum wins, whatever the order) — receivers whose
 //!    value fell join the frontier;
 //! 2. on the first superstep, additionally activate the program's
-//!    [`Activation`] set plus the seed vertices;
+//!    [`Activation`] set plus the seed vertices — found by a scan of every
+//!    local (cold SSSP) or from the warm program's start set, the locals
+//!    whose activations can be non-empty;
 //! 3. relax out-edges from the worklist to the local fixpoint (a distance
 //!    plus one along each edge, source to destination), touching only
 //!    edges leaving active vertices, then ship only *changed* values to
@@ -36,13 +38,21 @@
 //!   a superstep costs its frontier, not its subgraph, and from the second
 //!   superstep on the kernel allocates only if a list outgrows its
 //!   capacity.
+//! * **A start set changes nothing but the cost.** Warm SSSP hands the
+//!   first superstep a bitmap of the locals that may activate anything
+//!   (its seeds, cone, vertices past the prior and source). Visiting them
+//!   in ascending local order runs the scan's per-local body on the only
+//!   locals where it does something, so the queue, and with it `work`,
+//!   `updates` and every message, equals the scan's; debug builds assert
+//!   the queue against the scan, without allocating. The superstep then
+//!   costs the batch, not the subgraph.
 //! * **One message per changed vertex per replica**, shipped in discovery
 //!   order, unsorted. A vertex then never receives two messages from one
 //!   source worker in a superstep, and mail arrives by source worker, so
 //!   the sequence a vertex receives does not depend on the order of the
 //!   outbox — and its fold, a minimum, not even on that sequence.
 
-use ebv_bsp::{SubgraphContext, WorklistScratch};
+use ebv_bsp::{Subgraph, SubgraphContext, WorklistScratch};
 
 /// The "cannot propagate" value: an unreached distance.
 const INFINITY: u64 = u64::MAX;
@@ -85,14 +95,97 @@ fn lowered(scratch: &mut WorklistScratch, v: usize) {
     activate(scratch, v);
 }
 
+/// The first superstep's activations from the local vertex `local`, in
+/// order: the vertex itself when it is a seed or (cold) holds a finite
+/// distance, then (warm) when it is unreached, its settled in-neighbours.
+/// The rim is found from its unreached side: few edges lead to unreached
+/// vertices, whereas every settled vertex would scan all its out-edges to
+/// learn that none does.
+#[inline]
+fn first_activations(
+    sg: &Subgraph,
+    values: &[u64],
+    local: usize,
+    is_seed: &impl Fn(u64) -> bool,
+    activation: Activation,
+    mut activate: impl FnMut(usize),
+) {
+    let value = values[local];
+    if is_seed(sg.vertex_at(local).raw())
+        || (activation == Activation::Propagating && value != INFINITY)
+    {
+        activate(local);
+    }
+    if activation == Activation::DistanceFrontier && value == INFINITY {
+        for &u in sg.in_neighbors(local) {
+            if values[u as usize] != INFINITY {
+                activate(u as usize);
+            }
+        }
+    }
+}
+
+/// The locals whose bits are set in `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(at, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let local = 64 * at + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                local
+            })
+        })
+    })
+}
+
+/// Checks that the full scan of the first superstep queues what the start
+/// set queued, in the same order, without allocating: the scan marks each
+/// vertex it would queue with a spare flag bit, matches it against the
+/// queue and clears the bits through the queue afterwards.
+#[cfg(debug_assertions)]
+fn assert_the_scan_queues_the_same(
+    sg: &Subgraph,
+    values: &[u64],
+    is_seed: &impl Fn(u64) -> bool,
+    activation: Activation,
+    scratch: &mut WorklistScratch,
+) {
+    const SCANNED: u8 = 4;
+    let mut matched = 0;
+    for local in 0..sg.num_vertices() {
+        first_activations(sg, values, local, is_seed, activation, |v| {
+            if scratch.flags[v] & SCANNED == 0 {
+                scratch.flags[v] |= SCANNED;
+                assert_eq!(
+                    scratch.queue.get(matched),
+                    Some(&(v as u32)),
+                    "the scan queues local {v} where the start set queued another: \
+                     is the start set the program's, on this graph?"
+                );
+                matched += 1;
+            }
+        });
+    }
+    assert_eq!(matched, scratch.queue.len(), "the start set queued more");
+    for &v in &scratch.queue {
+        scratch.flags[v as usize] &= !SCANNED;
+    }
+}
+
 /// Runs one gated distance-relaxation superstep and returns the number of
 /// local vertices whose value changed. `is_seed` is raw-id membership in a
-/// warm program's seed set (cold programs have none).
+/// warm program's seed set (cold programs have none). `start`, when given,
+/// is a bitmap over the locals that holds every vertex whose first-step
+/// activations are not empty (see `IncrementalSssp`): the first superstep
+/// then visits those alone, in ascending order, and queues what the scan
+/// of every local would — asserted in debug builds.
 pub(crate) fn gated_min_superstep(
     ctx: &mut SubgraphContext<'_, u64, u64>,
     superstep: usize,
     is_seed: impl Fn(u64) -> bool,
     activation: Activation,
+    start: Option<&[u64]>,
 ) -> usize {
     let sg = ctx.subgraph();
     let n = sg.num_vertices();
@@ -112,24 +205,25 @@ pub(crate) fn gated_min_superstep(
         }
     }
 
-    // First superstep: activate the program's starting frontier only.
+    // First superstep: activate the program's starting frontier only, from
+    // the start set's locals or from a scan of all of them.
     if superstep == 0 {
-        for local in 0..n {
-            let vertex = sg.vertex_at(local);
-            let value = *ctx.value(local);
-            let active = is_seed(vertex.raw())
-                || (activation == Activation::Propagating && value != INFINITY);
-            if active {
-                activate(&mut scratch, local);
+        let values = ctx.values();
+        match start.filter(|words| words.len() == n.div_ceil(64)) {
+            Some(words) => {
+                for local in ones(words) {
+                    first_activations(sg, values, local, &is_seed, activation, |v| {
+                        activate(&mut scratch, v);
+                    });
+                }
+                #[cfg(debug_assertions)]
+                assert_the_scan_queues_the_same(sg, values, &is_seed, activation, &mut scratch);
             }
-            // The rim is found from its unreached side: few edges lead to
-            // unreached vertices, whereas every settled vertex would scan
-            // all its out-edges to learn that none does.
-            if activation == Activation::DistanceFrontier && value == INFINITY {
-                for &u in sg.in_neighbors(local) {
-                    if *ctx.value(u as usize) != INFINITY {
-                        activate(&mut scratch, u as usize);
-                    }
+            None => {
+                for local in 0..n {
+                    first_activations(sg, values, local, &is_seed, activation, |v| {
+                        activate(&mut scratch, v);
+                    });
                 }
             }
         }

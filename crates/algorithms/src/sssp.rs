@@ -71,7 +71,7 @@ impl SubgraphProgram for SingleSourceShortestPath {
     }
 
     fn run_superstep(&self, ctx: &mut SubgraphContext<'_, u64, u64>, superstep: usize) -> usize {
-        gated_min_superstep(ctx, superstep, |_| false, Activation::Propagating)
+        gated_min_superstep(ctx, superstep, |_| false, Activation::Propagating, None)
     }
 }
 

@@ -9,9 +9,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ebv_algorithms::{ConnectedComponents, IncrementalConnectedComponents};
-use ebv_bsp::{BspEngine, BspOutcome, DistributedGraph, RunOptions, WorkerSuperstepStats};
+use ebv_algorithms::{
+    ConnectedComponents, IncrementalConnectedComponents, IncrementalSssp, SingleSourceShortestPath,
+};
+use ebv_bsp::{
+    BspEngine, BspOutcome, DistributedGraph, MutationBatch, RunOptions, WorkerSuperstepStats,
+};
 use ebv_graph::generators::{GraphGenerator, RmatGenerator};
+use ebv_graph::VertexId;
 use ebv_partition::{EbvPartitioner, Partitioner};
 
 /// Bytes requested through `alloc`, `alloc_zeroed` and `realloc` (a
@@ -71,7 +76,8 @@ fn output_bytes(outcome: &BspOutcome<u64>, p: usize) -> u64 {
 /// a constant in `p` and the supersteps: the plane the first run kept
 /// covers everything else. A clone of that graph keeps nothing, so its
 /// first warm run requests exactly what the original's first did; so does
-/// a warm run after a cold one, which keeps nothing either.
+/// a warm run after a cold one, which keeps nothing either. A second
+/// identical warm SSSP run is held to the same pin.
 #[test]
 fn a_second_warm_run_requests_its_outputs_and_a_constant() {
     let p = 4;
@@ -121,4 +127,36 @@ fn a_second_warm_run_requests_its_outputs_and_a_constant() {
     let (after_cold, after_cold_bytes) = warm(&dg);
     assert_eq!(after_cold.stats, first.stats);
     assert_eq!(after_cold_bytes, first_bytes, "a warm run after a cold one");
+
+    // Warm SSSP after a batch that cuts tight edges: the same pin. Neither
+    // the dirty bitmaps the plane keeps nor the program's start bitmaps
+    // grow per run.
+    let mut dg = dg;
+    let source = VertexId::new(0);
+    let prior = engine
+        .run(&dg, &SingleSourceShortestPath::new(source))
+        .unwrap()
+        .values;
+    let vc = partition.as_vertex_cut().unwrap();
+    let mut batch = MutationBatch::new();
+    let assigned = graph.edges().iter().zip(vc.assignment());
+    for (&edge, &part) in assigned.step_by(64) {
+        batch.record_delete(edge, part);
+    }
+    dg.apply_mutations(&batch).unwrap();
+    let program = IncrementalSssp::from_distributed(source, &dg, &prior, &batch);
+    assert!(program.cone_vertices() > 0, "the batch cuts no tight edge");
+    let options = RunOptions::new().warm_seed(&prior);
+    let warm = || counted(|| engine.run_opts(&dg, &program, options).unwrap());
+    let (first, _) = warm();
+    let (second, second_bytes) = warm();
+    assert_eq!(second.values, first.values);
+    assert_eq!(second.stats, first.stats);
+    assert!(first.stats.total_messages() > 0, "nothing to carry");
+    let overhead = second_bytes - output_bytes(&second, p);
+    let constant = 768 * p as u64 + 64 * second.supersteps as u64;
+    assert!(
+        overhead <= constant,
+        "the second warm SSSP run requested {overhead} B beyond its outputs; the pin is {constant} B"
+    );
 }

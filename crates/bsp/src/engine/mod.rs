@@ -30,6 +30,7 @@ use crate::lanes::{crew, panic_message, Crew};
 use crate::program::{SubgraphContext, SubgraphProgram};
 use crate::publish::ValueSink;
 use crate::stats::{ExecutionStats, SuperstepStats, WorkerSuperstepStats};
+use crate::subgraph::Subgraph;
 
 /// Options for one engine run: telemetry, a warm-start seed and snapshot
 /// publication are each an optional stage of [`BspEngine::run_opts`]; the
@@ -104,6 +105,15 @@ impl<'a, V, R: Recorder> RunOptions<'a, V, R> {
     /// a fixpoint from the previous epoch's answer, activating only the
     /// region the mutations disturbed.
     ///
+    /// The run's output starts as a copy of `prior` (cut or extended to the
+    /// universe), and the engine writes only the vertices whose master
+    /// changed: one past `prior`, one whose seed differs from its prior
+    /// value (`!=`, see [`SubgraphProgram::Value`]), and one the run set
+    /// with [`SubgraphContext::set_value`](crate::SubgraphContext::set_value).
+    /// Beyond the supersteps, a warm run therefore costs one seeding pass
+    /// over the local replicas, the copy, one bitmap word per 64 replicas
+    /// and its changed masters, where a cold run moves every master's value.
+    ///
     /// A warm run that succeeds leaves its emptied buffers in the graph for
     /// the next run on it (see [`BspEngine::run_opts`]), so a series of warm
     /// epochs on one graph does not regrow its message plane every run; the
@@ -155,7 +165,7 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
     program: &P,
     epoch: u32,
     recorder: &R,
-    subgraph: &crate::subgraph::Subgraph,
+    subgraph: &Subgraph,
     routes: &crate::routing::WorkerRoutes,
     job: &mut JobOf<P>,
 ) {
@@ -179,6 +189,7 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
         &mail.inbound,
         &mut mail.outbox,
         &mut mail.scratch,
+        &mut mail.dirty,
     );
     program.run_superstep(&mut ctx, job.superstep);
     let (work, changes) = ctx.finish();
@@ -192,6 +203,129 @@ fn run_worker<P: SubgraphProgram, R: Recorder>(
     let sent = exchange::scatter(routes, &mut mail.outbox, &mut mail.outbound);
     recorder.span(started, span_ctx, Phase::Scatter);
     job.result = (work, changes, sent);
+}
+
+/// Seeds one worker's values for a warm run from `prior` and marks in
+/// `dirty` every local whose seed is not its prior: one past the prior
+/// (the universe grew), which starts from `initial_value`, and one whose
+/// `warm_value` differs from it. The mark is branch-free, since a reset
+/// such as warm CC's marks most locals; `dirty` is sized here and each of
+/// its words written once.
+fn seed_warm<P: SubgraphProgram>(
+    program: &P,
+    sg: &Subgraph,
+    prior: &[P::Value],
+    values: &mut Vec<P::Value>,
+    dirty: &mut Vec<u64>,
+) {
+    let vertices = sg.vertices();
+    dirty.resize(vertices.len().div_ceil(64), 0);
+    for (chunk, word) in vertices.chunks(64).zip(dirty.iter_mut()) {
+        let mut bits = 0;
+        values.extend(chunk.iter().zip(0..).map(|(&v, bit)| {
+            let (value, changed) = match prior.get(v.index()) {
+                Some(prior) => {
+                    let value = program.warm_value(v, prior, sg);
+                    let changed = value != *prior;
+                    (value, changed)
+                }
+                None => (program.initial_value(v, sg), true),
+            };
+            bits |= u64::from(changed) << bit;
+            value
+        }));
+        *word = bits;
+    }
+}
+
+/// A cold run's global values: every master's value, moved out of its
+/// job into its vertex's slot. Every vertex of the universe has exactly
+/// one master, so the scatter over the workers' master flags writes every
+/// slot; a walk in vertex order would look each master up in the replica
+/// table instead, one scattered read per vertex. The oracle a warm run's
+/// [`patch_prior`] is checked against in debug builds.
+fn walk_masters<V: Clone, M>(
+    subgraphs: &[Subgraph],
+    jobs: &mut [WorkerJob<V, M>],
+    num_vertices: usize,
+) -> Vec<V> {
+    let mut global_values = match jobs.iter().flat_map(|job| &job.values).next() {
+        Some(any) => vec![any.clone(); num_vertices],
+        None => Vec::new(),
+    };
+    let mut written = 0;
+    for (sg, job) in subgraphs.iter().zip(jobs) {
+        for (local, value) in job.values.drain(..).enumerate() {
+            if sg.is_master(local) {
+                global_values[sg.vertex_at(local).index()] = value;
+                written += 1;
+            }
+        }
+    }
+    debug_assert_eq!(written, global_values.len(), "one master per vertex");
+    global_values
+}
+
+/// A warm run's global values: a copy of `prior`, its grown tail filled,
+/// then rewritten at the masters the run marked dirty (see
+/// [`seed_warm`]), clearing each dirty word as it goes. A master left
+/// clean holds its prior value, so the result equals [`walk_masters`]'s,
+/// at the cost of the copy, one word per 64 locals and the dirty masters.
+fn patch_prior<V: Clone, M>(
+    prior: &[V],
+    subgraphs: &[Subgraph],
+    jobs: &mut [WorkerJob<V, M>],
+    num_vertices: usize,
+) -> Vec<V> {
+    let mut global_values = Vec::with_capacity(num_vertices);
+    global_values.extend_from_slice(&prior[..prior.len().min(num_vertices)]);
+    // Every master of the grown tail is dirty, so any value fills it.
+    if let Some(any) = jobs.iter().flat_map(|job| &job.values).next() {
+        global_values.resize(num_vertices, any.clone());
+    }
+    for (sg, job) in subgraphs.iter().zip(jobs) {
+        for (at, word) in job.mail.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let local = 64 * at + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if sg.is_master(local) {
+                    global_values[sg.vertex_at(local).index()] = job.values[local].clone();
+                }
+            }
+        }
+    }
+    global_values
+}
+
+/// Checks that a warm run's patched output is what [`walk_masters`] would
+/// write: every master's final value in its vertex's slot, by the `==` the
+/// patch trusts. It compares instead of writing, so it allocates nothing
+/// and every warm run of a debug build is checked against the walk. A
+/// value unequal to itself (a NaN) is always dirty, hence written, and has
+/// nothing to compare.
+#[cfg(debug_assertions)]
+#[allow(clippy::eq_op)]
+fn assert_the_walk_writes_the_same<V: PartialEq + std::fmt::Debug, M>(
+    patched: &[V],
+    subgraphs: &[Subgraph],
+    jobs: &[WorkerJob<V, M>],
+) {
+    for (sg, job) in subgraphs.iter().zip(jobs) {
+        let masters = job
+            .values
+            .iter()
+            .enumerate()
+            .filter(|&(local, _)| sg.is_master(local));
+        for (local, value) in masters {
+            let slot = &patched[sg.vertex_at(local).index()];
+            assert!(
+                slot == value || value != value,
+                "worker {} local {local}: the walk writes {value:?}, the patch left {slot:?}",
+                job.worker
+            );
+        }
+    }
 }
 
 /// How the workers of a superstep are executed.
@@ -334,6 +468,12 @@ impl BspEngine {
     /// replica. Values and [`ExecutionStats`] are the same whichever buffers
     /// a run starts from.
     ///
+    /// A cold run writes every vertex's value from its master replica. A
+    /// warm run copies its prior and writes only the masters it changed
+    /// (see [`RunOptions::warm_seed`]), tracked in one dirty bitmap per
+    /// worker that lives in the buffers above: `Σ|V_i| / 8` bytes, kept all
+    /// zero between runs.
+    ///
     /// # Errors
     ///
     /// Returns [`BspError::DidNotConverge`] when a quiescence-halting program
@@ -360,17 +500,6 @@ impl BspEngine {
             "routing table is stale"
         );
 
-        // Cold runs seed from `initial_value`, warm runs from `warm_value`
-        // over the previous epoch's outcome.
-        let seed = |v: ebv_graph::VertexId, sg: &crate::subgraph::Subgraph| -> P::Value {
-            match prior {
-                Some(prior) if v.index() < prior.len() => {
-                    program.warm_value(v, &prior[v.index()], sg)
-                }
-                _ => program.initial_value(v, sg),
-            }
-        };
-
         // Per-worker state, one job per worker for the whole run; every
         // message buffer lives in its mail and is reused across supersteps
         // (steady-state supersteps perform no per-message allocation). The
@@ -382,14 +511,23 @@ impl BspEngine {
         let mut jobs: Vec<JobOf<P>> = (distributed.subgraphs().iter().enumerate())
             .map(|(worker, sg)| {
                 let mut values: Vec<P::Value> = values.next().unwrap_or_default();
+                let mut mail = mails.next().unwrap_or_else(|| WorkerMail::new(num_workers));
                 values.clear();
-                values.extend(sg.vertices().iter().map(|&v| seed(v, sg)));
+                // Cold runs seed from `initial_value` and track nothing, warm
+                // runs from `warm_value` over the previous epoch's outcome.
+                match prior {
+                    None => {
+                        mail.dirty.clear();
+                        values.extend(sg.vertices().iter().map(|&v| program.initial_value(v, sg)));
+                    }
+                    Some(prior) => seed_warm(program, sg, prior, &mut values, &mut mail.dirty),
+                }
                 WorkerJob {
                     worker,
                     superstep: 0,
                     enqueued: None,
                     values,
-                    mail: mails.next().unwrap_or_else(|| WorkerMail::new(num_workers)),
+                    mail,
                     result: (0, 0, 0),
                 }
             })
@@ -497,25 +635,19 @@ impl BspEngine {
         // input), so zero-work runs cannot emit NaN/inf into /metrics.
         recorder.gauge_set("ebv_bsp_work_max_mean_ratio", stats.work_max_mean_ratio());
 
-        // Extract the global result from each vertex's master replica. Every
-        // vertex of the universe has exactly one, so the scatter over the
-        // workers' master flags writes every slot; a walk in vertex order
-        // would look each master up in the replica table instead, one
-        // scattered read per vertex.
-        let mut global_values = match jobs.iter().flat_map(|job| &job.values).next() {
-            Some(any) => vec![any.clone(); distributed.num_vertices()],
-            None => Vec::new(),
-        };
-        let mut written = 0;
-        for (sg, job) in subgraphs.iter().zip(&mut jobs) {
-            for (local, value) in job.values.drain(..).enumerate() {
-                if sg.is_master(local) {
-                    global_values[sg.vertex_at(local).index()] = value;
-                    written += 1;
-                }
+        // Extract the global result from each vertex's master replica: a
+        // cold run walks every master, a warm run patches the prior where
+        // its masters changed.
+        let num_vertices = distributed.num_vertices();
+        let global_values = match prior {
+            None => walk_masters(subgraphs, &mut jobs, num_vertices),
+            Some(prior) => {
+                let patched = patch_prior(prior, subgraphs, &mut jobs, num_vertices);
+                #[cfg(debug_assertions)]
+                assert_the_walk_writes_the_same(&patched, subgraphs, &jobs);
+                patched
             }
-        }
-        debug_assert_eq!(written, global_values.len(), "one master per vertex");
+        };
 
         // A warm run hands its plane back, emptied, for the graph's next
         // run; a cold run drops it (see `run_opts`). Each transpose swaps
@@ -528,6 +660,7 @@ impl BspEngine {
             }
             let plane = jobs.into_iter().map(|mut job| {
                 job.mail.empty();
+                job.values.clear();
                 (job.mail, job.values)
             });
             distributed.plane.put::<P::Message, P::Value>(plane.unzip());

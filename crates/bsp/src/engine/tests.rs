@@ -406,3 +406,50 @@ fn fixed_iteration_programs_run_to_their_limit() {
     let outcome = BspEngine::sequential().run(&dg, &FixedIterations).unwrap();
     assert_eq!(outcome.supersteps, 7);
 }
+
+/// A warm run writes its prior's copy and only the masters that changed,
+/// and every such run checks that against the walk of every master (in
+/// debug builds, inside `run_opts`). The priors here are short (the
+/// universe grew past them), long, empty, at the fixpoint and far from it;
+/// every mode agrees, and the plane handed back keeps an all-zero dirty
+/// bitmap for the next run.
+#[test]
+fn a_warm_run_patches_its_prior_where_the_walk_writes() {
+    let g = named::small_social_graph();
+    let partition = EbvPartitioner::new().partition(&g, 3).unwrap();
+    let dg = DistributedGraph::build(&g, &partition).unwrap();
+    let n = dg.num_vertices();
+    let cold = BspEngine::sequential().run(&dg, &MinLabel).unwrap();
+    let reversed: Vec<u64> = (0..n as u64).rev().collect();
+    let long: Vec<u64> = cold.values.iter().copied().chain([0, 1, 2]).collect();
+    let priors = [
+        cold.values.clone(),
+        cold.values[..n - 4].to_vec(),
+        reversed[..n / 2].to_vec(),
+        reversed,
+        long,
+        Vec::new(),
+    ];
+    for prior in &priors {
+        let options = RunOptions::new().warm_seed(prior);
+        let sequential = BspEngine::sequential()
+            .run_opts(&dg, &MinLabel, options)
+            .unwrap();
+        for engine in [BspEngine::sequential(), BspEngine::pooled(2)] {
+            let warm = engine.run_opts(&dg, &MinLabel, options).unwrap();
+            assert_eq!(warm.values, sequential.values, "{:?}", engine.mode());
+            assert_eq!(warm.stats, sequential.stats, "{:?}", engine.mode());
+        }
+        assert_eq!(sequential.values.len(), n);
+        // Unchanged masters keep the prior: where the prior holds each
+        // component's minimum, so does the outcome.
+        if prior == &cold.values {
+            assert_eq!(sequential.values, cold.values);
+        }
+        let (mails, _) = dg.plane.take::<u64, u64>(dg.num_workers()).unwrap();
+        for (mail, sg) in mails.iter().zip(dg.subgraphs()) {
+            assert_eq!(mail.dirty.len(), sg.num_vertices().div_ceil(64));
+            assert!(mail.dirty.iter().all(|&word| word == 0));
+        }
+    }
+}

@@ -258,6 +258,13 @@ pub(crate) struct WorkerMail<M> {
     /// The receive-side row, shards by source worker: this worker's
     /// mailbox (see [`arrivals`]).
     pub(crate) inbound: Vec<Shard<M>>,
+    /// A warm run's dirty bitmap, one bit per local vertex: set where the
+    /// seed differs from the prior and by every
+    /// [`set_value`](crate::SubgraphContext::set_value). Extraction writes
+    /// the set bits' masters over the prior and clears each word as it
+    /// goes, so it is all zero between runs. A cold run leaves it empty
+    /// and tracks nothing.
+    pub(crate) dirty: Vec<u64>,
 }
 
 impl<M> WorkerMail<M> {
@@ -269,13 +276,15 @@ impl<M> WorkerMail<M> {
             scratch: WorklistScratch::default(),
             outbound: row(),
             inbound: row(),
+            dirty: Vec::new(),
         }
     }
 
     /// Empties every buffer a finished run may have left filled, keeping
     /// its capacity, so the next run starts as if from [`new`](Self::new).
     /// `flags` and `sums` keep their length: the kernels return them all
-    /// zero, which is all a kernel asks of them.
+    /// zero, which is all a kernel asks of them. So does `dirty`, which the
+    /// run's extraction cleared.
     pub(crate) fn empty(&mut self) {
         self.outbox.clear();
         self.outbound.iter_mut().for_each(Vec::clear);
@@ -283,6 +292,7 @@ impl<M> WorkerMail<M> {
         let scratch = &mut self.scratch;
         debug_assert!(scratch.flags.iter().all(|&flags| flags == 0));
         debug_assert!(scratch.sums.iter().all(|&sum| sum == 0.0));
+        debug_assert!(self.dirty.iter().all(|&word| word == 0));
         scratch.queue.clear();
         scratch.changed.clear();
         scratch.weights.clear();
@@ -449,7 +459,7 @@ mod tests {
                         let mut values = vec![0u64; sg.num_vertices()];
                         let mut scratch = WorklistScratch::default();
                         let mut ctx = SubgraphContext::new(
-                            sg, routes, &mut values, &[], &mut filtered, &mut scratch,
+                            sg, routes, &mut values, &[], &mut filtered, &mut scratch, &mut [],
                         );
                         for local in 0..sg.num_vertices() {
                             for (i, target) in TARGETS.into_iter().enumerate() {
@@ -498,8 +508,15 @@ mod tests {
             let routes = &dg.routing().worker_tables()[w];
             let mut values = vec![0.0f64; sg.num_vertices()];
             let (mut outbox, mut scratch) = (Vec::new(), WorklistScratch::default());
-            let mut ctx =
-                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            let mut ctx = SubgraphContext::new(
+                sg,
+                routes,
+                &mut values,
+                &[],
+                &mut outbox,
+                &mut scratch,
+                &mut [],
+            );
             for &master in sg.masters() {
                 ctx.send_to_mirrors(master as usize, 0.5);
             }
@@ -518,8 +535,15 @@ mod tests {
             mirrored_masters += apply.len();
 
             outbox.clear();
-            let mut ctx =
-                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            let mut ctx = SubgraphContext::new(
+                sg,
+                routes,
+                &mut values,
+                &[],
+                &mut outbox,
+                &mut scratch,
+                &mut [],
+            );
             for &mirror in sg.mirrors() {
                 ctx.send_to_master(mirror as usize, 0.5);
             }

@@ -42,6 +42,10 @@ pub struct SubgraphContext<'a, V, M> {
     outbox: &'a mut Vec<OutboxEntry<M>>,
     /// Engine-owned worklist scratch of this worker, reused likewise.
     scratch: &'a mut WorklistScratch,
+    /// A warm run's dirty bitmap (see `WorkerMail::dirty`), which
+    /// [`set_value`](Self::set_value) marks; empty in a cold run, which
+    /// tracks nothing.
+    dirty: &'a mut [u64],
     work: u64,
     changes: usize,
 }
@@ -54,6 +58,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
         mail: &'a [Shard<M>],
         outbox: &'a mut Vec<OutboxEntry<M>>,
         scratch: &'a mut WorklistScratch,
+        dirty: &'a mut [u64],
     ) -> Self {
         debug_assert!(outbox.is_empty());
         SubgraphContext {
@@ -63,6 +68,7 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
             mail,
             outbox,
             scratch,
+            dirty,
             work: 0,
             changes: 0,
         }
@@ -89,10 +95,14 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
     }
 
     /// Overwrites the value of the local vertex at `local_index` and counts
-    /// it as a change for convergence detection.
+    /// it as a change for convergence detection. In a warm run it also
+    /// marks the vertex dirty, so extraction writes it over the prior.
     pub fn set_value(&mut self, local_index: usize, value: V) {
         self.values[local_index] = value;
         self.changes += 1;
+        if let Some(word) = self.dirty.get_mut(local_index / 64) {
+            *word |= 1 << (local_index % 64);
+        }
     }
 
     /// Every message delivered to this worker during the previous
@@ -188,7 +198,15 @@ impl<'a, V, M> SubgraphContext<'a, V, M> {
 /// next run of the same types.
 pub trait SubgraphProgram: Sync {
     /// Per-vertex state.
-    type Value: Clone + Send + Sync + std::fmt::Debug + 'static;
+    ///
+    /// `PartialEq` serves warm runs: a replica whose
+    /// [`warm_value`](Self::warm_value) equals its prior counts as
+    /// unchanged, and a run's output keeps the prior's value for a vertex
+    /// whose master stays unchanged through the run (see
+    /// `RunOptions::warm_seed`). Equal values must therefore be
+    /// interchangeable: a type whose `==` holds between values that differ
+    /// (`0.0 == -0.0`) keeps the prior's, even where its seed was the other.
+    type Value: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static;
     /// Message exchanged between replicas of the same vertex.
     type Message: Clone + Send + Sync + std::fmt::Debug + 'static;
 
@@ -202,7 +220,9 @@ pub trait SubgraphProgram: Sync {
     /// incremental programs override this to reset state invalidated by
     /// the mutations (e.g. component labels of split components). Called
     /// once per local replica, with the same `prior` for every replica, so
-    /// all replicas of a vertex start in agreement.
+    /// all replicas of a vertex start in agreement. A seed equal to `prior`
+    /// counts as unchanged: unless the run later sets the vertex, its
+    /// output is the prior, which the engine does not write again.
     fn warm_value(
         &self,
         vertex: VertexId,
@@ -255,8 +275,15 @@ mod tests {
         let mut outbox = Vec::new();
         let mut scratch = WorklistScratch::default();
         let routes = &dg.routing().worker_tables()[0];
-        let mut ctx: SubgraphContext<'_, u64, u64> =
-            SubgraphContext::new(sg, routes, &mut values, &mail, &mut outbox, &mut scratch);
+        let mut ctx: SubgraphContext<'_, u64, u64> = SubgraphContext::new(
+            sg,
+            routes,
+            &mut values,
+            &mail,
+            &mut outbox,
+            &mut scratch,
+            &mut [],
+        );
 
         assert_eq!(*ctx.value(0), 10);
         let arrived: Vec<(usize, u64)> = ctx.mail().map(|(local, &m)| (local, m)).collect();
@@ -305,8 +332,15 @@ mod tests {
             let alone = sg.local_index_of(VertexId::new(2 * worker as u64)).unwrap();
             let mut values = vec![0u64; sg.num_vertices()];
             let (mut outbox, mut scratch) = (Vec::new(), WorklistScratch::default());
-            let mut ctx: SubgraphContext<'_, u64, u64> =
-                SubgraphContext::new(sg, routes, &mut values, &[], &mut outbox, &mut scratch);
+            let mut ctx: SubgraphContext<'_, u64, u64> = SubgraphContext::new(
+                sg,
+                routes,
+                &mut values,
+                &[],
+                &mut outbox,
+                &mut scratch,
+                &mut [],
+            );
             for local in [alone, shared] {
                 ctx.send_to_replicas(local, 1);
                 ctx.send_to_master(local, 2);

@@ -39,11 +39,6 @@ pub trait EventSource {
     /// Pulls the next event: `None` at end of stream, `Some(Err(_))` when
     /// the underlying edge reader failed.
     fn next_event(&mut self) -> Option<Result<GraphEvent>>;
-
-    /// Total number of events the stream will deliver, when known up front.
-    fn expected_events(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// An [`EventSource`] over any infallible iterator of events.
@@ -56,7 +51,6 @@ pub trait EventSource {
 ///
 /// let e = Edge::from((0u64, 1u64));
 /// let mut source = events(vec![GraphEvent::Insert(e), GraphEvent::Delete(e)]);
-/// assert_eq!(source.expected_events(), Some(2));
 /// assert!(source.next_event().unwrap().unwrap().is_insert());
 /// ```
 pub fn events<I>(events: I) -> EventVec<I::IntoIter>
@@ -78,13 +72,6 @@ impl<I: Iterator<Item = GraphEvent>> EventSource for EventVec<I> {
     fn next_event(&mut self) -> Option<Result<GraphEvent>> {
         self.inner.next().map(Ok)
     }
-
-    fn expected_events(&self) -> Option<usize> {
-        match self.inner.size_hint() {
-            (lo, Some(hi)) if lo == hi => Some(hi),
-            _ => None,
-        }
-    }
 }
 
 /// Adapts any [`EdgeSource`] into an insert-only [`EventSource`] — the
@@ -98,7 +85,6 @@ impl<I: Iterator<Item = GraphEvent>> EventSource for EventVec<I> {
 /// use ebv_graph::RmatEdgeStream;
 ///
 /// let mut source = InsertEvents::new(RmatEdgeStream::new(8, 100).with_seed(1));
-/// assert_eq!(source.expected_events(), Some(100));
 /// assert!(source.next_event().unwrap().unwrap().is_insert());
 /// ```
 #[derive(Debug, Clone)]
@@ -119,10 +105,6 @@ impl<S: EdgeSource> EventSource for InsertEvents<S> {
             Ok(edge) => Some(Ok(GraphEvent::Insert(edge))),
             Err(err) => Some(Err(err.into())),
         }
-    }
-
-    fn expected_events(&self) -> Option<usize> {
-        self.source.expected_edges()
     }
 }
 
@@ -153,7 +135,6 @@ mod tests {
     #[test]
     fn insert_events_wrap_every_edge() {
         let mut source = InsertEvents::new(pairs(vec![(0, 1), (2, 3)]));
-        assert_eq!(source.expected_events(), Some(2));
         let mut count = 0;
         while let Some(event) = source.next_event() {
             assert!(event.unwrap().is_insert());

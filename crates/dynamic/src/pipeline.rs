@@ -57,11 +57,6 @@ impl EventPipeline {
         EventPipeline { batch_size }
     }
 
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Streams every event of `source` through `partitioner`, invoking
     /// `on_batch(batch, metrics)` after every `batch_size` events and once
     /// more for a non-empty final remainder.

@@ -64,11 +64,6 @@ impl<S: EdgeSource> SlidingWindow<S> {
         })
     }
 
-    /// The configured window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of edges currently live in the window.
     pub fn live_edges(&self) -> usize {
         self.live.len()
@@ -94,13 +89,6 @@ impl<S: EdgeSource> EventSource for SlidingWindow<S> {
                 }
             }
         }
-    }
-
-    fn expected_events(&self) -> Option<usize> {
-        // n inserts plus max(0, n - capacity) evictions.
-        self.source
-            .expected_edges()
-            .map(|n| n + n.saturating_sub(self.capacity))
     }
 }
 
@@ -138,7 +126,6 @@ mod tests {
     fn sliding_window_keeps_the_last_capacity_edges() {
         let input: Vec<(u64, u64)> = (0..10).map(|i| (i, i + 1)).collect();
         let window = SlidingWindow::new(pairs(input.clone()), 4).unwrap();
-        assert_eq!(window.expected_events(), Some(10 + 6));
         let events = drain(window);
         assert_eq!(events.len(), 16);
         let expected: Vec<Edge> = input[6..]
@@ -155,7 +142,6 @@ mod tests {
     #[test]
     fn sliding_window_shorter_than_capacity_never_evicts() {
         let window = SlidingWindow::new(pairs(vec![(0, 1), (1, 2)]), 10).unwrap();
-        assert_eq!(window.capacity(), 10);
         let events = drain(window);
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(GraphEvent::is_insert));

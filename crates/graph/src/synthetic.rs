@@ -14,9 +14,16 @@ use crate::error::Result;
 use crate::source::EdgeSource;
 use crate::types::Edge;
 
+/// The classic Graph500 quadrant probabilities `a`, `b` and `c` of
+/// [`RmatEdgeStream`]; `d = 1 - a - b - c = 0.05`.
+const A: f64 = 0.57;
+const B: f64 = 0.19;
+const C: f64 = 0.19;
+
 /// A streaming R-MAT generator: `num_edges` directed edges over the dense
 /// vertex universe `0..2^scale`, each drawn independently by recursive
-/// quadrant descent with probabilities `(a, b, c, d)`. Self loops are
+/// quadrant descent with the Graph500 probabilities `(0.57, 0.19, 0.19,
+/// 0.05)`. Self loops are
 /// rejected and redrawn, matching the loop-free evaluation graphs.
 ///
 /// Deterministic for a fixed seed, and O(1) memory: the stream can be
@@ -38,9 +45,6 @@ pub struct RmatEdgeStream {
     scale: u32,
     num_edges: usize,
     remaining: usize,
-    a: f64,
-    b: f64,
-    c: f64,
     rng: StdRng,
     seed: u64,
 }
@@ -64,9 +68,6 @@ impl RmatEdgeStream {
             scale,
             num_edges,
             remaining: num_edges,
-            a: 0.57,
-            b: 0.19,
-            c: 0.19,
             rng: StdRng::seed_from_u64(0),
             seed: 0,
         }
@@ -80,26 +81,6 @@ impl RmatEdgeStream {
         self
     }
 
-    /// Overrides the quadrant probabilities; `d` is implied as
-    /// `1 - a - b - c`. Skew grows with `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all of `a`, `b`, `c` are non-negative finite numbers
-    /// with `a + b + c < 1` (quadrant `d` must keep positive mass).
-    pub fn with_probabilities(mut self, a: f64, b: f64, c: f64) -> Self {
-        let valid = |p: f64| p.is_finite() && p >= 0.0;
-        assert!(
-            valid(a) && valid(b) && valid(c) && a + b + c < 1.0,
-            "R-MAT probabilities must be non-negative with a + b + c < 1, \
-             got ({a}, {b}, {c})"
-        );
-        self.a = a;
-        self.b = b;
-        self.c = c;
-        self
-    }
-
     fn draw(&mut self) -> Edge {
         loop {
             let mut src: u64 = 0;
@@ -108,11 +89,11 @@ impl RmatEdgeStream {
                 src <<= 1;
                 dst <<= 1;
                 let r: f64 = self.rng.gen();
-                if r < self.a {
+                if r < A {
                     // top-left: both bits 0
-                } else if r < self.a + self.b {
+                } else if r < A + B {
                     dst |= 1;
-                } else if r < self.a + self.b + self.c {
+                } else if r < A + B + C {
                     src |= 1;
                 } else {
                     src |= 1;
@@ -206,11 +187,5 @@ mod tests {
     fn rmat_scale_zero_is_rejected() {
         // Scale 0 has no loop-free edge: drawing would spin forever.
         let _ = RmatEdgeStream::new(0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "R-MAT probabilities")]
-    fn rmat_degenerate_probabilities_are_rejected() {
-        let _ = RmatEdgeStream::new(8, 10).with_probabilities(0.6, 0.3, 0.2);
     }
 }
